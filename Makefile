@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-join bench-daystore bench-smoke bench-e2e bench-e2e-update flake-sweep report
+.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-smoke bench-e2e bench-e2e-update flake-sweep report
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,7 @@ build:
 test: build obs stream distjoin bench-smoke
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -bench 'BenchmarkJoin' -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkJoin' -benchtime 1x -run '^$$' ./internal/core/
 
 # Streaming smoke: the stream-vs-batch parity harness, exactly-once
 # kill/resume, late-drop accounting, and the aggregator order-invariance
@@ -38,11 +38,11 @@ obs:
 # Distributed-join chaos leg: a four-worker fleet with one worker killed
 # mid-shard and one writing through a corrupting faultinject stream must
 # still produce byte-identical output, plus the poisoned-day quarantine,
-# graceful-drain, real-SIGKILL-subprocess, and coordinator kill-and-
-# resume parity suites.
+# graceful-drain, real-SIGKILL-subprocess, coordinator kill-and-resume,
+# and day-file (frame bound, corrupt-file refusal) suites.
 distjoin:
 	$(GO) test ./internal/distjoin/ \
-		-run 'TestChaosFleet|TestDistributedParity|TestPoisonedDayQuarantineParity|TestGracefulDrain|TestCoordinatorKillAndResume|TestSIGKILLWorkerMidRun' \
+		-run 'TestChaosFleet|TestDistributedParity|TestPoisonedDayQuarantineParity|TestGracefulDrain|TestCoordinatorKillAndResume|TestSIGKILLWorkerMidRun|TestFrameSizeBoundedByDayFile|TestCorruptDayFileFleetParity' \
 		-count 1
 	$(GO) test ./internal/faultinject/ -run 'TestStream' -count 1
 
@@ -108,25 +108,6 @@ flake-sweep:
 # Serving-engine throughput (workers=1 is the serialized baseline).
 bench-throughput:
 	$(GO) test -bench 'Server_(UDP|TCP)Throughput' -benchtime 1s -run '^$$' ./internal/authserver/
-
-# Join-engine benchmark: the interval-indexed sharded engine against the
-# legacy linear scan, with allocation counts. The raw `go test -json`
-# event stream is archived in BENCH_join.json; the sed line prints the
-# human-readable benchmark rows.
-bench-join:
-	$(GO) test -json -bench 'BenchmarkJoin' -benchmem -benchtime 1s -count 3 -run '^$$' . > BENCH_join.json
-	@awk -F'"Output":"' '/"Output":/{s=$$2; sub(/"}$$/,"",s); gsub(/\\n/,"\n",s); gsub(/\\t/,"\t",s); printf "%s", s}' \
-		BENCH_join.json | grep -E 'ns/op|^(goos|cpu)'
-
-# Out-of-core day-store scale benchmark: seals a >1M-domain-per-day world
-# to columnar files and scans it join-style through the mmap views; the
-# benchmark itself FAILS if resident heap growth exceeds a quarter of the
-# on-disk volume (the flat-RSS acceptance bar). Archived in
-# BENCH_daystore.json.
-bench-daystore:
-	$(GO) test -json -bench 'BenchmarkDayStoreScale' -benchtime 1x -count 1 -run '^$$' -timeout 30m ./internal/daystore/ > BENCH_daystore.json
-	@awk -F'"Output":"' '/"Output":/{s=$$2; sub(/"}$$/,"",s); gsub(/\\n/,"\n",s); gsub(/\\t/,"\t",s); printf "%s", s}' \
-		BENCH_daystore.json | grep -E 'ns/op|^(goos|cpu)'
 
 # The paper's tables and figures.
 report:

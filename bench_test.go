@@ -12,6 +12,7 @@
 package dnsddos_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -48,7 +49,12 @@ func benchStudy(b *testing.B) *study.Study {
 			cfg.Attacks.TotalAttacks = 25000
 		}
 		start := time.Now()
-		theStudy = study.Run(cfg)
+		var err error
+		if theStudy, err = study.RunContext(context.Background(), cfg); err != nil {
+			// only an invalid config can fail here; b.Fatal inside the Once
+			// would leave every later benchmark a nil study
+			panic(err)
+		}
 		fmt.Printf("# shared study: domains=%d attacks=%d events=%d (%.1fs)\n",
 			len(theStudy.World.DB.Domains), len(theStudy.Attacks), len(theStudy.Events),
 			time.Since(start).Seconds())

@@ -3,16 +3,17 @@
 // attack events as CSV, one row per (attack, NSSet) event.
 //
 // The run is supervised: SIGINT/SIGTERM cancel it cleanly, -checkpoint
-// persists every completed day-sweep to a durable journal, and
-// -checkpoint with -resume restarts a killed run from the last completed
-// day instead of day 0. Day-sweeps that panic are retried once and then
-// quarantined (reported on stderr) rather than aborting the run.
+// seals every completed day-sweep to a column file (under DIR/days unless
+// -daystore names another directory) and journals a hash reference to it,
+// and -checkpoint with -resume restarts a killed run from the last
+// completed day instead of day 0. Day-sweeps that panic are retried once
+// and then quarantined (reported on stderr) rather than aborting the run.
 //
 // Usage:
 //
 //	joinpipe [-domains N] [-attacks N] [-out FILE] [-quick] [-config FILE]
 //	         [-checkpoint DIR] [-resume] [-shard-timeout D] [-metrics-addr :9090]
-//	         [-legacy-join] [-index-cache N] [-shard-by BITS]
+//	         [-daystore DIR] [-index-cache N] [-shard-by BITS]
 //	         [-coordinator HOST:PORT] [-min-workers N] [-heartbeat D] [-ranges N]
 //
 // With -coordinator, joinpipe runs no sweeps or joins itself: it listens
@@ -33,6 +34,7 @@ import (
 	"syscall"
 	"time"
 
+	"dnsddos/internal/cli"
 	"dnsddos/internal/distjoin"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/report"
@@ -56,16 +58,11 @@ func main() {
 // per-day inside the study), and removing a partially-written output
 // file on error so a crashed run never leaves a plausible-looking CSV.
 func run() (err error) {
-	quick := flag.Bool("quick", true, "use the scaled-down quick configuration")
-	domains := flag.Int("domains", 0, "override world size")
-	attacks := flag.Int("attacks", 0, "override attack count")
+	common := cli.Register("joinpipe", true, true)
 	out := flag.String("out", "", "output CSV file (default stdout)")
-	configPath := flag.String("config", "", "JSON study configuration (overrides -quick)")
 	ckptDir := flag.String("checkpoint", "", "checkpoint directory: persist each completed day-sweep")
 	resume := flag.Bool("resume", false, "resume from the checkpoints in -checkpoint instead of day 0")
 	shardTimeout := flag.Duration("shard-timeout", 0, "watchdog deadline per day-sweep (0 = none); a stuck day is quarantined, not waited for")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics.json, /debug/vars and /debug/pprof/ on this address while the run is in flight (empty disables)")
-	legacyJoin := flag.Bool("legacy-join", false, "use the historical linear-scan join engine instead of the interval-indexed sharded engine")
 	indexCache := flag.Int("index-cache", 0, "join-engine day-snapshot LRU size (0 = default, negative = unbounded)")
 	shardBy := flag.Int("shard-by", 0, "victim-prefix bits the join shards by (0 = default /16)")
 	coordAddr := flag.String("coordinator", "", "run as fleet coordinator: listen on this address and distribute the work to joinworker processes")
@@ -74,8 +71,7 @@ func run() (err error) {
 	numRanges := flag.Int("ranges", 0, "coordinator mode: join shard-range partition width (0 = default)")
 	suspectMissed := flag.Int("suspect-missed", 5, "coordinator mode: consecutive missed heartbeats before a worker is suspect (its tasks shadow-requeue)")
 	deadMissed := flag.Int("dead-missed", 10, "coordinator mode: consecutive missed heartbeats before a worker is declared dead")
-	daystoreDir := flag.String("daystore", "", "seal completed day-sweeps to columnar files in this directory and join against the mmap-backed views (out-of-core: resident memory stays flat in the world size)")
-	inMemoryDays := flag.Bool("in-memory-days", false, "keep every day snapshot on the heap (the historical path); overrides -daystore")
+	daystoreDir := flag.String("daystore", "", "seal completed day-sweeps to columnar files in this directory and join against the mmap-backed views (out-of-core: resident memory stays flat in the world size); with -checkpoint the default is DIR/days")
 	flag.Parse()
 
 	if *resume && *ckptDir == "" {
@@ -85,46 +81,25 @@ func run() (err error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := study.DefaultConfig()
-	if *quick {
-		cfg = study.QuickConfig()
+	cfg, err := common.Config()
+	if err != nil {
+		return err
 	}
-	if *configPath != "" {
-		f, err := os.Open(*configPath)
-		if err != nil {
-			return err
-		}
-		cfg, err = study.ReadConfig(f, cfg)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	}
-	if *domains > 0 {
-		cfg.World.Domains = *domains
-	}
-	if *attacks > 0 {
-		cfg.Attacks.TotalAttacks = *attacks
-	}
-
 	reg := obs.New()
-	if *metricsAddr != "" {
-		ms, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer ms.Close()
-		fmt.Fprintf(os.Stderr, "joinpipe: observability on http://%s/metrics.json\n", ms.Addr())
+	stopMetrics, err := common.ServeMetrics(reg)
+	if err != nil {
+		return err
 	}
+	defer stopMetrics()
 
 	start := time.Now()
 	var s *study.Study
 	if *coordAddr != "" {
-		if *legacyJoin || *indexCache != 0 || *shardBy != 0 || *shardTimeout != 0 {
-			return fmt.Errorf("-legacy-join, -index-cache, -shard-by and -shard-timeout do not apply in coordinator mode")
+		if *indexCache != 0 || *shardBy != 0 || *shardTimeout != 0 {
+			return fmt.Errorf("-index-cache, -shard-by and -shard-timeout do not apply in coordinator mode")
 		}
 		if *daystoreDir != "" {
-			return fmt.Errorf("-daystore does not apply in coordinator mode; pass -spool to the joinworker processes instead")
+			return fmt.Errorf("-daystore does not apply in coordinator mode: the fleet's day files go to <-checkpoint>/days, or a temporary directory")
 		}
 		coord, err := distjoin.NewCoordinator(cfg,
 			distjoin.WithListenAddr(*coordAddr),
@@ -154,16 +129,9 @@ func run() (err error) {
 			study.WithIndexCacheSize(*indexCache),
 			study.WithShardBits(*shardBy),
 		}
-		if *legacyJoin {
-			runOpts = append(runOpts, study.WithLegacyJoin())
-		}
 		if *daystoreDir != "" {
 			runOpts = append(runOpts, study.WithDayStoreDir(*daystoreDir))
 		}
-		if *inMemoryDays {
-			runOpts = append(runOpts, study.WithInMemoryDays())
-		}
-		var err error
 		if s, err = study.RunContext(ctx, cfg, runOpts...); err != nil {
 			return err
 		}
@@ -174,13 +142,7 @@ func run() (err error) {
 		fmt.Fprintf(os.Stderr, ", %d day-sweeps resumed from checkpoint", s.Report.ResumedDays)
 	}
 	fmt.Fprintf(os.Stderr, ")\n")
-	if len(s.Report.SkippedDays) > 0 {
-		rows := make([]report.SkippedDayRow, len(s.Report.SkippedDays))
-		for i, sd := range s.Report.SkippedDays {
-			rows[i] = report.SkippedDayRow{Day: sd.Day, Reason: sd.Reason, Attempts: sd.Attempts}
-		}
-		report.SkippedDays(os.Stderr, rows)
-	}
+	cli.ReportSkippedDays(s)
 
 	w := io.Writer(os.Stdout)
 	var f *os.File

@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	joinworker -connect HOST:PORT [-name ID] [-metrics-addr :9091]
+//	joinworker -connect HOST:PORT [-name ID] [-spool DIR] [-metrics-addr :9091]
 package main
 
 import (
@@ -45,7 +45,7 @@ func run() error {
 	connect := flag.String("connect", "", "coordinator address (required)")
 	name := flag.String("name", "", "worker name in fleet metrics and logs (default: worker-<pid>)")
 	metricsAddr := flag.String("metrics-addr", "", "serve this worker's /metrics.json on this address (empty disables)")
-	spoolDir := flag.String("spool", "", "spool the coordinator's day snapshots to sealed columnar files in this directory and join against the mmap-backed views (flat resident memory)")
+	spoolDir := flag.String("spool", "", "directory the coordinator's sealed day files are installed into at join setup (default: a temporary directory, removed on exit)")
 	flag.Parse()
 
 	if *connect == "" {
@@ -68,11 +68,7 @@ func run() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	wOpts := []distjoin.WorkerOption{distjoin.WithWorkerMetrics(reg)}
-	if *spoolDir != "" {
-		wOpts = append(wOpts, distjoin.WithSpoolDir(*spoolDir))
-	}
-	w := distjoin.NewWorker(*name, wOpts...)
+	w := distjoin.NewWorker(*name, distjoin.WithWorkerMetrics(reg), distjoin.WithSpoolDir(*spoolDir))
 
 	// First signal drains gracefully, second aborts.
 	sigs := make(chan os.Signal, 2)

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -31,7 +32,10 @@ func main() {
 	maxCampaigns := flag.Int("max", 10, "max campaigns to run")
 	flag.Parse()
 
-	s := study.Run(study.QuickConfig())
+	s, err := study.RunContext(context.Background(), study.QuickConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 	attacks := s.Attacks
 	if *feedPath != "" {
 		f, err := os.Open(*feedPath)

@@ -23,6 +23,7 @@ import (
 	"syscall"
 	"time"
 
+	"dnsddos/internal/cli"
 	"dnsddos/internal/core"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
@@ -39,15 +40,11 @@ func main() {
 }
 
 func run() error {
-	quick := flag.Bool("quick", false, "use the scaled-down configuration")
-	domains := flag.Int("domains", 0, "override world size")
-	attacks := flag.Int("attacks", 0, "override attack count")
+	common := cli.Register("report", false, true)
 	outdir := flag.String("outdir", "", "also write each table/figure to CSV files in this directory")
-	configPath := flag.String("config", "", "JSON study configuration (overrides -quick)")
 	ckptDir := flag.String("checkpoint", "", "checkpoint directory: persist each completed day-sweep")
 	resume := flag.Bool("resume", false, "resume from the checkpoints in -checkpoint instead of day 0")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics.json, /debug/vars and /debug/pprof/ on this address while the run is in flight (empty disables)")
-	daystoreDir := flag.String("daystore", "", "seal completed day-sweeps to columnar files in this directory and join against the mmap-backed views (out-of-core: resident memory stays flat in the world size)")
+	daystoreDir := flag.String("daystore", "", "seal completed day-sweeps to columnar files in this directory and join against the mmap-backed views (out-of-core: resident memory stays flat in the world size); with -checkpoint the default is DIR/days")
 	flag.Parse()
 
 	if *resume && *ckptDir == "" {
@@ -62,37 +59,16 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := study.DefaultConfig()
-	if *quick {
-		cfg = study.QuickConfig()
+	cfg, err := common.Config()
+	if err != nil {
+		return err
 	}
-	if *configPath != "" {
-		f, err := os.Open(*configPath)
-		if err != nil {
-			return err
-		}
-		cfg, err = study.ReadConfig(f, cfg)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	}
-	if *domains > 0 {
-		cfg.World.Domains = *domains
-	}
-	if *attacks > 0 {
-		cfg.Attacks.TotalAttacks = *attacks
-	}
-
 	reg := obs.New()
-	if *metricsAddr != "" {
-		ms, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer ms.Close()
-		fmt.Fprintf(os.Stderr, "report: observability on http://%s/metrics.json\n", ms.Addr())
+	stopMetrics, err := common.ServeMetrics(reg)
+	if err != nil {
+		return err
 	}
+	defer stopMetrics()
 
 	start := time.Now()
 	runOpts := []study.Option{
@@ -109,13 +85,7 @@ func run() error {
 	}
 	fmt.Printf("study: %d domains, %d inferred attacks, %d joined events (%.1fs)\n\n",
 		len(s.World.DB.Domains), len(s.Attacks), len(s.Events), time.Since(start).Seconds())
-	if len(s.Report.SkippedDays) > 0 {
-		rows := make([]report.SkippedDayRow, len(s.Report.SkippedDays))
-		for i, sd := range s.Report.SkippedDays {
-			rows[i] = report.SkippedDayRow{Day: sd.Day, Reason: sd.Reason, Attempts: sd.Attempts}
-		}
-		report.SkippedDays(os.Stderr, rows)
-	}
+	cli.ReportSkippedDays(s)
 
 	out := os.Stdout
 	report.Table1(out, core.SummarizeDataset(s.Attacks, s.World.Topo))

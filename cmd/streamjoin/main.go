@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"dnsddos/internal/checkpoint"
+	"dnsddos/internal/cli"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/packet"
@@ -62,9 +63,7 @@ func main() {
 }
 
 func run() error {
-	quick := flag.Bool("quick", true, "use the scaled-down quick configuration")
-	domains := flag.Int("domains", 0, "override world size")
-	attacks := flag.Int("attacks", 0, "override attack count")
+	common := cli.Register("streamjoin", true, false)
 	fromDay := flag.Int("from-day", 29, "first study day the trace replays")
 	days := flag.Int("days", 1, "number of days to replay")
 	lateness := flag.Int("lateness", 1, "watermark lateness allowance in 5-minute windows")
@@ -74,7 +73,6 @@ func run() error {
 	out := flag.String("out", "", "output CSV file, appended batch by batch (default stdout)")
 	journalDir := flag.String("journal", "", "journal directory: checkpoint the emission frontier per batch")
 	resume := flag.Bool("resume", false, "resume from the journal in -journal with exactly-once emission")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics.json with live stream lag/backlog/drop gauges (empty disables)")
 	maxBacklog := flag.Int("max-backlog", 0, "overload: bound on queued closed-window batches; at the bound intake pauses (0 = unbounded, tier off)")
 	spillDir := flag.String("spill-dir", "", "overload: directory for the backlog spill file (batches past -high-water go to disk)")
 	highWater := flag.Int("high-water", 64, "overload: in-memory batches kept before spilling (needs -spill-dir)")
@@ -93,15 +91,9 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := study.DefaultConfig()
-	if *quick {
-		cfg = study.QuickConfig()
-	}
-	if *domains > 0 {
-		cfg.World.Domains = *domains
-	}
-	if *attacks > 0 {
-		cfg.Attacks.TotalAttacks = *attacks
+	cfg, err := common.Config()
+	if err != nil {
+		return err
 	}
 	// sweep one day before the trace (prev-day snapshots and baselines)
 	// and the trace days themselves
@@ -110,14 +102,11 @@ func run() error {
 	cfg.FromDay, cfg.ToDay = traceFrom-1, traceTo
 
 	reg := obs.New()
-	if *metricsAddr != "" {
-		ms, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer ms.Close()
-		fmt.Fprintf(os.Stderr, "streamjoin: observability on http://%s/metrics.json\n", ms.Addr())
+	stopMetrics, err := common.ServeMetrics(reg)
+	if err != nil {
+		return err
 	}
+	defer stopMetrics()
 
 	start := time.Now()
 	s, err := study.RunContext(ctx, cfg, study.WithSkipJoin(), study.WithMetrics(reg))

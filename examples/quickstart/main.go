@@ -10,7 +10,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"os"
 
 	"dnsddos/internal/core"
@@ -22,7 +24,10 @@ func main() {
 	cfg := study.QuickConfig()
 	fmt.Printf("running quick study: %d domains, %d attacks over 17 months...\n",
 		cfg.World.Domains, cfg.Attacks.TotalAttacks)
-	s := study.Run(cfg)
+	s, err := study.RunContext(context.Background(), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\ntelescope inferred %d RSDoS attacks; %d joined events on DNS NSSets\n\n",
 		len(s.Attacks), len(s.Events))

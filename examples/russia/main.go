@@ -9,7 +9,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"math/rand/v2"
 	"time"
 
@@ -27,7 +29,10 @@ func main() {
 	cfg.FromDay = dayOf(2022, 3, 1)
 	cfg.ToDay = dayOf(2022, 3, 25)
 	fmt.Println("running Russian-infrastructure case studies (March 2022)...")
-	s := study.Run(cfg)
+	s, err := study.RunContext(context.Background(), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cs := s.Schedule.CaseStudies
 
 	platform := reactive.NewPlatform(reactive.DefaultConfig(), s.World.DB, s.Resolver, rand.New(rand.NewPCG(11, 11)))

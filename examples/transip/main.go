@@ -12,7 +12,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"os"
 	"time"
 
@@ -30,7 +32,10 @@ func main() {
 	cfg.FromDay = clock.DayOf(time.Date(2020, 11, 28, 0, 0, 0, 0, time.UTC))
 	cfg.ToDay = clock.DayOf(time.Date(2021, 3, 5, 0, 0, 0, 0, time.UTC))
 	fmt.Println("running TransIP case study (measuring Nov 28 2020 .. Mar 5 2021)...")
-	s := study.Run(cfg)
+	s, err := study.RunContext(context.Background(), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	cs := s.Schedule.CaseStudies
 	k := nsset.KeyOf(cs.TransIPNS[:])

@@ -1,15 +1,17 @@
-// Package checkpoint persists completed day-shard measurement snapshots
-// of a study run so a killed run can resume from the last durable day
-// instead of day 0 (DESIGN §3.2). A checkpoint directory holds
+// Package checkpoint is the journal of a study run: it records which
+// day-shards completed so a killed run can resume from the last durable
+// day instead of day 0 (DESIGN §3.2). A checkpoint directory holds
 //
 //   - header.json — the run identity: format version, a hash of the full
 //     study configuration, and the measurement seed. Resume refuses a
 //     directory whose header does not match the current run, so stale
 //     checkpoints can never be silently joined into a different study.
-//   - day_NNNNNN.ckpt — one file per completed day: an 8-byte magic, the
-//     format version, a length-prefixed gob payload (nsset.Snapshot) and
-//     a CRC-32 trailer. Truncation, bit rot and version skew are all
-//     detected and reported as errors, never decoded as garbage.
+//   - dayref_NNNNNN.ckpt — one record per completed day: an 8-byte magic,
+//     the format version, a length-prefixed gob payload (a DayRef: the
+//     name and SHA-256 of the day's sealed column file, internal/daystore)
+//     and a CRC-32 trailer. Truncation, bit rot and version skew are all
+//     detected and reported as errors, never decoded as garbage. The
+//     journal never holds measurements itself.
 //
 // Every file is written to a temporary name in the same directory,
 // synced, and atomically renamed into place, so a crash mid-write leaves
@@ -27,12 +29,14 @@ import (
 	"os"
 	"path/filepath"
 
+	"dnsddos/internal/atomicfile"
 	"dnsddos/internal/clock"
-	"dnsddos/internal/nsset"
 )
 
 // Version is the on-disk format version; bump on incompatible change.
-const Version = 1
+// Version 1 journals embedded each day as a gob blob (day_NNNNNN.ckpt);
+// they are refused on resume rather than re-swept or half-trusted.
+const Version = 2
 
 const headerName = "header.json"
 
@@ -58,7 +62,7 @@ func Create(path string, hdr Header) (*Dir, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: creating %s: %w", path, err)
 	}
-	// every record type shares the .ckpt suffix — day snapshots, stream
+	// every record type shares the .ckpt suffix — day references, stream
 	// cursors, and named auxiliary records (distributed join ranges) are
 	// all stale state of the previous run and must go
 	old, err := filepath.Glob(filepath.Join(path, "*.ckpt"))
@@ -76,8 +80,8 @@ func Create(path string, hdr Header) (*Dir, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding header: %w", err)
 	}
-	if err := atomicWrite(path, headerName, b); err != nil {
-		return nil, err
+	if err := atomicfile.Write(path, headerName, b); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return &Dir{path: path, hdr: hdr}, nil
 }
@@ -110,8 +114,6 @@ func Resume(path string, hdr Header) (*Dir, error) {
 
 // Path returns the directory path.
 func (d *Dir) Path() string { return d.path }
-
-func dayFile(day clock.Day) string { return fmt.Sprintf("day_%06d.ckpt", int32(day)) }
 
 // EncodeFrame gob-encodes v into the standard checkpoint envelope:
 // magic, version, length-prefixed payload, CRC-32 trailer. The frame is
@@ -163,59 +165,12 @@ func DecodeFrame(b []byte, v any) error {
 	return nil
 }
 
-// writeRecord frames v with EncodeFrame and atomically publishes it as
-// dir/name. All checkpoint record files — day snapshots, stream cursors —
-// share this envelope.
-func (d *Dir) writeRecord(name string, v any) error {
-	b, err := EncodeFrame(v)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encoding %s: %w", name, err)
-	}
-	return atomicWrite(d.path, name, b)
-}
-
-// loadRecord reads and integrity-checks dir/name, decoding its gob
-// payload into v. The boolean is false when the file does not exist; a
-// file that exists but fails any check (magic, version, length, CRC,
-// decode) is an error, never silently skipped.
-func (d *Dir) loadRecord(name string, v any) (bool, error) {
-	full := filepath.Join(d.path, name)
-	b, err := os.ReadFile(full)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("checkpoint: reading %s: %w", full, err)
-	}
-	if len(b) < len(magic)+12+4 || !bytes.Equal(b[:len(magic)], magic) {
-		return false, fmt.Errorf("checkpoint: %s: truncated or not a checkpoint file", full)
-	}
-	rest := b[len(magic):]
-	ver := binary.BigEndian.Uint32(rest[0:4])
-	if ver != Version {
-		return false, fmt.Errorf("checkpoint: %s: format version %d, this build reads %d", full, ver, Version)
-	}
-	plen := binary.BigEndian.Uint64(rest[4:12])
-	rest = rest[12:]
-	if uint64(len(rest)) != plen+4 {
-		return false, fmt.Errorf("checkpoint: %s: truncated payload (%d of %d bytes)", full, len(rest), plen+4)
-	}
-	payload, trailer := rest[:plen], rest[plen:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(trailer); got != want {
-		return false, fmt.Errorf("checkpoint: %s: crc mismatch (%08x != %08x)", full, got, want)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return false, fmt.Errorf("checkpoint: %s: decoding payload: %w", full, err)
-	}
-	return true, nil
-}
-
 // Store is the single journal-record surface: every checkpoint record —
-// day snapshots, sealed-day references, stream cursors, distributed-join
-// plans and ranges — is one named, CRC-framed, atomically published gob
-// value. Dir implements it; the typed helpers (WriteDay, WriteDayRef,
-// Cursor) are conveniences layered on the same two entry points, so a
-// consumer that accepts a Store composes with any journal backend.
+// sealed-day references, stream cursors, distributed-join plans and
+// ranges — is one named, CRC-framed, atomically published gob value. Dir
+// implements it; the typed helpers (WriteDayRef, Cursor) are conveniences
+// layered on the same two entry points, so a consumer that accepts a
+// Store composes with any journal backend.
 type Store interface {
 	// Write durably records v under name (a bare *.ckpt filename) in the
 	// standard envelope: magic, version, length-prefixed gob, CRC-32
@@ -231,34 +186,43 @@ type Store interface {
 // Dir implements Store.
 var _ Store = (*Dir)(nil)
 
-// Write implements Store: it durably records v under the given name. The
-// distributed-join coordinator journals its join-shard results and plan
-// fingerprint this way so a killed coordinator resumes without re-joining
-// completed shard ranges.
+// Write implements Store: it frames v with EncodeFrame and atomically
+// publishes it as dir/name. The distributed-join coordinator journals its
+// join-shard results and plan fingerprint this way so a killed coordinator
+// resumes without re-joining completed shard ranges.
 func (d *Dir) Write(name string, v any) error {
 	if err := validRecordName(name); err != nil {
 		return err
 	}
-	return d.writeRecord(name, v)
+	b, err := EncodeFrame(v)
+	if err != nil {
+		return fmt.Errorf("checkpoint: encoding %s: %w", name, err)
+	}
+	if err := atomicfile.Write(d.path, name, b); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return nil
 }
 
-// Load implements Store: it reads a record written by Write.
+// Load implements Store: it reads dir/name and decodes it with
+// DecodeFrame.
 func (d *Dir) Load(name string, v any) (bool, error) {
 	if err := validRecordName(name); err != nil {
 		return false, err
 	}
-	return d.loadRecord(name, v)
+	full := filepath.Join(d.path, name)
+	b, err := os.ReadFile(full)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("checkpoint: reading %s: %w", full, err)
+	}
+	if err := DecodeFrame(b, v); err != nil {
+		return false, fmt.Errorf("%s: %w", full, err)
+	}
+	return true, nil
 }
-
-// WriteNamed records an auxiliary run-state record.
-//
-// Deprecated: WriteNamed is Store.Write under its historical name.
-func (d *Dir) WriteNamed(name string, v any) error { return d.Write(name, v) }
-
-// LoadNamed reads an auxiliary record written by WriteNamed.
-//
-// Deprecated: LoadNamed is Store.Load under its historical name.
-func (d *Dir) LoadNamed(name string, v any) (bool, error) { return d.Load(name, v) }
 
 // validRecordName rejects names that would escape the directory or dodge
 // the Create-time cleanup glob.
@@ -269,31 +233,11 @@ func validRecordName(name string) error {
 	return nil
 }
 
-// WriteDay durably records one completed day's snapshot as an embedded
-// gob blob — the in-memory day path. Runs with a columnar day store
-// record a DayRef instead.
-func (d *Dir) WriteDay(day clock.Day, snap nsset.Snapshot) error {
-	return d.Write(dayFile(day), &snap)
-}
-
-// LoadDay reads one day's snapshot. The boolean is false when the day
-// has no checkpoint; a file that exists but fails any integrity check
-// (magic, version, length, CRC, decode) is an error.
-func (d *Dir) LoadDay(day clock.Day) (nsset.Snapshot, bool, error) {
-	var snap nsset.Snapshot
-	ok, err := d.Load(dayFile(day), &snap)
-	if err != nil {
-		return nsset.Snapshot{}, false, err
-	}
-	return snap, ok, nil
-}
-
-// DayRef points a day record at a sealed columnar day file
-// (internal/daystore) instead of embedding the snapshot as gob: the
-// journal stays O(refs) while the bulk data lives in the mmap-friendly
-// column files. The content hash pins the exact sealed bytes, so a
-// resume can refuse a swapped or rotted file with the same severity a
-// CRC-mismatched embedded blob gets.
+// DayRef is the journal's only day record: it points at the day's sealed
+// columnar file (internal/daystore), so the journal stays O(refs) while
+// the bulk data lives in the mmap-friendly column files. The content hash
+// pins the exact sealed bytes, so a resume can refuse a swapped or rotted
+// file with the same severity a CRC-mismatched record gets.
 type DayRef struct {
 	// File is the sealed file's bare name inside the day-store directory.
 	File string
@@ -304,10 +248,7 @@ type DayRef struct {
 func dayRefFile(day clock.Day) string { return fmt.Sprintf("dayref_%06d.ckpt", int32(day)) }
 
 // WriteDayRef durably records that day's snapshot was sealed into the
-// referenced column file. Ref records are disjoint from embedded day
-// records (dayref_ vs day_ names): a run resumed under the other day
-// backend simply finds no records and re-sweeps, rather than
-// misinterpreting one representation as the other.
+// referenced column file.
 func (d *Dir) WriteDayRef(day clock.Day, ref DayRef) error {
 	return d.Write(dayRefFile(day), &ref)
 }
@@ -324,7 +265,8 @@ func (d *Dir) LoadDayRef(day clock.Day) (DayRef, bool, error) {
 }
 
 // LoadDayRefs reads every recorded day reference in [from, to]. Any
-// corrupt record fails the whole load, like LoadDays.
+// corrupt record fails the whole load: a resume must either trust its
+// checkpoints or refuse them.
 func (d *Dir) LoadDayRefs(from, to clock.Day) (map[clock.Day]DayRef, error) {
 	out := make(map[clock.Day]DayRef)
 	for day := from; day <= to; day++ {
@@ -337,63 +279,4 @@ func (d *Dir) LoadDayRefs(from, to clock.Day) (map[clock.Day]DayRef, error) {
 		}
 	}
 	return out, nil
-}
-
-// LoadDays reads every checkpointed day in [from, to]. Any corrupt day
-// file fails the whole load: a resume must either trust its checkpoints
-// or refuse them.
-func (d *Dir) LoadDays(from, to clock.Day) (map[clock.Day]nsset.Snapshot, error) {
-	out := make(map[clock.Day]nsset.Snapshot)
-	for day := from; day <= to; day++ {
-		snap, ok, err := d.LoadDay(day)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out[day] = snap
-		}
-	}
-	return out, nil
-}
-
-// atomicWrite writes data to dir/name via a synced temporary file, an
-// atomic rename, and a directory fsync. The directory sync matters for
-// the exactly-once cursor contract: rename alone makes the new name
-// visible but not durable, so a power loss after the sink accepted a
-// batch could resurface the *previous* cursor on resume and double-emit.
-// Syncing the parent directory pins the rename before the caller
-// acknowledges the record as written.
-func atomicWrite(dir, name string, data []byte) (err error) {
-	f, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: creating temp for %s: %w", name, err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if _, err = f.Write(data); err != nil {
-		return fmt.Errorf("checkpoint: writing %s: %w", name, err)
-	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: syncing %s: %w", name, err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing %s: %w", name, err)
-	}
-	if err = os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("checkpoint: publishing %s: %w", name, err)
-	}
-	df, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: opening %s for sync: %w", dir, err)
-	}
-	defer df.Close()
-	if err = df.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: syncing %s: %w", dir, err)
-	}
-	return nil
 }

@@ -46,10 +46,10 @@ type Cursor struct {
 }
 
 // WriteCursor durably records the stream emission frontier. It shares
-// the day-file envelope (magic, version, CRC, atomic rename), so a torn
+// the record envelope (magic, version, CRC, atomic rename), so a torn
 // or stale cursor is detected, never decoded as garbage.
 func (d *Dir) WriteCursor(c Cursor) error {
-	return d.writeRecord(cursorName, &c)
+	return d.Write(cursorName, &c)
 }
 
 // LoadCursor reads the stream emission frontier. The boolean is false
@@ -57,7 +57,7 @@ func (d *Dir) WriteCursor(c Cursor) error {
 // corrupt cursor is an error — resuming past it could emit duplicates.
 func (d *Dir) LoadCursor() (Cursor, bool, error) {
 	var c Cursor
-	ok, err := d.loadRecord(cursorName, &c)
+	ok, err := d.Load(cursorName, &c)
 	if err != nil {
 		return Cursor{}, false, err
 	}

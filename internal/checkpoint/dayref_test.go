@@ -9,10 +9,10 @@ import (
 	"dnsddos/internal/clock"
 )
 
-// dayref_test.go covers the sealed-file reference records (the daystore
-// run mode's checkpoint shape) and the generic Store surface they ride
-// on: refs round-trip, gaps read as absent, and the ref journal enjoys
-// the same framing integrity as day snapshots.
+// dayref_test.go covers the sealed-file reference records (the journal's
+// only day record) and the generic Store surface they ride on: refs
+// round-trip, gaps read as absent, and the ref journal enjoys the same
+// framing integrity as every other record.
 
 func TestDayRefRoundTrip(t *testing.T) {
 	d, err := Create(t.TempDir(), testHeader())
@@ -56,27 +56,6 @@ func TestLoadDayRefsSkipsGaps(t *testing.T) {
 		if _, ok := refs[day]; !ok {
 			t.Fatalf("day %d missing from %v", day, refs)
 		}
-	}
-}
-
-// TestDayRefsAndDaysAreDisjoint: a ref record for day N never shadows a
-// legacy day-snapshot record for the same N and vice versa.
-func TestDayRefsAndDaysAreDisjoint(t *testing.T) {
-	d, err := Create(t.TempDir(), testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteDay(4, testSnapshot(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteDayRef(4, DayRef{File: "day_000004.dcol", SHA256: "y"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := d.LoadDay(4); !ok || err != nil {
-		t.Fatalf("LoadDay after ref write: ok %v err %v", ok, err)
-	}
-	if _, ok, err := d.LoadDayRef(4); !ok || err != nil {
-		t.Fatalf("LoadDayRef after day write: ok %v err %v", ok, err)
 	}
 }
 

@@ -1,8 +1,7 @@
 // daystore.go defines the DayStore interface: the pipeline's only
-// day-access surface. The join engines (join.go's indexed shards and the
-// WithLegacyJoin linear scan), the analysis accessors, and every stream/
-// distjoin consumer read per-day NSSet aggregates exclusively through it,
-// so the backing representation is swappable:
+// day-access surface. The join engine (join.go), the analysis accessors,
+// and every stream/distjoin consumer read per-day NSSet aggregates
+// exclusively through it, so the backing representation is swappable:
 //
 //   - the in-memory path (NewAggregatorDayStore, the default) serves the
 //     live nsset.Aggregator maps — the historical behaviour;

@@ -1,5 +1,5 @@
 // join.go is the interval-indexed sharded join engine (DESIGN §3.4), the
-// default implementation behind Pipeline.EventsContext.
+// implementation of Pipeline.EventsContext.
 //
 // Engine shape: the attack feed is indexed by victim (AttackIndex), each
 // distinct victim is classified exactly once, and DNS-direct victims are
@@ -9,8 +9,9 @@
 // cache, streaming events into per-shard buffers. The buffers are merged
 // and sorted by (feed position, NSSet rank), which reproduces the legacy
 // linear scan's emission order exactly — attacks in feed order, and per
-// victim the containing NSSets in sorted order — so the two engines are
-// byte-identical on completed joins (enforced by TestJoinEngineParity).
+// victim the containing NSSets in sorted order — so the engine is
+// byte-identical to the reference scan kept in legacy_test.go on
+// completed joins (enforced by TestJoinEngineParity).
 //
 // Beyond sharding, the engine removes three per-event costs the linear
 // scan pays:
@@ -231,8 +232,10 @@ func (p *Pipeline) joinIndexFor(attacks []rsdos.Attack) *joinIndex {
 	return ji
 }
 
-// eventsIndexed is the sharded interval-indexed join.
-func (p *Pipeline) eventsIndexed(ctx context.Context, attacks []rsdos.Attack) ([]Event, error) {
+// EventsContext is Events with cooperative cancellation: the sharded
+// interval-indexed join. A cancelled join returns the events built so far
+// together with ctx.Err(); callers must treat such a slice as partial.
+func (p *Pipeline) EventsContext(ctx context.Context, attacks []rsdos.Attack) ([]Event, error) {
 	ji := p.joinIndexFor(attacks)
 	p.metrics.victims.Set(int64(len(ji.direct)))
 	p.metrics.shards.Set(int64(len(ji.shards)))
@@ -425,7 +428,7 @@ func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dn
 	return out
 }
 
-// buildEventIndexed is buildEvent on the indexed fast path: snap is the
+// buildEventIndexed builds one (attack, NSSet) event: snap is the
 // attack's resolved §4.2 snapshot-day baseline view, Eq. 1 baselines
 // come from cached day views, and window metrics from a span-clamped
 // day-store series — with identical guards and float arithmetic so

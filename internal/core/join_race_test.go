@@ -66,8 +66,10 @@ func TestShardedJoinMatchesLegacyConcurrent(t *testing.T) {
 		attacks = append(attacks, mkAttack(i+1, a, aw, aw+2, 53))
 	}
 
-	legacy := NewPipeline(db, WithAggregator(agg), WithLegacyJoin())
-	want := legacy.Events(attacks)
+	want, err := NewPipeline(db, WithAggregator(agg)).eventsLegacy(context.Background(), attacks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(want) < providers {
 		t.Fatalf("legacy join produced %d events; the comparison would be thin", len(want))
 	}

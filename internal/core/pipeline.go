@@ -12,10 +12,9 @@
 //  3. extract the domains those nameservers host;
 //  4. use the per-NSSet RTT data to infer performance impairment.
 //
-// Two join engines share the EventsContext signature: the default
-// interval-indexed sharded engine (join.go) and the historical linear
-// scan (the WithLegacyJoin escape hatch), which is retained as the
-// reference implementation the parity tests compare against.
+// The join engine is the interval-indexed sharded engine of join.go; the
+// historical linear scan survives only as the reference oracle in
+// legacy_test.go, which the parity tests compare against.
 package core
 
 import (
@@ -135,13 +134,10 @@ type Pipeline struct {
 	topo    *astopo.Table
 	openRes *openres.List
 
-	// days is the day-snapshot surface both join engines read
-	// (daystore.go): the aggregator-backed in-memory store by default, or
-	// a columnar file-backed store attached via WithDayStore.
+	// days is the day-snapshot surface the join reads (daystore.go): the
+	// aggregator-backed in-memory store by default, or a columnar
+	// file-backed store attached via WithDayStore.
 	days DayStore
-	// inMemoryDays forces the aggregator-backed store even when a
-	// WithDayStore backend was supplied — the parity-testing escape hatch.
-	inMemoryDays bool
 
 	// ix is the immutable nameserver-side join index (index.go), built at
 	// construction unless an existing one is shared in via WithNSIndex.
@@ -150,8 +146,6 @@ type Pipeline struct {
 	// cache, reused instead of recomputing keys from the DB.
 	domainNSSets []nsset.Key
 
-	// legacyJoin switches EventsContext to the historical linear scan.
-	legacyJoin bool
 	// joinWorkers bounds the sharded engine's worker pool (0 = GOMAXPROCS).
 	joinWorkers int
 	// shardBits is the victim-prefix width shards are keyed by (default
@@ -208,7 +202,7 @@ func WithOpenResolvers(l *openres.List) Option {
 	return func(p *Pipeline) { p.openRes = l }
 }
 
-// WithDayStore attaches the day-snapshot backend the join engines read —
+// WithDayStore attaches the day-snapshot backend the join reads —
 // typically a columnar file-backed store (internal/daystore.Set) whose
 // sealed per-day files were written by the sweep, so the join maps views
 // instead of holding every day's structs in RAM. The default (nil) serves
@@ -216,20 +210,6 @@ func WithOpenResolvers(l *openres.List) Option {
 // and produce byte-identical events (TestJoinParityColumnar).
 func WithDayStore(ds DayStore) Option {
 	return func(p *Pipeline) { p.days = ds }
-}
-
-// WithInMemoryDays forces the aggregator-backed in-memory day store even
-// when a WithDayStore backend is also configured — the parity-testing
-// escape hatch, mirroring WithLegacyJoin.
-func WithInMemoryDays() Option {
-	return func(p *Pipeline) { p.inMemoryDays = true }
-}
-
-// WithLegacyJoin selects the historical linear-scan join engine instead
-// of the interval-indexed sharded engine — the escape hatch (and the
-// reference implementation parity tests compare against).
-func WithLegacyJoin() Option {
-	return func(p *Pipeline) { p.legacyJoin = true }
 }
 
 // WithJoinWorkers bounds the sharded engine's worker pool; 0 (default)
@@ -293,7 +273,7 @@ func WithQuarantinedDays(days []clock.Day) Option {
 
 // NewPipeline builds the join context over the world DB. All tuning —
 // configuration, measurement aggregator, metadata sources, engine
-// selection — arrives through options; the zero-option pipeline joins
+// tuning — arrives through options; the zero-option pipeline joins
 // with the paper's DefaultConfig against an empty aggregator and no
 // metadata (enrichment degrades gracefully).
 func NewPipeline(db *dnsdb.DB, opts ...Option) *Pipeline {
@@ -304,10 +284,10 @@ func NewPipeline(db *dnsdb.DB, opts ...Option) *Pipeline {
 	for _, o := range opts {
 		o(p)
 	}
-	if p.agg == nil {
-		p.agg = nsset.NewAggregator()
-	}
-	if p.days == nil || p.inMemoryDays {
+	if p.days == nil {
+		if p.agg == nil {
+			p.agg = nsset.NewAggregator()
+		}
 		p.days = NewAggregatorDayStore(p.agg)
 	}
 	if p.ix == nil {
@@ -431,115 +411,6 @@ func (p *Pipeline) Events(attacks []rsdos.Attack) []Event {
 	return out
 }
 
-// EventsContext is Events with cooperative cancellation. Both engines
-// share this signature and produce byte-identical results: the default
-// interval-indexed sharded engine (join.go), or the historical linear
-// scan when the pipeline was built WithLegacyJoin. A cancelled join
-// returns the events built so far together with ctx.Err(); callers must
-// treat such a slice as partial (and the two engines' partial prefixes
-// may differ — only completed joins are identical).
-func (p *Pipeline) EventsContext(ctx context.Context, attacks []rsdos.Attack) ([]Event, error) {
-	if p.legacyJoin {
-		return p.eventsLegacy(ctx, attacks)
-	}
-	return p.eventsIndexed(ctx, attacks)
-}
-
-// eventsLegacy is the reference join: a linear scan classifying every
-// attack, probing the aggregator window by window.
-func (p *Pipeline) eventsLegacy(ctx context.Context, attacks []rsdos.Attack) ([]Event, error) {
-	var out []Event
-	for i, ca := range p.Classify(attacks) {
-		if i&255 == 0 {
-			select {
-			case <-ctx.Done():
-				return out, ctx.Err()
-			default:
-			}
-		}
-		if ca.Class != ClassDNSDirect {
-			continue
-		}
-		for _, k := range p.ix.NSSetsContaining(ca.Victim) {
-			if e, ok := p.buildEvent(ca, k); ok {
-				out = append(out, e)
-			}
-		}
-	}
-	return out, nil
-}
-
-func (p *Pipeline) buildEvent(ca ClassifiedAttack, k nsset.Key) (Event, bool) {
-	// The NSSet must appear in the nameserver list of the snapshot day:
-	// the paper uses the day *before* the attack, so that servers
-	// unreachable during the attack are not missed (§4.2). The same-day
-	// ablation requires a successful observation on the attack day
-	// itself — which a devastating attack can prevent.
-	snapDay := ca.StartWindow.Day()
-	if p.cfg.UsePrevDaySnapshot {
-		snapDay = snapDay.Prev()
-	}
-	snapDay = p.measurableDay(snapDay)
-	if b := p.days.Baseline(k, snapDay); b == nil || b.OKCount == 0 {
-		return Event{}, false
-	}
-	e := Event{
-		Attack:        ca,
-		NSSet:         k,
-		HostedDomains: p.ix.DomainCount(k),
-	}
-	impact := 0.0
-	hasImpact := false
-	worstFail := 0.0
-	for w := ca.StartWindow; w <= ca.EndWindow; w++ {
-		m := p.days.Window(k, w)
-		if m == nil {
-			continue
-		}
-		e.MeasuredDomains += m.Domains
-		e.OK += m.OKCount
-		e.Timeouts += m.Timeouts
-		e.ServFails += m.ServFails
-		if fr := m.FailureRate(); fr > worstFail {
-			worstFail = fr
-		}
-		if imp, ok := p.impactAt(k, w); ok {
-			hasImpact = true
-			if imp > impact {
-				impact = imp
-			}
-		}
-	}
-	if e.MeasuredDomains < p.cfg.MinMeasuredDomains {
-		return Event{}, false
-	}
-	e.Impact, e.HasImpact, e.FailureRate = impact, hasImpact, worstFail
-	p.enrich(&e, ca.Start())
-	return e, true
-}
-
-// impactAt applies the configured Eq. 1 baseline rule — the same guards
-// and float arithmetic as nsset.ImpactVsDay, read through the day store.
-func (p *Pipeline) impactAt(k nsset.Key, w clock.Window) (float64, bool) {
-	back := p.cfg.BaselineDaysBack
-	if back <= 0 {
-		back = 1
-	}
-	m := p.days.Window(k, w)
-	if m == nil || m.OKCount == 0 {
-		return 0, false
-	}
-	b := p.days.Baseline(k, p.measurableDay(w.Day()-clock.Day(back)))
-	if b == nil || b.OKCount == 0 {
-		return 0, false
-	}
-	base := b.AvgRTT()
-	if base <= 0 {
-		return 0, false
-	}
-	return float64(m.AvgRTT()) / float64(base), true
-}
-
 // enrich fills diversity, anycast, AS and provider metadata.
 func (p *Pipeline) enrich(e *Event, at time.Time) {
 	addrs := e.NSSet.Addrs()
@@ -586,13 +457,6 @@ func (p *Pipeline) Config() Config { return p.cfg }
 
 // DB returns the world database.
 func (p *Pipeline) DB() *dnsdb.DB { return p.db }
-
-// Aggregator returns the measurement aggregator.
-//
-// Deprecated: day-level reads belong on DayStore — the aggregator is not
-// the day surface the join consumes (a columnar-backed pipeline may hold
-// an empty aggregator), and reaching past the store breaks backend parity.
-func (p *Pipeline) Aggregator() *nsset.Aggregator { return p.agg }
 
 // DayStore returns the day-snapshot surface the join engines read: the
 // aggregator-backed in-memory store by default, or the WithDayStore

@@ -1,7 +1,10 @@
 package daystore
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"math/rand"
@@ -47,6 +50,32 @@ func randomAggregator(rng *rand.Rand, nKeys, nDays int) *nsset.Aggregator {
 	return agg
 }
 
+// sealDays splits a multi-day snapshot by calendar day and seals one file
+// per day — the tests' way of turning a random aggregator into a store.
+func sealDays(dir string, snap nsset.Snapshot) error {
+	byDay := make(map[clock.Day]*nsset.Snapshot)
+	sub := func(d clock.Day) *nsset.Snapshot {
+		if byDay[d] == nil {
+			byDay[d] = &nsset.Snapshot{}
+		}
+		return byDay[d]
+	}
+	for _, ws := range snap.Windows {
+		s := sub(ws.M.Window.Day())
+		s.Windows = append(s.Windows, ws)
+	}
+	for _, bs := range snap.Baselines {
+		s := sub(bs.B.Day)
+		s.Baselines = append(s.Baselines, bs)
+	}
+	for d, s := range byDay {
+		if _, err := SealDay(dir, d, *s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestObservationEquivalence is the property test pinning the DayStore
 // contract: a snapshot sealed through the columnar writer and read back
 // through mmap views must be observationally identical to the live
@@ -59,8 +88,8 @@ func TestObservationEquivalence(t *testing.T) {
 		ref := core.NewAggregatorDayStore(agg)
 
 		dir := t.TempDir()
-		if _, err := Build(dir, agg.Snapshot()); err != nil {
-			t.Fatalf("seed %d: Build: %v", seed, err)
+		if err := sealDays(dir, agg.Snapshot()); err != nil {
+			t.Fatalf("seed %d: sealing: %v", seed, err)
 		}
 		set, err := Open(dir)
 		if err != nil {
@@ -203,11 +232,26 @@ func TestCorruptionRefusal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, tc.mutate(b), 0o644); err != nil {
+			bad := tc.mutate(b)
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := OpenDay(path, 0); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("OpenDay error = %v, want ErrCorrupt", err)
+			}
+			// The same image arriving from a peer is refused before it is
+			// published — under the announced hash, and also when the hash
+			// was computed over the damaged bytes (only the structural
+			// checks can fire then).
+			sum := sha256.Sum256(bad)
+			for _, hash := range []string{ref.SHA256, hex.EncodeToString(sum[:])} {
+				inst := t.TempDir()
+				if _, err := Install(inst, 0, bad, hash); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Install error = %v, want ErrCorrupt", err)
+				}
+				if left, _ := os.ReadDir(inst); len(left) != 0 {
+					t.Fatalf("refused Install left %d files behind", len(left))
+				}
 			}
 			set, err := Open(dir)
 			if err != nil {
@@ -230,6 +274,37 @@ func TestCorruptionRefusal(t *testing.T) {
 				t.Fatal("accessor on corrupt day did not panic")
 			}()
 		})
+	}
+}
+
+// TestInstallMatchesSeal: an image encoded in memory and installed
+// elsewhere is the byte-identical file a local seal would have written,
+// under the same hash.
+func TestInstallMatchesSeal(t *testing.T) {
+	snap := randomAggregator(rand.New(rand.NewSource(42)), 8, 1).Snapshot()
+	dir, ref := sealOneDay(t)
+	image, sum, err := EncodeDay(0, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != ref.SHA256 {
+		t.Fatalf("EncodeDay hash %s, SealDay hash %s", sum, ref.SHA256)
+	}
+	inst := t.TempDir()
+	got, err := Install(inst, 0, image, sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != ref {
+		t.Fatalf("Install = %+v, SealDay = %+v", got, ref)
+	}
+	sealed, _ := os.ReadFile(filepath.Join(dir, ref.Name))
+	installed, err := os.ReadFile(filepath.Join(inst, got.Name))
+	if err != nil || !bytes.Equal(sealed, installed) {
+		t.Fatalf("installed file differs from the sealed one (err %v)", err)
+	}
+	if _, err := Install(t.TempDir(), 7, image, sum); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("installing day 0's image as day 7: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 	"dnsddos/internal/nsset"
 )
 
-// scale_bench_test.go is the out-of-core acceptance benchmark (`make
-// bench-daystore`, archived in BENCH_daystore.json): a >1M-domain-per-day
-// measurement volume is sealed day by day — each day's aggregator dropped
+// scale_bench_test.go is the out-of-core acceptance benchmark (go test
+// -bench DayStoreScale -benchtime 1x -run '^$' -timeout 30m): a
+// >1M-domain-per-day measurement volume is sealed day by day — each day's aggregator dropped
 // as soon as its file publishes, exactly like the daystore-mode study
 // loop — and then scanned join-style through the mmap views. The timed
 // section reports heap growth alongside the on-disk volume and FAILS if

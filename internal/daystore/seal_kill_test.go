@@ -31,7 +31,7 @@ func TestSealKillHelper(t *testing.T) {
 		// vary world size and day count so the kill can land on a fresh
 		// seal or a replacement seal of any day alike
 		agg := randomAggregator(rng, 3+i%5, 1+i%4)
-		if _, err := Build(dir, agg.Snapshot()); err != nil {
+		if err := sealDays(dir, agg.Snapshot()); err != nil {
 			os.Exit(1)
 		}
 	}

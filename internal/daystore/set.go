@@ -78,9 +78,6 @@ func Open(dir string) (*Set, error) {
 	return s, nil
 }
 
-// Dir returns the directory the store serves.
-func (s *Set) Dir() string { return s.dir }
-
 // view opens (once) and returns day d's view; (nil, nil) when the day has
 // no sealed file.
 func (s *Set) view(d clock.Day) (*View, error) {

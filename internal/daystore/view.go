@@ -53,11 +53,7 @@ func OpenDay(path string, day clock.Day) (*View, error) {
 	if err != nil {
 		return nil, fmt.Errorf("daystore: stat %s: %w", path, err)
 	}
-	size := st.Size()
-	if size < int64(headerLen+trailerLen) {
-		return nil, corruptf(path, "file is %d bytes, smaller than the minimal %d-byte frame", size, headerLen+trailerLen)
-	}
-	data, unmap, err := mapFile(f, size)
+	data, unmap, err := mapFile(f, st.Size())
 	if err != nil {
 		return nil, fmt.Errorf("daystore: mapping %s: %w", path, err)
 	}
@@ -69,8 +65,12 @@ func OpenDay(path string, day clock.Day) (*View, error) {
 	return v, nil
 }
 
-// newView validates the mapped bytes and slices the column sections.
+// newView validates a sealed file image (mapped, or received from a peer)
+// and slices the column sections.
 func newView(path string, day clock.Day, data []byte, unmap func() error) (*View, error) {
+	if len(data) < headerLen+trailerLen {
+		return nil, corruptf(path, "file is %d bytes, smaller than the minimal %d-byte frame", len(data), headerLen+trailerLen)
+	}
 	if !bytes.Equal(data[0:8], magic) {
 		return nil, corruptf(path, "bad magic (not a daystore column file)")
 	}
@@ -267,12 +267,4 @@ func (v *View) Window(k nsset.Key, w clock.Window) *nsset.WindowMetrics {
 		}
 	}
 	return nil
-}
-
-// appendKeys appends every key of the day in ascending order.
-func (v *View) appendKeys(dst []nsset.Key) []nsset.Key {
-	for i := 0; i < v.nKeys; i++ {
-		dst = append(dst, v.Key(i))
-	}
-	return dst
 }

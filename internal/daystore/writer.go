@@ -12,17 +12,20 @@ import (
 	"sort"
 	"strings"
 
+	"dnsddos/internal/atomicfile"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/nsset"
 )
 
 // writer.go seals nsset snapshots into immutable per-day column files.
 // SealDay is the unit the supervised study loop calls per completed
-// day-shard; Build splits an arbitrary multi-day snapshot (the distjoin
-// worker's spool path). Both publish files with the checkpoint journal's
-// atomic-write discipline — temp file, fsync, rename, parent-directory
-// fsync — so a visible day file is always complete, and both return the
-// content hash that checkpoint.DayRef records pin.
+// day-shard. A fleet worker has no use for the file on its own disk: it
+// encodes the sealed image in memory (EncodeDay) and ships it, and the
+// receiving process validates and publishes those exact bytes (Install).
+// Both publish through internal/atomicfile — temp file, fsync, rename,
+// parent-directory fsync, the checkpoint journal's discipline — so a
+// visible day file is always complete, and both return the content hash
+// that checkpoint.DayRef records pin.
 
 // SealedFile identifies one published day file by name and content hash.
 // The hash is over the exact file bytes; checkpoint day references store
@@ -48,48 +51,47 @@ type keyRows struct {
 // day-shard, and silently merging or dropping rows here could diverge
 // from the in-memory path. An empty snapshot seals a valid empty file.
 func SealDay(dir string, day clock.Day, snap nsset.Snapshot) (SealedFile, error) {
-	rows, err := collectDay(day, snap)
+	image, sum, err := EncodeDay(day, snap)
 	if err != nil {
 		return SealedFile{}, err
 	}
-	return sealRows(dir, day, rows)
+	return publish(dir, day, image, sum)
 }
 
-// Build splits a snapshot by calendar day and seals one file per day,
-// returning the refs in ascending day order. Days already sealed in dir
-// are replaced.
-func Build(dir string, snap nsset.Snapshot) ([]SealedFile, error) {
-	byDay := make(map[clock.Day]*nsset.Snapshot)
-	sub := func(d clock.Day) *nsset.Snapshot {
-		s := byDay[d]
-		if s == nil {
-			s = &nsset.Snapshot{}
-			byDay[d] = s
-		}
-		return s
+// EncodeDay renders the snapshot as day's sealed file image without
+// touching disk, together with the hex SHA-256 of those bytes — what a
+// fleet worker ships for a completed day-sweep. The input rules are
+// SealDay's.
+func EncodeDay(day clock.Day, snap nsset.Snapshot) (image []byte, sha256Hex string, err error) {
+	rows, err := collectDay(day, snap)
+	if err != nil {
+		return nil, "", err
 	}
-	for _, ws := range snap.Windows {
-		s := sub(ws.M.Window.Day())
-		s.Windows = append(s.Windows, ws)
+	image = encodeDay(day, rows)
+	return image, contentHash(image), nil
+}
+
+// contentHash is the hex SHA-256 a sealed file is referenced by.
+func contentHash(image []byte) string {
+	sum := sha256.Sum256(image)
+	return hex.EncodeToString(sum[:])
+}
+
+// Install publishes a sealed file image produced elsewhere (EncodeDay in
+// another process) as day's file in dir, after checking everything a
+// local seal guarantees by construction: the content hash against
+// wantSHA256, then the header, sizes, body CRC and column bounds exactly
+// as OpenDay would. An image that fails any check is refused with a typed
+// ErrCorrupt and nothing is written.
+func Install(dir string, day clock.Day, image []byte, wantSHA256 string) (SealedFile, error) {
+	name := FileName(day)
+	if got := contentHash(image); got != wantSHA256 {
+		return SealedFile{}, corruptf(name, "content hash %s does not match announced %s", got, wantSHA256)
 	}
-	for _, bs := range snap.Baselines {
-		s := sub(bs.B.Day)
-		s.Baselines = append(s.Baselines, bs)
+	if _, err := newView(name, day, image, nil); err != nil {
+		return SealedFile{}, err
 	}
-	days := make([]clock.Day, 0, len(byDay))
-	for d := range byDay {
-		days = append(days, d)
-	}
-	sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
-	out := make([]SealedFile, 0, len(days))
-	for _, d := range days {
-		ref, err := SealDay(dir, d, *byDay[d])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ref)
-	}
-	return out, nil
+	return publish(dir, day, image, wantSHA256)
 }
 
 // collectDay groups the snapshot's rows per key, validating that every
@@ -140,18 +142,16 @@ func collectDay(day clock.Day, snap nsset.Snapshot) ([]keyRows, error) {
 	return rows, nil
 }
 
-// sealRows encodes and atomically publishes one day file.
-func sealRows(dir string, day clock.Day, rows []keyRows) (SealedFile, error) {
-	data := encodeDay(day, rows)
+// publish atomically writes one sealed image as day's file in dir.
+func publish(dir string, day clock.Day, image []byte, sha256Hex string) (SealedFile, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return SealedFile{}, fmt.Errorf("daystore: creating %s: %w", dir, err)
 	}
 	name := FileName(day)
-	if err := atomicWrite(dir, name, data); err != nil {
-		return SealedFile{}, err
+	if err := atomicfile.Write(dir, name, image); err != nil {
+		return SealedFile{}, fmt.Errorf("daystore: %w", err)
 	}
-	sum := sha256.Sum256(data)
-	return SealedFile{Day: day, Name: name, SHA256: hex.EncodeToString(sum[:])}, nil
+	return SealedFile{Day: day, Name: name, SHA256: sha256Hex}, nil
 }
 
 // encodeDay lays the rows out in the package's column format.
@@ -243,7 +243,7 @@ func Clear(dir string) error {
 	return nil
 }
 
-// isTempLeftover recognizes an unpublished atomicWrite temp file
+// isTempLeftover recognizes an unpublished atomicfile.Write temp file
 // (day_NNNNNN.dcol.tmp-XXXX).
 func isTempLeftover(name string) bool {
 	return strings.HasPrefix(name, filePrefix) && strings.Contains(name, fileSuffix+".tmp-")
@@ -259,49 +259,8 @@ func VerifyFile(dir, name, wantSHA256 string) error {
 	if err != nil {
 		return fmt.Errorf("daystore: reading %s: %w", full, err)
 	}
-	sum := sha256.Sum256(b)
-	if got := hex.EncodeToString(sum[:]); got != wantSHA256 {
+	if got := contentHash(b); got != wantSHA256 {
 		return corruptf(full, "content hash %s does not match recorded %s", got, wantSHA256)
-	}
-	return nil
-}
-
-// atomicWrite publishes data as dir/name with the checkpoint journal's
-// durability discipline: synced temp file, atomic rename, parent-
-// directory fsync. The directory sync pins the rename before the caller
-// records the file as sealed (a checkpoint day reference must never name
-// a file a power loss can un-publish).
-func atomicWrite(dir, name string, data []byte) (err error) {
-	f, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("daystore: creating temp for %s: %w", name, err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if _, err = f.Write(data); err != nil {
-		return fmt.Errorf("daystore: writing %s: %w", name, err)
-	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("daystore: syncing %s: %w", name, err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("daystore: closing %s: %w", name, err)
-	}
-	if err = os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("daystore: publishing %s: %w", name, err)
-	}
-	df, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("daystore: opening %s for sync: %w", dir, err)
-	}
-	defer df.Close()
-	if err = df.Sync(); err != nil {
-		return fmt.Errorf("daystore: syncing %s: %w", dir, err)
 	}
 	return nil
 }

@@ -3,15 +3,18 @@ package distjoin
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
 	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
-	"dnsddos/internal/nsset"
+	"dnsddos/internal/daystore"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/resilience"
 	"dnsddos/internal/study"
@@ -86,7 +89,10 @@ func WithHeartbeatInterval(d time.Duration) CoordOption {
 }
 
 // WithCheckpointDir journals run state — completed days, the join plan,
-// completed shard ranges — to dir so a killed coordinator can resume.
+// completed shard ranges — to dir so a killed coordinator can resume. The
+// sealed day files the fleet delivers live in dir/days and the journal
+// references them by content hash; without a checkpoint directory they go
+// to a temporary directory that Run removes on return.
 func WithCheckpointDir(dir string) CoordOption {
 	return func(o *coordOptions) { o.ckptDir = dir }
 }
@@ -232,7 +238,7 @@ type fleetWorker struct {
 type coordEvent struct {
 	w     *fleetWorker // non-nil for connection events
 	m     *message     // non-nil for decoded frames
-	err   error        // non-nil for connection failures
+	err   error        // connection failure; with a nil w, a fatal local one
 	conn  net.Conn     // non-nil for new connections
 	retry *task        // non-nil when a backoff timer fired
 	tick  bool
@@ -256,15 +262,20 @@ func (c *Coordinator) Run(ctx context.Context) (*study.Study, error) {
 	}
 
 	st := &runState{
-		c:        c,
-		sess:     sess,
-		cfgJSON:  cfgJSON,
-		evs:      make(chan coordEvent, 1024),
-		workers:  make(map[int]*fleetWorker),
-		daySnaps: make(map[clock.Day]nsset.Snapshot),
-		ranges:   make(map[int][]core.TaggedEvent),
+		c:       c,
+		sess:    sess,
+		cfgJSON: cfgJSON,
+		evs:     make(chan coordEvent, 1024),
+		workers: make(map[int]*fleetWorker),
+		dayRefs: make(map[clock.Day]checkpoint.DayRef),
+		ranges:  make(map[int][]core.TaggedEvent),
 	}
-	if err := st.openJournal(); err != nil {
+	if c.opts.ckptDir == "" {
+		if st.dayDir, err = os.MkdirTemp("", "distjoin-days-*"); err != nil {
+			return nil, fmt.Errorf("distjoin: creating day directory: %w", err)
+		}
+		defer os.RemoveAll(st.dayDir)
+	} else if err := st.openJournal(); err != nil {
 		return nil, err
 	}
 	st.queueSweeps()
@@ -310,6 +321,9 @@ func (c *Coordinator) Run(ctx context.Context) (*study.Study, error) {
 			case ev.retry != nil:
 				st.enqueue(ev.retry)
 			case ev.err != nil:
+				if ev.w == nil {
+					return nil, ev.err
+				}
 				st.dropWorker(ev.w, ev.err)
 			case ev.m != nil:
 				if err := st.handle(ev.w, ev.m); err != nil {
@@ -333,8 +347,11 @@ type runState struct {
 	ckpt    *checkpoint.Dir
 	pending []*task // dispatch queue, deterministic order
 
-	// sweep phase
-	daySnaps map[clock.Day]nsset.Snapshot
+	// sweep phase: a completed day is a sealed file in dayDir
+	// (<checkpoint>/days, or a temporary directory) and a reference to it
+	// here — the coordinator's heap never holds a day's measurements.
+	dayDir   string
+	dayRefs  map[clock.Day]checkpoint.DayRef
 	resumed  int
 	complete int
 	skipped  []study.SkippedDay
@@ -347,38 +364,44 @@ type runState struct {
 	joinStarted bool
 	plan        joinPlan
 	loadedPlan  bool
+	days        *daystore.Set // the pipeline's day store, over dayDir
 	pipe        *core.Pipeline
-	agg         *nsset.Aggregator
-	ranges      map[int][]core.TaggedEvent
+	// setup lists the accepted days ascending; fixed at startJoin and
+	// read-only afterwards, so connection writers stream from it freely.
+	setup  []daystore.SealedFile
+	ranges map[int][]core.TaggedEvent
 }
 
 // openJournal opens (or creates) the checkpoint directory and loads every
-// completed record: day snapshots, the join plan, and completed ranges.
+// completed record: day references, the join plan, and completed ranges.
+// A referenced day file is hash-verified before its day counts as done; a
+// mismatch refuses the resume with daystore.ErrCorrupt.
 func (st *runState) openJournal() error {
 	o := st.c.opts
-	if o.ckptDir == "" {
-		return nil
-	}
+	st.dayDir = filepath.Join(o.ckptDir, "days")
 	hash, err := study.ConfigHash(st.c.cfg)
 	if err != nil {
 		return err
 	}
 	hdr := checkpoint.Header{ConfigHash: hash, Seed: st.c.cfg.MeasureSeed}
 	if !o.resume {
-		st.ckpt, err = checkpoint.Create(o.ckptDir, hdr)
-		return err
+		if st.ckpt, err = checkpoint.Create(o.ckptDir, hdr); err != nil {
+			return err
+		}
+		return daystore.Clear(st.dayDir)
 	}
 	if st.ckpt, err = checkpoint.Resume(o.ckptDir, hdr); err != nil {
 		return err
 	}
-	snaps, err := st.ckpt.LoadDays(st.c.cfg.FromDay, st.c.cfg.ToDay)
-	if err != nil {
+	if st.dayRefs, err = st.ckpt.LoadDayRefs(st.c.cfg.FromDay, st.c.cfg.ToDay); err != nil {
 		return err
 	}
-	for d, snap := range snaps {
-		st.daySnaps[d] = snap
+	for d, ref := range st.dayRefs {
+		if err := daystore.VerifyFile(st.dayDir, ref.File, ref.SHA256); err != nil {
+			return fmt.Errorf("distjoin: resuming day %d: %w", int32(d), err)
+		}
 	}
-	st.resumed = len(snaps)
+	st.resumed = len(st.dayRefs)
 	if ok, err := st.ckpt.Load(planRecord, &st.plan); err != nil {
 		return err
 	} else if ok {
@@ -401,7 +424,7 @@ func (st *runState) openJournal() error {
 // exactly like the in-process supervisor on resume.
 func (st *runState) queueSweeps() {
 	for d := st.c.cfg.FromDay; d <= st.c.cfg.ToDay; d++ {
-		if _, ok := st.daySnaps[d]; !ok {
+		if _, ok := st.dayRefs[d]; !ok {
 			st.pending = append(st.pending, &task{day: d})
 		}
 	}
@@ -423,22 +446,26 @@ func (st *runState) sweepsDone() bool {
 			return false
 		}
 	}
-	done := len(st.daySnaps) + len(st.skipped)
+	done := len(st.dayRefs) + len(st.skipped)
 	return done == int(st.c.cfg.ToDay-st.c.cfg.FromDay)+1
 }
 
-// startJoin transitions to the join phase: build the coordinator's
-// pipeline over the merged measurements, fix (or verify) the journaled
-// partition plan, and queue the incomplete ranges.
+// startJoin transitions to the join phase: freeze the list of accepted
+// day files, build the coordinator's pipeline over them, fix (or verify)
+// the journaled partition plan, and queue the incomplete ranges.
 func (st *runState) startJoin(ctx context.Context) error {
 	st.joinStarted = true
 	sort.Slice(st.skipped, func(i, j int) bool { return st.skipped[i].Day < st.skipped[j].Day })
 
-	st.agg = st.sess.NewAggregator()
-	for _, d := range st.sortedDays() {
-		st.agg.AddSnapshot(st.daySnaps[d])
+	for d, ref := range st.dayRefs {
+		st.setup = append(st.setup, daystore.SealedFile{Day: d, Name: ref.File, SHA256: ref.SHA256})
 	}
-	st.pipe = st.sess.NewPipeline(st.agg, st.quarantined(), st.c.reg)
+	sort.Slice(st.setup, func(i, j int) bool { return st.setup[i].Day < st.setup[j].Day })
+	var err error
+	if st.days, err = daystore.Open(st.dayDir); err != nil {
+		return err
+	}
+	st.pipe = st.sess.NewPipeline(nil, st.quarantined(), st.c.reg, core.WithDayStore(st.days))
 	numShards := st.pipe.JoinShardCount(st.sess.Attacks)
 
 	if st.loadedPlan {
@@ -474,15 +501,6 @@ func (st *runState) startJoin(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (st *runState) sortedDays() []clock.Day {
-	days := make([]clock.Day, 0, len(st.daySnaps))
-	for d := range st.daySnaps {
-		days = append(days, d)
-	}
-	sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
-	return days
-}
-
 func (st *runState) quarantined() []clock.Day {
 	out := make([]clock.Day, len(st.skipped))
 	for i := range st.skipped {
@@ -498,6 +516,14 @@ func (st *runState) joinDone() bool {
 
 // finish assembles the Study, tells the fleet to exit, and returns.
 func (st *runState) finish(ctx context.Context) (*study.Study, error) {
+	if st.ckpt == nil {
+		// The day directory is temporary and goes when Run returns. Map
+		// every day file first (mappings outlive the unlink), so the
+		// returned Study's pipeline can still read any day.
+		if err := st.days.Verify(); err != nil {
+			return nil, err
+		}
+	}
 	parts := make([][]core.TaggedEvent, 0, st.plan.NumRanges)
 	for i := 0; i < st.plan.NumRanges; i++ {
 		parts = append(parts, st.ranges[i])
@@ -512,7 +538,7 @@ func (st *runState) finish(ctx context.Context) (*study.Study, error) {
 		Net:       st.sess.Net,
 		Resolver:  st.sess.Resolver,
 		Engine:    st.sess.Engine,
-		Agg:       st.agg,
+		Agg:       st.sess.NewAggregator(),
 		Pipeline:  st.pipe,
 		Metrics:   st.c.reg,
 	}
@@ -547,11 +573,26 @@ func (st *runState) addConn(conn net.Conn) {
 	go func() { // writer
 		defer close(w.wdone)
 		for m := range w.outbox {
-			// A wedged peer must not wedge the writer: bound each frame.
-			w.conn.SetWriteDeadline(time.Now().Add(time.Duration(st.c.opts.deadAfter) * st.c.opts.heartbeat))
-			if err := w.wr.send(m); err != nil {
+			if err := st.write(w, m); err != nil {
 				st.evs <- coordEvent{w: w, err: err}
 				return
+			}
+			if m.Kind != kindJoinSetup {
+				continue
+			}
+			// The plan frame is followed by the day files it announced,
+			// each read from disk just before its frame is written: neither
+			// the outbox nor the heap ever holds more than one day.
+			for _, f := range st.setup {
+				image, err := os.ReadFile(filepath.Join(st.dayDir, f.Name))
+				if err != nil {
+					st.evs <- coordEvent{err: fmt.Errorf("distjoin: reading day file for %s: %w", w.name, err)}
+					return
+				}
+				if err := st.write(w, &message{Kind: kindDayFile, Day: f.Day, Image: image, SHA256: f.SHA256}); err != nil {
+					st.evs <- coordEvent{w: w, err: err}
+					return
+				}
 			}
 		}
 	}()
@@ -565,6 +606,13 @@ func (st *runState) addConn(conn net.Conn) {
 			st.evs <- coordEvent{w: w, m: &m}
 		}
 	}()
+}
+
+// write sends one frame to a worker. A wedged peer must not wedge the
+// writer, so every frame gets its own deadline.
+func (st *runState) write(w *fleetWorker, m *message) error {
+	w.conn.SetWriteDeadline(time.Now().Add(time.Duration(st.c.opts.deadAfter) * st.c.opts.heartbeat))
+	return w.wr.send(m)
 }
 
 // post enqueues a message for a worker without ever blocking the event
@@ -626,7 +674,7 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 		w.inflight = nil
 		if t == nil || t.join || t.day != m.Day {
 			// Unsolicited or reassigned-elsewhere result.
-			if _, done := st.daySnaps[m.Day]; done {
+			if _, done := st.dayRefs[m.Day]; done {
 				st.c.m.shardRedeliveries.Inc()
 			}
 			if t != nil {
@@ -634,16 +682,28 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 			}
 			return nil
 		}
-		if _, done := st.daySnaps[m.Day]; done {
+		if _, done := st.dayRefs[m.Day]; done {
 			st.c.m.shardRedeliveries.Inc()
 			return nil
 		}
+		f, err := daystore.Install(st.dayDir, m.Day, m.Image, m.SHA256)
+		if errors.Is(err, daystore.ErrCorrupt) {
+			// The frame was intact but the file in it is not: this worker
+			// cannot be trusted with the day. Same as losing it mid-shard.
+			w.inflight = t
+			st.dropWorker(w, err)
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("distjoin: installing day %d: %w", int32(m.Day), err)
+		}
+		ref := checkpoint.DayRef{File: f.Name, SHA256: f.SHA256}
 		if st.ckpt != nil {
-			if err := st.ckpt.WriteDay(m.Day, m.Snap); err != nil {
+			if err := st.ckpt.WriteDayRef(m.Day, ref); err != nil {
 				return fmt.Errorf("distjoin: journaling day %d: %w", int32(m.Day), err)
 			}
 		}
-		st.daySnaps[m.Day] = m.Snap
+		st.dayRefs[m.Day] = ref
 		st.complete++
 		// Exactly-once metric fold: the worker ships its private sweep
 		// registry only on success, and only the accepted copy is
@@ -729,7 +789,7 @@ func (st *runState) enqueue(t *task) {
 	// A task can only be in backoff because it is neither complete nor in
 	// flight; double-check completion in case a straggler finished it.
 	if !t.join {
-		if _, done := st.daySnaps[t.day]; done {
+		if _, done := st.dayRefs[t.day]; done {
 			return
 		}
 	} else if _, done := st.ranges[t.rng]; done {
@@ -869,18 +929,13 @@ func (st *runState) schedule() {
 	}
 }
 
-// joinSetupMsg builds the join-phase bootstrap for one worker: every
-// accepted day snapshot (sorted), the quarantine set, and the partition.
+// joinSetupMsg is the join-phase plan for one worker: how many day files
+// follow (the connection writer streams them), the quarantine set, and
+// the partition.
 func (st *runState) joinSetupMsg() *message {
-	days := st.sortedDays()
-	snaps := make([]nsset.Snapshot, len(days))
-	for i, d := range days {
-		snaps[i] = st.daySnaps[d]
-	}
 	return &message{
 		Kind:        kindJoinSetup,
-		Days:        days,
-		Snaps:       snaps,
+		NumDays:     len(st.setup),
 		Quarantined: st.quarantined(),
 		NumShards:   st.plan.NumShards,
 		NumRanges:   st.plan.NumRanges,

@@ -11,10 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/faultinject"
-	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/report"
 	"dnsddos/internal/study"
@@ -124,7 +124,8 @@ func TestFrameRoundTripAndCRC(t *testing.T) {
 	m := &message{
 		Kind:   kindSweepDone,
 		Day:    29,
-		Snap:   nsset.Snapshot{Windows: []nsset.WindowSnap{{Key: "ns-a"}}},
+		Image:  []byte("sealed day file image"),
+		SHA256: "c0ffee",
 		Events: []core.TaggedEvent{{AttackIdx: 3, NSSetIdx: 7}},
 		Reason: "panic: boom",
 	}
@@ -137,7 +138,7 @@ func TestFrameRoundTripAndCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Kind != m.Kind || got.Day != m.Day || got.Reason != m.Reason ||
-		len(got.Snap.Windows) != 1 || len(got.Events) != 1 {
+		!bytes.Equal(got.Image, m.Image) || got.SHA256 != m.SHA256 || len(got.Events) != 1 {
 		t.Errorf("frame round trip mangled message: %+v", got)
 	}
 	// a single flipped byte anywhere must be detected, never decoded
@@ -160,11 +161,12 @@ func testState(t *testing.T) (*runState, *fleetWorker) {
 	}
 	t.Cleanup(func() { c.l.Close() })
 	st := &runState{
-		c:        c,
-		evs:      make(chan coordEvent, 64),
-		workers:  map[int]*fleetWorker{},
-		daySnaps: map[clock.Day]nsset.Snapshot{},
-		ranges:   map[int][]core.TaggedEvent{},
+		c:       c,
+		evs:     make(chan coordEvent, 64),
+		workers: map[int]*fleetWorker{},
+		dayDir:  t.TempDir(),
+		dayRefs: map[clock.Day]checkpoint.DayRef{},
+		ranges:  map[int][]core.TaggedEvent{},
 	}
 	client, server := net.Pipe()
 	t.Cleanup(func() { client.Close(); server.Close() })
@@ -182,7 +184,7 @@ func testState(t *testing.T) (*runState, *fleetWorker) {
 // counted, never applied twice.
 func TestRedeliveriesDiscarded(t *testing.T) {
 	st, w := testState(t)
-	st.daySnaps[27] = nsset.Snapshot{}
+	st.dayRefs[27] = checkpoint.DayRef{}
 	if err := st.handle(w, &message{Kind: kindSweepDone, Day: 27}); err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +470,7 @@ func TestCoordinatorKillAndResume(t *testing.T) {
 	}
 
 	t.Run("killed_mid_sweep", func(t *testing.T) {
-		s := resumeAfterKill(t, "day_*.ckpt")
+		s := resumeAfterKill(t, "dayref_*.ckpt")
 		if s.Report.ResumedDays < 1 {
 			t.Errorf("ResumedDays = %d, want >= 1 (journal had completed days)", s.Report.ResumedDays)
 		}

@@ -7,10 +7,15 @@
 // guarantees: every phase of a study run up to the sweeps is a pure
 // function of the seeded configuration (study.NewSession). A worker
 // therefore receives only the config JSON at registration and rebuilds a
-// world byte-identical to the coordinator's; the only state that crosses
-// the wire afterwards is small and value-typed — day snapshots
-// (nsset.Snapshot), metric snapshots (obs.Snapshot), and tagged join
-// events (core.TaggedEvent).
+// world byte-identical to the coordinator's. A measured day crosses the
+// wire in exactly one form, the one it is persisted in: the sealed,
+// SHA-256-referenced column file of internal/daystore, one file image per
+// frame. A worker seals what it sweeps and ships the image; the
+// coordinator installs it (header, CRC, bounds and hash checked), journals
+// a reference, and later streams the same files from disk to every worker
+// that joins. Besides day files only small values travel: metric
+// snapshots (obs.Snapshot) and tagged join events (core.TaggedEvent). No
+// frame carries more than one day, so no frame grows with the span.
 //
 // Robustness contract:
 //
@@ -27,10 +32,11 @@
 //   - SIGTERM to a worker triggers graceful drain: it finishes the
 //     in-flight task, refuses new ones, deregisters, and exits.
 //   - With a checkpoint journal, a killed coordinator resumes: completed
-//     days and join ranges are loaded from CRC-guarded records, late
-//     duplicate results are discarded (counted as redeliveries), and the
-//     final report is byte-identical with each shard's results emitted
-//     exactly once.
+//     days (hash-verified references to the sealed files under
+//     <checkpoint>/days) and join ranges are loaded from CRC-guarded
+//     records, late duplicate results are discarded (counted as
+//     redeliveries), and the final report is byte-identical with each
+//     shard's results emitted exactly once.
 package distjoin
 
 import (
@@ -45,7 +51,6 @@ import (
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
-	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
 )
 
@@ -56,7 +61,7 @@ const (
 	// worker → coordinator
 	kindHello      kind = iota + 1 // register: Name
 	kindHeartbeat                  // liveness beacon
-	kindSweepDone                  // Day, Snap, Metrics
+	kindSweepDone                  // Day, Image, SHA256, Metrics
 	kindTaskFailed                 // Day or Range, Reason, Stack
 	kindJoinDone                   // Range, Events
 	kindDraining                   // SIGTERM received: finish in-flight, no new work
@@ -65,7 +70,8 @@ const (
 	// coordinator → worker
 	kindWelcome     // ConfigJSON, HeartbeatMS
 	kindAssignSweep // Day
-	kindJoinSetup   // Days, Snaps, Quarantined, NumShards, NumRanges
+	kindJoinSetup   // NumDays, Quarantined, NumShards, NumRanges
+	kindDayFile     // Day, Image, SHA256: NumDays of them follow a join setup
 	kindAssignJoin  // Range
 	kindShutdown    // run complete (or aborted): exit
 )
@@ -81,9 +87,11 @@ type message struct {
 	ConfigJSON  []byte
 	HeartbeatMS int64
 
-	// sweep tasks
+	// sweep tasks and day files: Image is one sealed day file
+	// (daystore.EncodeDay), SHA256 its hex content hash
 	Day     clock.Day
-	Snap    nsset.Snapshot
+	Image   []byte
+	SHA256  string
 	Metrics obs.Snapshot
 
 	// failures
@@ -91,8 +99,7 @@ type message struct {
 	Stack  string
 
 	// join phase
-	Days        []clock.Day
-	Snaps       []nsset.Snapshot
+	NumDays     int
 	Quarantined []clock.Day
 	NumShards   int
 	NumRanges   int

@@ -23,7 +23,9 @@ func TestSIGKILLWorkerHelper(t *testing.T) {
 	if addr == "" {
 		t.Skip("helper process entry point, not a test")
 	}
-	w := NewWorker("doomed")
+	// the parent owns the spool: a SIGKILLed process cannot remove a
+	// temporary one of its own
+	w := NewWorker("doomed", WithSpoolDir(os.Getenv("DISTJOIN_HELPER_SPOOL")))
 	w.Run(context.Background(), addr)
 	os.Exit(0)
 }
@@ -51,7 +53,7 @@ func TestSIGKILLWorkerMidRun(t *testing.T) {
 	}()
 
 	cmd := exec.Command(os.Args[0], "-test.run=TestSIGKILLWorkerHelper$")
-	cmd.Env = append(os.Environ(), "DISTJOIN_HELPER_ADDR="+coord.Addr())
+	cmd.Env = append(os.Environ(), "DISTJOIN_HELPER_ADDR="+coord.Addr(), "DISTJOIN_HELPER_SPOOL="+t.TempDir())
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

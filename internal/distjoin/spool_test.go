@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// spool_test.go covers the worker's out-of-core join path: WithSpoolDir
-// makes a worker seal the coordinator's day snapshots to columnar files
-// at join setup and run its shard joins against the mmap-backed views.
-// The contract is the usual one — byte-identical events and report to
-// the single-process run — plus the spool actually being used.
+// spool_test.go covers WithSpoolDir: the worker installs the day files
+// the coordinator streams at join setup into the named directory (instead
+// of a temporary one) and runs its shard joins against the mmap-backed
+// views over it. The contract is the usual one — byte-identical events
+// and report to the single-process run — plus the files staying behind
+// in the directory the caller chose.
 
 func TestSpoolWorkerParity(t *testing.T) {
 	if testing.Short() {
@@ -19,8 +20,8 @@ func TestSpoolWorkerParity(t *testing.T) {
 	wantEvents, wantReport := plainBaseline(t)
 
 	spool := t.TempDir()
-	// a single spooling worker handles every sweep and every join range,
-	// so the whole distributed join provably went through the sealed files
+	// a single worker handles every sweep and every join range, so every
+	// day file of the run must land in its spool
 	workers := []*Worker{NewWorker("columnar", WithSpoolDir(spool))}
 	s, _, _, err := runFleet(t, context.Background(), testConfig(), nil, workers)
 	if err != nil {
@@ -32,7 +33,8 @@ func TestSpoolWorkerParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) == 0 {
-		t.Fatal("spooling worker sealed no day files; it silently joined in memory")
+	cfg := testConfig()
+	if want := int(cfg.ToDay-cfg.FromDay) + 1; len(files) != want {
+		t.Fatalf("spool holds %d day files, want %d: %v", len(files), want, files)
 	}
 }

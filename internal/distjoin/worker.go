@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -57,13 +58,13 @@ func WithWorkerMetrics(reg *obs.Registry) WorkerOption {
 	return func(w *Worker) { w.reg = reg }
 }
 
-// WithSpoolDir makes the worker spool the coordinator's day snapshots to
-// sealed column files in dir at join setup and run its shard joins
-// against the mmap-backed daystore.Set instead of a merged in-memory
-// aggregator. The worker's resident footprint then stays flat in the
-// world size: the kernel pages day columns in on demand and reclaims
-// them under pressure. The directory is cleared of stale sealed files on
-// every setup, so one dir per worker process is safe across runs.
+// WithSpoolDir names the directory the worker installs the coordinator's
+// sealed day files into at join setup; its shard joins always run against
+// the mmap-backed daystore.Set over that directory, so the resident
+// footprint stays flat in the world size. Without it the worker uses a
+// temporary directory and removes it on exit. The directory is cleared of
+// stale sealed files on every setup, so one dir per worker process is
+// safe across runs.
 func WithSpoolDir(dir string) WorkerOption {
 	return func(w *Worker) { w.spoolDir = dir }
 }
@@ -108,6 +109,14 @@ type frameEvent struct {
 // the crash path: in-flight work is abandoned mid-task and the
 // coordinator's liveness machinery recovers it.
 func (w *Worker) Run(ctx context.Context, addr string) error {
+	spool := w.spoolDir
+	if spool == "" {
+		var err error
+		if spool, err = os.MkdirTemp("", "joinworker-spool-*"); err != nil {
+			return fmt.Errorf("distjoin: worker %s: creating spool: %w", w.name, err)
+		}
+		defer os.RemoveAll(spool)
+	}
 	conn, err := w.dial(ctx, addr)
 	if err != nil {
 		return fmt.Errorf("distjoin: worker %s: dialing %s: %w", w.name, addr, err)
@@ -196,10 +205,13 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 		}
 	}()
 
+	// Join state: the setup plan, how many of its day files have been
+	// installed into the spool, and the pipeline built over them at the
+	// first range assignment.
 	var (
+		setup     *message
+		installed int
 		pipe      *core.Pipeline
-		numShards int
-		numRanges int
 	)
 	draining := func() bool {
 		select {
@@ -235,50 +247,52 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 				case agg == nil:
 					return ctx.Err() // cancelled mid-sweep: crash path
 				default:
-					reply = &message{Kind: kindSweepDone, Day: day, Snap: agg.Snapshot(), Metrics: sreg.Snapshot()}
+					image, sum, err := daystore.EncodeDay(day, agg.Snapshot())
+					if err != nil {
+						return fmt.Errorf("distjoin: worker %s: sealing day %d: %w", w.name, int32(day), err)
+					}
+					reply = &message{Kind: kindSweepDone, Day: day, Image: image, SHA256: sum, Metrics: sreg.Snapshot()}
 				}
 				if err := wr.send(reply); err != nil {
 					return fmt.Errorf("distjoin: worker %s: reporting day %d: %w", w.name, int32(day), err)
 				}
 
 			case kindJoinSetup:
-				agg := sess.NewAggregator()
-				for _, sn := range ev.m.Snaps {
-					agg.AddSnapshot(sn)
+				if err := daystore.Clear(spool); err != nil {
+					return fmt.Errorf("distjoin: worker %s: clearing spool: %w", w.name, err)
 				}
-				var extra []core.Option
-				if w.spoolDir != "" {
-					// Spool the merged world to sealed column files and
-					// join against the mmap views; the merged aggregator
-					// is garbage once sealed, so the join's working set
-					// is paged in from disk instead of held on heap.
-					if err := daystore.Clear(w.spoolDir); err != nil {
-						return fmt.Errorf("distjoin: worker %s: clearing spool: %w", w.name, err)
-					}
-					if _, err := daystore.Build(w.spoolDir, agg.Snapshot()); err != nil {
-						return fmt.Errorf("distjoin: worker %s: spooling days: %w", w.name, err)
-					}
-					set, err := daystore.Open(w.spoolDir)
+				m := ev.m
+				setup, installed = &m, 0
+
+			case kindDayFile:
+				// A day file is trusted only after the same checks a local
+				// seal passes by construction; a damaged one (ErrCorrupt)
+				// ends this worker and the coordinator reassigns its ranges.
+				if _, err := daystore.Install(spool, ev.m.Day, ev.m.Image, ev.m.SHA256); err != nil {
+					return fmt.Errorf("distjoin: worker %s: installing day %d: %w", w.name, int32(ev.m.Day), err)
+				}
+				installed++
+
+			case kindAssignJoin:
+				if setup == nil || installed != setup.NumDays {
+					return fmt.Errorf("distjoin: worker %s: join range assigned before setup completed (%d day files)", w.name, installed)
+				}
+				if pipe == nil {
+					set, err := daystore.Open(spool)
 					if err != nil {
 						return fmt.Errorf("distjoin: worker %s: opening spool: %w", w.name, err)
 					}
-					extra = append(extra, core.WithDayStore(set))
-				}
-				pipe = sess.NewPipeline(agg, ev.m.Quarantined, w.reg, extra...)
-				numShards, numRanges = ev.m.NumShards, ev.m.NumRanges
-				if got := pipe.JoinShardCount(sess.Attacks); got != numShards {
-					// The worker's deterministic plan disagrees with the
-					// coordinator's — a config/world skew no retry can fix.
-					return fmt.Errorf("distjoin: worker %s: join plan mismatch: local %d shards, coordinator %d",
-						w.name, got, numShards)
-				}
-
-			case kindAssignJoin:
-				if pipe == nil {
-					return fmt.Errorf("distjoin: worker %s: join range assigned before setup", w.name)
+					defer set.Close()
+					pipe = sess.NewPipeline(nil, setup.Quarantined, w.reg, core.WithDayStore(set))
+					if got := pipe.JoinShardCount(sess.Attacks); got != setup.NumShards {
+						// The worker's deterministic plan disagrees with the
+						// coordinator's — a config/world skew no retry can fix.
+						return fmt.Errorf("distjoin: worker %s: join plan mismatch: local %d shards, coordinator %d",
+							w.name, got, setup.NumShards)
+					}
 				}
 				idx := ev.m.Range
-				from, to := rangeBounds(numShards, numRanges, idx)
+				from, to := rangeBounds(setup.NumShards, setup.NumRanges, idx)
 				events, jerr := joinRangeIsolated(ctx, pipe, sess, from, to)
 				var reply *message
 				if jerr != nil {

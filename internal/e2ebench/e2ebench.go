@@ -9,7 +9,7 @@
 // BENCH_e2e.json (report.go). The paper's Eq. 1 impact metric is an
 // end-to-end property (resolution success and latency under attack
 // windows), and this harness is the paper-shaped number the repo's
-// microbenchmarks (BENCH_join.json) do not give: the same scripted
+// microbenchmarks (BenchmarkJoin) do not give: the same scripted
 // load compared across defense layers, the way Rizvi et al. compare
 // layered root-DNS defenses, with the harness shape (warm-up rounds,
 // concurrent measured rounds, per-mode quantile summary) borrowed from

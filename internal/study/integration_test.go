@@ -25,7 +25,7 @@ func TestTransIPCaseStudyEndToEnd(t *testing.T) {
 	cfg := caseStudyConfig()
 	cfg.FromDay = clock.DayOf(time.Date(2020, 11, 28, 0, 0, 0, 0, time.UTC))
 	cfg.ToDay = clock.DayOf(time.Date(2020, 12, 2, 0, 0, 0, 0, time.UTC))
-	s := Run(cfg)
+	s := mustRun(t, cfg)
 	cs := s.Schedule.CaseStudies
 
 	// the December attack must be inferred on all three nameservers
@@ -95,7 +95,7 @@ func TestTransIPMarchTimeouts(t *testing.T) {
 	cfg := caseStudyConfig()
 	cfg.FromDay = clock.DayOf(time.Date(2021, 2, 28, 0, 0, 0, 0, time.UTC))
 	cfg.ToDay = clock.DayOf(time.Date(2021, 3, 3, 0, 0, 0, 0, time.UTC))
-	s := Run(cfg)
+	s := mustRun(t, cfg)
 	cs := s.Schedule.CaseStudies
 	k := nsset.KeyOf(cs.TransIPNS[:])
 
@@ -137,7 +137,7 @@ func TestMilRuUnresolvableDuringGeofence(t *testing.T) {
 	cfg := caseStudyConfig()
 	cfg.FromDay = clock.DayOf(time.Date(2022, 3, 9, 0, 0, 0, 0, time.UTC))
 	cfg.ToDay = clock.DayOf(time.Date(2022, 3, 19, 0, 0, 0, 0, time.UTC))
-	s := Run(cfg)
+	s := mustRun(t, cfg)
 	cs := s.Schedule.CaseStudies
 	k := nsset.KeyOf(cs.MilRuNS)
 
@@ -168,8 +168,8 @@ func TestStudyDeterminism(t *testing.T) {
 	cfg := caseStudyConfig()
 	cfg.FromDay, cfg.ToDay = 28, 32
 	cfg.Parallelism = 4
-	a := Run(cfg)
-	b := Run(cfg)
+	a := mustRun(t, cfg)
+	b := mustRun(t, cfg)
 	if len(a.Attacks) != len(b.Attacks) {
 		t.Fatalf("attack counts differ: %d vs %d", len(a.Attacks), len(b.Attacks))
 	}
@@ -190,9 +190,9 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	cfg := caseStudyConfig()
 	cfg.FromDay, cfg.ToDay = 28, 34
 	cfg.Parallelism = 1
-	seq := Run(cfg)
+	seq := mustRun(t, cfg)
 	cfg.Parallelism = 7
-	par := Run(cfg)
+	par := mustRun(t, cfg)
 	if len(seq.Events) != len(par.Events) {
 		t.Fatalf("events differ: seq %d vs par %d", len(seq.Events), len(par.Events))
 	}
@@ -220,10 +220,10 @@ func TestStudyWithNoise(t *testing.T) {
 	}
 	cfg := caseStudyConfig()
 	cfg.FromDay, cfg.ToDay = 28, 32
-	clean := Run(cfg)
+	clean := mustRun(t, cfg)
 	cfg.IncludeNoise = true
 	cfg.Noise.Days = 60 // bound runtime; covers the measured interval
-	noisy := Run(cfg)
+	noisy := mustRun(t, cfg)
 	// the noise floor must not create DNS-infrastructure attacks: noise
 	// sources are random IPv4 addresses, essentially never nameservers
 	var cleanDNS, noisyDNS int
@@ -252,7 +252,7 @@ func TestRussianSurgeInMarch2022(t *testing.T) {
 	}
 	cfg := caseStudyConfig()
 	cfg.FromDay, cfg.ToDay = 28, 29 // no sweeps needed; schedule-level check
-	s := Run(cfg)
+	s := mustRun(t, cfg)
 	march := clock.DayOf(time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)).Start()
 	april := time.Date(2022, 4, 1, 0, 0, 0, 0, time.UTC)
 	var ruAttacks int

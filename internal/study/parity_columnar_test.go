@@ -83,35 +83,12 @@ func TestJoinParityColumnar(t *testing.T) {
 			}
 		}))
 	})
-
-	// the explicit escape hatch beats the daystore option: days merge in
-	// memory and the sealed-file path stays cold
-	t.Run("in_memory_escape_hatch", func(t *testing.T) {
-		cfg := resumeConfig()
-		dir := t.TempDir()
-		s, err := RunContext(context.Background(), cfg, WithDayStoreDir(dir), WithInMemoryDays())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(s.Events) == 0 {
-			t.Fatal("escape-hatch run joined no events")
-		}
-		if files, _ := filepath.Glob(filepath.Join(dir, "day_*.dcol")); len(files) != 0 {
-			t.Fatalf("WithInMemoryDays still sealed %d day files", len(files))
-		}
-		ref, err := RunContext(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(eventsBytes(t, ref), eventsBytes(t, s)) {
-			t.Error("escape-hatch run differs from the default run")
-		}
-	})
 }
 
-// TestColumnarCancelAndResumeByteIdentical is the out-of-core twin of
-// TestCancelAndResumeByteIdentical: kill a daystore-mode run after two
-// sealed days, resume it from the content-hash day references, and the
+// TestColumnarCancelAndResumeByteIdentical is the twin of
+// TestCancelAndResumeByteIdentical with the sealed files in their own
+// WithDayStoreDir directory instead of <checkpoint>/days: kill after two
+// sealed days, resume from the content-hash day references, and the
 // joined events must be byte-identical to an uninterrupted run.
 func TestColumnarCancelAndResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -150,8 +127,8 @@ func TestColumnarCancelAndResumeByteIdentical(t *testing.T) {
 	if len(refs) != 2 {
 		t.Fatalf("killed run recorded %d day refs, want 2: %v", len(refs), refs)
 	}
-	if legacy, _ := filepath.Glob(filepath.Join(ckptDir, "day_*.ckpt")); len(legacy) != 0 {
-		t.Fatalf("daystore mode wrote %d legacy day-snapshot records: %v", len(legacy), legacy)
+	if nested, _ := filepath.Glob(filepath.Join(ckptDir, "days", "*")); len(nested) != 0 {
+		t.Fatalf("an explicit day-store directory still sealed under the checkpoint: %v", nested)
 	}
 
 	res, err := RunContext(context.Background(), cfg,

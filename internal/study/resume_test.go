@@ -3,14 +3,17 @@ package study
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"dnsddos/internal/clock"
+	"dnsddos/internal/daystore"
 	"dnsddos/internal/report"
 )
 
@@ -24,6 +27,17 @@ func resumeConfig() Config {
 	return cfg
 }
 
+// mustRun is RunContext without options for tests that only want the
+// finished study.
+func mustRun(t *testing.T, cfg Config) *Study {
+	t.Helper()
+	s, err := RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func eventsBytes(t *testing.T, s *Study) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -33,9 +47,22 @@ func eventsBytes(t *testing.T, s *Study) []byte {
 	return buf.Bytes()
 }
 
-// TestCancelAndResumeByteIdentical is the crash-safety contract: kill a
-// run after day k, resume it, and the joined events must be
-// byte-identical to an uninterrupted run.
+// reportJSON serializes the run report the way cmd/report archives it.
+func reportJSON(t *testing.T, s *Study) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(&s.Report, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCancelAndResumeByteIdentical is the crash-safety contract of a
+// -checkpoint-only run: kill it at a day boundary, resume it, and the
+// joined events must be byte-identical to an uninterrupted run. Every row
+// also pins the on-disk layout — a day is persisted in one form only, so
+// the journal holds dayref_*.ckpt records, the sealed files live under
+// <checkpoint>/days, and no gob day blob is ever written.
 func TestCancelAndResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -51,81 +78,98 @@ func TestCancelAndResumeByteIdentical(t *testing.T) {
 	}
 	refCSV := eventsBytes(t, ref)
 
-	// killed run: Parallelism 1 makes the dispatch order deterministic, so
-	// cancelling at the 3rd day-shard always leaves exactly days 27–28
-	// checkpointed.
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	killCfg := cfg
-	killCfg.Parallelism = 1
-	n := 0
-	_, err = RunContext(ctx, killCfg,
-		WithCheckpointDir(dir),
-		WithBeforeDay(func(clock.Day) {
-			n++
-			if n == 3 {
-				cancel()
+	for _, tc := range []struct {
+		name string
+		// killAt cancels the run when the killAt-th day-shard starts;
+		// Parallelism 1 makes the dispatch order deterministic, so exactly
+		// killAt-1 days are journaled.
+		killAt int
+	}{
+		{"killed_mid_run", 3},
+		{"killed_before_first_day", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			killCfg := cfg
+			killCfg.Parallelism = 1
+			n := 0
+			_, err := RunContext(ctx, killCfg,
+				WithCheckpointDir(dir),
+				WithBeforeDay(func(clock.Day) {
+					n++
+					if n == tc.killAt {
+						cancel()
+					}
+				}))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("killed run error = %v, want context.Canceled", err)
 			}
-		}))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("killed run error = %v, want context.Canceled", err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "day_*.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2 {
-		t.Fatalf("killed run checkpointed %d days, want 2: %v", len(files), files)
-	}
+			want := tc.killAt - 1
+			for pattern, n := range map[string]int{
+				"dayref_*.ckpt":   want,
+				"days/day_*.dcol": want,
+				"day_*.ckpt":      0,
+			} {
+				files, err := filepath.Glob(filepath.Join(dir, pattern))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(files) != n {
+					t.Fatalf("killed run left %d %s, want %d: %v", len(files), pattern, n, files)
+				}
+			}
 
-	// resume with the original parallelism: the header hash ignores
-	// Parallelism, so a resume on different hardware is legitimate
-	res, err := RunContext(context.Background(), cfg, WithCheckpointDir(dir), WithResume(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.ResumedDays != 2 {
-		t.Errorf("ResumedDays = %d, want 2", res.Report.ResumedDays)
-	}
-	if want := int(cfg.ToDay-cfg.FromDay) + 1 - 2; res.Report.CompletedDays != want {
-		t.Errorf("CompletedDays = %d, want %d", res.Report.CompletedDays, want)
-	}
-	if !bytes.Equal(refCSV, eventsBytes(t, res)) {
-		t.Error("resumed run's events differ from the uninterrupted run")
+			// resume with the original parallelism: the header hash ignores
+			// Parallelism, so a resume on different hardware is legitimate
+			res, err := RunContext(context.Background(), cfg, WithCheckpointDir(dir), WithResume(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Report.ResumedDays != want {
+				t.Errorf("ResumedDays = %d, want %d", res.Report.ResumedDays, want)
+			}
+			if all := int(cfg.ToDay-cfg.FromDay) + 1; res.Report.CompletedDays != all-want {
+				t.Errorf("CompletedDays = %d, want %d", res.Report.CompletedDays, all-want)
+			}
+			if !bytes.Equal(refCSV, eventsBytes(t, res)) {
+				t.Error("resumed run's events differ from the uninterrupted run")
+			}
+		})
 	}
 }
 
+// copyDir clones a checkpoint directory, sealed day files included.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
-	entries, err := os.ReadDir(src)
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, e := range entries {
-		in, err := os.Open(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := os.Create(filepath.Join(dst, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			t.Fatal(err)
-		}
-		in.Close()
-		if err := out.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return dst
 }
 
 func firstDayFile(t *testing.T, dir string) string {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "day_*.ckpt"))
+	files, err := filepath.Glob(filepath.Join(dir, "dayref_*.ckpt"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no day checkpoints in %s (err %v)", dir, err)
 	}
@@ -199,6 +243,44 @@ func TestResumeRefusesCorruptCheckpoints(t *testing.T) {
 		c.World.Domains++
 		if err := resume(copyDir(t, seed), c); err == nil {
 			t.Fatal("resume with a different world accepted")
+		}
+	})
+	t.Run("swapped sealed day", func(t *testing.T) {
+		dir := copyDir(t, seed)
+		files, err := filepath.Glob(filepath.Join(dir, "days", "day_*.dcol"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no sealed day files under %s/days (err %v)", dir, err)
+		}
+		b, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0x01
+		if err := os.WriteFile(files[0], b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := resume(dir, cfg); !errors.Is(err, daystore.ErrCorrupt) {
+			t.Fatalf("resume error = %v, want daystore.ErrCorrupt", err)
+		}
+	})
+	t.Run("legacy format version", func(t *testing.T) {
+		// a journal written before the single day form (gob day_*.ckpt
+		// blobs, header version 1) is refused, not re-swept
+		dir := copyDir(t, seed)
+		hdr := filepath.Join(dir, "header.json")
+		b, err := os.ReadFile(hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.Replace(b, []byte(`"version": 2`), []byte(`"version": 1`), 1)
+		if bytes.Equal(old, b) {
+			t.Fatalf("header has no version 2 field to rewrite: %s", b)
+		}
+		if err := os.WriteFile(hdr, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := resume(dir, cfg); err == nil || !strings.Contains(err.Error(), "format version") {
+			t.Fatalf("resume error = %v, want a format version refusal", err)
 		}
 	})
 	t.Run("missing header", func(t *testing.T) {

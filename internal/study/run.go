@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -27,13 +28,14 @@ import (
 // an optional watchdog deadline, and durable per-day checkpoints so a
 // killed run resumes from the last completed day (DESIGN §3.2).
 
-// options tunes the supervised run loop; the zero value reproduces the
-// historical Run behaviour (no checkpoints, no watchdog). Callers set
+// options tunes the supervised run loop; the zero value runs without
+// checkpoints or watchdog, days merged in memory. Callers set
 // fields through the With... functional options, so new knobs never
 // break RunContext call sites.
 type options struct {
-	// checkpointDir, when non-empty, persists every completed day-shard
-	// to a CRC-guarded journal in this directory (internal/checkpoint).
+	// checkpointDir, when non-empty, journals every completed day-shard
+	// in this directory (internal/checkpoint) as a content-hash reference
+	// to the day's sealed column file.
 	checkpointDir string
 	// resume restarts from the checkpoints in checkpointDir instead of
 	// day 0. The directory's header (config hash + seed) must match the
@@ -66,21 +68,13 @@ type options struct {
 	// shardBits is the victim-prefix width the join engine shards by
 	// (0 = engine default /16).
 	shardBits int
-	// legacyJoin selects the historical linear-scan join engine.
-	legacyJoin bool
-	// daystoreDir, when non-empty, switches the run to the out-of-core
-	// day path (DESIGN §3.9): every completed day-shard is sealed as a
-	// columnar file in this directory instead of being merged into the
-	// run aggregator, and the join reads the sealed files through
-	// core.WithDayStore — flat RSS at millions-of-domains scale. With a
-	// checkpoint directory, day records become content-hash references
-	// to the sealed files, and a resume verifies each referenced file
-	// before trusting it.
+	// daystoreDir is where completed day-shards are sealed as columnar
+	// files (DESIGN §3.9) instead of being merged into the run
+	// aggregator; the join then reads the sealed files through
+	// core.WithDayStore — flat RSS at millions-of-domains scale. Empty
+	// with a checkpoint directory means <checkpointDir>/days; empty
+	// without one keeps the days in memory.
 	daystoreDir string
-	// inMemoryDays forces the aggregator-backed join day store even when
-	// daystoreDir is set: days are sealed AND merged, and the join reads
-	// the in-memory path — the parity-testing escape hatch.
-	inMemoryDays bool
 	// skipJoin builds the join pipeline but skips the final batch
 	// classify+join pass: Study.Classified and Study.Events stay empty.
 	// The streaming service uses this — it joins window-by-window itself
@@ -88,30 +82,16 @@ type options struct {
 	skipJoin bool
 }
 
-// pipelineOptions translates the run-loop's join-engine knobs into extra
-// core options for Session.NewPipeline.
-func (o *options) pipelineOptions() []core.Option {
-	var extra []core.Option
-	if o.indexCacheSize != 0 {
-		extra = append(extra, core.WithDayCacheSize(o.indexCacheSize))
-	}
-	if o.shardBits != 0 {
-		extra = append(extra, core.WithShardBits(o.shardBits))
-	}
-	if o.legacyJoin {
-		extra = append(extra, core.WithLegacyJoin())
-	}
-	if o.inMemoryDays {
-		extra = append(extra, core.WithInMemoryDays())
-	}
-	return extra
-}
-
 // Option configures one RunContext knob.
 type Option func(*options)
 
-// WithCheckpointDir persists every completed day-shard to a CRC-guarded
-// journal in dir (internal/checkpoint).
+// WithCheckpointDir journals every completed day-shard in dir
+// (internal/checkpoint). A day is persisted in one form only — its sealed
+// column file — so the journal records a content-hash reference
+// (checkpoint.DayRef) to the file in the day-store directory, which
+// defaults to dir/days when WithDayStoreDir is not given. WithResume
+// verifies every referenced file before trusting it and refuses the
+// resume with a typed daystore.ErrCorrupt error on any mismatch.
 func WithCheckpointDir(dir string) Option {
 	return func(o *options) { o.checkpointDir = dir }
 }
@@ -158,32 +138,15 @@ func WithShardBits(bits int) Option {
 	return func(o *options) { o.shardBits = bits }
 }
 
-// WithLegacyJoin runs the join with the historical linear-scan engine
-// instead of the interval-indexed sharded engine.
-func WithLegacyJoin() Option {
-	return func(o *options) { o.legacyJoin = true }
-}
-
 // WithDayStoreDir seals every completed day-shard into a columnar day
 // file in dir (internal/daystore) and joins against the sealed files
 // through core.WithDayStore instead of merging day snapshots into one
 // in-memory aggregator — the out-of-core path that keeps RSS flat at
 // millions-of-domains scale. A fresh run clears stale sealed files from
-// dir; combined with WithCheckpointDir, completed days are journaled as
-// content-hash references (checkpoint.DayRef) and WithResume verifies
-// every referenced file before trusting it, refusing the resume with a
-// typed daystore.ErrCorrupt error on any mismatch. Output is
-// byte-identical to the in-memory path (TestJoinParityColumnar).
+// dir. Output is byte-identical to the in-memory path
+// (TestJoinParityColumnar).
 func WithDayStoreDir(dir string) Option {
 	return func(o *options) { o.daystoreDir = dir }
-}
-
-// WithInMemoryDays overrides WithDayStoreDir and runs the historical
-// in-memory day path (days merged into the run aggregator, join reading
-// core's aggregator-backed store) — the parity-testing escape hatch,
-// mirroring WithLegacyJoin.
-func WithInMemoryDays() Option {
-	return func(o *options) { o.inMemoryDays = true }
 }
 
 // WithSkipJoin skips the final batch classify+join pass (Study.Classified
@@ -262,9 +225,8 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 	for _, o := range optFns {
 		o(&opts)
 	}
-	if opts.inMemoryDays {
-		// Escape hatch: the full historical in-memory path, sealing nothing.
-		opts.daystoreDir = ""
+	if opts.daystoreDir == "" && opts.checkpointDir != "" {
+		opts.daystoreDir = filepath.Join(opts.checkpointDir, "days")
 	}
 	s := &Study{Config: cfg, Metrics: opts.metrics}
 	if s.Metrics == nil {
@@ -291,43 +253,30 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 			if ckpt, err = checkpoint.Resume(opts.checkpointDir, hdr); err != nil {
 				return nil, err
 			}
-			if opts.daystoreDir != "" {
-				// Out-of-core resume: day records are content-hash
-				// references to sealed column files. Verify every
-				// referenced file before trusting it — a swapped or
-				// rotted seal is refused (daystore.ErrCorrupt), never
-				// silently re-aggregated. No re-aggregation happens at
-				// all: the join reads the sealed files directly.
-				refs, err := ckpt.LoadDayRefs(cfg.FromDay, cfg.ToDay)
-				if err != nil {
-					return nil, err
-				}
-				for d, ref := range refs {
-					if err := daystore.VerifyFile(opts.daystoreDir, ref.File, ref.SHA256); err != nil {
-						return nil, fmt.Errorf("study: resuming day %s: %w", d, err)
-					}
-					done[d] = true
-				}
-				s.Report.ResumedDays = len(refs)
-			} else {
-				snaps, err := ckpt.LoadDays(cfg.FromDay, cfg.ToDay)
-				if err != nil {
-					return nil, err
-				}
-				for d, snap := range snaps {
-					s.Agg.AddSnapshot(snap)
-					done[d] = true
-				}
-				s.Report.ResumedDays = len(snaps)
+			// Day records are content-hash references to sealed column
+			// files. Verify every referenced file before trusting it — a
+			// swapped or rotted seal is refused (daystore.ErrCorrupt),
+			// never silently re-swept. Nothing is re-aggregated: the join
+			// reads the sealed files directly.
+			refs, err := ckpt.LoadDayRefs(cfg.FromDay, cfg.ToDay)
+			if err != nil {
+				return nil, err
 			}
+			for d, ref := range refs {
+				if err := daystore.VerifyFile(opts.daystoreDir, ref.File, ref.SHA256); err != nil {
+					return nil, fmt.Errorf("study: resuming day %s: %w", d, err)
+				}
+				done[d] = true
+			}
+			s.Report.ResumedDays = len(refs)
 		} else if ckpt, err = checkpoint.Create(opts.checkpointDir, hdr); err != nil {
 			return nil, err
 		}
 	}
 	if opts.daystoreDir != "" && len(done) == 0 {
-		// Fresh out-of-core run (or a resume that restored nothing):
-		// sealed files from previous runs are stale state, like the
-		// checkpoint Create cleanup.
+		// Fresh sealing run (or a resume that restored nothing): sealed
+		// files from previous runs are stale state, like the checkpoint
+		// Create cleanup.
 		if err := daystore.Clear(opts.daystoreDir); err != nil {
 			return nil, err
 		}
@@ -340,7 +289,8 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 	stage("sweep", t0)
 
 	t0 = time.Now()
-	pipeOpts := opts.pipelineOptions()
+	// zero values keep the engine defaults
+	pipeOpts := []core.Option{core.WithDayCacheSize(opts.indexCacheSize), core.WithShardBits(opts.shardBits)}
 	if opts.daystoreDir != "" {
 		set, err := daystore.Open(opts.daystoreDir)
 		if err != nil {
@@ -408,10 +358,10 @@ func (m sweepMetrics) observe(rec openintel.Record) {
 
 // runSweepsSupervised runs the daily sweeps as independent day-shards
 // under a bounded worker pool. Each shard sweeps into a private
-// aggregator; on success the result is checkpointed (if enabled) and
-// merged — in whatever order shards complete, which is safe because the
-// merge is commutative. Days already restored from checkpoints (done)
-// are not re-run.
+// aggregator; on success the result is sealed and journaled (with a
+// day-store directory) or merged into the run aggregator — in whatever
+// order shards complete, which is safe because the merge is commutative.
+// Days already restored from checkpoints (done) are not re-run.
 func (s *Study) runSweepsSupervised(ctx context.Context, opts options, ckpt *checkpoint.Dir, done map[clock.Day]bool) error {
 	from, to := s.Config.FromDay, s.Config.ToDay
 	if to < from {
@@ -470,37 +420,27 @@ dispatch:
 			case skipped != nil:
 				s.Report.SkippedDays = append(s.Report.SkippedDays, *skipped)
 			case agg != nil:
-				if opts.daystoreDir != "" {
-					// Out-of-core path: seal the day to disk and drop the
-					// structs — the join reads the sealed file, so the run
-					// aggregator never grows with completed days (flat
-					// RSS). The checkpoint, when enabled, records only a
-					// content-hash reference to the seal.
-					if ckptErr == nil {
-						wstart := time.Now()
-						ref, err := daystore.SealDay(opts.daystoreDir, day, agg.Snapshot())
-						if err != nil {
-							ckptErr = err
-							return
-						}
-						if ckpt != nil {
-							if err := ckpt.WriteDayRef(day, checkpoint.DayRef{File: ref.Name, SHA256: ref.SHA256}); err != nil {
-								ckptErr = err
-								return
-							}
-						}
-						s.Metrics.Histogram("study.daystore_seal_wall", obs.Volatile()).Observe(time.Since(wstart))
-					}
-				} else {
-					if ckpt != nil && ckptErr == nil {
-						wstart := time.Now()
-						if err := ckpt.WriteDay(day, agg.Snapshot()); err != nil {
-							ckptErr = err
-							return
-						}
-						s.Metrics.Histogram("study.checkpoint_write_wall", obs.Volatile()).Observe(time.Since(wstart))
-					}
+				if opts.daystoreDir == "" {
 					s.Agg.Merge(agg)
+				} else if ckptErr == nil {
+					// Seal the day to disk and drop the structs — the join
+					// reads the sealed file, so the run aggregator never
+					// grows with completed days (flat RSS). The journal,
+					// when enabled, records only a content-hash reference
+					// to the seal.
+					wstart := time.Now()
+					ref, err := daystore.SealDay(opts.daystoreDir, day, agg.Snapshot())
+					if err != nil {
+						ckptErr = err
+						return
+					}
+					if ckpt != nil {
+						if err := ckpt.WriteDayRef(day, checkpoint.DayRef{File: ref.Name, SHA256: ref.SHA256}); err != nil {
+							ckptErr = err
+							return
+						}
+					}
+					s.Metrics.Histogram("study.daystore_seal_wall", obs.Volatile()).Observe(time.Since(wstart))
 				}
 				s.Metrics.Merge(sreg)
 				s.Report.CompletedDays++

@@ -26,8 +26,9 @@ import (
 // function of the (seeded) configuration — no I/O, no wall-clock — which
 // is what makes the distributed join possible at all: a worker receives
 // only the config JSON, calls NewSession, and owns a world byte-identical
-// to the coordinator's. Measurement state (swept aggregators) is NOT part
-// of a Session; it flows between processes as nsset.Snapshot values.
+// to the coordinator's. Measurement state (swept days) is NOT part of a
+// Session; it flows between processes as sealed day files
+// (internal/daystore).
 
 // Session is the deterministic per-process materialization of a study
 // configuration: everything up to — but excluding — the measurement

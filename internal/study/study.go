@@ -6,8 +6,6 @@
 package study
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"dnsddos/internal/clock"
@@ -125,22 +123,3 @@ func (s *Study) attachSession(sess *Session) {
 
 // Session returns the deterministic state the study was built from.
 func (s *Study) Session() *Session { return s.session }
-
-// Run executes the full study, uninterruptible and without checkpoints —
-// the historical entry point, kept as a thin wrapper over RunContext.
-// It panics on an invalid configuration (RunContext returns the error
-// instead).
-//
-// Deprecated: use RunContext, the canonical entry point — it takes a
-// context, returns errors instead of panicking, and accepts the
-// With... functional options (checkpoints, watchdog, join-engine
-// tuning).
-func Run(cfg Config) *Study {
-	s, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		// With a background context and no checkpoint/resume options the
-		// only possible failure is an invalid configuration.
-		panic(fmt.Sprintf("study.Run: %v", err))
-	}
-	return s
-}

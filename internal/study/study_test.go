@@ -17,7 +17,7 @@ func TestQuickStudySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick study still sweeps 17 months; skip in -short")
 	}
-	s := Run(QuickConfig())
+	s := mustRun(t, QuickConfig())
 
 	if len(s.Attacks) == 0 {
 		t.Fatal("no attacks inferred from telescope observations")
