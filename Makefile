@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-smoke bench-e2e bench-e2e-update flake-sweep report
+.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-smoke bench-e2e bench-e2e-update flake-sweep report loc
 
 build:
 	$(GO) build ./...
@@ -67,7 +67,8 @@ race-gate: soak
 # suite under the race detector — the netem-style wrappers, the retrying
 # live resolver against lossy/dead servers, RRL/overload shedding,
 # dnsload's failure classification, and the supervised study pipeline
-# (injected day-shard panics, watchdog stalls, mid-run cancel + resume).
+# (the day ledger's state machine, injected day-shard panics, watchdog
+# stalls, a seal failure mid-run, mid-run cancel + resume).
 chaos:
 	$(GO) test -race ./internal/faultinject/ \
 		-run . -count 1
@@ -78,7 +79,7 @@ chaos:
 	$(GO) test -race ./internal/dnsload/ \
 		-run 'TestFailure|TestPartialLoss' -count 1 -v
 	$(GO) test -race ./internal/study/ \
-		-run 'TestPanicQuarantine|TestPanicRetryRecovers|TestWatchdogQuarantinesStuckShard|TestCancelAndResumeByteIdentical|TestResumeRefusesCorruptCheckpoints' \
+		-run 'TestLedger|TestPanicQuarantine|TestPanicRetryRecovers|TestWatchdogQuarantinesStuckShard|TestWriteFailureStopsFolding|TestCancelAndResumeByteIdentical|TestResumeRefusesCorruptCheckpoints' \
 		-count 1 -v
 
 # End-to-end bench smoke: the sub-second deterministic mode sweep plus
@@ -112,3 +113,12 @@ bench-throughput:
 # The paper's tables and figures.
 report:
 	$(GO) test -bench . -benchtime 1x .
+
+# The two numbers every simplicity PR quotes: non-test Go lines outside
+# benchmark/, and the functional options (^func With) per package.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l | \
+		awk '{print $$1 " non-test Go lines outside benchmark/"}'
+	@grep -c '^func With' $$(find internal -name '*.go' ! -name '*_test.go') | \
+		awk -F: '$$2 > 0 {n = $$1; sub("/[^/]*$$", "", n); c[n] += $$2; t += $$2} \
+			END {for (p in c) print c[p] " options in " p | "sort -k4"; close("sort -k4"); print t " options in total"}'

@@ -15,6 +15,7 @@
 //	         [-checkpoint DIR] [-resume] [-shard-timeout D] [-metrics-addr :9090]
 //	         [-daystore DIR] [-index-cache N] [-shard-by BITS]
 //	         [-coordinator HOST:PORT] [-min-workers N] [-heartbeat D] [-ranges N]
+//	         [-suspect-missed N] [-dead-missed N]
 //
 // With -coordinator, joinpipe runs no sweeps or joins itself: it listens
 // on the given address and distributes the work across joinworker

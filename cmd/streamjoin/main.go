@@ -41,7 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/cli"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/obs"
@@ -141,19 +140,9 @@ func run() error {
 		opts = append(opts, stream.WithOverload(ov))
 	}
 	if *journalDir != "" {
-		hash, err := study.ConfigHash(cfg)
-		if err != nil {
-			return err
-		}
 		// the journal is keyed by everything that determines the emitted
 		// byte sequence: the study config hash plus the trace seed
-		hdr := checkpoint.Header{ConfigHash: hash, Seed: *seed}
-		var dir *checkpoint.Dir
-		if *resume {
-			dir, err = checkpoint.Resume(*journalDir, hdr)
-		} else {
-			dir, err = checkpoint.Create(*journalDir, hdr)
-		}
+		dir, err := study.OpenJournal(*journalDir, cfg, *seed, *resume)
 		if err != nil {
 			return err
 		}

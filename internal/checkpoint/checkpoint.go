@@ -165,31 +165,16 @@ func DecodeFrame(b []byte, v any) error {
 	return nil
 }
 
-// Store is the single journal-record surface: every checkpoint record —
-// sealed-day references, stream cursors, distributed-join plans and
-// ranges — is one named, CRC-framed, atomically published gob value. Dir
-// implements it; the typed helpers (WriteDayRef, Cursor) are conveniences
-// layered on the same two entry points, so a consumer that accepts a
-// Store composes with any journal backend.
-type Store interface {
-	// Write durably records v under name (a bare *.ckpt filename) in the
-	// standard envelope: magic, version, length-prefixed gob, CRC-32
-	// trailer, atomic rename + directory fsync.
-	Write(name string, v any) error
-	// Load reads and integrity-checks the record. The boolean is false
-	// when no such record exists; a record that exists but fails any
-	// check (magic, version, length, CRC, decode) is an error, never
-	// silently skipped.
-	Load(name string, v any) (bool, error)
-}
+// Every journal record — sealed-day references, stream cursors,
+// distributed-join plans and ranges — is one named, CRC-framed, atomically
+// published gob value written with Write and read with Load; the typed
+// helpers (WriteDayRef, Cursor) are conveniences layered on the two.
 
-// Dir implements Store.
-var _ Store = (*Dir)(nil)
-
-// Write implements Store: it frames v with EncodeFrame and atomically
-// publishes it as dir/name. The distributed-join coordinator journals its
-// join-shard results and plan fingerprint this way so a killed coordinator
-// resumes without re-joining completed shard ranges.
+// Write durably records v under name (a bare *.ckpt filename) in the
+// standard envelope — EncodeFrame, then atomic rename + directory fsync.
+// The distributed-join coordinator journals its join-shard results and
+// plan fingerprint this way so a killed coordinator resumes without
+// re-joining completed shard ranges.
 func (d *Dir) Write(name string, v any) error {
 	if err := validRecordName(name); err != nil {
 		return err
@@ -204,8 +189,10 @@ func (d *Dir) Write(name string, v any) error {
 	return nil
 }
 
-// Load implements Store: it reads dir/name and decodes it with
-// DecodeFrame.
+// Load reads dir/name and decodes it with DecodeFrame. The boolean is
+// false when no such record exists; a record that exists but fails any
+// check (magic, version, length, CRC, decode) is an error, never silently
+// skipped.
 func (d *Dir) Load(name string, v any) (bool, error) {
 	if err := validRecordName(name); err != nil {
 		return false, err

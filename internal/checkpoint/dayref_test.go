@@ -59,28 +59,28 @@ func TestLoadDayRefsSkipsGaps(t *testing.T) {
 	}
 }
 
-// TestStoreInterfaceRoundTrip exercises Dir through the Store interface
-// alone, the surface the coordinator and resume paths now depend on.
+// TestStoreInterfaceRoundTrip exercises Dir's named-record surface
+// (Write/Load), which the coordinator's join journal and the stream
+// cursor are layered on.
 func TestStoreInterfaceRoundTrip(t *testing.T) {
 	d, err := Create(t.TempDir(), testHeader())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st Store = d
 	type cursor struct{ Day clock.Day }
-	if err := st.Write("cursor.ckpt", &cursor{Day: 9}); err != nil {
+	if err := d.Write("cursor.ckpt", &cursor{Day: 9}); err != nil {
 		t.Fatal(err)
 	}
 	var got cursor
-	ok, err := st.Load("cursor.ckpt", &got)
+	ok, err := d.Load("cursor.ckpt", &got)
 	if err != nil || !ok || got.Day != 9 {
-		t.Fatalf("Store.Load = %+v ok %v err %v", got, ok, err)
+		t.Fatalf("Load = %+v ok %v err %v", got, ok, err)
 	}
-	if ok, err := st.Load("absent.ckpt", &got); ok || err != nil {
+	if ok, err := d.Load("absent.ckpt", &got); ok || err != nil {
 		t.Fatalf("absent record: ok %v err %v", ok, err)
 	}
-	if err := st.Write("../escape.ckpt", &got); err == nil {
-		t.Fatal("Store.Write accepted a path-traversal name")
+	if err := d.Write("../escape.ckpt", &got); err == nil {
+		t.Fatal("Write accepted a path-traversal name")
 	}
 }
 

@@ -140,7 +140,7 @@ type Pipeline struct {
 	days DayStore
 
 	// ix is the immutable nameserver-side join index (index.go), built at
-	// construction unless an existing one is shared in via WithNSIndex.
+	// construction.
 	ix *NSIndex
 	// domainNSSets, when set, is the openintel engine's per-domain key
 	// cache, reused instead of recomputing keys from the DB.
@@ -243,32 +243,11 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(p *Pipeline) { p.metrics = newJoinMetrics(reg) }
 }
 
-// WithNSIndex shares a prebuilt nameserver-side index instead of
-// building one — ablation sweeps constructing many pipelines over the
-// same world pay the index build once.
-func WithNSIndex(ix *NSIndex) Option {
-	return func(p *Pipeline) { p.ix = ix }
-}
-
 // WithDomainNSSets reuses a precomputed per-domain NSSet key slice
 // (openintel.Engine.DomainNSSets) for the index build, skipping the
-// O(domains × set size) key recomputation. Ignored when WithNSIndex
-// supplies a finished index.
+// O(domains × set size) key recomputation.
 func WithDomainNSSets(keys []nsset.Key) Option {
 	return func(p *Pipeline) { p.domainNSSets = keys }
-}
-
-// WithQuarantinedDays marks days without usable measurements at
-// construction (equivalent to calling SetQuarantinedDays afterwards).
-func WithQuarantinedDays(days []clock.Day) Option {
-	return func(p *Pipeline) {
-		for _, d := range days {
-			if p.quarantined == nil {
-				p.quarantined = make(map[clock.Day]bool, len(days))
-			}
-			p.quarantined[d] = true
-		}
-	}
 }
 
 // NewPipeline builds the join context over the world DB. All tuning —
@@ -290,9 +269,7 @@ func NewPipeline(db *dnsdb.DB, opts ...Option) *Pipeline {
 		}
 		p.days = NewAggregatorDayStore(p.agg)
 	}
-	if p.ix == nil {
-		p.ix = BuildNSIndex(db, p.domainNSSets)
-	}
+	p.ix = BuildNSIndex(db, p.domainNSSets)
 	if p.dayCache == nil {
 		p.dayCache = cache.NewLRU[clock.Day, BaselineView](defaultDayCacheSize)
 	}
@@ -462,10 +439,6 @@ func (p *Pipeline) DB() *dnsdb.DB { return p.db }
 // aggregator-backed in-memory store by default, or the WithDayStore
 // backend.
 func (p *Pipeline) DayStore() DayStore { return p.days }
-
-// NSIndex returns the pipeline's immutable nameserver-side join index,
-// shareable across pipelines via WithNSIndex.
-func (p *Pipeline) NSIndex() *NSIndex { return p.ix }
 
 // NSSetsContaining returns the NSSets containing a nameserver address.
 func (p *Pipeline) NSSetsContaining(a netx.Addr) []nsset.Key {

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"time"
 
-	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
@@ -23,15 +22,13 @@ import (
 // coordinator.go owns the run: a single-goroutine event loop holds all
 // fleet and plan state, fed by per-connection reader goroutines, a
 // liveness ticker, and retry timers. Workers never share state; every
-// decision — assignment, reassignment, quarantine, journaling — happens
-// in the loop, which is what keeps the exactly-once bookkeeping simple
-// enough to trust.
+// decision — assignment, reassignment, journaling — happens in the loop,
+// which is what keeps the exactly-once bookkeeping simple enough to trust.
+// Which days are done, retried or quarantined is the study.Ledger's call
+// (DESIGN §3.2), shared with the in-process pool; this file is transport,
+// liveness, assignment and the join-range journal.
 
 const (
-	// sweepMaxAttempts mirrors the PR 3 in-process supervisor: a day-shard
-	// failure (panic or lost worker) is retried once elsewhere, then the
-	// day is quarantined.
-	sweepMaxAttempts = 2
 	// joinMaxFailures bounds *reported* join-range failures (panics);
 	// ranges have no quarantine equivalent — results must be complete — so
 	// a range that keeps panicking aborts the run. Lost workers do not
@@ -204,18 +201,9 @@ type task struct {
 	join bool // false: day sweep; true: join range
 	day  clock.Day
 	rng  int
-	// attempts counts failed attempts (reported panics, lost workers);
-	// sweepMaxAttempts quarantines a day, joinMaxFailures aborts the run.
-	attempts   int
-	lastReason string
-	lastStack  string
-}
-
-func (t *task) describe() string {
-	if t.join {
-		return fmt.Sprintf("join range %d", t.rng)
-	}
-	return fmt.Sprintf("day %d", int32(t.day))
+	// failures counts a join range's reported failures; joinMaxFailures
+	// aborts the run. A day sweep's attempts are the ledger's to count.
+	failures int
 }
 
 // fleetWorker is the coordinator-side view of one connection.
@@ -267,7 +255,6 @@ func (c *Coordinator) Run(ctx context.Context) (*study.Study, error) {
 		cfgJSON: cfgJSON,
 		evs:     make(chan coordEvent, 1024),
 		workers: make(map[int]*fleetWorker),
-		dayRefs: make(map[clock.Day]checkpoint.DayRef),
 		ranges:  make(map[int][]core.TaggedEvent),
 	}
 	if c.opts.ckptDir == "" {
@@ -275,10 +262,20 @@ func (c *Coordinator) Run(ctx context.Context) (*study.Study, error) {
 			return nil, fmt.Errorf("distjoin: creating day directory: %w", err)
 		}
 		defer os.RemoveAll(st.dayDir)
-	} else if err := st.openJournal(); err != nil {
+	} else {
+		st.dayDir = filepath.Join(c.opts.ckptDir, "days")
+	}
+	if st.ledger, err = study.OpenLedger(c.cfg, c.reg, c.opts.ckptDir, st.dayDir, c.opts.resume); err != nil {
 		return nil, err
 	}
-	st.queueSweeps()
+	if c.opts.resume {
+		if err := st.loadJoinJournal(); err != nil {
+			return nil, err
+		}
+	}
+	for _, d := range st.ledger.Pending() {
+		st.pending = append(st.pending, &task{day: d})
+	}
 
 	// Accept loop: hands raw connections to the event loop.
 	acceptDone := make(chan struct{})
@@ -300,7 +297,7 @@ func (c *Coordinator) Run(ctx context.Context) (*study.Study, error) {
 		// Phase transitions and completion are checked between events so
 		// every path (result, failure, worker change) funnels through one
 		// place.
-		if st.sweepsDone() && !st.joinStarted {
+		if !st.joinStarted && st.ledger.Settled() {
 			if err := st.startJoin(ctx); err != nil {
 				return nil, err
 			}
@@ -324,7 +321,7 @@ func (c *Coordinator) Run(ctx context.Context) (*study.Study, error) {
 				if ev.w == nil {
 					return nil, ev.err
 				}
-				st.dropWorker(ev.w, ev.err)
+				st.removeWorker(ev.w, ev.err)
 			case ev.m != nil:
 				if err := st.handle(ev.w, ev.m); err != nil {
 					return nil, err
@@ -344,17 +341,13 @@ type runState struct {
 	nextID  int
 	workers map[int]*fleetWorker
 
-	ckpt    *checkpoint.Dir
 	pending []*task // dispatch queue, deterministic order
 
-	// sweep phase: a completed day is a sealed file in dayDir
-	// (<checkpoint>/days, or a temporary directory) and a reference to it
-	// here — the coordinator's heap never holds a day's measurements.
-	dayDir   string
-	dayRefs  map[clock.Day]checkpoint.DayRef
-	resumed  int
-	complete int
-	skipped  []study.SkippedDay
+	// sweep phase: an accepted day is a sealed file in dayDir
+	// (<checkpoint>/days, or a temporary directory) and an entry in the
+	// ledger — the coordinator's heap never holds a day's measurements.
+	dayDir string
+	ledger *study.Ledger
 
 	// fleetStarted latches once minWorkers registered simultaneously;
 	// dispatch is gated only until then.
@@ -372,82 +365,23 @@ type runState struct {
 	ranges map[int][]core.TaggedEvent
 }
 
-// openJournal opens (or creates) the checkpoint directory and loads every
-// completed record: day references, the join plan, and completed ranges.
-// A referenced day file is hash-verified before its day counts as done; a
-// mismatch refuses the resume with daystore.ErrCorrupt.
-func (st *runState) openJournal() error {
-	o := st.c.opts
-	st.dayDir = filepath.Join(o.ckptDir, "days")
-	hash, err := study.ConfigHash(st.c.cfg)
-	if err != nil {
+// loadJoinJournal restores the join-phase records a previous incarnation
+// journaled beside the days: the partition plan and the completed ranges.
+func (st *runState) loadJoinJournal() error {
+	journal := st.ledger.Journal()
+	if ok, err := journal.Load(planRecord, &st.plan); err != nil || !ok {
 		return err
 	}
-	hdr := checkpoint.Header{ConfigHash: hash, Seed: st.c.cfg.MeasureSeed}
-	if !o.resume {
-		if st.ckpt, err = checkpoint.Create(o.ckptDir, hdr); err != nil {
+	st.loadedPlan = true
+	for i := 0; i < st.plan.NumRanges; i++ {
+		var rr rangeResult
+		if ok, err := journal.Load(rangeRecord(i), &rr); err != nil {
 			return err
-		}
-		return daystore.Clear(st.dayDir)
-	}
-	if st.ckpt, err = checkpoint.Resume(o.ckptDir, hdr); err != nil {
-		return err
-	}
-	if st.dayRefs, err = st.ckpt.LoadDayRefs(st.c.cfg.FromDay, st.c.cfg.ToDay); err != nil {
-		return err
-	}
-	for d, ref := range st.dayRefs {
-		if err := daystore.VerifyFile(st.dayDir, ref.File, ref.SHA256); err != nil {
-			return fmt.Errorf("distjoin: resuming day %d: %w", int32(d), err)
-		}
-	}
-	st.resumed = len(st.dayRefs)
-	if ok, err := st.ckpt.Load(planRecord, &st.plan); err != nil {
-		return err
-	} else if ok {
-		st.loadedPlan = true
-		for i := 0; i < st.plan.NumRanges; i++ {
-			var rr rangeResult
-			if ok, err := st.ckpt.Load(rangeRecord(i), &rr); err != nil {
-				return err
-			} else if ok {
-				st.ranges[i] = rr.Events
-			}
+		} else if ok {
+			st.ranges[i] = rr.Events
 		}
 	}
 	return nil
-}
-
-// queueSweeps fills the dispatch queue with every day not already
-// journaled, ascending. Quarantined days of a previous incarnation were
-// never journaled, so they re-run — and re-quarantine — deterministically,
-// exactly like the in-process supervisor on resume.
-func (st *runState) queueSweeps() {
-	for d := st.c.cfg.FromDay; d <= st.c.cfg.ToDay; d++ {
-		if _, ok := st.dayRefs[d]; !ok {
-			st.pending = append(st.pending, &task{day: d})
-		}
-	}
-}
-
-// sweepsDone reports whether every day is accounted for: journaled,
-// quarantined — nothing pending or in flight.
-func (st *runState) sweepsDone() bool {
-	if st.joinStarted {
-		return true
-	}
-	for _, t := range st.pending {
-		if !t.join {
-			return false
-		}
-	}
-	for _, w := range st.workers {
-		if w.inflight != nil && !w.inflight.join {
-			return false
-		}
-	}
-	done := len(st.dayRefs) + len(st.skipped)
-	return done == int(st.c.cfg.ToDay-st.c.cfg.FromDay)+1
 }
 
 // startJoin transitions to the join phase: freeze the list of accepted
@@ -455,17 +389,12 @@ func (st *runState) sweepsDone() bool {
 // the journaled partition plan, and queue the incomplete ranges.
 func (st *runState) startJoin(ctx context.Context) error {
 	st.joinStarted = true
-	sort.Slice(st.skipped, func(i, j int) bool { return st.skipped[i].Day < st.skipped[j].Day })
-
-	for d, ref := range st.dayRefs {
-		st.setup = append(st.setup, daystore.SealedFile{Day: d, Name: ref.File, SHA256: ref.SHA256})
-	}
-	sort.Slice(st.setup, func(i, j int) bool { return st.setup[i].Day < st.setup[j].Day })
+	st.setup = st.ledger.Files()
 	var err error
 	if st.days, err = daystore.Open(st.dayDir); err != nil {
 		return err
 	}
-	st.pipe = st.sess.NewPipeline(nil, st.quarantined(), st.c.reg, core.WithDayStore(st.days))
+	st.pipe = st.sess.NewPipeline(nil, st.ledger.Quarantined(), st.c.reg, core.WithDayStore(st.days))
 	numShards := st.pipe.JoinShardCount(st.sess.Attacks)
 
 	if st.loadedPlan {
@@ -485,8 +414,8 @@ func (st *runState) startJoin(ctx context.Context) error {
 			nr = 1
 		}
 		st.plan = joinPlan{NumShards: numShards, NumRanges: nr}
-		if st.ckpt != nil {
-			if err := st.ckpt.Write(planRecord, &st.plan); err != nil {
+		if journal := st.ledger.Journal(); journal != nil {
+			if err := journal.Write(planRecord, &st.plan); err != nil {
 				return err
 			}
 		}
@@ -501,14 +430,6 @@ func (st *runState) startJoin(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (st *runState) quarantined() []clock.Day {
-	out := make([]clock.Day, len(st.skipped))
-	for i := range st.skipped {
-		out[i] = st.skipped[i].Day
-	}
-	return out
-}
-
 // joinDone reports whether every range result is in.
 func (st *runState) joinDone() bool {
 	return st.joinStarted && len(st.ranges) == st.plan.NumRanges
@@ -516,7 +437,7 @@ func (st *runState) joinDone() bool {
 
 // finish assembles the Study, tells the fleet to exit, and returns.
 func (st *runState) finish(ctx context.Context) (*study.Study, error) {
-	if st.ckpt == nil {
+	if st.ledger.Journal() == nil {
 		// The day directory is temporary and goes when Run returns. Map
 		// every day file first (mappings outlive the unlink), so the
 		// returned Study's pipeline can still read any day.
@@ -528,29 +449,11 @@ func (st *runState) finish(ctx context.Context) (*study.Study, error) {
 	for i := 0; i < st.plan.NumRanges; i++ {
 		parts = append(parts, st.ranges[i])
 	}
-	s := &study.Study{
-		Config:    st.c.cfg,
-		World:     st.sess.World,
-		Schedule:  st.sess.Schedule,
-		Telescope: st.sess.Telescope,
-		Obs:       st.sess.Obs,
-		Attacks:   st.sess.Attacks,
-		Net:       st.sess.Net,
-		Resolver:  st.sess.Resolver,
-		Engine:    st.sess.Engine,
-		Agg:       st.sess.NewAggregator(),
-		Pipeline:  st.pipe,
-		Metrics:   st.c.reg,
-	}
+	s := st.sess.NewStudy(st.c.reg)
+	s.Pipeline = st.pipe
 	s.Classified = st.pipe.Classify(st.sess.Attacks)
 	s.Events = core.MergeTaggedEvents(parts)
-	s.Report = study.RunReport{
-		ResumedDays:   st.resumed,
-		CompletedDays: st.complete,
-		SkippedDays:   st.skipped,
-	}
-	snap := st.c.reg.StableSnapshot()
-	s.Report.Metrics = &snap
+	s.Report = st.ledger.Report()
 
 	for _, w := range st.workers {
 		st.post(w, &message{Kind: kindShutdown})
@@ -674,7 +577,7 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 		w.inflight = nil
 		if t == nil || t.join || t.day != m.Day {
 			// Unsolicited or reassigned-elsewhere result.
-			if _, done := st.dayRefs[m.Day]; done {
+			if st.ledger.Done(m.Day) {
 				st.c.m.shardRedeliveries.Inc()
 			}
 			if t != nil {
@@ -682,7 +585,7 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 			}
 			return nil
 		}
-		if _, done := st.dayRefs[m.Day]; done {
+		if st.ledger.Done(m.Day) {
 			st.c.m.shardRedeliveries.Inc()
 			return nil
 		}
@@ -691,24 +594,17 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 			// The frame was intact but the file in it is not: this worker
 			// cannot be trusted with the day. Same as losing it mid-shard.
 			w.inflight = t
-			st.dropWorker(w, err)
+			st.removeWorker(w, err)
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("distjoin: installing day %d: %w", int32(m.Day), err)
 		}
-		ref := checkpoint.DayRef{File: f.Name, SHA256: f.SHA256}
-		if st.ckpt != nil {
-			if err := st.ckpt.WriteDayRef(m.Day, ref); err != nil {
-				return fmt.Errorf("distjoin: journaling day %d: %w", int32(m.Day), err)
-			}
+		// The worker ships its private sweep metrics only on success, and
+		// the ledger folds only the accepted copy.
+		if _, err := st.ledger.Complete(m.Day, f, m.Metrics); err != nil {
+			return fmt.Errorf("distjoin: journaling day %d: %w", int32(m.Day), err)
 		}
-		st.dayRefs[m.Day] = ref
-		st.complete++
-		// Exactly-once metric fold: the worker ships its private sweep
-		// registry only on success, and only the accepted copy is
-		// imported — identical totals to the in-process supervisor.
-		st.c.reg.ImportSnapshot(m.Metrics)
 		st.c.m.sweepDaysDone.Inc()
 		st.c.m.observeTask(w.name, w.started)
 
@@ -728,8 +624,8 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 			st.c.m.shardRedeliveries.Inc()
 			return nil
 		}
-		if st.ckpt != nil {
-			if err := st.ckpt.Write(rangeRecord(m.Range), &rangeResult{Events: m.Events}); err != nil {
+		if journal := st.ledger.Journal(); journal != nil {
+			if err := journal.Write(rangeRecord(m.Range), &rangeResult{Events: m.Events}); err != nil {
 				return fmt.Errorf("distjoin: journaling range %d: %w", m.Range, err)
 			}
 		}
@@ -744,43 +640,27 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 			return nil
 		}
 		st.c.m.taskFailures.Inc()
-		t.attempts++
-		t.lastReason, t.lastStack = m.Reason, m.Stack
-		return st.resolveFailure(t)
-	}
-	return nil
-}
-
-// resolveFailure decides a failed task's fate: retry with backoff,
-// quarantine (sweeps), or abort the run (join ranges out of retries).
-func (st *runState) resolveFailure(t *task) error {
-	if !t.join {
-		if t.attempts >= sweepMaxAttempts {
-			st.skipped = append(st.skipped, study.SkippedDay{
-				Day:      t.day,
-				Reason:   t.lastReason,
-				Stack:    t.lastStack,
-				Attempts: t.attempts,
-			})
+		if !t.join {
+			if st.ledger.Fail(t.day, m.Reason, m.Stack, true) {
+				st.requeue(t)
+			}
 			return nil
 		}
-	} else if t.attempts >= joinMaxFailures {
-		return fmt.Errorf("distjoin: join range %d failed %d times: %s", t.rng, t.attempts, t.lastReason)
+		// Ranges have no quarantine: results must be complete.
+		if t.failures++; t.failures >= joinMaxFailures {
+			return fmt.Errorf("distjoin: join range %d failed %d times: %s", t.rng, t.failures, m.Reason)
+		}
+		st.requeue(t)
 	}
-	st.requeue(t)
 	return nil
 }
 
-// requeue re-enqueues a task after a decorrelated-jitter backoff scaled
-// by its failure count (resilience.RetryBudget.DelayFor — the task keeps
-// its own attempt counter, so the stateless form applies).
+// requeue re-enqueues a task after a decorrelated-jitter backoff
+// (resilience.RetryBudget.DelayFor, the stateless form). A task gets
+// here with at most one charged failure — the second quarantines the day
+// or aborts the run — so the delay is always the first attempt's.
 func (st *runState) requeue(t *task) {
-	attempt := t.attempts
-	if attempt < 1 {
-		attempt = 1
-	}
-	delay := st.c.retry.DelayFor(attempt)
-	time.AfterFunc(delay, func() { st.evs <- coordEvent{retry: t} })
+	time.AfterFunc(st.c.retry.DelayFor(1), func() { st.evs <- coordEvent{retry: t} })
 }
 
 // enqueue returns a retried task to the dispatch queue in deterministic
@@ -789,7 +669,7 @@ func (st *runState) enqueue(t *task) {
 	// A task can only be in backoff because it is neither complete nor in
 	// flight; double-check completion in case a straggler finished it.
 	if !t.join {
-		if _, done := st.dayRefs[t.day]; done {
+		if st.ledger.Done(t.day) {
 			return
 		}
 	} else if _, done := st.ranges[t.rng]; done {
@@ -808,23 +688,10 @@ func (st *runState) enqueue(t *task) {
 	})
 }
 
-// dropWorker handles a connection failure: the worker is removed and its
-// in-flight task — indistinguishable from a crashed shard — is charged a
-// failed attempt and retried elsewhere.
-func (st *runState) dropWorker(w *fleetWorker, err error) {
-	if _, ok := st.workers[w.id]; !ok {
-		return
-	}
-	if t := w.inflight; t != nil && !t.join {
-		st.c.m.taskFailures.Inc()
-		t.attempts++
-		t.lastReason = fmt.Sprintf("worker %s lost mid-shard: %v", w.name, err)
-		t.lastStack = ""
-	}
-	st.removeWorker(w, err)
-}
-
-// removeWorker unregisters a worker, reassigning any in-flight task.
+// removeWorker unregisters a worker and reassigns its in-flight task. A
+// nil err is a graceful goodbye; otherwise the connection failed and an
+// in-flight sweep — indistinguishable from a crashed shard — is charged a
+// failed attempt, which quarantines the day when it was its last.
 func (st *runState) removeWorker(w *fleetWorker, err error) {
 	if _, ok := st.workers[w.id]; !ok {
 		return
@@ -834,19 +701,15 @@ func (st *runState) removeWorker(w *fleetWorker, err error) {
 	w.conn.Close()
 	if t := w.inflight; t != nil {
 		w.inflight = nil
-		st.c.m.reassignments.Inc()
+		retry := true
 		if !t.join && err != nil {
-			// Lost-worker attempts already charged by dropWorker; a sweep
-			// out of attempts quarantines here.
-			if t.attempts >= sweepMaxAttempts {
-				st.skipped = append(st.skipped, study.SkippedDay{
-					Day: t.day, Reason: t.lastReason, Stack: t.lastStack, Attempts: t.attempts,
-				})
-				st.gauges()
-				return
-			}
+			st.c.m.taskFailures.Inc()
+			retry = st.ledger.Fail(t.day, fmt.Sprintf("worker %s lost mid-shard: %v", w.name, err), "", true)
 		}
-		st.requeue(t)
+		st.c.m.reassignments.Inc()
+		if retry {
+			st.requeue(t)
+		}
 	}
 	st.gauges()
 }
@@ -863,7 +726,7 @@ func (st *runState) checkLiveness() {
 		quiet := now.Sub(w.lastSeen)
 		switch {
 		case quiet > time.Duration(st.c.opts.deadAfter)*hb:
-			st.dropWorker(w, fmt.Errorf("no heartbeat for %v", quiet.Round(time.Millisecond)))
+			st.removeWorker(w, fmt.Errorf("no heartbeat for %v", quiet.Round(time.Millisecond)))
 		case quiet > time.Duration(st.c.opts.suspectAfter)*hb && w.state == stateLive:
 			w.state = stateSuspect
 			if t := w.inflight; t != nil {
@@ -936,7 +799,7 @@ func (st *runState) joinSetupMsg() *message {
 	return &message{
 		Kind:        kindJoinSetup,
 		NumDays:     len(st.setup),
-		Quarantined: st.quarantined(),
+		Quarantined: st.ledger.Quarantined(),
 		NumShards:   st.plan.NumShards,
 		NumRanges:   st.plan.NumRanges,
 	}

@@ -328,16 +328,16 @@ func TestCoordinatorRefusesCorruptSweepImage(t *testing.T) {
 	if _, ok := st.workers[w.id]; ok {
 		t.Error("worker that shipped a corrupt day file is still registered")
 	}
-	if len(st.dayRefs) != 0 || st.complete != 0 {
-		t.Errorf("corrupt day accepted: refs %v, complete %d", st.dayRefs, st.complete)
+	if st.ledger.Done(28) || st.ledger.Report().CompletedDays != 0 {
+		t.Errorf("corrupt day accepted: done %v, complete %d", st.ledger.Done(28), st.ledger.Report().CompletedDays)
 	}
 	if left, _ := os.ReadDir(st.dayDir); len(left) != 0 {
 		t.Errorf("corrupt day file installed: %v", left)
 	}
 	select {
 	case ev := <-st.evs:
-		if ev.retry == nil || ev.retry.day != 28 || ev.retry.attempts != 1 {
-			t.Fatalf("retry event = %+v, want day 28 charged one attempt", ev.retry)
+		if ev.retry == nil || ev.retry.day != 28 || st.ledger.Attempts(28) != 1 {
+			t.Fatalf("retry event = %+v with %d attempts, want day 28 charged one attempt", ev.retry, st.ledger.Attempts(28))
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("refused day was not requeued")

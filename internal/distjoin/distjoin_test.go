@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
+	"dnsddos/internal/daystore"
 	"dnsddos/internal/faultinject"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/report"
@@ -165,8 +165,10 @@ func testState(t *testing.T) (*runState, *fleetWorker) {
 		evs:     make(chan coordEvent, 64),
 		workers: map[int]*fleetWorker{},
 		dayDir:  t.TempDir(),
-		dayRefs: map[clock.Day]checkpoint.DayRef{},
 		ranges:  map[int][]core.TaggedEvent{},
+	}
+	if st.ledger, err = study.OpenLedger(c.cfg, c.reg, "", st.dayDir, false); err != nil {
+		t.Fatal(err)
 	}
 	client, server := net.Pipe()
 	t.Cleanup(func() { client.Close(); server.Close() })
@@ -184,14 +186,16 @@ func testState(t *testing.T) (*runState, *fleetWorker) {
 // counted, never applied twice.
 func TestRedeliveriesDiscarded(t *testing.T) {
 	st, w := testState(t)
-	st.dayRefs[27] = checkpoint.DayRef{}
+	if _, err := st.ledger.Complete(27, daystore.SealedFile{Day: 27}, obs.Snapshot{}); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.handle(w, &message{Kind: kindSweepDone, Day: 27}); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.c.m.shardRedeliveries.Load(); got != 1 {
 		t.Errorf("duplicate sweep result: redeliveries = %d, want 1", got)
 	}
-	if st.complete != 0 {
+	if st.ledger.Report().CompletedDays != 1 {
 		t.Errorf("duplicate sweep result incremented completions")
 	}
 	st.joinStarted = true
@@ -228,8 +232,8 @@ func TestLivenessSuspectThenDead(t *testing.T) {
 		if ev.retry == nil || ev.retry.day != 27 {
 			t.Fatalf("retry event = %+v, want day 27", ev)
 		}
-		if ev.retry.attempts != 0 {
-			t.Errorf("suspect reassignment charged an attempt: %d", ev.retry.attempts)
+		if n := st.ledger.Attempts(27); n != 0 {
+			t.Errorf("suspect reassignment charged an attempt: %d", n)
 		}
 		st.enqueue(ev.retry)
 	case <-time.After(2 * time.Second):
@@ -249,14 +253,18 @@ func TestLivenessSuspectThenDead(t *testing.T) {
 // day that fails its retry is quarantined with both failures counted.
 func TestSecondFailureQuarantines(t *testing.T) {
 	st, w := testState(t)
-	w.inflight = &task{day: 28, attempts: 1, lastReason: "worker old lost mid-shard: EOF"}
+	w.inflight = &task{day: 28}
+	if !st.ledger.Fail(28, "worker old lost mid-shard: EOF", "", true) {
+		t.Fatal("first failure not retried")
+	}
 	if err := st.handle(w, &message{Kind: kindTaskFailed, Day: 28, Reason: "panic: poisoned", Stack: "stack"}); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.skipped) != 1 {
-		t.Fatalf("skipped = %d, want 1", len(st.skipped))
+	skipped := st.ledger.Report().SkippedDays
+	if len(skipped) != 1 {
+		t.Fatalf("skipped = %d, want 1", len(skipped))
 	}
-	sk := st.skipped[0]
+	sk := skipped[0]
 	if sk.Day != 28 || sk.Reason != "panic: poisoned" || sk.Stack != "stack" || sk.Attempts != 2 {
 		t.Errorf("quarantine record = %+v", sk)
 	}
@@ -301,6 +309,26 @@ func TestDistributedParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertParity(t, s, wantEvents, wantReport)
+
+	// The Study is the shell RunContext returns, session included: a
+	// second pipeline built from it over the same days re-joins to the
+	// same bytes.
+	sess := s.Session()
+	if sess == nil {
+		t.Fatal("coordinator Study has no Session")
+	}
+	p := sess.NewPipeline(nil, nil, obs.New(), core.WithDayStore(s.Pipeline.DayStore()))
+	events, err := p.EventsContext(context.Background(), s.Attacks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := report.EventsCSV(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), wantEvents) {
+		t.Error("re-join through the coordinator Study's Session diverged from the single-process run")
+	}
 }
 
 // TestWorkerDeathMidSweepReassigned kills one worker's connection inside

@@ -239,11 +239,11 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 
 			case kindAssignSweep:
 				day := ev.m.Day
-				agg, sreg, sk := sess.SweepDayAttempt(ctx, day, w.beforeSweep)
+				agg, sweep, fail := sess.SweepDayAttempt(ctx, day, w.beforeSweep)
 				var reply *message
 				switch {
-				case sk != nil:
-					reply = &message{Kind: kindTaskFailed, Day: day, Reason: sk.Reason, Stack: sk.Stack}
+				case fail != nil:
+					reply = &message{Kind: kindTaskFailed, Day: day, Reason: fail.Reason, Stack: fail.Stack}
 				case agg == nil:
 					return ctx.Err() // cancelled mid-sweep: crash path
 				default:
@@ -251,7 +251,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 					if err != nil {
 						return fmt.Errorf("distjoin: worker %s: sealing day %d: %w", w.name, int32(day), err)
 					}
-					reply = &message{Kind: kindSweepDone, Day: day, Image: image, SHA256: sum, Metrics: sreg.Snapshot()}
+					reply = &message{Kind: kindSweepDone, Day: day, Image: image, SHA256: sum, Metrics: sweep}
 				}
 				if err := wr.send(reply); err != nil {
 					return fmt.Errorf("distjoin: worker %s: reporting day %d: %w", w.name, int32(day), err)

@@ -369,7 +369,7 @@ type windowSpan struct{ min, max clock.Window }
 // noteWindow records a fresh window insertion: it widens k's
 // retained-window span and buckets the metrics pointer under its
 // calendar day. Called wherever a new *WindowMetrics enters the
-// aggregator (Add, Merge, AddSnapshot).
+// aggregator (Add, Merge).
 func (a *Aggregator) noteWindow(k Key, m *WindowMetrics) {
 	w := m.Window
 	if s, ok := a.span[k]; !ok {

@@ -6,12 +6,12 @@ import (
 	"dnsddos/internal/clock"
 )
 
-// snapshot.go flattens an Aggregator into an exported, value-typed form
-// that serializes cleanly (gob/JSON), so completed day-shards can be
-// checkpointed to disk (internal/checkpoint) and folded back in on
-// resume (study.RunContext). The flattened form is deterministically
+// snapshot.go flattens an Aggregator into an exported, value-typed form:
+// the input a completed day-shard is sealed from (daystore.SealDay,
+// EncodeDay). It is one-way — sealed days are read back through the day
+// store, never re-aggregated. The flattened form is deterministically
 // ordered: the same aggregator contents always produce the same
-// Snapshot, and therefore the same encoded bytes.
+// Snapshot, and therefore the same sealed bytes.
 
 // WindowSnap pairs one NSSet with the metrics of one 5-minute window.
 type WindowSnap struct {
@@ -68,43 +68,4 @@ func (a *Aggregator) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// AddSnapshot merges a snapshot's contents into the aggregator, the
-// restore counterpart of Snapshot. The window filter applies as it does
-// for live samples; a resumed run rebuilds the same filter from the same
-// configuration, so checkpointed windows are re-admitted verbatim.
-func (a *Aggregator) AddSnapshot(s Snapshot) {
-	for i := range s.Windows {
-		ws := &s.Windows[i]
-		if a.filter != nil && !a.filter(ws.M.Window) {
-			continue
-		}
-		wm := a.windows[ws.Key]
-		if wm == nil {
-			wm = make(map[clock.Window]*WindowMetrics)
-			a.windows[ws.Key] = wm
-		}
-		if m := wm[ws.M.Window]; m != nil {
-			m.merge(&ws.M)
-		} else {
-			cp := ws.M
-			wm[ws.M.Window] = &cp
-			a.noteWindow(ws.Key, &cp)
-		}
-	}
-	for i := range s.Baselines {
-		bs := &s.Baselines[i]
-		bm := a.baselines[bs.Key]
-		if bm == nil {
-			bm = make(map[clock.Day]*DayBaseline)
-			a.baselines[bs.Key] = bm
-		}
-		if b := bm[bs.B.Day]; b != nil {
-			b.merge(&bs.B)
-		} else {
-			cp := bs.B
-			bm[bs.B.Day] = &cp
-		}
-	}
 }

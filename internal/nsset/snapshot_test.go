@@ -26,23 +26,28 @@ func aggEqual(a, b *Aggregator) bool {
 	return reflect.DeepEqual(a.Snapshot(), b.Snapshot())
 }
 
+// TestSnapshotRoundTrip: equal aggregators produce equal snapshots, however
+// they were filled, and a snapshot row is the value the aggregator serves.
 func TestSnapshotRoundTrip(t *testing.T) {
 	a := sampleAggregator()
-	restored := NewAggregator()
-	restored.AddSnapshot(a.Snapshot())
-	if !aggEqual(a, restored) {
-		t.Fatalf("round trip changed contents:\n%+v\nvs\n%+v", a.Snapshot(), restored.Snapshot())
+	merged := NewAggregator()
+	merged.Merge(sampleAggregator())
+	if !aggEqual(a, merged) {
+		t.Fatalf("equal aggregators, different snapshots:\n%+v\nvs\n%+v", a.Snapshot(), merged.Snapshot())
 	}
-	// spot-check a derived statistic survives
-	k1 := KeyOf([]netx.Addr{netx.MustParseAddr("192.0.2.1")})
-	ob, rb := a.Baseline(k1, 3), restored.Baseline(k1, 3)
-	if rb == nil || *ob != *rb {
-		t.Errorf("baseline differs: %+v vs %+v", ob, rb)
+	snap := a.Snapshot()
+	if len(snap.Windows) == 0 || len(snap.Baselines) == 0 {
+		t.Fatalf("snapshot dropped rows: %+v", snap)
 	}
-	ow := a.Window(k1, clock.WindowOf(clock.Day(3).Start().Add(time.Hour)))
-	rw := restored.Window(k1, clock.WindowOf(clock.Day(3).Start().Add(time.Hour)))
-	if rw == nil || *ow != *rw {
-		t.Errorf("window differs: %+v vs %+v", ow, rw)
+	for _, ws := range snap.Windows {
+		if w := a.Window(ws.Key, ws.M.Window); w == nil || *w != ws.M {
+			t.Errorf("window row %+v differs from the aggregator's %+v", ws.M, w)
+		}
+	}
+	for _, bs := range snap.Baselines {
+		if b := a.Baseline(bs.Key, bs.B.Day); b == nil || *b != bs.B {
+			t.Errorf("baseline row %+v differs from the aggregator's %+v", bs.B, b)
+		}
 	}
 }
 
@@ -50,40 +55,5 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	a, b := sampleAggregator(), sampleAggregator()
 	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
 		t.Fatal("identical aggregators produced different snapshots")
-	}
-}
-
-func TestAddSnapshotMergesIntoExisting(t *testing.T) {
-	// restoring a snapshot into a non-empty aggregator must behave like
-	// Merge, not overwrite
-	viaMerge := NewAggregator()
-	viaMerge.Merge(sampleAggregator())
-	viaMerge.Merge(sampleAggregator())
-
-	viaSnap := NewAggregator()
-	viaSnap.AddSnapshot(sampleAggregator().Snapshot())
-	viaSnap.AddSnapshot(sampleAggregator().Snapshot())
-
-	if !aggEqual(viaMerge, viaSnap) {
-		t.Fatal("AddSnapshot and Merge disagree")
-	}
-}
-
-func TestAddSnapshotRespectsFilter(t *testing.T) {
-	src := sampleAggregator()
-	keepW := clock.WindowOf(clock.Day(3).Start().Add(time.Hour))
-	dst := NewAggregator()
-	dst.SetWindowFilter(func(w clock.Window) bool { return w == keepW })
-	dst.AddSnapshot(src.Snapshot())
-	k1 := KeyOf([]netx.Addr{netx.MustParseAddr("192.0.2.1")})
-	if dst.Window(k1, keepW) == nil {
-		t.Error("admitted window missing")
-	}
-	if dst.Window(k1, clock.WindowOf(clock.Day(3).Start().Add(7*time.Hour))) != nil {
-		t.Error("filtered window restored anyway")
-	}
-	// baselines always survive the filter
-	if dst.Baseline(k1, 3) == nil {
-		t.Error("baseline lost")
 	}
 }

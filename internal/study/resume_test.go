@@ -10,10 +10,13 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/daystore"
+	"dnsddos/internal/obs"
 	"dnsddos/internal/report"
 )
 
@@ -292,4 +295,75 @@ func TestResumeRefusesCorruptCheckpoints(t *testing.T) {
 			t.Fatal("headerless directory accepted")
 		}
 	})
+}
+
+// TestWriteFailureStopsFolding: once a day cannot be sealed, the run fails
+// with the I/O error and no further day reaches the metrics — the
+// WithMetrics registry describes exactly the days that were sealed and
+// journaled, even for shards still in flight when the write failed.
+func TestWriteFailureStopsFolding(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	cfg := resumeConfig()
+	cfg.Parallelism = 2
+	ckpt, days := t.TempDir(), filepath.Join(t.TempDir(), "days")
+	reg := obs.New()
+	swept := reg.Histogram("study.day_sweep_wall", obs.Volatile())
+	waitFor := func(cond func() bool) {
+		for deadline := time.Now().Add(30 * time.Second); !cond() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// Day 27 seals normally. Day 28 waits for that, then swaps the day
+	// directory for a regular file, so its own seal fails. Day 29 takes the
+	// slot day 27 freed and is held until day 28 has finished sweeping (and
+	// a moment more, for its seal to fail): it is the shard that completes
+	// after the write error.
+	_, err := RunContext(context.Background(), cfg,
+		WithCheckpointDir(ckpt), WithDayStoreDir(days), WithMetrics(reg),
+		WithBeforeDay(func(d clock.Day) {
+			switch d {
+			case 28:
+				waitFor(func() bool {
+					refs, _ := filepath.Glob(filepath.Join(ckpt, "dayref_*.ckpt"))
+					return len(refs) == 1
+				})
+				if err := os.Rename(days, days+".sealed"); err != nil {
+					panic(err)
+				}
+				if err := os.WriteFile(days, nil, 0o644); err != nil {
+					panic(err)
+				}
+			case 29:
+				waitFor(func() bool { return swept.Count() >= 2 })
+				time.Sleep(100 * time.Millisecond)
+			}
+		}))
+	if !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("run error = %v, want the seal's ENOTDIR", err)
+	}
+
+	sealed, err := filepath.Glob(filepath.Join(days+".sealed", "day_*.dcol"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sealed) != 1 || filepath.Base(sealed[0]) != daystore.FileName(27) {
+		t.Fatalf("sealed days = %v, want only day 27", sealed)
+	}
+	sess, err := NewSession(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, fail := sess.SweepDayAttempt(context.Background(), 27, nil)
+	if fail != nil {
+		t.Fatal(fail.Reason)
+	}
+	got := reg.StableSnapshot()
+	for _, name := range []string{"study.sweep.ok", "study.sweep.servfail", "study.sweep.timeout"} {
+		if got.Counters[name] != want.Counters[name] {
+			t.Errorf("%s = %d, want %d: the sealed days' records only", name, got.Counters[name], want.Counters[name])
+		}
+	}
 }

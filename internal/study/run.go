@@ -8,12 +8,9 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
@@ -59,9 +56,6 @@ type options struct {
 	// wall-clock timings and join-engine internals register as volatile
 	// and stay out of the stable snapshot.
 	metrics *obs.Registry
-	// workers overrides Config.Parallelism for the sweep worker pool
-	// (0 = use the config).
-	workers int
 	// indexCacheSize bounds the join engine's LRU day-snapshot cache
 	// (0 = engine default, negative = unbounded).
 	indexCacheSize int
@@ -119,11 +113,6 @@ func WithBeforeDay(f func(clock.Day)) Option {
 // serve it mid-run; nil keeps the default private registry.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(o *options) { o.metrics = reg }
-}
-
-// WithWorkers overrides Config.Parallelism for the sweep worker pool.
-func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = n }
 }
 
 // WithIndexCacheSize bounds the join engine's LRU day-snapshot cache
@@ -187,15 +176,6 @@ type RunReport struct {
 	Metrics *obs.Snapshot `json:",omitempty"`
 }
 
-// QuarantinedDays returns just the skipped days, ascending.
-func (r *RunReport) QuarantinedDays() []clock.Day {
-	out := make([]clock.Day, len(r.SkippedDays))
-	for i := range r.SkippedDays {
-		out[i] = r.SkippedDays[i].Day
-	}
-	return out
-}
-
 // ConfigHash fingerprints a configuration for the checkpoint header. It
 // hashes the JSON encoding with Parallelism normalized to zero:
 // parallelism shards work but never changes results (the merge is
@@ -228,62 +208,24 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 	if opts.daystoreDir == "" && opts.checkpointDir != "" {
 		opts.daystoreDir = filepath.Join(opts.checkpointDir, "days")
 	}
-	s := &Study{Config: cfg, Metrics: opts.metrics}
-	if s.Metrics == nil {
-		s.Metrics = obs.New()
+	reg := opts.metrics
+	if reg == nil {
+		reg = obs.New()
 	}
-	stage := stageTimer(s.Metrics)
+	stage := stageTimer(reg)
 
-	sess, err := NewSession(ctx, cfg, s.Metrics)
+	sess, err := NewSession(ctx, cfg, reg)
 	if err != nil {
 		return nil, err
 	}
-	s.attachSession(sess)
-	s.Agg = sess.NewAggregator()
-
-	var ckpt *checkpoint.Dir
-	done := make(map[clock.Day]bool)
-	if opts.checkpointDir != "" {
-		hash, err := ConfigHash(cfg)
-		if err != nil {
-			return nil, err
-		}
-		hdr := checkpoint.Header{ConfigHash: hash, Seed: cfg.MeasureSeed}
-		if opts.resume {
-			if ckpt, err = checkpoint.Resume(opts.checkpointDir, hdr); err != nil {
-				return nil, err
-			}
-			// Day records are content-hash references to sealed column
-			// files. Verify every referenced file before trusting it — a
-			// swapped or rotted seal is refused (daystore.ErrCorrupt),
-			// never silently re-swept. Nothing is re-aggregated: the join
-			// reads the sealed files directly.
-			refs, err := ckpt.LoadDayRefs(cfg.FromDay, cfg.ToDay)
-			if err != nil {
-				return nil, err
-			}
-			for d, ref := range refs {
-				if err := daystore.VerifyFile(opts.daystoreDir, ref.File, ref.SHA256); err != nil {
-					return nil, fmt.Errorf("study: resuming day %s: %w", d, err)
-				}
-				done[d] = true
-			}
-			s.Report.ResumedDays = len(refs)
-		} else if ckpt, err = checkpoint.Create(opts.checkpointDir, hdr); err != nil {
-			return nil, err
-		}
-	}
-	if opts.daystoreDir != "" && len(done) == 0 {
-		// Fresh sealing run (or a resume that restored nothing): sealed
-		// files from previous runs are stale state, like the checkpoint
-		// Create cleanup.
-		if err := daystore.Clear(opts.daystoreDir); err != nil {
-			return nil, err
-		}
+	s := sess.NewStudy(reg)
+	ledger, err := OpenLedger(cfg, reg, opts.checkpointDir, opts.daystoreDir, opts.resume)
+	if err != nil {
+		return nil, err
 	}
 
 	t0 := time.Now()
-	if err := s.runSweepsSupervised(ctx, opts, ckpt, done); err != nil {
+	if err := s.runSweeps(ctx, opts, ledger); err != nil {
 		return nil, err
 	}
 	stage("sweep", t0)
@@ -298,17 +240,15 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 		}
 		pipeOpts = append(pipeOpts, core.WithDayStore(set))
 	}
-	s.Pipeline = sess.NewPipeline(s.Agg, s.Report.QuarantinedDays(), s.Metrics, pipeOpts...)
+	s.Pipeline = sess.NewPipeline(s.Agg, ledger.Quarantined(), reg, pipeOpts...)
 	if !opts.skipJoin {
 		s.Classified = s.Pipeline.Classify(s.Attacks)
-		var err error
 		if s.Events, err = s.Pipeline.EventsContext(ctx, s.Attacks); err != nil {
 			return nil, err
 		}
 	}
 	stage("join", t0)
-	snap := s.Metrics.StableSnapshot()
-	s.Report.Metrics = &snap
+	s.Report = ledger.Report()
 	return s, nil
 }
 
@@ -356,30 +296,18 @@ func (m sweepMetrics) observe(rec openintel.Record) {
 	}
 }
 
-// runSweepsSupervised runs the daily sweeps as independent day-shards
-// under a bounded worker pool. Each shard sweeps into a private
-// aggregator; on success the result is sealed and journaled (with a
-// day-store directory) or merged into the run aggregator — in whatever
-// order shards complete, which is safe because the merge is commutative.
-// Days already restored from checkpoints (done) are not re-run.
-func (s *Study) runSweepsSupervised(ctx context.Context, opts options, ckpt *checkpoint.Dir, done map[clock.Day]bool) error {
-	from, to := s.Config.FromDay, s.Config.ToDay
-	if to < from {
-		return nil
-	}
-	days := make([]clock.Day, 0, int(to-from)+1)
-	for d := from; d <= to; d++ {
-		if !done[d] {
-			days = append(days, d)
-		}
-	}
+// runSweeps runs the ledger's pending days as independent day-shards under
+// a bounded worker pool. Each shard sweeps into a private aggregator; on
+// success the day is sealed (with a day-store directory) and handed to
+// the ledger, or accepted by the ledger and merged into the run
+// aggregator — in whatever order shards complete, which is safe because
+// the merge is commutative.
+func (s *Study) runSweeps(ctx context.Context, opts options, ledger *Ledger) error {
+	days := ledger.Pending()
 	if len(days) == 0 {
 		return ctx.Err()
 	}
-	par := opts.workers
-	if par <= 0 {
-		par = s.Config.Parallelism
-	}
+	par := s.Config.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
@@ -388,9 +316,8 @@ func (s *Study) runSweepsSupervised(ctx context.Context, opts options, ckpt *che
 	}
 
 	var (
-		mu      sync.Mutex // guards s.Agg, s.Report and ckptErr
-		wg      sync.WaitGroup
-		ckptErr error
+		mu sync.Mutex // guards ledger and s.Agg
+		wg sync.WaitGroup
 	)
 	sem := make(chan struct{}, par)
 dispatch:
@@ -401,7 +328,7 @@ dispatch:
 			break dispatch
 		}
 		mu.Lock()
-		failed := ckptErr != nil
+		failed := ledger.Err() != nil
 		mu.Unlock()
 		if failed {
 			<-sem
@@ -412,107 +339,95 @@ dispatch:
 			defer wg.Done()
 			defer func() { <-sem }()
 			shardStart := time.Now()
-			agg, sreg, skipped := s.runDayShard(ctx, day, opts)
+			agg, sweep := s.runDayShard(ctx, day, opts, &mu, ledger)
 			s.Metrics.Histogram("study.day_sweep_wall", obs.Volatile()).Observe(time.Since(shardStart))
+			if agg == nil {
+				// Quarantined (the ledger has it), or abandoned on
+				// cancellation: the day stays un-journaled and re-runs on
+				// resume.
+				return
+			}
+			var file daystore.SealedFile
+			if opts.daystoreDir != "" {
+				// Seal the day to disk and drop the structs — the join reads
+				// the sealed file, so the run aggregator never grows with
+				// completed days (flat RSS). The seal's fsyncs run before
+				// the lock is taken, so shards flush in parallel.
+				wstart := time.Now()
+				var err error
+				if file, err = daystore.SealDay(opts.daystoreDir, day, agg.Snapshot()); err != nil {
+					mu.Lock()
+					ledger.Abort(err)
+					mu.Unlock()
+					return
+				}
+				s.Metrics.Histogram("study.daystore_seal_wall", obs.Volatile()).Observe(time.Since(wstart))
+			}
 			mu.Lock()
 			defer mu.Unlock()
-			switch {
-			case skipped != nil:
-				s.Report.SkippedDays = append(s.Report.SkippedDays, *skipped)
-			case agg != nil:
-				if opts.daystoreDir == "" {
-					s.Agg.Merge(agg)
-				} else if ckptErr == nil {
-					// Seal the day to disk and drop the structs — the join
-					// reads the sealed file, so the run aggregator never
-					// grows with completed days (flat RSS). The journal,
-					// when enabled, records only a content-hash reference
-					// to the seal.
-					wstart := time.Now()
-					ref, err := daystore.SealDay(opts.daystoreDir, day, agg.Snapshot())
-					if err != nil {
-						ckptErr = err
-						return
-					}
-					if ckpt != nil {
-						if err := ckpt.WriteDayRef(day, checkpoint.DayRef{File: ref.Name, SHA256: ref.SHA256}); err != nil {
-							ckptErr = err
-							return
-						}
-					}
-					s.Metrics.Histogram("study.daystore_seal_wall", obs.Volatile()).Observe(time.Since(wstart))
-				}
-				s.Metrics.Merge(sreg)
-				s.Report.CompletedDays++
+			if dup, err := ledger.Complete(day, file, sweep); err == nil && !dup && opts.daystoreDir == "" {
+				s.Agg.Merge(agg)
 			}
-			// agg == nil && skipped == nil: shard abandoned on
-			// cancellation; the day stays un-checkpointed and re-runs
-			// on resume.
 		}(day)
 	}
 	wg.Wait()
-	sort.Slice(s.Report.SkippedDays, func(i, j int) bool {
-		return s.Report.SkippedDays[i].Day < s.Report.SkippedDays[j].Day
-	})
-	if ckptErr != nil {
-		return fmt.Errorf("study: writing checkpoint: %w", ckptErr)
+	if err := ledger.Err(); err != nil {
+		return fmt.Errorf("study: writing checkpoint: %w", err)
 	}
 	return ctx.Err()
 }
 
-// runDayShard sweeps one day with isolation: a panicking attempt is
-// retried once, then quarantined; a watchdog timeout quarantines
-// immediately (retrying a stuck sweep would just double the stall). A
-// (nil, nil, nil) return means the shard was abandoned because ctx was
-// cancelled. On success the shard's private metric registry rides along
-// so the caller can merge it exactly once.
-func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options) (*nsset.Aggregator, *obs.Registry, *SkippedDay) {
-	const maxAttempts = 2
-	for attempt := 1; ; attempt++ {
-		if ctx.Err() != nil {
-			return nil, nil, nil
+// runDayShard sweeps one day with isolation, charging each failed attempt
+// to the ledger (under mu) and retrying for as long as it says to. A nil
+// aggregator means the day was quarantined, or the shard was abandoned
+// because ctx was cancelled. On success the shard's private sweep metrics
+// ride along so the ledger can fold them exactly once.
+func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu *sync.Mutex, ledger *Ledger) (*nsset.Aggregator, obs.Snapshot) {
+	for ctx.Err() == nil {
+		agg, sweep, f := s.sweepDayOnce(ctx, day, opts)
+		if f == nil {
+			return agg, sweep // completed, or nil when cancelled
 		}
-		agg, sreg, sk := s.sweepDayOnce(ctx, day, opts)
-		if sk == nil {
-			return agg, sreg, nil // completed, or (nil, nil, nil) when cancelled
-		}
-		sk.Attempts = attempt
-		if strings.HasPrefix(sk.Reason, "watchdog") || attempt == maxAttempts {
-			return nil, nil, sk
+		mu.Lock()
+		retry := ledger.Fail(day, f.Reason, f.Stack, f.Retryable)
+		mu.Unlock()
+		if !retry {
+			break
 		}
 	}
+	return nil, obs.Snapshot{}
 }
 
 // sweepDayOnce runs a single attempt (Session.SweepDayAttempt), under
 // the watchdog when enabled.
-func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options) (*nsset.Aggregator, *obs.Registry, *SkippedDay) {
+func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options) (*nsset.Aggregator, obs.Snapshot, *SweepFailure) {
 	if opts.shardTimeout <= 0 {
 		return s.session.SweepDayAttempt(ctx, day, opts.beforeDay)
 	}
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
-		agg  *nsset.Aggregator
-		sreg *obs.Registry
-		sk   *SkippedDay
+		agg   *nsset.Aggregator
+		sweep obs.Snapshot
+		f     *SweepFailure
 	}
 	ch := make(chan result, 1)
 	go func() {
-		a, sreg, sk := s.session.SweepDayAttempt(dctx, day, opts.beforeDay)
-		ch <- result{a, sreg, sk}
+		a, sweep, f := s.session.SweepDayAttempt(dctx, day, opts.beforeDay)
+		ch <- result{a, sweep, f}
 	}()
 	timer := time.NewTimer(opts.shardTimeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
-		return r.agg, r.sreg, r.sk
+		return r.agg, r.sweep, r.f
 	case <-timer.C:
 		// Cancel the shard's context so a cooperative sweep exits
 		// promptly; a truly wedged goroutine is abandoned (it owns a
-		// private aggregator and registry nobody will read).
+		// private aggregator and registry nobody will read). Not
+		// retryable: re-running a stuck sweep would just double the stall.
 		cancel()
-		return nil, nil, &SkippedDay{
-			Day:    day,
+		return nil, obs.Snapshot{}, &SweepFailure{
 			Reason: fmt.Sprintf("watchdog: day-shard exceeded %v", opts.shardTimeout),
 		}
 	}

@@ -110,24 +110,57 @@ func (sess *Session) NewAggregator() *nsset.Aggregator {
 	return a
 }
 
+// NewStudy returns the Study shell of a run over this session, observing
+// into reg: the session's deterministic state under the Study's exported
+// fields and an empty run aggregator. The run fills in Pipeline,
+// Classified, Events and Report.
+func (sess *Session) NewStudy(reg *obs.Registry) *Study {
+	return &Study{
+		Config:    sess.Config,
+		World:     sess.World,
+		Schedule:  sess.Schedule,
+		Telescope: sess.Telescope,
+		Obs:       sess.Obs,
+		Attacks:   sess.Attacks,
+		Net:       sess.Net,
+		Resolver:  sess.Resolver,
+		Engine:    sess.Engine,
+		Agg:       sess.NewAggregator(),
+		Metrics:   reg,
+		session:   sess,
+	}
+}
+
+// SweepFailure is why one sweep attempt produced no day.
+type SweepFailure struct {
+	// Reason is "panic: ..." or "watchdog: ...".
+	Reason string
+	// Stack is the goroutine stack at the panic (empty for the watchdog).
+	Stack string
+	// Retryable is false for the watchdog: re-running a stuck sweep would
+	// just double the stall.
+	Retryable bool
+}
+
 // SweepDayAttempt is one isolated sweep of one day into a fresh private
-// aggregator and metric registry. Panics — in the beforeDay hook or
-// anywhere inside the engine/resolver/data plane — are captured with
-// their stack instead of crashing the process; the half-filled registry
-// is discarded with the aggregator, keeping retries exactly-once. A
-// (nil, nil, nil) return means ctx was cancelled. This is the unit of
-// work a distributed sweep worker executes per assignment; the supervised
-// in-process loop retries/quarantines around it identically, so a day
-// that panics remotely quarantines with the same Reason bytes as one that
-// panics locally.
-func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, beforeDay func(clock.Day)) (agg *nsset.Aggregator, sreg *obs.Registry, sk *SkippedDay) {
+// aggregator and metric registry, returned as the aggregator and the
+// registry's snapshot (the deterministic study.sweep.* metrics). Panics —
+// in the beforeDay hook or anywhere inside the engine/resolver/data plane
+// — are captured with their stack instead of crashing the process; the
+// half-filled registry is discarded with the aggregator, keeping retries
+// exactly-once. A nil aggregator without a failure means ctx was
+// cancelled. This is the unit of work a distributed sweep worker executes
+// per assignment; both run modes hand its failures to the same Ledger, so
+// a day that panics remotely quarantines with the same Reason bytes as
+// one that panics locally.
+func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, beforeDay func(clock.Day)) (agg *nsset.Aggregator, sweep obs.Snapshot, fail *SweepFailure) {
 	defer func() {
 		if r := recover(); r != nil {
-			agg, sreg = nil, nil
-			sk = &SkippedDay{
-				Day:    day,
-				Reason: fmt.Sprintf("panic: %v", r),
-				Stack:  string(debug.Stack()),
+			agg, sweep = nil, obs.Snapshot{}
+			fail = &SweepFailure{
+				Reason:    fmt.Sprintf("panic: %v", r),
+				Stack:     string(debug.Stack()),
+				Retryable: true,
 			}
 		}
 	}()
@@ -138,9 +171,9 @@ func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, beforeD
 	reg := obs.New()
 	sm := newSweepMetrics(reg)
 	if err := sess.Engine.RunDayContext(ctx, day, a, sm.observe); err != nil {
-		return nil, nil, nil
+		return nil, obs.Snapshot{}, nil
 	}
-	return a, reg, nil
+	return a, reg.Snapshot(), nil
 }
 
 // NewPipeline builds the core join pipeline over agg with the session's

@@ -112,14 +112,5 @@ type Study struct {
 	session *Session
 }
 
-// attachSession adopts a Session's deterministic state into the study's
-// exported fields.
-func (s *Study) attachSession(sess *Session) {
-	s.session = sess
-	s.World, s.Schedule, s.Telescope = sess.World, sess.Schedule, sess.Telescope
-	s.Obs, s.Attacks = sess.Obs, sess.Attacks
-	s.Net, s.Resolver, s.Engine = sess.Net, sess.Resolver, sess.Engine
-}
-
 // Session returns the deterministic state the study was built from.
 func (s *Study) Session() *Session { return s.session }
