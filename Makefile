@@ -55,12 +55,15 @@ soak:
 # Concurrency gate: run before merging changes to the serving path, the
 # sharded join engine (shared NS index, day-snapshot LRU, worker pool),
 # the distributed-join control plane, or the resilience/overload tier.
+# The study leg covers both day backends: the parallel in-memory sweep
+# (Merge into the shared table under the pool's mutex while other shards
+# sweep) and the columnar parity/resume runs.
 race-gate: soak
 	$(GO) vet ./... && $(GO) build ./... && \
 	$(GO) test -race ./internal/authserver/... ./internal/resolver/... ./internal/dnsload/... \
 		./internal/core/... ./internal/cache/... ./internal/resilience/... \
 		./internal/stream/... ./internal/distjoin/... ./internal/daystore/...
-	$(GO) test -race ./internal/study/ -run 'TestJoinParityColumnar|TestColumnarCancelAndResume' -count 1
+	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume' -count 1
 	$(GO) test -race ./internal/e2ebench/ -run 'TestDeterminism' -count 1
 
 # Chaos gate: the fault-injection and graceful-degradation regression

@@ -18,9 +18,9 @@
 //
 //   - classification runs once per distinct victim, not once per attack
 //     (amplification-era feeds re-hit the same victims for months);
-//   - each (attack, NSSet) pair fetches one nsset.Series view, so the
-//     inner window loop pays an int-keyed probe per window instead of
-//     re-hashing the string NSSet key twice per window;
+//   - each (attack, NSSet) pair walks the day store's time-sorted day
+//     buckets (DayStore.DayWindows), one keyed read per calendar day,
+//     instead of probing every 5-minute window of the span;
 //   - Eq. 1 baselines come from per-day snapshots built once per distinct
 //     day (Aggregator.DayBaselines) and cached across events, attacks,
 //     and EventsContext calls.
@@ -430,9 +430,9 @@ func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dn
 
 // buildEventIndexed builds one (attack, NSSet) event: snap is the
 // attack's resolved §4.2 snapshot-day baseline view, Eq. 1 baselines
-// come from cached day views, and window metrics from a span-clamped
-// day-store series — with identical guards and float arithmetic so
-// results are byte-for-byte the legacy scan's.
+// come from cached day views, and window metrics from the day store's
+// day buckets — with identical guards and float arithmetic so results
+// are byte-for-byte the legacy scan's.
 func (p *Pipeline) buildEventIndexed(ca ClassifiedAttack, snap BaselineView, k nsset.Key) (Event, bool) {
 	if b := snap.Baseline(k); b == nil || b.OKCount == 0 {
 		return Event{}, false
@@ -442,7 +442,6 @@ func (p *Pipeline) buildEventIndexed(ca ClassifiedAttack, snap BaselineView, k n
 		NSSet:         k,
 		HostedDomains: p.ix.DomainCount(k),
 	}
-	series := p.days.Series(k)
 	back := clock.Day(p.cfg.BaselineDaysBack)
 	if back <= 0 {
 		back = 1
@@ -452,27 +451,17 @@ func (p *Pipeline) buildEventIndexed(ca ClassifiedAttack, snap BaselineView, k n
 	worstFail := 0.0
 	// Measurements are sparse within an attack span (each domain is swept
 	// once a day), so instead of probing every 5-minute window we walk the
-	// span day by day and visit only the windows the series actually holds
-	// (KeySeries.DayWindows). Every accumulator below is order-independent
+	// span day by day and visit only the windows the store actually holds
+	// (DayStore.DayWindows). Every accumulator below is order-independent
 	// — integer sums and maxima over the same set of windows — so the
-	// day buckets reproduce the legacy scan's bytes. The span clamp is a
-	// pure pruning step (the pruned windows hold no metrics); backends
-	// without span tracking report ok false and the raw attack span walks.
+	// day buckets reproduce the legacy scan's bytes.
 	from, to := ca.StartWindow, ca.EndWindow
-	if mn, mx, ok := series.Span(); ok {
-		if from < mn {
-			from = mn
-		}
-		if to > mx {
-			to = mx
-		}
-	}
 	for d := from.Day(); d <= to.Day(); d++ {
 		// Hoist the Eq. 1 denominator out of the window loop: it is a
 		// per-day quantity, computed lazily on the day's first OK window.
 		var baseRTT time.Duration
 		baseOK, baseDone := false, false
-		wins := series.DayWindows(d)
+		wins := p.days.DayWindows(k, d)
 		lo := sort.Search(len(wins), func(i int) bool { return wins[i].Window >= from })
 		for _, m := range wins[lo:] {
 			if m.Window > to {

@@ -25,6 +25,13 @@ import (
 // statuses, and some keys deliberately missing some days.
 func randomAggregator(rng *rand.Rand, nKeys, nDays int) *nsset.Aggregator {
 	agg := nsset.NewAggregator()
+	fillRandom(agg, rng, nKeys, nDays)
+	return agg
+}
+
+// fillRandom adds randomAggregator's world to agg (which may carry a
+// window filter).
+func fillRandom(agg *nsset.Aggregator, rng *rand.Rand, nKeys, nDays int) {
 	for ki := 0; ki < nKeys; ki++ {
 		k := nsset.KeyOf([]netx.Addr{netx.Addr(0xC0000200 + uint32(ki)), netx.Addr(0xC6336400 + uint32(rng.Intn(64)))})
 		for d := 0; d < nDays; d++ {
@@ -47,7 +54,6 @@ func randomAggregator(rng *rand.Rand, nKeys, nDays int) *nsset.Aggregator {
 			}
 		}
 	}
-	return agg
 }
 
 // sealDays splits a multi-day snapshot by calendar day and seals one file
@@ -79,16 +85,23 @@ func sealDays(dir string, snap nsset.Snapshot) error {
 // TestObservationEquivalence is the property test pinning the DayStore
 // contract: a snapshot sealed through the columnar writer and read back
 // through mmap views must be observationally identical to the live
-// aggregator store — same keys, days, baselines, window lists, and point
-// probes (hits and misses alike).
+// aggregator store — same keys, baselines, window lists, and point probes
+// (hits and misses alike). Seed 6 runs behind a window filter that
+// rejects every window of most keys: a baseline-only NSSet is in both
+// backends' Keys().
 func TestObservationEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
+	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		agg := randomAggregator(rng, 10+rng.Intn(20), 4+rng.Intn(4))
+		agg := nsset.NewAggregator()
+		if seed == 6 {
+			agg.SetWindowFilter(func(w clock.Window) bool { return int64(w)%clock.WindowsPerDay < 6 })
+		}
+		fillRandom(agg, rng, 10+rng.Intn(20), 4+rng.Intn(4))
 		ref := core.NewAggregatorDayStore(agg)
 
 		dir := t.TempDir()
-		if err := sealDays(dir, agg.Snapshot()); err != nil {
+		snap := agg.Snapshot()
+		if err := sealDays(dir, snap); err != nil {
 			t.Fatalf("seed %d: sealing: %v", seed, err)
 		}
 		set, err := Open(dir)
@@ -100,29 +113,35 @@ func TestObservationEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: Verify: %v", seed, err)
 		}
 
-		if got, want := set.Days(), ref.Days(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: Days = %v, want %v", seed, got, want)
+		keys := agg.Keys()
+		if got := set.Keys(); !reflect.DeepEqual(got, keys) {
+			t.Fatalf("seed %d: Keys = %d keys, want %d", seed, len(got), len(keys))
 		}
-		if got, want := set.Keys(), ref.Keys(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: Keys = %d keys, want %d", seed, len(got), len(want))
+		bare := 0
+		for _, k := range keys {
+			if len(agg.Windows(k)) == 0 {
+				bare++
+			}
+		}
+		if seed == 6 && (bare == 0 || bare == len(keys)) {
+			t.Fatalf("seed 6: %d of %d keys are baseline-only; the filter case needs both kinds", bare, len(keys))
 		}
 
-		days := ref.Days()
-		probeDays := append(append([]clock.Day{}, days...), clock.Day(-1), days[len(days)-1]+1)
-		for _, k := range ref.Keys() {
-			for _, d := range probeDays {
-				gb, wb := set.Baseline(k, d), ref.Baseline(k, d)
+		lastDay := clock.Day(0)
+		for _, bs := range snap.Baselines {
+			lastDay = max(lastDay, bs.B.Day)
+		}
+		for _, k := range keys {
+			for d := clock.Day(-1); d <= lastDay+1; d++ {
+				gb, wb := set.Baselines(d).Baseline(k), ref.Baselines(d).Baseline(k)
 				if (gb == nil) != (wb == nil) {
-					t.Fatalf("seed %d: Baseline(%s, %d) presence mismatch", seed, k, d)
+					t.Fatalf("seed %d: Baselines(%d).Baseline(%s) presence mismatch", seed, d, k)
 				}
 				if gb != nil && *gb != *wb {
-					t.Fatalf("seed %d: Baseline(%s, %d) = %+v, want %+v", seed, k, d, *gb, *wb)
-				}
-				if bv := set.Baselines(d).Baseline(k); (bv == nil) != (wb == nil) || (bv != nil && *bv != *wb) {
-					t.Fatalf("seed %d: Baselines(%d).Baseline(%s) mismatch", seed, d, k)
+					t.Fatalf("seed %d: Baselines(%d).Baseline(%s) = %+v, want %+v", seed, d, k, *gb, *wb)
 				}
 
-				gw, ww := set.Series(k).DayWindows(d), ref.Series(k).DayWindows(d)
+				gw, ww := set.DayWindows(k, d), ref.DayWindows(k, d)
 				if len(gw) != len(ww) {
 					t.Fatalf("seed %d: DayWindows(%s, %d) has %d windows, want %d", seed, k, d, len(gw), len(ww))
 				}
@@ -142,34 +161,60 @@ func TestObservationEquivalence(t *testing.T) {
 				}
 			}
 		}
-		// unknown key: valid empty series everywhere
+		// unknown key: valid empty reads everywhere
 		ghost := nsset.KeyOf([]netx.Addr{netx.Addr(1)})
-		if set.Baseline(ghost, days[0]) != nil || len(set.Series(ghost).DayWindows(days[0])) != 0 {
+		if set.Baselines(0).Baseline(ghost) != nil || len(set.DayWindows(ghost, 0)) != 0 {
 			t.Fatalf("seed %d: ghost key not empty", seed)
 		}
 	}
 }
 
 // TestSealDayRejectsForeignRows pins the seal input contract: a window or
-// baseline of another day, or a duplicate row, refuses to seal.
+// baseline of another day, a duplicate row, or a row out of the order
+// nsset.Snapshot documents refuses to seal and writes no file.
 func TestSealDayRejectsForeignRows(t *testing.T) {
 	w5 := clock.Day(5).FirstWindow()
-	base := nsset.Snapshot{
-		Windows:   []nsset.WindowSnap{{Key: "k", M: nsset.WindowMetrics{Window: w5, Domains: 1}}},
-		Baselines: []nsset.BaselineSnap{{Key: "k", B: nsset.DayBaseline{Day: 5, Domains: 1}}},
+	win := func(k nsset.Key, w clock.Window) nsset.WindowSnap {
+		return nsset.WindowSnap{Key: k, M: nsset.WindowMetrics{Window: w, Domains: 1}}
 	}
-	if _, err := SealDay(t.TempDir(), 6, base); err == nil {
-		t.Fatal("sealing day 6 with day-5 rows succeeded")
+	base := func(k nsset.Key, d clock.Day) nsset.BaselineSnap {
+		return nsset.BaselineSnap{Key: k, B: nsset.DayBaseline{Day: d, Domains: 1}}
 	}
-	dup := base
-	dup.Baselines = append(dup.Baselines, dup.Baselines[0])
-	if _, err := SealDay(t.TempDir(), 5, dup); err == nil {
-		t.Fatal("duplicate baseline sealed")
+	cases := []struct {
+		name string
+		snap nsset.Snapshot
+	}{
+		{"foreign_day_window", nsset.Snapshot{Windows: []nsset.WindowSnap{win("a", w5-1)}}},
+		{"foreign_day_baseline", nsset.Snapshot{Baselines: []nsset.BaselineSnap{base("a", 4)}}},
+		{"duplicate_baseline", nsset.Snapshot{Baselines: []nsset.BaselineSnap{base("a", 5), base("a", 5)}}},
+		{"duplicate_window", nsset.Snapshot{Windows: []nsset.WindowSnap{win("a", w5), win("a", w5)}}},
+		{"windows_descending_in_key", nsset.Snapshot{Windows: []nsset.WindowSnap{win("a", w5+1), win("a", w5)}}},
+		{"keys_descending", nsset.Snapshot{
+			Windows:   []nsset.WindowSnap{win("b", w5), win("a", w5)},
+			Baselines: []nsset.BaselineSnap{base("a", 5), base("b", 5)},
+		}},
+		{"baselines_out_of_key_order", nsset.Snapshot{
+			Windows:   []nsset.WindowSnap{win("a", w5), win("b", w5)},
+			Baselines: []nsset.BaselineSnap{base("b", 5), base("a", 5)},
+		}},
 	}
-	dupW := base
-	dupW.Windows = append(dupW.Windows, dupW.Windows[0])
-	if _, err := SealDay(t.TempDir(), 5, dupW); err == nil {
-		t.Fatal("duplicate window sealed")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := SealDay(dir, 5, tc.snap); err == nil {
+				t.Fatal("sealed")
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Fatalf("refused seal left %d files behind", len(left))
+			}
+		})
+	}
+	ok := nsset.Snapshot{
+		Windows:   []nsset.WindowSnap{win("a", w5), win("a", w5+1), win("c", w5)},
+		Baselines: []nsset.BaselineSnap{base("b", 5), base("c", 5)},
+	}
+	if _, err := SealDay(t.TempDir(), 5, ok); err != nil {
+		t.Fatalf("ordered rows refused: %v", err)
 	}
 }
 
@@ -378,8 +423,10 @@ func TestOpenIgnoresLeftoversAndClear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := set.Days(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("Days = %v, want [0]", got)
+	// Verify opens every day Open listed: a leftover or foreign file taken
+	// for a day would be refused as corrupt.
+	if err := set.Verify(); err != nil {
+		t.Fatalf("Verify = %v; Open listed more than the sealed day", err)
 	}
 	set.Close()
 	if err := Clear(dir); err != nil {

@@ -81,13 +81,12 @@ func BenchmarkDayStoreScale(b *testing.B) {
 		// join-style scan: every NSSet, baseline point probe plus the full
 		// window list, across every sealed day
 		for _, k := range keys {
-			series := set.Series(k)
 			for d := 0; d < days; d++ {
 				day := clock.Day(d)
-				if bl := set.Baseline(k, day); bl != nil {
+				if bl := set.Baselines(day).Baseline(k); bl != nil {
 					touched += int64(bl.Domains)
 				}
-				for _, m := range series.DayWindows(day) {
+				for _, m := range set.DayWindows(k, day) {
 					touched += int64(m.Domains)
 				}
 			}

@@ -114,13 +114,6 @@ func (s *Set) Verify() error {
 	return nil
 }
 
-// Days returns every sealed day, ascending.
-func (s *Set) Days() []clock.Day {
-	out := make([]clock.Day, len(s.days))
-	copy(out, s.days)
-	return out
-}
-
 // viewBaselines adapts one day view (possibly absent) to
 // core.BaselineView.
 type viewBaselines struct {
@@ -140,37 +133,14 @@ func (s *Set) Baselines(d clock.Day) core.BaselineView {
 	return viewBaselines{v: s.mustView(d)}
 }
 
-// Baseline returns the day aggregate for (k, d), or nil.
-func (s *Set) Baseline(k nsset.Key, d clock.Day) *nsset.DayBaseline {
+// DayWindows returns k's measured windows of day d, ascending (nil when
+// the day has no sealed file or k was not measured on it).
+func (s *Set) DayWindows(k nsset.Key, d clock.Day) []*nsset.WindowMetrics {
 	v := s.mustView(d)
 	if v == nil {
 		return nil
 	}
-	return v.Baseline(k)
-}
-
-// setSeries is one NSSet's lazy cross-day series: each DayWindows call
-// indexes into that day's view only. No span is tracked (that would
-// require touching every file), so Span reports ok false and the join
-// walks the attack's own span — pure pruning either way.
-type setSeries struct {
-	s *Set
-	k nsset.Key
-}
-
-func (ss setSeries) DayWindows(d clock.Day) []*nsset.WindowMetrics {
-	v := ss.s.mustView(d)
-	if v == nil {
-		return nil
-	}
-	return v.Windows(ss.k)
-}
-
-func (ss setSeries) Span() (min, max clock.Window, ok bool) { return 0, 0, false }
-
-// Series returns k's window view across the sealed days.
-func (s *Set) Series(k nsset.Key) core.KeySeries {
-	return setSeries{s: s, k: k}
+	return v.Windows(k)
 }
 
 // Window returns the metrics for (k, w), or nil.

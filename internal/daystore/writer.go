@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"dnsddos/internal/atomicfile"
@@ -36,19 +35,21 @@ type SealedFile struct {
 	SHA256 string
 }
 
-// keyRows is one NSSet's contribution to a day file.
+// keyRows is one NSSet's contribution to a day file. Both fields alias
+// the snapshot being sealed; nothing is copied before the encode.
 type keyRows struct {
 	key  nsset.Key
 	base *nsset.DayBaseline
-	wins []nsset.WindowMetrics
+	wins []nsset.WindowSnap
 }
 
 // SealDay encodes the snapshot as day's column file and atomically
 // publishes it in dir (creating dir if needed), replacing any previous
 // seal of the same day. Every snapshot row must belong to day — a window
 // of another day or a foreign-day baseline is an error, as is a duplicate
-// (key, window) or (key, day) row: the seal input is one completed
-// day-shard, and silently merging or dropping rows here could diverge
+// (key, window) or (key, day) row, or a row out of the order
+// nsset.Snapshot documents: the seal input is one completed day-shard,
+// and silently merging, dropping or re-sorting rows here could diverge
 // from the in-memory path. An empty snapshot seals a valid empty file.
 func SealDay(dir string, day clock.Day, snap nsset.Snapshot) (SealedFile, error) {
 	image, sum, err := EncodeDay(day, snap)
@@ -65,7 +66,7 @@ func SealDay(dir string, day clock.Day, snap nsset.Snapshot) (SealedFile, error)
 func EncodeDay(day clock.Day, snap nsset.Snapshot) (image []byte, sha256Hex string, err error) {
 	rows, err := collectDay(day, snap)
 	if err != nil {
-		return nil, "", err
+		return nil, "", fmt.Errorf("daystore: sealing day %d: %w", int32(day), err)
 	}
 	image = encodeDay(day, rows)
 	return image, contentHash(image), nil
@@ -94,50 +95,46 @@ func Install(dir string, day clock.Day, image []byte, wantSHA256 string) (Sealed
 	return publish(dir, day, image, wantSHA256)
 }
 
-// collectDay groups the snapshot's rows per key, validating that every
-// row belongs to day and that no (key, window) or baseline repeats.
+// collectDay merges the snapshot's two lists into one row per key in a
+// single pass, relying on the order nsset.Snapshot documents: windows by
+// (Key, Window) and, within one day, baselines by Key. That is already
+// the file's order, so nothing is regrouped or sorted; a row of another
+// day, a duplicate (key, window) or baseline, and a row that breaks the
+// order are all refused.
 func collectDay(day clock.Day, snap nsset.Snapshot) ([]keyRows, error) {
-	byKey := make(map[nsset.Key]*keyRows)
-	order := make([]nsset.Key, 0)
-	get := func(k nsset.Key) *keyRows {
-		r := byKey[k]
-		if r == nil {
-			r = &keyRows{key: k}
-			byKey[k] = r
-			order = append(order, k)
+	rows := make([]keyRows, 0, len(snap.Baselines))
+	wins, bases := snap.Windows, snap.Baselines
+	for len(wins) > 0 || len(bases) > 0 {
+		// The next key is the smaller head of the two lists.
+		var r keyRows
+		if len(bases) > 0 && (len(wins) == 0 || bases[0].Key <= wins[0].Key) {
+			if d := bases[0].B.Day; d != day {
+				return nil, fmt.Errorf("baseline belongs to day %d", int32(d))
+			}
+			r.key, r.base = bases[0].Key, &bases[0].B
+			bases = bases[1:]
+		} else {
+			r.key = wins[0].Key
 		}
-		return r
-	}
-	for i := range snap.Windows {
-		ws := &snap.Windows[i]
-		if d := ws.M.Window.Day(); d != day {
-			return nil, fmt.Errorf("daystore: sealing day %d: window %d belongs to day %d", int32(day), int64(ws.M.Window), int32(d))
+		if last := len(rows) - 1; last >= 0 && r.key <= rows[last].key {
+			if r.base != nil && r.key == rows[last].key {
+				return nil, fmt.Errorf("duplicate baseline for key %s", r.key)
+			}
+			return nil, fmt.Errorf("key %s out of order after %s", r.key, rows[last].key)
 		}
-		get(ws.Key).wins = append(byKey[ws.Key].wins, ws.M)
-	}
-	for i := range snap.Baselines {
-		bs := &snap.Baselines[i]
-		if bs.B.Day != day {
-			return nil, fmt.Errorf("daystore: sealing day %d: baseline belongs to day %d", int32(day), int32(bs.B.Day))
-		}
-		r := get(bs.Key)
-		if r.base != nil {
-			return nil, fmt.Errorf("daystore: sealing day %d: duplicate baseline for key %s", int32(day), bs.Key)
-		}
-		b := bs.B
-		r.base = &b
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	rows := make([]keyRows, 0, len(order))
-	for _, k := range order {
-		r := byKey[k]
-		sort.Slice(r.wins, func(i, j int) bool { return r.wins[i].Window < r.wins[j].Window })
-		for i := 1; i < len(r.wins); i++ {
-			if r.wins[i].Window == r.wins[i-1].Window {
-				return nil, fmt.Errorf("daystore: sealing day %d: duplicate window %d for key %s", int32(day), int64(r.wins[i].Window), k)
+		n := 0
+		for ; n < len(wins) && wins[n].Key == r.key; n++ {
+			switch w := wins[n].M.Window; {
+			case w.Day() != day:
+				return nil, fmt.Errorf("window %d belongs to day %d", int64(w), int32(w.Day()))
+			case n > 0 && wins[n-1].M.Window == w:
+				return nil, fmt.Errorf("duplicate window %d for key %s", int64(w), r.key)
+			case n > 0 && wins[n-1].M.Window > w:
+				return nil, fmt.Errorf("window %d out of order for key %s", int64(w), r.key)
 			}
 		}
-		rows = append(rows, *r)
+		r.wins, wins = wins[:n], wins[n:]
+		rows = append(rows, r)
 	}
 	return rows, nil
 }
@@ -203,7 +200,7 @@ func encodeDay(day clock.Day, rows []keyRows) []byte {
 		binary.BigEndian.PutUint32(kt[16:20], uint32(winRow))
 		binary.BigEndian.PutUint32(kt[20:24], uint32(len(r.wins)))
 		for wi := range r.wins {
-			m := &r.wins[wi]
+			m := &r.wins[wi].M
 			wc := winCol[(winRow+wi)*winRowLen:]
 			binary.BigEndian.PutUint64(wc[0:8], uint64(int64(m.Window)))
 			binary.BigEndian.PutUint64(wc[8:16], uint64(int64(m.Domains)))

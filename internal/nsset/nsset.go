@@ -7,9 +7,10 @@
 package nsset
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,7 +26,7 @@ type Key string
 func KeyOf(addrs []netx.Addr) Key {
 	s := make([]netx.Addr, len(addrs))
 	copy(s, addrs)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	buf := make([]byte, 0, 4*len(s))
 	var prev netx.Addr
 	for i, a := range s {
@@ -232,23 +233,50 @@ func (b *DayBaseline) merge(o *DayBaseline) {
 	b.Domains += o.Domains
 }
 
+// dayRow is one NSSet on one calendar day, the paper's unit of
+// measurement and the shape of a sealed day file's key row: the day's
+// baseline plus its retained windows in ascending window order.
+type dayRow struct {
+	base DayBaseline
+	wins []*WindowMetrics
+}
+
+// windowFor returns the row's metrics for w, inserting them in window
+// order when new. Samples arrive in sweep (time) order, so the scan from
+// the tail ends at once on a hit or an append; a day holds at most 288
+// windows, which bounds the rare out-of-order insert.
+func (r *dayRow) windowFor(w clock.Window) *WindowMetrics {
+	i := len(r.wins)
+	for i > 0 && r.wins[i-1].Window > w {
+		i--
+	}
+	if i > 0 && r.wins[i-1].Window == w {
+		return r.wins[i-1]
+	}
+	m := &WindowMetrics{Window: w}
+	r.wins = slices.Insert(r.wins, i, m)
+	return m
+}
+
+// findDay binary-searches an NSSet's ascending day rows; nil when d was
+// not measured.
+func findDay(rows []*dayRow, d clock.Day) *dayRow {
+	i, ok := slices.BinarySearchFunc(rows, d, func(r *dayRow, d clock.Day) int { return cmp.Compare(r.base.Day, d) })
+	if !ok {
+		return nil
+	}
+	return rows[i]
+}
+
 // Aggregator folds per-query measurement samples into per-NSSet window
 // metrics and day baselines. It is not safe for concurrent use; the
 // measurement engine owns one per run (shard across days and Merge for
 // parallel sweeps).
 type Aggregator struct {
-	windows   map[Key]map[clock.Window]*WindowMetrics
-	baselines map[Key]map[clock.Day]*DayBaseline
-	// span tracks, per NSSet, the [min, max] retained-window range, so a
-	// Series consumer can clamp a probe loop to windows that can exist
-	// instead of probing an attack's whole span (the join engine's fast
-	// path).
-	span map[Key]windowSpan
-	// daywin buckets each NSSet's retained windows by calendar day.
-	// Measurements are sparse within an attack span (each domain is swept
-	// once a day), so iterating a day's actual windows beats probing
-	// every 5-minute window of the span — the join engine's inner loop.
-	daywin map[Key]map[clock.Day][]*WindowMetrics
+	// table is the one layout of measured data: NSSet → its measured days
+	// in ascending order. Snapshot and the sealed day file keep the same
+	// (key, day, window) ordering, so sealing is a walk, not a re-sort.
+	table map[Key][]*dayRow
 	// filter, when set, limits per-window metric retention; day
 	// baselines are always kept. Long longitudinal runs set it to the
 	// attack windows (plus margins) to bound memory, matching how the
@@ -258,51 +286,40 @@ type Aggregator struct {
 
 // NewAggregator returns an empty aggregator.
 func NewAggregator() *Aggregator {
-	return &Aggregator{
-		windows:   make(map[Key]map[clock.Window]*WindowMetrics),
-		baselines: make(map[Key]map[clock.Day]*DayBaseline),
-		span:      make(map[Key]windowSpan),
-		daywin:    make(map[Key]map[clock.Day][]*WindowMetrics),
-	}
+	return &Aggregator{table: make(map[Key][]*dayRow)}
 }
 
 // SetWindowFilter restricts which windows retain per-window metrics. Nil
 // (the default) keeps everything.
 func (a *Aggregator) SetWindowFilter(f func(clock.Window) bool) { a.filter = f }
 
+// dayFor returns k's row for day d, inserting it in day order when new
+// (the same tail scan as windowFor: days arrive ascending, or nearly so
+// when parallel shards merge as they finish).
+func (a *Aggregator) dayFor(k Key, d clock.Day) *dayRow {
+	rows := a.table[k]
+	i := len(rows)
+	for i > 0 && rows[i-1].base.Day > d {
+		i--
+	}
+	if i > 0 && rows[i-1].base.Day == d {
+		return rows[i-1]
+	}
+	r := &dayRow{base: DayBaseline{Day: d}}
+	a.table[k] = slices.Insert(rows, i, r)
+	return r
+}
+
 // Add folds one query observation for the NSSet k at time t.
 func (a *Aggregator) Add(k Key, t time.Time, status QueryStatus, rtt time.Duration) {
-	w := clock.WindowOf(t)
-	if a.filter == nil || a.filter(w) {
-		wm := a.windows[k]
-		if wm == nil {
-			wm = make(map[clock.Window]*WindowMetrics)
-			a.windows[k] = wm
-		}
-		m := wm[w]
-		if m == nil {
-			m = &WindowMetrics{Window: w}
-			wm[w] = m
-			a.noteWindow(k, m)
-		}
-		m.addSample(status, rtt)
+	r := a.dayFor(k, clock.DayOf(t))
+	if w := clock.WindowOf(t); a.filter == nil || a.filter(w) {
+		r.windowFor(w).addSample(status, rtt)
 	}
-
-	d := clock.DayOf(t)
-	bm := a.baselines[k]
-	if bm == nil {
-		bm = make(map[clock.Day]*DayBaseline)
-		a.baselines[k] = bm
-	}
-	b := bm[d]
-	if b == nil {
-		b = &DayBaseline{Day: d}
-		bm[d] = b
-	}
-	b.Domains++
+	r.base.Domains++
 	if status == StatusOK {
-		b.OKCount++
-		b.SumRTT += rtt
+		r.base.OKCount++
+		r.base.SumRTT += rtt
 	}
 }
 
@@ -310,134 +327,39 @@ func (a *Aggregator) Add(k Key, t time.Time, status QueryStatus, rtt time.Durati
 // parallel sweeps; sample order within a window does not matter for any
 // retained statistic.
 func (a *Aggregator) Merge(o *Aggregator) {
-	for k, wm := range o.windows {
-		dst := a.windows[k]
-		if dst == nil {
-			dst = make(map[clock.Window]*WindowMetrics, len(wm))
-			a.windows[k] = dst
-		}
-		for w, m := range wm {
-			t := dst[w]
-			if t == nil {
-				cp := *m
-				dst[w] = &cp
-				a.noteWindow(k, &cp)
-				continue
+	for k, rows := range o.table {
+		for _, or := range rows {
+			r := a.dayFor(k, or.base.Day)
+			r.base.merge(&or.base)
+			r.wins = slices.Grow(r.wins, len(or.wins))
+			for _, m := range or.wins {
+				r.windowFor(m.Window).merge(m)
 			}
-			t.merge(m)
 		}
 	}
-	for k, bm := range o.baselines {
-		dst := a.baselines[k]
-		if dst == nil {
-			dst = make(map[clock.Day]*DayBaseline, len(bm))
-			a.baselines[k] = dst
-		}
-		for d, b := range bm {
-			t := dst[d]
-			if t == nil {
-				cp := *b
-				dst[d] = &cp
-				continue
-			}
-			t.merge(b)
-		}
+}
+
+// DayWindows returns k's measured windows of calendar day d, ascending
+// by window. The slice is shared; treat it as read-only. Measurements are
+// sparse within an attack span (each domain is swept once a day), so the
+// join walks a day's actual windows instead of probing every 5-minute
+// window of the span.
+func (a *Aggregator) DayWindows(k Key, d clock.Day) []*WindowMetrics {
+	if r := findDay(a.table[k], d); r != nil {
+		return r.wins
 	}
+	return nil
 }
 
 // Window returns the metrics for (k, w), or nil if nothing was measured.
 func (a *Aggregator) Window(k Key, w clock.Window) *WindowMetrics {
-	return a.windows[k][w]
-}
-
-// Series is a read-only view of one NSSet's per-window metrics. The join
-// engine fetches it once per (attack, NSSet) pair so the inner window
-// loop pays one cheap int-keyed lookup per window instead of re-hashing
-// the (string-keyed) NSSet on every probe. The view aliases the
-// aggregator's live maps; it must not be used while the aggregator is
-// being mutated.
-type Series struct {
-	m      map[clock.Window]*WindowMetrics
-	daywin map[clock.Day][]*WindowMetrics
-	span   windowSpan
-}
-
-// windowSpan is an inclusive [min, max] window range; min > max means
-// empty.
-type windowSpan struct{ min, max clock.Window }
-
-// noteWindow records a fresh window insertion: it widens k's
-// retained-window span and buckets the metrics pointer under its
-// calendar day. Called wherever a new *WindowMetrics enters the
-// aggregator (Add, Merge).
-func (a *Aggregator) noteWindow(k Key, m *WindowMetrics) {
-	w := m.Window
-	if s, ok := a.span[k]; !ok {
-		a.span[k] = windowSpan{min: w, max: w}
-	} else {
-		if w < s.min {
-			s.min = w
-		}
-		if w > s.max {
-			s.max = w
-		}
-		a.span[k] = s
-	}
-	dm := a.daywin[k]
-	if dm == nil {
-		dm = make(map[clock.Day][]*WindowMetrics)
-		a.daywin[k] = dm
-	}
-	// Keep each day bucket sorted by window so consumers can binary-search
-	// a span. Measurements arrive in sweep (time) order, so this insertion
-	// sort is almost always a plain append.
-	d := w.Day()
-	lst := append(dm[d], m)
-	for i := len(lst) - 1; i > 0 && lst[i-1].Window > w; i-- {
-		lst[i-1], lst[i] = lst[i], lst[i-1]
-	}
-	dm[d] = lst
-}
-
-// Series returns the window-metrics view for k. The zero view (NSSet
-// never measured) is valid: At returns nil for every window.
-func (a *Aggregator) Series(k Key) Series {
-	sp, ok := a.span[k]
+	wins := a.DayWindows(k, w.Day())
+	i, ok := slices.BinarySearchFunc(wins, w, func(m *WindowMetrics, w clock.Window) int { return cmp.Compare(m.Window, w) })
 	if !ok {
-		sp = windowSpan{min: 1, max: 0} // empty
+		return nil
 	}
-	return Series{m: a.windows[k], daywin: a.daywin[k], span: sp}
+	return wins[i]
 }
-
-// At returns the metrics for window w, or nil if nothing was measured.
-func (s Series) At(w clock.Window) *WindowMetrics { return s.m[w] }
-
-// Len returns the number of measured windows in the series.
-func (s Series) Len() int { return len(s.m) }
-
-// Span returns the series' inclusive retained-window range. An NSSet
-// with no retained windows returns min > max (the empty span), matching
-// Clamp's empty-intersection convention.
-func (s Series) Span() (min, max clock.Window) { return s.span.min, s.span.max }
-
-// Clamp intersects [from, to] with the series' retained-window span. A
-// probe loop over the clamped range visits every window that can have
-// metrics; an empty intersection returns from > to.
-func (s Series) Clamp(from, to clock.Window) (clock.Window, clock.Window) {
-	if from < s.span.min {
-		from = s.span.min
-	}
-	if to > s.span.max {
-		to = s.span.max
-	}
-	return from, to
-}
-
-// DayWindows returns the measured windows of calendar day d, sorted
-// ascending by window. The slice is shared; treat it as read-only.
-// Iterating (or binary-searching) it beats probing At window by window
-// when measurements are sparse within the probed span.
-func (s Series) DayWindows(d clock.Day) []*WindowMetrics { return s.daywin[d] }
 
 // DayBaselines collects the day-d baseline of every NSSet measured on
 // that day. It is the build step of the join engine's per-day snapshot
@@ -446,9 +368,9 @@ func (s Series) DayWindows(d clock.Day) []*WindowMetrics { return s.daywin[d] }
 // live aggregates and must be treated as read-only.
 func (a *Aggregator) DayBaselines(d clock.Day) map[Key]*DayBaseline {
 	out := make(map[Key]*DayBaseline)
-	for k, bm := range a.baselines {
-		if b, ok := bm[d]; ok {
-			out[k] = b
+	for k, rows := range a.table {
+		if r := findDay(rows, d); r != nil {
+			out[k] = &r.base
 		}
 	}
 	return out
@@ -456,44 +378,28 @@ func (a *Aggregator) DayBaselines(d clock.Day) map[Key]*DayBaseline {
 
 // Baseline returns the day aggregate for (k, d), or nil.
 func (a *Aggregator) Baseline(k Key, d clock.Day) *DayBaseline {
-	return a.baselines[k][d]
+	if r := findDay(a.table[k], d); r != nil {
+		return &r.base
+	}
+	return nil
 }
 
 // Keys returns all NSSets with any measurements, in deterministic order.
 func (a *Aggregator) Keys() []Key {
-	out := make([]Key, 0, len(a.windows))
-	for k := range a.windows {
+	out := make([]Key, 0, len(a.table))
+	for k := range a.table {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Days returns every day with any baseline measurements, in ascending
-// order.
-func (a *Aggregator) Days() []clock.Day {
-	seen := make(map[clock.Day]struct{})
-	for _, bm := range a.baselines {
-		for d := range bm {
-			seen[d] = struct{}{}
-		}
-	}
-	out := make([]clock.Day, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // Windows returns the measured windows for an NSSet in ascending order.
 func (a *Aggregator) Windows(k Key) []*WindowMetrics {
-	wm := a.windows[k]
-	out := make([]*WindowMetrics, 0, len(wm))
-	for _, m := range wm {
-		out = append(out, m)
+	var out []*WindowMetrics
+	for _, r := range a.table[k] {
+		out = append(out, r.wins...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Window < out[j].Window })
 	return out
 }
 
@@ -504,19 +410,7 @@ func (a *Aggregator) Windows(k Key) []*WindowMetrics {
 // The boolean is false when either term is missing (no measurements in the
 // window, or no baseline the previous day).
 func (a *Aggregator) ImpactOnRTT(k Key, w clock.Window) (float64, bool) {
-	m := a.Window(k, w)
-	if m == nil || m.OKCount == 0 {
-		return 0, false
-	}
-	b := a.Baseline(k, w.Day().Prev())
-	if b == nil || b.OKCount == 0 {
-		return 0, false
-	}
-	base := b.AvgRTT()
-	if base <= 0 {
-		return 0, false
-	}
-	return float64(m.AvgRTT()) / float64(base), true
+	return a.ImpactVsDay(k, w, w.Day().Prev())
 }
 
 // ImpactVsDay computes the Eq. 1 variant with an arbitrary baseline day

@@ -1,6 +1,7 @@
 package nsset
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -195,6 +196,50 @@ func TestWindowFilterKeepsBaselines(t *testing.T) {
 	}
 }
 
+// bucketsOrdered checks the ordered insert on an aggregator filled in
+// random time order: every day bucket of k over [0, days) is strictly
+// ascending and holds only that day's windows, and the point probe agrees
+// with the buckets on each hit and on both of its neighbours (nil unless
+// the neighbour was measured too).
+func bucketsOrdered(a *Aggregator, k Key, days clock.Day) error {
+	held := make(map[clock.Window]*WindowMetrics)
+	for d := clock.Day(0); d < days; d++ {
+		wins := a.DayWindows(k, d)
+		for i, m := range wins {
+			if m.Window.Day() != d {
+				return fmt.Errorf("day %d bucket holds window %v", d, m.Window)
+			}
+			if i > 0 && wins[i-1].Window >= m.Window {
+				return fmt.Errorf("day %d bucket not strictly ascending at %d: %v then %v", d, i, wins[i-1].Window, m.Window)
+			}
+			held[m.Window] = m
+		}
+	}
+	if len(held) != len(a.Windows(k)) {
+		return fmt.Errorf("day buckets hold %d windows, Windows(k) %d", len(held), len(a.Windows(k)))
+	}
+	for w := range held {
+		for _, probe := range []clock.Window{w - 1, w, w + 1} {
+			if got := a.Window(k, probe); got != held[probe] {
+				return fmt.Errorf("Window(%v) = %p, buckets hold %p", probe, got, held[probe])
+			}
+		}
+	}
+	return nil
+}
+
+// TestAddExistingWindowAllocatesNothing: once a (key, day, window) exists,
+// folding another sample into it is a lookup and integer adds.
+func TestAddExistingWindowAllocatesNothing(t *testing.T) {
+	agg := NewAggregator()
+	k := KeyOf(addrs("10.0.0.1", "10.0.0.2"))
+	tm := clock.StudyStart.Add(30 * time.Hour)
+	agg.Add(k, tm, StatusOK, time.Millisecond)
+	if n := testing.AllocsPerRun(100, func() { agg.Add(k, tm.Add(time.Second), StatusOK, time.Millisecond) }); n != 0 {
+		t.Errorf("Add into an existing window allocates %v times", n)
+	}
+}
+
 func TestMergeEquivalentToSequential(t *testing.T) {
 	k := KeyOf(addrs("10.0.0.1", "10.0.0.2"))
 	rng := rand.New(rand.NewPCG(1, 1))
@@ -224,6 +269,11 @@ func TestMergeEquivalentToSequential(t *testing.T) {
 		}
 	}
 	a1.Merge(a2)
+	for name, agg := range map[string]*Aggregator{"sequential": seq, "merged": a1, "merged-from": a2} {
+		if err := bucketsOrdered(agg, k, 3); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
 	for _, wm := range seq.Windows(k) {
 		got := a1.Window(k, wm.Window)
 		if got == nil || *got != *wm {
@@ -290,6 +340,12 @@ func TestMergeCommutesAndAssociates(t *testing.T) {
 		// c ⊕ (b ⊕ a)
 		b2.Merge(a2)
 		c2.Merge(b2)
+		for _, agg := range []*Aggregator{a1, c2} {
+			if err := bucketsOrdered(agg, k, 2); err != nil {
+				t.Log(err)
+				return false
+			}
+		}
 		return equal(a1, c2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

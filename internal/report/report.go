@@ -16,7 +16,6 @@ import (
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/packet"
-	"dnsddos/internal/rsdos"
 	"dnsddos/internal/stats"
 )
 
@@ -308,15 +307,6 @@ func DurationModes(w io.Writer, h *stats.Histogram) {
 		fmt.Fprintf(w, "mode_%d,%.0f\n", i+1, m)
 	}
 	fmt.Fprintf(w, "n,%d\n", h.N)
-}
-
-// FeedSummary prints a one-line summary of an attack feed.
-func FeedSummary(w io.Writer, attacks []rsdos.Attack) {
-	var totalPk int64
-	for _, a := range attacks {
-		totalPk += a.TotalPackets
-	}
-	fmt.Fprintf(w, "attacks=%d backscatter_packets=%d\n", len(attacks), totalPk)
 }
 
 // FailureBreakdown renders the §6.3.1 complete-failure statistics.

@@ -50,9 +50,6 @@ func NewRetryBudget(maxAttempts int, base, cap time.Duration, rng *rand.Rand) *R
 	return &RetryBudget{maxAttempts: maxAttempts, base: base, cap: cap, rng: rng}
 }
 
-// MaxAttempts returns the total-tries bound (0 = unbounded).
-func (b *RetryBudget) MaxAttempts() int { return b.maxAttempts }
-
 // jitter draws uniformly from [lo, hi], guarding degenerate windows.
 func (b *RetryBudget) jitter(lo, hi time.Duration) time.Duration {
 	if hi <= lo {
