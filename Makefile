@@ -26,7 +26,7 @@ stream:
 # detector — concurrent counter/histogram exactness, snapshot
 # determinism (golden files), the HTTP endpoint lifecycle, the
 # goroutine-leak helper applied to server and resolver teardown, and a
-# smoke pass over the wire-format fuzz seed corpora.
+# smoke pass over the wire-format and day-file fuzz seed corpora.
 obs:
 	$(GO) test -race ./internal/obs/ ./internal/netx/ -count 1
 	$(GO) test -race ./internal/authserver/ -run 'Leaks|TestMetricsEndpoint' -count 1
@@ -34,6 +34,7 @@ obs:
 	$(GO) test -race ./internal/dnsload/ -run 'TestFailureClassificationTable' -count 1
 	$(GO) test -race ./internal/study/ -run 'TestRunMetrics' -count 1
 	$(GO) test ./internal/dnswire/ -run 'Fuzz' -count 1
+	$(GO) test ./internal/daystore/ -run 'Fuzz' -count 1
 
 # Distributed-join chaos leg: a four-worker fleet with one worker killed
 # mid-shard and one writing through a corrupting faultinject stream must
@@ -53,7 +54,7 @@ soak:
 	$(GO) test -race ./internal/stream/ -run 'TestOverloadSoak|TestOverload|TestCursorSyncBoundaryCrash' -count 1
 
 # Concurrency gate: run before merging changes to the serving path, the
-# sharded join engine (shared NS index, day-snapshot LRU, worker pool),
+# sharded join engine (shared NS index, day store reads, worker pool),
 # the distributed-join control plane, or the resilience/overload tier.
 # The study leg covers both day backends: the parallel in-memory sweep
 # (Merge into the shared table under the pool's mutex while other shards

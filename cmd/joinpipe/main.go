@@ -13,7 +13,7 @@
 //
 //	joinpipe [-domains N] [-attacks N] [-out FILE] [-quick] [-config FILE]
 //	         [-checkpoint DIR] [-resume] [-shard-timeout D] [-metrics-addr :9090]
-//	         [-daystore DIR] [-index-cache N] [-shard-by BITS]
+//	         [-daystore DIR] [-shard-by BITS]
 //	         [-coordinator HOST:PORT] [-min-workers N] [-heartbeat D] [-ranges N]
 //	         [-suspect-missed N] [-dead-missed N]
 //
@@ -64,7 +64,6 @@ func run() (err error) {
 	ckptDir := flag.String("checkpoint", "", "checkpoint directory: persist each completed day-sweep")
 	resume := flag.Bool("resume", false, "resume from the checkpoints in -checkpoint instead of day 0")
 	shardTimeout := flag.Duration("shard-timeout", 0, "watchdog deadline per day-sweep (0 = none); a stuck day is quarantined, not waited for")
-	indexCache := flag.Int("index-cache", 0, "join-engine day-snapshot LRU size (0 = default, negative = unbounded)")
 	shardBy := flag.Int("shard-by", 0, "victim-prefix bits the join shards by (0 = default /16)")
 	coordAddr := flag.String("coordinator", "", "run as fleet coordinator: listen on this address and distribute the work to joinworker processes")
 	minWorkers := flag.Int("min-workers", 1, "coordinator mode: hold dispatch until this many workers register")
@@ -96,8 +95,8 @@ func run() (err error) {
 	start := time.Now()
 	var s *study.Study
 	if *coordAddr != "" {
-		if *indexCache != 0 || *shardBy != 0 || *shardTimeout != 0 {
-			return fmt.Errorf("-index-cache, -shard-by and -shard-timeout do not apply in coordinator mode")
+		if *shardBy != 0 || *shardTimeout != 0 {
+			return fmt.Errorf("-shard-by and -shard-timeout do not apply in coordinator mode")
 		}
 		if *daystoreDir != "" {
 			return fmt.Errorf("-daystore does not apply in coordinator mode: the fleet's day files go to <-checkpoint>/days, or a temporary directory")
@@ -127,7 +126,6 @@ func run() (err error) {
 			study.WithResume(*resume),
 			study.WithShardTimeout(*shardTimeout),
 			study.WithMetrics(reg),
-			study.WithIndexCacheSize(*indexCache),
 			study.WithShardBits(*shardBy),
 		}
 		if *daystoreDir != "" {

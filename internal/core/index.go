@@ -6,8 +6,8 @@
 //     cache): nameserver address → the NSSets containing it, NSSet →
 //     hosted-domain count, and the /24s that contain at least one
 //     nameserver. Built once per world and shared read-only by every
-//     worker shard; per-day measurement overlays (baseline snapshots)
-//     ride on top of it through the pipeline's LRU day cache (join.go).
+//     worker shard; per-day measurements are read beside it through the
+//     pipeline's DayStore (daystore.go).
 //
 //   - AttackIndex: an interval index over an RSDoS attack feed, keyed by
 //     victim IP, each victim's attacks held as 5-minute-window intervals

@@ -5,13 +5,13 @@
 // distinct victim is classified exactly once, and DNS-direct victims are
 // grouped into shards by a victim-address prefix (default /16). A bounded
 // worker pool joins the shards against the shared read-only NSIndex and
-// the per-day baseline snapshots memoized in the pipeline's LRU day
-// cache, streaming events into per-shard buffers. The buffers are merged
-// and sorted by (feed position, NSSet rank), which reproduces the legacy
-// linear scan's emission order exactly — attacks in feed order, and per
-// victim the containing NSSets in sorted order — so the engine is
-// byte-identical to the reference scan kept in legacy_test.go on
-// completed joins (enforced by TestJoinEngineParity).
+// the day store's keyed reads (DayStore, daystore.go), streaming events
+// into per-shard buffers. The buffers are merged and sorted by (feed
+// position, NSSet rank), which reproduces the legacy linear scan's
+// emission order exactly — attacks in feed order, and per victim the
+// containing NSSets in sorted order — so the engine is byte-identical to
+// the reference scan kept in legacy_test.go on completed joins (enforced
+// by TestJoinEngineParity).
 //
 // Beyond sharding, the engine removes three per-event costs the linear
 // scan pays:
@@ -21,9 +21,9 @@
 //   - each (attack, NSSet) pair walks the day store's time-sorted day
 //     buckets (DayStore.DayWindows), one keyed read per calendar day,
 //     instead of probing every 5-minute window of the span;
-//   - Eq. 1 baselines come from per-day snapshots built once per distinct
-//     day (Aggregator.DayBaselines) and cached across events, attacks,
-//     and EventsContext calls.
+//   - the Eq. 1 denominator is one keyed read per (NSSet, calendar day)
+//     (DayStore.Baseline), hoisted out of the window loop, instead of one
+//     per window.
 package core
 
 import (
@@ -42,22 +42,10 @@ import (
 	"dnsddos/internal/rsdos"
 )
 
-// snapshotFor returns the baseline view of a resolved measurable day
-// (quarantine walk already applied), obtaining it from the day store at
-// most once per day across all shards (single-flight LRU). For the
-// in-memory store that builds a map index; for a columnar store it opens
-// (and caches) the day's file-backed view.
-func (p *Pipeline) snapshotFor(d clock.Day) BaselineView {
-	s, _ := p.dayCache.GetOrCompute(d, func() BaselineView {
-		return p.days.Baselines(d)
-	})
-	return s
-}
-
 // joinMetrics is the engine's observability surface. All metrics are
-// registered Volatile: build times, shard latencies, and cache hit
-// interleavings are run-dependent, and keeping them out of StableSnapshot
-// keeps seeded-run outputs (study.Report, golden files) byte-identical.
+// registered Volatile: build times and shard latencies are run-dependent,
+// and keeping them out of StableSnapshot keeps seeded-run outputs
+// (study.Report, golden files) byte-identical.
 // The zero value (no registry) is valid and free: every field is a
 // nil-safe no-op metric.
 type joinMetrics struct {
@@ -66,10 +54,6 @@ type joinMetrics struct {
 	shards        *obs.Gauge     // core.join.shards: shards in the last join
 	events        *obs.Counter   // core.join.events: events emitted (cumulative)
 	attacksJoined *obs.Counter   // core.join.attacks: DNS-direct attacks joined (cumulative)
-	cacheHits     *obs.Gauge     // core.join.day_cache_hits: LRU lifetime hits
-	cacheMisses   *obs.Gauge     // core.join.day_cache_misses: LRU lifetime misses
-	cacheShared   *obs.Gauge     // core.join.day_cache_shared_waits: joins of another caller's in-flight build
-	cacheRatio    *obs.Gauge     // core.join.day_cache_hit_ratio_permille: hits/(hits+misses+shared)
 	shardLatency  *obs.Histogram // core.join.shard_latency_ns: per-shard wall time
 }
 
@@ -81,28 +65,7 @@ func newJoinMetrics(reg *obs.Registry) joinMetrics {
 		shards:        reg.Gauge("core.join.shards", obs.Volatile()),
 		events:        reg.Counter("core.join.events", obs.Volatile()),
 		attacksJoined: reg.Counter("core.join.attacks", obs.Volatile()),
-		cacheHits:     reg.Gauge("core.join.day_cache_hits", obs.Volatile()),
-		cacheMisses:   reg.Gauge("core.join.day_cache_misses", obs.Volatile()),
-		cacheShared:   reg.Gauge("core.join.day_cache_shared_waits", obs.Volatile()),
-		cacheRatio:    reg.Gauge("core.join.day_cache_hit_ratio_permille", obs.Volatile()),
 		shardLatency:  reg.Histogram("core.join.shard_latency_ns", obs.Volatile()),
-	}
-}
-
-// publishCacheStats exports the day cache's lifetime hit/miss/shared
-// counts and derived hit ratio (permille, so the integer gauge keeps 0.1%
-// steps). A shard that joined another shard's in-flight build (shared)
-// did not find the snapshot cached — it stalled on a build like a miss
-// does — so shared lookups belong in the ratio's denominator. Counting
-// them neither way dropped those lookups entirely and overstated the hit
-// ratio under concurrent shards.
-func (m *joinMetrics) publishCacheStats(c interface{ LRUStats() (int64, int64, int64) }) {
-	hits, misses, shared := c.LRUStats()
-	m.cacheHits.Set(hits)
-	m.cacheMisses.Set(misses)
-	m.cacheShared.Set(shared)
-	if total := hits + misses + shared; total > 0 {
-		m.cacheRatio.Set(hits * 1000 / total)
 	}
 }
 
@@ -241,50 +204,9 @@ func (p *Pipeline) EventsContext(ctx context.Context, attacks []rsdos.Attack) ([
 	p.metrics.shards.Set(int64(len(ji.shards)))
 
 	if len(ji.shards) == 0 {
-		p.metrics.publishCacheStats(p.dayCache)
 		return nil, ctx.Err()
 	}
-
-	// Prewarm the day-snapshot cache with every day this feed joins
-	// against, so worker shards only read (deterministic hit/miss
-	// accounting, and no thundering rebuild under concurrent misses —
-	// GetOrCompute single-flights the stragglers anyway).
-	p.prewarmDays(ji.aix, ji.direct)
-
-	out, err := p.runShards(ctx, ji.aix, ji.shards)
-	p.metrics.publishCacheStats(p.dayCache)
-	return out, err
-}
-
-// prewarmDays builds the baseline snapshot of every resolved day the feed
-// can touch: each attack's snapshot day (§4.2 join rule) and the Eq. 1
-// baseline day of each calendar day the attack spans.
-func (p *Pipeline) prewarmDays(aix *AttackIndex, direct []dnsVictim) {
-	back := clock.Day(p.cfg.BaselineDaysBack)
-	if back <= 0 {
-		back = 1
-	}
-	seen := make(map[clock.Day]bool)
-	warm := func(d clock.Day) {
-		d = p.measurableDay(d)
-		if !seen[d] {
-			seen[d] = true
-			p.snapshotFor(d)
-		}
-	}
-	for _, dv := range direct {
-		for _, ai := range dv.attacks {
-			a := &aix.attacks[ai]
-			snapDay := a.StartWindow.Day()
-			if p.cfg.UsePrevDaySnapshot {
-				snapDay = snapDay.Prev()
-			}
-			warm(snapDay)
-			for d := a.StartWindow.Day(); d <= a.EndWindow.Day(); d++ {
-				warm(d - back)
-			}
-		}
-	}
+	return p.runShards(ctx, ji.aix, ji.shards)
 }
 
 // runShards drives the bounded worker pool over the shard list, each
@@ -313,14 +235,30 @@ func (p *Pipeline) runShardRange(ctx context.Context, aix *AttackIndex, shards [
 	buffers := make([][]TaggedEvent, len(shards))
 	work := make(chan int)
 	var wg sync.WaitGroup
+	// The day store is first read here, in the workers, and a file-backed
+	// store refuses a corrupt day by panicking. A worker keeps the first
+	// such panic and goes on draining work; the caller re-raises it below,
+	// on the goroutine where a supervised run can recover it.
+	var (
+		panicOnce sync.Once
+		panicked  any
+	)
+	joinOne := func(si int) {
+		defer func() {
+			if r := recover(); r != nil {
+				panicOnce.Do(func() { panicked = r })
+			}
+		}()
+		st := time.Now()
+		buffers[si] = p.joinShard(ctx, aix, shards[si])
+		p.metrics.shardLatency.Observe(time.Since(st))
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for si := range work {
-				st := time.Now()
-				buffers[si] = p.joinShard(ctx, aix, shards[si])
-				p.metrics.shardLatency.Observe(time.Since(st))
+				joinOne(si)
 			}
 		}()
 	}
@@ -334,6 +272,9 @@ dispatch:
 	}
 	close(work)
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 
 	n := 0
 	for _, b := range buffers {
@@ -372,15 +313,8 @@ func (p *Pipeline) JoinShardRange(ctx context.Context, attacks []rsdos.Attack, f
 	if len(shards) == 0 {
 		return nil, ctx.Err()
 	}
-	// Prewarm only the days this range's victims can touch.
-	var vs []dnsVictim
-	for _, s := range shards {
-		vs = append(vs, s...)
-	}
-	p.prewarmDays(ji.aix, vs)
 	merged, err := p.runShardRange(ctx, ji.aix, shards)
 	p.metrics.events.Add(int64(len(merged)))
-	p.metrics.publishCacheStats(p.dayCache)
 	return merged, err
 }
 
@@ -411,15 +345,15 @@ func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dn
 				NSRecorded: true,
 				NS:         dv.ns,
 			}
-			// the §4.2 snapshot day depends only on the attack; fetch its
-			// baseline snapshot once for all containing NSSets
+			// the §4.2 snapshot day depends only on the attack; resolve
+			// it once for all containing NSSets
 			snapDay := ca.StartWindow.Day()
 			if p.cfg.UsePrevDaySnapshot {
 				snapDay = snapDay.Prev()
 			}
-			snap := p.snapshotFor(p.measurableDay(snapDay))
+			snapDay = p.measurableDay(snapDay)
 			for ki, k := range sets {
-				if e, ok := p.buildEventIndexed(ca, snap, k); ok {
+				if e, ok := p.buildEventIndexed(ca, snapDay, k); ok {
 					out = append(out, TaggedEvent{AttackIdx: ai, NSSetIdx: int32(ki), Event: e})
 				}
 			}
@@ -428,13 +362,13 @@ func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dn
 	return out
 }
 
-// buildEventIndexed builds one (attack, NSSet) event: snap is the
-// attack's resolved §4.2 snapshot-day baseline view, Eq. 1 baselines
-// come from cached day views, and window metrics from the day store's
+// buildEventIndexed builds one (attack, NSSet) event: snapDay is the
+// attack's resolved §4.2 snapshot day, Eq. 1 baselines are keyed
+// DayStore.Baseline reads, and window metrics come from the day store's
 // day buckets — with identical guards and float arithmetic so results
 // are byte-for-byte the legacy scan's.
-func (p *Pipeline) buildEventIndexed(ca ClassifiedAttack, snap BaselineView, k nsset.Key) (Event, bool) {
-	if b := snap.Baseline(k); b == nil || b.OKCount == 0 {
+func (p *Pipeline) buildEventIndexed(ca ClassifiedAttack, snapDay clock.Day, k nsset.Key) (Event, bool) {
+	if b := p.days.Baseline(k, snapDay); b == nil || b.OKCount == 0 {
 		return Event{}, false
 	}
 	e := Event{
@@ -479,7 +413,7 @@ func (p *Pipeline) buildEventIndexed(ca ClassifiedAttack, snap BaselineView, k n
 			}
 			if !baseDone {
 				baseDone = true
-				if b := p.snapshotFor(p.measurableDay(d - back)).Baseline(k); b != nil && b.OKCount > 0 {
+				if b := p.days.Baseline(k, p.measurableDay(d-back)); b != nil && b.OKCount > 0 {
 					if rtt := b.AvgRTT(); rtt > 0 {
 						baseRTT = rtt
 						baseOK = true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -51,9 +52,8 @@ func buildWideWorld(t *testing.T, providers int) (*dnsdb.DB, []netx.Addr, []nsse
 // TestShardedJoinMatchesLegacyConcurrent is the race-detector workout
 // for the sharded engine: many shards (one per victim at shardBits=32),
 // a worker pool wider than GOMAXPROCS, and four goroutines running
-// EventsContext on the same pipeline at once — sharing the NS index, the
-// aggregator and the day-snapshot LRU. Every result must equal the
-// legacy linear scan's.
+// EventsContext on the same pipeline at once — sharing the NS index and
+// the aggregator. Every result must equal the legacy linear scan's.
 func TestShardedJoinMatchesLegacyConcurrent(t *testing.T) {
 	const providers = 32
 	db, addrs, keys := buildWideWorld(t, providers)
@@ -111,4 +111,38 @@ func TestShardedJoinCancellation(t *testing.T) {
 	if _, err := p.EventsContext(ctx, attacks); err != context.Canceled {
 		t.Fatalf("cancelled join error = %v, want context.Canceled", err)
 	}
+}
+
+// refusingStore is a DayStore whose baseline reads refuse the way
+// daystore.Set refuses a corrupt day file: by panicking with an error.
+type refusingStore struct {
+	DayStore
+	refusal error
+}
+
+func (s refusingStore) Baseline(nsset.Key, clock.Day) *nsset.DayBaseline { panic(s.refusal) }
+
+// TestStoreRefusalReachesCaller: the day store is first read inside the
+// shard workers, so a store that refuses a day panics there. The join
+// must re-raise that refusal on the calling goroutine, where a supervised
+// run recovers it (distjoin's joinRangeIsolated) — left in a worker
+// goroutine it would kill the process.
+func TestStoreRefusalReachesCaller(t *testing.T) {
+	db, addrs, keys := buildWideWorld(t, 8)
+	agg := nsset.NewAggregator()
+	attacks := make([]rsdos.Attack, 0, len(addrs))
+	for i, a := range addrs {
+		aw := clock.Day(40).FirstWindow() + clock.Window(10*i)
+		seedMeasurements(agg, keys[i/2], aw.Day(), 10*time.Millisecond, aw, 100*time.Millisecond, 8, 2)
+		attacks = append(attacks, mkAttack(i+1, a, aw, aw+2, 53))
+	}
+	refusal := errors.New("day file refused")
+	p := NewPipeline(db, WithDayStore(refusingStore{agg, refusal}), WithJoinWorkers(4), WithShardBits(32))
+	defer func() {
+		if r := recover(); r != refusal {
+			t.Fatalf("recovered %v, want the store's refusal", r)
+		}
+	}()
+	p.JoinShardRange(context.Background(), attacks, 0, p.JoinShardCount(attacks))
+	t.Fatal("join over a refusing store returned")
 }

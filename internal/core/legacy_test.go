@@ -12,9 +12,7 @@ import (
 // oracle: it classifies every attack and probes the day store window by
 // window, with none of the engine's indexes, shards or caches. The parity
 // and race tests and BenchmarkJoin's legacy leg call it directly; it is
-// no longer reachable from production code. Its baseline point probe is
-// Baselines(d).Baseline(k), uncached: the in-memory backend rebuilds the
-// day's index on every probe, so the legacy leg's time includes that.
+// no longer reachable from production code.
 
 // EventsLegacy exposes the oracle to the external test package (the
 // study-level parity test and benchmark, which import internal/study and
@@ -58,7 +56,7 @@ func (p *Pipeline) buildEvent(ca ClassifiedAttack, k nsset.Key) (Event, bool) {
 		snapDay = snapDay.Prev()
 	}
 	snapDay = p.measurableDay(snapDay)
-	if b := p.days.Baselines(snapDay).Baseline(k); b == nil || b.OKCount == 0 {
+	if b := p.days.Baseline(k, snapDay); b == nil || b.OKCount == 0 {
 		return Event{}, false
 	}
 	e := Event{
@@ -107,7 +105,7 @@ func (p *Pipeline) impactAt(k nsset.Key, w clock.Window) (float64, bool) {
 	if m == nil || m.OKCount == 0 {
 		return 0, false
 	}
-	b := p.days.Baselines(p.measurableDay(w.Day() - clock.Day(back))).Baseline(k)
+	b := p.days.Baseline(k, p.measurableDay(w.Day()-clock.Day(back)))
 	if b == nil || b.OKCount == 0 {
 		return 0, false
 	}

@@ -25,7 +25,6 @@ import (
 
 	"dnsddos/internal/anycast"
 	"dnsddos/internal/astopo"
-	"dnsddos/internal/cache"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/dnsdb"
 	"dnsddos/internal/netx"
@@ -116,12 +115,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// defaultDayCacheSize bounds the LRU day-snapshot cache: large enough to
-// hold every join-relevant day of the 17-month study window (~515 days
-// plus baselines), small enough that a pathological feed cannot pin one
-// snapshot per day of a decade-long range.
-const defaultDayCacheSize = 1024
-
 // Pipeline is the frozen join context: world, measurements, and metadata.
 // Construct it with NewPipeline; all fields are internal and set through
 // functional options, so new engine knobs never widen a constructor
@@ -134,9 +127,9 @@ type Pipeline struct {
 	topo    *astopo.Table
 	openRes *openres.List
 
-	// days is the day-snapshot surface the join reads (daystore.go): the
-	// aggregator-backed in-memory store by default, or a columnar
-	// file-backed store attached via WithDayStore.
+	// days is the day-snapshot surface the join reads (daystore.go): agg
+	// itself by default, or a columnar file-backed store attached via
+	// WithDayStore.
 	days DayStore
 
 	// ix is the immutable nameserver-side join index (index.go), built at
@@ -151,11 +144,6 @@ type Pipeline struct {
 	// shardBits is the victim-prefix width shards are keyed by (default
 	// 16, i.e. one shard per victim /16).
 	shardBits int
-	// dayCache memoizes per-day baseline views across events and across
-	// EventsContext calls (resumed/checkpointed runs revisit the same
-	// days). For file-backed stores it holds lazily opened views, not
-	// rebuilt structs.
-	dayCache *cache.LRU[clock.Day, BaselineView]
 	// joinIdx memoizes the last feed's attack index and shard plan
 	// (join.go): repeat joins over the same feed slice skip the feed scan
 	// entirely and go straight to the shard workers.
@@ -225,20 +213,10 @@ func WithShardBits(bits int) Option {
 	return func(p *Pipeline) { p.shardBits = bits }
 }
 
-// WithDayCacheSize bounds the LRU day-snapshot cache (default 1024
-// days); 0 keeps the default, negative makes it unbounded.
-func WithDayCacheSize(n int) Option {
-	return func(p *Pipeline) {
-		if n != 0 {
-			p.dayCache = cache.NewLRU[clock.Day, BaselineView](max(n, 0))
-		}
-	}
-}
-
 // WithMetrics threads an observability registry through the join engine:
-// index build time, day-cache hit ratio, per-shard join latency, event
-// counts — all registered volatile (run-dependent timings and cache
-// interleavings stay out of deterministic stable snapshots).
+// index build time, per-shard join latency, victim, shard and event
+// counts — all registered volatile (run-dependent timings stay out of
+// deterministic stable snapshots).
 func WithMetrics(reg *obs.Registry) Option {
 	return func(p *Pipeline) { p.metrics = newJoinMetrics(reg) }
 }
@@ -267,12 +245,9 @@ func NewPipeline(db *dnsdb.DB, opts ...Option) *Pipeline {
 		if p.agg == nil {
 			p.agg = nsset.NewAggregator()
 		}
-		p.days = NewAggregatorDayStore(p.agg)
+		p.days = p.agg
 	}
 	p.ix = BuildNSIndex(db, p.domainNSSets)
-	if p.dayCache == nil {
-		p.dayCache = cache.NewLRU[clock.Day, BaselineView](defaultDayCacheSize)
-	}
 	if p.shardBits <= 0 {
 		p.shardBits = 16
 	}
@@ -436,8 +411,7 @@ func (p *Pipeline) Config() Config { return p.cfg }
 func (p *Pipeline) DB() *dnsdb.DB { return p.db }
 
 // DayStore returns the day-snapshot surface the join engines read: the
-// aggregator-backed in-memory store by default, or the WithDayStore
-// backend.
+// aggregator by default, or the WithDayStore backend.
 func (p *Pipeline) DayStore() DayStore { return p.days }
 
 // NSSetsContaining returns the NSSets containing a nameserver address.

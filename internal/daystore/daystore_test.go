@@ -97,7 +97,7 @@ func TestObservationEquivalence(t *testing.T) {
 			agg.SetWindowFilter(func(w clock.Window) bool { return int64(w)%clock.WindowsPerDay < 6 })
 		}
 		fillRandom(agg, rng, 10+rng.Intn(20), 4+rng.Intn(4))
-		ref := core.NewAggregatorDayStore(agg)
+		ref := core.DayStore(agg)
 
 		dir := t.TempDir()
 		snap := agg.Snapshot()
@@ -133,12 +133,12 @@ func TestObservationEquivalence(t *testing.T) {
 		}
 		for _, k := range keys {
 			for d := clock.Day(-1); d <= lastDay+1; d++ {
-				gb, wb := set.Baselines(d).Baseline(k), ref.Baselines(d).Baseline(k)
+				gb, wb := set.Baseline(k, d), ref.Baseline(k, d)
 				if (gb == nil) != (wb == nil) {
-					t.Fatalf("seed %d: Baselines(%d).Baseline(%s) presence mismatch", seed, d, k)
+					t.Fatalf("seed %d: Baseline(%s, %d) presence mismatch", seed, k, d)
 				}
 				if gb != nil && *gb != *wb {
-					t.Fatalf("seed %d: Baselines(%d).Baseline(%s) = %+v, want %+v", seed, d, k, *gb, *wb)
+					t.Fatalf("seed %d: Baseline(%s, %d) = %+v, want %+v", seed, k, d, *gb, *wb)
 				}
 
 				gw, ww := set.DayWindows(k, d), ref.DayWindows(k, d)
@@ -163,7 +163,7 @@ func TestObservationEquivalence(t *testing.T) {
 		}
 		// unknown key: valid empty reads everywhere
 		ghost := nsset.KeyOf([]netx.Addr{netx.Addr(1)})
-		if set.Baselines(0).Baseline(ghost) != nil || len(set.DayWindows(ghost, 0)) != 0 {
+		if set.Baseline(ghost, 0) != nil || len(set.DayWindows(ghost, 0)) != 0 {
 			t.Fatalf("seed %d: ghost key not empty", seed)
 		}
 	}
@@ -251,10 +251,49 @@ func sealOneDay(t *testing.T) (dir string, ref SealedFile) {
 	return dir, ref
 }
 
+// restamp recomputes an image's header and body CRCs in place, so damage
+// a test (or the fuzzer) made reaches the structural checks behind them.
+func restamp(b []byte) []byte {
+	binary.BigEndian.PutUint32(b[36:40], crc32.ChecksumIEEE(b[0:36]))
+	binary.BigEndian.PutUint32(b[len(b)-trailerLen:], crc32.ChecksumIEEE(b[headerLen:len(b)-trailerLen]))
+	return b
+}
+
+// craftImage frames body as a day-0 file whose header claims nKeys key
+// rows, no baseline or window rows, and strLen string bytes, with valid
+// CRCs — what a peer can send Install together with its own hash.
+func craftImage(nKeys uint32, strLen uint64, body []byte) []byte {
+	b := make([]byte, headerLen+len(body)+trailerLen)
+	copy(b, magic)
+	binary.BigEndian.PutUint32(b[8:12], Version)
+	binary.BigEndian.PutUint32(b[16:20], nKeys)
+	binary.BigEndian.PutUint64(b[28:36], strLen)
+	copy(b[headerLen:], body)
+	return restamp(b)
+}
+
+// strLenWrapImage is a 44-byte frame claiming one key row and 2^64−24
+// string bytes: summed as int64 the sections come to exactly 44.
+func strLenWrapImage() []byte {
+	return craftImage(1, ^uint64(0)-23, nil)
+}
+
+// strOffWrapImage has one key row whose string starts at 2^64−2 and is 4
+// bytes long, in a 4-byte string table: offset+length wraps to 2.
+func strOffWrapImage() []byte {
+	body := make([]byte, keyRowLen+4)
+	binary.BigEndian.PutUint64(body[0:8], ^uint64(0)-1)
+	binary.BigEndian.PutUint32(body[8:12], 4)
+	binary.BigEndian.PutUint32(body[12:16], noBaseline)
+	return craftImage(1, 4, body)
+}
+
 // TestCorruptionRefusal is the typed-refusal table: every way a sealed
 // file can be damaged — truncation at each section boundary, bit rot in
-// header or body, magic or version skew, a renamed (wrong-day) file —
-// must surface as errors.Is(err, ErrCorrupt), never as garbage data.
+// header or body, magic or version skew, a renamed (wrong-day) file, and
+// CRC-consistent headers whose lengths wrap the size arithmetic — must
+// surface as errors.Is(err, ErrCorrupt), never as garbage data or a
+// panic.
 func TestCorruptionRefusal(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -268,6 +307,8 @@ func TestCorruptionRefusal(t *testing.T) {
 		{"trailer_bit_flip", func(b []byte) []byte { b[len(b)-1] ^= 0x10; return b }},
 		{"bad_magic", func(b []byte) []byte { copy(b, "NOTACOLF"); return b }},
 		{"padded", func(b []byte) []byte { return append(b, 0) }},
+		{"string_table_length_wraps", func([]byte) []byte { return strLenWrapImage() }},
+		{"key_string_offset_wraps", func([]byte) []byte { return strOffWrapImage() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -315,7 +356,7 @@ func TestCorruptionRefusal(t *testing.T) {
 						t.Fatalf("accessor panicked with %v, want ErrCorrupt", r)
 					}
 				}()
-				set.Baselines(0)
+				set.Baseline("k", 0)
 				t.Fatal("accessor on corrupt day did not panic")
 			}()
 		})
@@ -376,9 +417,8 @@ func TestVersionSkewRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	b[11] = byte(Version + 1)
-	// re-stamp the header CRC so only the version check can fire
-	binary.BigEndian.PutUint32(b[36:40], crc32.ChecksumIEEE(b[0:36]))
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	// valid CRCs, so only the version check can fire
+	if err := os.WriteFile(path, restamp(b), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenDay(path, 0); !errors.Is(err, ErrCorrupt) {

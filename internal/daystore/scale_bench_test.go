@@ -83,7 +83,7 @@ func BenchmarkDayStoreScale(b *testing.B) {
 		for _, k := range keys {
 			for d := 0; d < days; d++ {
 				day := clock.Day(d)
-				if bl := set.Baselines(day).Baseline(k); bl != nil {
+				if bl := set.Baseline(k, day); bl != nil {
 					touched += int64(bl.Domains)
 				}
 				for _, m := range set.DayWindows(k, day) {

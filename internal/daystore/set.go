@@ -7,22 +7,21 @@ import (
 	"sort"
 	"sync"
 
-	"dnsddos/internal/cache"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/nsset"
 )
 
 // set.go fronts a directory of sealed day files as one core.DayStore.
-// Open only scans filenames; each day's file is opened, CRC-validated and
-// mapped lazily on first access through a single-flight cache.LRU (the
-// same primitive the join's day cache uses), so concurrent shards racing
-// on a cold day map it exactly once and every later reader shares the
-// view. Views are cached unbounded for the Set's lifetime: a mapping is
-// address space, not resident memory — the OS pages day files in and out
-// on demand, which is precisely the flat-RSS property the store exists
-// for — and never evicting means no reader can hold a pointer into an
-// unmapped file.
+// Open only scans filenames and builds one slot per day; the slot map
+// never changes afterwards, so readers index it without a lock. A day's
+// file is opened, CRC-validated and mapped on first access under the
+// slot's sync.Once, so concurrent shards racing on a cold day map it
+// exactly once and every later reader shares the view. Views stay mapped
+// for the Set's lifetime: a mapping is address space, not resident memory
+// — the OS pages day files in and out on demand, which is precisely the
+// flat-RSS property the store exists for — and never unmapping before
+// Close means no reader can hold a pointer into an unmapped file.
 //
 // Integrity contract: Open and Verify return typed ErrCorrupt errors.
 // The core.DayStore methods have no error channel, so a day file that
@@ -36,10 +35,8 @@ import (
 // Set is a read-only day store over a directory of sealed column files.
 // Safe for concurrent use.
 type Set struct {
-	dir   string
-	files map[clock.Day]string
-	days  []clock.Day
-	views *cache.LRU[clock.Day, viewResult]
+	slots map[clock.Day]*daySlot // fixed at Open
+	days  []clock.Day            // ascending
 
 	keysOnce sync.Once
 	keys     []nsset.Key
@@ -48,11 +45,13 @@ type Set struct {
 // Set implements core.DayStore.
 var _ core.DayStore = (*Set)(nil)
 
-// viewResult is a memoized open attempt; err is sticky so a corrupt file
-// is refused (not re-tried) on every access.
-type viewResult struct {
-	v   *View
-	err error
+// daySlot is one sealed day file and its single open attempt; err is
+// sticky so a corrupt file is refused (not re-tried) on every access.
+type daySlot struct {
+	path string
+	once sync.Once
+	v    *View
+	err  error
 }
 
 // Open scans dir for sealed day files (day_NNNNNN.dcol; seal leftovers
@@ -63,14 +62,10 @@ func Open(dir string) (*Set, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("daystore: scanning %s: %w", dir, err)
 	}
-	s := &Set{
-		dir:   dir,
-		files: make(map[clock.Day]string),
-		views: cache.NewLRU[clock.Day, viewResult](0), // unbounded; see package comment
-	}
+	s := &Set{slots: make(map[clock.Day]*daySlot)}
 	for _, e := range entries {
 		if day, ok := parseFileName(e.Name()); ok {
-			s.files[day] = e.Name()
+			s.slots[day] = &daySlot{path: filepath.Join(dir, e.Name())}
 			s.days = append(s.days, day)
 		}
 	}
@@ -81,15 +76,12 @@ func Open(dir string) (*Set, error) {
 // view opens (once) and returns day d's view; (nil, nil) when the day has
 // no sealed file.
 func (s *Set) view(d clock.Day) (*View, error) {
-	name, ok := s.files[d]
-	if !ok {
+	sl := s.slots[d]
+	if sl == nil {
 		return nil, nil
 	}
-	r, _ := s.views.GetOrCompute(d, func() viewResult {
-		v, err := OpenDay(filepath.Join(s.dir, name), d)
-		return viewResult{v: v, err: err}
-	})
-	return r.v, r.err
+	sl.once.Do(func() { sl.v, sl.err = OpenDay(sl.path, d) })
+	return sl.v, sl.err
 }
 
 // mustView is view for the error-free DayStore accessors: an unreadable
@@ -103,7 +95,7 @@ func (s *Set) mustView(d clock.Day) *View {
 }
 
 // Verify eagerly opens and validates every sealed day file, returning the
-// first integrity failure as a typed error. Valid views stay cached for
+// first integrity failure as a typed error. Valid views stay open for
 // subsequent reads.
 func (s *Set) Verify() error {
 	for _, d := range s.days {
@@ -114,23 +106,14 @@ func (s *Set) Verify() error {
 	return nil
 }
 
-// viewBaselines adapts one day view (possibly absent) to
-// core.BaselineView.
-type viewBaselines struct {
-	v *View
-}
-
-func (b viewBaselines) Baseline(k nsset.Key) *nsset.DayBaseline {
-	if b.v == nil {
+// Baseline returns k's aggregate of day d (nil when the day has no sealed
+// file or k was not measured on it).
+func (s *Set) Baseline(k nsset.Key, d clock.Day) *nsset.DayBaseline {
+	v := s.mustView(d)
+	if v == nil {
 		return nil
 	}
-	return b.v.Baseline(k)
-}
-
-// Baselines returns day d's baseline view (empty when the day has no
-// sealed file).
-func (s *Set) Baselines(d clock.Day) core.BaselineView {
-	return viewBaselines{v: s.mustView(d)}
+	return v.Baseline(k)
 }
 
 // DayWindows returns k's measured windows of day d, ascending (nil when
@@ -182,8 +165,8 @@ func (s *Set) Keys() []nsset.Key {
 func (s *Set) Close() error {
 	var first error
 	for _, d := range s.days {
-		if r, ok := s.views.Get(d); ok && r.v != nil {
-			if err := r.v.Close(); err != nil && first == nil {
+		if v := s.slots[d].v; v != nil {
+			if err := v.Close(); err != nil && first == nil {
 				first = err
 			}
 		}

@@ -88,12 +88,15 @@ func newView(path string, day clock.Day, data []byte, unmap func() error) (*View
 	nWin := int(binary.BigEndian.Uint32(data[24:28]))
 	strLen := binary.BigEndian.Uint64(data[28:36])
 
-	want := int64(headerLen) + int64(nKeys)*keyRowLen + int64(strLen) +
-		int64(nBase)*baseRowLen + int64(nWin)*winRowLen + trailerLen
-	if int64(len(data)) != want {
-		return nil, corruptf(path, "file is %d bytes, header implies %d (truncated or padded)", len(data), want)
-	}
+	// The header fields are untrusted: the three row counts are u32, so
+	// their sections cannot overflow a u64 sum, but strLen is a full u64
+	// and is only ever compared against what the file has left.
 	body := data[headerLen : len(data)-trailerLen]
+	fixed := uint64(nKeys)*keyRowLen + uint64(nBase)*baseRowLen + uint64(nWin)*winRowLen
+	if fixed > uint64(len(body)) || strLen != uint64(len(body))-fixed {
+		return nil, corruptf(path, "file is %d bytes, header implies %d keys, %d baselines, %d windows and %d string bytes (truncated or padded)",
+			len(data), nKeys, nBase, nWin, strLen)
+	}
 	if got, wantCRC := binary.BigEndian.Uint32(data[len(data)-trailerLen:]), crc32.ChecksumIEEE(body); got != wantCRC {
 		return nil, corruptf(path, "body crc mismatch (%08x != %08x)", got, wantCRC)
 	}
@@ -119,7 +122,7 @@ func newView(path string, day clock.Day, data []byte, unmap func() error) (*View
 	// bound checks make a CRC-consistent-yet-malformed file safe to index.
 	for i := 0; i < nKeys; i++ {
 		strOff, sl, baseRow, winRow, winCnt := v.keyRow(i)
-		if strOff+uint64(sl) > strLen {
+		if strOff > strLen || uint64(sl) > strLen-strOff {
 			return nil, corruptf(path, "key %d string [%d,+%d) exceeds string table (%d bytes)", i, strOff, sl, strLen)
 		}
 		if baseRow != noBaseline && int(baseRow) >= nBase {

@@ -361,22 +361,8 @@ func (a *Aggregator) Window(k Key, w clock.Window) *WindowMetrics {
 	return wins[i]
 }
 
-// DayBaselines collects the day-d baseline of every NSSet measured on
-// that day. It is the build step of the join engine's per-day snapshot
-// index (O(#NSSets), amortized by the LRU day cache); the returned map is
-// freshly allocated, but the *DayBaseline values alias the aggregator's
-// live aggregates and must be treated as read-only.
-func (a *Aggregator) DayBaselines(d clock.Day) map[Key]*DayBaseline {
-	out := make(map[Key]*DayBaseline)
-	for k, rows := range a.table {
-		if r := findDay(rows, d); r != nil {
-			out[k] = &r.base
-		}
-	}
-	return out
-}
-
-// Baseline returns the day aggregate for (k, d), or nil.
+// Baseline returns the day aggregate for (k, d), or nil. The value
+// aliases the aggregator's live aggregate; treat it as read-only.
 func (a *Aggregator) Baseline(k Key, d clock.Day) *DayBaseline {
 	if r := findDay(a.table[k], d); r != nil {
 		return &r.base

@@ -56,9 +56,6 @@ type options struct {
 	// wall-clock timings and join-engine internals register as volatile
 	// and stay out of the stable snapshot.
 	metrics *obs.Registry
-	// indexCacheSize bounds the join engine's LRU day-snapshot cache
-	// (0 = engine default, negative = unbounded).
-	indexCacheSize int
 	// shardBits is the victim-prefix width the join engine shards by
 	// (0 = engine default /16).
 	shardBits int
@@ -113,12 +110,6 @@ func WithBeforeDay(f func(clock.Day)) Option {
 // serve it mid-run; nil keeps the default private registry.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(o *options) { o.metrics = reg }
-}
-
-// WithIndexCacheSize bounds the join engine's LRU day-snapshot cache
-// (core.WithDayCacheSize); 0 keeps the engine default.
-func WithIndexCacheSize(n int) Option {
-	return func(o *options) { o.indexCacheSize = n }
 }
 
 // WithShardBits sets the victim-prefix width the join engine shards by
@@ -231,8 +222,8 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 	stage("sweep", t0)
 
 	t0 = time.Now()
-	// zero values keep the engine defaults
-	pipeOpts := []core.Option{core.WithDayCacheSize(opts.indexCacheSize), core.WithShardBits(opts.shardBits)}
+	// a zero value keeps the engine default
+	pipeOpts := []core.Option{core.WithShardBits(opts.shardBits)}
 	if opts.daystoreDir != "" {
 		set, err := daystore.Open(opts.daystoreDir)
 		if err != nil {
