@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-smoke bench-e2e bench-e2e-update flake-sweep report loc
+.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-sweep bench-smoke bench-e2e bench-e2e-update flake-sweep report loc
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,7 @@ test: build obs stream distjoin bench-smoke
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -bench 'BenchmarkJoin' -benchtime 1x -run '^$$' ./internal/core/
+	$(GO) test -bench 'BenchmarkRunDay' -benchtime 1x -run '^$$' ./internal/openintel/
 
 # Streaming smoke: the stream-vs-batch parity harness, exactly-once
 # kill/resume, late-drop accounting, and the aggregator order-invariance
@@ -57,8 +58,9 @@ soak:
 # sharded join engine (shared NS index, day store reads, worker pool),
 # the distributed-join control plane, or the resilience/overload tier.
 # The study leg covers both day backends: the parallel in-memory sweep
-# (Merge into the shared table under the pool's mutex while other shards
-# sweep) and the columnar parity/resume runs.
+# (Merge adopts a finished day's rows into the shared table under the
+# pool's mutex while other shards sweep) and the columnar parity/resume
+# runs.
 race-gate: soak
 	$(GO) vet ./... && $(GO) build ./... && \
 	$(GO) test -race ./internal/authserver/... ./internal/resolver/... ./internal/dnsload/... \
@@ -113,6 +115,15 @@ flake-sweep:
 # Serving-engine throughput (workers=1 is the serialized baseline).
 bench-throughput:
 	$(GO) test -bench 'Server_(UDP|TCP)Throughput' -benchtime 1s -run '^$$' ./internal/authserver/
+
+# The sweep's record path, layer by layer: one swept day end to end
+# (ns/record, allocs/record), one data-plane query quiet and under attack,
+# one aggregator Add. For reading while working on the sweep; the gated
+# numbers are the repo benchmark's (benchmark/README.md).
+bench-sweep:
+	$(GO) test -bench 'BenchmarkRunDay' -benchmem -run '^$$' ./internal/openintel/
+	$(GO) test -bench 'BenchmarkQueryQuiet|BenchmarkQueryUnderAttack' -benchmem -run '^$$' ./internal/simnet/
+	$(GO) test -bench 'BenchmarkAggregatorAdd' -benchmem -run '^$$' ./internal/nsset/
 
 # The paper's tables and figures.
 report:

@@ -241,11 +241,11 @@ type dayRow struct {
 	wins []*WindowMetrics
 }
 
-// windowFor returns the row's metrics for w, inserting them in window
-// order when new. Samples arrive in sweep (time) order, so the scan from
-// the tail ends at once on a hit or an append; a day holds at most 288
+// windowFor returns r's metrics for w, inserting them in window order
+// when new. Samples arrive in sweep (time) order, so the scan from the
+// tail ends at once on a hit or an append; a day holds at most 288
 // windows, which bounds the rare out-of-order insert.
-func (r *dayRow) windowFor(w clock.Window) *WindowMetrics {
+func (a *Aggregator) windowFor(r *dayRow, w clock.Window) *WindowMetrics {
 	i := len(r.wins)
 	for i > 0 && r.wins[i-1].Window > w {
 		i--
@@ -253,7 +253,11 @@ func (r *dayRow) windowFor(w clock.Window) *WindowMetrics {
 	if i > 0 && r.wins[i-1].Window == w {
 		return r.wins[i-1]
 	}
-	m := &WindowMetrics{Window: w}
+	if len(a.slab) == cap(a.slab) {
+		a.slab = make([]WindowMetrics, 0, min(max(16, 2*cap(a.slab)), 256))
+	}
+	a.slab = append(a.slab, WindowMetrics{Window: w})
+	m := &a.slab[len(a.slab)-1]
 	r.wins = slices.Insert(r.wins, i, m)
 	return m
 }
@@ -282,6 +286,11 @@ type Aggregator struct {
 	// attack windows (plus margins) to bound memory, matching how the
 	// paper's Hadoop pipeline only materializes joined windows.
 	filter func(clock.Window) bool
+	// slab is the block windowFor carves new windows from. A full block
+	// is replaced, never regrown, so *WindowMetrics already handed out
+	// stay valid; blocks double from 16 to 256 entries, so a one-window
+	// aggregator stays small.
+	slab []WindowMetrics
 }
 
 // NewAggregator returns an empty aggregator.
@@ -293,10 +302,11 @@ func NewAggregator() *Aggregator {
 // (the default) keeps everything.
 func (a *Aggregator) SetWindowFilter(f func(clock.Window) bool) { a.filter = f }
 
-// dayFor returns k's row for day d, inserting it in day order when new
-// (the same tail scan as windowFor: days arrive ascending, or nearly so
-// when parallel shards merge as they finish).
-func (a *Aggregator) dayFor(k Key, d clock.Day) *dayRow {
+// dayFor returns k's row for day d. A day new to k is inserted in day
+// order — the row given as fresh, or an empty one when that is nil — by
+// the same tail scan as windowFor: days arrive ascending, or nearly so
+// when parallel shards merge as they finish.
+func (a *Aggregator) dayFor(k Key, d clock.Day, fresh *dayRow) *dayRow {
 	rows := a.table[k]
 	i := len(rows)
 	for i > 0 && rows[i-1].base.Day > d {
@@ -305,16 +315,18 @@ func (a *Aggregator) dayFor(k Key, d clock.Day) *dayRow {
 	if i > 0 && rows[i-1].base.Day == d {
 		return rows[i-1]
 	}
-	r := &dayRow{base: DayBaseline{Day: d}}
-	a.table[k] = slices.Insert(rows, i, r)
-	return r
+	if fresh == nil {
+		fresh = &dayRow{base: DayBaseline{Day: d}}
+	}
+	a.table[k] = slices.Insert(rows, i, fresh)
+	return fresh
 }
 
 // Add folds one query observation for the NSSet k at time t.
 func (a *Aggregator) Add(k Key, t time.Time, status QueryStatus, rtt time.Duration) {
-	r := a.dayFor(k, clock.DayOf(t))
+	r := a.dayFor(k, clock.DayOf(t), nil)
 	if w := clock.WindowOf(t); a.filter == nil || a.filter(w) {
-		r.windowFor(w).addSample(status, rtt)
+		a.windowFor(r, w).addSample(status, rtt)
 	}
 	r.base.Domains++
 	if status == StatusOK {
@@ -323,20 +335,27 @@ func (a *Aggregator) Add(k Key, t time.Time, status QueryStatus, rtt time.Durati
 	}
 }
 
-// Merge folds another aggregator's contents into a. Use after sharded
-// parallel sweeps; sample order within a window does not matter for any
-// retained statistic.
+// Merge folds another aggregator's contents into a and consumes o, which
+// is left empty (a stale use reads nothing instead of aliasing a's rows).
+// Use after sharded parallel sweeps; sample order within a window does not
+// matter for any retained statistic. A (NSSet, day) new to a — every row
+// of a day-sharded sweep — is adopted as it is, windows and all; only a
+// day both sides measured is folded window by window.
 func (a *Aggregator) Merge(o *Aggregator) {
 	for k, rows := range o.table {
 		for _, or := range rows {
-			r := a.dayFor(k, or.base.Day)
+			r := a.dayFor(k, or.base.Day, or)
+			if r == or {
+				continue
+			}
 			r.base.merge(&or.base)
 			r.wins = slices.Grow(r.wins, len(or.wins))
 			for _, m := range or.wins {
-				r.windowFor(m.Window).merge(m)
+				a.windowFor(r, m.Window).merge(m)
 			}
 		}
 	}
+	clear(o.table)
 }
 
 // DayWindows returns k's measured windows of calendar day d, ascending

@@ -269,10 +269,14 @@ func TestMergeEquivalentToSequential(t *testing.T) {
 		}
 	}
 	a1.Merge(a2)
-	for name, agg := range map[string]*Aggregator{"sequential": seq, "merged": a1, "merged-from": a2} {
+	for name, agg := range map[string]*Aggregator{"sequential": seq, "merged": a1} {
 		if err := bucketsOrdered(agg, k, 3); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+	}
+	// Merge consumes its argument: the merged-from side reads as empty
+	if keys := a2.Keys(); len(keys) != 0 || a2.Windows(k) != nil || a2.Baseline(k, 0) != nil {
+		t.Fatalf("merged-from aggregator still holds %d keys", len(keys))
 	}
 	for _, wm := range seq.Windows(k) {
 		got := a1.Window(k, wm.Window)
@@ -350,5 +354,118 @@ func TestMergeCommutesAndAssociates(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// dayShards returns one aggregator per day holding that day's samples of
+// a seeded stream over several NSSets, next to one aggregator that was
+// given every sample in stream order — the two ways a study fills a table.
+func dayShards(seed uint64, days int) (shards []*Aggregator, seq *Aggregator, keys []Key) {
+	keys = []Key{KeyOf(addrs("10.0.0.1", "10.0.0.2")), KeyOf(addrs("10.0.0.3")), KeyOf(addrs("10.0.1.1", "10.0.1.2"))}
+	rng := rand.New(rand.NewPCG(seed, 0x5ab))
+	seq = NewAggregator()
+	for d := 0; d < days; d++ {
+		shards = append(shards, NewAggregator())
+	}
+	for i := 0; i < 400*days; i++ {
+		k := keys[rng.IntN(len(keys))]
+		tm := clock.StudyStart.Add(time.Duration(rng.IntN(days*86400)) * time.Second)
+		st, rtt := QueryStatus(rng.IntN(3)), time.Duration(1+rng.IntN(50))*time.Millisecond
+		seq.Add(k, tm, st, rtt)
+		shards[clock.DayOf(tm)].Add(k, tm, st, rtt)
+	}
+	return shards, seq, keys
+}
+
+// TestMergeAdoptsDisjointDays: merging single-day aggregators — in any
+// order, the way parallel day shards finish — yields the table sequential
+// Adds build, row for row, and leaves every merged shard empty.
+func TestMergeAdoptsDisjointDays(t *testing.T) {
+	const days = 6
+	shards, seq, keys := dayShards(7, days)
+	merged := NewAggregator()
+	for _, d := range rand.New(rand.NewPCG(7, 7)).Perm(days) {
+		merged.Merge(shards[d])
+		if got := shards[d].Keys(); len(got) != 0 {
+			t.Fatalf("shard %d still holds %d keys after being merged", d, len(got))
+		}
+	}
+	if !aggEqual(seq, merged) {
+		t.Fatal("merged day shards differ from sequential adds")
+	}
+	for _, k := range keys {
+		if err := bucketsOrdered(merged, k, days); err != nil {
+			t.Fatal(err)
+		}
+		for _, wm := range seq.Windows(k) {
+			if got := merged.Window(k, wm.Window); got == nil || *got != *wm {
+				t.Fatalf("window %v: merged %+v != sequential %+v", wm.Window, got, wm)
+			}
+		}
+		for d := clock.Day(0); d < days; d++ {
+			if sb, mb := seq.Baseline(k, d), merged.Baseline(k, d); sb == nil || mb == nil || *sb != *mb {
+				t.Fatalf("day %d baseline: merged %+v != sequential %+v", d, mb, sb)
+			}
+		}
+	}
+}
+
+// TestMergeAllocationsFollowRowsNotWindows: adopting a finished day costs
+// at most one slice growth per (NSSet, day) row, however many windows the
+// rows hold.
+func TestMergeAllocationsFollowRowsNotWindows(t *testing.T) {
+	const days, runs = 4, 20
+	var pool [][]*Aggregator
+	var rows, wins int
+	for i := 0; i <= runs; i++ { // AllocsPerRun warms up with one extra call
+		shards, seq, keys := dayShards(uint64(i), days)
+		pool = append(pool, shards)
+		rows = len(keys) * days
+		for _, k := range keys {
+			wins += len(seq.Windows(k))
+		}
+	}
+	wins /= runs + 1
+	if wins < 20*rows {
+		t.Fatalf("fixture too sparse to tell rows from windows: %d windows in %d rows", wins, rows)
+	}
+	n := testing.AllocsPerRun(runs, func() {
+		shards := pool[len(pool)-1]
+		pool = pool[:len(pool)-1]
+		merged := NewAggregator()
+		for _, s := range shards {
+			merged.Merge(s)
+		}
+	})
+	// one table, its buckets, and a slice growth per adopted row
+	if limit := float64(rows + 8); n > limit {
+		t.Errorf("merging %d rows holding %d windows allocates %v times, want ≤ %v", rows, wins, n, limit)
+	}
+}
+
+// TestWindowPointersSurviveSlabGrowth: a *WindowMetrics handed out by
+// DayWindows stays the live window — same address, current values —
+// through thousands of later Adds that fill and replace slab blocks.
+func TestWindowPointersSurviveSlabGrowth(t *testing.T) {
+	agg := NewAggregator()
+	k := KeyOf(addrs("10.0.0.1", "10.0.0.2"))
+	t0 := clock.StudyStart.Add(3 * time.Hour)
+	agg.Add(k, t0, StatusOK, 10*time.Millisecond)
+	held := agg.DayWindows(k, 0)[0]
+	other := KeyOf(addrs("10.9.9.9"))
+	for i := 0; i < 10000; i++ { // a new window each: ≥ 39 further blocks
+		agg.Add(other, clock.StudyStart.Add(time.Duration(i)*clock.WindowDur), StatusOK, time.Millisecond)
+	}
+	agg.Add(k, t0.Add(time.Second), StatusOK, 30*time.Millisecond)
+	if got := agg.Window(k, clock.WindowOf(t0)); got != held {
+		t.Fatalf("window moved: held %p, aggregator serves %p", held, got)
+	}
+	want := WindowMetrics{Window: clock.WindowOf(t0), Domains: 2, OKCount: 2,
+		SumRTT: 40 * time.Millisecond, MinRTT: 10 * time.Millisecond, MaxRTT: 30 * time.Millisecond}
+	if *held != want {
+		t.Errorf("held window reads %+v, want %+v", *held, want)
+	}
+	if n := len(agg.Windows(other)); n != 10000 {
+		t.Errorf("%d windows retained, want 10000", n)
 	}
 }

@@ -1,5 +1,7 @@
 package nsset
 
+import "slices"
+
 // snapshot.go flattens an Aggregator into an exported, value-typed form:
 // the input a completed day-shard is sealed from (daystore.SealDay,
 // EncodeDay). It is one-way — sealed days are read back through the day
@@ -31,7 +33,18 @@ type Snapshot struct {
 
 // Snapshot dumps the aggregator's retained windows and baselines.
 func (a *Aggregator) Snapshot() Snapshot {
+	var rows, wins int
+	for _, days := range a.table {
+		rows += len(days)
+		for _, r := range days {
+			wins += len(r.wins)
+		}
+	}
+	// sized once (grown by append the lists cost several times their
+	// payload); Grow leaves an empty list nil
 	var s Snapshot
+	s.Baselines = slices.Grow(s.Baselines, rows)
+	s.Windows = slices.Grow(s.Windows, wins)
 	for _, k := range a.Keys() {
 		for _, r := range a.table[k] {
 			s.Baselines = append(s.Baselines, BaselineSnap{Key: k, B: r.base})

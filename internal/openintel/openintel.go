@@ -33,7 +33,8 @@ type Record struct {
 	Tries  int
 }
 
-// Engine drives daily sweeps over a world.
+// Engine drives daily sweeps over a world. What does not depend on the day
+// — NSSet keys, slots, the visiting order — is computed once in NewEngine.
 type Engine struct {
 	db   *dnsdb.DB
 	res  *resolver.Resolver
@@ -42,6 +43,8 @@ type Engine struct {
 	nssets []nsset.Key
 	// slot caches each domain's second-of-day measurement slot.
 	slot []int32
+	// order is the domains sorted by slot: every day's visiting order.
+	order []dnsdb.DomainID
 }
 
 // NewEngine builds an engine. seed determines the per-domain daily slots
@@ -55,6 +58,7 @@ func NewEngine(db *dnsdb.DB, res *resolver.Resolver, seed uint64) *Engine {
 		e.nssets[i] = nsset.KeyOf(db.NSAddrs(dnsdb.DomainID(i)))
 		e.slot[i] = int32(rng.IntN(86400))
 	}
+	e.order = e.slotOrder()
 	return e
 }
 
@@ -100,11 +104,8 @@ const ctxCheckStride = 1024
 // aggregator and re-run the day on resume.
 func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Aggregator, each func(Record)) error {
 	rng := rand.New(rand.NewPCG(e.seed, uint64(day)+1))
-	// bucket domains by slot so emission is in time order without a
-	// full sort every day
-	order := e.slotOrder()
 	base := day.Start()
-	for i, d := range order {
+	for i, d := range e.order {
 		if i&(ctxCheckStride-1) == 0 {
 			select {
 			case <-ctx.Done():
@@ -124,8 +125,9 @@ func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Ag
 	return nil
 }
 
-// slotOrder returns domain IDs sorted by daily slot (cached lazily would
-// churn; the counting sort below is O(n) and allocation-light).
+// slotOrder returns domain IDs sorted by daily slot, ties in ID order (a
+// counting sort: slots are seconds of the day), so emission is in time
+// order. Slots never change, so NewEngine computes it once.
 func (e *Engine) slotOrder() []dnsdb.DomainID {
 	counts := make([]int32, 86400+1)
 	for _, s := range e.slot {

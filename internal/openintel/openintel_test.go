@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/resolver"
+	"dnsddos/internal/scenario"
 	"dnsddos/internal/simnet"
 )
 
@@ -225,4 +227,88 @@ func TestRecordWriterReadRoundTrip(t *testing.T) {
 	if got[1].Status != "TIMEOUT" || got[1].Tries != 3 {
 		t.Errorf("record 1 = %+v", got[1])
 	}
+}
+
+// sweepFixture generates a world of the given size with the standard
+// attack mix and case studies, and returns an engine over it, the
+// retained-window filter a study session would hand its aggregators (every
+// window from 6 h before to 24 h after an attack on a nameserver address)
+// and a day inside the December TransIP attack, when that filter retains
+// windows and the data plane has load to compute.
+func sweepFixture(tb testing.TB, domains int) (*Engine, func(clock.Window) bool, clock.Day) {
+	tb.Helper()
+	wcfg := scenario.DefaultWorldConfig()
+	wcfg.Domains, wcfg.GenericProviders = domains, 40
+	w := scenario.GenerateWorld(wcfg)
+	acfg := scenario.DefaultAttackConfig()
+	acfg.TotalAttacks = 6000
+	sched := scenario.GenerateSchedule(acfg, w)
+	net := simnet.New(simnet.DefaultParams(), w.DB, sched.Sched, sched.Blackouts...)
+	e := NewEngine(w.DB, resolver.New(resolver.DefaultConfig(), w.DB, net), 1)
+
+	keep := make(map[clock.Window]struct{})
+	nsAddrs := w.DB.AllNSAddrs()
+	for _, s := range sched.Sched.Specs() {
+		if _, ok := nsAddrs[s.Target]; !ok {
+			continue
+		}
+		for win := clock.WindowOf(s.Start) - 72; win <= clock.WindowOf(s.End)+288; win++ {
+			keep[win] = struct{}{}
+		}
+	}
+	filter := func(win clock.Window) bool { _, ok := keep[win]; return ok }
+	return e, filter, clock.DayOf(sched.CaseStudies.TransIPDecStart)
+}
+
+// TestSweepDayAllocsPerRecord guards the record path end to end: a day's
+// sweep into a filtered aggregator allocates for the table it builds (a
+// row per NSSet, a slab block per 256 windows), not per record. The rows
+// follow the provider count, not the domain count, so the world is sized
+// for them to be ≈ 0.04 per record, as in the benchmark's study; one
+// allocation per Resolve or per retained window puts the figure past 1.
+func TestSweepDayAllocsPerRecord(t *testing.T) {
+	e, filter, day := sweepFixture(t, 20000)
+	var windows int
+	allocs := testing.AllocsPerRun(2, func() {
+		agg := nsset.NewAggregator()
+		agg.SetWindowFilter(filter)
+		if err := e.RunDayContext(context.Background(), day, agg, nil); err != nil {
+			t.Fatal(err)
+		}
+		windows = len(agg.Snapshot().Windows)
+	})
+	if windows == 0 {
+		t.Fatal("the filter retained no window: the guard would not see the window path")
+	}
+	records := float64(len(e.slot))
+	t.Logf("%.0f allocations for %.0f records (%d windows retained)", allocs, records, windows)
+	if per := allocs / records; per >= 0.05 {
+		t.Errorf("%.3f allocations per record, want < 0.05", per)
+	}
+}
+
+var benchSink *nsset.Aggregator
+
+// BenchmarkRunDay is the record path's smoke and stopwatch: one day's
+// sweep of a 2 000-domain generated world under attack into a filtered
+// aggregator, the unit of work of a study's day shard.
+func BenchmarkRunDay(b *testing.B) {
+	e, filter, day := sweepFixture(b, 2000)
+	records := float64(len(e.slot))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = nsset.NewAggregator()
+		benchSink.SetWindowFilter(filter)
+		if err := e.RunDayContext(context.Background(), day, benchSink, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/record")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(b.N)/records, "allocs/record")
 }

@@ -15,6 +15,7 @@ package resolver
 
 import (
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"dnsddos/internal/dnsdb"
@@ -97,23 +98,17 @@ func (r *Resolver) Resolve(rng *rand.Rand, d dnsdb.DomainID, t time.Time) Outcom
 	if len(boot) == 0 {
 		return Outcome{Status: nsset.StatusServFail}
 	}
-	child := make(map[dnsdb.NameserverID]bool, len(ns))
-	for _, id := range ns {
-		child[id] = true
-	}
 	// random bootstrap order; stale delegations may omit child servers,
 	// so append any missing child servers after the delegation set (the
-	// explicit NS query reveals them)
-	order := make([]dnsdb.NameserverID, len(boot))
-	copy(order, boot)
+	// explicit NS query reveals them). This runs once per record: the
+	// order sits in a stack array (append spills a set past 16 to the
+	// heap by itself) and membership in a handful of servers is a scan.
+	var buf [16]dnsdb.NameserverID
+	order := append(buf[:0], boot...)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	if r.cfg.FollowDelegation && dom.Inconsistent() {
-		inBoot := make(map[dnsdb.NameserverID]bool, len(boot))
-		for _, id := range boot {
-			inBoot[id] = true
-		}
 		for _, id := range ns {
-			if !inBoot[id] {
+			if !slices.Contains(boot, id) {
 				order = append(order, id)
 			}
 		}
@@ -132,7 +127,7 @@ func (r *Resolver) Resolve(rng *rand.Rand, d dnsdb.DomainID, t time.Time) Outcom
 			// up on this server — a timed-out try
 			status = nsset.StatusTimeout
 		}
-		if status == nsset.StatusOK && !child[id] {
+		if status == nsset.StatusOK && !slices.Contains(ns, id) {
 			// lame delegation: the server answered, but it is not
 			// authoritative for this zone (Akiwate et al., cited in
 			// §7); the answer is discarded and the round trip

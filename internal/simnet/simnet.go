@@ -29,6 +29,7 @@ package simnet
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"dnsddos/internal/attacksim"
@@ -108,52 +109,84 @@ func (b Blackout) Covers(addr netx.Addr, t time.Time) bool {
 	return b.Prefix.Contains(addr) && !t.Before(b.From) && t.Before(b.To)
 }
 
+// specRef is one attack component that can load one nameserver, with what
+// does not depend on the query time worked out once.
+type specRef struct {
+	spec     *attacksim.Spec // into Schedule.Specs(): shared, read-only
+	coupling float64         // 1 on the server's own address, Slash24Coupling on a /24 neighbour's
+	weight   float64         // the spec's server-side port weight
+	// from and until bracket the query times at which the spec can matter:
+	// the start of its first window to the end of its longest possible
+	// residual. Conservative — LoadStateAt still runs every exact check
+	// inside it — so the bracket only ever skips a zero.
+	from, until time.Time
+}
+
+func (e *specRef) covers(t time.Time) bool { return !t.Before(e.from) && !t.After(e.until) }
+
 // Net is the data plane. It is immutable after New and safe for concurrent
-// readers (per-query randomness comes from the caller's rng).
+// readers (per-query randomness comes from the caller's rng). New resolves
+// the schedule against the frozen DB once, so a query indexes the attacks
+// that can touch its nameserver instead of hashing an address per lookup.
 type Net struct {
 	params Params
 	db     *dnsdb.DB
-	// specsByAddr indexes attack components by victim address.
-	specsByAddr map[netx.Addr][]attacksim.Spec
-	// specsBySlash24 indexes attack components by victim /24.
-	specsBySlash24 map[netx.Prefix][]attacksim.Spec
-	blackouts      []Blackout
+	// specs lists, per NameserverID, the attack components that load the
+	// server: those on its own address in schedule order, then those on
+	// its /24 neighbours in schedule order — the order LoadStateAt sums in.
+	specs     [][]specRef
+	blackouts []Blackout
 	// vantage is the measurement location this view queries from; see
 	// WithVantage.
 	vantage Vantage
 }
 
-// New builds the data plane for a world and attack schedule. Optional
-// blackouts model geofencing events.
+// New builds the data plane for a frozen world and attack schedule.
+// Optional blackouts model geofencing events.
 func New(params Params, db *dnsdb.DB, sched *attacksim.Schedule, blackouts ...Blackout) *Net {
 	n := &Net{
-		params:         params,
-		db:             db,
-		specsByAddr:    make(map[netx.Addr][]attacksim.Spec),
-		specsBySlash24: make(map[netx.Prefix][]attacksim.Spec),
-		blackouts:      blackouts,
-		vantage:        DefaultVantage(),
+		params:    params,
+		db:        db,
+		specs:     make([][]specRef, len(db.Nameservers)),
+		blackouts: blackouts,
+		vantage:   DefaultVantage(),
 	}
-	if sched != nil {
-		for _, s := range sched.Specs() {
-			n.specsByAddr[s.Target] = append(n.specsByAddr[s.Target], s)
-			k := s.Target.Slash24()
-			n.specsBySlash24[k] = append(n.specsBySlash24[k], s)
+	if sched == nil {
+		return n
+	}
+	bySlash24 := make(map[netx.Prefix][]dnsdb.NameserverID)
+	for i := range db.Nameservers {
+		k := db.Nameservers[i].Addr.Slash24()
+		bySlash24[k] = append(bySlash24[k], dnsdb.NameserverID(i))
+	}
+	// past this long after its end a spec has neither load nor residual
+	tail := max(8*max(params.RecoveryTau, params.ScrubbedRecoveryTau), clock.WindowDur)
+	specs := sched.Specs()
+	index := func(own bool, coupling float64) {
+		for i := range specs {
+			s := &specs[i]
+			ref := specRef{spec: s, coupling: coupling, weight: n.portWeight(s),
+				from: clock.WindowOf(s.Start).Start(), until: s.End.Add(tail)}
+			for _, id := range bySlash24[s.Target.Slash24()] {
+				if (db.Nameservers[id].Addr == s.Target) == own {
+					n.specs[id] = append(n.specs[id], ref)
+				}
+			}
 		}
+	}
+	index(true, 1)
+	if params.Slash24Coupling > 0 {
+		index(false, params.Slash24Coupling)
 	}
 	return n
 }
 
 // portWeight returns the server-side weight of an attack component based on
-// whether it targets the DNS service port.
+// whether it targets the DNS service port (anything else, ICMP included,
+// stresses the link only).
 func (n *Net) portWeight(s *attacksim.Spec) float64 {
-	for _, p := range s.Ports {
-		if p == 53 {
-			return n.params.AppPortWeight
-		}
-	}
-	if len(s.Ports) == 0 { // ICMP flood: link stress only
-		return n.params.LinkPortWeight
+	if slices.Contains(s.Ports, 53) {
+		return n.params.AppPortWeight
 	}
 	return n.params.LinkPortWeight
 }
@@ -191,10 +224,21 @@ func (ls LoadState) Utilization() float64 {
 	return u
 }
 
-// loadAt computes the LoadState of nameserver ns at time t.
-func (n *Net) loadAt(ns *dnsdb.Nameserver, provider *dnsdb.Provider, t time.Time) LoadState {
-	w := clock.WindowOf(t)
+// LoadStateAt computes the LoadState of nameserver id at time t.
+func (n *Net) LoadStateAt(id dnsdb.NameserverID, t time.Time) LoadState {
 	var ls LoadState
+	// most queries land outside every attack that can touch the server:
+	// answer those before any per-query set-up
+	refs := n.specs[id]
+	for len(refs) > 0 && !refs[0].covers(t) {
+		refs = refs[1:]
+	}
+	if len(refs) == 0 {
+		return ls
+	}
+	ns := &n.db.Nameservers[id]
+	provider := &n.db.Providers[ns.Provider]
+	w := clock.WindowOf(t)
 	// anycast spreads attack load across sites, but not evenly: the
 	// vantage's catchment site carries its own share (§4.3 limitation 4)
 	sites := float64(ns.Sites)
@@ -207,15 +251,20 @@ func (n *Net) loadAt(ns *dnsdb.Nameserver, provider *dnsdb.Provider, t time.Time
 	if cap <= 0 {
 		cap = 1
 	}
-	add := func(s *attacksim.Spec, coupling float64) {
+	for i := range refs {
+		e := &refs[i]
+		if !e.covers(t) {
+			continue
+		}
+		s, coupling := e.spec, e.coupling
 		load := s.WindowLoad(w)
 		if load > 0 {
 			load *= n.scrubFactor(provider.ScrubbingAt(t), s, t) * coupling / sites
-			ls.LinkUtil += load * n.portWeight(s) / cap
-			if n.portWeight(s) >= n.params.AppPortWeight {
+			ls.LinkUtil += load * e.weight / cap
+			if e.weight >= n.params.AppPortWeight {
 				ls.AppUtil += load / cap
 			}
-			return
+			continue
 		}
 		// residual impairment after the attack ends
 		if !s.End.After(t) {
@@ -225,7 +274,7 @@ func (n *Net) loadAt(ns *dnsdb.Nameserver, provider *dnsdb.Provider, t time.Time
 			}
 			age := t.Sub(s.End)
 			if age > 8*tau {
-				return
+				continue
 			}
 			endW := clock.WindowOf(s.End.Add(-time.Nanosecond))
 			peak := s.WindowLoad(endW) * n.scrubFactor(provider.ScrubbingAt(s.End), s, s.End) * coupling / sites
@@ -242,25 +291,7 @@ func (n *Net) loadAt(ns *dnsdb.Nameserver, provider *dnsdb.Provider, t time.Time
 			}
 		}
 	}
-	for i := range n.specsByAddr[ns.Addr] {
-		add(&n.specsByAddr[ns.Addr][i], 1)
-	}
-	if n.params.Slash24Coupling > 0 {
-		for i := range n.specsBySlash24[ns.Addr.Slash24()] {
-			s := &n.specsBySlash24[ns.Addr.Slash24()][i]
-			if s.Target != ns.Addr {
-				add(s, n.params.Slash24Coupling)
-			}
-		}
-	}
 	return ls
-}
-
-// LoadStateAt exposes the load model for diagnostics and tests.
-func (n *Net) LoadStateAt(id dnsdb.NameserverID, t time.Time) LoadState {
-	ns := &n.db.Nameservers[id]
-	p := n.db.Providers[ns.Provider]
-	return n.loadAt(ns, &p, t)
 }
 
 // Query simulates one DNS query from the vantage point to nameserver id at
@@ -272,8 +303,7 @@ func (n *Net) Query(rng *rand.Rand, id dnsdb.NameserverID, t time.Time) (nsset.Q
 			return nsset.StatusTimeout, 0
 		}
 	}
-	p := n.db.Providers[ns.Provider]
-	ls := n.loadAt(ns, &p, t)
+	ls := n.LoadStateAt(id, t)
 	u := ls.Utilization()
 
 	// loss from saturation
