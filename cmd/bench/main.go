@@ -1,15 +1,14 @@
-// Command bench is the end-to-end benchmark harness CLI: it runs the
-// internal/e2ebench mode sweep (authserver fleet + dnsload through the
-// retrying resolver under scripted fault windows), prints the per-mode
-// summary table, optionally archives the machine-readable report, and
-// — given a baseline — gates the run against it, exiting nonzero on
-// >threshold% degradation of any mode's P99 latency or failure rate.
+// Command bench prints the degraded-mode sweep of the serving stack:
+// it runs the internal/e2ebench modes (authserver fleet + dnsload
+// through the retrying resolver under scripted fault windows) over
+// loopback sockets at e2ebench.Default() size and prints one summary
+// row per mode. The numbers are wall-clock on this host and gate
+// nothing; gated numbers live in benchmark/ only.
 //
-//	go run ./cmd/bench -baseline BENCH_e2e.json           # gate (make bench-e2e)
-//	go run ./cmd/bench -baseline BENCH_e2e.json -update   # re-archive the baseline
-//	go run ./cmd/bench -smoke                             # sub-second deterministic smoke
+//	go run ./cmd/bench                       # all seven modes
+//	go run ./cmd/bench -modes baseline,chaos # a subset
 //
-// Exit codes: 0 pass, 1 regression, 2 structural/usage error.
+// Exit codes: 0 ok, 2 usage or run error.
 package main
 
 import (
@@ -33,78 +32,18 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	cfg := e2ebench.Default()
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		smoke         = fs.Bool("smoke", false, "run the sub-second deterministic smoke configuration")
-		deterministic = fs.Bool("deterministic", false, "use the seeded in-process transport model instead of real sockets")
-		seed          = fs.Uint64("seed", 0, "run seed (0 = configuration default)")
-		modes         = fs.String("modes", "", "comma-separated mode subset (default: all modes)")
-		domains       = fs.Int("domains", 0, "world size in domains")
-		names         = fs.Int("names", 0, "query-name corpus size")
-		servers       = fs.Int("servers", 0, "authoritative fleet size per mode")
-		rounds        = fs.Int("rounds", 0, "measured rounds per mode")
-		warmup        = fs.Int("warmup", -1, "warm-up rounds per mode")
-		queries       = fs.Int("queries", 0, "queries per round")
-		concurrency   = fs.Int("concurrency", 0, "sender fan-out")
-		qps           = fs.Float64("qps", 0, "aggregate target query rate (0 = unthrottled)")
-		timeout       = fs.Duration("timeout", 0, "per-query client timeout (retries included)")
-		perTry        = fs.Duration("per-try", 0, "per-attempt resolver timeout")
-		out           = fs.String("out", "", "write the fresh report to this path")
-		baseline      = fs.String("baseline", "", "gate against this archived report (BENCH_e2e.json)")
-		threshold     = fs.Float64("threshold", e2ebench.DefaultThresholdPct, "allowed P99/failure-rate degradation, percent")
-		update        = fs.Bool("update", false, "rewrite -baseline with the fresh run instead of failing on regression")
-	)
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "run seed")
+	modes := fs.String("modes", "", "comma-separated mode subset (default: all modes)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	cfg := e2ebench.Default()
-	if *smoke {
-		cfg = e2ebench.Smoke()
-	}
-	if *deterministic {
-		cfg.Deterministic = true
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *modes != "" {
-		for _, m := range strings.Split(*modes, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				cfg.Modes = append(cfg.Modes, m)
-			}
+	for _, m := range strings.Split(*modes, ",") {
+		if m = strings.TrimSpace(m); m != "" {
+			cfg.Modes = append(cfg.Modes, m)
 		}
-	}
-	if *domains > 0 {
-		cfg.Domains = *domains
-	}
-	if *names > 0 {
-		cfg.Names = *names
-	}
-	if *servers > 0 {
-		cfg.Servers = *servers
-	}
-	if *rounds > 0 {
-		cfg.Rounds = *rounds
-	}
-	if *warmup >= 0 {
-		cfg.Warmup = *warmup
-	}
-	if *queries > 0 {
-		cfg.Queries = *queries
-	}
-	if *concurrency > 0 {
-		cfg.Concurrency = *concurrency
-	}
-	if *qps > 0 {
-		cfg.TargetQPS = *qps
-	}
-	if *timeout > 0 {
-		cfg.Timeout = *timeout
-	}
-	if *perTry > 0 {
-		cfg.PerTryTimeout = *perTry
 	}
 
 	start := time.Now()
@@ -113,64 +52,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bench: %v\n", err)
 		return 2
 	}
-	driver := "live sockets"
-	if cfg.Deterministic {
-		driver = "deterministic model"
-	}
-	fmt.Fprintf(stdout, "e2e bench: %d modes, %d+%d rounds x %d queries, fleet of %d (%s) in %s\n\n",
-		len(rep.Modes), cfg.Rounds, cfg.Warmup, cfg.Queries, cfg.Servers, driver,
+	fmt.Fprintf(stdout, "mode sweep: %d modes, %d+%d rounds x %d queries, fleet of %d, in %s\n\n",
+		len(rep.Modes), cfg.Rounds, cfg.Warmup, cfg.Queries, cfg.Servers,
 		time.Since(start).Round(time.Millisecond))
 	fmt.Fprint(stdout, rep.SummaryTable())
-
-	if *out != "" {
-		if err := rep.WriteFile(*out); err != nil {
-			fmt.Fprintf(stderr, "bench: writing %s: %v\n", *out, err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "\nreport written to %s\n", *out)
-	}
-	if *baseline == "" {
-		return 0
-	}
-
-	base, err := e2ebench.LoadReport(*baseline)
-	if os.IsNotExist(err) {
-		if *update {
-			if werr := rep.WriteFile(*baseline); werr != nil {
-				fmt.Fprintf(stderr, "bench: archiving %s: %v\n", *baseline, werr)
-				return 2
-			}
-			fmt.Fprintf(stdout, "\nno baseline found; archived fresh run as %s\n", *baseline)
-			return 0
-		}
-		fmt.Fprintf(stderr, "bench: no baseline at %s (run with -update to archive one)\n", *baseline)
-		return 2
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "bench: %v\n", err)
-		return 2
-	}
-	regs, err := e2ebench.Compare(base, rep, e2ebench.GateConfig{ThresholdPct: *threshold})
-	if err != nil {
-		fmt.Fprintf(stderr, "bench: %v\n", err)
-		return 2
-	}
-	if *update {
-		if err := rep.WriteFile(*baseline); err != nil {
-			fmt.Fprintf(stderr, "bench: rewriting %s: %v\n", *baseline, err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "\nbaseline %s updated (%d regression(s) waived)\n", *baseline, len(regs))
-		return 0
-	}
-	if len(regs) > 0 {
-		fmt.Fprintf(stderr, "\nREGRESSION against %s (threshold %.0f%%):\n", *baseline, *threshold)
-		for _, r := range regs {
-			fmt.Fprintf(stderr, "  %s\n", r)
-		}
-		fmt.Fprintf(stderr, "re-archive intentionally with -update\n")
-		return 1
-	}
-	fmt.Fprintf(stdout, "\ngate passed against %s (threshold %.0f%%)\n", *baseline, *threshold)
 	return 0
 }

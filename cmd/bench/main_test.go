@@ -1,160 +1,59 @@
-// main_test.go drives run() the way make bench-e2e does, pinning the
-// gate's exit-code contract end to end: a fresh deterministic smoke
-// run gates clean against its own archive, a synthetic >15% P99
-// regression exits 1 with the offending mode named, and structural
-// problems (missing baseline without -update) exit 2.
+// main_test.go pins the command's contract: the summary table on
+// stdout with one row per selected mode, exit 2 on a bad flag or an
+// unknown mode.
 package main
 
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"dnsddos/internal/e2ebench"
 )
 
-// benchSmoke invokes run() with the deterministic smoke configuration
-// plus extra args, returning exit code and captured output.
-func benchSmoke(t *testing.T, extra ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	args := append([]string{"-smoke"}, extra...)
-	code := run(context.Background(), args, &stdout, &stderr)
-	return code, stdout.String(), stderr.String()
-}
-
-func TestSmokeArchivesAndGatesClean(t *testing.T) {
-	baseline := filepath.Join(t.TempDir(), "BENCH_e2e.json")
-
-	// no baseline yet: -update archives the fresh run and passes
-	code, out, errOut := benchSmoke(t, "-baseline", baseline, "-update")
-	if code != 0 {
-		t.Fatalf("archiving run exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-	if !strings.Contains(out, "archived fresh run") {
-		t.Errorf("archive path not reported:\n%s", out)
-	}
-	if _, err := os.Stat(baseline); err != nil {
-		t.Fatalf("baseline not written: %v", err)
-	}
-
-	// same seed, same model: the gate must pass against the archive
-	code, out, errOut = benchSmoke(t, "-baseline", baseline)
-	if code != 0 {
-		t.Fatalf("identical rerun exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-	if !strings.Contains(out, "gate passed") {
-		t.Errorf("pass verdict missing:\n%s", out)
-	}
-}
-
-// TestSyntheticP99RegressionFailsGate is the acceptance check: doctor
-// the archived baseline so the (deterministic, reproducible) fresh run
-// sits far beyond the 15%% threshold on P99, and the gate must exit 1
-// naming the regressed mode.
-func TestSyntheticP99RegressionFailsGate(t *testing.T) {
-	baseline := filepath.Join(t.TempDir(), "BENCH_e2e.json")
-	if code, out, errOut := benchSmoke(t, "-baseline", baseline, "-update"); code != 0 {
-		t.Fatalf("archiving run exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-
-	// shrink every archived P99 to a third: the unchanged fresh run now
-	// reads as a 3x (200%) P99 regression in every mode
-	base, err := e2ebench.LoadReport(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, m := range base.Modes {
-		m.P99NS /= 3
-		base.Modes[name] = m
-	}
-	if err := base.WriteFile(baseline); err != nil {
-		t.Fatal(err)
-	}
-
-	code, out, errOut := benchSmoke(t, "-baseline", baseline)
-	if code != 1 {
-		t.Fatalf("synthetic regression exited %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-	if !strings.Contains(errOut, "REGRESSION") || !strings.Contains(errOut, "baseline") {
-		t.Errorf("regression report incomplete:\n%s", errOut)
-	}
-
-	// -update waives the regression and rewrites the archive in place
-	code, out, errOut = benchSmoke(t, "-baseline", baseline, "-update")
-	if code != 0 {
-		t.Fatalf("-update exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-	if !strings.Contains(out, "updated") {
-		t.Errorf("update not reported:\n%s", out)
-	}
-	if code, _, _ := benchSmoke(t, "-baseline", baseline); code != 0 {
-		t.Fatal("gate still failing after -update rewrote the baseline")
-	}
-}
-
-// TestFailureRateRegressionFailsGate covers the gate's second axis:
-// an archived baseline with a lower failure rate than the fresh run
-// (beyond threshold and floor) must also fail the gate.
-func TestFailureRateRegressionFailsGate(t *testing.T) {
-	baseline := filepath.Join(t.TempDir(), "BENCH_e2e.json")
-	if code, _, errOut := benchSmoke(t, "-baseline", baseline, "-update"); code != 0 {
-		t.Fatalf("archiving run exited %d: %s", code, errOut)
-	}
-	base, err := e2ebench.LoadReport(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// the chaos mode genuinely fails queries in the smoke model; halve
-	// its archived failure rate so the fresh run regresses on that axis
-	m, ok := base.Modes["chaos"]
-	if !ok || m.FailurePct <= 0 {
-		t.Skipf("smoke chaos mode has no failures to regress (%.2f%%)", m.FailurePct)
-	}
-	m.FailurePct /= 4
-	base.Modes["chaos"] = m
-	if err := base.WriteFile(baseline); err != nil {
-		t.Fatal(err)
-	}
-	code, _, errOut := benchSmoke(t, "-baseline", baseline)
-	if code != 1 {
-		t.Fatalf("failure-rate regression exited %d, want 1\nstderr:\n%s", code, errOut)
-	}
-	if !strings.Contains(errOut, "chaos") {
-		t.Errorf("regressed mode not named:\n%s", errOut)
-	}
-}
-
-func TestMissingBaselineWithoutUpdateErrors(t *testing.T) {
-	baseline := filepath.Join(t.TempDir(), "absent.json")
-	code, _, errOut := benchSmoke(t, "-baseline", baseline)
-	if code != 2 {
-		t.Fatalf("missing baseline exited %d, want 2", code)
-	}
-	if !strings.Contains(errOut, "no baseline") {
-		t.Errorf("missing-baseline hint absent:\n%s", errOut)
-	}
+func bench(args ...string) (code int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	code = run(context.Background(), args, &out, &errOut)
+	return code, out.String(), errOut.String()
 }
 
 func TestBadFlagExitsUsage(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
+	if code, _, _ := bench("-no-such-flag"); code != 2 {
 		t.Fatalf("bad flag exited %d, want 2", code)
 	}
 }
 
-// TestSmokeIsSubSecond pins the wiring requirement that the smoke leg
-// stays cheap enough for make test.
-func TestSmokeIsSubSecond(t *testing.T) {
-	start := time.Now()
-	if code, out, errOut := benchSmoke(t); code != 0 {
-		t.Fatalf("smoke exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+func TestOneModePrintsOneRow(t *testing.T) {
+	code, out, errOut := bench("-modes", "baseline")
+	if code != 0 {
+		t.Fatalf("exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("smoke took %s, want < 1s", elapsed.Round(time.Millisecond))
+	// the table is the last block of output: its header, then the rows
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	header := -1
+	for i, line := range lines {
+		if strings.HasPrefix(line, "mode ") && strings.Contains(line, "fail%") {
+			header = i
+		}
+	}
+	if header < 0 {
+		t.Fatalf("no table header:\n%s", out)
+	}
+	rows := lines[header+1:]
+	if len(rows) != 1 || !strings.HasPrefix(rows[0], "baseline ") {
+		t.Errorf("want exactly one baseline row under the header, got %q", rows)
+	}
+}
+
+func TestUnknownModeNamesRegisteredModes(t *testing.T) {
+	code, _, errOut := bench("-modes", "no-such-mode")
+	if code != 2 {
+		t.Fatalf("unknown mode exited %d, want 2", code)
+	}
+	for _, name := range e2ebench.ModeNames() {
+		if !strings.Contains(errOut, name) {
+			t.Errorf("registered mode %s not named in:\n%s", name, errOut)
+		}
 	}
 }

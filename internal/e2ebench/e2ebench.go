@@ -1,55 +1,46 @@
-// Package e2ebench is the end-to-end benchmark harness of the
-// reproduction: it boots an in-process authoritative fleet
-// (internal/authserver), drives it with internal/dnsload through a
-// retrying resolver.LiveResolver, degrades the path with scripted
-// internal/faultinject attack windows, and reports P50/P99 latency,
-// achieved rate, and failure percentage per *mode* — baseline, RRL,
-// each overload policy, a chaos profile, and a blackholed-server fleet
-// — in one summary table plus a machine-readable, schema-versioned
-// BENCH_e2e.json (report.go). The paper's Eq. 1 impact metric is an
-// end-to-end property (resolution success and latency under attack
-// windows), and this harness is the paper-shaped number the repo's
-// microbenchmarks (BenchmarkJoin) do not give: the same scripted
-// load compared across defense layers, the way Rizvi et al. compare
-// layered root-DNS defenses, with the harness shape (warm-up rounds,
-// concurrent measured rounds, per-mode quantile summary) borrowed from
+// Package e2ebench is the degraded-mode sweep of the serving stack:
+// per *mode* — baseline, RRL, each overload policy, a chaos profile,
+// and a blackholed-server fleet — it boots an in-process authoritative
+// fleet (internal/authserver) on loopback, drives it with
+// internal/dnsload through a retrying resolver.LiveResolver, degrades
+// the path with a scripted internal/faultinject attack window
+// (live.go), and reports P50/P99 latency, achieved rate and failure
+// percentage in one summary table (report.go) that `go run ./cmd/bench`
+// prints: the same scripted load compared across defense layers, one
+// row per defense, the way Rizvi et al. compare layered root-DNS
+// defenses, with the harness shape (warm-up rounds, concurrent
+// measured rounds, per-mode quantile summary) borrowed from
 // dnsperfbench.
 //
-// Two drivers share the orchestration and reporting path. The live
-// driver (live.go) speaks through real loopback sockets and measures
-// wall-clock truth; its numbers are machine-dependent. The
-// deterministic driver (sim.go) replaces the transport with a seeded
-// in-process model over the same zone data, so two runs with the same
-// seed produce byte-identical report bodies — that is what the smoke
-// variant in `make test` and the regression-comparator golden tests
-// run, keeping the full harness path (mode setup, round loop, metric
-// embedding, report encoding, gating) exercised in under a second.
-//
-// Regression gating lives in compare.go: `make bench-e2e` compares a
-// fresh live run against the archived BENCH_e2e.json and fails on
-// >Threshold% degradation of per-mode P99 or failure rate.
+// What the sweep shows is a shape, not a number: resolution survives an
+// attack at inflated RTT, and what fails splits into timeouts and
+// SERVFAILs (the paper's Eq. 1 and §6.3.1). The latencies are
+// wall-clock truth on whatever host ran them and gate nothing — the
+// repo's gated numbers live in benchmark/ only. The shape is pinned as
+// counters instead: TestModeShapes runs every mode once over real
+// sockets and asserts which shed, rate-limit, retry and breaker
+// counters moved.
 package e2ebench
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"dnsddos/internal/authserver"
+	"dnsddos/internal/dnsload"
 	"dnsddos/internal/faultinject"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/scenario"
 	"dnsddos/internal/stats"
 )
 
-// Config describes one harness run. The zero value is not runnable;
-// use Default() or Smoke() and override fields.
+// Config describes one harness run; start from Default() and override
+// fields.
 type Config struct {
 	// Seed drives every random choice the harness makes: world
-	// generation, resolver rotation and backoff jitter, and — in
-	// deterministic mode — the synthetic latency model.
+	// generation, fault injection, resolver rotation and backoff jitter.
 	Seed uint64
 	// Modes selects which benchmark modes run, in the given order;
 	// empty means every registered mode (ModeNames).
@@ -66,8 +57,7 @@ type Config struct {
 	Warmup int
 	// Queries is the per-round query count.
 	Queries int
-	// Concurrency is the dnsload sender fan-out (and the deterministic
-	// driver's worker count).
+	// Concurrency is the dnsload sender fan-out.
 	Concurrency int
 	// TargetQPS paces the aggregate send rate; zero means unthrottled.
 	TargetQPS float64
@@ -75,14 +65,11 @@ type Config struct {
 	Timeout time.Duration
 	// PerTryTimeout bounds one resolver attempt.
 	PerTryTimeout time.Duration
-	// Deterministic selects the seeded in-process driver (sim.go)
-	// instead of real sockets.
-	Deterministic bool
 }
 
-// Default returns the full live-run configuration behind
-// `make bench-e2e`: numbers big enough that percentiles are stable,
-// small enough that seven modes finish in tens of seconds.
+// Default returns the configuration `go run ./cmd/bench` runs: numbers
+// big enough that percentiles are stable, small enough that seven
+// modes finish in tens of seconds.
 func Default() Config {
 	return Config{
 		Seed:          1,
@@ -95,24 +82,6 @@ func Default() Config {
 		Concurrency:   8,
 		Timeout:       2 * time.Second,
 		PerTryTimeout: 150 * time.Millisecond,
-	}
-}
-
-// Smoke returns the sub-second deterministic configuration wired into
-// `make test`: tiny corpus, one round, seeded transport model.
-func Smoke() Config {
-	return Config{
-		Seed:          1,
-		Domains:       60,
-		Names:         8,
-		Servers:       2,
-		Rounds:        1,
-		Warmup:        0,
-		Queries:       400,
-		Concurrency:   4,
-		Timeout:       250 * time.Millisecond,
-		PerTryTimeout: 50 * time.Millisecond,
-		Deterministic: true,
 	}
 }
 
@@ -159,9 +128,8 @@ func (c Config) withDefaults() Config {
 // script applied while the mode's rounds run.
 type modeSpec struct {
 	name string
-	desc string
 	// overload configures the policy answered at a full worker queue;
-	// forceOverload shrinks the queue (one worker, tiny depth, small
+	// forceOverload shrinks the queue (one worker, one slot, small
 	// per-answer delay) so the policy actually engages under the
 	// harness load.
 	overload      authserver.OverloadPolicy
@@ -189,21 +157,21 @@ var chaosProfile = faultinject.Profile{
 }
 
 // modeRegistry is the ordered mode list. Order here is presentation
-// order in the summary table; the JSON report keys modes by name.
+// order in the summary table.
 var modeRegistry = []modeSpec{
-	{name: "baseline", desc: "healthy fleet, no defenses engaged"},
-	{name: "rrl", desc: "per-/24 response rate limiting with SLIP",
-		rrl: &authserver.RRLConfig{ResponsesPerSecond: 400, Burst: 200, Slip: 2}},
-	{name: "overload-drop", desc: "forced queue overflow, sheds silently",
-		overload: authserver.OverloadDrop, forceOverload: true},
-	{name: "overload-servfail", desc: "forced queue overflow, sheds SERVFAIL",
-		overload: authserver.OverloadServFail, forceOverload: true},
-	{name: "overload-tc", desc: "forced queue overflow, sheds TC",
-		overload: authserver.OverloadTruncate, forceOverload: true},
-	{name: "chaos", desc: "scripted attack window: 30% loss, +2ms±2ms",
-		attack: &chaosProfile},
-	{name: "blackhole", desc: "one fleet server drops everything; breaker skips it",
-		blackhole: true},
+	// healthy fleet, no defenses engaged
+	{name: "baseline"},
+	// per-/24 response rate limiting with SLIP; the bucket is shallower
+	// than one server's share of the smallest run, so the limiter engages
+	{name: "rrl", rrl: &authserver.RRLConfig{ResponsesPerSecond: 400, Burst: 10, Slip: 2}},
+	// forced queue overflow, one row per shed policy: silence, SERVFAIL, TC
+	{name: "overload-drop", overload: authserver.OverloadDrop, forceOverload: true},
+	{name: "overload-servfail", overload: authserver.OverloadServFail, forceOverload: true},
+	{name: "overload-tc", overload: authserver.OverloadTruncate, forceOverload: true},
+	// scripted attack window: 30% loss, +2ms±2ms
+	{name: "chaos", attack: &chaosProfile},
+	// one fleet server drops everything; the breaker skips it
+	{name: "blackhole", blackhole: true},
 }
 
 // ModeNames returns every registered mode name, in table order.
@@ -243,18 +211,6 @@ func attackRound(r, total int) bool {
 	return r >= lo && r < hi
 }
 
-// roundOutcome is one measured round as the drivers hand it to the
-// aggregator: raw counts plus the latency samples (seconds, unsorted)
-// of every answered query.
-type roundOutcome struct {
-	sent, received            int64
-	timeouts, servfails, errs int64
-	truncated                 int64
-	latencies                 []float64
-	elapsed                   time.Duration
-	metrics                   obs.Snapshot
-}
-
 // Run executes the configured harness and assembles the report. Modes
 // run sequentially — each boots its own fleet, so one mode's backlog
 // can never bleed into the next.
@@ -285,20 +241,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		names[i] = world.DB.Domains[i*len(world.DB.Domains)/cfg.Names].Name
 	}
 
-	rep := NewReport(cfg)
+	rep := &Report{Modes: make(map[string]ModeResult)}
 	for _, spec := range specs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var (
-			mr  ModeResult
-			err error
-		)
-		if cfg.Deterministic {
-			mr, err = runModeSim(ctx, cfg, spec, names, zone)
-		} else {
-			mr, err = runModeLive(ctx, cfg, spec, names, zone)
-		}
+		mr, err := runModeLive(ctx, cfg, spec, names, zone)
 		if err != nil {
 			return nil, fmt.Errorf("e2ebench: mode %s: %w", spec.name, err)
 		}
@@ -310,37 +258,20 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // buildModeResult folds the measured rounds of one mode into its
 // aggregate: quantiles over the union of latency samples, failure
 // percentage over everything issued.
-func buildModeResult(spec modeSpec, rounds []roundOutcome) ModeResult {
-	mr := ModeResult{Desc: spec.desc}
+func buildModeResult(rounds []*dnsload.Result, metrics obs.Snapshot) ModeResult {
+	mr := ModeResult{Metrics: metrics}
 	var all []float64
 	var elapsed time.Duration
 	for _, r := range rounds {
-		mr.Sent += r.sent
-		mr.Received += r.received
-		mr.Timeouts += r.timeouts
-		mr.ServFails += r.servfails
-		mr.Errors += r.errs
-		mr.Truncated += r.truncated
-		elapsed += r.elapsed
-		all = append(all, r.latencies...)
-		mr.Rounds = append(mr.Rounds, RoundResult{
-			Sent:      r.sent,
-			Received:  r.received,
-			Timeouts:  r.timeouts,
-			ServFails: r.servfails,
-			Errors:    r.errs,
-			P50NS:     quantileNS(r.latencies, 0.50),
-			P99NS:     quantileNS(r.latencies, 0.99),
-			ElapsedNS: int64(r.elapsed),
-			Metrics:   r.metrics,
-		})
+		mr.Sent += r.Sent
+		mr.Received += r.Received
+		mr.Timeouts += r.Timeouts
+		mr.ServFails += r.ServFails()
+		elapsed += r.Elapsed
+		all = append(all, r.Latencies()...)
 	}
-	sort.Float64s(all)
 	mr.P50NS = quantileNS(all, 0.50)
-	mr.P90NS = quantileNS(all, 0.90)
 	mr.P99NS = quantileNS(all, 0.99)
-	mr.MaxNS = quantileNS(all, 1)
-	mr.ElapsedNS = int64(elapsed)
 	if elapsed > 0 {
 		mr.QPS = float64(mr.Received) / elapsed.Seconds()
 	}
@@ -352,11 +283,8 @@ func buildModeResult(spec modeSpec, rounds []roundOutcome) ModeResult {
 }
 
 // quantileNS returns the q-quantile of latency samples (seconds) in
-// nanoseconds. stats.Quantile sorts a copy internally, so ordering of
-// the input does not matter.
-func quantileNS(sorted []float64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return int64(stats.Quantile(sorted, q) * float64(time.Second))
+// nanoseconds, 0 for none. stats.Quantile sorts a copy internally, so
+// ordering of the input does not matter.
+func quantileNS(samples []float64, q float64) int64 {
+	return int64(stats.Quantile(samples, q) * float64(time.Second))
 }

@@ -4,9 +4,8 @@
 // internal/dnsload traffic through a retrying resolver.LiveResolver
 // that rotates over the whole fleet. Everything observable — server
 // counters, resolver retry/breaker outcomes, client-side RTTs — lands
-// in obs registries whose merged snapshot is embedded per round, so
-// the report carries the /metrics.json view of the run next to the
-// quantiles derived from it.
+// in obs registries whose merged snapshot rides on the ModeResult, so
+// the counters that explain a row sit next to the quantiles.
 package e2ebench
 
 import (
@@ -91,12 +90,16 @@ func runModeLive(ctx context.Context, cfg Config, spec modeSpec, names []string,
 			return faultinject.WrapPacketConn(pc, inj)
 		}
 		if spec.forceOverload {
-			// one worker, a short queue, and a per-answer delay: the
-			// worker pool saturates under the harness fan-out and the
-			// shed path — the overload policy under test — engages.
+			// one worker, one queue slot, and a per-answer delay. The
+			// senders are closed-loop: at most Concurrency queries are in
+			// flight fleet-wide, about Concurrency/Servers at one server,
+			// so the shed path — the overload policy under test — engages
+			// only when worker plus queue hold fewer than that. The two
+			// slots here sit under the 8/3 of Default() and of the test
+			// config; a queue of Concurrency or more can never overflow.
 			srv.Workers = 1
 			srv.Readers = 1
-			srv.QueueDepth = 8
+			srv.QueueDepth = 1
 			srv.Overload = spec.overload
 			srv.SetDelay(300 * time.Microsecond)
 		}
@@ -158,32 +161,22 @@ func runModeLive(ctx context.Context, cfg Config, spec modeSpec, names []string,
 			return ModeResult{}, fmt.Errorf("warmup round %d: %w", w, err)
 		}
 	}
-	rounds := make([]roundOutcome, 0, cfg.Rounds)
+	rounds := make([]*dnsload.Result, 0, cfg.Rounds)
 	for r := 0; r < cfg.Rounds; r++ {
 		res, err := runRound(attackRound(r, cfg.Rounds))
 		if err != nil {
 			return ModeResult{}, fmt.Errorf("round %d: %w", r, err)
 		}
-		// the embedded snapshot is the /metrics.json view at round end:
-		// client-side load and resolver metrics merged with every fleet
-		// server's registry. Counters are cumulative over the mode
-		// (warm-up included), as a live scrape of the endpoints would be.
-		combined := obs.New()
-		combined.Merge(reg)
-		for _, s := range servers {
-			combined.Merge(s.Metrics())
-		}
-		rounds = append(rounds, roundOutcome{
-			sent:      res.Sent,
-			received:  res.Received,
-			timeouts:  res.Timeouts,
-			servfails: res.ServFails(),
-			errs:      res.DialErrors + res.DecodeErrors + res.Errors,
-			truncated: res.Truncated,
-			latencies: res.Latencies(),
-			elapsed:   res.Elapsed,
-			metrics:   combined.Snapshot(),
-		})
+		rounds = append(rounds, res)
 	}
-	return buildModeResult(spec, rounds), nil
+	// the snapshot is the /metrics.json view at mode end: client-side
+	// load and resolver metrics merged with every fleet server's
+	// registry. Counters are cumulative over the mode (warm-up
+	// included), as a live scrape of the endpoints would be.
+	combined := obs.New()
+	combined.Merge(reg)
+	for _, s := range servers {
+		combined.Merge(s.Metrics())
+	}
+	return buildModeResult(rounds, combined.Snapshot()), nil
 }

@@ -1,9 +1,8 @@
-// live_test.go exercises the real-socket driver end to end on
-// loopback: a tiny live sweep must produce a well-formed report with
-// the fleet's own metrics embedded, and the blackhole mode must show
-// the resilience.Breaker actually protecting the resolver — circuit
-// opens and rotation skips visible in the embedded registry snapshot,
-// not just a plausible latency number.
+// live_test.go pins the degraded-mode shape the sweep exists to show:
+// one seconds-scale live run of every mode over loopback sockets, then
+// one table row per mode asserting which shed, rate-limit, retry and
+// breaker counters moved — the server side of each row and the
+// resolver's reaction to it — not how long anything took.
 package e2ebench
 
 import (
@@ -32,90 +31,113 @@ func liveSmokeConfig(modes ...string) Config {
 	}
 }
 
-func TestLiveSmoke(t *testing.T) {
+// the counters a defense or a fault moves; a healthy fleet moves none
+var degradedCounters = []string{
+	"authserver.udp_dropped",
+	"authserver.udp_shed_servfail",
+	"authserver.udp_shed_truncated",
+	"authserver.rrl_dropped",
+	"authserver.rrl_slipped",
+	"resolver.live.breaker_opens",
+	"resolver.live.breaker_skips",
+}
+
+func TestModeShapes(t *testing.T) {
 	netx.NoGoroutineLeaks(t)
-	cfg := liveSmokeConfig("baseline", "rrl")
+	cfg := liveSmokeConfig()
 	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("live run: %v", err)
 	}
-	for _, mode := range cfg.Modes {
-		m, ok := rep.Modes[mode]
-		if !ok {
-			t.Fatalf("mode %s missing from report", mode)
-		}
-		if m.Sent != int64(cfg.Queries) {
-			t.Errorf("%s: sent %d queries, want %d", mode, m.Sent, cfg.Queries)
-		}
-		if m.Received == 0 {
-			t.Errorf("%s: no answers at all", mode)
-		}
-		if m.Received > 0 && m.P99NS <= 0 {
-			t.Errorf("%s: answers without latency quantiles", mode)
-		}
-		if len(m.Rounds) != cfg.Rounds {
-			t.Fatalf("%s: %d rounds recorded, want %d", mode, len(m.Rounds), cfg.Rounds)
-		}
-		// the embedded snapshot must carry the server side of the story:
-		// the fleet's merged authserver counters, not just client views
-		snap := m.Rounds[len(m.Rounds)-1].Metrics
-		if snap.Counters["authserver.udp_received"] == 0 {
-			t.Errorf("%s: embedded metrics missing authserver.udp_received", mode)
-		}
-		if snap.Counters["dnsload.sent"] == 0 {
-			t.Errorf("%s: embedded metrics missing dnsload.sent", mode)
-		}
+	// wantMoved names counters that must be nonzero after the mode: the
+	// server-side event first, the resolver's answer to it second.
+	rows := []struct {
+		mode      string
+		wantMoved []string
+		check     func(t *testing.T, m ModeResult, c map[string]int64)
+	}{
+		{mode: "baseline", check: func(t *testing.T, m ModeResult, c map[string]int64) {
+			for _, name := range degradedCounters {
+				if c[name] != 0 {
+					t.Errorf("healthy fleet moved %s to %d", name, c[name])
+				}
+			}
+			if m.FailurePct != 0 {
+				t.Errorf("healthy fleet failed %.2f%% of queries", m.FailurePct)
+			}
+		}},
+		{mode: "rrl", check: func(t *testing.T, m ModeResult, c map[string]int64) {
+			if c["authserver.rrl_dropped"]+c["authserver.rrl_slipped"] == 0 {
+				t.Error("the rate limiter never engaged")
+			}
+		}},
+		// a silently shed query costs the resolver one per-try timeout
+		{mode: "overload-drop", wantMoved: []string{
+			"authserver.udp_dropped", "resolver.live.try_timeouts"}},
+		// a shed SERVFAIL is the §6.3.1 class the resolver retries past
+		{mode: "overload-servfail", wantMoved: []string{
+			"authserver.udp_shed_servfail", "resolver.live.try_servfails"}},
+		// a shed TC sends the resolver to TCP, which no queue bounds:
+		// the policy that sheds without failing anything
+		{mode: "overload-tc", wantMoved: []string{
+			"authserver.udp_shed_truncated", "resolver.live.tcp_fallbacks"},
+			check: func(t *testing.T, m ModeResult, c map[string]int64) {
+				if m.FailurePct != 0 {
+					t.Errorf("TC shedding failed %.2f%% of queries", m.FailurePct)
+				}
+			}},
+		// the attack window's direction (Eq. 1): the one latency
+		// comparison here, with one 40 ms per-try timeout against a
+		// ~1 ms loopback answer as its margin
+		{mode: "chaos", check: func(t *testing.T, m ModeResult, c map[string]int64) {
+			if base := rep.Modes["baseline"]; m.P99NS <= base.P99NS {
+				t.Errorf("chaos p99 %s not above baseline %s",
+					time.Duration(m.P99NS), time.Duration(base.P99NS))
+			}
+		}},
+		// the resilience.Breaker + LiveResolver interaction: the dead
+		// server burns per-try timeouts until its circuit opens, then
+		// rotation skips it — try-level failures, not end failures,
+		// because retries land on the surviving servers
+		{mode: "blackhole", wantMoved: []string{
+			"resolver.live.breaker_opens", "resolver.live.breaker_skips",
+			"resolver.live.try_timeouts"},
+			check: func(t *testing.T, m ModeResult, c map[string]int64) {
+				if chaos := rep.Modes["chaos"]; m.FailurePct >= chaos.FailurePct {
+					t.Errorf("one dead server failed %.2f%% of queries, no fewer than chaos's %.2f%%",
+						m.FailurePct, chaos.FailurePct)
+				}
+			}},
 	}
-	if _, err := rep.JSON(); err != nil {
-		t.Fatalf("report does not encode: %v", err)
+	if len(rows) != len(ModeNames()) {
+		t.Fatalf("%d rows for %d registered modes", len(rows), len(ModeNames()))
 	}
-}
-
-// TestBlackholeBreakerSkips is the resilience.Breaker + LiveResolver
-// interaction test the harness exists to make assertable: with one
-// fleet server dropping 100% of traffic, the per-server circuit must
-// open after the configured failure streak and subsequent rotations
-// must skip the dead server — both visible as resolver.live.* counters
-// in the round's embedded metrics, while resolution keeps succeeding
-// against the surviving servers.
-func TestBlackholeBreakerSkips(t *testing.T) {
-	netx.NoGoroutineLeaks(t)
-	cfg := liveSmokeConfig("blackhole")
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("blackhole run: %v", err)
-	}
-	m := rep.Modes["blackhole"]
-	if m.Received == 0 {
-		t.Fatal("no answers: the surviving servers should carry the mode")
-	}
-	snap := m.Rounds[len(m.Rounds)-1].Metrics
-	if opens := snap.Counters["resolver.live.breaker_opens"]; opens < 1 {
-		t.Errorf("breaker never opened on the blackholed server (opens=%d)", opens)
-	}
-	if skips := snap.Counters["resolver.live.breaker_skips"]; skips < 1 {
-		t.Errorf("open circuit was never skipped in rotation (skips=%d)", skips)
-	}
-	// the dead server burned at least one per-try timeout before the
-	// circuit opened; the failure shows as try_timeouts, not as end
-	// failures, because retries land on live servers
-	if snap.Counters["resolver.live.try_timeouts"] == 0 {
-		t.Error("no try-level timeouts recorded against the blackholed server")
-	}
-}
-
-// TestLiveChaosDegrades pins the attack window's direction: the chaos
-// mode's failure rate and P99 must sit above a healthy baseline run
-// of the same shape — the Eq. 1 ordering the harness reports.
-func TestLiveChaosDegrades(t *testing.T) {
-	netx.NoGoroutineLeaks(t)
-	rep, err := Run(context.Background(), liveSmokeConfig("baseline", "chaos"))
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	base, chaos := rep.Modes["baseline"], rep.Modes["chaos"]
-	if chaos.P99NS <= base.P99NS {
-		t.Errorf("chaos p99 %s not above baseline %s",
-			time.Duration(chaos.P99NS), time.Duration(base.P99NS))
+	for _, row := range rows {
+		t.Run(row.mode, func(t *testing.T) {
+			m, ok := rep.Modes[row.mode]
+			if !ok {
+				t.Fatalf("mode %s missing from report", row.mode)
+			}
+			if m.Sent != int64(cfg.Queries) {
+				t.Errorf("sent %d queries, want %d", m.Sent, cfg.Queries)
+			}
+			if m.Received == 0 {
+				t.Fatal("no answers at all")
+			}
+			if m.P99NS <= 0 {
+				t.Error("answers without latency quantiles")
+			}
+			// the snapshot must carry both sides of the story: the
+			// fleet's merged authserver counters and the client's views
+			c := m.Metrics.Counters
+			for _, name := range append([]string{"authserver.udp_received", "dnsload.sent"}, row.wantMoved...) {
+				if c[name] == 0 {
+					t.Errorf("%s never moved", name)
+				}
+			}
+			if row.check != nil {
+				row.check(t, m, c)
+			}
+		})
 	}
 }

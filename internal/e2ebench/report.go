@@ -1,217 +1,49 @@
-// report.go defines the harness's output contract: the Report struct
-// whose JSON form is the archived BENCH_e2e.json. The encoding is
-// deterministic-keyed — fixed struct field order, map keys sorted by
-// encoding/json, obs snapshots already canonical — so two identical
-// runs produce identical bytes. The one run-dependent section, the
-// environment header, is carried as a separate top field and stripped
-// by Body(), which is what the determinism test and the comparator's
-// equality checks look at.
+// report.go is what a run hands back: one ModeResult per mode and the
+// summary table cmd/bench prints.
 package e2ebench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
 	"dnsddos/internal/obs"
 )
 
-// SchemaVersion is bumped whenever the report shape changes
-// incompatibly; the comparator refuses to gate across versions.
-const SchemaVersion = 1
-
-// Env is the run-environment header: everything machine- or
-// time-dependent lives here and nowhere else in the report.
-type Env struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Time is the run's start in RFC 3339 UTC.
-	Time string `json:"time"`
-}
-
-// ConfigSummary echoes the run's effective configuration into the
-// report, so an archived baseline documents what produced it.
-type ConfigSummary struct {
-	Seed          uint64  `json:"seed"`
-	Domains       int     `json:"domains"`
-	Names         int     `json:"names"`
-	Servers       int     `json:"servers"`
-	Rounds        int     `json:"rounds"`
-	Warmup        int     `json:"warmup"`
-	Queries       int     `json:"queries"`
-	Concurrency   int     `json:"concurrency"`
-	TargetQPS     float64 `json:"target_qps"`
-	TimeoutNS     int64   `json:"timeout_ns"`
-	PerTryNS      int64   `json:"per_try_timeout_ns"`
-	Deterministic bool    `json:"deterministic"`
-}
-
-// RoundResult is one measured round: its counts, its own quantiles,
-// and the merged obs snapshot at round end (cumulative over the mode,
-// the way a live /metrics.json scrape would read).
-type RoundResult struct {
-	Sent      int64        `json:"sent"`
-	Received  int64        `json:"received"`
-	Timeouts  int64        `json:"timeouts"`
-	ServFails int64        `json:"servfails"`
-	Errors    int64        `json:"errors"`
-	P50NS     int64        `json:"p50_ns"`
-	P99NS     int64        `json:"p99_ns"`
-	ElapsedNS int64        `json:"elapsed_ns"`
-	Metrics   obs.Snapshot `json:"metrics"`
-}
-
 // ModeResult aggregates one mode over its measured rounds. FailurePct
 // counts everything the paper counts as a failing resolution: queries
 // that never got an answer plus SERVFAIL answers (§6.3.1's two
-// classes), as a percentage of queries issued.
+// classes), as a percentage of queries issued. Metrics is the merged
+// client + fleet registry at mode end — the shed, RRL, retry and
+// breaker counters that say why the row reads as it does.
 type ModeResult struct {
-	Desc       string        `json:"desc"`
-	Sent       int64         `json:"sent"`
-	Received   int64         `json:"received"`
-	Timeouts   int64         `json:"timeouts"`
-	ServFails  int64         `json:"servfails"`
-	Errors     int64         `json:"errors"`
-	Truncated  int64         `json:"truncated"`
-	FailurePct float64       `json:"failure_pct"`
-	QPS        float64       `json:"qps"`
-	P50NS      int64         `json:"p50_ns"`
-	P90NS      int64         `json:"p90_ns"`
-	P99NS      int64         `json:"p99_ns"`
-	MaxNS      int64         `json:"max_ns"`
-	ElapsedNS  int64         `json:"elapsed_ns"`
-	Rounds     []RoundResult `json:"rounds"`
+	Sent       int64
+	Received   int64
+	Timeouts   int64
+	ServFails  int64
+	FailurePct float64
+	QPS        float64
+	P50NS      int64
+	P99NS      int64
+	Metrics    obs.Snapshot
 }
 
-// Report is the whole run: schema header, environment, config echo,
-// and the per-mode results keyed by mode name.
+// Report is the whole run: the per-mode results keyed by mode name.
 type Report struct {
-	Schema int                   `json:"schema"`
-	Env    *Env                  `json:"env,omitempty"`
-	Config ConfigSummary         `json:"config"`
-	Modes  map[string]ModeResult `json:"modes"`
-}
-
-// NewReport builds an empty report for the (already defaulted) config,
-// stamped with the current environment.
-func NewReport(cfg Config) *Report {
-	return &Report{
-		Schema: SchemaVersion,
-		Env: &Env{
-			GoVersion:  runtime.Version(),
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Time:       time.Now().UTC().Format(time.RFC3339),
-		},
-		Config: ConfigSummary{
-			Seed:          cfg.Seed,
-			Domains:       cfg.Domains,
-			Names:         cfg.Names,
-			Servers:       cfg.Servers,
-			Rounds:        cfg.Rounds,
-			Warmup:        cfg.Warmup,
-			Queries:       cfg.Queries,
-			Concurrency:   cfg.Concurrency,
-			TargetQPS:     cfg.TargetQPS,
-			TimeoutNS:     int64(cfg.Timeout),
-			PerTryNS:      int64(cfg.PerTryTimeout),
-			Deterministic: cfg.Deterministic,
-		},
-		Modes: make(map[string]ModeResult),
-	}
-}
-
-// JSON renders the full report (environment header included) as
-// indented JSON, newline-terminated — the BENCH_e2e.json bytes.
-func (r *Report) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Body renders the deterministic body: the report with the
-// environment header stripped. Seeded deterministic runs produce
-// byte-identical bodies; this is what the determinism gate compares.
-func (r *Report) Body() ([]byte, error) {
-	shadow := *r
-	shadow.Env = nil
-	b, err := json.MarshalIndent(&shadow, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// WriteFile archives the report atomically-enough for a benchmark
-// artifact: full write to a temp file, then rename.
-func (r *Report) WriteFile(path string) error {
-	b, err := r.JSON()
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadReport reads an archived report.
-func LoadReport(path string) (*Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("e2ebench: parsing %s: %w", path, err)
-	}
-	if r.Modes == nil {
-		r.Modes = make(map[string]ModeResult)
-	}
-	return &r, nil
-}
-
-// modeOrder returns the report's mode names in registry order, with
-// unknown modes (from a newer schema-compatible run) appended sorted.
-func (r *Report) modeOrder() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, name := range ModeNames() {
-		if _, ok := r.Modes[name]; ok {
-			out = append(out, name)
-			seen[name] = true
-		}
-	}
-	var extra []string
-	for name := range r.Modes {
-		if !seen[name] {
-			extra = append(extra, name)
-		}
-	}
-	sort.Strings(extra)
-	return append(out, extra...)
+	Modes map[string]ModeResult
 }
 
 // SummaryTable renders the dnsperfbench-style human summary: one row
-// per mode, quantiles and failure split side by side.
+// per mode in registry order, quantiles and failure split side by side.
 func (r *Report) SummaryTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s %8s %8s %7s %9s %9s %9s %9s %9s\n",
 		"mode", "sent", "answered", "fail%", "servfail", "timeout", "p50", "p99", "req/s")
-	for _, name := range r.modeOrder() {
-		m := r.Modes[name]
+	for _, name := range ModeNames() {
+		m, ok := r.Modes[name]
+		if !ok {
+			continue
+		}
 		fmt.Fprintf(&b, "%-18s %8d %8d %6.2f%% %9d %9d %9s %9s %9.0f\n",
 			name, m.Sent, m.Received, m.FailurePct, m.ServFails, m.Timeouts,
 			time.Duration(m.P50NS).Round(time.Microsecond),

@@ -196,15 +196,6 @@ func Table6(w io.Writer, rows []core.AffectedOrg) {
 	t.Fprint(w)
 }
 
-// Series prints a two-column CSV series with a header, the figure-data
-// format of the harness.
-func Series(w io.Writer, title, xlabel, ylabel string, xs, ys []float64) {
-	fmt.Fprintf(w, "# %s\n%s,%s\n", title, xlabel, ylabel)
-	for i := range xs {
-		fmt.Fprintf(w, "%g,%g\n", xs[i], ys[i])
-	}
-}
-
 // Figure2 renders the TransIP RTT time-series (per attack phase).
 func Figure2(w io.Writer, title string, samples []core.RTTSample) {
 	fmt.Fprintf(w, "# Figure 2: %s\nwindow_start,avg_rtt_ms,domains\n", title)

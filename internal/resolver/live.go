@@ -24,8 +24,9 @@ import (
 	"dnsddos/internal/resilience"
 )
 
-// LiveConfig tunes the live resolver. The zero value resolves with the
-// DefaultLiveConfig semantics.
+// LiveConfig tunes the live resolver. NewLiveResolver applies the zero
+// meaning each field documents: the zero value is three immediate tries
+// of 800ms each, with no TCP fallback and no circuit breaker.
 type LiveConfig struct {
 	// PerTryTimeout bounds one query attempt; zero means 800ms
 	// (mirroring DefaultConfig for the simulated resolver).
@@ -64,23 +65,6 @@ type LiveConfig struct {
 	// outcome counts under resolver.live.* names. Nil disables
 	// instrumentation at the cost of one branch per observation.
 	Metrics *obs.Registry
-}
-
-// DefaultLiveConfig mirrors a conservative unbound setup, matching the
-// simulated DefaultConfig plus a short backoff between retries and a
-// per-server circuit breaker sized for DDoS conditions: a nameserver
-// that is down stops costing per-try timeouts after eight straight
-// failures.
-func DefaultLiveConfig() LiveConfig {
-	return LiveConfig{
-		PerTryTimeout:    800 * time.Millisecond,
-		MaxTries:         3,
-		Backoff:          resilience.DefaultBase,
-		MaxBackoff:       resilience.DefaultCap,
-		TCPFallback:      true,
-		BreakerThreshold: 8,
-		BreakerCooldown:  resilience.DefaultCap,
-	}
 }
 
 // LiveOutcome is the result of one live resolution, shaped like the
