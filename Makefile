@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-sweep flake-sweep report loc
+.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-sweep bench-serve flake-sweep report loc
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,7 @@ test: build obs stream distjoin
 	$(GO) test ./...
 	$(GO) test -bench 'BenchmarkJoin' -benchtime 1x -run '^$$' ./internal/core/
 	$(GO) test -bench 'BenchmarkRunDay' -benchtime 1x -run '^$$' ./internal/openintel/
+	$(GO) test -bench 'Benchmark(AppendEncode|DecodeInto)NSResponse' -benchtime 1x -run '^$$' ./internal/dnswire/
 
 # Streaming smoke: the stream-vs-batch parity harness, exactly-once
 # kill/resume, late-drop accounting, and the aggregator order-invariance
@@ -108,6 +109,18 @@ bench-sweep:
 	$(GO) test -bench 'BenchmarkRunDay' -benchmem -run '^$$' ./internal/openintel/
 	$(GO) test -bench 'BenchmarkQueryQuiet|BenchmarkQueryUnderAttack' -benchmem -run '^$$' ./internal/simnet/
 	$(GO) test -bench 'BenchmarkAggregatorAdd' -benchmem -run '^$$' ./internal/nsset/
+
+# The serving path, layer by layer: the codec on one NS response (through
+# the allocating wrappers and through AppendEncode / DecodeInto), one
+# Zone.Answer, the serving engine's queries/s, and one resolution through
+# the live resolver at a loopback server (allocs/query is process-wide:
+# client and server). For reading while working on the serving path; the
+# gated number is the repo benchmark's serve_clean op_allocs.
+bench-serve:
+	$(GO) test -bench 'Benchmark(Encode|Decode|AppendEncode|DecodeInto)NSResponse' -benchmem -run '^$$' ./internal/dnswire/
+	$(GO) test -bench 'BenchmarkZoneAnswer' -benchmem -run '^$$' ./internal/authserver/
+	$(GO) test -bench 'Server_(UDP|TCP)Throughput' -benchtime 1s -run '^$$' ./internal/authserver/
+	$(GO) test -bench 'BenchmarkLiveResolveLoopback' -run '^$$' ./internal/resolver/
 
 # The paper's tables and figures.
 report:

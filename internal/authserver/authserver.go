@@ -15,8 +15,6 @@
 package authserver
 
 import (
-	"context"
-	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,6 +22,7 @@ import (
 	"log/slog"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -105,19 +104,25 @@ func (z *Zone) apexOf(name string) string {
 	return name
 }
 
-// Answer builds the response message for one question.
+// Answer builds the response message for one question. The message is
+// fresh and the caller's to keep; its sections are sized for the records
+// they get. The server itself answers into a worker's scratch (answerInto).
 func (z *Zone) Answer(q dnswire.Question) *dnswire.Message {
-	resp := &dnswire.Message{
-		Header: dnswire.Header{
-			Response:      true,
-			Authoritative: true,
-		},
-		Questions: []dnswire.Question{q},
-	}
+	resp := new(dnswire.Message)
+	z.answerInto(resp, q)
+	return resp
+}
+
+// answerInto builds the response in resp, over whatever resp held, in
+// the room its sections already have.
+func (z *Zone) answerInto(resp *dnswire.Message, q dnswire.Question) {
+	resp.Header = dnswire.Header{Response: true, Authoritative: true}
+	resp.Questions = append(resp.Questions[:0], q)
+	resp.Answers, resp.Authority, resp.Additional = resp.Answers[:0], resp.Authority[:0], resp.Additional[:0]
 	name := dnswire.CanonicalName(q.Name)
 	if q.Class != dnswire.ClassIN {
 		resp.Header.RCode = dnswire.RCodeRefused
-		return resp
+		return
 	}
 	_, known := z.ns[name]
 	if !known {
@@ -126,6 +131,12 @@ func (z *Zone) Answer(q dnswire.Question) *dnswire.Message {
 	switch q.Type {
 	case dnswire.TypeNS:
 		hosts := z.ns[name]
+		glue := 0
+		for _, h := range hosts {
+			glue += len(z.a[h])
+		}
+		resp.Answers = slices.Grow(resp.Answers, len(hosts))
+		resp.Additional = slices.Grow(resp.Additional, glue)
 		for _, h := range hosts {
 			resp.Answers = append(resp.Answers, dnswire.RR{
 				Name: name, Type: dnswire.TypeNS, Class: dnswire.ClassIN, TTL: z.ttl, NS: h,
@@ -137,7 +148,9 @@ func (z *Zone) Answer(q dnswire.Question) *dnswire.Message {
 			}
 		}
 	case dnswire.TypeA:
-		for _, addr := range z.a[name] {
+		addrs := z.a[name]
+		resp.Answers = slices.Grow(resp.Answers, len(addrs))
+		for _, addr := range addrs {
 			resp.Answers = append(resp.Answers, dnswire.RR{
 				Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: z.ttl, A: addr,
 			})
@@ -152,7 +165,6 @@ func (z *Zone) Answer(q dnswire.Question) *dnswire.Message {
 			SOA: &dnswire.SOAData{MName: z.soaMName, RName: z.soaRName, Serial: 1, Refresh: 3600, Retry: 600, Expire: 86400, Minimum: z.ttl},
 		})
 	}
-	return resp
 }
 
 // maxTCPMessage is the largest DNS message a 16-bit TCP length prefix can
@@ -549,6 +561,7 @@ func reflexResponse(wire []byte, rcode dnswire.RCode, tc bool) []byte {
 // concurrent use.
 func (s *Server) udpWorker(conn net.PacketConn, jobs <-chan udpJob) {
 	defer s.wg.Done()
+	var sc scratch
 	for job := range jobs {
 		if s.closing.Load() {
 			bufPool.Put(job.wire)
@@ -572,7 +585,7 @@ func (s *Server) udpWorker(conn net.PacketConn, jobs <-chan udpJob) {
 				continue
 			}
 		}
-		resp, err := s.handleUDP(*job.wire)
+		resp, err := s.handleUDP(&sc, *job.wire)
 		bufPool.Put(job.wire)
 		if err != nil {
 			s.m.udpMalformed.Inc()
@@ -591,25 +604,50 @@ func (s *Server) udpWorker(conn net.PacketConn, jobs <-chan udpJob) {
 	}
 }
 
+// scratch is what one UDP worker, or one TCP connection, reuses from
+// query to query: the decoded query, the response built for it and the
+// response's bytes. All three are dead once the response is written (a
+// fault-injecting socket copies what it holds back), so the next query
+// overwrites them.
+type scratch struct {
+	q, resp dnswire.Message
+	out     []byte
+}
+
+// encode puts m's bytes in sc.out, behind reserve bytes left for a TCP
+// length.
+func (sc *scratch) encode(m *dnswire.Message, reserve int) (err error) {
+	sc.out, err = dnswire.AppendEncode(append(sc.out[:0], make([]byte, reserve)...), m)
+	return err
+}
+
+// respond decodes one query into sc.q, validates it, answers it into
+// sc.resp and encodes that into sc.out. The wire is decoded exactly once
+// and the parsed message threaded through answering and truncation.
+func (s *Server) respond(sc *scratch, wire []byte, reserve int) error {
+	q := &sc.q
+	if err := dnswire.DecodeInto(q, wire); err != nil {
+		return err
+	}
+	if q.Header.Response || len(q.Questions) != 1 {
+		return errors.New("authserver: not a single-question query")
+	}
+	s.zone.answerInto(&sc.resp, q.Questions[0])
+	sc.resp.Header.ID = q.Header.ID
+	sc.resp.Header.RecursionDesired = q.Header.RecursionDesired
+	return sc.encode(&sc.resp, reserve)
+}
+
 // handleUDP answers one UDP query, truncating responses that exceed the
 // client's UDP payload budget: the classic 512 bytes, or the size an EDNS
-// OPT record advertises (RFC 6891). The wire is decoded exactly once and
-// the parsed message threaded through answering and truncation.
-func (s *Server) handleUDP(wire []byte) ([]byte, error) {
-	q, err := dnswire.Decode(wire)
-	if err != nil {
+// OPT record advertises (RFC 6891). The bytes returned are sc's.
+func (s *Server) handleUDP(sc *scratch, wire []byte) ([]byte, error) {
+	if err := s.respond(sc, wire, 0); err != nil {
 		return nil, err
 	}
-	resp, err := s.answer(q)
-	if err != nil {
-		return nil, err
-	}
-	out, err := dnswire.Encode(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(out) <= q.MaxUDPPayload() {
-		return out, nil
+	q := &sc.q
+	if len(sc.out) <= q.MaxUDPPayload() {
+		return sc.out, nil
 	}
 	// re-encode header-and-question only, with TC set
 	trunc := &dnswire.Message{
@@ -625,18 +663,8 @@ func (s *Server) handleUDP(wire []byte) ([]byte, error) {
 	if e, ok := q.EDNS(); ok {
 		trunc.AttachEDNS(dnswire.EDNS{UDPPayload: e.UDPPayload})
 	}
-	return dnswire.Encode(trunc)
-}
-
-// answer validates the already-decoded query and builds its response.
-func (s *Server) answer(q *dnswire.Message) (*dnswire.Message, error) {
-	if q.Header.Response || len(q.Questions) != 1 {
-		return nil, fmt.Errorf("authserver: not a single-question query")
-	}
-	resp := s.zone.Answer(q.Questions[0])
-	resp.Header.ID = q.Header.ID
-	resp.Header.RecursionDesired = q.Header.RecursionDesired
-	return resp, nil
+	err := sc.encode(trunc, 0)
+	return sc.out, err
 }
 
 // serveTCP accepts connections under the maxConns cap; excess connections
@@ -683,6 +711,8 @@ func (s *Server) serveTCP(l net.Listener, maxConns int) {
 // (RFC 1035 §4.2.2). Close drains it gracefully: an in-flight exchange
 // finishes its write, then the poked read deadline ends the loop.
 func (s *Server) serveTCPConn(c net.Conn) {
+	var sc scratch
+	var msg []byte // the connection's read buffer
 	for {
 		if err := c.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
 			return
@@ -691,23 +721,20 @@ func (s *Server) serveTCPConn(c net.Conn) {
 		if _, err := io.ReadFull(c, lenb[:]); err != nil {
 			return
 		}
-		msgLen := binary.BigEndian.Uint16(lenb[:])
-		msg := make([]byte, msgLen)
+		msgLen := int(binary.BigEndian.Uint16(lenb[:]))
+		msg = slices.Grow(msg[:0], msgLen)[:msgLen]
 		if _, err := io.ReadFull(c, msg); err != nil {
 			return
 		}
 		start := time.Now()
-		resp, err := s.handleTCP(msg)
+		framed, err := s.handleTCP(&sc, msg)
 		if err != nil {
 			return
 		}
 		if d := s.Delay(); d > 0 {
 			time.Sleep(d)
 		}
-		out := make([]byte, 2+len(resp))
-		binary.BigEndian.PutUint16(out, uint16(len(resp)))
-		copy(out[2:], resp)
-		if _, err := c.Write(out); err != nil {
+		if _, err := c.Write(framed); err != nil {
 			return
 		}
 		s.m.tcpQueries.Inc()
@@ -715,46 +742,39 @@ func (s *Server) serveTCPConn(c net.Conn) {
 	}
 }
 
-// handleTCP answers one TCP query, clamping the response to what a 16-bit
-// length prefix can frame. TC semantics do not apply over TCP, so an
-// oversized answer first sheds its additional section (glue); if the
-// message still cannot fit, the server answers SERVFAIL rather than
-// corrupt the frame.
-func (s *Server) handleTCP(wire []byte) ([]byte, error) {
-	q, err := dnswire.Decode(wire)
-	if err != nil {
+// handleTCP answers one TCP query and returns the response framed behind
+// its 16-bit length (the bytes are sc's), clamping it to what that length
+// can frame. TC semantics do not apply over TCP, so an oversized answer
+// first sheds its additional section (glue); if the message still cannot
+// fit, the server answers SERVFAIL rather than corrupt the frame.
+func (s *Server) handleTCP(sc *scratch, wire []byte) ([]byte, error) {
+	const prefix = 2
+	if err := s.respond(sc, wire, prefix); err != nil {
 		return nil, err
 	}
-	resp, err := s.answer(q)
-	if err != nil {
-		return nil, err
+	if len(sc.out)-prefix > maxTCPMessage {
+		sc.resp.Additional = sc.resp.Additional[:0]
+		if err := sc.encode(&sc.resp, prefix); err != nil {
+			return nil, err
+		}
 	}
-	out, err := dnswire.Encode(resp)
-	if err != nil {
-		return nil, err
+	if len(sc.out)-prefix > maxTCPMessage {
+		servfail := &dnswire.Message{
+			Header: dnswire.Header{
+				ID:               sc.q.Header.ID,
+				Response:         true,
+				Authoritative:    true,
+				RCode:            dnswire.RCodeServFail,
+				RecursionDesired: sc.q.Header.RecursionDesired,
+			},
+			Questions: sc.q.Questions,
+		}
+		if err := sc.encode(servfail, prefix); err != nil {
+			return nil, err
+		}
 	}
-	if len(out) <= maxTCPMessage {
-		return out, nil
-	}
-	resp.Additional = nil
-	out, err = dnswire.Encode(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(out) <= maxTCPMessage {
-		return out, nil
-	}
-	servfail := &dnswire.Message{
-		Header: dnswire.Header{
-			ID:               q.Header.ID,
-			Response:         true,
-			Authoritative:    true,
-			RCode:            dnswire.RCodeServFail,
-			RecursionDesired: q.Header.RecursionDesired,
-		},
-		Questions: q.Questions,
-	}
-	return dnswire.Encode(servfail)
+	binary.BigEndian.PutUint16(sc.out, uint16(len(sc.out)-prefix))
+	return sc.out, nil
 }
 
 // Close stops the listeners, sheds queued work, and drains in-flight
@@ -781,54 +801,4 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.wg.Wait()
 	return nil
-}
-
-// QueryTCP issues one length-prefixed DNS query over TCP, for tests of the
-// TCP path (DNS-over-TCP is the dominant attack protocol in §6.2, and a
-// real service on authoritative servers). The response's ID must match the
-// query's ID, mirroring the UDP client's anti-spoofing check.
-func QueryTCP(ctx context.Context, addr, name string, qtype dnswire.Type) (*dnswire.Message, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(dl); err != nil {
-			return nil, err
-		}
-	}
-	var idb [2]byte
-	if _, err := rand.Read(idb[:]); err != nil {
-		return nil, err
-	}
-	id := binary.BigEndian.Uint16(idb[:])
-	q := dnswire.NewQuery(id, name, qtype)
-	wire, err := dnswire.Encode(q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 2+len(wire))
-	binary.BigEndian.PutUint16(out, uint16(len(wire)))
-	copy(out[2:], wire)
-	if _, err := conn.Write(out); err != nil {
-		return nil, err
-	}
-	var lenb [2]byte
-	if _, err := io.ReadFull(conn, lenb[:]); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, binary.BigEndian.Uint16(lenb[:]))
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return nil, err
-	}
-	m, err := dnswire.Decode(buf)
-	if err != nil {
-		return nil, err
-	}
-	if m.Header.ID != id {
-		return nil, fmt.Errorf("authserver: response ID %#04x does not match query ID %#04x", m.Header.ID, id)
-	}
-	return m, nil
 }

@@ -274,3 +274,12 @@ func TestServerIgnoresResponsePackets(t *testing.T) {
 		t.Error("server answered a response packet")
 	}
 }
+
+// QueryTCP issues one length-prefixed DNS query over TCP, for tests of the
+// TCP path (DNS-over-TCP is the dominant attack protocol in §6.2, and a
+// real service on authoritative servers). It is resolver.TCPClient, bounded
+// by ctx's deadline; the client checks that the response's ID matches.
+func QueryTCP(ctx context.Context, addr, name string, qtype dnswire.Type) (*dnswire.Message, error) {
+	m, _, err := (&resolver.TCPClient{}).Query(ctx, addr, name, qtype)
+	return m, err
+}

@@ -17,6 +17,7 @@ import (
 
 	"dnsddos/internal/authserver"
 	"dnsddos/internal/dnsload"
+	"dnsddos/internal/dnswire"
 	"dnsddos/internal/netx"
 )
 
@@ -121,5 +122,22 @@ func BenchmarkServer_TCPThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("conns=%d", c), func(b *testing.B) {
 			benchTCPThroughput(b, c)
 		})
+	}
+}
+
+// BenchmarkZoneAnswer builds the NS response (two records, two glue
+// addresses) the throughput runs serve, as a fresh message per call.
+func BenchmarkZoneAnswer(b *testing.B) {
+	zone, names := benchZone()
+	questions := make([]dnswire.Question, len(names))
+	for i, name := range names {
+		questions[i] = dnswire.Question{Name: name, Type: dnswire.TypeNS, Class: dnswire.ClassIN}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp := zone.Answer(questions[i%len(questions)]); len(resp.Answers) != 2 {
+			b.Fatalf("answers = %d", len(resp.Answers))
+		}
 	}
 }

@@ -359,13 +359,16 @@ type sender struct {
 	ctx      context.Context
 
 	conn   net.Conn
-	buf    []byte
+	buf    []byte          // read buffer
+	out    []byte          // the query's bytes, behind two for a TCP length
+	msg    dnswire.Message // the last answer decoded; only its header is read
 	nextAt time.Time
 }
 
 func (s *sender) run() {
 	s.res.rcodes = make(map[dnswire.RCode]int64)
 	s.buf = make([]byte, 65536)
+	s.out = make([]byte, 2, 512)
 	defer func() {
 		if s.conn != nil {
 			s.conn.Close()
@@ -444,20 +447,22 @@ func (s *sender) oneQuery(name string) failKind {
 	if s.cfg.EDNSPayload > 0 {
 		q.AttachEDNS(dnswire.EDNS{UDPPayload: s.cfg.EDNSPayload})
 	}
-	wire, err := dnswire.Encode(q)
+	prefix := 0 // over TCP the message goes behind its 16-bit length
+	if s.proto == ProtoTCP {
+		prefix = 2
+	}
+	wire, err := dnswire.AppendEncode(s.out[:prefix], q)
 	if err != nil {
 		return failOther
+	}
+	s.out = wire
+	if prefix > 0 {
+		binary.BigEndian.PutUint16(wire, uint16(len(wire)-prefix))
 	}
 	if err := s.conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
 		return failOther
 	}
 	start := time.Now()
-	if s.proto == ProtoTCP {
-		framed := make([]byte, 2+len(wire))
-		binary.BigEndian.PutUint16(framed, uint16(len(wire)))
-		copy(framed[2:], wire)
-		wire = framed
-	}
 	if _, err := s.conn.Write(wire); err != nil {
 		return classifyErr(err, false)
 	}
@@ -483,8 +488,8 @@ func (s *sender) oneQuery(name string) failKind {
 			}
 			payload = s.buf[:n]
 		}
-		m, err := dnswire.Decode(payload)
-		if err != nil {
+		m := &s.msg
+		if err := dnswire.DecodeInto(m, payload); err != nil {
 			// garbage on the wire (corruption); a valid answer may
 			// still arrive before the deadline
 			sawGarbage = true

@@ -47,3 +47,28 @@ func BenchmarkDecodeNSResponse(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkAppendEncodeNSResponse(b *testing.B) {
+	m := benchMessage()
+	buf := make([]byte, 0, 512)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := AppendEncode(buf, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeIntoNSResponse(b *testing.B) {
+	wire, err := Encode(benchMessage())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var m Message
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeInto(&m, wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

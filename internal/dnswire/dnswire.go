@@ -7,6 +7,13 @@
 // (internal/resolver, real-socket mode) speak this format over actual UDP
 // and TCP sockets, so the reproduction exercises a genuine DNS data path
 // rather than an in-memory shortcut.
+//
+// There is one encoder and one decoder. AppendEncode writes into the
+// caller's buffer and pools its compression table; DecodeInto fills a
+// caller's Message, with every name a substring of one arena made per
+// call. Encode and Decode wrap them with a fresh buffer and a fresh
+// Message; reference_test.go holds them to the codec they replaced
+// (DESIGN §3.11).
 package dnswire
 
 import (
@@ -14,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"dnsddos/internal/netx"
 )
@@ -164,12 +172,24 @@ func CanonicalName(name string) string {
 	return name
 }
 
+// encoder appends one message to buf. Compression offsets count from
+// base, the length of buf when the message began, so a caller may have
+// reserved a prefix (the 2-byte TCP length) in front of it.
 type encoder struct {
-	buf []byte
-	// offsets of previously encoded names for compression; key is the
-	// canonical remaining-name suffix
+	buf  []byte
+	base int
+	// names maps a canonical name suffix to the offset of its first
+	// encoding. The keys are substrings of the names being encoded, so
+	// filling the table copies nothing.
 	names map[string]int
 }
+
+// encoderPool keeps the suffix tables between messages. An encoder goes
+// back without its buffer and with its table cleared, unless one huge
+// message grew the table: clearing costs its size, every time after.
+var encoderPool = sync.Pool{New: func() any { return &encoder{names: make(map[string]int)} }}
+
+const maxPooledNames = 256
 
 func (e *encoder) putUint16(v uint16) {
 	e.buf = binary.BigEndian.AppendUint16(e.buf, v)
@@ -186,17 +206,20 @@ func (e *encoder) putName(name string) error {
 		e.buf = append(e.buf, 0)
 		return nil
 	}
-	labels := strings.Split(name, ".")
-	for i := range labels {
-		suffix := strings.Join(labels[i:], ".")
+	// uncompressed, a name is one length octet per label plus the root's
+	if wire := len(name) + 2; wire > maxNameLen {
+		return fmt.Errorf("%w: %d octets on the wire", ErrBadName, wire)
+	}
+	for suffix, more := name, true; more; {
 		if off, ok := e.names[suffix]; ok && off < 0x3fff {
 			e.putUint16(0xc000 | uint16(off))
 			return nil
 		}
-		if len(e.buf) < 0x3fff {
-			e.names[suffix] = len(e.buf)
+		if off := len(e.buf) - e.base; off < 0x3fff {
+			e.names[suffix] = off
 		}
-		label := labels[i]
+		var label string
+		label, suffix, more = strings.Cut(suffix, ".")
 		if len(label) == 0 || len(label) > 63 {
 			return fmt.Errorf("%w: label %q", ErrBadName, label)
 		}
@@ -207,7 +230,7 @@ func (e *encoder) putName(name string) error {
 	return nil
 }
 
-func (e *encoder) putRR(rr RR) error {
+func (e *encoder) putRR(rr *RR) error {
 	if err := e.putName(rr.Name); err != nil {
 		return err
 	}
@@ -262,16 +285,10 @@ func (e *encoder) putRR(rr RR) error {
 	return nil
 }
 
-// Encode serializes the message, fixing up the section counts from the
-// actual slice lengths.
-func Encode(m *Message) ([]byte, error) {
-	e := &encoder{buf: make([]byte, 0, 512), names: make(map[string]int)}
-	h := m.Header
-	h.QDCount = uint16(len(m.Questions))
-	h.ANCount = uint16(len(m.Answers))
-	h.NSCount = uint16(len(m.Authority))
-	h.ARCount = uint16(len(m.Additional))
-
+// message appends the header, fixing up the section counts from the
+// actual slice lengths, and the four sections.
+func (e *encoder) message(m *Message) error {
+	h := &m.Header
 	e.putUint16(h.ID)
 	var flags uint16
 	if h.Response {
@@ -292,181 +309,194 @@ func Encode(m *Message) ([]byte, error) {
 	}
 	flags |= uint16(h.RCode & 0xf)
 	e.putUint16(flags)
-	e.putUint16(h.QDCount)
-	e.putUint16(h.ANCount)
-	e.putUint16(h.NSCount)
-	e.putUint16(h.ARCount)
+	e.putUint16(uint16(len(m.Questions)))
+	e.putUint16(uint16(len(m.Answers)))
+	e.putUint16(uint16(len(m.Authority)))
+	e.putUint16(uint16(len(m.Additional)))
 
-	for _, q := range m.Questions {
+	for i := range m.Questions {
+		q := &m.Questions[i]
 		if err := e.putName(q.Name); err != nil {
-			return nil, err
+			return err
 		}
 		e.putUint16(uint16(q.Type))
 		e.putUint16(uint16(q.Class))
 	}
-	for _, rr := range m.Answers {
-		if err := e.putRR(rr); err != nil {
-			return nil, err
+	for _, section := range [...][]RR{m.Answers, m.Authority, m.Additional} {
+		for i := range section {
+			if err := e.putRR(&section[i]); err != nil {
+				return err
+			}
 		}
 	}
-	for _, rr := range m.Authority {
-		if err := e.putRR(rr); err != nil {
-			return nil, err
-		}
-	}
-	for _, rr := range m.Additional {
-		if err := e.putRR(rr); err != nil {
-			return nil, err
-		}
-	}
-	return e.buf, nil
+	return nil
 }
 
-type decoder struct {
-	buf []byte
-	off int
-}
-
-func (d *decoder) uint16() (uint16, error) {
-	if d.off+2 > len(d.buf) {
-		return 0, ErrShortMessage
+// AppendEncode serializes the message onto the end of dst and returns the
+// extended buffer, allocating nothing when dst has room. Compression
+// offsets count from len(dst), so dst may already hold a prefix (a TCP
+// length) or an earlier message. On error it returns dst as it was given.
+func AppendEncode(dst []byte, m *Message) ([]byte, error) {
+	e := encoderPool.Get().(*encoder)
+	e.buf, e.base = dst, len(dst)
+	err := e.message(m)
+	out := e.buf
+	e.buf = nil
+	if len(e.names) <= maxPooledNames {
+		clear(e.names)
+		encoderPool.Put(e)
 	}
-	v := binary.BigEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v, nil
-}
-
-func (d *decoder) uint32() (uint32, error) {
-	if d.off+4 > len(d.buf) {
-		return 0, ErrShortMessage
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-// name decodes a possibly compressed name starting at d.off.
-func (d *decoder) name() (string, error) {
-	s, next, err := d.nameAt(d.off, 0)
 	if err != nil {
-		return "", err
+		return dst, err
 	}
-	d.off = next
-	return s, nil
+	return out, nil
 }
 
-// nameAt decodes a name at off; returns the name and the offset just past
-// its in-place encoding. depth guards against pointer loops.
-func (d *decoder) nameAt(off, depth int) (string, int, error) {
-	if depth > 16 {
-		return "", 0, ErrBadPointer
-	}
-	var sb strings.Builder
+// Encode serializes the message into a fresh buffer, fixing up the
+// section counts from the actual slice lengths.
+func Encode(m *Message) ([]byte, error) {
+	return AppendEncode(make([]byte, 0, 512), m)
+}
+
+// maxPointerHops bounds the compression pointers one name may follow.
+const maxPointerHops = 16
+
+// decoder reads one message. Every name it decodes is written once into
+// arena and handed out as a substring of it: a Builder only appends, so
+// a substring taken earlier stays valid, and immutable, however the
+// arena grows afterwards.
+type decoder struct {
+	buf   []byte
+	off   int
+	arena strings.Builder
+	// seen lists the first names that put text into the arena. A later
+	// name that is nothing but a pointer to one of them (a record owner
+	// repeating the question, glue repeating an NS target) takes its
+	// text from here instead of writing it again.
+	seen  [16]seenName
+	nseen int
+}
+
+// seenName is a decoded name: where it starts on the wire, how many
+// pointers it followed, and its text.
+type seenName struct {
+	off, hops int
+	text      string
+}
+
+// name decodes the possibly compressed name at d.off and leaves d.off
+// just past its in-place encoding. The length limit holds for the whole
+// name after every label, whichever side of a pointer the label is on,
+// and a separator is written only in front of a label.
+func (d *decoder) name() (string, error) {
+	first, start := d.off, d.arena.Len()
+	off, hops := first, 0
 	for {
 		if off >= len(d.buf) {
-			return "", 0, ErrShortMessage
+			return "", ErrShortMessage
 		}
 		l := int(d.buf[off])
 		switch {
 		case l == 0:
-			return sb.String(), off + 1, nil
+			if hops == 0 {
+				d.off = off + 1
+			}
+			text := d.arena.String()[start:]
+			if text != "" && d.nseen < len(d.seen) {
+				d.seen[d.nseen] = seenName{off: first, hops: hops, text: text}
+				d.nseen++
+			}
+			return text, nil
 		case l&0xc0 == 0xc0:
 			if off+2 > len(d.buf) {
-				return "", 0, ErrShortMessage
+				return "", ErrShortMessage
 			}
 			ptr := int(binary.BigEndian.Uint16(d.buf[off:]) & 0x3fff)
 			if ptr >= off {
-				return "", 0, ErrBadPointer
+				return "", ErrBadPointer
 			}
-			rest, _, err := d.nameAt(ptr, depth+1)
-			if err != nil {
-				return "", 0, err
+			if hops++; hops > maxPointerHops {
+				return "", ErrBadPointer
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if hops == 1 {
+				d.off = off + 2
 			}
-			sb.WriteString(rest)
-			return sb.String(), off + 2, nil
+			if off == first { // the whole name is this pointer
+				for _, s := range d.seen[:d.nseen] {
+					if s.off == ptr && s.hops < maxPointerHops {
+						return s.text, nil
+					}
+				}
+			}
+			off = ptr
 		case l > 63:
-			return "", 0, ErrBadName
+			return "", ErrBadName
 		default:
 			if off+1+l > len(d.buf) {
-				return "", 0, ErrShortMessage
+				return "", ErrShortMessage
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if d.arena.Len() > start {
+				d.arena.WriteByte('.')
 			}
-			sb.Write(d.buf[off+1 : off+1+l])
-			if sb.Len() > maxNameLen {
-				return "", 0, ErrBadName
+			d.arena.Write(d.buf[off+1 : off+1+l])
+			if d.arena.Len()-start > maxNameLen {
+				return "", ErrBadName
 			}
 			off += 1 + l
 		}
 	}
 }
 
-func (d *decoder) rr() (RR, error) {
-	var rr RR
-	name, err := d.name()
-	if err != nil {
-		return rr, err
+// rr decodes one record into *rr, which the caller has zeroed.
+func (d *decoder) rr(rr *RR) error {
+	var err error
+	if rr.Name, err = d.name(); err != nil {
+		return err
 	}
-	rr.Name = name
-	t, err := d.uint16()
-	if err != nil {
-		return rr, err
+	if d.off+10 > len(d.buf) {
+		return ErrShortMessage
 	}
-	rr.Type = Type(t)
-	c, err := d.uint16()
-	if err != nil {
-		return rr, err
+	fixed := d.buf[d.off:]
+	rr.Type = Type(binary.BigEndian.Uint16(fixed))
+	rr.Class = Class(binary.BigEndian.Uint16(fixed[2:]))
+	rr.TTL = binary.BigEndian.Uint32(fixed[4:])
+	rdlen := int(binary.BigEndian.Uint16(fixed[8:]))
+	d.off += 10
+	end := d.off + rdlen
+	if end > len(d.buf) {
+		return ErrShortMessage
 	}
-	rr.Class = Class(c)
-	ttl, err := d.uint32()
-	if err != nil {
-		return rr, err
-	}
-	rr.TTL = ttl
-	rdlen, err := d.uint16()
-	if err != nil {
-		return rr, err
-	}
-	if d.off+int(rdlen) > len(d.buf) {
-		return rr, ErrShortMessage
-	}
-	end := d.off + int(rdlen)
 	switch rr.Type {
 	case TypeA:
 		if rdlen != 4 {
-			return rr, fmt.Errorf("dnswire: A RDATA length %d", rdlen)
+			return fmt.Errorf("dnswire: A RDATA length %d", rdlen)
 		}
-		v, _ := d.uint32()
-		rr.A = netx.Addr(v)
+		rr.A = netx.Addr(binary.BigEndian.Uint32(d.buf[d.off:]))
 	case TypeNS:
-		ns, err := d.name()
-		if err != nil {
-			return rr, err
+		if rr.NS, err = d.name(); err != nil {
+			return err
 		}
-		rr.NS = ns
 	case TypeSOA:
 		var soa SOAData
 		if soa.MName, err = d.name(); err != nil {
-			return rr, err
+			return err
 		}
 		if soa.RName, err = d.name(); err != nil {
-			return rr, err
+			return err
 		}
-		for _, p := range []*uint32{&soa.Serial, &soa.Refresh, &soa.Retry, &soa.Expire, &soa.Minimum} {
-			if *p, err = d.uint32(); err != nil {
-				return rr, err
-			}
+		if d.off+20 > len(d.buf) {
+			return ErrShortMessage
 		}
+		for i, p := range [...]*uint32{&soa.Serial, &soa.Refresh, &soa.Retry, &soa.Expire, &soa.Minimum} {
+			*p = binary.BigEndian.Uint32(d.buf[d.off+4*i:])
+		}
+		d.off += 20
 		rr.SOA = &soa
 	case TypeTXT:
 		for d.off < end {
 			l := int(d.buf[d.off])
 			if d.off+1+l > end {
-				return rr, ErrShortMessage
+				return ErrShortMessage
 			}
 			rr.TXT = append(rr.TXT, string(d.buf[d.off+1:d.off+1+l]))
 			d.off += 1 + l
@@ -475,26 +505,53 @@ func (d *decoder) rr() (RR, error) {
 		// skip unknown RDATA
 	}
 	if d.off > end {
-		return rr, fmt.Errorf("dnswire: RDATA overrun for type %v", rr.Type)
+		return fmt.Errorf("dnswire: RDATA overrun for type %v", rr.Type)
 	}
 	d.off = end
-	return rr, nil
+	return nil
 }
 
-// Decode parses a DNS message.
-func Decode(b []byte) (*Message, error) {
-	d := &decoder{buf: b}
-	var m Message
-	id, err := d.uint16()
-	if err != nil {
-		return nil, err
+// section decodes n records onto the end of dst.
+func (d *decoder) section(dst []RR, n uint16) ([]RR, error) {
+	for ; n > 0; n-- {
+		dst = append(dst, RR{})
+		if err := d.rr(&dst[len(dst)-1]); err != nil {
+			return dst, err
+		}
 	}
-	flags, err := d.uint16()
-	if err != nil {
-		return nil, err
+	return dst, nil
+}
+
+// The smallest question (root name, type, class) and record (root name,
+// ten fixed octets): they bound how many entries a message of a given
+// length can hold, whatever its header claims.
+const minQuestionLen, minRRLen = 5, 11
+
+// carve cuts a section with room for n records off the front of the slab;
+// a section without records stays nil, as appending to nothing leaves it.
+func carve(slab *[]RR, n int) []RR {
+	if n == 0 {
+		return nil
 	}
+	s := (*slab)[:0:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// DecodeInto parses a DNS message into m, reusing the room m's four
+// sections already have; what m held before is gone, and after an error
+// m is unspecified. A fresh m gets its three record sections from one
+// slab sized by the header counts, as far as the bytes present could
+// hold that many. Names are substrings of one arena made per call, so
+// nothing a previous DecodeInto returned changes, and keeping one name
+// keeps that one message's arena (about the message's own size) alive.
+func DecodeInto(m *Message, b []byte) error {
+	if len(b) < 12 {
+		return ErrShortMessage
+	}
+	flags := binary.BigEndian.Uint16(b[2:])
 	m.Header = Header{
-		ID:                 id,
+		ID:                 binary.BigEndian.Uint16(b),
 		Response:           flags&(1<<15) != 0,
 		Opcode:             uint8(flags >> 11 & 0xf),
 		Authoritative:      flags&(1<<10) != 0,
@@ -502,53 +559,62 @@ func Decode(b []byte) (*Message, error) {
 		RecursionDesired:   flags&(1<<8) != 0,
 		RecursionAvailable: flags&(1<<7) != 0,
 		RCode:              RCode(flags & 0xf),
+		QDCount:            binary.BigEndian.Uint16(b[4:]),
+		ANCount:            binary.BigEndian.Uint16(b[6:]),
+		NSCount:            binary.BigEndian.Uint16(b[8:]),
+		ARCount:            binary.BigEndian.Uint16(b[10:]),
 	}
-	counts := make([]uint16, 4)
-	for i := range counts {
-		if counts[i], err = d.uint16(); err != nil {
-			return nil, err
-		}
+	d := decoder{buf: b, off: 12}
+	d.arena.Grow(len(b))
+
+	var err error
+	h := &m.Header
+	m.Questions = m.Questions[:0]
+	if qd := min(int(h.QDCount), (len(b)-d.off)/minQuestionLen); cap(m.Questions) < qd {
+		m.Questions = make([]Question, 0, qd)
 	}
-	m.Header.QDCount, m.Header.ANCount, m.Header.NSCount, m.Header.ARCount = counts[0], counts[1], counts[2], counts[3]
-	for i := 0; i < int(counts[0]); i++ {
+	for i := 0; i < int(h.QDCount); i++ {
 		var q Question
 		if q.Name, err = d.name(); err != nil {
-			return nil, err
+			return err
 		}
-		t, err := d.uint16()
-		if err != nil {
-			return nil, err
+		if d.off+4 > len(b) {
+			return ErrShortMessage
 		}
-		q.Type = Type(t)
-		c, err := d.uint16()
-		if err != nil {
-			return nil, err
-		}
-		q.Class = Class(c)
+		q.Type = Type(binary.BigEndian.Uint16(b[d.off:]))
+		q.Class = Class(binary.BigEndian.Uint16(b[d.off+2:]))
+		d.off += 4
 		m.Questions = append(m.Questions, q)
 	}
-	for i := 0; i < int(counts[1]); i++ {
-		rr, err := d.rr()
-		if err != nil {
-			return nil, err
-		}
-		m.Answers = append(m.Answers, rr)
+
+	room := (len(b) - d.off) / minRRLen
+	an := min(int(h.ANCount), room)
+	ns := min(int(h.NSCount), room-an)
+	ar := min(int(h.ARCount), room-an-ns)
+	if cap(m.Answers) >= an && cap(m.Authority) >= ns && cap(m.Additional) >= ar {
+		m.Answers, m.Authority, m.Additional = m.Answers[:0], m.Authority[:0], m.Additional[:0]
+	} else {
+		slab := make([]RR, an+ns+ar)
+		m.Answers, m.Authority, m.Additional = carve(&slab, an), carve(&slab, ns), carve(&slab, ar)
 	}
-	for i := 0; i < int(counts[2]); i++ {
-		rr, err := d.rr()
-		if err != nil {
-			return nil, err
-		}
-		m.Authority = append(m.Authority, rr)
+	if m.Answers, err = d.section(m.Answers, h.ANCount); err != nil {
+		return err
 	}
-	for i := 0; i < int(counts[3]); i++ {
-		rr, err := d.rr()
-		if err != nil {
-			return nil, err
-		}
-		m.Additional = append(m.Additional, rr)
+	if m.Authority, err = d.section(m.Authority, h.NSCount); err != nil {
+		return err
 	}
-	return &m, nil
+	m.Additional, err = d.section(m.Additional, h.ARCount)
+	return err
+}
+
+// Decode parses a DNS message into a fresh Message that is the caller's
+// to keep.
+func Decode(b []byte) (*Message, error) {
+	m := new(Message)
+	if err := DecodeInto(m, b); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // NewQuery builds a standard query message for (name, type).

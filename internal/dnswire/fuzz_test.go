@@ -50,6 +50,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(dup)
 	// truncated OPT: the same record cut mid-fixed-fields
 	f.Add(append(append([]byte{}, ewire...), opt[:5]...))
+	// names ending in a pointer: one grown past the limit through it, one
+	// pointing at the root (TestDecodeNameEndingInPointer)
+	f.Add(pointerTailedOverlong())
+	f.Add(pointerToRoot())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
@@ -61,9 +65,22 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("question count mismatch: %d vs %d", len(m.Questions), m.Header.QDCount)
 		}
 		// names must be canonical-izable without growth beyond limits
+		checkName := func(name string) {
+			if len(CanonicalName(name)) > 255 {
+				t.Fatalf("oversized name survived decode: %d bytes", len(name))
+			}
+		}
 		for _, qq := range m.Questions {
-			if len(CanonicalName(qq.Name)) > 255 {
-				t.Fatalf("oversized name survived decode: %d bytes", len(qq.Name))
+			checkName(qq.Name)
+		}
+		for _, section := range [][]RR{m.Answers, m.Authority, m.Additional} {
+			for _, rr := range section {
+				checkName(rr.Name)
+				checkName(rr.NS)
+				if rr.SOA != nil {
+					checkName(rr.SOA.MName)
+					checkName(rr.SOA.RName)
+				}
 			}
 		}
 	})
@@ -75,6 +92,7 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add(uint16(1), "example.com", uint16(TypeNS))
 	f.Add(uint16(0xffff), "a.b.c.d.e", uint16(TypeA))
 	f.Add(uint16(0), "", uint16(TypeTXT))
+	f.Add(uint16(5), overlongName, uint16(TypeNS)) // legal labels, illegal name
 	f.Fuzz(func(t *testing.T, id uint16, name string, qtype uint16) {
 		msg := NewQuery(id, name, Type(qtype))
 		wire, err := Encode(msg)

@@ -196,8 +196,8 @@ func (r *LiveResolver) Resolve(ctx context.Context, addrs []string, name string,
 	if len(addrs) == 0 {
 		return LiveOutcome{Status: nsset.StatusServFail}
 	}
-	order := make([]string, len(addrs))
-	copy(order, addrs)
+	var room [8]string // longer lists spill to the heap by themselves
+	order := append(room[:0], addrs...)
 	r.mu.Lock()
 	r.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	r.mu.Unlock()

@@ -58,14 +58,12 @@ func (c *TCPClient) Query(ctx context.Context, addr, name string, qtype dnswire.
 		return nil, 0, err
 	}
 	id := binary.BigEndian.Uint16(idb[:])
-	q := dnswire.NewQuery(id, name, qtype)
-	wire, err := dnswire.Encode(q)
+	// the message goes behind two bytes kept for its length
+	framed, err := dnswire.AppendEncode(make([]byte, 2, 512), dnswire.NewQuery(id, name, qtype))
 	if err != nil {
 		return nil, 0, err
 	}
-	framed := make([]byte, 2+len(wire))
-	binary.BigEndian.PutUint16(framed, uint16(len(wire)))
-	copy(framed[2:], wire)
+	binary.BigEndian.PutUint16(framed, uint16(len(framed)-2))
 	if _, err := conn.Write(framed); err != nil {
 		return nil, 0, fmt.Errorf("resolver: tcp send: %w", err)
 	}

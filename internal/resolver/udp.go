@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"net/netip"
+	"sync"
 	"time"
 
 	"dnsddos/internal/dnswire"
@@ -13,7 +15,10 @@ import (
 
 // UDPClient issues real DNS queries over UDP sockets, used by the live
 // integration path (internal/authserver) and the livedns example. It
-// retries nothing by itself; callers own retry policy.
+// retries nothing by itself; callers own retry policy. Every query gets
+// its own socket, and with it its own source port (RFC 5452 §9.2); its
+// datagram buffer comes from a pool shared by all clients, and the
+// message it returns is freshly decoded and the caller's to keep.
 type UDPClient struct {
 	// Timeout bounds one query round trip.
 	Timeout time.Duration
@@ -26,21 +31,50 @@ type UDPClient struct {
 	Wrap func(net.Conn) net.Conn
 }
 
+// udpBufPool holds datagram buffers of at least minUDPBuf bytes: a query
+// is encoded into one and sent, then the same bytes take the response.
+// Nothing decoded from a buffer points into it, so it goes back when the
+// query returns.
+const minUDPBuf = 4096
+
+var udpBufPool = sync.Pool{New: func() any {
+	b := make([]byte, minUDPBuf)
+	return &b
+}}
+
+// udpAddr turns "host:port" into a socket address: an IP literal is
+// parsed as one, anything else is looked up.
+func udpAddr(addr string) (*net.UDPAddr, error) {
+	if ap, err := netip.ParseAddrPort(addr); err == nil {
+		return net.UDPAddrFromAddrPort(ap), nil
+	}
+	return net.ResolveUDPAddr("udp", addr)
+}
+
 // Query sends a question to the server at addr ("host:port") and returns
-// the decoded response and the measured round-trip time.
+// the decoded response and the measured round-trip time. A context that
+// is already done fails the query before anything is sent; after that,
+// ctx bounds the wait for the response through its deadline.
 func (c *UDPClient) Query(ctx context.Context, addr, name string, qtype dnswire.Type) (*dnswire.Message, time.Duration, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, fmt.Errorf("resolver: dial %s: %w", addr, err)
+	}
 	timeout := c.Timeout
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	var d net.Dialer
-	dctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	conn, err := d.DialContext(dctx, "udp", addr)
+	raddr, err := udpAddr(addr)
 	if err != nil {
 		return nil, 0, fmt.Errorf("resolver: dial %s: %w", addr, err)
 	}
-	defer conn.Close()
+	// connecting a UDP socket sends nothing and does not block, so the
+	// dial needs neither ctx nor a timeout of its own
+	uc, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		return nil, 0, fmt.Errorf("resolver: dial %s: %w", addr, err)
+	}
+	defer uc.Close()
+	var conn net.Conn = uc
 	if c.Wrap != nil {
 		conn = c.Wrap(conn)
 	}
@@ -54,7 +88,17 @@ func (c *UDPClient) Query(ctx context.Context, addr, name string, qtype dnswire.
 	if c.EDNSPayload > 0 {
 		q.AttachEDNS(dnswire.EDNS{UDPPayload: c.EDNSPayload})
 	}
-	wire, err := dnswire.Encode(q)
+	// The buffer must cover what we invited the server to send: one
+	// smaller than the advertised EDNS payload makes the kernel silently
+	// truncate big responses, which then fail to decode (see
+	// udp_fallback_test.go).
+	bp := udpBufPool.Get().(*[]byte)
+	defer udpBufPool.Put(bp)
+	if size := max(minUDPBuf, int(c.EDNSPayload)); len(*bp) < size {
+		*bp = make([]byte, size)
+	}
+	buf := *bp
+	wire, err := dnswire.AppendEncode(buf[:0], q)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -69,15 +113,6 @@ func (c *UDPClient) Query(ctx context.Context, addr, name string, qtype dnswire.
 	if _, err := conn.Write(wire); err != nil {
 		return nil, 0, fmt.Errorf("resolver: send: %w", err)
 	}
-	// The read buffer must cover what we invited the server to send:
-	// a buffer smaller than the advertised EDNS payload makes the
-	// kernel silently truncate big responses, which then fail to
-	// decode (see udp_fallback_test.go).
-	bufSize := 4096
-	if int(c.EDNSPayload) > bufSize {
-		bufSize = int(c.EDNSPayload)
-	}
-	buf := make([]byte, bufSize)
 	for {
 		n, err := conn.Read(buf)
 		if err != nil {
