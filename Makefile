@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-sweep bench-serve flake-sweep report loc
+.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-sweep bench-serve bench-session flake-sweep report loc
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,7 @@ test: build obs stream distjoin
 	$(GO) test -bench 'BenchmarkJoin' -benchtime 1x -run '^$$' ./internal/core/
 	$(GO) test -bench 'BenchmarkRunDay' -benchtime 1x -run '^$$' ./internal/openintel/
 	$(GO) test -bench 'Benchmark(AppendEncode|DecodeInto)NSResponse' -benchtime 1x -run '^$$' ./internal/dnswire/
+	$(GO) test -bench 'BenchmarkNewSession' -benchtime 1x -run '^$$' ./internal/study/
 
 # Streaming smoke: the stream-vs-batch parity harness, exactly-once
 # kill/resume, late-drop accounting, and the aggregator order-invariance
@@ -28,7 +29,8 @@ stream:
 # detector — concurrent counter/histogram exactness, snapshot
 # determinism (golden files), the HTTP endpoint lifecycle, the
 # goroutine-leak helper applied to server and resolver teardown, and a
-# smoke pass over the wire-format and day-file fuzz seed corpora.
+# smoke pass over the wire-format, day-file and attack-feed fuzz seed
+# corpora.
 obs:
 	$(GO) test -race ./internal/obs/ ./internal/netx/ -count 1
 	$(GO) test -race ./internal/authserver/ -run 'Leaks|TestMetricsEndpoint' -count 1
@@ -37,6 +39,7 @@ obs:
 	$(GO) test -race ./internal/study/ -run 'TestRunMetrics' -count 1
 	$(GO) test ./internal/dnswire/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/daystore/ -run 'Fuzz' -count 1
+	$(GO) test ./internal/rsdos/ -run 'Fuzz' -count 1
 
 # Distributed-join chaos leg: a four-worker fleet with one worker killed
 # mid-shard and one writing through a corrupting faultinject stream must
@@ -121,6 +124,16 @@ bench-serve:
 	$(GO) test -bench 'BenchmarkZoneAnswer' -benchmem -run '^$$' ./internal/authserver/
 	$(GO) test -bench 'Server_(UDP|TCP)Throughput' -benchtime 1s -run '^$$' ./internal/authserver/
 	$(GO) test -bench 'BenchmarkLiveResolveLoopback' -run '^$$' ./internal/resolver/
+
+# The session build, layer by layer: study.NewSession at the repo
+# benchmark's scale (allocs/op and B/op are what every study, joinworker and
+# setup_s sample pays before its first sweep), and its two heaviest stages,
+# the telescope feed and its curation. For reading while working on the
+# set-up; the gated number is the repo benchmark's study_batch op_allocs.
+bench-session:
+	$(GO) test -bench 'BenchmarkNewSession' -benchmem -run '^$$' ./internal/study/
+	$(GO) test -bench 'BenchmarkSynthesizeObs' -benchmem -run '^$$' ./internal/scenario/
+	$(GO) test -bench 'BenchmarkInfer' -benchmem -run '^$$' ./internal/rsdos/
 
 # The paper's tables and figures.
 report:

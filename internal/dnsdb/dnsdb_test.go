@@ -1,6 +1,7 @@
 package dnsdb
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -82,6 +83,40 @@ func TestDomainNSSortedDeduped(t *testing.T) {
 	// sorted by NameserverID and deduplicated
 	if len(ns) != 2 || ns[0] != a || ns[1] != b {
 		t.Errorf("NS list = %v, want sorted dedup [%d %d]", ns, a, b)
+	}
+}
+
+// TestAddDomainLeavesCallerSlices: an unsorted, duplicated list is copied
+// before it is put in order — the caller's array is untouched, ParentNS
+// included — and a list already in order is kept, so the domains of one
+// group read one array.
+func TestAddDomainLeavesCallerSlices(t *testing.T) {
+	db := New()
+	pid := db.AddProvider(Provider{Name: "P"})
+	var ids [4]NameserverID
+	for i := range ids {
+		ids[i], _ = db.AddNameserver(Nameserver{Addr: netx.Addr(10 + i), Provider: pid})
+	}
+	messy := []NameserverID{ids[3], ids[1], ids[3], ids[0], ids[1]}
+	parent := []NameserverID{ids[2], ids[0], ids[2]}
+	messyWas, parentWas := slices.Clone(messy), slices.Clone(parent)
+	did := db.AddDomain(Domain{Name: "x.example", NS: messy, ParentNS: parent})
+	if !slices.Equal(messy, messyWas) || !slices.Equal(parent, parentWas) {
+		t.Errorf("AddDomain wrote to its argument: NS %v (was %v), ParentNS %v (was %v)", messy, messyWas, parent, parentWas)
+	}
+	d := db.Domains[did]
+	if !slices.Equal(d.NS, []NameserverID{ids[0], ids[1], ids[3]}) || !slices.Equal(d.ParentNS, []NameserverID{ids[0], ids[2]}) {
+		t.Errorf("stored NS %v, ParentNS %v", d.NS, d.ParentNS)
+	}
+
+	group := []NameserverID{ids[0], ids[2], ids[3]}
+	one := db.AddDomain(Domain{Name: "one.example", NS: group})
+	two := db.AddDomain(Domain{Name: "two.example", NS: group, ParentNS: group})
+	if &db.Domains[one].NS[0] != &group[0] || &db.Domains[two].NS[0] != &group[0] {
+		t.Error("domains added from one sorted list do not share its array")
+	}
+	if db.Domains[two].ParentNS != nil {
+		t.Errorf("a ParentNS equal to NS was kept: %v", db.Domains[two].ParentNS)
 	}
 }
 

@@ -24,19 +24,42 @@ type Key string
 
 // KeyOf builds a Key from addresses (sorted and deduplicated internally).
 func KeyOf(addrs []netx.Addr) Key {
-	s := make([]netx.Addr, len(addrs))
-	copy(s, addrs)
+	s := slices.Clone(addrs)
 	slices.Sort(s)
-	buf := make([]byte, 0, 4*len(s))
-	var prev netx.Addr
-	for i, a := range s {
-		if i > 0 && a == prev {
-			continue
+	return Key(appendKey(make([]byte, 0, 4*len(s)), s))
+}
+
+// appendKey appends the key bytes of sorted addresses, each address once.
+func appendKey(buf []byte, sorted []netx.Addr) []byte {
+	for i, a := range sorted {
+		if i == 0 || a != sorted[i-1] {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(a))
 		}
-		prev = a
-		buf = binary.BigEndian.AppendUint32(buf, uint32(a))
 	}
-	return Key(buf)
+	return buf
+}
+
+// Interner hands out one Key per distinct address set: equal keys from
+// one Interner share their bytes, and a set seen before costs no
+// allocation. The zero value is ready to use.
+type Interner struct {
+	keys map[string]Key
+}
+
+// KeyOf is the package-level KeyOf, interned. It sorts addrs in place.
+func (in *Interner) KeyOf(addrs []netx.Addr) Key {
+	slices.Sort(addrs)
+	var arr [64]byte // sixteen addresses; a larger set spills by append
+	buf := appendKey(arr[:0], addrs)
+	k, ok := in.keys[string(buf)]
+	if !ok {
+		if in.keys == nil {
+			in.keys = make(map[string]Key)
+		}
+		k = Key(buf)
+		in.keys[string(k)] = k
+	}
+	return k
 }
 
 // Addrs decodes the member addresses.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/netx"
@@ -31,6 +32,37 @@ func TestKeyOfDedup(t *testing.T) {
 	a := KeyOf(addrs("192.0.2.1", "192.0.2.1", "192.0.2.2"))
 	if a.Size() != 2 {
 		t.Errorf("size = %d, want 2", a.Size())
+	}
+}
+
+// TestInternerMatchesKeyOf: an interned key is KeyOf's key for any order
+// and duplication of the addresses (18 of them spill the stack array),
+// equal sets get one backing string, and a set seen before allocates
+// nothing.
+func TestInternerMatchesKeyOf(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 0x1e7))
+	var in Interner
+	first := make(map[Key]*byte)
+	for round := 0; round < 500; round++ {
+		set := make([]netx.Addr, 1+rng.IntN(18))
+		for i := range set {
+			set[i] = netx.Addr(0x0a000000 + rng.IntN(24))
+		}
+		want := KeyOf(set)
+		got := in.KeyOf(set)
+		if got != want {
+			t.Fatalf("interned key %x, KeyOf %x", string(got), string(want))
+		}
+		if p, seen := first[got]; !seen {
+			first[got] = unsafe.StringData(string(got))
+		} else if p != unsafe.StringData(string(got)) {
+			t.Fatalf("key %x interned twice", string(got))
+		}
+	}
+	set := addrs("192.0.2.2", "192.0.2.1", "192.0.2.2")
+	in.KeyOf(set)
+	if n := testing.AllocsPerRun(20, func() { in.KeyOf(set) }); n != 0 {
+		t.Errorf("a key seen before cost %.0f allocations", n)
 	}
 }
 

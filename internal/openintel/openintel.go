@@ -19,6 +19,7 @@ import (
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/dnsdb"
+	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/resolver"
 )
@@ -54,8 +55,16 @@ func NewEngine(db *dnsdb.DB, res *resolver.Resolver, seed uint64) *Engine {
 	e.nssets = make([]nsset.Key, len(db.Domains))
 	e.slot = make([]int32, len(db.Domains))
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
+	// thousands of domains share a few hundred NS lists: one Key per
+	// distinct list, its addresses gathered in a stack array
+	var keys nsset.Interner
 	for i := range db.Domains {
-		e.nssets[i] = nsset.KeyOf(db.NSAddrs(dnsdb.DomainID(i)))
+		var arr [16]netx.Addr
+		addrs := arr[:0]
+		for _, id := range db.Domains[i].NS {
+			addrs = append(addrs, db.Nameservers[id].Addr)
+		}
+		e.nssets[i] = keys.KeyOf(addrs)
 		e.slot[i] = int32(rng.IntN(86400))
 	}
 	e.order = e.slotOrder()

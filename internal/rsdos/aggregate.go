@@ -1,6 +1,8 @@
 package rsdos
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -11,6 +13,9 @@ import (
 )
 
 // windowState accumulates one victim's backscatter inside one window.
+// Packets arrive one at a time and a capture may name any number of ports,
+// so ports stays a map while the window is open; obs freezes it into the
+// observation's sorted list.
 type windowState struct {
 	packets      int64
 	minuteCounts [5]int64
@@ -61,7 +66,13 @@ func (st *windowState) obs(w clock.Window, v netx.Addr) WindowObs {
 		Packets:    st.packets,
 		Slash16:    len(st.slash16),
 		UniqueDsts: int64(len(st.dsts)),
-		Ports:      st.ports,
+	}
+	if len(st.ports) > 0 {
+		o.Ports = make([]PortCount, 0, len(st.ports))
+		for p, n := range st.ports {
+			o.Ports = append(o.Ports, PortCount{Port: p, N: n})
+		}
+		slices.SortFunc(o.Ports, func(a, b PortCount) int { return cmp.Compare(a.Port, b.Port) })
 	}
 	for _, c := range st.minuteCounts {
 		if float64(c) > o.PeakPPM {

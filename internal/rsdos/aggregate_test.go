@@ -49,7 +49,7 @@ func TestPacketAggregatorBasics(t *testing.T) {
 	if first.Slash16 != 2 || first.UniqueDsts != 2 {
 		t.Errorf("spread = %d, dsts = %d", first.Slash16, first.UniqueDsts)
 	}
-	if first.Proto != packet.ProtoTCP || first.Ports[53] != 2 {
+	if first.Proto != packet.ProtoTCP || portN(first.Ports, 53) != 2 {
 		t.Errorf("attribution = %v %v", first.Proto, first.Ports)
 	}
 }
@@ -128,7 +128,7 @@ func TestPacketPathMatchesFlowPath(t *testing.T) {
 		if o.Victim != victimAddr {
 			t.Errorf("victim attribution = %v", o.Victim)
 		}
-		if o.Proto != packet.ProtoTCP || o.Ports[53] != o.Packets {
+		if o.Proto != packet.ProtoTCP || portN(o.Ports, 53) != o.Packets {
 			t.Errorf("port attribution: %+v", o)
 		}
 	}

@@ -24,7 +24,7 @@ func ExampleInfer() {
 			Slash16:    150,
 			UniqueDsts: 590,
 			Proto:      packet.ProtoTCP,
-			Ports:      map[uint16]int64{53: 600},
+			Ports:      []rsdos.PortCount{{Port: 53, N: 600}},
 		})
 	}
 	attacks := rsdos.Infer(rsdos.DefaultConfig(), obs)

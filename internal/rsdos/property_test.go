@@ -26,7 +26,7 @@ func randomObs(rng *rand.Rand) []WindowObs {
 		o.PeakPPM = float64(o.Packets) / 5
 		o.UniqueDsts = o.Packets
 		if rng.IntN(4) > 0 {
-			o.Ports = map[uint16]int64{uint16(1 + rng.IntN(1000)): o.Packets}
+			o.Ports = []PortCount{{uint16(1 + rng.IntN(1000)), o.Packets}}
 		}
 		out = append(out, o)
 	}

@@ -16,7 +16,8 @@
 package rsdos
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"dnsddos/internal/clock"
@@ -32,6 +33,10 @@ import (
 type WindowObs struct {
 	Window clock.Window
 	Victim netx.Addr
+	// Proto is the inferred attacked protocol (from backscatter type).
+	// It sits beside Victim so the two share a word: a feed is hundreds
+	// of thousands of these records.
+	Proto packet.Protocol
 	// Packets is the number of backscatter packets captured.
 	Packets int64
 	// PeakPPM is the peak per-minute packet rate inside the window
@@ -43,11 +48,47 @@ type WindowObs struct {
 	// UniqueDsts is the number of distinct darknet destinations, i.e.
 	// distinct spoofed sources that landed in the telescope.
 	UniqueDsts int64
-	// Proto is the inferred attacked protocol (from backscatter type).
-	Proto packet.Protocol
-	// Ports maps inferred attacked destination ports to packet counts.
-	// Empty for ICMP attacks.
-	Ports map[uint16]int64
+	// Ports lists the inferred attacked destination ports with their
+	// packet counts, ascending by port, each port once. Nil and empty are
+	// the same observation (an ICMP attack). Producers that cut many
+	// lists from one array clamp each list's capacity to its length, so
+	// appending to one observation's list never writes into the next.
+	Ports []PortCount
+}
+
+// PortCount is one attacked destination port and the packets attributed
+// to it.
+type PortCount struct {
+	Port uint16
+	N    int64
+}
+
+// AddPort returns ports, a list ascending by port, with n more packets on
+// port: added to the port's entry when it has one, inserted in port order
+// otherwise.
+func AddPort(ports []PortCount, port uint16, n int64) []PortCount {
+	i, found := slices.BinarySearchFunc(ports, port, func(e PortCount, p uint16) int {
+		return cmp.Compare(e.Port, p)
+	})
+	if found {
+		ports[i].N += n
+		return ports
+	}
+	return slices.Insert(ports, i, PortCount{Port: port, N: n})
+}
+
+// topPort returns the port with the highest count, the lowest such port
+// on a tie (the list ascends by port, so the first maximum); 0 for an
+// empty list.
+func topPort(ports []PortCount) uint16 {
+	var best uint16
+	var bestN int64 = -1
+	for _, pc := range ports {
+		if pc.N > bestN {
+			best, bestN = pc.Port, pc.N
+		}
+	}
+	return best
 }
 
 // Config are the curation thresholds. Defaults approximate the Moore et
@@ -142,22 +183,29 @@ func (a *Attack) Overlaps(from, to time.Time) bool {
 // and the finalized feed is numbered by (StartWindow, Victim) rank. The
 // streaming pipeline drives the identical Tracker watermark-by-watermark,
 // so batch and streaming curation cannot diverge.
+//
+// Observation keys are not unique: two spoofed components on one victim
+// give two observations of one (Window, Victim), and whichever the sort
+// puts first sets a new attack's FirstPort. The sort is therefore part of
+// the feed: an unstable pdqsort over this comparison, which a stable sort
+// does not reproduce (inferReference in the tests holds the order). It
+// permutes the positions of the qualifying observations, not the 72-byte
+// records — pdqsort sees only comparison results, so the order is the one
+// sorting the records would give.
 func Infer(cfg Config, obs []WindowObs) []Attack {
 	tr := NewTracker(cfg)
-	qual := make([]WindowObs, 0, len(obs))
+	qual := make([]int32, 0, len(obs)) // positions in obs
 	for i := range obs {
 		if tr.Qualifies(&obs[i]) {
-			qual = append(qual, obs[i])
+			qual = append(qual, int32(i))
 		}
 	}
-	sort.Slice(qual, func(i, j int) bool {
-		if qual[i].Window != qual[j].Window {
-			return qual[i].Window < qual[j].Window
-		}
-		return qual[i].Victim < qual[j].Victim
+	slices.SortFunc(qual, func(i, j int32) int {
+		a, b := &obs[i], &obs[j]
+		return cmp.Or(cmp.Compare(a.Window, b.Window), cmp.Compare(a.Victim, b.Victim))
 	})
-	for _, o := range qual {
-		tr.Observe(o)
+	for _, i := range qual {
+		tr.Observe(obs[i])
 	}
 	attacks := tr.Finish()
 	for i := range attacks {
@@ -166,39 +214,19 @@ func Infer(cfg Config, obs []WindowObs) []Attack {
 	return attacks
 }
 
-func firstPort(o *WindowObs) uint16 {
-	if len(o.Ports) == 0 {
-		return 0
-	}
-	// deterministic: the lowest port with the highest count
-	var best uint16
-	var bestN int64 = -1
-	for p, n := range o.Ports {
-		if n > bestN || (n == bestN && p < best) {
-			best, bestN = p, n
-		}
-	}
-	return best
-}
-
-func finishAttack(a *Attack, ports map[uint16]int64, protoCount map[packet.Protocol]int64) {
+// finishAttack fills in what only the whole attack decides: the port
+// count, the dominant protocol (highest packet count, lowest protocol
+// number on a tie) and, when the first window named no port, the
+// dominant port.
+func finishAttack(a *Attack, ports []PortCount, protos []protoCount) {
 	a.UniquePorts = len(ports)
-	var bestProto packet.Protocol
 	var bestN int64 = -1
-	for p, n := range protoCount {
-		if n > bestN || (n == bestN && p < bestProto) {
-			bestProto, bestN = p, n
+	for _, pc := range protos { // ascending by protocol
+		if pc.n > bestN {
+			a.Proto, bestN = pc.proto, pc.n
 		}
 	}
-	a.Proto = bestProto
-	if a.FirstPort == 0 && len(ports) > 0 {
-		var best uint16
-		var bn int64 = -1
-		for p, n := range ports {
-			if n > bn || (n == bn && p < best) {
-				best, bn = p, n
-			}
-		}
-		a.FirstPort = best
+	if a.FirstPort == 0 {
+		a.FirstPort = topPort(ports)
 	}
 }

@@ -20,7 +20,7 @@ func obs(victim string, w clock.Window, packets int64, slash16 int, port uint16)
 		Proto:   packet.ProtoTCP,
 	}
 	if port != 0 {
-		o.Ports = map[uint16]int64{port: packets}
+		o.Ports = []PortCount{{port, packets}}
 	}
 	o.UniqueDsts = packets
 	return o
@@ -115,9 +115,9 @@ func TestInferSeparatesVictims(t *testing.T) {
 
 func TestInferMultiPort(t *testing.T) {
 	o1 := obs("192.0.2.1", 0, 100, 50, 0)
-	o1.Ports = map[uint16]int64{80: 60, 443: 40}
+	o1.Ports = []PortCount{{80, 60}, {443, 40}}
 	o2 := obs("192.0.2.1", 1, 100, 50, 0)
-	o2.Ports = map[uint16]int64{53: 100}
+	o2.Ports = []PortCount{{53, 100}}
 	attacks := Infer(DefaultConfig(), []WindowObs{o1, o2})
 	if len(attacks) != 1 {
 		t.Fatalf("attacks = %d", len(attacks))

@@ -1,7 +1,8 @@
 package rsdos
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/netx"
@@ -15,12 +16,52 @@ import (
 // the streaming pipeline (internal/stream) drives the same Tracker
 // window-by-window, so the two paths cannot diverge semantically.
 
-// candidate is one open (still extendable) attack.
+// candidate is one open (still extendable) attack. Its two lists start
+// out in its own buffers — four ports cover nine attacks in ten, three
+// protocols are all the models emit — and move to the heap by append when
+// an attack outgrows them, so a candidate must not be copied.
 type candidate struct {
-	atk        Attack
-	ports      map[uint16]int64
-	protoCount map[packet.Protocol]int64
+	atk Attack
+	// ports is the attack's merged port list, ascending like an
+	// observation's.
+	ports []PortCount
+	// protos counts packets per attacked protocol, ascending by protocol.
+	protos   []protoCount
+	portBuf  [4]PortCount
+	protoBuf [3]protoCount
 }
+
+type protoCount struct {
+	proto packet.Protocol
+	n     int64
+}
+
+// start makes c the open attack whose first window is o.
+func (c *candidate) start(o *WindowObs) {
+	c.atk = Attack{
+		Victim:      o.Victim,
+		StartWindow: o.Window,
+		EndWindow:   o.Window,
+		FirstPort:   topPort(o.Ports),
+	}
+	c.ports, c.protos = c.portBuf[:0], c.protoBuf[:0]
+}
+
+// addProto is AddPort for the protocol list.
+func addProto(protos []protoCount, p packet.Protocol, n int64) []protoCount {
+	i := 0
+	for i < len(protos) && protos[i].proto < p {
+		i++
+	}
+	if i < len(protos) && protos[i].proto == p {
+		protos[i].n += n
+		return protos
+	}
+	return slices.Insert(protos, i, protoCount{proto: p, n: n})
+}
+
+// candidateChunk is how many candidates one slab allocation holds.
+const candidateChunk = 64
 
 // Tracker incrementally curates WindowObs into attack records.
 //
@@ -32,6 +73,9 @@ type candidate struct {
 type Tracker struct {
 	cfg  Config
 	open map[netx.Addr]*candidate
+	// slab is the chunk new candidates are cut from. A full chunk is left
+	// to its candidates and replaced, so a candidate never moves.
+	slab []candidate
 	// pending holds attacks finalized by a same-victim successor window
 	// (gap exceeded) between Advance calls.
 	pending []Attack
@@ -57,21 +101,17 @@ func (tr *Tracker) Observe(o WindowObs) {
 	}
 	cur := tr.open[o.Victim]
 	if cur != nil && int64(o.Window-cur.atk.EndWindow) > int64(tr.cfg.MaxGapWindows)+1 {
+		// the successor takes the finalized candidate's storage and its
+		// place in the map
 		tr.finalize(cur)
-		delete(tr.open, o.Victim)
-		cur = nil
-	}
-	if cur == nil {
-		cur = &candidate{
-			atk: Attack{
-				Victim:      o.Victim,
-				StartWindow: o.Window,
-				EndWindow:   o.Window,
-				FirstPort:   firstPort(&o),
-			},
-			ports:      make(map[uint16]int64),
-			protoCount: make(map[packet.Protocol]int64),
+		cur.start(&o)
+	} else if cur == nil {
+		if len(tr.slab) == cap(tr.slab) {
+			tr.slab = make([]candidate, 0, candidateChunk)
 		}
+		tr.slab = tr.slab[:len(tr.slab)+1]
+		cur = &tr.slab[len(tr.slab)-1]
+		cur.start(&o)
 		tr.open[o.Victim] = cur
 	}
 	cur.atk.EndWindow = o.Window
@@ -85,9 +125,9 @@ func (tr *Tracker) Observe(o WindowObs) {
 	if o.UniqueDsts > cur.atk.UniqueDsts {
 		cur.atk.UniqueDsts = o.UniqueDsts
 	}
-	cur.protoCount[o.Proto] += o.Packets
-	for p, c := range o.Ports {
-		cur.ports[p] += c
+	cur.protos = addProto(cur.protos, o.Proto, o.Packets)
+	for _, pc := range o.Ports {
+		cur.ports = AddPort(cur.ports, pc.Port, pc.N)
 	}
 }
 
@@ -97,7 +137,7 @@ func (tr *Tracker) finalize(c *candidate) {
 	if c.atk.TotalPackets < tr.cfg.MinTotalPackets {
 		return
 	}
-	finishAttack(&c.atk, c.ports, c.protoCount)
+	finishAttack(&c.atk, c.ports, c.protos)
 	tr.pending = append(tr.pending, c.atk)
 }
 
@@ -145,10 +185,7 @@ func (tr *Tracker) drain() []Attack {
 // sortAttacks orders a feed by (StartWindow, Victim) — the feed order.
 // Per victim, attack spans are disjoint, so the key is unique.
 func sortAttacks(attacks []Attack) {
-	sort.Slice(attacks, func(i, j int) bool {
-		if attacks[i].StartWindow != attacks[j].StartWindow {
-			return attacks[i].StartWindow < attacks[j].StartWindow
-		}
-		return attacks[i].Victim < attacks[j].Victim
+	slices.SortFunc(attacks, func(a, b Attack) int {
+		return cmp.Or(cmp.Compare(a.StartWindow, b.StartWindow), cmp.Compare(a.Victim, b.Victim))
 	})
 }

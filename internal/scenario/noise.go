@@ -83,7 +83,8 @@ func scannerObs(rng *rand.Rand, tel *telescope.Telescope, base clock.Window) []r
 	case 3:
 		port = 3389
 	}
-	var out []rsdos.WindowObs
+	out := make([]rsdos.WindowObs, 0, windows)
+	ports := make([]rsdos.PortCount, windows) // one per window, cut clamped
 	for w := 0; w < windows; w++ {
 		pk := int64(perWindow) + rng.Int64N(20)
 		// sequential sweep: a window's packets stay inside 1–4 /16s
@@ -91,6 +92,7 @@ func scannerObs(rng *rand.Rand, tel *telescope.Telescope, base clock.Window) []r
 		if spread > tel.NumSlash16() {
 			spread = tel.NumSlash16()
 		}
+		ports[w] = rsdos.PortCount{Port: port, N: pk}
 		out = append(out, rsdos.WindowObs{
 			Window:     start + clock.Window(w),
 			Victim:     src,
@@ -99,7 +101,7 @@ func scannerObs(rng *rand.Rand, tel *telescope.Telescope, base clock.Window) []r
 			Slash16:    spread,
 			UniqueDsts: pk,
 			Proto:      proto,
-			Ports:      map[uint16]int64{port: pk},
+			Ports:      ports[w : w+1 : w+1],
 		})
 	}
 	return out
@@ -111,18 +113,21 @@ func misconfObs(rng *rand.Rand, base clock.Window) []rsdos.WindowObs {
 	src := netx.Addr(rng.Uint32())
 	start := base + clock.Window(rng.IntN(int(clock.WindowsPerDay)))
 	windows := 1 + rng.IntN(200)
-	var out []rsdos.WindowObs
+	out := make([]rsdos.WindowObs, 0, windows)
+	ports := make([]rsdos.PortCount, windows) // one per window, cut clamped
 	for w := 0; w < windows; w++ {
 		pk := 5 + stats.Poisson(rng, 40)
+		dsts := 1 + rng.Int64N(2)
+		ports[w] = rsdos.PortCount{Port: uint16(1024 + rng.IntN(60000)), N: pk}
 		out = append(out, rsdos.WindowObs{
 			Window:     start + clock.Window(w),
 			Victim:     src,
 			Packets:    pk,
 			PeakPPM:    float64(pk) / 5,
 			Slash16:    1,
-			UniqueDsts: 1 + rng.Int64N(2),
+			UniqueDsts: dsts,
 			Proto:      packet.ProtoUDP,
-			Ports:      map[uint16]int64{uint16(1024 + rng.IntN(60000)): pk},
+			Ports:      ports[w : w+1 : w+1],
 		})
 	}
 	return out

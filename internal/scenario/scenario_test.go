@@ -303,7 +303,7 @@ func TestSynthesizeObsStatistics(t *testing.T) {
 		if o.Victim != target || o.Proto != packet.ProtoTCP {
 			t.Errorf("attribution: %+v", o)
 		}
-		if o.Ports[53] != o.Packets {
+		if portN(o.Ports, 53) != o.Packets {
 			t.Errorf("port split: %+v", o.Ports)
 		}
 		if o.Slash16 < 100 {

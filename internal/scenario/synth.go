@@ -41,26 +41,45 @@ func DefaultSynthConfig() SynthConfig {
 
 // SynthesizeObs generates the telescope's per-(victim, window) backscatter
 // observations for every randomly spoofed attack in the schedule.
+//
+// The feed is two allocations: the schedule bounds both the observations
+// (one per window of a spoofed component) and their port counts (one per
+// listed port of each), so the observation array and one port-count slab
+// are made at those sizes and every observation's Ports is cut from the
+// slab, its capacity clamped to its length.
 func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *telescope.Telescope) []rsdos.WindowObs {
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x0b5))
-	var out []rsdos.WindowObs
-	// index components by victim so per-window total load is O(components
-	// on that victim), not O(schedule)
-	byTarget := make(map[netx.Addr][]attacksim.Spec)
-	for _, s := range sched.Specs() {
-		byTarget[s.Target] = append(byTarget[s.Target], s)
-	}
-	victimLoad := func(target netx.Addr, w clock.Window) float64 {
-		var sum float64
-		for _, s := range byTarget[target] {
-			sum += s.WindowLoad(w)
+	specs := sched.Specs()
+	var maxObs, maxPorts int
+	for i := range specs {
+		if s := &specs[i]; s.Vector == attacksim.VectorRandomSpoofed {
+			if n := int(clock.WindowOf(s.End.Add(-1))-clock.WindowOf(s.Start)) + 1; n > 0 {
+				maxObs += n
+				maxPorts += n * len(s.Ports)
+			}
 		}
-		return sum
 	}
-	for _, s := range sched.Specs() {
+	out := make([]rsdos.WindowObs, 0, maxObs)
+	slab := make([]rsdos.PortCount, 0, maxPorts)
+	// chain the components of each victim by schedule position, so a
+	// window's total load is O(components on that victim), not
+	// O(schedule): first holds a victim's earliest component, next the one
+	// after each (-1 ends the chain)
+	first := make(map[netx.Addr]int32, len(specs))
+	next := make([]int32, len(specs))
+	for i := len(specs) - 1; i >= 0; i-- {
+		next[i] = -1
+		if j, ok := first[specs[i].Target]; ok {
+			next[i] = j
+		}
+		first[specs[i].Target] = int32(i)
+	}
+	for i := range specs {
+		s := &specs[i]
 		if s.Vector != attacksim.VectorRandomSpoofed {
 			continue
 		}
+		onVictim := first[s.Target]
 		cap := cfg.DefaultVictimCapacity
 		if ns, ok := w.DB.NameserverByAddr(s.Target); ok {
 			cap = ns.CapacityPPS * float64(ns.Sites) * cfg.NSRespCapacityFactor
@@ -75,16 +94,20 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 			if load <= 0 {
 				continue
 			}
-			total := victimLoad(s.Target, wdw)
+			var total float64
+			for j := onVictim; j >= 0; j = next[j] {
+				total += specs[j].WindowLoad(wdw)
+			}
 			respRate := 1.0
 			if total > cap {
 				respRate = cap / total
 			}
 			responses := load * respRate * clock.WindowDur.Seconds()
 			lambda := responses * tel.Fraction()
-			o := synthesizeWindow(rng, tel, s, wdw, lambda)
+			o := synthesizeWindow(rng, tel, s, wdw, lambda, slab[len(slab):])
 			if o.Packets > 0 {
 				out = append(out, o)
+				slab = slab[:len(slab)+len(o.Ports)]
 			}
 		}
 	}
@@ -92,8 +115,10 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 }
 
 // synthesizeWindow draws one observation from the thinned backscatter
-// process with expected telescope packet count lambda.
-func synthesizeWindow(rng *rand.Rand, tel *telescope.Telescope, s attacksim.Spec, w clock.Window, lambda float64) rsdos.WindowObs {
+// process with expected telescope packet count lambda. The observation's
+// port counts are written into ports, an empty slice with room for
+// len(s.Ports) of them, and returned clamped.
+func synthesizeWindow(rng *rand.Rand, tel *telescope.Telescope, s *attacksim.Spec, w clock.Window, lambda float64, ports []rsdos.PortCount) rsdos.WindowObs {
 	pk := stats.Poisson(rng, lambda)
 	o := rsdos.WindowObs{
 		Window:  w,
@@ -151,7 +176,6 @@ func synthesizeWindow(rng *rand.Rand, tel *telescope.Telescope, s attacksim.Spec
 	}
 	// attacked-port attribution
 	if len(s.Ports) > 0 {
-		o.Ports = make(map[uint16]int64, len(s.Ports))
 		rem := pk
 		for i, p := range s.Ports {
 			var c int64
@@ -162,9 +186,10 @@ func synthesizeWindow(rng *rand.Rand, tel *telescope.Telescope, s attacksim.Spec
 			}
 			rem -= c
 			if c > 0 {
-				o.Ports[p] += c
+				ports = rsdos.AddPort(ports, p, c)
 			}
 		}
+		o.Ports = ports[:len(ports):len(ports)]
 	}
 	return o
 }

@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"dnsddos/internal/anycast"
@@ -197,6 +200,13 @@ func (b *worldBuilder) buildDomains() {
 	// special-case domains for the §5.2 case studies
 	b.addCaseStudyDomains()
 
+	// Generated names are cut from one arena: a Builder grown once to the
+	// longest form ('d', the index zero-padded to six digits, '.', a tld
+	// of at most three letters) hands out substrings of its one buffer.
+	var names strings.Builder
+	todo := max(n-len(b.db.Domains), 0)
+	names.Grow(todo * (1 + max(6, len(strconv.Itoa(n))) + 1 + 3))
+	b.db.Domains = slices.Grow(b.db.Domains, todo)
 	for i := len(b.db.Domains); i < n; i++ {
 		u := b.rng.Float64()
 		var gi int
@@ -213,9 +223,11 @@ func (b *worldBuilder) buildDomains() {
 				tp = b.rng.Float64() < t.thirdPartyWeb
 			}
 		}
+		// AddDomain keeps a sorted, duplicate-free list as it is, so the
+		// domains of a group share the group's array
 		dom := dnsdb.Domain{
-			Name:          fmt.Sprintf("d%06d.%s", i, tldFor(p.Country)),
-			NS:            append([]dnsdb.NameserverID(nil), g.NS...),
+			Name:          appendDomainName(&names, i, tldFor(p.Country)),
+			NS:            g.NS,
 			ThirdPartyWeb: tp,
 		}
 		// parent-child inconsistency: the registry still lists a stale
@@ -230,6 +242,22 @@ func (b *worldBuilder) buildDomains() {
 		}
 		b.db.AddDomain(dom)
 	}
+}
+
+// appendDomainName writes fmt.Sprintf("d%06d.%s", i, tld) at the arena's
+// end and returns it as a substring of the arena.
+func appendDomainName(arena *strings.Builder, i int, tld string) string {
+	start := arena.Len()
+	arena.WriteByte('d')
+	var digits [20]byte
+	num := strconv.AppendInt(digits[:0], int64(i), 10)
+	for pad := 6 - len(num); pad > 0; pad-- {
+		arena.WriteByte('0')
+	}
+	arena.Write(num)
+	arena.WriteByte('.')
+	arena.WriteString(tld)
+	return arena.String()[start:]
 }
 
 func searchCum(cum []float64, u float64) int {
@@ -262,11 +290,11 @@ func tldFor(country string) string {
 func (b *worldBuilder) addCaseStudyDomains() {
 	mil := b.w.Groups[b.groupOf("MilRu Hosting")]
 	for _, name := range []string{"mil.ru", "xn--90anlfbebar6i.xn--p1ai", "recrut.mil.ru", "stat.mil.ru", "mult.mil.ru", "function.mil.ru"} {
-		b.db.AddDomain(dnsdb.Domain{Name: name, NS: append([]dnsdb.NameserverID(nil), mil.NS...)})
+		b.db.AddDomain(dnsdb.Domain{Name: name, NS: mil.NS})
 	}
 	rzd := b.w.Groups[b.groupOf("RZD Rail")]
 	for _, name := range []string{"rzd.ru", "ticket.rzd.ru", "cargo.rzd.ru", "pass.rzd.ru", "eng.rzd.ru", "company.rzd.ru"} {
-		b.db.AddDomain(dnsdb.Domain{Name: name, NS: append([]dnsdb.NameserverID(nil), rzd.NS...)})
+		b.db.AddDomain(dnsdb.Domain{Name: name, NS: rzd.NS})
 	}
 }
 

@@ -165,9 +165,13 @@ func New(params Params, db *dnsdb.DB, sched *attacksim.Schedule, blackouts ...Bl
 	index := func(own bool, coupling float64) {
 		for i := range specs {
 			s := &specs[i]
+			ids := bySlash24[s.Target.Slash24()]
+			if len(ids) == 0 {
+				continue // nearly every spec: no nameserver in the victim's /24
+			}
 			ref := specRef{spec: s, coupling: coupling, weight: n.portWeight(s),
 				from: clock.WindowOf(s.Start).Start(), until: s.End.Add(tail)}
-			for _, id := range bySlash24[s.Target.Slash24()] {
+			for _, id := range ids {
 				if (db.Nameservers[id].Addr == s.Target) == own {
 					n.specs[id] = append(n.specs[id], ref)
 				}

@@ -223,14 +223,6 @@ func (q *backlogQueue) pop() (closedBatch, bool, error) {
 		if err := checkpoint.DecodeFrame(buf, &b); err != nil {
 			return closedBatch{}, false, fmt.Errorf("stream: reading spilled batch: %w", err)
 		}
-		// gob flattens empty maps to nil; the aggregator's invariant is a
-		// non-nil Ports map, so restore it — a spilled batch must be
-		// indistinguishable from one that stayed in memory
-		for i := range b.Obs {
-			if b.Obs[i].Ports == nil {
-				b.Obs[i].Ports = make(map[uint16]int64)
-			}
-		}
 		q.extHead++
 		if q.extHead == len(q.extents) {
 			q.extents, q.extHead, q.writeOff = q.extents[:0], 0, 0

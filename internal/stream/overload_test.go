@@ -14,6 +14,8 @@ import (
 	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/netx"
 	"dnsddos/internal/obs"
+	"dnsddos/internal/packet"
+	"dnsddos/internal/rsdos"
 	"dnsddos/internal/study"
 )
 
@@ -80,6 +82,36 @@ func TestOverloadSpillParity(t *testing.T) {
 	// the spill file is scratch: gone after Close
 	if _, err := os.Stat(filepath.Join(spillDir, "stream-backlog.spill")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("spill file survived Close: %v", err)
+	}
+}
+
+// TestSpilledBatchRoundTrip: a batch that went through the spill file is
+// the batch that was pushed — an ICMP observation's nil port list included,
+// with no repair on the way back in.
+func TestSpilledBatchRoundTrip(t *testing.T) {
+	batch := closedBatch{CT: 7, Obs: []rsdos.WindowObs{
+		{Window: 6, Victim: netx.MustParseAddr("192.0.2.1"), Proto: packet.ProtoICMP, Packets: 40, PeakPPM: 12, Slash16: 9, UniqueDsts: 40},
+		{Window: 7, Victim: netx.MustParseAddr("192.0.2.2"), Proto: packet.ProtoTCP, Packets: 90, PeakPPM: 30, Slash16: 20, UniqueDsts: 88,
+			Ports: []rsdos.PortCount{{Port: 53, N: 50}, {Port: 443, N: 40}}},
+	}}
+	q := newBacklogQueue(1, t.TempDir())
+	defer q.close()
+	for i := 0; i < 2; i++ { // the first stays in memory, the second spills
+		if err := q.push(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q.memLen() != 1 || q.spilledLen() != 1 {
+		t.Fatalf("queue holds %d batches in memory and %d on disk, want one of each", q.memLen(), q.spilledLen())
+	}
+	for _, from := range []string{"memory", "the spill file"} {
+		got, ok, err := q.pop()
+		if err != nil || !ok {
+			t.Fatalf("pop from %s: %v %v", from, ok, err)
+		}
+		if !reflect.DeepEqual(got, batch) {
+			t.Errorf("batch from %s:\n got %+v\nwant %+v", from, got, batch)
+		}
 	}
 }
 

@@ -83,22 +83,48 @@ func NewSession(ctx context.Context, cfg Config, reg *obs.Registry) (*Session, e
 // windowFilter keeps per-window metrics only around attacks on NS-recorded
 // IPs (plus margins), bounding aggregator memory over the 17-month run.
 func (sess *Session) windowFilter() func(clock.Window) bool {
-	keep := make(map[clock.Window]struct{})
-	nsAddrs := sess.World.DB.AllNSAddrs()
-	before := int64(sess.Config.WindowMarginBefore / clock.WindowDur)
-	after := int64(sess.Config.WindowMarginAfter / clock.WindowDur)
+	before := clock.Window(sess.Config.WindowMarginBefore / clock.WindowDur)
+	after := clock.Window(sess.Config.WindowMarginAfter / clock.WindowDur)
+	var spans [][2]clock.Window // first and last kept window per attack
 	for _, a := range sess.Attacks {
-		if _, ok := nsAddrs[a.Victim]; !ok {
-			continue
-		}
-		for w := a.StartWindow - clock.Window(before); w <= a.EndWindow+clock.Window(after); w++ {
-			keep[w] = struct{}{}
+		if _, ok := sess.World.DB.NameserverByAddr(a.Victim); ok {
+			spans = append(spans, [2]clock.Window{a.StartWindow - before, a.EndWindow + after})
 		}
 	}
-	return func(w clock.Window) bool {
-		_, ok := keep[w]
-		return ok
+	return newWindowSet(spans).has
+}
+
+// windowSet is a set of windows as one bit per window of [lo, lo +
+// 64·len(bits)): the sweep asks it once per record.
+type windowSet struct {
+	lo   clock.Window
+	bits []uint64
+}
+
+// newWindowSet returns the union of the spans, each a first and a last
+// window (first ≤ last), both included.
+func newWindowSet(spans [][2]clock.Window) *windowSet {
+	if len(spans) == 0 {
+		return &windowSet{}
 	}
+	lo, hi := spans[0][0], spans[0][1]
+	for _, sp := range spans {
+		lo, hi = min(lo, sp[0]), max(hi, sp[1])
+	}
+	s := &windowSet{lo: lo, bits: make([]uint64, (hi-lo)/64+1)}
+	for _, sp := range spans {
+		for w := sp[0]; w <= sp[1]; w++ {
+			i := uint64(w - lo)
+			s.bits[i/64] |= 1 << (i % 64)
+		}
+	}
+	return s
+}
+
+// has reports whether w is in the set; a window outside [lo, hi] is not.
+func (s *windowSet) has(w clock.Window) bool {
+	i := uint64(w - s.lo) // a window below lo wraps past every index
+	return i/64 < uint64(len(s.bits)) && s.bits[i/64]&(1<<(i%64)) != 0
 }
 
 // NewAggregator returns an empty aggregator wired with the session's
