@@ -3,14 +3,13 @@ package dnsddos_test
 import (
 	"fmt"
 	"math/rand/v2"
-	"os"
-	"sync"
 	"testing"
 	"time"
 
 	"dnsddos/internal/core"
 	"dnsddos/internal/dnsdb"
 	"dnsddos/internal/nsset"
+	"dnsddos/internal/reactive"
 	"dnsddos/internal/resolver"
 	"dnsddos/internal/rsdos"
 	"dnsddos/internal/study"
@@ -41,12 +40,13 @@ func summarizeEvents(events []core.Event) (n, failing, over10 int) {
 	return len(events), failing, over10
 }
 
-var ablOnce sync.Map
-
 func printAblation(key, format string, args ...any) {
-	if _, loaded := ablOnce.LoadOrStore(key, true); !loaded {
-		fmt.Fprintf(os.Stdout, format, args...)
-	}
+	printReport(key, func() { fmt.Printf(format, args...) })
+}
+
+// newBenchPlatform builds a reactive platform over the shared study.
+func newBenchPlatform(s *study.Study) *reactive.Platform {
+	return reactive.NewPlatform(reactive.DefaultConfig(), s.World.DB, s.Resolver, rand.New(rand.NewPCG(9, 9)))
 }
 
 // BenchmarkAblation_JoinSnapshotDay compares the paper's previous-day
@@ -127,7 +127,7 @@ func BenchmarkAblation_ResolutionStrategy(b *testing.B) {
 	s := benchStudy(b)
 	cs := s.Schedule.CaseStudies
 	k := nsset.KeyOf(cs.TransIPNS[:])
-	attack, ok := findAttack(s.Attacks, cs.TransIPNS[:], cs.TransIPMarStart, cs.TransIPMarEnd)
+	attack, ok := rsdos.FirstOn(s.Attacks, cs.TransIPNS[:], cs.TransIPMarStart, cs.TransIPMarEnd)
 	if !ok {
 		b.Skip("TransIP March attack not inferred")
 	}

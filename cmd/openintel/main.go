@@ -1,6 +1,8 @@
 // Command openintel runs the active-measurement platform over the simulated
 // data plane for a day range and writes the per-query records as JSON
-// lines — the OpenINTEL-style raw measurement output.
+// lines — the OpenINTEL-style raw measurement output. SIGINT/SIGTERM stop
+// the sweep within a thousand domains; the records written so far are
+// flushed and the command exits non-zero.
 //
 // Usage:
 //
@@ -9,10 +11,13 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"dnsddos/internal/clock"
@@ -26,6 +31,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("openintel: ")
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() error {
 	fromS := flag.String("from", "2020-11-29", "first measured day (YYYY-MM-DD)")
 	toS := flag.String("to", "2020-12-02", "last measured day (YYYY-MM-DD)")
 	out := flag.String("out", "", "output JSONL file (default stdout)")
@@ -34,11 +45,11 @@ func main() {
 
 	from, err := time.Parse("2006-01-02", *fromS)
 	if err != nil {
-		log.Fatalf("bad -from: %v", err)
+		return fmt.Errorf("bad -from: %w", err)
 	}
 	to, err := time.Parse("2006-01-02", *toS)
 	if err != nil {
-		log.Fatalf("bad -to: %v", err)
+		return fmt.Errorf("bad -to: %w", err)
 	}
 
 	wcfg := scenario.DefaultWorldConfig()
@@ -53,7 +64,7 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		bw := bufio.NewWriter(f)
@@ -63,8 +74,10 @@ func main() {
 		sink = openintel.NewRecordWriter(os.Stdout)
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	var n, fails int
-	engine.RunRange(clock.DayOf(from), clock.DayOf(to), nil, func(r openintel.Record) {
+	err = engine.RunRangeContext(ctx, clock.DayOf(from), clock.DayOf(to), nil, func(r openintel.Record) {
 		n++
 		if r.Status != nsset.StatusOK {
 			fails++
@@ -75,4 +88,5 @@ func main() {
 	})
 	fmt.Fprintf(os.Stderr, "openintel: %d measurements, %d failed (%.2f%%)\n",
 		n, fails, 100*float64(fails)/float64(n))
+	return err
 }

@@ -45,7 +45,6 @@ import (
 	"dnsddos/internal/clock"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/packet"
-	"dnsddos/internal/report"
 	"dnsddos/internal/stream"
 	"dnsddos/internal/study"
 )
@@ -152,23 +151,23 @@ func run() error {
 		}
 	}
 
-	sink, err := newCSVSink(*out)
+	sink, err := stream.NewFileSink(*out)
 	if err != nil {
 		return err
 	}
-	defer sink.close()
+	defer sink.Close()
 
 	p, err := stream.New(s.Telescope, s.Pipeline, sink, opts...)
 	if err != nil {
 		return err
 	}
 	if cur, ok := p.Resumed(); ok {
-		if err := sink.truncateTo(cur.SinkBytes); err != nil {
+		if err := sink.TruncateTo(cur.SinkBytes); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "streamjoin: resuming past window %d (%d attacks, %d events already delivered)\n",
 			int64(cur.ClosedThrough), cur.Attacks, cur.Events)
-	} else if err := sink.writeHeader(); err != nil {
+	} else if err := sink.WriteHeader(); err != nil {
 		return err
 	}
 
@@ -210,7 +209,7 @@ func run() error {
 		// frontier as resumable — the deferred close would swallow a
 		// failure and leave the journaled SinkBytes offset pointing past
 		// what the file durably holds.
-		if err := sink.shutdown(); err != nil {
+		if err := sink.Shutdown(); err != nil {
 			return fmt.Errorf("closing sink after interrupt: %w (stream stopped: %v)", err, streamErr)
 		}
 		if ct, ok := p.ClosedThrough(); ok {
@@ -222,12 +221,12 @@ func run() error {
 	if err := p.Close(); err != nil {
 		return err
 	}
-	if err := sink.close(); err != nil {
+	if err := sink.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr,
 		"streamjoin: %d packets streamed, %d batches, %d attacks, %d events, %d late drops (%.1fs)\n",
-		packets, sink.batches, sink.attacks, sink.events, p.LateDrops(), time.Since(start).Seconds())
+		packets, sink.Batches, sink.Attacks, sink.Events, p.LateDrops(), time.Since(start).Seconds())
 	if overloaded {
 		st := p.Overload()
 		fmt.Fprintf(os.Stderr,
@@ -235,119 +234,4 @@ func run() error {
 			rejected+paused, st.AdmitDenied, st.ShedLate, st.SampledOut, st.Paused, st.SpilledBatches, st.MaxMemBatches)
 	}
 	return nil
-}
-
-// csvSink appends joined events to the output batch by batch and tracks
-// the byte offset after each accepted batch — the stream journals it so
-// a resumed run can truncate a torn write from a crash.
-type csvSink struct {
-	f       *os.File // nil when writing to stdout
-	off     int64
-	batches int
-	attacks int
-	events  int64
-}
-
-func newCSVSink(path string) (*csvSink, error) {
-	if path == "" {
-		return &csvSink{}, nil
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &csvSink{f: f}, nil
-}
-
-func (s *csvSink) writeHeader() error {
-	if s.f == nil {
-		return report.EventsCSVHeader(os.Stdout)
-	}
-	if err := s.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := s.f.Seek(0, 0); err != nil {
-		return err
-	}
-	if err := report.EventsCSVHeader(s.f); err != nil {
-		return err
-	}
-	return s.sync()
-}
-
-// truncateTo discards everything past the journaled offset — a batch the
-// sink half-wrote when the previous run died was never journaled and
-// will be re-emitted.
-func (s *csvSink) truncateTo(off int64) error {
-	if s.f == nil {
-		return fmt.Errorf("streamjoin: resume needs a file sink")
-	}
-	if err := s.f.Truncate(off); err != nil {
-		return err
-	}
-	if _, err := s.f.Seek(off, 0); err != nil {
-		return err
-	}
-	s.off = off
-	return nil
-}
-
-func (s *csvSink) Emit(b stream.Batch) error {
-	w := os.Stdout
-	if s.f != nil {
-		w = s.f
-	}
-	if err := report.EventsCSVRows(w, b.Events); err != nil {
-		return err
-	}
-	if err := s.sync(); err != nil {
-		return err
-	}
-	s.batches++
-	s.attacks += len(b.Attacks)
-	s.events += int64(len(b.Events))
-	return nil
-}
-
-// Offset implements stream.OffsetSink: the durable size after the last
-// accepted batch.
-func (s *csvSink) Offset() int64 { return s.off }
-
-func (s *csvSink) sync() error {
-	if s.f == nil {
-		return nil
-	}
-	if err := s.f.Sync(); err != nil {
-		return err
-	}
-	off, err := s.f.Seek(0, 1)
-	if err != nil {
-		return err
-	}
-	s.off = off
-	return nil
-}
-
-// shutdown is the signal-path teardown: sync whatever the last Emit
-// left buffered, then close, propagating the first failure. Ordered
-// before the run reports its journal frontier so the cursor never
-// claims bytes the sink has not durably written.
-func (s *csvSink) shutdown() error {
-	if s.f == nil {
-		return nil
-	}
-	if err := s.sync(); err != nil {
-		s.close()
-		return err
-	}
-	return s.close()
-}
-
-func (s *csvSink) close() error {
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"dnsddos/internal/clock"
-	"dnsddos/internal/netx"
 	"dnsddos/internal/reactive"
 	"dnsddos/internal/rsdos"
 	"dnsddos/internal/study"
@@ -39,7 +38,7 @@ func main() {
 
 	fmt.Println("\n== mil.ru (Ministry of Defense) ==")
 	fmt.Printf("three nameservers, all on %s (single /24, single ASN, unicast)\n", cs.MilRuNS[0].Slash24())
-	if a, ok := findAttack(s.Attacks, cs.MilRuNS, cs.MilRuStart, cs.MilRuEnd); ok {
+	if a, ok := rsdos.FirstOn(s.Attacks, cs.MilRuNS, cs.MilRuStart, cs.MilRuEnd); ok {
 		fmt.Printf("RSDoS inference: under attack %s .. %s (%.1f days)\n",
 			a.Start().Format("Jan 2 15:04"), a.End().Format("Jan 2 15:04"), a.Duration().Hours()/24)
 		c := platform.React(a)
@@ -52,7 +51,7 @@ func main() {
 	}
 
 	fmt.Println("\n== RDZ railways ==")
-	if a, ok := findAttack(s.Attacks, cs.RZDNS, cs.RZDStart, cs.RZDEnd); ok {
+	if a, ok := rsdos.FirstOn(s.Attacks, cs.RZDNS, cs.RZDStart, cs.RZDEnd); ok {
 		fmt.Printf("RSDoS inference: under attack %s .. %s\n",
 			a.Start().Format("Jan 2 15:04"), a.End().Format("Jan 2 15:04"))
 		fmt.Printf("IT-ARMY Telegram channel posted the 3 NS IPs at %s — 12 minutes after the inferred start\n",
@@ -124,17 +123,6 @@ func maxF(a, b float64) float64 {
 
 func dayOf(y int, m time.Month, d int) clock.Day {
 	return clock.DayOf(time.Date(y, m, d, 0, 0, 0, 0, time.UTC))
-}
-
-func findAttack(attacks []rsdos.Attack, nss []netx.Addr, from, to time.Time) (rsdos.Attack, bool) {
-	for _, a := range attacks {
-		for _, n := range nss {
-			if a.Victim == n && a.Overlaps(from, to) {
-				return a, true
-			}
-		}
-	}
-	return rsdos.Attack{}, false
 }
 
 // printDaily prints one availability line per day of the campaign.

@@ -75,11 +75,11 @@ func main() {
 	}
 
 	fmt.Println("\n== Figure 2: resolution time around the December attack ==")
-	dec := s.Pipeline.SeriesFor(k, cs.TransIPDecStart.Add(-3*time.Hour), cs.TransIPDecEnd.Add(10*time.Hour))
+	dec := s.Pipeline.SeriesFor(k, cs.TransIPDecStart.Add(-2*time.Hour), cs.TransIPDecEnd.Add(10*time.Hour))
 	printHourly(dec, cs.TransIPDecStart, cs.TransIPDecEnd)
 
 	fmt.Println("\n== Figure 2/3: resolution time and timeouts around the March attack ==")
-	mar := s.Pipeline.SeriesFor(k, cs.TransIPMarStart.Add(-3*time.Hour), cs.TransIPMarEnd.Add(10*time.Hour))
+	mar := s.Pipeline.SeriesFor(k, cs.TransIPMarStart.Add(-2*time.Hour), cs.TransIPMarEnd.Add(10*time.Hour))
 	printHourly(mar, cs.TransIPMarStart, cs.TransIPMarEnd)
 
 	fmt.Println("\n== full 5-minute series (CSV) ==")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -298,6 +299,19 @@ func (ps PortStats) ProtoShare(proto packet.Protocol) float64 {
 	return stats.Ratio(float64(ps.ProtoCounts[proto]), float64(ps.Total))
 }
 
+// FailingAttacks returns PortDistribution's include filter for the §6.3.1
+// variant of Figure 6: only attacks that left at least one joined event with
+// a failed resolution (port 53 jumps from 30% to 49% among them).
+func FailingAttacks(events []Event) func(ClassifiedAttack) bool {
+	failing := make(map[int]bool)
+	for _, e := range events {
+		if e.Timeouts+e.ServFails > 0 {
+			failing[e.Attack.ID] = true
+		}
+	}
+	return func(ca ClassifiedAttack) bool { return failing[ca.ID] }
+}
+
 // FailureBreakdown summarizes §6.3.1 over events: how many attacks left
 // resolution working, and how failures split between timeout and SERVFAIL.
 type FailureBreakdown struct {
@@ -315,6 +329,16 @@ type FailureBreakdown struct {
 	// SinglePrefixFailShare is the fraction of failing NSSets on a
 	// single /24 (60%).
 	SinglePrefixFailShare float64
+}
+
+// TimeoutShare returns the timeout fraction of failed resolutions (92%).
+func (fb FailureBreakdown) TimeoutShare() float64 {
+	return stats.Ratio(float64(fb.Timeouts), float64(fb.Timeouts+fb.ServFails))
+}
+
+// ServFailShare returns the SERVFAIL fraction of failed resolutions (8%).
+func (fb FailureBreakdown) ServFailShare() float64 {
+	return stats.Ratio(float64(fb.ServFails), float64(fb.Timeouts+fb.ServFails))
 }
 
 // BreakdownFailures computes the §6.3.1 statistics.
@@ -467,6 +491,18 @@ func groupImpact(label string, impacts []float64) GroupImpact {
 	return g
 }
 
+// ImpactOverall summarizes Figure 8 as one group over every event with an
+// impact: the ≈5% ≥10× and ≈⅓-of-those ≥100× shares the paper quotes.
+func ImpactOverall(events []Event) GroupImpact {
+	var impacts []float64
+	for _, e := range events {
+		if e.HasImpact {
+			impacts = append(impacts, e.Impact)
+		}
+	}
+	return groupImpact("all", impacts)
+}
+
 // ImpactByAnycast computes Figure 11: impact grouped by anycast class.
 func ImpactByAnycast(events []Event) []GroupImpact {
 	groups := map[nsset.AnycastClass][]float64{}
@@ -526,6 +562,19 @@ func DurationHistogram(classified []ClassifiedAttack, maxMinutes float64) *stats
 	for _, ca := range classified {
 		if ca.Class == ClassDNSDirect {
 			h.Add(ca.Duration().Minutes())
+		}
+	}
+	return h
+}
+
+// IntensityHistogram builds the §6.4 telescope-intensity histogram over the
+// Figure 9 events: log10 of the peak ppm, 50 bins over five decades. Its
+// modes are the paper's bimodal ≈50 / ≈6000 ppm.
+func IntensityHistogram(events []Event) *stats.Histogram {
+	h := stats.NewHistogram(0, 5, 50)
+	for _, e := range events {
+		if e.HasImpact && e.Attack.PeakPPM > 0 {
+			h.Add(math.Log10(e.Attack.PeakPPM))
 		}
 	}
 	return h

@@ -74,7 +74,7 @@ func TestShardedJoinMatchesLegacyConcurrent(t *testing.T) {
 		t.Fatalf("legacy join produced %d events; the comparison would be thin", len(want))
 	}
 
-	indexed := NewPipeline(db, WithAggregator(agg), WithJoinWorkers(8), WithShardBits(32))
+	indexed := NewPipeline(db, WithAggregator(agg), withJoinWorkers(8), WithShardBits(32))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -105,7 +105,7 @@ func TestShardedJoinCancellation(t *testing.T) {
 		seedMeasurements(agg, keys[i/2], aw.Day(), 10*time.Millisecond, aw, 50*time.Millisecond, 8, 2)
 		attacks = append(attacks, mkAttack(i+1, a, aw, aw+2, 53))
 	}
-	p := NewPipeline(db, WithAggregator(agg), WithJoinWorkers(4), WithShardBits(32))
+	p := NewPipeline(db, WithAggregator(agg), withJoinWorkers(4), WithShardBits(32))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.EventsContext(ctx, attacks); err != context.Canceled {
@@ -137,7 +137,7 @@ func TestStoreRefusalReachesCaller(t *testing.T) {
 		attacks = append(attacks, mkAttack(i+1, a, aw, aw+2, 53))
 	}
 	refusal := errors.New("day file refused")
-	p := NewPipeline(db, WithDayStore(refusingStore{agg, refusal}), WithJoinWorkers(4), WithShardBits(32))
+	p := NewPipeline(db, WithDayStore(refusingStore{agg, refusal}), withJoinWorkers(4), WithShardBits(32))
 	defer func() {
 		if r := recover(); r != refusal {
 			t.Fatalf("recovered %v, want the store's refusal", r)

@@ -200,12 +200,6 @@ func WithDayStore(ds DayStore) Option {
 	return func(p *Pipeline) { p.days = ds }
 }
 
-// WithJoinWorkers bounds the sharded engine's worker pool; 0 (default)
-// uses GOMAXPROCS.
-func WithJoinWorkers(n int) Option {
-	return func(p *Pipeline) { p.joinWorkers = n }
-}
-
 // WithShardBits sets the victim-prefix width the sharded engine groups
 // work by (default 16: one shard per victim /16). Valid range 0..32;
 // out-of-range values are clamped.

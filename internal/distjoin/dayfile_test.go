@@ -68,10 +68,10 @@ func (c *frameConn) Read(p []byte) (int, error) {
 	return c.out.Read(p)
 }
 
-// tapDialer returns a WithDialer hook wrapping the connection in a
+// tapDialer returns a withDialer hook wrapping the connection in a
 // frameConn built by mk.
 func tapDialer(mk func(net.Conn) *frameConn) WorkerOption {
-	return WithDialer(func(ctx context.Context, addr string) (net.Conn, error) {
+	return withDialer(func(ctx context.Context, addr string) (net.Conn, error) {
 		var d net.Dialer
 		c, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {

@@ -344,7 +344,7 @@ func TestWorkerDeathMidSweepReassigned(t *testing.T) {
 	var victim net.Conn
 	var once sync.Once
 	killer := NewWorker("judas",
-		WithDialer(func(ctx context.Context, addr string) (net.Conn, error) {
+		withDialer(func(ctx context.Context, addr string) (net.Conn, error) {
 			var d net.Dialer
 			c, err := d.DialContext(ctx, "tcp", addr)
 			mu.Lock()
@@ -352,7 +352,7 @@ func TestWorkerDeathMidSweepReassigned(t *testing.T) {
 			mu.Unlock()
 			return c, err
 		}),
-		WithBeforeSweep(func(clock.Day) {
+		withBeforeSweep(func(clock.Day) {
 			once.Do(func() {
 				mu.Lock()
 				victim.Close()
@@ -393,8 +393,8 @@ func TestPoisonedDayQuarantineParity(t *testing.T) {
 	}
 	single := singleRun(t, testConfig(), study.WithBeforeDay(panicOn))
 	workers := []*Worker{
-		NewWorker("alpha", WithBeforeSweep(panicOn)),
-		NewWorker("bravo", WithBeforeSweep(panicOn)),
+		NewWorker("alpha", withBeforeSweep(panicOn)),
+		NewWorker("bravo", withBeforeSweep(panicOn)),
 	}
 	s, _, _, err := runFleet(t, context.Background(), testConfig(), nil, workers)
 	if err != nil {
@@ -421,7 +421,7 @@ func TestGracefulDrain(t *testing.T) {
 	wantEvents, wantReport := plainBaseline(t)
 	gotTask := make(chan struct{})
 	var once sync.Once
-	quitter := NewWorker("quitter", WithBeforeSweep(func(clock.Day) {
+	quitter := NewWorker("quitter", withBeforeSweep(func(clock.Day) {
 		once.Do(func() { close(gotTask) })
 	}))
 	go func() {
@@ -534,7 +534,7 @@ func TestChaosFleet(t *testing.T) {
 	var victim net.Conn
 	var once sync.Once
 	killer := NewWorker("killed",
-		WithDialer(func(ctx context.Context, addr string) (net.Conn, error) {
+		withDialer(func(ctx context.Context, addr string) (net.Conn, error) {
 			var d net.Dialer
 			c, err := d.DialContext(ctx, "tcp", addr)
 			mu.Lock()
@@ -542,7 +542,7 @@ func TestChaosFleet(t *testing.T) {
 			mu.Unlock()
 			return c, err
 		}),
-		WithBeforeSweep(func(clock.Day) {
+		withBeforeSweep(func(clock.Day) {
 			once.Do(func() {
 				mu.Lock()
 				victim.Close()
@@ -553,7 +553,7 @@ func TestChaosFleet(t *testing.T) {
 	inj := faultinject.New(1312)
 	inj.SetProfile(faultinject.Profile{Corrupt: 0.05})
 	corrupted := NewWorker("corrupted",
-		WithDialer(func(ctx context.Context, addr string) (net.Conn, error) {
+		withDialer(func(ctx context.Context, addr string) (net.Conn, error) {
 			var d net.Dialer
 			c, err := d.DialContext(ctx, "tcp", addr)
 			if err != nil {

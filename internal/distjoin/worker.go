@@ -24,7 +24,9 @@ import (
 // everything), or Drain is called (graceful: finish the in-flight task,
 // deregister, exit).
 type Worker struct {
-	name        string
+	name string
+	// dial (default: plain TCP) and beforeSweep (default: nil) are the
+	// chaos suite's hooks, set through export_test.go.
 	dial        func(ctx context.Context, addr string) (net.Conn, error)
 	beforeSweep func(clock.Day)
 	reg         *obs.Registry
@@ -36,20 +38,6 @@ type Worker struct {
 
 // WorkerOption configures a Worker.
 type WorkerOption func(*Worker)
-
-// WithDialer replaces the worker's TCP dialer — the chaos suite uses this
-// to wrap the control connection in a faultinject stream.
-func WithDialer(dial func(ctx context.Context, addr string) (net.Conn, error)) WorkerOption {
-	return func(w *Worker) { w.dial = dial }
-}
-
-// WithBeforeSweep runs f at the start of every assigned day-sweep attempt,
-// inside the attempt's panic isolation — the distributed twin of
-// study.WithBeforeDay, and the poison hook of the chaos suite: a panic
-// here is reported to the coordinator as a task failure with its stack.
-func WithBeforeSweep(f func(clock.Day)) WorkerOption {
-	return func(w *Worker) { w.beforeSweep = f }
-}
 
 // WithWorkerMetrics observes the worker's session (stage timers, join
 // engine internals) into reg. The deterministic sweep metrics always

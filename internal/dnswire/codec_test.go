@@ -56,6 +56,17 @@ func pointerTailedOverlong() []byte {
 	return append(b, 0xc0, 12, 0, byte(TypeNS), 0, byte(ClassIN))
 }
 
+// nonUTF8Name is a message of one question whose 243-byte name is four
+// 60-byte labels of 0xff: a Unicode-aware lower-casing rewrites each byte
+// as the three of U+FFFD and takes the name past 255.
+func nonUTF8Name() []byte {
+	b := make([]byte, 12)
+	b[5] = 1
+	label := append([]byte{60}, bytes.Repeat([]byte{0xff}, 60)...)
+	b = append(b, bytes.Repeat(label, 4)...)
+	return append(b, 0, 0, byte(TypeNS), 0, byte(ClassIN))
+}
+
 // pointerToRoot is a message of two questions: the root, then "a" ending
 // in a pointer to it.
 func pointerToRoot() []byte {

@@ -166,9 +166,23 @@ var (
 const maxNameLen = 255
 
 // CanonicalName lowercases and strips the trailing dot so names compare
-// consistently as map keys throughout the platform.
+// consistently as map keys throughout the platform. DNS case folding is
+// ASCII-only (RFC 4343): only the bytes 'A'–'Z' change, so the result is
+// never longer than the name, and a name without one comes back as the
+// same string, unallocated.
 func CanonicalName(name string) string {
-	name = strings.ToLower(strings.TrimSuffix(name, "."))
+	name = strings.TrimSuffix(name, ".")
+	for i := 0; i < len(name); i++ {
+		if 'A' <= name[i] && name[i] <= 'Z' {
+			b := []byte(name)
+			for ; i < len(b); i++ {
+				if 'A' <= b[i] && b[i] <= 'Z' {
+					b[i] += 'a' - 'A'
+				}
+			}
+			return string(b)
+		}
+	}
 	return name
 }
 

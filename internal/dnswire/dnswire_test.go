@@ -16,11 +16,18 @@ func TestCanonicalName(t *testing.T) {
 		"":             "",
 		".":            "",
 		"MIL.RU":       "mil.ru",
+		// ASCII-only folding (RFC 4343): other bytes pass through, valid
+		// UTF-8 or not
+		"\xff.NL":   "\xff.nl",
+		"É.Example": "É.example",
 	}
 	for in, want := range cases {
 		if got := CanonicalName(in); got != want {
 			t.Errorf("CanonicalName(%q) = %q, want %q", in, got, want)
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() { CanonicalName("ns1.example.nl.") }); n != 0 {
+		t.Errorf("CanonicalName of a lower-case name allocates %v times", n)
 	}
 }
 

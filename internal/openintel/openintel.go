@@ -94,23 +94,18 @@ func (e *Engine) MeasureAt(rng *rand.Rand, d dnsdb.DomainID, t time.Time) Record
 	}
 }
 
-// RunDay sweeps every domain once on the given day. Results are folded
-// into agg (if non-nil) and passed to each (if non-nil). Within a day,
-// domains are visited in slot order, mirroring a platform that works
-// through its measurement list over the day.
-func (e *Engine) RunDay(day clock.Day, agg *nsset.Aggregator, each func(Record)) {
-	e.RunDayContext(context.Background(), day, agg, each)
-}
-
 // ctxCheckStride bounds how many domains a sweep measures between
 // cancellation checks; a power of two so the check is a mask.
 const ctxCheckStride = 1024
 
-// RunDayContext is RunDay with cooperative cancellation: the sweep
-// checks ctx every ctxCheckStride domains and returns ctx.Err() when the
-// run is cancelled, leaving agg partially filled — callers that care
-// about exactness (the checkpointed study pipeline) discard the partial
-// aggregator and re-run the day on resume.
+// RunDayContext sweeps every domain once on the given day. Results are
+// folded into agg (if non-nil) and passed to each (if non-nil). Within a
+// day, domains are visited in slot order, mirroring a platform that works
+// through its measurement list over the day. The sweep checks ctx every
+// ctxCheckStride domains and returns ctx.Err() when the run is cancelled,
+// leaving agg partially filled — callers that care about exactness (the
+// checkpointed study pipeline) discard the partial aggregator and re-run
+// the day on resume.
 func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Aggregator, each func(Record)) error {
 	rng := rand.New(rand.NewPCG(e.seed, uint64(day)+1))
 	base := day.Start()
@@ -152,11 +147,6 @@ func (e *Engine) slotOrder() []dnsdb.DomainID {
 		next[s]++
 	}
 	return out
-}
-
-// RunRange sweeps days [from, to] inclusive.
-func (e *Engine) RunRange(from, to clock.Day, agg *nsset.Aggregator, each func(Record)) {
-	e.RunRangeContext(context.Background(), from, to, agg, each)
 }
 
 // RunRangeContext sweeps days [from, to] inclusive, stopping at the

@@ -46,7 +46,7 @@ func TestRunDayMeasuresEveryDomainOnce(t *testing.T) {
 	db, res := testWorld(t, 40)
 	e := NewEngine(db, res, 1)
 	counts := map[dnsdb.DomainID]int{}
-	e.RunDay(5, nil, func(r Record) { counts[r.Domain]++ })
+	e.RunDayContext(context.Background(), 5, nil, func(r Record) { counts[r.Domain]++ })
 	if len(counts) != 40 {
 		t.Fatalf("measured %d domains, want 40", len(counts))
 	}
@@ -62,7 +62,7 @@ func TestRunDayTimesInsideDayAndOrdered(t *testing.T) {
 	e := NewEngine(db, res, 2)
 	day := clock.Day(10)
 	var prev time.Time
-	e.RunDay(day, nil, func(r Record) {
+	e.RunDayContext(context.Background(), day, nil, func(r Record) {
 		if r.Time.Before(day.Start()) || !r.Time.Before(day.End()) {
 			t.Fatalf("measurement at %v outside day %v", r.Time, day)
 		}
@@ -77,12 +77,12 @@ func TestSlotsStableAcrossDays(t *testing.T) {
 	db, res := testWorld(t, 10)
 	e := NewEngine(db, res, 3)
 	times := map[dnsdb.DomainID][2]time.Duration{}
-	e.RunDay(0, nil, func(r Record) {
+	e.RunDayContext(context.Background(), 0, nil, func(r Record) {
 		v := times[r.Domain]
 		v[0] = r.Time.Sub(clock.Day(0).Start())
 		times[r.Domain] = v
 	})
-	e.RunDay(1, nil, func(r Record) {
+	e.RunDayContext(context.Background(), 1, nil, func(r Record) {
 		v := times[r.Domain]
 		v[1] = r.Time.Sub(clock.Day(1).Start())
 		times[r.Domain] = v
@@ -99,7 +99,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []Record {
 		e := NewEngine(db, res, 7)
 		var out []Record
-		e.RunDay(3, nil, func(r Record) { out = append(out, r) })
+		e.RunDayContext(context.Background(), 3, nil, func(r Record) { out = append(out, r) })
 		return out
 	}
 	a, b := run(), run()
@@ -117,7 +117,7 @@ func TestAggregatorIntegration(t *testing.T) {
 	db, res := testWorld(t, 50)
 	e := NewEngine(db, res, 4)
 	agg := nsset.NewAggregator()
-	e.RunRange(0, 1, agg, nil)
+	e.RunRangeContext(context.Background(), 0, 1, agg, nil)
 	k := e.NSSetOf(0)
 	b := agg.Baseline(k, 0)
 	if b == nil || b.Domains != 50 {

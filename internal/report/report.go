@@ -1,13 +1,15 @@
 // Package report renders the analysis results as the tables and series the
 // paper presents: ASCII tables for Tables 1–6 and CSV-ish series for the
-// figures, printed to any io.Writer. The benchmark harness and cmd/report
-// both use it, so "regenerating a table" is a one-call operation.
+// figures, printed to any io.Writer. Which analysis and which parameters
+// feed which renderer is catalogue.go's Catalogue, the one list cmd/report
+// and the root benchmarks range over.
 package report
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -300,15 +302,22 @@ func DurationModes(w io.Writer, h *stats.Histogram) {
 	fmt.Fprintf(w, "n,%d\n", h.N)
 }
 
+// IntensityModes renders the §6.4 telescope-intensity histogram modes, each
+// as the centre of its log10(ppm) bin and in ppm.
+func IntensityModes(w io.Writer, h *stats.Histogram) {
+	fmt.Fprintf(w, "# Telescope intensity distribution (peak ppm)\n")
+	for i, m := range h.Modes(3) {
+		fmt.Fprintf(w, "mode_%d,log10=%.2f,ppm=%.0f\n", i+1, m, math.Pow(10, m))
+	}
+	fmt.Fprintf(w, "n,%d\n", h.N)
+}
+
 // FailureBreakdown renders the §6.3.1 complete-failure statistics.
 func FailureBreakdown(w io.Writer, fb core.FailureBreakdown) {
 	fmt.Fprintf(w, "# Resolution failures (§6.3.1)\n")
 	fmt.Fprintf(w, "events,%d\nevents_with_failures,%d\ncomplete_failures,%d\n",
 		fb.Events, fb.WithFailures, fb.CompleteFails)
-	total := fb.Timeouts + fb.ServFails
-	fmt.Fprintf(w, "timeout_share,%.2f\nservfail_share,%.2f\n",
-		stats.Ratio(float64(fb.Timeouts), float64(total)),
-		stats.Ratio(float64(fb.ServFails), float64(total)))
+	fmt.Fprintf(w, "timeout_share,%.2f\nservfail_share,%.2f\n", fb.TimeoutShare(), fb.ServFailShare())
 	fmt.Fprintf(w, "unicast_share_of_failing,%.2f\nsingle_asn_share_of_complete,%.2f\nsingle_prefix_share_of_failing,%.2f\n",
 		fb.UnicastFailShare, fb.SingleASNFailShare, fb.SinglePrefixFailShare)
 }

@@ -174,6 +174,18 @@ func (a *Attack) Overlaps(from, to time.Time) bool {
 	return a.Start().Before(to) && a.End().After(from)
 }
 
+// FirstOn returns the first attack of the feed on any of the victims that
+// overlaps [from, to) — how a scripted case study is found in the inferred
+// feed.
+func FirstOn(attacks []Attack, victims []netx.Addr, from, to time.Time) (Attack, bool) {
+	for _, a := range attacks {
+		if slices.Contains(victims, a.Victim) && a.Overlaps(from, to) {
+			return a, true
+		}
+	}
+	return Attack{}, false
+}
+
 // Infer curates window observations into attack records. Observations may
 // arrive in any order; they are grouped per victim and merged across window
 // gaps of at most MaxGapWindows.

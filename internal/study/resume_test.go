@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -15,10 +16,15 @@ import (
 	"time"
 
 	"dnsddos/internal/clock"
+	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/obs"
-	"dnsddos/internal/report"
 )
+
+// EventsCSV is report.EventsCSV. Package report imports this one (its
+// catalogue renders a *Study), so only the external test package may
+// import it: eventscsv_test.go sets the variable before any test runs.
+var EventsCSV func(io.Writer, []core.Event) error
 
 // resumeConfig spans the TransIP December attack (days 27–31) so the
 // event join has real work to do across the kill point.
@@ -44,7 +50,7 @@ func mustRun(t *testing.T, cfg Config) *Study {
 func eventsBytes(t *testing.T, s *Study) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := report.EventsCSV(&buf, s.Events); err != nil {
+	if err := EventsCSV(&buf, s.Events); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
