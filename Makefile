@@ -15,6 +15,8 @@ test: build obs stream distjoin
 	$(GO) test ./...
 	$(GO) test -bench 'BenchmarkJoin' -benchtime 1x -run '^$$' ./internal/core/
 	$(GO) test -bench 'BenchmarkRunDay' -benchtime 1x -run '^$$' ./internal/openintel/
+	$(GO) test -bench 'BenchmarkAggregatorDay' -benchtime 1x -run '^$$' ./internal/nsset/
+	$(GO) test -bench 'BenchmarkSealDay' -benchtime 1x -run '^$$' ./internal/daystore/
 	$(GO) test -bench 'Benchmark(AppendEncode|DecodeInto)NSResponse' -benchtime 1x -run '^$$' ./internal/dnswire/
 	$(GO) test -bench 'BenchmarkNewSession' -benchtime 1x -run '^$$' ./internal/study/
 	$(GO) run ./cmd/report -quick -outdir "$$(mktemp -d)" >/dev/null
@@ -30,8 +32,8 @@ stream:
 # detector — concurrent counter/histogram exactness, snapshot
 # determinism (golden files), the HTTP endpoint lifecycle, the
 # goroutine-leak helper applied to server and resolver teardown, and a
-# smoke pass over the wire-format, day-file and attack-feed fuzz seed
-# corpora.
+# smoke pass over the wire-format, day-file, attack-feed and journal-frame
+# fuzz seed corpora.
 obs:
 	$(GO) test -race ./internal/obs/ ./internal/netx/ -count 1
 	$(GO) test -race ./internal/authserver/ -run 'Leaks|TestMetricsEndpoint' -count 1
@@ -41,6 +43,7 @@ obs:
 	$(GO) test ./internal/dnswire/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/daystore/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/rsdos/ -run 'Fuzz' -count 1
+	$(GO) test ./internal/checkpoint/ -run 'Fuzz' -count 1
 
 # Distributed-join chaos leg: a four-worker fleet with one worker killed
 # mid-shard and one writing through a corrupting faultinject stream must
@@ -63,16 +66,20 @@ soak:
 # sharded join engine (shared NS index, day store reads, worker pool),
 # the distributed-join control plane, or the resilience/overload tier.
 # The study leg covers both day backends: the parallel in-memory sweep
-# (Merge adopts a finished day's rows into the shared table under the
-# pool's mutex while other shards sweep) and the columnar parity/resume
-# runs. The last leg is the degraded-mode sweep: a live loopback fleet,
-# the retrying resolver and dnsload under the detector in every mode.
+# (Merge moves a finished day's whole table — rows indexed by NSSet ID,
+# windows in its slab — into the run aggregator under the pool's mutex
+# while other shards fill theirs), the columnar parity/resume runs, where
+# each worker seals from its day table and takes an emptied one from the
+# pool's free list, and the watchdog run that must never put an abandoned
+# table on that list. The last leg is the degraded-mode sweep: a live
+# loopback fleet, the retrying resolver and dnsload under the detector in
+# every mode.
 race-gate: soak
 	$(GO) vet ./... && $(GO) build ./... && \
 	$(GO) test -race ./internal/authserver/... ./internal/resolver/... ./internal/dnsload/... \
 		./internal/core/... ./internal/cache/... ./internal/resilience/... \
 		./internal/stream/... ./internal/distjoin/... ./internal/daystore/...
-	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume' -count 1
+	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume|TestAbandonedTableIsNotRecycled' -count 1
 	$(GO) test -race ./internal/e2ebench/ -count 1
 
 # Chaos gate: the fault-injection and graceful-degradation regression
@@ -91,7 +98,7 @@ chaos:
 	$(GO) test -race ./internal/dnsload/ \
 		-run 'TestFailure|TestPartialLoss' -count 1 -v
 	$(GO) test -race ./internal/study/ \
-		-run 'TestLedger|TestPanicQuarantine|TestPanicRetryRecovers|TestWatchdogQuarantinesStuckShard|TestWriteFailureStopsFolding|TestCancelAndResumeByteIdentical|TestResumeRefusesCorruptCheckpoints' \
+		-run 'TestLedger|TestPanicQuarantine|TestPanicRetryRecovers|TestWatchdogQuarantinesStuckShard|TestAbandonedTableIsNotRecycled|TestWriteFailureStopsFolding|TestCancelAndResumeByteIdentical|TestResumeRefusesCorruptCheckpoints' \
 		-count 1 -v
 
 # Flakiness sweep: every package five times under the race detector.
@@ -107,12 +114,15 @@ bench-throughput:
 
 # The sweep's record path, layer by layer: one swept day end to end
 # (ns/record, allocs/record), one data-plane query quiet and under attack,
-# one aggregator Add. For reading while working on the sweep; the gated
-# numbers are the repo benchmark's (benchmark/README.md).
+# one aggregator Add by key, one day-shard by ID into a recycled table, and
+# the day's seal both ways (direct from the table, and through a Snapshot;
+# B/op). For reading while working on the sweep; the gated numbers are the
+# repo benchmark's (benchmark/README.md).
 bench-sweep:
 	$(GO) test -bench 'BenchmarkRunDay' -benchmem -run '^$$' ./internal/openintel/
 	$(GO) test -bench 'BenchmarkQueryQuiet|BenchmarkQueryUnderAttack' -benchmem -run '^$$' ./internal/simnet/
-	$(GO) test -bench 'BenchmarkAggregatorAdd' -benchmem -run '^$$' ./internal/nsset/
+	$(GO) test -bench 'BenchmarkAggregator(Add|Day)' -benchmem -run '^$$' ./internal/nsset/
+	$(GO) test -bench 'BenchmarkSealDay' -benchmem -run '^$$' ./internal/daystore/
 
 # The serving path, layer by layer: the codec on one NS response (through
 # the allocating wrappers and through AppendEncode / DecodeInto), one

@@ -4,7 +4,8 @@
 // window). Two backends implement it with methods they already have, no
 // adaptor in between:
 //
-//   - *nsset.Aggregator, the live in-memory table, used when a run
+//   - *nsset.Aggregator, the live in-memory day tables (rows indexed by
+//     dense NSSet ID; the Key is looked up once per read), used when a run
 //     persists nothing;
 //   - *daystore.Set (internal/daystore, attached WithDayStore), mmap-backed
 //     views of sealed per-day column files, which is what lets ≥1M-domain
@@ -42,5 +43,6 @@ type DayStore interface {
 
 // The live aggregator is the in-memory DayStore and the reference the
 // columnar path must be observation-equivalent to. Reads alias its live
-// table; it must not be read while it is being mutated.
+// day tables and never write to them, so a filled aggregator serves any
+// number of readers; it must not be read while it is being mutated.
 var _ DayStore = (*nsset.Aggregator)(nil)

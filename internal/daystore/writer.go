@@ -16,15 +16,21 @@ import (
 	"dnsddos/internal/nsset"
 )
 
-// writer.go seals nsset snapshots into immutable per-day column files.
-// SealDay is the unit the supervised study loop calls per completed
+// writer.go seals a measured day into an immutable per-day column file.
+// The run loops seal straight from the aggregator's day table: AppendDay
+// walks it in key order into a caller-owned buffer, SealTable publishes
+// that image — the unit the supervised study loop calls per completed
 // day-shard. A fleet worker has no use for the file on its own disk: it
-// encodes the sealed image in memory (EncodeDay) and ships it, and the
-// receiving process validates and publishes those exact bytes (Install).
-// Both publish through internal/atomicfile — temp file, fsync, rename,
-// parent-directory fsync, the checkpoint journal's discipline — so a
-// visible day file is always complete, and both return the content hash
-// that checkpoint.DayRef records pin.
+// ships the image AppendDay wrote, and the receiving process validates and
+// publishes those exact bytes (Install). EncodeDay and SealDay take the
+// same day as a value-typed nsset.Snapshot instead: the oracle the direct
+// path is held to byte for byte, and the one entry whose input can be
+// malformed (rows of another day, duplicates, disorder — all refused).
+// Both paths write through one column writer (dayImage) and publish
+// through internal/atomicfile — temp file, fsync, rename, parent-directory
+// fsync, the checkpoint journal's discipline — so a visible day file is
+// always complete, and both return the content hash that
+// checkpoint.DayRef records pin.
 
 // SealedFile identifies one published day file by name and content hash.
 // The hash is over the exact file bytes; checkpoint day references store
@@ -41,6 +47,44 @@ type keyRows struct {
 	key  nsset.Key
 	base *nsset.DayBaseline
 	wins []nsset.WindowSnap
+}
+
+// SealTable publishes day's column file in dir from the aggregator's day
+// table, as SealDay does from a snapshot of it (creating dir if needed,
+// replacing any previous seal of the same day). The image is built in
+// buf[:0] and returned, grown if it had to be, so a worker sealing day
+// after day reuses one buffer. The aggregator must hold no other day —
+// the seal input is one completed day-shard; an aggregator that measured
+// nothing seals a valid empty file.
+func SealTable(dir string, day clock.Day, agg *nsset.Aggregator, buf []byte) (SealedFile, []byte, error) {
+	image, sum, err := AppendDay(buf[:0], day, agg)
+	if err != nil {
+		return SealedFile{}, buf, err
+	}
+	file, err := publish(dir, day, image, sum)
+	return file, image, err
+}
+
+// AppendDay appends day's sealed file image to dst, encoded straight
+// from the aggregator's day table, and returns the extended slice with
+// the hex SHA-256 of the image — what a fleet worker ships for a completed
+// day-sweep. The bytes are EncodeDay(day, agg.Snapshot())'s; the input
+// rule is SealTable's.
+func AppendDay(dst []byte, day clock.Day, agg *nsset.Aggregator) (image []byte, sha256Hex string, err error) {
+	if d, ok := agg.ForeignDay(day); ok {
+		return dst, "", fmt.Errorf("daystore: sealing day %d: aggregator holds day %d", int32(day), int32(d))
+	}
+	nKeys, nWin, strLen := 0, 0, 0
+	agg.WalkDay(day, func(k nsset.Key, _ *nsset.DayBaseline, windows int) {
+		nKeys++
+		nWin += windows
+		strLen += len(k)
+	}, nil)
+	// every row of an aggregator has a baseline
+	im := beginImage(dst, day, nKeys, nKeys, nWin, strLen)
+	agg.WalkDay(day, im.row, im.window)
+	image = im.finish()
+	return image, contentHash(image[len(dst):]), nil
 }
 
 // SealDay encodes the snapshot as day's column file and atomically
@@ -60,15 +104,29 @@ func SealDay(dir string, day clock.Day, snap nsset.Snapshot) (SealedFile, error)
 }
 
 // EncodeDay renders the snapshot as day's sealed file image without
-// touching disk, together with the hex SHA-256 of those bytes — what a
-// fleet worker ships for a completed day-sweep. The input rules are
-// SealDay's.
+// touching disk, together with the hex SHA-256 of those bytes. The input
+// rules are SealDay's.
 func EncodeDay(day clock.Day, snap nsset.Snapshot) (image []byte, sha256Hex string, err error) {
 	rows, err := collectDay(day, snap)
 	if err != nil {
 		return nil, "", fmt.Errorf("daystore: sealing day %d: %w", int32(day), err)
 	}
-	image = encodeDay(day, rows)
+	nBase, strLen := 0, 0
+	for i := range rows {
+		if rows[i].base != nil {
+			nBase++
+		}
+		strLen += len(rows[i].key)
+	}
+	im := beginImage(nil, day, len(rows), nBase, len(snap.Windows), strLen)
+	for i := range rows {
+		r := &rows[i]
+		im.row(r.key, r.base, len(r.wins))
+		for wi := range r.wins {
+			im.window(&r.wins[wi].M)
+		}
+	}
+	image = im.finish()
 	return image, contentHash(image), nil
 }
 
@@ -78,7 +136,7 @@ func contentHash(image []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Install publishes a sealed file image produced elsewhere (EncodeDay in
+// Install publishes a sealed file image produced elsewhere (AppendDay in
 // another process) as day's file in dir, after checking everything a
 // local seal guarantees by construction: the content hash against
 // wantSHA256, then the header, sizes, body CRC and column bounds exactly
@@ -151,20 +209,22 @@ func publish(dir string, day clock.Day, image []byte, sha256Hex string) (SealedF
 	return SealedFile{Day: day, Name: name, SHA256: sha256Hex}, nil
 }
 
-// encodeDay lays the rows out in the package's column format.
-func encodeDay(day clock.Day, rows []keyRows) []byte {
-	nKeys, nBase, nWin, strLen := len(rows), 0, 0, 0
-	for i := range rows {
-		if rows[i].base != nil {
-			nBase++
-		}
-		nWin += len(rows[i].wins)
-		strLen += len(rows[i].key)
-	}
-	size := headerLen + nKeys*keyRowLen + strLen + nBase*baseRowLen + nWin*winRowLen + trailerLen
-	buf := make([]byte, size)
+// dayImage writes one day file in the package's column format: beginImage
+// lays out the header and the four column regions from the day's counts,
+// row and window fill them in file order (rows ascending by key, each
+// row's windows right after it), finish stamps the body CRC.
+type dayImage struct {
+	buf   []byte // what the image is appended to, then the image
+	start int    // where the image begins in buf
 
-	// header
+	keyTab, strTab, baseCol, winCol []byte
+	keys, strOff, baseRow, winRow   int
+}
+
+func beginImage(dst []byte, day clock.Day, nKeys, nBase, nWin, strLen int) dayImage {
+	size := headerLen + nKeys*keyRowLen + strLen + nBase*baseRowLen + nWin*winRowLen + trailerLen
+	im := dayImage{buf: append(dst, make([]byte, size)...), start: len(dst)}
+	buf := im.buf[im.start:]
 	copy(buf[0:8], magic)
 	binary.BigEndian.PutUint32(buf[8:12], Version)
 	binary.BigEndian.PutUint32(buf[12:16], uint32(int32(day)))
@@ -174,47 +234,54 @@ func encodeDay(day clock.Day, rows []keyRows) []byte {
 	binary.BigEndian.PutUint64(buf[28:36], uint64(strLen))
 	binary.BigEndian.PutUint32(buf[36:40], crc32.ChecksumIEEE(buf[0:36]))
 
-	keyTab := buf[headerLen:]
-	strTab := keyTab[nKeys*keyRowLen:][:strLen]
-	baseCol := keyTab[nKeys*keyRowLen+strLen:]
-	winCol := baseCol[nBase*baseRowLen:]
+	im.keyTab = buf[headerLen:][:nKeys*keyRowLen]
+	im.strTab = buf[headerLen+nKeys*keyRowLen:][:strLen]
+	im.baseCol = buf[headerLen+nKeys*keyRowLen+strLen:][:nBase*baseRowLen]
+	im.winCol = buf[headerLen+nKeys*keyRowLen+strLen+nBase*baseRowLen:][:nWin*winRowLen]
+	return im
+}
 
-	strOff, baseRow, winRow := 0, 0, 0
-	for i := range rows {
-		r := &rows[i]
-		kt := keyTab[i*keyRowLen:]
-		binary.BigEndian.PutUint64(kt[0:8], uint64(strOff))
-		binary.BigEndian.PutUint32(kt[8:12], uint32(len(r.key)))
-		copy(strTab[strOff:], r.key)
-		strOff += len(r.key)
-		if r.base != nil {
-			binary.BigEndian.PutUint32(kt[12:16], uint32(baseRow))
-			bc := baseCol[baseRow*baseRowLen:]
-			binary.BigEndian.PutUint64(bc[0:8], uint64(int64(r.base.OKCount)))
-			binary.BigEndian.PutUint64(bc[8:16], uint64(int64(r.base.SumRTT)))
-			binary.BigEndian.PutUint64(bc[16:24], uint64(int64(r.base.Domains)))
-			baseRow++
-		} else {
-			binary.BigEndian.PutUint32(kt[12:16], noBaseline)
-		}
-		binary.BigEndian.PutUint32(kt[16:20], uint32(winRow))
-		binary.BigEndian.PutUint32(kt[20:24], uint32(len(r.wins)))
-		for wi := range r.wins {
-			m := &r.wins[wi].M
-			wc := winCol[(winRow+wi)*winRowLen:]
-			binary.BigEndian.PutUint64(wc[0:8], uint64(int64(m.Window)))
-			binary.BigEndian.PutUint64(wc[8:16], uint64(int64(m.Domains)))
-			binary.BigEndian.PutUint64(wc[16:24], uint64(int64(m.OKCount)))
-			binary.BigEndian.PutUint64(wc[24:32], uint64(int64(m.Timeouts)))
-			binary.BigEndian.PutUint64(wc[32:40], uint64(int64(m.ServFails)))
-			binary.BigEndian.PutUint64(wc[40:48], uint64(int64(m.SumRTT)))
-			binary.BigEndian.PutUint64(wc[48:56], uint64(int64(m.MinRTT)))
-			binary.BigEndian.PutUint64(wc[56:64], uint64(int64(m.MaxRTT)))
-		}
-		winRow += len(r.wins)
+// row writes the next key row: the key, its baseline (nil for none) and
+// where its nWin windows, written next, sit in the window column.
+func (im *dayImage) row(key nsset.Key, base *nsset.DayBaseline, nWin int) {
+	kt := im.keyTab[im.keys*keyRowLen:]
+	im.keys++
+	binary.BigEndian.PutUint64(kt[0:8], uint64(im.strOff))
+	binary.BigEndian.PutUint32(kt[8:12], uint32(len(key)))
+	im.strOff += copy(im.strTab[im.strOff:], key)
+	if base != nil {
+		binary.BigEndian.PutUint32(kt[12:16], uint32(im.baseRow))
+		bc := im.baseCol[im.baseRow*baseRowLen:]
+		binary.BigEndian.PutUint64(bc[0:8], uint64(int64(base.OKCount)))
+		binary.BigEndian.PutUint64(bc[8:16], uint64(int64(base.SumRTT)))
+		binary.BigEndian.PutUint64(bc[16:24], uint64(int64(base.Domains)))
+		im.baseRow++
+	} else {
+		binary.BigEndian.PutUint32(kt[12:16], noBaseline)
 	}
-	binary.BigEndian.PutUint32(buf[size-trailerLen:], crc32.ChecksumIEEE(buf[headerLen:size-trailerLen]))
-	return buf
+	binary.BigEndian.PutUint32(kt[16:20], uint32(im.winRow))
+	binary.BigEndian.PutUint32(kt[20:24], uint32(nWin))
+}
+
+// window writes the current row's next window.
+func (im *dayImage) window(m *nsset.WindowMetrics) {
+	wc := im.winCol[im.winRow*winRowLen:]
+	im.winRow++
+	binary.BigEndian.PutUint64(wc[0:8], uint64(int64(m.Window)))
+	binary.BigEndian.PutUint64(wc[8:16], uint64(int64(m.Domains)))
+	binary.BigEndian.PutUint64(wc[16:24], uint64(int64(m.OKCount)))
+	binary.BigEndian.PutUint64(wc[24:32], uint64(int64(m.Timeouts)))
+	binary.BigEndian.PutUint64(wc[32:40], uint64(int64(m.ServFails)))
+	binary.BigEndian.PutUint64(wc[40:48], uint64(int64(m.SumRTT)))
+	binary.BigEndian.PutUint64(wc[48:56], uint64(int64(m.MinRTT)))
+	binary.BigEndian.PutUint64(wc[56:64], uint64(int64(m.MaxRTT)))
+}
+
+// finish stamps the body CRC and returns dst extended by the image.
+func (im *dayImage) finish() []byte {
+	buf := im.buf[im.start:]
+	binary.BigEndian.PutUint32(buf[len(buf)-trailerLen:], crc32.ChecksumIEEE(buf[headerLen:len(buf)-trailerLen]))
+	return im.buf
 }
 
 // Clear removes every sealed day file and seal leftover (*.tmp-*) from

@@ -88,7 +88,7 @@ type message struct {
 	HeartbeatMS int64
 
 	// sweep tasks and day files: Image is one sealed day file
-	// (daystore.EncodeDay), SHA256 its hex content hash
+	// (daystore.AppendDay), SHA256 its hex content hash
 	Day     clock.Day
 	Image   []byte
 	SHA256  string

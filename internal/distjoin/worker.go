@@ -13,6 +13,7 @@ import (
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
+	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/study"
 )
@@ -201,6 +202,13 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 		installed int
 		pipe      *core.Pipeline
 	)
+	// Sweep state: the aggregator and the image buffer a completed
+	// day-sweep leaves empty for the next. A sweep that panics takes its
+	// aggregator with it.
+	var (
+		scratch *nsset.Aggregator
+		image   []byte
+	)
 	draining := func() bool {
 		select {
 		case <-w.drainCh:
@@ -227,7 +235,8 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 
 			case kindAssignSweep:
 				day := ev.m.Day
-				agg, sweep, fail := sess.SweepDayAttempt(ctx, day, w.beforeSweep)
+				agg, sweep, fail := sess.SweepDayAttempt(ctx, day, scratch, w.beforeSweep)
+				scratch = nil
 				var reply *message
 				switch {
 				case fail != nil:
@@ -235,12 +244,17 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 				case agg == nil:
 					return ctx.Err() // cancelled mid-sweep: crash path
 				default:
-					image, sum, err := daystore.EncodeDay(day, agg.Snapshot())
-					if err != nil {
+					var sum string
+					var err error
+					if image, sum, err = daystore.AppendDay(image[:0], day, agg); err != nil {
 						return fmt.Errorf("distjoin: worker %s: sealing day %d: %w", w.name, int32(day), err)
 					}
+					agg.Reset()
+					scratch = agg
 					reply = &message{Kind: kindSweepDone, Day: day, Image: image, SHA256: sum, Metrics: sweep}
 				}
+				// send copies the image into its frame, so the buffer is
+				// free again when it returns
 				if err := wr.send(reply); err != nil {
 					return fmt.Errorf("distjoin: worker %s: reporting day %d: %w", w.name, int32(day), err)
 				}

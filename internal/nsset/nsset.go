@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"dnsddos/internal/clock"
@@ -39,34 +40,119 @@ func appendKey(buf []byte, sorted []netx.Addr) []byte {
 	return buf
 }
 
-// Interner hands out one Key per distinct address set: equal keys from
-// one Interner share their bytes, and a set seen before costs no
-// allocation. The zero value is ready to use.
+// ID is an NSSet's index in an Interner's table: dense, in first-seen
+// order. It identifies the NSSet only inside that table — files, CSV and
+// the day-store reads keep using the Key.
+type ID uint32
+
+// Interner is a table of distinct NSSets: one Key per address set (equal
+// keys from one Interner share their bytes, and a set seen before costs no
+// allocation) and a dense ID beside it. A measurement engine builds one
+// per world, and the aggregators of its sweeps index their rows by its
+// IDs. The zero value is ready to use; an Interner is safe for concurrent
+// use.
 type Interner struct {
-	keys map[string]Key
+	mu   sync.RWMutex
+	ids  map[Key]ID
+	keys []Key // by ID; append-only, so a slice of it read under mu stays valid
+	// sorted is every ID ascending by key, rebuilt by view once keys grew.
+	sorted []ID
 }
 
-// KeyOf is the package-level KeyOf, interned. It sorts addrs in place.
-func (in *Interner) KeyOf(addrs []netx.Addr) Key {
+// Intern returns the table's key — the package-level KeyOf's, interned —
+// and ID of the address set, adding it when it is new. It sorts addrs in
+// place.
+func (in *Interner) Intern(addrs []netx.Addr) (Key, ID) {
 	slices.Sort(addrs)
 	var arr [64]byte // sixteen addresses; a larger set spills by append
 	buf := appendKey(arr[:0], addrs)
-	k, ok := in.keys[string(buf)]
-	if !ok {
-		if in.keys == nil {
-			in.keys = make(map[string]Key)
-		}
-		k = Key(buf)
-		in.keys[string(k)] = k
+	in.mu.RLock()
+	id, ok := in.ids[Key(buf)]
+	if ok {
+		k := in.keys[id]
+		in.mu.RUnlock()
+		return k, id
 	}
-	return k
+	in.mu.RUnlock()
+	k := Key(buf)
+	return k, in.ID(k)
+}
+
+// ID returns k's ID, adding k to the table when it is new.
+func (in *Interner) ID(k Key) ID {
+	if id, ok := in.Lookup(k); ok {
+		return id
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	id, ok := in.ids[k]
+	if !ok {
+		if in.ids == nil {
+			in.ids = make(map[Key]ID)
+		}
+		id = ID(len(in.keys))
+		in.ids[k] = id
+		in.keys = append(in.keys, k)
+	}
+	return id
+}
+
+// Lookup returns k's ID if the table holds k.
+func (in *Interner) Lookup(k Key) (ID, bool) {
+	in.mu.RLock()
+	id, ok := in.ids[k]
+	in.mu.RUnlock()
+	return id, ok
+}
+
+// Key returns the key an ID of this table stands for.
+func (in *Interner) Key(id ID) Key {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return in.keys[id]
+}
+
+// Len returns how many NSSets the table holds; its IDs are [0, Len).
+func (in *Interner) Len() int {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return len(in.keys)
+}
+
+// view returns the keys by ID and every ID ascending by key — the order of
+// Keys, Snapshot and a sealed day file. Both slices are read-only and stay
+// valid (and consistent with each other) after keys are added.
+func (in *Interner) view() (keys []Key, sorted []ID) {
+	in.mu.RLock()
+	keys, sorted = in.keys, in.sorted
+	in.mu.RUnlock()
+	if len(sorted) == len(keys) {
+		return keys, sorted
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if len(in.sorted) != len(in.keys) {
+		keys = in.keys
+		sorted = make([]ID, len(keys))
+		for i := range sorted {
+			sorted[i] = ID(i)
+		}
+		slices.SortFunc(sorted, func(x, y ID) int { return cmp.Compare(keys[x], keys[y]) })
+		in.sorted = sorted
+	}
+	return in.keys, in.sorted
+}
+
+// addr decodes the i-th member address.
+func (k Key) addr(i int) netx.Addr {
+	return netx.Addr(uint32(k[4*i])<<24 | uint32(k[4*i+1])<<16 | uint32(k[4*i+2])<<8 | uint32(k[4*i+3]))
 }
 
 // Addrs decodes the member addresses.
 func (k Key) Addrs() []netx.Addr {
-	out := make([]netx.Addr, 0, len(k)/4)
-	for i := 0; i+4 <= len(k); i += 4 {
-		out = append(out, netx.Addr(binary.BigEndian.Uint32([]byte(k[i:i+4]))))
+	out := make([]netx.Addr, k.Size())
+	for i := range out {
+		out[i] = k.addr(i)
 	}
 	return out
 }
@@ -76,8 +162,8 @@ func (k Key) Size() int { return len(k) / 4 }
 
 // Contains reports whether the set includes addr.
 func (k Key) Contains(addr netx.Addr) bool {
-	for _, a := range k.Addrs() {
-		if a == addr {
+	for i := 0; i < k.Size(); i++ {
+		if k.addr(i) == addr {
 			return true
 		}
 	}
@@ -256,100 +342,211 @@ func (b *DayBaseline) merge(o *DayBaseline) {
 	b.Domains += o.Domains
 }
 
+// winNode is one retained window in a day table's slab, linked to the next
+// later window of the same row.
+type winNode struct {
+	m    WindowMetrics
+	next *winNode
+}
+
 // dayRow is one NSSet on one calendar day, the paper's unit of
 // measurement and the shape of a sealed day file's key row: the day's
-// baseline plus its retained windows in ascending window order.
+// baseline plus its retained windows in ascending window order, as a list
+// through the table's slab. base.Domains counts every sample, so it is
+// positive exactly when the NSSet was measured that day.
 type dayRow struct {
-	base DayBaseline
-	wins []*WindowMetrics
+	base       DayBaseline
+	head, tail *winNode
+	nwin       int32
 }
 
-// windowFor returns r's metrics for w, inserting them in window order
-// when new. Samples arrive in sweep (time) order, so the scan from the
-// tail ends at once on a hit or an append; a day holds at most 288
-// windows, which bounds the rare out-of-order insert.
-func (a *Aggregator) windowFor(r *dayRow, w clock.Window) *WindowMetrics {
-	i := len(r.wins)
-	for i > 0 && r.wins[i-1].Window > w {
-		i--
-	}
-	if i > 0 && r.wins[i-1].Window == w {
-		return r.wins[i-1]
-	}
-	if len(a.slab) == cap(a.slab) {
-		a.slab = make([]WindowMetrics, 0, min(max(16, 2*cap(a.slab)), 256))
-	}
-	a.slab = append(a.slab, WindowMetrics{Window: w})
-	m := &a.slab[len(a.slab)-1]
-	r.wins = slices.Insert(r.wins, i, m)
-	return m
+// dayTable is one measured day: a row per NSSet, indexed by the ID the
+// aggregator's Interner gave it, and the slab the rows' windows are cut
+// from. It holds no per-row object, so a finished day changes hands
+// (Merge) or is emptied for the next day (Reset) as one value.
+type dayTable struct {
+	day  clock.Day
+	rows []dayRow
+	// blocks is the window slab. A full block is followed by a new one,
+	// never regrown, so a *WindowMetrics already handed out stays valid;
+	// new blocks double from 16 to 256 entries, so a one-window day stays
+	// small. blocks[:used] hold this day's windows; later ones are empty,
+	// kept from a recycled day.
+	blocks [][]winNode
+	used   int
+	nwin   int
 }
 
-// findDay binary-searches an NSSet's ascending day rows; nil when d was
-// not measured.
-func findDay(rows []*dayRow, d clock.Day) *dayRow {
-	i, ok := slices.BinarySearchFunc(rows, d, func(r *dayRow, d clock.Day) int { return cmp.Compare(r.base.Day, d) })
-	if !ok {
+// newNode cuts the node of a new window from the slab.
+func (t *dayTable) newNode(w clock.Window) *winNode {
+	if t.used == 0 || len(t.blocks[t.used-1]) == cap(t.blocks[t.used-1]) {
+		if t.used == len(t.blocks) {
+			size := 16
+			if t.used > 0 {
+				size = min(2*cap(t.blocks[t.used-1]), 256)
+			}
+			if t.blocks == nil {
+				t.blocks = make([][]winNode, 0, 16)
+			}
+			t.blocks = append(t.blocks, make([]winNode, 0, size))
+		}
+		t.used++
+	}
+	b := &t.blocks[t.used-1]
+	*b = append(*b, winNode{m: WindowMetrics{Window: w}})
+	t.nwin++
+	return &(*b)[len(*b)-1]
+}
+
+// windowFor returns r's metrics for w, linking them in window order when
+// new. Samples arrive in sweep (time) order, so a hit or an append is
+// decided at the row's tail; the rare out-of-order sample walks the list,
+// which a day bounds at 288 windows.
+func (t *dayTable) windowFor(r *dayRow, w clock.Window) *WindowMetrics {
+	if r.tail != nil && r.tail.m.Window == w {
+		return &r.tail.m
+	}
+	// link points at the pointer the new node goes behind.
+	link := &r.head
+	if r.tail != nil && r.tail.m.Window < w {
+		link = &r.tail.next
+	} else {
+		for n := *link; n != nil && n.m.Window <= w; n = *link {
+			if n.m.Window == w {
+				return &n.m
+			}
+			link = &n.next
+		}
+	}
+	n := t.newNode(w)
+	n.next = *link
+	*link = n
+	if n.next == nil {
+		r.tail = n
+	}
+	r.nwin++
+	return &n.m
+}
+
+// row returns id's row, growing the table for an ID handed out after it
+// was sized.
+func (t *dayTable) row(id ID) *dayRow {
+	if int(id) >= len(t.rows) {
+		t.rows = append(t.rows, make([]dayRow, int(id)+1-len(t.rows))...)
+	}
+	r := &t.rows[id]
+	r.base.Day = t.day
+	return r
+}
+
+// measured returns id's row if the NSSet was measured on the table's day.
+func (t *dayTable) measured(id ID) *dayRow {
+	if int(id) >= len(t.rows) || t.rows[id].base.Domains == 0 {
 		return nil
 	}
-	return rows[i]
+	return &t.rows[id]
+}
+
+// reset empties the table for another day, keeping its memory.
+func (t *dayTable) reset(d clock.Day, rows int) {
+	t.day = d
+	if cap(t.rows) < rows {
+		t.rows = make([]dayRow, rows)
+	}
+	clear(t.rows[:cap(t.rows)])
+	t.rows = t.rows[:rows]
+	for i := range t.blocks[:t.used] {
+		t.blocks[i] = t.blocks[i][:0]
+	}
+	t.used, t.nwin = 0, 0
 }
 
 // Aggregator folds per-query measurement samples into per-NSSet window
-// metrics and day baselines. It is not safe for concurrent use; the
-// measurement engine owns one per run (shard across days and Merge for
-// parallel sweeps).
+// metrics and day baselines: one dayTable per measured day (DESIGN §3.13).
+// It is not safe for concurrent use; the measurement engine owns one per
+// day-shard (Merge or seal them for parallel sweeps). Reads never write,
+// so a filled aggregator serves concurrent readers.
 type Aggregator struct {
-	// table is the one layout of measured data: NSSet → its measured days
-	// in ascending order. Snapshot and the sealed day file keep the same
-	// (key, day, window) ordering, so sealing is a walk, not a re-sort.
-	table map[Key][]*dayRow
+	// tab names the rows: the engine's table for a sweep's aggregators
+	// (so records are added by ID, and aggregators of one run exchange
+	// whole days), a private one otherwise.
+	tab *Interner
+	// days is the measured days, ascending.
+	days []*dayTable
+	// cur is the table of the last Add; a sweep stays on one day.
+	cur *dayTable
+	// spare is tables emptied by Reset, for the next new days.
+	spare []*dayTable
 	// filter, when set, limits per-window metric retention; day
 	// baselines are always kept. Long longitudinal runs set it to the
 	// attack windows (plus margins) to bound memory, matching how the
 	// paper's Hadoop pipeline only materializes joined windows.
 	filter func(clock.Window) bool
-	// slab is the block windowFor carves new windows from. A full block
-	// is replaced, never regrown, so *WindowMetrics already handed out
-	// stay valid; blocks double from 16 to 256 entries, so a one-window
-	// aggregator stays small.
-	slab []WindowMetrics
 }
 
-// NewAggregator returns an empty aggregator.
-func NewAggregator() *Aggregator {
-	return &Aggregator{table: make(map[Key][]*dayRow)}
-}
+// NewAggregator returns an empty aggregator over a table of its own.
+func NewAggregator() *Aggregator { return NewAggregatorOver(new(Interner)) }
+
+// NewAggregatorOver returns an empty aggregator whose rows are indexed by
+// tab's IDs: AddID takes them, and Merge between aggregators over one
+// table moves a finished day without touching its rows.
+func NewAggregatorOver(tab *Interner) *Aggregator { return &Aggregator{tab: tab} }
+
+// Interner returns the table the aggregator's IDs come from.
+func (a *Aggregator) Interner() *Interner { return a.tab }
 
 // SetWindowFilter restricts which windows retain per-window metrics. Nil
 // (the default) keeps everything.
 func (a *Aggregator) SetWindowFilter(f func(clock.Window) bool) { a.filter = f }
 
-// dayFor returns k's row for day d. A day new to k is inserted in day
-// order — the row given as fresh, or an empty one when that is nil — by
-// the same tail scan as windowFor: days arrive ascending, or nearly so
-// when parallel shards merge as they finish.
-func (a *Aggregator) dayFor(k Key, d clock.Day, fresh *dayRow) *dayRow {
-	rows := a.table[k]
-	i := len(rows)
-	for i > 0 && rows[i-1].base.Day > d {
-		i--
-	}
-	if i > 0 && rows[i-1].base.Day == d {
-		return rows[i-1]
-	}
-	if fresh == nil {
-		fresh = &dayRow{base: DayBaseline{Day: d}}
-	}
-	a.table[k] = slices.Insert(rows, i, fresh)
-	return fresh
+// findDay binary-searches the ascending day tables.
+func (a *Aggregator) findDay(d clock.Day) (int, bool) {
+	return slices.BinarySearchFunc(a.days, d, func(t *dayTable, d clock.Day) int { return cmp.Compare(t.day, d) })
 }
 
-// Add folds one query observation for the NSSet k at time t.
+// table returns day d's table, nil when d was not measured.
+func (a *Aggregator) table(d clock.Day) *dayTable {
+	if i, ok := a.findDay(d); ok {
+		return a.days[i]
+	}
+	return nil
+}
+
+// tableFor returns day d's table for writing, starting it (from a spare
+// one when Reset left any) if d is new.
+func (a *Aggregator) tableFor(d clock.Day) *dayTable {
+	i, ok := a.findDay(d)
+	if !ok {
+		var t *dayTable
+		if n := len(a.spare); n > 0 {
+			t, a.spare = a.spare[n-1], a.spare[:n-1]
+		} else {
+			t = new(dayTable)
+		}
+		t.reset(d, a.tab.Len())
+		a.days = slices.Insert(a.days, i, t)
+	}
+	a.cur = a.days[i]
+	return a.cur
+}
+
+// Add folds one query observation for the NSSet k at time t: AddID after
+// one lookup of k in the aggregator's table.
 func (a *Aggregator) Add(k Key, t time.Time, status QueryStatus, rtt time.Duration) {
-	r := a.dayFor(k, clock.DayOf(t), nil)
+	a.AddID(a.tab.ID(k), t, status, rtt)
+}
+
+// AddID folds one query observation for the NSSet with the given ID of
+// the aggregator's Interner at time t. The record path of a sweep: no
+// hash, no map, and no allocation once the day's table and slab exist.
+func (a *Aggregator) AddID(id ID, t time.Time, status QueryStatus, rtt time.Duration) {
+	tb := a.cur
+	if d := clock.DayOf(t); tb == nil || tb.day != d {
+		tb = a.tableFor(d)
+	}
+	r := tb.row(id)
 	if w := clock.WindowOf(t); a.filter == nil || a.filter(w) {
-		a.windowFor(r, w).addSample(status, rtt)
+		tb.windowFor(r, w).addSample(status, rtt)
 	}
 	r.base.Domains++
 	if status == StatusOK {
@@ -359,54 +556,96 @@ func (a *Aggregator) Add(k Key, t time.Time, status QueryStatus, rtt time.Durati
 }
 
 // Merge folds another aggregator's contents into a and consumes o, which
-// is left empty (a stale use reads nothing instead of aliasing a's rows).
-// Use after sharded parallel sweeps; sample order within a window does not
-// matter for any retained statistic. A (NSSet, day) new to a — every row
-// of a day-sharded sweep — is adopted as it is, windows and all; only a
-// day both sides measured is folded window by window.
+// is left empty (a stale use reads nothing instead of aliasing a's
+// tables). Use after sharded parallel sweeps; sample order within a window
+// does not matter for any retained statistic. Between aggregators over one
+// Interner a day new to a — every day of a day-sharded sweep — is adopted
+// as a whole table, its rows and windows untouched; a day both sides
+// measured, or one numbered by another Interner, is folded row by row.
 func (a *Aggregator) Merge(o *Aggregator) {
-	for k, rows := range o.table {
-		for _, or := range rows {
-			r := a.dayFor(k, or.base.Day, or)
-			if r == or {
+	for _, ot := range o.days {
+		i, held := a.findDay(ot.day)
+		if !held && a.tab == o.tab {
+			a.days = slices.Insert(a.days, i, ot)
+			continue
+		}
+		t := a.tableFor(ot.day)
+		for id := range ot.rows {
+			or := ot.measured(ID(id))
+			if or == nil {
 				continue
 			}
+			nid := ID(id)
+			if a.tab != o.tab {
+				nid = a.tab.ID(o.tab.Key(nid))
+			}
+			r := t.row(nid)
 			r.base.merge(&or.base)
-			r.wins = slices.Grow(r.wins, len(or.wins))
-			for _, m := range or.wins {
-				a.windowFor(r, m.Window).merge(m)
+			for n := or.head; n != nil; n = n.next {
+				t.windowFor(r, n.m.Window).merge(&n.m)
 			}
 		}
 	}
-	clear(o.table)
+	clear(o.days)
+	o.days, o.cur = o.days[:0], nil
+}
+
+// Reset empties the aggregator and keeps its tables' memory for the days
+// added next, so a worker that seals each day it sweeps fills one table
+// over and over. Every *WindowMetrics and *DayBaseline handed out before
+// is invalid afterwards.
+func (a *Aggregator) Reset() {
+	a.spare = append(a.spare, a.days...)
+	clear(a.days)
+	a.days, a.cur = a.days[:0], nil
+}
+
+// row returns k's row of day d, nil when k was not measured that day.
+func (a *Aggregator) row(k Key, d clock.Day) *dayRow {
+	t := a.table(d)
+	if t == nil {
+		return nil
+	}
+	id, ok := a.tab.Lookup(k)
+	if !ok {
+		return nil
+	}
+	return t.measured(id)
 }
 
 // DayWindows returns k's measured windows of calendar day d, ascending
-// by window. The slice is shared; treat it as read-only. Measurements are
-// sparse within an attack span (each domain is swept once a day), so the
-// join walks a day's actual windows instead of probing every 5-minute
-// window of the span.
+// by window; treat the metrics as read-only. Measurements are sparse
+// within an attack span (each domain is swept once a day), so the join
+// walks a day's actual windows instead of probing every 5-minute window
+// of the span.
 func (a *Aggregator) DayWindows(k Key, d clock.Day) []*WindowMetrics {
-	if r := findDay(a.table[k], d); r != nil {
-		return r.wins
+	r := a.row(k, d)
+	if r == nil || r.nwin == 0 {
+		return nil
 	}
-	return nil
+	out := make([]*WindowMetrics, 0, r.nwin)
+	for n := r.head; n != nil; n = n.next {
+		out = append(out, &n.m)
+	}
+	return out
 }
 
 // Window returns the metrics for (k, w), or nil if nothing was measured.
 func (a *Aggregator) Window(k Key, w clock.Window) *WindowMetrics {
-	wins := a.DayWindows(k, w.Day())
-	i, ok := slices.BinarySearchFunc(wins, w, func(m *WindowMetrics, w clock.Window) int { return cmp.Compare(m.Window, w) })
-	if !ok {
-		return nil
+	if r := a.row(k, w.Day()); r != nil {
+		for n := r.head; n != nil && n.m.Window <= w; n = n.next {
+			if n.m.Window == w {
+				return &n.m
+			}
+		}
 	}
-	return wins[i]
+	return nil
 }
 
 // Baseline returns the day aggregate for (k, d), or nil. The value
 // aliases the aggregator's live aggregate; treat it as read-only.
 func (a *Aggregator) Baseline(k Key, d clock.Day) *DayBaseline {
-	if r := findDay(a.table[k], d); r != nil {
+	if r := a.row(k, d); r != nil {
 		return &r.base
 	}
 	return nil
@@ -414,21 +653,60 @@ func (a *Aggregator) Baseline(k Key, d clock.Day) *DayBaseline {
 
 // Keys returns all NSSets with any measurements, in deterministic order.
 func (a *Aggregator) Keys() []Key {
-	out := make([]Key, 0, len(a.table))
-	for k := range a.table {
-		out = append(out, k)
+	var out []Key
+	keys, sorted := a.tab.view()
+	for _, id := range sorted {
+		for _, t := range a.days {
+			if t.measured(id) != nil {
+				out = append(out, keys[id])
+				break
+			}
+		}
 	}
-	slices.Sort(out)
 	return out
 }
 
 // Windows returns the measured windows for an NSSet in ascending order.
 func (a *Aggregator) Windows(k Key) []*WindowMetrics {
 	var out []*WindowMetrics
-	for _, r := range a.table[k] {
-		out = append(out, r.wins...)
+	for _, t := range a.days {
+		out = append(out, a.DayWindows(k, t.day)...)
 	}
 	return out
+}
+
+// ForeignDay reports a measured day other than d, if the aggregator holds
+// one: what sealing d from it must refuse.
+func (a *Aggregator) ForeignDay(d clock.Day) (clock.Day, bool) {
+	for _, t := range a.days {
+		if t.day != d {
+			return t.day, true
+		}
+	}
+	return 0, false
+}
+
+// WalkDay visits day d's measured rows in ascending key order, and each
+// row's windows in ascending window order — the order of a sealed day
+// file, so sealing is this walk. row gets the NSSet, its day aggregate and
+// how many windows follow; window (nil to skip them) gets each of those.
+// Both see the aggregator's live values: read-only.
+func (a *Aggregator) WalkDay(d clock.Day, row func(k Key, b *DayBaseline, windows int), window func(*WindowMetrics)) {
+	t := a.table(d)
+	if t == nil {
+		return
+	}
+	keys, sorted := a.tab.view()
+	for _, id := range sorted {
+		r := t.measured(id)
+		if r == nil {
+			continue
+		}
+		row(keys[id], &r.base, int(r.nwin))
+		for n := r.head; n != nil && window != nil; n = n.next {
+			window(&n.m)
+		}
+	}
 }
 
 // ImpactOnRTT computes Eq. 1 for NSSet k in window w:

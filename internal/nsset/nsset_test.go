@@ -1,8 +1,10 @@
 package nsset
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -49,7 +51,7 @@ func TestInternerMatchesKeyOf(t *testing.T) {
 			set[i] = netx.Addr(0x0a000000 + rng.IntN(24))
 		}
 		want := KeyOf(set)
-		got := in.KeyOf(set)
+		got, _ := in.Intern(set)
 		if got != want {
 			t.Fatalf("interned key %x, KeyOf %x", string(got), string(want))
 		}
@@ -60,8 +62,8 @@ func TestInternerMatchesKeyOf(t *testing.T) {
 		}
 	}
 	set := addrs("192.0.2.2", "192.0.2.1", "192.0.2.2")
-	in.KeyOf(set)
-	if n := testing.AllocsPerRun(20, func() { in.KeyOf(set) }); n != 0 {
+	in.Intern(set)
+	if n := testing.AllocsPerRun(20, func() { in.Intern(set) }); n != 0 {
 		t.Errorf("a key seen before cost %.0f allocations", n)
 	}
 }
@@ -107,6 +109,58 @@ func TestKeyContains(t *testing.T) {
 	}
 	if k.Contains(netx.MustParseAddr("192.0.2.3")) {
 		t.Error("should not contain non-member")
+	}
+}
+
+// TestKeyReadsAllocate: a membership test reads the key's bytes in place,
+// and decoding the members costs the one slice it returns.
+func TestKeyReadsAllocate(t *testing.T) {
+	k := KeyOf(addrs("192.0.2.1", "192.0.2.2", "198.51.100.7"))
+	member, stranger := netx.MustParseAddr("198.51.100.7"), netx.MustParseAddr("203.0.113.1")
+	if n := testing.AllocsPerRun(100, func() {
+		if !k.Contains(member) || k.Contains(stranger) {
+			t.Fatal("Contains is wrong")
+		}
+	}); n != 0 {
+		t.Errorf("Contains allocates %v times, want 0", n)
+	}
+	var got []netx.Addr
+	if n := testing.AllocsPerRun(100, func() { got = k.Addrs() }); n != 1 {
+		t.Errorf("Addrs allocates %v times, want 1", n)
+	}
+	if want := addrs("192.0.2.1", "192.0.2.2", "198.51.100.7"); !slices.Equal(got, want) {
+		t.Errorf("Addrs = %v, want %v", got, want)
+	}
+}
+
+// TestInternerIDs: IDs are dense in first-seen order, stable, and name the
+// key they were handed out with, by address set or by key.
+func TestInternerIDs(t *testing.T) {
+	var in Interner
+	sets := [][]netx.Addr{addrs("10.0.0.9"), addrs("10.0.0.1", "10.0.0.2"), addrs("10.0.0.5")}
+	for want, set := range sets {
+		k, id := in.Intern(set)
+		if id != ID(want) || k != KeyOf(set) || in.Key(id) != k {
+			t.Fatalf("set %d interned as (%x, %d), table names it %x", want, string(k), id, string(in.Key(id)))
+		}
+	}
+	for want, set := range sets {
+		if _, id := in.Intern(set); id != ID(want) {
+			t.Errorf("set %d re-interned as %d", want, id)
+		}
+		if id, ok := in.Lookup(KeyOf(set)); !ok || id != ID(want) {
+			t.Errorf("Lookup of set %d = %d, %v", want, id, ok)
+		}
+	}
+	if _, ok := in.Lookup(KeyOf(addrs("10.9.9.9"))); ok {
+		t.Error("Lookup found a key never interned")
+	}
+	if id := in.ID(KeyOf(addrs("10.9.9.9"))); id != 3 || in.Len() != 4 {
+		t.Errorf("a new key got ID %d in a table of %d", id, in.Len())
+	}
+	keys, sorted := in.view()
+	if !slices.IsSortedFunc(sorted, func(x, y ID) int { return cmp.Compare(keys[x], keys[y]) }) || len(sorted) != 4 {
+		t.Errorf("view order %v is not every ID ascending by key", sorted)
 	}
 }
 
@@ -261,14 +315,46 @@ func bucketsOrdered(a *Aggregator, k Key, days clock.Day) error {
 }
 
 // TestAddExistingWindowAllocatesNothing: once a (key, day, window) exists,
-// folding another sample into it is a lookup and integer adds.
+// folding another sample into it is a lookup and integer adds — by key or
+// by ID, at the row's tail or (a late sample) in the middle of its list —
+// and so is merging a day into a table that already holds its windows.
 func TestAddExistingWindowAllocatesNothing(t *testing.T) {
 	agg := NewAggregator()
 	k := KeyOf(addrs("10.0.0.1", "10.0.0.2"))
 	tm := clock.StudyStart.Add(30 * time.Hour)
-	agg.Add(k, tm, StatusOK, time.Millisecond)
-	if n := testing.AllocsPerRun(100, func() { agg.Add(k, tm.Add(time.Second), StatusOK, time.Millisecond) }); n != 0 {
-		t.Errorf("Add into an existing window allocates %v times", n)
+	for i := 0; i < 3; i++ {
+		agg.Add(k, tm.Add(time.Duration(i)*clock.WindowDur), StatusOK, time.Millisecond)
+	}
+	id, _ := agg.Interner().Lookup(k)
+	for name, add := range map[string]func(){
+		"by key, last window": func() { agg.Add(k, tm.Add(2*clock.WindowDur+time.Second), StatusOK, time.Millisecond) },
+		"by ID, last window":  func() { agg.AddID(id, tm.Add(2*clock.WindowDur+time.Second), StatusOK, time.Millisecond) },
+		"by ID, late sample":  func() { agg.AddID(id, tm.Add(clock.WindowDur+time.Second), StatusOK, time.Millisecond) },
+	} {
+		if n := testing.AllocsPerRun(100, add); n != 0 {
+			t.Errorf("Add into an existing window (%s) allocates %v times", name, n)
+		}
+	}
+	if n := len(agg.Windows(k)); n != 3 {
+		t.Fatalf("%d windows after adds into 3", n)
+	}
+
+	var others []*Aggregator
+	for i := 0; i <= 20; i++ {
+		o := NewAggregatorOver(agg.Interner())
+		for w := 0; w < 3; w++ {
+			o.AddID(id, tm.Add(time.Duration(w)*clock.WindowDur), StatusTimeout, 0)
+		}
+		others = append(others, o)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		agg.Merge(others[len(others)-1])
+		others = others[:len(others)-1]
+	}); n != 0 {
+		t.Errorf("folding a day into a table that holds its windows allocates %v times", n)
+	}
+	if m := agg.Window(k, clock.WindowOf(tm)); m.Timeouts != 21 {
+		t.Errorf("%d merged samples in the window, want 21", m.Timeouts)
 	}
 }
 
@@ -392,12 +478,18 @@ func TestMergeCommutesAndAssociates(t *testing.T) {
 // dayShards returns one aggregator per day holding that day's samples of
 // a seeded stream over several NSSets, next to one aggregator that was
 // given every sample in stream order — the two ways a study fills a table.
-func dayShards(seed uint64, days int) (shards []*Aggregator, seq *Aggregator, keys []Key) {
+// The shards number their NSSets by tab, or each by a table of its own when
+// tab is nil.
+func dayShards(seed uint64, days int, tab *Interner) (shards []*Aggregator, seq *Aggregator, keys []Key) {
 	keys = []Key{KeyOf(addrs("10.0.0.1", "10.0.0.2")), KeyOf(addrs("10.0.0.3")), KeyOf(addrs("10.0.1.1", "10.0.1.2"))}
 	rng := rand.New(rand.NewPCG(seed, 0x5ab))
 	seq = NewAggregator()
 	for d := 0; d < days; d++ {
-		shards = append(shards, NewAggregator())
+		if tab != nil {
+			shards = append(shards, NewAggregatorOver(tab))
+		} else {
+			shards = append(shards, NewAggregator())
+		}
 	}
 	for i := 0; i < 400*days; i++ {
 		k := keys[rng.IntN(len(keys))]
@@ -410,47 +502,54 @@ func dayShards(seed uint64, days int) (shards []*Aggregator, seq *Aggregator, ke
 }
 
 // TestMergeAdoptsDisjointDays: merging single-day aggregators — in any
-// order, the way parallel day shards finish — yields the table sequential
-// Adds build, row for row, and leaves every merged shard empty.
+// order, the way parallel day shards finish, over one table or each over
+// its own — yields the table sequential Adds build, row for row, and
+// leaves every merged shard empty.
 func TestMergeAdoptsDisjointDays(t *testing.T) {
 	const days = 6
-	shards, seq, keys := dayShards(7, days)
-	merged := NewAggregator()
-	for _, d := range rand.New(rand.NewPCG(7, 7)).Perm(days) {
-		merged.Merge(shards[d])
-		if got := shards[d].Keys(); len(got) != 0 {
-			t.Fatalf("shard %d still holds %d keys after being merged", d, len(got))
+	for name, tab := range map[string]*Interner{"one table": new(Interner), "own tables": nil} {
+		shards, seq, keys := dayShards(7, days, tab)
+		merged := NewAggregator()
+		if tab != nil {
+			merged = NewAggregatorOver(tab)
 		}
-	}
-	if !aggEqual(seq, merged) {
-		t.Fatal("merged day shards differ from sequential adds")
-	}
-	for _, k := range keys {
-		if err := bucketsOrdered(merged, k, days); err != nil {
-			t.Fatal(err)
-		}
-		for _, wm := range seq.Windows(k) {
-			if got := merged.Window(k, wm.Window); got == nil || *got != *wm {
-				t.Fatalf("window %v: merged %+v != sequential %+v", wm.Window, got, wm)
+		for _, d := range rand.New(rand.NewPCG(7, 7)).Perm(days) {
+			merged.Merge(shards[d])
+			if got := shards[d].Keys(); len(got) != 0 {
+				t.Fatalf("%s: shard %d still holds %d keys after being merged", name, d, len(got))
 			}
 		}
-		for d := clock.Day(0); d < days; d++ {
-			if sb, mb := seq.Baseline(k, d), merged.Baseline(k, d); sb == nil || mb == nil || *sb != *mb {
-				t.Fatalf("day %d baseline: merged %+v != sequential %+v", d, mb, sb)
+		if !aggEqual(seq, merged) {
+			t.Fatalf("%s: merged day shards differ from sequential adds", name)
+		}
+		for _, k := range keys {
+			if err := bucketsOrdered(merged, k, days); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, wm := range seq.Windows(k) {
+				if got := merged.Window(k, wm.Window); got == nil || *got != *wm {
+					t.Fatalf("%s: window %v: merged %+v != sequential %+v", name, wm.Window, got, wm)
+				}
+			}
+			for d := clock.Day(0); d < days; d++ {
+				if sb, mb := seq.Baseline(k, d), merged.Baseline(k, d); sb == nil || mb == nil || *sb != *mb {
+					t.Fatalf("%s: day %d baseline: merged %+v != sequential %+v", name, d, mb, sb)
+				}
 			}
 		}
 	}
 }
 
-// TestMergeAllocationsFollowRowsNotWindows: adopting a finished day costs
-// at most one slice growth per (NSSet, day) row, however many windows the
-// rows hold.
+// TestMergeAllocationsFollowRowsNotWindows: between aggregators over one
+// table, adopting a finished day moves its table — the growth of the
+// receiver's day list, and nothing per row or per window.
 func TestMergeAllocationsFollowRowsNotWindows(t *testing.T) {
 	const days, runs = 4, 20
+	tab := new(Interner)
 	var pool [][]*Aggregator
 	var rows, wins int
 	for i := 0; i <= runs; i++ { // AllocsPerRun warms up with one extra call
-		shards, seq, keys := dayShards(uint64(i), days)
+		shards, seq, keys := dayShards(uint64(i), days, tab)
 		pool = append(pool, shards)
 		rows = len(keys) * days
 		for _, k := range keys {
@@ -464,20 +563,21 @@ func TestMergeAllocationsFollowRowsNotWindows(t *testing.T) {
 	n := testing.AllocsPerRun(runs, func() {
 		shards := pool[len(pool)-1]
 		pool = pool[:len(pool)-1]
-		merged := NewAggregator()
+		merged := NewAggregatorOver(tab)
 		for _, s := range shards {
 			merged.Merge(s)
 		}
 	})
-	// one table, its buckets, and a slice growth per adopted row
-	if limit := float64(rows + 8); n > limit {
-		t.Errorf("merging %d rows holding %d windows allocates %v times, want ≤ %v", rows, wins, n, limit)
+	// the aggregator, and its day list grown to four
+	if n > 4 {
+		t.Errorf("merging %d rows holding %d windows allocates %v times, want ≤ 4", rows, wins, n)
 	}
 }
 
 // TestWindowPointersSurviveSlabGrowth: a *WindowMetrics handed out by
 // DayWindows stays the live window — same address, current values —
-// through thousands of later Adds that fill and replace slab blocks.
+// through thousands of later Adds that fill slab block after block and
+// grow the day's row slice under it.
 func TestWindowPointersSurviveSlabGrowth(t *testing.T) {
 	agg := NewAggregator()
 	k := KeyOf(addrs("10.0.0.1", "10.0.0.2"))
@@ -485,8 +585,11 @@ func TestWindowPointersSurviveSlabGrowth(t *testing.T) {
 	agg.Add(k, t0, StatusOK, 10*time.Millisecond)
 	held := agg.DayWindows(k, 0)[0]
 	other := KeyOf(addrs("10.9.9.9"))
-	for i := 0; i < 10000; i++ { // a new window each: ≥ 39 further blocks
+	for i := 0; i < 10000; i++ { // a new window each: ≥ 20 further blocks over 35 days
 		agg.Add(other, clock.StudyStart.Add(time.Duration(i)*clock.WindowDur), StatusOK, time.Millisecond)
+	}
+	for i := 0; i < 200; i++ { // a new row of day 0 each
+		agg.Add(KeyOf([]netx.Addr{netx.Addr(0x0b000000 + i)}), t0, StatusOK, time.Millisecond)
 	}
 	agg.Add(k, t0.Add(time.Second), StatusOK, 30*time.Millisecond)
 	if got := agg.Window(k, clock.WindowOf(t0)); got != held {
@@ -499,5 +602,104 @@ func TestWindowPointersSurviveSlabGrowth(t *testing.T) {
 	}
 	if n := len(agg.Windows(other)); n != 10000 {
 		t.Errorf("%d windows retained, want 10000", n)
+	}
+}
+
+// dayRecord is one record of a swept day.
+type dayRecord struct {
+	id  ID
+	t   time.Time
+	st  QueryStatus
+	rtt time.Duration
+}
+
+// benchmarkDay returns one swept day of the repository benchmark's shape:
+// 100 NSSets in tab, 12,000 records in slot (time) order, and a filter that
+// keeps the 54 windows around an attack — about 1,800 retained windows.
+func benchmarkDay(day clock.Day) (tab *Interner, recs []dayRecord, filter func(clock.Window) bool) {
+	tab = new(Interner)
+	for i := 0; i < 100; i++ {
+		tab.Intern([]netx.Addr{netx.Addr(0x51000001 + i), netx.Addr(0x51000101 + i)})
+	}
+	rng := rand.New(rand.NewPCG(23, uint64(day)))
+	recs = make([]dayRecord, 12000)
+	for i := range recs {
+		recs[i] = dayRecord{
+			id:  ID(rng.IntN(tab.Len())),
+			t:   day.Start().Add(time.Duration(rng.IntN(86400)) * time.Second),
+			st:  QueryStatus(rng.IntN(3)),
+			rtt: time.Duration(1+rng.IntN(50)) * time.Millisecond,
+		}
+	}
+	slices.SortStableFunc(recs, func(x, y dayRecord) int { return x.t.Compare(y.t) })
+	first := day.FirstWindow() + 100
+	return tab, recs, func(w clock.Window) bool { return w >= first && w < first+54 }
+}
+
+// TestDayShardAllocs: a day-shard allocates for the table it builds — the
+// aggregator, its day list, the table, its rows, its block list and eleven
+// slab blocks at most — not per record, row or window, and a recycled
+// aggregator (Reset after the seal) sweeps the next day of the same shape
+// without allocating at all.
+func TestDayShardAllocs(t *testing.T) {
+	tab, recs, filter := benchmarkDay(40)
+	sweep := func(agg *Aggregator) {
+		for i := range recs {
+			r := &recs[i]
+			agg.AddID(r.id, r.t, r.st, r.rtt)
+		}
+	}
+	var agg *Aggregator
+	fresh := testing.AllocsPerRun(10, func() {
+		agg = NewAggregatorOver(tab)
+		agg.SetWindowFilter(filter)
+		sweep(agg)
+	})
+	if n := agg.table(40).nwin; n < 1600 || n > 2000 {
+		t.Fatalf("fixture retains %d windows, want about 1,800", n)
+	}
+	if fresh > 16 {
+		t.Errorf("a day-shard on a fresh aggregator allocates %v times, want ≤ 16", fresh)
+	}
+	if recycled := testing.AllocsPerRun(10, func() {
+		agg.Reset()
+		sweep(agg)
+	}); recycled != 0 {
+		t.Errorf("a day-shard on a recycled aggregator allocates %v times, want 0", recycled)
+	}
+	if n := agg.table(40).nwin; n < 1600 || len(agg.Keys()) != tab.Len() {
+		t.Errorf("the recycled aggregator holds %d windows of %d NSSets", n, len(agg.Keys()))
+	}
+}
+
+// TestResetRecycles: a Reset aggregator reads as empty and fills again to
+// exactly what a fresh one holds, on another day and with fewer NSSets.
+func TestResetRecycles(t *testing.T) {
+	tab, recs, filter := benchmarkDay(3)
+	agg := NewAggregatorOver(tab)
+	agg.SetWindowFilter(filter)
+	for _, r := range recs {
+		agg.AddID(r.id, r.t, r.st, r.rtt)
+	}
+	agg.Reset()
+	if _, held := agg.ForeignDay(-1); held || len(agg.Keys()) != 0 || agg.Baseline(tab.Key(0), 3) != nil {
+		t.Fatal("a Reset aggregator still holds measurements")
+	}
+	_, _, filter = benchmarkDay(5)
+	fresh := NewAggregatorOver(tab)
+	agg.SetWindowFilter(filter)
+	fresh.SetWindowFilter(filter)
+	for _, r := range recs[:6000] {
+		if r.id%2 == 0 {
+			tm := r.t.AddDate(0, 0, 2)
+			agg.AddID(r.id, tm, r.st, r.rtt)
+			fresh.AddID(r.id, tm, r.st, r.rtt)
+		}
+	}
+	if fresh.table(5).nwin == 0 {
+		t.Fatal("the second day retained no window")
+	}
+	if !aggEqual(agg, fresh) {
+		t.Error("a recycled aggregator differs from a fresh one given the same records")
 	}
 }

@@ -151,6 +151,28 @@ func (h *Histogram) merge(st histState) {
 	}
 }
 
+// LocalHistogram is a histogram's state in plain integers: the same
+// buckets and totals as a Histogram, for one goroutine that observes many
+// durations and hands them over in one step (Histogram.Fold) instead of
+// paying four atomic operations each. The zero value is empty.
+type LocalHistogram struct{ st histState }
+
+// Observe records one duration, as Histogram.Observe does. Not safe for
+// concurrent use.
+func (l *LocalHistogram) Observe(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	l.st.buckets[bucketIndex(d)]++
+	l.st.count++
+	l.st.sum += int64(d)
+	l.st.max = max(l.st.max, int64(d))
+}
+
+// Fold adds everything l observed to h: the state is what observing each
+// duration on h itself would have left.
+func (h *Histogram) Fold(l *LocalHistogram) { h.merge(l.st) }
+
 func (st histState) quantile(q float64) time.Duration {
 	if st.count == 0 || q <= 0 {
 		return 0

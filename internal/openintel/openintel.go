@@ -40,8 +40,12 @@ type Engine struct {
 	db   *dnsdb.DB
 	res  *resolver.Resolver
 	seed uint64
-	// nssets caches the NSSet key of each domain.
+	// table holds one key and one dense ID per distinct NS list of the
+	// world; aggregators built over it take the sweep's records by ID.
+	table *nsset.Interner
+	// nssets and ids cache the NSSet key of each domain and its ID.
 	nssets []nsset.Key
+	ids    []nsset.ID
 	// slot caches each domain's second-of-day measurement slot.
 	slot []int32
 	// order is the domains sorted by slot: every day's visiting order.
@@ -51,20 +55,20 @@ type Engine struct {
 // NewEngine builds an engine. seed determines the per-domain daily slots
 // and all query randomness, making sweeps reproducible.
 func NewEngine(db *dnsdb.DB, res *resolver.Resolver, seed uint64) *Engine {
-	e := &Engine{db: db, res: res, seed: seed}
+	e := &Engine{db: db, res: res, seed: seed, table: new(nsset.Interner)}
 	e.nssets = make([]nsset.Key, len(db.Domains))
+	e.ids = make([]nsset.ID, len(db.Domains))
 	e.slot = make([]int32, len(db.Domains))
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 	// thousands of domains share a few hundred NS lists: one Key per
 	// distinct list, its addresses gathered in a stack array
-	var keys nsset.Interner
 	for i := range db.Domains {
 		var arr [16]netx.Addr
 		addrs := arr[:0]
 		for _, id := range db.Domains[i].NS {
 			addrs = append(addrs, db.Nameservers[id].Addr)
 		}
-		e.nssets[i] = keys.KeyOf(addrs)
+		e.nssets[i], e.ids[i] = e.table.Intern(addrs)
 		e.slot[i] = int32(rng.IntN(86400))
 	}
 	e.order = e.slotOrder()
@@ -73,6 +77,10 @@ func NewEngine(db *dnsdb.DB, res *resolver.Resolver, seed uint64) *Engine {
 
 // NSSetOf returns the cached NSSet key of a domain.
 func (e *Engine) NSSetOf(d dnsdb.DomainID) nsset.Key { return e.nssets[d] }
+
+// NSSetTable returns the engine's table of NSSets. A sweep into an
+// aggregator built over it (nsset.NewAggregatorOver) adds by ID.
+func (e *Engine) NSSetTable() *nsset.Interner { return e.table }
 
 // DomainNSSets returns the engine's per-domain NSSet key cache, indexed
 // by DomainID. Building these keys is O(domains × set size); the join
@@ -99,7 +107,8 @@ func (e *Engine) MeasureAt(rng *rand.Rand, d dnsdb.DomainID, t time.Time) Record
 const ctxCheckStride = 1024
 
 // RunDayContext sweeps every domain once on the given day. Results are
-// folded into agg (if non-nil) and passed to each (if non-nil). Within a
+// folded into agg (if non-nil; by ID when agg is over the engine's table,
+// by key otherwise) and passed to each (if non-nil). Within a
 // day, domains are visited in slot order, mirroring a platform that works
 // through its measurement list over the day. The sweep checks ctx every
 // ctxCheckStride domains and returns ctx.Err() when the run is cancelled,
@@ -109,6 +118,7 @@ const ctxCheckStride = 1024
 func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Aggregator, each func(Record)) error {
 	rng := rand.New(rand.NewPCG(e.seed, uint64(day)+1))
 	base := day.Start()
+	byID := agg != nil && agg.Interner() == e.table
 	for i, d := range e.order {
 		if i&(ctxCheckStride-1) == 0 {
 			select {
@@ -119,7 +129,10 @@ func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Ag
 		}
 		t := base.Add(time.Duration(e.slot[d]) * time.Second)
 		rec := e.MeasureAt(rng, d, t)
-		if agg != nil {
+		switch {
+		case byID:
+			agg.AddID(e.ids[d], rec.Time, rec.Status, rec.RTT)
+		case agg != nil:
 			agg.Add(rec.NSSet, rec.Time, rec.Status, rec.RTT)
 		}
 		if each != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -261,29 +262,50 @@ func sweepFixture(tb testing.TB, domains int) (*Engine, func(clock.Window) bool,
 }
 
 // TestSweepDayAllocsPerRecord guards the record path end to end: a day's
-// sweep into a filtered aggregator allocates for the table it builds (a
-// row per NSSet, a slab block per 256 windows), not per record. The rows
-// follow the provider count, not the domain count, so the world is sized
-// for them to be ≈ 0.04 per record, as in the benchmark's study; one
-// allocation per Resolve or per retained window puts the figure past 1.
+// sweep into a filtered aggregator over the engine's table allocates for
+// the day table it builds (the rows in one slice, a slab block per up to
+// 256 windows), not per record, per NSSet or per window; one allocation
+// per Resolve, per row or per retained window puts the figure past the
+// bound.
 func TestSweepDayAllocsPerRecord(t *testing.T) {
 	e, filter, day := sweepFixture(t, 20000)
-	var windows int
+	var agg *nsset.Aggregator
 	allocs := testing.AllocsPerRun(2, func() {
-		agg := nsset.NewAggregator()
+		agg = nsset.NewAggregatorOver(e.NSSetTable())
 		agg.SetWindowFilter(filter)
 		if err := e.RunDayContext(context.Background(), day, agg, nil); err != nil {
 			t.Fatal(err)
 		}
-		windows = len(agg.Snapshot().Windows)
 	})
+	windows, rows := len(agg.Snapshot().Windows), len(agg.Keys())
 	if windows == 0 {
 		t.Fatal("the filter retained no window: the guard would not see the window path")
 	}
 	records := float64(len(e.slot))
-	t.Logf("%.0f allocations for %.0f records (%d windows retained)", allocs, records, windows)
-	if per := allocs / records; per >= 0.05 {
-		t.Errorf("%.3f allocations per record, want < 0.05", per)
+	t.Logf("%.0f allocations for %.0f records (%d rows, %d windows retained)", allocs, records, rows, windows)
+	if limit := float64(rows) / 2; allocs >= limit {
+		t.Errorf("%.0f allocations for a day of %d rows, want < %.0f", allocs, rows, limit)
+	}
+	if per := allocs / records; per >= 0.005 {
+		t.Errorf("%.4f allocations per record, want < 0.005", per)
+	}
+}
+
+// TestSweepByIDMatchesByKey: a sweep into an aggregator over the engine's
+// table (records added by ID) and one into an aggregator with a table of
+// its own (by key) measure the same day.
+func TestSweepByIDMatchesByKey(t *testing.T) {
+	e, filter, day := sweepFixture(t, 2000)
+	byID, byKey := nsset.NewAggregatorOver(e.NSSetTable()), nsset.NewAggregator()
+	for _, agg := range []*nsset.Aggregator{byID, byKey} {
+		agg.SetWindowFilter(filter)
+		if err := e.RunDayContext(context.Background(), day, agg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := byID.Snapshot(), byKey.Snapshot(); len(want.Windows) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("by-ID sweep holds %d windows / %d baselines, by-key sweep %d / %d, or their values differ",
+			len(got.Windows), len(got.Baselines), len(want.Windows), len(want.Baselines))
 	}
 }
 
@@ -301,7 +323,7 @@ func BenchmarkRunDay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = nsset.NewAggregator()
+		benchSink = nsset.NewAggregatorOver(e.NSSetTable())
 		benchSink.SetWindowFilter(filter)
 		if err := e.RunDayContext(context.Background(), day, benchSink, nil); err != nil {
 			b.Fatal(err)

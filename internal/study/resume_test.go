@@ -362,7 +362,7 @@ func TestWriteFailureStopsFolding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, fail := sess.SweepDayAttempt(context.Background(), 27, nil)
+	_, want, fail := sess.SweepDayAttempt(context.Background(), 27, nil, nil)
 	if fail != nil {
 		t.Fatal(fail.Reason)
 	}

@@ -252,47 +252,59 @@ func stageTimer(reg *obs.Registry) func(name string, since time.Time) {
 	}
 }
 
-// sweepMetrics is the deterministic per-shard instrument set: outcome
-// counters and the simulated-RTT histogram under study.sweep.* names.
-// Each shard observes into a private registry that merges into the
-// run's registry only when the shard completes, so a panicking attempt
-// that half-swept a day cannot double-count after its retry.
-type sweepMetrics struct {
-	ok       *obs.Counter
-	servfail *obs.Counter
-	timeout  *obs.Counter
-	rtt      *obs.Histogram
+// sweepCounts is the deterministic per-shard instrument set: outcome
+// counts and the simulated-RTT histogram, kept in plain integers while
+// the day is swept — the shard is one goroutine — and registered under
+// the study.sweep.* names once, when the sweep returns. The snapshot
+// merges into the run's registry only when the shard completes, so a
+// panicking attempt that half-swept a day cannot double-count after its
+// retry.
+type sweepCounts struct {
+	ok, servfail, timeout int64
+	rtt                   obs.LocalHistogram
 }
 
-func newSweepMetrics(reg *obs.Registry) sweepMetrics {
-	return sweepMetrics{
-		ok:       reg.Counter("study.sweep.ok"),
-		servfail: reg.Counter("study.sweep.servfail"),
-		timeout:  reg.Counter("study.sweep.timeout"),
-		rtt:      reg.Histogram("study.sweep.rtt"),
-	}
-}
-
-// observe folds one sweep record into the shard's metrics. The RTT is
+// observe folds one sweep record into the shard's counts. The RTT is
 // simulated (seeded data plane), so the histogram is deterministic.
-func (m sweepMetrics) observe(rec openintel.Record) {
+func (c *sweepCounts) observe(rec openintel.Record) {
 	switch rec.Status {
 	case nsset.StatusOK:
-		m.ok.Inc()
-		m.rtt.Observe(rec.RTT)
+		c.ok++
+		c.rtt.Observe(rec.RTT)
 	case nsset.StatusServFail:
-		m.servfail.Inc()
+		c.servfail++
 	default:
-		m.timeout.Inc()
+		c.timeout++
 	}
+}
+
+// snapshot is the counts as the metrics a shard ships.
+func (c *sweepCounts) snapshot() obs.Snapshot {
+	reg := obs.New()
+	reg.Counter("study.sweep.ok").Add(c.ok)
+	reg.Counter("study.sweep.servfail").Add(c.servfail)
+	reg.Counter("study.sweep.timeout").Add(c.timeout)
+	reg.Histogram("study.sweep.rtt").Fold(&c.rtt)
+	return reg.Snapshot()
+}
+
+// dayScratch is what a day-shard of a sealed run works in and leaves
+// behind empty: the aggregator whose day table the sweep fills and the
+// buffer the day's file image is encoded into.
+type dayScratch struct {
+	agg   *nsset.Aggregator
+	image []byte
 }
 
 // runSweeps runs the ledger's pending days as independent day-shards under
 // a bounded worker pool. Each shard sweeps into a private aggregator; on
-// success the day is sealed (with a day-store directory) and handed to
-// the ledger, or accepted by the ledger and merged into the run
-// aggregator — in whatever order shards complete, which is safe because
-// the merge is commutative.
+// success the day is sealed straight from its table (with a day-store
+// directory) and handed to the ledger, or accepted by the ledger and
+// merged into the run aggregator — in whatever order shards complete,
+// which is safe because the merge is commutative. A sealed run recycles
+// the aggregator and the image buffer of a completed shard through a free
+// list, at most one pair per worker, so it allocates a day table per
+// worker, not per day.
 func (s *Study) runSweeps(ctx context.Context, opts options, ledger *Ledger) error {
 	days := ledger.Pending()
 	if len(days) == 0 {
@@ -307,8 +319,9 @@ func (s *Study) runSweeps(ctx context.Context, opts options, ledger *Ledger) err
 	}
 
 	var (
-		mu sync.Mutex // guards ledger and s.Agg
-		wg sync.WaitGroup
+		mu   sync.Mutex // guards ledger, s.Agg and free
+		wg   sync.WaitGroup
+		free []dayScratch
 	)
 	sem := make(chan struct{}, par)
 dispatch:
@@ -320,6 +333,10 @@ dispatch:
 		}
 		mu.Lock()
 		failed := ledger.Err() != nil
+		var sc dayScratch
+		if n := len(free); n > 0 {
+			sc, free = free[n-1], free[:n-1]
+		}
 		mu.Unlock()
 		if failed {
 			<-sem
@@ -330,7 +347,7 @@ dispatch:
 			defer wg.Done()
 			defer func() { <-sem }()
 			shardStart := time.Now()
-			agg, sweep := s.runDayShard(ctx, day, opts, &mu, ledger)
+			agg, sweep := s.runDayShard(ctx, day, opts, &mu, ledger, sc.agg)
 			s.Metrics.Histogram("study.day_sweep_wall", obs.Volatile()).Observe(time.Since(shardStart))
 			if agg == nil {
 				// Quarantined (the ledger has it), or abandoned on
@@ -340,23 +357,28 @@ dispatch:
 			}
 			var file daystore.SealedFile
 			if opts.daystoreDir != "" {
-				// Seal the day to disk and drop the structs — the join reads
+				// Seal the day to disk and empty the table — the join reads
 				// the sealed file, so the run aggregator never grows with
 				// completed days (flat RSS). The seal's fsyncs run before
 				// the lock is taken, so shards flush in parallel.
 				wstart := time.Now()
 				var err error
-				if file, err = daystore.SealDay(opts.daystoreDir, day, agg.Snapshot()); err != nil {
+				if file, sc.image, err = daystore.SealTable(opts.daystoreDir, day, agg, sc.image); err != nil {
 					mu.Lock()
 					ledger.Abort(err)
 					mu.Unlock()
 					return
 				}
 				s.Metrics.Histogram("study.daystore_seal_wall", obs.Volatile()).Observe(time.Since(wstart))
+				agg.Reset()
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			if dup, err := ledger.Complete(day, file, sweep); err == nil && !dup && opts.daystoreDir == "" {
+			dup, err := ledger.Complete(day, file, sweep)
+			switch {
+			case opts.daystoreDir != "":
+				free = append(free, dayScratch{agg: agg, image: sc.image})
+			case err == nil && !dup:
 				s.Agg.Merge(agg)
 			}
 		}(day)
@@ -369,16 +391,20 @@ dispatch:
 }
 
 // runDayShard sweeps one day with isolation, charging each failed attempt
-// to the ledger (under mu) and retrying for as long as it says to. A nil
+// to the ledger (under mu) and retrying for as long as it says to. The
+// first attempt fills scratch (nil for a fresh aggregator); a failed
+// attempt's aggregator is never used again — the watchdog may have left a
+// goroutine writing to it — so a retry starts a fresh one. A nil
 // aggregator means the day was quarantined, or the shard was abandoned
 // because ctx was cancelled. On success the shard's private sweep metrics
 // ride along so the ledger can fold them exactly once.
-func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu *sync.Mutex, ledger *Ledger) (*nsset.Aggregator, obs.Snapshot) {
+func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu *sync.Mutex, ledger *Ledger, scratch *nsset.Aggregator) (*nsset.Aggregator, obs.Snapshot) {
 	for ctx.Err() == nil {
-		agg, sweep, f := s.sweepDayOnce(ctx, day, opts)
+		agg, sweep, f := s.sweepDayOnce(ctx, day, opts, scratch)
 		if f == nil {
 			return agg, sweep // completed, or nil when cancelled
 		}
+		scratch = nil
 		mu.Lock()
 		retry := ledger.Fail(day, f.Reason, f.Stack, f.Retryable)
 		mu.Unlock()
@@ -389,11 +415,11 @@ func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu
 	return nil, obs.Snapshot{}
 }
 
-// sweepDayOnce runs a single attempt (Session.SweepDayAttempt), under
-// the watchdog when enabled.
-func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options) (*nsset.Aggregator, obs.Snapshot, *SweepFailure) {
+// sweepDayOnce runs a single attempt (Session.SweepDayAttempt) into
+// scratch, under the watchdog when enabled.
+func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options, scratch *nsset.Aggregator) (*nsset.Aggregator, obs.Snapshot, *SweepFailure) {
 	if opts.shardTimeout <= 0 {
-		return s.session.SweepDayAttempt(ctx, day, opts.beforeDay)
+		return s.session.SweepDayAttempt(ctx, day, scratch, opts.beforeDay)
 	}
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -404,7 +430,7 @@ func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options) (
 	}
 	ch := make(chan result, 1)
 	go func() {
-		a, sweep, f := s.session.SweepDayAttempt(dctx, day, opts.beforeDay)
+		a, sweep, f := s.session.SweepDayAttempt(dctx, day, scratch, opts.beforeDay)
 		ch <- result{a, sweep, f}
 	}()
 	timer := time.NewTimer(opts.shardTimeout)
@@ -414,9 +440,9 @@ func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options) (
 		return r.agg, r.sweep, r.f
 	case <-timer.C:
 		// Cancel the shard's context so a cooperative sweep exits
-		// promptly; a truly wedged goroutine is abandoned (it owns a
-		// private aggregator and registry nobody will read). Not
-		// retryable: re-running a stuck sweep would just double the stall.
+		// promptly; a truly wedged goroutine is abandoned (it owns an
+		// aggregator nobody will read or recycle). Not retryable:
+		// re-running a stuck sweep would just double the stall.
 		cancel()
 		return nil, obs.Snapshot{}, &SweepFailure{
 			Reason: fmt.Sprintf("watchdog: day-shard exceeded %v", opts.shardTimeout),

@@ -127,11 +127,13 @@ func (s *windowSet) has(w clock.Window) bool {
 	return i/64 < uint64(len(s.bits)) && s.bits[i/64]&(1<<(i%64)) != 0
 }
 
-// NewAggregator returns an empty aggregator wired with the session's
-// retained-window filter — the only aggregator shape whose merges and
-// snapshots are interchangeable across processes of the same config.
+// NewAggregator returns an empty aggregator over the engine's NSSet table
+// (so a sweep adds to it by ID, and two of them exchange whole days),
+// wired with the session's retained-window filter — the only aggregator
+// shape whose merges and sealed days are interchangeable across processes
+// of the same config.
 func (sess *Session) NewAggregator() *nsset.Aggregator {
-	a := nsset.NewAggregator()
+	a := nsset.NewAggregatorOver(sess.Engine.NSSetTable())
 	a.SetWindowFilter(sess.filter)
 	return a
 }
@@ -168,18 +170,22 @@ type SweepFailure struct {
 	Retryable bool
 }
 
-// SweepDayAttempt is one isolated sweep of one day into a fresh private
-// aggregator and metric registry, returned as the aggregator and the
-// registry's snapshot (the deterministic study.sweep.* metrics). Panics —
-// in the beforeDay hook or anywhere inside the engine/resolver/data plane
-// — are captured with their stack instead of crashing the process; the
-// half-filled registry is discarded with the aggregator, keeping retries
-// exactly-once. A nil aggregator without a failure means ctx was
-// cancelled. This is the unit of work a distributed sweep worker executes
+// SweepDayAttempt is one isolated sweep of one day into a private
+// aggregator — into when the caller recycles one (Session.NewAggregator's,
+// empty), a fresh one when into is nil — and a private metric registry,
+// returned as the aggregator and the registry's snapshot (the
+// deterministic study.sweep.* metrics). Panics — in the beforeDay hook or
+// anywhere inside the engine/resolver/data plane — are captured with
+// their stack instead of crashing the process; what the attempt counted is
+// discarded with the aggregator, keeping retries exactly-once. A nil
+// aggregator without a failure means ctx was cancelled. Unless the attempt
+// returns its aggregator the caller must let go of into: it is partly
+// filled, and an attempt the caller gave up on may still be writing to it.
+// This is the unit of work a distributed sweep worker executes
 // per assignment; both run modes hand its failures to the same Ledger, so
 // a day that panics remotely quarantines with the same Reason bytes as
 // one that panics locally.
-func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, beforeDay func(clock.Day)) (agg *nsset.Aggregator, sweep obs.Snapshot, fail *SweepFailure) {
+func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *nsset.Aggregator, beforeDay func(clock.Day)) (agg *nsset.Aggregator, sweep obs.Snapshot, fail *SweepFailure) {
 	defer func() {
 		if r := recover(); r != nil {
 			agg, sweep = nil, obs.Snapshot{}
@@ -193,13 +199,14 @@ func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, beforeD
 	if beforeDay != nil {
 		beforeDay(day)
 	}
-	a := sess.NewAggregator()
-	reg := obs.New()
-	sm := newSweepMetrics(reg)
-	if err := sess.Engine.RunDayContext(ctx, day, a, sm.observe); err != nil {
+	if into == nil {
+		into = sess.NewAggregator()
+	}
+	var counts sweepCounts
+	if err := sess.Engine.RunDayContext(ctx, day, into, counts.observe); err != nil {
 		return nil, obs.Snapshot{}, nil
 	}
-	return a, reg.Snapshot(), nil
+	return into, counts.snapshot(), nil
 }
 
 // NewPipeline builds the core join pipeline over agg with the session's
