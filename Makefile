@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-sweep bench-serve bench-session flake-sweep report loc
+.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-sweep bench-serve bench-session bench-join flake-sweep report loc
 
 build:
 	$(GO) build ./...
@@ -16,7 +16,7 @@ test: build obs stream distjoin
 	$(GO) test -bench 'BenchmarkJoin' -benchtime 1x -run '^$$' ./internal/core/
 	$(GO) test -bench 'BenchmarkRunDay' -benchtime 1x -run '^$$' ./internal/openintel/
 	$(GO) test -bench 'BenchmarkAggregatorDay' -benchtime 1x -run '^$$' ./internal/nsset/
-	$(GO) test -bench 'BenchmarkSealDay' -benchtime 1x -run '^$$' ./internal/daystore/
+	$(GO) test -bench 'BenchmarkSealDay|BenchmarkViewReads' -benchtime 1x -run '^$$' ./internal/daystore/
 	$(GO) test -bench 'Benchmark(AppendEncode|DecodeInto)NSResponse' -benchtime 1x -run '^$$' ./internal/dnswire/
 	$(GO) test -bench 'BenchmarkNewSession' -benchtime 1x -run '^$$' ./internal/study/
 	$(GO) run ./cmd/report -quick -outdir "$$(mktemp -d)" >/dev/null
@@ -32,8 +32,8 @@ stream:
 # detector — concurrent counter/histogram exactness, snapshot
 # determinism (golden files), the HTTP endpoint lifecycle, the
 # goroutine-leak helper applied to server and resolver teardown, and a
-# smoke pass over the wire-format, day-file, attack-feed and journal-frame
-# fuzz seed corpora.
+# smoke pass over the wire-format, day-file, attack-feed, journal-frame and
+# fleet-frame fuzz seed corpora.
 obs:
 	$(GO) test -race ./internal/obs/ ./internal/netx/ -count 1
 	$(GO) test -race ./internal/authserver/ -run 'Leaks|TestMetricsEndpoint' -count 1
@@ -44,6 +44,7 @@ obs:
 	$(GO) test ./internal/daystore/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/rsdos/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/checkpoint/ -run 'Fuzz' -count 1
+	$(GO) test ./internal/distjoin/ -run 'Fuzz' -count 1
 
 # Distributed-join chaos leg: a four-worker fleet with one worker killed
 # mid-shard and one writing through a corrupting faultinject stream must
@@ -145,6 +146,17 @@ bench-session:
 	$(GO) test -bench 'BenchmarkNewSession' -benchmem -run '^$$' ./internal/study/
 	$(GO) test -bench 'BenchmarkSynthesizeObs' -benchmem -run '^$$' ./internal/scenario/
 	$(GO) test -bench 'BenchmarkInfer' -benchmem -run '^$$' ./internal/rsdos/
+
+# The join, layer by layer: one warm join through the indexed engine and
+# through the reference scan, one cold re-join over sealed days at the repo
+# benchmark's join_dense scale (open the day store, build the pipeline,
+# join, render the CSV, close: B/op and allocs/op are what every re-run
+# over sealed days pays), and the day store's two reads on both backends
+# (0 allocs/op). For reading while working on the join; the gated number is
+# the repo benchmark's join_dense op_alloc_kb.
+bench-join:
+	$(GO) test -bench 'BenchmarkJoin' -benchmem -run '^$$' ./internal/core/
+	$(GO) test -bench 'BenchmarkViewReads' -benchmem -run '^$$' ./internal/daystore/
 
 # The paper's tables and figures: one sub-benchmark per entry of
 # internal/report's Catalogue (cmd/report prints the same entries).

@@ -590,21 +590,25 @@ type RTTSample struct {
 	Failures float64
 }
 
-// SeriesFor returns the window series of NSSet k over [from, to).
+// SeriesFor returns the window series of NSSet k over [from, to): one
+// ranged read of the day store. It runs on the caller's goroutine, so a
+// file-backed store's refusal of a corrupt day (DayStore, daystore.go)
+// reaches the caller as that panic.
 func (p *Pipeline) SeriesFor(k nsset.Key, from, to time.Time) []RTTSample {
-	var out []RTTSample
-	for w := clock.WindowOf(from); w < clock.WindowOf(to); w++ {
-		m := p.days.Window(k, w)
-		if m == nil {
-			continue
-		}
-		out = append(out, RTTSample{
-			Window:   w,
+	wins := p.days.AppendWindows(nil, k, clock.WindowOf(from), clock.WindowOf(to)-1)
+	if len(wins) == 0 {
+		return nil
+	}
+	out := make([]RTTSample, len(wins))
+	for i := range wins {
+		m := &wins[i]
+		out[i] = RTTSample{
+			Window:   m.Window,
 			AvgRTT:   m.AvgRTT(),
 			Domains:  m.Domains,
 			Timeouts: m.Timeouts,
 			Failures: m.FailureRate(),
-		})
+		}
 	}
 	return out
 }

@@ -10,16 +10,19 @@
 //     pipeline's DayStore (daystore.go).
 //
 //   - AttackIndex: an interval index over an RSDoS attack feed, keyed by
-//     victim IP, each victim's attacks held as 5-minute-window intervals
-//     sorted by start. It answers "which attacks hit this victim" and
-//     "which attacks are active in this window" without rescanning the
+//     victim IP: one flat list of 5-minute-window intervals sorted by
+//     (victim, start), each victim's attacks a contiguous run of it. It
+//     answers "which attacks hit this victim" and "which attacks are
+//     active in this window" without rescanning the
 //     feed — the amplification-era feeds the related work describes
 //     (Nawrocki et al., Kopp et al.) are high-volume and bursty, so the
 //     engine indexes them once instead of scanning per event.
 package core
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"dnsddos/internal/clock"
@@ -78,7 +81,8 @@ func BuildNSIndex(db *dnsdb.DB, domainNSSets []nsset.Key) *NSIndex {
 		ix.nssetDomains[k]++
 	}
 	for k := range ix.nssetDomains {
-		for _, a := range k.Addrs() {
+		for i := 0; i < k.Size(); i++ {
+			a := k.Addr(i)
 			ix.nssetsByAddr[a] = append(ix.nssetsByAddr[a], k)
 		}
 	}
@@ -115,32 +119,36 @@ func (ix *NSIndex) HasNSInSlash24(a netx.Addr) bool {
 	return ix.slash24HasNS[a.Slash24()]
 }
 
-// attackRef is one indexed attack: its position in the source feed plus
-// its window interval, denormalized so interval queries never touch the
-// feed slice.
+// attackRef is one indexed attack: its victim and position in the source
+// feed plus its window interval, denormalized so sorting and interval
+// queries never touch the feed slice.
 type attackRef struct {
+	victim     netx.Addr
 	idx        int32
 	start, end clock.Window
-}
-
-// victimIntervals is one victim's attack list, sorted by (start window,
-// feed position), with a running maximum of end windows for O(log n + k)
-// interval stabbing.
-type victimIntervals struct {
-	refs []attackRef
-	// maxEnd[i] is the maximum end window over refs[0..i], the classic
-	// augmentation that lets ActiveAt stop scanning as soon as no earlier
-	// interval can still cover the probe window.
-	maxEnd []clock.Window
 }
 
 // AttackIndex is an immutable interval index over an RSDoS attack feed,
 // keyed by victim IP. Build it once with BuildAttackIndex; it references
 // the feed slice (no copy) and must not outlive mutations to it.
+//
+// The plan is flat: one ref per indexed attack, sorted once by (victim,
+// start window, feed position), so each victim's attacks are one
+// contiguous run and nothing is allocated per victim.
 type AttackIndex struct {
 	attacks []rsdos.Attack
-	byVic   map[netx.Addr]*victimIntervals
-	victims []netx.Addr // sorted ascending
+	refs    []attackRef
+	// pos[i] is refs[i].idx: the feed positions AttacksOn and the join's
+	// per-victim work lists are sub-slices of.
+	pos []int32
+	// maxEnd[i] is the maximum end window over the victim's refs up to i,
+	// the classic augmentation that lets ActiveAt stop scanning as soon
+	// as no earlier interval can still cover the probe window.
+	maxEnd  []clock.Window
+	victims []netx.Addr // ascending
+	// offs[i] is where victims[i]'s run starts in refs; its end is
+	// offs[i+1].
+	offs []int32
 }
 
 // BuildAttackIndex indexes the feed by victim. The feed slice is
@@ -150,47 +158,56 @@ func BuildAttackIndex(attacks []rsdos.Attack) *AttackIndex {
 }
 
 // BuildAttackIndexFunc indexes the feed by victim, keeping only victims
-// keep returns true for (nil keeps everything). keep is called once per
-// feed entry and must be pure; the join engine passes a memoized
-// DNS-infrastructure test here so the per-victim interval structures are
-// only ever built for the tiny relevant subset of a bursty feed.
+// keep returns true for (nil keeps everything). keep is called twice per
+// feed entry — once to size the plan, once to fill it — and must be pure;
+// the join engine passes a memoized DNS-infrastructure test here so the
+// interval structures are only ever built for the tiny relevant subset of
+// a bursty feed.
 func BuildAttackIndexFunc(attacks []rsdos.Attack, keep func(netx.Addr) bool) *AttackIndex {
+	n := len(attacks)
+	if keep != nil {
+		n = 0
+		for i := range attacks {
+			if keep(attacks[i].Victim) {
+				n++
+			}
+		}
+	}
 	ix := &AttackIndex{
 		attacks: attacks,
-		byVic:   make(map[netx.Addr]*victimIntervals),
+		refs:    make([]attackRef, 0, n),
+		pos:     make([]int32, n),
+		maxEnd:  make([]clock.Window, n),
 	}
 	for i := range attacks {
 		// index, don't copy: feed entries are large and most are skipped
 		a := &attacks[i]
-		if keep != nil && !keep(a.Victim) {
-			continue
-		}
-		vi := ix.byVic[a.Victim]
-		if vi == nil {
-			vi = &victimIntervals{}
-			ix.byVic[a.Victim] = vi
-		}
-		vi.refs = append(vi.refs, attackRef{idx: int32(i), start: a.StartWindow, end: a.EndWindow})
-	}
-	ix.victims = make([]netx.Addr, 0, len(ix.byVic))
-	for v, vi := range ix.byVic {
-		ix.victims = append(ix.victims, v)
-		sort.Slice(vi.refs, func(i, j int) bool {
-			if vi.refs[i].start != vi.refs[j].start {
-				return vi.refs[i].start < vi.refs[j].start
-			}
-			return vi.refs[i].idx < vi.refs[j].idx
-		})
-		vi.maxEnd = make([]clock.Window, len(vi.refs))
-		running := clock.Window(-1 << 62)
-		for i, r := range vi.refs {
-			if r.end > running {
-				running = r.end
-			}
-			vi.maxEnd[i] = running
+		if keep == nil || keep(a.Victim) {
+			ix.refs = append(ix.refs, attackRef{victim: a.Victim, idx: int32(i), start: a.StartWindow, end: a.EndWindow})
 		}
 	}
-	sort.Slice(ix.victims, func(i, j int) bool { return ix.victims[i] < ix.victims[j] })
+	slices.SortFunc(ix.refs, func(a, b attackRef) int {
+		return cmp.Or(cmp.Compare(a.victim, b.victim), cmp.Compare(a.start, b.start), cmp.Compare(a.idx, b.idx))
+	})
+	nv := 0
+	for i, r := range ix.refs {
+		if i == 0 || r.victim != ix.refs[i-1].victim {
+			nv++
+		}
+	}
+	ix.victims = make([]netx.Addr, 0, nv)
+	ix.offs = make([]int32, 0, nv+1)
+	for i, r := range ix.refs {
+		ix.pos[i] = r.idx
+		ix.maxEnd[i] = r.end
+		if i == 0 || r.victim != ix.refs[i-1].victim {
+			ix.victims = append(ix.victims, r.victim)
+			ix.offs = append(ix.offs, int32(i))
+		} else if ix.maxEnd[i-1] > r.end {
+			ix.maxEnd[i] = ix.maxEnd[i-1]
+		}
+	}
+	ix.offs = append(ix.offs, int32(len(ix.refs)))
 	return ix
 }
 
@@ -202,18 +219,21 @@ func (ix *AttackIndex) Len() int { return len(ix.attacks) }
 // treat it as read-only.
 func (ix *AttackIndex) Victims() []netx.Addr { return ix.victims }
 
+// run returns the bounds of v's run in refs (empty when v was not indexed).
+func (ix *AttackIndex) run(v netx.Addr) (lo, hi int) {
+	i, ok := slices.BinarySearch(ix.victims, v)
+	if !ok {
+		return 0, 0
+	}
+	return int(ix.offs[i]), int(ix.offs[i+1])
+}
+
 // AttacksOn returns the feed positions of every attack on victim v,
-// sorted by (start window, feed position).
+// sorted by (start window, feed position). The slice is shared; treat it
+// as read-only.
 func (ix *AttackIndex) AttacksOn(v netx.Addr) []int32 {
-	vi := ix.byVic[v]
-	if vi == nil {
-		return nil
-	}
-	out := make([]int32, len(vi.refs))
-	for i, r := range vi.refs {
-		out[i] = r.idx
-	}
-	return out
+	lo, hi := ix.run(v)
+	return ix.pos[lo:hi:hi]
 }
 
 // ActiveAt returns the feed positions of every attack on victim v whose
@@ -221,26 +241,22 @@ func (ix *AttackIndex) AttacksOn(v netx.Addr) []int32 {
 // the victim's start-sorted intervals and walks back only while the
 // running end maximum says an earlier interval could still cover w.
 func (ix *AttackIndex) ActiveAt(v netx.Addr, w clock.Window) []int32 {
-	vi := ix.byVic[v]
-	if vi == nil {
-		return nil
-	}
+	lo, hi := ix.run(v)
+	refs, maxEnd := ix.refs[lo:hi], ix.maxEnd[lo:hi]
 	// first interval starting after w can't cover it; scan backward from
 	// there
-	hi := sort.Search(len(vi.refs), func(i int) bool { return vi.refs[i].start > w })
+	after := sort.Search(len(refs), func(i int) bool { return refs[i].start > w })
 	var out []int32
-	for i := hi - 1; i >= 0; i-- {
-		if vi.maxEnd[i] < w {
+	for i := after - 1; i >= 0; i-- {
+		if maxEnd[i] < w {
 			break
 		}
-		if vi.refs[i].end >= w {
-			out = append(out, vi.refs[i].idx)
+		if refs[i].end >= w {
+			out = append(out, refs[i].idx)
 		}
 	}
 	// collected backwards; restore feed order (ascending idx within equal
 	// starts is how refs are sorted, so simply reverse)
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	slices.Reverse(out)
 	return out
 }

@@ -1,36 +1,38 @@
 // join.go is the interval-indexed sharded join engine (DESIGN §3.4), the
 // implementation of Pipeline.EventsContext.
 //
-// Engine shape: the attack feed is indexed by victim (AttackIndex), each
-// distinct victim is classified exactly once, and DNS-direct victims are
-// grouped into shards by a victim-address prefix (default /16). A bounded
-// worker pool joins the shards against the shared read-only NSIndex and
-// the day store's keyed reads (DayStore, daystore.go), streaming events
-// into per-shard buffers. The buffers are merged and sorted by (feed
-// position, NSSet rank), which reproduces the legacy linear scan's
-// emission order exactly — attacks in feed order, and per victim the
-// containing NSSets in sorted order — so the engine is byte-identical to
-// the reference scan kept in legacy_test.go on completed joins (enforced
-// by TestJoinEngineParity).
+// Engine shape: the attack feed is indexed by victim (AttackIndex, one
+// flat sorted plan), each distinct victim is classified exactly once, and
+// DNS-direct victims are grouped into shards by a victim-address prefix
+// (default /16). A bounded worker pool joins the shards against the shared
+// read-only NSIndex and the day store's two reads (DayStore, daystore.go),
+// each worker appending events to its own buffer. The buffers are
+// concatenated and sorted by (feed position, NSSet rank), which reproduces
+// the legacy linear scan's emission order exactly — attacks in feed order,
+// and per victim the containing NSSets in sorted order — so the engine is
+// byte-identical to the reference scan kept in legacy_test.go on completed
+// joins (enforced by TestJoinEngineParity).
 //
 // Beyond sharding, the engine removes three per-event costs the linear
 // scan pays:
 //
 //   - classification runs once per distinct victim, not once per attack
 //     (amplification-era feeds re-hit the same victims for months);
-//   - each (attack, NSSet) pair walks the day store's time-sorted day
-//     buckets (DayStore.DayWindows), one keyed read per calendar day,
-//     instead of probing every 5-minute window of the span;
-//   - the Eq. 1 denominator is one keyed read per (NSSet, calendar day)
+//   - each (attack, NSSet) pair is one ranged read of the windows the day
+//     store holds inside the attack span (DayStore.AppendWindows, into the
+//     worker's scratch), instead of a probe of every 5-minute window of
+//     the span;
+//   - the Eq. 1 denominator is one by-value read per (NSSet, calendar day)
 //     (DayStore.Baseline), hoisted out of the window loop, instead of one
 //     per window.
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -88,12 +90,9 @@ type TaggedEvent struct {
 	Event     Event
 }
 
-// lessTagged is the legacy emission order over tagged events.
-func lessTagged(a, b TaggedEvent) bool {
-	if a.AttackIdx != b.AttackIdx {
-		return a.AttackIdx < b.AttackIdx
-	}
-	return a.NSSetIdx < b.NSSetIdx
+// cmpTagged is the legacy emission order over tagged events.
+func cmpTagged(a, b TaggedEvent) int {
+	return cmp.Or(cmp.Compare(a.AttackIdx, b.AttackIdx), cmp.Compare(a.NSSetIdx, b.NSSetIdx))
 }
 
 // MergeTaggedEvents merges per-shard-range event buffers (in any order,
@@ -111,7 +110,7 @@ func MergeTaggedEvents(parts [][]TaggedEvent) []Event {
 	for _, p := range parts {
 		merged = append(merged, p...)
 	}
-	sort.Slice(merged, func(i, j int) bool { return lessTagged(merged[i], merged[j]) })
+	slices.SortFunc(merged, cmpTagged)
 	out := make([]Event, len(merged))
 	for i, te := range merged {
 		out[i] = te.Event
@@ -172,9 +171,9 @@ func (p *Pipeline) joinIndexFor(attacks []rsdos.Attack) *joinIndex {
 
 	// Victims() is sorted ascending, so consecutive victims share shard
 	// prefixes and the shard list below comes out in ascending order.
-	direct := make([]dnsVictim, 0, len(aix.Victims()))
-	for _, v := range aix.Victims() {
-		direct = append(direct, dnsVictim{v: v, ns: memo[v].ns, attacks: aix.AttacksOn(v)})
+	direct := make([]dnsVictim, len(aix.victims))
+	for i, v := range aix.victims {
+		direct[i] = dnsVictim{v: v, ns: memo[v].ns, attacks: aix.pos[aix.offs[i]:aix.offs[i+1]]}
 	}
 
 	// Group contiguous runs of victims by address prefix into shards.
@@ -209,14 +208,23 @@ func (p *Pipeline) EventsContext(ctx context.Context, attacks []rsdos.Attack) ([
 	return p.runShards(ctx, ji.aix, ji.shards)
 }
 
-// runShards drives the bounded worker pool over the shard list, each
-// worker writing its own slot of the per-shard buffer matrix, then merges
-// deterministically.
+// runShards is the single-process join: the whole shard list through the
+// worker pool, then the tags stripped from the already-sorted range.
 func (p *Pipeline) runShards(ctx context.Context, aix *AttackIndex, shards [][]dnsVictim) ([]Event, error) {
 	merged, err := p.runShardRange(ctx, aix, shards)
-	out := MergeTaggedEvents([][]TaggedEvent{merged})
+	out := make([]Event, len(merged))
+	for i := range merged {
+		out[i] = merged[i].Event
+	}
 	p.metrics.events.Add(int64(len(out)))
 	return out, err
+}
+
+// joinWorker is the memory one pool worker carries from shard to shard, so
+// a warm worker allocates per emitted event, not per shard or per read.
+type joinWorker struct {
+	out  []TaggedEvent         // events of every shard joined so far
+	wins []nsset.WindowMetrics // the current (attack, NSSet) span's windows
 }
 
 // runShardRange joins a contiguous shard slice through the bounded worker
@@ -232,34 +240,37 @@ func (p *Pipeline) runShardRange(ctx context.Context, aix *AttackIndex, shards [
 		workers = len(shards)
 	}
 
-	buffers := make([][]TaggedEvent, len(shards))
+	outs := make([][]TaggedEvent, workers)
 	work := make(chan int)
 	var wg sync.WaitGroup
 	// The day store is first read here, in the workers, and a file-backed
-	// store refuses a corrupt day by panicking. A worker keeps the first
-	// such panic and goes on draining work; the caller re-raises it below,
-	// on the goroutine where a supervised run can recover it.
+	// store refuses a corrupt day by panicking (DayStore, daystore.go). A
+	// worker keeps the first such panic and goes on draining work; the
+	// caller re-raises it below, on the goroutine where a supervised run
+	// can recover it.
 	var (
 		panicOnce sync.Once
 		panicked  any
 	)
-	joinOne := func(si int) {
+	joinOne := func(si int, jw *joinWorker) {
 		defer func() {
 			if r := recover(); r != nil {
 				panicOnce.Do(func() { panicked = r })
 			}
 		}()
 		st := time.Now()
-		buffers[si] = p.joinShard(ctx, aix, shards[si])
+		p.joinShard(ctx, aix, shards[si], jw)
 		p.metrics.shardLatency.Observe(time.Since(st))
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var jw joinWorker
 			for si := range work {
-				joinOne(si)
+				joinOne(si, &jw)
 			}
+			outs[w] = jw.out
 		}()
 	}
 dispatch:
@@ -276,17 +287,15 @@ dispatch:
 		panic(panicked)
 	}
 
-	n := 0
-	for _, b := range buffers {
-		n += len(b)
-	}
-	merged := make([]TaggedEvent, 0, n)
-	for _, b := range buffers {
-		merged = append(merged, b...)
+	// One worker's buffer takes the others' events: a single worker's
+	// output is sorted where it is.
+	merged := outs[0]
+	for _, o := range outs[1:] {
+		merged = append(merged, o...)
 	}
 	// Shards cover disjoint ascending victim ranges but attacks interleave
 	// across victims; restore the feed order the legacy scan emits in.
-	sort.Slice(merged, func(i, j int) bool { return lessTagged(merged[i], merged[j]) })
+	slices.SortFunc(merged, cmpTagged)
 	return merged, ctx.Err()
 }
 
@@ -318,11 +327,13 @@ func (p *Pipeline) JoinShardRange(ctx context.Context, attacks []rsdos.Attack, f
 	return merged, err
 }
 
-// joinShard joins one shard's victims. Cancellation is checked between
-// attacks; a cancelled shard returns the events built so far (the overall
-// join then reports ctx.Err() and callers treat the result as partial).
-func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dnsVictim) []TaggedEvent {
-	var out []TaggedEvent
+// joinShard joins one shard's victims, appending to the worker's events.
+// Every (attack, NSSet) pair reads its span through the worker's window
+// scratch, so a warm worker allocates nothing per pair but the emitted
+// event's ASN list. Cancellation is checked between attacks; a cancelled
+// shard leaves the events built so far (the overall join then reports
+// ctx.Err() and callers treat the result as partial).
+func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dnsVictim, jw *joinWorker) {
 	checked := 0
 	for _, dv := range victims {
 		sets := p.ix.NSSetsContaining(dv.v)
@@ -333,7 +344,7 @@ func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dn
 			if checked&63 == 0 {
 				select {
 				case <-ctx.Done():
-					return out
+					return
 				default:
 				}
 			}
@@ -353,22 +364,21 @@ func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dn
 			}
 			snapDay = p.measurableDay(snapDay)
 			for ki, k := range sets {
-				if e, ok := p.buildEventIndexed(ca, snapDay, k); ok {
-					out = append(out, TaggedEvent{AttackIdx: ai, NSSetIdx: int32(ki), Event: e})
+				if e, ok := p.buildEventIndexed(ca, snapDay, k, jw); ok {
+					jw.out = append(jw.out, TaggedEvent{AttackIdx: ai, NSSetIdx: int32(ki), Event: e})
 				}
 			}
 		}
 	}
-	return out
 }
 
 // buildEventIndexed builds one (attack, NSSet) event: snapDay is the
-// attack's resolved §4.2 snapshot day, Eq. 1 baselines are keyed
-// DayStore.Baseline reads, and window metrics come from the day store's
-// day buckets — with identical guards and float arithmetic so results
-// are byte-for-byte the legacy scan's.
-func (p *Pipeline) buildEventIndexed(ca ClassifiedAttack, snapDay clock.Day, k nsset.Key) (Event, bool) {
-	if b := p.days.Baseline(k, snapDay); b == nil || b.OKCount == 0 {
+// attack's resolved §4.2 snapshot day, Eq. 1 baselines are by-value
+// DayStore.Baseline reads, and the attack span's windows come from one
+// ranged read into the worker's scratch — with identical guards and float
+// arithmetic so results are byte-for-byte the legacy scan's.
+func (p *Pipeline) buildEventIndexed(ca ClassifiedAttack, snapDay clock.Day, k nsset.Key, jw *joinWorker) (Event, bool) {
+	if b, ok := p.days.Baseline(k, snapDay); !ok || b.OKCount == 0 {
 		return Event{}, false
 	}
 	e := Event{
@@ -384,47 +394,45 @@ func (p *Pipeline) buildEventIndexed(ca ClassifiedAttack, snapDay clock.Day, k n
 	hasImpact := false
 	worstFail := 0.0
 	// Measurements are sparse within an attack span (each domain is swept
-	// once a day), so instead of probing every 5-minute window we walk the
-	// span day by day and visit only the windows the store actually holds
-	// (DayStore.DayWindows). Every accumulator below is order-independent
-	// — integer sums and maxima over the same set of windows — so the
-	// day buckets reproduce the legacy scan's bytes.
-	from, to := ca.StartWindow, ca.EndWindow
-	for d := from.Day(); d <= to.Day(); d++ {
-		// Hoist the Eq. 1 denominator out of the window loop: it is a
-		// per-day quantity, computed lazily on the day's first OK window.
-		var baseRTT time.Duration
-		baseOK, baseDone := false, false
-		wins := p.days.DayWindows(k, d)
-		lo := sort.Search(len(wins), func(i int) bool { return wins[i].Window >= from })
-		for _, m := range wins[lo:] {
-			if m.Window > to {
-				break
-			}
-			e.MeasuredDomains += m.Domains
-			e.OK += m.OKCount
-			e.Timeouts += m.Timeouts
-			e.ServFails += m.ServFails
-			if fr := m.FailureRate(); fr > worstFail {
-				worstFail = fr
-			}
-			if m.OKCount == 0 {
-				continue
-			}
-			if !baseDone {
-				baseDone = true
-				if b := p.days.Baseline(k, p.measurableDay(d-back)); b != nil && b.OKCount > 0 {
-					if rtt := b.AvgRTT(); rtt > 0 {
-						baseRTT = rtt
-						baseOK = true
-					}
+	// once a day), so instead of probing every 5-minute window the span is
+	// one ranged read of the windows the store actually holds. Every
+	// accumulator below is order-independent — integer sums and maxima
+	// over the same set of windows — so the read reproduces the legacy
+	// scan's bytes.
+	jw.wins = p.days.AppendWindows(jw.wins[:0], k, ca.StartWindow, ca.EndWindow)
+	// The Eq. 1 denominator is a per-day quantity, hoisted out of the
+	// window loop: computed lazily on a day's first OK window and dropped
+	// when the span crosses into the next day.
+	var (
+		baseDay  clock.Day
+		baseRTT  time.Duration
+		baseOK   bool
+		baseDone bool
+	)
+	for i := range jw.wins {
+		m := &jw.wins[i]
+		e.MeasuredDomains += m.Domains
+		e.OK += m.OKCount
+		e.Timeouts += m.Timeouts
+		e.ServFails += m.ServFails
+		if fr := m.FailureRate(); fr > worstFail {
+			worstFail = fr
+		}
+		if m.OKCount == 0 {
+			continue
+		}
+		if d := m.Window.Day(); !baseDone || d != baseDay {
+			baseDay, baseDone, baseOK = d, true, false
+			if b, ok := p.days.Baseline(k, p.measurableDay(d-back)); ok && b.OKCount > 0 {
+				if rtt := b.AvgRTT(); rtt > 0 {
+					baseRTT, baseOK = rtt, true
 				}
 			}
-			if baseOK {
-				hasImpact = true
-				if imp := float64(m.AvgRTT()) / float64(baseRTT); imp > impact {
-					impact = imp
-				}
+		}
+		if baseOK {
+			hasImpact = true
+			if imp := float64(m.AvgRTT()) / float64(baseRTT); imp > impact {
+				impact = imp
 			}
 		}
 	}

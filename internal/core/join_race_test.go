@@ -113,20 +113,35 @@ func TestShardedJoinCancellation(t *testing.T) {
 	}
 }
 
-// refusingStore is a DayStore whose baseline reads refuse the way
+// refusingStore is a DayStore one of whose reads refuses the way
 // daystore.Set refuses a corrupt day file: by panicking with an error.
 type refusingStore struct {
 	DayStore
-	refusal error
+	refusal         error
+	refuseBaselines bool // else the ranged window read refuses
 }
 
-func (s refusingStore) Baseline(nsset.Key, clock.Day) *nsset.DayBaseline { panic(s.refusal) }
+func (s refusingStore) Baseline(k nsset.Key, d clock.Day) (nsset.DayBaseline, bool) {
+	if s.refuseBaselines {
+		panic(s.refusal)
+	}
+	return s.DayStore.Baseline(k, d)
+}
+
+func (s refusingStore) AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, from, to clock.Window) []nsset.WindowMetrics {
+	if !s.refuseBaselines {
+		panic(s.refusal)
+	}
+	return s.DayStore.AppendWindows(dst, k, from, to)
+}
 
 // TestStoreRefusalReachesCaller: the day store is first read inside the
-// shard workers, so a store that refuses a day panics there. The join
-// must re-raise that refusal on the calling goroutine, where a supervised
-// run recovers it (distjoin's joinRangeIsolated) — left in a worker
-// goroutine it would kill the process.
+// shard workers, so a store that refuses a day panics there — at the
+// snapshot-day baseline, or, when only the attack day's file is bad, at
+// the ranged window read. The join must re-raise that refusal on the
+// calling goroutine, where a supervised run recovers it (distjoin's
+// joinRangeIsolated) — left in a worker goroutine it would kill the
+// process. Both entry points hold the contract written in daystore.go.
 func TestStoreRefusalReachesCaller(t *testing.T) {
 	db, addrs, keys := buildWideWorld(t, 8)
 	agg := nsset.NewAggregator()
@@ -137,12 +152,22 @@ func TestStoreRefusalReachesCaller(t *testing.T) {
 		attacks = append(attacks, mkAttack(i+1, a, aw, aw+2, 53))
 	}
 	refusal := errors.New("day file refused")
-	p := NewPipeline(db, WithDayStore(refusingStore{agg, refusal}), withJoinWorkers(4), WithShardBits(32))
-	defer func() {
-		if r := recover(); r != refusal {
-			t.Fatalf("recovered %v, want the store's refusal", r)
+	joins := map[string]func(p *Pipeline){
+		"EventsContext":  func(p *Pipeline) { p.EventsContext(context.Background(), attacks) },
+		"JoinShardRange": func(p *Pipeline) { p.JoinShardRange(context.Background(), attacks, 0, p.JoinShardCount(attacks)) },
+	}
+	for name, join := range joins {
+		for _, atBaseline := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/baseline=%v", name, atBaseline), func(t *testing.T) {
+				p := NewPipeline(db, WithDayStore(refusingStore{agg, refusal, atBaseline}), withJoinWorkers(4), WithShardBits(32))
+				defer func() {
+					if r := recover(); r != refusal {
+						t.Fatalf("recovered %v, want the store's refusal", r)
+					}
+				}()
+				join(p)
+				t.Fatal("join over a refusing store returned")
+			})
 		}
-	}()
-	p.JoinShardRange(context.Background(), attacks, 0, p.JoinShardCount(attacks))
-	t.Fatal("join over a refusing store returned")
+	}
 }

@@ -10,7 +10,8 @@ import (
 
 // legacy_test.go keeps the historical linear-scan join as the reference
 // oracle: it classifies every attack and probes the day store window by
-// window, with none of the engine's indexes, shards or caches. The parity
+// window (probe: a one-window ranged read), with none of the engine's
+// indexes, shards or plans. The parity
 // and race tests and BenchmarkJoin's legacy leg call it directly; it is
 // no longer reachable from production code.
 
@@ -25,6 +26,7 @@ func EventsLegacy(ctx context.Context, p *Pipeline, attacks []rsdos.Attack) ([]E
 // attack, probing the aggregator window by window.
 func (p *Pipeline) eventsLegacy(ctx context.Context, attacks []rsdos.Attack) ([]Event, error) {
 	var out []Event
+	var pr probe
 	for i, ca := range p.Classify(attacks) {
 		if i&255 == 0 {
 			select {
@@ -37,7 +39,7 @@ func (p *Pipeline) eventsLegacy(ctx context.Context, attacks []rsdos.Attack) ([]
 			continue
 		}
 		for _, k := range p.ix.NSSetsContaining(ca.Victim) {
-			if e, ok := p.buildEvent(ca, k); ok {
+			if e, ok := p.buildEvent(&pr, ca, k); ok {
 				out = append(out, e)
 			}
 		}
@@ -45,7 +47,18 @@ func (p *Pipeline) eventsLegacy(ctx context.Context, attacks []rsdos.Attack) ([]
 	return out, nil
 }
 
-func (p *Pipeline) buildEvent(ca ClassifiedAttack, k nsset.Key) (Event, bool) {
+// probe is the oracle's point probe — the metrics of (k, w), or nil until
+// the next probe — through a one-window ranged read into its own buffer.
+type probe []nsset.WindowMetrics
+
+func (pr *probe) at(ds DayStore, k nsset.Key, w clock.Window) *nsset.WindowMetrics {
+	if *pr = ds.AppendWindows((*pr)[:0], k, w, w); len(*pr) == 1 {
+		return &(*pr)[0]
+	}
+	return nil
+}
+
+func (p *Pipeline) buildEvent(pr *probe, ca ClassifiedAttack, k nsset.Key) (Event, bool) {
 	// The NSSet must appear in the nameserver list of the snapshot day:
 	// the paper uses the day *before* the attack, so that servers
 	// unreachable during the attack are not missed (§4.2). The same-day
@@ -56,7 +69,7 @@ func (p *Pipeline) buildEvent(ca ClassifiedAttack, k nsset.Key) (Event, bool) {
 		snapDay = snapDay.Prev()
 	}
 	snapDay = p.measurableDay(snapDay)
-	if b := p.days.Baseline(k, snapDay); b == nil || b.OKCount == 0 {
+	if b, ok := p.days.Baseline(k, snapDay); !ok || b.OKCount == 0 {
 		return Event{}, false
 	}
 	e := Event{
@@ -68,7 +81,7 @@ func (p *Pipeline) buildEvent(ca ClassifiedAttack, k nsset.Key) (Event, bool) {
 	hasImpact := false
 	worstFail := 0.0
 	for w := ca.StartWindow; w <= ca.EndWindow; w++ {
-		m := p.days.Window(k, w)
+		m := pr.at(p.days, k, w)
 		if m == nil {
 			continue
 		}
@@ -79,7 +92,7 @@ func (p *Pipeline) buildEvent(ca ClassifiedAttack, k nsset.Key) (Event, bool) {
 		if fr := m.FailureRate(); fr > worstFail {
 			worstFail = fr
 		}
-		if imp, ok := p.impactAt(k, w); ok {
+		if imp, ok := p.impactAt(k, m); ok {
 			hasImpact = true
 			if imp > impact {
 				impact = imp
@@ -96,17 +109,16 @@ func (p *Pipeline) buildEvent(ca ClassifiedAttack, k nsset.Key) (Event, bool) {
 
 // impactAt applies the configured Eq. 1 baseline rule — the same guards
 // and float arithmetic as nsset.ImpactVsDay, read through the day store.
-func (p *Pipeline) impactAt(k nsset.Key, w clock.Window) (float64, bool) {
+func (p *Pipeline) impactAt(k nsset.Key, m *nsset.WindowMetrics) (float64, bool) {
 	back := p.cfg.BaselineDaysBack
 	if back <= 0 {
 		back = 1
 	}
-	m := p.days.Window(k, w)
-	if m == nil || m.OKCount == 0 {
+	if m.OKCount == 0 {
 		return 0, false
 	}
-	b := p.days.Baseline(k, p.measurableDay(w.Day()-clock.Day(back)))
-	if b == nil || b.OKCount == 0 {
+	b, ok := p.days.Baseline(k, p.measurableDay(m.Window.Day()-clock.Day(back)))
+	if !ok || b.OKCount == 0 {
 		return 0, false
 	}
 	base := b.AvgRTT()

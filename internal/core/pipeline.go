@@ -19,7 +19,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -357,17 +357,25 @@ func (p *Pipeline) Events(attacks []rsdos.Attack) []Event {
 	return out
 }
 
-// enrich fills diversity, anycast, AS and provider metadata.
+// enrich fills diversity, anycast, AS and provider metadata. An NSSet is a
+// handful of addresses, so its /24s and origin ASes are deduplicated by
+// scanning small stack arrays (more than 16 distinct ones spill to the
+// heap); the event's ASN list is the only allocation.
 func (p *Pipeline) enrich(e *Event, at time.Time) {
-	addrs := e.NSSet.Addrs()
-	d := nsset.Diversity{NumNS: len(addrs)}
-	asns := make(map[astopo.ASN]struct{})
-	prefixes := make(map[netx.Prefix]struct{})
-	for _, a := range addrs {
-		prefixes[a.Slash24()] = struct{}{}
+	var (
+		prefixBuf [16]netx.Prefix
+		asnBuf    [16]astopo.ASN
+	)
+	prefixes, asns := prefixBuf[:0], asnBuf[:0]
+	d := nsset.Diversity{NumNS: e.NSSet.Size()}
+	for i := 0; i < d.NumNS; i++ {
+		a := e.NSSet.Addr(i)
+		if pf := a.Slash24(); !slices.Contains(prefixes, pf) {
+			prefixes = append(prefixes, pf)
+		}
 		if p.topo != nil {
-			if asn, ok := p.topo.Lookup(a); ok {
-				asns[asn] = struct{}{}
+			if asn, ok := p.topo.Lookup(a); ok && !slices.Contains(asns, asn) {
+				asns = append(asns, asn)
 			}
 		}
 		if p.census != nil && p.census.IsAnycastAt(a, at) {
@@ -378,11 +386,8 @@ func (p *Pipeline) enrich(e *Event, at time.Time) {
 	d.NumPrefixes = len(prefixes)
 	e.Diversity = d
 	e.AnycastClass = d.Class()
-	e.ASNs = make([]astopo.ASN, 0, len(asns))
-	for a := range asns {
-		e.ASNs = append(e.ASNs, a)
-	}
-	sort.Slice(e.ASNs, func(i, j int) bool { return e.ASNs[i] < e.ASNs[j] })
+	slices.Sort(asns)
+	e.ASNs = append(make([]astopo.ASN, 0, len(asns)), asns...)
 	if e.Attack.Class == ClassDNSDirect {
 		e.Provider = p.db.ProviderOf(e.Attack.NS).Name
 	}

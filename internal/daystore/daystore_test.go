@@ -32,13 +32,22 @@ func randomAggregator(rng *rand.Rand, nKeys, nDays int) *nsset.Aggregator {
 // fillRandom adds randomAggregator's world to agg (which may carry a
 // window filter).
 func fillRandom(agg *nsset.Aggregator, rng *rand.Rand, nKeys, nDays int) {
+	days := make([]clock.Day, nDays)
+	for d := range days {
+		days[d] = clock.Day(d)
+	}
+	fillRandomDays(agg, rng, nKeys, days)
+}
+
+// fillRandomDays is fillRandom over the given days, which need not be
+// consecutive: a day left out has no measurements, so no sealed file.
+func fillRandomDays(agg *nsset.Aggregator, rng *rand.Rand, nKeys int, days []clock.Day) {
 	for ki := 0; ki < nKeys; ki++ {
 		k := nsset.KeyOf([]netx.Addr{netx.Addr(0xC0000200 + uint32(ki)), netx.Addr(0xC6336400 + uint32(rng.Intn(64)))})
-		for d := 0; d < nDays; d++ {
+		for _, day := range days {
 			if rng.Intn(4) == 0 { // key absent this day
 				continue
 			}
-			day := clock.Day(d)
 			samples := 1 + rng.Intn(8)
 			for s := 0; s < samples; s++ {
 				w := day.FirstWindow() + clock.Window(rng.Int63n(clock.WindowsPerDay))
@@ -82,13 +91,42 @@ func sealDays(dir string, snap nsset.Snapshot) error {
 	return nil
 }
 
+// randomSpan draws the [from, to] of one ranged read over days [0, last],
+// day hole among them unmeasured. The kinds cycle: from > to, inside one
+// day, across days, across the hole, and out past both ends.
+func randomSpan(rng *rand.Rand, kind int, hole, last clock.Day) (from, to clock.Window) {
+	in := func(d clock.Day) clock.Window { return d.FirstWindow() + clock.Window(rng.Int63n(clock.WindowsPerDay)) }
+	day := func() clock.Day { return clock.Day(rng.Intn(int(last) + 1)) }
+	switch kind % 5 {
+	case 0:
+		to = in(day())
+		return to + 1 + clock.Window(rng.Intn(600)), to
+	case 1:
+		d := day()
+		from, to = in(d), in(d)
+	case 2:
+		from, to = in(day()), in(day())
+	case 3:
+		return in(hole - 1), in(hole + 1)
+	default:
+		return clock.Day(-2).FirstWindow(), in(last + 2)
+	}
+	if from > to {
+		from, to = to, from
+	}
+	return from, to
+}
+
 // TestObservationEquivalence is the property test pinning the DayStore
 // contract: a snapshot sealed through the columnar writer and read back
 // through mmap views must be observationally identical to the live
-// aggregator store — same keys, baselines, window lists, and point probes
-// (hits and misses alike). Seed 6 runs behind a window filter that
-// rejects every window of most keys: a baseline-only NSSet is in both
-// backends' Keys().
+// aggregator store — same keys, same baselines, and for random [from, to]
+// the same ranged read, which on both backends is the filter of the
+// NSSet's full window list, appended behind a dst prefix that is left
+// intact (empty spans, single-window hits and misses, spans across days
+// and across a day that has no file, from > to). Seed 6 runs behind a
+// window filter that rejects every window of most keys: a baseline-only
+// NSSet is in both backends' Keys().
 func TestObservationEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -96,13 +134,25 @@ func TestObservationEquivalence(t *testing.T) {
 		if seed == 6 {
 			agg.SetWindowFilter(func(w clock.Window) bool { return int64(w)%clock.WindowsPerDay < 6 })
 		}
-		fillRandom(agg, rng, 10+rng.Intn(20), 4+rng.Intn(4))
+		// days [0, last] but for one in the middle, which gets no file
+		last := clock.Day(4 + rng.Intn(4))
+		hole := 1 + clock.Day(rng.Intn(int(last)-1))
+		var days []clock.Day
+		for d := clock.Day(0); d <= last; d++ {
+			if d != hole {
+				days = append(days, d)
+			}
+		}
+		fillRandomDays(agg, rng, 10+rng.Intn(20), days)
 		ref := core.DayStore(agg)
 
 		dir := t.TempDir()
 		snap := agg.Snapshot()
 		if err := sealDays(dir, snap); err != nil {
 			t.Fatalf("seed %d: sealing: %v", seed, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, FileName(hole))); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("seed %d: unmeasured day %d has a file (%v)", seed, hole, err)
 		}
 		set, err := Open(dir)
 		if err != nil {
@@ -127,45 +177,142 @@ func TestObservationEquivalence(t *testing.T) {
 			t.Fatalf("seed 6: %d of %d keys are baseline-only; the filter case needs both kinds", bare, len(keys))
 		}
 
-		lastDay := clock.Day(0)
-		for _, bs := range snap.Baselines {
-			lastDay = max(lastDay, bs.B.Day)
-		}
-		for _, k := range keys {
-			for d := clock.Day(-1); d <= lastDay+1; d++ {
-				gb, wb := set.Baseline(k, d), ref.Baseline(k, d)
-				if (gb == nil) != (wb == nil) {
-					t.Fatalf("seed %d: Baseline(%s, %d) presence mismatch", seed, k, d)
-				}
-				if gb != nil && *gb != *wb {
-					t.Fatalf("seed %d: Baseline(%s, %d) = %+v, want %+v", seed, k, d, *gb, *wb)
-				}
-
-				gw, ww := set.DayWindows(k, d), ref.DayWindows(k, d)
-				if len(gw) != len(ww) {
-					t.Fatalf("seed %d: DayWindows(%s, %d) has %d windows, want %d", seed, k, d, len(gw), len(ww))
-				}
-				for i := range gw {
-					if *gw[i] != *ww[i] {
-						t.Fatalf("seed %d: DayWindows(%s, %d)[%d] = %+v, want %+v", seed, k, d, i, *gw[i], *ww[i])
-					}
-					// point probe on a hit, and on the adjacent miss
-					if m := set.Window(k, gw[i].Window); m == nil || *m != *ww[i] {
-						t.Fatalf("seed %d: Window(%s, %d) mismatch", seed, k, gw[i].Window)
-					}
-				}
-				pw := d.FirstWindow() - 1 // last window of the previous day: hit or miss, must agree
-				gm, wm := set.Window(k, pw), ref.Window(k, pw)
-				if (gm == nil) != (wm == nil) || (gm != nil && *gm != *wm) {
-					t.Fatalf("seed %d: Window(%s, %d) = %v, want %v", seed, k, pw, gm, wm)
+		prefix := nsset.WindowMetrics{Window: -7, Domains: 7}
+		empty, filled := 0, 0
+		// the last key is unknown to both backends: valid empty reads
+		for _, k := range append(keys, nsset.KeyOf([]netx.Addr{netx.Addr(1)})) {
+			for d := clock.Day(-1); d <= last+1; d++ {
+				gb, gok := set.Baseline(k, d)
+				wb, wok := ref.Baseline(k, d)
+				if gok != wok || gb != wb {
+					t.Fatalf("seed %d: Baseline(%s, %d) = %+v, %v, want %+v, %v", seed, k, d, gb, gok, wb, wok)
 				}
 			}
+			full := agg.Windows(k)
+			check := func(from, to clock.Window) {
+				want := []nsset.WindowMetrics{prefix}
+				for _, m := range full {
+					if from <= m.Window && m.Window <= to {
+						want = append(want, *m)
+					}
+				}
+				if len(want) == 1 {
+					empty++
+				} else {
+					filled++
+				}
+				for name, ds := range map[string]core.DayStore{"Set": set, "Aggregator": ref} {
+					if got := ds.AppendWindows([]nsset.WindowMetrics{prefix}, k, from, to); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d: %s.AppendWindows(%s, %d, %d) = %+v, want %+v", seed, name, k, from, to, got, want)
+					}
+				}
+			}
+			for trial := 0; trial < 25; trial++ {
+				check(randomSpan(rng, trial, hole, last))
+			}
+			// the point probe: every hit, and the miss (or hit) next to it
+			for _, m := range full {
+				check(m.Window, m.Window)
+				check(m.Window-1, m.Window-1)
+			}
 		}
-		// unknown key: valid empty reads everywhere
-		ghost := nsset.KeyOf([]netx.Addr{netx.Addr(1)})
-		if set.Baseline(ghost, 0) != nil || len(set.DayWindows(ghost, 0)) != 0 {
-			t.Fatalf("seed %d: ghost key not empty", seed)
+		if empty == 0 || filled == 0 {
+			t.Fatalf("seed %d: %d empty and %d non-empty reads; the property needs both", seed, empty, filled)
 		}
+	}
+}
+
+// wideKeyStores seals three days of one NSSet of nine addresses — a 36-byte
+// key, past the 32-byte stack temporary a []byte(k) conversion gets — and
+// returns the key with both backends over them, the Set's days already
+// open.
+func wideKeyStores(tb testing.TB) (nsset.Key, map[string]core.DayStore) {
+	tb.Helper()
+	addrs := make([]netx.Addr, 9)
+	for i := range addrs {
+		addrs[i] = netx.Addr(0xC0000200 + uint32(i))
+	}
+	k := nsset.KeyOf(addrs)
+	agg := nsset.NewAggregator()
+	for d := clock.Day(0); d < 3; d++ {
+		for w := d.FirstWindow(); w < (d + 1).FirstWindow(); w += 3 {
+			agg.Add(k, w.Start(), nsset.StatusOK, 20*time.Millisecond)
+		}
+	}
+	dir := tb.TempDir()
+	if err := sealDays(dir, agg.Snapshot()); err != nil {
+		tb.Fatal(err)
+	}
+	set, err := Open(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { set.Close() })
+	if err := set.Verify(); err != nil {
+		tb.Fatal(err)
+	}
+	return k, map[string]core.DayStore{"Set": set, "Aggregator": agg}
+}
+
+// TestReadsDoNotAllocate: on both backends the by-value baseline and a
+// ranged read into a warm buffer — one hour, and three days — allocate
+// nothing, whatever the key's length.
+func TestReadsDoNotAllocate(t *testing.T) {
+	k, stores := wideKeyStores(t)
+	hour, all := clock.Day(1).FirstWindow()+100, clock.Day(3).FirstWindow()
+	for name, ds := range stores {
+		if n := testing.AllocsPerRun(100, func() {
+			if b, ok := ds.Baseline(k, 1); !ok || b.Domains != 96 {
+				t.Fatalf("%s.Baseline = %+v, %v", name, b, ok)
+			}
+		}); n != 0 {
+			t.Errorf("%s.Baseline allocates %v times", name, n)
+		}
+		buf := ds.AppendWindows(nil, k, 0, all)
+		if len(buf) != 3*96 {
+			t.Fatalf("%s.AppendWindows over three days read %d windows, want %d", name, len(buf), 3*96)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if buf = ds.AppendWindows(buf[:0], k, hour, hour+11); len(buf) != 4 {
+				t.Fatalf("%s.AppendWindows over an hour read %d windows, want 4", name, len(buf))
+			}
+			buf = ds.AppendWindows(buf[:0], k, 0, all)
+		}); n != 0 {
+			t.Errorf("%s.AppendWindows into a warm buffer allocates %v times", name, n)
+		}
+	}
+}
+
+// BenchmarkViewReads times the join's two reads on a 36-byte key, on the
+// sealed days and (for comparison) on the aggregator they were sealed
+// from: the baseline, and the ranged read into a warm buffer over one
+// hour and over all three days. 0 allocs/op throughout (make bench-join).
+func BenchmarkViewReads(b *testing.B) {
+	k, stores := wideKeyStores(b)
+	hour, all := clock.Day(1).FirstWindow()+100, clock.Day(3).FirstWindow()
+	for _, name := range []string{"Set", "Aggregator"} {
+		ds := stores[name]
+		buf := ds.AppendWindows(nil, k, 0, all)
+		b.Run(name+"/Baseline", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := ds.Baseline(k, 1); !ok {
+					b.Fatal("no baseline")
+				}
+			}
+		})
+		b.Run(name+"/AppendWindows_1h", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = ds.AppendWindows(buf[:0], k, hour, hour+11)
+			}
+		})
+		b.Run(name+"/AppendWindows_3d", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = ds.AppendWindows(buf[:0], k, 0, all)
+			}
+		})
 	}
 }
 
@@ -233,7 +380,7 @@ func TestSealEmptyDay(t *testing.T) {
 	if v.NumKeys() != 0 {
 		t.Fatalf("empty day has %d keys", v.NumKeys())
 	}
-	if v.Baseline("k") != nil {
+	if _, ok := v.Baseline("k"); ok {
 		t.Fatal("empty day returned a baseline")
 	}
 }

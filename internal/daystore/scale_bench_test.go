@@ -76,6 +76,7 @@ func BenchmarkDayStoreScale(b *testing.B) {
 	defer set.Close()
 
 	var touched int64
+	var wins []nsset.WindowMetrics
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// join-style scan: every NSSet, baseline point probe plus the full
@@ -83,11 +84,12 @@ func BenchmarkDayStoreScale(b *testing.B) {
 		for _, k := range keys {
 			for d := 0; d < days; d++ {
 				day := clock.Day(d)
-				if bl := set.Baseline(k, day); bl != nil {
+				if bl, ok := set.Baseline(k, day); ok {
 					touched += int64(bl.Domains)
 				}
-				for _, m := range set.DayWindows(k, day) {
-					touched += int64(m.Domains)
+				wins = set.AppendWindows(wins[:0], k, day.FirstWindow(), (day+1).FirstWindow()-1)
+				for i := range wins {
+					touched += int64(wins[i].Domains)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -24,13 +25,13 @@ import (
 // Close means no reader can hold a pointer into an unmapped file.
 //
 // Integrity contract: Open and Verify return typed ErrCorrupt errors.
-// The core.DayStore methods have no error channel, so a day file that
-// fails validation at first lazy access panics with the *CorruptError
-// instead — inside a supervised study or distjoin run that panic is
-// quarantined like any poisoned day-shard. Callers that want an error,
-// not a panic, run Verify first (the study resume path additionally
-// hash-verifies each file against its checkpoint reference before
-// trusting the directory).
+// The core.DayStore reads have no error result (the contract is written
+// out in core/daystore.go), so a day file that fails validation at first
+// lazy access panics with the *CorruptError instead — inside a supervised
+// study or distjoin run that panic is quarantined like any poisoned
+// day-shard. Callers that want an error, not a panic, run Verify first
+// (the study resume path additionally hash-verifies each file against its
+// checkpoint reference before trusting the directory).
 
 // Set is a read-only day store over a directory of sealed column files.
 // Safe for concurrent use.
@@ -106,33 +107,31 @@ func (s *Set) Verify() error {
 	return nil
 }
 
-// Baseline returns k's aggregate of day d (nil when the day has no sealed
-// file or k was not measured on it).
-func (s *Set) Baseline(k nsset.Key, d clock.Day) *nsset.DayBaseline {
+// Baseline returns k's aggregate of day d (false when the day has no
+// sealed file or k was not measured on it).
+func (s *Set) Baseline(k nsset.Key, d clock.Day) (nsset.DayBaseline, bool) {
 	v := s.mustView(d)
 	if v == nil {
-		return nil
+		return nsset.DayBaseline{}, false
 	}
 	return v.Baseline(k)
 }
 
-// DayWindows returns k's measured windows of day d, ascending (nil when
-// the day has no sealed file or k was not measured on it).
-func (s *Set) DayWindows(k nsset.Key, d clock.Day) []*nsset.WindowMetrics {
-	v := s.mustView(d)
-	if v == nil {
-		return nil
+// AppendWindows appends k's measured windows w with from ≤ w ≤ to to dst,
+// ascending, and returns the extended slice. Only the sealed days the span
+// touches are opened; a day with no file contributes nothing.
+func (s *Set) AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, from, to clock.Window) []nsset.WindowMetrics {
+	if from > to {
+		return dst
 	}
-	return v.Windows(k)
-}
-
-// Window returns the metrics for (k, w), or nil.
-func (s *Set) Window(k nsset.Key, w clock.Window) *nsset.WindowMetrics {
-	v := s.mustView(w.Day())
-	if v == nil {
-		return nil
+	i, _ := slices.BinarySearch(s.days, from.Day())
+	for _, d := range s.days[i:] {
+		if d > to.Day() {
+			break
+		}
+		dst = s.mustView(d).AppendWindows(dst, k, from, to)
 	}
-	return v.Window(k, w)
+	return dst
 }
 
 // Keys returns the union of every sealed day's NSSets, ascending. It

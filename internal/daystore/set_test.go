@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -30,16 +31,14 @@ func TestSetColdOpenRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// firstRead is reader g's first touch of the day: a different one of
-	// the three DayStore reads per reader, so each accessor opens it cold.
+	// firstRead is reader g's first touch of the day: one of the two
+	// DayStore reads, alternating, so each accessor opens it cold.
+	dayFirst, dayLast := day.FirstWindow(), (day+1).FirstWindow()-1
 	firstRead := func(s *Set, g int) {
-		switch g % 3 {
-		case 0:
+		if g%2 == 0 {
 			s.Baseline(keys[0], day)
-		case 1:
-			s.DayWindows(keys[0], day)
-		case 2:
-			s.Window(keys[0], day.FirstWindow())
+		} else {
+			s.AppendWindows(nil, keys[0], dayFirst, dayLast)
 		}
 	}
 	race := func(reader func(g int)) {
@@ -72,21 +71,15 @@ func TestSetColdOpenRace(t *testing.T) {
 	race(func(g int) {
 		firstRead(cold, g)
 		for _, k := range keys {
-			gb, wb := cold.Baseline(k, day), warm.Baseline(k, day)
-			if (gb == nil) != (wb == nil) || (gb != nil && *gb != *wb) {
-				t.Errorf("reader %d: Baseline(%s) = %v, warm read %v", g, k, gb, wb)
+			gb, gok := cold.Baseline(k, day)
+			if wb, wok := warm.Baseline(k, day); gok != wok || gb != wb {
+				t.Errorf("reader %d: Baseline(%s) = %v, %v, warm read %v, %v", g, k, gb, gok, wb, wok)
 			}
-			gw, ww := cold.DayWindows(k, day), warm.DayWindows(k, day)
-			if len(gw) != len(ww) {
-				t.Errorf("reader %d: DayWindows(%s) has %d windows, warm read %d", g, k, len(gw), len(ww))
-				continue
+			gw, ww := cold.AppendWindows(nil, k, dayFirst, dayLast), warm.AppendWindows(nil, k, dayFirst, dayLast)
+			if !reflect.DeepEqual(gw, ww) {
+				t.Errorf("reader %d: AppendWindows(%s) = %+v, warm read %+v", g, k, gw, ww)
 			}
-			for i := range ww {
-				if m := cold.Window(k, ww[i].Window); *gw[i] != *ww[i] || m == nil || *m != *ww[i] {
-					t.Errorf("reader %d: window %d of %s differs from the warm read", g, ww[i].Window, k)
-				}
-			}
-			if cold.Baseline(k, noFile) != nil || len(cold.DayWindows(k, noFile)) != 0 || cold.Window(k, noFile.FirstWindow()) != nil {
+			if _, ok := cold.Baseline(k, noFile); ok || len(cold.AppendWindows(nil, k, noFile.FirstWindow(), (noFile+1).FirstWindow())) != 0 {
 				t.Errorf("reader %d: a day with no file is not empty for %s", g, k)
 			}
 		}

@@ -16,9 +16,11 @@ import (
 // platforms without mmap, read) into memory and validated once — header
 // magic/version/CRC, exact size arithmetic, body CRC, and column bounds.
 // After OpenDay succeeds every accessor is a pure decode over the mapped
-// bytes: lookups binary-search the sorted key table, and the returned
-// nsset structs are materialized on demand (transient, GC-able) instead
-// of living resident for the whole run. A file that fails any check is
+// bytes: lookups binary-search the sorted key table, a baseline is
+// returned by value, and a ranged window read binary-searches the key's
+// rows of the window column and decodes only the rows in range into the
+// caller's buffer — nothing is materialized that was not asked for, and
+// nothing lives resident for the whole run. A file that fails any check is
 // refused with a typed *CorruptError at open; it is never partially
 // readable.
 
@@ -171,33 +173,24 @@ func (v *View) keyBytes(i int) []byte {
 // Key returns row i's NSSet key (copied out of the mapping).
 func (v *View) Key(i int) nsset.Key { return nsset.Key(v.keyBytes(i)) }
 
-// find binary-searches the sorted key table.
+// find binary-searches the sorted key table. The row's bytes are compared
+// as a string in place: the conversion inside a comparison copies nothing,
+// where a []byte(k) would allocate for every key longer than the 32-byte
+// stack temporary (9 addresses).
 func (v *View) find(k nsset.Key) (int, bool) {
-	kb := []byte(k)
 	lo, hi := 0, v.nKeys
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		switch c := bytes.Compare(v.keyBytes(mid), kb); {
-		case c < 0:
+		switch row := v.keyBytes(mid); {
+		case string(row) < string(k):
 			lo = mid + 1
-		case c > 0:
+		case string(row) > string(k):
 			hi = mid
 		default:
 			return mid, true
 		}
 	}
 	return lo, false
-}
-
-// baselineAt materializes baseline column row.
-func (v *View) baselineAt(row uint32) *nsset.DayBaseline {
-	bc := v.baseCol[int(row)*baseRowLen:]
-	return &nsset.DayBaseline{
-		Day:     v.day,
-		OKCount: int(int64(binary.BigEndian.Uint64(bc[0:8]))),
-		SumRTT:  time.Duration(int64(binary.BigEndian.Uint64(bc[8:16]))),
-		Domains: int(int64(binary.BigEndian.Uint64(bc[16:24]))),
-	}
 }
 
 // windowAt decodes window column row into m.
@@ -213,61 +206,60 @@ func (v *View) windowAt(row int, m *nsset.WindowMetrics) {
 	m.MaxRTT = time.Duration(int64(binary.BigEndian.Uint64(wc[56:64])))
 }
 
-// Baseline returns k's day aggregate, or nil if k was not measured.
-func (v *View) Baseline(k nsset.Key) *nsset.DayBaseline {
+// winStart decodes the window number of window column row.
+func (v *View) winStart(row int) clock.Window {
+	return clock.Window(int64(binary.BigEndian.Uint64(v.winCol[row*winRowLen:][0:8])))
+}
+
+// Baseline returns k's day aggregate; false if k was not measured.
+func (v *View) Baseline(k nsset.Key) (nsset.DayBaseline, bool) {
 	i, ok := v.find(k)
 	if !ok {
-		return nil
+		return nsset.DayBaseline{}, false
 	}
 	_, _, baseRow, _, _ := v.keyRow(i)
 	if baseRow == noBaseline {
-		return nil
+		return nsset.DayBaseline{}, false
 	}
-	return v.baselineAt(baseRow)
+	bc := v.baseCol[int(baseRow)*baseRowLen:]
+	return nsset.DayBaseline{
+		Day:     v.day,
+		OKCount: int(int64(binary.BigEndian.Uint64(bc[0:8]))),
+		SumRTT:  time.Duration(int64(binary.BigEndian.Uint64(bc[8:16]))),
+		Domains: int(int64(binary.BigEndian.Uint64(bc[16:24]))),
+	}, true
 }
 
-// Windows materializes k's measured windows of this day, ascending by
-// window (the writer's invariant). Nil when k has none.
-func (v *View) Windows(k nsset.Key) []*nsset.WindowMetrics {
+// AppendWindows appends k's windows w of this day with from ≤ w ≤ to to
+// dst, ascending (the writer's invariant), and returns the extended slice.
+// It binary-searches k's rows of the window column for from and decodes
+// only the rows in range; the rest of the day is never touched.
+func (v *View) AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, from, to clock.Window) []nsset.WindowMetrics {
 	i, ok := v.find(k)
 	if !ok {
-		return nil
+		return dst
 	}
 	_, _, _, winRow, winCnt := v.keyRow(i)
-	if winCnt == 0 {
-		return nil
-	}
-	ms := make([]nsset.WindowMetrics, winCnt)
-	out := make([]*nsset.WindowMetrics, winCnt)
-	for wi := 0; wi < int(winCnt); wi++ {
-		v.windowAt(int(winRow)+wi, &ms[wi])
-		out[wi] = &ms[wi]
-	}
-	return out
-}
-
-// Window returns the metrics of (k, w), or nil. The probe binary-searches
-// k's window rows without materializing the rest of the day.
-func (v *View) Window(k nsset.Key, w clock.Window) *nsset.WindowMetrics {
-	i, ok := v.find(k)
-	if !ok {
-		return nil
-	}
-	_, _, _, winRow, winCnt := v.keyRow(i)
-	lo, hi := int(winRow), int(winRow)+int(winCnt)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		got := clock.Window(int64(binary.BigEndian.Uint64(v.winCol[mid*winRowLen:][0:8])))
-		switch {
-		case got < w:
+	lo, end := int(winRow), int(winRow)+int(winCnt)
+	for hi := end; lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); v.winStart(mid) < from {
 			lo = mid + 1
-		case got > w:
+		} else {
 			hi = mid
-		default:
-			m := &nsset.WindowMetrics{}
-			v.windowAt(mid, m)
-			return m
 		}
 	}
-	return nil
+	// The lower bound holds on ascending rows only, and newView does not
+	// check their order: the re-test of from is what keeps a malformed
+	// file's answer inside the range.
+	for ; lo < end; lo++ {
+		w := v.winStart(lo)
+		if w > to {
+			break
+		}
+		if w >= from {
+			dst = append(dst, nsset.WindowMetrics{})
+			v.windowAt(lo, &dst[len(dst)-1])
+		}
+	}
+	return dst
 }

@@ -9,12 +9,14 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dnsddos/internal/clock"
+	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/study"
@@ -307,6 +309,44 @@ func TestCorruptDayFileFleetParity(t *testing.T) {
 	assertParity(t, s, wantEvents, wantReport)
 	if n := reg.Snapshot().Counters["distjoin.reassignments"]; n < 1 {
 		t.Errorf("refusing worker's range was never reassigned (reassignments = %d)", n)
+	}
+}
+
+// TestJoinRangeRefusalIsAFailure: a worker installs only images that
+// validate, so its day store can refuse a day only when the spool rots
+// between Install and the join's first read of that file — the store then
+// panics with its typed error inside the shard workers (the contract in
+// core/daystore.go), JoinShardRange re-raises it on the worker's goroutine,
+// and joinRangeIsolated turns it into the failure the worker reports, in
+// quarantine shape, instead of a dead process.
+func TestJoinRangeRefusalIsAFailure(t *testing.T) {
+	ctx := context.Background()
+	spool := t.TempDir()
+	s := singleRun(t, testConfig(), study.WithDayStoreDir(spool), study.WithSkipJoin())
+	for _, d := range []clock.Day{27, 28, 29, 30} {
+		path := filepath.Join(spool, daystore.FileName(d))
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0x01
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set, err := daystore.Open(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	sess := s.Session()
+	pipe := sess.NewPipeline(s.Agg, nil, nil, core.WithDayStore(set))
+	events, jf := joinRangeIsolated(ctx, pipe, sess, 0, pipe.JoinShardCount(sess.Attacks))
+	if jf == nil || events != nil {
+		t.Fatalf("join over a rotten spool returned %d events and failure %v", len(events), jf)
+	}
+	if !strings.HasPrefix(jf.reason, "panic: daystore: "+spool) || !strings.Contains(jf.reason, "crc mismatch") || jf.stack == "" {
+		t.Errorf("failure = %q (stack %d bytes), want the store's refusal of a spool file, with a stack", jf.reason, len(jf.stack))
 	}
 }
 

@@ -325,7 +325,10 @@ type joinFailure struct {
 
 // joinRangeIsolated runs one shard-range join with the same panic
 // isolation a sweep attempt gets: a panic anywhere in the engine becomes
-// a reported failure, not a dead worker.
+// a reported failure, not a dead worker. That includes the day store's
+// refusal of a spool file gone bad since Install, which JoinShardRange
+// re-raises here (core.DayStore's contract;
+// TestJoinRangeRefusalIsAFailure in dayfile_test.go).
 func joinRangeIsolated(ctx context.Context, pipe *core.Pipeline, sess *study.Session, from, to int) (events []core.TaggedEvent, jf *joinFailure) {
 	defer func() {
 		if r := recover(); r != nil {

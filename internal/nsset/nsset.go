@@ -143,8 +143,9 @@ func (in *Interner) view() (keys []Key, sorted []ID) {
 	return in.keys, in.sorted
 }
 
-// addr decodes the i-th member address.
-func (k Key) addr(i int) netx.Addr {
+// Addr decodes the i-th member address, 0 ≤ i < Size(), ascending: the
+// walk that copies nothing (Addrs allocates the decoded slice).
+func (k Key) Addr(i int) netx.Addr {
 	return netx.Addr(uint32(k[4*i])<<24 | uint32(k[4*i+1])<<16 | uint32(k[4*i+2])<<8 | uint32(k[4*i+3]))
 }
 
@@ -152,7 +153,7 @@ func (k Key) addr(i int) netx.Addr {
 func (k Key) Addrs() []netx.Addr {
 	out := make([]netx.Addr, k.Size())
 	for i := range out {
-		out[i] = k.addr(i)
+		out[i] = k.Addr(i)
 	}
 	return out
 }
@@ -163,7 +164,7 @@ func (k Key) Size() int { return len(k) / 4 }
 // Contains reports whether the set includes addr.
 func (k Key) Contains(addr netx.Addr) bool {
 	for i := 0; i < k.Size(); i++ {
-		if k.addr(i) == addr {
+		if k.Addr(i) == addr {
 			return true
 		}
 	}
@@ -613,24 +614,42 @@ func (a *Aggregator) row(k Key, d clock.Day) *dayRow {
 	return t.measured(id)
 }
 
-// DayWindows returns k's measured windows of calendar day d, ascending
-// by window; treat the metrics as read-only. Measurements are sparse
-// within an attack span (each domain is swept once a day), so the join
-// walks a day's actual windows instead of probing every 5-minute window
-// of the span.
-func (a *Aggregator) DayWindows(k Key, d clock.Day) []*WindowMetrics {
-	r := a.row(k, d)
-	if r == nil || r.nwin == 0 {
-		return nil
+// AppendWindows appends k's measured windows w with from ≤ w ≤ to to dst,
+// ascending, crossing days, and returns the extended slice: the ranged
+// read of core.DayStore. Measurements are sparse within an attack span
+// (each domain is swept once a day), so the join takes the span's actual
+// windows in one read — one key lookup, then each measured day's list —
+// instead of probing every 5-minute window. The values are copies.
+func (a *Aggregator) AppendWindows(dst []WindowMetrics, k Key, from, to clock.Window) []WindowMetrics {
+	if from > to {
+		return dst
 	}
-	out := make([]*WindowMetrics, 0, r.nwin)
-	for n := r.head; n != nil; n = n.next {
-		out = append(out, &n.m)
+	id, ok := a.tab.Lookup(k)
+	if !ok {
+		return dst
 	}
-	return out
+	i, _ := a.findDay(from.Day())
+	for _, t := range a.days[i:] {
+		if t.day > to.Day() {
+			break
+		}
+		r := t.measured(id)
+		if r == nil {
+			continue
+		}
+		for n := r.head; n != nil && n.m.Window <= to; n = n.next {
+			if n.m.Window >= from {
+				dst = append(dst, n.m)
+			}
+		}
+	}
+	return dst
 }
 
-// Window returns the metrics for (k, w), or nil if nothing was measured.
+// Window returns the live metrics for (k, w), or nil if nothing was
+// measured: the point probe of this package's Eq. 1 helpers and of the
+// tests' oracles; treat the value as read-only. The join reads through
+// AppendWindows.
 func (a *Aggregator) Window(k Key, w clock.Window) *WindowMetrics {
 	if r := a.row(k, w.Day()); r != nil {
 		for n := r.head; n != nil && n.m.Window <= w; n = n.next {
@@ -642,13 +661,13 @@ func (a *Aggregator) Window(k Key, w clock.Window) *WindowMetrics {
 	return nil
 }
 
-// Baseline returns the day aggregate for (k, d), or nil. The value
-// aliases the aggregator's live aggregate; treat it as read-only.
-func (a *Aggregator) Baseline(k Key, d clock.Day) *DayBaseline {
+// Baseline returns the day aggregate for (k, d) by value; false when k was
+// not measured that day.
+func (a *Aggregator) Baseline(k Key, d clock.Day) (DayBaseline, bool) {
 	if r := a.row(k, d); r != nil {
-		return &r.base
+		return r.base, true
 	}
-	return nil
+	return DayBaseline{}, false
 }
 
 // Keys returns all NSSets with any measurements, in deterministic order.
@@ -666,11 +685,20 @@ func (a *Aggregator) Keys() []Key {
 	return out
 }
 
-// Windows returns the measured windows for an NSSet in ascending order.
+// Windows returns every live window measured for an NSSet, ascending; an
+// audit accessor for tests. Treat the metrics as read-only.
 func (a *Aggregator) Windows(k Key) []*WindowMetrics {
+	id, ok := a.tab.Lookup(k)
+	if !ok {
+		return nil
+	}
 	var out []*WindowMetrics
 	for _, t := range a.days {
-		out = append(out, a.DayWindows(k, t.day)...)
+		if r := t.measured(id); r != nil {
+			for n := r.head; n != nil; n = n.next {
+				out = append(out, &n.m)
+			}
+		}
 	}
 	return out
 }
@@ -726,8 +754,8 @@ func (a *Aggregator) ImpactVsDay(k Key, w clock.Window, baseline clock.Day) (flo
 	if m == nil || m.OKCount == 0 {
 		return 0, false
 	}
-	b := a.Baseline(k, baseline)
-	if b == nil || b.OKCount == 0 {
+	b, ok := a.Baseline(k, baseline)
+	if !ok || b.OKCount == 0 {
 		return 0, false
 	}
 	base := b.AvgRTT()

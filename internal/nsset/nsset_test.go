@@ -229,7 +229,7 @@ func TestAggregatorWindowsAndBaselines(t *testing.T) {
 		t.Errorf("impact = %v, want ≈10", imp)
 	}
 
-	if b := agg.Baseline(k, 0); b == nil || b.OKCount != 10 || b.AvgRTT() != 10*time.Millisecond {
+	if b, ok := agg.Baseline(k, 0); !ok || b.OKCount != 10 || b.AvgRTT() != 10*time.Millisecond {
 		t.Errorf("baseline = %+v", b)
 	}
 	if m := agg.Window(k, w); m == nil || m.Domains != 2 {
@@ -277,20 +277,27 @@ func TestWindowFilterKeepsBaselines(t *testing.T) {
 	if agg.Window(k, clock.WindowOf(tm)) != nil {
 		t.Error("filtered window should not be retained")
 	}
-	if b := agg.Baseline(k, clock.DayOf(tm)); b == nil || b.OKCount != 1 {
+	if b, ok := agg.Baseline(k, clock.DayOf(tm)); !ok || b.OKCount != 1 {
 		t.Error("baseline must be retained regardless of filter")
 	}
 }
 
+// hasBaseline reports whether a holds a baseline for (k, d).
+func hasBaseline(a *Aggregator, k Key, d clock.Day) bool {
+	_, ok := a.Baseline(k, d)
+	return ok
+}
+
 // bucketsOrdered checks the ordered insert on an aggregator filled in
-// random time order: every day bucket of k over [0, days) is strictly
-// ascending and holds only that day's windows, and the point probe agrees
-// with the buckets on each hit and on both of its neighbours (nil unless
-// the neighbour was measured too).
+// random time order: every day bucket of k over [0, days) — the ranged
+// read over exactly that day — is strictly ascending and holds only that
+// day's windows, each a copy of the live window, and the point probe
+// agrees with the buckets on each hit and on both of its neighbours (nil
+// unless the neighbour was measured too).
 func bucketsOrdered(a *Aggregator, k Key, days clock.Day) error {
 	held := make(map[clock.Window]*WindowMetrics)
 	for d := clock.Day(0); d < days; d++ {
-		wins := a.DayWindows(k, d)
+		wins := a.AppendWindows(nil, k, d.FirstWindow(), (d+1).FirstWindow()-1)
 		for i, m := range wins {
 			if m.Window.Day() != d {
 				return fmt.Errorf("day %d bucket holds window %v", d, m.Window)
@@ -298,7 +305,11 @@ func bucketsOrdered(a *Aggregator, k Key, days clock.Day) error {
 			if i > 0 && wins[i-1].Window >= m.Window {
 				return fmt.Errorf("day %d bucket not strictly ascending at %d: %v then %v", d, i, wins[i-1].Window, m.Window)
 			}
-			held[m.Window] = m
+			live := a.Window(k, m.Window)
+			if live == nil || *live != m {
+				return fmt.Errorf("day %d bucket holds %+v, the live window is %+v", d, m, live)
+			}
+			held[m.Window] = live
 		}
 	}
 	if len(held) != len(a.Windows(k)) {
@@ -393,7 +404,7 @@ func TestMergeEquivalentToSequential(t *testing.T) {
 		}
 	}
 	// Merge consumes its argument: the merged-from side reads as empty
-	if keys := a2.Keys(); len(keys) != 0 || a2.Windows(k) != nil || a2.Baseline(k, 0) != nil {
+	if keys := a2.Keys(); len(keys) != 0 || a2.Windows(k) != nil || hasBaseline(a2, k, 0) {
 		t.Fatalf("merged-from aggregator still holds %d keys", len(keys))
 	}
 	for _, wm := range seq.Windows(k) {
@@ -403,11 +414,12 @@ func TestMergeEquivalentToSequential(t *testing.T) {
 		}
 	}
 	for d := clock.Day(0); d < 3; d++ {
-		sb, mb := seq.Baseline(k, d), a1.Baseline(k, d)
-		if (sb == nil) != (mb == nil) {
+		sb, sok := seq.Baseline(k, d)
+		mb, mok := a1.Baseline(k, d)
+		if sok != mok {
 			t.Fatalf("day %d baseline presence mismatch", d)
 		}
-		if sb != nil && *sb != *mb {
+		if sb != mb {
 			t.Fatalf("day %d baseline %+v != %+v", d, mb, sb)
 		}
 	}
@@ -532,7 +544,8 @@ func TestMergeAdoptsDisjointDays(t *testing.T) {
 				}
 			}
 			for d := clock.Day(0); d < days; d++ {
-				if sb, mb := seq.Baseline(k, d), merged.Baseline(k, d); sb == nil || mb == nil || *sb != *mb {
+				sb, sok := seq.Baseline(k, d)
+				if mb, mok := merged.Baseline(k, d); !sok || !mok || sb != mb {
 					t.Fatalf("%s: day %d baseline: merged %+v != sequential %+v", name, d, mb, sb)
 				}
 			}
@@ -575,7 +588,7 @@ func TestMergeAllocationsFollowRowsNotWindows(t *testing.T) {
 }
 
 // TestWindowPointersSurviveSlabGrowth: a *WindowMetrics handed out by
-// DayWindows stays the live window — same address, current values —
+// Windows stays the live window — same address, current values —
 // through thousands of later Adds that fill slab block after block and
 // grow the day's row slice under it.
 func TestWindowPointersSurviveSlabGrowth(t *testing.T) {
@@ -583,7 +596,7 @@ func TestWindowPointersSurviveSlabGrowth(t *testing.T) {
 	k := KeyOf(addrs("10.0.0.1", "10.0.0.2"))
 	t0 := clock.StudyStart.Add(3 * time.Hour)
 	agg.Add(k, t0, StatusOK, 10*time.Millisecond)
-	held := agg.DayWindows(k, 0)[0]
+	held := agg.Windows(k)[0]
 	other := KeyOf(addrs("10.9.9.9"))
 	for i := 0; i < 10000; i++ { // a new window each: ≥ 20 further blocks over 35 days
 		agg.Add(other, clock.StudyStart.Add(time.Duration(i)*clock.WindowDur), StatusOK, time.Millisecond)
@@ -682,7 +695,7 @@ func TestResetRecycles(t *testing.T) {
 		agg.AddID(r.id, r.t, r.st, r.rtt)
 	}
 	agg.Reset()
-	if _, held := agg.ForeignDay(-1); held || len(agg.Keys()) != 0 || agg.Baseline(tab.Key(0), 3) != nil {
+	if _, held := agg.ForeignDay(-1); held || len(agg.Keys()) != 0 || hasBaseline(agg, tab.Key(0), 3) {
 		t.Fatal("a Reset aggregator still holds measurements")
 	}
 	_, _, filter = benchmarkDay(5)

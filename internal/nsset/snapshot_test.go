@@ -45,7 +45,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	for _, bs := range snap.Baselines {
-		if b := a.Baseline(bs.Key, bs.B.Day); b == nil || *b != bs.B {
+		if b, ok := a.Baseline(bs.Key, bs.B.Day); !ok || b != bs.B {
 			t.Errorf("baseline row %+v differs from the aggregator's %+v", bs.B, b)
 		}
 	}

@@ -120,8 +120,8 @@ func TestAggregatorIntegration(t *testing.T) {
 	agg := nsset.NewAggregator()
 	e.RunRangeContext(context.Background(), 0, 1, agg, nil)
 	k := e.NSSetOf(0)
-	b := agg.Baseline(k, 0)
-	if b == nil || b.Domains != 50 {
+	b, ok := agg.Baseline(k, 0)
+	if !ok || b.Domains != 50 {
 		t.Fatalf("baseline = %+v, want 50 domains", b)
 	}
 	if b.AvgRTT() < 5*time.Millisecond || b.AvgRTT() > 30*time.Millisecond {

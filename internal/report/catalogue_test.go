@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"dnsddos/internal/clock"
+	"dnsddos/internal/daystore"
 	"dnsddos/internal/study"
 )
 
@@ -99,4 +102,43 @@ func TestCatalogue(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSeriesRefusesTamperedDay is the SeriesFor / cmd/report leg of the
+// day-store refusal contract (core/daystore.go): a day file damaged before
+// its first access makes the Figure 2 entry — Pipeline.SeriesFor over the
+// sealed days — panic with the store's typed error on the goroutine that
+// asked, which is all cmd/report sees: it dies printing that error with
+// nothing of the entry rendered but its title.
+func TestSeriesRefusesTamperedDay(t *testing.T) {
+	cfg := study.QuickConfig()
+	cfg.World.Domains = 1500
+	cfg.FromDay, cfg.ToDay = 27, 31 // the TransIP December attack
+	dir := t.TempDir()
+	// no join: the series is the first reader of every day file
+	s, err := study.RunContext(context.Background(), cfg, study.WithDayStoreDir(dir), study.WithSkipJoin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, daystore.FileName(clock.DayOf(s.Schedule.CaseStudies.TransIPDecStart)))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x01
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fig := Catalogue[slices.IndexFunc(Catalogue, func(a Artefact) bool { return a.ID == "figure2_dec" })]
+	var out bytes.Buffer
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, daystore.ErrCorrupt) {
+			t.Fatalf("recovered %v, want daystore.ErrCorrupt", err)
+		}
+		if strings.Count(out.String(), "\n") > 1 {
+			t.Errorf("more than the title was rendered before the refusal:\n%s", out.String())
+		}
+	}()
+	fig.Report(&out, s)
+	t.Fatal("Figure 2 rendered over a tampered day file")
 }

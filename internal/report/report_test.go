@@ -2,6 +2,9 @@ package report
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/netx"
+	"dnsddos/internal/nsset"
 	"dnsddos/internal/packet"
 	"dnsddos/internal/stats"
 )
@@ -202,5 +206,84 @@ func TestEventsCSV(t *testing.T) {
 		if !strings.Contains(lines[1], want) {
 			t.Errorf("row missing %q: %s", want, lines[1])
 		}
+	}
+}
+
+// eventsCSVRowsRef is EventsCSVRows as it was before rows were formatted
+// into one buffer — a Format call and a string per field — kept as the
+// oracle the append-style writer must match byte for byte.
+func eventsCSVRowsRef(w io.Writer, events []core.Event) error {
+	cw := csv.NewWriter(w)
+	for _, e := range events {
+		impact := ""
+		if e.HasImpact {
+			impact = strconv.FormatFloat(e.Impact, 'f', 3, 64)
+		}
+		if err := cw.Write([]string{
+			strconv.Itoa(e.Attack.ID),
+			e.Attack.Victim.String(),
+			e.Attack.Start().UTC().Format(time.RFC3339),
+			e.Attack.End().UTC().Format(time.RFC3339),
+			e.Provider,
+			strconv.Itoa(e.NSSet.Size()),
+			strconv.Itoa(e.HostedDomains),
+			strconv.Itoa(e.MeasuredDomains),
+			strconv.Itoa(e.OK),
+			strconv.Itoa(e.Timeouts),
+			strconv.Itoa(e.ServFails),
+			impact,
+			strconv.FormatFloat(e.FailureRate, 'f', 3, 64),
+			e.AnycastClass.String(),
+			strconv.Itoa(e.Diversity.NumASNs),
+			strconv.Itoa(e.Diversity.NumPrefixes),
+		}); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// TestEventsCSVRowsMatchReference: rows formatted into the reused buffer
+// are the reference writer's bytes — provider names encoding/csv must
+// quote (a comma, a quote and a leading space; a line break), an absent
+// impact, negative and many-digit numbers, windows before the study start
+// — and the writer allocates one string per row beside its fixed set-up
+// (the csv writer, its bufio writer and 4 KB buffer, the field slice).
+func TestEventsCSVRowsMatchReference(t *testing.T) {
+	ev := func(id int, victim string, from, to clock.Window, provider string, impact float64, has bool) core.Event {
+		e := core.Event{
+			NSSet:         nsset.KeyOf([]netx.Addr{netx.MustParseAddr("192.0.2.1"), netx.MustParseAddr("198.51.100.7")}),
+			HostedDomains: 1234567, MeasuredDomains: 42, OK: 30, Timeouts: 9, ServFails: 3,
+			Impact: impact, HasImpact: has, FailureRate: 2.0 / 7,
+			Diversity:    nsset.Diversity{NumNS: 2, NumASNs: 2, NumPrefixes: 2, NumAnycast: 1},
+			AnycastClass: nsset.PartialAnycast,
+			Provider:     provider,
+		}
+		e.Attack.ID, e.Attack.Victim = id, netx.MustParseAddr(victim)
+		e.Attack.StartWindow, e.Attack.EndWindow = from, to
+		return e
+	}
+	events := []core.Event{
+		ev(1, "192.0.2.53", 100, 112, ` Acme, "the" DNS`, 12.3456, true),
+		ev(-7, "255.255.255.255", -300, -1, "two\nlines", 0, false),
+		ev(1<<40, "0.0.0.0", 123456, 123456, "", 1e9+0.0005, true),
+		ev(4, "10.1.2.3", 0, 0, "plain", 0.9995, true),
+	}
+	var got, want bytes.Buffer
+	if err := EventsCSVRows(&got, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := eventsCSVRowsRef(&want, events); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("rows differ from the reference writer's:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
+	}
+	if !strings.Contains(want.String(), `" Acme, ""the"" DNS"`) {
+		t.Fatalf("the reference did not quote the provider:\n%s", want.Bytes())
+	}
+	if n := testing.AllocsPerRun(20, func() { EventsCSVRows(io.Discard, events) }); n > float64(len(events))+4 {
+		t.Errorf("writing %d rows allocates %v times, want ≤ one per row + 4", len(events), n)
 	}
 }

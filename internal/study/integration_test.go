@@ -144,7 +144,7 @@ func TestMilRuUnresolvableDuringGeofence(t *testing.T) {
 	// during the geofence (Mar 12-16) every measurement fails
 	var okCount, total int
 	for d := clock.DayOf(time.Date(2022, 3, 12, 0, 0, 0, 0, time.UTC)); d <= clock.DayOf(time.Date(2022, 3, 16, 0, 0, 0, 0, time.UTC)); d++ {
-		if b := s.Agg.Baseline(k, d); b != nil {
+		if b, ok := s.Agg.Baseline(k, d); ok {
 			okCount += b.OKCount
 			total += b.Domains
 		}
@@ -156,7 +156,7 @@ func TestMilRuUnresolvableDuringGeofence(t *testing.T) {
 		t.Errorf("mil.ru resolved %d/%d times during the geofence, want 0", okCount, total)
 	}
 	// before the attack it resolves fine
-	if b := s.Agg.Baseline(k, clock.DayOf(time.Date(2022, 3, 10, 0, 0, 0, 0, time.UTC))); b == nil || b.OKCount == 0 {
+	if b, ok := s.Agg.Baseline(k, clock.DayOf(time.Date(2022, 3, 10, 0, 0, 0, 0, time.UTC))); !ok || b.OKCount == 0 {
 		t.Error("mil.ru should resolve before the attack")
 	}
 }
@@ -204,11 +204,12 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	// aggregates identical for a case-study NSSet
 	k := nsset.KeyOf(seq.Schedule.CaseStudies.TransIPNS[:])
 	for d := cfg.FromDay; d <= cfg.ToDay; d++ {
-		sb, pb := seq.Agg.Baseline(k, d), par.Agg.Baseline(k, d)
-		if (sb == nil) != (pb == nil) {
+		sb, sok := seq.Agg.Baseline(k, d)
+		pb, pok := par.Agg.Baseline(k, d)
+		if sok != pok {
 			t.Fatalf("day %d baseline presence differs", d)
 		}
-		if sb != nil && *sb != *pb {
+		if sb != pb {
 			t.Fatalf("day %d baseline differs: %+v vs %+v", d, sb, pb)
 		}
 	}

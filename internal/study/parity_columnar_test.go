@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -43,6 +44,20 @@ func runColumnarPair(t *testing.T, name string, cfg Config, extra ...Option) {
 	}
 	if !bytes.Equal(eventsBytes(t, mem), eventsBytes(t, col)) {
 		t.Errorf("%s: in-memory and columnar day stores emitted different events", name)
+	}
+	// and under the events: at every emitted event's attack span, the two
+	// stores answer the join's two reads identically
+	ms, cs := mem.Pipeline.DayStore(), col.Pipeline.DayStore()
+	for i := range mem.Events {
+		e := &mem.Events[i]
+		from, to := e.Attack.StartWindow, e.Attack.EndWindow
+		if mw, cw := ms.AppendWindows(nil, e.NSSet, from, to), cs.AppendWindows(nil, e.NSSet, from, to); !reflect.DeepEqual(mw, cw) {
+			t.Fatalf("%s: event %d: AppendWindows(%s, %d, %d) = %+v in memory, %+v columnar", name, i, e.NSSet, from, to, mw, cw)
+		}
+		mb, mok := ms.Baseline(e.NSSet, from.Day().Prev())
+		if cb, cok := cs.Baseline(e.NSSet, from.Day().Prev()); mb != cb || mok != cok {
+			t.Fatalf("%s: event %d: Baseline(%s) = %+v, %v in memory, %+v, %v columnar", name, i, e.NSSet, mb, mok, cb, cok)
+		}
 	}
 	for i := range mem.Report.SkippedDays {
 		mem.Report.SkippedDays[i].Stack = ""
