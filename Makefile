@@ -19,6 +19,8 @@ test: build obs stream distjoin
 	$(GO) test -bench 'BenchmarkSealDay|BenchmarkViewReads' -benchtime 1x -run '^$$' ./internal/daystore/
 	$(GO) test -bench 'Benchmark(AppendEncode|DecodeInto)NSResponse' -benchtime 1x -run '^$$' ./internal/dnswire/
 	$(GO) test -bench 'BenchmarkNewSession' -benchtime 1x -run '^$$' ./internal/study/
+	$(GO) test -bench 'BenchmarkLoadStateAt' -benchtime 1x -run '^$$' ./internal/simnet/
+	$(GO) test -bench 'BenchmarkSynthesizeObs' -benchtime 1x -run '^$$' ./internal/scenario/
 	$(GO) run ./cmd/report -quick -outdir "$$(mktemp -d)" >/dev/null
 
 # Streaming smoke: the stream-vs-batch parity harness, exactly-once
@@ -32,8 +34,8 @@ stream:
 # detector — concurrent counter/histogram exactness, snapshot
 # determinism (golden files), the HTTP endpoint lifecycle, the
 # goroutine-leak helper applied to server and resolver teardown, and a
-# smoke pass over the wire-format, day-file, attack-feed, journal-frame and
-# fleet-frame fuzz seed corpora.
+# smoke pass over the wire-format, day-file, attack-feed, journal-frame,
+# fleet-frame and prefix-table fuzz seed corpora.
 obs:
 	$(GO) test -race ./internal/obs/ ./internal/netx/ -count 1
 	$(GO) test -race ./internal/authserver/ -run 'Leaks|TestMetricsEndpoint' -count 1
@@ -45,6 +47,7 @@ obs:
 	$(GO) test ./internal/rsdos/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/checkpoint/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/distjoin/ -run 'Fuzz' -count 1
+	$(GO) test ./internal/astopo/ -run 'Fuzz' -count 1
 
 # Distributed-join chaos leg: a four-worker fleet with one worker killed
 # mid-shard and one writing through a corrupting faultinject stream must
@@ -115,13 +118,15 @@ bench-throughput:
 
 # The sweep's record path, layer by layer: one swept day end to end
 # (ns/record, allocs/record), one data-plane query quiet and under attack,
-# one aggregator Add by key, one day-shard by ID into a recycled table, and
+# the load model at join_dense's attack density (ns/op, 0 allocs/op), one
+# aggregator Add by key, one day-shard by ID into a recycled table, and
 # the day's seal both ways (direct from the table, and through a Snapshot;
 # B/op). For reading while working on the sweep; the gated numbers are the
-# repo benchmark's (benchmark/README.md).
+# repo benchmark's (benchmark/README.md; the load model's is join_dense
+# setup_s).
 bench-sweep:
 	$(GO) test -bench 'BenchmarkRunDay' -benchmem -run '^$$' ./internal/openintel/
-	$(GO) test -bench 'BenchmarkQueryQuiet|BenchmarkQueryUnderAttack' -benchmem -run '^$$' ./internal/simnet/
+	$(GO) test -bench 'BenchmarkQueryQuiet|BenchmarkQueryUnderAttack|BenchmarkLoadStateAt' -benchmem -run '^$$' ./internal/simnet/
 	$(GO) test -bench 'BenchmarkAggregator(Add|Day)' -benchmem -run '^$$' ./internal/nsset/
 	$(GO) test -bench 'BenchmarkSealDay' -benchmem -run '^$$' ./internal/daystore/
 
@@ -140,8 +145,10 @@ bench-serve:
 # The session build, layer by layer: study.NewSession at the repo
 # benchmark's scale (allocs/op and B/op are what every study, joinworker and
 # setup_s sample pays before its first sweep), and its two heaviest stages,
-# the telescope feed and its curation. For reading while working on the
-# set-up; the gated number is the repo benchmark's study_batch op_allocs.
+# the telescope feed (at study_batch's scale, and at join_dense's DNS share,
+# where a victim's attack chain is long) and its curation. For reading
+# while working on the set-up; the gated numbers are the repo benchmark's
+# study_batch op_allocs and join_dense setup_s.
 bench-session:
 	$(GO) test -bench 'BenchmarkNewSession' -benchmem -run '^$$' ./internal/study/
 	$(GO) test -bench 'BenchmarkSynthesizeObs' -benchmem -run '^$$' ./internal/scenario/

@@ -5,11 +5,13 @@ package astopo
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"dnsddos/internal/netx"
 )
@@ -29,13 +31,15 @@ type Org struct {
 // Table is the prefix→AS longest-prefix-match table plus the AS→org registry.
 // It is immutable after Build and safe for concurrent use.
 type Table struct {
-	root *node
-	orgs map[ASN]Org
-	n    int
+	nodes []node // the binary trie, nodes[0] its root
+	orgs  map[ASN]Org
+	n     int
 }
 
+// node is one trie node; a child index of 0 (the root, never a child)
+// means none.
 type node struct {
-	child [2]*node
+	child [2]int32
 	asn   ASN
 	set   bool
 }
@@ -72,7 +76,7 @@ func (b *Builder) SetOrg(asn ASN, org Org) {
 // announcements of the same prefix keep the last one, mirroring how a
 // RouteViews-derived snapshot resolves to a single origin.
 func (b *Builder) Build() *Table {
-	t := &Table{root: &node{}, orgs: make(map[ASN]Org, len(b.orgs)), n: len(b.entries)}
+	t := &Table{nodes: make([]node, 1, 1+len(b.entries)), orgs: make(map[ASN]Org, len(b.orgs)), n: len(b.entries)}
 	for asn, org := range b.orgs {
 		t.orgs[asn] = org
 	}
@@ -83,32 +87,34 @@ func (b *Builder) Build() *Table {
 }
 
 func (t *Table) insert(p netx.Prefix, asn ASN) {
-	n := t.root
+	n := int32(0)
 	for i := 0; i < p.Bits; i++ {
 		bit := (uint32(p.Addr) >> (31 - uint(i))) & 1
-		if n.child[bit] == nil {
-			n.child[bit] = &node{}
+		if t.nodes[n].child[bit] == 0 {
+			t.nodes[n].child[bit] = int32(len(t.nodes))
+			t.nodes = append(t.nodes, node{})
 		}
-		n = n.child[bit]
+		n = t.nodes[n].child[bit]
 	}
-	n.asn = asn
-	n.set = true
+	t.nodes[n].asn = asn
+	t.nodes[n].set = true
 }
 
 // Lookup returns the origin ASN for addr via longest-prefix match.
 func (t *Table) Lookup(addr netx.Addr) (ASN, bool) {
-	n := t.root
 	var best ASN
 	found := false
-	for i := 0; i < 32 && n != nil; i++ {
-		if n.set {
-			best, found = n.asn, true
+	for i, n := 0, int32(0); ; i++ {
+		nd := &t.nodes[n]
+		if nd.set {
+			best, found = nd.asn, true
 		}
-		bit := (uint32(addr) >> (31 - uint(i))) & 1
-		n = n.child[bit]
-	}
-	if n != nil && n.set {
-		best, found = n.asn, true
+		if i == 32 {
+			break
+		}
+		if n = nd.child[(uint32(addr)>>(31-uint(i)))&1]; n == 0 {
+			break
+		}
 	}
 	return best, found
 }
@@ -130,17 +136,16 @@ func (t *Table) OrgName(asn ASN) string {
 // Len returns the number of announced prefixes.
 func (t *Table) Len() int { return t.n }
 
-// WriteTo serializes the table in the CAIDA pfx2as text format
-// ("prefix<TAB>bits<TAB>asn") followed by org lines ("# org asn name country").
+// WriteEntries serializes the table in the CAIDA pfx2as text format
+// ("prefix<TAB>bits<TAB>asn") followed by org lines ("# org asn name
+// country", tab-separated; the country is the last field, so a name may
+// hold tabs). The sort is stable: duplicate announcements keep their order,
+// so the same one still wins after ReadEntries.
 func WriteEntries(w io.Writer, entries []Entry, orgs map[ASN]Org) error {
 	bw := bufio.NewWriter(w)
-	sorted := make([]Entry, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Prefix.Addr != sorted[j].Prefix.Addr {
-			return sorted[i].Prefix.Addr < sorted[j].Prefix.Addr
-		}
-		return sorted[i].Prefix.Bits < sorted[j].Prefix.Bits
+	sorted := slices.Clone(entries)
+	slices.SortStableFunc(sorted, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Prefix.Addr, b.Prefix.Addr), cmp.Compare(a.Prefix.Bits, b.Prefix.Bits))
 	})
 	for _, e := range sorted {
 		if _, err := fmt.Fprintf(bw, "%s\t%d\t%d\n", e.Prefix.Addr, e.Prefix.Bits, e.ASN); err != nil {
@@ -151,7 +156,7 @@ func WriteEntries(w io.Writer, entries []Entry, orgs map[ASN]Org) error {
 	for a := range orgs {
 		asns = append(asns, a)
 	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
+	slices.Sort(asns)
 	for _, a := range asns {
 		o := orgs[a]
 		if _, err := fmt.Fprintf(bw, "# org\t%d\t%s\t%s\n", a, o.Name, o.Country); err != nil {
@@ -172,8 +177,11 @@ func ReadEntries(r io.Reader) (*Builder, error) {
 		if line == "" {
 			continue
 		}
-		fields := strings.Split(line, "\t")
 		if strings.HasPrefix(line, "# org") {
+			// split untrimmed but for line-end CRs: an empty country is
+			// a trailing tab, and the name is everything between the ASN
+			// and the country
+			fields := strings.Split(strings.TrimRight(strings.TrimLeftFunc(sc.Text(), unicode.IsSpace), "\r"), "\t")
 			if len(fields) < 4 {
 				return nil, fmt.Errorf("astopo: line %d: malformed org record", ln)
 			}
@@ -181,16 +189,14 @@ func ReadEntries(r io.Reader) (*Builder, error) {
 			if err != nil {
 				return nil, fmt.Errorf("astopo: line %d: %w", ln, err)
 			}
-			country := ""
-			if len(fields) >= 4 {
-				country = fields[3]
-			}
-			b.SetOrg(ASN(asn), Org{Name: fields[2], Country: country})
+			last := len(fields) - 1
+			b.SetOrg(ASN(asn), Org{Name: strings.Join(fields[2:last], "\t"), Country: fields[last]})
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
+		fields := strings.Split(line, "\t")
 		if len(fields) != 3 {
 			return nil, fmt.Errorf("astopo: line %d: want 3 fields, got %d", ln, len(fields))
 		}

@@ -20,6 +20,7 @@ package attacksim
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"time"
 
@@ -87,21 +88,17 @@ type Spec struct {
 func (s *Spec) Duration() time.Duration { return s.End.Sub(s.Start) }
 
 // ActiveIn reports whether the attack overlaps window w, and the fraction
-// of the window it covers (for partial first/last windows).
+// of the window it covers (for partial first/last windows). The overlap is
+// worked out in Unix nanoseconds, not by building the window's two
+// time.Times: the same Duration, so the same float64.
 func (s *Spec) ActiveIn(w clock.Window) (float64, bool) {
-	ws, we := w.Start(), w.End()
-	if !s.Start.Before(we) || !s.End.After(ws) {
+	ws := w.UnixNano()
+	we := ws + int64(clock.WindowDur)
+	start, end := s.Start.UnixNano(), s.End.UnixNano()
+	if start >= we || end <= ws {
 		return 0, false
 	}
-	from := ws
-	if s.Start.After(from) {
-		from = s.Start
-	}
-	to := we
-	if s.End.Before(to) {
-		to = s.End
-	}
-	return float64(to.Sub(from)) / float64(clock.WindowDur), true
+	return float64(min(end, we)-max(start, ws)) / float64(clock.WindowDur), true
 }
 
 // WindowLoad returns the mean victim-side packet rate contributed by the
@@ -127,7 +124,7 @@ type Schedule struct {
 func NewSchedule(specs []Spec) *Schedule {
 	s := make([]Spec, len(specs))
 	copy(s, specs)
-	sort.SliceStable(s, func(i, j int) bool { return s[i].Start.Before(s[j].Start) })
+	slices.SortStableFunc(s, func(a, b Spec) int { return a.Start.Compare(b.Start) })
 	for i := range s {
 		if s[i].ID == 0 {
 			s[i].ID = i + 1

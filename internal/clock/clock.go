@@ -37,6 +37,11 @@ func WindowOf(t time.Time) Window {
 // Start returns the wall-clock start of the window.
 func (w Window) Start() time.Time { return StudyStart.Add(time.Duration(w) * WindowDur) }
 
+// UnixNano returns Start().UnixNano() without building the time.Time.
+func (w Window) UnixNano() int64 { return studyStartNano + int64(w)*int64(WindowDur) }
+
+var studyStartNano = StudyStart.UnixNano()
+
 // End returns the exclusive end of the window.
 func (w Window) End() time.Time { return w.Start().Add(WindowDur) }
 

@@ -3,6 +3,7 @@ package scenario
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"dnsddos/internal/attacksim"
@@ -81,12 +82,23 @@ type CaseStudies struct {
 	RZDTelegram time.Time
 }
 
-// GenerateSchedule builds the full 17-month schedule for a world.
+// GenerateSchedule builds the full 17-month schedule for a world. Its
+// components are appended in draw order into one slice, and their port
+// lists cut from one slab, both made once at the most they can hold.
 func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xa77ac))
 	g := &schedGen{cfg: cfg, w: w, rng: rng}
 	g.buildVictimPools()
-	var specs []attacksim.Spec
+	out := &Schedule{}
+	var csSpecs []attacksim.Spec
+	if cfg.IncludeCaseStudies {
+		out.CaseStudies, csSpecs, out.Blackouts = caseStudySpecs(w)
+	}
+	// a random attack is at most two components, with up to seven ports
+	// and one; a reflection-only or surge attack is one with one port
+	reflections := int(float64(cfg.TotalAttacks) * cfg.ReflectionOnlyRatio)
+	g.specs = make([]attacksim.Spec, 0, 2*cfg.TotalAttacks+reflections+len(csSpecs)+maxSurge)
+	g.ports = make([]uint16, 0, 8*cfg.TotalAttacks+reflections+maxSurge)
 	months := clock.StudyMonths()
 	var wsum float64
 	for _, mw := range monthWeights {
@@ -95,24 +107,20 @@ func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
 	for mi, m := range months {
 		n := int(float64(cfg.TotalAttacks) * monthWeights[mi%len(monthWeights)] / wsum)
 		for i := 0; i < n; i++ {
-			specs = append(specs, g.randomAttack(m)...)
+			g.randomAttack(m)
 		}
 		nr := int(float64(n) * cfg.ReflectionOnlyRatio)
 		for i := 0; i < nr; i++ {
-			specs = append(specs, g.reflectionOnlyAttack(m))
+			g.reflectionOnlyAttack(m)
 		}
 	}
-	out := &Schedule{}
 	if cfg.IncludeCaseStudies {
-		cs, csSpecs, blackouts := caseStudySpecs(w)
-		out.CaseStudies = cs
-		specs = append(specs, csSpecs...)
-		out.Blackouts = blackouts
+		g.specs = append(g.specs, csSpecs...)
 		// §6.1: a surge of attacks against Russian providers in March
 		// 2022 (Beeline hosting banking sites, and others)
-		specs = append(specs, g.russianSurge()...)
+		g.russianSurge()
 	}
-	out.Sched = attacksim.NewSchedule(specs)
+	out.Sched = attacksim.NewSchedule(g.specs)
 	return out
 }
 
@@ -125,6 +133,15 @@ type schedGen struct {
 	dnsWeights []float64 // cumulative
 	ns24s      []netx.Prefix
 	groupID    int
+
+	specs []attacksim.Spec // the schedule, in draw order
+	ports []uint16         // the slab every component's Ports is cut from
+}
+
+// dnsPort cuts the one-port list {53} from the slab, its capacity clamped.
+func (g *schedGen) dnsPort() []uint16 {
+	g.ports = append(g.ports, 53)
+	return g.ports[len(g.ports)-1 : len(g.ports) : len(g.ports)]
 }
 
 func (g *schedGen) buildVictimPools() {
@@ -134,7 +151,7 @@ func (g *schedGen) buildVictimPools() {
 		g.dnsAddrs = append(g.dnsAddrs, addr)
 	}
 	// deterministic order before weighting
-	sortAddrs(g.dnsAddrs)
+	slices.Sort(g.dnsAddrs)
 	for _, addr := range g.dnsAddrs {
 		weight := g.w.AttackWeights[addr]
 		if weight <= 0 {
@@ -146,14 +163,6 @@ func (g *schedGen) buildVictimPools() {
 		if _, ok := seen[p24]; !ok {
 			seen[p24] = struct{}{}
 			g.ns24s = append(g.ns24s, p24)
-		}
-	}
-}
-
-func sortAddrs(a []netx.Addr) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
 }
@@ -173,8 +182,8 @@ func (g *schedGen) pickDNSVictim() netx.Addr {
 	return g.dnsAddrs[lo]
 }
 
-// randomAttack produces one attack (possibly multi-component).
-func (g *schedGen) randomAttack(m clock.Month) []attacksim.Spec {
+// randomAttack appends one attack (possibly multi-component).
+func (g *schedGen) randomAttack(m clock.Month) {
 	g.groupID++
 	start := g.startIn(m)
 	dur := g.duration()
@@ -212,7 +221,7 @@ func (g *schedGen) randomAttack(m clock.Month) []attacksim.Spec {
 	if proto == packet.ProtoUDP {
 		bytes = 120 + g.rng.IntN(400)
 	}
-	specs := []attacksim.Spec{{
+	g.specs = append(g.specs, attacksim.Spec{
 		GroupID:     g.groupID,
 		Target:      victim,
 		Vector:      attacksim.VectorRandomSpoofed,
@@ -222,54 +231,54 @@ func (g *schedGen) randomAttack(m clock.Month) []attacksim.Spec {
 		End:         start.Add(dur),
 		PPS:         pps,
 		PacketBytes: bytes,
-	}}
+	})
 	if isDNS && g.rng.Float64() < g.cfg.MultiVectorShare {
 		// an invisible component whose magnitude is drawn
 		// independently of the visible one — the §6.4 reason telescope
 		// intensity and impact decorrelate
-		specs = append(specs, attacksim.Spec{
+		g.specs = append(g.specs, attacksim.Spec{
 			GroupID:     g.groupID,
 			Target:      victim,
 			Vector:      attacksim.VectorReflection,
 			Proto:       packet.ProtoUDP,
-			Ports:       []uint16{53},
+			Ports:       g.dnsPort(),
 			Start:       start,
 			End:         start.Add(dur),
 			PPS:         2 * g.intensity() * math.Exp(g.rng.NormFloat64()*0.8),
 			PacketBytes: 512,
 		})
 	}
-	return specs
 }
 
 // russianSurge generates the March-2022 wave of attacks on Russian
 // infrastructure the paper documents (§6.1: "several attacks against a
-// Russian DNS provider, Beeline, during March 2022").
-func (g *schedGen) russianSurge() []attacksim.Spec {
-	var out []attacksim.Spec
+// Russian DNS provider, Beeline, during March 2022"), appended.
+func (g *schedGen) russianSurge() {
 	targets := g.russianNS()
 	if len(targets) == 0 {
-		return nil
+		return
 	}
 	march := clock.Month{Year: 2022, Month: time.March}
 	n := 8 + g.rng.IntN(8)
 	for i := 0; i < n; i++ {
 		g.groupID++
 		start := g.startIn(march)
-		out = append(out, attacksim.Spec{
+		g.specs = append(g.specs, attacksim.Spec{
 			GroupID:     g.groupID,
 			Target:      targets[g.rng.IntN(len(targets))],
 			Vector:      attacksim.VectorRandomSpoofed,
 			Proto:       packet.ProtoTCP,
-			Ports:       []uint16{53},
+			Ports:       g.dnsPort(),
 			Start:       start,
 			End:         start.Add(g.duration()),
 			PPS:         g.intensity(),
 			PacketBytes: 60,
 		})
 	}
-	return out
 }
+
+// maxSurge bounds russianSurge's 8 + IntN(8) attacks.
+const maxSurge = 15
 
 // russianNS lists the nameserver addresses of RU-country providers.
 func (g *schedGen) russianNS() []netx.Addr {
@@ -279,31 +288,31 @@ func (g *schedGen) russianNS() []netx.Addr {
 			out = append(out, ns.Addr)
 		}
 	}
-	sortAddrs(out)
+	slices.Sort(out)
 	return out
 }
 
-// reflectionOnlyAttack produces a pure amplification attack: no spoofed
+// reflectionOnlyAttack appends a pure amplification attack: no spoofed
 // component, so the telescope never sees it — only AmpPot-style honeypots
 // do (§2.1).
-func (g *schedGen) reflectionOnlyAttack(m clock.Month) attacksim.Spec {
+func (g *schedGen) reflectionOnlyAttack(m clock.Month) {
 	g.groupID++
 	start := g.startIn(m)
 	victim := g.w.OtherSpace.RandomAddr(g.rng)
 	if g.rng.Float64() < g.cfg.DNSShare {
 		victim = g.pickDNSVictim()
 	}
-	return attacksim.Spec{
+	g.specs = append(g.specs, attacksim.Spec{
 		GroupID:     g.groupID,
 		Target:      victim,
 		Vector:      attacksim.VectorReflection,
 		Proto:       packet.ProtoUDP,
-		Ports:       []uint16{53},
+		Ports:       g.dnsPort(),
 		Start:       start,
 		End:         start.Add(g.duration()),
 		PPS:         g.intensity(),
 		PacketBytes: 512,
-	}
+	})
 }
 
 func (g *schedGen) startIn(m clock.Month) time.Time {
@@ -383,18 +392,15 @@ func (g *schedGen) protoPorts() (packet.Protocol, []uint16) {
 		}
 		return uint16(1 + g.rng.IntN(65000))
 	}
-	if single {
-		return proto, []uint16{port()}
+	n := 1
+	if !single {
+		n = 2 + g.rng.IntN(6)
 	}
-	n := 2 + g.rng.IntN(6)
-	ports := make([]uint16, 0, n)
-	seen := make(map[uint16]bool)
-	for len(ports) < n {
-		p := port()
-		if !seen[p] {
-			seen[p] = true
-			ports = append(ports, p)
+	from := len(g.ports)
+	for len(g.ports)-from < n {
+		if p := port(); !slices.Contains(g.ports[from:], p) {
+			g.ports = append(g.ports, p)
 		}
 	}
-	return proto, ports
+	return proto, g.ports[from:len(g.ports):len(g.ports)]
 }

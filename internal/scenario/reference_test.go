@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -172,8 +173,11 @@ func synthesizeWindowReference(rng *rand.Rand, tel *telescope.Telescope, s attac
 // rarely hold: a port listed twice, an ICMP flood, two spoofed components
 // overlapping on one victim (so two observations share a window), a
 // reflection component that loads the victim without being observed, a
-// saturated nameserver, seven ports on a trickle (ports drawing zero), and
-// a component too weak to reach the telescope in most windows.
+// saturated nameserver, seven ports on a trickle (ports drawing zero), a
+// component too weak to reach the telescope in most windows, and two
+// saturated victims whose first component ends inside the second's first
+// window — before and after the second starts — so the walk's dead prefix
+// must keep it for that window.
 func tieSchedule(w *World) *attacksim.Schedule {
 	ns := w.DB.Nameservers[groupNS(w, "TransIP")[0]].Addr
 	host := netx.MustParseAddr("120.3.2.1")
@@ -190,6 +194,10 @@ func tieSchedule(w *World) *attacksim.Schedule {
 		spoofed(ns, packet.ProtoUDP, []uint16{53}, 30*time.Minute, time.Hour, 2e6),
 		spoofed(netx.MustParseAddr("120.9.9.9"), packet.ProtoUDP, []uint16{7, 19, 53, 123, 161, 389, 1900}, 0, 3*time.Hour, 40),
 		spoofed(netx.MustParseAddr("120.9.9.10"), packet.ProtoTCP, []uint16{22}, 0, 6*time.Hour, 0.5),
+		spoofed(netx.MustParseAddr("120.3.2.2"), packet.ProtoTCP, []uint16{80}, 0, 4*time.Minute+30*time.Second, 4e5),
+		spoofed(netx.MustParseAddr("120.3.2.2"), packet.ProtoUDP, []uint16{53}, 6*time.Minute, 30*time.Minute, 3e5),
+		spoofed(netx.MustParseAddr("120.3.2.3"), packet.ProtoTCP, []uint16{80}, 0, 7*time.Minute, 4e5),
+		spoofed(netx.MustParseAddr("120.3.2.3"), packet.ProtoUDP, []uint16{53}, 6*time.Minute, 30*time.Minute, 3e5),
 	}
 	reflection := spoofed(host, packet.ProtoUDP, []uint16{53}, 0, 2*time.Hour, 4e5)
 	reflection.Vector = attacksim.VectorReflection
@@ -200,23 +208,48 @@ func tieSchedule(w *World) *attacksim.Schedule {
 func TestSynthesizeObsMatchesReference(t *testing.T) {
 	w := smallWorld(t)
 	tel := telescope.NewUCSD()
-	schedules := map[string]*attacksim.Schedule{"hand-built ties": tieSchedule(w)}
+	type feed struct {
+		name  string
+		cfg   SynthConfig
+		sched *attacksim.Schedule
+	}
+	feeds := []feed{{"hand-built ties", DefaultSynthConfig(), tieSchedule(w)}}
 	for seed := uint64(1); seed <= 5; seed++ {
 		cfg := DefaultAttackConfig()
 		cfg.Seed = seed
 		cfg.TotalAttacks = 400
 		cfg.IncludeCaseStudies = seed%2 == 1
-		schedules["generated, seed "+string(rune('0'+seed))] = GenerateSchedule(cfg, w).Sched
+		feeds = append(feeds, feed{fmt.Sprintf("generated, seed %d", seed), DefaultSynthConfig(), GenerateSchedule(cfg, w).Sched})
 	}
-	for name, sched := range schedules {
-		cfg := DefaultSynthConfig()
-		got := SynthesizeObs(cfg, w, sched, tel)
-		want := synthesizeObsReference(cfg, w, sched, tel)
+	// join_dense's DNS share: long per-victim chains, whose walk stops at
+	// the first component starting at or after the window's end and drops
+	// the components that ended before the current one's first window. A
+	// window's total only reaches the feed through a saturated victim's
+	// response rate, so the chains are also drawn with capacities most
+	// floods saturate.
+	dense := DefaultAttackConfig()
+	dense.TotalAttacks, dense.DNSShare = 3000, 0.15
+	denseSched := GenerateSchedule(dense, w).Sched
+	saturated := DefaultSynthConfig()
+	saturated.DefaultVictimCapacity, saturated.NSRespCapacityFactor = 2000, 0.01
+	feeds = append(feeds, feed{"dense, DNS share 0.15", DefaultSynthConfig(), denseSched},
+		feed{"dense, DNS share 0.15, saturated", saturated, denseSched})
+	perVictim, longest := make(map[netx.Addr]int), 0
+	for _, s := range denseSched.Specs() {
+		perVictim[s.Target]++
+		longest = max(longest, perVictim[s.Target])
+	}
+	if longest < 50 {
+		t.Fatalf("dense schedule: the longest victim chain has %d components, want ≥ 50", longest)
+	}
+	for _, f := range feeds {
+		got := SynthesizeObs(f.cfg, w, f.sched, tel)
+		want := synthesizeObsReference(f.cfg, w, f.sched, tel)
 		if len(want) == 0 {
-			t.Fatalf("%s: the reference synthesized nothing", name)
+			t.Fatalf("%s: the reference synthesized nothing", f.name)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: feed differs from the reference (%d vs %d observations)", name, len(got), len(want))
+			t.Errorf("%s: feed differs from the reference (%d vs %d observations)", f.name, len(got), len(want))
 			for i := range min(len(got), len(want)) {
 				if !reflect.DeepEqual(got[i], want[i]) {
 					t.Logf("first difference at %d:\n got %+v\nwant %+v", i, got[i], want[i])
@@ -229,29 +262,39 @@ func TestSynthesizeObsMatchesReference(t *testing.T) {
 		// counts in the shared slab
 		for i := range got {
 			if cap(got[i].Ports) != len(got[i].Ports) {
-				t.Fatalf("%s: observation %d has room for %d port counts and holds %d", name, i, cap(got[i].Ports), len(got[i].Ports))
+				t.Fatalf("%s: observation %d has room for %d port counts and holds %d", f.name, i, cap(got[i].Ports), len(got[i].Ports))
 			}
 		}
 	}
 }
 
-// BenchmarkSynthesizeObs draws the repo benchmark's feed: 6 000 scheduled
-// attacks (attack seed 7) on a 12 000-domain world (make bench-session).
+// BenchmarkSynthesizeObs draws the repo benchmark's feeds (attack seed 7):
+// study_batch's, 6 000 scheduled attacks on a 12 000-domain world, and
+// join_dense's, 20 000 attacks at a DNS share of 0.15 on 6 000 domains,
+// whose per-victim chains are long (make bench-session).
 func BenchmarkSynthesizeObs(b *testing.B) {
-	wcfg := DefaultWorldConfig()
-	wcfg.Domains = 12000
-	wcfg.GenericProviders = 60
-	w := GenerateWorld(wcfg)
-	acfg := DefaultAttackConfig()
-	acfg.Seed = 7
-	acfg.TotalAttacks = 6000
-	sched := GenerateSchedule(acfg, w).Sched
-	tel := telescope.NewUCSD()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if obs := SynthesizeObs(DefaultSynthConfig(), w, sched, tel); len(obs) == 0 {
-			b.Fatal("no observation synthesized")
-		}
+	for _, c := range []struct {
+		name             string
+		domains, attacks int
+		dnsShare         float64
+	}{{"study", 12000, 6000, DefaultAttackConfig().DNSShare}, {"dense", 6000, 20000, 0.15}} {
+		b.Run(c.name, func(b *testing.B) {
+			wcfg := DefaultWorldConfig()
+			wcfg.Domains = c.domains
+			wcfg.GenericProviders = 60
+			w := GenerateWorld(wcfg)
+			acfg := DefaultAttackConfig()
+			acfg.Seed = 7
+			acfg.TotalAttacks, acfg.DNSShare = c.attacks, c.dnsShare
+			sched := GenerateSchedule(acfg, w).Sched
+			tel := telescope.NewUCSD()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if obs := SynthesizeObs(DefaultSynthConfig(), w, sched, tel); len(obs) == 0 {
+					b.Fatal("no observation synthesized")
+				}
+			}
+		})
 	}
 }

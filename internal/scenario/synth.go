@@ -74,12 +74,25 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 		}
 		first[specs[i].Target] = int32(i)
 	}
+	// A chain is in start order and so is this walk, so a window's sum can
+	// skip what adds exactly +0.0: the chain's dead prefix (components that
+	// end by the start of the current component's first window, dropped for
+	// good), and everything from the first component starting at or after
+	// the window's end.
 	for i := range specs {
 		s := &specs[i]
 		if s.Vector != attacksim.VectorRandomSpoofed {
 			continue
 		}
-		onVictim := first[s.Target]
+		startW := clock.WindowOf(s.Start)
+		head := first[s.Target]
+		onVictim := head
+		for onVictim >= 0 && specs[onVictim].End.UnixNano() <= startW.UnixNano() {
+			onVictim = next[onVictim]
+		}
+		if onVictim != head {
+			first[s.Target] = onVictim
+		}
 		cap := cfg.DefaultVictimCapacity
 		if ns, ok := w.DB.NameserverByAddr(s.Target); ok {
 			cap = ns.CapacityPPS * float64(ns.Sites) * cfg.NSRespCapacityFactor
@@ -87,7 +100,6 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 			// non-NS victims get a deterministic per-host capacity
 			cap = victimCapacity(s.Target, cfg.DefaultVictimCapacity)
 		}
-		startW := clock.WindowOf(s.Start)
 		endW := clock.WindowOf(s.End.Add(-1))
 		for wdw := startW; wdw <= endW; wdw++ {
 			load := s.WindowLoad(wdw)
@@ -95,7 +107,8 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 				continue
 			}
 			var total float64
-			for j := onVictim; j >= 0; j = next[j] {
+			we := (wdw + 1).UnixNano()
+			for j := onVictim; j >= 0 && specs[j].Start.UnixNano() < we; j = next[j] {
 				total += specs[j].WindowLoad(wdw)
 			}
 			respRate := 1.0

@@ -3,6 +3,7 @@ package simnet
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -160,6 +161,53 @@ func referenceWorld(t *testing.T, rng *rand.Rand) (*dnsdb.DB, *attacksim.Schedul
 	return db, attacksim.NewSchedule(specs)
 }
 
+// denseWorld puts three nameservers (one per scrubbing kind, one of them
+// anycast) and a host that is no nameserver into one /24 under 124
+// attacks, so every server's list holds both runs. Each run opens with an
+// attack of about a day and goes on with short ones that end, residual
+// included, before the long one's residual does: the running max of until
+// stays on the long attack while the short ones' own until falls below it —
+// the list a binary search on until itself would cut wrong.
+func denseWorld(t *testing.T, rng *rand.Rand) (*dnsdb.DB, *attacksim.Schedule) {
+	t.Helper()
+	db := dnsdb.New()
+	for _, since := range []time.Time{{}, clock.StudyStart, t0.Add(12 * time.Hour)} {
+		db.AddProvider(dnsdb.Provider{Name: "P", ScrubbingSince: since})
+	}
+	base := netx.Addr(0x0d000000)
+	for host := 1; host <= 3; host++ {
+		ns := dnsdb.Nameserver{Addr: base + netx.Addr(host), Provider: dnsdb.ProviderID(host - 1),
+			Sites: 1, CapacityPPS: 5e4 + 1e5*rng.Float64(), BaseRTT: 10 * time.Millisecond}
+		if host == 2 {
+			ns.Anycast, ns.Sites = true, 8
+		}
+		if _, err := db.AddNameserver(ns); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Freeze()
+	targets := []netx.Addr{base + 1, base + 2, base + 3, base + 200}
+	ports := [][]uint16{{53}, {80}, {80, 53}, nil}
+	var specs []attacksim.Spec
+	add := func(start time.Time, dur time.Duration) {
+		specs = append(specs, attacksim.Spec{
+			Target: targets[len(specs)%len(targets)], Proto: packet.ProtoTCP, Ports: ports[rng.IntN(len(ports))],
+			Start: start, End: start.Add(dur), PPS: 1e3 + 4e5*rng.Float64(),
+		})
+	}
+	for range targets { // the long ones, one per target
+		add(t0.Add(time.Duration(rng.Int64N(int64(time.Hour)))), 18*time.Hour+time.Duration(rng.Int64N(int64(6*time.Hour))))
+	}
+	for range 120 {
+		start := t0.Add(2*time.Hour + time.Duration(rng.Int64N(int64(30*time.Hour))))
+		if rng.IntN(4) == 0 {
+			start = start.Truncate(clock.WindowDur)
+		}
+		add(start, time.Second+time.Duration(rng.Int64N(int64(40*time.Minute))))
+	}
+	return db, attacksim.NewSchedule(specs)
+}
+
 // TestLoadStateMatchesReference holds the indexed loadAt to the two-map
 // one it replaced. For every nameserver and every spec in its /24, at each
 // instant where either implementation changes branch — the bracket's
@@ -167,17 +215,42 @@ func referenceWorld(t *testing.T, rng *rand.Rand) (*dnsdb.DB, *attacksim.Schedul
 // ns — plus the far past and future, under two vantages and under model
 // constants that move the bracket's edges (residuals shorter than a
 // window, neighbour coupling of 1 and of 0), the three fields are
-// bit-equal.
+// bit-equal: on a random world of 20 /24s, and on denseWorld's one.
 func TestLoadStateMatchesReference(t *testing.T) {
-	db, sched := referenceWorld(t, rand.New(rand.NewPCG(18, 18)))
+	random, dense := rand.New(rand.NewPCG(18, 18)), rand.New(rand.NewPCG(25, 25))
+	db, sched := referenceWorld(t, random)
+	denseDB, denseSched := denseWorld(t, dense)
+	// the dense list is what its comment says: both runs, and a running
+	// max above the ref's own until in each
+	for id, runs := range New(DefaultParams(), denseDB, denseSched).specs {
+		if len(runs[0])+len(runs[1]) < 100 || len(runs[0]) == 0 || len(runs[1]) == 0 {
+			t.Fatalf("dense world: server %d has %d own refs and %d neighbour refs", id, len(runs[0]), len(runs[1]))
+		}
+		for _, run := range runs {
+			if !slices.ContainsFunc(run, func(e specRef) bool { return e.maxUntil != e.until }) {
+				t.Fatalf("dense world: server %d has a run whose running max is every ref's until", id)
+			}
+		}
+	}
 	short := DefaultParams()
 	short.RecoveryTau, short.ScrubbedRecoveryTau, short.Slash24Coupling = 10*time.Second, time.Second, 1
 	uncoupled := DefaultParams()
 	uncoupled.Slash24Coupling = 0
 	vantages := []Vantage{DefaultVantage(), {Name: "us-east", RTTScale: 1.7, CatchmentSeed: 12345}}
 
+	for _, world := range []struct {
+		name  string
+		db    *dnsdb.DB
+		sched *attacksim.Schedule
+	}{{"random", db, sched}, {"dense", denseDB, denseSched}} {
+		checkLoadStates(t, world.name, world.db, world.sched, []Params{DefaultParams(), short, uncoupled}, vantages)
+	}
+}
+
+func checkLoadStates(t *testing.T, world string, db *dnsdb.DB, sched *attacksim.Schedule, paramSets []Params, vantages []Vantage) {
+	t.Helper()
 	checked, nonzero := 0, 0
-	for _, params := range []Params{DefaultParams(), short, uncoupled} {
+	for _, params := range paramSets {
 		base := New(params, db, sched)
 		for _, v := range vantages {
 			n := base.WithVantage(v)
@@ -202,7 +275,7 @@ func TestLoadStateMatchesReference(t *testing.T) {
 					if math.Float64bits(got.LinkUtil) != math.Float64bits(want.LinkUtil) ||
 						math.Float64bits(got.AppUtil) != math.Float64bits(want.AppUtil) ||
 						math.Float64bits(got.Residual) != math.Float64bits(want.Residual) {
-						t.Fatalf("vantage %s ns %d at %v: load %+v, reference %+v", v.Name, id, at, got, want)
+						t.Fatalf("%s world, vantage %s ns %d at %v: load %+v, reference %+v", world, v.Name, id, at, got, want)
 					}
 					checked++
 					if want != (LoadState{}) {
@@ -215,6 +288,6 @@ func TestLoadStateMatchesReference(t *testing.T) {
 	// the comparison must not be vacuous: a good share of the instants
 	// probed carry load or residual
 	if nonzero*4 < checked {
-		t.Errorf("only %d of %d probed instants were loaded", nonzero, checked)
+		t.Errorf("%s world: only %d of %d probed instants were loaded", world, nonzero, checked)
 	}
 }

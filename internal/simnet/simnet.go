@@ -30,6 +30,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sort"
 	"time"
 
 	"dnsddos/internal/attacksim"
@@ -115,14 +116,29 @@ type specRef struct {
 	spec     *attacksim.Spec // into Schedule.Specs(): shared, read-only
 	coupling float64         // 1 on the server's own address, Slash24Coupling on a /24 neighbour's
 	weight   float64         // the spec's server-side port weight
-	// from and until bracket the query times at which the spec can matter:
-	// the start of its first window to the end of its longest possible
-	// residual. Conservative — LoadStateAt still runs every exact check
-	// inside it — so the bracket only ever skips a zero.
-	from, until time.Time
+	// from and until bracket the query times, in Unix nanoseconds, at which
+	// the spec can matter: the start of its first window to the end of its
+	// longest possible residual. Conservative — LoadStateAt still runs every
+	// exact check inside it — so the bracket only ever skips a zero.
+	from, until int64
+	// maxUntil is the largest until of this ref and those before it in its
+	// run: non-decreasing, so it can be binary-searched where until cannot.
+	maxUntil int64
 }
 
-func (e *specRef) covers(t time.Time) bool { return !t.Before(e.from) && !t.After(e.until) }
+func (e *specRef) covers(at int64) bool { return e.from <= at && at <= e.until }
+
+// candidates returns the refs of run that can cover at: from the first
+// whose running max of until reaches at to the last that starts at or
+// before it. Every ref outside them fails covers(at), so the first test —
+// the run's whole bracket — may return none.
+func candidates(run []specRef, at int64) []specRef {
+	if len(run) == 0 || at < run[0].from || at > run[len(run)-1].maxUntil {
+		return nil
+	}
+	lo := sort.Search(len(run), func(i int) bool { return run[i].maxUntil >= at })
+	return run[lo : lo+sort.Search(len(run)-lo, func(i int) bool { return run[lo+i].from > at })]
+}
 
 // Net is the data plane. It is immutable after New and safe for concurrent
 // readers (per-query randomness comes from the caller's rng). New resolves
@@ -131,10 +147,11 @@ func (e *specRef) covers(t time.Time) bool { return !t.Before(e.from) && !t.Afte
 type Net struct {
 	params Params
 	db     *dnsdb.DB
-	// specs lists, per NameserverID, the attack components that load the
-	// server: those on its own address in schedule order, then those on
-	// its /24 neighbours in schedule order — the order LoadStateAt sums in.
-	specs     [][]specRef
+	// specs holds, per NameserverID, the attack components that load the
+	// server as two runs — those on its own address, then those on its /24
+	// neighbours — each in schedule order, which is from order: the order
+	// LoadStateAt sums in.
+	specs     [][2][]specRef
 	blackouts []Blackout
 	// vantage is the measurement location this view queries from; see
 	// WithVantage.
@@ -147,7 +164,7 @@ func New(params Params, db *dnsdb.DB, sched *attacksim.Schedule, blackouts ...Bl
 	n := &Net{
 		params:    params,
 		db:        db,
-		specs:     make([][]specRef, len(db.Nameservers)),
+		specs:     make([][2][]specRef, len(db.Nameservers)),
 		blackouts: blackouts,
 		vantage:   DefaultVantage(),
 	}
@@ -162,7 +179,9 @@ func New(params Params, db *dnsdb.DB, sched *attacksim.Schedule, blackouts ...Bl
 	// past this long after its end a spec has neither load nor residual
 	tail := max(8*max(params.RecoveryTau, params.ScrubbedRecoveryTau), clock.WindowDur)
 	specs := sched.Specs()
-	index := func(own bool, coupling float64) {
+	// index fills run k of every server: 0 its own address's, 1 its /24
+	// neighbours'
+	index := func(k int, coupling float64) {
 		for i := range specs {
 			s := &specs[i]
 			ids := bySlash24[s.Target.Slash24()]
@@ -170,17 +189,23 @@ func New(params Params, db *dnsdb.DB, sched *attacksim.Schedule, blackouts ...Bl
 				continue // nearly every spec: no nameserver in the victim's /24
 			}
 			ref := specRef{spec: s, coupling: coupling, weight: n.portWeight(s),
-				from: clock.WindowOf(s.Start).Start(), until: s.End.Add(tail)}
+				from: clock.WindowOf(s.Start).UnixNano(), until: s.End.Add(tail).UnixNano()}
 			for _, id := range ids {
-				if (db.Nameservers[id].Addr == s.Target) == own {
-					n.specs[id] = append(n.specs[id], ref)
+				if (db.Nameservers[id].Addr == s.Target) != (k == 0) {
+					continue
 				}
+				run := &n.specs[id][k]
+				ref.maxUntil = ref.until
+				if len(*run) > 0 {
+					ref.maxUntil = max(ref.until, (*run)[len(*run)-1].maxUntil)
+				}
+				*run = append(*run, ref)
 			}
 		}
 	}
-	index(true, 1)
+	index(0, 1)
 	if params.Slash24Coupling > 0 {
-		index(false, params.Slash24Coupling)
+		index(1, params.Slash24Coupling)
 	}
 	return n
 }
@@ -233,11 +258,9 @@ func (n *Net) LoadStateAt(id dnsdb.NameserverID, t time.Time) LoadState {
 	var ls LoadState
 	// most queries land outside every attack that can touch the server:
 	// answer those before any per-query set-up
-	refs := n.specs[id]
-	for len(refs) > 0 && !refs[0].covers(t) {
-		refs = refs[1:]
-	}
-	if len(refs) == 0 {
+	at := t.UnixNano()
+	runs := [2][]specRef{candidates(n.specs[id][0], at), candidates(n.specs[id][1], at)}
+	if len(runs[0])+len(runs[1]) == 0 {
 		return ls
 	}
 	ns := &n.db.Nameservers[id]
@@ -255,43 +278,45 @@ func (n *Net) LoadStateAt(id dnsdb.NameserverID, t time.Time) LoadState {
 	if cap <= 0 {
 		cap = 1
 	}
-	for i := range refs {
-		e := &refs[i]
-		if !e.covers(t) {
-			continue
-		}
-		s, coupling := e.spec, e.coupling
-		load := s.WindowLoad(w)
-		if load > 0 {
-			load *= n.scrubFactor(provider.ScrubbingAt(t), s, t) * coupling / sites
-			ls.LinkUtil += load * e.weight / cap
-			if e.weight >= n.params.AppPortWeight {
-				ls.AppUtil += load / cap
-			}
-			continue
-		}
-		// residual impairment after the attack ends
-		if !s.End.After(t) {
-			tau := n.params.RecoveryTau
-			if provider.ScrubbingAt(s.End) {
-				tau = n.params.ScrubbedRecoveryTau
-			}
-			age := t.Sub(s.End)
-			if age > 8*tau {
+	for _, refs := range runs {
+		for i := range refs {
+			e := &refs[i]
+			if !e.covers(at) {
 				continue
 			}
-			endW := clock.WindowOf(s.End.Add(-time.Nanosecond))
-			peak := s.WindowLoad(endW) * n.scrubFactor(provider.ScrubbingAt(s.End), s, s.End) * coupling / sites
-			res := peak / cap * math.Exp(-float64(age)/float64(tau))
-			// residual impairment can keep a server effectively down
-			// for hours after the flood stops (the RDZ railways
-			// recovery the morning after, §5.2.2); cap only to keep
-			// the decay arithmetic sane
-			if res > 50 {
-				res = 50
+			s, coupling := e.spec, e.coupling
+			load := s.WindowLoad(w)
+			if load > 0 {
+				load *= n.scrubFactor(provider.ScrubbingAt(t), s, t) * coupling / sites
+				ls.LinkUtil += load * e.weight / cap
+				if e.weight >= n.params.AppPortWeight {
+					ls.AppUtil += load / cap
+				}
+				continue
 			}
-			if res > ls.Residual {
-				ls.Residual = res
+			// residual impairment after the attack ends
+			if !s.End.After(t) {
+				tau := n.params.RecoveryTau
+				if provider.ScrubbingAt(s.End) {
+					tau = n.params.ScrubbedRecoveryTau
+				}
+				age := t.Sub(s.End)
+				if age > 8*tau {
+					continue
+				}
+				endW := clock.WindowOf(s.End.Add(-time.Nanosecond))
+				peak := s.WindowLoad(endW) * n.scrubFactor(provider.ScrubbingAt(s.End), s, s.End) * coupling / sites
+				res := peak / cap * math.Exp(-float64(age)/float64(tau))
+				// residual impairment can keep a server effectively down
+				// for hours after the flood stops (the RDZ railways
+				// recovery the morning after, §5.2.2); cap only to keep
+				// the decay arithmetic sane
+				if res > 50 {
+					res = 50
+				}
+				if res > ls.Residual {
+					ls.Residual = res
+				}
 			}
 		}
 	}

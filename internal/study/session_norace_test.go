@@ -9,11 +9,13 @@ import (
 	"dnsddos/internal/obs"
 )
 
-// newSessionAllocBudget is 1.3 × the 17,199 objects NewSession allocates
+// newSessionAllocBudget is 1.3 × the 4,517 objects NewSession allocates
 // for metricsConfig (1 500 domains, 1 500 attacks and the case studies over
 // 17 months); it was 114,843 with a port map per window, a Key per domain
-// and a formatted name and an NS copy per domain.
-const newSessionAllocBudget = 22500
+// and a formatted name and an NS copy per domain, and 17,199 with a slice
+// and a port list per generated attack and a heap node per prefix bit of
+// the AS table.
+const newSessionAllocBudget = 5900
 
 // TestNewSessionAllocBudget pins what building a session allocates at a
 // small fixed world. The count is exact for a given toolchain (the build
