@@ -69,13 +69,13 @@ soak:
 # Concurrency gate: run before merging changes to the serving path, the
 # sharded join engine (shared NS index, day store reads, worker pool),
 # the distributed-join control plane, or the resilience/overload tier.
-# The study leg covers both day backends: the parallel in-memory sweep
-# (Merge moves a finished day's whole table — rows indexed by NSSet ID,
-# windows in its slab — into the run aggregator under the pool's mutex
-# while other shards fill theirs), the columnar parity/resume runs, where
-# each worker seals from its day table and takes an emptied one from the
-# pool's free list, and the watchdog run that must never put an abandoned
-# table on that list. The last leg is the degraded-mode sweep: a live
+# The study leg covers where a run keeps its sealed days: the parallel
+# in-memory sweep (a finished day's image is added to the run's store under
+# the pool's mutex while other shards fill their tables), the merged-run
+# oracle, the columnar parity/resume runs, where each worker seals from its
+# day table and takes an emptied one from the pool's free list, and the
+# watchdog run that must never put an abandoned table on that list. The
+# last leg is the degraded-mode sweep: a live
 # loopback fleet, the retrying resolver and dnsload under the detector in
 # every mode.
 race-gate: soak
@@ -98,7 +98,7 @@ chaos:
 	$(GO) test -race ./internal/authserver/ \
 		-run 'TestOverload|TestRRL|TestReflex|TestWrappedListener' -count 1 -v
 	$(GO) test -race ./internal/resolver/ \
-		-run 'TestLive|TestQueryWith|TestUDPClientEDNS' -count 1 -v
+		-run 'TestLive|TestUDPClientEDNS' -count 1 -v
 	$(GO) test -race ./internal/dnsload/ \
 		-run 'TestFailure|TestPartialLoss' -count 1 -v
 	$(GO) test -race ./internal/study/ \

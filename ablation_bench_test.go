@@ -24,7 +24,7 @@ import (
 func rebuildEvents(s *study.Study, mutate func(*core.Config)) []core.Event {
 	cfg := s.Config.Pipeline
 	mutate(&cfg)
-	p := core.NewPipeline(s.World.DB, core.WithConfig(cfg), core.WithAggregator(s.Agg), core.WithCensus(s.World.Census), core.WithTopology(s.World.Topo), core.WithOpenResolvers(s.World.OpenRes))
+	p := core.NewPipeline(s.World.DB, core.WithConfig(cfg), core.WithDayStore(s.Pipeline.DayStore()), core.WithCensus(s.World.Census), core.WithTopology(s.World.Topo), core.WithOpenResolvers(s.World.OpenRes))
 	return p.Events(s.Attacks)
 }
 
@@ -101,10 +101,10 @@ func BenchmarkAblation_MinDomainsFilter(b *testing.B) {
 func BenchmarkAblation_OpenResolverFilter(b *testing.B) {
 	s := benchStudy(b)
 	printAblation("openres", "%s", func() string {
-		on := core.NewPipeline(s.World.DB, core.WithConfig(s.Config.Pipeline), core.WithAggregator(s.Agg), core.WithCensus(s.World.Census), core.WithTopology(s.World.Topo), core.WithOpenResolvers(s.World.OpenRes))
+		on := core.NewPipeline(s.World.DB, core.WithConfig(s.Config.Pipeline), core.WithDayStore(s.Pipeline.DayStore()), core.WithCensus(s.World.Census), core.WithTopology(s.World.Topo), core.WithOpenResolvers(s.World.OpenRes))
 		offCfg := s.Config.Pipeline
 		offCfg.FilterOpenResolvers = false
-		off := core.NewPipeline(s.World.DB, core.WithConfig(offCfg), core.WithAggregator(s.Agg), core.WithCensus(s.World.Census), core.WithTopology(s.World.Topo), core.WithOpenResolvers(s.World.OpenRes))
+		off := core.NewPipeline(s.World.DB, core.WithConfig(offCfg), core.WithDayStore(s.Pipeline.DayStore()), core.WithCensus(s.World.Census), core.WithTopology(s.World.Topo), core.WithOpenResolvers(s.World.OpenRes))
 		onEvents := len(on.Events(s.Attacks))
 		offEvents := len(off.Events(s.Attacks))
 		return fmt.Sprintf("# ablation open-resolver filter: events with filter=%d without=%d (misconfigured-NS domains join in)\n",
@@ -114,7 +114,7 @@ func BenchmarkAblation_OpenResolverFilter(b *testing.B) {
 	offCfg := s.Config.Pipeline
 	offCfg.FilterOpenResolvers = false
 	for i := 0; i < b.N; i++ {
-		p := core.NewPipeline(s.World.DB, core.WithConfig(offCfg), core.WithAggregator(s.Agg), core.WithCensus(s.World.Census), core.WithTopology(s.World.Topo), core.WithOpenResolvers(s.World.OpenRes))
+		p := core.NewPipeline(s.World.DB, core.WithConfig(offCfg), core.WithDayStore(s.Pipeline.DayStore()), core.WithCensus(s.World.Census), core.WithTopology(s.World.Topo), core.WithOpenResolvers(s.World.OpenRes))
 		_ = p.Classify(s.Attacks)
 	}
 }

@@ -77,18 +77,11 @@ func run() error {
 		len(s.World.DB.Domains), len(s.Attacks), len(s.Events), time.Since(start).Seconds())
 	cli.ReportSkippedDays(s)
 
-	for _, a := range report.Catalogue {
-		if err := a.Report(os.Stdout, s); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if *outdir == "" {
-		return nil
-	}
-	if err := report.Export(*outdir, s); err != nil {
+	if err := report.Export(os.Stdout, *outdir, s); err != nil {
 		return err
 	}
-	fmt.Printf("wrote per-figure CSVs to %s\n", *outdir)
+	if *outdir != "" {
+		fmt.Printf("wrote per-figure CSVs to %s\n", *outdir)
+	}
 	return nil
 }

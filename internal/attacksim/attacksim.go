@@ -156,44 +156,6 @@ func (sc *Schedule) ActiveAt(w clock.Window) []Spec {
 	return out
 }
 
-// VictimLoad sums the victim-side packet rate of all vectors hitting addr
-// in window w. The data plane uses this (all vectors harm the victim).
-func (sc *Schedule) VictimLoad(addr netx.Addr, w clock.Window) float64 {
-	var total float64
-	for _, s := range sc.ActiveAt(w) {
-		if s.Target == addr {
-			total += s.WindowLoad(w)
-		}
-	}
-	return total
-}
-
-// SpoofedLoad sums only the telescope-visible (randomly spoofed) packet
-// rate against addr in window w.
-func (sc *Schedule) SpoofedLoad(addr netx.Addr, w clock.Window) float64 {
-	var total float64
-	for _, s := range sc.ActiveAt(w) {
-		if s.Target == addr && s.Vector == VectorRandomSpoofed {
-			total += s.WindowLoad(w)
-		}
-	}
-	return total
-}
-
-// Targets returns the distinct victim addresses in the schedule.
-func (sc *Schedule) Targets() []netx.Addr {
-	seen := make(map[netx.Addr]struct{})
-	var out []netx.Addr
-	for _, s := range sc.specs {
-		if _, ok := seen[s.Target]; !ok {
-			seen[s.Target] = struct{}{}
-			out = append(out, s.Target)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Flood emits the attack packets of spec s that fall inside window w,
 // downsampled by rate (1.0 = every packet; 0.01 = 1 in 100). Each emitted
 // packet carries a uniformly spoofed source. The emit callback returns

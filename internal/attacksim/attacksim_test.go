@@ -69,24 +69,6 @@ func TestScheduleActiveAt(t *testing.T) {
 	}
 }
 
-func TestScheduleLoads(t *testing.T) {
-	base := clock.StudyStart
-	a := netx.MustParseAddr("192.0.2.1")
-	specs := []Spec{
-		spec("192.0.2.1", base, 10*time.Minute, 100),
-		{Target: a, Vector: VectorReflection, Proto: packet.ProtoUDP, Ports: []uint16{53},
-			Start: base, End: base.Add(10 * time.Minute), PPS: 900},
-	}
-	sched := NewSchedule(specs)
-	w := clock.WindowOf(base)
-	if got := sched.VictimLoad(a, w); got != 1000 {
-		t.Errorf("VictimLoad = %v (all vectors)", got)
-	}
-	if got := sched.SpoofedLoad(a, w); got != 100 {
-		t.Errorf("SpoofedLoad = %v (telescope-visible only)", got)
-	}
-}
-
 func TestScheduleIDsAssigned(t *testing.T) {
 	sched := NewSchedule([]Spec{
 		spec("192.0.2.2", clock.StudyStart.Add(time.Hour), time.Hour, 1),
@@ -101,18 +83,6 @@ func TestScheduleIDsAssigned(t *testing.T) {
 		if s.ID == 0 || s.GroupID == 0 {
 			t.Errorf("missing IDs: %+v", s)
 		}
-	}
-}
-
-func TestTargets(t *testing.T) {
-	sched := NewSchedule([]Spec{
-		spec("192.0.2.2", clock.StudyStart, time.Hour, 1),
-		spec("192.0.2.1", clock.StudyStart, time.Hour, 1),
-		spec("192.0.2.2", clock.StudyStart.Add(2*time.Hour), time.Hour, 1),
-	})
-	targets := sched.Targets()
-	if len(targets) != 2 || targets[0] != netx.MustParseAddr("192.0.2.1") {
-		t.Errorf("Targets = %v", targets)
 	}
 }
 

@@ -64,6 +64,9 @@ func TestTCPCarriesFullAnswer(t *testing.T) {
 	}
 }
 
+// TestQueryWithTCPFallback walks the TC → TCP retry a stub makes: the UDP
+// answer carries TC and nothing else, and the same question over TCP gets
+// the whole RRset.
 func TestQueryWithTCPFallback(t *testing.T) {
 	srv := NewServer(bigZone(t), nil)
 	addr, err := srv.Start("127.0.0.1:0")
@@ -71,19 +74,24 @@ func TestQueryWithTCPFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := &resolver.UDPClient{Timeout: 2 * time.Second}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	m, rtt, err := client.QueryWithTCPFallback(ctx, addr, "big.example", dnswire.TypeNS,
-		&resolver.TCPClient{Timeout: 2 * time.Second})
+	m, _, err := (&resolver.UDPClient{Timeout: 2 * time.Second}).Query(ctx, addr, "big.example", dnswire.TypeNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Header.Truncated {
+		t.Fatal("oversized UDP answer must carry the TC bit")
+	}
+	m, rtt, err := (&resolver.TCPClient{Timeout: 2 * time.Second}).Query(ctx, addr, "big.example", dnswire.TypeNS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Header.Truncated || len(m.Answers) != 24 {
-		t.Errorf("fallback answer: truncated=%v answers=%d", m.Header.Truncated, len(m.Answers))
+		t.Errorf("TCP answer: truncated=%v answers=%d", m.Header.Truncated, len(m.Answers))
 	}
 	if rtt <= 0 {
-		t.Error("fallback RTT must cover both exchanges")
+		t.Error("TCP exchange reported no RTT")
 	}
 }
 
@@ -98,18 +106,12 @@ func TestSmallAnswerNotTruncated(t *testing.T) {
 	}
 	defer srv.Close()
 	client := &resolver.UDPClient{Timeout: 2 * time.Second}
-	fallbackUsed := false
-	m, _, err := client.QueryWithTCPFallback(context.Background(), addr, "small.example", dnswire.TypeNS,
-		resolver.ClientFunc(func(ctx context.Context, a, n string, q dnswire.Type) (*dnswire.Message, time.Duration, error) {
-			fallbackUsed = true
-			msg, err := QueryTCP(ctx, a, n, q)
-			return msg, 0, err
-		}))
+	m, _, err := client.Query(context.Background(), addr, "small.example", dnswire.TypeNS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fallbackUsed {
-		t.Error("small answer must not trigger the TCP fallback")
+	if m.Header.Truncated {
+		t.Error("small answer must not carry the TC bit")
 	}
 	if len(m.Answers) != 1 {
 		t.Errorf("answers = %d", len(m.Answers))

@@ -229,7 +229,7 @@ func TestDurationHistogram(t *testing.T) {
 
 func TestAffectedTLDsAndThirdPartyWeb(t *testing.T) {
 	db := dnsdbNewForTLD(t)
-	p := NewPipeline(db, WithAggregator(nsset.NewAggregator()))
+	p := NewPipeline(db)
 	ca := p.Classify([]rsdos.Attack{{Victim: netx.MustParseAddr("192.0.2.1")}})[0]
 	tlds := p.AffectedTLDs(ca)
 	if len(tlds) != 2 || tlds[0].TLD != "nl" || tlds[0].Count != 4 || tlds[1].TLD != "com" {

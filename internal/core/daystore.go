@@ -6,12 +6,13 @@
 // without allocating. Two backends implement it with methods they already
 // have, no adaptor in between:
 //
-//   - *nsset.Aggregator, the live in-memory day tables (rows indexed by
-//     dense NSSet ID; the Key is looked up once per day read), used when a
-//     run persists nothing;
-//   - *daystore.Set (internal/daystore, attached WithDayStore), mmap-backed
-//     views of sealed per-day column files, which is what lets ≥1M-domain
-//     sweeps join with flat RSS.
+//   - *daystore.Set (internal/daystore), the sealed days every study run
+//     joins: mmap-backed views of per-day column files, which is what
+//     lets ≥1M-domain sweeps join with flat RSS, or, for a run that
+//     persists nothing, the same images held in memory;
+//   - *nsset.Aggregator, the live day tables (rows indexed by dense NSSet
+//     ID; the Key is looked up once per day read): the reference the
+//     sealed days are held to in tests, and the empty default.
 //
 // The contract both backends pin (enforced by the observation-equivalence
 // property test in internal/daystore and TestJoinParityColumnar):
@@ -22,9 +23,9 @@
 //   - integer fields round-trip exactly — Eq. 1 float math stays
 //     byte-identical across backends.
 //
-// Refusal: the reads have no error result. The in-memory backend cannot
-// fail, and an error on a by-value hot read would be paid by every caller
-// for the one backend that can. A backend that finds a day unreadable at
+// Refusal: the reads have no error result. Days in memory cannot fail,
+// and an error on a by-value hot read would be paid by every caller for
+// the day files that can. A backend that finds a day unreadable at
 // first access (daystore.Set: a corrupt or truncated day file) refuses by
 // panicking on the reading goroutine with a typed error —
 // errors.Is(err, daystore.ErrCorrupt) — and goes on refusing that day.
@@ -37,9 +38,9 @@
 //     worker reports (distjoin.TestJoinRangeRefusalIsAFailure); a worker
 //     installs only validated images (TestCorruptDayFileFleetParity), so
 //     this takes a spool that rots after Install;
-//   - study.RunContext joins over files it has just sealed, or on resume
-//     hash-verified against their journaled references, and does not
-//     recover;
+//   - study.RunContext joins over days it has just sealed (an in-memory
+//     image is validated as it is added), or on resume hash-verified
+//     against their journaled references, and does not recover;
 //   - SeriesFor reads on its caller's goroutine and lets the panic through
 //     (report.TestSeriesRefusesTamperedDay), so cmd/report dies printing
 //     the typed error, exit status 2, the entry's title its last output.
@@ -66,8 +67,8 @@ type DayStore interface {
 	AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, from, to clock.Window) []nsset.WindowMetrics
 }
 
-// The live aggregator is the in-memory DayStore and the reference the
-// columnar path must be observation-equivalent to. Reads copy out of its
+// The live aggregator is the reference the columnar path must be
+// observation-equivalent to. Reads copy out of its
 // live day tables and never write to them, so a filled aggregator serves
 // any number of readers; it must not be read while it is being mutated.
 var _ DayStore = (*nsset.Aggregator)(nil)

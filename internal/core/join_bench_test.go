@@ -125,7 +125,7 @@ func benchColdJoin(b *testing.B, ctx context.Context, swept *study.Study, dir st
 		if err != nil {
 			b.Fatal(err)
 		}
-		p := sess.NewPipeline(swept.Agg, nil, nil, core.WithDayStore(set))
+		p := sess.NewPipeline(set, nil, nil)
 		events, err := p.EventsContext(ctx, swept.Attacks)
 		if err != nil {
 			b.Fatal(err)

@@ -66,7 +66,7 @@ func TestShardedJoinMatchesLegacyConcurrent(t *testing.T) {
 		attacks = append(attacks, mkAttack(i+1, a, aw, aw+2, 53))
 	}
 
-	want, err := NewPipeline(db, WithAggregator(agg)).eventsLegacy(context.Background(), attacks)
+	want, err := NewPipeline(db, WithDayStore(agg)).eventsLegacy(context.Background(), attacks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestShardedJoinMatchesLegacyConcurrent(t *testing.T) {
 		t.Fatalf("legacy join produced %d events; the comparison would be thin", len(want))
 	}
 
-	indexed := NewPipeline(db, WithAggregator(agg), withJoinWorkers(8), WithShardBits(32))
+	indexed := NewPipeline(db, WithDayStore(agg), withJoinWorkers(8), WithShardBits(32))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -105,7 +105,7 @@ func TestShardedJoinCancellation(t *testing.T) {
 		seedMeasurements(agg, keys[i/2], aw.Day(), 10*time.Millisecond, aw, 50*time.Millisecond, 8, 2)
 		attacks = append(attacks, mkAttack(i+1, a, aw, aw+2, 53))
 	}
-	p := NewPipeline(db, WithAggregator(agg), withJoinWorkers(4), WithShardBits(32))
+	p := NewPipeline(db, WithDayStore(agg), withJoinWorkers(4), WithShardBits(32))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.EventsContext(ctx, attacks); err != context.Canceled {

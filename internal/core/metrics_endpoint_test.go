@@ -31,7 +31,7 @@ func TestJoinMetricsOnEndpoint(t *testing.T) {
 	}
 
 	reg := obs.New()
-	p := NewPipeline(db, WithAggregator(agg), WithMetrics(reg))
+	p := NewPipeline(db, WithDayStore(agg), WithMetrics(reg))
 	// twice: the second join takes the memoized plan
 	for i := 0; i < 2; i++ {
 		if ev, err := p.EventsContext(context.Background(), attacks); err != nil || len(ev) == 0 {

@@ -122,14 +122,12 @@ func DefaultConfig() Config {
 type Pipeline struct {
 	cfg     Config
 	db      *dnsdb.DB
-	agg     *nsset.Aggregator
 	census  *anycast.Census
 	topo    *astopo.Table
 	openRes *openres.List
 
-	// days is the day-snapshot surface the join reads (daystore.go): agg
-	// itself by default, or a columnar file-backed store attached via
-	// WithDayStore.
+	// days is the day-snapshot surface the join reads (daystore.go),
+	// attached via WithDayStore; an empty aggregator by default.
 	days DayStore
 
 	// ix is the immutable nameserver-side join index (index.go), built at
@@ -166,12 +164,6 @@ func WithConfig(cfg Config) Option {
 	return func(p *Pipeline) { p.cfg = cfg }
 }
 
-// WithAggregator attaches the measurement aggregator the join reads
-// (default: an empty aggregator, joining zero measurements).
-func WithAggregator(agg *nsset.Aggregator) Option {
-	return func(p *Pipeline) { p.agg = agg }
-}
-
 // WithCensus attaches the anycast census for §6.6 enrichment; nil
 // degrades gracefully.
 func WithCensus(c *anycast.Census) Option {
@@ -190,12 +182,12 @@ func WithOpenResolvers(l *openres.List) Option {
 	return func(p *Pipeline) { p.openRes = l }
 }
 
-// WithDayStore attaches the day-snapshot backend the join reads —
-// typically a columnar file-backed store (internal/daystore.Set) whose
-// sealed per-day files were written by the sweep, so the join maps views
-// instead of holding every day's structs in RAM. The default (nil) serves
-// days from the live aggregator. Both backends are observation-equivalent
-// and produce byte-identical events (TestJoinParityColumnar).
+// WithDayStore attaches the measured days the join reads: the sealed days
+// of a study run (internal/daystore.Set, from files or in-memory images),
+// or a live *nsset.Aggregator, the reference the sealed days are held to.
+// The default joins zero measurements. Both backends are
+// observation-equivalent and produce byte-identical events
+// (TestJoinParityColumnar).
 func WithDayStore(ds DayStore) Option {
 	return func(p *Pipeline) { p.days = ds }
 }
@@ -223,10 +215,10 @@ func WithDomainNSSets(keys []nsset.Key) Option {
 }
 
 // NewPipeline builds the join context over the world DB. All tuning —
-// configuration, measurement aggregator, metadata sources, engine
-// tuning — arrives through options; the zero-option pipeline joins
-// with the paper's DefaultConfig against an empty aggregator and no
-// metadata (enrichment degrades gracefully).
+// configuration, measured days, metadata sources, engine tuning —
+// arrives through options; the zero-option pipeline joins with the
+// paper's DefaultConfig against an empty aggregator and no metadata
+// (enrichment degrades gracefully).
 func NewPipeline(db *dnsdb.DB, opts ...Option) *Pipeline {
 	p := &Pipeline{
 		cfg: DefaultConfig(),
@@ -236,10 +228,7 @@ func NewPipeline(db *dnsdb.DB, opts ...Option) *Pipeline {
 		o(p)
 	}
 	if p.days == nil {
-		if p.agg == nil {
-			p.agg = nsset.NewAggregator()
-		}
-		p.days = p.agg
+		p.days = nsset.NewAggregator()
 	}
 	p.ix = BuildNSIndex(db, p.domainNSSets)
 	if p.shardBits <= 0 {
@@ -403,14 +392,8 @@ func (p *Pipeline) DomainsUnderAttack(ca ClassifiedAttack) int {
 	return len(p.db.DomainsOf(ca.NS))
 }
 
-// Config returns the pipeline configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
-
-// DB returns the world database.
-func (p *Pipeline) DB() *dnsdb.DB { return p.db }
-
 // DayStore returns the day-snapshot surface the join engines read: the
-// aggregator by default, or the WithDayStore backend.
+// WithDayStore backend, or the empty default.
 func (p *Pipeline) DayStore() DayStore { return p.days }
 
 // NSSetsContaining returns the NSSets containing a nameserver address.

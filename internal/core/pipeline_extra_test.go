@@ -13,7 +13,7 @@ import (
 
 func TestTopIPsLabels(t *testing.T) {
 	w := buildWorld(t)
-	p := NewPipeline(w.db, WithAggregator(nsset.NewAggregator()), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	attacks := []rsdos.Attack{
 		mkAttack(1, netx.MustParseAddr("8.8.8.8"), 10, 12, 53),
 		mkAttack(2, netx.MustParseAddr("8.8.8.8"), 30, 31, 53),
@@ -41,7 +41,7 @@ func TestTopIPsLabels(t *testing.T) {
 
 func TestMonthlyAffectedDomainsUnique(t *testing.T) {
 	w := buildWorld(t)
-	p := NewPipeline(w.db, WithAggregator(nsset.NewAggregator()), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	// two attacks on the same NSSet in one month: domains counted once
 	novW := clock.WindowOf(time.Date(2020, 11, 10, 0, 0, 0, 0, time.UTC))
 	attacks := []rsdos.Attack{
@@ -62,7 +62,7 @@ func TestSeriesFor(t *testing.T) {
 	agg.Add(w.vulnKey, base.Add(10*time.Minute), nsset.StatusOK, 10*time.Millisecond)
 	agg.Add(w.vulnKey, base.Add(12*time.Minute), nsset.StatusTimeout, 0)
 	agg.Add(w.vulnKey, base.Add(40*time.Minute), nsset.StatusOK, 30*time.Millisecond)
-	p := NewPipeline(w.db, WithAggregator(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	series := p.SeriesFor(w.vulnKey, base, base.Add(time.Hour))
 	if len(series) != 2 {
 		t.Fatalf("series = %+v", series)
@@ -82,7 +82,7 @@ func TestSeriesFor(t *testing.T) {
 
 func TestNSSetsContainingAndCounts(t *testing.T) {
 	w := buildWorld(t)
-	p := NewPipeline(w.db, WithAggregator(nsset.NewAggregator()), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	sets := p.NSSetsContaining(w.vulnNS[0])
 	if len(sets) != 1 || sets[0] != w.vulnKey {
 		t.Errorf("NSSetsContaining = %v", sets)
@@ -105,7 +105,7 @@ func TestEventMultipleNSSetsPerNameserver(t *testing.T) {
 	k2 := nsset.KeyOf([]netx.Addr{shared, netx.MustParseAddr("10.0.2.1")})
 	seedMeasurements(agg, k1, attackW.Day(), 10*time.Millisecond, attackW, 20*time.Millisecond, 6, 0)
 	seedMeasurements(agg, k2, attackW.Day(), 10*time.Millisecond, attackW, 40*time.Millisecond, 6, 0)
-	p := NewPipeline(db, WithAggregator(agg))
+	p := NewPipeline(db, WithDayStore(agg))
 	events := p.Events([]rsdos.Attack{mkAttack(1, shared, attackW, attackW+2, 53)})
 	if len(events) != 2 {
 		t.Fatalf("events = %d, want one per NSSet containing the victim", len(events))

@@ -119,7 +119,7 @@ func seedMeasurements(agg *nsset.Aggregator, k nsset.Key, day clock.Day, baseRTT
 
 func TestClassify(t *testing.T) {
 	w := buildWorld(t)
-	p := NewPipeline(w.db, WithAggregator(nsset.NewAggregator()), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	attacks := []rsdos.Attack{
 		mkAttack(1, w.vulnNS[0], 100, 105, 53),                         // direct NS
 		mkAttack(2, netx.MustParseAddr("192.0.2.99"), 100, 105, 80),    // same /24 as NS
@@ -139,7 +139,7 @@ func TestClassify(t *testing.T) {
 	// with the filter off, 8.8.8.8 classifies as a direct NS target
 	cfg := DefaultConfig()
 	cfg.FilterOpenResolvers = false
-	p2 := NewPipeline(w.db, WithConfig(cfg), WithAggregator(nsset.NewAggregator()), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p2 := NewPipeline(w.db, WithConfig(cfg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	if got := p2.Classify(attacks[2:3]); got[0].Class != ClassDNSDirect {
 		t.Errorf("unfiltered open resolver class = %v", got[0].Class)
 	}
@@ -151,7 +151,7 @@ func TestEventsJoinAndImpact(t *testing.T) {
 	attackW := clock.Day(40).FirstWindow() + 100
 	// vuln NSSet: baseline 10ms, attack windows at 100ms with 2 timeouts
 	seedMeasurements(agg, w.vulnKey, attackW.Day(), 10*time.Millisecond, attackW, 100*time.Millisecond, 8, 2)
-	p := NewPipeline(w.db, WithAggregator(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	events := p.Events([]rsdos.Attack{mkAttack(1, w.vulnNS[0], attackW, attackW+2, 53)})
 	if len(events) != 1 {
 		t.Fatalf("events = %d", len(events))
@@ -182,13 +182,13 @@ func TestEventsMinMeasuredFilter(t *testing.T) {
 	agg := nsset.NewAggregator()
 	attackW := clock.Day(40).FirstWindow()
 	seedMeasurements(agg, w.vulnKey, attackW.Day(), 10*time.Millisecond, attackW, 20*time.Millisecond, 3, 0) // only 3 measured
-	p := NewPipeline(w.db, WithAggregator(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	if events := p.Events([]rsdos.Attack{mkAttack(1, w.vulnNS[0], attackW, attackW+2, 53)}); len(events) != 0 {
 		t.Errorf("events below MinMeasuredDomains = %d, want 0", len(events))
 	}
 	cfg := DefaultConfig()
 	cfg.MinMeasuredDomains = 1
-	p2 := NewPipeline(w.db, WithConfig(cfg), WithAggregator(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p2 := NewPipeline(w.db, WithConfig(cfg), WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	if events := p2.Events([]rsdos.Attack{mkAttack(1, w.vulnNS[0], attackW, attackW+2, 53)}); len(events) != 1 {
 		t.Errorf("relaxed filter events = %d, want 1", len(events))
 	}
@@ -203,7 +203,7 @@ func TestEventsRequireSnapshotBaseline(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		agg.Add(w.vulnKey, mid, nsset.StatusOK, 50*time.Millisecond)
 	}
-	p := NewPipeline(w.db, WithAggregator(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	if events := p.Events([]rsdos.Attack{mkAttack(1, w.vulnNS[0], attackW, attackW+2, 53)}); len(events) != 0 {
 		t.Errorf("without prev-day snapshot the NSSet should not join: %d events", len(events))
 	}
@@ -225,13 +225,13 @@ func TestEventsSameDaySnapshotAblation(t *testing.T) {
 	atk := mkAttack(1, w.vulnNS[0], attackW, attackW+2, 53)
 
 	prevCfg := DefaultConfig()
-	p1 := NewPipeline(w.db, WithConfig(prevCfg), WithAggregator(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p1 := NewPipeline(w.db, WithConfig(prevCfg), WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	if got := len(p1.Events([]rsdos.Attack{atk})); got != 1 {
 		t.Errorf("prev-day snapshot events = %d, want 1", got)
 	}
 	sameCfg := DefaultConfig()
 	sameCfg.UsePrevDaySnapshot = false
-	p2 := NewPipeline(w.db, WithConfig(sameCfg), WithAggregator(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p2 := NewPipeline(w.db, WithConfig(sameCfg), WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	if got := len(p2.Events([]rsdos.Attack{atk})); got != 0 {
 		t.Errorf("same-day snapshot should miss the fully-failed NSSet: %d events", got)
 	}
@@ -239,7 +239,7 @@ func TestEventsSameDaySnapshotAblation(t *testing.T) {
 
 func TestDomainsUnderAttack(t *testing.T) {
 	w := buildWorld(t)
-	p := NewPipeline(w.db, WithAggregator(nsset.NewAggregator()), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	cas := p.Classify([]rsdos.Attack{mkAttack(1, w.vulnNS[0], 0, 1, 53)})
 	if got := p.DomainsUnderAttack(cas[0]); got != 10 {
 		t.Errorf("DomainsUnderAttack = %d, want 10", got)
@@ -255,7 +255,7 @@ func TestAnycastEnrichment(t *testing.T) {
 	agg := nsset.NewAggregator()
 	attackW := clock.Day(40).FirstWindow()
 	seedMeasurements(agg, w.bigKey, attackW.Day(), 10*time.Millisecond, attackW, 12*time.Millisecond, 20, 0)
-	p := NewPipeline(w.db, WithAggregator(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	events := p.Events([]rsdos.Attack{mkAttack(1, w.bigNS[0], attackW, attackW+1, 53)})
 	if len(events) != 1 {
 		t.Fatalf("events = %d", len(events))

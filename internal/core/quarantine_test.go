@@ -32,13 +32,13 @@ func TestQuarantineFallbackJoinsPreviousDay(t *testing.T) {
 	atk := mkAttack(1, w.vulnNS[0], attackW, attackW+2, 53)
 
 	// without quarantine info, day 39 has no baseline: the event is lost
-	p := NewPipeline(w.db, WithAggregator(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	if got := len(p.Events([]rsdos.Attack{atk})); got != 0 {
 		t.Fatalf("events without quarantine info = %d, want 0", got)
 	}
 
 	// marking day 39 quarantined lets the join fall back to day 38
-	p2 := NewPipeline(w.db, WithAggregator(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p2 := NewPipeline(w.db, WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	p2.SetQuarantinedDays([]clock.Day{39})
 	events := p2.Events([]rsdos.Attack{atk})
 	if len(events) != 1 {
@@ -69,7 +69,7 @@ func TestQuarantineFallbackBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		agg.Add(w.vulnKey, mid, nsset.StatusOK, 50*time.Millisecond)
 	}
-	p := NewPipeline(w.db, WithAggregator(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	p := NewPipeline(w.db, WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	var q []clock.Day
 	for d := clock.Day(32); d <= 39; d++ {
 		q = append(q, d)

@@ -35,7 +35,7 @@ func TestWarmShardJoinAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	p := s.Session().NewPipeline(s.Agg, nil, nil, core.WithDayStore(set))
+	p := s.Session().NewPipeline(set, nil, nil)
 
 	var w core.Worker
 	events := w.JoinAll(ctx, p, s.Attacks)

@@ -2,10 +2,10 @@
 // (DESIGN §3.9): one sealed, immutable file per study day holding that
 // day's NSSet aggregates as sorted fixed-width big-endian columns plus a
 // string table, CRC-guarded and loaded as mmap-backed lazy views. It is
-// the columnar backend of core.DayStore — observation-equivalent to the
-// in-memory nsset.Aggregator path, byte-identical in join output, and the
-// representation that lets ≥1M-domain sweeps join with flat RSS: the join
-// maps day files on demand instead of holding every day's structs.
+// the core.DayStore every study run joins — observation-equivalent to the
+// nsset.Aggregator a day is sealed from, and the representation that lets
+// ≥1M-domain sweeps join with flat RSS: the join maps day files on demand
+// (a run that persists nothing holds the same images in memory, Set.Add).
 //
 // File layout (day_NNNNNN.dcol, all integers big-endian):
 //

@@ -124,7 +124,9 @@ func randomSpan(rng *rand.Rand, kind int, hole, last clock.Day) (from, to clock.
 // the same ranged read, which on both backends is the filter of the
 // NSSet's full window list, appended behind a dst prefix that is left
 // intact (empty spans, single-window hits and misses, spans across days
-// and across a day that has no file, from > to). Seed 6 runs behind a
+// and across a day that has no file, from > to). A third subject holds
+// the same files' bytes in memory (Set.Add, added last day first) and must
+// answer every read exactly as the opened files do. Seed 6 runs behind a
 // window filter that rejects every window of most keys: a baseline-only
 // NSSet is in both backends' Keys().
 func TestObservationEquivalence(t *testing.T) {
@@ -162,10 +164,22 @@ func TestObservationEquivalence(t *testing.T) {
 		if err := set.Verify(); err != nil {
 			t.Fatalf("seed %d: Verify: %v", seed, err)
 		}
+		var mem Set
+		for i := len(set.days) - 1; i >= 0; i-- {
+			d := set.days[i]
+			image, err := os.ReadFile(filepath.Join(dir, FileName(d)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.Add(d, image); err != nil {
+				t.Fatalf("seed %d: Add(%d): %v", seed, d, err)
+			}
+		}
+		stores := map[string]core.DayStore{"Set": set, "memory": &mem, "Aggregator": ref}
 
 		keys := agg.Keys()
-		if got := set.Keys(); !reflect.DeepEqual(got, keys) {
-			t.Fatalf("seed %d: Keys = %d keys, want %d", seed, len(got), len(keys))
+		if got, mk := set.Keys(), mem.Keys(); !reflect.DeepEqual(got, keys) || !reflect.DeepEqual(mk, keys) {
+			t.Fatalf("seed %d: Keys = %d keys (%d in memory), want %d", seed, len(got), len(mk), len(keys))
 		}
 		bare := 0
 		for _, k := range keys {
@@ -182,10 +196,11 @@ func TestObservationEquivalence(t *testing.T) {
 		// the last key is unknown to both backends: valid empty reads
 		for _, k := range append(keys, nsset.KeyOf([]netx.Addr{netx.Addr(1)})) {
 			for d := clock.Day(-1); d <= last+1; d++ {
-				gb, gok := set.Baseline(k, d)
 				wb, wok := ref.Baseline(k, d)
-				if gok != wok || gb != wb {
-					t.Fatalf("seed %d: Baseline(%s, %d) = %+v, %v, want %+v, %v", seed, k, d, gb, gok, wb, wok)
+				for name, ds := range stores {
+					if gb, gok := ds.Baseline(k, d); gok != wok || gb != wb {
+						t.Fatalf("seed %d: %s.Baseline(%s, %d) = %+v, %v, want %+v, %v", seed, name, k, d, gb, gok, wb, wok)
+					}
 				}
 			}
 			full := agg.Windows(k)
@@ -201,7 +216,7 @@ func TestObservationEquivalence(t *testing.T) {
 				} else {
 					filled++
 				}
-				for name, ds := range map[string]core.DayStore{"Set": set, "Aggregator": ref} {
+				for name, ds := range stores {
 					if got := ds.AppendWindows([]nsset.WindowMetrics{prefix}, k, from, to); !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d: %s.AppendWindows(%s, %d, %d) = %+v, want %+v", seed, name, k, from, to, got, want)
 					}
@@ -486,6 +501,11 @@ func TestCorruptionRefusal(t *testing.T) {
 					t.Fatalf("refused Install left %d files behind", len(left))
 				}
 			}
+			// and so is it held in memory, leaving the Set empty
+			var mem Set
+			if err := mem.Add(0, bad); !errors.Is(err, ErrCorrupt) || len(mem.days) != 0 {
+				t.Fatalf("Add error = %v (%d days held), want ErrCorrupt", err, len(mem.days))
+			}
 			set, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -551,6 +571,14 @@ func TestWrongDayRefused(t *testing.T) {
 	}
 	if _, err := OpenDay(moved, 7); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("OpenDay error = %v, want ErrCorrupt", err)
+	}
+	image, err := os.ReadFile(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mem Set
+	if err := mem.Add(7, image); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Add error = %v, want ErrCorrupt", err)
 	}
 }
 

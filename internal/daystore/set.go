@@ -13,9 +13,11 @@ import (
 	"dnsddos/internal/nsset"
 )
 
-// set.go fronts a directory of sealed day files as one core.DayStore.
-// Open only scans filenames and builds one slot per day; the slot map
-// never changes afterwards, so readers index it without a lock. A day's
+// set.go fronts sealed days as one core.DayStore: a directory of sealed
+// day files (Open), or images held in memory (Add, on a zero Set — a run
+// that persists nothing). Open only scans filenames and builds one slot
+// per day; every Add happens before the first read, so the slot map never
+// changes while it is read, and readers index it without a lock. A day's
 // file is opened, CRC-validated and mapped on first access under the
 // slot's sync.Once, so concurrent shards racing on a cold day map it
 // exactly once and every later reader shares the view. Views stay mapped
@@ -24,7 +26,7 @@ import (
 // flat-RSS property the store exists for — and never unmapping before
 // Close means no reader can hold a pointer into an unmapped file.
 //
-// Integrity contract: Open and Verify return typed ErrCorrupt errors.
+// Integrity contract: Open, Add and Verify return typed ErrCorrupt errors.
 // The core.DayStore reads have no error result (the contract is written
 // out in core/daystore.go), so a day file that fails validation at first
 // lazy access panics with the *CorruptError instead — inside a supervised
@@ -33,10 +35,10 @@ import (
 // (the study resume path additionally hash-verifies each file against its
 // checkpoint reference before trusting the directory).
 
-// Set is a read-only day store over a directory of sealed column files.
-// Safe for concurrent use.
+// Set is a read-only day store over sealed column files or images. The
+// zero Set is an empty store that Add fills. Safe for concurrent reads.
 type Set struct {
-	slots map[clock.Day]*daySlot // fixed at Open
+	slots map[clock.Day]*daySlot // fixed before the first read
 	days  []clock.Day            // ascending
 
 	keysOnce sync.Once
@@ -72,6 +74,29 @@ func Open(dir string) (*Set, error) {
 	}
 	sort.Slice(s.days, func(i, j int) bool { return s.days[i] < s.days[j] })
 	return s, nil
+}
+
+// Add serves image as day's sealed file. It is validated now, as the
+// first read of an opened file is, and refused with a typed ErrCorrupt if
+// damaged or of another day; a day the Set already holds is refused too.
+// The Set keeps image, which the caller must not change. Every Add must
+// happen before the first read, and Adds must not run concurrently.
+func (s *Set) Add(day clock.Day, image []byte) error {
+	if s.slots[day] != nil {
+		return fmt.Errorf("daystore: day %d added twice", int32(day))
+	}
+	sl := &daySlot{path: FileName(day)}
+	sl.once.Do(func() { sl.v, sl.err = newView(sl.path, day, image, nil) })
+	if sl.err != nil {
+		return sl.err
+	}
+	if s.slots == nil {
+		s.slots = make(map[clock.Day]*daySlot)
+	}
+	s.slots[day] = sl
+	i, _ := slices.BinarySearch(s.days, day)
+	s.days = slices.Insert(s.days, i, day)
+	return nil
 }
 
 // view opens (once) and returns day d's view; (nil, nil) when the day has

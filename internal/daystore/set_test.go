@@ -121,3 +121,30 @@ func TestSetColdOpenRace(t *testing.T) {
 		}
 	}
 }
+
+// TestSetAddRefusesDuplicateDay: a day already held is refused and the
+// first image keeps serving it; the zero Set reads as an empty store.
+func TestSetAddRefusesDuplicateDay(t *testing.T) {
+	var mem Set
+	if _, ok := mem.Baseline("k", 0); ok || len(mem.AppendWindows(nil, "k", 0, clock.Day(1).FirstWindow())) != 0 {
+		t.Fatal("the zero Set is not empty")
+	}
+	agg := randomAggregator(rand.New(rand.NewSource(3)), 6, 1)
+	first, _, err := AppendDay(nil, 0, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Add(0, first); err != nil {
+		t.Fatal(err)
+	}
+	empty, _, err := AppendDay(nil, 0, randomAggregator(rand.New(rand.NewSource(3)), 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Add(0, empty); err == nil {
+		t.Fatal("a second image of day 0 was accepted")
+	}
+	if got, want := mem.Keys(), agg.Keys(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("after the refused Add the Set holds keys %v, want %v", got, want)
+	}
+}

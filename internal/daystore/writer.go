@@ -19,8 +19,10 @@ import (
 // writer.go seals a measured day into an immutable per-day column file.
 // The run loops seal straight from the aggregator's day table: AppendDay
 // walks it in key order into a caller-owned buffer, SealTable publishes
-// that image — the unit the supervised study loop calls per completed
-// day-shard. A fleet worker has no use for the file on its own disk: it
+// that image. The supervised study loop seals every completed day-shard
+// with one or the other: SealTable with a directory, AppendDay into an
+// image it keeps in memory (Set.Add) without one. A fleet worker has no
+// use for the file on its own disk: it
 // ships the image AppendDay wrote, and the receiving process validates and
 // publishes those exact bytes (Install). EncodeDay and SealDay take the
 // same day as a value-typed nsset.Snapshot instead: the oracle the direct

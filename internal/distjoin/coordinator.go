@@ -394,7 +394,7 @@ func (st *runState) startJoin(ctx context.Context) error {
 	if st.days, err = daystore.Open(st.dayDir); err != nil {
 		return err
 	}
-	st.pipe = st.sess.NewPipeline(nil, st.ledger.Quarantined(), st.c.reg, core.WithDayStore(st.days))
+	st.pipe = st.sess.NewPipeline(st.days, st.ledger.Quarantined(), st.c.reg)
 	numShards := st.pipe.JoinShardCount(st.sess.Attacks)
 
 	if st.loadedPlan {

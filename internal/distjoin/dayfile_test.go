@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"dnsddos/internal/clock"
-	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/study"
@@ -122,7 +121,11 @@ func tappedFleet(t *testing.T, cfg study.Config) (map[kind]int, int) {
 	})
 	dir := t.TempDir()
 	workers := []*Worker{NewWorker("alpha", tap), NewWorker("bravo", tap), NewWorker("charlie", tap)}
-	if _, _, _, err := runFleet(t, context.Background(), cfg, []CoordOption{WithCheckpointDir(dir)}, workers); err != nil {
+	// a 2 ms heartbeat puts one on the wire in any run, however quick; the
+	// thresholds keep a busy worker from being taken for a quiet one
+	opts := []CoordOption{WithCheckpointDir(dir),
+		WithHeartbeatInterval(2 * time.Millisecond), WithSuspectAfter(2500), WithDeadAfter(5000)}
+	if _, _, _, err := runFleet(t, context.Background(), cfg, opts, workers); err != nil {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "days", "day_*.dcol"))
@@ -171,7 +174,7 @@ func TestFrameSizeBoundedByDayFile(t *testing.T) {
 		sizes map[kind]int
 		file  int
 	}{{"short", fsShort, fileShort}, {"long", fsLong, fileLong}} {
-		for _, k := range []kind{kindSweepDone, kindDayFile, kindJoinSetup} {
+		for _, k := range []kind{kindHeartbeat, kindSweepDone, kindDayFile, kindJoinSetup} {
 			if run.sizes[k] == 0 {
 				t.Fatalf("%s span: no frame of kind %d crossed the wire", run.name, k)
 			}
@@ -340,7 +343,7 @@ func TestJoinRangeRefusalIsAFailure(t *testing.T) {
 	}
 	defer set.Close()
 	sess := s.Session()
-	pipe := sess.NewPipeline(s.Agg, nil, nil, core.WithDayStore(set))
+	pipe := sess.NewPipeline(set, nil, nil)
 	events, jf := joinRangeIsolated(ctx, pipe, sess, 0, pipe.JoinShardCount(sess.Attacks))
 	if jf == nil || events != nil {
 		t.Fatalf("join over a rotten spool returned %d events and failure %v", len(events), jf)

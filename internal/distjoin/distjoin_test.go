@@ -317,7 +317,7 @@ func TestDistributedParity(t *testing.T) {
 	if sess == nil {
 		t.Fatal("coordinator Study has no Session")
 	}
-	p := sess.NewPipeline(nil, nil, obs.New(), core.WithDayStore(s.Pipeline.DayStore()))
+	p := sess.NewPipeline(s.Pipeline.DayStore(), nil, obs.New())
 	events, err := p.EventsContext(context.Background(), s.Attacks)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"dnsddos/internal/clock"
@@ -59,13 +60,7 @@ func FuzzReadFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var m message
-		// As they are — unless the length field only promises more bytes
-		// than the input holds and more than a frame here ever has: that is
-		// a short read by construction, and readFrame would allocate the
-		// promise (up to maxFrame) to find out.
-		if len(b) < 8 || binary.BigEndian.Uint32(b[4:8]) <= max(1<<20, uint32(len(b))) {
-			_ = readFrame(bytes.NewReader(b), &m)
-		}
+		_ = readFrame(bytes.NewReader(b), &m) // as they are
 		if len(b) < len(frameMagic)+4+4 {
 			return
 		}
@@ -79,4 +74,23 @@ func FuzzReadFrame(f *testing.F) {
 				m.Kind, err, back.Kind, len(back.Events), len(m.Events))
 		}
 	})
+}
+
+// TestReadFrameShortReadAllocatesWhatArrived: a header that promises a
+// maxFrame payload, followed by ten bytes and EOF, is a short frame, and
+// finding that out allocates in step with the ten bytes, not the 64 MiB
+// the header claimed.
+func TestReadFrameShortReadAllocatesWhatArrived(t *testing.T) {
+	b := binary.BigEndian.AppendUint32(bytes.Clone(frameMagic[:]), maxFrame)
+	b = append(b, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := readFrame(bytes.NewReader(b), &message{})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a short frame was read without an error")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("reading a short frame allocated %d bytes", n)
+	}
 }

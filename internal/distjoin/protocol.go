@@ -151,11 +151,14 @@ func readFrame(r io.Reader, m *message) error {
 	if n > maxFrame {
 		return fmt.Errorf("distjoin: frame length %d exceeds %d", n, maxFrame)
 	}
-	body := make([]byte, n+4)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// The length is only a promise: past one 64 KiB allocation (plus the
+	// MinRead ReadFrom wants before EOF) memory follows the bytes that arrive.
+	var buf bytes.Buffer
+	buf.Grow(int(min(n+4, 64<<10)) + bytes.MinRead)
+	if _, err := io.CopyN(&buf, r, int64(n)+4); err != nil {
 		return fmt.Errorf("distjoin: short frame: %w", err)
 	}
-	payload, trailer := body[:n], body[n:]
+	payload, trailer := buf.Bytes()[:n], buf.Bytes()[n:]
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(trailer); got != want {
 		return fmt.Errorf("distjoin: frame crc mismatch (%08x != %08x)", got, want)
 	}

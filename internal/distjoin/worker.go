@@ -285,7 +285,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 						return fmt.Errorf("distjoin: worker %s: opening spool: %w", w.name, err)
 					}
 					defer set.Close()
-					pipe = sess.NewPipeline(nil, setup.Quarantined, w.reg, core.WithDayStore(set))
+					pipe = sess.NewPipeline(set, setup.Quarantined, w.reg)
 					if got := pipe.JoinShardCount(sess.Attacks); got != setup.NumShards {
 						// The worker's deterministic plan disagrees with the
 						// coordinator's — a config/world skew no retry can fix.

@@ -38,33 +38,49 @@ type Artefact struct {
 // Report writes the artefact as the report shows it: caption, Write's
 // bytes and, after a blank line, Notes.
 func (a Artefact) Report(w io.Writer, s *study.Study) error {
+	_, err := a.report(w, s)
+	return err
+}
+
+// report is Report, returning Write's bytes — File's — too.
+func (a Artefact) report(w io.Writer, s *study.Study) ([]byte, error) {
 	fmt.Fprintf(w, "# %s\n", a.Title)
-	if err := a.Write(w, s); err != nil {
-		return fmt.Errorf("%s: %w", a.ID, err)
+	var file bytes.Buffer
+	if err := a.Write(&file, s); err != nil {
+		return nil, fmt.Errorf("%s: %w", a.ID, err)
 	}
+	w.Write(file.Bytes())
 	if a.Notes != nil {
 		fmt.Fprintln(w)
 		a.Notes(w, s)
 	}
-	return nil
+	return file.Bytes(), nil
 }
 
-// Export writes every artefact's File, and the run's metrics snapshot as
-// metrics.json, under dir — cmd/report's -outdir.
-func Export(dir string, s *study.Study) error {
-	write := func(name string, f func(io.Writer) error) error {
-		var buf bytes.Buffer
-		if err := f(&buf); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		return os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644)
-	}
+// Export renders every artefact once: its report form to w, each followed
+// by a blank line, and, when dir is not empty, its File and the run's
+// metrics snapshot as metrics.json under dir — cmd/report and its -outdir.
+func Export(w io.Writer, dir string, s *study.Study) error {
 	for _, a := range Catalogue {
-		if err := write(a.File, func(w io.Writer) error { return a.Write(w, s) }); err != nil {
+		file, err := a.report(w, s)
+		if err != nil {
 			return err
 		}
+		fmt.Fprintln(w)
+		if dir != "" {
+			if err := os.WriteFile(filepath.Join(dir, a.File), file, 0o644); err != nil {
+				return err
+			}
+		}
 	}
-	return write("metrics.json", s.Metrics.Snapshot().WriteJSON)
+	if dir == "" {
+		return nil
+	}
+	var metrics bytes.Buffer
+	if err := s.Metrics.Snapshot().WriteJSON(&metrics); err != nil {
+		return fmt.Errorf("metrics.json: %w", err)
+	}
+	return os.WriteFile(filepath.Join(dir, "metrics.json"), metrics.Bytes(), 0o644)
 }
 
 // plain adapts a renderer call that cannot fail to Artefact.Write.

@@ -37,10 +37,12 @@ func designIDs(t *testing.T) []string {
 }
 
 // rendered is every artefact's report form and, through Export, its file.
+// Export prints what Report does, each entry followed by a blank line.
 func rendered(t *testing.T, s *study.Study) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
-	if err := Export(dir, s); err != nil {
+	var printed, want bytes.Buffer
+	if err := Export(&printed, dir, s); err != nil {
 		t.Fatal(err)
 	}
 	out := map[string][]byte{}
@@ -49,12 +51,17 @@ func rendered(t *testing.T, s *study.Study) map[string][]byte {
 		if err := a.Report(&buf, s); err != nil {
 			t.Fatal(err)
 		}
+		want.Write(buf.Bytes())
+		want.WriteString("\n")
 		out[a.ID] = buf.Bytes()
 		file, err := os.ReadFile(filepath.Join(dir, a.File))
 		if err != nil || len(file) == 0 || !bytes.Contains(out[a.ID], file) {
 			t.Errorf("%s: %s is empty or not what the report prints (err %v)", a.ID, a.File, err)
 		}
 		out[a.File] = file
+	}
+	if !bytes.Equal(printed.Bytes(), want.Bytes()) {
+		t.Error("Export prints other bytes than the entries' reports")
 	}
 	return out
 }

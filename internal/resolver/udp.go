@@ -129,24 +129,3 @@ func (c *UDPClient) Query(ctx context.Context, addr, name string, qtype dnswire.
 		return m, rtt, nil
 	}
 }
-
-// QueryWithTCPFallback queries over UDP and, when the server truncates the
-// answer (TC bit — responses past the 512-byte classic limit, §6.2),
-// retries the same question through tcp — any Client, normally a
-// *TCPClient. The returned RTT covers the full exchange, as a stub
-// resolver experiences it.
-func (c *UDPClient) QueryWithTCPFallback(ctx context.Context, addr, name string, qtype dnswire.Type, tcp Client) (*dnswire.Message, time.Duration, error) {
-	m, rtt, err := c.Query(ctx, addr, name, qtype)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !m.Header.Truncated {
-		return m, rtt, nil
-	}
-	start := time.Now()
-	full, _, err := tcp.Query(ctx, addr, name, qtype)
-	if err != nil {
-		return nil, 0, fmt.Errorf("resolver: tcp fallback: %w", err)
-	}
-	return full, rtt + time.Since(start), nil
-}

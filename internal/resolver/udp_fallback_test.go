@@ -2,9 +2,9 @@ package resolver_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"testing"
 	"time"
 
@@ -31,96 +31,54 @@ func startBigZone(t *testing.T, nsCount int) string {
 	return addr
 }
 
-// TestQueryWithTCPFallback covers the truncated-UDP → TCP retry path:
-// a 40-NS answer cannot fit 512 bytes, the UDP reply carries TC, and the
-// fallback retrieves the full RRset over TCP.
-func TestQueryWithTCPFallback(t *testing.T) {
-	addr := startBigZone(t, 40)
-	client := &resolver.UDPClient{Timeout: 2 * time.Second}
-	ctx := context.Background()
-
-	// without fallback: the raw UDP answer is truncated and empty
-	m, _, err := client.Query(ctx, addr, "big.example", dnswire.TypeNS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Header.Truncated || len(m.Answers) != 0 {
-		t.Fatalf("expected a truncated empty UDP answer, got TC=%v answers=%d",
-			m.Header.Truncated, len(m.Answers))
-	}
-
-	// with fallback: the full RRset arrives over TCP
-	tcp := &resolver.TCPClient{Timeout: 2 * time.Second}
-	full, rtt, err := client.QueryWithTCPFallback(ctx, addr, "big.example", dnswire.TypeNS, tcp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Header.Truncated {
-		t.Error("TCP answer must not be truncated")
-	}
-	if len(full.Answers) != 40 {
-		t.Errorf("TCP fallback returned %d answers, want 40", len(full.Answers))
-	}
-	if rtt <= 0 {
-		t.Error("fallback RTT must cover both legs")
-	}
-}
-
-// TestQueryWithTCPFallbackErrors: a failing TCP leg surfaces as an
-// error, not a silent truncated answer.
-func TestQueryWithTCPFallbackErrors(t *testing.T) {
-	addr := startBigZone(t, 40)
-	client := &resolver.UDPClient{Timeout: 2 * time.Second}
-	boom := errors.New("tcp path down")
-	_, _, err := client.QueryWithTCPFallback(context.Background(), addr, "big.example", dnswire.TypeNS,
-		resolver.ClientFunc(func(context.Context, string, string, dnswire.Type) (*dnswire.Message, time.Duration, error) {
-			return nil, 0, boom
-		}))
-	if !errors.Is(err, boom) {
-		t.Fatalf("fallback error lost: %v", err)
-	}
-}
-
-// TestQueryWithTCPFallbackSkipsTCPWhenWhole: small answers never touch
-// the TCP path.
-func TestQueryWithTCPFallbackSkipsTCPWhenWhole(t *testing.T) {
-	addr := startBigZone(t, 2)
-	client := &resolver.UDPClient{Timeout: 2 * time.Second}
-	called := false
-	m, _, err := client.QueryWithTCPFallback(context.Background(), addr, "big.example", dnswire.TypeNS,
-		resolver.ClientFunc(func(context.Context, string, string, dnswire.Type) (*dnswire.Message, time.Duration, error) {
-			called = true
-			return nil, 0, nil
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if called {
-		t.Error("whole UDP answers must not trigger the TCP fallback")
-	}
-	if len(m.Answers) != 2 {
-		t.Errorf("got %d answers, want 2", len(m.Answers))
-	}
-}
-
 // TestLiveResolverTCPFallback: LiveResolver follows TC transparently and
-// reports the transport it used.
+// reports the transport it used. A 40-NS answer cannot fit 512 bytes, so
+// the UDP reply carries TC and the full RRset arrives over TCP; a failing
+// TCP leg fails the resolution instead of returning the truncated answer;
+// a whole UDP answer never touches TCP.
 func TestLiveResolverTCPFallback(t *testing.T) {
-	addr := startBigZone(t, 40)
-	lr := resolver.NewLiveResolver(resolver.LiveConfig{
-		PerTryTimeout: time.Second,
-		MaxTries:      2,
-		TCPFallback:   true,
-	}, rand.New(rand.NewPCG(1, 0)))
-	out := lr.Resolve(context.Background(), []string{addr}, "big.example", dnswire.TypeNS)
-	if out.Status != nsset.StatusOK {
-		t.Fatalf("status %v, want OK", out.Status)
-	}
-	if !out.UsedTCP {
-		t.Error("a truncated UDP answer must be completed over TCP")
-	}
-	if out.Msg == nil || len(out.Msg.Answers) != 40 {
-		t.Errorf("fallback answer incomplete: %+v", out.Msg)
+	closed := func(c net.Conn) net.Conn { c.Close(); return c }
+	for _, tc := range []struct {
+		name    string
+		nsCount int
+		wrapTCP func(net.Conn) net.Conn // nil: the real TCP leg
+		status  nsset.QueryStatus
+		usedTCP bool
+	}{
+		{"full_rrset_over_tcp", 40, nil, nsset.StatusOK, true},
+		{"tcp_leg_fails", 40, closed, nsset.StatusTimeout, false},
+		// a TCP leg here would fail the resolution
+		{"whole_answer_skips_tcp", 2, closed, nsset.StatusOK, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := startBigZone(t, tc.nsCount)
+			if tc.nsCount > 2 {
+				// without fallback the raw UDP answer is truncated and empty
+				m, _, err := (&resolver.UDPClient{Timeout: 2 * time.Second}).Query(context.Background(), addr, "big.example", dnswire.TypeNS)
+				if err != nil || !m.Header.Truncated || len(m.Answers) != 0 {
+					t.Fatalf("want a truncated empty UDP answer, got %+v (err %v)", m, err)
+				}
+			}
+			lr := resolver.NewLiveResolver(resolver.LiveConfig{
+				PerTryTimeout: time.Second,
+				MaxTries:      2,
+				TCPFallback:   true,
+				WrapTCP:       tc.wrapTCP,
+			}, rand.New(rand.NewPCG(1, 0)))
+			out := lr.Resolve(context.Background(), []string{addr}, "big.example", dnswire.TypeNS)
+			if out.Status != tc.status || out.UsedTCP != tc.usedTCP {
+				t.Fatalf("status %v, UsedTCP %v; want %v, %v", out.Status, out.UsedTCP, tc.status, tc.usedTCP)
+			}
+			if tc.status != nsset.StatusOK {
+				if out.Msg != nil {
+					t.Errorf("a failed resolution returned an answer: %+v", out.Msg)
+				}
+				return
+			}
+			if out.Msg == nil || out.Msg.Header.Truncated || len(out.Msg.Answers) != tc.nsCount {
+				t.Errorf("answer incomplete, want %d NS: %+v", tc.nsCount, out.Msg)
+			}
+		})
 	}
 }
 

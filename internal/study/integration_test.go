@@ -18,6 +18,29 @@ func caseStudyConfig() Config {
 	return cfg
 }
 
+// window is k's metrics of window w as the run's join reads them; false
+// when k was not measured in w.
+func window(s *Study, k nsset.Key, w clock.Window) (nsset.WindowMetrics, bool) {
+	if m := s.Pipeline.DayStore().AppendWindows(nil, k, w, w); len(m) == 1 {
+		return m[0], true
+	}
+	return nsset.WindowMetrics{}, false
+}
+
+// impactOnRTT is Eq. 1 for k's window w against the day before, read as
+// the run's join reads it, with the window it divides.
+func impactOnRTT(s *Study, k nsset.Key, w clock.Window) (float64, nsset.WindowMetrics, bool) {
+	m, ok := window(s, k, w)
+	if !ok || m.OKCount == 0 {
+		return 0, m, false
+	}
+	b, ok := s.Pipeline.DayStore().Baseline(k, w.Day().Prev())
+	if !ok || b.OKCount == 0 || b.AvgRTT() <= 0 {
+		return 0, m, false
+	}
+	return float64(m.AvgRTT()) / float64(b.AvgRTT()), m, true
+}
+
 func TestTransIPCaseStudyEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -60,8 +83,7 @@ func TestTransIPCaseStudyEndToEnd(t *testing.T) {
 	var impSum float64
 	var impN int
 	for w := clock.WindowOf(cs.TransIPDecStart); w <= clock.WindowOf(cs.TransIPDecEnd); w++ {
-		if imp, ok := s.Agg.ImpactOnRTT(k, w); ok {
-			m := s.Agg.Window(k, w)
+		if imp, m, ok := impactOnRTT(s, k, w); ok {
 			impSum += imp * float64(m.Domains)
 			impN += m.Domains
 		}
@@ -79,7 +101,7 @@ func TestTransIPCaseStudyEndToEnd(t *testing.T) {
 	// attack still shows at least 2x
 	var tail float64
 	for w := clock.WindowOf(cs.TransIPDecEnd); w <= clock.WindowOf(cs.TransIPDecEnd.Add(6*time.Hour)); w++ {
-		if imp, ok := s.Agg.ImpactOnRTT(k, w); ok && imp > tail {
+		if imp, _, ok := impactOnRTT(s, k, w); ok && imp > tail {
 			tail = imp
 		}
 	}
@@ -103,7 +125,7 @@ func TestTransIPMarchTimeouts(t *testing.T) {
 	// (Fig. 3 plateaus near 20%)
 	var domains, timeouts int
 	for w := clock.WindowOf(cs.TransIPMarStart.Add(30 * time.Minute)); w <= clock.WindowOf(cs.TransIPMarEnd); w++ {
-		if m := s.Agg.Window(k, w); m != nil {
+		if m, ok := window(s, k, w); ok {
 			domains += m.Domains
 			timeouts += m.Timeouts
 		}
@@ -120,7 +142,7 @@ func TestTransIPMarchTimeouts(t *testing.T) {
 	// two hours after the end, timeouts are back to ≈0
 	var post, postTO int
 	for w := clock.WindowOf(cs.TransIPMarEnd.Add(2 * time.Hour)); w <= clock.WindowOf(cs.TransIPMarEnd.Add(5*time.Hour)); w++ {
-		if m := s.Agg.Window(k, w); m != nil {
+		if m, ok := window(s, k, w); ok {
 			post += m.Domains
 			postTO += m.Timeouts
 		}
@@ -144,7 +166,7 @@ func TestMilRuUnresolvableDuringGeofence(t *testing.T) {
 	// during the geofence (Mar 12-16) every measurement fails
 	var okCount, total int
 	for d := clock.DayOf(time.Date(2022, 3, 12, 0, 0, 0, 0, time.UTC)); d <= clock.DayOf(time.Date(2022, 3, 16, 0, 0, 0, 0, time.UTC)); d++ {
-		if b, ok := s.Agg.Baseline(k, d); ok {
+		if b, ok := s.Pipeline.DayStore().Baseline(k, d); ok {
 			okCount += b.OKCount
 			total += b.Domains
 		}
@@ -156,7 +178,7 @@ func TestMilRuUnresolvableDuringGeofence(t *testing.T) {
 		t.Errorf("mil.ru resolved %d/%d times during the geofence, want 0", okCount, total)
 	}
 	// before the attack it resolves fine
-	if b, ok := s.Agg.Baseline(k, clock.DayOf(time.Date(2022, 3, 10, 0, 0, 0, 0, time.UTC))); !ok || b.OKCount == 0 {
+	if b, ok := s.Pipeline.DayStore().Baseline(k, clock.DayOf(time.Date(2022, 3, 10, 0, 0, 0, 0, time.UTC))); !ok || b.OKCount == 0 {
 		t.Error("mil.ru should resolve before the attack")
 	}
 }
@@ -201,17 +223,24 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 			t.Fatalf("event %d impact differs: %v vs %v", i, seq.Events[i].Impact, par.Events[i].Impact)
 		}
 	}
-	// aggregates identical for a case-study NSSet
+	// aggregates identical for a case-study NSSet, which was measured
 	k := nsset.KeyOf(seq.Schedule.CaseStudies.TransIPNS[:])
+	measured := 0
 	for d := cfg.FromDay; d <= cfg.ToDay; d++ {
-		sb, sok := seq.Agg.Baseline(k, d)
-		pb, pok := par.Agg.Baseline(k, d)
+		sb, sok := seq.Pipeline.DayStore().Baseline(k, d)
+		pb, pok := par.Pipeline.DayStore().Baseline(k, d)
 		if sok != pok {
 			t.Fatalf("day %d baseline presence differs", d)
 		}
 		if sb != pb {
 			t.Fatalf("day %d baseline differs: %+v vs %+v", d, sb, pb)
 		}
+		if sok {
+			measured++
+		}
+	}
+	if measured == 0 {
+		t.Fatal("the case-study NSSet was measured on no day; the comparison is vacuous")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,92 +13,189 @@ import (
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/daystore"
+	"dnsddos/internal/obs"
 )
 
-// parity_columnar_test.go is the acceptance gate for the out-of-core day
-// store (DESIGN §3.9): the same seeded world run through the in-memory
-// aggregator path and through WithDayStoreDir (seal each completed day
-// to a columnar file, join against mmap views) must emit byte-identical
-// events CSV and run report. The columnar round-trip is all-integer, so
+// parity_columnar_test.go is the acceptance gate for the sealed day store
+// (DESIGN §3.9): the same seeded world run with its sealed day images held
+// in memory and with them written to files by WithDayStoreDir (joined
+// through mmap views) must emit the merged-aggregator oracle's events CSV
+// and run report byte for byte. The sealed round-trip is all-integer, so
 // the Eq. 1 float math divides exactly the same numerators and
 // denominators either way.
 
-// runColumnarPair executes cfg through the in-memory and the columnar
-// day path and asserts byte-identical output.
-func runColumnarPair(t *testing.T, name string, cfg Config, extra ...Option) {
+// mergedRun is the run loop as it was before every run sealed its days,
+// kept as the oracle the sealed path is held to: each pending day swept
+// with Session.SweepDayAttempt (a failed attempt charged to the same
+// ledger, and retried or quarantined as it says), the days merged into
+// one aggregator, and the join run over that aggregator.
+func mergedRun(t *testing.T, cfg Config, beforeDay func(clock.Day)) *Study {
 	t.Helper()
-	mem, err := RunContext(context.Background(), cfg, extra...)
+	ctx := context.Background()
+	reg := obs.New()
+	sess, err := NewSession(ctx, cfg, reg)
 	if err != nil {
-		t.Fatalf("%s: in-memory run: %v", name, err)
+		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	col, err := RunContext(context.Background(), cfg,
-		append(extra[:len(extra):len(extra)], WithDayStoreDir(dir))...)
+	ledger, err := OpenLedger(cfg, reg, "", "", false)
 	if err != nil {
-		t.Fatalf("%s: columnar run: %v", name, err)
+		t.Fatal(err)
 	}
-	if len(mem.Events) == 0 {
-		t.Fatalf("%s: in-memory run joined no events; the comparison would be vacuous", name)
-	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "day_*.dcol")); len(files) == 0 {
-		t.Fatalf("%s: columnar run sealed no day files; it silently took the in-memory path", name)
-	}
-	if !bytes.Equal(eventsBytes(t, mem), eventsBytes(t, col)) {
-		t.Errorf("%s: in-memory and columnar day stores emitted different events", name)
-	}
-	// and under the events: at every emitted event's attack span, the two
-	// stores answer the join's two reads identically
-	ms, cs := mem.Pipeline.DayStore(), col.Pipeline.DayStore()
-	for i := range mem.Events {
-		e := &mem.Events[i]
-		from, to := e.Attack.StartWindow, e.Attack.EndWindow
-		if mw, cw := ms.AppendWindows(nil, e.NSSet, from, to), cs.AppendWindows(nil, e.NSSet, from, to); !reflect.DeepEqual(mw, cw) {
-			t.Fatalf("%s: event %d: AppendWindows(%s, %d, %d) = %+v in memory, %+v columnar", name, i, e.NSSet, from, to, mw, cw)
-		}
-		mb, mok := ms.Baseline(e.NSSet, from.Day().Prev())
-		if cb, cok := cs.Baseline(e.NSSet, from.Day().Prev()); mb != cb || mok != cok {
-			t.Fatalf("%s: event %d: Baseline(%s) = %+v, %v in memory, %+v, %v columnar", name, i, e.NSSet, mb, mok, cb, cok)
+	agg := sess.NewAggregator()
+	for _, day := range ledger.Pending() {
+		for {
+			dayAgg, sweep, f := sess.SweepDayAttempt(ctx, day, nil, beforeDay)
+			if f == nil {
+				if _, err := ledger.Complete(day, daystore.SealedFile{}, sweep); err != nil {
+					t.Fatal(err)
+				}
+				agg.Merge(dayAgg)
+				break
+			}
+			if !ledger.Fail(day, f.Reason, f.Stack, f.Retryable) {
+				break
+			}
 		}
 	}
-	for i := range mem.Report.SkippedDays {
-		mem.Report.SkippedDays[i].Stack = ""
+	s := sess.NewStudy(reg)
+	s.Pipeline = sess.NewPipeline(agg, ledger.Quarantined(), reg)
+	if s.Events, err = s.Pipeline.EventsContext(ctx, s.Attacks); err != nil {
+		t.Fatal(err)
 	}
-	for i := range col.Report.SkippedDays {
-		col.Report.SkippedDays[i].Stack = ""
-	}
-	if !bytes.Equal(reportJSON(t, mem), reportJSON(t, col)) {
-		t.Errorf("%s: in-memory and columnar run reports differ", name)
-	}
+	s.Report = ledger.Report()
+	return s
 }
 
-// TestJoinParityColumnar is the ISSUE acceptance test: same world, same
-// schedule, same events — byte for byte — whichever day store backs the
-// join.
+// runParity executes cfg three ways — the merged oracle, a run that seals
+// its days into memory, and one that seals them to files — asserts that
+// both sealed runs emit the oracle's output byte for byte, and returns
+// the oracle.
+func runParity(t *testing.T, cfg Config, beforeDay func(clock.Day)) *Study {
+	t.Helper()
+	ref := mergedRun(t, cfg, beforeDay)
+	if len(ref.Events) == 0 {
+		t.Fatal("the oracle joined no events; the comparison would be vacuous")
+	}
+	mem, err := RunContext(context.Background(), cfg, WithBeforeDay(beforeDay))
+	if err != nil {
+		t.Fatalf("in-memory run: %v", err)
+	}
+	if _, ok := mem.Pipeline.DayStore().(*daystore.Set); !ok || mem.Agg != nil {
+		t.Errorf("the join read %T (Study.Agg %p), want the sealed days alone", mem.Pipeline.DayStore(), mem.Agg)
+	}
+	dir := t.TempDir()
+	col, err := RunContext(context.Background(), cfg, WithBeforeDay(beforeDay), WithDayStoreDir(dir))
+	if err != nil {
+		t.Fatalf("columnar run: %v", err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "day_*.dcol")); len(files) == 0 {
+		t.Fatal("columnar run sealed no day files; it silently kept them in memory")
+	}
+	refCSV, refReport := eventsBytes(t, ref), stacklessReport(t, ref)
+	rs := ref.Pipeline.DayStore()
+	for _, run := range []struct {
+		name string
+		s    *Study
+	}{{"in-memory", mem}, {"columnar", col}} {
+		if !bytes.Equal(refCSV, eventsBytes(t, run.s)) {
+			t.Errorf("%s run's events differ from the merged oracle's", run.name)
+		}
+		// and under the events: at every emitted event's attack span, the
+		// sealed store answers the join's two reads as the aggregator does
+		ss := run.s.Pipeline.DayStore()
+		for i := range ref.Events {
+			e := &ref.Events[i]
+			from, to := e.Attack.StartWindow, e.Attack.EndWindow
+			if rw, sw := rs.AppendWindows(nil, e.NSSet, from, to), ss.AppendWindows(nil, e.NSSet, from, to); !reflect.DeepEqual(rw, sw) {
+				t.Fatalf("%s: event %d: AppendWindows(%s, %d, %d) = %+v merged, %+v sealed", run.name, i, e.NSSet, from, to, rw, sw)
+			}
+			rb, rok := rs.Baseline(e.NSSet, from.Day().Prev())
+			if sb, sok := ss.Baseline(e.NSSet, from.Day().Prev()); rb != sb || rok != sok {
+				t.Fatalf("%s: event %d: Baseline(%s) = %+v, %v merged, %+v, %v sealed", run.name, i, e.NSSet, rb, rok, sb, sok)
+			}
+		}
+		if !bytes.Equal(refReport, stacklessReport(t, run.s)) {
+			t.Errorf("%s run's report differs from the merged oracle's", run.name)
+		}
+	}
+	return ref
+}
+
+// stacklessReport is reportJSON without the quarantined days' stacks,
+// which name the frames the panic unwound through.
+func stacklessReport(t *testing.T, s *Study) []byte {
+	t.Helper()
+	for i := range s.Report.SkippedDays {
+		s.Report.SkippedDays[i].Stack = ""
+	}
+	return reportJSON(t, s)
+}
+
+// TestJoinParityColumnar: same world, same schedule, same events — byte
+// for byte — whether the days are merged into one aggregator or sealed,
+// in memory or to files.
 func TestJoinParityColumnar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 
 	t.Run("transip_window", func(t *testing.T) {
-		runColumnarPair(t, "transip_window", resumeConfig())
+		runParity(t, resumeConfig(), nil)
 	})
+	for seed := uint64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			cfg := resumeConfig()
+			cfg.World.Seed, cfg.Attacks.Seed, cfg.Synth.Seed, cfg.MeasureSeed = seed, seed, seed, seed
+			runParity(t, cfg, nil)
+		})
+	}
 
-	// quarantined day: the day never seals, so the columnar store serves
-	// an absent file — which must read exactly like the in-memory
-	// aggregator's empty day, with the join falling back identically.
+	// quarantined day: the day never seals, so the sealed stores serve an
+	// absent day — which must read exactly like the aggregator's empty
+	// day, with the join falling back identically.
 	t.Run("quarantined_day", func(t *testing.T) {
 		cfg := resumeConfig()
 		cfg.Parallelism = 1
 		target := clock.Day(29)
 		var mu sync.Mutex
-		runColumnarPair(t, "quarantined_day", cfg, WithBeforeDay(func(d clock.Day) {
+		ref := runParity(t, cfg, func(d clock.Day) {
 			if d == target {
 				mu.Lock()
 				defer mu.Unlock()
 				panic("injected parity fault")
 			}
-		}))
+		})
+		if sk := ref.Report.SkippedDays; len(sk) != 1 || sk[0].Day != target {
+			t.Errorf("quarantined %+v, want day %d alone", sk, target)
+		}
 	})
+}
+
+// TestUnpersistedRunWritesNoFile: without a checkpoint or day-store
+// directory a run keeps its sealed days in memory and writes nothing, not
+// even to the temporary directory.
+func TestUnpersistedRunWritesNoFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	cfg := resumeConfig()
+	cfg.ToDay = 29
+	s, err := RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Report.CompletedDays == 0 {
+		t.Fatal("no day completed")
+	}
+	entries, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("the run wrote %s", e.Name())
+	}
 }
 
 // TestColumnarCancelAndResumeByteIdentical is the twin of

@@ -92,7 +92,7 @@ func TestAbandonedTableIsNotRecycled(t *testing.T) {
 			}
 		},
 	}
-	if err := sess.NewStudy(reg).runSweeps(ctx, opts, ledger); err != nil {
+	if err := sess.NewStudy(reg).runSweeps(ctx, opts, ledger, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -26,7 +26,7 @@ import (
 // killed run resumes from the last completed day (DESIGN §3.2).
 
 // options tunes the supervised run loop; the zero value runs without
-// checkpoints or watchdog, days merged in memory. Callers set
+// checkpoints or watchdog, days sealed in memory. Callers set
 // fields through the With... functional options, so new knobs never
 // break RunContext call sites.
 type options struct {
@@ -60,11 +60,10 @@ type options struct {
 	// (0 = engine default /16).
 	shardBits int
 	// daystoreDir is where completed day-shards are sealed as columnar
-	// files (DESIGN §3.9) instead of being merged into the run
-	// aggregator; the join then reads the sealed files through
-	// core.WithDayStore — flat RSS at millions-of-domains scale. Empty
-	// with a checkpoint directory means <checkpointDir>/days; empty
-	// without one keeps the days in memory.
+	// files (DESIGN §3.9) for the join to map — flat RSS at
+	// millions-of-domains scale. Empty with a checkpoint directory means
+	// <checkpointDir>/days; empty without one keeps the sealed images in
+	// memory.
 	daystoreDir string
 	// skipJoin builds the join pipeline but skips the final batch
 	// classify+join pass: Study.Classified and Study.Events stay empty.
@@ -119,11 +118,10 @@ func WithShardBits(bits int) Option {
 }
 
 // WithDayStoreDir seals every completed day-shard into a columnar day
-// file in dir (internal/daystore) and joins against the sealed files
-// through core.WithDayStore instead of merging day snapshots into one
-// in-memory aggregator — the out-of-core path that keeps RSS flat at
-// millions-of-domains scale. A fresh run clears stale sealed files from
-// dir. Output is byte-identical to the in-memory path
+// file in dir (internal/daystore) and joins against the mapped files
+// instead of images held in memory — the out-of-core path that keeps RSS
+// flat at millions-of-domains scale. A fresh run clears stale sealed
+// files from dir. Output is byte-identical to the in-memory path
 // (TestJoinParityColumnar).
 func WithDayStoreDir(dir string) Option {
 	return func(o *options) { o.daystoreDir = dir }
@@ -169,8 +167,8 @@ type RunReport struct {
 
 // ConfigHash fingerprints a configuration for the checkpoint header. It
 // hashes the JSON encoding with Parallelism normalized to zero:
-// parallelism shards work but never changes results (the merge is
-// commutative), so a run may legitimately resume on different hardware.
+// parallelism shards work but never changes results (each day is sealed
+// on its own), so a run may legitimately resume on different hardware.
 func ConfigHash(cfg Config) (string, error) {
 	cfg.Parallelism = 0
 	b, err := json.Marshal(cfg)
@@ -215,23 +213,21 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 		return nil, err
 	}
 
+	days := new(daystore.Set) // the sealed images, without a directory
 	t0 := time.Now()
-	if err := s.runSweeps(ctx, opts, ledger); err != nil {
+	if err := s.runSweeps(ctx, opts, ledger, days); err != nil {
 		return nil, err
 	}
 	stage("sweep", t0)
 
 	t0 = time.Now()
-	// a zero value keeps the engine default
-	pipeOpts := []core.Option{core.WithShardBits(opts.shardBits)}
 	if opts.daystoreDir != "" {
-		set, err := daystore.Open(opts.daystoreDir)
-		if err != nil {
+		if days, err = daystore.Open(opts.daystoreDir); err != nil {
 			return nil, err
 		}
-		pipeOpts = append(pipeOpts, core.WithDayStore(set))
 	}
-	s.Pipeline = sess.NewPipeline(s.Agg, ledger.Quarantined(), reg, pipeOpts...)
+	// a zero shard width keeps the engine default
+	s.Pipeline = sess.NewPipeline(days, ledger.Quarantined(), reg, core.WithShardBits(opts.shardBits))
 	if !opts.skipJoin {
 		s.Classified = s.Pipeline.Classify(s.Attacks)
 		if s.Events, err = s.Pipeline.EventsContext(ctx, s.Attacks); err != nil {
@@ -288,9 +284,9 @@ func (c *sweepCounts) snapshot() obs.Snapshot {
 	return reg.Snapshot()
 }
 
-// dayScratch is what a day-shard of a sealed run works in and leaves
-// behind empty: the aggregator whose day table the sweep fills and the
-// buffer the day's file image is encoded into.
+// dayScratch is what a day-shard works in and leaves behind empty: the
+// aggregator whose day table the sweep fills and the buffer the day's
+// file image is encoded into.
 type dayScratch struct {
 	agg   *nsset.Aggregator
 	image []byte
@@ -298,14 +294,13 @@ type dayScratch struct {
 
 // runSweeps runs the ledger's pending days as independent day-shards under
 // a bounded worker pool. Each shard sweeps into a private aggregator; on
-// success the day is sealed straight from its table (with a day-store
-// directory) and handed to the ledger, or accepted by the ledger and
-// merged into the run aggregator — in whatever order shards complete,
-// which is safe because the merge is commutative. A sealed run recycles
-// the aggregator and the image buffer of a completed shard through a free
-// list, at most one pair per worker, so it allocates a day table per
-// worker, not per day.
-func (s *Study) runSweeps(ctx context.Context, opts options, ledger *Ledger) error {
+// success the day is sealed straight from its table — into a file in the
+// day-store directory or, without one, into an image of its own that mem
+// keeps — and handed to the ledger, in whatever order shards
+// complete. The aggregator and the image buffer of a completed shard are
+// recycled through a free list, at most one pair per worker, so a run
+// allocates a day table per worker, not per day.
+func (s *Study) runSweeps(ctx context.Context, opts options, ledger *Ledger, mem *daystore.Set) error {
 	days := ledger.Pending()
 	if len(days) == 0 {
 		return ctx.Err()
@@ -319,7 +314,7 @@ func (s *Study) runSweeps(ctx context.Context, opts options, ledger *Ledger) err
 	}
 
 	var (
-		mu   sync.Mutex // guards ledger, s.Agg and free
+		mu   sync.Mutex // guards ledger, mem and free
 		wg   sync.WaitGroup
 		free []dayScratch
 	)
@@ -355,32 +350,33 @@ dispatch:
 				// resume.
 				return
 			}
+			// Seal the day and empty the table. A file's fsyncs run before
+			// the lock is taken, so shards flush in parallel; an image mem
+			// keeps is never the recycled buffer.
+			wstart := time.Now()
 			var file daystore.SealedFile
+			var image []byte
+			var err error
 			if opts.daystoreDir != "" {
-				// Seal the day to disk and empty the table — the join reads
-				// the sealed file, so the run aggregator never grows with
-				// completed days (flat RSS). The seal's fsyncs run before
-				// the lock is taken, so shards flush in parallel.
-				wstart := time.Now()
-				var err error
-				if file, sc.image, err = daystore.SealTable(opts.daystoreDir, day, agg, sc.image); err != nil {
-					mu.Lock()
-					ledger.Abort(err)
-					mu.Unlock()
-					return
-				}
+				file, sc.image, err = daystore.SealTable(opts.daystoreDir, day, agg, sc.image)
+			} else {
+				image, _, err = daystore.AppendDay(nil, day, agg)
+			}
+			if err == nil {
 				s.Metrics.Histogram("study.daystore_seal_wall", obs.Volatile()).Observe(time.Since(wstart))
 				agg.Reset()
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			dup, err := ledger.Complete(day, file, sweep)
-			switch {
-			case opts.daystoreDir != "":
-				free = append(free, dayScratch{agg: agg, image: sc.image})
-			case err == nil && !dup:
-				s.Agg.Merge(agg)
+			if err == nil && opts.daystoreDir == "" {
+				err = mem.Add(day, image)
 			}
+			if err != nil {
+				ledger.Abort(err)
+				return
+			}
+			free = append(free, dayScratch{agg: agg, image: sc.image})
+			ledger.Complete(day, file, sweep)
 		}(day)
 	}
 	wg.Wait()

@@ -140,8 +140,7 @@ func (sess *Session) NewAggregator() *nsset.Aggregator {
 
 // NewStudy returns the Study shell of a run over this session, observing
 // into reg: the session's deterministic state under the Study's exported
-// fields and an empty run aggregator. The run fills in Pipeline,
-// Classified, Events and Report.
+// fields. The run fills in Pipeline, Classified, Events and Report.
 func (sess *Session) NewStudy(reg *obs.Registry) *Study {
 	return &Study{
 		Config:    sess.Config,
@@ -153,7 +152,6 @@ func (sess *Session) NewStudy(reg *obs.Registry) *Study {
 		Net:       sess.Net,
 		Resolver:  sess.Resolver,
 		Engine:    sess.Engine,
-		Agg:       sess.NewAggregator(),
 		Metrics:   reg,
 		session:   sess,
 	}
@@ -209,16 +207,17 @@ func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *n
 	return into, counts.snapshot(), nil
 }
 
-// NewPipeline builds the core join pipeline over agg with the session's
-// standard wiring (pipeline config, census, topology, open resolvers, the
-// engine's per-domain NSSet keys) plus any extra engine options, and
-// applies the quarantined-day fallback set. Both the in-process join and
-// every distributed join participant build their pipeline here, which is
-// what pins their emission bytes to each other.
-func (sess *Session) NewPipeline(agg *nsset.Aggregator, quarantined []clock.Day, reg *obs.Registry, extra ...core.Option) *core.Pipeline {
+// NewPipeline builds the core join pipeline over the measured days with
+// the session's standard wiring (pipeline config, census, topology, open
+// resolvers, the engine's per-domain NSSet keys) plus any extra engine
+// options, and applies the quarantined-day fallback set. Both the
+// in-process join and every distributed join participant build their
+// pipeline here, over sealed days, which is what pins their emission
+// bytes to each other.
+func (sess *Session) NewPipeline(days core.DayStore, quarantined []clock.Day, reg *obs.Registry, extra ...core.Option) *core.Pipeline {
 	pipeOpts := []core.Option{
 		core.WithConfig(sess.Config.Pipeline),
-		core.WithAggregator(agg),
+		core.WithDayStore(days),
 		core.WithCensus(sess.World.Census),
 		core.WithTopology(sess.World.Topo),
 		core.WithOpenResolvers(sess.World.OpenRes),

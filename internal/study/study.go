@@ -86,15 +86,16 @@ func QuickConfig() Config {
 
 // Study is the materialized run.
 type Study struct {
-	Config     Config
-	World      *scenario.World
-	Schedule   *scenario.Schedule
-	Telescope  *telescope.Telescope
-	Obs        []rsdos.WindowObs
-	Attacks    []rsdos.Attack
-	Net        *simnet.Net
-	Resolver   *resolver.Resolver
-	Engine     *openintel.Engine
+	Config    Config
+	World     *scenario.World
+	Schedule  *scenario.Schedule
+	Telescope *telescope.Telescope
+	Obs       []rsdos.WindowObs
+	Attacks   []rsdos.Attack
+	Net       *simnet.Net
+	Resolver  *resolver.Resolver
+	Engine    *openintel.Engine
+	// Deprecated: nil after every run; read the days through Pipeline.DayStore.
 	Agg        *nsset.Aggregator
 	Pipeline   *core.Pipeline
 	Classified []core.ClassifiedAttack
