@@ -34,8 +34,9 @@ stream:
 # detector — concurrent counter/histogram exactness, snapshot
 # determinism (golden files), the HTTP endpoint lifecycle, the
 # goroutine-leak helper applied to server and resolver teardown, and a
-# smoke pass over the wire-format, day-file, attack-feed, journal-frame,
-# fleet-frame and prefix-table fuzz seed corpora.
+# smoke pass over the wire-format, day-file, attack-feed, frame-codec
+# (journal records and frame streams), fleet-message, prefix-table and
+# capture-file fuzz seed corpora.
 obs:
 	$(GO) test -race ./internal/obs/ ./internal/netx/ -count 1
 	$(GO) test -race ./internal/authserver/ -run 'Leaks|TestMetricsEndpoint' -count 1
@@ -48,6 +49,7 @@ obs:
 	$(GO) test ./internal/checkpoint/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/distjoin/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/astopo/ -run 'Fuzz' -count 1
+	$(GO) test ./internal/pcap/ -run 'Fuzz' -count 1
 
 # Distributed-join chaos leg: a four-worker fleet with one worker killed
 # mid-shard and one writing through a corrupting faultinject stream must

@@ -52,8 +52,9 @@ func main() {
 
 	platform := reactive.NewPlatform(reactive.DefaultConfig(), s.World.DB, s.Resolver, rand.New(rand.NewPCG(2, 2)))
 	watcher := reactive.NewWatcher(platform)
-	results := reactive.NewBus[*reactive.Campaign]()
-	out := results.Subscribe(16)
+	// the watcher simulates campaigns while earlier ones print; 16 lets it
+	// run that far ahead
+	results := make(chan *reactive.Campaign, 16)
 
 	feed := make(chan rsdos.Attack)
 	go func() {
@@ -72,7 +73,7 @@ func main() {
 	}()
 	go watcher.Run(feed, results)
 
-	for c := range out {
+	for c := range results {
 		ok, total := 0, 0
 		for _, p := range c.Probes {
 			total++

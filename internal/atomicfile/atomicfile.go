@@ -8,7 +8,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 )
+
+const tempInfix = ".tmp-"
+
+// Leftover reports whether name is one of Write's temporary files and, if
+// so, the name it would have published. Such a file outlives Write only
+// when the writer was killed before its rename: it is never state, and a
+// directory's owner clears it with the files it names.
+func Leftover(name string) (final string, ok bool) {
+	i := strings.LastIndex(name, tempInfix)
+	if i <= 0 {
+		return "", false
+	}
+	return name[:i], true
+}
 
 // Write writes data to dir/name via a synced temporary file
 // (name.tmp-*), an atomic rename, and a directory fsync. The directory
@@ -16,7 +31,7 @@ import (
 // makes the new name visible but not durable, so a power loss after the
 // caller acknowledged the write could resurface the previous file.
 func Write(dir, name string, data []byte) (err error) {
-	f, err := os.CreateTemp(dir, name+".tmp-*")
+	f, err := os.CreateTemp(dir, name+tempInfix+"*")
 	if err != nil {
 		return fmt.Errorf("creating temp for %s: %w", name, err)
 	}

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -39,8 +40,6 @@ import (
 const Version = 2
 
 const headerName = "header.json"
-
-var magic = []byte("DNSCKPT1")
 
 // Header identifies the run a checkpoint directory belongs to.
 type Header struct {
@@ -56,23 +55,30 @@ type Dir struct {
 }
 
 // Create initializes path for a fresh run: leftovers from previous runs
-// (day files and header) are removed and a new header is written
-// atomically. The directory is created if needed.
+// (records, header, and the temp files of a writer killed before its
+// rename) are removed and a new header is written atomically. The
+// directory is created if needed; files of other names are left alone.
 func Create(path string, hdr Header) (*Dir, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: creating %s: %w", path, err)
 	}
-	// every record type shares the .ckpt suffix — day references, stream
-	// cursors, and named auxiliary records (distributed join ranges) are
-	// all stale state of the previous run and must go
-	old, err := filepath.Glob(filepath.Join(path, "*.ckpt"))
+	entries, err := os.ReadDir(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: scanning %s: %w", path, err)
 	}
-	old = append(old, filepath.Join(path, headerName))
-	for _, f := range old {
-		if err := os.Remove(f); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("checkpoint: clearing %s: %w", f, err)
+	for _, e := range entries {
+		// every record type shares the .ckpt suffix — day references, stream
+		// cursors, and named auxiliary records (distributed join ranges) are
+		// all stale state of the previous run and must go
+		name := e.Name()
+		if final, ok := atomicfile.Leftover(name); ok {
+			name = final
+		}
+		if filepath.Ext(name) != ".ckpt" && name != headerName {
+			continue
+		}
+		if err := os.Remove(filepath.Join(path, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("checkpoint: clearing %s: %w", e.Name(), err)
 		}
 	}
 	hdr.Version = Version
@@ -115,47 +121,61 @@ func Resume(path string, hdr Header) (*Dir, error) {
 // Path returns the directory path.
 func (d *Dir) Path() string { return d.path }
 
-// EncodeFrame gob-encodes v into the standard checkpoint envelope:
-// magic, version, length-prefixed payload, CRC-32 trailer. The frame is
-// self-delimiting, so callers may concatenate frames into one file (the
-// stream backlog spill does) and decode them back with DecodeFrame.
+// The frame is the tree's one envelope outside day files — journal
+// records, the stream spill, every fleet message: magic, u32 version, u64
+// payload length, a gob payload, a CRC-32 of the payload. maxPayload
+// bounds what a corrupted length can make a reader allocate.
+const (
+	magic      = "DNSCKPT1"
+	headerLen  = len(magic) + 4 + 8
+	maxPayload = 64 << 20
+)
+
+// EncodeFrame gob-encodes v into one self-delimiting frame; a payload
+// ReadFrame would refuse as too long is refused here.
 func EncodeFrame(v any) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+	buf := bytes.NewBuffer(make([]byte, headerLen, 512))
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding frame: %w", err)
 	}
-	var buf bytes.Buffer
-	buf.Write(magic)
-	var fixed [12]byte
-	binary.BigEndian.PutUint32(fixed[0:4], Version)
-	binary.BigEndian.PutUint64(fixed[4:12], uint64(payload.Len()))
-	buf.Write(fixed[:])
-	buf.Write(payload.Bytes())
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload.Bytes()))
-	buf.Write(crc[:])
-	return buf.Bytes(), nil
+	b := buf.Bytes()
+	n := len(b) - headerLen
+	if n > maxPayload {
+		return nil, fmt.Errorf("checkpoint: frame payload of %d bytes exceeds %d", n, maxPayload)
+	}
+	copy(b, magic)
+	binary.BigEndian.PutUint32(b[len(magic):], Version)
+	binary.BigEndian.PutUint64(b[len(magic)+4:], uint64(n))
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[headerLen:])), nil
 }
 
-// DecodeFrame integrity-checks one frame produced by EncodeFrame and
-// decodes its gob payload into v. Every failure — bad magic, version
-// skew, truncation, CRC mismatch, decode error — is an error; a frame is
-// either fully trusted or refused.
-func DecodeFrame(b []byte, v any) error {
-	if len(b) < len(magic)+12+4 || !bytes.Equal(b[:len(magic)], magic) {
-		return errors.New("checkpoint: truncated or not a checkpoint frame")
+// ReadFrame reads exactly one frame from r, never more, and decodes its
+// payload into v. Every failure — short read (wrapping r's error, so a
+// clean end matches io.EOF), magic, version, length bound, CRC, decode —
+// is an error; a frame is either fully trusted or refused.
+func ReadFrame(r io.Reader, v any) error {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fmt.Errorf("checkpoint: truncated or not a checkpoint frame: %w", err)
 	}
-	rest := b[len(magic):]
-	ver := binary.BigEndian.Uint32(rest[0:4])
-	if ver != Version {
+	if string(hdr[:len(magic)]) != magic {
+		return fmt.Errorf("checkpoint: not a checkpoint frame (magic %q)", hdr[:len(magic)])
+	}
+	if ver := binary.BigEndian.Uint32(hdr[len(magic):]); ver != Version {
 		return fmt.Errorf("checkpoint: frame format version %d, this build reads %d", ver, Version)
 	}
-	plen := binary.BigEndian.Uint64(rest[4:12])
-	rest = rest[12:]
-	if uint64(len(rest)) != plen+4 {
-		return fmt.Errorf("checkpoint: truncated frame payload (%d of %d bytes)", len(rest), plen+4)
+	n := binary.BigEndian.Uint64(hdr[len(magic)+4:])
+	if n > maxPayload {
+		return fmt.Errorf("checkpoint: frame payload length %d exceeds %d", n, maxPayload)
 	}
-	payload, trailer := rest[:plen], rest[plen:]
+	// The length is only a promise: past one 64 KiB allocation (plus the
+	// MinRead ReadFrom wants before EOF) memory follows the bytes that arrive.
+	var buf bytes.Buffer
+	buf.Grow(int(min(n+4, 64<<10)) + bytes.MinRead)
+	if got, err := io.CopyN(&buf, r, int64(n)+4); err != nil {
+		return fmt.Errorf("checkpoint: truncated frame payload (%d of %d bytes): %w", got, n+4, err)
+	}
+	payload, trailer := buf.Bytes()[:n], buf.Bytes()[n:]
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(trailer); got != want {
 		return fmt.Errorf("checkpoint: frame crc mismatch (%08x != %08x)", got, want)
 	}
@@ -163,6 +183,16 @@ func DecodeFrame(b []byte, v any) error {
 		return fmt.Errorf("checkpoint: decoding frame payload: %w", err)
 	}
 	return nil
+}
+
+// DecodeFrame is ReadFrame over b, which must hold exactly one frame.
+func DecodeFrame(b []byte, v any) error {
+	r := bytes.NewReader(b)
+	err := ReadFrame(r, v)
+	if err == nil && r.Len() != 0 {
+		err = fmt.Errorf("checkpoint: %d stray bytes after the frame", r.Len())
+	}
+	return err
 }
 
 // Every journal record — sealed-day references, stream cursors,

@@ -225,6 +225,30 @@ func TestCreateWipesPreviousRun(t *testing.T) {
 	}
 }
 
+// TestCreateClearsKilledWriterLeftovers: the temp files of a writer killed
+// before its rename are stale state like the records they were to become,
+// so a fresh run removes them; a file the journal did not write stays.
+func TestCreateClearsKilledWriterLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	leftovers := []string{dayRefFile(1) + ".tmp-123", headerName + ".tmp-456"}
+	for _, name := range append([]string{"notes.txt"}, leftovers...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Create(dir, testHeader()); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range leftovers {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived Create (stat err %v)", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
+		t.Errorf("Create removed a file it does not own: %v", err)
+	}
+}
+
 func TestWriteIsAtomic(t *testing.T) {
 	// After a write returns, no temp files linger and the payload is
 	// complete; the atomic rename is what a mid-write crash relies on. A

@@ -1,6 +1,14 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"io"
+	"os"
+	"os/exec"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -30,6 +38,40 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameBytesPinned: the journal's bytes are a format — a day reference
+// and a stream cursor encode to exactly the frames earlier builds wrote and
+// resume reads. gob numbers a process's types in the order it first meets
+// them, and those numbers are in the payload, so the bytes are pinned in a
+// fresh process (the test re-executes itself) whose first two types are
+// these two.
+func TestFrameBytesPinned(t *testing.T) {
+	if os.Getenv("CHECKPOINT_PINNED_CHILD") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestFrameBytesPinned$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "CHECKPOINT_PINNED_CHILD=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("fresh process: %v\n%s", err, out)
+		}
+		return
+	}
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{&DayRef{File: "day_000027.dcol", SHA256: "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"},
+			"444e53434b50543100000002000000000000007f277f0301010644617952656601ff80000102010446696c65010c000106534841323536010c00000056ff80010f6461795f3030303032372e64636f6c014039663836643038313838346337643635396132666561613063353561643031356133626634663162326230623832326364313564366331356230663030613038005209b849"},
+		{&Cursor{ClosedThrough: 8211, Attacks: 17, Events: 403, SinkBytes: 1 << 20, LastAttackWindow: 8209, LastAttackVictim: 0xc0000201, HaveLast: true},
+			"444e53434b5054310000000200000000000000a3ff82ff8103010106437572736f7201ff82000107010d436c6f7365645468726f756768010400010741747461636b7301040001064576656e7473010400010953696e6b427974657301040001104c61737441747461636b57696e646f7701040001104c61737441747461636b56696374696d0106000108486176654c61737401020000001eff8201fe4026012201fe032601fd20000001fe402201fcc000020101010057ca3a6d"},
+	} {
+		b, err := EncodeFrame(tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != tc.want {
+			t.Errorf("EncodeFrame(%+v) =\n%s\nwant\n%s", tc.v, got, tc.want)
+		}
+	}
+}
+
 func TestFrameRejectsCorruption(t *testing.T) {
 	b, err := EncodeFrame(&framePayload{Name: "x"})
 	if err != nil {
@@ -43,7 +85,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		{"truncated", func(b []byte) []byte { return b[:len(b)-3] }, "truncated"},
 		{"bitflip", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
-			c[len(magic)+12] ^= 0x40
+			c[headerLen] ^= 0x40
 			return c
 		}, "crc mismatch"},
 		{"badmagic", func(b []byte) []byte {
@@ -57,6 +99,12 @@ func TestFrameRejectsCorruption(t *testing.T) {
 			return c
 		}, "format version"},
 		{"empty", func([]byte) []byte { return nil }, "truncated"},
+		{"oversized", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			binary.BigEndian.PutUint64(c[len(magic)+4:], maxPayload+1)
+			return c
+		}, "exceeds"},
+		{"stray bytes", func(b []byte) []byte { return append(append([]byte(nil), b...), 0) }, "stray"},
 	}
 	for _, tc := range cases {
 		var out framePayload
@@ -67,27 +115,49 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestFramesConcatenate: the spill file and a fleet connection are frames
+// laid end to end; ReadFrame takes them back one call each, in order, and
+// a clean end after the last frame matches io.EOF.
 func TestFramesConcatenate(t *testing.T) {
-	// the spill file is frames laid end to end; each must decode from its
-	// own recorded extent
 	var file []byte
-	type extent struct{ off, n int }
-	var extents []extent
 	for i := 0; i < 5; i++ {
 		b, err := EncodeFrame(&framePayload{Name: "f", Vals: []int64{int64(i)}})
 		if err != nil {
 			t.Fatalf("EncodeFrame %d: %v", i, err)
 		}
-		extents = append(extents, extent{len(file), len(b)})
 		file = append(file, b...)
 	}
-	for i, e := range extents {
+	r := bytes.NewReader(file)
+	for i := 0; i < 5; i++ {
 		var out framePayload
-		if err := DecodeFrame(file[e.off:e.off+e.n], &out); err != nil {
+		if err := ReadFrame(r, &out); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if len(out.Vals) != 1 || out.Vals[0] != int64(i) {
 			t.Fatalf("frame %d decoded %+v", i, out)
 		}
+	}
+	if err := ReadFrame(r, &framePayload{}); !errors.Is(err, io.EOF) {
+		t.Fatalf("read past the last frame: err = %v, want io.EOF", err)
+	}
+}
+
+// TestReadFrameShortReadAllocatesWhatArrived: a header that promises the
+// largest payload the bound admits, followed by ten bytes and EOF, is a
+// short frame, and finding that out allocates in step with the ten bytes,
+// not the 64 MiB the header claimed.
+func TestReadFrameShortReadAllocatesWhatArrived(t *testing.T) {
+	b := append([]byte(magic), 0, 0, 0, Version)
+	b = binary.BigEndian.AppendUint64(b, maxPayload)
+	b = append(b, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := ReadFrame(bytes.NewReader(b), &framePayload{})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("a short frame read as err = %v, want a truncation", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("reading a short frame allocated %d bytes", n)
 	}
 }

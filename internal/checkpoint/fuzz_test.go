@@ -12,19 +12,15 @@ import (
 // decoder instead of stopping at the envelope.
 func restampFrame(b []byte) []byte {
 	b = bytes.Clone(b) // the engine's bytes are read-only
-	payload := b[len(magic)+12 : len(b)-4]
+	payload := b[headerLen : len(b)-4]
 	binary.BigEndian.PutUint64(b[len(magic)+4:], uint64(len(payload)))
 	binary.BigEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(payload))
 	return b
 }
 
-// FuzzDecodeFrame holds DecodeFrame to "error, never panic" on the bytes
-// of a journal file — the file a sealed day is journaled through, read
-// back on every resume: as they are (magic, version, length and CRC
-// checks), and with length and CRC re-stamped so every mutation of the
-// payload is decoded by gob into the two records the journal holds. A
-// frame that decodes re-encodes to a frame that decodes to the same value.
-func FuzzDecodeFrame(f *testing.F) {
+// journalSeeds are the two records the journal holds, each whole and cut
+// short at the places a torn write can stop.
+func journalSeeds(f *testing.F) {
 	for _, v := range []any{
 		&DayRef{File: "day_000027.dcol", SHA256: "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"},
 		&Cursor{ClosedThrough: 8211, Attacks: 17, Events: 403, SinkBytes: 1 << 20, LastAttackWindow: 8209, LastAttackVictim: 0xc0000201, HaveLast: true},
@@ -35,16 +31,25 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(b)
 		f.Add(b[:len(b)-5])
-		f.Add(b[:len(magic)+12+4])
+		f.Add(b[:headerLen+4])
 		f.Add(b[:len(magic)+3])
 	}
 	f.Add([]byte{})
+}
 
+// FuzzDecodeFrame holds DecodeFrame to "error, never panic" on the bytes
+// of a journal file — the file a sealed day is journaled through, read
+// back on every resume: as they are (magic, version, length and CRC
+// checks), and with length and CRC re-stamped so every mutation of the
+// payload is decoded by gob into the two records the journal holds. A
+// frame that decodes re-encodes to a frame that decodes to the same value.
+func FuzzDecodeFrame(f *testing.F) {
+	journalSeeds(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var ref DayRef
 		var cur Cursor
 		_ = DecodeFrame(b, &ref)
-		if len(b) < len(magic)+12+4 {
+		if len(b) < headerLen+4 {
 			return
 		}
 		b = restampFrame(b)
@@ -60,6 +65,45 @@ func FuzzDecodeFrame(f *testing.F) {
 			var back Cursor
 			if err != nil || DecodeFrame(again, &back) != nil || back != cur {
 				t.Fatalf("decoded %+v does not survive a re-encode (%v): %+v", cur, err, back)
+			}
+		}
+	})
+}
+
+// FuzzReadFrame holds the streaming reader to "error, never panic" on a
+// stream of frames, the shape of a spill file or a fleet connection: the
+// fuzzed bytes, then the same bytes re-stamped, are laid after one intact
+// frame and before another. Every read consumes exactly one frame, so the
+// first frame always reads back, and whenever the fuzzed frame reads, the
+// one behind it must read back too.
+func FuzzReadFrame(f *testing.F) {
+	journalSeeds(f)
+	lead, err := EncodeFrame(&DayRef{File: "day_000001.dcol", SHA256: "lead"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tail, err := EncodeFrame(&Cursor{ClosedThrough: 2, Attacks: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tail) // two intact frames in order
+	f.Fuzz(func(t *testing.T, b []byte) {
+		streams := [][]byte{b}
+		if len(b) >= headerLen+4 {
+			streams = append(streams, restampFrame(b))
+		}
+		for _, mid := range streams {
+			r := bytes.NewReader(bytes.Join([][]byte{lead, mid, tail}, nil))
+			var ref DayRef
+			if err := ReadFrame(r, &ref); err != nil || ref.SHA256 != "lead" {
+				t.Fatalf("the frame before the fuzzed bytes read as %+v, %v", ref, err)
+			}
+			var cur Cursor
+			if ReadFrame(r, &cur) != nil || r.Len() != len(tail) {
+				continue // refused, or not exactly one frame
+			}
+			if err := ReadFrame(r, &cur); err != nil || cur.ClosedThrough != 2 || r.Len() != 0 {
+				t.Fatalf("the frame after an accepted one read as %+v, %v (%d bytes left)", cur, err, r.Len())
 			}
 		}
 	})

@@ -107,8 +107,9 @@ func (p *Pipeline) buildEvent(pr *probe, ca ClassifiedAttack, k nsset.Key) (Even
 	return e, true
 }
 
-// impactAt applies the configured Eq. 1 baseline rule — the same guards
-// and float arithmetic as nsset.ImpactVsDay, read through the day store.
+// impactAt applies the configured Eq. 1 baseline rule one window at a time
+// — the same guards and float arithmetic as buildEventIndexed's per-day
+// hoisted baseline, read through the day store.
 func (p *Pipeline) impactAt(k nsset.Key, m *nsset.WindowMetrics) (float64, bool) {
 	back := p.cfg.BaselineDaysBack
 	if back <= 0 {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dnsddos/internal/atomicfile"
 )
 
 // seal_kill_test.go makes the crash in "crash-safe seal" real: a child
@@ -69,9 +71,11 @@ func TestSealSurvivesSIGKILL(t *testing.T) {
 			v.Close()
 			continue
 		}
-		if isTempLeftover(name) {
-			leftovers++
-			continue
+		if final, ok := atomicfile.Leftover(name); ok {
+			if _, ok := parseFileName(final); ok {
+				leftovers++
+				continue
+			}
 		}
 		t.Fatalf("unexpected debris %q after SIGKILL", name)
 	}

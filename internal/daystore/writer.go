@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"dnsddos/internal/atomicfile"
 	"dnsddos/internal/clock"
@@ -298,21 +297,17 @@ func Clear(dir string) error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		_, sealed := parseFileName(name)
-		if !sealed && !isTempLeftover(name) {
+		if final, ok := atomicfile.Leftover(name); ok {
+			name = final
+		}
+		if _, sealed := parseFileName(name); !sealed {
 			continue
 		}
-		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("daystore: clearing %s: %w", name, err)
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("daystore: clearing %s: %w", e.Name(), err)
 		}
 	}
 	return nil
-}
-
-// isTempLeftover recognizes an unpublished atomicfile.Write temp file
-// (day_NNNNNN.dcol.tmp-XXXX).
-func isTempLeftover(name string) bool {
-	return strings.HasPrefix(name, filePrefix) && strings.Contains(name, fileSuffix+".tmp-")
 }
 
 // VerifyFile re-reads dir/name and checks its content hash against

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/nsset"
@@ -54,8 +55,8 @@ func (c *frameConn) Read(p []byte) (int, error) {
 	for c.out.Len() == 0 {
 		n, err := c.Conn.Read(buf)
 		c.raw.Write(buf[:n])
-		for c.raw.Len() >= 8 {
-			size := 8 + int(binary.BigEndian.Uint32(c.raw.Bytes()[4:8])) + 4
+		for c.raw.Len() >= frameHeader {
+			size := frameHeader + int(binary.BigEndian.Uint64(c.raw.Bytes()[frameHeader-8:])) + 4
 			if c.raw.Len() < size {
 				break
 			}
@@ -85,7 +86,7 @@ func tapDialer(mk func(net.Conn) *frameConn) WorkerOption {
 func decodeFrame(t *testing.T, frame []byte) message {
 	t.Helper()
 	var m message
-	if err := readFrame(bytes.NewReader(frame), &m); err != nil {
+	if err := readMessage(frame, &m); err != nil {
 		t.Errorf("undecodable frame on the wire: %v", err)
 	}
 	return m
@@ -288,7 +289,7 @@ func TestCorruptDayFileFleetParity(t *testing.T) {
 				return f
 			}
 			m.Image[len(m.Image)/2] ^= 0x01
-			bad, err := encodeFrame(&m)
+			bad, err := checkpoint.EncodeFrame(&m)
 			if err != nil {
 				t.Error(err)
 			}

@@ -129,15 +129,18 @@ func TestFrameRoundTripAndCRC(t *testing.T) {
 		Events: []core.TaggedEvent{{AttackIdx: 3, NSSetIdx: 7}},
 		Reason: "panic: boom",
 	}
-	frame, err := encodeFrame(m)
-	if err != nil {
+	var conn bytes.Buffer
+	wr := &wire{conn: &conn}
+	if err := wr.send(m); err != nil {
 		t.Fatal(err)
 	}
-	var got message
-	if err := readFrame(bytes.NewReader(frame), &got); err != nil {
+	frame := bytes.Clone(conn.Bytes())
+	// a stale field of the previous message must not leak into the next
+	got := message{Range: 9}
+	if err := wr.recv(&got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != m.Kind || got.Day != m.Day || got.Reason != m.Reason ||
+	if got.Kind != m.Kind || got.Day != m.Day || got.Reason != m.Reason || got.Range != 0 ||
 		!bytes.Equal(got.Image, m.Image) || got.SHA256 != m.SHA256 || len(got.Events) != 1 {
 		t.Errorf("frame round trip mangled message: %+v", got)
 	}
@@ -145,7 +148,7 @@ func TestFrameRoundTripAndCRC(t *testing.T) {
 	for _, i := range []int{0, 5, len(frame) / 2, len(frame) - 1} {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x40
-		if err := readFrame(bytes.NewReader(bad), &got); err == nil {
+		if err := readMessage(bad, &got); err == nil {
 			t.Errorf("flipped byte %d went undetected", i)
 		}
 	}

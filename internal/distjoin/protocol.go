@@ -40,15 +40,11 @@
 package distjoin
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"net"
 	"sync"
 
+	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/obs"
@@ -107,80 +103,21 @@ type message struct {
 	Events      []core.TaggedEvent
 }
 
-var frameMagic = [4]byte{'D', 'J', 'N', '1'}
-
-// maxFrame bounds a frame payload (64 MiB) so a corrupted length prefix
-// cannot make a reader allocate unboundedly.
-const maxFrame = 64 << 20
-
-// encodeFrame renders one self-contained frame: magic, 4-byte big-endian
-// payload length, gob payload, CRC-32 trailer. Each frame carries its own
-// gob stream (type info and all), so a receiver can validate the CRC and
-// decode a frame in isolation — a flipped byte anywhere in the frame is
-// detected as a CRC mismatch, never silently decoded, which is what lets
-// the chaos suite point faultinject's Corrupt at the control channel.
-func encodeFrame(m *message) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(m); err != nil {
-		return nil, fmt.Errorf("distjoin: encoding %v frame: %w", m.Kind, err)
-	}
-	if payload.Len() > maxFrame {
-		return nil, fmt.Errorf("distjoin: %v frame exceeds %d bytes", m.Kind, maxFrame)
-	}
-	buf := make([]byte, 0, len(frameMagic)+4+payload.Len()+4)
-	buf = append(buf, frameMagic[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(payload.Len()))
-	buf = append(buf, payload.Bytes()...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload.Bytes()))
-	return buf, nil
-}
-
-// readFrame reads and integrity-checks one frame. Any violation — bad
-// magic, oversized length, short read, CRC mismatch, undecodable gob — is
-// an error; the peer treats the connection as failed and the fleet's
-// retry machinery takes over.
-func readFrame(r io.Reader, m *message) error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	if !bytes.Equal(hdr[:4], frameMagic[:]) {
-		return fmt.Errorf("distjoin: bad frame magic %x", hdr[:4])
-	}
-	n := binary.BigEndian.Uint32(hdr[4:8])
-	if n > maxFrame {
-		return fmt.Errorf("distjoin: frame length %d exceeds %d", n, maxFrame)
-	}
-	// The length is only a promise: past one 64 KiB allocation (plus the
-	// MinRead ReadFrom wants before EOF) memory follows the bytes that arrive.
-	var buf bytes.Buffer
-	buf.Grow(int(min(n+4, 64<<10)) + bytes.MinRead)
-	if _, err := io.CopyN(&buf, r, int64(n)+4); err != nil {
-		return fmt.Errorf("distjoin: short frame: %w", err)
-	}
-	payload, trailer := buf.Bytes()[:n], buf.Bytes()[n:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(trailer); got != want {
-		return fmt.Errorf("distjoin: frame crc mismatch (%08x != %08x)", got, want)
-	}
-	*m = message{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(m); err != nil {
-		return fmt.Errorf("distjoin: decoding frame: %w", err)
-	}
-	return nil
-}
-
-// wire serializes frame writes over one connection: the coordinator's
-// event loop and a worker's heartbeat ticker both write, and interleaved
-// partial frames would corrupt the stream for good.
+// wire carries one message per checkpoint frame, each its own gob stream
+// decoded in isolation: a flipped byte anywhere is refused, never silently
+// decoded (what lets the chaos suite point faultinject's Corrupt at the
+// control channel), and a refused frame fails the connection. Writes are
+// serialized: the coordinator's event loop and a worker's heartbeat ticker
+// both write, and interleaved partial frames would corrupt the stream.
 type wire struct {
-	conn net.Conn
+	conn io.ReadWriter
 	mu   sync.Mutex
 }
 
 func (w *wire) send(m *message) error {
-	b, err := encodeFrame(m)
+	b, err := checkpoint.EncodeFrame(m)
 	if err != nil {
-		return err
+		return fmt.Errorf("distjoin: %v frame: %w", m.Kind, err)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -190,7 +127,12 @@ func (w *wire) send(m *message) error {
 	return err
 }
 
-func (w *wire) recv(m *message) error { return readFrame(w.conn, m) }
+// recv reads the next message into m. gob leaves fields absent from the
+// stream untouched, so m is zeroed first.
+func (w *wire) recv(m *message) error {
+	*m = message{}
+	return checkpoint.ReadFrame(w.conn, m)
+}
 
 // rangeBounds returns the shard interval [from, to) of range idx under
 // the deterministic even partition of numShards into numRanges. Every

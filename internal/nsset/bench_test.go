@@ -62,20 +62,3 @@ func BenchmarkAggregatorDay(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/records, "allocs/record")
 }
-
-func BenchmarkImpactOnRTT(b *testing.B) {
-	agg := NewAggregator()
-	k := KeyOf([]netx.Addr{1, 2, 3})
-	day := clock.Day(40)
-	for i := 0; i < 100; i++ {
-		agg.Add(k, day.Prev().Start().Add(time.Duration(i)*time.Minute), StatusOK, 10*time.Millisecond)
-		agg.Add(k, day.Start().Add(time.Duration(i)*time.Minute), StatusOK, 25*time.Millisecond)
-	}
-	w := clock.WindowOf(day.Start())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := agg.ImpactOnRTT(k, w); !ok {
-			b.Fatal("impact undefined")
-		}
-	}
-}

@@ -646,21 +646,6 @@ func (a *Aggregator) AppendWindows(dst []WindowMetrics, k Key, from, to clock.Wi
 	return dst
 }
 
-// Window returns the live metrics for (k, w), or nil if nothing was
-// measured: the point probe of this package's Eq. 1 helpers and of the
-// tests' oracles; treat the value as read-only. The join reads through
-// AppendWindows.
-func (a *Aggregator) Window(k Key, w clock.Window) *WindowMetrics {
-	if r := a.row(k, w.Day()); r != nil {
-		for n := r.head; n != nil && n.m.Window <= w; n = n.next {
-			if n.m.Window == w {
-				return &n.m
-			}
-		}
-	}
-	return nil
-}
-
 // Baseline returns the day aggregate for (k, d) by value; false when k was
 // not measured that day.
 func (a *Aggregator) Baseline(k Key, d clock.Day) (DayBaseline, bool) {
@@ -735,32 +720,4 @@ func (a *Aggregator) WalkDay(d clock.Day, row func(k Key, b *DayBaseline, window
 			window(&n.m)
 		}
 	}
-}
-
-// ImpactOnRTT computes Eq. 1 for NSSet k in window w:
-//
-//	Impact_on_RTT = AvgRTT(5 min window) / AvgRTT(day before)
-//
-// The boolean is false when either term is missing (no measurements in the
-// window, or no baseline the previous day).
-func (a *Aggregator) ImpactOnRTT(k Key, w clock.Window) (float64, bool) {
-	return a.ImpactVsDay(k, w, w.Day().Prev())
-}
-
-// ImpactVsDay computes the Eq. 1 variant with an arbitrary baseline day
-// (used by the baseline-window ablation, DESIGN §6.2).
-func (a *Aggregator) ImpactVsDay(k Key, w clock.Window, baseline clock.Day) (float64, bool) {
-	m := a.Window(k, w)
-	if m == nil || m.OKCount == 0 {
-		return 0, false
-	}
-	b, ok := a.Baseline(k, baseline)
-	if !ok || b.OKCount == 0 {
-		return 0, false
-	}
-	base := b.AvgRTT()
-	if base <= 0 {
-		return 0, false
-	}
-	return float64(m.AvgRTT()) / float64(base), true
 }

@@ -220,51 +220,33 @@ func TestAggregatorWindowsAndBaselines(t *testing.T) {
 	agg.Add(k, attackTime, StatusOK, 100*time.Millisecond)
 	agg.Add(k, attackTime.Add(time.Minute), StatusOK, 100*time.Millisecond)
 
-	w := clock.WindowOf(attackTime)
-	imp, ok := agg.ImpactOnRTT(k, w)
-	if !ok {
-		t.Fatal("impact should be defined")
+	// Eq. 1's two terms: the attack window at 100 ms over the day before at 10
+	m, ok := window(agg, k, clock.WindowOf(attackTime))
+	if !ok || m.Domains != 2 || m.AvgRTT() != 100*time.Millisecond {
+		t.Errorf("window = %+v, %v", m, ok)
 	}
-	if imp < 9.9 || imp > 10.1 {
-		t.Errorf("impact = %v, want ≈10", imp)
-	}
-
 	if b, ok := agg.Baseline(k, 0); !ok || b.OKCount != 10 || b.AvgRTT() != 10*time.Millisecond {
 		t.Errorf("baseline = %+v", b)
 	}
-	if m := agg.Window(k, w); m == nil || m.Domains != 2 {
-		t.Errorf("window = %+v", m)
-	}
 }
 
+// TestImpactUndefinedWithoutBaseline: the reads report what leaves Eq. 1
+// undefined in the join — no measurement the day before, and a window
+// measured with no answer in it.
 func TestImpactUndefinedWithoutBaseline(t *testing.T) {
 	agg := NewAggregator()
 	k := KeyOf(addrs("192.0.2.1"))
 	tm := clock.StudyStart.Add(50 * 24 * time.Hour)
 	agg.Add(k, tm, StatusOK, 5*time.Millisecond)
-	if _, ok := agg.ImpactOnRTT(k, clock.WindowOf(tm)); ok {
-		t.Error("impact without previous-day baseline should be undefined")
+	if b, ok := agg.Baseline(k, clock.DayOf(tm).Prev()); ok {
+		t.Errorf("a day never measured has a baseline: %+v", b)
 	}
 	// all-timeout window: no RTT either
 	agg.Add(k, tm.AddDate(0, 0, -1), StatusOK, 5*time.Millisecond)
 	tm2 := tm.Add(time.Hour)
 	agg.Add(k, tm2, StatusTimeout, 0)
-	if _, ok := agg.ImpactOnRTT(k, clock.WindowOf(tm2)); ok {
-		t.Error("impact of an all-failure window should be undefined")
-	}
-}
-
-func TestImpactVsDayMatchesDefault(t *testing.T) {
-	agg := NewAggregator()
-	k := KeyOf(addrs("10.0.0.1"))
-	tm := clock.StudyStart.AddDate(0, 0, 9).Add(2 * time.Hour)
-	agg.Add(k, tm.AddDate(0, 0, -1), StatusOK, 8*time.Millisecond)
-	agg.Add(k, tm, StatusOK, 24*time.Millisecond)
-	w := clock.WindowOf(tm)
-	a, okA := agg.ImpactOnRTT(k, w)
-	b, okB := agg.ImpactVsDay(k, w, w.Day().Prev())
-	if !okA || !okB || a != b {
-		t.Errorf("ImpactOnRTT=%v,%v ImpactVsDay=%v,%v", a, okA, b, okB)
+	if m, ok := window(agg, k, clock.WindowOf(tm2)); !ok || m.OKCount != 0 || m.Timeouts != 1 {
+		t.Errorf("all-failure window = %+v, %v", m, ok)
 	}
 }
 
@@ -274,7 +256,7 @@ func TestWindowFilterKeepsBaselines(t *testing.T) {
 	k := KeyOf(addrs("10.0.0.1"))
 	tm := clock.StudyStart.Add(3 * time.Hour)
 	agg.Add(k, tm, StatusOK, 5*time.Millisecond)
-	if agg.Window(k, clock.WindowOf(tm)) != nil {
+	if _, ok := window(agg, k, clock.WindowOf(tm)); ok {
 		t.Error("filtered window should not be retained")
 	}
 	if b, ok := agg.Baseline(k, clock.DayOf(tm)); !ok || b.OKCount != 1 {
@@ -288,14 +270,23 @@ func hasBaseline(a *Aggregator, k Key, d clock.Day) bool {
 	return ok
 }
 
+// window is the point read through the ranged one: k's metrics of window
+// w, false when k was not measured in w.
+func window(a *Aggregator, k Key, w clock.Window) (WindowMetrics, bool) {
+	if m := a.AppendWindows(nil, k, w, w); len(m) == 1 {
+		return m[0], true
+	}
+	return WindowMetrics{}, false
+}
+
 // bucketsOrdered checks the ordered insert on an aggregator filled in
 // random time order: every day bucket of k over [0, days) — the ranged
 // read over exactly that day — is strictly ascending and holds only that
-// day's windows, each a copy of the live window, and the point probe
-// agrees with the buckets on each hit and on both of its neighbours (nil
-// unless the neighbour was measured too).
+// day's windows, each a copy of the live window, and the one-window read
+// agrees with the buckets on each hit and on both of its neighbours (a
+// miss unless the neighbour was measured too).
 func bucketsOrdered(a *Aggregator, k Key, days clock.Day) error {
-	held := make(map[clock.Window]*WindowMetrics)
+	held := make(map[clock.Window]WindowMetrics)
 	for d := clock.Day(0); d < days; d++ {
 		wins := a.AppendWindows(nil, k, d.FirstWindow(), (d+1).FirstWindow()-1)
 		for i, m := range wins {
@@ -305,20 +296,23 @@ func bucketsOrdered(a *Aggregator, k Key, days clock.Day) error {
 			if i > 0 && wins[i-1].Window >= m.Window {
 				return fmt.Errorf("day %d bucket not strictly ascending at %d: %v then %v", d, i, wins[i-1].Window, m.Window)
 			}
-			live := a.Window(k, m.Window)
-			if live == nil || *live != m {
-				return fmt.Errorf("day %d bucket holds %+v, the live window is %+v", d, m, live)
-			}
-			held[m.Window] = live
+			held[m.Window] = m
 		}
 	}
-	if len(held) != len(a.Windows(k)) {
-		return fmt.Errorf("day buckets hold %d windows, Windows(k) %d", len(held), len(a.Windows(k)))
+	live := a.Windows(k)
+	if len(held) != len(live) {
+		return fmt.Errorf("day buckets hold %d windows, Windows(k) %d", len(held), len(live))
+	}
+	for _, m := range live {
+		if held[m.Window] != *m {
+			return fmt.Errorf("buckets hold %+v, the live window is %+v", held[m.Window], *m)
+		}
 	}
 	for w := range held {
 		for _, probe := range []clock.Window{w - 1, w, w + 1} {
-			if got := a.Window(k, probe); got != held[probe] {
-				return fmt.Errorf("Window(%v) = %p, buckets hold %p", probe, got, held[probe])
+			want, hit := held[probe]
+			if got, ok := window(a, k, probe); ok != hit || got != want {
+				return fmt.Errorf("window(%v) = %+v, %v; buckets hold %+v, %v", probe, got, ok, want, hit)
 			}
 		}
 	}
@@ -364,7 +358,7 @@ func TestAddExistingWindowAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("folding a day into a table that holds its windows allocates %v times", n)
 	}
-	if m := agg.Window(k, clock.WindowOf(tm)); m.Timeouts != 21 {
+	if m, _ := window(agg, k, clock.WindowOf(tm)); m.Timeouts != 21 {
 		t.Errorf("%d merged samples in the window, want 21", m.Timeouts)
 	}
 }
@@ -408,8 +402,7 @@ func TestMergeEquivalentToSequential(t *testing.T) {
 		t.Fatalf("merged-from aggregator still holds %d keys", len(keys))
 	}
 	for _, wm := range seq.Windows(k) {
-		got := a1.Window(k, wm.Window)
-		if got == nil || *got != *wm {
+		if got, ok := window(a1, k, wm.Window); !ok || got != *wm {
 			t.Fatalf("window %v: merged %+v != sequential %+v", wm.Window, got, wm)
 		}
 	}
@@ -458,8 +451,7 @@ func TestMergeCommutesAndAssociates(t *testing.T) {
 	}
 	equal := func(x, y *Aggregator) bool {
 		for _, wm := range x.Windows(k) {
-			o := y.Window(k, wm.Window)
-			if o == nil || *o != *wm {
+			if o, ok := window(y, k, wm.Window); !ok || o != *wm {
 				return false
 			}
 		}
@@ -539,7 +531,7 @@ func TestMergeAdoptsDisjointDays(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for _, wm := range seq.Windows(k) {
-				if got := merged.Window(k, wm.Window); got == nil || *got != *wm {
+				if got, ok := window(merged, k, wm.Window); !ok || got != *wm {
 					t.Fatalf("%s: window %v: merged %+v != sequential %+v", name, wm.Window, got, wm)
 				}
 			}
@@ -605,7 +597,7 @@ func TestWindowPointersSurviveSlabGrowth(t *testing.T) {
 		agg.Add(KeyOf([]netx.Addr{netx.Addr(0x0b000000 + i)}), t0, StatusOK, time.Millisecond)
 	}
 	agg.Add(k, t0.Add(time.Second), StatusOK, 30*time.Millisecond)
-	if got := agg.Window(k, clock.WindowOf(t0)); got != held {
+	if got := agg.Windows(k)[0]; got != held {
 		t.Fatalf("window moved: held %p, aggregator serves %p", held, got)
 	}
 	want := WindowMetrics{Window: clock.WindowOf(t0), Domains: 2, OKCount: 2,

@@ -40,7 +40,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot dropped rows: %+v", snap)
 	}
 	for _, ws := range snap.Windows {
-		if w := a.Window(ws.Key, ws.M.Window); w == nil || *w != ws.M {
+		if w, ok := window(a, ws.Key, ws.M.Window); !ok || w != ws.M {
 			t.Errorf("window row %+v differs from the aggregator's %+v", ws.M, w)
 		}
 	}

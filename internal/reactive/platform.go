@@ -1,3 +1,15 @@
+// Package reactive implements the paper's reactive measurement platform
+// (§4.3.1): a streaming pipeline that watches the RSDoS feed and, within
+// ten minutes of an attack starting, begins probing up to 50 domains
+// delegating to the attacked nameservers — every authoritative nameserver
+// individually (NS-exhaustive, unlike OpenINTEL's agnostic resolution),
+// every 5 minutes, with the 50 probes spread evenly across each window
+// (≈ one query per 6 seconds, the §8 ethical rate limit), continuing for
+// 24 hours after the attack to capture the post-attack baseline.
+//
+// The paper built this on Kafka, Spark Structured Streaming and Flume; here
+// a channel stands in for that plumbing: the Watcher consumes the ordered
+// attack stream and hands each campaign to its one consumer on another.
 package reactive
 
 import (
@@ -216,10 +228,10 @@ func (c *Campaign) UnresolvableDuringAttack() bool {
 	return any
 }
 
-// Watcher consumes a live attack stream from a Bus and launches campaigns.
-// Campaign results are published to the results bus. It processes attacks
-// sequentially in simulation time (probing itself is simulated), so a
-// single goroutine suffices; Run returns when the feed closes.
+// Watcher consumes a live attack stream and launches campaigns. It
+// processes attacks sequentially in simulation time (probing itself is
+// simulated), so a single goroutine suffices; Run returns when the feed
+// closes.
 type Watcher struct {
 	platform *Platform
 	seen     map[string]struct{}
@@ -230,16 +242,17 @@ func NewWatcher(platform *Platform) *Watcher {
 	return &Watcher{platform: platform, seen: make(map[string]struct{})}
 }
 
-// Run consumes attacks until the channel closes, deduplicating repeat feed
-// entries for the same (victim, start window), and publishes campaigns.
-func (w *Watcher) Run(feed <-chan rsdos.Attack, results *Bus[*Campaign]) {
+// Run consumes attacks until the feed closes, deduplicating repeat feed
+// entries for the same (victim, start window), sends each campaign on
+// results, and closes results when the feed ends.
+func (w *Watcher) Run(feed <-chan rsdos.Attack, results chan<- *Campaign) {
+	defer close(results)
 	for a := range feed {
 		key := a.Victim.String() + "|" + a.StartWindow.String()
 		if _, dup := w.seen[key]; dup {
 			continue
 		}
 		w.seen[key] = struct{}{}
-		results.Publish(w.platform.React(a))
+		results <- w.platform.React(a)
 	}
-	results.Close()
 }

@@ -2,7 +2,6 @@ package reactive
 
 import (
 	"math/rand/v2"
-	"sync"
 	"testing"
 	"time"
 
@@ -204,75 +203,13 @@ func TestPartialOutagePerNSAttribution(t *testing.T) {
 	}
 }
 
-func TestBusFanOut(t *testing.T) {
-	bus := NewBus[int]()
-	a := bus.Subscribe(8)
-	b := bus.Subscribe(8)
-	for i := 0; i < 5; i++ {
-		bus.Publish(i)
-	}
-	bus.Close()
-	drain := func(ch <-chan int) []int {
-		var out []int
-		for v := range ch {
-			out = append(out, v)
-		}
-		return out
-	}
-	ga, gb := drain(a), drain(b)
-	if len(ga) != 5 || len(gb) != 5 {
-		t.Fatalf("fanout = %d,%d", len(ga), len(gb))
-	}
-	for i := 0; i < 5; i++ {
-		if ga[i] != i || gb[i] != i {
-			t.Error("order not preserved")
-		}
-	}
-}
-
-func TestBusSubscribeAfterClose(t *testing.T) {
-	bus := NewBus[int]()
-	bus.Close()
-	ch := bus.Subscribe(1)
-	if _, open := <-ch; open {
-		t.Error("subscription after close should be closed")
-	}
-	bus.Publish(1) // must not panic
-	bus.Close()    // idempotent
-}
-
-func TestBusConcurrentPublishers(t *testing.T) {
-	bus := NewBus[int]()
-	ch := bus.Subscribe(1024)
-	var wg sync.WaitGroup
-	for p := 0; p < 8; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				bus.Publish(i)
-			}
-		}()
-	}
-	wg.Wait()
-	bus.Close()
-	var n int
-	for range ch {
-		n++
-	}
-	if n != 800 {
-		t.Errorf("received %d messages, want 800", n)
-	}
-}
-
 func TestWatcherDeduplicates(t *testing.T) {
 	db, ids := reactiveWorld(t, 20)
 	cfg := DefaultConfig()
 	cfg.Tail = 0
 	p := newTestPlatform(db, &downTransport{}, cfg)
 	w := NewWatcher(p)
-	results := NewBus[*Campaign]()
-	out := results.Subscribe(16)
+	results := make(chan *Campaign, 16)
 	feed := make(chan rsdos.Attack, 4)
 	a := mkAttack(db.Nameservers[ids[0]].Addr, 1000, 1002)
 	feed <- a
@@ -280,7 +217,7 @@ func TestWatcherDeduplicates(t *testing.T) {
 	close(feed)
 	go w.Run(feed, results)
 	var n int
-	for range out {
+	for range results {
 		n++
 	}
 	if n != 1 {

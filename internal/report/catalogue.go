@@ -226,19 +226,18 @@ func reactiveTrigger(w io.Writer, s *study.Study) error {
 		return errors.New("no DNS-direct attacks")
 	}
 	platform := reactive.NewPlatform(reactive.DefaultConfig(), s.World.DB, s.Resolver, rand.New(rand.NewPCG(6, 6)))
-	results := reactive.NewBus[*reactive.Campaign]()
-	out := results.Subscribe(len(sample))
+	results := make(chan *reactive.Campaign, len(sample))
 	feed := make(chan rsdos.Attack, len(sample))
 	for _, a := range sample {
 		feed <- a
 	}
 	close(feed)
-	// every send above and every publish below fits its buffer, so the
-	// watcher needs no goroutine of its own
+	// every send above and below fits its buffer, so the watcher needs no
+	// goroutine of its own
 	reactive.NewWatcher(platform).Run(feed, results)
 	var n, probes int
 	var worstDelay time.Duration
-	for c := range out {
+	for c := range results {
 		n++
 		probes += len(c.Probes)
 		worstDelay = max(worstDelay, c.Triggered.Sub(c.Attack.Start()))

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -127,29 +128,22 @@ type closedBatch struct {
 	Obs []rsdos.WindowObs
 }
 
-// spillExtent locates one spilled frame inside the spill file.
-type spillExtent struct {
-	off int64
-	n   int
-}
-
 // backlogQueue is the bounded FIFO of closed batches: an in-memory head
-// capped at highWater and a disk tail of checkpoint-framed batches. All
-// in-memory entries predate all spilled ones — once spilling starts,
-// every push goes to disk until the file fully drains, so pop order is
-// arrival order regardless of where an entry lives. The spill file is
-// scratch state, not a checkpoint: a resumed run rebuilds the queue by
-// replaying input, so the file is deleted at construction and on Close.
+// capped at highWater and a disk tail of checkpoint frames laid end to end
+// (push appends at writeOff, pop reads at readOff). All in-memory entries
+// predate all spilled ones — once spilling starts, every push goes to disk
+// until the file fully drains, so pop order is arrival order. The spill
+// file is scratch state, not a checkpoint: a resumed run rebuilds the queue
+// by replaying input, so the file is deleted at construction and on Close.
 type backlogQueue struct {
 	mem     []closedBatch
 	memHead int
 
-	highWater int
-	spillPath string
-	f         *os.File
-	extents   []spillExtent
-	extHead   int
-	writeOff  int64
+	highWater         int
+	spillPath         string
+	f                 *os.File
+	readOff, writeOff int64
+	spilled           int
 
 	spilledTotal int64 // lifetime batches written to disk
 }
@@ -165,7 +159,7 @@ func newBacklogQueue(highWater int, spillDir string) *backlogQueue {
 }
 
 func (q *backlogQueue) memLen() int     { return len(q.mem) - q.memHead }
-func (q *backlogQueue) spilledLen() int { return len(q.extents) - q.extHead }
+func (q *backlogQueue) spilledLen() int { return q.spilled }
 func (q *backlogQueue) depth() int      { return q.memLen() + q.spilledLen() }
 func (q *backlogQueue) spillActive() bool {
 	return q.spilledLen() > 0
@@ -194,8 +188,8 @@ func (q *backlogQueue) spillPush(b closedBatch) error {
 	if _, err := q.f.WriteAt(frame, q.writeOff); err != nil {
 		return fmt.Errorf("stream: spilling batch %v: %w", b.CT, err)
 	}
-	q.extents = append(q.extents, spillExtent{off: q.writeOff, n: len(frame)})
 	q.writeOff += int64(len(frame))
+	q.spilled++
 	q.spilledTotal++
 	return nil
 }
@@ -213,19 +207,19 @@ func (q *backlogQueue) pop() (closedBatch, bool, error) {
 		}
 		return b, true, nil
 	}
-	if q.spilledLen() > 0 {
-		e := q.extents[q.extHead]
-		buf := make([]byte, e.n)
-		if _, err := q.f.ReadAt(buf, e.off); err != nil {
-			return closedBatch{}, false, fmt.Errorf("stream: reading spilled batch: %w", err)
-		}
+	if q.spilled > 0 {
+		r := io.NewSectionReader(q.f, q.readOff, q.writeOff-q.readOff)
 		var b closedBatch
-		if err := checkpoint.DecodeFrame(buf, &b); err != nil {
+		if err := checkpoint.ReadFrame(r, &b); err != nil {
 			return closedBatch{}, false, fmt.Errorf("stream: reading spilled batch: %w", err)
 		}
-		q.extHead++
-		if q.extHead == len(q.extents) {
-			q.extents, q.extHead, q.writeOff = q.extents[:0], 0, 0
+		// ReadFrame consumed exactly one frame; a section reader's seek to
+		// its current offset cannot fail
+		n, _ := r.Seek(0, io.SeekCurrent)
+		q.readOff += n
+		q.spilled--
+		if q.spilled == 0 {
+			q.readOff, q.writeOff = 0, 0
 			if err := q.f.Truncate(0); err != nil {
 				return closedBatch{}, false, fmt.Errorf("stream: truncating drained spill: %w", err)
 			}
