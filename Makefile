@@ -35,8 +35,9 @@ stream:
 # determinism (golden files), the HTTP endpoint lifecycle, the
 # goroutine-leak helper applied to server and resolver teardown, and a
 # smoke pass over the wire-format, day-file, attack-feed, frame-codec
-# (journal records and frame streams), fleet-message, prefix-table and
-# capture-file fuzz seed corpora.
+# (journal records and frame streams), fleet-message, prefix-table,
+# capture-file, study-config, zone-file and sweep-record fuzz seed
+# corpora.
 obs:
 	$(GO) test -race ./internal/obs/ ./internal/netx/ -count 1
 	$(GO) test -race ./internal/authserver/ -run 'Leaks|TestMetricsEndpoint' -count 1
@@ -50,15 +51,19 @@ obs:
 	$(GO) test ./internal/distjoin/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/astopo/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/pcap/ -run 'Fuzz' -count 1
+	$(GO) test ./internal/study/ -run 'Fuzz' -count 1
+	$(GO) test ./internal/authserver/ -run 'Fuzz' -count 1
+	$(GO) test ./internal/openintel/ -run 'Fuzz' -count 1
 
-# Distributed-join chaos leg: a four-worker fleet with one worker killed
-# mid-shard and one writing through a corrupting faultinject stream must
+# Distributed-sweep chaos leg: a four-worker fleet with one worker killed
+# mid-sweep and one writing through a corrupting faultinject stream must
 # still produce byte-identical output, plus the poisoned-day quarantine,
-# graceful-drain, real-SIGKILL-subprocess, coordinator kill-and-resume,
-# and day-file (frame bound, corrupt-file refusal) suites.
+# graceful-drain, real-SIGKILL-subprocess, coordinator kill-and-resume
+# (mid-sweep, and after the sweep with no worker left to resume on), and
+# day-file (frame bound, a worker's corrupt image refused) suites.
 distjoin:
 	$(GO) test ./internal/distjoin/ \
-		-run 'TestChaosFleet|TestDistributedParity|TestPoisonedDayQuarantineParity|TestGracefulDrain|TestCoordinatorKillAndResume|TestSIGKILLWorkerMidRun|TestFrameSizeBoundedByDayFile|TestCorruptDayFileFleetParity' \
+		-run 'TestChaosFleet|TestDistributedParity|TestPoisonedDayQuarantineParity|TestGracefulDrain|TestCoordinatorKillAndResume|TestCoordinatorResumeVerifiesDayFiles|TestSIGKILLWorkerMidRun|TestFrameSizeBoundedByDayFile|TestCorruptDayFileFleetParity' \
 		-count 1
 	$(GO) test ./internal/faultinject/ -run 'TestStream' -count 1
 

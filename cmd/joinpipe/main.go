@@ -14,13 +14,13 @@
 //	joinpipe [-domains N] [-attacks N] [-out FILE] [-quick] [-config FILE]
 //	         [-checkpoint DIR] [-resume] [-shard-timeout D] [-metrics-addr :9090]
 //	         [-daystore DIR] [-shard-by BITS]
-//	         [-coordinator HOST:PORT] [-min-workers N] [-heartbeat D] [-ranges N]
+//	         [-coordinator HOST:PORT] [-min-workers N] [-heartbeat D]
 //	         [-suspect-missed N] [-dead-missed N]
 //
-// With -coordinator, joinpipe runs no sweeps or joins itself: it listens
-// on the given address and distributes the work across joinworker
-// processes (DESIGN §3.6), with the same checkpoint/resume and
-// quarantine semantics and byte-identical output.
+// With -coordinator, joinpipe runs no sweeps itself: it listens on the
+// given address, distributes the day-sweeps across joinworker processes
+// (DESIGN §3.6) and joins the sealed days in process, with the same
+// checkpoint/resume and quarantine semantics and byte-identical output.
 package main
 
 import (
@@ -68,7 +68,6 @@ func run() (err error) {
 	coordAddr := flag.String("coordinator", "", "run as fleet coordinator: listen on this address and distribute the work to joinworker processes")
 	minWorkers := flag.Int("min-workers", 1, "coordinator mode: hold dispatch until this many workers register")
 	heartbeat := flag.Duration("heartbeat", time.Second, "coordinator mode: fleet heartbeat interval")
-	numRanges := flag.Int("ranges", 0, "coordinator mode: join shard-range partition width (0 = default)")
 	suspectMissed := flag.Int("suspect-missed", 5, "coordinator mode: consecutive missed heartbeats before a worker is suspect (its tasks shadow-requeue)")
 	deadMissed := flag.Int("dead-missed", 10, "coordinator mode: consecutive missed heartbeats before a worker is declared dead")
 	daystoreDir := flag.String("daystore", "", "seal completed day-sweeps to columnar files in this directory and join against the mmap-backed views (out-of-core: resident memory stays flat in the world size); with -checkpoint the default is DIR/days")
@@ -108,7 +107,6 @@ func run() (err error) {
 			distjoin.WithResume(*resume),
 			distjoin.WithMetrics(reg),
 			distjoin.WithMinWorkers(*minWorkers),
-			distjoin.WithNumRanges(*numRanges),
 			distjoin.WithSuspectAfter(*suspectMissed),
 			distjoin.WithDeadAfter(*deadMissed),
 		)

@@ -1,8 +1,8 @@
-// Command joinworker is one member of the distributed join fleet
+// Command joinworker is one member of the distributed sweep fleet
 // (DESIGN §3.6). It connects to a joinpipe coordinator, rebuilds the
 // study world deterministically from the configuration the coordinator
-// sends, and executes assigned day-sweeps and join shard ranges until
-// the run completes.
+// sends, and executes assigned day-sweeps until the run completes; the
+// coordinator joins the sealed days itself.
 //
 // The first SIGINT/SIGTERM triggers a graceful drain: the worker
 // finishes its in-flight task, refuses new work, deregisters, and
@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	joinworker -connect HOST:PORT [-name ID] [-spool DIR] [-metrics-addr :9091]
+//	joinworker -connect HOST:PORT [-name ID] [-metrics-addr :9091]
 package main
 
 import (
@@ -45,7 +45,6 @@ func run() error {
 	connect := flag.String("connect", "", "coordinator address (required)")
 	name := flag.String("name", "", "worker name in fleet metrics and logs (default: worker-<pid>)")
 	metricsAddr := flag.String("metrics-addr", "", "serve this worker's /metrics.json on this address (empty disables)")
-	spoolDir := flag.String("spool", "", "directory the coordinator's sealed day files are installed into at join setup (default: a temporary directory, removed on exit)")
 	flag.Parse()
 
 	if *connect == "" {
@@ -68,7 +67,7 @@ func run() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	w := distjoin.NewWorker(*name, distjoin.WithWorkerMetrics(reg), distjoin.WithSpoolDir(*spoolDir))
+	w := distjoin.NewWorker(*name, distjoin.WithWorkerMetrics(reg))
 
 	// First signal drains gracefully, second aborts.
 	sigs := make(chan os.Signal, 2)

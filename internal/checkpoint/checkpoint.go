@@ -68,8 +68,8 @@ func Create(path string, hdr Header) (*Dir, error) {
 	}
 	for _, e := range entries {
 		// every record type shares the .ckpt suffix — day references, stream
-		// cursors, and named auxiliary records (distributed join ranges) are
-		// all stale state of the previous run and must go
+		// cursors, and any named record an older build journaled — and all
+		// are stale state of the previous run that must go
 		name := e.Name()
 		if final, ok := atomicfile.Leftover(name); ok {
 			name = final
@@ -195,16 +195,13 @@ func DecodeFrame(b []byte, v any) error {
 	return err
 }
 
-// Every journal record — sealed-day references, stream cursors,
-// distributed-join plans and ranges — is one named, CRC-framed, atomically
-// published gob value written with Write and read with Load; the typed
-// helpers (WriteDayRef, Cursor) are conveniences layered on the two.
+// Every journal record — sealed-day references, stream cursors — is one
+// named, CRC-framed, atomically published gob value written with Write
+// and read with Load; the typed helpers (WriteDayRef, Cursor) are
+// conveniences layered on the two.
 
 // Write durably records v under name (a bare *.ckpt filename) in the
 // standard envelope — EncodeFrame, then atomic rename + directory fsync.
-// The distributed-join coordinator journals its join-shard results and
-// plan fingerprint this way so a killed coordinator resumes without
-// re-joining completed shard ranges.
 func (d *Dir) Write(name string, v any) error {
 	if err := validRecordName(name); err != nil {
 		return err

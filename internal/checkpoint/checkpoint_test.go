@@ -12,7 +12,7 @@ import (
 )
 
 // testRecord is an arbitrary journal payload for the generic Write/Load
-// surface (the shape of the distributed join's range records).
+// surface.
 type testRecord struct {
 	Day   clock.Day
 	Names []string

@@ -32,15 +32,13 @@
 // That is the contract, and every production caller holds it:
 //
 //   - the join reads inside its shard workers, which keep the first
-//     refusal; EventsContext and JoinShardRange re-raise it on their
-//     caller's goroutine (TestStoreRefusalReachesCaller);
-//   - distjoin's joinRangeIsolated recovers it there into the failure a
-//     worker reports (distjoin.TestJoinRangeRefusalIsAFailure); a worker
-//     installs only validated images (TestCorruptDayFileFleetParity), so
-//     this takes a spool that rots after Install;
-//   - study.RunContext joins over days it has just sealed (an in-memory
-//     image is validated as it is added), or on resume hash-verified
-//     against their journaled references, and does not recover;
+//     refusal; EventsContext re-raises it on its caller's goroutine
+//     (TestStoreRefusalReachesCaller);
+//   - study.RunContext and the fleet coordinator (internal/distjoin) join
+//     over days they have just sealed or installed (an in-memory image
+//     is validated as it is added, an installed one as it arrives:
+//     distjoin.TestCorruptDayFileFleetParity), or on resume hash-verified
+//     against their journaled references, and do not recover;
 //   - SeriesFor reads on its caller's goroutine and lets the panic through
 //     (report.TestSeriesRefusesTamperedDay), so cmd/report dies printing
 //     the typed error, exit status 2, the entry's title its last output.

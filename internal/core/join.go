@@ -30,7 +30,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -79,43 +78,18 @@ type dnsVictim struct {
 	attacks []int32 // feed positions, sorted by (start, position)
 }
 
-// TaggedEvent carries an event with the two sort keys that reproduce the
+// taggedEvent carries an event with the two sort keys that reproduce the
 // legacy emission order: the attack's feed position and the containing
-// NSSet's rank among the victim's sorted sets. Exported (with gob-friendly
-// value fields) so a distributed worker can ship a shard range's events to
-// the coordinator, which restores the global order with MergeTaggedEvents.
-type TaggedEvent struct {
-	AttackIdx int32
-	NSSetIdx  int32
-	Event     Event
+// NSSet's rank among the victim's sorted sets.
+type taggedEvent struct {
+	attackIdx int32
+	nssetIdx  int32
+	event     Event
 }
 
 // cmpTagged is the legacy emission order over tagged events.
-func cmpTagged(a, b TaggedEvent) int {
-	return cmp.Or(cmp.Compare(a.AttackIdx, b.AttackIdx), cmp.Compare(a.NSSetIdx, b.NSSetIdx))
-}
-
-// MergeTaggedEvents merges per-shard-range event buffers (in any order,
-// from any number of workers) into the exact event sequence the
-// single-process join emits: one global sort by (feed position, NSSet
-// rank) and the tags are stripped. Ranges cover disjoint shard sets, so
-// no deduplication is needed — exactly-once delivery is the caller's
-// (coordinator journal's) contract.
-func MergeTaggedEvents(parts [][]TaggedEvent) []Event {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	merged := make([]TaggedEvent, 0, n)
-	for _, p := range parts {
-		merged = append(merged, p...)
-	}
-	slices.SortFunc(merged, cmpTagged)
-	out := make([]Event, len(merged))
-	for i, te := range merged {
-		out[i] = te.Event
-	}
-	return out
+func cmpTagged(a, b taggedEvent) int {
+	return cmp.Or(cmp.Compare(a.attackIdx, b.attackIdx), cmp.Compare(a.nssetIdx, b.nssetIdx))
 }
 
 // joinIndex is one feed's immutable join plan: the attack interval index
@@ -208,30 +182,17 @@ func (p *Pipeline) EventsContext(ctx context.Context, attacks []rsdos.Attack) ([
 	return p.runShards(ctx, ji.aix, ji.shards)
 }
 
-// runShards is the single-process join: the whole shard list through the
-// worker pool, then the tags stripped from the already-sorted range.
-func (p *Pipeline) runShards(ctx context.Context, aix *AttackIndex, shards [][]dnsVictim) ([]Event, error) {
-	merged, err := p.runShardRange(ctx, aix, shards)
-	out := make([]Event, len(merged))
-	for i := range merged {
-		out[i] = merged[i].Event
-	}
-	p.metrics.events.Add(int64(len(out)))
-	return out, err
-}
-
 // joinWorker is the memory one pool worker carries from shard to shard, so
 // a warm worker allocates per emitted event, not per shard or per read.
 type joinWorker struct {
-	out  []TaggedEvent         // events of every shard joined so far
+	out  []taggedEvent         // events of every shard joined so far
 	wins []nsset.WindowMetrics // the current (attack, NSSet) span's windows
 }
 
-// runShardRange joins a contiguous shard slice through the bounded worker
-// pool and returns the tagged events sorted in legacy emission order —
-// the shared engine under both the single-process join (runShards) and
-// the distributed shard-range API (JoinShardRange).
-func (p *Pipeline) runShardRange(ctx context.Context, aix *AttackIndex, shards [][]dnsVictim) ([]TaggedEvent, error) {
+// runShards joins the shard list through the bounded worker pool, sorts
+// the workers' tagged events into legacy emission order and strips the
+// tags.
+func (p *Pipeline) runShards(ctx context.Context, aix *AttackIndex, shards [][]dnsVictim) ([]Event, error) {
 	workers := p.joinWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -240,7 +201,7 @@ func (p *Pipeline) runShardRange(ctx context.Context, aix *AttackIndex, shards [
 		workers = len(shards)
 	}
 
-	outs := make([][]TaggedEvent, workers)
+	outs := make([][]taggedEvent, workers)
 	work := make(chan int)
 	var wg sync.WaitGroup
 	// The day store is first read here, in the workers, and a file-backed
@@ -296,35 +257,12 @@ dispatch:
 	// Shards cover disjoint ascending victim ranges but attacks interleave
 	// across victims; restore the feed order the legacy scan emits in.
 	slices.SortFunc(merged, cmpTagged)
-	return merged, ctx.Err()
-}
-
-// JoinShardCount returns how many victim-prefix shards the feed's join
-// plan contains — the unit of distribution: a coordinator partitions
-// [0, JoinShardCount) into contiguous ranges and hands each range to a
-// worker's JoinShardRange. The count is a pure function of the feed and
-// the pipeline's frozen world, so every process that rebuilt the same
-// world from the same config computes the same value.
-func (p *Pipeline) JoinShardCount(attacks []rsdos.Attack) int {
-	return len(p.joinIndexFor(attacks).shards)
-}
-
-// JoinShardRange joins the shard range [from, to) of the feed's join plan
-// and returns its tagged events in legacy emission order. Disjoint ranges
-// joined in different processes and merged with MergeTaggedEvents are
-// byte-identical to one EventsContext call over the whole feed.
-func (p *Pipeline) JoinShardRange(ctx context.Context, attacks []rsdos.Attack, from, to int) ([]TaggedEvent, error) {
-	ji := p.joinIndexFor(attacks)
-	if from < 0 || to < from || to > len(ji.shards) {
-		return nil, fmt.Errorf("core: shard range [%d, %d) out of bounds (plan has %d shards)", from, to, len(ji.shards))
+	out := make([]Event, len(merged))
+	for i := range merged {
+		out[i] = merged[i].event
 	}
-	shards := ji.shards[from:to]
-	if len(shards) == 0 {
-		return nil, ctx.Err()
-	}
-	merged, err := p.runShardRange(ctx, ji.aix, shards)
-	p.metrics.events.Add(int64(len(merged)))
-	return merged, err
+	p.metrics.events.Add(int64(len(out)))
+	return out, ctx.Err()
 }
 
 // joinShard joins one shard's victims, appending to the worker's events.
@@ -365,7 +303,7 @@ func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dn
 			snapDay = p.measurableDay(snapDay)
 			for ki, k := range sets {
 				if e, ok := p.buildEventIndexed(ca, snapDay, k, jw); ok {
-					jw.out = append(jw.out, TaggedEvent{AttackIdx: ai, NSSetIdx: int32(ki), Event: e})
+					jw.out = append(jw.out, taggedEvent{attackIdx: ai, nssetIdx: int32(ki), event: e})
 				}
 			}
 		}

@@ -139,9 +139,9 @@ func (s refusingStore) AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, fro
 // shard workers, so a store that refuses a day panics there — at the
 // snapshot-day baseline, or, when only the attack day's file is bad, at
 // the ranged window read. The join must re-raise that refusal on the
-// calling goroutine, where a supervised run recovers it (distjoin's
-// joinRangeIsolated) — left in a worker goroutine it would kill the
-// process. Both entry points hold the contract written in daystore.go.
+// calling goroutine, where a caller can recover it — left in a worker
+// goroutine it would kill the process. That is the contract written in
+// daystore.go.
 func TestStoreRefusalReachesCaller(t *testing.T) {
 	db, addrs, keys := buildWideWorld(t, 8)
 	agg := nsset.NewAggregator()
@@ -152,22 +152,16 @@ func TestStoreRefusalReachesCaller(t *testing.T) {
 		attacks = append(attacks, mkAttack(i+1, a, aw, aw+2, 53))
 	}
 	refusal := errors.New("day file refused")
-	joins := map[string]func(p *Pipeline){
-		"EventsContext":  func(p *Pipeline) { p.EventsContext(context.Background(), attacks) },
-		"JoinShardRange": func(p *Pipeline) { p.JoinShardRange(context.Background(), attacks, 0, p.JoinShardCount(attacks)) },
-	}
-	for name, join := range joins {
-		for _, atBaseline := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/baseline=%v", name, atBaseline), func(t *testing.T) {
-				p := NewPipeline(db, WithDayStore(refusingStore{agg, refusal, atBaseline}), withJoinWorkers(4), WithShardBits(32))
-				defer func() {
-					if r := recover(); r != refusal {
-						t.Fatalf("recovered %v, want the store's refusal", r)
-					}
-				}()
-				join(p)
-				t.Fatal("join over a refusing store returned")
-			})
-		}
+	for _, atBaseline := range []bool{true, false} {
+		t.Run(fmt.Sprintf("EventsContext/baseline=%v", atBaseline), func(t *testing.T) {
+			p := NewPipeline(db, WithDayStore(refusingStore{agg, refusal, atBaseline}), withJoinWorkers(4), WithShardBits(32))
+			defer func() {
+				if r := recover(); r != refusal {
+					t.Fatalf("recovered %v, want the store's refusal", r)
+				}
+			}()
+			p.EventsContext(context.Background(), attacks)
+			t.Fatal("join over a refusing store returned")
+		})
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dnsddos/internal/clock"
-	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/resilience"
@@ -20,43 +19,14 @@ import (
 )
 
 // coordinator.go owns the run: a single-goroutine event loop holds all
-// fleet and plan state, fed by per-connection reader goroutines, a
-// liveness ticker, and retry timers. Workers never share state; every
-// decision — assignment, reassignment, journaling — happens in the loop,
-// which is what keeps the exactly-once bookkeeping simple enough to trust.
-// Which days are done, retried or quarantined is the study.Ledger's call
-// (DESIGN §3.2), shared with the in-process pool; this file is transport,
-// liveness, assignment and the join-range journal.
-
-const (
-	// joinMaxFailures bounds *reported* join-range failures (panics);
-	// ranges have no quarantine equivalent — results must be complete — so
-	// a range that keeps panicking aborts the run. Lost workers do not
-	// count: a range may be reassigned any number of times.
-	joinMaxFailures = 2
-	// defaultNumRanges is the fleet-size-independent join partition width,
-	// clamped to the shard count. Finer than any plausible fleet so ranges
-	// rebalance when workers come and go, deterministic so an unjournaled
-	// rerun partitions identically.
-	defaultNumRanges = 32
-
-	planRecord = "join_plan.ckpt"
-)
-
-func rangeRecord(idx int) string { return fmt.Sprintf("join_range_%04d.ckpt", idx) }
-
-// joinPlan is the journaled join partition: a resumed coordinator must
-// slice shards exactly as its predecessor did or completed range records
-// would describe different work.
-type joinPlan struct {
-	NumShards int
-	NumRanges int
-}
-
-// rangeResult is the journaled output of one completed shard range.
-type rangeResult struct {
-	Events []core.TaggedEvent
-}
+// fleet state, fed by per-connection reader goroutines, a liveness
+// ticker, and retry timers. Workers never share state; every decision —
+// assignment, reassignment — happens in the loop, which is what keeps the
+// exactly-once bookkeeping simple enough to trust. Which days are done,
+// retried or quarantined is the study.Ledger's call (DESIGN §3.2), shared
+// with the in-process pool; this file is transport, liveness and
+// assignment. The fleet only sweeps: once every day is settled the
+// coordinator joins the sealed days itself, in process.
 
 // CoordOption configures a Coordinator.
 type CoordOption func(*coordOptions)
@@ -68,7 +38,6 @@ type coordOptions struct {
 	resume       bool
 	reg          *obs.Registry
 	minWork      int
-	numRanges    int
 	backoff      time.Duration
 	suspectAfter int
 	deadAfter    int
@@ -85,11 +54,11 @@ func WithHeartbeatInterval(d time.Duration) CoordOption {
 	return func(o *coordOptions) { o.heartbeat = d }
 }
 
-// WithCheckpointDir journals run state — completed days, the join plan,
-// completed shard ranges — to dir so a killed coordinator can resume. The
-// sealed day files the fleet delivers live in dir/days and the journal
-// references them by content hash; without a checkpoint directory they go
-// to a temporary directory that Run removes on return.
+// WithCheckpointDir journals the completed days to dir so a killed
+// coordinator can resume. The sealed day files the fleet delivers live in
+// dir/days and the journal references them by content hash; without a
+// checkpoint directory they go to a temporary directory that Run removes
+// on return.
 func WithCheckpointDir(dir string) CoordOption {
 	return func(o *coordOptions) { o.ckptDir = dir }
 }
@@ -126,12 +95,6 @@ func WithSuspectAfter(n int) CoordOption {
 // suspect threshold.
 func WithDeadAfter(n int) CoordOption {
 	return func(o *coordOptions) { o.deadAfter = n }
-}
-
-// WithNumRanges overrides the join partition width (default
-// min(shards, 32)); clamped to the shard count, journaled with the plan.
-func WithNumRanges(n int) CoordOption {
-	return func(o *coordOptions) { o.numRanges = n }
 }
 
 // Coordinator drives one distributed study run.
@@ -196,30 +159,25 @@ const (
 	stateDraining
 )
 
-// task is one unit of fleet work.
+// task is one unit of fleet work: a day to sweep. Its attempts are the
+// ledger's to count.
 type task struct {
-	join bool // false: day sweep; true: join range
-	day  clock.Day
-	rng  int
-	// failures counts a join range's reported failures; joinMaxFailures
-	// aborts the run. A day sweep's attempts are the ledger's to count.
-	failures int
+	day clock.Day
 }
 
 // fleetWorker is the coordinator-side view of one connection.
 type fleetWorker struct {
-	id        int
-	name      string
-	conn      net.Conn
-	wr        *wire
-	outbox    chan *message
-	wdone     chan struct{} // closed when the writer goroutine exits
-	state     workerState
-	hello     bool
-	joinReady bool
-	lastSeen  time.Time
-	inflight  *task
-	started   time.Time
+	id       int
+	name     string
+	conn     net.Conn
+	wr       *wire
+	outbox   chan *message
+	wdone    chan struct{} // closed when the writer goroutine exits
+	state    workerState
+	hello    bool
+	lastSeen time.Time
+	inflight *task
+	started  time.Time
 }
 
 // coordEvent is one event-loop delivery.
@@ -229,14 +187,12 @@ type coordEvent struct {
 	err   error        // connection failure; with a nil w, a fatal local one
 	conn  net.Conn     // non-nil for new connections
 	retry *task        // non-nil when a backoff timer fired
-	tick  bool
 }
 
 // Run executes the distributed study and returns the completed run,
 // byte-identical to single-process study.RunContext over the same
 // configuration. It returns early only on cancellation (the journal, if
-// any, stays resumable), checkpoint I/O failure, or an unrecoverable
-// plan mismatch.
+// any, stays resumable) or checkpoint I/O failure.
 func (c *Coordinator) Run(ctx context.Context) (*study.Study, error) {
 	defer c.l.Close()
 
@@ -255,7 +211,6 @@ func (c *Coordinator) Run(ctx context.Context) (*study.Study, error) {
 		cfgJSON: cfgJSON,
 		evs:     make(chan coordEvent, 1024),
 		workers: make(map[int]*fleetWorker),
-		ranges:  make(map[int][]core.TaggedEvent),
 	}
 	if c.opts.ckptDir == "" {
 		if st.dayDir, err = os.MkdirTemp("", "distjoin-days-*"); err != nil {
@@ -268,19 +223,13 @@ func (c *Coordinator) Run(ctx context.Context) (*study.Study, error) {
 	if st.ledger, err = study.OpenLedger(c.cfg, c.reg, c.opts.ckptDir, st.dayDir, c.opts.resume); err != nil {
 		return nil, err
 	}
-	if c.opts.resume {
-		if err := st.loadJoinJournal(); err != nil {
-			return nil, err
-		}
-	}
 	for _, d := range st.ledger.Pending() {
 		st.pending = append(st.pending, &task{day: d})
 	}
 
-	// Accept loop: hands raw connections to the event loop.
-	acceptDone := make(chan struct{})
+	// Accept loop: hands raw connections to the event loop until Run's
+	// deferred Close of the listener.
 	go func() {
-		defer close(acceptDone)
 		for {
 			conn, err := c.l.Accept()
 			if err != nil {
@@ -294,16 +243,11 @@ func (c *Coordinator) Run(ctx context.Context) (*study.Study, error) {
 	defer st.closeAll()
 
 	for {
-		// Phase transitions and completion are checked between events so
-		// every path (result, failure, worker change) funnels through one
-		// place.
-		if !st.joinStarted && st.ledger.Settled() {
-			if err := st.startJoin(ctx); err != nil {
-				return nil, err
-			}
-		}
-		if st.joinStarted && st.joinDone() {
-			return st.finish(ctx)
+		// Completion is checked between events so every path (result,
+		// failure, worker change) funnels through one place. A resumed
+		// journal whose days are all done gets here before any worker.
+		if st.ledger.Settled() {
+			return st.join(ctx)
 		}
 		st.schedule()
 		select {
@@ -341,124 +285,47 @@ type runState struct {
 	nextID  int
 	workers map[int]*fleetWorker
 
-	pending []*task // dispatch queue, deterministic order
+	pending []*task // dispatch queue, ascending by day
 
-	// sweep phase: an accepted day is a sealed file in dayDir
-	// (<checkpoint>/days, or a temporary directory) and an entry in the
-	// ledger — the coordinator's heap never holds a day's measurements.
+	// An accepted day is a sealed file in dayDir (<checkpoint>/days, or a
+	// temporary directory) and an entry in the ledger — the coordinator's
+	// heap never holds a day's measurements.
 	dayDir string
 	ledger *study.Ledger
 
 	// fleetStarted latches once minWorkers registered simultaneously;
 	// dispatch is gated only until then.
 	fleetStarted bool
-
-	// join phase
-	joinStarted bool
-	plan        joinPlan
-	loadedPlan  bool
-	days        *daystore.Set // the pipeline's day store, over dayDir
-	pipe        *core.Pipeline
-	// setup lists the accepted days ascending; fixed at startJoin and
-	// read-only afterwards, so connection writers stream from it freely.
-	setup  []daystore.SealedFile
-	ranges map[int][]core.TaggedEvent
 }
 
-// loadJoinJournal restores the join-phase records a previous incarnation
-// journaled beside the days: the partition plan and the completed ranges.
-func (st *runState) loadJoinJournal() error {
-	journal := st.ledger.Journal()
-	if ok, err := journal.Load(planRecord, &st.plan); err != nil || !ok {
-		return err
-	}
-	st.loadedPlan = true
-	for i := 0; i < st.plan.NumRanges; i++ {
-		var rr rangeResult
-		if ok, err := journal.Load(rangeRecord(i), &rr); err != nil {
-			return err
-		} else if ok {
-			st.ranges[i] = rr.Events
-		}
-	}
-	return nil
-}
-
-// startJoin transitions to the join phase: freeze the list of accepted
-// day files, build the coordinator's pipeline over them, fix (or verify)
-// the journaled partition plan, and queue the incomplete ranges.
-func (st *runState) startJoin(ctx context.Context) error {
-	st.joinStarted = true
-	st.setup = st.ledger.Files()
-	var err error
-	if st.days, err = daystore.Open(st.dayDir); err != nil {
-		return err
-	}
-	st.pipe = st.sess.NewPipeline(st.days, st.ledger.Quarantined(), st.c.reg)
-	numShards := st.pipe.JoinShardCount(st.sess.Attacks)
-
-	if st.loadedPlan {
-		if st.plan.NumShards != numShards {
-			return fmt.Errorf("distjoin: journaled join plan has %d shards, this run computes %d — refusing to resume",
-				st.plan.NumShards, numShards)
-		}
-	} else {
-		nr := st.c.opts.numRanges
-		if nr <= 0 {
-			nr = defaultNumRanges
-		}
-		if nr > numShards {
-			nr = numShards
-		}
-		if nr < 1 {
-			nr = 1
-		}
-		st.plan = joinPlan{NumShards: numShards, NumRanges: nr}
-		if journal := st.ledger.Journal(); journal != nil {
-			if err := journal.Write(planRecord, &st.plan); err != nil {
-				return err
-			}
-		}
-	}
-	for i := 0; i < st.plan.NumRanges; i++ {
-		if _, ok := st.ranges[i]; !ok {
-			st.pending = append(st.pending, &task{join: true, rng: i})
-		}
-	}
-	// Workers that registered during the sweep phase need the join state
-	// before any range assignment; setup is sent lazily by schedule().
-	return ctx.Err()
-}
-
-// joinDone reports whether every range result is in.
-func (st *runState) joinDone() bool {
-	return st.joinStarted && len(st.ranges) == st.plan.NumRanges
-}
-
-// finish assembles the Study, tells the fleet to exit, and returns.
-func (st *runState) finish(ctx context.Context) (*study.Study, error) {
-	if st.ledger.Journal() == nil {
-		// The day directory is temporary and goes when Run returns. Map
-		// every day file first (mappings outlive the unlink), so the
-		// returned Study's pipeline can still read any day.
-		if err := st.days.Verify(); err != nil {
-			return nil, err
-		}
-	}
-	parts := make([][]core.TaggedEvent, 0, st.plan.NumRanges)
-	for i := 0; i < st.plan.NumRanges; i++ {
-		parts = append(parts, st.ranges[i])
-	}
-	s := st.sess.NewStudy(st.c.reg)
-	s.Pipeline = st.pipe
-	s.Classified = st.pipe.Classify(st.sess.Attacks)
-	s.Events = core.MergeTaggedEvents(parts)
-	s.Report = st.ledger.Report()
-
+// join ends the run once every day is settled: the fleet is told to exit,
+// and the coordinator runs study.RunContext's tail over the sealed days —
+// the pipeline with the ledger's quarantine, the batch classify+join, the
+// report.
+func (st *runState) join(ctx context.Context) (*study.Study, error) {
 	for _, w := range st.workers {
 		st.post(w, &message{Kind: kindShutdown})
 	}
-	return s, ctx.Err()
+	days, err := daystore.Open(st.dayDir)
+	if err != nil {
+		return nil, err
+	}
+	if st.c.opts.ckptDir == "" {
+		// The day directory is temporary and goes when Run returns. Map
+		// every day file first (mappings outlive the unlink), so the
+		// returned Study's pipeline can still read any day.
+		if err := days.Verify(); err != nil {
+			return nil, err
+		}
+	}
+	s := st.sess.NewStudy(st.c.reg)
+	s.Pipeline = st.sess.NewPipeline(days, st.ledger.Quarantined(), st.c.reg)
+	s.Classified = s.Pipeline.Classify(s.Attacks)
+	if s.Events, err = s.Pipeline.EventsContext(ctx, s.Attacks); err != nil {
+		return nil, err
+	}
+	s.Report = st.ledger.Report()
+	return s, nil
 }
 
 // addConn registers a raw connection and spawns its reader and writer.
@@ -476,26 +343,12 @@ func (st *runState) addConn(conn net.Conn) {
 	go func() { // writer
 		defer close(w.wdone)
 		for m := range w.outbox {
-			if err := st.write(w, m); err != nil {
+			// A wedged peer must not wedge the writer, so every frame gets
+			// its own deadline.
+			w.conn.SetWriteDeadline(time.Now().Add(time.Duration(st.c.opts.deadAfter) * st.c.opts.heartbeat))
+			if err := w.wr.send(m); err != nil {
 				st.evs <- coordEvent{w: w, err: err}
 				return
-			}
-			if m.Kind != kindJoinSetup {
-				continue
-			}
-			// The plan frame is followed by the day files it announced,
-			// each read from disk just before its frame is written: neither
-			// the outbox nor the heap ever holds more than one day.
-			for _, f := range st.setup {
-				image, err := os.ReadFile(filepath.Join(st.dayDir, f.Name))
-				if err != nil {
-					st.evs <- coordEvent{err: fmt.Errorf("distjoin: reading day file for %s: %w", w.name, err)}
-					return
-				}
-				if err := st.write(w, &message{Kind: kindDayFile, Day: f.Day, Image: image, SHA256: f.SHA256}); err != nil {
-					st.evs <- coordEvent{w: w, err: err}
-					return
-				}
 			}
 		}
 	}()
@@ -511,13 +364,6 @@ func (st *runState) addConn(conn net.Conn) {
 	}()
 }
 
-// write sends one frame to a worker. A wedged peer must not wedge the
-// writer, so every frame gets its own deadline.
-func (st *runState) write(w *fleetWorker, m *message) error {
-	w.conn.SetWriteDeadline(time.Now().Add(time.Duration(st.c.opts.deadAfter) * st.c.opts.heartbeat))
-	return w.wr.send(m)
-}
-
 // post enqueues a message for a worker without ever blocking the event
 // loop; a worker too backlogged to accept is treated as failed.
 func (st *runState) post(w *fleetWorker, m *message) {
@@ -529,7 +375,7 @@ func (st *runState) post(w *fleetWorker, m *message) {
 }
 
 // handle processes one decoded frame. A returned error aborts the run
-// (checkpoint I/O, plan mismatch); per-worker trouble never does.
+// (checkpoint I/O); per-worker trouble never does.
 func (st *runState) handle(w *fleetWorker, m *message) error {
 	if _, ok := st.workers[w.id]; !ok {
 		// Frame from a worker already dropped: its task was reassigned. A
@@ -575,7 +421,7 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 	case kindSweepDone:
 		t := w.inflight
 		w.inflight = nil
-		if t == nil || t.join || t.day != m.Day {
+		if t == nil || t.day != m.Day {
 			// Unsolicited or reassigned-elsewhere result.
 			if st.ledger.Done(m.Day) {
 				st.c.m.shardRedeliveries.Inc()
@@ -608,31 +454,6 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 		st.c.m.sweepDaysDone.Inc()
 		st.c.m.observeTask(w.name, w.started)
 
-	case kindJoinDone:
-		t := w.inflight
-		w.inflight = nil
-		if t == nil || !t.join || t.rng != m.Range {
-			if _, done := st.ranges[m.Range]; done {
-				st.c.m.shardRedeliveries.Inc()
-			}
-			if t != nil {
-				w.inflight = t
-			}
-			return nil
-		}
-		if _, done := st.ranges[m.Range]; done {
-			st.c.m.shardRedeliveries.Inc()
-			return nil
-		}
-		if journal := st.ledger.Journal(); journal != nil {
-			if err := journal.Write(rangeRecord(m.Range), &rangeResult{Events: m.Events}); err != nil {
-				return fmt.Errorf("distjoin: journaling range %d: %w", m.Range, err)
-			}
-		}
-		st.ranges[m.Range] = m.Events
-		st.c.m.joinRangesDone.Inc()
-		st.c.m.observeTask(w.name, w.started)
-
 	case kindTaskFailed:
 		t := w.inflight
 		w.inflight = nil
@@ -640,17 +461,9 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 			return nil
 		}
 		st.c.m.taskFailures.Inc()
-		if !t.join {
-			if st.ledger.Fail(t.day, m.Reason, m.Stack, true) {
-				st.requeue(t)
-			}
-			return nil
+		if st.ledger.Fail(t.day, m.Reason, m.Stack, true) {
+			st.requeue(t)
 		}
-		// Ranges have no quarantine: results must be complete.
-		if t.failures++; t.failures >= joinMaxFailures {
-			return fmt.Errorf("distjoin: join range %d failed %d times: %s", t.rng, t.failures, m.Reason)
-		}
-		st.requeue(t)
 	}
 	return nil
 }
@@ -658,34 +471,20 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 // requeue re-enqueues a task after a decorrelated-jitter backoff
 // (resilience.RetryBudget.DelayFor, the stateless form). A task gets
 // here with at most one charged failure — the second quarantines the day
-// or aborts the run — so the delay is always the first attempt's.
+// — so the delay is always the first attempt's.
 func (st *runState) requeue(t *task) {
 	time.AfterFunc(st.c.retry.DelayFor(1), func() { st.evs <- coordEvent{retry: t} })
 }
 
-// enqueue returns a retried task to the dispatch queue in deterministic
-// position (sweeps by day, then ranges by index).
+// enqueue returns a retried task to the dispatch queue in day order.
 func (st *runState) enqueue(t *task) {
 	// A task can only be in backoff because it is neither complete nor in
 	// flight; double-check completion in case a straggler finished it.
-	if !t.join {
-		if st.ledger.Done(t.day) {
-			return
-		}
-	} else if _, done := st.ranges[t.rng]; done {
+	if st.ledger.Done(t.day) {
 		return
 	}
 	st.pending = append(st.pending, t)
-	sort.SliceStable(st.pending, func(i, j int) bool {
-		a, b := st.pending[i], st.pending[j]
-		if a.join != b.join {
-			return !a.join
-		}
-		if !a.join {
-			return a.day < b.day
-		}
-		return a.rng < b.rng
-	})
+	sort.SliceStable(st.pending, func(i, j int) bool { return st.pending[i].day < st.pending[j].day })
 }
 
 // removeWorker unregisters a worker and reassigns its in-flight task. A
@@ -702,7 +501,7 @@ func (st *runState) removeWorker(w *fleetWorker, err error) {
 	if t := w.inflight; t != nil {
 		w.inflight = nil
 		retry := true
-		if !t.join && err != nil {
+		if err != nil {
 			st.c.m.taskFailures.Inc()
 			retry = st.ledger.Fail(t.day, fmt.Sprintf("worker %s lost mid-shard: %v", w.name, err), "", true)
 		}
@@ -742,8 +541,8 @@ func (st *runState) checkLiveness() {
 	}
 }
 
-// schedule assigns pending tasks to idle live workers in deterministic
-// task order, lowest worker id first.
+// schedule assigns pending tasks to idle live workers in day order,
+// lowest worker id first.
 func (st *runState) schedule() {
 	if len(st.pending) == 0 {
 		return
@@ -774,34 +573,10 @@ func (st *runState) schedule() {
 			continue
 		}
 		t := st.pending[0]
-		if t.join && !st.joinStarted {
-			return
-		}
 		st.pending = st.pending[1:]
-		if t.join && !w.joinReady {
-			st.post(w, st.joinSetupMsg())
-			w.joinReady = true
-		}
 		w.inflight = t
 		w.started = time.Now()
-		if t.join {
-			st.post(w, &message{Kind: kindAssignJoin, Range: t.rng})
-		} else {
-			st.post(w, &message{Kind: kindAssignSweep, Day: t.day})
-		}
-	}
-}
-
-// joinSetupMsg is the join-phase plan for one worker: how many day files
-// follow (the connection writer streams them), the quarantine set, and
-// the partition.
-func (st *runState) joinSetupMsg() *message {
-	return &message{
-		Kind:        kindJoinSetup,
-		NumDays:     len(st.setup),
-		Quarantined: st.ledger.Quarantined(),
-		NumShards:   st.plan.NumShards,
-		NumRanges:   st.plan.NumRanges,
+		st.post(w, &message{Kind: kindAssignSweep, Day: t.day})
 	}
 }
 

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"net"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,34 +21,38 @@ import (
 )
 
 // dayfile_test.go covers the one form a measured day takes on the wire —
-// the sealed day file, one per frame: no frame grows with the span, a
-// damaged file is refused with daystore.ErrCorrupt on either side without
-// costing the run its byte parity, and a coordinator resume re-verifies
-// every file its journal references.
+// the sealed day file, one per sweep_done frame, worker to coordinator
+// only: no frame grows with the span, a damaged file is refused with
+// daystore.ErrCorrupt without costing the run its byte parity, and a
+// coordinator resume re-verifies every file its journal references.
 
 // frameConn sits on the worker's end of a control connection and sees
 // whole frames in both directions: wire.send issues one Write per frame,
 // and inbound bytes are reassembled into frames before the worker reads
-// them, so a test can observe — or rewrite — exactly what crossed.
+// them, so a test can observe exactly what crossed — and rewrite what the
+// worker sends.
 type frameConn struct {
 	net.Conn
-	// sent observes each frame the worker writes.
-	sent func(frame []byte)
-	// recv observes each frame the coordinator wrote and returns the bytes
-	// to hand the worker (the frame itself to pass it through).
-	recv func(frame []byte) []byte
+	// sent sees each frame the worker writes and returns the bytes to put
+	// on the wire (the frame itself to pass it through).
+	sent func(frame []byte) []byte
+	// recv, when set, observes each frame the coordinator wrote.
+	recv func(frame []byte)
 
 	raw, out bytes.Buffer // only the worker's single reader goroutine touches these
 }
 
 func (c *frameConn) Write(b []byte) (int, error) {
-	if c.sent != nil {
-		c.sent(b)
+	if _, err := c.Conn.Write(c.sent(b)); err != nil {
+		return 0, err
 	}
-	return c.Conn.Write(b)
+	return len(b), nil
 }
 
 func (c *frameConn) Read(p []byte) (int, error) {
+	if c.recv == nil {
+		return c.Conn.Read(p)
+	}
 	buf := make([]byte, 64<<10)
 	for c.out.Len() == 0 {
 		n, err := c.Conn.Read(buf)
@@ -60,8 +62,9 @@ func (c *frameConn) Read(p []byte) (int, error) {
 			if c.raw.Len() < size {
 				break
 			}
-			frame := append([]byte(nil), c.raw.Next(size)...)
-			c.out.Write(c.recv(frame))
+			frame := c.raw.Next(size)
+			c.recv(frame)
+			c.out.Write(frame)
 		}
 		if err != nil && c.out.Len() == 0 {
 			return 0, err
@@ -98,26 +101,32 @@ type frameSizes struct {
 	max map[kind]int
 }
 
-func (fs *frameSizes) note(t *testing.T, frame []byte) {
+func (fs *frameSizes) note(t *testing.T, frame []byte) message {
 	m := decodeFrame(t, frame)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if len(frame) > fs.max[m.Kind] {
 		fs.max[m.Kind] = len(frame)
 	}
+	return m
 }
 
 // tappedFleet runs the TestDistributedParity fleet over cfg with every
 // worker's connection tapped, journaled to a fresh directory, and returns
-// the per-kind frame maxima and the largest sealed day file.
+// the per-kind frame maxima and the largest sealed day file. A frame from
+// the coordinator that carries a day image fails the test.
 func tappedFleet(t *testing.T, cfg study.Config) (map[kind]int, int) {
 	t.Helper()
 	fs := &frameSizes{max: map[kind]int{}}
 	tap := tapDialer(func(c net.Conn) *frameConn {
 		return &frameConn{
 			Conn: c,
-			sent: func(f []byte) { fs.note(t, f) },
-			recv: func(f []byte) []byte { fs.note(t, f); return f },
+			sent: func(f []byte) []byte { fs.note(t, f); return f },
+			recv: func(f []byte) {
+				if m := fs.note(t, f); len(m.Image) > 0 {
+					t.Errorf("the coordinator sent a day image in a kind %d frame", m.Kind)
+				}
+			},
 		}
 	})
 	dir := t.TempDir()
@@ -153,9 +162,10 @@ func tappedFleet(t *testing.T, cfg study.Config) (map[kind]int, int) {
 
 // TestFrameSizeBoundedByDayFile runs the parity fleet at two spans and
 // pins what the single day form buys: the largest frame either side ever
-// writes is one sealed day file plus a fixed envelope, and the frames that
-// used to carry every day at once — the join setup — are the same few
-// bytes whether the run spans four days or twelve.
+// writes is one sealed day file plus a fixed envelope, sweep_done is the
+// only kind that carries a day (and only towards the coordinator), and
+// every other frame is the same few bytes whether the run spans four days
+// or twelve.
 func TestFrameSizeBoundedByDayFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -175,7 +185,7 @@ func TestFrameSizeBoundedByDayFile(t *testing.T) {
 		sizes map[kind]int
 		file  int
 	}{{"short", fsShort, fileShort}, {"long", fsLong, fileLong}} {
-		for _, k := range []kind{kindHeartbeat, kindSweepDone, kindDayFile, kindJoinSetup} {
+		for _, k := range []kind{kindHeartbeat, kindSweepDone} {
 			if run.sizes[k] == 0 {
 				t.Fatalf("%s span: no frame of kind %d crossed the wire", run.name, k)
 			}
@@ -187,10 +197,10 @@ func TestFrameSizeBoundedByDayFile(t *testing.T) {
 			}
 		}
 	}
-	// every frame that is not a day file or a range's events is control
-	// traffic of fixed size: tripling the span must not move it by a byte
-	// (shutdown is left out: a worker may hang up before reading it)
-	for _, k := range []kind{kindHello, kindWelcome, kindHeartbeat, kindAssignSweep, kindJoinSetup, kindAssignJoin} {
+	// every frame that is not a day file is control traffic of fixed size:
+	// tripling the span must not move it by a byte (shutdown is left out:
+	// a worker may hang up before reading it)
+	for _, k := range []kind{kindHello, kindWelcome, kindHeartbeat, kindAssignSweep} {
 		if a, b := fsShort[k], fsLong[k]; a != b {
 			t.Errorf("kind %d frame is %d bytes over %d days but %d bytes over %d days",
 				k, a, short.ToDay-short.FromDay+1, b, long.ToDay-long.FromDay+1)
@@ -198,166 +208,61 @@ func TestFrameSizeBoundedByDayFile(t *testing.T) {
 	}
 }
 
-// fakeCoordinator accepts one worker, welcomes it with cfg, and hands the
-// connection to script.
-func fakeCoordinator(t *testing.T, cfg study.Config, script func(wr *wire)) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		wr := &wire{conn: conn}
-		var hello message
-		if err := wr.recv(&hello); err != nil || hello.Kind != kindHello {
-			t.Errorf("fake coordinator: hello = %+v, err %v", hello.Kind, err)
-			return
-		}
-		wr.send(&message{Kind: kindWelcome, ConfigJSON: cfgJSON, HeartbeatMS: 50})
-		script(wr)
-		// hold the connection until the worker hangs up
-		for wr.recv(&hello) == nil {
-		}
-	}()
-	return l.Addr().String()
-}
-
-// TestWorkerRefusesCorruptDayFile: a day file that arrives in an intact
-// frame but is itself damaged — flipped, truncated, or not the bytes the
-// hash announces — ends the worker with daystore.ErrCorrupt before it is
-// published to the spool.
-func TestWorkerRefusesCorruptDayFile(t *testing.T) {
-	cfg := testConfig()
-	snap := nsset.Snapshot{Baselines: []nsset.BaselineSnap{{Key: "ns-a", B: nsset.DayBaseline{Day: 27, OKCount: 3, Domains: 3}}}}
-	image, sum, err := daystore.EncodeDay(27, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped := append([]byte(nil), image...)
-	flipped[len(flipped)/2] ^= 0x01
-	for _, tc := range []struct {
-		name  string
-		image []byte
-		sha   string
-	}{
-		{"flipped_byte", flipped, sum},
-		{"truncated", image[:len(image)-5], sum},
-		{"wrong_hash", image, "0000" + sum[4:]},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			addr := fakeCoordinator(t, cfg, func(wr *wire) {
-				wr.send(&message{Kind: kindJoinSetup, NumDays: 1, NumShards: 1, NumRanges: 1})
-				wr.send(&message{Kind: kindDayFile, Day: 27, Image: tc.image, SHA256: tc.sha})
-			})
-			spool := t.TempDir()
-			err := NewWorker("picky", WithSpoolDir(spool)).Run(context.Background(), addr)
-			if !errors.Is(err, daystore.ErrCorrupt) {
-				t.Fatalf("worker error = %v, want daystore.ErrCorrupt", err)
-			}
-			if left, _ := os.ReadDir(spool); len(left) != 0 {
-				t.Fatalf("refused day file still reached the spool: %v", left)
-			}
-		})
-	}
-}
-
-// TestCorruptDayFileFleetParity: the first day file the coordinator
-// streams at join setup — to whichever worker gets the first range — is
-// tampered with: a byte flipped inside a re-framed, CRC-valid frame. That
-// worker refuses the file and leaves; the coordinator sees a failed
-// connection, reassigns the range, and the run still ends byte-identical.
+// TestCorruptDayFileFleetParity: the first sweep image any worker sends is
+// tampered with — a byte flipped inside a re-framed, CRC-valid frame. The
+// coordinator's Install refuses it (daystore.ErrCorrupt) and drops exactly
+// that worker; the day is charged one attempt and re-swept elsewhere, and
+// the run still ends byte-identical.
 func TestCorruptDayFileFleetParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	wantEvents, wantReport := plainBaseline(t)
-	var tampered atomic.Bool
-	tamper := tapDialer(func(c net.Conn) *frameConn {
-		return &frameConn{Conn: c, recv: func(f []byte) []byte {
-			m := decodeFrame(t, f)
-			if m.Kind != kindDayFile || !tampered.CompareAndSwap(false, true) {
-				return f
-			}
-			m.Image[len(m.Image)/2] ^= 0x01
-			bad, err := checkpoint.EncodeFrame(&m)
-			if err != nil {
-				t.Error(err)
-			}
-			return bad
-		}}
-	})
-	workers := []*Worker{NewWorker("alpha", tamper), NewWorker("bravo", tamper), NewWorker("charlie", tamper)}
+	var tampered atomic.Int32 // 1 + the index of the worker whose image was tampered with
+	tamper := func(i int) WorkerOption {
+		return tapDialer(func(c net.Conn) *frameConn {
+			return &frameConn{Conn: c, sent: func(f []byte) []byte {
+				m := decodeFrame(t, f)
+				if m.Kind != kindSweepDone || !tampered.CompareAndSwap(0, int32(i)+1) {
+					return f
+				}
+				m.Image[len(m.Image)/2] ^= 0x01
+				bad, err := checkpoint.EncodeFrame(&m)
+				if err != nil {
+					t.Error(err)
+				}
+				return bad
+			}}
+		})
+	}
+	names := []string{"alpha", "bravo", "charlie"}
+	workers := make([]*Worker, len(names))
+	for i, name := range names {
+		workers[i] = NewWorker(name, tamper(i))
+	}
 	s, reg, errs, err := runFleet(t, context.Background(), testConfig(), nil, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refused := 0
-	for _, werr := range errs {
-		if errors.Is(werr, daystore.ErrCorrupt) {
-			refused++
-		}
+	victim := int(tampered.Load()) - 1
+	if victim < 0 {
+		t.Fatal("no sweep image crossed the wire")
 	}
-	if refused != 1 {
-		t.Errorf("%d workers refused a day file with daystore.ErrCorrupt, want exactly the tampered one: %v", refused, errs)
+	// the coordinator hung up on the worker whose image it refused
+	if werr := errs[victim]; werr == nil || errors.Is(werr, context.Canceled) {
+		t.Errorf("worker %s, whose image was refused, returned %v; want a lost connection", names[victim], werr)
+	}
+	c := reg.Snapshot().Counters
+	if c["distjoin.task_failures"] != 1 || c["distjoin.reassignments"] != 1 {
+		t.Errorf("task_failures = %d, reassignments = %d; want the refused day charged once and re-swept elsewhere",
+			c["distjoin.task_failures"], c["distjoin.reassignments"])
 	}
 	assertParity(t, s, wantEvents, wantReport)
-	if n := reg.Snapshot().Counters["distjoin.reassignments"]; n < 1 {
-		t.Errorf("refusing worker's range was never reassigned (reassignments = %d)", n)
-	}
 }
 
-// TestJoinRangeRefusalIsAFailure: a worker installs only images that
-// validate, so its day store can refuse a day only when the spool rots
-// between Install and the join's first read of that file — the store then
-// panics with its typed error inside the shard workers (the contract in
-// core/daystore.go), JoinShardRange re-raises it on the worker's goroutine,
-// and joinRangeIsolated turns it into the failure the worker reports, in
-// quarantine shape, instead of a dead process.
-func TestJoinRangeRefusalIsAFailure(t *testing.T) {
-	ctx := context.Background()
-	spool := t.TempDir()
-	s := singleRun(t, testConfig(), study.WithDayStoreDir(spool), study.WithSkipJoin())
-	for _, d := range []clock.Day{27, 28, 29, 30} {
-		path := filepath.Join(spool, daystore.FileName(d))
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[len(b)/2] ^= 0x01
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	set, err := daystore.Open(spool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	sess := s.Session()
-	pipe := sess.NewPipeline(set, nil, nil)
-	events, jf := joinRangeIsolated(ctx, pipe, sess, 0, pipe.JoinShardCount(sess.Attacks))
-	if jf == nil || events != nil {
-		t.Fatalf("join over a rotten spool returned %d events and failure %v", len(events), jf)
-	}
-	if !strings.HasPrefix(jf.reason, "panic: daystore: "+spool) || !strings.Contains(jf.reason, "crc mismatch") || jf.stack == "" {
-		t.Errorf("failure = %q (stack %d bytes), want the store's refusal of a spool file, with a stack", jf.reason, len(jf.stack))
-	}
-}
-
-// TestCoordinatorRefusesCorruptSweepImage: the mirror case — a worker
-// reports a sweep whose image does not validate. Nothing is installed or
-// journaled, the worker is dropped, and the day is charged a failed
-// attempt and retried.
+// TestCoordinatorRefusesCorruptSweepImage: a worker reports a sweep whose
+// image does not validate. Nothing is installed or journaled, the worker
+// is dropped, and the day is charged a failed attempt and retried.
 func TestCoordinatorRefusesCorruptSweepImage(t *testing.T) {
 	st, w := testState(t)
 	image, sum, err := daystore.EncodeDay(28, nsset.Snapshot{})

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dnsddos/internal/clock"
-	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/faultinject"
 	"dnsddos/internal/obs"
@@ -99,34 +98,12 @@ func runFleet(t *testing.T, ctx context.Context, cfg study.Config, coordOpts []C
 
 // ---- unit tests -----------------------------------------------------
 
-func TestRangeBoundsPartition(t *testing.T) {
-	for _, tc := range []struct{ shards, ranges int }{
-		{1, 1}, {7, 3}, {32, 32}, {100, 32}, {33, 7}, {1000, 32},
-	} {
-		prev := 0
-		for i := 0; i < tc.ranges; i++ {
-			from, to := rangeBounds(tc.shards, tc.ranges, i)
-			if from != prev {
-				t.Errorf("shards=%d ranges=%d: range %d starts at %d, want %d", tc.shards, tc.ranges, i, from, prev)
-			}
-			if to < from {
-				t.Errorf("shards=%d ranges=%d: range %d inverted [%d,%d)", tc.shards, tc.ranges, i, from, to)
-			}
-			prev = to
-		}
-		if prev != tc.shards {
-			t.Errorf("shards=%d ranges=%d: partition covers %d shards", tc.shards, tc.ranges, prev)
-		}
-	}
-}
-
 func TestFrameRoundTripAndCRC(t *testing.T) {
 	m := &message{
 		Kind:   kindSweepDone,
 		Day:    29,
 		Image:  []byte("sealed day file image"),
 		SHA256: "c0ffee",
-		Events: []core.TaggedEvent{{AttackIdx: 3, NSSetIdx: 7}},
 		Reason: "panic: boom",
 	}
 	var conn bytes.Buffer
@@ -136,12 +113,12 @@ func TestFrameRoundTripAndCRC(t *testing.T) {
 	}
 	frame := bytes.Clone(conn.Bytes())
 	// a stale field of the previous message must not leak into the next
-	got := message{Range: 9}
+	got := message{Name: "stale"}
 	if err := wr.recv(&got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != m.Kind || got.Day != m.Day || got.Reason != m.Reason || got.Range != 0 ||
-		!bytes.Equal(got.Image, m.Image) || got.SHA256 != m.SHA256 || len(got.Events) != 1 {
+	if got.Kind != m.Kind || got.Day != m.Day || got.Reason != m.Reason || got.Name != "" ||
+		!bytes.Equal(got.Image, m.Image) || got.SHA256 != m.SHA256 {
 		t.Errorf("frame round trip mangled message: %+v", got)
 	}
 	// a single flipped byte anywhere must be detected, never decoded
@@ -168,7 +145,6 @@ func testState(t *testing.T) (*runState, *fleetWorker) {
 		evs:     make(chan coordEvent, 64),
 		workers: map[int]*fleetWorker{},
 		dayDir:  t.TempDir(),
-		ranges:  map[int][]core.TaggedEvent{},
 	}
 	if st.ledger, err = study.OpenLedger(c.cfg, c.reg, "", st.dayDir, false); err != nil {
 		t.Fatal(err)
@@ -200,17 +176,6 @@ func TestRedeliveriesDiscarded(t *testing.T) {
 	}
 	if st.ledger.Report().CompletedDays != 1 {
 		t.Errorf("duplicate sweep result incremented completions")
-	}
-	st.joinStarted = true
-	st.ranges[3] = []core.TaggedEvent{}
-	if err := st.handle(w, &message{Kind: kindJoinDone, Range: 3, Events: []core.TaggedEvent{{AttackIdx: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.c.m.shardRedeliveries.Load(); got != 2 {
-		t.Errorf("duplicate join result: redeliveries = %d, want 2", got)
-	}
-	if len(st.ranges[3]) != 0 {
-		t.Errorf("duplicate join result overwrote the accepted one")
 	}
 }
 
@@ -450,10 +415,11 @@ func TestGracefulDrain(t *testing.T) {
 	assertParity(t, s, wantEvents, wantReport)
 }
 
-// TestCoordinatorKillAndResume is the satellite-4 contract: kill the
-// coordinator mid-sweep and again mid-join, resume each from the
-// journal, and the final events must be byte-identical to both the
-// uninterrupted single-process run — every shard emitted exactly once.
+// TestCoordinatorKillAndResume: kill the coordinator mid-sweep, and again
+// once every day is journaled, resume each from the journal, and the
+// final events must be byte-identical to the uninterrupted single-process
+// run. A journal whose days are all done resumes with no worker at all:
+// the coordinator joins the sealed days itself.
 func TestCoordinatorKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -462,7 +428,10 @@ func TestCoordinatorKillAndResume(t *testing.T) {
 	cfg := testConfig()
 	days := int(cfg.ToDay-cfg.FromDay) + 1
 
-	resumeAfterKill := func(t *testing.T, waitFor string) *study.Study {
+	// resumeAfterKill cancels a two-worker run once refs day references
+	// are journaled, then resumes the directory with the first resumers
+	// of two fresh workers.
+	resumeAfterKill := func(t *testing.T, refs, resumers int) *study.Study {
 		dir := t.TempDir()
 		ctxA, cancelA := context.WithCancel(context.Background())
 		defer cancelA()
@@ -470,7 +439,7 @@ func TestCoordinatorKillAndResume(t *testing.T) {
 		go func() {
 			defer close(pollDone)
 			for {
-				if m, _ := filepath.Glob(filepath.Join(dir, waitFor)); len(m) >= 1 {
+				if m, _ := filepath.Glob(filepath.Join(dir, "dayref_*.ckpt")); len(m) >= refs {
 					cancelA()
 					return
 				}
@@ -487,11 +456,14 @@ func TestCoordinatorKillAndResume(t *testing.T) {
 		if errA == nil {
 			// The run outraced the kill; the resume below degenerates to a
 			// full-journal no-op run, which must still hold parity.
-			t.Logf("run completed before the kill landed (waited for %s)", waitFor)
+			t.Logf("run completed before the kill landed (waited for %d day refs)", refs)
 		} else if !errors.Is(errA, context.Canceled) {
 			t.Fatalf("killed coordinator returned %v, want context.Canceled", errA)
 		}
-		workersB := []*Worker{NewWorker("b1"), NewWorker("b2")}
+		var workersB []*Worker
+		for _, name := range []string{"b1", "b2"}[:resumers] {
+			workersB = append(workersB, NewWorker(name))
+		}
 		s, _, _, errB := runFleet(t, context.Background(), cfg,
 			[]CoordOption{WithCheckpointDir(dir), WithResume(true)}, workersB)
 		if errB != nil {
@@ -501,7 +473,7 @@ func TestCoordinatorKillAndResume(t *testing.T) {
 	}
 
 	t.Run("killed_mid_sweep", func(t *testing.T) {
-		s := resumeAfterKill(t, "dayref_*.ckpt")
+		s := resumeAfterKill(t, 1, 2)
 		if s.Report.ResumedDays < 1 {
 			t.Errorf("ResumedDays = %d, want >= 1 (journal had completed days)", s.Report.ResumedDays)
 		}
@@ -514,10 +486,10 @@ func TestCoordinatorKillAndResume(t *testing.T) {
 		assertParity(t, s, wantEvents, nil)
 	})
 
-	t.Run("killed_mid_join", func(t *testing.T) {
-		s := resumeAfterKill(t, planRecord)
-		if got := s.Report.ResumedDays + s.Report.CompletedDays; got != days {
-			t.Errorf("resumed %d + completed %d != %d days", s.Report.ResumedDays, s.Report.CompletedDays, days)
+	t.Run("killed_after_sweep", func(t *testing.T) {
+		s := resumeAfterKill(t, days, 0)
+		if s.Report.ResumedDays != days || s.Report.CompletedDays != 0 {
+			t.Errorf("resumed %d, completed %d; want all %d days resumed", s.Report.ResumedDays, s.Report.CompletedDays, days)
 		}
 		assertParity(t, s, wantEvents, nil)
 	})

@@ -22,7 +22,6 @@ type fleetMetrics struct {
 	reassignments     *obs.Counter // distjoin.reassignments: tasks re-queued off a suspect/dead/drained worker
 	shardRedeliveries *obs.Counter // distjoin.shard_redeliveries: late duplicate results discarded
 	sweepDaysDone     *obs.Counter // distjoin.sweep_days_done
-	joinRangesDone    *obs.Counter // distjoin.join_ranges_done
 	taskFailures      *obs.Counter // distjoin.task_failures: panics + lost workers, pre-quarantine
 	framesIn          *obs.Counter // distjoin.frames_in: control frames accepted
 }
@@ -36,7 +35,6 @@ func newFleetMetrics(reg *obs.Registry) fleetMetrics {
 		reassignments:     reg.Counter("distjoin.reassignments", obs.Volatile()),
 		shardRedeliveries: reg.Counter("distjoin.shard_redeliveries", obs.Volatile()),
 		sweepDaysDone:     reg.Counter("distjoin.sweep_days_done", obs.Volatile()),
-		joinRangesDone:    reg.Counter("distjoin.join_ranges_done", obs.Volatile()),
 		taskFailures:      reg.Counter("distjoin.task_failures", obs.Volatile()),
 		framesIn:          reg.Counter("distjoin.frames_in", obs.Volatile()),
 	}

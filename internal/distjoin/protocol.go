@@ -1,21 +1,22 @@
 // Package distjoin is the fault-tolerant distributed control plane of the
 // study (DESIGN §3.6): a coordinator owns the work plan — the per-day
-// measurement sweeps and the victim-prefix join shard ranges of the PR 5
-// engine — and a fleet of workers executes it across processes.
+// measurement sweeps — and a fleet of workers executes it across
+// processes. The join is not distributed: once every day is settled the
+// coordinator joins the sealed days in process, as study.RunContext does.
 //
 // The design leans on one property the rest of the repo already
 // guarantees: every phase of a study run up to the sweeps is a pure
 // function of the seeded configuration (study.NewSession). A worker
 // therefore receives only the config JSON at registration and rebuilds a
 // world byte-identical to the coordinator's. A measured day crosses the
-// wire in exactly one form, the one it is persisted in: the sealed,
-// SHA-256-referenced column file of internal/daystore, one file image per
-// frame. A worker seals what it sweeps and ships the image; the
-// coordinator installs it (header, CRC, bounds and hash checked), journals
-// a reference, and later streams the same files from disk to every worker
-// that joins. Besides day files only small values travel: metric
-// snapshots (obs.Snapshot) and tagged join events (core.TaggedEvent). No
-// frame carries more than one day, so no frame grows with the span.
+// wire in exactly one form, the one it is persisted in, and in one
+// direction, worker to coordinator: the sealed, SHA-256-referenced column
+// file of internal/daystore, one file image per frame. A worker seals
+// what it sweeps and ships the image; the coordinator installs it
+// (header, CRC, bounds and hash checked) and journals a reference.
+// Besides day files only small values travel: configuration, assignments,
+// metric snapshots (obs.Snapshot) and failure reports. No frame carries
+// more than one day, so no frame grows with the span.
 //
 // Robustness contract:
 //
@@ -33,10 +34,10 @@
 //     in-flight task, refuses new ones, deregisters, and exits.
 //   - With a checkpoint journal, a killed coordinator resumes: completed
 //     days (hash-verified references to the sealed files under
-//     <checkpoint>/days) and join ranges are loaded from CRC-guarded
-//     records, late duplicate results are discarded (counted as
-//     redeliveries), and the final report is byte-identical with each
-//     shard's results emitted exactly once.
+//     <checkpoint>/days) are loaded from CRC-guarded records, late
+//     duplicate results are discarded (counted as redeliveries), and the
+//     join re-runs in process, so the final report is byte-identical. A
+//     journal whose days are all done needs no worker.
 package distjoin
 
 import (
@@ -46,7 +47,6 @@ import (
 
 	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
-	"dnsddos/internal/core"
 	"dnsddos/internal/obs"
 )
 
@@ -58,17 +58,13 @@ const (
 	kindHello      kind = iota + 1 // register: Name
 	kindHeartbeat                  // liveness beacon
 	kindSweepDone                  // Day, Image, SHA256, Metrics
-	kindTaskFailed                 // Day or Range, Reason, Stack
-	kindJoinDone                   // Range, Events
+	kindTaskFailed                 // Day, Reason, Stack
 	kindDraining                   // SIGTERM received: finish in-flight, no new work
 	kindGoodbye                    // drain complete, deregistering
 
 	// coordinator → worker
 	kindWelcome     // ConfigJSON, HeartbeatMS
 	kindAssignSweep // Day
-	kindJoinSetup   // NumDays, Quarantined, NumShards, NumRanges
-	kindDayFile     // Day, Image, SHA256: NumDays of them follow a join setup
-	kindAssignJoin  // Range
 	kindShutdown    // run complete (or aborted): exit
 )
 
@@ -83,8 +79,8 @@ type message struct {
 	ConfigJSON  []byte
 	HeartbeatMS int64
 
-	// sweep tasks and day files: Image is one sealed day file
-	// (daystore.AppendDay), SHA256 its hex content hash
+	// sweep tasks: Image is one sealed day file (daystore.AppendDay),
+	// SHA256 its hex content hash
 	Day     clock.Day
 	Image   []byte
 	SHA256  string
@@ -93,14 +89,6 @@ type message struct {
 	// failures
 	Reason string
 	Stack  string
-
-	// join phase
-	NumDays     int
-	Quarantined []clock.Day
-	NumShards   int
-	NumRanges   int
-	Range       int
-	Events      []core.TaggedEvent
 }
 
 // wire carries one message per checkpoint frame, each its own gob stream
@@ -132,12 +120,4 @@ func (w *wire) send(m *message) error {
 func (w *wire) recv(m *message) error {
 	*m = message{}
 	return checkpoint.ReadFrame(w.conn, m)
-}
-
-// rangeBounds returns the shard interval [from, to) of range idx under
-// the deterministic even partition of numShards into numRanges. Every
-// participant — coordinator, each worker, a resumed coordinator — derives
-// identical bounds from the journaled (NumShards, NumRanges) pair.
-func rangeBounds(numShards, numRanges, idx int) (from, to int) {
-	return idx * numShards / numRanges, (idx + 1) * numShards / numRanges
 }

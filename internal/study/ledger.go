@@ -95,10 +95,6 @@ func OpenLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, res
 	return l, nil
 }
 
-// Journal returns the open checkpoint directory (nil without one), for
-// records other than days that a run mode journals beside them.
-func (l *Ledger) Journal() *checkpoint.Dir { return l.journal }
-
 // Pending lists the days that still need a sweep, ascending. Days a
 // previous incarnation quarantined were never journaled, so they are
 // pending again — and re-quarantine deterministically.
@@ -204,18 +200,6 @@ func (l *Ledger) Quarantined() []clock.Day {
 		out[i] = l.report.SkippedDays[i].Day
 	}
 	return out
-}
-
-// Files lists the done days' sealed files, ascending by day (zero values
-// when days are kept in memory).
-func (l *Ledger) Files() []daystore.SealedFile {
-	files := make([]daystore.SealedFile, 0, len(l.done))
-	for d := l.from; d <= l.to; d++ {
-		if f, ok := l.done[d]; ok {
-			files = append(files, f)
-		}
-	}
-	return files
 }
 
 // Report is the run report as of now: the day counts, the quarantine list

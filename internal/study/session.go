@@ -24,7 +24,7 @@ import (
 // telescope observations, inferred attack feed, and the simulated data
 // plane (net, resolver, measurement engine). Everything here is a pure
 // function of the (seeded) configuration — no I/O, no wall-clock — which
-// is what makes the distributed join possible at all: a worker receives
+// is what makes the distributed sweep possible at all: a worker receives
 // only the config JSON, calls NewSession, and owns a world byte-identical
 // to the coordinator's. Measurement state (swept days) is NOT part of a
 // Session; it flows between processes as sealed day files
@@ -210,10 +210,10 @@ func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *n
 // NewPipeline builds the core join pipeline over the measured days with
 // the session's standard wiring (pipeline config, census, topology, open
 // resolvers, the engine's per-domain NSSet keys) plus any extra engine
-// options, and applies the quarantined-day fallback set. Both the
-// in-process join and every distributed join participant build their
-// pipeline here, over sealed days, which is what pins their emission
-// bytes to each other.
+// options, and applies the quarantined-day fallback set. RunContext and
+// the fleet coordinator (internal/distjoin) both build their pipeline
+// here, over sealed days, which is what pins their emission bytes to each
+// other.
 func (sess *Session) NewPipeline(days core.DayStore, quarantined []clock.Day, reg *obs.Registry, extra ...core.Option) *core.Pipeline {
 	pipeOpts := []core.Option{
 		core.WithConfig(sess.Config.Pipeline),
