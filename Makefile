@@ -67,11 +67,12 @@ distjoin:
 		-count 1
 	$(GO) test ./internal/faultinject/ -run 'TestStream' -count 1
 
-# Overload soak: the 10x-rate replay through the admission/spill tier,
-# SIGKILLed mid-emission and resumed — flat memory, bounded lag recovery,
-# byte-identical emission. Run under the race detector; part of the gate.
+# Overload soak: the 10x-rate replay SIGKILLed mid-emission and resumed
+# to byte-identical emission, the admission gate's determinism and its
+# crash + resume, and the accept/sync boundary crash. Run under the race
+# detector; part of the gate.
 soak:
-	$(GO) test -race ./internal/stream/ -run 'TestOverloadSoak|TestOverload|TestCursorSyncBoundaryCrash' -count 1
+	$(GO) test -race ./internal/stream/ -run 'TestOverload|TestStreamKillResume|TestCursorSyncBoundaryCrash' -count 1
 
 # Concurrency gate: run before merging changes to the serving path, the
 # sharded join engine (shared NS index, day store reads, worker pool),

@@ -12,22 +12,16 @@
 // exactly-once delivery — the output file is truncated to the journaled
 // byte offset and the replay re-emits nothing the file already holds.
 //
-// Usage:
-//
-// With -max-backlog the overload tier engages (DESIGN §3.7): closed
-// windows queue behind a bounded backlog whose depth drives the
-// degradation ladder, -spill-dir moves the backlog tail to disk past a
-// high-water mark, and -shed-policy opts in to the lossy rungs (shed
-// late packets, then sample). Offers the pipeline refuses are counted
-// and reported in the final summary, never silently swallowed.
+// With -admit-rate the admission gate engages (DESIGN §3.7): a token
+// bucket in packets per second of stream time refuses what exceeds it.
+// Offers the pipeline refuses are counted and reported in the final
+// summary, never silently swallowed.
 //
 // Usage:
 //
 //	streamjoin [-quick] [-domains N] [-attacks N] [-from-day D] [-days N]
 //	           [-lateness W] [-jitter W] [-rate F] [-seed N] [-out FILE]
-//	           [-journal DIR] [-resume] [-metrics-addr :9090]
-//	           [-max-backlog N] [-spill-dir DIR] [-high-water N]
-//	           [-shed-policy none|late|sample] [-admit-rate F] [-drain-every N]
+//	           [-journal DIR] [-resume] [-metrics-addr :9090] [-admit-rate F]
 package main
 
 import (
@@ -71,12 +65,7 @@ func run() error {
 	out := flag.String("out", "", "output CSV file, appended batch by batch (default stdout)")
 	journalDir := flag.String("journal", "", "journal directory: checkpoint the emission frontier per batch")
 	resume := flag.Bool("resume", false, "resume from the journal in -journal with exactly-once emission")
-	maxBacklog := flag.Int("max-backlog", 0, "overload: bound on queued closed-window batches; at the bound intake pauses (0 = unbounded, tier off)")
-	spillDir := flag.String("spill-dir", "", "overload: directory for the backlog spill file (batches past -high-water go to disk)")
-	highWater := flag.Int("high-water", 64, "overload: in-memory batches kept before spilling (needs -spill-dir)")
-	shedPolicy := flag.String("shed-policy", "none", "overload shedding ladder: none, late, or sample")
 	admitRate := flag.Float64("admit-rate", 0, "overload: token-bucket admission bound in packets per second of stream time (0 = unlimited)")
-	drainEvery := flag.Int("drain-every", 0, "overload: join one queued batch every N offers (<= 1 drains fully per offer)")
 	flag.Parse()
 
 	if *resume && *journalDir == "" {
@@ -119,24 +108,7 @@ func run() error {
 		stream.WithRSDoS(cfg.RSDoS),
 		stream.WithLateness(*lateness),
 		stream.WithMetrics(reg),
-	}
-	policy, err := stream.ParseShedPolicy(*shedPolicy)
-	if err != nil {
-		return err
-	}
-	overloaded := *maxBacklog > 0 || *spillDir != "" || *admitRate > 0 || policy != stream.ShedNone
-	if overloaded {
-		ov := stream.Overload{
-			MaxBacklog: *maxBacklog,
-			SpillDir:   *spillDir,
-			Policy:     policy,
-			AdmitRate:  *admitRate,
-			DrainEvery: *drainEvery,
-		}
-		if *spillDir != "" {
-			ov.HighWater = *highWater
-		}
-		opts = append(opts, stream.WithOverload(ov))
+		stream.WithOverload(stream.Overload{AdmitRate: *admitRate}),
 	}
 	if *journalDir != "" {
 		// the journal is keyed by everything that determines the emitted
@@ -178,7 +150,7 @@ func run() error {
 		To:            (traceTo + 1).FirstWindow() - 1,
 		JitterWindows: *jitter,
 	}
-	var packets, rejected, paused int64
+	var packets int64
 	var streamErr error
 	stream.Replay(traceCfg, s.Schedule.Sched, s.Telescope, func(ts time.Time, pkt packet.Packet) bool {
 		if ctx.Err() != nil {
@@ -186,20 +158,9 @@ func run() error {
 			return false
 		}
 		packets++
-		ok, err := p.Offer(ts, pkt)
-		if errors.Is(err, stream.ErrBackpressure) {
-			// intake is pausing at the backlog bound; the replay has no way
-			// to slow the source, so the packet is counted and dropped —
-			// draining continues on the next offer
-			paused++
-			return true
-		}
-		if err != nil {
+		if _, err := p.Offer(ts, pkt); err != nil {
 			streamErr = err
 			return false
-		}
-		if !ok {
-			rejected++
 		}
 		return true
 	})
@@ -227,11 +188,10 @@ func run() error {
 	fmt.Fprintf(os.Stderr,
 		"streamjoin: %d packets streamed, %d batches, %d attacks, %d events, %d late drops (%.1fs)\n",
 		packets, sink.Batches, sink.Attacks, sink.Events, p.LateDrops(), time.Since(start).Seconds())
-	if overloaded {
+	if *admitRate > 0 {
 		st := p.Overload()
-		fmt.Fprintf(os.Stderr,
-			"streamjoin: overload: %d offers rejected (%d admit-denied, %d shed late, %d sampled out, %d paused), %d batches spilled, peak backlog %d in memory\n",
-			rejected+paused, st.AdmitDenied, st.ShedLate, st.SampledOut, st.Paused, st.SpilledBatches, st.MaxMemBatches)
+		fmt.Fprintf(os.Stderr, "streamjoin: overload: %d offers rejected (%d admit-denied)\n",
+			st.OffersRejected, st.AdmitDenied)
 	}
 	return nil
 }

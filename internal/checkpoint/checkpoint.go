@@ -122,8 +122,8 @@ func Resume(path string, hdr Header) (*Dir, error) {
 func (d *Dir) Path() string { return d.path }
 
 // The frame is the tree's one envelope outside day files — journal
-// records, the stream spill, every fleet message: magic, u32 version, u64
-// payload length, a gob payload, a CRC-32 of the payload. maxPayload
+// records and every fleet message: magic, u32 version, u64 payload
+// length, a gob payload, a CRC-32 of the payload. maxPayload
 // bounds what a corrupted length can make a reader allocate.
 const (
 	magic      = "DNSCKPT1"

@@ -115,8 +115,8 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestFramesConcatenate: the spill file and a fleet connection are frames
-// laid end to end; ReadFrame takes them back one call each, in order, and
+// TestFramesConcatenate: a fleet connection is frames laid end to end;
+// ReadFrame takes them back one call each, in order, and
 // a clean end after the last frame matches io.EOF.
 func TestFramesConcatenate(t *testing.T) {
 	var file []byte

@@ -71,7 +71,7 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // FuzzReadFrame holds the streaming reader to "error, never panic" on a
-// stream of frames, the shape of a spill file or a fleet connection: the
+// stream of frames, the shape of a fleet connection: the
 // fuzzed bytes, then the same bytes re-stamped, are laid after one intact
 // frame and before another. Every read consumes exactly one frame, so the
 // first frame always reads back, and whenever the fuzzed frame reads, the

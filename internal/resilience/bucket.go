@@ -7,30 +7,27 @@ import "time"
 // timestamp of the work item it is judging (a captured packet's capture
 // time, a replayed trace's stream time), so a seeded replay makes
 // identical admit/shed decisions on every run, at any replay speed.
-// That is what lets the overload soak assert deterministic shed counts.
+// That is what lets the stream's admission tests assert deterministic
+// refusal counts.
 
-// TokenBucket is a deterministic token bucket: Rate tokens per second of
-// caller time, holding at most Burst. Not safe for concurrent use; the
-// single-threaded stream pipeline owns one.
+// TokenBucket is a deterministic token bucket: rate tokens per second of
+// caller time, holding at most one second's worth. Not safe for
+// concurrent use; the single-threaded stream pipeline owns one.
 type TokenBucket struct {
 	rate    float64 // tokens per second of caller time
 	burst   float64
 	tokens  float64
 	last    time.Time
 	started bool
-	denied  int64
 }
 
 // NewTokenBucket builds a bucket admitting rate items per second of
-// caller time with the given burst headroom. A rate <= 0 disables
-// limiting (Allow always succeeds); burst <= 0 defaults to rate (one
-// second of headroom). Burst is floored at one token — a bucket that can
-// never hold a whole token would deny everything forever, which is a
-// misconfiguration, not a rate limit.
-func NewTokenBucket(rate, burst float64) *TokenBucket {
-	if burst <= 0 {
-		burst = rate
-	}
+// caller time, with one second of burst headroom. A rate <= 0 disables
+// limiting (Allow always succeeds). The burst is floored at one token — a
+// bucket that can never hold a whole token would deny everything forever,
+// which is a misconfiguration, not a rate limit.
+func NewTokenBucket(rate float64) *TokenBucket {
+	burst := rate
 	if rate > 0 && burst < 1 {
 		burst = 1
 	}
@@ -56,17 +53,8 @@ func (b *TokenBucket) Allow(now time.Time) bool {
 		b.last = now
 	}
 	if b.tokens < 1 {
-		b.denied++
 		return false
 	}
 	b.tokens--
 	return true
-}
-
-// Denied returns how many items the bucket has refused.
-func (b *TokenBucket) Denied() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.denied
 }

@@ -12,26 +12,61 @@ func testRNG(seed uint64) *rand.Rand {
 }
 
 func TestTokenBucketAdmitsAtRate(t *testing.T) {
-	// 2 tokens/sec of caller time, burst 4: the first 4 items at t0 pass,
-	// the 5th is denied; half a second later one token has dripped back.
-	b := NewTokenBucket(2, 4)
+	// 4 tokens/sec of caller time, so a burst of 4: the first 4 items at
+	// t0 pass, the 5th is denied; a quarter second later one token has
+	// dripped back.
+	b := NewTokenBucket(4)
 	t0 := time.Unix(1000, 0)
+	denied := 0
+	allow := func(ts time.Time) bool {
+		ok := b.Allow(ts)
+		if !ok {
+			denied++
+		}
+		return ok
+	}
 	for i := 0; i < 4; i++ {
-		if !b.Allow(t0) {
+		if !allow(t0) {
 			t.Fatalf("burst item %d denied", i)
 		}
 	}
-	if b.Allow(t0) {
+	if allow(t0) {
 		t.Fatal("5th item at t0 should be denied")
 	}
-	if !b.Allow(t0.Add(500 * time.Millisecond)) {
-		t.Fatal("item after 500ms refill should pass")
+	if !allow(t0.Add(250 * time.Millisecond)) {
+		t.Fatal("item after 250ms refill should pass")
 	}
-	if b.Allow(t0.Add(500 * time.Millisecond)) {
+	if allow(t0.Add(250 * time.Millisecond)) {
 		t.Fatal("second item in same instant should be denied")
 	}
-	if got := b.Denied(); got != 2 {
-		t.Fatalf("Denied = %d, want 2", got)
+	// an hour idle refills only up to the one-second burst
+	t1 := t0.Add(time.Hour)
+	for i := 0; i < 4; i++ {
+		if !allow(t1) {
+			t.Fatalf("refilled burst item %d denied", i)
+		}
+	}
+	if allow(t1) {
+		t.Fatal("idle time refilled past the burst")
+	}
+	if denied != 3 {
+		t.Fatalf("denied %d items, want 3", denied)
+	}
+}
+
+func TestTokenBucketBurstFloor(t *testing.T) {
+	// half a token per second: the burst is floored at one token, so the
+	// first item passes and the next is admitted two seconds later
+	b := NewTokenBucket(0.5)
+	t0 := time.Unix(1000, 0)
+	if !b.Allow(t0) {
+		t.Fatal("first item denied: the burst floor of one token is gone")
+	}
+	if b.Allow(t0.Add(time.Second)) {
+		t.Fatal("item after half a token's refill should be denied")
+	}
+	if !b.Allow(t0.Add(2 * time.Second)) {
+		t.Fatal("item after a whole token's refill should pass")
 	}
 }
 
@@ -45,7 +80,7 @@ func TestTokenBucketDeterministic(t *testing.T) {
 		stamps = append(stamps, ts)
 	}
 	run := func() []bool {
-		b := NewTokenBucket(5, 10)
+		b := NewTokenBucket(5)
 		out := make([]bool, len(stamps))
 		for i, s := range stamps {
 			out[i] = b.Allow(s)
@@ -62,10 +97,10 @@ func TestTokenBucketDeterministic(t *testing.T) {
 
 func TestTokenBucketDisabledAndNil(t *testing.T) {
 	var nilB *TokenBucket
-	if !nilB.Allow(time.Now()) || nilB.Denied() != 0 {
+	if !nilB.Allow(time.Now()) {
 		t.Fatal("nil bucket must always allow")
 	}
-	b := NewTokenBucket(0, 0)
+	b := NewTokenBucket(0)
 	for i := 0; i < 100; i++ {
 		if !b.Allow(time.Unix(0, 0)) {
 			t.Fatal("rate<=0 bucket must always allow")
@@ -74,7 +109,7 @@ func TestTokenBucketDisabledAndNil(t *testing.T) {
 }
 
 func TestTokenBucketOutOfOrderTimestamps(t *testing.T) {
-	b := NewTokenBucket(1, 1)
+	b := NewTokenBucket(1)
 	t0 := time.Unix(100, 0)
 	if !b.Allow(t0) {
 		t.Fatal("first item should pass")

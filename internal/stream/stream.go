@@ -108,53 +108,41 @@ type Pipeline struct {
 	lateness int
 	rsdosCfg rsdos.Config
 
-	// overload tier (overload.go): closed batches queue here instead of
-	// joining inline, with admission control and disk spill under load.
-	ov        Overload
-	ovEnabled bool
-	bucket    *resilience.TokenBucket
-	queue     *backlogQueue
-	// lastEnq is the enqueue frontier — the highest window handed to the
-	// queue. It runs ahead of lastClosed (the emission frontier) by
-	// however deep the backlog is.
-	lastEnq   clock.Window
-	haveEnq   bool
-	offers    int64
-	samplePos int
-	level     int
-	maxMem    int // high-water of in-memory queued batches (test probe)
-	stats     OverloadStats
-	lastSpill int64
+	// bucket is the admission gate (nil admits everything).
+	bucket *resilience.TokenBucket
+	stats  OverloadStats
 
 	// hookAfterEmit, when set by same-package tests, runs between the
 	// sink accepting a batch and the cursor journaling it — the
 	// accept/sync boundary a crash can land on.
 	hookAfterEmit func() error
 
-	m  streamMetrics
-	om overloadMetrics
+	m streamMetrics
 }
 
-// OverloadStats are the overload tier's lifetime counters, all
+// Overload configures the admission gate (DESIGN §3.7). The zero value
+// admits everything.
+type Overload struct {
+	// AdmitRate, when > 0, is a token-bucket admission bound in packets
+	// per second of *stream time*, with one second of burst headroom.
+	// Every decision is a function of the packets' timestamps, never the
+	// wall clock, so a seeded replay is refused identically on every run.
+	AdmitRate float64
+}
+
+// WithOverload installs the admission gate.
+func WithOverload(o Overload) Option {
+	return func(p *Pipeline) { p.bucket = resilience.NewTokenBucket(o.AdmitRate) }
+}
+
+// OverloadStats are the stream's lifetime refusal counters, both
 // deterministic for a fixed seed and configuration.
 type OverloadStats struct {
-	// AdmitDenied counts packets refused by the token bucket.
+	// AdmitDenied counts packets refused by the admission gate.
 	AdmitDenied int64
-	// ShedLate counts packets dropped by ladder rung 1 (late shedding).
-	ShedLate int64
-	// SampledOut counts packets dropped by ladder rung 2 (sampling).
-	SampledOut int64
-	// Paused counts Offers refused with ErrBackpressure (rung 3).
-	Paused int64
-	// OffersRejected counts every Offer that returned false, whatever
-	// the rung — the number trace replay used to swallow.
+	// OffersRejected counts every Offer that returned false: refused by
+	// admission or late for its window.
 	OffersRejected int64
-	// SpilledBatches counts closed batches written to the spill file.
-	SpilledBatches int64
-	// MaxMemBatches is the high-water mark of in-memory queued batches.
-	MaxMemBatches int
-	// Level is the ladder level at last Offer.
-	Level int
 }
 
 // Option configures a Pipeline at construction.
@@ -217,14 +205,6 @@ func New(tel *telescope.Telescope, join *core.Pipeline, sink Sink, opts ...Optio
 	if p.m.reg == nil {
 		p.m = newStreamMetrics(obs.New())
 	}
-	p.om = newOverloadMetrics(p.m.reg)
-	if p.ov.HighWater > 0 && p.ov.SpillDir == "" {
-		return nil, fmt.Errorf("stream: Overload.HighWater requires SpillDir")
-	}
-	p.queue = newBacklogQueue(p.ov.HighWater, p.ov.SpillDir)
-	if p.ovEnabled && p.ov.AdmitRate > 0 {
-		p.bucket = resilience.NewTokenBucket(p.ov.AdmitRate, p.ov.AdmitBurst)
-	}
 	if p.resume {
 		if p.journal == nil {
 			return nil, fmt.Errorf("stream: WithResume requires WithJournal")
@@ -248,158 +228,48 @@ func (p *Pipeline) Resumed() (checkpoint.Cursor, bool) {
 }
 
 // Offer feeds one captured packet. The boolean reports whether the
-// packet was accepted; false means it was dropped and counted — late for
-// its window, refused by admission control, or shed by the degradation
-// ladder. The error is either ErrBackpressure (backlog at capacity; the
-// packet was not consumed, retrying is safe) or a sink, journal or join
-// failure — the stream is then wedged at the journaled frontier and can
-// be resumed.
+// packet was accepted; false means it was dropped and counted — refused
+// by the admission gate or late for its window. Emission is synchronous:
+// a watermark advance closes its windows, joins the attacks they
+// finalize and hands the batch to the sink before Offer returns, so
+// nothing is ever queued between intake and emission. The error is a
+// sink, journal or join failure — the stream is then wedged at the
+// journaled frontier and can be resumed.
 func (p *Pipeline) Offer(ts time.Time, pkt packet.Packet) (bool, error) {
 	if p.closed {
 		return false, fmt.Errorf("stream: Offer after Close")
 	}
-	p.offers++
-	// throttled mode drains before admission, so a paused pipeline still
-	// makes progress on every call
-	if p.ov.DrainEvery > 1 && p.offers%int64(p.ov.DrainEvery) == 0 {
-		if err := p.drain(1); err != nil {
-			return false, err
-		}
-	}
-	if p.ov.MaxBacklog > 0 {
-		p.setLevel(p.levelFor(p.queue.depth()))
-		if p.queue.depth() >= p.ov.MaxBacklog {
-			p.stats.Paused++
-			p.om.pausedOffers.Inc()
-			p.reject()
-			return false, ErrBackpressure
-		}
-	}
-	if !p.bucket.Allow(ts) {
-		p.stats.AdmitDenied++
-		p.om.admitDenied.Inc()
-		p.reject()
-		return false, nil
-	}
-	if p.level >= 1 && p.ov.Policy >= ShedLate {
-		if ms, ok := p.win.MaxSeen(); ok && clock.WindowOf(ts) < ms {
-			p.stats.ShedLate++
-			p.om.shedLate.Inc()
-			p.reject()
-			return false, nil
-		}
-	}
-	if p.level >= 2 && p.ov.Policy >= ShedSample {
-		p.samplePos++
-		if p.samplePos%p.ov.SampleEvery != 0 {
-			p.stats.SampledOut++
-			p.om.sampledOut.Inc()
-			p.reject()
-			return false, nil
-		}
-	}
-	ok := p.win.Add(ts, pkt)
+	ok := p.bucket.Allow(ts)
 	if !ok {
+		p.stats.AdmitDenied++
+		p.m.admitDenied.Inc()
+	} else if ok = p.win.Add(ts, pkt); !ok {
 		p.m.lateDrops.Inc()
+	}
+	if !ok {
 		p.stats.OffersRejected++
 		p.m.offersRejected.Inc()
 	}
+	var err error
 	if wm, started := p.win.Watermark(); started {
-		if ct := wm - 1; !p.haveEnq || ct > p.lastEnq {
-			p.lastEnq, p.haveEnq = ct, true
-			if err := p.queue.push(closedBatch{CT: ct, Obs: p.win.CloseReady()}); err != nil {
-				return ok, err
-			}
-			if m := p.queue.memLen(); m > p.maxMem {
-				p.maxMem = m
-			}
-		}
-	}
-	if p.ov.DrainEvery <= 1 {
-		if err := p.drain(-1); err != nil {
-			return ok, err
+		if ct := wm - 1; !p.haveClosed || ct > p.lastClosed {
+			err = p.step(ct, p.win.CloseReady(), false)
 		}
 	}
 	p.publishGauges()
-	return ok, nil
+	return ok, err
 }
 
-// reject books one refused Offer and refreshes the gauges.
-func (p *Pipeline) reject() {
-	p.stats.OffersRejected++
-	p.m.offersRejected.Inc()
-	p.publishGauges()
-}
+// Overload returns the stream's lifetime refusal counters.
+func (p *Pipeline) Overload() OverloadStats { return p.stats }
 
-// drain joins and emits up to n queued batches in arrival order (n < 0:
-// until the queue is empty).
-func (p *Pipeline) drain(n int) error {
-	for i := 0; n < 0 || i < n; i++ {
-		b, ok, err := p.queue.pop()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := p.step(b.CT, b.Obs, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// levelFor maps backlog depth to a ladder level (MaxBacklog > 0 only).
-func (p *Pipeline) levelFor(depth int) int {
-	mb := p.ov.MaxBacklog
-	switch {
-	case depth >= mb:
-		return 3
-	case depth*4 >= mb*3:
-		return 2
-	case depth*2 >= mb:
-		return 1
-	}
-	return 0
-}
-
-func (p *Pipeline) setLevel(lvl int) {
-	if lvl == p.level {
-		return
-	}
-	p.level = lvl
-	p.om.transitions.Inc()
-	p.om.level.Set(int64(lvl))
-}
-
-// Overload returns the overload tier's lifetime counters.
-func (p *Pipeline) Overload() OverloadStats {
-	s := p.stats
-	s.SpilledBatches = p.queue.spilledTotal
-	s.MaxMemBatches = p.maxMem
-	s.Level = p.level
-	return s
-}
-
-// Close ends the stream: the queued backlog drains, every remaining
-// window is closed, every open candidate finalized, and the last batch
-// emitted. The spill file, scratch state only, is deleted.
+// Close ends the stream: every remaining window is closed, every open
+// candidate finalized, and the last batch emitted.
 func (p *Pipeline) Close() error {
 	if p.closed {
 		return nil
 	}
 	p.closed = true
-	err := p.closeStream()
-	if cerr := p.queue.close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func (p *Pipeline) closeStream() error {
-	if err := p.drain(-1); err != nil {
-		return err
-	}
 	maxSeen, started := p.win.MaxSeen()
 	if !started {
 		return nil
@@ -552,14 +422,6 @@ func (p *Pipeline) publishGauges() {
 	p.m.lag.Set(p.LagWindows())
 	p.m.candidates.Set(int64(p.tr.Open()))
 	p.m.lateDropsG.Set(p.win.LateDrops())
-	p.om.backlog.Set(int64(p.queue.depth()))
-	p.om.memBatches.Set(int64(p.queue.memLen()))
-	p.om.spilled.Set(int64(p.queue.spilledLen()))
-	p.om.spillBytes.Set(p.queue.writeOff)
-	if d := p.queue.spilledTotal - p.lastSpill; d > 0 {
-		p.om.spills.Add(d)
-		p.lastSpill = p.queue.spilledTotal
-	}
 }
 
 // countWindows counts distinct windows in a (window, victim)-ordered
@@ -574,10 +436,12 @@ func countWindows(obs []rsdos.WindowObs) int64 {
 	return n
 }
 
-// streamMetrics is the stream.* instrument set — all volatile; a live
-// stream's lag and drop counts describe the run, not the result.
+// streamMetrics is the stream.* instrument set plus the admission gate's
+// overload.admit_denied — all volatile; a live stream's lag and drop
+// counts describe the run, not the result.
 type streamMetrics struct {
 	reg              *obs.Registry
+	admitDenied      *obs.Counter
 	offersRejected   *obs.Counter
 	lateDrops        *obs.Counter
 	batches          *obs.Counter
@@ -599,6 +463,7 @@ func newStreamMetrics(reg *obs.Registry) streamMetrics {
 	}
 	return streamMetrics{
 		reg:              reg,
+		admitDenied:      reg.Counter("overload.admit_denied", obs.Volatile()),
 		offersRejected:   reg.Counter("stream.offers_rejected", obs.Volatile()),
 		lateDrops:        reg.Counter("stream.late_drops", obs.Volatile()),
 		batches:          reg.Counter("stream.batches_emitted", obs.Volatile()),

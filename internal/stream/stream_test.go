@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -236,90 +235,181 @@ func TestStreamBatchParity(t *testing.T) {
 // TestStreamKillResume is the exactly-once acceptance: kill the stream at
 // the sink boundary mid-trace, resume from the journal, and the
 // concatenation of the two runs' emissions equals an uninterrupted run —
-// every window exactly once.
+// every window exactly once. The admission row refuses half the trace:
+// the resumed replay must rebuild the gate's refusals along with the
+// windows.
 func TestStreamKillResume(t *testing.T) {
+	s := testStudy(t)
+	trace := collectTrace(s, 0)
+	hash, err := study.ConfigHash(s.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := checkpoint.Header{ConfigHash: hash, Seed: s.Config.MeasureSeed}
+
+	for _, tc := range []struct {
+		name string
+		ov   Overload
+	}{
+		{"plain", Overload{}},
+		{"admission", halfRateAdmission(trace)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := func(more ...Option) []Option {
+				return append([]Option{WithRSDoS(s.Config.RSDoS), WithLateness(1), WithOverload(tc.ov)}, more...)
+			}
+			full := &memSink{}
+			p, err := New(s.Telescope, s.Pipeline, full, opts()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := feed(p, trace); err != nil {
+				t.Fatal(err)
+			}
+			if len(full.batches) < 3 {
+				t.Fatalf("only %d batches — too few to kill mid-run", len(full.batches))
+			}
+			if denied := p.Overload().AdmitDenied; (tc.ov.AdmitRate > 0) != (denied > 0) {
+				t.Fatalf("admit rate %g denied %d packets", tc.ov.AdmitRate, denied)
+			}
+
+			dir, err := checkpoint.Create(t.TempDir(), hdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			killAt := len(full.batches)/2 + 1
+			crash := &memSink{failAt: killAt}
+			p1, err := New(s.Telescope, s.Pipeline, crash, opts(WithJournal(dir))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := feed(p1, trace); !errors.Is(err, errSinkDown) {
+				t.Fatalf("feed survived the sink failure: %v", err)
+			}
+			if len(crash.batches) != killAt-1 {
+				t.Fatalf("sink holds %d batches, expected %d before the crash", len(crash.batches), killAt-1)
+			}
+			cur, ok, err := dir.LoadCursor()
+			if err != nil || !ok {
+				t.Fatalf("no cursor after crash: ok=%v err=%v", ok, err)
+			}
+			if want := crash.batches[len(crash.batches)-1].ClosedThrough; cur.ClosedThrough != want {
+				t.Fatalf("cursor frontier %v, last durable batch %v", cur.ClosedThrough, want)
+			}
+			if cur.SinkBytes != crash.Offset() {
+				t.Fatalf("cursor sink offset %d, sink reports %d", cur.SinkBytes, crash.Offset())
+			}
+
+			resumed := &memSink{bytes: cur.SinkBytes} // sink repositioned at the journaled offset
+			p2, err := New(s.Telescope, s.Pipeline, resumed, opts(WithJournal(dir), WithResume())...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rc, ok := p2.Resumed(); !ok || rc != cur {
+				t.Fatalf("Resumed() = %+v, %v; want the journaled cursor", rc, ok)
+			}
+			if err := feed(p2, trace); err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+
+			got := append(append([]Batch{}, crash.batches...), resumed.batches...)
+			if !reflect.DeepEqual(got, full.batches) {
+				t.Fatalf("crash+resume emitted %d batches, uninterrupted run %d — not exactly-once",
+					len(got), len(full.batches))
+			}
+			// frontier strictly advances across the seam: nothing re-emitted
+			for i := 1; i < len(got); i++ {
+				if got[i].ClosedThrough <= got[i-1].ClosedThrough {
+					t.Fatalf("batch %d re-emitted frontier %v", i, got[i].ClosedThrough)
+				}
+			}
+			endCur, ok, err := dir.LoadCursor()
+			if err != nil || !ok {
+				t.Fatalf("cursor after resume: ok=%v err=%v", ok, err)
+			}
+			var wantEvents int64
+			for _, b := range full.batches {
+				wantEvents += int64(len(b.Events))
+			}
+			if endCur.Events != wantEvents {
+				t.Errorf("final cursor counts %d events, uninterrupted run emitted %d", endCur.Events, wantEvents)
+			}
+		})
+	}
+}
+
+// TestCursorSyncBoundaryCrash: a crash after the sink durably accepted a
+// batch but before the cursor recorded it must not double-emit on
+// resume — the journaled SinkBytes offset lets the sink truncate the
+// unjournaled tail, and the replay re-emits exactly that batch.
+func TestCursorSyncBoundaryCrash(t *testing.T) {
 	s := testStudy(t)
 	trace := collectTrace(s, 0)
 
 	full := &memSink{}
-	p, err := New(s.Telescope, s.Pipeline, full, WithRSDoS(s.Config.RSDoS), WithLateness(1))
+	p0, err := New(s.Telescope, s.Pipeline, full, WithRSDoS(s.Config.RSDoS), WithLateness(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := feed(p, trace); err != nil {
+	if err := feed(p0, trace); err != nil {
 		t.Fatal(err)
-	}
-	if len(full.batches) < 3 {
-		t.Fatalf("only %d batches — too few to kill mid-run", len(full.batches))
 	}
 
 	hash, err := study.ConfigHash(s.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := checkpoint.Header{ConfigHash: hash, Seed: s.Config.MeasureSeed}
-	dir, err := checkpoint.Create(t.TempDir(), hdr)
+	dir, err := checkpoint.Create(t.TempDir(), checkpoint.Header{ConfigHash: hash, Seed: s.Config.MeasureSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	killAt := len(full.batches)/2 + 1
-	crash := &memSink{failAt: killAt}
-	p1, err := New(s.Telescope, s.Pipeline, crash, WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
+	crash := &memSink{}
+	p1, err := New(s.Telescope, s.Pipeline, crash,
+		WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := feed(p1, trace); !errors.Is(err, errSinkDown) {
-		t.Fatalf("feed survived the sink failure: %v", err)
+	errBoundary := errors.New("killed at accept/sync boundary")
+	p1.hookAfterEmit = func() error {
+		if len(crash.batches) == killAt {
+			return errBoundary
+		}
+		return nil
 	}
-	if len(crash.batches) != killAt-1 {
-		t.Fatalf("sink holds %d batches, expected %d before the crash", len(crash.batches), killAt-1)
+	if err := feed(p1, trace); !errors.Is(err, errBoundary) {
+		t.Fatalf("feed survived the boundary kill: %v", err)
 	}
+	// the sink holds one more batch than the cursor acknowledges
 	cur, ok, err := dir.LoadCursor()
 	if err != nil || !ok {
-		t.Fatalf("no cursor after crash: ok=%v err=%v", ok, err)
+		t.Fatalf("no cursor after boundary crash: ok=%v err=%v", ok, err)
 	}
-	if want := crash.batches[len(crash.batches)-1].ClosedThrough; cur.ClosedThrough != want {
-		t.Fatalf("cursor frontier %v, last durable batch %v", cur.ClosedThrough, want)
+	if len(crash.batches) != killAt {
+		t.Fatalf("sink holds %d batches, expected %d", len(crash.batches), killAt)
 	}
-	if cur.SinkBytes != crash.Offset() {
-		t.Fatalf("cursor sink offset %d, sink reports %d", cur.SinkBytes, crash.Offset())
+	if want := crash.batches[killAt-2].ClosedThrough; cur.ClosedThrough != want {
+		t.Fatalf("cursor frontier %v, want the last *journaled* batch %v", cur.ClosedThrough, want)
 	}
 
-	resumed := &memSink{bytes: cur.SinkBytes} // sink repositioned at the journaled offset
+	// recovery contract: truncate the sink to the journaled offset,
+	// dropping the accepted-but-unjournaled batch, then resume
+	crash.batches = crash.batches[:killAt-1]
+	crash.bytes = cur.SinkBytes
+	resumed := &memSink{bytes: cur.SinkBytes}
 	p2, err := New(s.Telescope, s.Pipeline, resumed,
 		WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir), WithResume())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc, ok := p2.Resumed(); !ok || rc != cur {
-		t.Fatalf("Resumed() = %+v, %v; want the journaled cursor", rc, ok)
-	}
 	if err := feed(p2, trace); err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
-
 	got := append(append([]Batch{}, crash.batches...), resumed.batches...)
 	if !reflect.DeepEqual(got, full.batches) {
-		t.Fatalf("crash+resume emitted %d batches, uninterrupted run %d — not exactly-once",
+		t.Fatalf("boundary crash + resume emitted %d batches, uninterrupted run %d — not exactly-once",
 			len(got), len(full.batches))
-	}
-	// frontier strictly advances across the seam: nothing re-emitted
-	for i := 1; i < len(got); i++ {
-		if got[i].ClosedThrough <= got[i-1].ClosedThrough {
-			t.Fatalf("batch %d re-emitted frontier %v", i, got[i].ClosedThrough)
-		}
-	}
-	endCur, ok, err := dir.LoadCursor()
-	if err != nil || !ok {
-		t.Fatalf("cursor after resume: ok=%v err=%v", ok, err)
-	}
-	var wantEvents int64
-	for _, b := range full.batches {
-		wantEvents += int64(len(b.Events))
-	}
-	if endCur.Events != wantEvents {
-		t.Errorf("final cursor counts %d events, uninterrupted run emitted %d", endCur.Events, wantEvents)
 	}
 }
 
@@ -425,5 +515,3 @@ func TestStreamResumeDivergenceDetected(t *testing.T) {
 func contains(s, sub string) bool {
 	return len(s) >= len(sub) && bytes.Contains([]byte(s), []byte(sub))
 }
-
-var _ = fmt.Sprintf // keep fmt for debugging edits
