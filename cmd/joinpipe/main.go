@@ -13,7 +13,7 @@
 //
 //	joinpipe [-domains N] [-attacks N] [-out FILE] [-quick] [-config FILE]
 //	         [-checkpoint DIR] [-resume] [-shard-timeout D] [-metrics-addr :9090]
-//	         [-daystore DIR] [-shard-by BITS]
+//	         [-daystore DIR]
 //	         [-coordinator HOST:PORT] [-min-workers N] [-heartbeat D]
 //	         [-suspect-missed N] [-dead-missed N]
 //
@@ -64,7 +64,6 @@ func run() (err error) {
 	ckptDir := flag.String("checkpoint", "", "checkpoint directory: persist each completed day-sweep")
 	resume := flag.Bool("resume", false, "resume from the checkpoints in -checkpoint instead of day 0")
 	shardTimeout := flag.Duration("shard-timeout", 0, "watchdog deadline per day-sweep (0 = none); a stuck day is quarantined, not waited for")
-	shardBy := flag.Int("shard-by", 0, "victim-prefix bits the join shards by (0 = default /16)")
 	coordAddr := flag.String("coordinator", "", "run as fleet coordinator: listen on this address and distribute the work to joinworker processes")
 	minWorkers := flag.Int("min-workers", 1, "coordinator mode: hold dispatch until this many workers register")
 	heartbeat := flag.Duration("heartbeat", time.Second, "coordinator mode: fleet heartbeat interval")
@@ -94,8 +93,8 @@ func run() (err error) {
 	start := time.Now()
 	var s *study.Study
 	if *coordAddr != "" {
-		if *shardBy != 0 || *shardTimeout != 0 {
-			return fmt.Errorf("-shard-by and -shard-timeout do not apply in coordinator mode")
+		if *shardTimeout != 0 {
+			return fmt.Errorf("-shard-timeout does not apply in coordinator mode")
 		}
 		if *daystoreDir != "" {
 			return fmt.Errorf("-daystore does not apply in coordinator mode: the fleet's day files go to <-checkpoint>/days, or a temporary directory")
@@ -124,7 +123,6 @@ func run() (err error) {
 			study.WithResume(*resume),
 			study.WithShardTimeout(*shardTimeout),
 			study.WithMetrics(reg),
-			study.WithShardBits(*shardBy),
 		}
 		if *daystoreDir != "" {
 			runOpts = append(runOpts, study.WithDayStoreDir(*daystoreDir))

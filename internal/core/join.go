@@ -1,10 +1,10 @@
-// join.go is the interval-indexed sharded join engine (DESIGN §3.4), the
-// implementation of Pipeline.EventsContext.
+// join.go is the sharded join engine (DESIGN §3.4), the implementation of
+// Pipeline.EventsContext.
 //
-// Engine shape: the attack feed is indexed by victim (AttackIndex, one
-// flat sorted plan), each distinct victim is classified exactly once, and
-// DNS-direct victims are grouped into shards by a victim-address prefix
-// (default /16). A bounded worker pool joins the shards against the shared
+// Engine shape: each call plans the feed — every distinct victim is
+// classified exactly once, and the DNS-direct victims' (victim, feed
+// position) pairs are sorted into per-victim runs grouped into shards by
+// victim /16. A bounded worker pool joins the shards against the shared
 // read-only NSIndex and the day store's two reads (DayStore, daystore.go),
 // each worker appending events to its own buffer. The buffers are
 // concatenated and sorted by (feed position, NSSet rank), which reproduces
@@ -50,7 +50,7 @@ import (
 // The zero value (no registry) is valid and free: every field is a
 // nil-safe no-op metric.
 type joinMetrics struct {
-	indexBuildNS  *obs.Gauge     // core.join.index_build_ns: last AttackIndex build
+	indexBuildNS  *obs.Gauge     // core.join.index_build_ns: last plan build
 	victims       *obs.Gauge     // core.join.victims: distinct DNS-direct victims in the last feed
 	shards        *obs.Gauge     // core.join.shards: shards in the last join
 	events        *obs.Counter   // core.join.events: events emitted (cumulative)
@@ -70,13 +70,21 @@ func newJoinMetrics(reg *obs.Registry) joinMetrics {
 	}
 }
 
-// dnsVictim is one classified DNS-direct victim with its attack feed
-// positions — the unit of shard work.
-type dnsVictim struct {
-	v       netx.Addr
-	ns      dnsdb.NameserverID
-	attacks []int32 // feed positions, sorted by (start, position)
+// victimRef is one feed entry whose victim is DNS-direct: the victim,
+// its nameserver and the entry's feed position.
+type victimRef struct {
+	victim netx.Addr
+	ns     dnsdb.NameserverID
+	idx    int32
 }
+
+// victimRun is one DNS-direct victim's feed entries in feed order — the
+// unit of shard work.
+type victimRun []victimRef
+
+// shardBits is the victim-prefix width the plan groups shards by: one
+// shard per victim /16.
+const shardBits = 16
 
 // taggedEvent carries an event with the two sort keys that reproduce the
 // legacy emission order: the attack's feed position and the containing
@@ -92,47 +100,26 @@ func cmpTagged(a, b taggedEvent) int {
 	return cmp.Or(cmp.Compare(a.attackIdx, b.attackIdx), cmp.Compare(a.nssetIdx, b.nssetIdx))
 }
 
-// joinIndex is one feed's immutable join plan: the attack interval index
-// plus the classified DNS-direct victims grouped into shards. It is a
-// pure function of the feed slice (and the pipeline's frozen world), so
-// the pipeline memoizes the last plan: repeat joins over the same feed —
-// resumed runs, ablation sweeps, the report tools — skip the feed scan
-// entirely. Like AttackIndex, it references the feed and is stale if the
-// slice is mutated in place.
-type joinIndex struct {
-	feedPtr *rsdos.Attack
-	feedLen int
-	aix     *AttackIndex
-	direct  []dnsVictim
-	shards  [][]dnsVictim
-}
-
-// joinIndexFor returns the feed's join plan, building it at most once per
-// distinct feed (concurrent first calls may race to build; either result
-// is correct and one wins the store).
-func (p *Pipeline) joinIndexFor(attacks []rsdos.Attack) *joinIndex {
-	var feedPtr *rsdos.Attack
-	if len(attacks) > 0 {
-		feedPtr = &attacks[0]
-	}
-	if ji := p.joinIdx.Load(); ji != nil && ji.feedPtr == feedPtr && ji.feedLen == len(attacks) {
-		return ji
-	}
-
+// plan builds the feed's join plan: the DNS-direct victims' feed entries
+// cut into per-victim runs, grouped into shards of contiguous victims by
+// address prefix, in ascending address order. It is built on every call
+// from the feed as it is now, so a caller may refill a feed slice in place
+// between joins.
+func (p *Pipeline) plan(attacks []rsdos.Attack) [][]victimRun {
 	t0 := time.Now()
-	// Index only DNS-direct victims: the feed is dominated by victims
-	// that are not DNS infrastructure, so each entry first passes the
-	// NSIndex bit filter (one shift + bit test) and survivors get one
-	// memoized classification per distinct victim. The interval
-	// structures are then built for the relevant subset only.
+	// Keep only DNS-direct victims: the feed is dominated by victims that
+	// are not DNS infrastructure, so each entry first passes the NSIndex
+	// bit filter (one shift + bit test) and survivors get one memoized
+	// classification per distinct victim. The filter runs twice — once to
+	// size the plan, once to fill it.
 	type vinfo struct {
 		direct bool
 		ns     dnsdb.NameserverID
 	}
 	memo := make(map[netx.Addr]vinfo)
-	aix := BuildAttackIndexFunc(attacks, func(v netx.Addr) bool {
+	info := func(v netx.Addr) vinfo {
 		if !p.ix.mayBeNS(v) {
-			return false
+			return vinfo{}
 		}
 		inf, ok := memo[v]
 		if !ok {
@@ -140,46 +127,67 @@ func (p *Pipeline) joinIndexFor(attacks []rsdos.Attack) *joinIndex {
 			inf = vinfo{direct: class == ClassDNSDirect, ns: ns}
 			memo[v] = inf
 		}
-		return inf.direct
+		return inf
+	}
+	n := 0
+	for i := range attacks {
+		if info(attacks[i].Victim).direct {
+			n++
+		}
+	}
+	refs := make([]victimRef, 0, n)
+	for i := range attacks {
+		v := attacks[i].Victim
+		if inf := info(v); inf.direct {
+			refs = append(refs, victimRef{victim: v, ns: inf.ns, idx: int32(i)})
+		}
+	}
+	slices.SortFunc(refs, func(a, b victimRef) int {
+		return cmp.Or(cmp.Compare(a.victim, b.victim), cmp.Compare(a.idx, b.idx))
 	})
 
-	// Victims() is sorted ascending, so consecutive victims share shard
-	// prefixes and the shard list below comes out in ascending order.
-	direct := make([]dnsVictim, len(aix.victims))
-	for i, v := range aix.victims {
-		direct[i] = dnsVictim{v: v, ns: memo[v].ns, attacks: aix.pos[aix.offs[i]:aix.offs[i+1]]}
+	bits := p.shardBits
+	if bits == 0 {
+		bits = shardBits
 	}
+	shift := uint(32 - bits)
+	victims := cut(victimRun(refs), func(r *victimRef) netx.Addr { return r.victim })
+	shards := cut(victims, func(r *victimRun) uint32 { return uint32((*r)[0].victim) >> shift })
+	p.metrics.indexBuildNS.Set(time.Since(t0).Nanoseconds())
+	p.metrics.victims.Set(int64(len(victims)))
+	p.metrics.shards.Set(int64(len(shards)))
+	return shards
+}
 
-	// Group contiguous runs of victims by address prefix into shards.
-	shift := uint(32 - p.shardBits)
-	var shards [][]dnsVictim
-	for i := 0; i < len(direct); {
+// cut splits s into its maximal runs of elements with equal keys.
+func cut[S ~[]E, E any, K comparable](s S, key func(*E) K) []S {
+	n := 0
+	for i := range s {
+		if i == 0 || key(&s[i]) != key(&s[i-1]) {
+			n++
+		}
+	}
+	runs := make([]S, 0, n)
+	for i := 0; i < len(s); {
 		j := i + 1
-		for j < len(direct) && uint32(direct[j].v)>>shift == uint32(direct[i].v)>>shift {
+		for j < len(s) && key(&s[j]) == key(&s[i]) {
 			j++
 		}
-		shards = append(shards, direct[i:j])
+		runs = append(runs, s[i:j:j])
 		i = j
 	}
-	p.metrics.indexBuildNS.Set(time.Since(t0).Nanoseconds())
-
-	ji := &joinIndex{feedPtr: feedPtr, feedLen: len(attacks), aix: aix, direct: direct, shards: shards}
-	p.joinIdx.Store(ji)
-	return ji
+	return runs
 }
 
 // EventsContext is Events with cooperative cancellation: the sharded
-// interval-indexed join. A cancelled join returns the events built so far
-// together with ctx.Err(); callers must treat such a slice as partial.
+// join. A cancelled join returns the events built so far together with
+// ctx.Err(); callers must treat such a slice as partial.
 func (p *Pipeline) EventsContext(ctx context.Context, attacks []rsdos.Attack) ([]Event, error) {
-	ji := p.joinIndexFor(attacks)
-	p.metrics.victims.Set(int64(len(ji.direct)))
-	p.metrics.shards.Set(int64(len(ji.shards)))
-
-	if len(ji.shards) == 0 {
+	shards := p.plan(attacks)
+	if len(shards) == 0 {
 		return nil, ctx.Err()
 	}
-	return p.runShards(ctx, ji.aix, ji.shards)
+	return p.runShards(ctx, attacks, shards)
 }
 
 // joinWorker is the memory one pool worker carries from shard to shard, so
@@ -192,7 +200,7 @@ type joinWorker struct {
 // runShards joins the shard list through the bounded worker pool, sorts
 // the workers' tagged events into legacy emission order and strips the
 // tags.
-func (p *Pipeline) runShards(ctx context.Context, aix *AttackIndex, shards [][]dnsVictim) ([]Event, error) {
+func (p *Pipeline) runShards(ctx context.Context, attacks []rsdos.Attack, shards [][]victimRun) ([]Event, error) {
 	workers := p.joinWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -220,7 +228,7 @@ func (p *Pipeline) runShards(ctx context.Context, aix *AttackIndex, shards [][]d
 			}
 		}()
 		st := time.Now()
-		p.joinShard(ctx, aix, shards[si], jw)
+		p.joinShard(ctx, attacks, shards[si], jw)
 		p.metrics.shardLatency.Observe(time.Since(st))
 	}
 	for w := 0; w < workers; w++ {
@@ -271,14 +279,14 @@ dispatch:
 // event's ASN list. Cancellation is checked between attacks; a cancelled
 // shard leaves the events built so far (the overall join then reports
 // ctx.Err() and callers treat the result as partial).
-func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dnsVictim, jw *joinWorker) {
+func (p *Pipeline) joinShard(ctx context.Context, attacks []rsdos.Attack, victims []victimRun, jw *joinWorker) {
 	checked := 0
-	for _, dv := range victims {
-		sets := p.ix.NSSetsContaining(dv.v)
+	for _, run := range victims {
+		sets := p.ix.NSSetsContaining(run[0].victim)
 		if len(sets) == 0 {
 			continue
 		}
-		for _, ai := range dv.attacks {
+		for _, r := range run {
 			if checked&63 == 0 {
 				select {
 				case <-ctx.Done():
@@ -289,10 +297,10 @@ func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dn
 			checked++
 			p.metrics.attacksJoined.Inc()
 			ca := ClassifiedAttack{
-				Attack:     aix.attacks[ai],
+				Attack:     attacks[r.idx],
 				Class:      ClassDNSDirect,
 				NSRecorded: true,
-				NS:         dv.ns,
+				NS:         r.ns,
 			}
 			// the §4.2 snapshot day depends only on the attack; resolve
 			// it once for all containing NSSets
@@ -303,7 +311,7 @@ func (p *Pipeline) joinShard(ctx context.Context, aix *AttackIndex, victims []dn
 			snapDay = p.measurableDay(snapDay)
 			for ki, k := range sets {
 				if e, ok := p.buildEventIndexed(ca, snapDay, k, jw); ok {
-					jw.out = append(jw.out, taggedEvent{attackIdx: ai, nssetIdx: int32(ki), event: e})
+					jw.out = append(jw.out, taggedEvent{attackIdx: r.idx, nssetIdx: int32(ki), event: e})
 				}
 			}
 		}

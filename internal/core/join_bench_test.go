@@ -13,8 +13,7 @@ import (
 	"dnsddos/internal/study"
 )
 
-// join_bench_test.go benchmarks the interval-indexed sharded engine
-// against the reference linear scan (legacy_test.go) on a mid-size study
+// join_bench_test.go benchmarks the sharded engine against the reference linear scan (legacy_test.go) on a mid-size study
 // world, and one cold re-join over sealed days at the scale and in the
 // shape of the repo benchmark's join_dense operation. `make test` runs a
 // -benchtime=1x smoke so the harness itself cannot rot; `make bench-join`
@@ -27,9 +26,9 @@ var (
 	benchErr   error
 )
 
-// joinStudy runs (once) the shared study both legs join against. Index
-// construction happens inside it, matching production use where one
-// pipeline serves many joins.
+// joinStudy runs (once) the shared study both legs join against. The NS
+// index is built inside it; the sharded leg's join plan is built inside
+// every op, as in every production join.
 func joinStudy(b *testing.B) *study.Study {
 	b.Helper()
 	benchOnce.Do(func() {
@@ -46,7 +45,7 @@ func joinStudy(b *testing.B) *study.Study {
 }
 
 // BenchmarkJoin measures one full attack×snapshot join (§4.2) over the
-// 17-month schedule. The acceptance bar for the indexed engine is ≥5x
+// 17-month schedule. The acceptance bar for the sharded engine is ≥5x
 // over the reference scan at this scale.
 func BenchmarkJoin(b *testing.B) {
 	s := joinStudy(b)

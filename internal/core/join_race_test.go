@@ -50,7 +50,7 @@ func buildWideWorld(t *testing.T, providers int) (*dnsdb.DB, []netx.Addr, []nsse
 }
 
 // TestShardedJoinMatchesLegacyConcurrent is the race-detector workout
-// for the sharded engine: many shards (one per victim at shardBits=32),
+// for the sharded engine: many shards (one per victim at withShardBits(32)),
 // a worker pool wider than GOMAXPROCS, and four goroutines running
 // EventsContext on the same pipeline at once — sharing the NS index and
 // the aggregator. Every result must equal the legacy linear scan's.
@@ -74,7 +74,7 @@ func TestShardedJoinMatchesLegacyConcurrent(t *testing.T) {
 		t.Fatalf("legacy join produced %d events; the comparison would be thin", len(want))
 	}
 
-	indexed := NewPipeline(db, WithDayStore(agg), withJoinWorkers(8), WithShardBits(32))
+	indexed := NewPipeline(db, WithDayStore(agg), withJoinWorkers(8), withShardBits(32))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -105,11 +105,39 @@ func TestShardedJoinCancellation(t *testing.T) {
 		seedMeasurements(agg, keys[i/2], aw.Day(), 10*time.Millisecond, aw, 50*time.Millisecond, 8, 2)
 		attacks = append(attacks, mkAttack(i+1, a, aw, aw+2, 53))
 	}
-	p := NewPipeline(db, WithDayStore(agg), withJoinWorkers(4), WithShardBits(32))
+	p := NewPipeline(db, WithDayStore(agg), withJoinWorkers(4), withShardBits(32))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.EventsContext(ctx, attacks); err != context.Canceled {
 		t.Fatalf("cancelled join error = %v, want context.Canceled", err)
+	}
+}
+
+// TestRefilledFeedJoinsFresh: a caller that overwrites a feed slice in
+// place between two joins on one pipeline gets the join of the feed as it
+// is now — the plan is built per call, never taken from an earlier join
+// over the same slice.
+func TestRefilledFeedJoinsFresh(t *testing.T) {
+	db, _, keys := buildWideWorld(t, 2)
+	agg := nsset.NewAggregator()
+	aw := clock.Day(40).FirstWindow()
+	for _, k := range keys {
+		seedMeasurements(agg, k, aw.Day(), 10*time.Millisecond, aw, 100*time.Millisecond, 8, 2)
+	}
+	feed := []rsdos.Attack{mkAttack(1, netx.MustParseAddr("10.0.0.10"), aw, aw+2, 53)}
+	p := NewPipeline(db, WithDayStore(agg))
+	if ev := p.Events(feed); len(ev) != 1 || ev[0].NSSet != keys[0] {
+		t.Fatalf("first join: %d events, want one on %v", len(ev), keys[0])
+	}
+
+	feed[0] = mkAttack(2, netx.MustParseAddr("10.1.0.10"), aw, aw+2, 53)
+	got := p.Events(feed)
+	want := NewPipeline(db, WithDayStore(agg)).Events(feed)
+	if len(want) != 1 || want[0].NSSet != keys[1] {
+		t.Fatalf("fresh pipeline: %d events, want one on %v", len(want), keys[1])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("join of the refilled feed = %+v, want a fresh pipeline's %+v", got, want)
 	}
 }
 
@@ -154,7 +182,7 @@ func TestStoreRefusalReachesCaller(t *testing.T) {
 	refusal := errors.New("day file refused")
 	for _, atBaseline := range []bool{true, false} {
 		t.Run(fmt.Sprintf("EventsContext/baseline=%v", atBaseline), func(t *testing.T) {
-			p := NewPipeline(db, WithDayStore(refusingStore{agg, refusal, atBaseline}), withJoinWorkers(4), WithShardBits(32))
+			p := NewPipeline(db, WithDayStore(refusingStore{agg, refusal, atBaseline}), withJoinWorkers(4), withShardBits(32))
 			defer func() {
 				if r := recover(); r != refusal {
 					t.Fatalf("recovered %v, want the store's refusal", r)

@@ -32,7 +32,7 @@ func TestJoinMetricsOnEndpoint(t *testing.T) {
 
 	reg := obs.New()
 	p := NewPipeline(db, WithDayStore(agg), WithMetrics(reg))
-	// twice: the second join takes the memoized plan
+	// twice: every join builds its own plan
 	for i := 0; i < 2; i++ {
 		if ev, err := p.EventsContext(context.Background(), attacks); err != nil || len(ev) == 0 {
 			t.Fatalf("join %d: %d events, err %v", i, len(ev), err)

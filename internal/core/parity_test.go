@@ -12,10 +12,9 @@ import (
 	"dnsddos/internal/study"
 )
 
-// parity_test.go is the contract test for the interval-indexed join
-// engine: on a seeded study world the sharded, indexed EventsContext and
-// the reference linear scan (legacy_test.go) must emit byte-identical
-// events. Three configurations cover the interesting regimes — the
+// parity_test.go is the contract test for the sharded join engine: on a
+// seeded study world EventsContext and the reference linear scan
+// (legacy_test.go) must emit byte-identical events. Three configurations cover the interesting regimes — the
 // TransIP window, a skewed small world with different seeds, and a run
 // with a quarantined day (where the join falls back across missing
 // snapshots, §4.2). It lives in the external test package because it
@@ -50,18 +49,18 @@ func runBothEngines(t *testing.T, cfg study.Config, extra ...study.Option) {
 		t.Fatalf("study run: %v", err)
 	}
 	if len(s.Events) == 0 {
-		t.Fatal("indexed engine joined no events; the comparison would be vacuous")
+		t.Fatal("sharded engine joined no events; the comparison would be vacuous")
 	}
 	legacy, err := core.EventsLegacy(context.Background(), s.Pipeline, s.Attacks)
 	if err != nil {
 		t.Fatalf("reference scan: %v", err)
 	}
 	if !bytes.Equal(eventsCSV(t, s.Events), eventsCSV(t, legacy)) {
-		t.Error("indexed engine and reference scan emitted different events")
+		t.Error("sharded engine and reference scan emitted different events")
 	}
 }
 
-// TestJoinEngineParity is the acceptance gate for the indexed engine:
+// TestJoinEngineParity is the acceptance gate for the sharded engine:
 // same world, same schedule, same events — byte for byte — as the
 // reference scan.
 func TestJoinEngineParity(t *testing.T) {

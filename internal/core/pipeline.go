@@ -12,15 +12,14 @@
 //  3. extract the domains those nameservers host;
 //  4. use the per-NSSet RTT data to infer performance impairment.
 //
-// The join engine is the interval-indexed sharded engine of join.go; the
-// historical linear scan survives only as the reference oracle in
-// legacy_test.go, which the parity tests compare against.
+// The join engine is the sharded engine of join.go; the historical linear
+// scan survives only as the reference oracle in legacy_test.go, which the
+// parity tests compare against.
 package core
 
 import (
 	"context"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"dnsddos/internal/anycast"
@@ -139,13 +138,9 @@ type Pipeline struct {
 
 	// joinWorkers bounds the sharded engine's worker pool (0 = GOMAXPROCS).
 	joinWorkers int
-	// shardBits is the victim-prefix width shards are keyed by (default
-	// 16, i.e. one shard per victim /16).
+	// shardBits overrides the shardBits constant (join.go) when non-zero.
+	// Production always runs the constant; only the race tests set it.
 	shardBits int
-	// joinIdx memoizes the last feed's attack index and shard plan
-	// (join.go): repeat joins over the same feed slice skip the feed scan
-	// entirely and go straight to the shard workers.
-	joinIdx atomic.Pointer[joinIndex]
 	// metrics receives join instrumentation (joinMetrics, join.go); nil
 	// disables it.
 	metrics joinMetrics
@@ -192,15 +187,8 @@ func WithDayStore(ds DayStore) Option {
 	return func(p *Pipeline) { p.days = ds }
 }
 
-// WithShardBits sets the victim-prefix width the sharded engine groups
-// work by (default 16: one shard per victim /16). Valid range 0..32;
-// out-of-range values are clamped.
-func WithShardBits(bits int) Option {
-	return func(p *Pipeline) { p.shardBits = bits }
-}
-
 // WithMetrics threads an observability registry through the join engine:
-// index build time, per-shard join latency, victim, shard and event
+// plan build time, per-shard join latency, victim, shard and event
 // counts — all registered volatile (run-dependent timings stay out of
 // deterministic stable snapshots).
 func WithMetrics(reg *obs.Registry) Option {
@@ -231,12 +219,6 @@ func NewPipeline(db *dnsdb.DB, opts ...Option) *Pipeline {
 		p.days = nsset.NewAggregator()
 	}
 	p.ix = BuildNSIndex(db, p.domainNSSets)
-	if p.shardBits <= 0 {
-		p.shardBits = 16
-	}
-	if p.shardBits > 32 {
-		p.shardBits = 32
-	}
 	return p
 }
 
@@ -395,11 +377,3 @@ func (p *Pipeline) DomainsUnderAttack(ca ClassifiedAttack) int {
 // DayStore returns the day-snapshot surface the join engines read: the
 // WithDayStore backend, or the empty default.
 func (p *Pipeline) DayStore() DayStore { return p.days }
-
-// NSSetsContaining returns the NSSets containing a nameserver address.
-func (p *Pipeline) NSSetsContaining(a netx.Addr) []nsset.Key {
-	return p.ix.NSSetsContaining(a)
-}
-
-// NSSetDomainCount returns how many domains an NSSet hosts.
-func (p *Pipeline) NSSetDomainCount(k nsset.Key) int { return p.ix.DomainCount(k) }

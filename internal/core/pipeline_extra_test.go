@@ -83,14 +83,14 @@ func TestSeriesFor(t *testing.T) {
 func TestNSSetsContainingAndCounts(t *testing.T) {
 	w := buildWorld(t)
 	p := NewPipeline(w.db, WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
-	sets := p.NSSetsContaining(w.vulnNS[0])
+	sets := p.ix.NSSetsContaining(w.vulnNS[0])
 	if len(sets) != 1 || sets[0] != w.vulnKey {
 		t.Errorf("NSSetsContaining = %v", sets)
 	}
-	if got := p.NSSetDomainCount(w.vulnKey); got != 10 {
-		t.Errorf("NSSetDomainCount = %d", got)
+	if got := p.ix.DomainCount(w.vulnKey); got != 10 {
+		t.Errorf("DomainCount = %d", got)
 	}
-	if got := p.NSSetDomainCount(nsset.KeyOf([]netx.Addr{99})); got != 0 {
+	if got := p.ix.DomainCount(nsset.KeyOf([]netx.Addr{99})); got != 0 {
 		t.Errorf("unknown NSSet count = %d", got)
 	}
 }

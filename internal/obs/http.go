@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
@@ -44,7 +45,9 @@ func Handler(reg *Registry) http.Handler {
 // registry's metrics flattened under their own names. Writing the
 // bridge by hand — instead of expvar.Publish — keeps registries
 // independent: two servers over two registries never fight over the
-// process-global expvar namespace.
+// process-global expvar namespace. Names are quoted as JSON strings:
+// some arrive from the network (a fleet worker's -name), and Go's %q
+// quoting of a control byte or invalid UTF-8 is not JSON.
 func serveVars(w http.ResponseWriter, reg *Registry) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	fmt.Fprintf(w, "{\n")
@@ -54,7 +57,8 @@ func serveVars(w http.ResponseWriter, reg *Registry) {
 			fmt.Fprintf(w, ",\n")
 		}
 		first = false
-		fmt.Fprintf(w, "%q: %s", key, val)
+		k, _ := json.Marshal(key) // a string always marshals
+		fmt.Fprintf(w, "%s: %s", k, val)
 	}
 	expvar.Do(func(kv expvar.KeyValue) {
 		emit(kv.Key, kv.Value.String())

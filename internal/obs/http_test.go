@@ -42,6 +42,10 @@ func TestServeEndpoints(t *testing.T) {
 	reg := New()
 	reg.Counter("authserver.udp_answered").Add(99)
 	reg.Histogram("authserver.udp_latency").Observe(4 * time.Millisecond)
+	// a name from the network: a control byte, invalid UTF-8 and a bell,
+	// which Go quoting would render as \x01, \xff and \a — none of them JSON
+	hostile := "distjoin.worker_latency.w\x01\xff\a"
+	reg.Histogram(hostile).Observe(time.Millisecond)
 
 	ms, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
@@ -84,6 +88,9 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if _, ok := vars["authserver.udp_latency"]; !ok {
 		t.Error("/debug/vars missing bridged histogram")
+	}
+	if _, ok := vars[strings.ToValidUTF8(hostile, "\uFFFD")]; !ok {
+		t.Errorf("/debug/vars missing the histogram named %q", hostile)
 	}
 
 	// /debug/pprof/: the index page lists profiles

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dnsddos/internal/clock"
-	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
@@ -56,9 +55,6 @@ type options struct {
 	// wall-clock timings and join-engine internals register as volatile
 	// and stay out of the stable snapshot.
 	metrics *obs.Registry
-	// shardBits is the victim-prefix width the join engine shards by
-	// (0 = engine default /16).
-	shardBits int
 	// daystoreDir is where completed day-shards are sealed as columnar
 	// files (DESIGN §3.9) for the join to map — flat RSS at
 	// millions-of-domains scale. Empty with a checkpoint directory means
@@ -109,12 +105,6 @@ func WithBeforeDay(f func(clock.Day)) Option {
 // serve it mid-run; nil keeps the default private registry.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(o *options) { o.metrics = reg }
-}
-
-// WithShardBits sets the victim-prefix width the join engine shards by
-// (core.WithShardBits); 0 keeps the engine default of /16.
-func WithShardBits(bits int) Option {
-	return func(o *options) { o.shardBits = bits }
 }
 
 // WithDayStoreDir seals every completed day-shard into a columnar day
@@ -226,8 +216,7 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 			return nil, err
 		}
 	}
-	// a zero shard width keeps the engine default
-	s.Pipeline = sess.NewPipeline(days, ledger.Quarantined(), reg, core.WithShardBits(opts.shardBits))
+	s.Pipeline = sess.NewPipeline(days, ledger.Quarantined(), reg)
 	if !opts.skipJoin {
 		s.Classified = s.Pipeline.Classify(s.Attacks)
 		if s.Events, err = s.Pipeline.EventsContext(ctx, s.Attacks); err != nil {
