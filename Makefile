@@ -35,9 +35,8 @@ stream:
 # detector — concurrent counter/histogram exactness, snapshot
 # determinism (golden files), the HTTP endpoint lifecycle, the
 # goroutine-leak helper applied to server and resolver teardown, and a
-# smoke pass over the wire-format, day-file, attack-feed, frame-codec
-# (journal records and frame streams), fleet-message, prefix-table,
-# capture-file, study-config, zone-file and sweep-record fuzz seed
+# smoke pass over the wire-format, day-file, frame-codec (journal records
+# and frame streams), fleet-message, study-config and zone-file fuzz seed
 # corpora.
 obs:
 	$(GO) test -race ./internal/obs/ ./internal/netx/ -count 1
@@ -47,14 +46,10 @@ obs:
 	$(GO) test -race ./internal/study/ -run 'TestRunMetrics' -count 1
 	$(GO) test ./internal/dnswire/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/daystore/ -run 'Fuzz' -count 1
-	$(GO) test ./internal/rsdos/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/checkpoint/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/distjoin/ -run 'Fuzz' -count 1
-	$(GO) test ./internal/astopo/ -run 'Fuzz' -count 1
-	$(GO) test ./internal/pcap/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/study/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/authserver/ -run 'Fuzz' -count 1
-	$(GO) test ./internal/openintel/ -run 'Fuzz' -count 1
 
 # Distributed-sweep chaos leg: a four-worker fleet with one worker killed
 # mid-sweep and one writing through a corrupting faultinject stream must
@@ -178,8 +173,10 @@ bench-join:
 	$(GO) test -bench 'BenchmarkJoin' -benchmem -run '^$$' ./internal/core/
 	$(GO) test -bench 'BenchmarkViewReads' -benchmem -run '^$$' ./internal/daystore/
 
-# The paper's tables and figures: one sub-benchmark per entry of
-# internal/report's Catalogue (cmd/report prints the same entries).
+# The paper's evaluation at bench scale: one sub-benchmark per entry of
+# internal/report's Catalogue — the tables and figures, the §5 case
+# studies, the DESIGN §6 ablations and extensions (cmd/report prints the
+# same entries) — then BenchmarkPipelineJoin and BenchmarkRSDoSInference.
 report:
 	$(GO) test -bench . -benchtime 1x .
 

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"dnsddos/internal/report"
+	"dnsddos/internal/rsdos"
 	"dnsddos/internal/study"
 )
 
@@ -86,4 +87,27 @@ func BenchmarkPaper(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPipelineJoin measures raw join throughput: attacks joined per
+// second over the shared measurement dataset.
+func BenchmarkPipelineJoin(b *testing.B) {
+	s := benchStudy(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.Pipeline.Events(s.Attacks)
+	}
+	b.ReportMetric(float64(len(s.Attacks)), "attacks/op")
+}
+
+// BenchmarkRSDoSInference measures inference throughput over the synthetic
+// telescope observations.
+func BenchmarkRSDoSInference(b *testing.B) {
+	s := benchStudy(b)
+	cfg := s.Config.RSDoS
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = rsdos.Infer(cfg, s.Obs)
+	}
+	b.ReportMetric(float64(len(s.Obs)), "observations/op")
 }

@@ -4,14 +4,7 @@
 package astopo
 
 import (
-	"bufio"
-	"cmp"
 	"fmt"
-	"io"
-	"slices"
-	"strconv"
-	"strings"
-	"unicode"
 
 	"dnsddos/internal/netx"
 )
@@ -135,87 +128,3 @@ func (t *Table) OrgName(asn ASN) string {
 
 // Len returns the number of announced prefixes.
 func (t *Table) Len() int { return t.n }
-
-// WriteEntries serializes the table in the CAIDA pfx2as text format
-// ("prefix<TAB>bits<TAB>asn") followed by org lines ("# org asn name
-// country", tab-separated; the country is the last field, so a name may
-// hold tabs). The sort is stable: duplicate announcements keep their order,
-// so the same one still wins after ReadEntries.
-func WriteEntries(w io.Writer, entries []Entry, orgs map[ASN]Org) error {
-	bw := bufio.NewWriter(w)
-	sorted := slices.Clone(entries)
-	slices.SortStableFunc(sorted, func(a, b Entry) int {
-		return cmp.Or(cmp.Compare(a.Prefix.Addr, b.Prefix.Addr), cmp.Compare(a.Prefix.Bits, b.Prefix.Bits))
-	})
-	for _, e := range sorted {
-		if _, err := fmt.Fprintf(bw, "%s\t%d\t%d\n", e.Prefix.Addr, e.Prefix.Bits, e.ASN); err != nil {
-			return err
-		}
-	}
-	asns := make([]ASN, 0, len(orgs))
-	for a := range orgs {
-		asns = append(asns, a)
-	}
-	slices.Sort(asns)
-	for _, a := range asns {
-		o := orgs[a]
-		if _, err := fmt.Fprintf(bw, "# org\t%d\t%s\t%s\n", a, o.Name, o.Country); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadEntries parses the format written by WriteEntries into a Builder.
-func ReadEntries(r io.Reader) (*Builder, error) {
-	b := NewBuilder()
-	sc := bufio.NewScanner(r)
-	ln := 0
-	for sc.Scan() {
-		ln++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# org") {
-			// split untrimmed but for line-end CRs: an empty country is
-			// a trailing tab, and the name is everything between the ASN
-			// and the country
-			fields := strings.Split(strings.TrimRight(strings.TrimLeftFunc(sc.Text(), unicode.IsSpace), "\r"), "\t")
-			if len(fields) < 4 {
-				return nil, fmt.Errorf("astopo: line %d: malformed org record", ln)
-			}
-			asn, err := strconv.ParseUint(fields[1], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("astopo: line %d: %w", ln, err)
-			}
-			last := len(fields) - 1
-			b.SetOrg(ASN(asn), Org{Name: strings.Join(fields[2:last], "\t"), Country: fields[last]})
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Split(line, "\t")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("astopo: line %d: want 3 fields, got %d", ln, len(fields))
-		}
-		addr, err := netx.ParseAddr(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("astopo: line %d: %w", ln, err)
-		}
-		bits, err := strconv.Atoi(fields[1])
-		if err != nil || bits < 0 || bits > 32 {
-			return nil, fmt.Errorf("astopo: line %d: bad prefix length %q", ln, fields[1])
-		}
-		asn, err := strconv.ParseUint(fields[2], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("astopo: line %d: %w", ln, err)
-		}
-		b.Announce(netx.Prefix{Addr: addr & netx.Prefix{Addr: 0, Bits: bits}.Mask(), Bits: bits}, ASN(asn))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return b, nil
-}

@@ -1,7 +1,6 @@
 package astopo
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -91,64 +90,6 @@ func TestOrgNames(t *testing.T) {
 func TestASNString(t *testing.T) {
 	if ASN(13335).String() != "AS13335" {
 		t.Error("ASN.String")
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	entries := []Entry{
-		{netx.MustParsePrefix("10.0.0.0/8"), 100},
-		{netx.MustParsePrefix("192.0.2.0/24"), 64500},
-		{netx.MustParsePrefix("8.8.8.8/32"), 15169},
-	}
-	orgs := map[ASN]Org{
-		15169: {Name: "Google", Country: "US"},
-		100:   {Name: "Transit A", Country: "NL"},
-	}
-	var buf bytes.Buffer
-	if err := WriteEntries(&buf, entries, orgs); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadEntries(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := b.Build()
-	for _, e := range entries {
-		got, ok := tbl.Lookup(e.Prefix.First())
-		if !ok || got != e.ASN {
-			t.Errorf("after round trip, Lookup(%v) = %v,%v", e.Prefix, got, ok)
-		}
-	}
-	if tbl.OrgName(15169) != "Google" {
-		t.Error("org lost in round trip")
-	}
-	if tbl.Len() != len(entries) {
-		t.Errorf("Len = %d", tbl.Len())
-	}
-}
-
-func TestReadEntriesRejectsGarbage(t *testing.T) {
-	for _, in := range []string{
-		"not-an-ip\t24\t100\n",
-		"10.0.0.0\t99\t100\n",
-		"10.0.0.0\t24\tx\n",
-		"10.0.0.0\t24\n",
-		"# org\t15169\n",
-	} {
-		if _, err := ReadEntries(bytes.NewReader([]byte(in))); err == nil {
-			t.Errorf("input %q should be rejected", in)
-		}
-	}
-}
-
-func TestReadEntriesSkipsCommentsAndBlank(t *testing.T) {
-	in := "# a comment\n\n10.0.0.0\t8\t7\n"
-	b, err := ReadEntries(bytes.NewReader([]byte(in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := b.Build().Lookup(netx.MustParseAddr("10.1.1.1")); !ok || got != 7 {
-		t.Errorf("lookup after comments = %v,%v", got, ok)
 	}
 }
 

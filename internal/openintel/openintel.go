@@ -11,9 +11,6 @@ package openintel
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math/rand/v2"
 	"time"
 
@@ -160,68 +157,4 @@ func (e *Engine) slotOrder() []dnsdb.DomainID {
 		next[s]++
 	}
 	return out
-}
-
-// RunRangeContext sweeps days [from, to] inclusive, stopping at the
-// first cancelled day.
-func (e *Engine) RunRangeContext(ctx context.Context, from, to clock.Day, agg *nsset.Aggregator, each func(Record)) error {
-	for d := from; d <= to; d++ {
-		if err := e.RunDayContext(ctx, d, agg, each); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RecordWriter streams records as JSON lines.
-type RecordWriter struct {
-	enc *json.Encoder
-}
-
-// NewRecordWriter wraps w.
-func NewRecordWriter(w io.Writer) *RecordWriter {
-	return &RecordWriter{enc: json.NewEncoder(w)}
-}
-
-// Write emits one record.
-func (rw *RecordWriter) Write(r Record) error { return rw.enc.Encode(jsonRecord(r)) }
-
-// RecordJSON is the on-disk JSON form of a Record.
-type RecordJSON struct {
-	Domain int32  `json:"domain"`
-	Time   string `json:"time"`
-	NSSet  string `json:"nsset"`
-	Status string `json:"status"`
-	RTTus  int64  `json:"rtt_us"`
-	Tries  int    `json:"tries"`
-}
-
-func jsonRecord(r Record) RecordJSON {
-	return RecordJSON{
-		Domain: int32(r.Domain),
-		Time:   r.Time.UTC().Format(time.RFC3339),
-		NSSet:  r.NSSet.String(),
-		Status: r.Status.String(),
-		RTTus:  r.RTT.Microseconds(),
-		Tries:  r.Tries,
-	}
-}
-
-// ReadRecords decodes a JSON-lines stream produced by RecordWriter; only
-// fields needed by offline analysis round-trip (NSSet keys render as the
-// human-readable set form and are not re-parsed).
-func ReadRecords(r io.Reader, each func(RecordJSON) error) error {
-	dec := json.NewDecoder(r)
-	for {
-		var rec RecordJSON
-		if err := dec.Decode(&rec); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("openintel: decoding records: %w", err)
-		}
-		if err := each(rec); err != nil {
-			return err
-		}
-	}
 }

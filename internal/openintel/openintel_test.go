@@ -1,7 +1,6 @@
 package openintel
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand/v2"
@@ -118,7 +117,11 @@ func TestAggregatorIntegration(t *testing.T) {
 	db, res := testWorld(t, 50)
 	e := NewEngine(db, res, 4)
 	agg := nsset.NewAggregator()
-	e.RunRangeContext(context.Background(), 0, 1, agg, nil)
+	for day := clock.Day(0); day <= 1; day++ {
+		if err := e.RunDayContext(context.Background(), day, agg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	k := e.NSSetOf(0)
 	b, ok := agg.Baseline(k, 0)
 	if !ok || b.Domains != 50 {
@@ -165,23 +168,6 @@ func TestRunDayContextMidSweepCancel(t *testing.T) {
 	}
 }
 
-func TestRunRangeContextStopsAtCancelledDay(t *testing.T) {
-	db, res := testWorld(t, 20)
-	e := NewEngine(db, res, 10)
-	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
-	err := e.RunRangeContext(ctx, 0, 5, nil, func(Record) {
-		n++
-		cancel()
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n >= 20*6 {
-		t.Errorf("range sweep ran all %d measurements despite cancellation", n)
-	}
-}
-
 func TestNSSetOfConsistent(t *testing.T) {
 	db, res := testWorld(t, 5)
 	e := NewEngine(db, res, 5)
@@ -200,33 +186,6 @@ func TestMeasureAtRecordsOutcome(t *testing.T) {
 	rec := e.MeasureAt(rng, 2, clock.StudyStart.Add(time.Hour))
 	if rec.Domain != 2 || rec.Status != nsset.StatusOK || rec.RTT <= 0 || rec.Tries != 1 {
 		t.Errorf("record = %+v", rec)
-	}
-}
-
-func TestRecordWriterReadRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewRecordWriter(&buf)
-	recs := []Record{
-		{Domain: 1, Time: clock.StudyStart.Add(time.Hour), NSSet: nsset.KeyOf([]netx.Addr{1}), Status: nsset.StatusOK, RTT: 12 * time.Millisecond, Tries: 1},
-		{Domain: 2, Time: clock.StudyStart.Add(2 * time.Hour), NSSet: nsset.KeyOf([]netx.Addr{1}), Status: nsset.StatusTimeout, Tries: 3},
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []RecordJSON
-	if err := ReadRecords(&buf, func(r RecordJSON) error { got = append(got, r); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("read %d records", len(got))
-	}
-	if got[0].Domain != 1 || got[0].Status != "OK" || got[0].RTTus != 12000 {
-		t.Errorf("record 0 = %+v", got[0])
-	}
-	if got[1].Status != "TIMEOUT" || got[1].Tries != 3 {
-		t.Errorf("record 1 = %+v", got[1])
 	}
 }
 

@@ -1,15 +1,11 @@
-// Package packet implements encoding and decoding of the IPv4, TCP, UDP and
-// ICMP headers the telescope pipeline works with.
-//
-// The design follows gopacket's layer model in miniature: each header type
-// can Marshal itself to wire bytes and be decoded from them, and Decode
-// parses a raw IPv4 packet into a Packet with typed layers. Only the fields
-// the RSDoS inference consumes are modeled; payloads are carried opaquely.
+// Package packet models the IPv4, TCP, UDP and ICMP headers the telescope
+// pipeline works with: the spoofed floods, the victims' backscatter and
+// what the telescope captures of it. The design follows gopacket's layer
+// model in miniature — a Packet with typed layers — but packets live only
+// in memory; only the fields the RSDoS inference consumes are modeled.
 package packet
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"dnsddos/internal/netx"
@@ -76,60 +72,15 @@ func (t TCPFlags) String() string {
 	return out
 }
 
-// IPv4Header is the fixed 20-byte IPv4 header (no options).
+// IPv4Header is the part of the IPv4 header the model carries.
 type IPv4Header struct {
-	TOS      uint8
-	TotalLen uint16
-	ID       uint16
 	TTL      uint8
 	Protocol Protocol
 	Src      netx.Addr
 	Dst      netx.Addr
 }
 
-// IPv4HeaderLen is the length of the option-less IPv4 header.
-const IPv4HeaderLen = 20
-
-// Marshal appends the wire form to b. TotalLen must already cover payload.
-func (h *IPv4Header) Marshal(b []byte) []byte {
-	var w [IPv4HeaderLen]byte
-	w[0] = 0x45 // version 4, IHL 5
-	w[1] = h.TOS
-	binary.BigEndian.PutUint16(w[2:], h.TotalLen)
-	binary.BigEndian.PutUint16(w[4:], h.ID)
-	// flags+fragment offset zero
-	w[8] = h.TTL
-	w[9] = uint8(h.Protocol)
-	binary.BigEndian.PutUint32(w[12:], uint32(h.Src))
-	binary.BigEndian.PutUint32(w[16:], uint32(h.Dst))
-	binary.BigEndian.PutUint16(w[10:], checksum(w[:]))
-	return append(b, w[:]...)
-}
-
-// UnmarshalIPv4 parses an IPv4 header, returning it and the header length.
-func UnmarshalIPv4(b []byte) (IPv4Header, int, error) {
-	if len(b) < IPv4HeaderLen {
-		return IPv4Header{}, 0, errors.New("packet: short IPv4 header")
-	}
-	if b[0]>>4 != 4 {
-		return IPv4Header{}, 0, fmt.Errorf("packet: IP version %d", b[0]>>4)
-	}
-	ihl := int(b[0]&0x0f) * 4
-	if ihl < IPv4HeaderLen || len(b) < ihl {
-		return IPv4Header{}, 0, errors.New("packet: bad IHL")
-	}
-	return IPv4Header{
-		TOS:      b[1],
-		TotalLen: binary.BigEndian.Uint16(b[2:]),
-		ID:       binary.BigEndian.Uint16(b[4:]),
-		TTL:      b[8],
-		Protocol: Protocol(b[9]),
-		Src:      netx.Addr(binary.BigEndian.Uint32(b[12:])),
-		Dst:      netx.Addr(binary.BigEndian.Uint32(b[16:])),
-	}, ihl, nil
-}
-
-// TCPHeader is the fixed 20-byte TCP header (no options).
+// TCPHeader is the part of the TCP header the model carries.
 type TCPHeader struct {
 	SrcPort uint16
 	DstPort uint16
@@ -139,80 +90,20 @@ type TCPHeader struct {
 	Window  uint16
 }
 
-// TCPHeaderLen is the length of the option-less TCP header.
-const TCPHeaderLen = 20
-
-// Marshal appends the wire form to b.
-func (h *TCPHeader) Marshal(b []byte) []byte {
-	var w [TCPHeaderLen]byte
-	binary.BigEndian.PutUint16(w[0:], h.SrcPort)
-	binary.BigEndian.PutUint16(w[2:], h.DstPort)
-	binary.BigEndian.PutUint32(w[4:], h.Seq)
-	binary.BigEndian.PutUint32(w[8:], h.Ack)
-	w[12] = 5 << 4 // data offset 5 words
-	w[13] = uint8(h.Flags)
-	binary.BigEndian.PutUint16(w[14:], h.Window)
-	// checksum left zero: the simulated wire does not verify it
-	return append(b, w[:]...)
-}
-
-// UnmarshalTCP parses a TCP header.
-func UnmarshalTCP(b []byte) (TCPHeader, error) {
-	if len(b) < TCPHeaderLen {
-		return TCPHeader{}, errors.New("packet: short TCP header")
-	}
-	return TCPHeader{
-		SrcPort: binary.BigEndian.Uint16(b[0:]),
-		DstPort: binary.BigEndian.Uint16(b[2:]),
-		Seq:     binary.BigEndian.Uint32(b[4:]),
-		Ack:     binary.BigEndian.Uint32(b[8:]),
-		Flags:   TCPFlags(b[13] & 0x3f),
-		Window:  binary.BigEndian.Uint16(b[14:]),
-	}, nil
-}
-
-// UDPHeader is the 8-byte UDP header.
+// UDPHeader is the UDP header's ports.
 type UDPHeader struct {
 	SrcPort uint16
 	DstPort uint16
-	Length  uint16
-}
-
-// UDPHeaderLen is the UDP header length.
-const UDPHeaderLen = 8
-
-// Marshal appends the wire form to b.
-func (h *UDPHeader) Marshal(b []byte) []byte {
-	var w [UDPHeaderLen]byte
-	binary.BigEndian.PutUint16(w[0:], h.SrcPort)
-	binary.BigEndian.PutUint16(w[2:], h.DstPort)
-	binary.BigEndian.PutUint16(w[4:], h.Length)
-	return append(b, w[:]...)
-}
-
-// UnmarshalUDP parses a UDP header.
-func UnmarshalUDP(b []byte) (UDPHeader, error) {
-	if len(b) < UDPHeaderLen {
-		return UDPHeader{}, errors.New("packet: short UDP header")
-	}
-	return UDPHeader{
-		SrcPort: binary.BigEndian.Uint16(b[0:]),
-		DstPort: binary.BigEndian.Uint16(b[2:]),
-		Length:  binary.BigEndian.Uint16(b[4:]),
-	}, nil
 }
 
 // ICMP types the backscatter model emits.
 const (
-	ICMPEchoReply          = 0
-	ICMPDestUnreachable    = 3
-	ICMPTimeExceeded       = 11
-	ICMPCodePortUnreach    = 3
-	ICMPCodeHostUnreach    = 1
-	ICMPCodeNetUnreachable = 0
+	ICMPEchoReply       = 0
+	ICMPDestUnreachable = 3
+	ICMPCodePortUnreach = 3
 )
 
-// ICMPHeader is the 8-byte ICMP header.
+// ICMPHeader is the ICMP header.
 type ICMPHeader struct {
 	Type uint8
 	Code uint8
@@ -220,94 +111,12 @@ type ICMPHeader struct {
 	Rest uint32
 }
 
-// ICMPHeaderLen is the ICMP header length.
-const ICMPHeaderLen = 8
-
-// Marshal appends the wire form to b.
-func (h *ICMPHeader) Marshal(b []byte) []byte {
-	var w [ICMPHeaderLen]byte
-	w[0] = h.Type
-	w[1] = h.Code
-	binary.BigEndian.PutUint32(w[4:], h.Rest)
-	binary.BigEndian.PutUint16(w[2:], checksum(w[:]))
-	return append(b, w[:]...)
-}
-
-// UnmarshalICMP parses an ICMP header.
-func UnmarshalICMP(b []byte) (ICMPHeader, error) {
-	if len(b) < ICMPHeaderLen {
-		return ICMPHeader{}, errors.New("packet: short ICMP header")
-	}
-	return ICMPHeader{Type: b[0], Code: b[1], Rest: binary.BigEndian.Uint32(b[4:])}, nil
-}
-
-// Packet is a decoded IPv4 packet with at most one transport layer.
+// Packet is an IPv4 packet with at most one transport layer.
 type Packet struct {
-	IP      IPv4Header
-	TCP     *TCPHeader
-	UDP     *UDPHeader
-	ICMP    *ICMPHeader
-	Payload []byte
-}
-
-// Build assembles the wire bytes of the packet, fixing up length fields.
-func (p *Packet) Build() []byte {
-	var transport []byte
-	switch {
-	case p.TCP != nil:
-		transport = p.TCP.Marshal(nil)
-	case p.UDP != nil:
-		u := *p.UDP
-		u.Length = uint16(UDPHeaderLen + len(p.Payload))
-		transport = u.Marshal(nil)
-	case p.ICMP != nil:
-		transport = p.ICMP.Marshal(nil)
-	}
-	ip := p.IP
-	ip.TotalLen = uint16(IPv4HeaderLen + len(transport) + len(p.Payload))
-	out := ip.Marshal(nil)
-	out = append(out, transport...)
-	return append(out, p.Payload...)
-}
-
-// Decode parses raw IPv4 packet bytes into a Packet. Unknown transport
-// protocols leave the payload attached raw with no transport layer set.
-func Decode(b []byte) (Packet, error) {
-	ip, ihl, err := UnmarshalIPv4(b)
-	if err != nil {
-		return Packet{}, err
-	}
-	p := Packet{IP: ip}
-	rest := b[ihl:]
-	if int(ip.TotalLen) >= ihl && int(ip.TotalLen) <= len(b) {
-		rest = b[ihl:ip.TotalLen]
-	}
-	switch ip.Protocol {
-	case ProtoTCP:
-		h, err := UnmarshalTCP(rest)
-		if err != nil {
-			return Packet{}, err
-		}
-		p.TCP = &h
-		p.Payload = rest[TCPHeaderLen:]
-	case ProtoUDP:
-		h, err := UnmarshalUDP(rest)
-		if err != nil {
-			return Packet{}, err
-		}
-		p.UDP = &h
-		p.Payload = rest[UDPHeaderLen:]
-	case ProtoICMP:
-		h, err := UnmarshalICMP(rest)
-		if err != nil {
-			return Packet{}, err
-		}
-		p.ICMP = &h
-		p.Payload = rest[ICMPHeaderLen:]
-	default:
-		p.Payload = rest
-	}
-	return p, nil
+	IP   IPv4Header
+	TCP  *TCPHeader
+	UDP  *UDPHeader
+	ICMP *ICMPHeader
 }
 
 // SrcPort returns the transport source port, or 0 for ICMP/unknown.
@@ -330,19 +139,4 @@ func (p *Packet) DstPort() uint16 {
 		return p.UDP.DstPort
 	}
 	return 0
-}
-
-// checksum is the RFC 1071 internet checksum with the checksum field zeroed.
-func checksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
-	}
-	return ^uint16(sum)
 }

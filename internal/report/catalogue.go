@@ -18,8 +18,9 @@ import (
 	"dnsddos/internal/study"
 )
 
-// An Artefact is one table or figure of the paper's evaluation (§5–§6).
-// DESIGN §4 has one row per artefact and names it by ID; cmd/report, the
+// An Artefact is one table, figure or case study of the paper's evaluation
+// (§5–§6), or one of DESIGN §6's ablations and extensions. DESIGN §4 has
+// one row per artefact and names it by ID; cmd/report, the
 // root BenchmarkPaper and the catalogue test range over Catalogue, so which
 // analysis, which parameters and which renderer make an artefact is written
 // once, in its entry.
@@ -88,11 +89,13 @@ func plain(f func(w io.Writer, s *study.Study)) func(io.Writer, *study.Study) er
 	return func(w io.Writer, s *study.Study) error { f(w, s); return nil }
 }
 
-// Catalogue lists every artefact in the paper's order.
+// Catalogue lists every artefact: the paper's in its order, then the
+// ablations and the extensions.
 var Catalogue = []Artefact{
 	{ID: "table1", Title: "Table 1: RSDoS dataset totals", File: "table1.txt",
 		Write: plain(func(w io.Writer, s *study.Study) { Table1(w, core.SummarizeDataset(s.Attacks, s.World.Topo)) })},
-	{ID: "table2", Title: "Table 2: the two TransIP attacks as the telescope saw them", File: "table2.txt", Write: table2},
+	{ID: "table2", Title: "Table 2: the two TransIP attacks as the telescope saw them", File: "table2.txt", Write: table2,
+		Notes: transIPReach},
 	{ID: "table3", Title: "Table 3: DNS-infrastructure vs other attacks, by month", File: "table3.txt",
 		Write: plain(func(w io.Writer, s *study.Study) { Table3(w, core.MonthlySummary(s.Classified)) })},
 	{ID: "table4", Title: "Table 4: top 10 attacked ASNs", File: "table4.txt",
@@ -148,8 +151,20 @@ var Catalogue = []Artefact{
 		Write: plain(func(w io.Writer, s *study.Study) { Groups(w, "Figure 12", core.ImpactByASDiversity(s.Events)) })},
 	{ID: "figure13", Title: "Figure 13: impact by /24 prefix diversity", File: "figure13.csv",
 		Write: plain(func(w io.Writer, s *study.Study) { Groups(w, "Figure 13", core.ImpactByPrefixDiversity(s.Events)) })},
-	{ID: "russia", Title: "§5.2: mil.ru and RZD through the reactive platform", File: "russia.txt", Write: russia},
+	{ID: "russia", Title: "§5.2: mil.ru and RZD through the reactive platform", File: "russia.txt", Write: russia,
+		Notes: russiaAvailability},
 	{ID: "reactive", Title: "§4.3.1: reactive platform, first 20 DNS-direct attacks through the watcher", File: "reactive.txt", Write: reactiveTrigger},
+	{ID: "ablation_snapshot", Title: "Ablation: previous-day vs same-day NS snapshot", File: "ablation_snapshot.csv", Write: ablationSnapshot},
+	{ID: "ablation_baseline", Title: "Ablation: Eq. 1 baseline a day vs a week before", File: "ablation_baseline.csv", Write: ablationBaseline},
+	{ID: "ablation_mindomains", Title: "Ablation: the measured-domains noise filter", File: "ablation_mindomains.csv", Write: ablationMinDomains},
+	{ID: "ablation_openres", Title: "Ablation: the open-resolver filter", File: "ablation_openres.csv", Write: ablationOpenRes},
+	{ID: "ablation_strategy", Title: "Ablation: agnostic vs NS-exhaustive resolution", File: "ablation_strategy.csv", Write: ablationStrategy},
+	{ID: "ablation_delegation", Title: "Ablation: following stale parent delegations", File: "ablation_delegation.csv", Write: ablationDelegation},
+	{ID: "caching", Title: "Extension: end-user caching under the March TransIP attack", File: "caching.csv", Write: caching},
+	{ID: "feeds", Title: "Extension: joint RSDoS and AmpPot feeds", File: "feeds.csv", Write: feeds},
+	{ID: "vantage", Title: "Extension: multi-vantage catchment", File: "vantage.csv", Write: vantage},
+	{ID: "popularity", Title: "Extension: popularity vs caching", File: "popularity.csv", Write: popularity},
+	{ID: "resilience", Title: "Extension: §6.6 deployment resilience", File: "resilience.csv", Write: resilience},
 }
 
 func transIPSeries(s *study.Study, from, to time.Time) []core.RTTSample {
@@ -191,26 +206,109 @@ func table2(w io.Writer, s *study.Study) error {
 	return nil
 }
 
-// russia drives the two §5.2 case-study attacks through a reactive
-// platform: mil.ru stays unresolvable for the whole attack, RZD recovers
-// the morning after; the Telegram post (Fig. 4) is the timeline annotation.
-func russia(w io.Writer, s *study.Study) error {
+// transIPReach is §5.1's reach of the December attack on TransIP's first
+// nameserver: the domains it hosts, their top TLDs, and how many keep
+// their web server elsewhere and so lose only DNS.
+func transIPReach(w io.Writer, s *study.Study) {
+	cs := s.Schedule.CaseStudies
+	for _, ca := range s.Classified {
+		if ca.Victim != cs.TransIPNS[0] || ca.Class != core.ClassDNSDirect || !ca.Overlaps(cs.TransIPDecStart, cs.TransIPDecEnd) {
+			continue
+		}
+		fmt.Fprintf(w, "# §5.1 reach of the attack on NS A\ndomains_under_attack,%d\n", s.Pipeline.DomainsUnderAttack(ca))
+		for i, t := range s.Pipeline.AffectedTLDs(ca) {
+			if i == 3 {
+				break
+			}
+			fmt.Fprintf(w, "tld_share,.%s,%.2f\n", t.TLD, t.Share)
+		}
+		n, share := s.Pipeline.ThirdPartyWebShare(ca)
+		fmt.Fprintf(w, "third_party_web,%d\nthird_party_web_share,%.2f\n", n, share)
+		return
+	}
+}
+
+// russiaCampaigns finds the two §5.2 case-study attacks in the feed and
+// drives each through one reactive platform, mil.ru first.
+func russiaCampaigns(s *study.Study) (mil, rzd *reactive.Campaign, err error) {
 	cs := s.Schedule.CaseStudies
 	milAttack, okMil := rsdos.FirstOn(s.Attacks, cs.MilRuNS, cs.MilRuStart, cs.MilRuEnd)
 	rzdAttack, okRzd := rsdos.FirstOn(s.Attacks, cs.RZDNS, cs.RZDStart, cs.RZDEnd)
 	if !okMil || !okRzd {
-		return errors.New("case-study attacks not inferred from telescope data")
+		return nil, nil, errors.New("case-study attacks not inferred from telescope data")
 	}
 	platform := reactive.NewPlatform(reactive.DefaultConfig(), s.World.DB, s.Resolver, rand.New(rand.NewPCG(5, 5)))
-	mil := platform.React(milAttack)
+	return platform.React(milAttack), platform.React(rzdAttack), nil
+}
+
+// russia reports the two §5.2 case-study campaigns: mil.ru stays
+// unresolvable for the whole attack, RZD recovers the morning after; the
+// Telegram post (Fig. 4) is the timeline annotation.
+func russia(w io.Writer, s *study.Study) error {
+	mil, rzd, err := russiaCampaigns(s)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "# mil.ru: attack %s..%s, probes=%d, unresolvable_during_attack=%v\n",
-		milAttack.Start().Format(time.RFC3339), milAttack.End().Format(time.RFC3339),
+		mil.Attack.Start().Format(time.RFC3339), mil.Attack.End().Format(time.RFC3339),
 		len(mil.Probes), mil.UnresolvableDuringAttack())
-	rec, ok := platform.React(rzdAttack).RecoveryTime(0.5)
+	rec, ok := rzd.RecoveryTime(0.5)
 	fmt.Fprintf(w, "# rzd.ru: attack %s..%s, telegram_post=%s (start+12m), recovered=%v at %s\n",
-		rzdAttack.Start().Format(time.RFC3339), rzdAttack.End().Format(time.RFC3339),
-		cs.RZDTelegram.Format(time.RFC3339), ok, rec.Format(time.RFC3339))
+		rzd.Attack.Start().Format(time.RFC3339), rzd.Attack.End().Format(time.RFC3339),
+		s.Schedule.CaseStudies.RZDTelegram.Format(time.RFC3339), ok, rec.Format(time.RFC3339))
 	return nil
+}
+
+// russiaAvailability prints the campaigns' availability over time: mil.ru
+// by day, RZD by hour, and RZD's hourly spread across the standard probe
+// vantages (§9: what a single vantage cannot see).
+func russiaAvailability(w io.Writer, s *study.Study) {
+	mil, rzd, err := russiaCampaigns(s)
+	if err != nil {
+		return // russia's Write has reported it
+	}
+	availability := func(title, layout string, c *reactive.Campaign) {
+		fmt.Fprintf(w, "# %s\nperiod,availability_pct,probes\n", title)
+		var period string
+		var ok, total int
+		flush := func() {
+			if total > 0 {
+				fmt.Fprintf(w, "%s,%.1f,%d\n", period, 100*float64(ok)/float64(total), total)
+			}
+		}
+		for _, wa := range c.Availability() {
+			if p := wa.Window.Start().Format(layout); p != period {
+				flush()
+				period, ok, total = p, 0, 0
+			}
+			ok += wa.OK
+			total += wa.Total
+		}
+		flush()
+	}
+	availability("mil.ru availability by day", "2006-01-02", mil)
+	fmt.Fprintln(w)
+	availability("rzd.ru availability by hour", "2006-01-02 15:00", rzd)
+	fmt.Fprintln(w)
+
+	vantages := reactive.StandardVantages()
+	vp := reactive.NewVantagePlatform(reactive.DefaultConfig(), s.World.DB, s.Net, s.Config.Resolver, vantages, rand.New(rand.NewPCG(12, 12)))
+	fmt.Fprintf(w, "# rzd.ru availability spread across %d vantages by hour\nperiod,worst_pct,best_pct\n", len(vantages))
+	var hour string
+	var lo, hi float64
+	flush := func() {
+		if hour != "" {
+			fmt.Fprintf(w, "%s,%.1f,%.1f\n", hour, lo*100, hi*100)
+		}
+	}
+	for _, d := range reactive.Disagreements(vp.React(rzd.Attack)) {
+		if h := d.Window.Start().Format("2006-01-02 15:00"); h != hour {
+			flush()
+			hour, lo, hi = h, d.Min, d.Max
+		}
+		lo, hi = min(lo, d.Min), max(hi, d.Max)
+	}
+	flush()
 }
 
 // reactiveTrigger feeds a sample of DNS-direct attacks through the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,21 +17,28 @@ import (
 	"dnsddos/internal/study"
 )
 
-// designIDs parses the catalogue IDs out of DESIGN §4's index: the
-// backticked last cell of every table row between the §4 and §5 headings.
-func designIDs(t *testing.T) []string {
+// designSection returns DESIGN.md's section n: the text between its
+// "## n. " heading and the next section's.
+func designSection(t *testing.T, n int) string {
 	t.Helper()
 	b, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sec, ok := strings.Cut(string(b), "\n## 4. ")
+	_, sec, ok := strings.Cut(string(b), fmt.Sprintf("\n## %d. ", n))
 	if !ok {
-		t.Fatal("DESIGN.md has no §4")
+		t.Fatalf("DESIGN.md has no §%d", n)
 	}
-	sec, _, _ = strings.Cut(sec, "\n## 5. ")
+	sec, _, _ = strings.Cut(sec, fmt.Sprintf("\n## %d. ", n+1))
+	return sec
+}
+
+// designIDs parses the catalogue IDs out of DESIGN §4's index: the
+// backticked last cell of every table row.
+func designIDs(t *testing.T) []string {
+	t.Helper()
 	var ids []string
-	for _, m := range regexp.MustCompile("(?m)^\\|.*\\| `([a-z0-9_]+)` \\|$").FindAllStringSubmatch(sec, -1) {
+	for _, m := range regexp.MustCompile("(?m)^\\|.*\\| `([a-z0-9_]+)` \\|$").FindAllStringSubmatch(designSection(t, 4), -1) {
 		ids = append(ids, m[1])
 	}
 	return ids
@@ -92,6 +100,15 @@ func TestCatalogue(t *testing.T) {
 	t.Run("design_index", func(t *testing.T) {
 		if want := designIDs(t); !slices.Equal(ids, want) {
 			t.Errorf("catalogue IDs\n  %v\nDESIGN §4 index\n  %v", ids, want)
+		}
+	})
+	// every backticked name in DESIGN §6, the ablations and extensions, is
+	// a live entry
+	t.Run("design_ablations", func(t *testing.T) {
+		for _, m := range regexp.MustCompile("`([^`]*)`").FindAllStringSubmatch(designSection(t, 6), -1) {
+			if !slices.Contains(ids, m[1]) {
+				t.Errorf("DESIGN §6 names %q, which is no catalogue entry", m[1])
+			}
 		}
 	})
 	// every entry renders, without error and not empty, the same bytes from

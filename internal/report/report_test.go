@@ -14,6 +14,7 @@ import (
 	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/packet"
+	"dnsddos/internal/resolver"
 	"dnsddos/internal/stats"
 )
 
@@ -285,5 +286,23 @@ func TestEventsCSVRowsMatchReference(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { EventsCSVRows(io.Discard, events) }); n > float64(len(events))+4 {
 		t.Errorf("writing %d rows allocates %v times, want ≤ one per row + 4", len(events), n)
+	}
+}
+
+// TestMeanRTTOverSuccesses: a failed resolution counts as a failure and
+// stays out of the mean, which divides by the successes alone — dividing
+// by every attempt would read 13.3 ms here.
+func TestMeanRTTOverSuccesses(t *testing.T) {
+	outcomes := []resolver.Outcome{
+		{Status: nsset.StatusOK, RTT: 10 * time.Millisecond},
+		{Status: nsset.StatusTimeout},
+		{Status: nsset.StatusOK, RTT: 30 * time.Millisecond},
+	}
+	mean, fails := meanRTT(len(outcomes), func(i int) resolver.Outcome { return outcomes[i] })
+	if mean != 20*time.Millisecond || fails != 1 {
+		t.Errorf("meanRTT = %v, %d failures; want 20ms, 1", mean, fails)
+	}
+	if mean, fails := meanRTT(2, func(int) resolver.Outcome { return outcomes[1] }); mean != 0 || fails != 2 {
+		t.Errorf("all failed: meanRTT = %v, %d failures; want 0, 2", mean, fails)
 	}
 }

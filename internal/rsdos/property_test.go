@@ -1,7 +1,6 @@
 package rsdos
 
 import (
-	"io"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -116,52 +115,4 @@ func TestInferOrderInvariance(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
-}
-
-// TestFeedRoundTripProperty: serialization is lossless over random feeds.
-func TestFeedRoundTripProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 0x3d))
-		attacks := Infer(DefaultConfig(), randomObs(rng))
-		var buf feedBuffer
-		if err := WriteFeed(&buf, attacks); err != nil {
-			return false
-		}
-		got, err := ReadFeed(&buf)
-		if err != nil {
-			return len(attacks) == 0 // the reader rejects empty feeds
-		}
-		if len(got) != len(attacks) {
-			return false
-		}
-		for i := range got {
-			if got[i] != attacks[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// feedBuffer is a minimal io.ReadWriter for the property test.
-type feedBuffer struct {
-	data []byte
-	off  int
-}
-
-func (b *feedBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
-}
-
-func (b *feedBuffer) Read(p []byte) (int, error) {
-	if b.off >= len(b.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, b.data[b.off:])
-	b.off += n
-	return n, nil
 }

@@ -1,7 +1,6 @@
 package rsdos
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -180,42 +179,5 @@ func TestAttackOverlaps(t *testing.T) {
 	}
 	if !a.Overlaps(a.Start().Add(-time.Hour), a.Start().Add(time.Nanosecond)) {
 		t.Error("touching the start should overlap")
-	}
-}
-
-func TestFeedRoundTrip(t *testing.T) {
-	attacks := Infer(DefaultConfig(), []WindowObs{
-		obs("192.0.2.1", 10, 100, 50, 53),
-		obs("198.51.100.7", 20, 400, 80, 80),
-	})
-	var buf bytes.Buffer
-	if err := WriteFeed(&buf, attacks); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFeed(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(attacks) {
-		t.Fatalf("round trip %d != %d", len(got), len(attacks))
-	}
-	for i := range got {
-		g, w := got[i], attacks[i]
-		if g.ID != w.ID || g.Victim != w.Victim || g.StartWindow != w.StartWindow ||
-			g.EndWindow != w.EndWindow || g.Proto != w.Proto || g.FirstPort != w.FirstPort ||
-			g.UniquePorts != w.UniquePorts || g.TotalPackets != w.TotalPackets ||
-			g.PeakPPM != w.PeakPPM || g.MaxSlash16 != w.MaxSlash16 || g.UniqueDsts != w.UniqueDsts {
-			t.Errorf("attack %d mismatch:\n got %+v\nwant %+v", i, g, w)
-		}
-	}
-}
-
-func TestReadFeedRejectsGarbage(t *testing.T) {
-	if _, err := ReadFeed(bytes.NewReader(nil)); err == nil {
-		t.Error("empty feed should error")
-	}
-	bad := "id,victim,start,end,proto,first_port,unique_ports,total_packets,peak_ppm,max_slash16,unique_dsts\nx,y,z,w,v,u,t,s,r,q,p\n"
-	if _, err := ReadFeed(bytes.NewReader([]byte(bad))); err == nil {
-		t.Error("garbage row should error")
 	}
 }

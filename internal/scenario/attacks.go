@@ -68,7 +68,7 @@ type Schedule struct {
 	CaseStudies CaseStudies
 }
 
-// CaseStudies exposes the scripted §5 timelines for examples and benches.
+// CaseStudies exposes the scripted §5 timelines for the report catalogue.
 type CaseStudies struct {
 	TransIPDecStart, TransIPDecEnd time.Time
 	TransIPMarStart, TransIPMarEnd time.Time

@@ -66,8 +66,6 @@ type World struct {
 	Config  WorldConfig
 	DB      *dnsdb.DB
 	Topo    *astopo.Table
-	Entries []astopo.Entry
-	Orgs    map[astopo.ASN]astopo.Org
 	Census  *anycast.Census
 	OpenRes *openres.List
 	// Groups are the NS groups; each generates one NSSet.
@@ -172,7 +170,6 @@ type worldBuilder struct {
 	w    *World
 	// next24 allocates fresh /24s for nameserver placement.
 	next24     uint32
-	entries    []astopo.Entry
 	orgs       map[astopo.ASN]astopo.Org
 	anycast24s []netx.Prefix
 	nsSeq      int
@@ -197,7 +194,6 @@ func GenerateWorld(cfg WorldConfig) *World {
 		DB:            b.db,
 		Named:         make(map[string]dnsdb.ProviderID),
 		AttackWeights: make(map[netx.Addr]float64),
-		Orgs:          b.orgs,
 		OpenRes:       openres.WellKnown(),
 		OtherSpace:    netx.MustParsePrefix("120.0.0.0/6"),
 	}
@@ -219,7 +215,6 @@ func (b *worldBuilder) alloc24() netx.Prefix {
 
 func (b *worldBuilder) announce(p netx.Prefix, asn astopo.ASN) {
 	b.topo.Announce(p, asn)
-	b.entries = append(b.entries, astopo.Entry{Prefix: p, ASN: asn})
 }
 
 func (b *worldBuilder) setOrg(asn astopo.ASN, name, country string) {

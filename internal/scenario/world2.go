@@ -353,5 +353,4 @@ func (b *worldBuilder) buildCensus() {
 func (b *worldBuilder) finish() {
 	b.db.Freeze()
 	b.w.Topo = b.topo.Build()
-	b.w.Entries = b.entries
 }

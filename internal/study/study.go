@@ -1,8 +1,8 @@
 // Package study orchestrates a full end-to-end run of the reproduction:
 // generate the world and the 17-month attack schedule, run the telescope
 // and RSDoS inference, run the OpenINTEL daily sweeps over the simulated
-// data plane, and execute the core join pipeline. The cmd tools, examples
-// and benchmarks all build on it.
+// data plane, and execute the core join pipeline. The cmd tools, the
+// report catalogue and the benchmarks all build on it.
 package study
 
 import (

@@ -16,7 +16,6 @@ import (
 
 	"dnsddos/internal/netx"
 	"dnsddos/internal/packet"
-	"dnsddos/internal/pcap"
 	"dnsddos/internal/stats"
 )
 
@@ -110,38 +109,30 @@ func (t *Telescope) Slash16Index(dst netx.Addr) int {
 }
 
 // Capture is a telescope packet sink: packets destined inside the darknet
-// are recorded (optionally to a pcap writer) and handed to the observer.
+// are counted and handed to the observer.
 type Capture struct {
 	t        *Telescope
-	pcap     *pcap.Writer
 	observer func(ts time.Time, p packet.Packet)
 	captured int64
-	dropped  int64
 }
 
-// NewCapture builds a capture. pcapW and observer may each be nil.
-func NewCapture(t *Telescope, pcapW *pcap.Writer, observer func(ts time.Time, p packet.Packet)) *Capture {
-	return &Capture{t: t, pcap: pcapW, observer: observer}
+// NewCapture builds a capture. observer may be nil.
+func NewCapture(t *Telescope, observer func(ts time.Time, p packet.Packet)) *Capture {
+	return &Capture{t: t, observer: observer}
 }
 
 // Offer presents a packet to the telescope; packets outside the darknet are
 // ignored (they would have been routed elsewhere). It returns whether the
 // packet was captured.
-func (c *Capture) Offer(ts time.Time, p packet.Packet) (bool, error) {
+func (c *Capture) Offer(ts time.Time, p packet.Packet) bool {
 	if !c.t.Contains(p.IP.Dst) {
-		c.dropped++
-		return false, nil
+		return false
 	}
 	c.captured++
-	if c.pcap != nil {
-		if err := c.pcap.WriteRecord(pcap.Record{Time: ts, Data: p.Build()}); err != nil {
-			return true, err
-		}
-	}
 	if c.observer != nil {
 		c.observer(ts, p)
 	}
-	return true, nil
+	return true
 }
 
 // Captured returns the number of captured packets.

@@ -57,15 +57,15 @@ func TestSlash16Index(t *testing.T) {
 func TestCaptureFilters(t *testing.T) {
 	tel := NewUCSD()
 	var seen int
-	cap := NewCapture(tel, nil, func(time.Time, packet.Packet) { seen++ })
+	cap := NewCapture(tel, func(time.Time, packet.Packet) { seen++ })
 	in := packet.Packet{IP: packet.IPv4Header{Protocol: packet.ProtoTCP, Src: 1, Dst: netx.MustParseAddr("44.1.1.1")},
 		TCP: &packet.TCPHeader{Flags: packet.FlagRST}}
 	out := packet.Packet{IP: packet.IPv4Header{Protocol: packet.ProtoTCP, Src: 1, Dst: netx.MustParseAddr("9.9.9.9")},
 		TCP: &packet.TCPHeader{Flags: packet.FlagRST}}
-	if ok, _ := cap.Offer(time.Now(), in); !ok {
+	if !cap.Offer(time.Now(), in) {
 		t.Error("darknet-destined packet should be captured")
 	}
-	if ok, _ := cap.Offer(time.Now(), out); ok {
+	if cap.Offer(time.Now(), out) {
 		t.Error("outside packet should be ignored")
 	}
 	if cap.Captured() != 1 || seen != 1 {
