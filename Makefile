@@ -22,6 +22,7 @@ test: build obs stream distjoin
 	$(GO) test -bench 'BenchmarkNewSession' -benchtime 1x -run '^$$' ./internal/study/
 	$(GO) test -bench 'BenchmarkLoadStateAt' -benchtime 1x -run '^$$' ./internal/simnet/
 	$(GO) test -bench 'BenchmarkSynthesizeObs' -benchtime 1x -run '^$$' ./internal/scenario/
+	$(GO) test -bench 'BenchmarkInfer' -benchtime 1x -run '^$$' ./internal/rsdos/
 	$(GO) run ./cmd/report -quick -outdir "$$(mktemp -d)" >/dev/null
 
 # Streaming smoke: the stream-vs-batch parity harness, exactly-once
@@ -77,17 +78,18 @@ soak:
 # in-memory sweep (a finished day's image is added to the run's store under
 # the pool's mutex while other shards fill their tables), the merged-run
 # oracle, the columnar parity/resume runs, where each worker seals from its
-# day table and takes an emptied one from the pool's free list, and the
-# watchdog run that must never put an abandoned table on that list. The
-# last leg is the degraded-mode sweep: a live
-# loopback fleet, the retrying resolver and dnsload under the detector in
-# every mode.
+# day table and takes an emptied one from the pool's free list, the
+# watchdog run that must never put an abandoned table on that list, and
+# the session build, whose inference folds the feed on a helper goroutine
+# while synthesis still appends to it. The last leg is the degraded-mode
+# sweep: a live loopback fleet, the retrying resolver and dnsload under
+# the detector in every mode.
 race-gate: soak
 	$(GO) vet ./... && $(GO) build ./... && \
 	$(GO) test -race ./internal/authserver/... ./internal/resolver/... ./internal/dnsload/... \
 		./internal/core/... ./internal/cache/... ./internal/resilience/... \
 		./internal/stream/... ./internal/distjoin/... ./internal/daystore/...
-	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume|TestAbandonedTableIsNotRecycled' -count 1
+	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume|TestAbandonedTableIsNotRecycled|TestSessionFeedMatchesInfer|TestFoldBehindPanicReachesCaller' -count 1
 	$(GO) test -race ./internal/e2ebench/ -count 1
 
 # Chaos gate: the fault-injection and graceful-degradation regression

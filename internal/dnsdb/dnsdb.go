@@ -211,15 +211,34 @@ func (db *DB) mustMutable() {
 	}
 }
 
-// Freeze builds the reverse indexes and seals the database.
+// Freeze builds the reverse indexes and seals the database. The domains
+// of every nameserver are cut from one array, counted first: each
+// nameserver's list is a sub-slice with its capacity clamped to its
+// length, filled in domain order.
 func (db *DB) Freeze() {
 	if db.frozen {
 		return
 	}
+	count := make([]int, len(db.Nameservers))
+	total := 0
+	for i := range db.Domains {
+		for _, ns := range db.Domains[i].NS {
+			count[ns]++
+		}
+		total += len(db.Domains[i].NS)
+	}
+	ids := make([]DomainID, total)
 	db.domainsByNS = make([][]DomainID, len(db.Nameservers))
-	for _, d := range db.Domains {
-		for _, ns := range d.NS {
-			db.domainsByNS[ns] = append(db.domainsByNS[ns], d.ID)
+	at := 0
+	for ns, n := range count {
+		if n > 0 {
+			db.domainsByNS[ns] = ids[at : at : at+n]
+			at += n
+		}
+	}
+	for i := range db.Domains {
+		for _, ns := range db.Domains[i].NS {
+			db.domainsByNS[ns] = append(db.domainsByNS[ns], db.Domains[i].ID)
 		}
 	}
 	db.frozen = true

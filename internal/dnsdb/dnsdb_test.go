@@ -208,3 +208,47 @@ func TestSitesDefaultsToOne(t *testing.T) {
 		t.Errorf("Sites = %d, want 1", db.Nameservers[id].Sites)
 	}
 }
+
+// TestFreezeCutsOneArray holds the reverse index to the per-nameserver
+// append it replaced — each nameserver's domains in domain order — and
+// pins its shape: every list is cut from one array with its capacity
+// clamped to its length, and a Freeze is three allocations (the counts,
+// the array, the list headers) whatever the database's size.
+func TestFreezeCutsOneArray(t *testing.T) {
+	db := New()
+	pid := db.AddProvider(Provider{Name: "TestDNS"})
+	var ids []NameserverID
+	for i := 0; i < 40; i++ {
+		id, err := db.AddNameserver(Nameserver{Addr: netx.Addr(0xc0000200 + uint32(i)), Provider: pid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	want := make([][]DomainID, len(ids))
+	for d := 0; d < 500; d++ {
+		// nameservers 30 and up host nothing
+		ns := []NameserverID{ids[d%30], ids[(d*7)%30], ids[(d*13+5)%30]}
+		id := db.AddDomain(Domain{Name: "d.example", NS: ns})
+		for _, n := range db.Domains[id].NS {
+			want[n] = append(want[n], id)
+		}
+	}
+	db.Freeze()
+	for _, id := range ids {
+		got := db.DomainsOf(id)
+		if !slices.Equal(got, want[id]) {
+			t.Errorf("nameserver %d: domains %v, want %v", id, got, want[id])
+		}
+		if cap(got) != len(got) {
+			t.Errorf("nameserver %d: room for %d domains, holds %d", id, cap(got), len(got))
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		db.frozen = false
+		db.Freeze()
+	})
+	if allocs > 3 {
+		t.Errorf("Freeze allocated %.0f objects, want at most 3", allocs)
+	}
+}

@@ -20,7 +20,7 @@ func BenchmarkInfer(b *testing.B) {
 	acfg.Seed = 7
 	acfg.TotalAttacks = 6000
 	sched := scenario.GenerateSchedule(acfg, w)
-	obs := scenario.SynthesizeObs(scenario.DefaultSynthConfig(), w, sched.Sched, telescope.NewUCSD())
+	obs := scenario.SynthesizeObs(scenario.DefaultSynthConfig(), w, sched.Sched, telescope.NewUCSD(), nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,11 +11,13 @@ import (
 	"dnsddos/internal/packet"
 )
 
-// reference_test.go keeps the curation as it was before the port lists:
-// a map of ports and a map of protocols per candidate, sort.Slice over the
-// qualifying observations. Infer must reproduce its feed exactly —
-// including which of two observations of one (Window, Victim) the
-// unstable sort puts first, since that one sets FirstPort.
+// reference_test.go keeps the curation as it was before the port lists
+// and the window fold: a map of ports and a map of protocols per
+// candidate, the qualifying observations copied and sorted by (Window,
+// Victim) with sort.SliceStable. Infer must reproduce its feed exactly —
+// including which of two observations of one (Window, Victim) goes first,
+// since that one sets a new attack's FirstPort: the one earlier in the
+// feed, which the stable sort keeps first.
 
 // portN is the count a port list holds for port (0 when absent).
 func portN(ports []PortCount, port uint16) int64 {
@@ -66,7 +68,7 @@ func inferReference(cfg Config, obs []WindowObs) []Attack {
 			qual = append(qual, obs[i])
 		}
 	}
-	sort.Slice(qual, func(i, j int) bool {
+	sort.SliceStable(qual, func(i, j int) bool {
 		if qual[i].Window != qual[j].Window {
 			return qual[i].Window < qual[j].Window
 		}

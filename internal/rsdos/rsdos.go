@@ -190,40 +190,32 @@ func FirstOn(attacks []Attack, victims []netx.Addr, from, to time.Time) (Attack,
 // arrive in any order; they are grouped per victim and merged across window
 // gaps of at most MaxGapWindows.
 //
-// It is the batch face of the incremental Tracker: qualifying
-// observations are sorted into window order, folded through one Tracker,
-// and the finalized feed is numbered by (StartWindow, Victim) rank. The
-// streaming pipeline drives the identical Tracker watermark-by-watermark,
-// so batch and streaming curation cannot diverge.
+// It is the batch face of the incremental Tracker, through a Fold taken in
+// one step: qualifying observations are folded in (Window, Victim, feed
+// position) order through one Tracker, and the finalized feed is numbered
+// by (StartWindow, Victim) rank. The streaming pipeline drives the
+// identical Tracker watermark-by-watermark, so batch and streaming
+// curation cannot diverge.
 //
 // Observation keys are not unique: two spoofed components on one victim
-// give two observations of one (Window, Victim), and whichever the sort
-// puts first sets a new attack's FirstPort. The sort is therefore part of
-// the feed: an unstable pdqsort over this comparison, which a stable sort
-// does not reproduce (inferReference in the tests holds the order). It
-// permutes the positions of the qualifying observations, not the 72-byte
-// records — pdqsort sees only comparison results, so the order is the one
-// sorting the records would give.
+// give two observations of one (Window, Victim), and whichever comes first
+// sets a new attack's FirstPort. Feed position decides it — the earlier
+// observation in obs goes first, as a stable sort would put it
+// (inferReference in the tests holds the order).
 func Infer(cfg Config, obs []WindowObs) []Attack {
-	tr := NewTracker(cfg)
-	qual := make([]int32, 0, len(obs)) // positions in obs
+	thresholds := Tracker{cfg: cfg}
+	first, last := clock.Window(0), clock.Window(-1) // no window yet
 	for i := range obs {
-		if tr.Qualifies(&obs[i]) {
-			qual = append(qual, int32(i))
+		if w := obs[i].Window; thresholds.Qualifies(&obs[i]) {
+			if last < first {
+				first, last = w, w
+			}
+			first, last = min(first, w), max(last, w)
 		}
 	}
-	slices.SortFunc(qual, func(i, j int32) int {
-		a, b := &obs[i], &obs[j]
-		return cmp.Or(cmp.Compare(a.Window, b.Window), cmp.Compare(a.Victim, b.Victim))
-	})
-	for _, i := range qual {
-		tr.Observe(obs[i])
-	}
-	attacks := tr.Finish()
-	for i := range attacks {
-		attacks[i].ID = i + 1
-	}
-	return attacks
+	f := NewFold(cfg, first, last)
+	f.Add(obs)
+	return f.Finish()
 }
 
 // finishAttack fills in what only the whole attack decides: the port

@@ -12,9 +12,9 @@ import (
 // track.go is the incremental core of the RSDoS curation: a Tracker
 // consumes qualifying window observations in window order and finalizes
 // attack records as soon as the window watermark guarantees they can no
-// longer be extended. Infer is a thin batch wrapper (sort, feed, finish);
-// the streaming pipeline (internal/stream) drives the same Tracker
-// window-by-window, so the two paths cannot diverge semantically.
+// longer be extended. Infer feeds it through a Fold (window lists, feed,
+// finish); the streaming pipeline (internal/stream) drives the same
+// Tracker window-by-window, so the two paths cannot diverge semantically.
 
 // candidate is one open (still extendable) attack. Its two lists start
 // out in its own buffers — four ports cover nine attacks in ten, three
@@ -67,9 +67,9 @@ const candidateChunk = 64
 //
 // Observations must arrive in non-decreasing window order per victim
 // (global window order satisfies this); the PacketAggregator/Windower
-// output and Infer's sort both do. Finalized attacks carry ID 0 — feed
-// positions are a whole-feed property the caller assigns (Infer numbers
-// its sorted feed; the streaming pipeline numbers in emission order).
+// output and a Fold both do. Finalized attacks carry ID 0 — feed
+// positions are a whole-feed property the caller assigns (a Fold numbers
+// its finished feed; the streaming pipeline numbers in emission order).
 type Tracker struct {
 	cfg  Config
 	open map[netx.Addr]*candidate
@@ -173,7 +173,7 @@ func (tr *Tracker) Finish() []Attack {
 func (tr *Tracker) Open() int { return len(tr.open) }
 
 // drain returns the pending batch sorted by (StartWindow, Victim) —
-// the same ordering Infer's global sort applies, so each batch is a
+// the feed's numbering order, so each batch is a
 // contiguous, correctly ordered run of the eventual feed.
 func (tr *Tracker) drain() []Attack {
 	out := tr.pending

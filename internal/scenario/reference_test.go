@@ -243,7 +243,7 @@ func TestSynthesizeObsMatchesReference(t *testing.T) {
 		t.Fatalf("dense schedule: the longest victim chain has %d components, want ≥ 50", longest)
 	}
 	for _, f := range feeds {
-		got := SynthesizeObs(f.cfg, w, f.sched, tel)
+		got := SynthesizeObs(f.cfg, w, f.sched, tel, nil)
 		want := synthesizeObsReference(f.cfg, w, f.sched, tel)
 		if len(want) == 0 {
 			t.Fatalf("%s: the reference synthesized nothing", f.name)
@@ -291,7 +291,7 @@ func BenchmarkSynthesizeObs(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if obs := SynthesizeObs(DefaultSynthConfig(), w, sched, tel); len(obs) == 0 {
+				if obs := SynthesizeObs(DefaultSynthConfig(), w, sched, tel, nil); len(obs) == 0 {
 					b.Fatal("no observation synthesized")
 				}
 			}

@@ -293,7 +293,7 @@ func TestSynthesizeObsStatistics(t *testing.T) {
 		Start: start, End: start.Add(time.Hour), PPS: 34000,
 	}
 	sched := attacksim.NewSchedule([]attacksim.Spec{spec})
-	obs := SynthesizeObs(DefaultSynthConfig(), w, sched, tel)
+	obs := SynthesizeObs(DefaultSynthConfig(), w, sched, tel, nil)
 	if len(obs) != 12 {
 		t.Fatalf("observations = %d, want 12 (one hour of windows)", len(obs))
 	}
@@ -341,7 +341,7 @@ func TestSynthesizeSuppressionUnderOverload(t *testing.T) {
 		Proto: packet.ProtoTCP, Ports: []uint16{80},
 		Start: start, End: start.Add(time.Hour), PPS: 1e7,
 	}
-	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel)
+	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel, nil)
 	var total int64
 	for _, o := range obs {
 		total += o.Packets
@@ -362,7 +362,7 @@ func TestBoundedPoolCapsUniqueDsts(t *testing.T) {
 		Start: start, End: start.Add(time.Hour), PPS: 3e4,
 		SpoofedSources: 341_000, // pool-in-telescope ≈ 1000
 	}
-	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel)
+	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel, nil)
 	for _, o := range obs {
 		if o.UniqueDsts > 1100 {
 			t.Errorf("unique dsts %d exceed pool share ≈1000", o.UniqueDsts)
@@ -392,7 +392,7 @@ func TestNoiseDoesNotPerturbAttackInference(t *testing.T) {
 	acfg := DefaultAttackConfig()
 	acfg.TotalAttacks = 1500
 	sched := GenerateSchedule(acfg, w)
-	attackObs := SynthesizeObs(DefaultSynthConfig(), w, sched.Sched, tel)
+	attackObs := SynthesizeObs(DefaultSynthConfig(), w, sched.Sched, tel, nil)
 	ncfg := DefaultNoiseConfig()
 	ncfg.Days = 0 // full window
 	noise := SynthesizeNoise(ncfg, tel)
@@ -439,7 +439,7 @@ func TestThinnedCountsArePoisson(t *testing.T) {
 		Proto: packet.ProtoTCP, Ports: []uint16{80},
 		Start: start, End: start.Add(200 * time.Hour), PPS: pps,
 	}
-	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel)
+	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel, nil)
 	var counts []float64
 	for _, o := range obs {
 		counts = append(counts, float64(o.Packets))

@@ -47,7 +47,13 @@ func DefaultSynthConfig() SynthConfig {
 // listed port of each), so the observation array and one port-count slab
 // are made at those sizes and every observation's Ports is cut from the
 // slab, its capacity clamped to its length.
-func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *telescope.Telescope) []rsdos.WindowObs {
+//
+// A non-nil progress is handed the feed drawn so far every
+// progressEvery components, with the first window no later observation
+// can lie below: the schedule is in start order, so the components still
+// to come start no earlier than the next one. The feed it is handed is a
+// prefix of the final one, in the same array; its elements are final.
+func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *telescope.Telescope, progress func(feed []rsdos.WindowObs, closed clock.Window)) []rsdos.WindowObs {
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x0b5))
 	specs := sched.Specs()
 	var maxObs, maxPorts int
@@ -81,10 +87,13 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 	// the window's end.
 	for i := range specs {
 		s := &specs[i]
+		startW := clock.WindowOf(s.Start)
+		if progress != nil && i > 0 && i%progressEvery == 0 {
+			progress(out, startW)
+		}
 		if s.Vector != attacksim.VectorRandomSpoofed {
 			continue
 		}
-		startW := clock.WindowOf(s.Start)
 		head := first[s.Target]
 		onVictim := head
 		for onVictim >= 0 && specs[onVictim].End.UnixNano() <= startW.UnixNano() {
@@ -100,6 +109,14 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 			// non-NS victims get a deterministic per-host capacity
 			cap = victimCapacity(s.Target, cfg.DefaultVictimCapacity)
 		}
+		// distinct darknet destinations saturate at the spoofed-source
+		// pool's darknet share
+		pool := float64(uint64(1) << 32)
+		if s.SpoofedSources > 0 {
+			pool = float64(s.SpoofedSources)
+		}
+		darknet := pool * tel.Fraction()
+		logMiss := math.Log1p(-1 / darknet)
 		endW := clock.WindowOf(s.End.Add(-1))
 		for wdw := startW; wdw <= endW; wdw++ {
 			load := s.WindowLoad(wdw)
@@ -117,7 +134,7 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 			}
 			responses := load * respRate * clock.WindowDur.Seconds()
 			lambda := responses * tel.Fraction()
-			o := synthesizeWindow(rng, tel, s, wdw, lambda, slab[len(slab):])
+			o := synthesizeWindow(rng, tel, s, darknet, logMiss, wdw, lambda, slab[len(slab):])
 			if o.Packets > 0 {
 				out = append(out, o)
 				slab = slab[:len(slab)+len(o.Ports)]
@@ -127,11 +144,16 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 	return out
 }
 
+// progressEvery is how many schedule components SynthesizeObs draws
+// between two progress calls.
+const progressEvery = 256
+
 // synthesizeWindow draws one observation from the thinned backscatter
 // process with expected telescope packet count lambda. The observation's
 // port counts are written into ports, an empty slice with room for
-// len(s.Ports) of them, and returned clamped.
-func synthesizeWindow(rng *rand.Rand, tel *telescope.Telescope, s *attacksim.Spec, w clock.Window, lambda float64, ports []rsdos.PortCount) rsdos.WindowObs {
+// len(s.Ports) of them, and returned clamped. darknet is the component's
+// spoofed-source pool as the telescope sees it, logMiss log(1 - 1/darknet).
+func synthesizeWindow(rng *rand.Rand, tel *telescope.Telescope, s *attacksim.Spec, darknet, logMiss float64, w clock.Window, lambda float64, ports []rsdos.PortCount) rsdos.WindowObs {
 	pk := stats.Poisson(rng, lambda)
 	o := rsdos.WindowObs{
 		Window:  w,
@@ -175,12 +197,7 @@ func synthesizeWindow(rng *rand.Rand, tel *telescope.Telescope, s *attacksim.Spe
 	// distinct darknet destinations (birthday-corrected). An attacker
 	// cycling a bounded spoofed-source pool saturates at the pool's
 	// darknet share — the Table 2 "attacker IP count" signal.
-	pool := float64(uint64(1) << 32)
-	if s.SpoofedSources > 0 {
-		pool = float64(s.SpoofedSources)
-	}
-	darknet := pool * tel.Fraction()
-	o.UniqueDsts = int64(darknet * (1 - math.Exp(float64(pk)*math.Log1p(-1/darknet))))
+	o.UniqueDsts = int64(darknet * (1 - math.Exp(float64(pk)*logMiss)))
 	if o.UniqueDsts > pk {
 		o.UniqueDsts = pk
 	}

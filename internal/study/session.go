@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
+	"dnsddos/internal/attacksim"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/nsset"
@@ -61,23 +63,112 @@ func NewSession(ctx context.Context, cfg Config, reg *obs.Registry) (*Session, e
 	sess.World = scenario.GenerateWorld(cfg.World)
 	sess.Schedule = scenario.GenerateSchedule(cfg.Attacks, sess.World)
 	sess.Telescope = telescope.NewUCSD()
-	sess.Obs = scenario.SynthesizeObs(cfg.Synth, sess.World, sess.Schedule.Sched, sess.Telescope)
-	if cfg.IncludeNoise {
-		sess.Obs = append(sess.Obs, scenario.SynthesizeNoise(cfg.Noise, sess.Telescope)...)
-	}
-	stage("generate", t0)
-	if err := ctx.Err(); err != nil {
+	if err := sess.buildFeed(ctx, stage, t0); err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
-	sess.Attacks = rsdos.Infer(cfg.RSDoS, sess.Obs)
-	stage("infer", t0)
 
 	sess.Net = simnet.New(cfg.Net, sess.World.DB, sess.Schedule.Sched, sess.Schedule.Blackouts...)
 	sess.Resolver = resolver.New(cfg.Resolver, sess.World.DB, sess.Net)
 	sess.Engine = openintel.NewEngine(sess.World.DB, sess.Resolver, cfg.MeasureSeed)
 	sess.filter = sess.windowFilter()
 	return sess, nil
+}
+
+// buildFeed synthesizes the telescope feed into sess.Obs and infers
+// sess.Attacks from it. Without noise the inference runs on a second
+// goroutine while synthesis still draws (foldBehind), and what is left
+// once the feed is whole is folded here. Noise can land in any window,
+// below any watermark synthesis publishes, so with noise the feed is
+// inferred once it is whole. The generate stage ends when the feed is
+// drawn, the infer stage when its attacks are ready.
+func (sess *Session) buildFeed(ctx context.Context, stage func(string, time.Time), t0 time.Time) error {
+	cfg := sess.Config
+	synthesize := func(progress func([]rsdos.WindowObs, clock.Window)) []rsdos.WindowObs {
+		feed := scenario.SynthesizeObs(cfg.Synth, sess.World, sess.Schedule.Sched, sess.Telescope, progress)
+		if cfg.IncludeNoise {
+			feed = append(feed, scenario.SynthesizeNoise(cfg.Noise, sess.Telescope)...)
+		}
+		stage("generate", t0)
+		t0 = time.Now()
+		return feed
+	}
+	var fold *rsdos.Fold
+	if specs := sess.Schedule.Sched.Specs(); cfg.IncludeNoise || len(specs) == 0 {
+		sess.Obs = synthesize(nil)
+	} else {
+		fold = rsdos.NewFold(cfg.RSDoS, clock.WindowOf(specs[0].Start), lastWindow(specs))
+		sess.Obs = foldBehind(fold, synthesize)
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if fold == nil {
+		sess.Attacks = rsdos.Infer(cfg.RSDoS, sess.Obs)
+	} else {
+		fold.Add(sess.Obs)
+		sess.Attacks = fold.Finish()
+	}
+	stage("infer", t0)
+	return nil
+}
+
+// lastWindow returns the last window any component of the schedule is
+// active in. With the first component's start window (the schedule is in
+// start order) it bounds every observation the schedule can give.
+func lastWindow(specs []attacksim.Spec) clock.Window {
+	last := clock.WindowOf(specs[0].Start)
+	for i := range specs {
+		last = max(last, clock.WindowOf(specs[i].End.Add(-1)))
+	}
+	return last
+}
+
+// foldBehind calls synthesize with a progress callback that has fold take
+// each published feed prefix on a helper goroutine: link its new
+// observations, fold the windows below its watermark. Only the latest
+// prefix and watermark matter — each supersedes the one before — so
+// publishing never waits: it stores them and wakes the helper if it is
+// idle. foldBehind returns the feed once the helper has taken the last
+// prefix it was handed and exited; the fold is the caller's again. The
+// helper is joined on every return path, a panic in synthesize included,
+// and a panic on the helper is re-raised here, on the caller's goroutine:
+// left on the helper it would take the process down past every recover
+// of the caller's.
+func foldBehind(fold *rsdos.Fold, synthesize func(progress func([]rsdos.WindowObs, clock.Window)) []rsdos.WindowObs) []rsdos.WindowObs {
+	var (
+		mu       sync.Mutex
+		feed     []rsdos.WindowObs
+		closed   clock.Window // no observation still to come lies below it
+		panicked any
+	)
+	wake, done := make(chan struct{}, 1), make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() }()
+		for range wake {
+			mu.Lock()
+			f, c := feed, closed
+			mu.Unlock()
+			fold.Add(f)
+			fold.Close(c)
+		}
+	}()
+	defer func() {
+		close(wake)
+		<-done
+		if panicked != nil {
+			panic(panicked)
+		}
+	}()
+	return synthesize(func(f []rsdos.WindowObs, c clock.Window) {
+		mu.Lock()
+		feed, closed = f, c
+		mu.Unlock()
+		select {
+		case wake <- struct{}{}:
+		default: // the helper is woken already and will read the latest
+		}
+	})
 }
 
 // windowFilter keeps per-window metrics only around attacks on NS-recorded

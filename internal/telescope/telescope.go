@@ -27,6 +27,9 @@ type Telescope struct {
 	// index lookup on the aggregation hot path.
 	slash16s   []netx.Prefix
 	slash16Idx map[netx.Prefix]int
+	// logMiss is log(1 - 1/m) for the m /16s: a uniformly placed
+	// packet's log-chance of missing a given /16 (-Inf when m ≤ 1).
+	logMiss float64
 }
 
 // New builds a telescope over the given disjoint prefixes.
@@ -52,6 +55,10 @@ func New(space *netx.PrefixSet) *Telescope {
 	t.slash16Idx = make(map[netx.Prefix]int, len(t.slash16s))
 	for i, p := range t.slash16s {
 		t.slash16Idx[p] = i
+	}
+	t.logMiss = math.Inf(-1)
+	if m := float64(len(t.slash16s)); m > 1 {
+		t.logMiss = math.Log1p(-1 / m)
 	}
 	return t
 }
@@ -155,18 +162,8 @@ func (t *Telescope) ExpectedSlash16Spread(k int64) int {
 	if k <= 0 {
 		return 0
 	}
-	// E[distinct] = m(1 - (1 - 1/m)^k)
-	e := m * (1 - pow1m(1/m, k))
+	// E[distinct] = m(1 - (1 - 1/m)^k), the power taken through
+	// log1p, stable for large m and k
+	e := m * (1 - math.Exp(float64(k)*t.logMiss))
 	return int(e + 0.5)
-}
-
-// pow1m computes (1-x)^k stably for small x and large k.
-func pow1m(x float64, k int64) float64 {
-	if x <= 0 {
-		return 1
-	}
-	if x >= 1 {
-		return 0
-	}
-	return math.Exp(float64(k) * math.Log1p(-x))
 }
