@@ -57,10 +57,12 @@ obs:
 # still produce byte-identical output, plus the poisoned-day quarantine,
 # graceful-drain, real-SIGKILL-subprocess, coordinator kill-and-resume
 # (mid-sweep, and after the sweep with no worker left to resume on), and
-# day-file (frame bound, a worker's corrupt image refused) suites.
+# day-file (frame bound, a worker's corrupt image refused) suites, and the
+# fleet leg of testdata/outputs.golden (a coordinator and two worker
+# subprocesses at study.QuickConfig).
 distjoin:
 	$(GO) test ./internal/distjoin/ \
-		-run 'TestChaosFleet|TestDistributedParity|TestPoisonedDayQuarantineParity|TestGracefulDrain|TestCoordinatorKillAndResume|TestCoordinatorResumeVerifiesDayFiles|TestSIGKILLWorkerMidRun|TestFrameSizeBoundedByDayFile|TestCorruptDayFileFleetParity' \
+		-run 'TestChaosFleet|TestDistributedParity|TestPoisonedDayQuarantineParity|TestGracefulDrain|TestCoordinatorKillAndResume|TestCoordinatorResumeVerifiesDayFiles|TestSIGKILLWorkerMidRun|TestFrameSizeBoundedByDayFile|TestCorruptDayFileFleetParity|TestFleetOutputsGolden' \
 		-count 1
 	$(GO) test ./internal/faultinject/ -run 'TestStream' -count 1
 
@@ -72,7 +74,7 @@ soak:
 	$(GO) test -race ./internal/stream/ -run 'TestOverload|TestStreamKillResume|TestCursorSyncBoundaryCrash' -count 1
 
 # Concurrency gate: run before merging changes to the serving path, the
-# sharded join engine (shared NS index, day store reads, worker pool),
+# join engine (one NS index and day store shared by concurrent joins),
 # the distributed-join control plane, or the resilience/overload tier.
 # The study leg covers where a run keeps its sealed days: the parallel
 # in-memory sweep (a finished day's image is added to the run's store under
@@ -160,17 +162,16 @@ bench-session:
 	$(GO) test -bench 'BenchmarkSynthesizeObs' -benchmem -run '^$$' ./internal/scenario/
 	$(GO) test -bench 'BenchmarkInfer' -benchmem -run '^$$' ./internal/rsdos/
 
-# The join, layer by layer: one join through the sharded engine on a built
+# The join, layer by layer: one join through the engine on a built
 # pipeline and through the reference scan, one cold re-join over sealed
 # days at the repo benchmark's join_dense scale (open the day store, build
 # the pipeline, join, render the CSV, close: B/op and allocs/op are what
 # every re-run over sealed days pays), and the day store's two reads on
-# both backends (0 allocs/op). The sharded leg builds its join plan inside
-# every op; when a per-pipeline memo skipped that build it read 1.2-1.4 ms,
-# 285 KB and 187 allocs/op, and 1.9-2.2 ms, 348 KB and 210 allocs/op since
-# (an observation on a 2-vCPU Xeon, not a gate). For reading while working
-# on the join; the gated number is the repo benchmark's join_dense
-# op_alloc_kb.
+# both backends (0 allocs/op). The engine is one pass on one goroutine:
+# indexed reads 1.3-1.7 ms, 167 KB and 194 allocs/op, cold 16-20 ms,
+# 469 KB and 2,805 allocs/op, at -cpu 1 and 2 alike (an observation on a
+# 2-vCPU Xeon, not a gate). For reading while working on the join; the
+# gated number is the repo benchmark's join_dense op_alloc_kb.
 bench-join:
 	$(GO) test -bench 'BenchmarkJoin' -benchmem -run '^$$' ./internal/core/
 	$(GO) test -bench 'BenchmarkViewReads' -benchmem -run '^$$' ./internal/daystore/

@@ -31,9 +31,8 @@
 // errors.Is(err, daystore.ErrCorrupt) — and goes on refusing that day.
 // That is the contract, and every production caller holds it:
 //
-//   - the join reads inside its shard workers, which keep the first
-//     refusal; EventsContext re-raises it on its caller's goroutine
-//     (TestStoreRefusalReachesCaller);
+//   - the join reads on its caller's goroutine, so the refusal panics
+//     out of EventsContext unchanged (TestStoreRefusalReachesCaller);
 //   - study.RunContext and the fleet coordinator (internal/distjoin) join
 //     over days they have just sealed or installed (an in-memory image
 //     is validated as it is added, an installed one as it arrives:

@@ -1,12 +1,11 @@
-// index.go holds the immutable nameserver-side index the sharded join
-// engine is built on (DESIGN §3.4): the NSIndex, derived from the world DB
-// (and, when available, the openintel engine's per-domain NSSet cache):
+// index.go holds the immutable nameserver-side index the join engine is
+// built on (DESIGN §3.4): the NSIndex, derived from the world DB (and,
+// when available, the openintel engine's per-domain NSSet cache):
 // nameserver address → the NSSets containing it, NSSet → hosted-domain
 // count, and the /24s that contain at least one nameserver. Built once per
-// world and shared read-only by every worker shard; per-day measurements
-// are read beside it through the pipeline's DayStore (daystore.go). The
-// attack side has no index: each join builds its plan from the feed
-// (join.go).
+// world and shared read-only by every join; per-day measurements are read
+// beside it through the pipeline's DayStore (daystore.go). The attack side
+// has no index: each join is one pass over the feed as it is (join.go).
 package core
 
 import (
@@ -19,8 +18,8 @@ import (
 )
 
 // NSIndex is the immutable nameserver-side join index. Build it once per
-// world with BuildNSIndex and share it across pipelines and worker
-// shards; nothing mutates it after construction.
+// world with BuildNSIndex and share it across pipelines and concurrent
+// joins; nothing mutates it after construction.
 type NSIndex struct {
 	// nssetDomains maps each NSSet to the number of domains hosted on it.
 	nssetDomains map[nsset.Key]int

@@ -13,12 +13,13 @@ import (
 	"dnsddos/internal/study"
 )
 
-// join_bench_test.go benchmarks the sharded engine against the reference linear scan (legacy_test.go) on a mid-size study
-// world, and one cold re-join over sealed days at the scale and in the
-// shape of the repo benchmark's join_dense operation. `make test` runs a
-// -benchtime=1x smoke so the harness itself cannot rot; `make bench-join`
-// prints it with -benchmem. The gated number is join_dense's op_alloc_kb
-// (benchmark/).
+// join_bench_test.go benchmarks the join engine — one pass over the feed
+// on the calling goroutine — against the reference linear scan
+// (legacy_test.go) on a mid-size study world, and one cold re-join over
+// sealed days at the scale and in the shape of the repo benchmark's
+// join_dense operation. `make test` runs a -benchtime=1x smoke so the
+// harness itself cannot rot; `make bench-join` prints it with -benchmem.
+// The gated number is join_dense's op_alloc_kb (benchmark/).
 
 var (
 	benchOnce  sync.Once
@@ -27,7 +28,7 @@ var (
 )
 
 // joinStudy runs (once) the shared study both legs join against. The NS
-// index is built inside it; the sharded leg's join plan is built inside
+// index is built inside it; the classification memo is built inside
 // every op, as in every production join.
 func joinStudy(b *testing.B) *study.Study {
 	b.Helper()
@@ -45,8 +46,10 @@ func joinStudy(b *testing.B) *study.Study {
 }
 
 // BenchmarkJoin measures one full attack×snapshot join (§4.2) over the
-// 17-month schedule. The acceptance bar for the sharded engine is ≥5x
-// over the reference scan at this scale.
+// 17-month schedule: indexed is the engine on a built pipeline, cold a
+// re-join over sealed days (benchColdJoin), legacy the reference scan.
+// The engine's acceptance bar is ≥5x over the reference scan at this
+// scale; it runs on one goroutine, so -cpu does not change its work.
 func BenchmarkJoin(b *testing.B) {
 	s := joinStudy(b)
 	ctx := context.Background()

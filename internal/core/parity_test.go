@@ -12,8 +12,8 @@ import (
 	"dnsddos/internal/study"
 )
 
-// parity_test.go is the contract test for the sharded join engine: on a
-// seeded study world EventsContext and the reference linear scan
+// parity_test.go is the contract test for the join engine: on a seeded
+// study world EventsContext and the reference linear scan
 // (legacy_test.go) must emit byte-identical events. Three configurations cover the interesting regimes — the
 // TransIP window, a skewed small world with different seeds, and a run
 // with a quarantined day (where the join falls back across missing
@@ -49,18 +49,18 @@ func runBothEngines(t *testing.T, cfg study.Config, extra ...study.Option) {
 		t.Fatalf("study run: %v", err)
 	}
 	if len(s.Events) == 0 {
-		t.Fatal("sharded engine joined no events; the comparison would be vacuous")
+		t.Fatal("join engine joined no events; the comparison would be vacuous")
 	}
 	legacy, err := core.EventsLegacy(context.Background(), s.Pipeline, s.Attacks)
 	if err != nil {
 		t.Fatalf("reference scan: %v", err)
 	}
 	if !bytes.Equal(eventsCSV(t, s.Events), eventsCSV(t, legacy)) {
-		t.Error("sharded engine and reference scan emitted different events")
+		t.Error("join engine and reference scan emitted different events")
 	}
 }
 
-// TestJoinEngineParity is the acceptance gate for the sharded engine:
+// TestJoinEngineParity is the acceptance gate for the join engine:
 // same world, same schedule, same events — byte for byte — as the
 // reference scan.
 func TestJoinEngineParity(t *testing.T) {

@@ -12,9 +12,9 @@
 //  3. extract the domains those nameservers host;
 //  4. use the per-NSSet RTT data to infer performance impairment.
 //
-// The join engine is the sharded engine of join.go; the historical linear
-// scan survives only as the reference oracle in legacy_test.go, which the
-// parity tests compare against.
+// The join engine is join.go's one pass over the feed; the historical
+// linear scan survives only as the reference oracle in legacy_test.go,
+// which the parity tests compare against.
 package core
 
 import (
@@ -136,11 +136,6 @@ type Pipeline struct {
 	// cache, reused instead of recomputing keys from the DB.
 	domainNSSets []nsset.Key
 
-	// joinWorkers bounds the sharded engine's worker pool (0 = GOMAXPROCS).
-	joinWorkers int
-	// shardBits overrides the shardBits constant (join.go) when non-zero.
-	// Production always runs the constant; only the race tests set it.
-	shardBits int
 	// metrics receives join instrumentation (joinMetrics, join.go); nil
 	// disables it.
 	metrics joinMetrics
@@ -188,9 +183,8 @@ func WithDayStore(ds DayStore) Option {
 }
 
 // WithMetrics threads an observability registry through the join engine:
-// plan build time, per-shard join latency, victim, shard and event
-// counts — all registered volatile (run-dependent timings stay out of
-// deterministic stable snapshots).
+// victim, attack and event counts — all registered volatile (they stay
+// out of deterministic stable snapshots).
 func WithMetrics(reg *obs.Registry) Option {
 	return func(p *Pipeline) { p.metrics = newJoinMetrics(reg) }
 }
@@ -251,8 +245,8 @@ func (p *Pipeline) measurableDay(d clock.Day) clock.Day {
 }
 
 // classifyVictim classifies a single victim address — the per-victim
-// core of Classify, shared with the indexed join engine (which
-// classifies each distinct victim once instead of once per attack).
+// core of Classify, shared with the join engine (which classifies each
+// distinct victim once instead of once per attack).
 func (p *Pipeline) classifyVictim(v netx.Addr) (class Class, nsRecorded bool, ns dnsdb.NameserverID) {
 	if n, ok := p.db.NameserverByAddr(v); ok {
 		nsRecorded = true

@@ -15,15 +15,15 @@ import (
 // complete byte-identical on the surviving in-process worker.
 
 // TestSIGKILLWorkerHelper is not a test: it is the worker process the
-// SIGKILL test spawns (the standard re-exec helper pattern). It runs a
-// fleet worker against the coordinator address in the environment until
-// it is killed or the run completes.
+// SIGKILL test and TestFleetOutputsGolden spawn (the standard re-exec
+// helper pattern). It runs a fleet worker against the coordinator address
+// in the environment until it is killed or the run completes.
 func TestSIGKILLWorkerHelper(t *testing.T) {
 	addr := os.Getenv("DISTJOIN_HELPER_ADDR")
 	if addr == "" {
 		t.Skip("helper process entry point, not a test")
 	}
-	NewWorker("doomed").Run(context.Background(), addr)
+	NewWorker("subprocess").Run(context.Background(), addr)
 	os.Exit(0)
 }
 
