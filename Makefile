@@ -23,6 +23,7 @@ test: build obs stream distjoin
 	$(GO) test -bench 'BenchmarkLoadStateAt' -benchtime 1x -run '^$$' ./internal/simnet/
 	$(GO) test -bench 'BenchmarkSynthesizeObs' -benchtime 1x -run '^$$' ./internal/scenario/
 	$(GO) test -bench 'BenchmarkInfer' -benchtime 1x -run '^$$' ./internal/rsdos/
+	$(GO) test -bench 'BenchmarkWriteDayRef' -benchtime 1x -run '^$$' ./internal/checkpoint/
 	$(GO) run ./cmd/report -quick -outdir "$$(mktemp -d)" >/dev/null
 
 # Streaming smoke: the stream-vs-batch parity harness, exactly-once
@@ -36,9 +37,9 @@ stream:
 # detector — concurrent counter/histogram exactness, snapshot
 # determinism (golden files), the HTTP endpoint lifecycle, the
 # goroutine-leak helper applied to server and resolver teardown, and a
-# smoke pass over the wire-format, day-file, frame-codec (journal records
-# and frame streams), fleet-message, study-config and zone-file fuzz seed
-# corpora.
+# smoke pass over the wire-format, day-file, frame-codec (one frame, frame
+# streams, and the day log a resume reads), fleet-message, study-config
+# and zone-file fuzz seed corpora.
 obs:
 	$(GO) test -race ./internal/obs/ ./internal/netx/ -count 1
 	$(GO) test -race ./internal/authserver/ -run 'Leaks|TestMetricsEndpoint' -count 1
@@ -128,8 +129,8 @@ bench-throughput:
 # (ns/record, allocs/record), one data-plane query quiet and under attack,
 # the load model at join_dense's attack density (ns/op, 0 allocs/op), one
 # aggregator Add by key, one day-shard by ID into a recycled table, and
-# the day's seal both ways (direct from the table, and through a Snapshot;
-# B/op). For reading while working on the sweep; the gated numbers are the
+# the day's seal both ways (direct from the table, unhashed, and through a
+# Snapshot; B/op). For reading while working on the sweep; the gated numbers are the
 # repo benchmark's (benchmark/README.md; the load model's is join_dense
 # setup_s).
 bench-sweep:

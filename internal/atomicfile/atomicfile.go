@@ -1,7 +1,9 @@
 // Package atomicfile publishes a file so that a crash at any point leaves
 // either the previous state or the complete new file, never a torn one.
-// The checkpoint journal and the sealed day files share it: a journal
-// record must never reference a day file a power loss can un-publish.
+// The sealed day files, the checkpoint header and the stream cursor share
+// it: a journal record must never reference a day file a power loss can
+// un-publish. The checkpoint day log, which is appended rather than
+// replaced, uses only SyncDir, once, when it is opened.
 package atomicfile
 
 import (
@@ -54,12 +56,18 @@ func Write(dir, name string, data []byte) (err error) {
 	if err = os.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		return fmt.Errorf("publishing %s: %w", name, err)
 	}
+	return SyncDir(dir)
+}
+
+// SyncDir fsyncs the directory dir, making the names created or renamed
+// in it durable.
+func SyncDir(dir string) error {
 	df, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("opening %s for sync: %w", dir, err)
 	}
 	defer df.Close()
-	if err = df.Sync(); err != nil {
+	if err := df.Sync(); err != nil {
 		return fmt.Errorf("syncing %s: %w", dir, err)
 	}
 	return nil

@@ -2,20 +2,31 @@
 // day-shards completed so a killed run can resume from the last durable
 // day instead of day 0 (DESIGN §3.2). A checkpoint directory holds
 //
-//   - header.json — the run identity: format version, a hash of the full
-//     study configuration, and the measurement seed. Resume refuses a
-//     directory whose header does not match the current run, so stale
-//     checkpoints can never be silently joined into a different study.
-//   - dayref_NNNNNN.ckpt — one record per completed day: an 8-byte magic,
-//     the format version, a length-prefixed gob payload (a DayRef: the
-//     name and SHA-256 of the day's sealed column file, internal/daystore)
-//     and a CRC-32 trailer. Truncation, bit rot and version skew are all
-//     detected and reported as errors, never decoded as garbage. The
-//     journal never holds measurements itself.
+//   - header.json — the run identity: the journal's layout version, a hash
+//     of the full study configuration, and the measurement seed. Resume
+//     refuses a directory whose header does not match the current run, so
+//     stale checkpoints can never be silently joined into a different
+//     study, nor a directory of another layout half-read.
+//   - days.ckpt — the day log: one frame per completed day, appended in
+//     completion order. A frame is an 8-byte magic, the frame version, a
+//     length-prefixed gob payload (a DayRef: the day, and the name and
+//     SHA-256 of its sealed column file, internal/daystore) and a CRC-32
+//     trailer. An append is one write and one fsync; the directory is
+//     synced once, when a run opens the log. The journal never holds
+//     measurements itself.
+//   - stream_cursor.ckpt — the stream's emission frontier (cursor.go), one
+//     record replaced in place through internal/atomicfile: written to a
+//     temporary name, synced, and atomically renamed, as header.json is.
 //
-// Every file is written to a temporary name in the same directory,
-// synced, and atomically renamed into place, so a crash mid-write leaves
-// either the previous state or a complete new file — never a torn one.
+// Recovery is the write-ahead log's rule. A final frame whose header, or
+// whose declared payload plus CRC, runs past the end of the log is an
+// append that was never acknowledged: it is dropped, its day is swept
+// again, and a resume cuts the log back to its last complete frame before
+// it appends anything. Everything else refuses the resume — a complete
+// frame that fails its magic, version, length bound, CRC or decode; damage
+// with more bytes after it, such as a header whose length swallows the
+// frames behind it; a day logged twice — so a journal is either trusted or
+// refused, never decoded as garbage.
 package checkpoint
 
 import (
@@ -34,12 +45,22 @@ import (
 	"dnsddos/internal/clock"
 )
 
-// Version is the on-disk format version; bump on incompatible change.
-// Version 1 journals embedded each day as a gob blob (day_NNNNNN.ckpt);
-// they are refused on resume rather than re-swept or half-trusted.
+// Version is the frame format version, in the header of every frame the
+// journal writes and the fleet wire carries; bump on incompatible change.
 const Version = 2
 
+// layoutVersion is the version header.json records: how a checkpoint
+// directory lays out its records, apart from the frame they ride in.
+// Layout 1 embedded each day as a gob blob, layout 2 kept one reference
+// file per day, layout 3 appends every day to one log. A directory of
+// another layout is refused on resume rather than re-swept or
+// half-trusted.
+const layoutVersion = 3
+
 const headerName = "header.json"
+
+// DayLog is the name of the day log in a checkpoint directory.
+const DayLog = "days.ckpt"
 
 // Header identifies the run a checkpoint directory belongs to.
 type Header struct {
@@ -48,16 +69,19 @@ type Header struct {
 	Seed       uint64 `json:"seed"`
 }
 
-// Dir is an open checkpoint directory.
+// Dir is an open checkpoint directory. It is not safe for concurrent
+// use: a run appends from one goroutine at a time.
 type Dir struct {
 	path string
 	hdr  Header
+	log  *os.File // the day log, once the first append or load opened it
 }
 
 // Create initializes path for a fresh run: leftovers from previous runs
-// (records, header, and the temp files of a writer killed before its
-// rename) are removed and a new header is written atomically. The
-// directory is created if needed; files of other names are left alone.
+// (the day log and every other record, the header, and the temp files of
+// a writer killed before its rename) are removed and a new header is
+// written atomically. The directory is created if needed; files of other
+// names are left alone.
 func Create(path string, hdr Header) (*Dir, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: creating %s: %w", path, err)
@@ -67,9 +91,9 @@ func Create(path string, hdr Header) (*Dir, error) {
 		return nil, fmt.Errorf("checkpoint: scanning %s: %w", path, err)
 	}
 	for _, e := range entries {
-		// every record type shares the .ckpt suffix — day references, stream
-		// cursors, and any named record an older build journaled — and all
-		// are stale state of the previous run that must go
+		// every record shares the .ckpt suffix — the day log, the stream
+		// cursor, and the per-day records an older layout journaled — and
+		// all are stale state of the previous run that must go
 		name := e.Name()
 		if final, ok := atomicfile.Leftover(name); ok {
 			name = final
@@ -81,7 +105,7 @@ func Create(path string, hdr Header) (*Dir, error) {
 			return nil, fmt.Errorf("checkpoint: clearing %s: %w", e.Name(), err)
 		}
 	}
-	hdr.Version = Version
+	hdr.Version = layoutVersion
 	b, err := json.MarshalIndent(hdr, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding header: %w", err)
@@ -93,7 +117,7 @@ func Create(path string, hdr Header) (*Dir, error) {
 }
 
 // Resume opens an existing checkpoint directory for the run identified
-// by hdr (whose Version field is ignored; the library version applies).
+// by hdr (whose Version field is ignored; the build's layout applies).
 // It refuses — with an error, not a fresh start — when the directory has
 // no header or the header names a different configuration, version or
 // seed: resuming against a mismatched configuration would join two
@@ -107,19 +131,28 @@ func Resume(path string, hdr Header) (*Dir, error) {
 	if err := json.Unmarshal(b, &got); err != nil {
 		return nil, fmt.Errorf("checkpoint: corrupt header in %s: %w", path, err)
 	}
-	if got.Version != Version {
-		return nil, fmt.Errorf("checkpoint: %s has format version %d, this build writes %d", path, got.Version, Version)
+	if got.Version != layoutVersion {
+		return nil, fmt.Errorf("checkpoint: %s has format version %d, this build writes %d", path, got.Version, layoutVersion)
 	}
 	if got.ConfigHash != hdr.ConfigHash || got.Seed != hdr.Seed {
 		return nil, fmt.Errorf("checkpoint: refusing to resume %s: checkpointed run has config hash %s seed %d, current run has %s seed %d",
 			path, got.ConfigHash, got.Seed, hdr.ConfigHash, hdr.Seed)
 	}
-	hdr.Version = Version
+	hdr.Version = layoutVersion
 	return &Dir{path: path, hdr: hdr}, nil
 }
 
 // Path returns the directory path.
 func (d *Dir) Path() string { return d.path }
+
+// Close releases the day log, if this Dir opened it. Every append is
+// already durable when it returns, so Close has nothing to flush.
+func (d *Dir) Close() error {
+	if d.log == nil {
+		return nil
+	}
+	return d.log.Close()
+}
 
 // The frame is the tree's one envelope outside day files — journal
 // records and every fleet message: magic, u32 version, u64 payload
@@ -158,15 +191,9 @@ func ReadFrame(r io.Reader, v any) error {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return fmt.Errorf("checkpoint: truncated or not a checkpoint frame: %w", err)
 	}
-	if string(hdr[:len(magic)]) != magic {
-		return fmt.Errorf("checkpoint: not a checkpoint frame (magic %q)", hdr[:len(magic)])
-	}
-	if ver := binary.BigEndian.Uint32(hdr[len(magic):]); ver != Version {
-		return fmt.Errorf("checkpoint: frame format version %d, this build reads %d", ver, Version)
-	}
-	n := binary.BigEndian.Uint64(hdr[len(magic)+4:])
-	if n > maxPayload {
-		return fmt.Errorf("checkpoint: frame payload length %d exceeds %d", n, maxPayload)
+	n, err := payloadLen(hdr[:])
+	if err != nil {
+		return err
 	}
 	// The length is only a promise: past one 64 KiB allocation (plus the
 	// MinRead ReadFrom wants before EOF) memory follows the bytes that arrive.
@@ -185,6 +212,22 @@ func ReadFrame(r io.Reader, v any) error {
 	return nil
 }
 
+// payloadLen checks a frame header — magic, version, length bound — and
+// returns the payload length it declares.
+func payloadLen(hdr []byte) (uint64, error) {
+	if string(hdr[:len(magic)]) != magic {
+		return 0, fmt.Errorf("checkpoint: not a checkpoint frame (magic %q)", hdr[:len(magic)])
+	}
+	if ver := binary.BigEndian.Uint32(hdr[len(magic):]); ver != Version {
+		return 0, fmt.Errorf("checkpoint: frame format version %d, this build reads %d", ver, Version)
+	}
+	n := binary.BigEndian.Uint64(hdr[len(magic)+4:])
+	if n > maxPayload {
+		return 0, fmt.Errorf("checkpoint: frame payload length %d exceeds %d", n, maxPayload)
+	}
+	return n, nil
+}
+
 // DecodeFrame is ReadFrame over b, which must hold exactly one frame.
 func DecodeFrame(b []byte, v any) error {
 	r := bytes.NewReader(b)
@@ -195,10 +238,10 @@ func DecodeFrame(b []byte, v any) error {
 	return err
 }
 
-// Every journal record — sealed-day references, stream cursors — is one
-// named, CRC-framed, atomically published gob value written with Write
-// and read with Load; the typed helpers (WriteDayRef, Cursor) are
-// conveniences layered on the two.
+// A named record — the stream cursor — is one CRC-framed gob value,
+// atomically published with Write and read with Load. The day log is
+// appended instead (WriteDayRef), since a run adds one day at a time and
+// never rewrites one.
 
 // Write durably records v under name (a bare *.ckpt filename) in the
 // standard envelope — EncodeFrame, then atomic rename + directory fsync.
@@ -253,44 +296,159 @@ func validRecordName(name string) error {
 // pins the exact sealed bytes, so a resume can refuse a swapped or rotted
 // file with the same severity a CRC-mismatched record gets.
 type DayRef struct {
+	// Day is the day the referenced file holds.
+	Day clock.Day
 	// File is the sealed file's bare name inside the day-store directory.
 	File string
 	// SHA256 is the hex content hash of the sealed file.
 	SHA256 string
 }
 
-func dayRefFile(day clock.Day) string { return fmt.Sprintf("dayref_%06d.ckpt", int32(day)) }
-
 // WriteDayRef durably records that day's snapshot was sealed into the
-// referenced column file.
+// referenced column file: one frame appended to the day log in one write,
+// then an fsync. The first append of a Dir that has not loaded the log
+// opens it as LoadDayRefs does.
 func (d *Dir) WriteDayRef(day clock.Day, ref DayRef) error {
-	return d.Write(dayRefFile(day), &ref)
-}
-
-// LoadDayRef reads one day's sealed-file reference; the boolean is false
-// when the day has none.
-func (d *Dir) LoadDayRef(day clock.Day) (DayRef, bool, error) {
-	var ref DayRef
-	ok, err := d.Load(dayRefFile(day), &ref)
-	if err != nil {
-		return DayRef{}, false, err
-	}
-	return ref, ok, nil
-}
-
-// LoadDayRefs reads every recorded day reference in [from, to]. Any
-// corrupt record fails the whole load: a resume must either trust its
-// checkpoints or refuse them.
-func (d *Dir) LoadDayRefs(from, to clock.Day) (map[clock.Day]DayRef, error) {
-	out := make(map[clock.Day]DayRef)
-	for day := from; day <= to; day++ {
-		ref, ok, err := d.LoadDayRef(day)
-		if err != nil {
-			return nil, err
+	if d.log == nil {
+		if _, err := d.openLog(); err != nil {
+			return err
 		}
-		if ok {
-			out[day] = ref
+	}
+	ref.Day = day
+	b, err := EncodeFrame(&ref)
+	if err != nil {
+		return fmt.Errorf("checkpoint: encoding day %s: %w", day, err)
+	}
+	if _, err := d.log.Write(b); err != nil {
+		return fmt.Errorf("checkpoint: appending day %s: %w", day, err)
+	}
+	if err := d.log.Sync(); err != nil {
+		return fmt.Errorf("checkpoint: syncing day %s: %w", day, err)
+	}
+	return nil
+}
+
+// LoadDayRefs reads the day log once and returns its references in
+// [from, to]. The first load of a Dir opens the log for appends, creating
+// it if needed and syncing the directory once, and cuts a torn final frame
+// off it before anything is appended. Any other damage fails the whole
+// load: a resume must either trust its checkpoints or refuse them.
+func (d *Dir) LoadDayRefs(from, to clock.Day) (map[clock.Day]DayRef, error) {
+	var refs []DayRef
+	var err error
+	if d.log == nil {
+		refs, err = d.openLog()
+	} else {
+		refs, err = recoverLog(d.log)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %s: %w", filepath.Join(d.path, DayLog), err)
+	}
+	out := make(map[clock.Day]DayRef, len(refs))
+	for _, ref := range refs {
+		if ref.Day >= from && ref.Day <= to {
+			out[ref.Day] = ref
 		}
 	}
 	return out, nil
+}
+
+// openLog opens the day log for appends and returns what it holds,
+// recovered by recoverLog.
+func (d *Dir) openLog() ([]DayRef, error) {
+	f, err := os.OpenFile(filepath.Join(d.path, DayLog), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	refs, err := recoverLog(f)
+	if err == nil {
+		err = atomicfile.SyncDir(d.path)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	d.log = f
+	return refs, nil
+}
+
+// recoverLog reads the log f and truncates a torn final frame off it, so
+// the next append follows the last complete frame.
+func recoverLog(f *os.File) ([]DayRef, error) {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return nil, err
+	}
+	b := make([]byte, st.Size())
+	if _, err := f.ReadAt(b, 0); err != nil {
+		return nil, err
+	}
+	refs, n, err := readDayRefLog(b)
+	if err != nil || n == len(b) {
+		return refs, err
+	}
+	if err := f.Truncate(int64(n)); err != nil {
+		return nil, err
+	}
+	return refs, f.Sync()
+}
+
+// ReadDayRefs reads the day log of the checkpoint directory at path
+// without opening it for appends, and returns the references of its
+// complete frames in log order. A torn final frame is left where it is —
+// a live run may be writing it — and a missing log reads as empty.
+func ReadDayRefs(path string) ([]DayRef, error) {
+	full := filepath.Join(path, DayLog)
+	b, err := os.ReadFile(full)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: reading %s: %w", full, err)
+	}
+	refs, _, err := readDayRefLog(b)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %s: %w", full, err)
+	}
+	return refs, nil
+}
+
+// readDayRefLog parses a day log: the references of its complete frames
+// in log order, and the length of the prefix they fill. Only an
+// incomplete final frame ends it early — fewer bytes than a header, or a
+// valid header whose payload and CRC run past the end of b — and only
+// when no other frame starts inside it: a torn append is one frame, so a
+// header whose length swallows the frames behind it is damage. A complete
+// frame that fails any check, and a day logged twice, is an error.
+func readDayRefLog(b []byte) (refs []DayRef, n int, err error) {
+	seen := make(map[clock.Day]bool)
+	for n < len(b) {
+		rest := b[n:]
+		var size uint64
+		torn := len(rest) < headerLen
+		if !torn {
+			if size, err = payloadLen(rest); err != nil {
+				return nil, 0, fmt.Errorf("frame at offset %d: %w", n, err)
+			}
+			torn = size+4 > uint64(len(rest)-headerLen)
+		}
+		if torn {
+			if bytes.Contains(rest[1:], []byte(magic)) {
+				return nil, 0, fmt.Errorf("frame at offset %d runs past the end of the log over the frames behind it", n)
+			}
+			break
+		}
+		end := headerLen + int(size) + 4
+		var ref DayRef
+		if err := DecodeFrame(rest[:end], &ref); err != nil {
+			return nil, 0, fmt.Errorf("frame at offset %d: %w", n, err)
+		}
+		if seen[ref.Day] {
+			return nil, 0, fmt.Errorf("frame at offset %d: day %s logged twice", n, ref.Day)
+		}
+		seen[ref.Day] = true
+		refs = append(refs, ref)
+		n += end
+	}
+	return refs, n, nil
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,18 +21,27 @@ type testRecord struct {
 }
 
 func testRef(day clock.Day) DayRef {
-	return DayRef{File: fmt.Sprintf("day_%06d.dcol", int32(day)), SHA256: "0123abcd"}
+	return DayRef{Day: day, File: fmt.Sprintf("day_%06d.dcol", int32(day)), SHA256: "0123abcd"}
 }
 
 func testHeader() Header {
 	return Header{ConfigHash: "abc123", Seed: 42}
 }
 
-func TestWriteLoadRoundTrip(t *testing.T) {
+// create starts a fresh journal in a temporary directory, closed when the
+// test ends.
+func create(t testing.TB) *Dir {
+	t.Helper()
 	d, err := Create(t.TempDir(), testHeader())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+func TestWriteLoadRoundTrip(t *testing.T) {
+	d := create(t)
 	want := testRecord{Day: 17, Names: []string{"ns-a", "ns-b"}, Sum: 1 << 40}
 	if err := d.Write("range_0017.ckpt", &want); err != nil {
 		t.Fatal(err)
@@ -47,12 +57,9 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadDayMissingIsNotAnError(t *testing.T) {
-	d, err := Create(t.TempDir(), testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := d.LoadDayRef(5); ok || err != nil {
-		t.Fatalf("missing day: ok %v err %v, want false nil", ok, err)
+	d := create(t)
+	if refs, err := d.LoadDayRefs(5, 5); len(refs) != 0 || err != nil {
+		t.Fatalf("missing day: refs %v err %v, want none and nil", refs, err)
 	}
 }
 
@@ -60,10 +67,7 @@ func TestLoadDayMissingIsNotAnError(t *testing.T) {
 // days inside it — gaps read as absent, records outside [from, to] are
 // not picked up.
 func TestLoadDaysSkipsGaps(t *testing.T) {
-	d, err := Create(t.TempDir(), testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := create(t)
 	for _, day := range []clock.Day{3, 5, 6, 9} {
 		if err := d.WriteDayRef(day, testRef(day)); err != nil {
 			t.Fatal(err)
@@ -79,65 +83,74 @@ func TestLoadDaysSkipsGaps(t *testing.T) {
 	}
 }
 
-// corruptedDir journals one day reference (day 9) and one generic record,
-// then damages both files the same way: every record rides one envelope,
-// so every refusal must hold for the typed and the generic entry point.
-func corruptedDir(t *testing.T, corrupt func(path string)) *Dir {
+// corruptedDir journals days 9 and 10 and one generic record, then
+// damages the generic record and day 9's frame — the first in the log,
+// with day 10's behind it — the same way: every record rides one
+// envelope, so every refusal must hold for the typed and the generic
+// entry point.
+func corruptedDir(t *testing.T, corrupt func(frame []byte) []byte) *Dir {
 	t.Helper()
-	d, err := Create(t.TempDir(), testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteDayRef(9, testRef(9)); err != nil {
-		t.Fatal(err)
+	d := create(t)
+	for _, day := range []clock.Day{9, 10} {
+		if err := d.WriteDayRef(day, testRef(day)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := d.Write("aux.ckpt", &testRecord{Day: 9}); err != nil {
 		t.Fatal(err)
 	}
-	corrupt(filepath.Join(d.Path(), dayRefFile(9)))
-	corrupt(filepath.Join(d.Path(), "aux.ckpt"))
+	aux := filepath.Join(d.Path(), "aux.ckpt")
+	b, err := os.ReadFile(aux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(aux, corrupt(b), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log := filepath.Join(d.Path(), DayLog)
+	if b, err = os.ReadFile(log); err != nil {
+		t.Fatal(err)
+	}
+	first := len(b) / 2 // both frames are the same size
+	b = append(corrupt(bytes.Clone(b[:first])), b[first:]...)
+	if err := os.WriteFile(log, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	d, err = Resume(d.Path(), testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
 	return d
 }
 
-// loadBoth returns the errors of loading the damaged day reference and
-// the damaged generic record.
+// loadBoth returns the errors of loading the damaged day log and the
+// damaged generic record.
 func loadBoth(d *Dir) (refErr, auxErr error) {
-	_, _, refErr = d.LoadDayRef(9)
+	_, refErr = d.LoadDayRefs(0, 20)
 	_, auxErr = d.Load("aux.ckpt", &testRecord{})
 	return refErr, auxErr
 }
 
+// TestLoadDayRejectsTruncation: a record cut short is refused; in the day
+// log that is a frame cut with frames after it (a cut final frame is the
+// torn append TestDayLogEveryCut covers).
 func TestLoadDayRejectsTruncation(t *testing.T) {
-	d := corruptedDir(t, func(p string) {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, b[:len(b)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
+	d := corruptedDir(t, func(b []byte) []byte { return b[:len(b)/2] })
 	refErr, auxErr := loadBoth(d)
-	for _, err := range []error{refErr, auxErr} {
-		if err == nil || !strings.Contains(err.Error(), "truncated") {
-			t.Fatalf("truncated file error = %v, want truncation report", err)
-		}
+	if auxErr == nil || !strings.Contains(auxErr.Error(), "truncated") {
+		t.Fatalf("truncated record error = %v, want truncation report", auxErr)
 	}
-	if _, err := d.LoadDayRefs(0, 10); err == nil {
-		t.Fatal("LoadDayRefs must fail on a corrupt member")
+	if refErr == nil {
+		t.Fatal("LoadDayRefs accepted a log whose first frame was cut")
 	}
 }
 
 func TestLoadDayRejectsBitFlip(t *testing.T) {
-	d := corruptedDir(t, func(p string) {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+	d := corruptedDir(t, func(b []byte) []byte {
 		b[len(magic)+12+3] ^= 0x40 // flip one payload bit
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		return b
 	})
 	refErr, auxErr := loadBoth(d)
 	for _, err := range []error{refErr, auxErr} {
@@ -148,11 +161,7 @@ func TestLoadDayRejectsBitFlip(t *testing.T) {
 }
 
 func TestLoadDayRejectsWrongMagic(t *testing.T) {
-	d := corruptedDir(t, func(p string) {
-		if err := os.WriteFile(p, []byte("not a checkpoint at all........."), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
+	d := corruptedDir(t, func([]byte) []byte { return []byte("not a checkpoint at all.........") })
 	refErr, auxErr := loadBoth(d)
 	if refErr == nil || auxErr == nil {
 		t.Fatalf("garbage file accepted (ref %v, aux %v)", refErr, auxErr)
@@ -160,15 +169,9 @@ func TestLoadDayRejectsWrongMagic(t *testing.T) {
 }
 
 func TestLoadDayRejectsVersionSkew(t *testing.T) {
-	d := corruptedDir(t, func(p string) {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+	d := corruptedDir(t, func(b []byte) []byte {
 		b[len(magic)+3] = 99 // version field
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		return b
 	})
 	refErr, auxErr := loadBoth(d)
 	for _, err := range []error{refErr, auxErr} {
@@ -195,14 +198,16 @@ func TestResumeChecksHeader(t *testing.T) {
 	if _, err := Resume(t.TempDir(), testHeader()); err == nil {
 		t.Fatal("resume without header accepted")
 	}
-	// a journal written by the version-1 format (gob day blobs) is refused
-	// outright, not re-swept or half-trusted
-	legacy := []byte(`{"version": 1, "config_hash": "abc123", "seed": 42}`)
-	if err := os.WriteFile(filepath.Join(dir, headerName), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Resume(dir, testHeader()); err == nil || !strings.Contains(err.Error(), "format version 1") {
-		t.Fatalf("version-1 journal: err = %v, want a format version refusal", err)
+	// a journal of an older layout (layout 1's gob day blobs, layout 2's
+	// file per day) is refused outright, not re-swept or half-trusted
+	for _, v := range []string{"1", "2"} {
+		legacy := []byte(`{"version": ` + v + `, "config_hash": "abc123", "seed": 42}`)
+		if err := os.WriteFile(filepath.Join(dir, headerName), legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Resume(dir, testHeader()); err == nil || !strings.Contains(err.Error(), "format version "+v) {
+			t.Fatalf("layout-%s journal: err = %v, want a format version refusal", v, err)
+		}
 	}
 }
 
@@ -212,6 +217,7 @@ func TestCreateWipesPreviousRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	if err := d.WriteDayRef(4, testRef(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +226,9 @@ func TestCreateWipesPreviousRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := d2.LoadDayRef(4); ok || err != nil {
-		t.Fatalf("stale day survived Create: ok %v err %v", ok, err)
+	defer d2.Close()
+	if refs, err := d2.LoadDayRefs(0, 10); len(refs) != 0 || err != nil {
+		t.Fatalf("stale day survived Create: refs %v err %v", refs, err)
 	}
 }
 
@@ -230,7 +237,7 @@ func TestCreateWipesPreviousRun(t *testing.T) {
 // so a fresh run removes them; a file the journal did not write stays.
 func TestCreateClearsKilledWriterLeftovers(t *testing.T) {
 	dir := t.TempDir()
-	leftovers := []string{dayRefFile(1) + ".tmp-123", headerName + ".tmp-456"}
+	leftovers := []string{cursorName + ".tmp-123", headerName + ".tmp-456"}
 	for _, name := range append([]string{"notes.txt"}, leftovers...) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
 			t.Fatal(err)
@@ -253,30 +260,30 @@ func TestWriteIsAtomic(t *testing.T) {
 	// After a write returns, no temp files linger and the payload is
 	// complete; the atomic rename is what a mid-write crash relies on. A
 	// stale temp file from a crashed writer is neither loaded nor fatal.
-	dir := t.TempDir()
-	d, err := Create(dir, testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := create(t)
 	if err := d.WriteDayRef(1, testRef(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Write("aux.ckpt", &testRecord{Day: 1}); err != nil {
 		t.Fatal(err)
 	}
-	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
+	tmps, err := filepath.Glob(filepath.Join(d.Path(), "*.tmp-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tmps) != 0 {
 		t.Errorf("temp files left behind: %v", tmps)
 	}
-	stale := filepath.Join(dir, dayRefFile(2)+".tmp-123")
+	stale := filepath.Join(d.Path(), "aux.ckpt.tmp-123")
 	if err := os.WriteFile(stale, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	refs, err := d.LoadDayRefs(0, 5)
 	if err != nil || len(refs) != 1 {
 		t.Fatalf("LoadDayRefs beside a stale temp file = %v, err %v; want day 1 only", refs, err)
+	}
+	var rec testRecord
+	if ok, err := d.Load("aux.ckpt", &rec); !ok || err != nil || rec.Day != 1 {
+		t.Fatalf("Load beside a stale temp file = %+v, ok %v, err %v", rec, ok, err)
 	}
 }

@@ -39,8 +39,8 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestFrameBytesPinned: the journal's bytes are a format — a day reference
-// and a stream cursor encode to exactly the frames earlier builds wrote and
-// resume reads. gob numbers a process's types in the order it first meets
+// (a frame of the day log, layout 3) and a stream cursor encode to exactly
+// the frames resume reads. gob numbers a process's types in the order it first meets
 // them, and those numbers are in the payload, so the bytes are pinned in a
 // fresh process (the test re-executes itself) whose first two types are
 // these two.
@@ -57,8 +57,8 @@ func TestFrameBytesPinned(t *testing.T) {
 		v    any
 		want string
 	}{
-		{&DayRef{File: "day_000027.dcol", SHA256: "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"},
-			"444e53434b50543100000002000000000000007f277f0301010644617952656601ff80000102010446696c65010c000106534841323536010c00000056ff80010f6461795f3030303032372e64636f6c014039663836643038313838346337643635396132666561613063353561643031356133626634663162326230623832326364313564366331356230663030613038005209b849"},
+		{&DayRef{Day: 27, File: "day_000027.dcol", SHA256: "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"},
+			"444e53434b5054310000000200000000000000892f7f0301010644617952656601ff800001030103446179010400010446696c65010c000106534841323536010c00000058ff800136010f6461795f3030303032372e64636f6c0140396638366430383138383463376436353961326665616130633535616430313561336266346631623262306238323263643135643663313562306630306130380026973e25"},
 		{&Cursor{ClosedThrough: 8211, Attacks: 17, Events: 403, SinkBytes: 1 << 20, LastAttackWindow: 8209, LastAttackVictim: 0xc0000201, HaveLast: true},
 			"444e53434b5054310000000200000000000000a3ff82ff8103010106437572736f7201ff82000107010d436c6f7365645468726f756768010400010741747461636b7301040001064576656e7473010400010953696e6b427974657301040001104c61737441747461636b57696e646f7701040001104c61737441747461636b56696374696d0106000108486176654c61737401020000001eff8201fe4026012201fe032601fd20000001fe402201fcc000020101010057ca3a6d"},
 	} {

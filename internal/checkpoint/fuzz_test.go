@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"reflect"
 	"testing"
+
+	"dnsddos/internal/clock"
 )
 
 // restampFrame makes b's length field and CRC trailer agree with the
@@ -22,7 +25,7 @@ func restampFrame(b []byte) []byte {
 // short at the places a torn write can stop.
 func journalSeeds(f *testing.F) {
 	for _, v := range []any{
-		&DayRef{File: "day_000027.dcol", SHA256: "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"},
+		&DayRef{Day: 27, File: "day_000027.dcol", SHA256: "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"},
 		&Cursor{ClosedThrough: 8211, Attacks: 17, Events: 403, SinkBytes: 1 << 20, LastAttackWindow: 8209, LastAttackVictim: 0xc0000201, HaveLast: true},
 	} {
 		b, err := EncodeFrame(v)
@@ -104,6 +107,52 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			if err := ReadFrame(r, &cur); err != nil || cur.ClosedThrough != 2 || r.Len() != 0 {
 				t.Fatalf("the frame after an accepted one read as %+v, %v (%d bytes left)", cur, err, r.Len())
+			}
+		}
+	})
+}
+
+// FuzzReadDayRefLog holds the day-log reader — what every resume reads —
+// to "refs or an error, never a panic". An accepted log is closed under
+// its own reading: the frames it restored fill exactly the prefix it
+// reports, that prefix reads back as the same days with nothing torn, no
+// day repeats, and every ref survives a re-encode.
+func FuzzReadDayRefLog(f *testing.F) {
+	var log []byte
+	for day := clock.Day(26); day < 29; day++ {
+		b, err := EncodeFrame(&DayRef{Day: day, File: "day_000027.dcol", SHA256: "9f86d081"})
+		if err != nil {
+			f.Fatal(err)
+		}
+		log = append(log, b...)
+	}
+	flipped := bytes.Clone(log)
+	flipped[len(flipped)-9] ^= 0x10
+	f.Add(log)
+	f.Add(log[:len(log)-5])
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		refs, n, err := readDayRefLog(b)
+		if err != nil {
+			return
+		}
+		if n > len(b) {
+			t.Fatalf("complete prefix %d of a %d-byte log", n, len(b))
+		}
+		again, m, err := readDayRefLog(b[:n])
+		if err != nil || m != n || !reflect.DeepEqual(again, refs) {
+			t.Fatalf("the complete prefix reads back as %+v, %d, %v; want %+v, %d", again, m, err, refs, n)
+		}
+		seen := make(map[clock.Day]bool)
+		for _, ref := range refs {
+			if seen[ref.Day] {
+				t.Fatalf("day %v restored twice", ref.Day)
+			}
+			seen[ref.Day] = true
+			frame, err := EncodeFrame(&ref)
+			var back DayRef
+			if err != nil || DecodeFrame(frame, &back) != nil || back != ref {
+				t.Fatalf("restored %+v does not survive a re-encode (%v): %+v", ref, err, back)
 			}
 		}
 	})

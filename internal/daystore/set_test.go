@@ -130,14 +130,14 @@ func TestSetAddRefusesDuplicateDay(t *testing.T) {
 		t.Fatal("the zero Set is not empty")
 	}
 	agg := randomAggregator(rand.New(rand.NewSource(3)), 6, 1)
-	first, _, err := AppendDay(nil, 0, agg)
+	first, err := AppendDay(nil, 0, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mem.Add(0, first); err != nil {
 		t.Fatal(err)
 	}
-	empty, _, err := AppendDay(nil, 0, randomAggregator(rand.New(rand.NewSource(3)), 0, 1))
+	empty, err := AppendDay(nil, 0, randomAggregator(rand.New(rand.NewSource(3)), 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

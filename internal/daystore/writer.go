@@ -29,9 +29,9 @@ import (
 // malformed (rows of another day, duplicates, disorder — all refused).
 // Both paths write through one column writer (dayImage) and publish
 // through internal/atomicfile — temp file, fsync, rename, parent-directory
-// fsync, the checkpoint journal's discipline — so a visible day file is
-// always complete, and both return the content hash that
-// checkpoint.DayRef records pin.
+// fsync — so a visible day file is always complete. A published file
+// comes back with its ContentHash, which checkpoint.DayRef records pin;
+// an image kept in memory is never hashed.
 
 // SealedFile identifies one published day file by name and content hash.
 // The hash is over the exact file bytes; checkpoint day references store
@@ -58,22 +58,22 @@ type keyRows struct {
 // the seal input is one completed day-shard; an aggregator that measured
 // nothing seals a valid empty file.
 func SealTable(dir string, day clock.Day, agg *nsset.Aggregator, buf []byte) (SealedFile, []byte, error) {
-	image, sum, err := AppendDay(buf[:0], day, agg)
+	image, err := AppendDay(buf[:0], day, agg)
 	if err != nil {
 		return SealedFile{}, buf, err
 	}
-	file, err := publish(dir, day, image, sum)
+	file, err := publish(dir, day, image, ContentHash(image))
 	return file, image, err
 }
 
 // AppendDay appends day's sealed file image to dst, encoded straight
-// from the aggregator's day table, and returns the extended slice with
-// the hex SHA-256 of the image — what a fleet worker ships for a completed
-// day-sweep. The bytes are EncodeDay(day, agg.Snapshot())'s; the input
-// rule is SealTable's.
-func AppendDay(dst []byte, day clock.Day, agg *nsset.Aggregator) (image []byte, sha256Hex string, err error) {
+// from the aggregator's day table, and returns the extended slice — what
+// a fleet worker ships for a completed day-sweep, with its ContentHash.
+// The bytes are EncodeDay(day, agg.Snapshot())'s; the input rule is
+// SealTable's.
+func AppendDay(dst []byte, day clock.Day, agg *nsset.Aggregator) ([]byte, error) {
 	if d, ok := agg.ForeignDay(day); ok {
-		return dst, "", fmt.Errorf("daystore: sealing day %d: aggregator holds day %d", int32(day), int32(d))
+		return dst, fmt.Errorf("daystore: sealing day %d: aggregator holds day %d", int32(day), int32(d))
 	}
 	nKeys, nWin, strLen := 0, 0, 0
 	agg.WalkDay(day, func(k nsset.Key, _ *nsset.DayBaseline, windows int) {
@@ -84,8 +84,7 @@ func AppendDay(dst []byte, day clock.Day, agg *nsset.Aggregator) (image []byte, 
 	// every row of an aggregator has a baseline
 	im := beginImage(dst, day, nKeys, nKeys, nWin, strLen)
 	agg.WalkDay(day, im.row, im.window)
-	image = im.finish()
-	return image, contentHash(image[len(dst):]), nil
+	return im.finish(), nil
 }
 
 // SealDay encodes the snapshot as day's column file and atomically
@@ -128,11 +127,12 @@ func EncodeDay(day clock.Day, snap nsset.Snapshot) (image []byte, sha256Hex stri
 		}
 	}
 	image = im.finish()
-	return image, contentHash(image), nil
+	return image, ContentHash(image), nil
 }
 
-// contentHash is the hex SHA-256 a sealed file is referenced by.
-func contentHash(image []byte) string {
+// ContentHash is the hex SHA-256 a sealed file is referenced by: what a
+// checkpoint.DayRef records and a fleet worker announces with an image.
+func ContentHash(image []byte) string {
 	sum := sha256.Sum256(image)
 	return hex.EncodeToString(sum[:])
 }
@@ -145,7 +145,7 @@ func contentHash(image []byte) string {
 // ErrCorrupt and nothing is written.
 func Install(dir string, day clock.Day, image []byte, wantSHA256 string) (SealedFile, error) {
 	name := FileName(day)
-	if got := contentHash(image); got != wantSHA256 {
+	if got := ContentHash(image); got != wantSHA256 {
 		return SealedFile{}, corruptf(name, "content hash %s does not match announced %s", got, wantSHA256)
 	}
 	if _, err := newView(name, day, image, nil); err != nil {
@@ -320,7 +320,7 @@ func VerifyFile(dir, name, wantSHA256 string) error {
 	if err != nil {
 		return fmt.Errorf("daystore: reading %s: %w", full, err)
 	}
-	if got := contentHash(b); got != wantSHA256 {
+	if got := ContentHash(b); got != wantSHA256 {
 		return corruptf(full, "content hash %s does not match recorded %s", got, wantSHA256)
 	}
 	return nil

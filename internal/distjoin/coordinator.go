@@ -223,6 +223,7 @@ func (c *Coordinator) Run(ctx context.Context) (*study.Study, error) {
 	if st.ledger, err = study.OpenLedger(c.cfg, c.reg, c.opts.ckptDir, st.dayDir, c.opts.resume); err != nil {
 		return nil, err
 	}
+	defer st.ledger.Close()
 	for _, d := range st.ledger.Pending() {
 		st.pending = append(st.pending, &task{day: d})
 	}

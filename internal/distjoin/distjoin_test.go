@@ -6,11 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/faultinject"
@@ -439,7 +439,8 @@ func TestCoordinatorKillAndResume(t *testing.T) {
 		go func() {
 			defer close(pollDone)
 			for {
-				if m, _ := filepath.Glob(filepath.Join(dir, "dayref_*.ckpt")); len(m) >= refs {
+				// read-only: the coordinator is appending to this log
+				if m, _ := checkpoint.ReadDayRefs(dir); len(m) >= refs {
 					cancelA()
 					return
 				}

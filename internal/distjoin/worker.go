@@ -213,14 +213,13 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 				case agg == nil:
 					return ctx.Err() // cancelled mid-sweep: crash path
 				default:
-					var sum string
 					var err error
-					if image, sum, err = daystore.AppendDay(image[:0], day, agg); err != nil {
+					if image, err = daystore.AppendDay(image[:0], day, agg); err != nil {
 						return fmt.Errorf("distjoin: worker %s: sealing day %d: %w", w.name, int32(day), err)
 					}
 					agg.Reset()
 					scratch = agg
-					reply = &message{Kind: kindSweepDone, Day: day, Image: image, SHA256: sum, Metrics: sweep}
+					reply = &message{Kind: kindSweepDone, Day: day, Image: image, SHA256: daystore.ContentHash(image), Metrics: sweep}
 				}
 				// send copies the image into its frame, so the buffer is
 				// free again when it returns

@@ -61,7 +61,7 @@ func OpenJournal(dir string, cfg Config, seed uint64, resume bool) (*checkpoint.
 // re-sweep. When no day is restored, sealed files and seal leftovers
 // already in dayDir are stale state of a previous run and are cleared.
 // Both directories are optional; without either, days exist only in the
-// caller's memory.
+// caller's memory. The caller closes the ledger when the run is over.
 func OpenLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, resume bool) (*Ledger, error) {
 	l := &Ledger{
 		from: cfg.FromDay, to: cfg.ToDay, reg: reg,
@@ -74,25 +74,42 @@ func OpenLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, res
 			return nil, err
 		}
 	}
+	if err := l.restore(dayDir, resume); err != nil {
+		l.Close()
+		return nil, err
+	}
+	return l, nil
+}
+
+// restore marks the journaled days done on a resume, and clears dayDir
+// when no day was restored.
+func (l *Ledger) restore(dayDir string, resume bool) error {
 	if l.journal != nil && resume {
 		refs, err := l.journal.LoadDayRefs(l.from, l.to)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for d, ref := range refs {
 			if err := daystore.VerifyFile(dayDir, ref.File, ref.SHA256); err != nil {
-				return nil, fmt.Errorf("study: resuming day %s: %w", d, err)
+				return fmt.Errorf("study: resuming day %s: %w", d, err)
 			}
 			l.done[d] = daystore.SealedFile{Day: d, Name: ref.File, SHA256: ref.SHA256}
 		}
 		l.report.ResumedDays = len(refs)
 	}
 	if dayDir != "" && len(l.done) == 0 {
-		if err := daystore.Clear(dayDir); err != nil {
-			return nil, err
-		}
+		return daystore.Clear(dayDir)
 	}
-	return l, nil
+	return nil
+}
+
+// Close releases the journal's day log once the run has accepted its last
+// day.
+func (l *Ledger) Close() error {
+	if l.journal == nil {
+		return nil
+	}
+	return l.journal.Close()
 }
 
 // Pending lists the days that still need a sweep, ascending. Days a

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/nsset"
@@ -33,18 +34,19 @@ func sealEmpty(t *testing.T, dir string, day clock.Day) daystore.SealedFile {
 	return f
 }
 
-func globCount(t *testing.T, pattern string) int {
+// journaled counts the day records in ckpt's day log.
+func journaled(t *testing.T, ckpt string) int {
 	t.Helper()
-	files, err := filepath.Glob(pattern)
+	refs, err := checkpoint.ReadDayRefs(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(files)
+	return len(refs)
 }
 
 // ledgerStep is one call into the ledger and what it must answer.
 type ledgerStep struct {
-	op            string // "fail" (retryable), "watchdog" (not), "complete", "break" (journal dir vanishes)
+	op            string // "fail" (retryable), "watchdog" (not), "complete", "break" (the journal fails its next append)
 	day           clock.Day
 	reason, stack string
 	retry         bool // fail, watchdog: Fail's answer
@@ -144,6 +146,7 @@ func TestLedgerStateMachine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer l.Close()
 			broken := false
 			for i, st := range tc.steps {
 				switch st.op {
@@ -156,14 +159,16 @@ func TestLedgerStateMachine(t *testing.T) {
 					if dup != st.dup || (err != nil) != st.refused {
 						t.Fatalf("step %d: Complete(%v) = dup %v err %v, want dup %v refused %v", i, st.day, dup, err, st.dup, st.refused)
 					}
-					if broken && !errors.Is(err, os.ErrNotExist) {
+					if broken && !errors.Is(err, os.ErrClosed) {
 						t.Fatalf("step %d: refusal after a write error = %v, want the write error", i, err)
 					}
 				case "break":
-					if globCount(t, filepath.Join(ckpt, "dayref_*.ckpt")) != tc.wantDone {
+					if journaled(t, ckpt) != tc.wantDone {
 						t.Fatalf("step %d: journal does not hold %d records before the break", i, tc.wantDone)
 					}
-					if err := os.RemoveAll(ckpt); err != nil {
+					// the day log stays open for the run, so a vanished
+					// directory would not fail an append; a closed log does
+					if err := l.Close(); err != nil {
 						t.Fatal(err)
 					}
 					broken = true
@@ -183,7 +188,7 @@ func TestLedgerStateMachine(t *testing.T) {
 				t.Errorf("Pending = %v, want %v", got, tc.wantPending)
 			}
 			if !broken {
-				if n := globCount(t, filepath.Join(ckpt, "dayref_*.ckpt")); n != tc.wantDone {
+				if n := journaled(t, ckpt); n != tc.wantDone {
 					t.Errorf("journal holds %d day records, want %d", n, tc.wantDone)
 				}
 			}
@@ -246,6 +251,7 @@ func TestLedgerResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer first.Close()
 			for _, d := range tc.journaled {
 				if _, err := first.Complete(d, sealEmpty(t, days, d), sweepOf5); err != nil {
 					t.Fatal(err)
@@ -275,6 +281,7 @@ func TestLedgerResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer l.Close()
 			rep := l.Report()
 			if rep.ResumedDays != len(tc.journaled) || rep.CompletedDays != 0 {
 				t.Errorf("ResumedDays = %d CompletedDays = %d, want %d and 0", rep.ResumedDays, rep.CompletedDays, len(tc.journaled))

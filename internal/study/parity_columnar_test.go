@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/obs"
@@ -233,7 +234,7 @@ func TestColumnarCancelAndResumeByteIdentical(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed run error = %v, want context.Canceled", err)
 	}
-	refs, err := filepath.Glob(filepath.Join(ckptDir, "dayref_*.ckpt"))
+	refs, err := checkpoint.ReadDayRefs(ckptDir)
 	if err != nil {
 		t.Fatal(err)
 	}

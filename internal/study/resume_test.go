@@ -9,12 +9,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
@@ -70,8 +70,9 @@ func reportJSON(t *testing.T, s *Study) []byte {
 // -checkpoint-only run: kill it at a day boundary, resume it, and the
 // joined events must be byte-identical to an uninterrupted run. Every row
 // also pins the on-disk layout — a day is persisted in one form only, so
-// the journal holds dayref_*.ckpt records, the sealed files live under
-// <checkpoint>/days, and no gob day blob is ever written.
+// the journal is header.json and one day log holding a record per day,
+// the sealed files live under <checkpoint>/days, and no other record is
+// ever written.
 func TestCancelAndResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -116,10 +117,18 @@ func TestCancelAndResumeByteIdentical(t *testing.T) {
 				t.Fatalf("killed run error = %v, want context.Canceled", err)
 			}
 			want := tc.killAt - 1
+			if refs, err := checkpoint.ReadDayRefs(dir); err != nil || len(refs) != want {
+				t.Fatalf("killed run journaled %d days (err %v), want %d", len(refs), err, want)
+			}
+			logs := 0 // the log is opened by the first append
+			if want > 0 {
+				logs = 1
+			}
 			for pattern, n := range map[string]int{
-				"dayref_*.ckpt":   want,
+				"header.json":     1,
+				"*.ckpt":          logs,
+				checkpoint.DayLog: logs,
 				"days/day_*.dcol": want,
-				"day_*.ckpt":      0,
 			} {
 				files, err := filepath.Glob(filepath.Join(dir, pattern))
 				if err != nil {
@@ -176,14 +185,17 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-func firstDayFile(t *testing.T, dir string) string {
+// rewriteLog replaces the day log in dir with edit applied to its bytes.
+func rewriteLog(t *testing.T, dir string, edit func([]byte) []byte) {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "dayref_*.ckpt"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no day checkpoints in %s (err %v)", dir, err)
+	p := filepath.Join(dir, checkpoint.DayLog)
+	b, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(files)
-	return files[0]
+	if err := os.WriteFile(p, edit(b), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestResumeRefusesCorruptCheckpoints covers the refusal matrix: every
@@ -197,7 +209,8 @@ func TestResumeRefusesCorruptCheckpoints(t *testing.T) {
 	cfg.FromDay, cfg.ToDay = 27, 29
 
 	seed := t.TempDir()
-	if _, err := RunContext(context.Background(), cfg, WithCheckpointDir(seed)); err != nil {
+	full, err := RunContext(context.Background(), cfg, WithCheckpointDir(seed))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -211,31 +224,34 @@ func TestResumeRefusesCorruptCheckpoints(t *testing.T) {
 			t.Fatalf("clean resume failed: %v", err)
 		}
 	})
-	t.Run("truncated day file", func(t *testing.T) {
+	t.Run("first frame cut, with frames after it", func(t *testing.T) {
 		dir := copyDir(t, seed)
-		p := firstDayFile(t, dir)
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, b[:len(b)/3], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		rewriteLog(t, dir, func(b []byte) []byte { return append(b[:30:30], b[50:]...) })
 		if err := resume(dir, cfg); err == nil {
 			t.Fatal("truncated checkpoint accepted")
 		}
 	})
-	t.Run("flipped byte", func(t *testing.T) {
+	t.Run("log cut inside its final frame", func(t *testing.T) {
+		// the append a crash interrupted: its day sweeps again
 		dir := copyDir(t, seed)
-		p := firstDayFile(t, dir)
-		b, err := os.ReadFile(p)
+		rewriteLog(t, dir, func(b []byte) []byte { return b[:len(b)-5] })
+		res, err := RunContext(context.Background(), cfg, WithCheckpointDir(dir), WithResume(true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b[len(b)/2] ^= 0x01
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
+		if res.Report.ResumedDays != 2 || res.Report.CompletedDays != 1 {
+			t.Errorf("ResumedDays = %d CompletedDays = %d, want 2 and 1", res.Report.ResumedDays, res.Report.CompletedDays)
 		}
+		if !bytes.Equal(eventsBytes(t, full), eventsBytes(t, res)) {
+			t.Error("resumed run's events differ from the uninterrupted run")
+		}
+	})
+	t.Run("flipped byte", func(t *testing.T) {
+		dir := copyDir(t, seed)
+		rewriteLog(t, dir, func(b []byte) []byte {
+			b[len(b)/2] ^= 0x01
+			return b
+		})
 		if err := resume(dir, cfg); err == nil {
 			t.Fatal("bit-flipped checkpoint accepted")
 		}
@@ -273,17 +289,17 @@ func TestResumeRefusesCorruptCheckpoints(t *testing.T) {
 		}
 	})
 	t.Run("legacy format version", func(t *testing.T) {
-		// a journal written before the single day form (gob day_*.ckpt
-		// blobs, header version 1) is refused, not re-swept
+		// a journal written before the day log (one dayref_NNNNNN.ckpt
+		// file per day, header version 2) is refused, not re-swept
 		dir := copyDir(t, seed)
 		hdr := filepath.Join(dir, "header.json")
 		b, err := os.ReadFile(hdr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := bytes.Replace(b, []byte(`"version": 2`), []byte(`"version": 1`), 1)
+		old := bytes.Replace(b, []byte(`"version": 3`), []byte(`"version": 2`), 1)
 		if bytes.Equal(old, b) {
-			t.Fatalf("header has no version 2 field to rewrite: %s", b)
+			t.Fatalf("header has no version 3 field to rewrite: %s", b)
 		}
 		if err := os.WriteFile(hdr, old, 0o644); err != nil {
 			t.Fatal(err)
@@ -333,7 +349,7 @@ func TestWriteFailureStopsFolding(t *testing.T) {
 			switch d {
 			case 28:
 				waitFor(func() bool {
-					refs, _ := filepath.Glob(filepath.Join(ckpt, "dayref_*.ckpt"))
+					refs, _ := checkpoint.ReadDayRefs(ckpt)
 					return len(refs) == 1
 				})
 				if err := os.Rename(days, days+".sealed"); err != nil {

@@ -202,6 +202,7 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 	if err != nil {
 		return nil, err
 	}
+	defer ledger.Close()
 
 	days := new(daystore.Set) // the sealed images, without a directory
 	t0 := time.Now()
@@ -349,7 +350,7 @@ dispatch:
 			if opts.daystoreDir != "" {
 				file, sc.image, err = daystore.SealTable(opts.daystoreDir, day, agg, sc.image)
 			} else {
-				image, _, err = daystore.AppendDay(nil, day, agg)
+				image, err = daystore.AppendDay(nil, day, agg)
 			}
 			if err == nil {
 				s.Metrics.Histogram("study.daystore_seal_wall", obs.Volatile()).Observe(time.Since(wstart))
