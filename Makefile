@@ -5,12 +5,12 @@
 
 GO ?= go
 
-.PHONY: build test obs stream distjoin race-gate soak chaos bench-throughput bench-sweep bench-serve bench-session bench-join flake-sweep report loc
+.PHONY: build test cmds obs stream distjoin race-gate soak chaos bench-throughput bench-sweep bench-serve bench-session bench-join flake-sweep report loc
 
 build:
 	$(GO) build ./...
 
-test: build obs stream distjoin
+test: build cmds obs stream distjoin
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -25,6 +25,20 @@ test: build obs stream distjoin
 	$(GO) test -bench 'BenchmarkInfer' -benchtime 1x -run '^$$' ./internal/rsdos/
 	$(GO) test -bench 'BenchmarkWriteDayRef' -benchtime 1x -run '^$$' ./internal/checkpoint/
 	$(GO) run ./cmd/report -quick -outdir "$$(mktemp -d)" >/dev/null
+
+# Every binary runs once: ./cmd/... is built into a temporary directory
+# and each binary is started with an unknown flag, which it must refuse
+# with exit status 2 and its usage on stderr.
+cmds:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && mkdir "$$d/bin" && \
+	$(GO) build -o "$$d/bin" ./cmd/... && \
+	for b in "$$d"/bin/*; do \
+		"$$b" -no-such-flag >/dev/null 2>"$$d/stderr"; rc=$$?; \
+		if [ $$rc -ne 2 ] || ! grep -q '^Usage' "$$d/stderr"; then \
+			echo "$$(basename "$$b"): exit $$rc on an unknown flag, want 2 with usage on stderr"; exit 1; \
+		fi; \
+		echo "$$(basename "$$b"): refuses an unknown flag with usage"; \
+	done
 
 # Streaming smoke: the stream-vs-batch parity harness, exactly-once
 # kill/resume, late-drop accounting, and the aggregator order-invariance

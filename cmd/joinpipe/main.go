@@ -15,7 +15,6 @@
 //	         [-checkpoint DIR] [-resume] [-shard-timeout D] [-metrics-addr :9090]
 //	         [-daystore DIR]
 //	         [-coordinator HOST:PORT] [-min-workers N] [-heartbeat D]
-//	         [-suspect-missed N] [-dead-missed N]
 //
 // With -coordinator, joinpipe runs no sweeps itself: it listens on the
 // given address, distributes the day-sweeps across joinworker processes
@@ -66,9 +65,7 @@ func run() (err error) {
 	shardTimeout := flag.Duration("shard-timeout", 0, "watchdog deadline per day-sweep (0 = none); a stuck day is quarantined, not waited for")
 	coordAddr := flag.String("coordinator", "", "run as fleet coordinator: listen on this address and distribute the work to joinworker processes")
 	minWorkers := flag.Int("min-workers", 1, "coordinator mode: hold dispatch until this many workers register")
-	heartbeat := flag.Duration("heartbeat", time.Second, "coordinator mode: fleet heartbeat interval")
-	suspectMissed := flag.Int("suspect-missed", 5, "coordinator mode: consecutive missed heartbeats before a worker is suspect (its tasks shadow-requeue)")
-	deadMissed := flag.Int("dead-missed", 10, "coordinator mode: consecutive missed heartbeats before a worker is declared dead")
+	heartbeat := flag.Duration("heartbeat", time.Second, "coordinator mode: fleet heartbeat interval; a worker silent for 5 intervals is suspect (its task is requeued), for 10 dead")
 	daystoreDir := flag.String("daystore", "", "seal completed day-sweeps to columnar files in this directory and join against the mmap-backed views (out-of-core: resident memory stays flat in the world size); with -checkpoint the default is DIR/days")
 	flag.Parse()
 
@@ -106,8 +103,6 @@ func run() (err error) {
 			distjoin.WithResume(*resume),
 			distjoin.WithMetrics(reg),
 			distjoin.WithMinWorkers(*minWorkers),
-			distjoin.WithSuspectAfter(*suspectMissed),
-			distjoin.WithDeadAfter(*deadMissed),
 		)
 		if err != nil {
 			return err

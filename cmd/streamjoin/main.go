@@ -118,9 +118,6 @@ func run() error {
 			return err
 		}
 		opts = append(opts, stream.WithJournal(dir))
-		if *resume {
-			opts = append(opts, stream.WithResume())
-		}
 	}
 
 	sink, err := stream.NewFileSink(*out)

@@ -1,8 +1,9 @@
 // Package authserver is a real authoritative DNS server speaking the wire
 // format of internal/dnswire over UDP and TCP sockets. It serves the NS and
 // A records of a dnsdb world, giving the reproduction a genuine network
-// data path for integration tests and the livedns example: the same
-// explicit NS queries OpenINTEL sends (§3.2) travel over actual sockets.
+// data path for cmd/serve, the degraded-mode sweep (internal/e2ebench) and
+// integration tests: the same explicit NS queries OpenINTEL sends (§3.2)
+// travel over actual sockets.
 //
 // The serving path is a concurrent engine: several reader goroutines share
 // the UDP socket (each with a private read buffer) and hand decoded work to

@@ -340,6 +340,58 @@ func TestRRLSlipInvitesTCPRetry(t *testing.T) {
 	}
 }
 
+// TestRRLOutOfOrderNowNeverDrains: a worker reads the clock before it
+// takes the limiter's lock, so a sibling may charge the same prefix with
+// a later now first. The older now is charged its one token and drains
+// nothing more: a full bucket of ten answers ten queries whatever the
+// order of their stamps, and only the eleventh is limited.
+func TestRRLOutOfOrderNowNeverDrains(t *testing.T) {
+	l := newRRLLimiter(RRLConfig{ResponsesPerSecond: 10})
+	peer := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 5353}
+	t1 := time.Unix(1000, 0)
+	stamps := []time.Time{t1, t1.Add(-500 * time.Millisecond), t1.Add(-time.Second)}
+	for len(stamps) < 11 {
+		stamps = append(stamps, t1)
+	}
+	for i, now := range stamps {
+		want := rrlSend
+		if i == 10 {
+			want = rrlDrop
+		}
+		if got := l.account(peer, now); got != want {
+			t.Fatalf("query %d stamped %v: verdict %d, want %d", i, now.Sub(t1), got, want)
+		}
+	}
+}
+
+// TestRRLSubUnitRateAnswers: half a response a second still answers a
+// quiet source's first query in full — the bucket holds one token
+// however low the rate — and limits the second.
+func TestRRLSubUnitRateAnswers(t *testing.T) {
+	srv := NewServer(degradeZone(), nil)
+	srv.RRL = &RRLConfig{ResponsesPerSecond: 0.5}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	m := queryOn(t, conn, 1, "victim.example", time.Second)
+	if m == nil || m.Header.Truncated || len(m.Answers) == 0 {
+		t.Fatalf("first query at 0.5 responses/s got %+v, want a full answer (stats %+v)", m, srv.Stats())
+	}
+	if m := queryOn(t, conn, 2, "victim.example", 200*time.Millisecond); m != nil {
+		t.Errorf("second query within the same second answered: %+v", m.Header)
+	}
+	if st := srv.Stats(); st.RRLDropped != 1 {
+		t.Errorf("RRL dropped %d queries, want 1", st.RRLDropped)
+	}
+}
+
 // TestWrappedListenerUnderFaultSchedule serves through a fault-injected
 // listener and drives the scripted attack window: healthy before,
 // dropping during, healthy after.

@@ -11,6 +11,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"dnsddos/internal/resilience"
 )
 
 // RRLConfig enables per-source response rate limiting.
@@ -20,7 +22,8 @@ type RRLConfig struct {
 	ResponsesPerSecond float64
 	// Burst is the bucket depth — how many back-to-back responses a
 	// quiet source may draw before the rate applies. Zero means
-	// ResponsesPerSecond (a one-second burst).
+	// ResponsesPerSecond (a one-second burst); either way it is at least
+	// one response, so a sub-1 rate still answers a quiet source.
 	Burst float64
 	// Slip sends every Slip-th rate-limited response as a minimal
 	// truncated (TC) answer instead of dropping it, inviting the real
@@ -47,10 +50,9 @@ const (
 	rrlSweepEvery = 4096
 )
 
-// rrlBucket is one source prefix's token bucket.
+// rrlBucket is one source prefix's token bucket and slip sequence.
 type rrlBucket struct {
-	tokens  float64
-	last    time.Time
+	tb      *resilience.TokenBucket
 	slipSeq int
 }
 
@@ -90,7 +92,10 @@ func prefixKey(addr net.Addr) string {
 }
 
 // account charges one response to the peer's prefix and returns the
-// verdict: send, drop, or slip (send a minimal truncated answer).
+// verdict: send, drop, or slip (send a minimal truncated answer). now is
+// read before the lock, so concurrent workers may arrive out of order;
+// the bucket refills only forward in time, so an older now is charged
+// its one token and drains nothing more.
 func (l *rrlLimiter) account(peer net.Addr, now time.Time) rrlAction {
 	key := prefixKey(peer)
 	l.mu.Lock()
@@ -98,17 +103,10 @@ func (l *rrlLimiter) account(peer net.Addr, now time.Time) rrlAction {
 	b := l.buckets[key]
 	if b == nil {
 		l.maybeSweep(now)
-		b = &rrlBucket{tokens: l.cfg.Burst, last: now}
+		b = &rrlBucket{tb: resilience.NewTokenBucket(l.cfg.ResponsesPerSecond, l.cfg.Burst)}
 		l.buckets[key] = b
-	} else {
-		b.tokens += now.Sub(b.last).Seconds() * l.cfg.ResponsesPerSecond
-		if b.tokens > l.cfg.Burst {
-			b.tokens = l.cfg.Burst
-		}
-		b.last = now
 	}
-	if b.tokens >= 1 {
-		b.tokens--
+	if b.tb.Allow(now) {
 		return rrlSend
 	}
 	if l.cfg.Slip > 0 {
@@ -129,7 +127,7 @@ func (l *rrlLimiter) maybeSweep(now time.Time) {
 	}
 	l.sinceGC = 0
 	for k, b := range l.buckets {
-		if now.Sub(b.last) > rrlIdleEvict {
+		if now.Sub(b.tb.Last()) > rrlIdleEvict {
 			delete(l.buckets, k)
 		}
 	}

@@ -32,15 +32,13 @@ import (
 type CoordOption func(*coordOptions)
 
 type coordOptions struct {
-	addr         string
-	heartbeat    time.Duration
-	ckptDir      string
-	resume       bool
-	reg          *obs.Registry
-	minWork      int
-	backoff      time.Duration
-	suspectAfter int
-	deadAfter    int
+	addr      string
+	heartbeat time.Duration
+	ckptDir   string
+	resume    bool
+	reg       *obs.Registry
+	minWork   int
+	backoff   time.Duration
 }
 
 // WithListenAddr sets the TCP listen address (default 127.0.0.1:0).
@@ -48,8 +46,9 @@ func WithListenAddr(addr string) CoordOption {
 	return func(o *coordOptions) { o.addr = addr }
 }
 
-// WithHeartbeatInterval sets the fleet heartbeat interval (default 1s).
-// Suspicion and death thresholds scale with it.
+// WithHeartbeatInterval sets the fleet heartbeat interval (default 1s),
+// the one liveness knob: a worker silent for 5 intervals is suspect, for
+// 10 dead.
 func WithHeartbeatInterval(d time.Duration) CoordOption {
 	return func(o *coordOptions) { o.heartbeat = d }
 }
@@ -83,19 +82,13 @@ func WithMinWorkers(n int) CoordOption {
 	return func(o *coordOptions) { o.minWork = n }
 }
 
-// WithSuspectAfter sets how many missed heartbeat intervals mark a
-// worker suspect, reassigning its in-flight task (default 5). Must be
-// >= 1 and below the dead threshold.
-func WithSuspectAfter(n int) CoordOption {
-	return func(o *coordOptions) { o.suspectAfter = n }
-}
-
-// WithDeadAfter sets how many missed heartbeat intervals mark a worker
-// dead, forcibly disconnecting it (default 10). Must be above the
-// suspect threshold.
-func WithDeadAfter(n int) CoordOption {
-	return func(o *coordOptions) { o.deadAfter = n }
-}
+// The liveness thresholds, in heartbeat intervals: a worker silent for
+// suspectAfter is suspect and its in-flight task is reassigned; one
+// silent for deadAfter is dead and disconnected.
+const (
+	suspectAfter = 5
+	deadAfter    = 10
+)
 
 // Coordinator drives one distributed study run.
 type Coordinator struct {
@@ -116,24 +109,16 @@ func NewCoordinator(cfg study.Config, opts ...CoordOption) (*Coordinator, error)
 		return nil, err
 	}
 	o := coordOptions{
-		addr:         "127.0.0.1:0",
-		heartbeat:    time.Second,
-		minWork:      1,
-		backoff:      resilience.DefaultBase,
-		suspectAfter: 5,
-		deadAfter:    10,
+		addr:      "127.0.0.1:0",
+		heartbeat: time.Second,
+		minWork:   1,
+		backoff:   resilience.DefaultBase,
 	}
 	for _, fn := range opts {
 		fn(&o)
 	}
 	if o.resume && o.ckptDir == "" {
 		return nil, fmt.Errorf("distjoin: WithResume requires WithCheckpointDir")
-	}
-	if o.suspectAfter < 1 || o.deadAfter < 1 {
-		return nil, fmt.Errorf("distjoin: heartbeat thresholds must be >= 1 (suspect %d, dead %d)", o.suspectAfter, o.deadAfter)
-	}
-	if o.suspectAfter >= o.deadAfter {
-		return nil, fmt.Errorf("distjoin: suspect threshold %d must be below dead threshold %d", o.suspectAfter, o.deadAfter)
 	}
 	if o.reg == nil {
 		o.reg = obs.New()
@@ -300,9 +285,8 @@ type runState struct {
 }
 
 // join ends the run once every day is settled: the fleet is told to exit,
-// and the coordinator runs study.RunContext's tail over the sealed days —
-// the pipeline with the ledger's quarantine, the batch classify+join, the
-// report.
+// and the coordinator ends the run over the sealed days as
+// study.RunContext does (Study.Finish).
 func (st *runState) join(ctx context.Context) (*study.Study, error) {
 	for _, w := range st.workers {
 		st.post(w, &message{Kind: kindShutdown})
@@ -320,12 +304,9 @@ func (st *runState) join(ctx context.Context) (*study.Study, error) {
 		}
 	}
 	s := st.sess.NewStudy(st.c.reg)
-	s.Pipeline = st.sess.NewPipeline(days, st.ledger.Quarantined(), st.c.reg)
-	s.Classified = s.Pipeline.Classify(s.Attacks)
-	if s.Events, err = s.Pipeline.EventsContext(ctx, s.Attacks); err != nil {
+	if err := s.Finish(ctx, days, st.ledger, false); err != nil {
 		return nil, err
 	}
-	s.Report = st.ledger.Report()
 	return s, nil
 }
 
@@ -346,7 +327,7 @@ func (st *runState) addConn(conn net.Conn) {
 		for m := range w.outbox {
 			// A wedged peer must not wedge the writer, so every frame gets
 			// its own deadline.
-			w.conn.SetWriteDeadline(time.Now().Add(time.Duration(st.c.opts.deadAfter) * st.c.opts.heartbeat))
+			w.conn.SetWriteDeadline(time.Now().Add(deadAfter * st.c.opts.heartbeat))
 			if err := w.wr.send(m); err != nil {
 				st.evs <- coordEvent{w: w, err: err}
 				return
@@ -525,9 +506,9 @@ func (st *runState) checkLiveness() {
 		}
 		quiet := now.Sub(w.lastSeen)
 		switch {
-		case quiet > time.Duration(st.c.opts.deadAfter)*hb:
+		case quiet > deadAfter*hb:
 			st.removeWorker(w, fmt.Errorf("no heartbeat for %v", quiet.Round(time.Millisecond)))
-		case quiet > time.Duration(st.c.opts.suspectAfter)*hb && w.state == stateLive:
+		case quiet > suspectAfter*hb && w.state == stateLive:
 			w.state = stateSuspect
 			if t := w.inflight; t != nil {
 				// Reassign without charging an attempt: the worker may be

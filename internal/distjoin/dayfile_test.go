@@ -131,10 +131,11 @@ func tappedFleet(t *testing.T, cfg study.Config) (map[kind]int, int) {
 	})
 	dir := t.TempDir()
 	workers := []*Worker{NewWorker("alpha", tap), NewWorker("bravo", tap), NewWorker("charlie", tap)}
-	// a 2 ms heartbeat puts one on the wire in any run, however quick; the
-	// thresholds keep a busy worker from being taken for a quiet one
-	opts := []CoordOption{WithCheckpointDir(dir),
-		WithHeartbeatInterval(2 * time.Millisecond), WithSuspectAfter(2500), WithDeadAfter(5000)}
+	// a 20 ms heartbeat puts a few on the wire while the workers build
+	// their sessions and sweep, and keeps a busy worker from being taken
+	// for a quiet one: heartbeats come from their own goroutine, and only
+	// 100 ms of silence (five intervals) makes a worker suspect
+	opts := []CoordOption{WithCheckpointDir(dir), WithHeartbeatInterval(20 * time.Millisecond)}
 	if _, _, _, err := runFleet(t, context.Background(), cfg, opts, workers); err != nil {
 		t.Fatal(err)
 	}

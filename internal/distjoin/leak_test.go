@@ -61,29 +61,3 @@ func TestCoordinatorCtxCancelWithLiveWorkersNoLeaks(t *testing.T) {
 	wcancel()
 	wg.Wait()
 }
-
-// TestHeartbeatThresholdOptions: the suspect/dead thresholds are
-// configurable and validated — each >= 1, suspect strictly below dead.
-func TestHeartbeatThresholdOptions(t *testing.T) {
-	bad := []struct {
-		name          string
-		suspect, dead int
-	}{
-		{"zero-suspect", 0, 10},
-		{"zero-dead", 5, 0},
-		{"equal", 5, 5},
-		{"inverted", 7, 3},
-	}
-	for _, tc := range bad {
-		if c, err := NewCoordinator(testConfig(),
-			WithSuspectAfter(tc.suspect), WithDeadAfter(tc.dead)); err == nil {
-			c.l.Close()
-			t.Errorf("%s: thresholds (%d, %d) accepted", tc.name, tc.suspect, tc.dead)
-		}
-	}
-	c, err := NewCoordinator(testConfig(), WithSuspectAfter(2), WithDeadAfter(3))
-	if err != nil {
-		t.Fatalf("valid thresholds rejected: %v", err)
-	}
-	c.l.Close()
-}

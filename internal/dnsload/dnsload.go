@@ -2,10 +2,11 @@
 // it fans a query stream out over a configurable number of concurrent
 // senders, optionally paced to a target aggregate query rate, and reports
 // latency quantiles, loss, and response-code counts built on
-// internal/stats. The authoritative-server throughput benchmarks and the
-// livedns example use it to measure what the concurrent serving engine
-// actually sustains — authoritative capacity under load being the first
-// layer of DDoS defense (Rizvi et al.).
+// internal/stats. The authoritative-server throughput benchmarks, the
+// degraded-mode sweep (internal/e2ebench) and the repo benchmark's
+// serve_clean workload use it to measure what the concurrent serving
+// engine actually sustains — authoritative capacity under load being the
+// first layer of DDoS defense (Rizvi et al.).
 package dnsload
 
 import (
@@ -140,25 +141,6 @@ func (r *Result) LossRate() float64 {
 // LatencyQuantile returns the q-quantile (0 ≤ q ≤ 1) of answer latency.
 func (r *Result) LatencyQuantile(q float64) time.Duration {
 	return time.Duration(stats.Quantile(r.latencies, q) * float64(time.Second))
-}
-
-// MeanLatency returns the mean answer latency.
-func (r *Result) MeanLatency() time.Duration {
-	return time.Duration(stats.Mean(r.latencies) * float64(time.Second))
-}
-
-// LatencyHistogram bins the latency samples into the given number of
-// equal-width bins spanning [0, max-sample].
-func (r *Result) LatencyHistogram(bins int) *stats.Histogram {
-	max := stats.Quantile(r.latencies, 1)
-	if max <= 0 {
-		max = 1e-9
-	}
-	h := stats.NewHistogram(0, max*1.0001, bins)
-	for _, l := range r.latencies {
-		h.Add(l)
-	}
-	return h
 }
 
 // Summary renders the run as a short human-readable report.

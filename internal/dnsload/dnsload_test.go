@@ -104,7 +104,9 @@ func TestRunPacedDuration(t *testing.T) {
 	}
 }
 
-func TestHistogramAndSummary(t *testing.T) {
+// TestSummary: the run's report names what was sent, the latency
+// quantiles and the response codes.
+func TestSummary(t *testing.T) {
 	addr := startServer(t)
 	res, err := Run(context.Background(), Config{
 		Addr:        addr,
@@ -115,17 +117,6 @@ func TestHistogramAndSummary(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	h := res.LatencyHistogram(10)
-	if h.N != res.Received {
-		t.Errorf("histogram holds %d samples, want %d", h.N, res.Received)
-	}
-	var binned int64
-	for _, c := range h.Counts {
-		binned += c
-	}
-	if binned+h.Under+h.Over != h.N {
-		t.Errorf("histogram bins lose samples: %d+%d+%d != %d", binned, h.Under, h.Over, h.N)
 	}
 	sum := res.Summary()
 	for _, want := range []string{"sent 40", "latency p50", "NOERROR"} {

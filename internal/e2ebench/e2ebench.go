@@ -36,8 +36,8 @@ import (
 	"dnsddos/internal/stats"
 )
 
-// Config describes one harness run; start from Default() and override
-// fields.
+// Config describes one harness run. Run takes every field as given, so
+// start from Default() and override fields.
 type Config struct {
 	// Seed drives every random choice the harness makes: world
 	// generation, fault injection, resolver rotation and backoff jitter.
@@ -59,8 +59,6 @@ type Config struct {
 	Queries int
 	// Concurrency is the dnsload sender fan-out.
 	Concurrency int
-	// TargetQPS paces the aggregate send rate; zero means unthrottled.
-	TargetQPS float64
 	// Timeout bounds one full client resolution (retries included).
 	Timeout time.Duration
 	// PerTryTimeout bounds one resolver attempt.
@@ -83,45 +81,6 @@ func Default() Config {
 		Timeout:       2 * time.Second,
 		PerTryTimeout: 150 * time.Millisecond,
 	}
-}
-
-// withDefaults fills unset fields from Default().
-func (c Config) withDefaults() Config {
-	d := Default()
-	if c.Seed == 0 {
-		c.Seed = d.Seed
-	}
-	if c.Domains <= 0 {
-		c.Domains = d.Domains
-	}
-	if c.Names <= 0 {
-		c.Names = d.Names
-	}
-	if c.Names > c.Domains {
-		c.Names = c.Domains
-	}
-	if c.Servers <= 0 {
-		c.Servers = d.Servers
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = d.Rounds
-	}
-	if c.Warmup < 0 {
-		c.Warmup = 0
-	}
-	if c.Queries <= 0 {
-		c.Queries = d.Queries
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = d.Concurrency
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = d.Timeout
-	}
-	if c.PerTryTimeout <= 0 {
-		c.PerTryTimeout = d.PerTryTimeout
-	}
-	return c
 }
 
 // modeSpec is one benchmark mode: a server-fleet shape plus the fault
@@ -215,7 +174,6 @@ func attackRound(r, total int) bool {
 // run sequentially — each boots its own fleet, so one mode's backlog
 // can never bleed into the next.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
 	modeNames := cfg.Modes
 	if len(modeNames) == 0 {
 		modeNames = ModeNames()

@@ -149,7 +149,6 @@ func runModeLive(ctx context.Context, cfg Config, spec modeSpec, names []string,
 			Names:       names,
 			Client:      client,
 			Concurrency: cfg.Concurrency,
-			TargetQPS:   cfg.TargetQPS,
 			Queries:     cfg.Queries,
 			Timeout:     cfg.Timeout,
 			Metrics:     reg,

@@ -201,58 +201,25 @@ func (r *Registry) Histogram(name string, opts ...Option) *Histogram {
 }
 
 // Merge folds src's metrics into r: counters and histogram buckets add,
-// gauges take src's value. Metric kinds must agree between the two
-// registries (same names bound to same kinds), as they do when both
-// sides created their metrics through the same instrumented code path —
-// the study pipeline merges per-day-shard registries this way, keeping
-// quarantined shards (whose partial observations are discarded with
-// their private registry) out of the totals.
+// gauges take src's value, and a metric new to r keeps src's volatility.
+// Metric kinds must agree between the two registries (same names bound
+// to same kinds), as they do when both sides created their metrics
+// through the same instrumented code path. src is copied under its own
+// lock and folded in under r's, so the two locks never nest.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {
 		return
 	}
-	// snapshot src under its own lock, then fold in under ours, so the
-	// two locks never nest.
 	src.mu.Lock()
-	counters := make(map[string]int64, len(src.counters))
-	for name, c := range src.counters {
-		counters[name] = c.Load()
-	}
-	gauges := make(map[string]int64, len(src.gauges))
-	for name, g := range src.gauges {
-		gauges[name] = g.Load()
-	}
-	hists := make(map[string]histState, len(src.hists))
-	for name, h := range src.hists {
-		hists[name] = h.state()
-	}
-	meta := make(map[string]metricMeta, len(src.meta))
-	for name, m := range src.meta {
-		meta[name] = m
-	}
+	stable, volatile := src.snapshotLocked(keepStable), src.snapshotLocked(keepVolatile)
 	src.mu.Unlock()
-
-	opts := func(name string) []Option {
-		if meta[name].volatile {
-			return []Option{Volatile()}
-		}
-		return nil
-	}
-	for name, v := range counters {
-		r.Counter(name, opts(name)...).Add(v)
-	}
-	for name, v := range gauges {
-		r.Gauge(name, opts(name)...).Set(v)
-	}
-	for name, st := range hists {
-		r.Histogram(name, opts(name)...).merge(st)
-	}
+	r.ImportSnapshot(stable)
+	r.ImportSnapshot(volatile, Volatile())
 }
 
-// ImportSnapshot folds a serialized Snapshot into r the way Merge folds
-// a live registry: counters and histogram buckets add, gauges take the
-// snapshot's value. It is the cross-process half of the study pipeline's
-// exactly-once metric merge — a distributed worker ships each completed
+// ImportSnapshot folds a serialized Snapshot into r: counters and
+// histogram buckets add, gauges take the snapshot's value. It is the
+// cross-process half of the study pipeline's exactly-once metric merge — a distributed worker ships each completed
 // day-shard's registry to the coordinator as a Snapshot (gob/JSON travels
 // where a *Registry cannot), and the coordinator folds it in once when it
 // accepts the shard. Metrics created by the import are registered with
@@ -286,13 +253,28 @@ type Snapshot struct {
 // Snapshot copies every metric. It is consistent per metric (each value
 // is an atomic load) but not across metrics; quiesce writers first when
 // exact cross-metric invariants matter.
-func (r *Registry) Snapshot() Snapshot { return r.snapshot(true) }
+func (r *Registry) Snapshot() Snapshot { return r.snapshot(keepAll) }
 
 // StableSnapshot copies every metric not registered as Volatile — the
 // deterministic subset embedded in seeded-run outputs.
-func (r *Registry) StableSnapshot() Snapshot { return r.snapshot(false) }
+func (r *Registry) StableSnapshot() Snapshot { return r.snapshot(keepStable) }
 
-func (r *Registry) snapshot(includeVolatile bool) Snapshot {
+// The volatility filters a snapshot is taken through.
+func keepAll(bool) bool               { return true }
+func keepStable(volatile bool) bool   { return !volatile }
+func keepVolatile(volatile bool) bool { return volatile }
+
+// snapshot copies the metrics whose volatility keep accepts.
+func (r *Registry) snapshot(keep func(volatile bool) bool) Snapshot {
+	if r != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
+	return r.snapshotLocked(keep)
+}
+
+// snapshotLocked is snapshot with r.mu held (a nil r copies nothing).
+func (r *Registry) snapshotLocked(keep func(volatile bool) bool) Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]int64{},
@@ -301,20 +283,18 @@ func (r *Registry) snapshot(includeVolatile bool) Snapshot {
 	if r == nil {
 		return s
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for name, c := range r.counters {
-		if includeVolatile || !r.meta[name].volatile {
+		if keep(r.meta[name].volatile) {
 			s.Counters[name] = c.Load()
 		}
 	}
 	for name, g := range r.gauges {
-		if includeVolatile || !r.meta[name].volatile {
+		if keep(r.meta[name].volatile) {
 			s.Gauges[name] = g.Load()
 		}
 	}
 	for name, h := range r.hists {
-		if includeVolatile || !r.meta[name].volatile {
+		if keep(r.meta[name].volatile) {
 			s.Histograms[name] = h.Snapshot()
 		}
 	}

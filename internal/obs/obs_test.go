@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -210,6 +212,100 @@ func TestMerge(t *testing.T) {
 	h := a.Histogram("h").Snapshot()
 	if h.Count != 2 || h.MaxNS != int64(2*time.Millisecond) {
 		t.Errorf("merged histogram count=%d max=%d", h.Count, h.MaxNS)
+	}
+}
+
+// mergeReference is Merge's former body, the oracle the
+// ImportSnapshot-based Merge is held to: copy src metric by metric under
+// its lock, then fold each into r with src's volatility.
+func mergeReference(r, src *Registry) {
+	src.mu.Lock()
+	counters := make(map[string]int64, len(src.counters))
+	for name, c := range src.counters {
+		counters[name] = c.Load()
+	}
+	gauges := make(map[string]int64, len(src.gauges))
+	for name, g := range src.gauges {
+		gauges[name] = g.Load()
+	}
+	hists := make(map[string]histState, len(src.hists))
+	for name, h := range src.hists {
+		hists[name] = h.state()
+	}
+	meta := make(map[string]metricMeta, len(src.meta))
+	for name, m := range src.meta {
+		meta[name] = m
+	}
+	src.mu.Unlock()
+
+	opts := func(name string) []Option {
+		if meta[name].volatile {
+			return []Option{Volatile()}
+		}
+		return nil
+	}
+	for name, v := range counters {
+		r.Counter(name, opts(name)...).Add(v)
+	}
+	for name, v := range gauges {
+		r.Gauge(name, opts(name)...).Set(v)
+	}
+	for name, st := range hists {
+		r.Histogram(name, opts(name)...).merge(st)
+	}
+}
+
+// randomRegistry fills a registry from rng: counters, gauges and
+// histograms under a few shared names, each stable or volatile at random,
+// histograms observed from sub-microsecond to past the overflow bound (and
+// some registered but never observed).
+func randomRegistry(rng *rand.Rand) *Registry {
+	r := New()
+	for i := rng.IntN(16); i > 0; i-- {
+		name := fmt.Sprint(rng.IntN(6))
+		var opts []Option
+		if rng.IntN(2) == 0 {
+			opts = append(opts, Volatile())
+		}
+		switch rng.IntN(3) {
+		case 0:
+			r.Counter("c"+name, opts...).Add(rng.Int64N(1000))
+		case 1:
+			r.Gauge("g"+name, opts...).Set(rng.Int64N(1000) - 500)
+		default:
+			h := r.Histogram("h"+name, opts...)
+			for n := rng.IntN(6); n > 0; n-- {
+				d := time.Duration(1) << rng.IntN(38) // up to ≈ 137 s
+				h.Observe(d + time.Duration(rng.Int64N(int64(d))))
+			}
+		}
+	}
+	return r
+}
+
+// TestMergeMatchesReference: on random registries, Merge leaves the
+// destination with the same full and stable snapshots as mergeReference.
+func TestMergeMatchesReference(t *testing.T) {
+	overflow := false
+	for seed := uint64(0); seed < 300; seed++ {
+		build := func(salt uint64) *Registry { return randomRegistry(rand.New(rand.NewPCG(seed, salt))) }
+		got, want, src := build(1), build(1), build(2)
+		got.Merge(src)
+		mergeReference(want, src)
+		if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("seed %d: Snapshot after Merge\n%+v\nwant\n%+v", seed, g, w)
+		}
+		if g, w := got.StableSnapshot(), want.StableSnapshot(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("seed %d: StableSnapshot after Merge\n%+v\nwant\n%+v", seed, g, w)
+		}
+		for _, h := range got.Snapshot().Histograms {
+			for _, b := range h.Buckets {
+				overflow = overflow || b.LeUS < 0
+			}
+		}
+	}
+	if !overflow {
+		t.Error("no merged histogram reached the overflow bucket: the test does not cover it")
 	}
 }
 

@@ -11,6 +11,7 @@ package openintel
 
 import (
 	"context"
+	"errors"
 	"math/rand/v2"
 	"time"
 
@@ -103,9 +104,15 @@ func (e *Engine) MeasureAt(rng *rand.Rand, d dnsdb.DomainID, t time.Time) Record
 // cancellation checks; a power of two so the check is a mask.
 const ctxCheckStride = 1024
 
+// errForeignTable refuses a sweep into an aggregator whose NSSet IDs are
+// not the engine's.
+var errForeignTable = errors.New("openintel: the aggregator is not over the engine's NSSet table")
+
 // RunDayContext sweeps every domain once on the given day. Results are
-// folded into agg (if non-nil; by ID when agg is over the engine's table,
-// by key otherwise) and passed to each (if non-nil). Within a
+// added by NSSet ID to agg (if non-nil), which must be an aggregator over
+// the engine's NSSet table (NSSetTable) — one over another table is
+// refused with an error before anything is measured — and passed to each
+// (if non-nil). Within a
 // day, domains are visited in slot order, mirroring a platform that works
 // through its measurement list over the day. The sweep checks ctx every
 // ctxCheckStride domains and returns ctx.Err() when the run is cancelled,
@@ -113,9 +120,11 @@ const ctxCheckStride = 1024
 // checkpointed study pipeline) discard the partial aggregator and re-run
 // the day on resume.
 func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Aggregator, each func(Record)) error {
+	if agg != nil && agg.Interner() != e.table {
+		return errForeignTable
+	}
 	rng := rand.New(rand.NewPCG(e.seed, uint64(day)+1))
 	base := day.Start()
-	byID := agg != nil && agg.Interner() == e.table
 	for i, d := range e.order {
 		if i&(ctxCheckStride-1) == 0 {
 			select {
@@ -126,11 +135,8 @@ func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Ag
 		}
 		t := base.Add(time.Duration(e.slot[d]) * time.Second)
 		rec := e.MeasureAt(rng, d, t)
-		switch {
-		case byID:
+		if agg != nil {
 			agg.AddID(e.ids[d], rec.Time, rec.Status, rec.RTT)
-		case agg != nil:
-			agg.Add(rec.NSSet, rec.Time, rec.Status, rec.RTT)
 		}
 		if each != nil {
 			each(rec)

@@ -116,7 +116,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestAggregatorIntegration(t *testing.T) {
 	db, res := testWorld(t, 50)
 	e := NewEngine(db, res, 4)
-	agg := nsset.NewAggregator()
+	agg := nsset.NewAggregatorOver(e.NSSetTable())
 	for day := clock.Day(0); day <= 1; day++ {
 		if err := e.RunDayContext(context.Background(), day, agg, nil); err != nil {
 			t.Fatal(err)
@@ -251,20 +251,37 @@ func TestSweepDayAllocsPerRecord(t *testing.T) {
 }
 
 // TestSweepByIDMatchesByKey: a sweep into an aggregator over the engine's
-// table (records added by ID) and one into an aggregator with a table of
-// its own (by key) measure the same day.
+// table (records added by ID) measures the day that adding every record
+// by key into an aggregator with a table of its own does — the by-key
+// oracle fed through each.
 func TestSweepByIDMatchesByKey(t *testing.T) {
 	e, filter, day := sweepFixture(t, 2000)
 	byID, byKey := nsset.NewAggregatorOver(e.NSSetTable()), nsset.NewAggregator()
-	for _, agg := range []*nsset.Aggregator{byID, byKey} {
-		agg.SetWindowFilter(filter)
-		if err := e.RunDayContext(context.Background(), day, agg, nil); err != nil {
-			t.Fatal(err)
-		}
+	byID.SetWindowFilter(filter)
+	byKey.SetWindowFilter(filter)
+	addByKey := func(r Record) { byKey.Add(r.NSSet, r.Time, r.Status, r.RTT) }
+	if err := e.RunDayContext(context.Background(), day, byID, addByKey); err != nil {
+		t.Fatal(err)
 	}
 	if got, want := byID.Snapshot(), byKey.Snapshot(); len(want.Windows) == 0 || !reflect.DeepEqual(got, want) {
 		t.Errorf("by-ID sweep holds %d windows / %d baselines, by-key sweep %d / %d, or their values differ",
 			len(got.Windows), len(got.Baselines), len(want.Windows), len(want.Baselines))
+	}
+}
+
+// TestSweepRefusesForeignTable: a sweep into an aggregator over another
+// NSSet table is refused before anything is measured.
+func TestSweepRefusesForeignTable(t *testing.T) {
+	db, res := testWorld(t, 50)
+	e := NewEngine(db, res, 4)
+	agg := nsset.NewAggregator()
+	measured := 0
+	err := e.RunDayContext(context.Background(), 0, agg, func(Record) { measured++ })
+	if !errors.Is(err, errForeignTable) {
+		t.Fatalf("sweep into a foreign-table aggregator returned %v, want errForeignTable", err)
+	}
+	if measured != 0 || len(agg.Keys()) != 0 {
+		t.Errorf("the refused sweep measured %d records into %d rows", measured, len(agg.Keys()))
 	}
 }
 

@@ -87,29 +87,6 @@ func Disagreements(campaigns []VantageCampaign) []VantageDisagreement {
 	return out
 }
 
-// WorstCaseAvailability folds the campaigns into the union view the paper's
-// future-work section argues for: a domain counts as impaired in a window
-// if ANY vantage saw it impaired, so catchment can no longer hide the
-// attack.
-func WorstCaseAvailability(campaigns []VantageCampaign) []WindowAvailability {
-	merged := map[clock.Window]*WindowAvailability{}
-	for _, vc := range campaigns {
-		for _, wa := range vc.Campaign.Availability() {
-			m := merged[wa.Window]
-			if m == nil || wa.Rate() < m.Rate() {
-				cp := wa
-				merged[wa.Window] = &cp
-			}
-		}
-	}
-	out := make([]WindowAvailability, 0, len(merged))
-	for _, m := range merged {
-		out = append(out, *m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Window < out[j].Window })
-	return out
-}
-
 // StandardVantages returns a plausible probe deployment: the original NL
 // vantage plus US east/west and an APAC site.
 func StandardVantages() []simnet.Vantage {

@@ -87,17 +87,6 @@ func TestDisagreementsRevealCatchment(t *testing.T) {
 	if maxSpread < 0.3 {
 		t.Errorf("max availability spread across vantages = %.2f; catchment should split views", maxSpread)
 	}
-	// the worst-case union view is at most the per-vantage minimum
-	worst := WorstCaseAvailability(campaigns)
-	byWindow := map[clock.Window]float64{}
-	for _, d := range dis {
-		byWindow[d.Window] = d.Min
-	}
-	for _, wa := range worst {
-		if want, ok := byWindow[wa.Window]; ok && wa.Rate() > want+1e-9 {
-			t.Errorf("window %v worst-case %.2f above per-vantage min %.2f", wa.Window, wa.Rate(), want)
-		}
-	}
 }
 
 func TestDefaultVantageFallback(t *testing.T) {

@@ -11,8 +11,9 @@ import "time"
 // refusal counts.
 
 // TokenBucket is a deterministic token bucket: rate tokens per second of
-// caller time, holding at most one second's worth. Not safe for
-// concurrent use; the single-threaded stream pipeline owns one.
+// caller time, holding at most burst of them. Not safe for concurrent
+// use: the single-threaded stream pipeline owns one, and the
+// authoritative server's RRL keeps one per source prefix under its lock.
 type TokenBucket struct {
 	rate    float64 // tokens per second of caller time
 	burst   float64
@@ -21,13 +22,12 @@ type TokenBucket struct {
 	started bool
 }
 
-// NewTokenBucket builds a bucket admitting rate items per second of
-// caller time, with one second of burst headroom. A rate <= 0 disables
+// NewTokenBucket builds a full bucket admitting rate items per second of
+// caller time, at most burst of them back to back. A rate <= 0 disables
 // limiting (Allow always succeeds). The burst is floored at one token — a
 // bucket that can never hold a whole token would deny everything forever,
 // which is a misconfiguration, not a rate limit.
-func NewTokenBucket(rate float64) *TokenBucket {
-	burst := rate
+func NewTokenBucket(rate, burst float64) *TokenBucket {
 	if rate > 0 && burst < 1 {
 		burst = 1
 	}
@@ -58,3 +58,7 @@ func (b *TokenBucket) Allow(now time.Time) bool {
 	b.tokens--
 	return true
 }
+
+// Last returns the newest timestamp the bucket has judged (the zero time
+// before the first Allow).
+func (b *TokenBucket) Last() time.Time { return b.last }

@@ -15,7 +15,7 @@ func TestTokenBucketAdmitsAtRate(t *testing.T) {
 	// 4 tokens/sec of caller time, so a burst of 4: the first 4 items at
 	// t0 pass, the 5th is denied; a quarter second later one token has
 	// dripped back.
-	b := NewTokenBucket(4)
+	b := NewTokenBucket(4, 4)
 	t0 := time.Unix(1000, 0)
 	denied := 0
 	allow := func(ts time.Time) bool {
@@ -57,7 +57,7 @@ func TestTokenBucketAdmitsAtRate(t *testing.T) {
 func TestTokenBucketBurstFloor(t *testing.T) {
 	// half a token per second: the burst is floored at one token, so the
 	// first item passes and the next is admitted two seconds later
-	b := NewTokenBucket(0.5)
+	b := NewTokenBucket(0.5, 0.5)
 	t0 := time.Unix(1000, 0)
 	if !b.Allow(t0) {
 		t.Fatal("first item denied: the burst floor of one token is gone")
@@ -67,6 +67,39 @@ func TestTokenBucketBurstFloor(t *testing.T) {
 	}
 	if !b.Allow(t0.Add(2 * time.Second)) {
 		t.Fatal("item after a whole token's refill should pass")
+	}
+}
+
+// TestTokenBucketBurstApartFromRate: the depth and the refill are two
+// numbers. Two tokens a second with a burst of five admits five back to
+// back, refills two a second, and an idle spell refills to five, not two.
+func TestTokenBucketBurstApartFromRate(t *testing.T) {
+	b := NewTokenBucket(2, 5)
+	t0 := time.Unix(1000, 0)
+	admitted := func(ts time.Time, n int) int {
+		ok := 0
+		for i := 0; i < n; i++ {
+			if b.Allow(ts) {
+				ok++
+			}
+		}
+		return ok
+	}
+	if got := admitted(t0, 8); got != 5 {
+		t.Fatalf("a full bucket admitted %d of 8 at once, want the burst of 5", got)
+	}
+	if got := admitted(t0.Add(time.Second), 8); got != 2 {
+		t.Fatalf("one second after draining admitted %d, want the rate of 2", got)
+	}
+	if got := admitted(t0.Add(time.Hour), 8); got != 5 {
+		t.Fatalf("an hour idle admitted %d, want the burst of 5", got)
+	}
+	if last := b.Last(); !last.Equal(t0.Add(time.Hour)) {
+		t.Fatalf("Last = %v, want the newest stamp %v", last, t0.Add(time.Hour))
+	}
+	// a burst below one token is floored, whatever the rate
+	if !NewTokenBucket(10, 0).Allow(t0) {
+		t.Fatal("a zero burst denied the first item: the floor of one token is gone")
 	}
 }
 
@@ -80,7 +113,7 @@ func TestTokenBucketDeterministic(t *testing.T) {
 		stamps = append(stamps, ts)
 	}
 	run := func() []bool {
-		b := NewTokenBucket(5)
+		b := NewTokenBucket(5, 5)
 		out := make([]bool, len(stamps))
 		for i, s := range stamps {
 			out[i] = b.Allow(s)
@@ -100,7 +133,7 @@ func TestTokenBucketDisabledAndNil(t *testing.T) {
 	if !nilB.Allow(time.Now()) {
 		t.Fatal("nil bucket must always allow")
 	}
-	b := NewTokenBucket(0)
+	b := NewTokenBucket(0, 0)
 	for i := 0; i < 100; i++ {
 		if !b.Allow(time.Unix(0, 0)) {
 			t.Fatal("rate<=0 bucket must always allow")
@@ -109,7 +142,7 @@ func TestTokenBucketDisabledAndNil(t *testing.T) {
 }
 
 func TestTokenBucketOutOfOrderTimestamps(t *testing.T) {
-	b := NewTokenBucket(1)
+	b := NewTokenBucket(1, 1)
 	t0 := time.Unix(100, 0)
 	if !b.Allow(t0) {
 		t.Fatal("first item should pass")

@@ -15,8 +15,8 @@ import (
 // (rotation, backoff, TC→TCP fallback) collapsed onto a single address.
 //
 // Callers that only need "ask addr this question" — the dnsload
-// generator, the livedns example, the UDP client's truncation fallback —
-// take a Client and stay transport-agnostic.
+// generator, the UDP client's truncation fallback — take a Client and
+// stay transport-agnostic.
 type Client interface {
 	// Query sends one question to the server at addr ("host:port") and
 	// returns the decoded response and the measured round-trip time.

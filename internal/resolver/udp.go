@@ -14,8 +14,8 @@ import (
 )
 
 // UDPClient issues real DNS queries over UDP sockets, used by the live
-// integration path (internal/authserver) and the livedns example. It
-// retries nothing by itself; callers own retry policy. Every query gets
+// integration path (internal/authserver) and the degraded-mode sweep
+// (internal/e2ebench). It retries nothing by itself; callers own retry policy. Every query gets
 // its own socket, and with it its own source port (RFC 5452 §9.2); its
 // datagram buffer comes from a pool shared by all clients, and the
 // message it returns is freshly decoded and the caller's to keep.

@@ -16,8 +16,9 @@ import (
 // observations at flow level: the exact thinning of the backscatter process
 // (Binomial/Poisson sampling of victim responses into the darknet),
 // without materializing individual packets. Packet-level fidelity for the
-// same process lives in attacksim.Flood + backscatter + telescope.Capture
-// and is cross-validated against this path by tests.
+// same process lives in attacksim.Flood + backscatter + the telescope's
+// darknet filter (Contains), and rsdos's TestPacketPathMatchesFlowPath
+// holds the two paths to the same per-window statistics.
 
 // SynthConfig tunes the synthesizer.
 type SynthConfig struct {

@@ -102,7 +102,7 @@ func TestFileSinkKillResume(t *testing.T) {
 	}
 
 	resumed := open("killed.csv")
-	if err := stream(resumed, resumed, WithJournal(dir), WithResume()); err != nil {
+	if err := stream(resumed, resumed, WithJournal(dir)); err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
 	if err := resumed.Close(); err != nil {

@@ -93,11 +93,7 @@ func TestOverloadSoakHelper(t *testing.T) {
 	defer f.Close()
 	sink := &soakSink{f: f, delay: 2 * time.Millisecond}
 
-	opts := []Option{WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(jd)}
-	if resume {
-		opts = append(opts, WithResume())
-	}
-	p, err := New(s.Telescope, s.Pipeline, sink, opts...)
+	p, err := New(s.Telescope, s.Pipeline, sink, WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(jd))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,6 @@ type Pipeline struct {
 	tr   *rsdos.Tracker
 
 	journal *checkpoint.Dir
-	resume  bool
 	// suppress is true while a resumed run replays input the sink already
 	// holds; resumed is the journaled frontier being replayed up to.
 	suppress bool
@@ -132,7 +131,7 @@ type Overload struct {
 
 // WithOverload installs the admission gate.
 func WithOverload(o Overload) Option {
-	return func(p *Pipeline) { p.bucket = resilience.NewTokenBucket(o.AdmitRate) }
+	return func(p *Pipeline) { p.bucket = resilience.NewTokenBucket(o.AdmitRate, o.AdmitRate) }
 }
 
 // OverloadStats are the stream's lifetime refusal counters, both
@@ -162,17 +161,14 @@ func WithRSDoS(cfg rsdos.Config) Option {
 }
 
 // WithJournal persists the emission frontier to dir after every accepted
-// batch, enabling exactly-once emission across restarts.
+// batch, enabling exactly-once emission across restarts. A journal that
+// holds a cursor is resumed: emission is suppressed until the stream
+// passes the journaled frontier, so a batch already in the sink is never
+// delivered again. Whether to resume is decided when dir is opened
+// (study.OpenJournal): a freshly created journal has no cursor, and the
+// stream emits from its first batch.
 func WithJournal(dir *checkpoint.Dir) Option {
 	return func(p *Pipeline) { p.journal = dir }
-}
-
-// WithResume replays against the journal's cursor: emission is
-// suppressed until the stream passes the journaled frontier, so a batch
-// already in the sink is never delivered again. Requires WithJournal; a
-// journal without a cursor (fresh run) starts emitting immediately.
-func WithResume() Option {
-	return func(p *Pipeline) { p.resume = true }
 }
 
 // WithMetrics publishes stream instrumentation — lag, backlog, late
@@ -205,10 +201,7 @@ func New(tel *telescope.Telescope, join *core.Pipeline, sink Sink, opts ...Optio
 	if p.m.reg == nil {
 		p.m = newStreamMetrics(obs.New())
 	}
-	if p.resume {
-		if p.journal == nil {
-			return nil, fmt.Errorf("stream: WithResume requires WithJournal")
-		}
+	if p.journal != nil {
 		c, ok, err := p.journal.LoadCursor()
 		if err != nil {
 			return nil, err
@@ -224,7 +217,7 @@ func New(tel *telescope.Telescope, join *core.Pipeline, sink Sink, opts ...Optio
 // to, when resuming (false for fresh runs). File sinks truncate to
 // Cursor.SinkBytes before the first Offer.
 func (p *Pipeline) Resumed() (checkpoint.Cursor, bool) {
-	return p.resumed, p.resume && p.suppress
+	return p.resumed, p.suppress
 }
 
 // Offer feeds one captured packet. The boolean reports whether the
@@ -421,7 +414,6 @@ func (p *Pipeline) publishGauges() {
 	p.m.backlog.Set(int64(p.win.Backlog()))
 	p.m.lag.Set(p.LagWindows())
 	p.m.candidates.Set(int64(p.tr.Open()))
-	p.m.lateDropsG.Set(p.win.LateDrops())
 }
 
 // countWindows counts distinct windows in a (window, victim)-ordered
@@ -453,7 +445,6 @@ type streamMetrics struct {
 	backlog          *obs.Gauge
 	lag              *obs.Gauge
 	candidates       *obs.Gauge
-	lateDropsG       *obs.Gauge
 	joinLatency      *obs.Histogram
 }
 
@@ -475,7 +466,6 @@ func newStreamMetrics(reg *obs.Registry) streamMetrics {
 		backlog:          reg.Gauge("stream.backlog_windows", obs.Volatile()),
 		lag:              reg.Gauge("stream.lag_windows", obs.Volatile()),
 		candidates:       reg.Gauge("stream.open_candidates", obs.Volatile()),
-		lateDropsG:       reg.Gauge("stream.late_drops_total", obs.Volatile()),
 		joinLatency:      reg.Histogram("stream.join_latency", obs.Volatile()),
 	}
 }

@@ -301,7 +301,7 @@ func TestStreamKillResume(t *testing.T) {
 			}
 
 			resumed := &memSink{bytes: cur.SinkBytes} // sink repositioned at the journaled offset
-			p2, err := New(s.Telescope, s.Pipeline, resumed, opts(WithJournal(dir), WithResume())...)
+			p2, err := New(s.Telescope, s.Pipeline, resumed, opts(WithJournal(dir))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -399,7 +399,7 @@ func TestCursorSyncBoundaryCrash(t *testing.T) {
 	crash.bytes = cur.SinkBytes
 	resumed := &memSink{bytes: cur.SinkBytes}
 	p2, err := New(s.Telescope, s.Pipeline, resumed,
-		WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir), WithResume())
+		WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestStreamResumeDivergenceDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2, err := New(s.Telescope, s.Pipeline, &memSink{},
-		WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir), WithResume())
+		WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

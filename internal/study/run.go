@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dnsddos/internal/clock"
+	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
@@ -217,16 +218,29 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 			return nil, err
 		}
 	}
-	s.Pipeline = sess.NewPipeline(days, ledger.Quarantined(), reg)
-	if !opts.skipJoin {
-		s.Classified = s.Pipeline.Classify(s.Attacks)
-		if s.Events, err = s.Pipeline.EventsContext(ctx, s.Attacks); err != nil {
-			return nil, err
-		}
+	if err := s.Finish(ctx, days, ledger, opts.skipJoin); err != nil {
+		return nil, err
 	}
 	stage("join", t0)
-	s.Report = ledger.Report()
 	return s, nil
+}
+
+// Finish ends a run whose ledger has settled: it builds the pipeline over
+// the sealed days with the ledger's quarantine, runs the batch classify
+// and join unless skipJoin, and takes the ledger's report. RunContext and
+// the fleet coordinator (internal/distjoin) both end their runs here, so
+// the two emit the same bytes from the same sealed days.
+func (s *Study) Finish(ctx context.Context, days core.DayStore, ledger *Ledger, skipJoin bool) error {
+	s.Pipeline = s.session.NewPipeline(days, ledger.Quarantined(), s.Metrics)
+	if !skipJoin {
+		s.Classified = s.Pipeline.Classify(s.Attacks)
+		var err error
+		if s.Events, err = s.Pipeline.EventsContext(ctx, s.Attacks); err != nil {
+			return err
+		}
+	}
+	s.Report = ledger.Report()
+	return nil
 }
 
 // stageTimer returns a closure recording wall-clock stage durations as

@@ -301,10 +301,9 @@ func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *n
 // NewPipeline builds the core join pipeline over the measured days with
 // the session's standard wiring (pipeline config, census, topology, open
 // resolvers, the engine's per-domain NSSet keys) plus any extra engine
-// options, and applies the quarantined-day fallback set. RunContext and
-// the fleet coordinator (internal/distjoin) both build their pipeline
-// here, over sealed days, which is what pins their emission bytes to each
-// other.
+// options, and applies the quarantined-day fallback set. Every run mode
+// builds its pipeline here, over sealed days (Study.Finish), which is
+// what pins their emission bytes to each other.
 func (sess *Session) NewPipeline(days core.DayStore, quarantined []clock.Day, reg *obs.Registry, extra ...core.Option) *core.Pipeline {
 	pipeOpts := []core.Option{
 		core.WithConfig(sess.Config.Pipeline),

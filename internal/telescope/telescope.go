@@ -12,11 +12,8 @@ package telescope
 import (
 	"math"
 	"math/rand/v2"
-	"time"
 
 	"dnsddos/internal/netx"
-	"dnsddos/internal/packet"
-	"dnsddos/internal/stats"
 )
 
 // Telescope is a darknet address space.
@@ -113,44 +110,6 @@ func (t *Telescope) Slash16Index(dst netx.Addr) int {
 		return i
 	}
 	return -1
-}
-
-// Capture is a telescope packet sink: packets destined inside the darknet
-// are counted and handed to the observer.
-type Capture struct {
-	t        *Telescope
-	observer func(ts time.Time, p packet.Packet)
-	captured int64
-}
-
-// NewCapture builds a capture. observer may be nil.
-func NewCapture(t *Telescope, observer func(ts time.Time, p packet.Packet)) *Capture {
-	return &Capture{t: t, observer: observer}
-}
-
-// Offer presents a packet to the telescope; packets outside the darknet are
-// ignored (they would have been routed elsewhere). It returns whether the
-// packet was captured.
-func (c *Capture) Offer(ts time.Time, p packet.Packet) bool {
-	if !c.t.Contains(p.IP.Dst) {
-		return false
-	}
-	c.captured++
-	if c.observer != nil {
-		c.observer(ts, p)
-	}
-	return true
-}
-
-// Captured returns the number of captured packets.
-func (c *Capture) Captured() int64 { return c.captured }
-
-// ThinSample draws how many of n victim responses land in the telescope
-// (Binomial(n, fraction)) — the exact thinning of a uniformly spoofed
-// process, used by the flow-level longitudinal generator instead of
-// materializing every packet.
-func (t *Telescope) ThinSample(rng *rand.Rand, n int64) int64 {
-	return stats.Binomial(rng, n, t.Fraction())
 }
 
 // ExpectedSlash16Spread returns the expected number of distinct telescope

@@ -4,10 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"time"
 
 	"dnsddos/internal/netx"
-	"dnsddos/internal/packet"
 )
 
 func TestUCSDFootprint(t *testing.T) {
@@ -51,41 +49,6 @@ func TestSlash16Index(t *testing.T) {
 	}
 	if tel.Slash16Index(netx.MustParseAddr("8.8.8.8")) != -1 {
 		t.Error("outside darknet should be -1")
-	}
-}
-
-func TestCaptureFilters(t *testing.T) {
-	tel := NewUCSD()
-	var seen int
-	cap := NewCapture(tel, func(time.Time, packet.Packet) { seen++ })
-	in := packet.Packet{IP: packet.IPv4Header{Protocol: packet.ProtoTCP, Src: 1, Dst: netx.MustParseAddr("44.1.1.1")},
-		TCP: &packet.TCPHeader{Flags: packet.FlagRST}}
-	out := packet.Packet{IP: packet.IPv4Header{Protocol: packet.ProtoTCP, Src: 1, Dst: netx.MustParseAddr("9.9.9.9")},
-		TCP: &packet.TCPHeader{Flags: packet.FlagRST}}
-	if !cap.Offer(time.Now(), in) {
-		t.Error("darknet-destined packet should be captured")
-	}
-	if cap.Offer(time.Now(), out) {
-		t.Error("outside packet should be ignored")
-	}
-	if cap.Captured() != 1 || seen != 1 {
-		t.Errorf("captured=%d seen=%d", cap.Captured(), seen)
-	}
-}
-
-func TestThinSampleMatchesFraction(t *testing.T) {
-	tel := NewUCSD()
-	rng := rand.New(rand.NewPCG(2, 2))
-	const n = int64(1_000_000)
-	var total int64
-	const trials = 50
-	for i := 0; i < trials; i++ {
-		total += tel.ThinSample(rng, n)
-	}
-	mean := float64(total) / trials
-	want := float64(n) * tel.Fraction()
-	if math.Abs(mean-want) > 0.05*want {
-		t.Errorf("thin sample mean = %.0f, want ≈%.0f", mean, want)
 	}
 }
 
