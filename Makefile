@@ -96,17 +96,18 @@ soak:
 # the pool's mutex while other shards fill their tables), the merged-run
 # oracle, the columnar parity/resume runs, where each worker seals from its
 # day table and takes an emptied one from the pool's free list, the
-# watchdog run that must never put an abandoned table on that list, and
-# the session build, whose inference folds the feed on a helper goroutine
-# while synthesis still appends to it. The last leg is the degraded-mode
-# sweep: a live loopback fleet, the retrying resolver and dnsload under
-# the detector in every mode.
+# watchdog run that must never put an abandoned table on that list, the
+# session build, whose inference folds the feed on a helper goroutine
+# while synthesis still appends to it, and the full-retention oracle,
+# whose sweep workers all read the session's one retention demand. The
+# last leg is the degraded-mode sweep: a live loopback fleet, the
+# retrying resolver and dnsload under the detector in every mode.
 race-gate: soak
 	$(GO) vet ./... && $(GO) build ./... && \
 	$(GO) test -race ./internal/authserver/... ./internal/resolver/... ./internal/dnsload/... \
 		./internal/core/... ./internal/cache/... ./internal/resilience/... \
 		./internal/stream/... ./internal/distjoin/... ./internal/daystore/...
-	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume|TestAbandonedTableIsNotRecycled|TestSessionFeedMatchesInfer|TestFoldBehindPanicReachesCaller' -count 1
+	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume|TestAbandonedTableIsNotRecycled|TestSessionFeedMatchesInfer|TestFoldBehindPanicReachesCaller|TestRetentionMatchesFullOracle' -count 1
 	$(GO) test -race ./internal/e2ebench/ -count 1
 
 # Chaos gate: the fault-injection and graceful-degradation regression

@@ -107,7 +107,8 @@ func (z *Zone) apexOf(name string) string {
 
 // Answer builds the response message for one question. The message is
 // fresh and the caller's to keep; its sections are sized for the records
-// they get. The server itself answers into a worker's scratch (answerInto).
+// they get when each NS host has one glue address, as in FromDB's zones.
+// The server itself answers into a worker's scratch (answerInto).
 func (z *Zone) Answer(q dnswire.Question) *dnswire.Message {
 	resp := new(dnswire.Message)
 	z.answerInto(resp, q)
@@ -125,19 +126,21 @@ func (z *Zone) answerInto(resp *dnswire.Message, q dnswire.Question) {
 		resp.Header.RCode = dnswire.RCodeRefused
 		return
 	}
-	_, known := z.ns[name]
-	if !known {
-		_, known = z.a[name]
+	// each map is read once per name: the A records only when the query
+	// asks for them or the name has no delegation
+	hosts, known := z.ns[name]
+	var addrs []netx.Addr
+	if q.Type == dnswire.TypeA || !known {
+		var isA bool
+		addrs, isA = z.a[name]
+		known = known || isA
 	}
 	switch q.Type {
 	case dnswire.TypeNS:
-		hosts := z.ns[name]
-		glue := 0
-		for _, h := range hosts {
-			glue += len(z.a[h])
-		}
 		resp.Answers = slices.Grow(resp.Answers, len(hosts))
-		resp.Additional = slices.Grow(resp.Additional, glue)
+		// one glue record per host, as FromDB builds zones; a host with
+		// more grows the section as its records are appended
+		resp.Additional = slices.Grow(resp.Additional, len(hosts))
 		for _, h := range hosts {
 			resp.Answers = append(resp.Answers, dnswire.RR{
 				Name: name, Type: dnswire.TypeNS, Class: dnswire.ClassIN, TTL: z.ttl, NS: h,
@@ -149,7 +152,6 @@ func (z *Zone) answerInto(resp *dnswire.Message, q dnswire.Question) {
 			}
 		}
 	case dnswire.TypeA:
-		addrs := z.a[name]
 		resp.Answers = slices.Grow(resp.Answers, len(addrs))
 		for _, addr := range addrs {
 			resp.Answers = append(resp.Answers, dnswire.RR{

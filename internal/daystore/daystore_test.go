@@ -134,7 +134,7 @@ func TestObservationEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		agg := nsset.NewAggregator()
 		if seed == 6 {
-			agg.SetWindowFilter(func(w clock.Window) bool { return int64(w)%clock.WindowsPerDay < 6 })
+			agg.SetWindowFilter(func(_ nsset.ID, w clock.Window) bool { return int64(w)%clock.WindowsPerDay < 6 })
 		}
 		// days [0, last] but for one in the middle, which gets no file
 		last := clock.Day(4 + rng.Intn(4))

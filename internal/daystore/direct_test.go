@@ -32,9 +32,9 @@ func shardedDay(seed int64, day clock.Day) *nsset.Aggregator {
 	for _, i := range rng.Perm(len(keys)) {
 		keys[i], ids[i] = tab.Intern([]netx.Addr{netx.Addr(0xC0000200 + uint32(i)), netx.Addr(0xC6336400 + uint32(rng.Intn(64)))})
 	}
-	var filter func(clock.Window) bool
+	var filter func(nsset.ID, clock.Window) bool
 	if seed%2 == 1 {
-		filter = func(w clock.Window) bool { return int64(w)%7 < 3 }
+		filter = func(_ nsset.ID, w clock.Window) bool { return int64(w)%7 < 3 }
 	}
 	shards := make([]*nsset.Aggregator, 1+rng.Intn(4))
 	for i := range shards {

@@ -235,7 +235,6 @@ const (
 	StatusOK QueryStatus = iota
 	StatusTimeout
 	StatusServFail
-	StatusOtherError
 )
 
 // String renders the status.
@@ -297,9 +296,7 @@ func (m *WindowMetrics) addSample(status QueryStatus, rtt time.Duration) {
 		}
 	case StatusTimeout:
 		m.Timeouts++
-	case StatusServFail:
-		m.ServFails++
-	default:
+	default: // StatusServFail
 		m.ServFails++
 	}
 }
@@ -478,11 +475,13 @@ type Aggregator struct {
 	cur *dayTable
 	// spare is tables emptied by Reset, for the next new days.
 	spare []*dayTable
-	// filter, when set, limits per-window metric retention; day
-	// baselines are always kept. Long longitudinal runs set it to the
-	// attack windows (plus margins) to bound memory, matching how the
+	// filter, when set, limits per-window metric retention to the
+	// (NSSet, window) pairs it keeps, by the ID of the aggregator's
+	// Interner; day baselines are always kept. A study sets it to the
+	// join's demand — each attacked nameserver's NSSets over the attack
+	// span plus margins (study.Session.NewAggregator) — matching how the
 	// paper's Hadoop pipeline only materializes joined windows.
-	filter func(clock.Window) bool
+	filter func(ID, clock.Window) bool
 }
 
 // NewAggregator returns an empty aggregator over a table of its own.
@@ -496,9 +495,12 @@ func NewAggregatorOver(tab *Interner) *Aggregator { return &Aggregator{tab: tab}
 // Interner returns the table the aggregator's IDs come from.
 func (a *Aggregator) Interner() *Interner { return a.tab }
 
-// SetWindowFilter restricts which windows retain per-window metrics. Nil
-// (the default) keeps everything.
-func (a *Aggregator) SetWindowFilter(f func(clock.Window) bool) { a.filter = f }
+// SetWindowFilter restricts which windows retain per-window metrics: a
+// sample of the NSSet with the given ID of the aggregator's Interner in
+// window w keeps its window only if f(id, w). Nil (the default) keeps
+// everything. f is called from the adding goroutine, and aggregators of
+// parallel sweeps share one, so it must be safe for concurrent use.
+func (a *Aggregator) SetWindowFilter(f func(ID, clock.Window) bool) { a.filter = f }
 
 // findDay binary-searches the ascending day tables.
 func (a *Aggregator) findDay(d clock.Day) (int, bool) {
@@ -546,7 +548,7 @@ func (a *Aggregator) AddID(id ID, t time.Time, status QueryStatus, rtt time.Dura
 		tb = a.tableFor(d)
 	}
 	r := tb.row(id)
-	if w := clock.WindowOf(t); a.filter == nil || a.filter(w) {
+	if w := clock.WindowOf(t); a.filter == nil || a.filter(id, w) {
 		tb.windowFor(r, w).addSample(status, rtt)
 	}
 	r.base.Domains++

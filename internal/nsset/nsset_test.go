@@ -252,7 +252,7 @@ func TestImpactUndefinedWithoutBaseline(t *testing.T) {
 
 func TestWindowFilterKeepsBaselines(t *testing.T) {
 	agg := NewAggregator()
-	agg.SetWindowFilter(func(clock.Window) bool { return false })
+	agg.SetWindowFilter(func(ID, clock.Window) bool { return false })
 	k := KeyOf(addrs("10.0.0.1"))
 	tm := clock.StudyStart.Add(3 * time.Hour)
 	agg.Add(k, tm, StatusOK, 5*time.Millisecond)
@@ -621,7 +621,7 @@ type dayRecord struct {
 // benchmarkDay returns one swept day of the repository benchmark's shape:
 // 100 NSSets in tab, 12,000 records in slot (time) order, and a filter that
 // keeps the 54 windows around an attack — about 1,800 retained windows.
-func benchmarkDay(day clock.Day) (tab *Interner, recs []dayRecord, filter func(clock.Window) bool) {
+func benchmarkDay(day clock.Day) (tab *Interner, recs []dayRecord, filter func(ID, clock.Window) bool) {
 	tab = new(Interner)
 	for i := 0; i < 100; i++ {
 		tab.Intern([]netx.Addr{netx.Addr(0x51000001 + i), netx.Addr(0x51000101 + i)})
@@ -638,7 +638,7 @@ func benchmarkDay(day clock.Day) (tab *Interner, recs []dayRecord, filter func(c
 	}
 	slices.SortStableFunc(recs, func(x, y dayRecord) int { return x.t.Compare(y.t) })
 	first := day.FirstWindow() + 100
-	return tab, recs, func(w clock.Window) bool { return w >= first && w < first+54 }
+	return tab, recs, func(_ ID, w clock.Window) bool { return w >= first && w < first+54 }
 }
 
 // TestDayShardAllocs: a day-shard allocates for the table it builds — the

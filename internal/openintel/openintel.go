@@ -73,9 +73,6 @@ func NewEngine(db *dnsdb.DB, res *resolver.Resolver, seed uint64) *Engine {
 	return e
 }
 
-// NSSetOf returns the cached NSSet key of a domain.
-func (e *Engine) NSSetOf(d dnsdb.DomainID) nsset.Key { return e.nssets[d] }
-
 // NSSetTable returns the engine's table of NSSets. A sweep into an
 // aggregator built over it (nsset.NewAggregatorOver) adds by ID.
 func (e *Engine) NSSetTable() *nsset.Interner { return e.table }

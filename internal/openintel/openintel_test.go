@@ -19,6 +19,9 @@ import (
 	"dnsddos/internal/simnet"
 )
 
+// NSSetOf returns the cached NSSet key of a domain.
+func (e *Engine) NSSetOf(d dnsdb.DomainID) nsset.Key { return e.nssets[d] }
+
 func testWorld(t *testing.T, domains int) (*dnsdb.DB, *resolver.Resolver) {
 	t.Helper()
 	db := dnsdb.New()
@@ -190,12 +193,13 @@ func TestMeasureAtRecordsOutcome(t *testing.T) {
 }
 
 // sweepFixture generates a world of the given size with the standard
-// attack mix and case studies, and returns an engine over it, the
-// retained-window filter a study session would hand its aggregators (every
-// window from 6 h before to 24 h after an attack on a nameserver address)
-// and a day inside the December TransIP attack, when that filter retains
-// windows and the data plane has load to compute.
-func sweepFixture(tb testing.TB, domains int) (*Engine, func(clock.Window) bool, clock.Day) {
+// attack mix and case studies, and returns an engine over it, a
+// time-only retained-window filter (every NSSet's windows from 6 h before
+// to 24 h after an attack on a nameserver address: more than a study
+// session keeps, which is only the attacked nameservers' NSSets) and a day
+// inside the December TransIP attack, when that filter retains windows and
+// the data plane has load to compute.
+func sweepFixture(tb testing.TB, domains int) (*Engine, func(nsset.ID, clock.Window) bool, clock.Day) {
 	tb.Helper()
 	wcfg := scenario.DefaultWorldConfig()
 	wcfg.Domains, wcfg.GenericProviders = domains, 40
@@ -216,7 +220,7 @@ func sweepFixture(tb testing.TB, domains int) (*Engine, func(clock.Window) bool,
 			keep[win] = struct{}{}
 		}
 	}
-	filter := func(win clock.Window) bool { _, ok := keep[win]; return ok }
+	filter := func(_ nsset.ID, win clock.Window) bool { _, ok := keep[win]; return ok }
 	return e, filter, clock.DayOf(sched.CaseStudies.TransIPDecStart)
 }
 

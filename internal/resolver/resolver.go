@@ -41,8 +41,10 @@ type Config struct {
 	// delegation (as a cold-cache recursive resolver does) and treat
 	// parent-listed servers that are not in the zone's own NS set as
 	// lame: they answer, but not authoritatively, burning a round trip.
-	// OpenINTEL's explicit-NS behaviour — preferring the child — is the
-	// FollowDelegation=true path (§3.2).
+	// OpenINTEL's explicit NS queries go to the zone's own (child)
+	// servers, so the study's sweep runs with it off
+	// (study.DefaultConfig, §3.2); the end-user paths and the
+	// delegation ablation turn it on.
 	FollowDelegation bool
 }
 

@@ -3,13 +3,16 @@ package study
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
 	"dnsddos/internal/attacksim"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
+	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/openintel"
@@ -46,7 +49,7 @@ type Session struct {
 	Resolver  *resolver.Resolver
 	Engine    *openintel.Engine
 
-	filter func(clock.Window) bool
+	filter func(nsset.ID, clock.Window) bool
 }
 
 // NewSession validates cfg and builds the deterministic run state. Stage
@@ -171,51 +174,133 @@ func foldBehind(fold *rsdos.Fold, synthesize func(progress func([]rsdos.WindowOb
 	})
 }
 
-// windowFilter keeps per-window metrics only around attacks on NS-recorded
-// IPs (plus margins), bounding aggregator memory over the 17-month run.
-func (sess *Session) windowFilter() func(clock.Window) bool {
+// windowFilter is the join's demand (DESIGN §3.13): the (NSSet, window)
+// pairs whose per-window metrics the join and the Fig. 2/3 series read.
+// Each attack on a nameserver address keeps, for every NSSet of the
+// engine's table whose key contains the victim — the NSSets
+// core.NSIndex.NSSetsContaining joins it over — its windows from
+// WindowMarginBefore ahead of its first to WindowMarginAfter past its
+// last. Every other pair keeps only its day baseline.
+func (sess *Session) windowFilter() func(nsset.ID, clock.Window) bool {
 	before := clock.Window(sess.Config.WindowMarginBefore / clock.WindowDur)
 	after := clock.Window(sess.Config.WindowMarginAfter / clock.WindowDur)
-	var spans [][2]clock.Window // first and last kept window per attack
-	for _, a := range sess.Attacks {
-		if _, ok := sess.World.DB.NameserverByAddr(a.Victim); ok {
-			spans = append(spans, [2]clock.Window{a.StartWindow - before, a.EndWindow + after})
-		}
-	}
-	return newWindowSet(spans).has
+	return newDemand(sess.Engine.NSSetTable(), sess.Attacks, before, after).has
 }
 
-// windowSet is a set of windows as one bit per window of [lo, lo +
-// 64·len(bits)): the sweep asks it once per record.
-type windowSet struct {
-	lo   clock.Window
+// demand is a set of (NSSet ID, window) pairs: per ID, one bitset over
+// that ID's own first … last kept window, every bitset cut from one
+// array. The sweep asks it once per record, from every sweep worker.
+type demand struct {
+	ids  []idSpan // by ID
 	bits []uint64
 }
 
-// newWindowSet returns the union of the spans, each a first and a last
-// window (first ≤ last), both included.
-func newWindowSet(spans [][2]clock.Window) *windowSet {
-	if len(spans) == 0 {
-		return &windowSet{}
-	}
-	lo, hi := spans[0][0], spans[0][1]
-	for _, sp := range spans {
-		lo, hi = min(lo, sp[0]), max(hi, sp[1])
-	}
-	s := &windowSet{lo: lo, bits: make([]uint64, (hi-lo)/64+1)}
-	for _, sp := range spans {
-		for w := sp[0]; w <= sp[1]; w++ {
-			i := uint64(w - lo)
-			s.bits[i/64] |= 1 << (i % 64)
-		}
-	}
-	return s
+// idSpan is one ID's kept windows: bit i of bits[off:] is window lo + i,
+// for i < n. An ID with no span has n = 0.
+type idSpan struct {
+	lo     clock.Window
+	off, n uint32
 }
 
-// has reports whether w is in the set; a window outside [lo, hi] is not.
-func (s *windowSet) has(w clock.Window) bool {
+// newDemand returns the demand of attacks over tab's NSSets: every NSSet
+// containing an attack's victim keeps the attack's windows from before
+// ahead of its first to after past its last. It allocates the same six
+// objects whatever the number of NSSets and attacks: the victims are
+// grouped by a counting sort over the sorted member addresses, not a map
+// of slices.
+func newDemand(tab *nsset.Interner, attacks []rsdos.Attack, before, after clock.Window) *demand {
+	n := tab.Len()
+	// every member address of every NSSet, sorted and distinct
+	size := 0
+	for id := 0; id < n; id++ {
+		size += tab.Key(nsset.ID(id)).Size()
+	}
+	addrs := make([]netx.Addr, 0, size)
+	for id := 0; id < n; id++ {
+		k := tab.Key(nsset.ID(id))
+		for i := 0; i < k.Size(); i++ {
+			addrs = append(addrs, k.Addr(i))
+		}
+	}
+	slices.Sort(addrs)
+	addrs = slices.Compact(addrs)
+
+	// Each address's attack spans, in one array: first[j+2] counts
+	// address j's attacks; the prefix sums make first[j+1] its write
+	// cursor, which the fill leaves at the end of j's spans, so that
+	// spans[first[j]:first[j+1]] are address j's.
+	first := make([]int32, len(addrs)+2)
+	for i := range attacks {
+		if j, ok := slices.BinarySearch(addrs, attacks[i].Victim); ok {
+			first[j+2]++
+		}
+	}
+	for j := 2; j < len(first); j++ {
+		first[j] += first[j-1]
+	}
+	spans := make([][2]clock.Window, first[len(first)-1])
+	for i := range attacks {
+		a := &attacks[i]
+		if j, ok := slices.BinarySearch(addrs, a.Victim); ok {
+			spans[first[j+1]] = [2]clock.Window{a.StartWindow - before, a.EndWindow + after}
+			first[j+1]++
+		}
+	}
+	// memberSpans returns the spans of the i-th member of k.
+	memberSpans := func(k nsset.Key, i int) [][2]clock.Window {
+		j, _ := slices.BinarySearch(addrs, k.Addr(i))
+		return spans[first[j]:first[j+1]]
+	}
+
+	d := &demand{ids: make([]idSpan, n)}
+	words := 0
+	for id := range d.ids {
+		k := tab.Key(nsset.ID(id))
+		lo, hi := clock.Window(math.MaxInt64), clock.Window(math.MinInt64)
+		for i := 0; i < k.Size(); i++ {
+			for _, sp := range memberSpans(k, i) {
+				lo, hi = min(lo, sp[0]), max(hi, sp[1])
+			}
+		}
+		if lo <= hi {
+			d.ids[id] = idSpan{lo: lo, off: uint32(words), n: uint32(hi - lo + 1)}
+			words += int(hi-lo)/64 + 1
+		}
+	}
+	d.bits = make([]uint64, words)
+	for id, s := range d.ids {
+		k := tab.Key(nsset.ID(id))
+		for i := 0; i < k.Size(); i++ {
+			for _, sp := range memberSpans(k, i) {
+				setRange(d.bits[s.off:], uint64(sp[0]-s.lo), uint64(sp[1]-s.lo))
+			}
+		}
+	}
+	return d
+}
+
+// setRange sets bits from … to, both included.
+func setRange(bits []uint64, from, to uint64) {
+	for i := from / 64; i <= to/64; i++ {
+		m := ^uint64(0)
+		if i == from/64 {
+			m <<= from % 64
+		}
+		if i == to/64 {
+			m &= ^uint64(0) >> (63 - to%64)
+		}
+		bits[i] |= m
+	}
+}
+
+// has reports whether the demand holds (id, w).
+func (d *demand) has(id nsset.ID, w clock.Window) bool {
+	if int(id) >= len(d.ids) {
+		return false
+	}
+	s := d.ids[id]
 	i := uint64(w - s.lo) // a window below lo wraps past every index
-	return i/64 < uint64(len(s.bits)) && s.bits[i/64]&(1<<(i%64)) != 0
+	return i < uint64(s.n) && d.bits[uint64(s.off)+i/64]&(1<<(i%64)) != 0
 }
 
 // NewAggregator returns an empty aggregator over the engine's NSSet table

@@ -14,44 +14,85 @@ import (
 	"dnsddos/internal/attacksim"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/netx"
+	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/rsdos"
 	"dnsddos/internal/scenario"
 	"dnsddos/internal/telescope"
 )
 
-// TestWindowSetMatchesMap holds the retained-window bitset to the map it
-// replaced — one entry per kept window — over random span sets, asking
-// about every window from well below the first span to well above the
-// last.
-func TestWindowSetMatchesMap(t *testing.T) {
+// TestDemandMatchesMap holds the demand to the map it stands for — one
+// entry per kept (NSSet, window) pair, filled attack by attack and NSSet
+// by NSSet — over random tables and attack sets, asking about every ID
+// (one past the table too) and every window from well below the first
+// span to well above the last. The build allocates the same number of
+// objects whatever the number of NSSets and attacks.
+func TestDemandMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 0x5e7))
-	for round := 0; round < 200; round++ {
+	type pair struct {
+		id nsset.ID
+		w  clock.Window
+	}
+	build := func(nsets, attacks int) (*nsset.Interner, []rsdos.Attack) {
+		tab := new(nsset.Interner)
+		for tab.Len() < nsets {
+			var members []netx.Addr
+			for m := 1 + rng.IntN(4); m > 0; m-- {
+				members = append(members, netx.Addr(1+rng.IntN(3*nsets)))
+			}
+			tab.Intern(members)
+		}
 		base := clock.Window(rng.IntN(100000) - 20000) // negative windows too
-		before, after := clock.Window(rng.IntN(80)), clock.Window(rng.IntN(80))
-		var spans [][2]clock.Window
-		keep := make(map[clock.Window]struct{})
-		lo, hi := base, base
-		for n := rng.IntN(12); n > 0; n-- {
+		out := make([]rsdos.Attack, attacks)
+		for i := range out {
 			start := base + clock.Window(rng.IntN(3000))
-			end := start + clock.Window(rng.IntN(40))
-			spans = append(spans, [2]clock.Window{start - before, end + after})
-			for w := start - before; w <= end+after; w++ {
-				keep[w] = struct{}{}
-			}
-			lo, hi = min(lo, start-before), max(hi, end+after)
+			// a victim in no NSSet now and then
+			out[i] = rsdos.Attack{Victim: netx.Addr(1 + rng.IntN(4*nsets)), StartWindow: start, EndWindow: start + clock.Window(rng.IntN(40))}
 		}
-		set := newWindowSet(spans)
-		for w := lo - 200; w <= hi+200; w++ {
-			if _, want := keep[w]; set.has(w) != want {
-				t.Fatalf("round %d, spans %v: window %d kept = %v, the map says %v", round, spans, w, set.has(w), want)
+		return tab, out
+	}
+	for round := 0; round < 100; round++ {
+		tab, attacks := build(1+rng.IntN(8), rng.IntN(12))
+		before, after := clock.Window(rng.IntN(80)), clock.Window(rng.IntN(80))
+		keep := make(map[pair]bool)
+		lo, hi := clock.Window(0), clock.Window(0)
+		for _, a := range attacks {
+			for id := 0; id < tab.Len(); id++ {
+				if !tab.Key(nsset.ID(id)).Contains(a.Victim) {
+					continue
+				}
+				for w := a.StartWindow - before; w <= a.EndWindow+after; w++ {
+					keep[pair{nsset.ID(id), w}] = true
+				}
+			}
+			lo, hi = min(lo, a.StartWindow-before), max(hi, a.EndWindow+after)
+		}
+		d := newDemand(tab, attacks, before, after)
+		for id := nsset.ID(0); int(id) <= tab.Len(); id++ {
+			for w := lo - 200; w <= hi+200; w++ {
+				if got, want := d.has(id, w), keep[pair{id, w}]; got != want {
+					t.Fatalf("round %d: (%d, %d) kept = %v, the map says %v", round, id, w, got, want)
+				}
+			}
+			for _, w := range []clock.Window{-1 << 62, 1 << 62} {
+				if d.has(id, w) {
+					t.Fatalf("round %d: far window (%d, %d) is in the demand", round, id, w)
+				}
 			}
 		}
-		for _, w := range []clock.Window{-1 << 62, 1 << 62} {
-			if set.has(w) {
-				t.Fatalf("round %d: far window %d is in the set", round, w)
-			}
-		}
+	}
+
+	small, few := build(4, 10)
+	large, many := build(300, 5000)
+	var allocs [2]float64
+	for i, tc := range []struct {
+		tab     *nsset.Interner
+		attacks []rsdos.Attack
+	}{{small, few}, {large, many}} {
+		allocs[i] = testing.AllocsPerRun(5, func() { newDemand(tc.tab, tc.attacks, 72, 288) })
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("the demand of 4 NSSets and 10 attacks allocates %v objects, of 300 and 5,000 %v: want the same", allocs[0], allocs[1])
 	}
 }
 

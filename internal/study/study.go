@@ -34,8 +34,11 @@ type Config struct {
 	// FromDay/ToDay bound the measured interval (inclusive); zero values
 	// mean the full study window.
 	FromDay, ToDay clock.Day
-	// WindowMarginBefore/After extend the retained-metrics window around
-	// each DNS attack so time-series figures have context.
+	// WindowMarginBefore/After extend, before the first and past the last
+	// window of each attack on a nameserver address, the span over which
+	// the NSSets containing the victim keep per-window metrics (every
+	// other NSSet and window keeps only its day baseline), so the
+	// time-series figures have context around the attack.
 	WindowMarginBefore time.Duration
 	WindowMarginAfter  time.Duration
 	// Parallelism shards the daily sweeps across goroutines (0 = all
