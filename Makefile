@@ -19,7 +19,7 @@ test: build cmds obs stream distjoin
 	$(GO) test -bench 'BenchmarkAggregatorDay' -benchtime 1x -run '^$$' ./internal/nsset/
 	$(GO) test -bench 'BenchmarkSealDay|BenchmarkViewReads' -benchtime 1x -run '^$$' ./internal/daystore/
 	$(GO) test -bench 'Benchmark(AppendEncode|DecodeInto)NSResponse' -benchtime 1x -run '^$$' ./internal/dnswire/
-	$(GO) test -bench 'BenchmarkNewSession' -benchtime 1x -run '^$$' ./internal/study/
+	$(GO) test -bench 'BenchmarkNewSession|BenchmarkRunContext' -benchtime 1x -run '^$$' ./internal/study/
 	$(GO) test -bench 'BenchmarkLoadStateAt' -benchtime 1x -run '^$$' ./internal/simnet/
 	$(GO) test -bench 'BenchmarkSynthesizeObs' -benchtime 1x -run '^$$' ./internal/scenario/
 	$(GO) test -bench 'BenchmarkInfer' -benchtime 1x -run '^$$' ./internal/rsdos/
@@ -93,10 +93,11 @@ soak:
 # the distributed-join control plane, or the resilience/overload tier.
 # The study leg covers where a run keeps its sealed days: the parallel
 # in-memory sweep (a finished day's image is added to the run's store under
-# the pool's mutex while other shards fill their tables), the merged-run
+# the run's mutex while other workers fill their tables), the merged-run
 # oracle, the columnar parity/resume runs, where each worker seals from its
-# day table and takes an emptied one from the pool's free list, the
-# watchdog run that must never put an abandoned table on that list, the
+# own day table and empties it for its next day, the watchdog run whose
+# workers must never sweep into a table an abandoned attempt still writes
+# to, the per-day allocation guard's runs on one worker and on two, the
 # session build, whose inference folds the feed on a helper goroutine
 # while synthesis still appends to it, and the full-retention oracle,
 # whose sweep workers all read the session's one retention demand. The
@@ -107,7 +108,7 @@ race-gate: soak
 	$(GO) test -race ./internal/authserver/... ./internal/resolver/... ./internal/dnsload/... \
 		./internal/core/... ./internal/cache/... ./internal/resilience/... \
 		./internal/stream/... ./internal/distjoin/... ./internal/daystore/...
-	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume|TestAbandonedTableIsNotRecycled|TestSessionFeedMatchesInfer|TestFoldBehindPanicReachesCaller|TestRetentionMatchesFullOracle' -count 1
+	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume|TestAbandonedTableIsNotRecycled|TestRunAllocationsPerDay|TestSessionFeedMatchesInfer|TestFoldBehindPanicReachesCaller|TestRetentionMatchesFullOracle' -count 1
 	$(GO) test -race ./internal/e2ebench/ -count 1
 
 # Chaos gate: the fault-injection and graceful-degradation regression
@@ -166,15 +167,17 @@ bench-serve:
 	$(GO) test -bench 'Server_(UDP|TCP)Throughput' -benchtime 1s -run '^$$' ./internal/authserver/
 	$(GO) test -bench 'BenchmarkLiveResolveLoopback' -run '^$$' ./internal/resolver/
 
-# The session build, layer by layer: study.NewSession at the repo
+# The session and run loop, layer by layer: study.NewSession at the repo
 # benchmark's scale (allocs/op and B/op are what every study, joinworker and
-# setup_s sample pays before its first sweep), and its two heaviest stages,
-# the telescope feed (at study_batch's scale, and at join_dense's DNS share,
-# where a victim's attack chain is long) and its curation. For reading
-# while working on the set-up; the gated numbers are the repo benchmark's
-# study_batch op_allocs and join_dense setup_s.
+# setup_s sample pays before its first sweep), the whole study through
+# study.RunContext at the same scale with two workers (its allocs/op is
+# what study_batch op_allocs reads), and the session's two heaviest
+# stages, the telescope feed (at study_batch's scale, and at join_dense's
+# DNS share, where a victim's attack chain is long) and its curation. For
+# reading while working on the set-up or the run loop; the gated numbers
+# are the repo benchmark's study_batch op_allocs and join_dense setup_s.
 bench-session:
-	$(GO) test -bench 'BenchmarkNewSession' -benchmem -run '^$$' ./internal/study/
+	$(GO) test -bench 'BenchmarkNewSession|BenchmarkRunContext' -benchmem -run '^$$' ./internal/study/
 	$(GO) test -bench 'BenchmarkSynthesizeObs' -benchmem -run '^$$' ./internal/scenario/
 	$(GO) test -bench 'BenchmarkInfer' -benchmem -run '^$$' ./internal/rsdos/
 

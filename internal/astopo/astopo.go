@@ -112,12 +112,6 @@ func (t *Table) Lookup(addr netx.Addr) (ASN, bool) {
 	return best, found
 }
 
-// OrgOf returns the organization record for an ASN.
-func (t *Table) OrgOf(asn ASN) (Org, bool) {
-	o, ok := t.orgs[asn]
-	return o, ok
-}
-
 // OrgName returns a printable name for an ASN, falling back to "ASn".
 func (t *Table) OrgName(asn ASN) string {
 	if o, ok := t.orgs[asn]; ok && o.Name != "" {

@@ -8,6 +8,12 @@ import (
 	"dnsddos/internal/netx"
 )
 
+// OrgOf returns the organization record for an ASN.
+func (t *Table) OrgOf(asn ASN) (Org, bool) {
+	o, ok := t.orgs[asn]
+	return o, ok
+}
+
 func build(entries []Entry, orgs map[ASN]Org) *Table {
 	b := NewBuilder()
 	for _, e := range entries {

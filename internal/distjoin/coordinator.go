@@ -68,7 +68,7 @@ func WithResume(resume bool) CoordOption {
 	return func(o *coordOptions) { o.resume = resume }
 }
 
-// WithMetrics publishes fleet state and imported sweep metrics into reg,
+// WithMetrics publishes fleet state and the fleet's sweep counts into reg,
 // typically one served over /metrics.json (obs.Serve).
 func WithMetrics(reg *obs.Registry) CoordOption {
 	return func(o *coordOptions) { o.reg = reg }
@@ -428,9 +428,9 @@ func (st *runState) handle(w *fleetWorker, m *message) error {
 		if err != nil {
 			return fmt.Errorf("distjoin: installing day %d: %w", int32(m.Day), err)
 		}
-		// The worker ships its private sweep metrics only on success, and
+		// The worker ships the day's sweep counts only on success, and
 		// the ledger folds only the accepted copy.
-		if _, err := st.ledger.Complete(m.Day, f, m.Metrics); err != nil {
+		if _, err := st.ledger.Complete(m.Day, f, m.Counts); err != nil {
 			return fmt.Errorf("distjoin: journaling day %d: %w", int32(m.Day), err)
 		}
 		st.c.m.sweepDaysDone.Inc()

@@ -165,7 +165,7 @@ func testState(t *testing.T) (*runState, *fleetWorker) {
 // counted, never applied twice.
 func TestRedeliveriesDiscarded(t *testing.T) {
 	st, w := testState(t)
-	if _, err := st.ledger.Complete(27, daystore.SealedFile{Day: 27}, obs.Snapshot{}); err != nil {
+	if _, err := st.ledger.Complete(27, daystore.SealedFile{Day: 27}, study.SweepCounts{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.handle(w, &message{Kind: kindSweepDone, Day: 27}); err != nil {

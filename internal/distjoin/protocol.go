@@ -15,8 +15,8 @@
 // what it sweeps and ships the image; the coordinator installs it
 // (header, CRC, bounds and hash checked) and journals a reference.
 // Besides day files only small values travel: configuration, assignments,
-// metric snapshots (obs.Snapshot) and failure reports. No frame carries
-// more than one day, so no frame grows with the span.
+// a day's sweep counts (study.SweepCounts) and failure reports. No frame
+// carries more than one day, so no frame grows with the span.
 //
 // Robustness contract:
 //
@@ -47,7 +47,7 @@ import (
 
 	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
-	"dnsddos/internal/obs"
+	"dnsddos/internal/study"
 )
 
 // kind discriminates control-plane messages.
@@ -57,7 +57,7 @@ const (
 	// worker → coordinator
 	kindHello      kind = iota + 1 // register: Name
 	kindHeartbeat                  // liveness beacon
-	kindSweepDone                  // Day, Image, SHA256, Metrics
+	kindSweepDone                  // Day, Image, SHA256, Counts
 	kindTaskFailed                 // Day, Reason, Stack
 	kindDraining                   // SIGTERM received: finish in-flight, no new work
 	kindGoodbye                    // drain complete, deregistering
@@ -80,11 +80,11 @@ type message struct {
 	HeartbeatMS int64
 
 	// sweep tasks: Image is one sealed day file (daystore.AppendDay),
-	// SHA256 its hex content hash
-	Day     clock.Day
-	Image   []byte
-	SHA256  string
-	Metrics obs.Snapshot
+	// SHA256 its hex content hash, Counts what the day's sweep counted
+	Day    clock.Day
+	Image  []byte
+	SHA256 string
+	Counts study.SweepCounts
 
 	// failures
 	Reason string

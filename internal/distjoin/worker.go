@@ -36,8 +36,8 @@ type Worker struct {
 type WorkerOption func(*Worker)
 
 // WithWorkerMetrics observes the worker's session build (stage timers)
-// into reg. The deterministic sweep metrics always travel to the
-// coordinator regardless.
+// into reg. A day's sweep counts always travel to the coordinator
+// regardless.
 func WithWorkerMetrics(reg *obs.Registry) WorkerOption {
 	return func(w *Worker) { w.reg = reg }
 }
@@ -204,7 +204,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 
 			case kindAssignSweep:
 				day := ev.m.Day
-				agg, sweep, fail := sess.SweepDayAttempt(ctx, day, scratch, w.beforeSweep)
+				agg, counts, fail := sess.SweepDayAttempt(ctx, day, scratch, w.beforeSweep)
 				scratch = nil
 				var reply *message
 				switch {
@@ -219,7 +219,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 					}
 					agg.Reset()
 					scratch = agg
-					reply = &message{Kind: kindSweepDone, Day: day, Image: image, SHA256: daystore.ContentHash(image), Metrics: sweep}
+					reply = &message{Kind: kindSweepDone, Day: day, Image: image, SHA256: daystore.ContentHash(image), Counts: counts}
 				}
 				// send copies the image into its frame, so the buffer is
 				// free again when it returns

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -172,6 +174,41 @@ func (l *LocalHistogram) Observe(d time.Duration) {
 // Fold adds everything l observed to h: the state is what observing each
 // duration on h itself would have left.
 func (h *Histogram) Fold(l *LocalHistogram) { h.merge(l.st) }
+
+// localHistogramSize is the length of a LocalHistogram's binary encoding:
+// the buckets, the count, the sum and the max, each a big-endian int64.
+const localHistogramSize = (NumBuckets + 3) * 8
+
+// MarshalBinary encodes l in a fixed length, so a LocalHistogram can
+// travel (encoding/gob uses it) without exporting its state.
+func (l LocalHistogram) MarshalBinary() ([]byte, error) {
+	b := make([]byte, 0, localHistogramSize)
+	for _, n := range l.st.buckets {
+		b = binary.BigEndian.AppendUint64(b, uint64(n))
+	}
+	for _, n := range [...]int64{l.st.count, l.st.sum, l.st.max} {
+		b = binary.BigEndian.AppendUint64(b, uint64(n))
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes MarshalBinary's encoding into l. Any other
+// length is refused.
+func (l *LocalHistogram) UnmarshalBinary(b []byte) error {
+	if len(b) != localHistogramSize {
+		return fmt.Errorf("obs: local histogram encoding is %d bytes, want %d", len(b), localHistogramSize)
+	}
+	next := func() int64 {
+		n := int64(binary.BigEndian.Uint64(b))
+		b = b[8:]
+		return n
+	}
+	for i := range l.st.buckets {
+		l.st.buckets[i] = next()
+	}
+	l.st.count, l.st.sum, l.st.max = next(), next(), next()
+	return nil
+}
 
 func (st histState) quantile(q float64) time.Duration {
 	if st.count == 0 || q <= 0 {

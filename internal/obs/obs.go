@@ -218,12 +218,9 @@ func (r *Registry) Merge(src *Registry) {
 }
 
 // ImportSnapshot folds a serialized Snapshot into r: counters and
-// histogram buckets add, gauges take the snapshot's value. It is the
-// cross-process half of the study pipeline's exactly-once metric merge — a distributed worker ships each completed
-// day-shard's registry to the coordinator as a Snapshot (gob/JSON travels
-// where a *Registry cannot), and the coordinator folds it in once when it
-// accepts the shard. Metrics created by the import are registered with
-// the given options (typically none: shipped sweep metrics are stable).
+// histogram buckets add, gauges take the snapshot's value. It is Merge's
+// fold. Metrics created by the import are registered with the given
+// options.
 func (r *Registry) ImportSnapshot(s Snapshot, opts ...Option) {
 	if r == nil {
 		return

@@ -9,7 +9,7 @@ import (
 	"dnsddos/internal/rsdos"
 )
 
-// canon.go bridges the two attack numberings. The batch feed
+// canon_test.go bridges the two attack numberings for the parity tests. The batch feed
 // (rsdos.Infer) numbers attacks by (StartWindow, Victim) rank over the
 // whole feed — a property a bounded-lag stream cannot know while
 // long-lived attacks are still open, so the stream numbers in

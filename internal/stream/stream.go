@@ -25,9 +25,9 @@
 //
 // Attack IDs are assigned in emission (finalization) order — the only
 // order a bounded-lag stream can number by. The batch feed numbers by
-// (StartWindow, Victim) rank instead; the parity harness
-// (Canonicalize) maps one numbering onto the other and the two
-// pipelines agree byte for byte.
+// (StartWindow, Victim) rank instead; the parity tests map one numbering
+// onto the other (canon_test.go) and the two pipelines agree byte for
+// byte.
 package stream
 
 import (

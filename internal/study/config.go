@@ -13,13 +13,6 @@ import (
 // the command-line tools can run studies from declarative files and whole
 // experiment setups can be archived alongside their outputs.
 
-// WriteConfig serializes a configuration as indented JSON.
-func WriteConfig(w io.Writer, cfg Config) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cfg)
-}
-
 // ReadConfig parses a JSON configuration. Missing fields keep the values of
 // base (pass DefaultConfig() for the paper's settings), so a config file
 // needs to spell out only what it overrides.

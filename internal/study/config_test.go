@@ -3,11 +3,21 @@ package study
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"testing"
 	"time"
 )
+
+// WriteConfig serializes a configuration as indented JSON, the form
+// ReadConfig parses.
+func WriteConfig(w io.Writer, cfg Config) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(cfg)
+}
 
 func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := QuickConfig()

@@ -14,11 +14,11 @@ import (
 // ledger.go is the one day ledger (DESIGN §3.2): for every day of a run it
 // decides whether the day is measured, retried or quarantined, and that a
 // measured day is journaled, folded into the metrics and counted exactly
-// once. The in-process pool (run.go) and the fleet coordinator
+// once. The in-process run loop (run.go) and the fleet coordinator
 // (internal/distjoin) both drive it, so every run mode makes those
 // decisions identically. The ledger is passive — no goroutine, lock or
-// channel of its own: the pool calls it under its mutex, the coordinator
-// from its event loop.
+// channel of its own: the run loop's workers call it under one mutex, the
+// coordinator from its event loop.
 
 // maxSweepAttempts is the day-sweep attempt limit: a failed day is retried
 // once, then quarantined.
@@ -52,7 +52,7 @@ func OpenJournal(dir string, cfg Config, seed uint64, resume bool) (*checkpoint.
 	return checkpoint.Create(dir, hdr)
 }
 
-// OpenLedger opens the ledger of a run over cfg whose sweep metrics fold
+// OpenLedger opens the ledger of a run over cfg whose sweep counts fold
 // into reg. With a checkpoint directory every completed day is journaled
 // as a content-hash reference to its sealed file in dayDir, and resume
 // restores the journaled days: each referenced file is re-hashed before
@@ -142,11 +142,11 @@ func (l *Ledger) Attempts(day clock.Day) int { return l.attempts[day] }
 // Complete accepts a swept day whose sealed file (the zero SealedFile when
 // days are kept in memory) is already durable, in the order that keeps a
 // crash at any point resumable: journal the reference, then fold the
-// day's sweep metrics into the run registry, then count the day. A day
+// day's sweep counts into the run registry, then count the day. A day
 // already done is reported as a duplicate and changes nothing — that is
 // what makes the fold exactly-once under redelivery. A day already
 // quarantined, or any day after a write error, is refused.
-func (l *Ledger) Complete(day clock.Day, file daystore.SealedFile, sweep obs.Snapshot) (dup bool, err error) {
+func (l *Ledger) Complete(day clock.Day, file daystore.SealedFile, counts SweepCounts) (dup bool, err error) {
 	switch {
 	case l.err != nil:
 		return false, l.err
@@ -161,7 +161,7 @@ func (l *Ledger) Complete(day clock.Day, file daystore.SealedFile, sweep obs.Sna
 		}
 	}
 	l.done[day] = file
-	l.reg.ImportSnapshot(sweep)
+	counts.fold(l.reg)
 	l.report.CompletedDays++
 	return false, nil
 }

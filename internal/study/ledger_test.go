@@ -21,7 +21,7 @@ func ledgerConfig() Config {
 	return Config{FromDay: 10, ToDay: 14, MeasureSeed: 7}
 }
 
-var sweepOf5 = obs.Snapshot{Counters: map[string]int64{"study.sweep.ok": 5}}
+var sweepOf5 = SweepCounts{OK: 5}
 
 // sealEmpty seals an empty day file — enough for the ledger, which only
 // names and hashes it.

@@ -383,9 +383,9 @@ func TestWriteFailureStopsFolding(t *testing.T) {
 		t.Fatal(fail.Reason)
 	}
 	got := reg.StableSnapshot()
-	for _, name := range []string{"study.sweep.ok", "study.sweep.servfail", "study.sweep.timeout"} {
-		if got.Counters[name] != want.Counters[name] {
-			t.Errorf("%s = %d, want %d: the sealed days' records only", name, got.Counters[name], want.Counters[name])
+	for name, want := range map[string]int64{"study.sweep.ok": want.OK, "study.sweep.servfail": want.ServFail, "study.sweep.timeout": want.Timeout} {
+		if got.Counters[name] != want {
+			t.Errorf("%s = %d, want %d: the sealed days' records only", name, got.Counters[name], want)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dnsddos/internal/clock"
@@ -20,7 +21,7 @@ import (
 )
 
 // run.go is the supervised run loop: RunContext executes the study as
-// independent per-day shards under a worker pool, with cooperative
+// independent per-day shards on long-lived workers, with cooperative
 // cancellation, per-shard panic isolation (retry once, then quarantine),
 // an optional watchdog deadline, and durable per-day checkpoints so a
 // killed run resumes from the last completed day (DESIGN §3.2).
@@ -252,58 +253,49 @@ func stageTimer(reg *obs.Registry) func(name string, since time.Time) {
 	}
 }
 
-// sweepCounts is the deterministic per-shard instrument set: outcome
-// counts and the simulated-RTT histogram, kept in plain integers while
-// the day is swept — the shard is one goroutine — and registered under
-// the study.sweep.* names once, when the sweep returns. The snapshot
-// merges into the run's registry only when the shard completes, so a
-// panicking attempt that half-swept a day cannot double-count after its
-// retry.
-type sweepCounts struct {
-	ok, servfail, timeout int64
-	rtt                   obs.LocalHistogram
+// SweepCounts is what a swept day counts besides its table: the outcome
+// of every record and the simulated RTT of every answered one (seeded data
+// plane, so the histogram is deterministic). One goroutine sweeps a day, so
+// the counts are plain integers; they travel as a value — returned by
+// Session.SweepDayAttempt, carried by the fleet's sweep-done message — and
+// reach the run registry only when Ledger.Complete accepts the day, so an
+// attempt that panicked half-way through a day cannot double-count after
+// its retry.
+type SweepCounts struct {
+	OK, ServFail, Timeout int64
+	RTT                   obs.LocalHistogram
 }
 
-// observe folds one sweep record into the shard's counts. The RTT is
-// simulated (seeded data plane), so the histogram is deterministic.
-func (c *sweepCounts) observe(rec openintel.Record) {
+// observe folds one sweep record into the counts.
+func (c *SweepCounts) observe(rec openintel.Record) {
 	switch rec.Status {
 	case nsset.StatusOK:
-		c.ok++
-		c.rtt.Observe(rec.RTT)
+		c.OK++
+		c.RTT.Observe(rec.RTT)
 	case nsset.StatusServFail:
-		c.servfail++
+		c.ServFail++
 	default:
-		c.timeout++
+		c.Timeout++
 	}
 }
 
-// snapshot is the counts as the metrics a shard ships.
-func (c *sweepCounts) snapshot() obs.Snapshot {
-	reg := obs.New()
-	reg.Counter("study.sweep.ok").Add(c.ok)
-	reg.Counter("study.sweep.servfail").Add(c.servfail)
-	reg.Counter("study.sweep.timeout").Add(c.timeout)
-	reg.Histogram("study.sweep.rtt").Fold(&c.rtt)
-	return reg.Snapshot()
+// fold adds the counts to reg under the study.sweep.* names.
+func (c *SweepCounts) fold(reg *obs.Registry) {
+	reg.Counter("study.sweep.ok").Add(c.OK)
+	reg.Counter("study.sweep.servfail").Add(c.ServFail)
+	reg.Counter("study.sweep.timeout").Add(c.Timeout)
+	reg.Histogram("study.sweep.rtt").Fold(&c.RTT)
 }
 
-// dayScratch is what a day-shard works in and leaves behind empty: the
-// aggregator whose day table the sweep fills and the buffer the day's
-// file image is encoded into.
-type dayScratch struct {
-	agg   *nsset.Aggregator
-	image []byte
-}
-
-// runSweeps runs the ledger's pending days as independent day-shards under
-// a bounded worker pool. Each shard sweeps into a private aggregator; on
-// success the day is sealed straight from its table — into a file in the
-// day-store directory or, without one, into an image of its own that mem
-// keeps — and handed to the ledger, in whatever order shards
-// complete. The aggregator and the image buffer of a completed shard are
-// recycled through a free list, at most one pair per worker, so a run
-// allocates a day table per worker, not per day.
+// runSweeps runs the ledger's pending days on at most Parallelism
+// long-lived workers, each taking the next pending day by an atomic index
+// until none is left, ctx is cancelled or the ledger has stopped on a write
+// error. A worker sweeps a day into its own aggregator; on success the day
+// is sealed straight from its table — into a file in the day-store
+// directory or, without one, into an image of its own that mem keeps — and
+// handed to the ledger, in whatever order days complete. The worker then
+// empties the table and keeps it, with its image buffer, for its next day,
+// so a run allocates a day table per worker, not per day.
 func (s *Study) runSweeps(ctx context.Context, opts options, ledger *Ledger, mem *daystore.Set) error {
 	days := ledger.Pending()
 	if len(days) == 0 {
@@ -313,75 +305,80 @@ func (s *Study) runSweeps(ctx context.Context, opts options, ledger *Ledger, mem
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(days) {
-		par = len(days)
-	}
+	par = min(par, len(days))
+	sweepWall := s.Metrics.Histogram("study.day_sweep_wall", obs.Volatile())
+	sealWall := s.Metrics.Histogram("study.daystore_seal_wall", obs.Volatile())
 
 	var (
-		mu   sync.Mutex // guards ledger, mem and free
+		mu   sync.Mutex // guards ledger and mem
+		next atomic.Int64
 		wg   sync.WaitGroup
-		free []dayScratch
 	)
-	sem := make(chan struct{}, par)
-dispatch:
-	for _, day := range days {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break dispatch
+	// take returns the next pending day, or false once the run stops
+	// taking days.
+	take := func() (clock.Day, bool) {
+		i := next.Add(1) - 1
+		if i >= int64(len(days)) || ctx.Err() != nil {
+			return 0, false
 		}
 		mu.Lock()
-		failed := ledger.Err() != nil
-		var sc dayScratch
-		if n := len(free); n > 0 {
-			sc, free = free[n-1], free[:n-1]
-		}
-		mu.Unlock()
-		if failed {
-			<-sem
-			break
-		}
-		wg.Add(1)
-		go func(day clock.Day) {
+		defer mu.Unlock()
+		return days[i], ledger.Err() == nil
+	}
+	wg.Add(par)
+	for range par {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			shardStart := time.Now()
-			agg, sweep := s.runDayShard(ctx, day, opts, &mu, ledger, sc.agg)
-			s.Metrics.Histogram("study.day_sweep_wall", obs.Volatile()).Observe(time.Since(shardStart))
-			if agg == nil {
-				// Quarantined (the ledger has it), or abandoned on
-				// cancellation: the day stays un-journaled and re-runs on
-				// resume.
-				return
+			var (
+				agg   *nsset.Aggregator // the table the next day fills; nil for a fresh one
+				image []byte            // the buffer a file is encoded into
+			)
+			for {
+				day, ok := take()
+				if !ok {
+					return
+				}
+				start := time.Now()
+				var counts SweepCounts
+				agg, counts = s.runDayShard(ctx, day, opts, &mu, ledger, agg)
+				sweepWall.Observe(time.Since(start))
+				if agg == nil {
+					// Quarantined (the ledger has it), or abandoned on
+					// cancellation: the day stays un-journaled and re-runs
+					// on resume.
+					continue
+				}
+				// Seal the day and empty the table. A file's fsyncs run
+				// before the lock is taken, so workers flush in parallel;
+				// an image mem keeps is never the worker's buffer.
+				start = time.Now()
+				var file daystore.SealedFile
+				var kept []byte
+				var err error
+				if opts.daystoreDir != "" {
+					file, image, err = daystore.SealTable(opts.daystoreDir, day, agg, image)
+				} else {
+					kept, err = daystore.AppendDay(nil, day, agg)
+				}
+				if err == nil {
+					sealWall.Observe(time.Since(start))
+					agg.Reset()
+				}
+				mu.Lock()
+				if err == nil && opts.daystoreDir == "" {
+					err = mem.Add(day, kept)
+				}
+				if err != nil {
+					ledger.Abort(err)
+				} else {
+					ledger.Complete(day, file, counts)
+				}
+				mu.Unlock()
+				if err != nil {
+					return
+				}
 			}
-			// Seal the day and empty the table. A file's fsyncs run before
-			// the lock is taken, so shards flush in parallel; an image mem
-			// keeps is never the recycled buffer.
-			wstart := time.Now()
-			var file daystore.SealedFile
-			var image []byte
-			var err error
-			if opts.daystoreDir != "" {
-				file, sc.image, err = daystore.SealTable(opts.daystoreDir, day, agg, sc.image)
-			} else {
-				image, err = daystore.AppendDay(nil, day, agg)
-			}
-			if err == nil {
-				s.Metrics.Histogram("study.daystore_seal_wall", obs.Volatile()).Observe(time.Since(wstart))
-				agg.Reset()
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err == nil && opts.daystoreDir == "" {
-				err = mem.Add(day, image)
-			}
-			if err != nil {
-				ledger.Abort(err)
-				return
-			}
-			free = append(free, dayScratch{agg: agg, image: sc.image})
-			ledger.Complete(day, file, sweep)
-		}(day)
+		}()
 	}
 	wg.Wait()
 	if err := ledger.Err(); err != nil {
@@ -396,13 +393,13 @@ dispatch:
 // attempt's aggregator is never used again — the watchdog may have left a
 // goroutine writing to it — so a retry starts a fresh one. A nil
 // aggregator means the day was quarantined, or the shard was abandoned
-// because ctx was cancelled. On success the shard's private sweep metrics
-// ride along so the ledger can fold them exactly once.
-func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu *sync.Mutex, ledger *Ledger, scratch *nsset.Aggregator) (*nsset.Aggregator, obs.Snapshot) {
+// because ctx was cancelled. On success the day's sweep counts ride along
+// so the ledger can fold them exactly once.
+func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu *sync.Mutex, ledger *Ledger, scratch *nsset.Aggregator) (*nsset.Aggregator, SweepCounts) {
 	for ctx.Err() == nil {
-		agg, sweep, f := s.sweepDayOnce(ctx, day, opts, scratch)
+		agg, counts, f := s.sweepDayOnce(ctx, day, opts, scratch)
 		if f == nil {
-			return agg, sweep // completed, or nil when cancelled
+			return agg, counts // completed, or nil when cancelled
 		}
 		scratch = nil
 		mu.Lock()
@@ -412,39 +409,39 @@ func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu
 			break
 		}
 	}
-	return nil, obs.Snapshot{}
+	return nil, SweepCounts{}
 }
 
 // sweepDayOnce runs a single attempt (Session.SweepDayAttempt) into
 // scratch, under the watchdog when enabled.
-func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options, scratch *nsset.Aggregator) (*nsset.Aggregator, obs.Snapshot, *SweepFailure) {
+func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options, scratch *nsset.Aggregator) (*nsset.Aggregator, SweepCounts, *SweepFailure) {
 	if opts.shardTimeout <= 0 {
 		return s.session.SweepDayAttempt(ctx, day, scratch, opts.beforeDay)
 	}
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
-		agg   *nsset.Aggregator
-		sweep obs.Snapshot
-		f     *SweepFailure
+		agg    *nsset.Aggregator
+		counts SweepCounts
+		f      *SweepFailure
 	}
 	ch := make(chan result, 1)
 	go func() {
-		a, sweep, f := s.session.SweepDayAttempt(dctx, day, scratch, opts.beforeDay)
-		ch <- result{a, sweep, f}
+		a, counts, f := s.session.SweepDayAttempt(dctx, day, scratch, opts.beforeDay)
+		ch <- result{a, counts, f}
 	}()
 	timer := time.NewTimer(opts.shardTimeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
-		return r.agg, r.sweep, r.f
+		return r.agg, r.counts, r.f
 	case <-timer.C:
 		// Cancel the shard's context so a cooperative sweep exits
 		// promptly; a truly wedged goroutine is abandoned (it owns an
 		// aggregator nobody will read or recycle). Not retryable:
 		// re-running a stuck sweep would just double the stall.
 		cancel()
-		return nil, obs.Snapshot{}, &SweepFailure{
+		return nil, SweepCounts{}, &SweepFailure{
 			Reason: fmt.Sprintf("watchdog: day-shard exceeded %v", opts.shardTimeout),
 		}
 	}

@@ -346,23 +346,22 @@ type SweepFailure struct {
 
 // SweepDayAttempt is one isolated sweep of one day into a private
 // aggregator — into when the caller recycles one (Session.NewAggregator's,
-// empty), a fresh one when into is nil — and a private metric registry,
-// returned as the aggregator and the registry's snapshot (the
-// deterministic study.sweep.* metrics). Panics — in the beforeDay hook or
-// anywhere inside the engine/resolver/data plane — are captured with
-// their stack instead of crashing the process; what the attempt counted is
-// discarded with the aggregator, keeping retries exactly-once. A nil
-// aggregator without a failure means ctx was cancelled. Unless the attempt
-// returns its aggregator the caller must let go of into: it is partly
-// filled, and an attempt the caller gave up on may still be writing to it.
+// empty), a fresh one when into is nil — returned with the day's sweep
+// counts. Panics — in the beforeDay hook or anywhere inside the
+// engine/resolver/data plane — are captured with their stack instead of
+// crashing the process; what the attempt counted is discarded with the
+// aggregator, keeping retries exactly-once. A nil aggregator without a
+// failure means ctx was cancelled. Unless the attempt returns its
+// aggregator the caller must let go of into: it is partly filled, and an
+// attempt the caller gave up on may still be writing to it.
 // This is the unit of work a distributed sweep worker executes
 // per assignment; both run modes hand its failures to the same Ledger, so
 // a day that panics remotely quarantines with the same Reason bytes as
 // one that panics locally.
-func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *nsset.Aggregator, beforeDay func(clock.Day)) (agg *nsset.Aggregator, sweep obs.Snapshot, fail *SweepFailure) {
+func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *nsset.Aggregator, beforeDay func(clock.Day)) (agg *nsset.Aggregator, counts SweepCounts, fail *SweepFailure) {
 	defer func() {
 		if r := recover(); r != nil {
-			agg, sweep = nil, obs.Snapshot{}
+			agg, counts = nil, SweepCounts{}
 			fail = &SweepFailure{
 				Reason:    fmt.Sprintf("panic: %v", r),
 				Stack:     string(debug.Stack()),
@@ -376,11 +375,10 @@ func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *n
 	if into == nil {
 		into = sess.NewAggregator()
 	}
-	var counts sweepCounts
 	if err := sess.Engine.RunDayContext(ctx, day, into, counts.observe); err != nil {
-		return nil, obs.Snapshot{}, nil
+		return nil, SweepCounts{}, nil
 	}
-	return into, counts.snapshot(), nil
+	return into, counts, nil
 }
 
 // NewPipeline builds the core join pipeline over the measured days with

@@ -9,6 +9,9 @@ import (
 	"dnsddos/internal/obs"
 )
 
+// raceEnabled reports that the race detector is on (race_test.go).
+const raceEnabled = false
+
 // newSessionAllocBudget is 1.3 × the 4,517 objects NewSession allocates
 // for metricsConfig (1 500 domains, 1 500 attacks and the case studies over
 // 17 months); it was 114,843 with a port map per window, a Key per domain
