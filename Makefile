@@ -198,7 +198,7 @@ bench-join:
 # The paper's evaluation at bench scale: one sub-benchmark per entry of
 # internal/report's Catalogue — the tables and figures, the §5 case
 # studies, the DESIGN §6 ablations and extensions (cmd/report prints the
-# same entries) — then BenchmarkPipelineJoin and BenchmarkRSDoSInference.
+# same entries) — then BenchmarkPipelineJoin.
 report:
 	$(GO) test -bench . -benchtime 1x .
 

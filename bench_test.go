@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"dnsddos/internal/report"
-	"dnsddos/internal/rsdos"
 	"dnsddos/internal/study"
 )
 
@@ -98,16 +97,4 @@ func BenchmarkPipelineJoin(b *testing.B) {
 		_ = s.Pipeline.Events(s.Attacks)
 	}
 	b.ReportMetric(float64(len(s.Attacks)), "attacks/op")
-}
-
-// BenchmarkRSDoSInference measures inference throughput over the synthetic
-// telescope observations.
-func BenchmarkRSDoSInference(b *testing.B) {
-	s := benchStudy(b)
-	cfg := s.Config.RSDoS
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = rsdos.Infer(cfg, s.Obs)
-	}
-	b.ReportMetric(float64(len(s.Obs)), "observations/op")
 }

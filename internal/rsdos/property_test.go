@@ -1,7 +1,10 @@
 package rsdos
 
 import (
+	"math"
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -114,5 +117,74 @@ func TestInferOrderInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFoldClosedAtWatermarksMatchesReference folds generated feeds the way
+// a synthesizer hands them over: components in start order, each giving
+// observations for its own run of windows, with the fold closed now and
+// then at a random watermark no later observation lies below. Port lists
+// run from none to past a slot's own room, so recycled slots see longer
+// and shorter lists than the ones they held. The attacks must be the
+// reference's over the whole feed, and the fold must never cut more
+// slots than the most qualifying observations in windows still open.
+func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
+	portPool := []uint16{22, 53, 80, 123, 443, 3389, 8080, 27015, 5060, 11211}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0xf01d))
+		var feed []WindowObs
+		// component c's observations start at feed position marks[c], and
+		// its windows at starts[c]
+		var marks []int
+		var starts []clock.Window
+		start := clock.Window(rng.IntN(100))
+		for c := 20 + rng.IntN(200); c > 0; c-- {
+			start += clock.Window(rng.IntN(4))
+			marks, starts = append(marks, len(feed)), append(starts, start)
+			victim := netx.Addr(0x78000000 + uint32(rng.IntN(12)))
+			for w, end := start, start+clock.Window(rng.IntN(30)); w <= end; w++ {
+				o := WindowObs{Window: w, Victim: victim, Proto: packet.ProtoTCP,
+					Packets: int64(rng.IntN(8)) * 25, Slash16: rng.IntN(40), UniqueDsts: int64(rng.IntN(500))}
+				o.PeakPPM = float64(o.Packets) / 5
+				for k := rng.IntN(len(portPool) + 1); k > 0; k-- {
+					o.Ports = AddPort(o.Ports, portPool[rng.IntN(len(portPool))], int64(1+rng.IntN(3))*10)
+				}
+				feed = append(feed, o)
+			}
+		}
+		for _, cfg := range []Config{DefaultConfig(), {MaxGapWindows: 2}} {
+			f := NewFold(cfg)
+			closed := clock.Window(math.MinInt64)
+			var open []clock.Window // windows of the qualifying observations taken and not yet closed
+			peak, c := 0, 0
+			for p := range feed {
+				if c < len(marks) && marks[c] == p {
+					// a watermark at or below this component's start,
+					// and not below the one before
+					if rng.IntN(3) == 0 {
+						w := max(closed, starts[c]-clock.Window(rng.IntN(3)))
+						f.Close(w)
+						closed = w
+						open = slices.DeleteFunc(open, func(x clock.Window) bool { return x < w })
+					}
+					c++
+				}
+				f.Take(&feed[p])
+				if f.tr.Qualifies(&feed[p]) {
+					open = append(open, feed[p].Window)
+					peak = max(peak, len(open))
+				}
+			}
+			got, want := f.Finish(), inferReference(cfg, feed)
+			if len(want) == 0 {
+				t.Fatalf("seed %d: the reference inferred no attack", seed)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %+v: feed differs from the reference (%d vs %d attacks)", seed, cfg, len(got), len(want))
+			}
+			if f.Slots() > peak {
+				t.Fatalf("seed %d, %+v: the fold cut %d slots, at most %d observations were open at once", seed, cfg, f.Slots(), peak)
+			}
+		}
 	}
 }

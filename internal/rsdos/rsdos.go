@@ -190,8 +190,8 @@ func FirstOn(attacks []Attack, victims []netx.Addr, from, to time.Time) (Attack,
 // arrive in any order; they are grouped per victim and merged across window
 // gaps of at most MaxGapWindows.
 //
-// It is the batch face of the incremental Tracker, through a Fold taken in
-// one step: qualifying observations are folded in (Window, Victim, feed
+// It is the batch face of the incremental Tracker, through a Fold closed
+// in one step: qualifying observations are folded in (Window, Victim, feed
 // position) order through one Tracker, and the finalized feed is numbered
 // by (StartWindow, Victim) rank. The streaming pipeline drives the
 // identical Tracker watermark-by-watermark, so batch and streaming
@@ -203,18 +203,10 @@ func FirstOn(attacks []Attack, victims []netx.Addr, from, to time.Time) (Attack,
 // observation in obs goes first, as a stable sort would put it
 // (inferReference in the tests holds the order).
 func Infer(cfg Config, obs []WindowObs) []Attack {
-	thresholds := Tracker{cfg: cfg}
-	first, last := clock.Window(0), clock.Window(-1) // no window yet
+	f := NewFold(cfg)
 	for i := range obs {
-		if w := obs[i].Window; thresholds.Qualifies(&obs[i]) {
-			if last < first {
-				first, last = w, w
-			}
-			first, last = min(first, w), max(last, w)
-		}
+		f.Take(&obs[i])
 	}
-	f := NewFold(cfg, first, last)
-	f.Add(obs)
 	return f.Finish()
 }
 

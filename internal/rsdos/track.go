@@ -17,9 +17,10 @@ import (
 // Tracker window-by-window, so the two paths cannot diverge semantically.
 
 // candidate is one open (still extendable) attack. Its two lists start
-// out in its own buffers — four ports cover nine attacks in ten, three
-// protocols are all the models emit — and move to the heap by append when
-// an attack outgrows them, so a candidate must not be copied.
+// out in its own buffers — eight ports hold the seven a scenario component
+// draws at most, three protocols are all the models emit — and move to the
+// heap by append when an attack outgrows them (one merging components with
+// different ports can), so a candidate must not be copied.
 type candidate struct {
 	atk Attack
 	// ports is the attack's merged port list, ascending like an
@@ -27,7 +28,7 @@ type candidate struct {
 	ports []PortCount
 	// protos counts packets per attacked protocol, ascending by protocol.
 	protos   []protoCount
-	portBuf  [4]PortCount
+	portBuf  [8]PortCount
 	protoBuf [3]protoCount
 }
 

@@ -18,11 +18,11 @@ import (
 	"dnsddos/internal/telescope"
 )
 
-// reference_test.go keeps the synthesizer as it was before the slab: a
-// port map made per window, specs copied by value into a per-victim index,
-// the feed grown by append. SynthesizeObs must draw the same feed — same
-// rng draws in the same order — with every port map read back as an
-// ascending list.
+// reference_test.go keeps the synthesizer as it was before the slab and
+// the emitter: a port map made per window, specs copied by value into a
+// per-victim index, the feed grown by append. Synthesize must draw the same
+// feed — same rng draws in the same order — with every port map read back
+// as an ascending list; SynthesizeObs collects it.
 
 // portN is the count a port list holds for port (0 when absent).
 func portN(ports []rsdos.PortCount, port uint16) int64 {
@@ -243,7 +243,7 @@ func TestSynthesizeObsMatchesReference(t *testing.T) {
 		t.Fatalf("dense schedule: the longest victim chain has %d components, want ≥ 50", longest)
 	}
 	for _, f := range feeds {
-		got := SynthesizeObs(f.cfg, w, f.sched, tel, nil)
+		got := SynthesizeObs(f.cfg, w, f.sched, tel)
 		want := synthesizeObsReference(f.cfg, w, f.sched, tel)
 		if len(want) == 0 {
 			t.Fatalf("%s: the reference synthesized nothing", f.name)
@@ -257,9 +257,8 @@ func TestSynthesizeObsMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		// an observation's list is its own: with its capacity clamped,
-		// growing it copies instead of running into the next observation's
-		// counts in the shared slab
+		// an observation's list is its own: Synthesize draws every list
+		// into one buffer, which SynthesizeObs copies out, clamped
 		for i := range got {
 			if cap(got[i].Ports) != len(got[i].Ports) {
 				t.Fatalf("%s: observation %d has room for %d port counts and holds %d", f.name, i, cap(got[i].Ports), len(got[i].Ports))
@@ -268,7 +267,8 @@ func TestSynthesizeObsMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkSynthesizeObs draws the repo benchmark's feeds (attack seed 7):
+// BenchmarkSynthesizeObs draws the repo benchmark's feeds (attack seed 7)
+// through Synthesize, each observation counted and dropped:
 // study_batch's, 6 000 scheduled attacks on a 12 000-domain world, and
 // join_dense's, 20 000 attacks at a DNS share of 0.15 on 6 000 domains,
 // whose per-victim chains are long (make bench-session).
@@ -291,7 +291,9 @@ func BenchmarkSynthesizeObs(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if obs := SynthesizeObs(DefaultSynthConfig(), w, sched, tel, nil); len(obs) == 0 {
+				n := 0
+				Synthesize(DefaultSynthConfig(), w, sched, tel, func(*rsdos.WindowObs) { n++ }, nil)
+				if n == 0 {
 					b.Fatal("no observation synthesized")
 				}
 			}

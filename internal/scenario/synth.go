@@ -3,6 +3,7 @@ package scenario
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"dnsddos/internal/attacksim"
 	"dnsddos/internal/clock"
@@ -40,34 +41,20 @@ func DefaultSynthConfig() SynthConfig {
 	return SynthConfig{Seed: 99, DefaultVictimCapacity: 2e5, NSRespCapacityFactor: 20}
 }
 
-// SynthesizeObs generates the telescope's per-(victim, window) backscatter
-// observations for every randomly spoofed attack in the schedule.
+// Synthesize generates the telescope's per-(victim, window) backscatter
+// observations for every randomly spoofed attack in the schedule, handing
+// each to emit in feed order. The observation and its Ports are valid only
+// for the duration of the call: every one is drawn into the same buffers.
 //
-// The feed is two allocations: the schedule bounds both the observations
-// (one per window of a spoofed component) and their port counts (one per
-// listed port of each), so the observation array and one port-count slab
-// are made at those sizes and every observation's Ports is cut from the
-// slab, its capacity clamped to its length.
-//
-// A non-nil progress is handed the feed drawn so far every
-// progressEvery components, with the first window no later observation
-// can lie below: the schedule is in start order, so the components still
-// to come start no earlier than the next one. The feed it is handed is a
-// prefix of the final one, in the same array; its elements are final.
-func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *telescope.Telescope, progress func(feed []rsdos.WindowObs, closed clock.Window)) []rsdos.WindowObs {
+// A non-nil advance is handed, before each component after the first, the
+// first window no later observation can lie below: the schedule is in
+// start order, so the components still to come start no earlier than
+// that component.
+func Synthesize(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *telescope.Telescope, emit func(*rsdos.WindowObs), advance func(clock.Window)) {
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x0b5))
 	specs := sched.Specs()
-	var maxObs, maxPorts int
-	for i := range specs {
-		if s := &specs[i]; s.Vector == attacksim.VectorRandomSpoofed {
-			if n := int(clock.WindowOf(s.End.Add(-1))-clock.WindowOf(s.Start)) + 1; n > 0 {
-				maxObs += n
-				maxPorts += n * len(s.Ports)
-			}
-		}
-	}
-	out := make([]rsdos.WindowObs, 0, maxObs)
-	slab := make([]rsdos.PortCount, 0, maxPorts)
+	var ports []rsdos.PortCount
+	var o rsdos.WindowObs // emit's argument: one escape, not one per window
 	// chain the components of each victim by schedule position, so a
 	// window's total load is O(components on that victim), not
 	// O(schedule): first holds a victim's earliest component, next the one
@@ -89,8 +76,8 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 	for i := range specs {
 		s := &specs[i]
 		startW := clock.WindowOf(s.Start)
-		if progress != nil && i > 0 && i%progressEvery == 0 {
-			progress(out, startW)
+		if advance != nil && i > 0 {
+			advance(startW)
 		}
 		if s.Vector != attacksim.VectorRandomSpoofed {
 			continue
@@ -119,6 +106,7 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 		darknet := pool * tel.Fraction()
 		logMiss := math.Log1p(-1 / darknet)
 		endW := clock.WindowOf(s.End.Add(-1))
+		ports = slices.Grow(ports[:0], len(s.Ports))
 		for wdw := startW; wdw <= endW; wdw++ {
 			load := s.WindowLoad(wdw)
 			if load <= 0 {
@@ -135,19 +123,24 @@ func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *te
 			}
 			responses := load * respRate * clock.WindowDur.Seconds()
 			lambda := responses * tel.Fraction()
-			o := synthesizeWindow(rng, tel, s, darknet, logMiss, wdw, lambda, slab[len(slab):])
-			if o.Packets > 0 {
-				out = append(out, o)
-				slab = slab[:len(slab)+len(o.Ports)]
+			if o = synthesizeWindow(rng, tel, s, darknet, logMiss, wdw, lambda, ports); o.Packets > 0 {
+				emit(&o)
 			}
 		}
 	}
-	return out
 }
 
-// progressEvery is how many schedule components SynthesizeObs draws
-// between two progress calls.
-const progressEvery = 256
+// SynthesizeObs returns Synthesize's feed as one slice, every
+// observation's Ports its own.
+func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *telescope.Telescope) []rsdos.WindowObs {
+	var feed []rsdos.WindowObs
+	Synthesize(cfg, w, sched, tel, func(o *rsdos.WindowObs) {
+		c := *o
+		c.Ports = slices.Clip(slices.Clone(o.Ports))
+		feed = append(feed, c)
+	}, nil)
+	return feed
+}
 
 // synthesizeWindow draws one observation from the thinned backscatter
 // process with expected telescope packet count lambda. The observation's

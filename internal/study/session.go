@@ -1,15 +1,14 @@
 package study
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime/debug"
 	"slices"
-	"sync"
 	"time"
 
-	"dnsddos/internal/attacksim"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/netx"
@@ -25,9 +24,9 @@ import (
 
 // session.go factors the deterministic world-building half of a study run
 // out of RunContext so any process holding the same Config can rebuild
-// identical state: the generated world, attack schedule, synthesized
-// telescope observations, inferred attack feed, and the simulated data
-// plane (net, resolver, measurement engine). Everything here is a pure
+// identical state: the generated world, attack schedule, inferred attack
+// feed (the telescope observations it is folded from are not kept), and
+// the simulated data plane (net, resolver, measurement engine). Everything here is a pure
 // function of the (seeded) configuration — no I/O, no wall-clock — which
 // is what makes the distributed sweep possible at all: a worker receives
 // only the config JSON, calls NewSession, and owns a world byte-identical
@@ -43,30 +42,31 @@ type Session struct {
 	World     *scenario.World
 	Schedule  *scenario.Schedule
 	Telescope *telescope.Telescope
-	Obs       []rsdos.WindowObs
-	Attacks   []rsdos.Attack
-	Net       *simnet.Net
-	Resolver  *resolver.Resolver
-	Engine    *openintel.Engine
+	// Deprecated: always nil; the feed is folded as it is drawn, never
+	// held. It remains because the repo benchmark (benchmark/) reads it.
+	Obs      []rsdos.WindowObs
+	Attacks  []rsdos.Attack
+	Net      *simnet.Net
+	Resolver *resolver.Resolver
+	Engine   *openintel.Engine
 
 	filter func(nsset.ID, clock.Window) bool
 }
 
 // NewSession validates cfg and builds the deterministic run state. Stage
-// wall-times are recorded into reg (volatile; nil disables). The context
-// is checked between the generate and infer phases.
+// wall-times and the feed's size are recorded into reg (volatile; nil
+// disables). The context is checked between the generate and infer phases.
 func NewSession(ctx context.Context, cfg Config, reg *obs.Registry) (*Session, error) {
 	if err := Validate(cfg); err != nil {
 		return nil, err
 	}
-	stage := stageTimer(reg)
 	sess := &Session{Config: cfg}
 
 	t0 := time.Now()
 	sess.World = scenario.GenerateWorld(cfg.World)
 	sess.Schedule = scenario.GenerateSchedule(cfg.Attacks, sess.World)
 	sess.Telescope = telescope.NewUCSD()
-	if err := sess.buildFeed(ctx, stage, t0); err != nil {
+	if err := sess.buildFeed(ctx, reg, t0); err != nil {
 		return nil, err
 	}
 
@@ -77,101 +77,132 @@ func NewSession(ctx context.Context, cfg Config, reg *obs.Registry) (*Session, e
 	return sess, nil
 }
 
-// buildFeed synthesizes the telescope feed into sess.Obs and infers
-// sess.Attacks from it. Without noise the inference runs on a second
-// goroutine while synthesis still draws (foldBehind), and what is left
-// once the feed is whole is folded here. Noise can land in any window,
-// below any watermark synthesis publishes, so with noise the feed is
-// inferred once it is whole. The generate stage ends when the feed is
-// drawn, the infer stage when its attacks are ready.
-func (sess *Session) buildFeed(ctx context.Context, stage func(string, time.Time), t0 time.Time) error {
+// buildFeed synthesizes the telescope feed and infers sess.Attacks from it
+// without holding it: the inference folds the windows synthesis has
+// closed on a second goroutine while synthesis still draws (foldFeed), and
+// folds what is left once synthesis returns. The generate stage ends when
+// the feed is drawn, the infer stage when its attacks are ready. The
+// feed's observation count and the most observations the fold held at
+// once are recorded beside the stage times, volatile like them.
+func (sess *Session) buildFeed(ctx context.Context, reg *obs.Registry, t0 time.Time) error {
 	cfg := sess.Config
-	synthesize := func(progress func([]rsdos.WindowObs, clock.Window)) []rsdos.WindowObs {
-		feed := scenario.SynthesizeObs(cfg.Synth, sess.World, sess.Schedule.Sched, sess.Telescope, progress)
-		if cfg.IncludeNoise {
-			feed = append(feed, scenario.SynthesizeNoise(cfg.Noise, sess.Telescope)...)
-		}
+	stage := stageTimer(reg)
+	fold := rsdos.NewFold(cfg.RSDoS)
+	var noise []rsdos.WindowObs
+	if cfg.IncludeNoise {
+		noise = scenario.SynthesizeNoise(cfg.Noise, sess.Telescope)
+		slices.SortStableFunc(noise, func(a, b rsdos.WindowObs) int { return cmp.Compare(a.Window, b.Window) })
+	}
+	n := foldFeed(fold, noise, func(emit func(*rsdos.WindowObs), advance func(clock.Window)) {
+		scenario.Synthesize(cfg.Synth, sess.World, sess.Schedule.Sched, sess.Telescope, emit, advance)
 		stage("generate", t0)
 		t0 = time.Now()
-		return feed
-	}
-	var fold *rsdos.Fold
-	if specs := sess.Schedule.Sched.Specs(); cfg.IncludeNoise || len(specs) == 0 {
-		sess.Obs = synthesize(nil)
-	} else {
-		fold = rsdos.NewFold(cfg.RSDoS, clock.WindowOf(specs[0].Start), lastWindow(specs))
-		sess.Obs = foldBehind(fold, synthesize)
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if fold == nil {
-		sess.Attacks = rsdos.Infer(cfg.RSDoS, sess.Obs)
-	} else {
-		fold.Add(sess.Obs)
-		sess.Attacks = fold.Finish()
-	}
+	sess.Attacks = fold.Finish()
 	stage("infer", t0)
+	reg.Gauge("study.feed.observations", obs.Volatile()).Set(int64(n))
+	reg.Gauge("study.feed.peak_slots", obs.Volatile()).Set(int64(fold.Slots()))
 	return nil
 }
 
-// lastWindow returns the last window any component of the schedule is
-// active in. With the first component's start window (the schedule is in
-// start order) it bounds every observation the schedule can give.
-func lastWindow(specs []attacksim.Spec) clock.Window {
-	last := clock.WindowOf(specs[0].Start)
-	for i := range specs {
-		last = max(last, clock.WindowOf(specs[i].End.Add(-1)))
-	}
-	return last
+// feedBlockLen is how many observations one feedBlock carries.
+const feedBlockLen = 1024
+
+// feedBlock is a run of the feed on its way from synthesis to the fold:
+// up to feedBlockLen observations, their Ports cut from ports, and the
+// watermark synthesis had published when the block was handed over.
+type feedBlock struct {
+	obs    []rsdos.WindowObs
+	ports  []rsdos.PortCount
+	closed clock.Window
 }
 
-// foldBehind calls synthesize with a progress callback that has fold take
-// each published feed prefix on a helper goroutine: link its new
-// observations, fold the windows below its watermark. Only the latest
-// prefix and watermark matter — each supersedes the one before — so
-// publishing never waits: it stores them and wakes the helper if it is
-// idle. foldBehind returns the feed once the helper has taken the last
-// prefix it was handed and exited; the fold is the caller's again. The
-// helper is joined on every return path, a panic in synthesize included,
-// and a panic on the helper is re-raised here, on the caller's goroutine:
-// left on the helper it would take the process down past every recover
-// of the caller's.
-func foldBehind(fold *rsdos.Fold, synthesize func(progress func([]rsdos.WindowObs, clock.Window)) []rsdos.WindowObs) []rsdos.WindowObs {
-	var (
-		mu       sync.Mutex
-		feed     []rsdos.WindowObs
-		closed   clock.Window // no observation still to come lies below it
-		panicked any
-	)
-	wake, done := make(chan struct{}, 1), make(chan struct{})
+// foldFeed runs synthesize on the caller's goroutine and has fold take
+// what it emits on a helper goroutine, and returns how many observations
+// the feed held, noise included. Synthesis copies the observations into
+// blocks from a set of three it recycles, and hands each full one over
+// with the latest watermark advance gave it; the helper has fold take the
+// block's observations, then the noise (sorted by window) below the
+// watermark, closes the windows below it and hands the block back. So
+// every window's noise follows its attack observations, as in the feed
+// with the noise appended. Once synthesize returns, the helper takes the
+// last block and the noise left and exits; the fold is the caller's
+// again. The helper is joined on every return path, a panic in
+// synthesize included, and a panic on the helper is re-raised here, on
+// the caller's goroutine: left on the helper it would take the process
+// down past every recover of the caller's. After a panic the helper hands
+// every block straight back, so synthesis never waits for one.
+func foldFeed(fold *rsdos.Fold, noise []rsdos.WindowObs, synthesize func(emit func(*rsdos.WindowObs), advance func(clock.Window))) int {
+	n := len(noise)
+	// both channels hold every block, so no send waits; synthesis waits
+	// on empty only while the helper, which runs until full is closed,
+	// holds all three
+	const blocks = 3
+	full, empty := make(chan *feedBlock, blocks), make(chan *feedBlock, blocks)
+	for range blocks {
+		empty <- &feedBlock{obs: make([]rsdos.WindowObs, 0, feedBlockLen), ports: make([]rsdos.PortCount, 0, 2*feedBlockLen)}
+	}
+	takeNoise := func(below clock.Window) {
+		for len(noise) > 0 && noise[0].Window < below {
+			fold.Take(&noise[0])
+			noise = noise[1:]
+		}
+	}
+	var panicked any
+	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		defer func() { panicked = recover() }()
-		for range wake {
-			mu.Lock()
-			f, c := feed, closed
-			mu.Unlock()
-			fold.Add(f)
-			fold.Close(c)
+		defer func() {
+			if panicked = recover(); panicked != nil {
+				for b := range full {
+					empty <- b
+				}
+			}
+		}()
+		for b := range full {
+			for i := range b.obs {
+				fold.Take(&b.obs[i])
+			}
+			takeNoise(b.closed)
+			fold.Close(b.closed)
+			empty <- b
 		}
+		takeNoise(math.MaxInt64)
 	}()
 	defer func() {
-		close(wake)
+		close(full)
 		<-done
 		if panicked != nil {
 			panic(panicked)
 		}
 	}()
-	return synthesize(func(f []rsdos.WindowObs, c clock.Window) {
-		mu.Lock()
-		feed, closed = f, c
-		mu.Unlock()
-		select {
-		case wake <- struct{}{}:
-		default: // the helper is woken already and will read the latest
+
+	var b *feedBlock
+	closed := clock.Window(math.MinInt64)
+	emit := func(o *rsdos.WindowObs) {
+		n++
+		if b == nil {
+			b = <-empty
+			b.obs, b.ports = b.obs[:0], b.ports[:0]
 		}
-	})
+		c := *o
+		b.ports = append(b.ports, o.Ports...)
+		c.Ports = b.ports[len(b.ports)-len(o.Ports) : len(b.ports) : len(b.ports)]
+		if b.obs = append(b.obs, c); len(b.obs) == feedBlockLen {
+			b.closed = closed
+			full <- b
+			b = nil
+		}
+	}
+	synthesize(emit, func(w clock.Window) { closed = w })
+	if b != nil {
+		b.closed = closed
+		full <- b
+	}
+	return n
 }
 
 // windowFilter is the join's demand (DESIGN §3.13): the (NSSet, window)
@@ -323,7 +354,6 @@ func (sess *Session) NewStudy(reg *obs.Registry) *Study {
 		World:     sess.World,
 		Schedule:  sess.Schedule,
 		Telescope: sess.Telescope,
-		Obs:       sess.Obs,
 		Attacks:   sess.Attacks,
 		Net:       sess.Net,
 		Resolver:  sess.Resolver,

@@ -96,11 +96,12 @@ func TestDemandMatchesMap(t *testing.T) {
 	}
 }
 
-// TestSessionFeedMatchesInfer holds the session's feed — inference
+// TestSessionFeedMatchesInfer holds the session's attacks — inference
 // folding the windows synthesis has closed on a second goroutine while
-// synthesis still draws — to the one-goroutine build: the observations a
-// plain SynthesizeObs draws (then SynthesizeNoise's) and the attacks Infer
-// curates from them.
+// synthesis still draws, the noise taken as each window closes — to the
+// one-goroutine build: Infer over the whole feed SynthesizeObs collects,
+// SynthesizeNoise's appended. The session keeps no feed, and its gauges
+// count the feed and the slots the fold held at once.
 func TestSessionFeedMatchesInfer(t *testing.T) {
 	noisy := metricsConfig()
 	noisy.IncludeNoise = true
@@ -131,15 +132,17 @@ func TestSessionFeedMatchesInfer(t *testing.T) {
 		{name: "noise", cfg: noisy},
 		{name: "no randomly spoofed component", cfg: metricsConfig(), reshape: noSpoofed, wantNone: true},
 		{name: "GOMAXPROCS 1", cfg: QuickConfig(), procs: 1},
+		{name: "benchmark scale", cfg: benchmarkScaleConfig()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.procs > 0 {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
 			}
+			reg := obs.New()
 			var sess *Session
 			if tc.reshape == nil {
 				var err error
-				if sess, err = NewSession(context.Background(), tc.cfg, obs.New()); err != nil {
+				if sess, err = NewSession(context.Background(), tc.cfg, reg); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -149,22 +152,30 @@ func TestSessionFeedMatchesInfer(t *testing.T) {
 				if len(sess.Schedule.Sched.Specs()) == 0 {
 					t.Fatal("the reshaped schedule is empty")
 				}
-				if err := sess.buildFeed(context.Background(), stageTimer(nil), time.Now()); err != nil {
+				if err := sess.buildFeed(context.Background(), reg, time.Now()); err != nil {
 					t.Fatal(err)
 				}
 			}
-			want := scenario.SynthesizeObs(tc.cfg.Synth, sess.World, sess.Schedule.Sched, sess.Telescope, nil)
+			feed := scenario.SynthesizeObs(tc.cfg.Synth, sess.World, sess.Schedule.Sched, sess.Telescope)
 			if tc.cfg.IncludeNoise {
-				want = append(want, scenario.SynthesizeNoise(tc.cfg.Noise, sess.Telescope)...)
-			}
-			if !reflect.DeepEqual(sess.Obs, want) {
-				t.Fatalf("the session's feed differs from SynthesizeObs's (%d vs %d observations)", len(sess.Obs), len(want))
+				feed = append(feed, scenario.SynthesizeNoise(tc.cfg.Noise, sess.Telescope)...)
 			}
 			if got := len(sess.Attacks) == 0; got != tc.wantNone {
 				t.Fatalf("%d attacks inferred", len(sess.Attacks))
 			}
-			if want := rsdos.Infer(tc.cfg.RSDoS, sess.Obs); !reflect.DeepEqual(sess.Attacks, want) {
+			if want := rsdos.Infer(tc.cfg.RSDoS, feed); !reflect.DeepEqual(sess.Attacks, want) {
 				t.Errorf("the session's attacks differ from Infer's (%d vs %d)", len(sess.Attacks), len(want))
+			}
+			if sess.Obs != nil || sess.NewStudy(reg).Obs != nil {
+				t.Error("the session holds the feed")
+			}
+			n := reg.Gauge("study.feed.observations", obs.Volatile()).Load()
+			slots := reg.Gauge("study.feed.peak_slots", obs.Volatile()).Load()
+			if n != int64(len(feed)) {
+				t.Errorf("study.feed.observations = %d, the feed holds %d", n, len(feed))
+			}
+			if tc.wantNone != (slots == 0) || (!tc.wantNone && slots >= n) {
+				t.Errorf("study.feed.peak_slots = %d of %d observations", slots, n)
 			}
 		})
 	}
@@ -178,22 +189,52 @@ func TestSessionFeedMatchesInfer(t *testing.T) {
 	})
 }
 
-// TestFoldBehindPanicReachesCaller: a panic on the helper goroutine — here
-// the fold's own, an observation below the window span it was given — is
-// re-raised on the caller once synthesis returns, with the helper gone.
+// TestFoldBehindPanicReachesCaller: a panic on either side of foldFeed
+// reaches the caller once both sides have stopped, with the helper gone
+// and synthesis never left waiting on a block — a panic on the helper
+// (the fold's own, an observation below a window already closed) while
+// synthesis goes on to draw many more blocks, and a panic inside
+// synthesis with full blocks still on their way to the fold.
 func TestFoldBehindPanicReachesCaller(t *testing.T) {
-	netx.NoGoroutineLeaks(t)
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "window 5") {
-			t.Fatalf("foldBehind panicked with %v, want the fold's panic", r)
-		}
-	}()
-	foldBehind(rsdos.NewFold(rsdos.DefaultConfig(), 10, 20), func(progress func([]rsdos.WindowObs, clock.Window)) []rsdos.WindowObs {
-		feed := []rsdos.WindowObs{{Window: 5, Packets: 100, Slash16: 50}}
-		progress(feed, 5)
-		return feed
-	})
-	t.Fatal("foldBehind returned")
+	qualifying := func(w clock.Window) *rsdos.WindowObs {
+		return &rsdos.WindowObs{Window: w, Packets: 100, Slash16: 50, Ports: []rsdos.PortCount{{Port: 53, N: 100}}}
+	}
+	for _, tc := range []struct {
+		name       string
+		synthesize func(emit func(*rsdos.WindowObs), advance func(clock.Window))
+		want       string
+	}{
+		{"on the helper", func(emit func(*rsdos.WindowObs), advance func(clock.Window)) {
+			advance(30)
+			for range feedBlockLen {
+				emit(qualifying(30))
+			}
+			for range feedBlockLen {
+				emit(qualifying(5)) // the helper closes window 30 first
+			}
+			for range 10 * feedBlockLen {
+				emit(qualifying(40))
+			}
+		}, "window 5"},
+		{"in synthesis", func(emit func(*rsdos.WindowObs), advance func(clock.Window)) {
+			for w := range clock.Window(3 * feedBlockLen) {
+				advance(w)
+				emit(qualifying(w))
+			}
+			panic("synthesis failed")
+		}, "synthesis failed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			netx.NoGoroutineLeaks(t)
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Fatalf("foldFeed panicked with %v, want %q", r, tc.want)
+				}
+			}()
+			foldFeed(rsdos.NewFold(rsdos.DefaultConfig()), nil, tc.synthesize)
+			t.Fatal("foldFeed returned")
+		})
+	}
 }
 
 // benchmarkScaleConfig is the repo benchmark's study at seed 1 in all but

@@ -93,11 +93,13 @@ type Study struct {
 	World     *scenario.World
 	Schedule  *scenario.Schedule
 	Telescope *telescope.Telescope
-	Obs       []rsdos.WindowObs
-	Attacks   []rsdos.Attack
-	Net       *simnet.Net
-	Resolver  *resolver.Resolver
-	Engine    *openintel.Engine
+	// Deprecated: always nil. It goes with Session.Obs, which the repo
+	// benchmark (benchmark/) still reads.
+	Obs      []rsdos.WindowObs
+	Attacks  []rsdos.Attack
+	Net      *simnet.Net
+	Resolver *resolver.Resolver
+	Engine   *openintel.Engine
 	// Deprecated: nil after every run; read the days through Pipeline.DayStore.
 	Agg        *nsset.Aggregator
 	Pipeline   *core.Pipeline
