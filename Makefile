@@ -101,13 +101,16 @@ soak:
 # session build, whose inference folds the feed on a helper goroutine
 # while synthesis still appends to it, and the full-retention oracle,
 # whose sweep workers all read the session's one retention demand. The
-# last leg is the degraded-mode sweep: a live loopback fleet, the
+# curation (internal/rsdos) runs whole under the detector: the session's
+# fold, and the tracker it advances, run on the feed's helper goroutine.
+# The last leg is the degraded-mode sweep: a live loopback fleet, the
 # retrying resolver and dnsload under the detector in every mode.
 race-gate: soak
 	$(GO) vet ./... && $(GO) build ./... && \
 	$(GO) test -race ./internal/authserver/... ./internal/resolver/... ./internal/dnsload/... \
 		./internal/core/... ./internal/cache/... ./internal/resilience/... \
-		./internal/stream/... ./internal/distjoin/... ./internal/daystore/...
+		./internal/stream/... ./internal/distjoin/... ./internal/daystore/... \
+		./internal/rsdos/...
 	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume|TestAbandonedTableIsNotRecycled|TestRunAllocationsPerDay|TestSessionFeedMatchesInfer|TestFoldBehindPanicReachesCaller|TestRetentionMatchesFullOracle' -count 1
 	$(GO) test -race ./internal/e2ebench/ -count 1
 
@@ -171,14 +174,15 @@ bench-serve:
 # benchmark's scale (allocs/op and B/op are what every study, joinworker and
 # setup_s sample pays before its first sweep), the whole study through
 # study.RunContext at the same scale with two workers (its allocs/op is
-# what study_batch op_allocs reads), and the session's two heaviest
-# stages, the telescope feed (at study_batch's scale, and at join_dense's
-# DNS share, where a victim's attack chain is long) and its curation. For
+# what study_batch op_allocs reads), the attack schedule at the same
+# scale, and the session's two heaviest stages, the telescope feed (at
+# study_batch's scale, and at join_dense's DNS share, where a victim's
+# attack chain is long) and its curation. For
 # reading while working on the set-up or the run loop; the gated numbers
 # are the repo benchmark's study_batch op_allocs and join_dense setup_s.
 bench-session:
 	$(GO) test -bench 'BenchmarkNewSession|BenchmarkRunContext' -benchmem -run '^$$' ./internal/study/
-	$(GO) test -bench 'BenchmarkSynthesizeObs' -benchmem -run '^$$' ./internal/scenario/
+	$(GO) test -bench 'BenchmarkGenerateSchedule|BenchmarkSynthesizeObs' -benchmem -run '^$$' ./internal/scenario/
 	$(GO) test -bench 'BenchmarkInfer' -benchmem -run '^$$' ./internal/rsdos/
 
 # The join, layer by layer: one join through the engine on a built

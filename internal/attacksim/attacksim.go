@@ -119,21 +119,22 @@ type Schedule struct {
 	specs []Spec // sorted by Start
 }
 
-// NewSchedule builds a schedule (specs are copied and sorted by start time;
-// IDs are assigned sequentially if zero).
+// NewSchedule builds a schedule over specs and keeps them: it sorts them
+// in place by start time, stably, and assigns IDs in that order where
+// zero (a GroupID left zero takes the ID). The caller hands specs over and
+// must not use them afterwards, and should size the slice to its length:
+// the schedule holds its whole array for as long as it lives.
 func NewSchedule(specs []Spec) *Schedule {
-	s := make([]Spec, len(specs))
-	copy(s, specs)
-	slices.SortStableFunc(s, func(a, b Spec) int { return a.Start.Compare(b.Start) })
-	for i := range s {
-		if s[i].ID == 0 {
-			s[i].ID = i + 1
+	slices.SortStableFunc(specs, func(a, b Spec) int { return a.Start.Compare(b.Start) })
+	for i := range specs {
+		if specs[i].ID == 0 {
+			specs[i].ID = i + 1
 		}
-		if s[i].GroupID == 0 {
-			s[i].GroupID = s[i].ID
+		if specs[i].GroupID == 0 {
+			specs[i].GroupID = specs[i].ID
 		}
 	}
-	return &Schedule{specs: s}
+	return &Schedule{specs: specs}
 }
 
 // Specs returns all specs in start order (shared slice; read-only).

@@ -114,11 +114,19 @@ func classifyBackscatter(p packet.Packet) (packet.Protocol, uint16, bool) {
 	}
 }
 
-// Windower is the watermark-driven window builder shared by the batch
-// PacketAggregator (lateness 0) and the streaming pipeline
-// (internal/stream): it aggregates packets into per-victim window states,
-// keeps every window at or above the watermark open, and closes windows
-// as the watermark passes them.
+// Windower is the watermark-driven window builder, the packet-level
+// front-end of the inference: the streaming pipeline (internal/stream)
+// runs one, and with lateness 0 over a sorted trace, closed with CloseAll,
+// it is the batch aggregation of case studies and tests. The flow-level
+// longitudinal generator (internal/scenario) synthesizes WindowObs
+// directly. It aggregates packets into per-victim window states, keeps
+// every window at or above the watermark open, and closes windows as the
+// watermark passes them.
+//
+// Packet-to-attack attribution follows the backscatter method: the
+// *source* of a captured packet is the inferred victim; the backscatter
+// type implies the attacked protocol; the backscatter source port (or the
+// quoted port in an ICMP error) implies the attacked port.
 //
 // The watermark is the maximum window seen so far minus the lateness
 // allowance: a window closes — its observations become final — once a
@@ -141,7 +149,7 @@ type Windower struct {
 
 // NewWindower builds a windower over the telescope with the given
 // lateness allowance (in windows; 0 = a window closes as soon as a later
-// window is seen, the historical PacketAggregator behaviour).
+// window is seen, the batch behaviour).
 func NewWindower(t *telescope.Telescope, lateness int) *Windower {
 	if lateness < 0 {
 		lateness = 0
@@ -251,55 +259,5 @@ func (wd *Windower) closeBelow(limit clock.Window) []WindowObs {
 		}
 		delete(wd.open, w)
 	}
-	return out
-}
-
-// PacketAggregator builds WindowObs from individual backscatter packets
-// captured by the telescope — the packet-level front-end of the inference,
-// used for case studies and tests. The flow-level longitudinal generator
-// (internal/scenario) synthesizes WindowObs directly.
-//
-// Packet-to-attack attribution follows the backscatter method: the *source*
-// of a captured packet is the inferred victim; the backscatter type implies
-// the attacked protocol; the backscatter source port (or the quoted port in
-// an ICMP error) implies the attacked port.
-//
-// It is the zero-lateness batch face of Windower: a window closes as soon
-// as a later window is seen, and a late packet (one for an already-closed
-// window) is dropped and counted in LateDrops rather than regressing the
-// live window — the historical behaviour of flushing on *any* window
-// change emitted duplicate out-of-order observations for the flushed
-// window, which double-counted attacks downstream.
-type PacketAggregator struct {
-	win  *Windower
-	done []WindowObs
-}
-
-// NewPacketAggregator returns an aggregator for the given telescope.
-func NewPacketAggregator(t *telescope.Telescope) *PacketAggregator {
-	return &PacketAggregator{win: NewWindower(t, 0)}
-}
-
-// Add folds one captured packet and reports whether it was accepted.
-// Packets are expected in non-decreasing window order (packet order within
-// a window is free); a packet for a window older than the newest one seen
-// is dropped and counted in LateDrops.
-func (pa *PacketAggregator) Add(ts time.Time, p packet.Packet) bool {
-	ok := pa.win.Add(ts, p)
-	if obs := pa.win.CloseReady(); len(obs) > 0 {
-		pa.done = append(pa.done, obs...)
-	}
-	return ok
-}
-
-// LateDrops returns how many packets were dropped for arriving after
-// their window was flushed.
-func (pa *PacketAggregator) LateDrops() int64 { return pa.win.LateDrops() }
-
-// Finish flushes the trailing window and returns all observations in
-// strictly non-decreasing window order (victims sorted within a window).
-func (pa *PacketAggregator) Finish() []WindowObs {
-	out := append(pa.done, pa.win.CloseAll()...)
-	pa.done = nil
 	return out
 }

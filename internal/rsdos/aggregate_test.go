@@ -340,3 +340,45 @@ func TestWindowerLatenessAbsorbsJitter(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// PacketAggregator builds WindowObs from individual backscatter packets
+// captured by the telescope, for the tests here. It is the zero-lateness
+// batch face of Windower: a window closes as soon
+// as a later window is seen, and a late packet (one for an already-closed
+// window) is dropped and counted in LateDrops rather than regressing the
+// live window — the historical behaviour of flushing on *any* window
+// change emitted duplicate out-of-order observations for the flushed
+// window, which double-counted attacks downstream.
+type PacketAggregator struct {
+	win  *Windower
+	done []WindowObs
+}
+
+// NewPacketAggregator returns an aggregator for the given telescope.
+func NewPacketAggregator(t *telescope.Telescope) *PacketAggregator {
+	return &PacketAggregator{win: NewWindower(t, 0)}
+}
+
+// Add folds one captured packet and reports whether it was accepted.
+// Packets are expected in non-decreasing window order (packet order within
+// a window is free); a packet for a window older than the newest one seen
+// is dropped and counted in LateDrops.
+func (pa *PacketAggregator) Add(ts time.Time, p packet.Packet) bool {
+	ok := pa.win.Add(ts, p)
+	if obs := pa.win.CloseReady(); len(obs) > 0 {
+		pa.done = append(pa.done, obs...)
+	}
+	return ok
+}
+
+// LateDrops returns how many packets were dropped for arriving after
+// their window was flushed.
+func (pa *PacketAggregator) LateDrops() int64 { return pa.win.LateDrops() }
+
+// Finish flushes the trailing window and returns all observations in
+// strictly non-decreasing window order (victims sorted within a window).
+func (pa *PacketAggregator) Finish() []WindowObs {
+	out := append(pa.done, pa.win.CloseAll()...)
+	pa.done = nil
+	return out
+}

@@ -15,11 +15,14 @@ import (
 // window's observations ordered by (Victim, arrival), the window order
 // then being the global (Window, Victim, arrival) order. That order is a
 // function of the feed alone; no sort algorithm's tie handling is part of
-// it. A folded window's slots are taken again by later observations, so a
-// fold holds the observations of its open windows, not the feed. Infer is
-// a Fold closed in one step; study.NewSession drives one behind the
-// synthesizer, folding the windows its watermark closes while later
-// windows are still drawn.
+// it. A folded window's slots are taken again by later observations, and
+// the candidates its close leaves unextendable are finalized and their
+// storage taken again by later attacks, so a fold holds the observations
+// of its open windows and the attacks still open, not the feed. The
+// finished attacks wait in fixed-size chunks until Finish. Infer is a Fold
+// closed in one step; study.NewSession drives one behind the synthesizer,
+// folding the windows its watermark closes while later windows are still
+// drawn.
 
 // slotChunk is how many slots one chunk allocation holds.
 const slotChunk = 512
@@ -28,6 +31,9 @@ const slotChunk = 512
 // seven ports per component. A longer list grows the slot's own buffer,
 // which the slot keeps.
 const slotPorts = 7
+
+// doneChunk is how many finished attacks one chunk holds.
+const doneChunk = 1024
 
 // slot is one observation a Fold holds.
 type slot struct {
@@ -56,6 +62,10 @@ type Fold struct {
 	lo, hi clock.Window
 	closed clock.Window // windows below are folded
 	buf    []int32      // one window's slots, in arrival order
+	// done holds the finished attacks in chunks of doneChunk, in the
+	// order they finalized; ndone counts them.
+	done  [][]Attack
+	ndone int
 }
 
 // NewFold returns an empty fold.
@@ -126,8 +136,27 @@ func (f *Fold) grow(lo, hi clock.Window) {
 func (f *Fold) slot(i int32) *slot { return &f.chunks[i/slotChunk][i%slotChunk] }
 
 // Close folds every window below w and frees its slots: no observation
-// taken later may lie in one.
+// taken later may lie in one. The candidates no later window can extend
+// are finalized, and their storage freed.
 func (f *Fold) Close(w clock.Window) {
+	f.advance(w)
+	for _, a := range f.tr.pending {
+		if f.ndone%doneChunk == 0 {
+			f.done = append(f.done, make([]Attack, 0, doneChunk))
+		}
+		c := len(f.done) - 1
+		f.done[c] = append(f.done[c], a)
+		f.ndone++
+	}
+	f.tr.pending = f.tr.pending[:0]
+}
+
+// advance is Close but for the finished attacks, which it leaves in the
+// tracker's pending list.
+func (f *Fold) advance(w clock.Window) {
+	if w <= f.closed {
+		return
+	}
 	for ; f.lo < w && f.lo <= f.hi; f.lo++ {
 		h := &f.heads[f.lo&clock.Window(len(f.heads)-1)]
 		f.buf = f.buf[:0]
@@ -155,7 +184,8 @@ func (f *Fold) Close(w clock.Window) {
 			f.free = i + 1
 		}
 	}
-	f.closed = max(f.closed, w)
+	f.closed = w
+	f.tr.expire(w - 1)
 }
 
 // Slots returns how many slots the fold has cut: the most observations it
@@ -163,10 +193,19 @@ func (f *Fold) Close(w clock.Window) {
 func (f *Fold) Slots() int { return int(f.cut) }
 
 // Finish folds the remaining windows and returns the feed numbered by
-// (StartWindow, Victim) rank.
+// (StartWindow, Victim) rank. The attacks finalized in the order their
+// windows closed, which is not the feed's (Tracker.drain), so they are
+// copied once, the chunks and then the last close's, into a slice of
+// their number and sorted there.
 func (f *Fold) Finish() []Attack {
-	f.Close(math.MaxInt64)
-	attacks := f.tr.Finish()
+	f.advance(math.MaxInt64)
+	attacks := make([]Attack, 0, f.ndone+len(f.tr.pending))
+	for _, c := range f.done {
+		attacks = append(attacks, c...)
+	}
+	attacks = append(attacks, f.tr.pending...)
+	f.done, f.ndone, f.tr.pending = nil, 0, f.tr.pending[:0]
+	sortAttacks(attacks)
 	for i := range attacks {
 		attacks[i].ID = i + 1
 	}

@@ -123,11 +123,16 @@ func TestInferOrderInvariance(t *testing.T) {
 // TestFoldClosedAtWatermarksMatchesReference folds generated feeds the way
 // a synthesizer hands them over: components in start order, each giving
 // observations for its own run of windows, with the fold closed now and
-// then at a random watermark no later observation lies below. Port lists
-// run from none to past a slot's own room, so recycled slots see longer
-// and shorter lists than the ones they held. The attacks must be the
-// reference's over the whole feed, and the fold must never cut more
-// slots than the most qualifying observations in windows still open.
+// then at a random watermark no later observation lies below. A component
+// attacks one of twelve victims, a pool that drifts with the component's
+// place, so victims recur while near and then leave. Port lists run from
+// none to past a slot's own room, so recycled slots see longer and
+// shorter lists than the ones they held. The attacks must be the
+// reference's over the whole feed, and the fold must never cut more slots
+// than the most qualifying observations in windows still open, nor more
+// candidate slabs than the most candidates the watermarks leave open at
+// once: a Close that finalizes nothing keeps a candidate per victim ever
+// seen.
 func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 	portPool := []uint16{22, 53, 80, 123, 443, 3389, 8080, 27015, 5060, 11211}
 	for seed := uint64(1); seed <= 40; seed++ {
@@ -141,7 +146,7 @@ func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 		for c := 20 + rng.IntN(200); c > 0; c-- {
 			start += clock.Window(rng.IntN(4))
 			marks, starts = append(marks, len(feed)), append(starts, start)
-			victim := netx.Addr(0x78000000 + uint32(rng.IntN(12)))
+			victim := netx.Addr(0x78000000 + uint32(len(marks)/2+rng.IntN(12)))
 			for w, end := start, start+clock.Window(rng.IntN(30)); w <= end; w++ {
 				o := WindowObs{Window: w, Victim: victim, Proto: packet.ProtoTCP,
 					Packets: int64(rng.IntN(8)) * 25, Slash16: rng.IntN(40), UniqueDsts: int64(rng.IntN(500))}
@@ -153,10 +158,27 @@ func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 			}
 		}
 		for _, cfg := range []Config{DefaultConfig(), {MaxGapWindows: 2}} {
+			// every candidate's span, the ones below the packet floor
+			// included
+			floorless := cfg
+			floorless.MinTotalPackets = 0
+			spans := inferReference(floorless, feed)
+			// openAt counts the candidates that can be open while the fold
+			// closes the windows below w, the last close having been at
+			// prev: the ones started below w that prev's close left open
+			openAt := func(prev, w clock.Window) int {
+				n := 0
+				for _, a := range spans {
+					if a.StartWindow < w && a.EndWindow+clock.Window(cfg.MaxGapWindows)+1 >= prev {
+						n++
+					}
+				}
+				return n
+			}
 			f := NewFold(cfg)
 			closed := clock.Window(math.MinInt64)
 			var open []clock.Window // windows of the qualifying observations taken and not yet closed
-			peak, c := 0, 0
+			peak, peakCands, c := 0, 0, 0
 			for p := range feed {
 				if c < len(marks) && marks[c] == p {
 					// a watermark at or below this component's start,
@@ -164,6 +186,9 @@ func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 					if rng.IntN(3) == 0 {
 						w := max(closed, starts[c]-clock.Window(rng.IntN(3)))
 						f.Close(w)
+						if w > closed {
+							peakCands = max(peakCands, openAt(closed, w))
+						}
 						closed = w
 						open = slices.DeleteFunc(open, func(x clock.Window) bool { return x < w })
 					}
@@ -175,6 +200,7 @@ func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 					peak = max(peak, len(open))
 				}
 			}
+			peakCands = max(peakCands, openAt(closed, math.MaxInt64))
 			got, want := f.Finish(), inferReference(cfg, feed)
 			if len(want) == 0 {
 				t.Fatalf("seed %d: the reference inferred no attack", seed)
@@ -185,6 +211,12 @@ func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 			if f.Slots() > peak {
 				t.Fatalf("seed %d, %+v: the fold cut %d slots, at most %d observations were open at once", seed, cfg, f.Slots(), peak)
 			}
+			if slabs(f.tr.cut) > slabs(peakCands) {
+				t.Fatalf("seed %d, %+v: the tracker cut %d candidates, at most %d were open at once", seed, cfg, f.tr.cut, peakCands)
+			}
 		}
 	}
 }
+
+// slabs returns how many candidate slabs n candidates take.
+func slabs(n int) int { return (n + candidateChunk - 1) / candidateChunk }

@@ -7,10 +7,9 @@
 //
 // Late-packet semantics: window aggregation is watermark-driven
 // (Windower). A window closes once a packet arrives more than the
-// lateness allowance past it — immediately for the batch
-// PacketAggregator, whose allowance is zero — and packets for closed
-// windows are *dropped and counted* (LateDrops), never folded in or
-// re-emitted. Closed-window observations are therefore final and strictly
+// lateness allowance past it — immediately for a batch aggregation,
+// whose allowance is zero — and packets for closed windows are *dropped
+// and counted* (LateDrops), never folded in or re-emitted. Closed-window observations are therefore final and strictly
 // window-ordered, which is what both the incremental Tracker and the
 // streaming pipeline's exactly-once emission depend on.
 package rsdos
@@ -27,8 +26,8 @@ import (
 
 // WindowObs aggregates the backscatter one victim generated into the
 // telescope during one 5-minute window. Observations are produced either by
-// a PacketAggregator (packet-level fidelity) or synthesized analytically by
-// the longitudinal scenario generator; the inference below treats both
+// a Windower (packet-level fidelity) or synthesized analytically by the
+// longitudinal scenario generator; the inference below treats both
 // identically.
 type WindowObs struct {
 	Window clock.Window

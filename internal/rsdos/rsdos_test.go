@@ -1,6 +1,7 @@
 package rsdos
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -179,5 +180,60 @@ func TestAttackOverlaps(t *testing.T) {
 	}
 	if !a.Overlaps(a.Start().Add(-time.Hour), a.Start().Add(time.Nanosecond)) {
 		t.Error("touching the start should overlap")
+	}
+}
+
+// TestAdvanceBatchesAreNotFeedOrder pins what an Advance batch is: sorted
+// within itself, not a run of the feed's order. Victim 1 is attacked in
+// windows 10–100 and victim 2 in 50–60; advanced window by window, the
+// tracker finalizes victim 2's attack first (once window 63 closes) and
+// victim 1's, which starts earlier and so is first in the feed, last.
+// A Fold closed window by window must still number the feed as Infer
+// does.
+func TestAdvanceBatchesAreNotFeedOrder(t *testing.T) {
+	var feed []WindowObs
+	for w := clock.Window(10); w <= 100; w++ {
+		feed = append(feed, obs("192.0.2.1", w, 100, 50, 80))
+		if w >= 50 && w <= 60 {
+			feed = append(feed, obs("192.0.2.2", w, 100, 50, 53))
+		}
+	}
+	cfg := DefaultConfig()
+	tr := NewTracker(cfg)
+	var batches [][]Attack
+	for w, i := clock.Window(10), 0; w <= 110; w++ {
+		for ; i < len(feed) && feed[i].Window == w; i++ {
+			tr.Observe(feed[i])
+		}
+		if b := tr.Advance(w); len(b) > 0 {
+			batches = append(batches, b)
+			if len(b) != 1 {
+				t.Fatalf("window %d: a batch of %d attacks, want 1", w, len(b))
+			}
+		}
+	}
+	if len(batches) != 2 {
+		t.Fatalf("%d batches, want 2", len(batches))
+	}
+	if v := batches[0][0].Victim; v != netx.MustParseAddr("192.0.2.2") || batches[0][0].EndWindow != 60 {
+		t.Errorf("first batch is %v's attack ending in window %d, want 192.0.2.2's ending in 60", v, batches[0][0].EndWindow)
+	}
+	if v := batches[1][0].Victim; v != netx.MustParseAddr("192.0.2.1") || batches[1][0].StartWindow != 10 {
+		t.Errorf("second batch is %v's attack from window %d, want 192.0.2.1's from 10", v, batches[1][0].StartWindow)
+	}
+
+	f := NewFold(cfg)
+	for w, i := clock.Window(10), 0; i < len(feed); w++ {
+		for ; i < len(feed) && feed[i].Window == w; i++ {
+			f.Take(&feed[i])
+		}
+		f.Close(w + 1)
+	}
+	got, want := f.Finish(), Infer(cfg, feed)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fold closed window by window:\n%+v\nInfer:\n%+v", got, want)
+	}
+	if got[0].ID != 1 || got[0].Victim != netx.MustParseAddr("192.0.2.1") || got[1].ID != 2 {
+		t.Errorf("feed numbered %+v, want victim 1's attack first", got)
 	}
 }

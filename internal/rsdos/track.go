@@ -2,6 +2,7 @@ package rsdos
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"dnsddos/internal/clock"
@@ -12,9 +13,10 @@ import (
 // track.go is the incremental core of the RSDoS curation: a Tracker
 // consumes qualifying window observations in window order and finalizes
 // attack records as soon as the window watermark guarantees they can no
-// longer be extended. Infer feeds it through a Fold (window lists, feed,
-// finish); the streaming pipeline (internal/stream) drives the same
-// Tracker window-by-window, so the two paths cannot diverge semantically.
+// longer be extended. Infer feeds it through a Fold, which advances it as
+// its windows close; the streaming pipeline (internal/stream) drives the
+// same Tracker window-by-window, so the two paths cannot diverge
+// semantically.
 
 // candidate is one open (still extendable) attack. Its two lists start
 // out in its own buffers — eight ports hold the seven a scenario component
@@ -22,7 +24,9 @@ import (
 // heap by append when an attack outgrows them (one merging components with
 // different ports can), so a candidate must not be copied.
 type candidate struct {
-	atk Attack
+	// next links a finalized candidate into the tracker's free list.
+	next *candidate
+	atk  Attack
 	// ports is the attack's merged port list, ascending like an
 	// observation's.
 	ports []PortCount
@@ -67,18 +71,24 @@ const candidateChunk = 64
 // Tracker incrementally curates WindowObs into attack records.
 //
 // Observations must arrive in non-decreasing window order per victim
-// (global window order satisfies this); the PacketAggregator/Windower
-// output and a Fold both do. Finalized attacks carry ID 0 — feed
-// positions are a whole-feed property the caller assigns (a Fold numbers
-// its finished feed; the streaming pipeline numbers in emission order).
+// (global window order satisfies this); the Windower's output and a Fold
+// both do. Finalized attacks carry ID 0 — feed positions are a
+// whole-feed property the caller assigns (a Fold numbers its finished
+// feed; the streaming pipeline numbers in emission order).
+//
+// A candidate's storage outlives it: one finalized by Advance or Finish
+// goes on a free list, which a new candidate takes from before a slab is
+// cut, so the tracker holds the most candidates ever open at once, not
+// one per attack.
 type Tracker struct {
 	cfg  Config
 	open map[netx.Addr]*candidate
 	// slab is the chunk new candidates are cut from. A full chunk is left
 	// to its candidates and replaced, so a candidate never moves.
 	slab []candidate
-	// pending holds attacks finalized by a same-victim successor window
-	// (gap exceeded) between Advance calls.
+	cut  int        // candidates cut from slabs
+	free *candidate // finalized candidates, linked by next
+	// pending holds the attacks finalized since the last drain.
 	pending []Attack
 }
 
@@ -107,11 +117,7 @@ func (tr *Tracker) Observe(o WindowObs) {
 		tr.finalize(cur)
 		cur.start(&o)
 	} else if cur == nil {
-		if len(tr.slab) == cap(tr.slab) {
-			tr.slab = make([]candidate, 0, candidateChunk)
-		}
-		tr.slab = tr.slab[:len(tr.slab)+1]
-		cur = &tr.slab[len(tr.slab)-1]
+		cur = tr.newCandidate()
 		cur.start(&o)
 		tr.open[o.Victim] = cur
 	}
@@ -132,6 +138,21 @@ func (tr *Tracker) Observe(o WindowObs) {
 	}
 }
 
+// newCandidate returns storage for a new candidate: a freed one's, or
+// the next of the slab.
+func (tr *Tracker) newCandidate() *candidate {
+	if c := tr.free; c != nil {
+		tr.free, c.next = c.next, nil
+		return c
+	}
+	if len(tr.slab) == cap(tr.slab) {
+		tr.slab = make([]candidate, 0, candidateChunk)
+	}
+	tr.slab = tr.slab[:len(tr.slab)+1]
+	tr.cut++
+	return &tr.slab[len(tr.slab)-1]
+}
+
 // finalize curates one candidate into pending (dropped when it never
 // reached the whole-attack packet floor).
 func (tr *Tracker) finalize(c *candidate) {
@@ -148,6 +169,13 @@ func (tr *Tracker) finalize(c *candidate) {
 // since the previous Advance, sorted by (StartWindow, Victim) within the
 // batch, IDs unassigned.
 func (tr *Tracker) Advance(closed clock.Window) []Attack {
+	tr.expire(closed)
+	return tr.drain()
+}
+
+// expire finalizes into pending every candidate that no window after
+// closed can extend, and frees its storage.
+func (tr *Tracker) expire(closed clock.Window) {
 	for v, c := range tr.open {
 		// the nearest window that could still merge is
 		// EndWindow + MaxGapWindows + 1; once that is closed, no future
@@ -155,27 +183,25 @@ func (tr *Tracker) Advance(closed clock.Window) []Attack {
 		if closed >= c.atk.EndWindow+clock.Window(tr.cfg.MaxGapWindows)+1 {
 			tr.finalize(c)
 			delete(tr.open, v)
+			c.next, tr.free = tr.free, c
 		}
 	}
-	return tr.drain()
 }
 
 // Finish finalizes every remaining candidate (end of stream) and returns
 // them like Advance does.
-func (tr *Tracker) Finish() []Attack {
-	for v, c := range tr.open {
-		tr.finalize(c)
-		delete(tr.open, v)
-	}
-	return tr.drain()
-}
+func (tr *Tracker) Finish() []Attack { return tr.Advance(math.MaxInt64) }
 
 // Open returns the number of open attack candidates.
 func (tr *Tracker) Open() int { return len(tr.open) }
 
-// drain returns the pending batch sorted by (StartWindow, Victim) —
-// the feed's numbering order, so each batch is a
-// contiguous, correctly ordered run of the eventual feed.
+// drain hands over the pending batch sorted by (StartWindow, Victim).
+// The sort orders a batch within itself only: batches are not runs of
+// the feed's order. A candidate finalizes when the watermark passes its
+// end, so of victim 1 open for windows 10–100 and victim 2 for 50–60,
+// victim 2's attack is drained first although victim 1's starts
+// earlier. A caller that numbers by feed order sorts the whole feed (a
+// Fold does, in Finish).
 func (tr *Tracker) drain() []Attack {
 	out := tr.pending
 	tr.pending = nil

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -83,8 +84,10 @@ type CaseStudies struct {
 }
 
 // GenerateSchedule builds the full 17-month schedule for a world. Its
-// components are appended in draw order into one slice, and their port
-// lists cut from one slab, both made once at the most they can hold.
+// components are drawn into fixed-size chunks of packed records, in draw
+// order, and materialized once, in (Start, draw order) order, into one
+// slice of their number, which the schedule keeps; their port lists are
+// cut from fixed-size chunks of ports.
 func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xa77ac))
 	g := &schedGen{cfg: cfg, w: w, rng: rng}
@@ -94,11 +97,10 @@ func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
 	if cfg.IncludeCaseStudies {
 		out.CaseStudies, csSpecs, out.Blackouts = caseStudySpecs(w)
 	}
-	// a random attack is at most two components, with up to seven ports
-	// and one; a reflection-only or surge attack is one with one port
+	// a random attack is at most two components, a reflection-only or
+	// surge attack one
 	reflections := int(float64(cfg.TotalAttacks) * cfg.ReflectionOnlyRatio)
-	g.specs = make([]attacksim.Spec, 0, 2*cfg.TotalAttacks+reflections+len(csSpecs)+maxSurge)
-	g.ports = make([]uint16, 0, 8*cfg.TotalAttacks+reflections+maxSurge)
+	g.specs = make([][]drawn, 0, (2*cfg.TotalAttacks+reflections+len(csSpecs)+maxSurge)/specChunk+1)
 	months := clock.StudyMonths()
 	var wsum float64
 	for _, mw := range monthWeights {
@@ -115,13 +117,54 @@ func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
 		}
 	}
 	if cfg.IncludeCaseStudies {
-		g.specs = append(g.specs, csSpecs...)
+		for i := range csSpecs {
+			g.add(&csSpecs[i])
+		}
 		// §6.1: a surge of attacks against Russian providers in March
 		// 2022 (Beeline hosting banking sites, and others)
 		g.russianSurge()
 	}
-	out.Sched = attacksim.NewSchedule(g.specs)
+	out.Sched = attacksim.NewSchedule(g.assemble())
 	return out
+}
+
+// specChunk is how many components one chunk of a schedule's draw holds.
+const specChunk = 1024
+
+// drawn is one component as the draw holds it until assemble: a Spec
+// packed into 64 bytes where it takes 136. Its times are Unix
+// nanoseconds: every time the draw makes is in UTC with no monotonic
+// reading, so time.Unix(0, ns).UTC() gives it back bit for bit. Its ID is
+// not held: the draw leaves it zero, for NewSchedule to number. The
+// narrowed fields hold what the draw and the case studies make: group
+// IDs and source pools far inside int32, packet sizes inside uint16
+// (TestGenerateScheduleMatchesReference holds the round trip).
+type drawn struct {
+	start, end int64
+	pps        float64
+	ports      []uint16
+	group      int32
+	target     netx.Addr
+	spoofed    int32
+	bytes      uint16
+	vector     uint8
+	proto      packet.Protocol
+}
+
+// spec returns the component d holds.
+func (d *drawn) spec() attacksim.Spec {
+	return attacksim.Spec{
+		GroupID:        int(d.group),
+		Target:         d.target,
+		Vector:         attacksim.Vector(d.vector),
+		Proto:          d.proto,
+		Ports:          d.ports,
+		Start:          time.Unix(0, d.start).UTC(),
+		End:            time.Unix(0, d.end).UTC(),
+		PPS:            d.pps,
+		PacketBytes:    int(d.bytes),
+		SpoofedSources: int(d.spoofed),
+	}
 }
 
 type schedGen struct {
@@ -134,12 +177,67 @@ type schedGen struct {
 	ns24s      []netx.Prefix
 	groupID    int
 
-	specs []attacksim.Spec // the schedule, in draw order
-	ports []uint16         // the slab every component's Ports is cut from
+	// specs holds the schedule in draw order, in chunks of specChunk;
+	// nspecs counts it
+	specs  [][]drawn
+	nspecs int
+	ports  []uint16 // the chunk component port lists are cut from
 }
 
-// dnsPort cuts the one-port list {53} from the slab, its capacity clamped.
+// portChunk is how many ports one chunk of port lists holds.
+const portChunk = 8192
+
+// portRoom makes room for n more ports in the current chunk, cutting a
+// new one when it has less: a port list never spans two chunks, and a
+// full chunk is left to the lists cut from it.
+func (g *schedGen) portRoom(n int) {
+	if cap(g.ports)-len(g.ports) < n {
+		g.ports = make([]uint16, 0, portChunk)
+	}
+}
+
+// add appends one component to the draw.
+func (g *schedGen) add(s *attacksim.Spec) {
+	if g.nspecs%specChunk == 0 {
+		g.specs = append(g.specs, make([]drawn, 0, specChunk))
+	}
+	c := len(g.specs) - 1
+	g.specs[c] = append(g.specs[c], drawn{
+		start: s.Start.UnixNano(), end: s.End.UnixNano(), pps: s.PPS, ports: s.Ports,
+		group: int32(s.GroupID), target: s.Target, spoofed: int32(s.SpoofedSources),
+		bytes: uint16(s.PacketBytes), vector: uint8(s.Vector), proto: s.Proto,
+	})
+	g.nspecs++
+}
+
+// drawnAt returns the i-th component drawn.
+func (g *schedGen) drawnAt(i int32) *drawn {
+	return &g.specs[i/specChunk][i%specChunk]
+}
+
+// assemble returns the components drawn, in one slice of their number,
+// ordered by (Start, draw order): the order NewSchedule's stable sort
+// gives, which then moves nothing. The draw positions are sorted, not the
+// components, and each component is materialized once, in its place.
+func (g *schedGen) assemble() []attacksim.Spec {
+	order := make([]int32, g.nspecs)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(g.drawnAt(a).start, g.drawnAt(b).start), cmp.Compare(a, b))
+	})
+	specs := make([]attacksim.Spec, len(order))
+	for k, i := range order {
+		specs[k] = g.drawnAt(i).spec()
+	}
+	return specs
+}
+
+// dnsPort cuts the one-port list {53} from the chunk, its capacity
+// clamped.
 func (g *schedGen) dnsPort() []uint16 {
+	g.portRoom(1)
 	g.ports = append(g.ports, 53)
 	return g.ports[len(g.ports)-1 : len(g.ports) : len(g.ports)]
 }
@@ -221,7 +319,7 @@ func (g *schedGen) randomAttack(m clock.Month) {
 	if proto == packet.ProtoUDP {
 		bytes = 120 + g.rng.IntN(400)
 	}
-	g.specs = append(g.specs, attacksim.Spec{
+	g.add(&attacksim.Spec{
 		GroupID:     g.groupID,
 		Target:      victim,
 		Vector:      attacksim.VectorRandomSpoofed,
@@ -236,7 +334,7 @@ func (g *schedGen) randomAttack(m clock.Month) {
 		// an invisible component whose magnitude is drawn
 		// independently of the visible one — the §6.4 reason telescope
 		// intensity and impact decorrelate
-		g.specs = append(g.specs, attacksim.Spec{
+		g.add(&attacksim.Spec{
 			GroupID:     g.groupID,
 			Target:      victim,
 			Vector:      attacksim.VectorReflection,
@@ -263,7 +361,7 @@ func (g *schedGen) russianSurge() {
 	for i := 0; i < n; i++ {
 		g.groupID++
 		start := g.startIn(march)
-		g.specs = append(g.specs, attacksim.Spec{
+		g.add(&attacksim.Spec{
 			GroupID:     g.groupID,
 			Target:      targets[g.rng.IntN(len(targets))],
 			Vector:      attacksim.VectorRandomSpoofed,
@@ -302,7 +400,7 @@ func (g *schedGen) reflectionOnlyAttack(m clock.Month) {
 	if g.rng.Float64() < g.cfg.DNSShare {
 		victim = g.pickDNSVictim()
 	}
-	g.specs = append(g.specs, attacksim.Spec{
+	g.add(&attacksim.Spec{
 		GroupID:     g.groupID,
 		Target:      victim,
 		Vector:      attacksim.VectorReflection,
@@ -396,6 +494,7 @@ func (g *schedGen) protoPorts() (packet.Protocol, []uint16) {
 	if !single {
 		n = 2 + g.rng.IntN(6)
 	}
+	g.portRoom(n)
 	from := len(g.ports)
 	for len(g.ports)-from < n {
 		if p := port(); !slices.Contains(g.ports[from:], p) {

@@ -300,3 +300,22 @@ func BenchmarkSynthesizeObs(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGenerateSchedule draws the attack schedule at the repo
+// benchmark's study scale (make bench-session): B/op is what the schedule
+// costs a session, one exact array of components and their port lists.
+func BenchmarkGenerateSchedule(b *testing.B) {
+	wcfg := DefaultWorldConfig()
+	wcfg.Domains = 12000
+	wcfg.GenericProviders = 60
+	w := GenerateWorld(wcfg)
+	acfg := DefaultAttackConfig()
+	acfg.Seed, acfg.TotalAttacks = 7, 6000
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if GenerateSchedule(acfg, w).Sched.Len() == 0 {
+			b.Fatal("empty schedule")
+		}
+	}
+}

@@ -85,14 +85,14 @@ func collectTrace(s *study.Study, jitter int) []tracePkt {
 // join it in one EventsContext pass.
 func batchRun(t *testing.T, s *study.Study, trace []tracePkt) ([]rsdos.WindowObs, []rsdos.Attack, []core.Event) {
 	t.Helper()
-	pa := rsdos.NewPacketAggregator(s.Telescope)
+	wd := rsdos.NewWindower(s.Telescope, 0)
 	for _, tp := range trace {
-		pa.Add(tp.ts, tp.p)
+		wd.Add(tp.ts, tp.p)
 	}
-	if d := pa.LateDrops(); d != 0 {
-		t.Fatalf("in-order trace dropped %d packets in the batch aggregator", d)
+	if d := wd.LateDrops(); d != 0 {
+		t.Fatalf("in-order trace dropped %d packets in the batch aggregation", d)
 	}
-	obs := pa.Finish()
+	obs := wd.CloseAll()
 	attacks := rsdos.Infer(s.Config.RSDoS, obs)
 	events, err := s.Pipeline.EventsContext(context.Background(), attacks)
 	if err != nil {

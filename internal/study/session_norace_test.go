@@ -38,35 +38,56 @@ func TestNewSessionAllocBudget(t *testing.T) {
 	}
 }
 
-// TestNewSessionBytesBudget pins the bytes building a session allocates,
-// at metricsConfig and at the repo benchmark's study scale: 1.15 × the
-// 6.23 MB and 14.0 MB measured with the feed folded as it is drawn. Held
-// whole, the feed took them to 8.16 MB and 24.84 MB.
+// TestNewSessionBytesBudget pins the bytes building a session allocates
+// and the heap it leaves live, at metricsConfig, at the repo benchmark's
+// study scale and at QuickConfig with 60,000 attacks, where the attacks a
+// fold holds open and the schedule's arrays outweigh the world. The
+// allocation budgets are 1.15 × what a build allocates with the fold
+// finalizing candidates as its watermark passes them and the schedule
+// drawn into packed chunks: 5.36, 9.28 and 38.4 MB. Finalizing every
+// candidate at the end, with the schedule reserved at twice its attacks
+// and copied, they were 6.23, 14.0 and 94.7 MB; holding the feed whole
+// too, 8.16 and 24.84 MB at the first two. The live budgets, after a
+// collection with the session still held, are 1.15 × the 1.02, 4.16 and
+// 22.5 MB live before those two changes: a schedule that kept a reserve
+// longer than its attacks would pin the dead tail.
 func TestNewSessionBytesBudget(t *testing.T) {
+	dense := QuickConfig()
+	dense.Attacks.TotalAttacks = 60000
 	for _, tc := range []struct {
-		name   string
-		cfg    Config
-		budget uint64
+		name        string
+		cfg         Config
+		alloc, live uint64
 	}{
-		{"metricsConfig", metricsConfig(), 7_160_000},
-		{"benchmark scale", benchmarkScaleConfig(), 16_100_000},
+		{"metricsConfig", metricsConfig(), 6_160_000, 1_175_000},
+		{"benchmark scale", benchmarkScaleConfig(), 10_670_000, 4_789_000},
+		{"dense", dense, 44_140_000, 25_840_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// the least of three builds: a goroutine another test left
 			// behind can only add to one
-			least := ^uint64(0)
+			alloc, live := ^uint64(0), ^uint64(0)
 			for range 3 {
-				var before, after runtime.MemStats
+				var before, after, collected runtime.MemStats
+				runtime.GC()
 				runtime.ReadMemStats(&before)
-				if _, err := NewSession(context.Background(), tc.cfg, obs.New()); err != nil {
+				sess, err := NewSession(context.Background(), tc.cfg, obs.New())
+				if err != nil {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&after)
-				least = min(least, after.TotalAlloc-before.TotalAlloc)
+				runtime.GC()
+				runtime.ReadMemStats(&collected)
+				runtime.KeepAlive(sess)
+				alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+				live = min(live, collected.HeapAlloc-min(collected.HeapAlloc, before.HeapAlloc))
 			}
-			t.Logf("NewSession: %d bytes", least)
-			if least > tc.budget {
-				t.Errorf("NewSession allocated %d bytes, budget %d", least, tc.budget)
+			t.Logf("NewSession: %d bytes allocated, %d live after a collection", alloc, live)
+			if alloc > tc.alloc {
+				t.Errorf("NewSession allocated %d bytes, budget %d", alloc, tc.alloc)
+			}
+			if live > tc.live {
+				t.Errorf("NewSession left %d bytes live, budget %d", live, tc.live)
 			}
 		})
 	}
