@@ -99,8 +99,10 @@ soak:
 # workers must never sweep into a table an abandoned attempt still writes
 # to, the per-day allocation guard's runs on one worker and on two, the
 # session build, whose inference folds the feed on a helper goroutine
-# while synthesis still appends to it, and the full-retention oracle,
-# whose sweep workers all read the session's one retention demand. The
+# while synthesis still appends to it, the full-retention oracle, whose
+# sweep workers all read the session's one demand, and the sweep-count
+# check, whose two workers sweep the benchmark's configuration through
+# that demand and whose quarantined run sweeps a fallback day again. The
 # curation (internal/rsdos) runs whole under the detector: the session's
 # fold, and the tracker it advances, run on the feed's helper goroutine.
 # The last leg is the degraded-mode sweep: a live loopback fleet, the
@@ -111,7 +113,7 @@ race-gate: soak
 		./internal/core/... ./internal/cache/... ./internal/resilience/... \
 		./internal/stream/... ./internal/distjoin/... ./internal/daystore/... \
 		./internal/rsdos/...
-	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume|TestAbandonedTableIsNotRecycled|TestRunAllocationsPerDay|TestSessionFeedMatchesInfer|TestFoldBehindPanicReachesCaller|TestRetentionMatchesFullOracle' -count 1
+	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume|TestAbandonedTableIsNotRecycled|TestRunAllocationsPerDay|TestSessionFeedMatchesInfer|TestFoldBehindPanicReachesCaller|TestRetentionMatchesFullOracle|TestSweepCountsCoverEveryDomainDay' -count 1
 	$(GO) test -race ./internal/e2ebench/ -count 1
 
 # Chaos gate: the fault-injection and graceful-degradation regression
@@ -119,7 +121,10 @@ race-gate: soak
 # live resolver against lossy/dead servers, RRL/overload shedding,
 # dnsload's failure classification, and the supervised study pipeline
 # (the day ledger's state machine, injected day-shard panics, watchdog
-# stalls, a seal failure mid-run, mid-run cancel + resume).
+# stalls, a seal failure mid-run, mid-run cancel + resume, and a kill
+# between the sweep and the second pass that re-seals a quarantined day's
+# fallback, resumed, then resumed again over a re-seal journaled but not
+# published).
 chaos:
 	$(GO) test -race ./internal/faultinject/ \
 		-run . -count 1
@@ -130,7 +135,7 @@ chaos:
 	$(GO) test -race ./internal/dnsload/ \
 		-run 'TestFailure|TestPartialLoss' -count 1 -v
 	$(GO) test -race ./internal/study/ \
-		-run 'TestLedger|TestPanicQuarantine|TestPanicRetryRecovers|TestWatchdogQuarantinesStuckShard|TestAbandonedTableIsNotRecycled|TestWriteFailureStopsFolding|TestCancelAndResumeByteIdentical|TestResumeRefusesCorruptCheckpoints' \
+		-run 'TestLedger|TestPanicQuarantine|TestPanicRetryRecovers|TestWatchdogQuarantinesStuckShard|TestAbandonedTableIsNotRecycled|TestWriteFailureStopsFolding|TestCancelAndResumeByteIdentical|TestResumeRefusesCorruptCheckpoints|TestResumeBetweenPasses' \
 		-count 1 -v
 
 # Flakiness sweep: every package five times under the race detector.

@@ -25,8 +25,11 @@
 // it appends anything. Everything else refuses the resume — a complete
 // frame that fails its magic, version, length bound, CRC or decode; damage
 // with more bytes after it, such as a header whose length swallows the
-// frames behind it; a day logged twice — so a journal is either trusted or
-// refused, never decoded as garbage.
+// frames behind it; a day logged again with the reference it already has
+// — so a journal is either trusted or refused, never decoded as garbage.
+// A day logged again with another reference is a re-seal (a study sweeps
+// a quarantine's fallback day again); its reader decides which of the
+// day's references to trust.
 package checkpoint
 
 import (
@@ -52,10 +55,12 @@ const Version = 2
 // layoutVersion is the version header.json records: how a checkpoint
 // directory lays out its records, apart from the frame they ride in.
 // Layout 1 embedded each day as a gob blob, layout 2 kept one reference
-// file per day, layout 3 appends every day to one log. A directory of
-// another layout is refused on resume rather than re-swept or
-// half-trusted.
-const layoutVersion = 3
+// file per day, layout 3 appends every day to one log, layout 4 lets a
+// day be logged again by a re-seal (and its days were swept with a
+// random stream per domain, where layout 3's drew one per day, so the two
+// must not be mixed in one run). A directory of another layout is refused
+// on resume rather than re-swept or half-trusted.
+const layoutVersion = 4
 
 const headerName = "header.json"
 
@@ -329,11 +334,13 @@ func (d *Dir) WriteDayRef(day clock.Day, ref DayRef) error {
 }
 
 // LoadDayRefs reads the day log once and returns its references in
-// [from, to]. The first load of a Dir opens the log for appends, creating
+// [from, to], each day's in log order: a day journaled more than once (a
+// study re-seals a day its quarantine fallback widens) has one entry per
+// record, the latest last. The first load of a Dir opens the log for appends, creating
 // it if needed and syncing the directory once, and cuts a torn final frame
 // off it before anything is appended. Any other damage fails the whole
 // load: a resume must either trust its checkpoints or refuse them.
-func (d *Dir) LoadDayRefs(from, to clock.Day) (map[clock.Day]DayRef, error) {
+func (d *Dir) LoadDayRefs(from, to clock.Day) (map[clock.Day][]DayRef, error) {
 	var refs []DayRef
 	var err error
 	if d.log == nil {
@@ -344,10 +351,10 @@ func (d *Dir) LoadDayRefs(from, to clock.Day) (map[clock.Day]DayRef, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %s: %w", filepath.Join(d.path, DayLog), err)
 	}
-	out := make(map[clock.Day]DayRef, len(refs))
+	out := make(map[clock.Day][]DayRef, len(refs))
 	for _, ref := range refs {
 		if ref.Day >= from && ref.Day <= to {
-			out[ref.Day] = ref
+			out[ref.Day] = append(out[ref.Day], ref)
 		}
 	}
 	return out, nil
@@ -419,9 +426,10 @@ func ReadDayRefs(path string) ([]DayRef, error) {
 // valid header whose payload and CRC run past the end of b — and only
 // when no other frame starts inside it: a torn append is one frame, so a
 // header whose length swallows the frames behind it is damage. A complete
-// frame that fails any check, and a day logged twice, is an error.
+// frame that fails any check, and a day logged again with the reference
+// its previous frame holds, is an error.
 func readDayRefLog(b []byte) (refs []DayRef, n int, err error) {
-	seen := make(map[clock.Day]bool)
+	last := make(map[clock.Day]DayRef)
 	for n < len(b) {
 		rest := b[n:]
 		var size uint64
@@ -443,10 +451,10 @@ func readDayRefLog(b []byte) (refs []DayRef, n int, err error) {
 		if err := DecodeFrame(rest[:end], &ref); err != nil {
 			return nil, 0, fmt.Errorf("frame at offset %d: %w", n, err)
 		}
-		if seen[ref.Day] {
-			return nil, 0, fmt.Errorf("frame at offset %d: day %s logged twice", n, ref.Day)
+		if prev, ok := last[ref.Day]; ok && prev == ref {
+			return nil, 0, fmt.Errorf("frame at offset %d: day %s logged twice with the same reference", n, ref.Day)
 		}
-		seen[ref.Day] = true
+		last[ref.Day] = ref
 		refs = append(refs, ref)
 		n += end
 	}

@@ -77,7 +77,7 @@ func TestLoadDaysSkipsGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[clock.Day]DayRef{5: testRef(5), 6: testRef(6)}
+	want := map[clock.Day][]DayRef{5: {testRef(5)}, 6: {testRef(6)}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("LoadDayRefs(4, 8) = %v, want %v", got, want)
 	}

@@ -28,12 +28,33 @@ func TestDayRefRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, map[clock.Day]DayRef{17: want}) {
+	if !reflect.DeepEqual(got, map[clock.Day][]DayRef{17: {want}}) {
 		t.Fatalf("LoadDayRefs = %+v, want day 17 only: %+v", got, want)
 	}
 	refs, err := ReadDayRefs(d.Path())
 	if err != nil || !reflect.DeepEqual(refs, []DayRef{want}) {
 		t.Fatalf("ReadDayRefs = %+v, %v; want %+v", refs, err, want)
+	}
+}
+
+// TestLoadDayRefsKeepsEveryRecordOfADay: a day journaled twice loads
+// with both references, in log order, so a reader can fall back to the
+// earlier one.
+func TestLoadDayRefsKeepsEveryRecordOfADay(t *testing.T) {
+	d := create(t)
+	first, second := testRef(4), DayRef{Day: 4, File: "day_000004.dcol", SHA256: "widened"}
+	for _, ref := range []DayRef{first, testRef(5), second} {
+		if err := d.WriteDayRef(ref.Day, ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := d.LoadDayRefs(0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[clock.Day][]DayRef{4: {first, second}, 5: {testRef(5)}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("LoadDayRefs = %+v, want %+v", got, want)
 	}
 }
 
@@ -186,8 +207,9 @@ func TestDayLogFlippedByteRefused(t *testing.T) {
 	}
 }
 
-// TestDayLogRefusesDuplicateDay: a day logged twice is refused, not
-// deduplicated — the ledger never journals a day twice.
+// TestDayLogRefusesDuplicateDay: a day logged again with the reference it
+// already has is refused, not deduplicated — the ledger journals a day
+// again only to change its file.
 func TestDayLogRefusesDuplicateDay(t *testing.T) {
 	log, ends := testLog(t, 2)
 	log = append(log, log[:ends[0]]...)
@@ -265,7 +287,7 @@ func TestDayLogTornTailResume(t *testing.T) {
 	}
 	defer r2.Close()
 	refs, err = r2.LoadDayRefs(0, 10)
-	wantRefs := map[clock.Day]DayRef{0: testRef(0), 1: testRef(1), 2: testRef(2), 3: testRef(3)}
+	wantRefs := map[clock.Day][]DayRef{0: {testRef(0)}, 1: {testRef(1)}, 2: {testRef(2)}, 3: {testRef(3)}}
 	if err != nil || !reflect.DeepEqual(refs, wantRefs) {
 		t.Fatalf("second resume = %v, %v; want %v", refs, err, wantRefs)
 	}

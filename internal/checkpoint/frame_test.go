@@ -39,7 +39,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestFrameBytesPinned: the journal's bytes are a format — a day reference
-// (a frame of the day log, layout 3) and a stream cursor encode to exactly
+// (a frame of the day log) and a stream cursor encode to exactly
 // the frames resume reads. gob numbers a process's types in the order it first meets
 // them, and those numbers are in the payload, so the bytes are pinned in a
 // fresh process (the test re-executes itself) whose first two types are

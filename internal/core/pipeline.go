@@ -238,7 +238,15 @@ const maxQuarantineFallback = 7
 
 // measurableDay returns d, or the nearest earlier non-quarantined day.
 func (p *Pipeline) measurableDay(d clock.Day) clock.Day {
-	for i := 0; i < maxQuarantineFallback && p.quarantined[d]; i++ {
+	return MeasurableDay(d, p.quarantined)
+}
+
+// MeasurableDay is the day the join reads in place of d: d, or the
+// nearest earlier day not in quarantined, walking past at most a week of
+// quarantined days (the day it stops on may still be quarantined). The
+// study's sweep demand follows the same walk.
+func MeasurableDay(d clock.Day, quarantined map[clock.Day]bool) clock.Day {
+	for i := 0; i < maxQuarantineFallback && quarantined[d]; i++ {
 		d = d.Prev()
 	}
 	return d

@@ -99,6 +99,31 @@ func (s *Set) Add(day clock.Day, image []byte) error {
 	return nil
 }
 
+// Replace serves image as day's sealed file in place of the file or image
+// the Set holds for the day, closing its view if it was opened (Verify
+// opens every day). The image is validated as Add validates it; a day the
+// Set does not hold is refused. Add's rules hold: the Set keeps image,
+// and Replace must happen before the first read of the Set (Verify
+// aside), never concurrently with another Add or Replace.
+func (s *Set) Replace(day clock.Day, image []byte) error {
+	old := s.slots[day]
+	if old == nil {
+		return fmt.Errorf("daystore: day %d replaced but never added", int32(day))
+	}
+	sl := &daySlot{path: old.path}
+	sl.once.Do(func() { sl.v, sl.err = newView(sl.path, day, image, nil) })
+	if sl.err != nil {
+		return sl.err
+	}
+	if old.v != nil {
+		if err := old.v.Close(); err != nil {
+			return err
+		}
+	}
+	s.slots[day] = sl
+	return nil
+}
+
 // view opens (once) and returns day d's view; (nil, nil) when the day has
 // no sealed file.
 func (s *Set) view(d clock.Day) (*View, error) {

@@ -7,6 +7,10 @@
 // whole day (each domain has a stable slot, so a 5-minute attack window
 // catches a pseudo-random subset of a large NSSet's domains — the reason
 // the paper requires at least five measured domains per attack window).
+//
+// Every (day, domain) measurement draws from a random stream of its own,
+// so a sweep that measures only some domains (Engine.Restrict) records
+// for each of them exactly what the sweep of every domain records.
 package openintel
 
 import (
@@ -48,6 +52,9 @@ type Engine struct {
 	slot []int32
 	// order is the domains sorted by slot: every day's visiting order.
 	order []dnsdb.DomainID
+	// want, when set, is the sweep's demand: a day measures only the
+	// domains whose NSSet it holds on that day. Nil measures every domain.
+	want func(nsset.ID, clock.Day) bool
 }
 
 // NewEngine builds an engine. seed determines the per-domain daily slots
@@ -71,6 +78,18 @@ func NewEngine(db *dnsdb.DB, res *resolver.Resolver, seed uint64) *Engine {
 	}
 	e.order = e.slotOrder()
 	return e
+}
+
+// Restrict returns an engine over the same world, NSSet table and slots
+// that measures, on each day, only the domains whose NSSet want holds on
+// that day; nil measures every domain. A domain it measures gets the
+// record the unrestricted engine gives it, so the restricted sweep is the
+// full sweep with the other records left out. want is called from every
+// goroutine that sweeps with the engine, and must not change.
+func (e *Engine) Restrict(want func(nsset.ID, clock.Day) bool) *Engine {
+	r := *e
+	r.want = want
+	return &r
 }
 
 // NSSetTable returns the engine's table of NSSets. A sweep into an
@@ -105,13 +124,29 @@ const ctxCheckStride = 1024
 // not the engine's.
 var errForeignTable = errors.New("openintel: the aggregator is not over the engine's NSSet table")
 
-// RunDayContext sweeps every domain once on the given day. Results are
+// recordStream returns the second PCG seed of domain d's measurement on
+// day: the splitmix64 finalizer of the pair, so neighbouring days and
+// domains start far apart in the generator's state.
+func recordStream(day clock.Day, d dnsdb.DomainID) uint64 {
+	x := uint64(uint32(day))<<32 | uint64(uint32(d))
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// RunDayContext sweeps the given day: every domain once, or, on an engine
+// from Restrict, every domain the demand holds on that day. Results are
 // added by NSSet ID to agg (if non-nil), which must be an aggregator over
 // the engine's NSSet table (NSSetTable) — one over another table is
 // refused with an error before anything is measured — and passed to each
 // (if non-nil). Within a
 // day, domains are visited in slot order, mirroring a platform that works
-// through its measurement list over the day. The sweep checks ctx every
+// through its measurement list over the day. Each measurement draws from
+// a PCG seeded with the engine's seed and recordStream(day, domain), one
+// source re-seeded per domain, so a record does not depend on which other
+// domains the day measures. The sweep checks ctx every
 // ctxCheckStride domains and returns ctx.Err() when the run is cancelled,
 // leaving agg partially filled — callers that care about exactness (the
 // checkpointed study pipeline) discard the partial aggregator and re-run
@@ -120,7 +155,8 @@ func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Ag
 	if agg != nil && agg.Interner() != e.table {
 		return errForeignTable
 	}
-	rng := rand.New(rand.NewPCG(e.seed, uint64(day)+1))
+	src := rand.NewPCG(0, 0)
+	rng := rand.New(src)
 	base := day.Start()
 	for i, d := range e.order {
 		if i&(ctxCheckStride-1) == 0 {
@@ -130,6 +166,10 @@ func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Ag
 			default:
 			}
 		}
+		if e.want != nil && !e.want(e.ids[d], day) {
+			continue
+		}
+		src.Seed(e.seed, recordStream(day, d))
 		t := base.Add(time.Duration(e.slot[d]) * time.Second)
 		rec := e.MeasureAt(rng, d, t)
 		if agg != nil {

@@ -273,6 +273,47 @@ func TestSweepByIDMatchesByKey(t *testing.T) {
 	}
 }
 
+// TestRestrictedSweepKeepsFullSweepRecords: an engine restricted to a
+// demand measures, on each day, exactly the domains whose NSSet the demand
+// holds that day, and records for each what the unrestricted engine
+// records for it: every (day, domain) draws from a random stream of its
+// own. A nil demand is the full sweep; an empty one measures nothing.
+func TestRestrictedSweepKeepsFullSweepRecords(t *testing.T) {
+	e, _, day := sweepFixture(t, 2000)
+	sweep := func(e *Engine, d clock.Day) []Record {
+		var out []Record
+		if err := e.RunDayContext(context.Background(), d, nil, func(r Record) { out = append(out, r) }); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := func(id nsset.ID, d clock.Day) bool { return (int(id)+int(d))%3 == 0 }
+	restricted := e.Restrict(want)
+	for _, d := range []clock.Day{day, day + 1} {
+		full := sweep(e, d)
+		if len(full) != len(e.slot) {
+			t.Fatalf("day %d: the unrestricted sweep measured %d of %d domains", d, len(full), len(e.slot))
+		}
+		var kept []Record
+		for _, r := range full {
+			if want(e.ids[r.Domain], d) {
+				kept = append(kept, r)
+			}
+		}
+		got := sweep(restricted, d)
+		if len(kept) == 0 || len(kept) == len(full) || !reflect.DeepEqual(got, kept) {
+			t.Errorf("day %d: the restricted sweep recorded %d records, the full sweep %d of the demanded domains (of %d), or their values differ",
+				d, len(got), len(kept), len(full))
+		}
+	}
+	if got := sweep(e.Restrict(nil), day); len(got) != len(e.slot) {
+		t.Errorf("Restrict(nil) measured %d of %d domains", len(got), len(e.slot))
+	}
+	if got := sweep(e.Restrict(func(nsset.ID, clock.Day) bool { return false }), day); len(got) != 0 {
+		t.Errorf("an empty demand measured %d domains", len(got))
+	}
+}
+
 // TestSweepRefusesForeignTable: a sweep into an aggregator over another
 // NSSet table is refused before anything is measured.
 func TestSweepRefusesForeignTable(t *testing.T) {

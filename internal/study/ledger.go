@@ -28,8 +28,11 @@ const maxSweepAttempts = 2
 type Ledger struct {
 	from, to clock.Day
 	journal  *checkpoint.Dir // nil when nothing is journaled
+	dayDir   string          // where sealed days are published; "" keeps them in memory
 	reg      *obs.Registry
 	done     map[clock.Day]daystore.SealedFile
+	restored map[clock.Day]bool   // done days this run restored, not swept
+	latest   map[clock.Day]string // hash of each journaled day's latest reference
 	attempts map[clock.Day]int
 	report   RunReport // SkippedDays kept ascending
 	err      error     // first write error; refuses every later Complete
@@ -64,8 +67,10 @@ func OpenJournal(dir string, cfg Config, seed uint64, resume bool) (*checkpoint.
 // caller's memory. The caller closes the ledger when the run is over.
 func OpenLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, resume bool) (*Ledger, error) {
 	l := &Ledger{
-		from: cfg.FromDay, to: cfg.ToDay, reg: reg,
+		from: cfg.FromDay, to: cfg.ToDay, dayDir: dayDir, reg: reg,
 		done:     make(map[clock.Day]daystore.SealedFile),
+		restored: make(map[clock.Day]bool),
+		latest:   make(map[clock.Day]string),
 		attempts: make(map[clock.Day]int),
 	}
 	if checkpointDir != "" {
@@ -82,18 +87,24 @@ func OpenLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, res
 }
 
 // restore marks the journaled days done on a resume, and clears dayDir
-// when no day was restored.
+// when no day was restored. A day journaled more than once (Reseal) is
+// restored from its latest reference that its file verifies against: a
+// run killed between journaling a re-seal and publishing it left the
+// file of the reference before, and Finish re-seals the day again.
 func (l *Ledger) restore(dayDir string, resume bool) error {
 	if l.journal != nil && resume {
 		refs, err := l.journal.LoadDayRefs(l.from, l.to)
 		if err != nil {
 			return err
 		}
-		for d, ref := range refs {
-			if err := daystore.VerifyFile(dayDir, ref.File, ref.SHA256); err != nil {
+		for d, dayRefs := range refs {
+			ref, err := verifyLatest(dayDir, dayRefs)
+			if err != nil {
 				return fmt.Errorf("study: resuming day %s: %w", d, err)
 			}
 			l.done[d] = daystore.SealedFile{Day: d, Name: ref.File, SHA256: ref.SHA256}
+			l.restored[d] = true
+			l.latest[d] = dayRefs[len(dayRefs)-1].SHA256
 		}
 		l.report.ResumedDays = len(refs)
 	}
@@ -101,6 +112,23 @@ func (l *Ledger) restore(dayDir string, resume bool) error {
 		return daystore.Clear(dayDir)
 	}
 	return nil
+}
+
+// verifyLatest returns the latest of one day's references, in log order,
+// that the day's file in dayDir verifies against, or the latest one's
+// refusal when none does.
+func verifyLatest(dayDir string, refs []checkpoint.DayRef) (checkpoint.DayRef, error) {
+	var latest error
+	for i := len(refs) - 1; i >= 0; i-- {
+		err := daystore.VerifyFile(dayDir, refs[i].File, refs[i].SHA256)
+		if err == nil {
+			return refs[i], nil
+		}
+		if latest == nil {
+			latest = err
+		}
+	}
+	return checkpoint.DayRef{}, latest
 }
 
 // Close releases the journal's day log once the run has accepted its last
@@ -159,11 +187,54 @@ func (l *Ledger) Complete(day clock.Day, file daystore.SealedFile, counts SweepC
 		if err := l.journal.WriteDayRef(day, checkpoint.DayRef{File: file.Name, SHA256: file.SHA256}); err != nil {
 			return false, l.Abort(err)
 		}
+		l.latest[day] = file.SHA256
 	}
 	l.done[day] = file
 	counts.fold(l.reg)
 	l.report.CompletedDays++
 	return false, nil
+}
+
+// Reseal accepts the second sweep of a done day (Study.Finish widens the
+// demand of a quarantine's fallback day): image is the day's new sealed
+// file, base the counts of the records the day's first sweep made again
+// — Skipped being every domain neither sweep measures — and extra those
+// of the records the widened demand added. It journals the image's
+// reference unless the day's latest reference is already the image's,
+// then publishes the image in the day directory unless the day's file
+// already is it — in that order, so that a crash between the two leaves
+// the previous reference for restore to verify the old file against —
+// then folds the counts exactly once: the extra records, taken off the
+// day's skipped count, when this run swept the day, and both when the day
+// was restored, so that the run's outcome counters and skipped add up to
+// the domains times the days it swept.
+func (l *Ledger) Reseal(day clock.Day, image []byte, base, extra SweepCounts) error {
+	switch {
+	case l.err != nil:
+		return l.err
+	case !l.Done(day):
+		return fmt.Errorf("study: day %s re-sealed before it was done", day)
+	}
+	file := daystore.SealedFile{Day: day, Name: daystore.FileName(day), SHA256: daystore.ContentHash(image)}
+	if l.journal != nil && l.latest[day] != file.SHA256 {
+		if err := l.journal.WriteDayRef(day, checkpoint.DayRef{File: file.Name, SHA256: file.SHA256}); err != nil {
+			return l.Abort(err)
+		}
+		l.latest[day] = file.SHA256
+	}
+	if l.dayDir != "" && l.done[day] != file {
+		if _, err := daystore.Install(l.dayDir, day, image, file.SHA256); err != nil {
+			return l.Abort(err)
+		}
+	}
+	l.done[day] = file
+	if l.restored[day] {
+		base.fold(l.reg)
+	} else {
+		extra.Skipped = -extra.measured()
+	}
+	extra.fold(l.reg)
+	return nil
 }
 
 // Abort records a failed day write (seal or journal). The first error

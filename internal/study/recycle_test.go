@@ -20,8 +20,9 @@ import (
 )
 
 // stallNet is the session's data plane with a stall in it: the first
-// afternoon query of every day chosen by stalls sleeps far past the
-// watchdog and then answers, so the abandoned attempt wakes up mid-sweep
+// afternoon query of every day chosen by stalls — on a day whose demand
+// sweeps a domain after noon — sleeps far past the watchdog and then
+// answers, so the abandoned attempt wakes up mid-sweep
 // and goes on adding the rest of its day — a sweep only looks at its
 // context every 1024 domains — into an aggregator nobody waits for.
 type stallNet struct {
@@ -43,6 +44,13 @@ func (n *stallNet) Query(rng *rand.Rand, id dnsdb.NameserverID, at time.Time) (n
 		}
 	}
 	return n.Transport.Query(rng, id, at)
+}
+
+// hasStalled reports whether day d's sweep stalled.
+func (n *stallNet) hasStalled(d clock.Day) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.stalled[d]
 }
 
 // TestAbandonedTableIsNotRecycled: in a sealed run under a 1 ms watchdog,
@@ -77,7 +85,7 @@ func TestAbandonedTableIsNotRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := &stallNet{Transport: sess.Net, stalls: func(d clock.Day) bool { return d%4 == 3 }, stalled: make(map[clock.Day]bool)}
-	sess.Engine = openintel.NewEngine(sess.World.DB, resolver.New(cfg.Resolver, sess.World.DB, net), cfg.MeasureSeed)
+	sess.Engine = openintel.NewEngine(sess.World.DB, resolver.New(cfg.Resolver, sess.World.DB, net), cfg.MeasureSeed).Restrict(sess.sweepsDay)
 	dir := t.TempDir()
 	ledger, err := OpenLedger(cfg, reg, "", dir, false)
 	if err != nil {
@@ -113,7 +121,7 @@ func TestAbandonedTableIsNotRecycled(t *testing.T) {
 			}
 			continue
 		}
-		if d%4 == 1 || d%4 == 3 {
+		if d%4 == 1 || net.hasStalled(d) {
 			t.Errorf("day %v stalled 20 ms under a 1 ms watchdog and was not quarantined", d)
 		}
 		want, werr := os.ReadFile(filepath.Join(refDir, name))
@@ -127,7 +135,16 @@ func TestAbandonedTableIsNotRecycled(t *testing.T) {
 			sealedAfterAbandon++
 		}
 	}
-	t.Logf("%d days quarantined, %d sealed", len(skipped), int(cfg.ToDay-cfg.FromDay)+1-len(skipped))
+	midSweep := 0
+	for d := cfg.FromDay; d <= cfg.ToDay; d++ {
+		if net.hasStalled(d) {
+			midSweep++
+		}
+	}
+	t.Logf("%d days quarantined (%d stalled mid-sweep), %d sealed", len(skipped), midSweep, int(cfg.ToDay-cfg.FromDay)+1-len(skipped))
+	if midSweep < 3 {
+		t.Errorf("%d days stalled mid-sweep, want at least 3: the abandoned attempts would not go on adding", midSweep)
+	}
 	if sealedAfterAbandon == 0 {
 		t.Error("no day completed within the watchdog: nothing was sealed from a table taken after an abandonment")
 	}

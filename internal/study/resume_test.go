@@ -289,17 +289,17 @@ func TestResumeRefusesCorruptCheckpoints(t *testing.T) {
 		}
 	})
 	t.Run("legacy format version", func(t *testing.T) {
-		// a journal written before the day log (one dayref_NNNNNN.ckpt
-		// file per day, header version 2) is refused, not re-swept
+		// a journal written before re-seals and per-domain random
+		// streams (header version 3) is refused, not re-swept or mixed
 		dir := copyDir(t, seed)
 		hdr := filepath.Join(dir, "header.json")
 		b, err := os.ReadFile(hdr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := bytes.Replace(b, []byte(`"version": 3`), []byte(`"version": 2`), 1)
+		old := bytes.Replace(b, []byte(`"version": 4`), []byte(`"version": 3`), 1)
 		if bytes.Equal(old, b) {
-			t.Fatalf("header has no version 3 field to rewrite: %s", b)
+			t.Fatalf("header has no version 4 field to rewrite: %s", b)
 		}
 		if err := os.WriteFile(hdr, old, 0o644); err != nil {
 			t.Fatal(err)

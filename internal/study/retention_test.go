@@ -21,15 +21,16 @@ import (
 	"dnsddos/internal/study"
 )
 
-// retention_test.go holds the session's window retention — per-window
-// metrics kept only for the NSSets of attacked nameservers, over each
-// attack's span plus margins (Session.windowFilter) — to a sweep that
-// keeps every window: the same session swept into aggregators with no
-// filter and sealed into a daystore.Set must give every reader of the
-// windows the bytes the production run gives. A recording DayStore over
-// the production days also checks the stronger claim the retention rests
-// on: every ranged read the join, its ablations, the Fig. 2/3 series and
-// the stream issue lies inside what the session keeps.
+// retention_test.go holds the session's demand — per-window metrics kept
+// only for the NSSets of attacked nameservers, over each attack's span
+// plus margins, and only the (NSSet, day) rows the join can read measured
+// at all (Session.buildDemand) — to a sweep of every domain that keeps
+// every window: the same session's engine unrestricted, swept into
+// aggregators with no filter and sealed into a daystore.Set, must give
+// every reader the bytes the production run gives. A recording DayStore
+// over the production days also checks the stronger claim the demand
+// rests on: every read the join, its ablations, the Fig. 2/3 series and
+// the stream issue lies inside what the session measures and keeps.
 
 // rangedRead is one DayStore.AppendWindows call.
 type rangedRead struct {
@@ -37,11 +38,18 @@ type rangedRead struct {
 	from, to clock.Window
 }
 
-// recordingStore is a DayStore that logs every ranged read it serves.
-// The join, the series and the stream read on the test's goroutine.
+// dayRead is one DayStore.Baseline call.
+type dayRead struct {
+	k nsset.Key
+	d clock.Day
+}
+
+// recordingStore is a DayStore that logs every read it serves. The join,
+// the series and the stream read on the test's goroutine.
 type recordingStore struct {
 	core.DayStore
-	reads []rangedRead
+	reads     []rangedRead
+	baselines []dayRead
 }
 
 func (r *recordingStore) AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, from, to clock.Window) []nsset.WindowMetrics {
@@ -49,18 +57,69 @@ func (r *recordingStore) AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, f
 	return r.DayStore.AppendWindows(dst, k, from, to)
 }
 
-// fullRetention sweeps every day of the session's range but skip into an
-// aggregator with no window filter, seals each with daystore.AppendDay and
-// returns the sealed days.
+func (r *recordingStore) Baseline(k nsset.Key, d clock.Day) (nsset.DayBaseline, bool) {
+	r.baselines = append(r.baselines, dayRead{k, d})
+	return r.DayStore.Baseline(k, d)
+}
+
+// checkReads fails the test, naming the reader, if a read rec recorded
+// lies outside the session's demand — a ranged read reaching a window the
+// session does not keep, or a day read of a row it does not measure — and
+// reports the first such day read and how many there are.
+// A quarantined day's rows are read on the day core.MeasurableDay falls
+// back to, which the run's second pass measures for them too.
+func checkReads(t *testing.T, reader string, sess *study.Session, quarantined []clock.Day, rec *recordingStore) {
+	t.Helper()
+	keeps, sweeps := sess.Demand(), sess.DayDemand()
+	q := make(map[clock.Day]bool)
+	for _, d := range quarantined {
+		q[d] = true
+	}
+	tab := sess.Engine.NSSetTable()
+	id := func(k nsset.Key) nsset.ID {
+		id, ok := tab.Lookup(k)
+		if !ok {
+			t.Fatalf("%s: read of %s, an NSSet the engine does not know", reader, k)
+		}
+		return id
+	}
+	for _, r := range rec.reads {
+		for w := r.from; w <= r.to; w++ {
+			if !keeps(id(r.k), w) {
+				t.Fatalf("%s: read AppendWindows(%s, %d, %d) reaches window %d, which the session does not keep", reader, r.k, r.from, r.to, w)
+			}
+		}
+	}
+	var missed []dayRead
+	for _, r := range rec.baselines {
+		ok := sweeps(id(r.k), r.d)
+		for _, qd := range quarantined {
+			ok = ok || core.MeasurableDay(qd, q) == r.d && sweeps(id(r.k), qd)
+		}
+		if !ok {
+			missed = append(missed, r)
+		}
+	}
+	if len(missed) > 0 {
+		t.Errorf("%s: read Baseline(%s, day %d), a row the session does not measure, and %d more such reads",
+			reader, missed[0].k, missed[0].d, len(missed)-1)
+	}
+}
+
+// fullRetention sweeps every domain on every day of the session's range
+// but skip — the session's engine unrestricted — into an aggregator with
+// no window filter, seals each with daystore.AppendDay and returns the
+// sealed days.
 func fullRetention(t *testing.T, sess *study.Session, skip clock.Day) *daystore.Set {
 	t.Helper()
 	set := new(daystore.Set)
+	every := sess.Engine.Restrict(nil)
 	for day := sess.Config.FromDay; day <= sess.Config.ToDay; day++ {
 		if day == skip {
 			continue
 		}
-		agg := nsset.NewAggregatorOver(sess.Engine.NSSetTable())
-		if err := sess.Engine.RunDayContext(context.Background(), day, agg, nil); err != nil {
+		agg := nsset.NewAggregatorOver(every.NSSetTable())
+		if err := every.RunDayContext(context.Background(), day, agg, nil); err != nil {
 			t.Fatal(err)
 		}
 		image, err := daystore.AppendDay(nil, day, agg)
@@ -137,8 +196,9 @@ var retentionVariants = []struct {
 
 // TestRetentionMatchesFullOracle: on seeded small configurations — other
 // worlds, attack schedules and telescope feeds, one with a quarantined
-// day — RunContext's days, which keep windows only where the session
-// demands them, read exactly like days that keep every window. The
+// day — RunContext's days, which measure only the rows and keep only the
+// windows the session demands, read exactly like days that measure every
+// domain and keep every window, and every read lies inside the demand. The
 // generated worlds put each nameserver address in one NSSet only, so
 // demanding a victim's first containing NSSet alone would pass here;
 // TestDemandMatchesMap, over tables that share addresses, is what catches
@@ -187,12 +247,12 @@ func TestRetentionMatchesFullOracle(t *testing.T) {
 				t.Fatalf("quarantined %v, want %v", quarantined, wantQuarantined)
 			}
 			sess := s.Session()
-			prod := &recordingStore{DayStore: s.Pipeline.DayStore()}
 			full := fullRetention(t, sess, tc.quarantine)
-			pipelines := func(mutate func(*core.Config)) (*core.Pipeline, *core.Pipeline) {
+			pipelines := func(mutate func(*core.Config)) (*recordingStore, *core.Pipeline, *core.Pipeline) {
 				pc := cfg.Pipeline
 				mutate(&pc)
-				return sess.NewPipeline(prod, quarantined, obs.New(), core.WithConfig(pc)),
+				prod := &recordingStore{DayStore: s.Pipeline.DayStore()}
+				return prod, sess.NewPipeline(prod, quarantined, obs.New(), core.WithConfig(pc)),
 					sess.NewPipeline(full, quarantined, obs.New(), core.WithConfig(pc))
 			}
 
@@ -200,17 +260,21 @@ func TestRetentionMatchesFullOracle(t *testing.T) {
 				t.Fatal("the study joined no events; the comparison would be vacuous")
 			}
 			for _, v := range retentionVariants {
-				p, o := pipelines(v.mutate)
+				prod, p, o := pipelines(v.mutate)
 				got, want := csvOf(t, p.Events(s.Attacks)), csvOf(t, o.Events(s.Attacks))
+				checkReads(t, v.name, sess, quarantined, prod)
 				if !bytes.Equal(got, want) {
 					t.Errorf("%s: the events differ from the full-retention oracle's", v.name)
 				}
 				if v.name == "study" && !bytes.Equal(csvOf(t, s.Events), want) {
 					t.Errorf("RunContext's events differ from the full-retention oracle's")
 				}
+				if len(prod.baselines) == 0 || len(prod.reads) == 0 {
+					t.Errorf("%s: the join read %d day rows and %d window ranges; the check would be vacuous", v.name, len(prod.baselines), len(prod.reads))
+				}
 			}
 
-			p, o := pipelines(func(*core.Config) {})
+			prod, p, o := pipelines(func(*core.Config) {})
 			cs := s.Schedule.CaseStudies
 			k := nsset.KeyOf(cs.TransIPNS[:])
 			series := 0
@@ -240,23 +304,7 @@ func TestRetentionMatchesFullOracle(t *testing.T) {
 			if bytes.Count(want, []byte("\n")) < 2 {
 				t.Error("the stream joined no event; the comparison would be vacuous")
 			}
-
-			demand := sess.Demand()
-			tab := sess.Engine.NSSetTable()
-			for _, r := range prod.reads {
-				id, ok := tab.Lookup(r.k)
-				if !ok {
-					t.Fatalf("read of %s, an NSSet the engine does not know", r.k)
-				}
-				for w := r.from; w <= r.to; w++ {
-					if !demand(id, w) {
-						t.Fatalf("read AppendWindows(%s, %d, %d) reaches window %d, which the session does not keep", r.k, r.from, r.to, w)
-					}
-				}
-			}
-			if len(prod.reads) == 0 {
-				t.Fatal("no ranged read was recorded")
-			}
+			checkReads(t, "series and stream", sess, quarantined, prod)
 		})
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"dnsddos/internal/clock"
-	"dnsddos/internal/core"
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
@@ -200,6 +199,7 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 		return nil, err
 	}
 	s := sess.NewStudy(reg)
+	s.beforeDay = opts.beforeDay
 	ledger, err := OpenLedger(cfg, reg, opts.checkpointDir, opts.daystoreDir, opts.resume)
 	if err != nil {
 		return nil, err
@@ -226,12 +226,16 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 	return s, nil
 }
 
-// Finish ends a run whose ledger has settled: it builds the pipeline over
+// Finish ends a run whose ledger has settled: it sweeps again the days a
+// quarantine makes the join fall back to (widen), builds the pipeline over
 // the sealed days with the ledger's quarantine, runs the batch classify
 // and join unless skipJoin, and takes the ledger's report. RunContext and
 // the fleet coordinator (internal/distjoin) both end their runs here, so
 // the two emit the same bytes from the same sealed days.
-func (s *Study) Finish(ctx context.Context, days core.DayStore, ledger *Ledger, skipJoin bool) error {
+func (s *Study) Finish(ctx context.Context, days *daystore.Set, ledger *Ledger, skipJoin bool) error {
+	if err := s.widen(ctx, days, ledger); err != nil {
+		return err
+	}
 	s.Pipeline = s.session.NewPipeline(days, ledger.Quarantined(), s.Metrics)
 	if !skipJoin {
 		s.Classified = s.Pipeline.Classify(s.Attacks)
@@ -241,6 +245,42 @@ func (s *Study) Finish(ctx context.Context, days core.DayStore, ledger *Ledger, 
 		}
 	}
 	s.Report = ledger.Report()
+	return nil
+}
+
+// widen is the run's second pass (DESIGN §3.2). A quarantined day has no
+// sealed file, so the join reads each of its day rows on the day
+// core.MeasurableDay falls back to, whose first sweep measured only that
+// day's own demand. widen sweeps every such fallback day again with the
+// NSSets of the quarantined days it stands for added
+// (Session.resweepDay), hands the new image to the ledger, which
+// journals, publishes and counts it (Ledger.Reseal), and serves it from
+// days. The added NSSets keep no window on the fallback day: a window
+// kept there would have put them in the day's own demand. Both run modes
+// end here, so the fleet's coordinator sweeps these days in process; a
+// resumed run does it again, with the same bytes. The beforeDay hook runs
+// before each, as before every first-pass attempt; a panic fails the run,
+// since the day swept cleanly once.
+func (s *Study) widen(ctx context.Context, days *daystore.Set, ledger *Ledger) error {
+	for _, fb := range s.session.fallbackDemand(ledger.Quarantined()) {
+		agg, base, extra, fail := s.session.resweepDay(ctx, fb.day, fb.added, s.beforeDay)
+		switch {
+		case fail != nil:
+			return fmt.Errorf("study: sweeping day %s again for a quarantined day: %s", fb.day, fail.Reason)
+		case agg == nil:
+			return ctx.Err()
+		}
+		image, err := daystore.AppendDay(nil, fb.day, agg)
+		if err == nil {
+			err = ledger.Reseal(fb.day, image, base, extra)
+		}
+		if err == nil {
+			err = days.Replace(fb.day, image)
+		}
+		if err != nil {
+			return fmt.Errorf("study: re-sealing day %s: %w", fb.day, err)
+		}
+	}
 	return nil
 }
 
@@ -254,17 +294,22 @@ func stageTimer(reg *obs.Registry) func(name string, since time.Time) {
 }
 
 // SweepCounts is what a swept day counts besides its table: the outcome
-// of every record and the simulated RTT of every answered one (seeded data
-// plane, so the histogram is deterministic). One goroutine sweeps a day, so
+// of every record, the simulated RTT of every answered one (seeded data
+// plane, so the histogram is deterministic) and the domains the day's
+// demand left unmeasured, so that OK + ServFail + Timeout + Skipped is
+// the world's domain count. One goroutine sweeps a day, so
 // the counts are plain integers; they travel as a value — returned by
 // Session.SweepDayAttempt, carried by the fleet's sweep-done message — and
 // reach the run registry only when Ledger.Complete accepts the day, so an
 // attempt that panicked half-way through a day cannot double-count after
 // its retry.
 type SweepCounts struct {
-	OK, ServFail, Timeout int64
-	RTT                   obs.LocalHistogram
+	OK, ServFail, Timeout, Skipped int64
+	RTT                            obs.LocalHistogram
 }
+
+// measured is how many records the counts hold.
+func (c *SweepCounts) measured() int64 { return c.OK + c.ServFail + c.Timeout }
 
 // observe folds one sweep record into the counts.
 func (c *SweepCounts) observe(rec openintel.Record) {
@@ -284,6 +329,7 @@ func (c *SweepCounts) fold(reg *obs.Registry) {
 	reg.Counter("study.sweep.ok").Add(c.OK)
 	reg.Counter("study.sweep.servfail").Add(c.ServFail)
 	reg.Counter("study.sweep.timeout").Add(c.Timeout)
+	reg.Counter("study.sweep.skipped").Add(c.Skipped)
 	reg.Histogram("study.sweep.rtt").Fold(&c.RTT)
 }
 

@@ -48,9 +48,14 @@ type Session struct {
 	Attacks  []rsdos.Attack
 	Net      *simnet.Net
 	Resolver *resolver.Resolver
-	Engine   *openintel.Engine
+	// Engine sweeps the session's day demand: on each day, only the
+	// domains whose NSSet the join can read that day (buildDemand).
+	// Engine.Restrict(nil) is the sweep of every domain.
+	Engine *openintel.Engine
 
-	filter func(nsset.ID, clock.Window) bool
+	// windows and days are the join's demand (buildDemand), read-only
+	// once NewSession returns.
+	windows, days *demand
 }
 
 // NewSession validates cfg and builds the deterministic run state. Stage
@@ -72,8 +77,9 @@ func NewSession(ctx context.Context, cfg Config, reg *obs.Registry) (*Session, e
 
 	sess.Net = simnet.New(cfg.Net, sess.World.DB, sess.Schedule.Sched, sess.Schedule.Blackouts...)
 	sess.Resolver = resolver.New(cfg.Resolver, sess.World.DB, sess.Net)
-	sess.Engine = openintel.NewEngine(sess.World.DB, sess.Resolver, cfg.MeasureSeed)
-	sess.filter = sess.windowFilter()
+	eng := openintel.NewEngine(sess.World.DB, sess.Resolver, cfg.MeasureSeed)
+	sess.buildDemand(eng.NSSetTable())
+	sess.Engine = eng.Restrict(sess.sweepsDay)
 	return sess, nil
 }
 
@@ -205,41 +211,58 @@ func foldFeed(fold *rsdos.Fold, noise []rsdos.WindowObs, synthesize func(emit fu
 	return n
 }
 
-// windowFilter is the join's demand (DESIGN §3.13): the (NSSet, window)
-// pairs whose per-window metrics the join and the Fig. 2/3 series read.
-// Each attack on a nameserver address keeps, for every NSSet of the
-// engine's table whose key contains the victim — the NSSets
-// core.NSIndex.NSSetsContaining joins it over — its windows from
-// WindowMarginBefore ahead of its first to WindowMarginAfter past its
-// last. Every other pair keeps only its day baseline.
-func (sess *Session) windowFilter() func(nsset.ID, clock.Window) bool {
+// demandDaysBack are the day offsets, from a demanded window's day, of
+// the day rows the join reads for an attack whose windows are demanded:
+// the window's own day (its windows, and the same-day snapshot of the
+// same_day_snapshot ablation), the day before (the §4.2 snapshot and the
+// Eq. 1 baseline) and the week before (report's week_before_baseline
+// ablation). buildDemand adds the configured Pipeline.BaselineDaysBack.
+var demandDaysBack = [...]clock.Day{0, 1, 7}
+
+// buildDemand is the join's demand (DESIGN §3.13): the (NSSet, window)
+// pairs whose per-window metrics the join and the Fig. 2/3 series read,
+// and the (NSSet, day) rows the sweep measures. Each attack on a
+// nameserver address demands, for every NSSet of the engine's table whose
+// key contains the victim — the NSSets core.NSIndex.NSSetsContaining
+// joins it over — its windows from WindowMarginBefore ahead of its first
+// to WindowMarginAfter past its last, and each such window's day and the
+// days demandDaysBack and BaselineDaysBack before it. No other day row
+// is measured; a demanded row keeps its windows only where they are
+// demanded.
+func (sess *Session) buildDemand(tab *nsset.Interner) {
 	before := clock.Window(sess.Config.WindowMarginBefore / clock.WindowDur)
 	after := clock.Window(sess.Config.WindowMarginAfter / clock.WindowDur)
-	return newDemand(sess.Engine.NSSetTable(), sess.Attacks, before, after).has
+	backs := demandDaysBack[:]
+	if b := clock.Day(sess.Config.Pipeline.BaselineDaysBack); b > 0 && !slices.Contains(backs, b) {
+		backs = append(backs[:len(backs):len(backs)], b)
+	}
+	sess.windows, sess.days = newDemand(tab, sess.Attacks, before, after, backs)
 }
 
-// demand is a set of (NSSet ID, window) pairs: per ID, one bitset over
-// that ID's own first … last kept window, every bitset cut from one
-// array. The sweep asks it once per record, from every sweep worker.
+// demand is a set of (NSSet ID, unit) pairs, the unit a window or a day:
+// per ID, one bitset over that ID's own first … last unit, every bitset
+// cut from one array. The sweep asks the day demand once per domain and
+// the window demand once per record, from every sweep worker.
 type demand struct {
 	ids  []idSpan // by ID
 	bits []uint64
 }
 
-// idSpan is one ID's kept windows: bit i of bits[off:] is window lo + i,
-// for i < n. An ID with no span has n = 0.
+// idSpan is one ID's units: bit i of bits[off:] is unit lo + i, for
+// i < n. An ID with no span has n = 0.
 type idSpan struct {
-	lo     clock.Window
+	lo     int64
 	off, n uint32
 }
 
-// newDemand returns the demand of attacks over tab's NSSets: every NSSet
-// containing an attack's victim keeps the attack's windows from before
-// ahead of its first to after past its last. It allocates the same six
-// objects whatever the number of NSSets and attacks: the victims are
-// grouped by a counting sort over the sorted member addresses, not a map
-// of slices.
-func newDemand(tab *nsset.Interner, attacks []rsdos.Attack, before, after clock.Window) *demand {
+// newDemand returns the window and day demands of attacks over tab's
+// NSSets: every NSSet containing an attack's victim keeps the attack's
+// windows from before ahead of its first to after past its last, and
+// each kept window's day and the days backs before it. It allocates the
+// same objects whatever the number of NSSets and attacks: the victims
+// are grouped by a counting sort over the sorted member addresses, not a
+// map of slices.
+func newDemand(tab *nsset.Interner, attacks []rsdos.Attack, before, after clock.Window, backs []clock.Day) (windows, days *demand) {
 	n := tab.Len()
 	// every member address of every NSSet, sorted and distinct
 	size := 0
@@ -259,7 +282,8 @@ func newDemand(tab *nsset.Interner, attacks []rsdos.Attack, before, after clock.
 	// Each address's attack spans, in one array: first[j+2] counts
 	// address j's attacks; the prefix sums make first[j+1] its write
 	// cursor, which the fill leaves at the end of j's spans, so that
-	// spans[first[j]:first[j+1]] are address j's.
+	// spans[first[j]:first[j+1]] are address j's. Its day ranges are
+	// daySpans[first[j]*len(backs):first[j+1]*len(backs)].
 	first := make([]int32, len(addrs)+2)
 	for i := range attacks {
 		if j, ok := slices.BinarySearch(addrs, attacks[i].Victim); ok {
@@ -269,28 +293,40 @@ func newDemand(tab *nsset.Interner, attacks []rsdos.Attack, before, after clock.
 	for j := 2; j < len(first); j++ {
 		first[j] += first[j-1]
 	}
-	spans := make([][2]clock.Window, first[len(first)-1])
+	spans := make([][2]int64, first[len(first)-1])
+	daySpans := make([][2]int64, len(spans)*len(backs))
 	for i := range attacks {
 		a := &attacks[i]
 		if j, ok := slices.BinarySearch(addrs, a.Victim); ok {
-			spans[first[j+1]] = [2]clock.Window{a.StartWindow - before, a.EndWindow + after}
+			at := first[j+1]
+			lo, hi := a.StartWindow-before, a.EndWindow+after
+			spans[at] = [2]int64{int64(lo), int64(hi)}
+			for b, back := range backs {
+				daySpans[int(at)*len(backs)+b] = [2]int64{int64(lo.Day() - back), int64(hi.Day() - back)}
+			}
 			first[j+1]++
 		}
 	}
-	// memberSpans returns the spans of the i-th member of k.
-	memberSpans := func(k nsset.Key, i int) [][2]clock.Window {
-		j, _ := slices.BinarySearch(addrs, k.Addr(i))
-		return spans[first[j]:first[j+1]]
-	}
+	return fillDemand(tab, addrs, first, spans, 1), fillDemand(tab, addrs, first, daySpans, len(backs))
+}
 
-	d := &demand{ids: make([]idSpan, n)}
+// fillDemand builds the demand in which every NSSet of tab holds the
+// ranges of its member addresses: address j's are
+// ranges[first[j]*per:first[j+1]*per].
+func fillDemand(tab *nsset.Interner, addrs []netx.Addr, first []int32, ranges [][2]int64, per int) *demand {
+	// memberRanges returns the ranges of the i-th member of k.
+	memberRanges := func(k nsset.Key, i int) [][2]int64 {
+		j, _ := slices.BinarySearch(addrs, k.Addr(i))
+		return ranges[int(first[j])*per : int(first[j+1])*per]
+	}
+	d := &demand{ids: make([]idSpan, tab.Len())}
 	words := 0
 	for id := range d.ids {
 		k := tab.Key(nsset.ID(id))
-		lo, hi := clock.Window(math.MaxInt64), clock.Window(math.MinInt64)
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 		for i := 0; i < k.Size(); i++ {
-			for _, sp := range memberSpans(k, i) {
-				lo, hi = min(lo, sp[0]), max(hi, sp[1])
+			for _, r := range memberRanges(k, i) {
+				lo, hi = min(lo, r[0]), max(hi, r[1])
 			}
 		}
 		if lo <= hi {
@@ -302,8 +338,8 @@ func newDemand(tab *nsset.Interner, attacks []rsdos.Attack, before, after clock.
 	for id, s := range d.ids {
 		k := tab.Key(nsset.ID(id))
 		for i := 0; i < k.Size(); i++ {
-			for _, sp := range memberSpans(k, i) {
-				setRange(d.bits[s.off:], uint64(sp[0]-s.lo), uint64(sp[1]-s.lo))
+			for _, r := range memberRanges(k, i) {
+				setRange(d.bits[s.off:], uint64(r[0]-s.lo), uint64(r[1]-s.lo))
 			}
 		}
 	}
@@ -324,14 +360,24 @@ func setRange(bits []uint64, from, to uint64) {
 	}
 }
 
-// has reports whether the demand holds (id, w).
-func (d *demand) has(id nsset.ID, w clock.Window) bool {
+// has reports whether the demand holds (id, x).
+func (d *demand) has(id nsset.ID, x int64) bool {
 	if int(id) >= len(d.ids) {
 		return false
 	}
 	s := d.ids[id]
-	i := uint64(w - s.lo) // a window below lo wraps past every index
+	i := uint64(x - s.lo) // a unit below lo wraps past every index
 	return i < uint64(s.n) && d.bits[uint64(s.off)+i/64]&(1<<(i%64)) != 0
+}
+
+// keepsWindow is the window demand: the aggregators' window filter.
+func (sess *Session) keepsWindow(id nsset.ID, w clock.Window) bool {
+	return sess.windows.has(id, int64(w))
+}
+
+// sweepsDay is the day demand: the session engine's sweep demand.
+func (sess *Session) sweepsDay(id nsset.ID, d clock.Day) bool {
+	return sess.days.has(id, int64(d))
 }
 
 // NewAggregator returns an empty aggregator over the engine's NSSet table
@@ -341,7 +387,7 @@ func (d *demand) has(id nsset.ID, w clock.Window) bool {
 // of the same config.
 func (sess *Session) NewAggregator() *nsset.Aggregator {
 	a := nsset.NewAggregatorOver(sess.Engine.NSSetTable())
-	a.SetWindowFilter(sess.filter)
+	a.SetWindowFilter(sess.keepsWindow)
 	return a
 }
 
@@ -391,12 +437,7 @@ type SweepFailure struct {
 func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *nsset.Aggregator, beforeDay func(clock.Day)) (agg *nsset.Aggregator, counts SweepCounts, fail *SweepFailure) {
 	defer func() {
 		if r := recover(); r != nil {
-			agg, counts = nil, SweepCounts{}
-			fail = &SweepFailure{
-				Reason:    fmt.Sprintf("panic: %v", r),
-				Stack:     string(debug.Stack()),
-				Retryable: true,
-			}
+			agg, counts, fail = nil, SweepCounts{}, panicFailure(r)
 		}
 	}()
 	if beforeDay != nil {
@@ -408,7 +449,76 @@ func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *n
 	if err := sess.Engine.RunDayContext(ctx, day, into, counts.observe); err != nil {
 		return nil, SweepCounts{}, nil
 	}
+	counts.Skipped = int64(len(sess.World.DB.Domains)) - counts.measured()
 	return into, counts, nil
+}
+
+// panicFailure is the failure of a sweep attempt that panicked with r,
+// with the panicking goroutine's stack.
+func panicFailure(r any) *SweepFailure {
+	return &SweepFailure{Reason: fmt.Sprintf("panic: %v", r), Stack: string(debug.Stack()), Retryable: true}
+}
+
+// resweepDay sweeps a done day again for the second pass (Study.widen)
+// into a fresh aggregator: first the day's own demand, which makes the
+// first sweep's records again, then the domains of the NSSets added
+// holds, counted apart. Every domain the two leave out is base's
+// Skipped. A panic is captured as in SweepDayAttempt; a nil aggregator
+// without a failure means ctx was cancelled.
+func (sess *Session) resweepDay(ctx context.Context, day clock.Day, added []bool, beforeDay func(clock.Day)) (agg *nsset.Aggregator, base, extra SweepCounts, fail *SweepFailure) {
+	defer func() {
+		if r := recover(); r != nil {
+			agg, base, extra, fail = nil, SweepCounts{}, SweepCounts{}, panicFailure(r)
+		}
+	}()
+	if beforeDay != nil {
+		beforeDay(day)
+	}
+	agg = sess.NewAggregator()
+	widened := sess.Engine.Restrict(func(id nsset.ID, _ clock.Day) bool { return added[id] })
+	if sess.Engine.RunDayContext(ctx, day, agg, base.observe) != nil || widened.RunDayContext(ctx, day, agg, extra.observe) != nil {
+		return nil, SweepCounts{}, SweepCounts{}, nil
+	}
+	base.Skipped = int64(len(sess.World.DB.Domains)) - base.measured() - extra.measured()
+	return agg, base, extra, nil
+}
+
+// fallbackDay is one day the second pass sweeps again: the NSSets it adds
+// to the day's own demand, by ID.
+type fallbackDay struct {
+	day   clock.Day
+	added []bool
+}
+
+// fallbackDemand returns, ascending, the days of the run's range that the
+// join reads in place of a quarantined day (core.MeasurableDay), each with
+// the NSSets the quarantined days it stands for demand and it does not;
+// a day that would add none is left out. A fallback that is itself
+// quarantined or before the run's range reads nothing, in the sweep of
+// every domain too, and is left out.
+func (sess *Session) fallbackDemand(quarantined []clock.Day) []fallbackDay {
+	q := make(map[clock.Day]bool, len(quarantined))
+	for _, d := range quarantined {
+		q[d] = true
+	}
+	n := sess.Engine.NSSetTable().Len()
+	var out []fallbackDay
+	for _, d := range quarantined {
+		fb := core.MeasurableDay(d, q)
+		if q[fb] || fb < sess.Config.FromDay {
+			continue
+		}
+		i, found := slices.BinarySearchFunc(out, fb, func(f fallbackDay, day clock.Day) int { return cmp.Compare(f.day, day) })
+		if !found {
+			out = slices.Insert(out, i, fallbackDay{day: fb, added: make([]bool, n)})
+		}
+		for id := range out[i].added {
+			if sess.sweepsDay(nsset.ID(id), d) && !sess.sweepsDay(nsset.ID(id), fb) {
+				out[i].added[id] = true
+			}
+		}
+	}
+	return slices.DeleteFunc(out, func(f fallbackDay) bool { return !slices.Contains(f.added, true) })
 }
 
 // NewPipeline builds the core join pipeline over the measured days with

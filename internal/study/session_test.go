@@ -21,10 +21,11 @@ import (
 	"dnsddos/internal/telescope"
 )
 
-// TestDemandMatchesMap holds the demand to the map it stands for — one
-// entry per kept (NSSet, window) pair, filled attack by attack and NSSet
-// by NSSet — over random tables and attack sets, asking about every ID
-// (one past the table too) and every window from well below the first
+// TestDemandMatchesMap holds the demand to the maps it stands for — one
+// entry per kept (NSSet, window) pair and one per swept (NSSet, day),
+// filled attack by attack, NSSet by NSSet and window by window — over
+// random tables, attack sets and day offsets, asking about every ID (one
+// past the table too) and every window and day from well below the first
 // span to well above the last. The build allocates the same number of
 // objects whatever the number of NSSets and attacks.
 func TestDemandMatchesMap(t *testing.T) {
@@ -32,6 +33,10 @@ func TestDemandMatchesMap(t *testing.T) {
 	type pair struct {
 		id nsset.ID
 		w  clock.Window
+	}
+	type dayPair struct {
+		id nsset.ID
+		d  clock.Day
 	}
 	build := func(nsets, attacks int) (*nsset.Interner, []rsdos.Attack) {
 		tab := new(nsset.Interner)
@@ -53,8 +58,15 @@ func TestDemandMatchesMap(t *testing.T) {
 	}
 	for round := 0; round < 100; round++ {
 		tab, attacks := build(1+rng.IntN(8), rng.IntN(12))
-		before, after := clock.Window(rng.IntN(80)), clock.Window(rng.IntN(80))
+		before, after := clock.Window(rng.IntN(400)), clock.Window(rng.IntN(400))
+		backs := []clock.Day{0}
+		for _, b := range []clock.Day{1, 2, 7} {
+			if rng.IntN(2) == 0 {
+				backs = append(backs, b)
+			}
+		}
 		keep := make(map[pair]bool)
+		sweep := make(map[dayPair]bool)
 		lo, hi := clock.Window(0), clock.Window(0)
 		for _, a := range attacks {
 			for id := 0; id < tab.Len(); id++ {
@@ -63,20 +75,28 @@ func TestDemandMatchesMap(t *testing.T) {
 				}
 				for w := a.StartWindow - before; w <= a.EndWindow+after; w++ {
 					keep[pair{nsset.ID(id), w}] = true
+					for _, b := range backs {
+						sweep[dayPair{nsset.ID(id), w.Day() - b}] = true
+					}
 				}
 			}
 			lo, hi = min(lo, a.StartWindow-before), max(hi, a.EndWindow+after)
 		}
-		d := newDemand(tab, attacks, before, after)
+		windows, days := newDemand(tab, attacks, before, after, backs)
 		for id := nsset.ID(0); int(id) <= tab.Len(); id++ {
 			for w := lo - 200; w <= hi+200; w++ {
-				if got, want := d.has(id, w), keep[pair{id, w}]; got != want {
+				if got, want := windows.has(id, int64(w)), keep[pair{id, w}]; got != want {
 					t.Fatalf("round %d: (%d, %d) kept = %v, the map says %v", round, id, w, got, want)
 				}
 			}
-			for _, w := range []clock.Window{-1 << 62, 1 << 62} {
-				if d.has(id, w) {
-					t.Fatalf("round %d: far window (%d, %d) is in the demand", round, id, w)
+			for d := lo.Day() - 10; d <= hi.Day()+10; d++ {
+				if got, want := days.has(id, int64(d)), sweep[dayPair{id, d}]; got != want {
+					t.Fatalf("round %d: (%d, day %d) swept = %v, the map says %v (backs %v)", round, id, d, got, want, backs)
+				}
+			}
+			for _, x := range []int64{-1 << 62, 1 << 62} {
+				if windows.has(id, x) || days.has(id, x) {
+					t.Fatalf("round %d: far unit (%d, %d) is in the demand", round, id, x)
 				}
 			}
 		}
@@ -89,7 +109,7 @@ func TestDemandMatchesMap(t *testing.T) {
 		tab     *nsset.Interner
 		attacks []rsdos.Attack
 	}{{small, few}, {large, many}} {
-		allocs[i] = testing.AllocsPerRun(5, func() { newDemand(tc.tab, tc.attacks, 72, 288) })
+		allocs[i] = testing.AllocsPerRun(5, func() { newDemand(tc.tab, tc.attacks, 72, 288, demandDaysBack[:]) })
 	}
 	if allocs[0] != allocs[1] {
 		t.Errorf("the demand of 4 NSSets and 10 attacks allocates %v objects, of 300 and 5,000 %v: want the same", allocs[0], allocs[1])

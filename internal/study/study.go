@@ -116,6 +116,9 @@ type Study struct {
 	// session is the deterministic state the run was built from
 	// (session.go); the exported World/Schedule/... fields above alias it.
 	session *Session
+	// beforeDay is RunContext's WithBeforeDay hook, which Finish's
+	// second pass runs too.
+	beforeDay func(clock.Day)
 }
 
 // Session returns the deterministic state the study was built from.
