@@ -123,14 +123,16 @@ func New() *Registry {
 // register validates that name is unused or already bound to the same
 // kind, and records options. Callers hold r.mu.
 func (r *Registry) register(name, kind string, opts []Option) {
-	var m metricMeta
-	for _, o := range opts {
-		o(&m)
-	}
 	if existing, ok := r.kindOf(name); ok && existing != kind {
 		panic(fmt.Sprintf("obs: metric %q already registered as a %s, requested as a %s", name, existing, kind))
 	}
 	if _, ok := r.meta[name]; !ok {
+		// declared here, where it escapes to the options, so that a
+		// lookup of a registered name allocates nothing
+		var m metricMeta
+		for _, o := range opts {
+			o(&m)
+		}
 		r.meta[name] = m
 	}
 }

@@ -186,6 +186,19 @@ func TestObserveAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { c.Inc() }); allocs != 0 {
 		t.Errorf("Counter.Inc allocates %.1f objects per call, want 0", allocs)
 	}
+	// a metric already registered is looked up without allocating: the
+	// study ledger folds a day's counts by name, five look-ups a day
+	reg := New()
+	reg.Counter("c")
+	reg.Gauge("g", Volatile())
+	reg.Histogram("h")
+	if allocs := testing.AllocsPerRun(1000, func() {
+		reg.Counter("c").Inc()
+		reg.Gauge("g", Volatile()).Set(1)
+		reg.Histogram("h").Observe(d)
+	}); allocs != 0 {
+		t.Errorf("looking up registered metrics allocates %.1f objects per call, want 0", allocs)
+	}
 }
 
 // TestMerge: counters add, histograms add bucket-wise, max is max.
