@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test cmds obs stream distjoin race-gate soak chaos bench-throughput bench-sweep bench-serve bench-session bench-join flake-sweep report loc
+.PHONY: build test cmds obs stream distjoin race-gate soak chaos bench-throughput bench-sweep bench-serve bench-session bench-join flake-sweep report paperscale loc
 
 build:
 	$(GO) build ./...
@@ -182,13 +182,15 @@ bench-serve:
 # what study_batch op_allocs reads), the attack schedule at the same
 # scale, and the session's two heaviest stages, the telescope feed (at
 # study_batch's scale, and at join_dense's DNS share, where a victim's
-# attack chain is long) and its curation. For
+# attack chain is long) and its curation, of that feed and of 16 windows
+# of 4,096 observations each (BenchmarkFoldDenseWindow, where a window
+# close that sorts in quadratic time shows as ns/op). For
 # reading while working on the set-up or the run loop; the gated numbers
 # are the repo benchmark's study_batch op_allocs and join_dense setup_s.
 bench-session:
 	$(GO) test -bench 'BenchmarkNewSession|BenchmarkRunContext' -benchmem -run '^$$' ./internal/study/
 	$(GO) test -bench 'BenchmarkGenerateSchedule|BenchmarkSynthesizeObs' -benchmem -run '^$$' ./internal/scenario/
-	$(GO) test -bench 'BenchmarkInfer' -benchmem -run '^$$' ./internal/rsdos/
+	$(GO) test -bench 'BenchmarkInfer|BenchmarkFoldDenseWindow' -benchmem -run '^$$' ./internal/rsdos/
 
 # The join, layer by layer: one join through the engine on a built
 # pipeline and through the reference scan, one cold re-join over sealed
@@ -196,10 +198,16 @@ bench-session:
 # the pipeline, join, render the CSV, close: B/op and allocs/op are what
 # every re-run over sealed days pays), and the day store's two reads on
 # both backends (0 allocs/op). The engine is one pass on one goroutine:
-# indexed reads 1.3-1.7 ms, 167 KB and 194 allocs/op, cold 16-20 ms,
-# 469 KB and 2,805 allocs/op, at -cpu 1 and 2 alike (an observation on a
-# 2-vCPU Xeon, not a gate). For reading while working on the join; the
-# gated number is the repo benchmark's join_dense op_alloc_kb.
+# indexed reads 1.2-1.7 ms, 186 KB and 195 allocs/op, cold 8-20 ms,
+# 502 KB and 2,806 allocs/op, at -cpu 1 and 2 alike (an observation on a
+# 2-vCPU Xeon, not a gate; most of those bytes are the result's append
+# growth, whose size classes fall less evenly for the 184-byte event than
+# for the 256-byte one that copied its attack: 167 KB and 469 KB then).
+# The cold leg does not classify; join_dense's operation does, and its
+# Classify is one []ClassifiedAttack of 24 B an attack, each entry
+# pointing into the feed (96 B an attack when each held a copy). For
+# reading while working on the join; the gated number is the repo
+# benchmark's join_dense op_alloc_kb.
 bench-join:
 	$(GO) test -bench 'BenchmarkJoin' -benchmem -run '^$$' ./internal/core/
 	$(GO) test -bench 'BenchmarkViewReads' -benchmem -run '^$$' ./internal/daystore/
@@ -210,6 +218,15 @@ bench-join:
 # same entries) — then BenchmarkPipelineJoin.
 report:
 	$(GO) test -bench . -benchtime 1x .
+
+# The paper's attack count on one host: one study at QuickConfig with
+# 15,000 domains and Table 1's 4,039,485 attacks over a temporary day
+# store, printing the wall time, the study.stage.*_wall_ns gauges, peak
+# RSS (VmHWM), attacks and events. Outside go test ./... (build tag
+# paperscale): it takes a minute or more and gigabytes of memory. Read it
+# in pairs, a change against its parent on the same host.
+paperscale:
+	$(GO) test -tags paperscale -run '^TestPaperScale$$' -count 1 -v -timeout 30m .
 
 # The numbers every simplicity PR quotes: non-test Go lines outside
 # benchmark/, all Go lines outside benchmark/ (so code moved into _test.go

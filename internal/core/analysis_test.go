@@ -16,7 +16,7 @@ import (
 func classified(victimIsDNS bool, month time.Month, year int, proto packet.Protocol, port uint16, uniquePorts int, dur time.Duration) ClassifiedAttack {
 	start := time.Date(year, month, 10, 12, 0, 0, 0, time.UTC)
 	ca := ClassifiedAttack{
-		Attack: rsdos.Attack{
+		Attack: &rsdos.Attack{
 			Victim:      netx.MustParseAddr("192.0.2.1"),
 			StartWindow: clock.WindowOf(start),
 			EndWindow:   clock.WindowOf(start.Add(dur)) - 1,
@@ -103,6 +103,7 @@ func TestPortDistribution(t *testing.T) {
 
 func mkEvent(hosted, measured, okN, to, sf int, impact float64, class nsset.AnycastClass, asns, prefixes int, provider string) Event {
 	return Event{
+		Attack:          ClassifiedAttack{Attack: &rsdos.Attack{}},
 		HostedDomains:   hosted,
 		MeasuredDomains: measured,
 		OK:              okN, Timeouts: to, ServFails: sf,

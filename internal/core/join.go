@@ -55,7 +55,10 @@ func newJoinMetrics(reg *obs.Registry) joinMetrics {
 // checked before every 64th DNS-direct attack joined; a cancelled join
 // returns a prefix, in order, of the events the full join emits, with
 // ctx.Err(). The day store is read on the caller's goroutine, so a store
-// that refuses a day panics here (DayStore, daystore.go).
+// that refuses a day panics here (DayStore, daystore.go). Each event's
+// Attack points into attacks, which the caller must not modify while the
+// events are read; a caller that numbers its attacks does so before the
+// join.
 func (p *Pipeline) EventsContext(ctx context.Context, attacks []rsdos.Attack) ([]Event, error) {
 	// The feed is dominated by victims that are not DNS infrastructure,
 	// so each entry first passes the NSIndex bit filter (one shift + bit
@@ -98,7 +101,7 @@ func (p *Pipeline) EventsContext(ctx context.Context, attacks []rsdos.Attack) ([
 		}
 		joined++
 		ca := ClassifiedAttack{
-			Attack:     attacks[i],
+			Attack:     &attacks[i],
 			Class:      ClassDNSDirect,
 			NSRecorded: true,
 			NS:         inf.ns,

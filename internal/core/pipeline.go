@@ -68,8 +68,10 @@ func (c Class) String() string {
 }
 
 // ClassifiedAttack pairs an RSDoS attack with its target classification.
+// It refers to the attack rather than copying it: Attack points into the
+// feed that Classify or EventsContext was handed.
 type ClassifiedAttack struct {
-	rsdos.Attack
+	*rsdos.Attack
 	Class Class
 	// NSRecorded reports whether the victim IP appears in NS records of
 	// registered domains (true for authoritative servers and for open
@@ -274,12 +276,14 @@ func (p *Pipeline) classifyVictim(v netx.Addr) (class Class, nsRecorded bool, ns
 }
 
 // Classify assigns each attack its target class (step 2 of the join).
+// Entry i's Attack is &attacks[i]: the result aliases the caller's feed,
+// which must not be modified while the result is read.
 func (p *Pipeline) Classify(attacks []rsdos.Attack) []ClassifiedAttack {
-	out := make([]ClassifiedAttack, 0, len(attacks))
-	for _, a := range attacks {
-		ca := ClassifiedAttack{Attack: a}
-		ca.Class, ca.NSRecorded, ca.NS = p.classifyVictim(a.Victim)
-		out = append(out, ca)
+	out := make([]ClassifiedAttack, len(attacks))
+	for i := range attacks {
+		ca := &out[i]
+		ca.Attack = &attacks[i]
+		ca.Class, ca.NSRecorded, ca.NS = p.classifyVictim(attacks[i].Victim)
 	}
 	return out
 }

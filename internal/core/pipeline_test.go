@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -142,6 +143,57 @@ func TestClassify(t *testing.T) {
 	p2 := NewPipeline(w.db, WithConfig(cfg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
 	if got := p2.Classify(attacks[2:3]); got[0].Class != ClassDNSDirect {
 		t.Errorf("unfiltered open resolver class = %v", got[0].Class)
+	}
+}
+
+// TestClassifyAliasesTheFeed: Classify refers to the caller's attacks
+// instead of copying them — one allocation for the whole feed, of at most
+// 24 B an attack, where a copy took 96 — and each entry's Attack, like
+// each event's, is the attack's address in the caller's slice.
+func TestClassifyAliasesTheFeed(t *testing.T) {
+	w := buildWorld(t)
+	agg := nsset.NewAggregator()
+	attackW := clock.Day(40).FirstWindow() + 100
+	seedMeasurements(agg, w.vulnKey, attackW.Day(), 10*time.Millisecond, attackW, 100*time.Millisecond, 8, 2)
+	p := NewPipeline(w.db, WithDayStore(agg), WithCensus(w.census), WithTopology(w.topo), WithOpenResolvers(w.open))
+	victims := []netx.Addr{w.vulnNS[0], w.bigNS[0], netx.MustParseAddr("192.0.2.99"), netx.MustParseAddr("8.8.8.8"), netx.MustParseAddr("120.55.44.33")}
+	attacks := make([]rsdos.Attack, 4096)
+	for i := range attacks {
+		attacks[i] = mkAttack(i+1, victims[i%len(victims)], attackW, attackW+2, 53)
+	}
+
+	if n := testing.AllocsPerRun(10, func() { p.Classify(attacks) }); n != 1 {
+		t.Errorf("Classify of %d attacks allocates %v times, want 1", len(attacks), n)
+	}
+	// bytes an attack over ten runs, rounded down as AllocsPerRun rounds
+	// objects: what else the process allocates meanwhile (the race
+	// runtime does) is shared out, not charged to one attack. At 4,096
+	// attacks the result is a large object, whole pages with no
+	// size-class rounding or allocation header.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 {
+		p.Classify(attacks)
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / 10 / uint64(len(attacks)); b > 24 {
+		t.Errorf("Classify allocates %d B an attack, want ≤ 24", b)
+	}
+	classified := p.Classify(attacks)
+	for i := range classified {
+		if classified[i].Attack != &attacks[i] {
+			t.Fatalf("classified[%d].Attack does not point at attacks[%d]", i, i)
+		}
+	}
+
+	events := p.Events(attacks)
+	if len(events) == 0 {
+		t.Fatal("no event joined")
+	}
+	for _, e := range events {
+		if e.Attack.Attack != &attacks[e.Attack.ID-1] {
+			t.Fatalf("the event of attack %d does not point at attacks[%d]", e.Attack.ID, e.Attack.ID-1)
+		}
 	}
 }
 

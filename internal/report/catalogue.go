@@ -317,7 +317,7 @@ func reactiveTrigger(w io.Writer, s *study.Study) error {
 	var sample []rsdos.Attack
 	for _, ca := range s.Classified {
 		if ca.Class == core.ClassDNSDirect && len(sample) < 20 {
-			sample = append(sample, ca.Attack)
+			sample = append(sample, *ca.Attack)
 		}
 	}
 	if len(sample) == 0 {

@@ -15,6 +15,7 @@ import (
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/packet"
 	"dnsddos/internal/resolver"
+	"dnsddos/internal/rsdos"
 	"dnsddos/internal/stats"
 )
 
@@ -185,7 +186,7 @@ func TestFailureBreakdownRenderer(t *testing.T) {
 func TestEventsCSV(t *testing.T) {
 	events := []core.Event{
 		{
-			Attack:          core.ClassifiedAttack{},
+			Attack:          core.ClassifiedAttack{Attack: &rsdos.Attack{}},
 			HostedDomains:   42,
 			MeasuredDomains: 7,
 			OK:              5, Timeouts: 2,
@@ -254,6 +255,7 @@ func eventsCSVRowsRef(w io.Writer, events []core.Event) error {
 func TestEventsCSVRowsMatchReference(t *testing.T) {
 	ev := func(id int, victim string, from, to clock.Window, provider string, impact float64, has bool) core.Event {
 		e := core.Event{
+			Attack:        core.ClassifiedAttack{Attack: &rsdos.Attack{}},
 			NSSet:         nsset.KeyOf([]netx.Addr{netx.MustParseAddr("192.0.2.1"), netx.MustParseAddr("198.51.100.7")}),
 			HostedDomains: 1234567, MeasuredDomains: 42, OK: 30, Timeouts: 9, ServFails: 3,
 			Impact: impact, HasImpact: has, FailureRate: 2.0 / 7,

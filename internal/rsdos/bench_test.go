@@ -1,6 +1,7 @@
 package rsdos_test
 
 import (
+	"slices"
 	"testing"
 
 	"dnsddos/internal/rsdos"
@@ -22,7 +23,12 @@ func BenchmarkInfer(b *testing.B) {
 	acfg.Seed = 7
 	acfg.TotalAttacks = 6000
 	sched := scenario.GenerateSchedule(acfg, w)
-	obs := scenario.SynthesizeObs(scenario.DefaultSynthConfig(), w, sched.Sched, telescope.NewUCSD())
+	var obs []rsdos.WindowObs
+	scenario.Synthesize(scenario.DefaultSynthConfig(), w, sched.Sched, telescope.NewUCSD(), func(o *rsdos.WindowObs) {
+		c := *o
+		c.Ports = slices.Clone(o.Ports)
+		obs = append(obs, c)
+	}, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

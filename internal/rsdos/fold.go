@@ -61,7 +61,10 @@ type Fold struct {
 	heads  []int32
 	lo, hi clock.Window
 	closed clock.Window // windows below are folded
-	buf    []int32      // one window's slots, in arrival order
+	// buf holds one closing window's slots, latest first; keys holds
+	// each one's sort key, Victim<<32 | ^j for the slot at buf[j]
+	buf  []int32
+	keys []uint64
 	// done holds the finished attacks in chunks of doneChunk, in the
 	// order they finalized; ndone counts them.
 	done  [][]Attack
@@ -159,25 +162,19 @@ func (f *Fold) advance(w clock.Window) {
 	}
 	for ; f.lo < w && f.lo <= f.hi; f.lo++ {
 		h := &f.heads[f.lo&clock.Window(len(f.heads)-1)]
-		f.buf = f.buf[:0]
+		f.buf, f.keys = f.buf[:0], f.keys[:0]
+		// the list runs from the latest slot back, so ^j grows with
+		// arrival and the keys' order is (Victim, arrival): distinct
+		// keys, whose order no sort's tie handling can change
 		for i := *h; i != 0; i = f.slot(i - 1).next {
+			j := uint32(len(f.buf))
 			f.buf = append(f.buf, i-1)
+			f.keys = append(f.keys, uint64(f.slot(i-1).o.Victim)<<32|uint64(^j))
 		}
 		*h = 0
-		// the list runs from the latest slot back; turned round, an
-		// insertion sort by victim that moves only past greater victims
-		// keeps arrival order within a victim
-		slices.Reverse(f.buf)
-		for i := 1; i < len(f.buf); i++ {
-			p := f.buf[i]
-			v := f.slot(p).o.Victim
-			j := i
-			for ; j > 0 && f.slot(f.buf[j-1]).o.Victim > v; j-- {
-				f.buf[j] = f.buf[j-1]
-			}
-			f.buf[j] = p
-		}
-		for _, i := range f.buf {
+		slices.Sort(f.keys)
+		for _, k := range f.keys {
+			i := f.buf[^uint32(k)]
 			s := f.slot(i)
 			f.tr.Observe(s.o)
 			s.next = f.free

@@ -24,6 +24,18 @@ import (
 // feed — same rng draws in the same order — with every port map read back
 // as an ascending list; SynthesizeObs collects it.
 
+// SynthesizeObs returns Synthesize's feed as one slice, every
+// observation's Ports its own.
+func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *telescope.Telescope) []rsdos.WindowObs {
+	var feed []rsdos.WindowObs
+	Synthesize(cfg, w, sched, tel, func(o *rsdos.WindowObs) {
+		c := *o
+		c.Ports = slices.Clip(slices.Clone(o.Ports))
+		feed = append(feed, c)
+	}, nil)
+	return feed
+}
+
 // portN is the count a port list holds for port (0 when absent).
 func portN(ports []rsdos.PortCount, port uint16) int64 {
 	for _, pc := range ports {

@@ -130,18 +130,6 @@ func Synthesize(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *teles
 	}
 }
 
-// SynthesizeObs returns Synthesize's feed as one slice, every
-// observation's Ports its own.
-func SynthesizeObs(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *telescope.Telescope) []rsdos.WindowObs {
-	var feed []rsdos.WindowObs
-	Synthesize(cfg, w, sched, tel, func(o *rsdos.WindowObs) {
-		c := *o
-		c.Ports = slices.Clip(slices.Clone(o.Ports))
-		feed = append(feed, c)
-	}, nil)
-	return feed
-}
-
 // synthesizeWindow draws one observation from the thinned backscatter
 // process with expected telescope packet count lambda. The observation's
 // port counts are written into ports, an empty slice with room for

@@ -26,8 +26,9 @@ type attackKey struct {
 // Canonicalize renumbers stream-emitted attacks and events into batch
 // feed order: attacks sorted by (StartWindow, Victim) — a unique key,
 // since one victim's attacks never overlap — with IDs 1..n, and events
-// stably reordered by their attack's canonical ID. Inputs are not
-// mutated.
+// stably reordered by their attack's canonical ID, each pointing at its
+// attack in the returned feed. Inputs are not mutated: an event's attack
+// is the stream's, so the canonical ID is not written through it.
 func Canonicalize(attacks []rsdos.Attack, events []core.Event) ([]rsdos.Attack, []core.Event) {
 	ca := make([]rsdos.Attack, len(attacks))
 	copy(ca, attacks)
@@ -37,15 +38,15 @@ func Canonicalize(attacks []rsdos.Attack, events []core.Event) ([]rsdos.Attack, 
 		}
 		return ca[i].Victim < ca[j].Victim
 	})
-	ids := make(map[attackKey]int, len(ca))
+	byKey := make(map[attackKey]*rsdos.Attack, len(ca))
 	for i := range ca {
 		ca[i].ID = i + 1
-		ids[attackKey{ca[i].StartWindow, ca[i].Victim}] = i + 1
+		byKey[attackKey{ca[i].StartWindow, ca[i].Victim}] = &ca[i]
 	}
 	ce := make([]core.Event, len(events))
 	copy(ce, events)
 	for i := range ce {
-		ce[i].Attack.ID = ids[attackKey{ce[i].Attack.StartWindow, ce[i].Attack.Victim}]
+		ce[i].Attack.Attack = byKey[attackKey{ce[i].Attack.StartWindow, ce[i].Attack.Victim}]
 	}
 	// stable: within one attack the join's event order is already
 	// canonical (both paths run the same engine over the same index)

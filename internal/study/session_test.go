@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -119,8 +120,8 @@ func TestDemandMatchesMap(t *testing.T) {
 // TestSessionFeedMatchesInfer holds the session's attacks — inference
 // folding the windows synthesis has closed on a second goroutine while
 // synthesis still draws, the noise taken as each window closes — to the
-// one-goroutine build: Infer over the whole feed SynthesizeObs collects,
-// SynthesizeNoise's appended. The session keeps no feed, and its gauges
+// one-goroutine build: Infer over the whole feed Synthesize draws,
+// collected, SynthesizeNoise's appended. The session keeps no feed, and its gauges
 // count the feed and the slots the fold held at once.
 func TestSessionFeedMatchesInfer(t *testing.T) {
 	noisy := metricsConfig()
@@ -176,7 +177,12 @@ func TestSessionFeedMatchesInfer(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			feed := scenario.SynthesizeObs(tc.cfg.Synth, sess.World, sess.Schedule.Sched, sess.Telescope)
+			var feed []rsdos.WindowObs
+			scenario.Synthesize(tc.cfg.Synth, sess.World, sess.Schedule.Sched, sess.Telescope, func(o *rsdos.WindowObs) {
+				c := *o
+				c.Ports = slices.Clone(o.Ports)
+				feed = append(feed, c)
+			}, nil)
 			if tc.cfg.IncludeNoise {
 				feed = append(feed, scenario.SynthesizeNoise(tc.cfg.Noise, sess.Telescope)...)
 			}

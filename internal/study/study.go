@@ -101,8 +101,10 @@ type Study struct {
 	Resolver *resolver.Resolver
 	Engine   *openintel.Engine
 	// Deprecated: nil after every run; read the days through Pipeline.DayStore.
-	Agg        *nsset.Aggregator
-	Pipeline   *core.Pipeline
+	Agg      *nsset.Aggregator
+	Pipeline *core.Pipeline
+	// Classified and Events point into Attacks, which must not be
+	// modified after the run.
 	Classified []core.ClassifiedAttack
 	Events     []core.Event
 	// Report summarizes the supervised run loop: resumed, completed and
