@@ -163,13 +163,17 @@ bench-sweep:
 	$(GO) test -bench 'BenchmarkAggregator(Add|Day)' -benchmem -run '^$$' ./internal/nsset/
 	$(GO) test -bench 'BenchmarkSealDay' -benchmem -run '^$$' ./internal/daystore/
 
-# The serving path, layer by layer: the codec on one NS response (through
-# the allocating wrappers and through AppendEncode / DecodeInto), one
-# Zone.Answer, the serving engine's queries/s, and one resolution through
-# the live resolver at a loopback server (allocs/query is process-wide:
-# client and server). For reading while working on the serving path; the
-# gated number is the repo benchmark's serve_clean op_allocs.
+# The serving path, layer by layer: the set-up (the serve_clean world
+# built, and its zone loaded, with B/op and allocs/op), the codec on one
+# NS response (through the allocating wrappers and through AppendEncode /
+# DecodeInto), one Zone.Answer, the serving engine's queries/s, and one
+# resolution through the live resolver at a loopback server (allocs/query
+# is process-wide: client and server). For reading while working on the
+# serving path; the gated numbers are the repo benchmark's serve_clean
+# setup_s and op_allocs.
 bench-serve:
+	$(GO) test -bench 'BenchmarkGenerateWorld' -benchmem -run '^$$' ./internal/scenario/
+	$(GO) test -bench 'BenchmarkZoneFromDB' -benchmem -run '^$$' ./internal/authserver/
 	$(GO) test -bench 'Benchmark(Encode|Decode|AppendEncode|DecodeInto)NSResponse' -benchmem -run '^$$' ./internal/dnswire/
 	$(GO) test -bench 'BenchmarkZoneAnswer' -benchmem -run '^$$' ./internal/authserver/
 	$(GO) test -bench 'Server_(UDP|TCP)Throughput' -benchtime 1s -run '^$$' ./internal/authserver/
@@ -179,8 +183,8 @@ bench-serve:
 # benchmark's scale (allocs/op and B/op are what every study, joinworker and
 # setup_s sample pays before its first sweep), the whole study through
 # study.RunContext at the same scale with two workers (its allocs/op is
-# what study_batch op_allocs reads), the attack schedule at the same
-# scale, and the session's two heaviest stages, the telescope feed (at
+# what study_batch op_allocs reads), the world and the attack schedule at
+# the same scale, and the session's two heaviest stages, the telescope feed (at
 # study_batch's scale, and at join_dense's DNS share, where a victim's
 # attack chain is long) and its curation, of that feed and of 16 windows
 # of 4,096 observations each (BenchmarkFoldDenseWindow, where a window
@@ -189,7 +193,7 @@ bench-serve:
 # are the repo benchmark's study_batch op_allocs and join_dense setup_s.
 bench-session:
 	$(GO) test -bench 'BenchmarkNewSession|BenchmarkRunContext' -benchmem -run '^$$' ./internal/study/
-	$(GO) test -bench 'BenchmarkGenerateSchedule|BenchmarkSynthesizeObs' -benchmem -run '^$$' ./internal/scenario/
+	$(GO) test -bench 'BenchmarkGenerateWorld|BenchmarkGenerateSchedule|BenchmarkSynthesizeObs' -benchmem -run '^$$' ./internal/scenario/
 	$(GO) test -bench 'BenchmarkInfer|BenchmarkFoldDenseWindow' -benchmem -run '^$$' ./internal/rsdos/
 
 # The join, layer by layer: one join through the engine on a built
@@ -204,7 +208,7 @@ bench-session:
 # growth, whose size classes fall less evenly for the 184-byte event than
 # for the 256-byte one that copied its attack: 167 KB and 469 KB then).
 # The cold leg does not classify; join_dense's operation does, and its
-# Classify is one []ClassifiedAttack of 24 B an attack, each entry
+# Classify is one []ClassifiedAttack of 16 B an attack, each entry
 # pointing into the feed (96 B an attack when each held a copy). For
 # reading while working on the join; the gated number is the repo
 # benchmark's join_dense op_alloc_kb.

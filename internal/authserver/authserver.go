@@ -71,18 +71,48 @@ func (z *Zone) AddA(host string, addr netx.Addr) {
 }
 
 // FromDB loads every domain's NS records (and nameserver glue A records)
-// from a world database.
+// from a world database. It builds the zone AddA and AddNS would, record
+// by record, in one step per name: the maps are sized from the database,
+// each nameserver host is canonicalized once, and the address and host
+// lists are cut from one array each, so a name's list is written with
+// one map write. The lists' capacities are clamped to their lengths: a
+// name seen twice (two spellings of one domain, one host on two
+// addresses) appends into a copy, never over its neighbour.
 func FromDB(db *dnsdb.DB) *Zone {
 	z := NewZone()
+	z.a = make(map[string][]netx.Addr, len(db.Nameservers))
+	z.ns = make(map[string][]string, len(db.Domains))
+	hosts := make([]string, len(db.Nameservers))
+	addrs := make([]netx.Addr, len(db.Nameservers))
 	for i := range db.Nameservers {
 		ns := &db.Nameservers[i]
-		z.AddA(ns.Host, ns.Addr)
+		hosts[i], addrs[i] = dnswire.CanonicalName(ns.Host), ns.Addr
+		list := addrs[i : i+1 : i+1]
+		if prev := z.a[hosts[i]]; prev != nil {
+			list = append(prev, list...)
+		}
+		z.a[hosts[i]] = list
 	}
+	total := 0
+	for i := range db.Domains {
+		total += len(db.Domains[i].NS)
+	}
+	nsHosts := make([]string, 0, total)
 	for i := range db.Domains {
 		d := &db.Domains[i]
-		for _, id := range d.NS {
-			z.AddNS(d.Name, db.Nameservers[id].Host)
+		if len(d.NS) == 0 {
+			continue
 		}
+		start := len(nsHosts)
+		for _, id := range d.NS {
+			nsHosts = append(nsHosts, hosts[id])
+		}
+		name := dnswire.CanonicalName(d.Name)
+		list := nsHosts[start:len(nsHosts):len(nsHosts)]
+		if prev := z.ns[name]; prev != nil {
+			list = append(prev, list...)
+		}
+		z.ns[name] = list
 	}
 	return z
 }

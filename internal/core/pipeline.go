@@ -34,7 +34,7 @@ import (
 )
 
 // Class is the target classification of an attack.
-type Class int
+type Class uint8
 
 // Attack target classes.
 const (

@@ -8,8 +8,9 @@
 package scenario
 
 import (
-	"fmt"
 	"math/rand/v2"
+	"strconv"
+	"strings"
 	"time"
 
 	"dnsddos/internal/anycast"
@@ -172,7 +173,6 @@ type worldBuilder struct {
 	next24     uint32
 	orgs       map[astopo.ASN]astopo.Org
 	anycast24s []netx.Prefix
-	nsSeq      int
 	// openResGroups are indexes into w.Groups of the open-resolver
 	// pseudo-groups; misconfigured domains delegate to them.
 	openResGroups []int
@@ -236,7 +236,7 @@ func (b *worldBuilder) addProviderNS(t providerTemplate) []Group {
 	})
 	b.w.Named[t.name] = pid
 	b.setOrg(t.asn, t.name, t.country)
-	var groups []Group
+	groups := make([]Group, 0, t.groups)
 	for g := 0; g < t.groups; g++ {
 		// allocate the group's /24 pool
 		n24 := t.prefixes24
@@ -256,7 +256,12 @@ func (b *worldBuilder) addProviderNS(t providerTemplate) []Group {
 				b.anycast24s = append(b.anycast24s, pool[i])
 			}
 		}
-		grp := Group{Provider: pid}
+		// the group's host names ("ns1.<label>", "ns2.<label>", …) are
+		// cut from one arena sized for the longest
+		label := hostLabel(t.name, g)
+		var hosts strings.Builder
+		hosts.Grow(t.nsPerGroup * (len("ns.") + len(strconv.Itoa(t.nsPerGroup)) + len(label)))
+		grp := Group{Provider: pid, NS: make([]dnsdb.NameserverID, 0, t.nsPerGroup)}
 		for i := 0; i < t.nsPerGroup; i++ {
 			p := pool[i%len(pool)]
 			addr := p.Nth(uint64(10 + b.rng.IntN(200)))
@@ -274,9 +279,13 @@ func (b *worldBuilder) addProviderNS(t providerTemplate) []Group {
 					sites = 8
 				}
 			}
-			b.nsSeq++
+			start := hosts.Len()
+			hosts.WriteString("ns")
+			hosts.WriteString(strconv.Itoa(i + 1))
+			hosts.WriteByte('.')
+			hosts.WriteString(label)
 			id, err := b.db.AddNameserver(dnsdb.Nameserver{
-				Host:        fmt.Sprintf("ns%d.%s", i+1, hostLabel(t.name, g)),
+				Host:        hosts.String()[start:],
 				Addr:        addr,
 				Provider:    pid,
 				Anycast:     isAny,
@@ -310,7 +319,8 @@ func deploymentOf(t providerTemplate) dnsdb.Deployment {
 }
 
 func hostLabel(name string, group int) string {
-	label := make([]byte, 0, len(name))
+	var buf [64]byte
+	label := buf[:0]
 	for _, c := range name {
 		switch {
 		case c >= 'A' && c <= 'Z':
@@ -319,7 +329,7 @@ func hostLabel(name string, group int) string {
 			label = append(label, byte(c))
 		}
 	}
-	return fmt.Sprintf("%s-g%d.net", label, group)
+	return string(label) + "-g" + strconv.Itoa(group) + ".net"
 }
 
 // baseRTT draws a jittered base RTT around a mean in milliseconds.

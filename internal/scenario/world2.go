@@ -147,8 +147,11 @@ func (b *worldBuilder) buildDomains() {
 	var slots []slot
 	named := namedProviders()
 	shareOf := make(map[dnsdb.ProviderID]float64)
+	// tpShare is each provider's third-party-web share, by ProviderID
+	tpShare := make([]float64, len(b.db.Providers))
 	for _, t := range named {
 		shareOf[b.w.Named[t.name]] = t.share
+		tpShare[b.w.Named[t.name]] = t.thirdPartyWeb
 	}
 	// count groups per provider to split shares
 	groupsPer := make(map[dnsdb.ProviderID]int)
@@ -215,18 +218,16 @@ func (b *worldBuilder) buildDomains() {
 		} else {
 			gi = slots[searchCum(cum, u)].group
 		}
-		g := b.w.Groups[gi]
-		p := b.db.Providers[g.Provider]
+		g := &b.w.Groups[gi]
+		// a domain draws only when its provider has a share
 		tp := false
-		for _, t := range named {
-			if b.w.Named[t.name] == g.Provider && t.thirdPartyWeb > 0 {
-				tp = b.rng.Float64() < t.thirdPartyWeb
-			}
+		if share := tpShare[g.Provider]; share > 0 {
+			tp = b.rng.Float64() < share
 		}
 		// AddDomain keeps a sorted, duplicate-free list as it is, so the
 		// domains of a group share the group's array
 		dom := dnsdb.Domain{
-			Name:          appendDomainName(&names, i, tldFor(p.Country)),
+			Name:          appendDomainName(&names, i, tldFor(b.db.Providers[g.Provider].Country)),
 			NS:            g.NS,
 			ThirdPartyWeb: tp,
 		}

@@ -24,9 +24,9 @@ type Telescope struct {
 	// index lookup on the aggregation hot path.
 	slash16s   []netx.Prefix
 	slash16Idx map[netx.Prefix]int
-	// logMiss is log(1 - 1/m) for the m /16s: a uniformly placed
-	// packet's log-chance of missing a given /16 (-Inf when m ≤ 1).
-	logMiss float64
+	// spread[k] is ExpectedSlash16Spread(k) from k = 0 to the first k
+	// where it reaches the /16 count, which every larger k returns too.
+	spread []int32
 }
 
 // New builds a telescope over the given disjoint prefixes.
@@ -53,9 +53,18 @@ func New(space *netx.PrefixSet) *Telescope {
 	for i, p := range t.slash16s {
 		t.slash16Idx[p] = i
 	}
-	t.logMiss = math.Inf(-1)
-	if m := float64(len(t.slash16s)); m > 1 {
-		t.logMiss = math.Log1p(-1 / m)
+	// E[distinct] = m(1 - (1 - 1/m)^k) over the m /16s, the power taken
+	// through log1p; rounded, it never falls as k grows and reaches m
+	// once the power underflows.
+	m := float64(len(t.slash16s))
+	logMiss := math.Inf(-1)
+	if m > 1 {
+		logMiss = math.Log1p(-1 / m)
+	}
+	t.spread = []int32{0}
+	for k := 1; int(t.spread[k-1]) < len(t.slash16s); k++ {
+		e := m * (1 - math.Exp(float64(k)*logMiss))
+		t.spread = append(t.spread, int32(e+0.5))
 	}
 	return t
 }
@@ -115,14 +124,14 @@ func (t *Telescope) Slash16Index(dst netx.Addr) int {
 // ExpectedSlash16Spread returns the expected number of distinct telescope
 // /16s hit by k uniformly placed darknet packets (coupon-collector
 // expectation), used by the flow-level generator to synthesize the spread
-// signal without materializing addresses.
+// signal without materializing addresses. It reads the table New
+// computed.
 func (t *Telescope) ExpectedSlash16Spread(k int64) int {
-	m := float64(t.NumSlash16())
-	if k <= 0 {
+	switch {
+	case k <= 0:
 		return 0
+	case k >= int64(len(t.spread)):
+		return len(t.slash16s)
 	}
-	// E[distinct] = m(1 - (1 - 1/m)^k), the power taken through
-	// log1p, stable for large m and k
-	e := m * (1 - math.Exp(float64(k)*t.logMiss))
-	return int(e + 0.5)
+	return int(t.spread[k])
 }

@@ -75,6 +75,41 @@ func TestExpectedSlash16Spread(t *testing.T) {
 	}
 }
 
+// expectedSpreadFormula is the coupon-collector expectation
+// ExpectedSlash16Spread computed per call before New tabulated it.
+func expectedSpreadFormula(t *Telescope, k int64) int {
+	m := float64(t.NumSlash16())
+	if k <= 0 {
+		return 0
+	}
+	logMiss := math.Inf(-1)
+	if m > 1 {
+		logMiss = math.Log1p(-1 / m)
+	}
+	e := m * (1 - math.Exp(float64(k)*logMiss))
+	return int(e + 0.5)
+}
+
+// TestSpreadTableMatchesFormula holds the table to the formula for every
+// packet count up to 2^20 and at 2^40, on the UCSD footprint and on
+// telescopes of one and two /16s.
+func TestSpreadTableMatchesFormula(t *testing.T) {
+	for _, tel := range []*Telescope{
+		NewUCSD(),
+		New(netx.MustNewPrefixSet(netx.MustParsePrefix("100.64.0.0/16"))),
+		New(netx.MustNewPrefixSet(netx.MustParsePrefix("100.64.0.0/15"))),
+	} {
+		for k := int64(-1); k <= 1<<20; k++ {
+			if got, want := tel.ExpectedSlash16Spread(k), expectedSpreadFormula(tel, k); got != want {
+				t.Fatalf("%d /16s: spread(%d) = %d, formula %d", tel.NumSlash16(), k, got, want)
+			}
+		}
+		if got, want := tel.ExpectedSlash16Spread(1<<40), expectedSpreadFormula(tel, 1<<40); got != want {
+			t.Errorf("%d /16s: spread(2^40) = %d, formula %d", tel.NumSlash16(), got, want)
+		}
+	}
+}
+
 // TestExpectedSpreadMatchesSimulation cross-checks the coupon-collector
 // formula against empirical uniform placement.
 func TestExpectedSpreadMatchesSimulation(t *testing.T) {
