@@ -11,23 +11,22 @@ import (
 	"dnsddos/internal/netx"
 )
 
+type namedWorld struct {
+	name string
+	cfg  WorldConfig
+}
+
 // worldConfigs are the worlds the digest test and BenchmarkGenerateWorld
 // build: the default world cut to 3,000 domains, the repo benchmark's
 // serve_clean world (2,000 domains on 20 generic providers) and its
-// study_batch world (12,000 domains on 60).
-func worldConfigs() []struct {
-	name string
-	cfg  WorldConfig
-} {
+// study_batch world (12,000 domains on 60), in that order.
+func worldConfigs() []namedWorld {
 	def := DefaultWorldConfig()
 	def.Domains = 3000
 	serve := WorldConfig{Seed: 7, Domains: 2000, GenericProviders: 20, MisconfiguredShare: 0.003, AnycastRecall: 0.9, InconsistentShare: 0.04}
 	studyW := DefaultWorldConfig()
 	studyW.Seed, studyW.Domains, studyW.GenericProviders = 11, 12000, 60
-	return []struct {
-		name string
-		cfg  WorldConfig
-	}{{"default", def}, {"serve", serve}, {"study", studyW}}
+	return []namedWorld{{"default", def}, {"serve", serve}, {"study", studyW}}
 }
 
 // dumpWorld writes everything GenerateWorld returns in one canonical
