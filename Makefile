@@ -183,10 +183,12 @@ bench-serve:
 # benchmark's scale (allocs/op and B/op are what every study, joinworker and
 # setup_s sample pays before its first sweep), the whole study through
 # study.RunContext at the same scale with two workers (its allocs/op is
-# what study_batch op_allocs reads), the world and the attack schedule at
-# the same scale, and the session's two heaviest stages, the telescope feed (at
-# study_batch's scale, and at join_dense's DNS share, where a victim's
-# attack chain is long) and its curation, of that feed and of 16 windows
+# what study_batch op_allocs reads), the world at the same scale, the
+# attack schedule at study_batch's and join_dense's (B/op is mostly the
+# one array of 72-byte components a session keeps), and the session's two
+# heaviest stages, the telescope feed (at study_batch's scale, and at
+# join_dense's DNS share, where a victim's attack chain is long) and its
+# curation, of that feed and of 16 windows
 # of 4,096 observations each (BenchmarkFoldDenseWindow, where a window
 # close that sorts in quadratic time shows as ns/op). For
 # reading while working on the set-up or the run loop; the gated numbers

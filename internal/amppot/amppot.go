@@ -121,8 +121,8 @@ func (f *Fleet) Observe(rng *rand.Rand, sched *attacksim.Schedule) []Attack {
 		if len(s.Ports) > 0 {
 			port = s.Ports[0]
 		}
-		startW := clock.WindowOf(s.Start)
-		endW := clock.WindowOf(s.End.Add(-1))
+		startW := clock.WindowOfUnixNano(s.Start)
+		endW := clock.WindowOfUnixNano(s.End - 1)
 		for w := startW; w <= endW; w++ {
 			frac, ok := s.ActiveIn(w)
 			if !ok {

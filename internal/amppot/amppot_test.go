@@ -19,8 +19,8 @@ func reflSpec(victim string, start time.Time, dur time.Duration, pps float64) at
 		Vector: attacksim.VectorReflection,
 		Proto:  packet.ProtoUDP,
 		Ports:  []uint16{53},
-		Start:  start,
-		End:    start.Add(dur),
+		Start:  start.UnixNano(),
+		End:    start.Add(dur).UnixNano(),
 		PPS:    pps,
 	}
 }
@@ -65,7 +65,7 @@ func TestSpoofedAttacksInvisible(t *testing.T) {
 		Target: netx.MustParseAddr("120.0.0.1"),
 		Vector: attacksim.VectorRandomSpoofed,
 		Proto:  packet.ProtoTCP, Ports: []uint16{53},
-		Start: base, End: base.Add(time.Hour), PPS: 1e6,
+		Start: base.UnixNano(), End: base.Add(time.Hour).UnixNano(), PPS: 1e6,
 	}})
 	if got := fleet.Observe(rng, sched); len(got) != 0 {
 		t.Errorf("spoofed attack visible to honeypots: %d", len(got))
@@ -152,7 +152,7 @@ func TestHoneypotShareStatistics(t *testing.T) {
 		v := netx.Addr(0x78000000 + uint32(i))
 		specs = append(specs, attacksim.Spec{
 			Target: v, Vector: attacksim.VectorReflection, Proto: packet.ProtoUDP,
-			Ports: []uint16{53}, Start: base, End: base.Add(time.Hour), PPS: 5e6,
+			Ports: []uint16{53}, Start: base.UnixNano(), End: base.Add(time.Hour).UnixNano(), PPS: 5e6,
 		})
 	}
 	attacks := fleet.Observe(rng, attacksim.NewSchedule(specs))

@@ -4,7 +4,10 @@
 package astopo
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 
 	"dnsddos/internal/netx"
 )
@@ -24,17 +27,11 @@ type Org struct {
 // Table is the prefix→AS longest-prefix-match table plus the AS→org registry.
 // It is immutable after Build and safe for concurrent use.
 type Table struct {
-	nodes []node // the binary trie, nodes[0] its root
-	orgs  map[ASN]Org
-	n     int
-}
-
-// node is one trie node; a child index of 0 (the root, never a child)
-// means none.
-type node struct {
-	child [2]int32
-	asn   ASN
-	set   bool
+	// disjoint ranges of announced space in address order: range i runs
+	// from firsts[i] to lasts[i] under the most specific prefix's origin
+	firsts, lasts, asns []uint32
+	orgs                map[ASN]Org
+	n                   int
 }
 
 // Entry is one announced prefix.
@@ -54,6 +51,9 @@ func NewBuilder() *Builder {
 	return &Builder{orgs: make(map[ASN]Org)}
 }
 
+// Grow makes room for n more announcements.
+func (b *Builder) Grow(n int) { b.entries = slices.Grow(b.entries, n) }
+
 // Announce records that asn originates prefix. More-specific announcements
 // win on lookup, matching BGP longest-prefix-match semantics.
 func (b *Builder) Announce(prefix netx.Prefix, asn ASN) {
@@ -68,48 +68,71 @@ func (b *Builder) SetOrg(asn ASN, org Org) {
 // Build freezes the builder into an immutable lookup table. Duplicate
 // announcements of the same prefix keep the last one, mirroring how a
 // RouteViews-derived snapshot resolves to a single origin.
+//
+// The prefixes are sorted in place, stably, by (first address, length):
+// a prefix comes before those nested in it, duplicates in announcement
+// order. One sweep with a stack of the open prefixes then cuts a range
+// wherever a prefix opens or closes: at most 2n, in one allocation.
 func (b *Builder) Build() *Table {
-	t := &Table{nodes: make([]node, 1, 1+len(b.entries)), orgs: make(map[ASN]Org, len(b.orgs)), n: len(b.entries)}
-	for asn, org := range b.orgs {
-		t.orgs[asn] = org
+	t := &Table{orgs: maps.Clone(b.orgs), n: len(b.entries)}
+	for i := range b.entries {
+		p := &b.entries[i].Prefix
+		p.Addr &= p.Mask()
 	}
-	for _, e := range b.entries {
-		t.insert(e.Prefix, e.ASN)
-	}
-	return t
-}
-
-func (t *Table) insert(p netx.Prefix, asn ASN) {
-	n := int32(0)
-	for i := 0; i < p.Bits; i++ {
-		bit := (uint32(p.Addr) >> (31 - uint(i))) & 1
-		if t.nodes[n].child[bit] == 0 {
-			t.nodes[n].child[bit] = int32(len(t.nodes))
-			t.nodes = append(t.nodes, node{})
+	slices.SortStableFunc(b.entries, func(x, y Entry) int {
+		return cmp.Or(cmp.Compare(x.Prefix.Addr, y.Prefix.Addr), cmp.Compare(x.Prefix.Bits, y.Prefix.Bits))
+	})
+	room := 2 * len(b.entries)
+	buf := make([]uint32, 3*room)
+	t.firsts, t.lasts, t.asns = buf[:0:room], buf[room:room:2*room], buf[2*room:2*room:3*room]
+	var open [33]Entry // innermost last; 33 lengths bound the depth
+	depth, from := 0, uint64(0)
+	// flush ends the innermost open prefix's range [from, to)
+	flush := func(to uint64) {
+		if depth > 0 && from < to {
+			t.firsts = append(t.firsts, uint32(from))
+			t.lasts = append(t.lasts, uint32(to-1))
+			t.asns = append(t.asns, uint32(open[depth-1].ASN))
 		}
-		n = t.nodes[n].child[bit]
+		from = to
 	}
-	t.nodes[n].asn = asn
-	t.nodes[n].set = true
+	closeTo := func(addr uint64) {
+		for ; depth > 0 && uint64(open[depth-1].Prefix.Last()) < addr; depth-- {
+			flush(uint64(open[depth-1].Prefix.Last()) + 1)
+		}
+	}
+	for i, e := range b.entries {
+		if i+1 < len(b.entries) && e.Prefix == b.entries[i+1].Prefix {
+			continue // a later duplicate wins
+		}
+		closeTo(uint64(e.Prefix.Addr))
+		flush(uint64(e.Prefix.Addr))
+		open[depth] = e
+		depth++
+	}
+	closeTo(1 << 32)
+	return t
 }
 
 // Lookup returns the origin ASN for addr via longest-prefix match.
 func (t *Table) Lookup(addr netx.Addr) (ASN, bool) {
-	var best ASN
-	found := false
-	for i, n := 0, int32(0); ; i++ {
-		nd := &t.nodes[n]
-		if nd.set {
-			best, found = nd.asn, true
-		}
-		if i == 32 {
-			break
-		}
-		if n = nd.child[(uint32(addr)>>(31-uint(i)))&1]; n == 0 {
-			break
-		}
+	// bisect for the last range starting at or before addr; a step's
+	// borrow masks it, so no branch mispredicts
+	firsts, a := t.firsts, uint32(addr)
+	n := len(firsts)
+	if n == 0 || firsts[0] > a {
+		return 0, false
 	}
-	return best, found
+	i := 0
+	for n > 1 {
+		half := n / 2
+		i += half & (int((uint64(a)-uint64(firsts[i+half]))>>63) - 1)
+		n -= half
+	}
+	if a > t.lasts[i] {
+		return 0, false
+	}
+	return ASN(t.asns[i]), true
 }
 
 // OrgName returns a printable name for an ASN, falling back to "ASn".

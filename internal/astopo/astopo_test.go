@@ -99,7 +99,7 @@ func TestASNString(t *testing.T) {
 	}
 }
 
-// TestLookupMatchesLinearScan cross-checks the trie against a brute-force
+// TestLookupMatchesLinearScan cross-checks the table against a brute-force
 // longest-prefix match over random tables and addresses.
 func TestLookupMatchesLinearScan(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -144,5 +144,131 @@ func TestLookupMatchesLinearScan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// trieReference is the table as a binary trie, as it was before Build
+// flattened it into spans: a node per prefix bit, the last announcement
+// of a prefix overwriting its node, a lookup walking the address's bits
+// and keeping the deepest origin it passes.
+type trieReference struct {
+	nodes []trieNode // nodes[0] the root
+}
+
+// trieNode is one trie node; a child index of 0 (the root, never a
+// child) means none.
+type trieNode struct {
+	child [2]int32
+	asn   ASN
+	set   bool
+}
+
+func newTrieReference(entries []Entry) *trieReference {
+	t := &trieReference{nodes: make([]trieNode, 1, 1+len(entries))}
+	for _, e := range entries {
+		n := int32(0)
+		for i := 0; i < e.Prefix.Bits; i++ {
+			bit := (uint32(e.Prefix.Addr) >> (31 - uint(i))) & 1
+			if t.nodes[n].child[bit] == 0 {
+				t.nodes[n].child[bit] = int32(len(t.nodes))
+				t.nodes = append(t.nodes, trieNode{})
+			}
+			n = t.nodes[n].child[bit]
+		}
+		t.nodes[n].asn = e.ASN
+		t.nodes[n].set = true
+	}
+	return t
+}
+
+func (t *trieReference) lookup(addr netx.Addr) (ASN, bool) {
+	var best ASN
+	found := false
+	for i, n := 0, int32(0); ; i++ {
+		nd := &t.nodes[n]
+		if nd.set {
+			best, found = nd.asn, true
+		}
+		if i == 32 {
+			break
+		}
+		if n = nd.child[(uint32(addr)>>(31-uint(i)))&1]; n == 0 {
+			break
+		}
+	}
+	return best, found
+}
+
+// TestLookupMatchesTrieReference holds the flattened table to the trie on
+// random prefix sets that mix /0 and /32 with nested chains, prefixes
+// sharing a first or a last address, adjacent siblings, duplicates with
+// other origins and host bits left set, probing every prefix's first and
+// last address, the addresses either side of them, the ends of the space
+// and random ones.
+func TestLookupMatchesTrieReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 43))
+	for set := 0; set < 400; set++ {
+		var entries []Entry
+		add := func(p netx.Prefix) {
+			entries = append(entries, Entry{Prefix: p, ASN: ASN(rng.Uint32N(50))})
+		}
+		for n := rng.IntN(40); len(entries) < n; {
+			bits := rng.IntN(33)
+			addr := netx.Addr(rng.Uint32())
+			if set%2 == 0 {
+				addr &= 0xff0000ff // crowd the prefixes into few /8s
+			}
+			switch u := rng.IntN(10); {
+			case u == 0:
+				add(netx.Prefix{Addr: 0, Bits: 0})
+			case u == 1:
+				add(netx.Prefix{Addr: addr, Bits: 32})
+			case u == 2 && len(entries) > 0:
+				add(entries[rng.IntN(len(entries))].Prefix) // a duplicate
+			case u <= 5 && len(entries) > 0:
+				// nested in, or sharing an edge with, an earlier prefix
+				outer := entries[rng.IntN(len(entries))].Prefix
+				outer.Addr &= outer.Mask()
+				inner := netx.Prefix{Bits: min(32, outer.Bits+1+rng.IntN(8))}
+				switch rng.IntN(3) {
+				case 0:
+					inner.Addr = outer.First()
+				case 1:
+					inner.Addr = outer.Last()
+				default:
+					inner.Addr = outer.First() + netx.Addr(rng.Uint64N(outer.Size()))
+				}
+				inner.Addr &= inner.Mask()
+				add(inner)
+				if rng.IntN(2) == 0 && inner.Bits > 0 { // its sibling
+					add(netx.Prefix{Addr: inner.Addr ^ netx.Addr(1)<<(32-inner.Bits), Bits: inner.Bits})
+				}
+			default:
+				if rng.IntN(4) != 0 {
+					addr &= (netx.Prefix{Bits: bits}).Mask()
+				}
+				add(netx.Prefix{Addr: addr, Bits: bits})
+			}
+		}
+		ref := newTrieReference(entries)
+		tbl := build(entries, nil)
+		if tbl.Len() != len(entries) {
+			t.Fatalf("set %d: Len %d for %d announcements", set, tbl.Len(), len(entries))
+		}
+		probes := []netx.Addr{0, 1, ^netx.Addr(0), ^netx.Addr(0) - 1}
+		for _, e := range entries {
+			first, last := e.Prefix.Addr&e.Prefix.Mask(), e.Prefix.Addr|^e.Prefix.Mask()
+			probes = append(probes, first-1, first, first+1, last-1, last, last+1)
+		}
+		for range 64 {
+			probes = append(probes, netx.Addr(rng.Uint32()))
+		}
+		for _, a := range probes {
+			got, gotOK := tbl.Lookup(a)
+			want, wantOK := ref.lookup(a)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("set %d, %d announcements %v: Lookup(%v) = %v, %v; trie %v, %v", set, len(entries), entries, a, got, gotOK, want, wantOK)
+			}
+		}
 	}
 }

@@ -15,9 +15,14 @@
 //   - Flow level: WindowLoad reports the victim-side attack rate per
 //     5-minute window; the telescope's thinned sampler and the simnet load
 //     model consume it directly for the 17-month longitudinal runs.
+//
+// A Spec's Start and End are Unix nanoseconds, the unit of
+// clock.Window.UnixNano, and its counts are 32 bits wide: a component
+// takes 72 bytes, and a schedule at the paper's count holds millions.
 package attacksim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -30,7 +35,7 @@ import (
 )
 
 // Vector is the attack mechanism.
-type Vector int
+type Vector uint8
 
 // Attack vectors.
 const (
@@ -62,43 +67,36 @@ func (v Vector) String() string {
 // Spec describes one attack component: a single vector against a single
 // target. Multi-vector attacks are several Specs sharing a GroupID.
 type Spec struct {
-	ID      int
-	GroupID int // shared by components of a multi-vector attack
-	Target  netx.Addr
-	Vector  Vector
-	Proto   packet.Protocol
-	// Ports are the targeted destination ports; most attacks target a
-	// single port (§6.2: 80.7% single port/proto).
-	Ports []uint16
-	Start time.Time
-	End   time.Time
+	Start, End int64 // [Start, End), in Unix nanoseconds
 	// PPS is the packet rate arriving at the victim.
 	PPS float64
-	// PacketBytes is the mean attack packet size, used for the inferred
-	// traffic-volume (Gbps) figures in Table 2.
-	PacketBytes int
+	// Ports are the targeted destination ports; most attacks target a
+	// single port (§6.2: 80.7% single port/proto).
+	Ports   []uint16
+	ID      int32
+	GroupID int32 // shared by components of a multi-vector attack
+	Target  netx.Addr
 	// SpoofedSources is the number of distinct spoofed source addresses
 	// the attacker cycles through; for uniform spoofing this is
 	// effectively unbounded and sources are drawn fresh per packet.
 	// Zero means uniform-random per packet.
-	SpoofedSources int
+	SpoofedSources int32
+	// PacketBytes is the mean attack packet size, used for the inferred
+	// traffic-volume (Gbps) figures in Table 2.
+	PacketBytes int32
+	Vector      Vector
+	Proto       packet.Protocol
 }
 
-// Duration returns the attack component duration.
-func (s *Spec) Duration() time.Duration { return s.End.Sub(s.Start) }
-
 // ActiveIn reports whether the attack overlaps window w, and the fraction
-// of the window it covers (for partial first/last windows). The overlap is
-// worked out in Unix nanoseconds, not by building the window's two
-// time.Times: the same Duration, so the same float64.
+// of the window it covers (for partial first/last windows).
 func (s *Spec) ActiveIn(w clock.Window) (float64, bool) {
 	ws := w.UnixNano()
 	we := ws + int64(clock.WindowDur)
-	start, end := s.Start.UnixNano(), s.End.UnixNano()
-	if start >= we || end <= ws {
+	if s.Start >= we || s.End <= ws {
 		return 0, false
 	}
-	return float64(min(end, we)-max(start, ws)) / float64(clock.WindowDur), true
+	return float64(min(s.End, we)-max(s.Start, ws)) / float64(clock.WindowDur), true
 }
 
 // WindowLoad returns the mean victim-side packet rate contributed by the
@@ -125,10 +123,10 @@ type Schedule struct {
 // must not use them afterwards, and should size the slice to its length:
 // the schedule holds its whole array for as long as it lives.
 func NewSchedule(specs []Spec) *Schedule {
-	slices.SortStableFunc(specs, func(a, b Spec) int { return a.Start.Compare(b.Start) })
+	slices.SortStableFunc(specs, func(a, b Spec) int { return cmp.Compare(a.Start, b.Start) })
 	for i := range specs {
 		if specs[i].ID == 0 {
-			specs[i].ID = i + 1
+			specs[i].ID = int32(i + 1)
 		}
 		if specs[i].GroupID == 0 {
 			specs[i].GroupID = specs[i].ID
@@ -148,7 +146,8 @@ func (sc *Schedule) ActiveAt(w clock.Window) []Spec {
 	var out []Spec
 	// specs sorted by start; scan those starting strictly before the
 	// window's (exclusive) end
-	i := sort.Search(len(sc.specs), func(i int) bool { return !sc.specs[i].Start.Before(w.End()) })
+	we := (w + 1).UnixNano()
+	i := sort.Search(len(sc.specs), func(i int) bool { return sc.specs[i].Start >= we })
 	for _, s := range sc.specs[:i] {
 		if _, ok := s.ActiveIn(w); ok {
 			out = append(out, s)
@@ -174,8 +173,8 @@ func (s *Spec) Flood(rng *rand.Rand, w clock.Window, rate float64, emit func(t t
 		return
 	}
 	from := w.Start()
-	if s.Start.After(from) {
-		from = s.Start
+	if s.Start > from.UnixNano() {
+		from = time.Unix(0, s.Start).UTC()
 	}
 	span := time.Duration(frac * float64(clock.WindowDur))
 	for i := int64(0); i < n; i++ {
@@ -218,6 +217,6 @@ func (s *Spec) spoofedSource(rng *rand.Rand) netx.Addr {
 		return netx.RandomGlobalAddr(rng)
 	}
 	// cycle a bounded pool deterministically derived from the spec ID
-	i := rng.IntN(s.SpoofedSources)
+	i := rng.IntN(int(s.SpoofedSources))
 	return netx.Addr(uint32(s.ID)*2654435761 + uint32(i)*40503)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/netx"
@@ -16,8 +17,8 @@ func spec(target string, start time.Time, dur time.Duration, pps float64) Spec {
 		Vector: VectorRandomSpoofed,
 		Proto:  packet.ProtoTCP,
 		Ports:  []uint16{53},
-		Start:  start,
-		End:    start.Add(dur),
+		Start:  start.UnixNano(),
+		End:    start.Add(dur).UnixNano(),
 		PPS:    pps,
 	}
 }
@@ -76,7 +77,7 @@ func TestScheduleIDsAssigned(t *testing.T) {
 	})
 	specs := sched.Specs()
 	// sorted by start
-	if !specs[0].Start.Before(specs[1].Start) {
+	if specs[0].Start >= specs[1].Start {
 		t.Error("specs not sorted by start")
 	}
 	for _, s := range specs {
@@ -179,5 +180,14 @@ func TestVectorStrings(t *testing.T) {
 		VectorReflection.String() != "reflection" ||
 		VectorDirect.String() != "direct" {
 		t.Error("vector strings")
+	}
+}
+
+// TestSpecLayout holds a component to 72 bytes: a schedule at the paper's
+// attack count holds millions of them for as long as a session lives. It
+// took 136 with time.Time bounds and int counts.
+func TestSpecLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Spec{}); size > 72 {
+		t.Errorf("Spec takes %d bytes, want ≤ 72", size)
 	}
 }

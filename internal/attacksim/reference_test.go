@@ -10,22 +10,22 @@ import (
 )
 
 // activeInReference is ActiveIn as it was before it worked in Unix
-// nanoseconds: the window's two time.Times built per call and compared
-// with Before/After. The load oracles in simnet and scenario call the
-// production WindowLoad, so they cannot see an ActiveIn defect; this one
-// can.
-func activeInReference(s *Spec, w clock.Window) (float64, bool) {
+// nanoseconds, over a component's bounds as time.Times: the window's two
+// time.Times built per call and compared with Before/After. The load
+// oracles in simnet and scenario call the production WindowLoad, so they
+// cannot see an ActiveIn defect; this one can.
+func activeInReference(start, end time.Time, w clock.Window) (float64, bool) {
 	ws, we := w.Start(), w.End()
-	if !s.Start.Before(we) || !s.End.After(ws) {
+	if !start.Before(we) || !end.After(ws) {
 		return 0, false
 	}
 	from := ws
-	if s.Start.After(from) {
-		from = s.Start
+	if start.After(from) {
+		from = start
 	}
 	to := we
-	if s.End.Before(to) {
-		to = s.End
+	if end.Before(to) {
+		to = end
 	}
 	return float64(to.Sub(from)) / float64(clock.WindowDur), true
 }
@@ -60,24 +60,25 @@ func TestActiveInMatchesReference(t *testing.T) {
 	checked, active := 0, 0
 	for i := 0; i < 20000; i++ {
 		w0 := clock.Window(rng.Int64N(int64(windows)+4000)) - 2000 // from a week before StudyStart
-		var s Spec
-		s.Start = near(w0)
+		start := near(w0)
+		var end time.Time
 		switch rng.IntN(5) {
 		case 0:
-			s.End = s.Start // zero duration
+			end = start // zero duration
 		case 1:
-			s.End = s.Start.Add(-time.Duration(1 + rng.Int64N(int64(time.Hour)))) // negative
+			end = start.Add(-time.Duration(1 + rng.Int64N(int64(time.Hour)))) // negative
 		case 2:
-			s.End = near(w0 + clock.Window(rng.IntN(3))) // within a window or two
+			end = near(w0 + clock.Window(rng.IntN(3))) // within a window or two
 		default:
-			s.End = near(w0 + clock.Window(rng.IntN(300)))
+			end = near(w0 + clock.Window(rng.IntN(300)))
 		}
-		first, last := clock.WindowOf(s.Start), clock.WindowOf(s.End)
+		s := Spec{Start: start.UnixNano(), End: end.UnixNano()}
+		first, last := clock.WindowOf(start), clock.WindowOf(end)
 		for w := min(first, last) - 2; w <= max(first, last)+2; w++ {
 			got, gotOK := s.ActiveIn(w)
-			want, wantOK := activeInReference(&s, w)
+			want, wantOK := activeInReference(start, end, w)
 			if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("spec [%v, %v) window %v: ActiveIn %v, %v; reference %v, %v", s.Start, s.End, w, got, gotOK, want, wantOK)
+				t.Fatalf("spec [%v, %v) window %v: ActiveIn %v, %v; reference %v, %v", start, end, w, got, gotOK, want, wantOK)
 			}
 			checked++
 			if wantOK {

@@ -94,7 +94,7 @@ func cacheWorld(t *testing.T) (*dnsdb.DB, *resolver.Resolver, time.Time) {
 		specs = append(specs, attacksim.Spec{
 			Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed,
 			Proto: packet.ProtoTCP, Ports: []uint16{53},
-			Start: attackStart, End: attackStart.Add(time.Hour), PPS: 2e5,
+			Start: attackStart.UnixNano(), End: attackStart.Add(time.Hour).UnixNano(), PPS: 2e5,
 		})
 	}
 	net := simnet.New(simnet.DefaultParams(), db, attacksim.NewSchedule(specs))

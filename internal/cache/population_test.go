@@ -41,7 +41,7 @@ func populationWorld(t *testing.T) (*dnsdb.DB, *resolver.Resolver, time.Time) {
 		specs = append(specs, attacksim.Spec{
 			Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed,
 			Proto: packet.ProtoTCP, Ports: []uint16{53},
-			Start: attackStart, End: attackStart.Add(2 * time.Hour), PPS: 3e5,
+			Start: attackStart.UnixNano(), End: attackStart.Add(2 * time.Hour).UnixNano(), PPS: 3e5,
 		})
 	}
 	net := simnet.New(simnet.DefaultParams(), db, attacksim.NewSchedule(specs))

@@ -34,6 +34,16 @@ func WindowOf(t time.Time) Window {
 	return Window(d / WindowDur)
 }
 
+// WindowOfUnixNano returns WindowOf(time.Unix(0, ns)) without building
+// the time.Time.
+func WindowOfUnixNano(ns int64) Window {
+	d := ns - studyStartNano
+	if d < 0 {
+		return Window((d - int64(WindowDur) + 1) / int64(WindowDur))
+	}
+	return Window(d / int64(WindowDur))
+}
+
 // Start returns the wall-clock start of the window.
 func (w Window) Start() time.Time { return StudyStart.Add(time.Duration(w) * WindowDur) }
 

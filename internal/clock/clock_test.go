@@ -21,6 +21,20 @@ func TestWindowOfBoundaries(t *testing.T) {
 	}
 }
 
+// TestWindowOfUnixNanoMatchesWindowOf holds the nanosecond form to
+// WindowOf on window edges, a nanosecond either side of them and between,
+// before and after StudyStart.
+func TestWindowOfUnixNanoMatchesWindowOf(t *testing.T) {
+	for w := Window(-600); w <= 600; w++ {
+		for _, off := range []time.Duration{-time.Nanosecond, 0, time.Nanosecond, WindowDur / 3} {
+			at := w.Start().Add(off)
+			if got, want := WindowOfUnixNano(at.UnixNano()), WindowOf(at); got != want {
+				t.Fatalf("WindowOfUnixNano(%v) = %d, WindowOf %d", at, got, want)
+			}
+		}
+	}
+}
+
 func TestWindowStartEndInverse(t *testing.T) {
 	f := func(mins uint32) bool {
 		tm := StudyStart.Add(time.Duration(mins%900000) * time.Minute)

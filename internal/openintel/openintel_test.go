@@ -216,7 +216,7 @@ func sweepFixture(tb testing.TB, domains int) (*Engine, func(nsset.ID, clock.Win
 		if _, ok := nsAddrs[s.Target]; !ok {
 			continue
 		}
-		for win := clock.WindowOf(s.Start) - 72; win <= clock.WindowOf(s.End)+288; win++ {
+		for win := clock.WindowOfUnixNano(s.Start) - 72; win <= clock.WindowOfUnixNano(s.End)+288; win++ {
 			keep[win] = struct{}{}
 		}
 	}

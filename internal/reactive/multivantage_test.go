@@ -36,13 +36,13 @@ func anycastOutageWorld(t *testing.T) (*dnsdb.DB, *simnet.Net, rsdos.Attack) {
 	spec := attacksim.Spec{
 		Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed,
 		Proto: packet.ProtoTCP, Ports: []uint16{53},
-		Start: start, End: start.Add(time.Hour), PPS: 1.5e6,
+		Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 1.5e6,
 	}
 	net := simnet.New(simnet.DefaultParams(), db, attacksim.NewSchedule([]attacksim.Spec{spec}))
 	attack := rsdos.Attack{
 		ID: 1, Victim: spec.Target,
-		StartWindow: clock.WindowOf(spec.Start),
-		EndWindow:   clock.WindowOf(spec.End) - 1,
+		StartWindow: clock.WindowOfUnixNano(spec.Start),
+		EndWindow:   clock.WindowOfUnixNano(spec.End) - 1,
 	}
 	return db, net, attack
 }

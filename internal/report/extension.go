@@ -121,7 +121,7 @@ func vantage(w io.Writer, _ *study.Study) error {
 	net := simnet.New(simnet.DefaultParams(), db, attacksim.NewSchedule([]attacksim.Spec{{
 		Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed,
 		Proto: packet.ProtoTCP, Ports: []uint16{53},
-		Start: start, End: start.Add(time.Hour), PPS: 1.2e6,
+		Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 1.2e6,
 	}}))
 	mid := start.Add(30 * time.Minute)
 	fmt.Fprintf(w, "# Multi-vantage catchment: 12 vantages, one attacked 16-site anycast nameserver\nvantage,impaired_share\n")
@@ -216,7 +216,7 @@ func resilience(w io.Writer, _ *study.Study) error {
 			specs = append(specs, attacksim.Spec{
 				Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed,
 				Proto: packet.ProtoTCP, Ports: []uint16{53},
-				Start: start, End: start.Add(time.Hour), PPS: 8e4,
+				Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 8e4,
 			})
 		}
 	}

@@ -104,8 +104,8 @@ func TestPacketPathMatchesFlowPath(t *testing.T) {
 		Vector: attacksim.VectorRandomSpoofed,
 		Proto:  packet.ProtoTCP,
 		Ports:  []uint16{53},
-		Start:  clock.StudyStart,
-		End:    clock.StudyStart.Add(5 * time.Minute),
+		Start:  clock.StudyStart.UnixNano(),
+		End:    clock.StudyStart.Add(5 * time.Minute).UnixNano(),
 		PPS:    2000,
 	}
 	victim := backscatter.DefaultNameserverVictim(false)

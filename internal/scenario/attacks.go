@@ -84,10 +84,10 @@ type CaseStudies struct {
 }
 
 // GenerateSchedule builds the full 17-month schedule for a world. Its
-// components are drawn into fixed-size chunks of packed records, in draw
-// order, and materialized once, in (Start, draw order) order, into one
-// slice of their number, which the schedule keeps; their port lists are
-// cut from fixed-size chunks of ports.
+// components are drawn into fixed-size chunks, in draw order, and copied
+// once, in (Start, draw order) order, into one slice of their number,
+// which the schedule keeps; their port lists are cut from fixed-size
+// chunks of ports.
 func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xa77ac))
 	g := &schedGen{cfg: cfg, w: w, rng: rng}
@@ -100,7 +100,7 @@ func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
 	// a random attack is at most two components, a reflection-only or
 	// surge attack one
 	reflections := int(float64(cfg.TotalAttacks) * cfg.ReflectionOnlyRatio)
-	g.specs = make([][]drawn, 0, (2*cfg.TotalAttacks+reflections+len(csSpecs)+maxSurge)/specChunk+1)
+	g.specs = make([][]attacksim.Spec, 0, (2*cfg.TotalAttacks+reflections+len(csSpecs)+maxSurge)/specChunk+1)
 	months := clock.StudyMonths()
 	var wsum float64
 	for _, mw := range monthWeights {
@@ -131,42 +131,6 @@ func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
 // specChunk is how many components one chunk of a schedule's draw holds.
 const specChunk = 1024
 
-// drawn is one component as the draw holds it until assemble: a Spec
-// packed into 64 bytes where it takes 136. Its times are Unix
-// nanoseconds: every time the draw makes is in UTC with no monotonic
-// reading, so time.Unix(0, ns).UTC() gives it back bit for bit. Its ID is
-// not held: the draw leaves it zero, for NewSchedule to number. The
-// narrowed fields hold what the draw and the case studies make: group
-// IDs and source pools far inside int32, packet sizes inside uint16
-// (TestGenerateScheduleMatchesReference holds the round trip).
-type drawn struct {
-	start, end int64
-	pps        float64
-	ports      []uint16
-	group      int32
-	target     netx.Addr
-	spoofed    int32
-	bytes      uint16
-	vector     uint8
-	proto      packet.Protocol
-}
-
-// spec returns the component d holds.
-func (d *drawn) spec() attacksim.Spec {
-	return attacksim.Spec{
-		GroupID:        int(d.group),
-		Target:         d.target,
-		Vector:         attacksim.Vector(d.vector),
-		Proto:          d.proto,
-		Ports:          d.ports,
-		Start:          time.Unix(0, d.start).UTC(),
-		End:            time.Unix(0, d.end).UTC(),
-		PPS:            d.pps,
-		PacketBytes:    int(d.bytes),
-		SpoofedSources: int(d.spoofed),
-	}
-}
-
 type schedGen struct {
 	cfg AttackConfig
 	w   *World
@@ -175,11 +139,11 @@ type schedGen struct {
 	dnsAddrs   []netx.Addr
 	dnsWeights []float64 // cumulative
 	ns24s      []netx.Prefix
-	groupID    int
+	groupID    int32
 
 	// specs holds the schedule in draw order, in chunks of specChunk;
 	// nspecs counts it
-	specs  [][]drawn
+	specs  [][]attacksim.Spec
 	nspecs int
 	ports  []uint16 // the chunk component port lists are cut from
 }
@@ -196,40 +160,37 @@ func (g *schedGen) portRoom(n int) {
 	}
 }
 
-// add appends one component to the draw.
+// add appends one component to the draw. Its ID is left zero, for
+// NewSchedule to number.
 func (g *schedGen) add(s *attacksim.Spec) {
 	if g.nspecs%specChunk == 0 {
-		g.specs = append(g.specs, make([]drawn, 0, specChunk))
+		g.specs = append(g.specs, make([]attacksim.Spec, 0, specChunk))
 	}
 	c := len(g.specs) - 1
-	g.specs[c] = append(g.specs[c], drawn{
-		start: s.Start.UnixNano(), end: s.End.UnixNano(), pps: s.PPS, ports: s.Ports,
-		group: int32(s.GroupID), target: s.Target, spoofed: int32(s.SpoofedSources),
-		bytes: uint16(s.PacketBytes), vector: uint8(s.Vector), proto: s.Proto,
-	})
+	g.specs[c] = append(g.specs[c], *s)
 	g.nspecs++
 }
 
 // drawnAt returns the i-th component drawn.
-func (g *schedGen) drawnAt(i int32) *drawn {
+func (g *schedGen) drawnAt(i int32) *attacksim.Spec {
 	return &g.specs[i/specChunk][i%specChunk]
 }
 
 // assemble returns the components drawn, in one slice of their number,
 // ordered by (Start, draw order): the order NewSchedule's stable sort
 // gives, which then moves nothing. The draw positions are sorted, not the
-// components, and each component is materialized once, in its place.
+// components, and each component is copied once, into its place.
 func (g *schedGen) assemble() []attacksim.Spec {
 	order := make([]int32, g.nspecs)
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(g.drawnAt(a).start, g.drawnAt(b).start), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(g.drawnAt(a).Start, g.drawnAt(b).Start), cmp.Compare(a, b))
 	})
 	specs := make([]attacksim.Spec, len(order))
 	for k, i := range order {
-		specs[k] = g.drawnAt(i).spec()
+		specs[k] = *g.drawnAt(i)
 	}
 	return specs
 }
@@ -284,7 +245,7 @@ func (g *schedGen) pickDNSVictim() netx.Addr {
 func (g *schedGen) randomAttack(m clock.Month) {
 	g.groupID++
 	start := g.startIn(m)
-	dur := g.duration()
+	end := start + int64(g.duration())
 	pps := g.intensity()
 	proto, ports := g.protoPorts()
 	var victim netx.Addr
@@ -315,9 +276,9 @@ func (g *schedGen) randomAttack(m clock.Month) {
 	default:
 		victim = g.w.OtherSpace.RandomAddr(g.rng)
 	}
-	bytes := 60
+	bytes := int32(60)
 	if proto == packet.ProtoUDP {
-		bytes = 120 + g.rng.IntN(400)
+		bytes = int32(120 + g.rng.IntN(400))
 	}
 	g.add(&attacksim.Spec{
 		GroupID:     g.groupID,
@@ -326,7 +287,7 @@ func (g *schedGen) randomAttack(m clock.Month) {
 		Proto:       proto,
 		Ports:       ports,
 		Start:       start,
-		End:         start.Add(dur),
+		End:         end,
 		PPS:         pps,
 		PacketBytes: bytes,
 	})
@@ -341,7 +302,7 @@ func (g *schedGen) randomAttack(m clock.Month) {
 			Proto:       packet.ProtoUDP,
 			Ports:       g.dnsPort(),
 			Start:       start,
-			End:         start.Add(dur),
+			End:         end,
 			PPS:         2 * g.intensity() * math.Exp(g.rng.NormFloat64()*0.8),
 			PacketBytes: 512,
 		})
@@ -368,7 +329,7 @@ func (g *schedGen) russianSurge() {
 			Proto:       packet.ProtoTCP,
 			Ports:       g.dnsPort(),
 			Start:       start,
-			End:         start.Add(g.duration()),
+			End:         start + int64(g.duration()),
 			PPS:         g.intensity(),
 			PacketBytes: 60,
 		})
@@ -407,16 +368,17 @@ func (g *schedGen) reflectionOnlyAttack(m clock.Month) {
 		Proto:       packet.ProtoUDP,
 		Ports:       g.dnsPort(),
 		Start:       start,
-		End:         start.Add(g.duration()),
+		End:         start + int64(g.duration()),
 		PPS:         g.intensity(),
 		PacketBytes: 512,
 	})
 }
 
-func (g *schedGen) startIn(m clock.Month) time.Time {
+// startIn draws a start in month m, on a minute, in Unix nanoseconds.
+func (g *schedGen) startIn(m clock.Month) int64 {
 	from := m.Start()
 	span := m.Next().Start().Sub(from)
-	return from.Add(time.Duration(g.rng.Int64N(int64(span)))).Truncate(time.Minute)
+	return from.Add(time.Duration(g.rng.Int64N(int64(span)))).Truncate(time.Minute).UnixNano()
 }
 
 // duration draws the §6.5 bimodal attack duration: modes at ~15 min and

@@ -33,7 +33,7 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 	cs.TransIPDecStart = time.Date(2020, 11, 30, 22, 0, 0, 0, time.UTC)
 	cs.TransIPDecEnd = time.Date(2020, 12, 1, 12, 30, 0, 0, time.UTC)
 	decRates := []float64{124000, 21600, 16500}
-	decPools := []int{5_790_000, 1_570_000, 1_330_000}
+	decPools := []int32{5_790_000, 1_570_000, 1_330_000}
 	for i, ns := range transip[:min3(len(transip))] {
 		specs = append(specs, attacksim.Spec{
 			GroupID:        -1,
@@ -41,8 +41,8 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 			Vector:         attacksim.VectorRandomSpoofed,
 			Proto:          packet.ProtoTCP,
 			Ports:          []uint16{53},
-			Start:          cs.TransIPDecStart,
-			End:            cs.TransIPDecEnd,
+			Start:          cs.TransIPDecStart.UnixNano(),
+			End:            cs.TransIPDecEnd.UnixNano(),
 			PPS:            decRates[i],
 			PacketBytes:    1400,
 			SpoofedSources: decPools[i],
@@ -58,7 +58,7 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 	cs.TransIPMarStart = time.Date(2021, 3, 2, 13, 0, 0, 0, time.UTC)
 	cs.TransIPMarEnd = time.Date(2021, 3, 2, 19, 0, 0, 0, time.UTC)
 	marRates := []float64{710000, 700000, 74000}
-	marPools := []int{7_000_000, 6_190_000, 823_000}
+	marPools := []int32{7_000_000, 6_190_000, 823_000}
 	for i, ns := range transip[:min3(len(transip))] {
 		addr := w.DB.Nameservers[ns].Addr
 		specs = append(specs,
@@ -68,8 +68,8 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 				Vector:         attacksim.VectorRandomSpoofed,
 				Proto:          packet.ProtoTCP,
 				Ports:          []uint16{53},
-				Start:          cs.TransIPMarStart,
-				End:            cs.TransIPMarEnd,
+				Start:          cs.TransIPMarStart.UnixNano(),
+				End:            cs.TransIPMarEnd.UnixNano(),
 				PPS:            marRates[i],
 				PacketBytes:    1400,
 				SpoofedSources: marPools[i],
@@ -80,8 +80,8 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 				Vector:      attacksim.VectorDirect,
 				Proto:       packet.ProtoTCP,
 				Ports:       []uint16{53},
-				Start:       cs.TransIPMarStart,
-				End:         cs.TransIPMarEnd,
+				Start:       cs.TransIPMarStart.UnixNano(),
+				End:         cs.TransIPMarEnd.UnixNano(),
 				PPS:         1.8e6,
 				PacketBytes: 800,
 			},
@@ -105,8 +105,8 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 				Vector:      attacksim.VectorRandomSpoofed,
 				Proto:       packet.ProtoTCP,
 				Ports:       []uint16{53},
-				Start:       cs.MilRuStart,
-				End:         cs.MilRuEnd,
+				Start:       cs.MilRuStart.UnixNano(),
+				End:         cs.MilRuEnd.UnixNano(),
 				PPS:         20000,
 				PacketBytes: 60,
 			},
@@ -116,8 +116,8 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 				Vector:      attacksim.VectorDirect,
 				Proto:       packet.ProtoTCP,
 				Ports:       []uint16{53, 80, 443},
-				Start:       cs.MilRuStart,
-				End:         cs.MilRuEnd,
+				Start:       cs.MilRuStart.UnixNano(),
+				End:         cs.MilRuEnd.UnixNano(),
 				PPS:         2e6,
 				PacketBytes: 300,
 			},
@@ -133,8 +133,8 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 			Vector:      attacksim.VectorRandomSpoofed,
 			Proto:       packet.ProtoTCP,
 			Ports:       []uint16{80, 443},
-			Start:       cs.MilRuStart,
-			End:         cs.MilRuEnd,
+			Start:       cs.MilRuStart.UnixNano(),
+			End:         cs.MilRuEnd.UnixNano(),
 			PPS:         50000,
 			PacketBytes: 60,
 		})
@@ -162,8 +162,8 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 				Vector:      attacksim.VectorRandomSpoofed,
 				Proto:       packet.ProtoUDP,
 				Ports:       []uint16{53},
-				Start:       cs.RZDStart,
-				End:         cs.RZDEnd,
+				Start:       cs.RZDStart.UnixNano(),
+				End:         cs.RZDEnd.UnixNano(),
 				PPS:         50000,
 				PacketBytes: 400,
 			},
@@ -173,8 +173,8 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 				Vector:      attacksim.VectorDirect,
 				Proto:       packet.ProtoUDP,
 				Ports:       []uint16{53},
-				Start:       cs.RZDTelegram,
-				End:         cs.RZDEnd,
+				Start:       cs.RZDTelegram.UnixNano(),
+				End:         cs.RZDEnd.UnixNano(),
 				PPS:         5e5,
 				PacketBytes: 400,
 			},

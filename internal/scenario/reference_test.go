@@ -76,8 +76,8 @@ func synthesizeObsReference(cfg SynthConfig, w *World, sched *attacksim.Schedule
 		} else {
 			cap = victimCapacity(s.Target, cfg.DefaultVictimCapacity)
 		}
-		startW := clock.WindowOf(s.Start)
-		endW := clock.WindowOf(s.End.Add(-1))
+		startW := clock.WindowOf(time.Unix(0, s.Start))
+		endW := clock.WindowOf(time.Unix(0, s.End).Add(-1))
 		for wdw := startW; wdw <= endW; wdw++ {
 			load := s.WindowLoad(wdw)
 			if load <= 0 {
@@ -196,7 +196,7 @@ func tieSchedule(w *World) *attacksim.Schedule {
 	t0 := clock.StudyStart.Add(40*24*time.Hour + 90*time.Second)
 	spoofed := func(target netx.Addr, proto packet.Protocol, ports []uint16, after, dur time.Duration, pps float64) attacksim.Spec {
 		return attacksim.Spec{Target: target, Vector: attacksim.VectorRandomSpoofed, Proto: proto, Ports: ports,
-			Start: t0.Add(after), End: t0.Add(after + dur), PPS: pps}
+			Start: t0.Add(after).UnixNano(), End: t0.Add(after + dur).UnixNano(), PPS: pps}
 	}
 	specs := []attacksim.Spec{
 		spoofed(host, packet.ProtoTCP, []uint16{80, 443, 80}, 0, time.Hour, 20000),
@@ -279,25 +279,34 @@ func TestSynthesizeObsMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkSynthesizeObs draws the repo benchmark's feeds (attack seed 7)
-// through Synthesize, each observation counted and dropped:
+// benchScales are the repo benchmark's two attack feeds (attack seed 7):
 // study_batch's, 6 000 scheduled attacks on a 12 000-domain world, and
 // join_dense's, 20 000 attacks at a DNS share of 0.15 on 6 000 domains,
-// whose per-victim chains are long (make bench-session).
+// whose per-victim chains are long.
+var benchScales = []struct {
+	name             string
+	domains, attacks int
+	dnsShare         float64
+}{{"study", 12000, 6000, DefaultAttackConfig().DNSShare}, {"dense", 6000, 20000, 0.15}}
+
+// benchScale returns the world and attack config of benchScales[i].
+func benchScale(i int) (*World, AttackConfig) {
+	c := benchScales[i]
+	wcfg := DefaultWorldConfig()
+	wcfg.Domains = c.domains
+	wcfg.GenericProviders = 60
+	acfg := DefaultAttackConfig()
+	acfg.Seed = 7
+	acfg.TotalAttacks, acfg.DNSShare = c.attacks, c.dnsShare
+	return GenerateWorld(wcfg), acfg
+}
+
+// BenchmarkSynthesizeObs draws the benchScales feeds through Synthesize,
+// each observation counted and dropped (make bench-session).
 func BenchmarkSynthesizeObs(b *testing.B) {
-	for _, c := range []struct {
-		name             string
-		domains, attacks int
-		dnsShare         float64
-	}{{"study", 12000, 6000, DefaultAttackConfig().DNSShare}, {"dense", 6000, 20000, 0.15}} {
+	for i, c := range benchScales {
 		b.Run(c.name, func(b *testing.B) {
-			wcfg := DefaultWorldConfig()
-			wcfg.Domains = c.domains
-			wcfg.GenericProviders = 60
-			w := GenerateWorld(wcfg)
-			acfg := DefaultAttackConfig()
-			acfg.Seed = 7
-			acfg.TotalAttacks, acfg.DNSShare = c.attacks, c.dnsShare
+			w, acfg := benchScale(i)
 			sched := GenerateSchedule(acfg, w).Sched
 			tel := telescope.NewUCSD()
 			b.ReportAllocs()
@@ -313,21 +322,20 @@ func BenchmarkSynthesizeObs(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerateSchedule draws the attack schedule at the repo
-// benchmark's study scale (make bench-session): B/op is what the schedule
-// costs a session, one exact array of components and their port lists.
+// BenchmarkGenerateSchedule draws the benchScales schedules (make
+// bench-session): B/op is what the schedule costs a session, one exact
+// array of components and their port lists.
 func BenchmarkGenerateSchedule(b *testing.B) {
-	wcfg := DefaultWorldConfig()
-	wcfg.Domains = 12000
-	wcfg.GenericProviders = 60
-	w := GenerateWorld(wcfg)
-	acfg := DefaultAttackConfig()
-	acfg.Seed, acfg.TotalAttacks = 7, 6000
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if GenerateSchedule(acfg, w).Sched.Len() == 0 {
-			b.Fatal("empty schedule")
-		}
+	for i, c := range benchScales {
+		b.Run(c.name, func(b *testing.B) {
+			w, acfg := benchScale(i)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if GenerateSchedule(acfg, w).Sched.Len() == 0 {
+					b.Fatal("empty schedule")
+				}
+			}
+		})
 	}
 }

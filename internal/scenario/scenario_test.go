@@ -227,11 +227,11 @@ func TestScheduleShape(t *testing.T) {
 		} else {
 			invisible++
 		}
-		if !s.End.After(s.Start) {
+		if s.End <= s.Start {
 			t.Fatalf("spec with non-positive duration: %+v", s)
 		}
-		if s.Start.Before(clock.StudyStart) || s.Start.After(clock.StudyEnd) {
-			t.Fatalf("spec outside study window: %v", s.Start)
+		if s.Start < clock.StudyStart.UnixNano() || s.Start > clock.StudyEnd.UnixNano() {
+			t.Fatalf("spec outside study window: %v", time.Unix(0, s.Start).UTC())
 		}
 		if s.PPS <= 0 {
 			t.Fatalf("spec with no rate")
@@ -269,7 +269,7 @@ func TestCaseStudySpecsScripted(t *testing.T) {
 	// the Dec attack on NS A carries the Table 2 pool
 	var foundDecA bool
 	for _, s := range sched.Sched.Specs() {
-		if s.Target == cs.TransIPNS[0] && s.Start.Equal(cs.TransIPDecStart) && s.Vector == attacksim.VectorRandomSpoofed {
+		if s.Target == cs.TransIPNS[0] && s.Start == cs.TransIPDecStart.UnixNano() && s.Vector == attacksim.VectorRandomSpoofed {
 			foundDecA = true
 			if s.PPS != 124000 || s.SpoofedSources != 5_790_000 {
 				t.Errorf("Dec NS-A spec = pps %v pool %d", s.PPS, s.SpoofedSources)
@@ -290,7 +290,7 @@ func TestSynthesizeObsStatistics(t *testing.T) {
 	spec := attacksim.Spec{
 		Target: target, Vector: attacksim.VectorRandomSpoofed,
 		Proto: packet.ProtoTCP, Ports: []uint16{53},
-		Start: start, End: start.Add(time.Hour), PPS: 34000,
+		Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 34000,
 	}
 	sched := attacksim.NewSchedule([]attacksim.Spec{spec})
 	obs := SynthesizeObs(DefaultSynthConfig(), w, sched, tel)
@@ -339,7 +339,7 @@ func TestSynthesizeSuppressionUnderOverload(t *testing.T) {
 	spec := attacksim.Spec{
 		Target: victim, Vector: attacksim.VectorRandomSpoofed,
 		Proto: packet.ProtoTCP, Ports: []uint16{80},
-		Start: start, End: start.Add(time.Hour), PPS: 1e7,
+		Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 1e7,
 	}
 	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel)
 	var total int64
@@ -359,7 +359,7 @@ func TestBoundedPoolCapsUniqueDsts(t *testing.T) {
 	spec := attacksim.Spec{
 		Target: w.OtherSpace.Nth(7), Vector: attacksim.VectorRandomSpoofed,
 		Proto: packet.ProtoTCP, Ports: []uint16{80},
-		Start: start, End: start.Add(time.Hour), PPS: 3e4,
+		Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 3e4,
 		SpoofedSources: 341_000, // pool-in-telescope ≈ 1000
 	}
 	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel)
@@ -437,7 +437,7 @@ func TestThinnedCountsArePoisson(t *testing.T) {
 	spec := attacksim.Spec{
 		Target: target, Vector: attacksim.VectorRandomSpoofed,
 		Proto: packet.ProtoTCP, Ports: []uint16{80},
-		Start: start, End: start.Add(200 * time.Hour), PPS: pps,
+		Start: start.UnixNano(), End: start.Add(200 * time.Hour).UnixNano(), PPS: pps,
 	}
 	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel)
 	var counts []float64
@@ -470,7 +470,7 @@ func TestDurationBimodality(t *testing.T) {
 	h := stats.NewHistogram(0, 120, 24) // 5-minute bins
 	for _, s := range sched.Sched.Specs() {
 		if s.Vector == attacksim.VectorRandomSpoofed {
-			h.Add(s.End.Sub(s.Start).Minutes())
+			h.Add(time.Duration(s.End - s.Start).Minutes())
 		}
 	}
 	modes := h.Modes(h.N / 50)

@@ -21,12 +21,50 @@ import (
 // The draws it makes are the production helpers' (startIn, duration,
 // intensity, pickDNSVictim), which this change did not touch; GenerateSchedule
 // must make the same draws in the same order and produce a DeepEqual
-// schedule.
+// schedule. It draws into the component layout of that time,
+// specReference, and converts to attacksim.Spec only at its output.
+
+// specReference is attacksim.Spec as it was before it took the packed
+// layout: its bounds time.Times, its counts ints.
+type specReference struct {
+	ID, GroupID                 int
+	Target                      netx.Addr
+	Vector                      attacksim.Vector
+	Proto                       packet.Protocol
+	Ports                       []uint16
+	Start, End                  time.Time
+	PPS                         float64
+	PacketBytes, SpoofedSources int
+}
+
+// spec returns r in the production layout.
+func (r *specReference) spec() attacksim.Spec {
+	return attacksim.Spec{
+		ID: int32(r.ID), GroupID: int32(r.GroupID), Target: r.Target, Vector: r.Vector, Proto: r.Proto, Ports: r.Ports,
+		Start: r.Start.UnixNano(), End: r.End.UnixNano(), PPS: r.PPS,
+		PacketBytes: int32(r.PacketBytes), SpoofedSources: int32(r.SpoofedSources),
+	}
+}
+
+// specReferenceOf returns a case-study component, which both generators
+// take from caseStudySpecs, in the reference's layout.
+func specReferenceOf(s *attacksim.Spec) specReference {
+	return specReference{
+		ID: int(s.ID), GroupID: int(s.GroupID), Target: s.Target, Vector: s.Vector, Proto: s.Proto, Ports: s.Ports,
+		Start: time.Unix(0, s.Start).UTC(), End: time.Unix(0, s.End).UTC(), PPS: s.PPS,
+		PacketBytes: int(s.PacketBytes), SpoofedSources: int(s.SpoofedSources),
+	}
+}
+
+// startInReference is the production startIn's draw as a time.Time.
+func startInReference(g *schedGen, m clock.Month) time.Time {
+	return time.Unix(0, g.startIn(m)).UTC()
+}
 
 func generateScheduleReference(cfg AttackConfig, w *World) (*Schedule, []attacksim.Spec) {
 	g := &schedGen{cfg: cfg, w: w, rng: rand.New(rand.NewPCG(cfg.Seed, 0xa77ac))}
 	buildVictimPoolsReference(g)
-	var specs []attacksim.Spec
+	var specs []specReference
 	months := clock.StudyMonths()
 	var wsum float64
 	for _, mw := range monthWeights {
@@ -46,12 +84,14 @@ func generateScheduleReference(cfg AttackConfig, w *World) (*Schedule, []attacks
 	if cfg.IncludeCaseStudies {
 		cs, csSpecs, blackouts := caseStudySpecs(w)
 		out.CaseStudies = cs
-		specs = append(specs, csSpecs...)
+		for i := range csSpecs {
+			specs = append(specs, specReferenceOf(&csSpecs[i]))
+		}
 		out.Blackouts = blackouts
 		specs = append(specs, russianSurgeReference(g)...)
 	}
 	// NewSchedule's old sort
-	sorted := make([]attacksim.Spec, len(specs))
+	sorted := make([]specReference, len(specs))
 	copy(sorted, specs)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Start.Before(sorted[j].Start) })
 	for i := range sorted {
@@ -62,7 +102,11 @@ func generateScheduleReference(cfg AttackConfig, w *World) (*Schedule, []attacks
 			sorted[i].GroupID = sorted[i].ID
 		}
 	}
-	return out, sorted
+	specs2 := make([]attacksim.Spec, len(sorted))
+	for i := range sorted {
+		specs2[i] = sorted[i].spec()
+	}
+	return out, specs2
 }
 
 func sortAddrsReference(a []netx.Addr) {
@@ -95,9 +139,9 @@ func buildVictimPoolsReference(g *schedGen) {
 	}
 }
 
-func randomAttackReference(g *schedGen, m clock.Month) []attacksim.Spec {
+func randomAttackReference(g *schedGen, m clock.Month) []specReference {
 	g.groupID++
-	start := g.startIn(m)
+	start := startInReference(g, m)
 	dur := g.duration()
 	pps := g.intensity()
 	proto, ports := protoPortsReference(g)
@@ -128,21 +172,21 @@ func randomAttackReference(g *schedGen, m clock.Month) []attacksim.Spec {
 	if proto == packet.ProtoUDP {
 		bytes = 120 + g.rng.IntN(400)
 	}
-	specs := []attacksim.Spec{{
-		GroupID: g.groupID, Target: victim, Vector: attacksim.VectorRandomSpoofed, Proto: proto, Ports: ports,
+	specs := []specReference{{
+		GroupID: int(g.groupID), Target: victim, Vector: attacksim.VectorRandomSpoofed, Proto: proto, Ports: ports,
 		Start: start, End: start.Add(dur), PPS: pps, PacketBytes: bytes,
 	}}
 	if isDNS && g.rng.Float64() < g.cfg.MultiVectorShare {
-		specs = append(specs, attacksim.Spec{
-			GroupID: g.groupID, Target: victim, Vector: attacksim.VectorReflection, Proto: packet.ProtoUDP, Ports: []uint16{53},
+		specs = append(specs, specReference{
+			GroupID: int(g.groupID), Target: victim, Vector: attacksim.VectorReflection, Proto: packet.ProtoUDP, Ports: []uint16{53},
 			Start: start, End: start.Add(dur), PPS: 2 * g.intensity() * math.Exp(g.rng.NormFloat64()*0.8), PacketBytes: 512,
 		})
 	}
 	return specs
 }
 
-func russianSurgeReference(g *schedGen) []attacksim.Spec {
-	var out []attacksim.Spec
+func russianSurgeReference(g *schedGen) []specReference {
+	var out []specReference
 	var targets []netx.Addr
 	for _, ns := range g.w.DB.Nameservers {
 		if g.w.DB.Providers[ns.Provider].Country == "RU" {
@@ -157,24 +201,24 @@ func russianSurgeReference(g *schedGen) []attacksim.Spec {
 	n := 8 + g.rng.IntN(8)
 	for i := 0; i < n; i++ {
 		g.groupID++
-		start := g.startIn(march)
-		out = append(out, attacksim.Spec{
-			GroupID: g.groupID, Target: targets[g.rng.IntN(len(targets))], Vector: attacksim.VectorRandomSpoofed,
+		start := startInReference(g, march)
+		out = append(out, specReference{
+			GroupID: int(g.groupID), Target: targets[g.rng.IntN(len(targets))], Vector: attacksim.VectorRandomSpoofed,
 			Proto: packet.ProtoTCP, Ports: []uint16{53}, Start: start, End: start.Add(g.duration()), PPS: g.intensity(), PacketBytes: 60,
 		})
 	}
 	return out
 }
 
-func reflectionOnlyAttackReference(g *schedGen, m clock.Month) attacksim.Spec {
+func reflectionOnlyAttackReference(g *schedGen, m clock.Month) specReference {
 	g.groupID++
-	start := g.startIn(m)
+	start := startInReference(g, m)
 	victim := g.w.OtherSpace.RandomAddr(g.rng)
 	if g.rng.Float64() < g.cfg.DNSShare {
 		victim = g.pickDNSVictim()
 	}
-	return attacksim.Spec{
-		GroupID: g.groupID, Target: victim, Vector: attacksim.VectorReflection, Proto: packet.ProtoUDP, Ports: []uint16{53},
+	return specReference{
+		GroupID: int(g.groupID), Target: victim, Vector: attacksim.VectorReflection, Proto: packet.ProtoUDP, Ports: []uint16{53},
 		Start: start, End: start.Add(g.duration()), PPS: g.intensity(), PacketBytes: 512,
 	}
 }

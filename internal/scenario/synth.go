@@ -75,7 +75,7 @@ func Synthesize(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *teles
 	// the window's end.
 	for i := range specs {
 		s := &specs[i]
-		startW := clock.WindowOf(s.Start)
+		startW := clock.WindowOfUnixNano(s.Start)
 		if advance != nil && i > 0 {
 			advance(startW)
 		}
@@ -84,7 +84,7 @@ func Synthesize(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *teles
 		}
 		head := first[s.Target]
 		onVictim := head
-		for onVictim >= 0 && specs[onVictim].End.UnixNano() <= startW.UnixNano() {
+		for onVictim >= 0 && specs[onVictim].End <= startW.UnixNano() {
 			onVictim = next[onVictim]
 		}
 		if onVictim != head {
@@ -105,7 +105,7 @@ func Synthesize(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *teles
 		}
 		darknet := pool * tel.Fraction()
 		logMiss := math.Log1p(-1 / darknet)
-		endW := clock.WindowOf(s.End.Add(-1))
+		endW := clock.WindowOfUnixNano(s.End - 1)
 		ports = slices.Grow(ports[:0], len(s.Ports))
 		for wdw := startW; wdw <= endW; wdw++ {
 			load := s.WindowLoad(wdw)
@@ -114,7 +114,7 @@ func Synthesize(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *teles
 			}
 			var total float64
 			we := (wdw + 1).UnixNano()
-			for j := onVictim; j >= 0 && specs[j].Start.UnixNano() < we; j = next[j] {
+			for j := onVictim; j >= 0 && specs[j].Start < we; j = next[j] {
 				total += specs[j].WindowLoad(wdw)
 			}
 			respRate := 1.0

@@ -319,6 +319,7 @@ func (b *worldBuilder) buildOtherSpace() {
 	// 120.0.0.0/6 = 4096 /18s; announce each /18 from its own filler AS
 	base := b.w.OtherSpace
 	count := int(base.Size() >> 14) // number of /18s
+	b.topo.Grow(count)
 	for i := 0; i < count; i++ {
 		p := netx.Prefix{Addr: base.Addr + netx.Addr(i)<<14, Bits: 18}
 		asn := astopo.ASN(100000 + i)

@@ -2,7 +2,10 @@
 
 package scenario
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // serveWorldAllocBudget is 1.15 × the 901 objects GenerateWorld allocates
 // for the serve_clean world (2,000 domains on 20 generic providers); it
@@ -22,5 +25,32 @@ func TestGenerateWorldAllocBudget(t *testing.T) {
 	t.Logf("GenerateWorld: %.0f allocations", allocs)
 	if allocs > serveWorldAllocBudget {
 		t.Errorf("GenerateWorld allocated %.0f objects, budget %d", allocs, serveWorldAllocBudget)
+	}
+}
+
+// studyScheduleBytesBudget is 1.15 × the 1,586,050 bytes GenerateSchedule
+// allocates at the repo benchmark's study scale (benchScales[0]): 10,081
+// components of 72 bytes drawn into chunks and copied into one exact
+// array, the sort order and the port lists. It was 2,155,516 when the
+// draw held each component in 64 bytes and assemble widened it to 136.
+const studyScheduleBytesBudget = 1_824_000
+
+// TestGenerateScheduleBytesBudget pins the bytes drawing the study-scale
+// schedule allocates, the least of three draws: the draw is a pure
+// function of its config, and a goroutine another test left behind can
+// only add to one.
+func TestGenerateScheduleBytesBudget(t *testing.T) {
+	w, acfg := benchScale(0)
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		GenerateSchedule(acfg, w)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("GenerateSchedule: %d bytes", least)
+	if least > studyScheduleBytesBudget {
+		t.Errorf("GenerateSchedule allocated %d bytes, budget %d", least, studyScheduleBytesBudget)
 	}
 }

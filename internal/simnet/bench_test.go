@@ -36,7 +36,7 @@ func BenchmarkLoadStateAt(b *testing.B) {
 	var queries []query
 	for _, s := range sched.Sched.Specs() {
 		id, ok := nsAt[s.Target]
-		if day := clock.DayOf(s.Start); ok && day < 150 {
+		if day := clock.DayOf(time.Unix(0, s.Start)); ok && day < 150 {
 			queries = append(queries, query{id, day.Start().Add(time.Duration(rng.Int64N(int64(24 * time.Hour))))})
 		}
 	}

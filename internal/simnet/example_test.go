@@ -37,8 +37,8 @@ func Example() {
 		Vector: attacksim.VectorRandomSpoofed,
 		Proto:  packet.ProtoTCP,
 		Ports:  []uint16{53},
-		Start:  start,
-		End:    start.Add(time.Hour),
+		Start:  start.UnixNano(),
+		End:    start.Add(time.Hour).UnixNano(),
 		PPS:    3e5, // 3x capacity
 	}})
 	net := simnet.New(simnet.DefaultParams(), db, sched)

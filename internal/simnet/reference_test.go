@@ -70,24 +70,24 @@ func (r *loadReference) loadAt(id dnsdb.NameserverID, t time.Time) LoadState {
 	add := func(s *attacksim.Spec, coupling float64) {
 		load := s.WindowLoad(w)
 		if load > 0 {
-			load *= n.scrubFactor(provider.ScrubbingAt(t), s, t) * coupling / sites
+			load *= n.scrubFactor(provider.ScrubbingAt(t), s, t.UnixNano()) * coupling / sites
 			ls.LinkUtil += load * r.portWeight(s) / cap
 			if r.portWeight(s) >= n.params.AppPortWeight {
 				ls.AppUtil += load / cap
 			}
 			return
 		}
-		if !s.End.After(t) {
+		if end := time.Unix(0, s.End); !end.After(t) {
 			tau := n.params.RecoveryTau
-			if provider.ScrubbingAt(s.End) {
+			if provider.ScrubbingAt(end) {
 				tau = n.params.ScrubbedRecoveryTau
 			}
-			age := t.Sub(s.End)
+			age := t.Sub(end)
 			if age > 8*tau {
 				return
 			}
-			endW := clock.WindowOf(s.End.Add(-time.Nanosecond))
-			peak := s.WindowLoad(endW) * n.scrubFactor(provider.ScrubbingAt(s.End), s, s.End) * coupling / sites
+			endW := clock.WindowOf(end.Add(-time.Nanosecond))
+			peak := s.WindowLoad(endW) * n.scrubFactor(provider.ScrubbingAt(end), s, s.End) * coupling / sites
 			res := peak / cap * math.Exp(-float64(age)/float64(tau))
 			if res > 50 {
 				res = 50
@@ -154,7 +154,7 @@ func referenceWorld(t *testing.T, rng *rand.Rand) (*dnsdb.DB, *attacksim.Schedul
 		}
 		specs[i] = attacksim.Spec{
 			Target: targets[rng.IntN(len(targets))], Proto: packet.ProtoTCP, Ports: ports[rng.IntN(len(ports))],
-			Start: start, End: start.Add(time.Second + time.Duration(rng.Int64N(int64(6*time.Hour)))),
+			Start: start.UnixNano(), End: start.Add(time.Second + time.Duration(rng.Int64N(int64(6*time.Hour)))).UnixNano(),
 			PPS: 1e3 + 4e5*rng.Float64(),
 		}
 	}
@@ -192,7 +192,7 @@ func denseWorld(t *testing.T, rng *rand.Rand) (*dnsdb.DB, *attacksim.Schedule) {
 	add := func(start time.Time, dur time.Duration) {
 		specs = append(specs, attacksim.Spec{
 			Target: targets[len(specs)%len(targets)], Proto: packet.ProtoTCP, Ports: ports[rng.IntN(len(ports))],
-			Start: start, End: start.Add(dur), PPS: 1e3 + 4e5*rng.Float64(),
+			Start: start.UnixNano(), End: start.Add(dur).UnixNano(), PPS: 1e3 + 4e5*rng.Float64(),
 		})
 	}
 	for range targets { // the long ones, one per target
@@ -262,10 +262,11 @@ func checkLoadStates(t *testing.T, world string, db *dnsdb.DB, sched *attacksim.
 					if s.Target.Slash24() != db.Nameservers[id].Addr.Slash24() {
 						continue
 					}
+					start, end := time.Unix(0, s.Start).UTC(), time.Unix(0, s.End).UTC()
 					for _, edge := range []time.Time{
-						clock.WindowOf(s.Start).Start(), s.Start, s.Start.Add(params.ScrubDelay),
-						s.End, clock.WindowOf(s.End).End(), s.End.Add(clock.WindowDur),
-						s.End.Add(8 * params.RecoveryTau), s.End.Add(8 * params.ScrubbedRecoveryTau),
+						clock.WindowOf(start).Start(), start, start.Add(params.ScrubDelay),
+						end, clock.WindowOf(end).End(), end.Add(clock.WindowDur),
+						end.Add(8 * params.RecoveryTau), end.Add(8 * params.ScrubbedRecoveryTau),
 					} {
 						times = append(times, edge.Add(-time.Nanosecond), edge, edge.Add(time.Nanosecond))
 					}

@@ -189,7 +189,7 @@ func New(params Params, db *dnsdb.DB, sched *attacksim.Schedule, blackouts ...Bl
 				continue // nearly every spec: no nameserver in the victim's /24
 			}
 			ref := specRef{spec: s, coupling: coupling, weight: n.portWeight(s),
-				from: clock.WindowOf(s.Start).UnixNano(), until: s.End.Add(tail).UnixNano()}
+				from: clock.WindowOfUnixNano(s.Start).UnixNano(), until: s.End + int64(tail)}
 			for _, id := range ids {
 				if (db.Nameservers[id].Addr == s.Target) != (k == 0) {
 					continue
@@ -221,12 +221,12 @@ func (n *Net) portWeight(s *attacksim.Spec) float64 {
 }
 
 // scrubFactor returns the fraction of attack load that still reaches the
-// victim given the provider's scrubbing state at time t.
-func (n *Net) scrubFactor(scrubbing bool, s *attacksim.Spec, t time.Time) float64 {
+// victim given the provider's scrubbing state at at, in Unix nanoseconds.
+func (n *Net) scrubFactor(scrubbing bool, s *attacksim.Spec, at int64) float64 {
 	if !scrubbing {
 		return 1
 	}
-	if t.Before(s.Start.Add(n.params.ScrubDelay)) {
+	if at < s.Start+int64(n.params.ScrubDelay) {
 		return 1
 	}
 	return 1 - n.params.ScrubEfficiency
@@ -287,7 +287,7 @@ func (n *Net) LoadStateAt(id dnsdb.NameserverID, t time.Time) LoadState {
 			s, coupling := e.spec, e.coupling
 			load := s.WindowLoad(w)
 			if load > 0 {
-				load *= n.scrubFactor(provider.ScrubbingAt(t), s, t) * coupling / sites
+				load *= n.scrubFactor(provider.ScrubbingAt(t), s, at) * coupling / sites
 				ls.LinkUtil += load * e.weight / cap
 				if e.weight >= n.params.AppPortWeight {
 					ls.AppUtil += load / cap
@@ -295,17 +295,18 @@ func (n *Net) LoadStateAt(id dnsdb.NameserverID, t time.Time) LoadState {
 				continue
 			}
 			// residual impairment after the attack ends
-			if !s.End.After(t) {
+			if s.End <= at {
 				tau := n.params.RecoveryTau
-				if provider.ScrubbingAt(s.End) {
+				scrubbed := provider.ScrubbingAt(time.Unix(0, s.End))
+				if scrubbed {
 					tau = n.params.ScrubbedRecoveryTau
 				}
-				age := t.Sub(s.End)
+				age := time.Duration(at - s.End)
 				if age > 8*tau {
 					continue
 				}
-				endW := clock.WindowOf(s.End.Add(-time.Nanosecond))
-				peak := s.WindowLoad(endW) * n.scrubFactor(provider.ScrubbingAt(s.End), s, s.End) * coupling / sites
+				endW := clock.WindowOfUnixNano(s.End - 1)
+				peak := s.WindowLoad(endW) * n.scrubFactor(scrubbed, s, s.End) * coupling / sites
 				res := peak / cap * math.Exp(-float64(age)/float64(tau))
 				// residual impairment can keep a server effectively down
 				// for hours after the flood stops (the RDZ railways

@@ -62,7 +62,7 @@ func newFixture(t *testing.T) *fixture {
 func attack(target netx.Addr, start time.Time, dur time.Duration, pps float64, port uint16, vector attacksim.Vector) attacksim.Spec {
 	return attacksim.Spec{
 		Target: target, Vector: vector, Proto: packet.ProtoTCP,
-		Ports: []uint16{port}, Start: start, End: start.Add(dur), PPS: pps,
+		Ports: []uint16{port}, Start: start.UnixNano(), End: start.Add(dur).UnixNano(), PPS: pps,
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"dnsddos/internal/attacksim"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/study"
 )
@@ -62,6 +64,8 @@ func TestPaperScale(t *testing.T) {
 		t.Logf("%s %d (%.2f s)", name, gauges[name], float64(gauges[name])/1e9)
 	}
 	t.Logf("VmHWM %s", procStatus(t, "VmHWM"))
+	n := s.Schedule.Sched.Len()
+	t.Logf("components %d, schedule array %d bytes", n, uintptr(n)*unsafe.Sizeof(attacksim.Spec{}))
 	t.Logf("attacks %d", len(s.Attacks))
 	t.Logf("events %d", len(s.Events))
 }
