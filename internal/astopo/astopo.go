@@ -34,17 +34,23 @@ type Table struct {
 	n                   int
 }
 
-// Entry is one announced prefix.
-type Entry struct {
-	Prefix netx.Prefix
-	ASN    ASN
+// Builder accumulates announcements and orgs before freezing into a Table.
+type Builder struct {
+	routes []route
+	orgs   map[ASN]Org
 }
 
-// Builder accumulates entries and org records before freezing into a Table.
-type Builder struct {
-	entries []Entry
-	orgs    map[ASN]Org
+// route is one announcement: its prefix's first address and length, its
+// origin, and its place among the announcements.
+type route struct {
+	first netx.Addr
+	asn   ASN
+	seq   uint32
+	bits  uint8
 }
+
+// last returns the prefix's last address.
+func (r *route) last() uint64 { return uint64(r.first) + 1<<(32-r.bits) - 1 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
@@ -52,12 +58,12 @@ func NewBuilder() *Builder {
 }
 
 // Grow makes room for n more announcements.
-func (b *Builder) Grow(n int) { b.entries = slices.Grow(b.entries, n) }
+func (b *Builder) Grow(n int) { b.routes = slices.Grow(b.routes, n) }
 
 // Announce records that asn originates prefix. More-specific announcements
 // win on lookup, matching BGP longest-prefix-match semantics.
 func (b *Builder) Announce(prefix netx.Prefix, asn ASN) {
-	b.entries = append(b.entries, Entry{Prefix: prefix, ASN: asn})
+	b.routes = append(b.routes, route{prefix.Addr & prefix.Mask(), asn, uint32(len(b.routes)), uint8(prefix.Bits)})
 }
 
 // SetOrg registers the organization for an ASN.
@@ -69,45 +75,43 @@ func (b *Builder) SetOrg(asn ASN, org Org) {
 // announcements of the same prefix keep the last one, mirroring how a
 // RouteViews-derived snapshot resolves to a single origin.
 //
-// The prefixes are sorted in place, stably, by (first address, length):
-// a prefix comes before those nested in it, duplicates in announcement
-// order. One sweep with a stack of the open prefixes then cuts a range
-// wherever a prefix opens or closes: at most 2n, in one allocation.
+// The announcements are sorted in place by (first address, length,
+// place): a prefix comes before those nested in it, duplicates in
+// announcement order. One sweep with a stack of the open prefixes then
+// cuts a range wherever a prefix opens or closes: at most 2n, in one
+// allocation.
 func (b *Builder) Build() *Table {
-	t := &Table{orgs: maps.Clone(b.orgs), n: len(b.entries)}
-	for i := range b.entries {
-		p := &b.entries[i].Prefix
-		p.Addr &= p.Mask()
-	}
-	slices.SortStableFunc(b.entries, func(x, y Entry) int {
-		return cmp.Or(cmp.Compare(x.Prefix.Addr, y.Prefix.Addr), cmp.Compare(x.Prefix.Bits, y.Prefix.Bits))
+	t := &Table{orgs: maps.Clone(b.orgs), n: len(b.routes)}
+	slices.SortFunc(b.routes, func(x, y route) int {
+		return cmp.Or(cmp.Compare(x.first, y.first), cmp.Compare(x.bits, y.bits), cmp.Compare(x.seq, y.seq))
 	})
-	room := 2 * len(b.entries)
+	room := 2 * len(b.routes)
 	buf := make([]uint32, 3*room)
 	t.firsts, t.lasts, t.asns = buf[:0:room], buf[room:room:2*room], buf[2*room:2*room:3*room]
-	var open [33]Entry // innermost last; 33 lengths bound the depth
+	var open [33]*route // innermost last; 33 lengths bound the depth
 	depth, from := 0, uint64(0)
 	// flush ends the innermost open prefix's range [from, to)
 	flush := func(to uint64) {
 		if depth > 0 && from < to {
 			t.firsts = append(t.firsts, uint32(from))
 			t.lasts = append(t.lasts, uint32(to-1))
-			t.asns = append(t.asns, uint32(open[depth-1].ASN))
+			t.asns = append(t.asns, uint32(open[depth-1].asn))
 		}
 		from = to
 	}
 	closeTo := func(addr uint64) {
-		for ; depth > 0 && uint64(open[depth-1].Prefix.Last()) < addr; depth-- {
-			flush(uint64(open[depth-1].Prefix.Last()) + 1)
+		for ; depth > 0 && open[depth-1].last() < addr; depth-- {
+			flush(open[depth-1].last() + 1)
 		}
 	}
-	for i, e := range b.entries {
-		if i+1 < len(b.entries) && e.Prefix == b.entries[i+1].Prefix {
+	for i := range b.routes {
+		r := &b.routes[i]
+		if i+1 < len(b.routes) && r.first == b.routes[i+1].first && r.bits == b.routes[i+1].bits {
 			continue // a later duplicate wins
 		}
-		closeTo(uint64(e.Prefix.Addr))
-		flush(uint64(e.Prefix.Addr))
-		open[depth] = e
+		closeTo(uint64(r.first))
+		flush(uint64(r.first))
+		open[depth] = r
 		depth++
 	}
 	closeTo(1 << 32)

@@ -14,6 +14,12 @@ func (t *Table) OrgOf(asn ASN) (Org, bool) {
 	return o, ok
 }
 
+// Entry is one announced prefix.
+type Entry struct {
+	Prefix netx.Prefix
+	ASN    ASN
+}
+
 func build(entries []Entry, orgs map[ASN]Org) *Table {
 	b := NewBuilder()
 	for _, e := range entries {

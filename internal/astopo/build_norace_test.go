@@ -9,9 +9,10 @@ import (
 	"dnsddos/internal/netx"
 )
 
-// TestBuildAllocatesSpansOnce holds Build to one allocation for its spans
-// beside the table and its org map, at any prefix count.
-func TestBuildAllocatesSpansOnce(t *testing.T) {
+// TestBuildAllocatesRangesOnce holds Build to one allocation for its
+// ranges beside the table and its org map, at any prefix count. The trie
+// it replaced grew its node array by append.
+func TestBuildAllocatesRangesOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 5000} {
 		b := NewBuilder()
 		rng := rand.New(rand.NewPCG(uint64(n), 1))

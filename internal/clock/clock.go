@@ -34,8 +34,7 @@ func WindowOf(t time.Time) Window {
 	return Window(d / WindowDur)
 }
 
-// WindowOfUnixNano returns WindowOf(time.Unix(0, ns)) without building
-// the time.Time.
+// WindowOfUnixNano returns WindowOf(time.Unix(0, ns)).
 func WindowOfUnixNano(ns int64) Window {
 	d := ns - studyStartNano
 	if d < 0 {

@@ -160,8 +160,7 @@ func (g *schedGen) portRoom(n int) {
 	}
 }
 
-// add appends one component to the draw. Its ID is left zero, for
-// NewSchedule to number.
+// add appends one component to the draw, its ID zero for NewSchedule.
 func (g *schedGen) add(s *attacksim.Spec) {
 	if g.nspecs%specChunk == 0 {
 		g.specs = append(g.specs, make([]attacksim.Spec, 0, specChunk))

@@ -42,15 +42,16 @@ func TestNewSessionAllocBudget(t *testing.T) {
 // and the heap it leaves live, at metricsConfig, at the repo benchmark's
 // study scale and at QuickConfig with 60,000 attacks, where the attacks a
 // fold holds open and the schedule's arrays outweigh the world. The
-// allocation budgets are 1.15 × what a build allocates with the fold
-// finalizing candidates as its watermark passes them and the schedule
-// drawn into packed chunks: 5.36, 9.28 and 38.4 MB. Finalizing every
-// candidate at the end, with the schedule reserved at twice its attacks
-// and copied, they were 6.23, 14.0 and 94.7 MB; holding the feed whole
-// too, 8.16 and 24.84 MB at the first two. The live budgets, after a
-// collection with the session still held, are 1.15 × the 1.02, 4.16 and
-// 22.5 MB live before those two changes: a schedule that kept a reserve
-// longer than its attacks would pin the dead tail.
+// budgets are 1.15 × what a build allocates and leaves live after a
+// collection, the session still held, with 72-byte components and the
+// AS table one array of ranges: 4.52, 8.02 and 32.1 MB allocated, 0.80,
+// 3.34 and 14.3 MB live (the dense case holds 100,662 components). With
+// 136-byte components and the bit trie they were 5.35, 9.28 and 38.4 MB
+// and 1.01, 4.04 and 20.8 MB. Finalizing every candidate at the end, with
+// the schedule reserved at twice its attacks and copied, the allocations
+// were 6.23, 14.0 and 94.7 MB; holding the feed whole too, 8.16 and
+// 24.84 MB at the first two. A schedule that kept a reserve longer than
+// its attacks would pin the dead tail.
 func TestNewSessionBytesBudget(t *testing.T) {
 	dense := QuickConfig()
 	dense.Attacks.TotalAttacks = 60000
@@ -59,9 +60,9 @@ func TestNewSessionBytesBudget(t *testing.T) {
 		cfg         Config
 		alloc, live uint64
 	}{
-		{"metricsConfig", metricsConfig(), 6_160_000, 1_175_000},
-		{"benchmark scale", benchmarkScaleConfig(), 10_670_000, 4_789_000},
-		{"dense", dense, 44_140_000, 25_840_000},
+		{"metricsConfig", metricsConfig(), 5_203_000, 920_000},
+		{"benchmark scale", benchmarkScaleConfig(), 9_224_000, 3_838_000},
+		{"dense", dense, 36_902_000, 16_482_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// the least of three builds: a goroutine another test left
