@@ -51,6 +51,15 @@ func (r *loadReference) portWeight(s *attacksim.Spec) float64 {
 	return r.n.params.LinkPortWeight
 }
 
+// scrubFactor is Net.scrubFactor as it was before it took Unix
+// nanoseconds: the scrubbing delay compared as time.Times.
+func (r *loadReference) scrubFactor(scrubbing bool, s *attacksim.Spec, t time.Time) float64 {
+	if !scrubbing || t.Before(time.Unix(0, s.Start).Add(r.n.params.ScrubDelay)) {
+		return 1
+	}
+	return 1 - r.n.params.ScrubEfficiency
+}
+
 func (r *loadReference) loadAt(id dnsdb.NameserverID, t time.Time) LoadState {
 	n := r.n
 	ns := &n.db.Nameservers[id]
@@ -70,7 +79,7 @@ func (r *loadReference) loadAt(id dnsdb.NameserverID, t time.Time) LoadState {
 	add := func(s *attacksim.Spec, coupling float64) {
 		load := s.WindowLoad(w)
 		if load > 0 {
-			load *= n.scrubFactor(provider.ScrubbingAt(t), s, t.UnixNano()) * coupling / sites
+			load *= r.scrubFactor(provider.ScrubbingAt(t), s, t) * coupling / sites
 			ls.LinkUtil += load * r.portWeight(s) / cap
 			if r.portWeight(s) >= n.params.AppPortWeight {
 				ls.AppUtil += load / cap
@@ -87,7 +96,7 @@ func (r *loadReference) loadAt(id dnsdb.NameserverID, t time.Time) LoadState {
 				return
 			}
 			endW := clock.WindowOf(end.Add(-time.Nanosecond))
-			peak := s.WindowLoad(endW) * n.scrubFactor(provider.ScrubbingAt(end), s, s.End) * coupling / sites
+			peak := s.WindowLoad(endW) * r.scrubFactor(provider.ScrubbingAt(end), s, end) * coupling / sites
 			res := peak / cap * math.Exp(-float64(age)/float64(tau))
 			if res > 50 {
 				res = 50
