@@ -40,12 +40,13 @@ cmds:
 		echo "$$(basename "$$b"): refuses an unknown flag with usage"; \
 	done
 
-# Streaming smoke: the stream-vs-batch parity harness, exactly-once
-# kill/resume, late-drop accounting, and the aggregator order-invariance
-# property tests that back the watermark semantics.
+# Streaming smoke: the stream-vs-batch parity harness over the study's own
+# feed, exactly-once kill/resume, late-drop accounting, the intake's
+# watermark and lateness property tests, and the rsdos.Fold tests behind
+# the curation the stream and the batch study share.
 stream:
 	$(GO) test ./internal/stream/ -count 1
-	$(GO) test ./internal/rsdos/ -run 'TestPacketAggregatorLateDrop|TestAggregator.*Property|TestWindowerLatenessAbsorbsJitter' -count 1
+	$(GO) test ./internal/rsdos/ -run '^(TestFold.*|TestAdvanceBatchesAreNotFeedOrder)$$' -count 1
 
 # Observability gate: the metrics layer and its consumers under the race
 # detector — concurrent counter/histogram exactness, snapshot
@@ -81,12 +82,13 @@ distjoin:
 		-count 1
 	$(GO) test ./internal/faultinject/ -run 'TestStream' -count 1
 
-# Overload soak: the 10x-rate replay SIGKILLed mid-emission and resumed
-# to byte-identical emission, the admission gate's determinism and its
-# crash + resume, and the accept/sync boundary crash. Run under the race
-# detector; part of the gate.
+# Overload soak: the study's feed at ten times the parity harness's
+# attacks, SIGKILLed mid-emission and resumed to byte-identical emission,
+# the admission gate's determinism and its crash + resume, and the
+# accept/sync boundary crash. Run under the race detector; part of the
+# gate.
 soak:
-	$(GO) test -race ./internal/stream/ -run 'TestOverload|TestStreamKillResume|TestCursorSyncBoundaryCrash' -count 1
+	$(GO) test -race ./internal/stream/ -run '^(TestOverload.*|TestStreamKillResume|TestCursorSyncBoundaryCrash)$$' -count 1
 
 # Concurrency gate: run before merging changes to the serving path, the
 # join engine (one NS index and day store shared by concurrent joins),

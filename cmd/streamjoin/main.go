@@ -1,11 +1,16 @@
 // Command streamjoin runs the live counterpart of cmd/joinpipe: it
 // builds the study world and measurement-side indexes (without the batch
-// join), replays a deterministic telescope packet trace from the study's
-// own attack schedule, and streams it through internal/stream — closing
-// 5-minute RSDoS windows as the watermark passes, finalizing attacks
-// incrementally and joining them the moment they can no longer change.
-// Joined impact events are appended to the output CSV batch by batch,
-// with bounded lag, instead of at end of run.
+// join), then streams the study's own telescope feed — the per-(victim,
+// window) observations the batch study curates, Session.Feed — through
+// internal/stream, closing 5-minute RSDoS windows as the feed's watermark
+// passes, finalizing attacks incrementally and joining them the moment
+// they can no longer change. Joined impact events are appended to the
+// output CSV batch by batch, with bounded lag, instead of at end of run.
+// The stream replays the whole feed; -from-day and -days pick the days
+// the measurement sweeps (with the day before, for the previous-day
+// snapshot and baseline), by default the whole study, so the attacks on
+// those days join to events. streamjoin then writes joinpipe's rows over
+// the same configuration, numbered in emission order.
 //
 // With -journal the emission frontier is checkpointed after every
 // accepted batch; -journal with -resume restarts a killed run with
@@ -13,15 +18,16 @@
 // byte offset and the replay re-emits nothing the file already holds.
 //
 // With -admit-rate the admission gate engages (DESIGN §3.7): a token
-// bucket in packets per second of stream time refuses what exceeds it.
+// bucket in observations per second of stream time, each observation
+// timed at its window's start, refuses what exceeds it.
 // Offers the pipeline refuses are counted and reported in the final
 // summary, never silently swallowed.
 //
 // Usage:
 //
 //	streamjoin [-quick] [-domains N] [-attacks N] [-from-day D] [-days N]
-//	           [-lateness W] [-jitter W] [-rate F] [-seed N] [-out FILE]
-//	           [-journal DIR] [-resume] [-metrics-addr :9090] [-admit-rate F]
+//	           [-lateness W] [-out FILE] [-journal DIR] [-resume]
+//	           [-metrics-addr :9090] [-admit-rate F]
 package main
 
 import (
@@ -38,7 +44,7 @@ import (
 	"dnsddos/internal/cli"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/obs"
-	"dnsddos/internal/packet"
+	"dnsddos/internal/rsdos"
 	"dnsddos/internal/stream"
 	"dnsddos/internal/study"
 )
@@ -56,16 +62,13 @@ func main() {
 
 func run() error {
 	common := cli.Register("streamjoin", true, false)
-	fromDay := flag.Int("from-day", 29, "first study day the trace replays")
-	days := flag.Int("days", 1, "number of days to replay")
+	fromDay := flag.Int("from-day", 1, "first study day whose attacks are measured (the day before it is swept too)")
+	days := flag.Int("days", clock.StudyDays()-1, "number of days whose attacks are measured, from -from-day (default: through the study's last day)")
 	lateness := flag.Int("lateness", 1, "watermark lateness allowance in 5-minute windows")
-	jitter := flag.Int("jitter", 0, "arrival-order jitter of the replayed trace, in windows")
-	rate := flag.Float64("rate", 0.003, "flood downsampling rate of the trace (1 = every packet)")
-	seed := flag.Uint64("seed", 99, "trace seed (packets, spoofed sources, responses)")
 	out := flag.String("out", "", "output CSV file, appended batch by batch (default stdout)")
 	journalDir := flag.String("journal", "", "journal directory: checkpoint the emission frontier per batch")
 	resume := flag.Bool("resume", false, "resume from the journal in -journal with exactly-once emission")
-	admitRate := flag.Float64("admit-rate", 0, "overload: token-bucket admission bound in packets per second of stream time (0 = unlimited)")
+	admitRate := flag.Float64("admit-rate", 0, "overload: token-bucket admission bound in observations per second of stream time (0 = unlimited)")
 	flag.Parse()
 
 	if *resume && *journalDir == "" {
@@ -82,11 +85,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// sweep one day before the trace (prev-day snapshots and baselines)
-	// and the trace days themselves
-	traceFrom := clock.Day(*fromDay)
-	traceTo := traceFrom + clock.Day(*days) - 1
-	cfg.FromDay, cfg.ToDay = traceFrom-1, traceTo
+	// sweep one day before the chosen days (prev-day snapshots and
+	// baselines) and the chosen days themselves
+	from := clock.Day(*fromDay)
+	to := from + clock.Day(*days) - 1
+	cfg.FromDay, cfg.ToDay = from-1, to
 
 	reg := obs.New()
 	stopMetrics, err := common.ServeMetrics(reg)
@@ -100,8 +103,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "streamjoin: world and measurement sweeps ready (%.1fs), streaming days %d..%d\n",
-		time.Since(start).Seconds(), int(traceFrom), int(traceTo))
+	fmt.Fprintf(os.Stderr, "streamjoin: world and measurement sweeps of days %d..%d ready (%.1fs), streaming the feed\n",
+		int(from), int(to), time.Since(start).Seconds())
 
 	opts := []stream.Option{
 		stream.WithContext(ctx),
@@ -112,8 +115,8 @@ func run() error {
 	}
 	if *journalDir != "" {
 		// the journal is keyed by everything that determines the emitted
-		// byte sequence: the study config hash plus the trace seed
-		dir, err := study.OpenJournal(*journalDir, cfg, *seed, *resume)
+		// byte sequence: the study config hash plus the feed's seed
+		dir, err := study.OpenJournal(*journalDir, cfg, cfg.Synth.Seed, *resume)
 		if err != nil {
 			return err
 		}
@@ -126,7 +129,7 @@ func run() error {
 	}
 	defer sink.Close()
 
-	p, err := stream.New(s.Telescope, s.Pipeline, sink, opts...)
+	p, err := stream.New(s.Pipeline, sink, opts...)
 	if err != nil {
 		return err
 	}
@@ -140,26 +143,21 @@ func run() error {
 		return err
 	}
 
-	traceCfg := stream.TraceConfig{
-		Seed:          *seed,
-		Rate:          *rate,
-		From:          traceFrom.FirstWindow(),
-		To:            (traceTo + 1).FirstWindow() - 1,
-		JitterWindows: *jitter,
-	}
-	var packets int64
+	// An interrupt or a stream failure stops the stream at the next
+	// watermark; the rest of the feed is drawn but not streamed.
+	var offered int64
 	var streamErr error
-	stream.Replay(traceCfg, s.Schedule.Sched, s.Telescope, func(ts time.Time, pkt packet.Packet) bool {
-		if ctx.Err() != nil {
-			streamErr = ctx.Err()
-			return false
+	s.Session().Feed(func(o *rsdos.WindowObs) {
+		if streamErr == nil {
+			offered++
+			p.Offer(o)
 		}
-		packets++
-		if _, err := p.Offer(ts, pkt); err != nil {
-			streamErr = err
-			return false
+	}, func(w clock.Window) {
+		if streamErr == nil {
+			if streamErr = ctx.Err(); streamErr == nil {
+				streamErr = p.Advance(w)
+			}
 		}
-		return true
 	})
 	if streamErr != nil {
 		// Terminated (or wedged) mid-stream: flush and close the sink
@@ -183,8 +181,8 @@ func run() error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr,
-		"streamjoin: %d packets streamed, %d batches, %d attacks, %d events, %d late drops (%.1fs)\n",
-		packets, sink.Batches, sink.Attacks, sink.Events, p.LateDrops(), time.Since(start).Seconds())
+		"streamjoin: %d observations streamed, %d batches, %d attacks, %d events, %d late drops (%.1fs)\n",
+		offered, sink.Batches, sink.Attacks, sink.Events, p.LateDrops(), time.Since(start).Seconds())
 	if *admitRate > 0 {
 		st := p.Overload()
 		fmt.Fprintf(os.Stderr, "streamjoin: overload: %d offers rejected (%d admit-denied)\n",

@@ -7,14 +7,13 @@
 // the data plane (internal/simnet) see all of them while the telescope sees
 // only the spoofed one.
 //
-// Two fidelity levels share one Spec type:
-//
-//   - Packet level: Flood emits individual spoofed attack packets
-//     (internal/packet) which internal/backscatter turns into victim
-//     responses; used for case studies and tests.
-//   - Flow level: WindowLoad reports the victim-side attack rate per
-//     5-minute window; the telescope's thinned sampler and the simnet load
-//     model consume it directly for the 17-month longitudinal runs.
+// A Spec is flow level: WindowLoad reports the victim-side attack rate
+// per 5-minute window, which the telescope's thinned sampler
+// (scenario.Synthesize) and the simnet load model consume directly for
+// the 17-month longitudinal runs. No packet is ever materialized; the
+// packet-level model the sampler is held to floods, answers and captures
+// packet by packet in internal/rsdos's tests
+// (TestPacketPathMatchesFlowPath).
 //
 // A Spec's Start and End are Unix nanoseconds, the unit of
 // clock.Window.UnixNano, and its counts are 32 bits wide: a component
@@ -24,10 +23,8 @@ package attacksim
 import (
 	"cmp"
 	"fmt"
-	"math/rand/v2"
 	"slices"
 	"sort"
-	"time"
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/netx"
@@ -154,69 +151,4 @@ func (sc *Schedule) ActiveAt(w clock.Window) []Spec {
 		}
 	}
 	return out
-}
-
-// Flood emits the attack packets of spec s that fall inside window w,
-// downsampled by rate (1.0 = every packet; 0.01 = 1 in 100). Each emitted
-// packet carries a uniformly spoofed source. The emit callback returns
-// false to stop early.
-//
-// Timestamps are spread uniformly over the active part of the window so the
-// telescope's peak-rate estimator sees a realistic arrival process.
-func (s *Spec) Flood(rng *rand.Rand, w clock.Window, rate float64, emit func(t time.Time, p packet.Packet) bool) {
-	frac, ok := s.ActiveIn(w)
-	if !ok || s.Vector != VectorRandomSpoofed {
-		return
-	}
-	n := int64(s.PPS * frac * clock.WindowDur.Seconds() * rate)
-	if n <= 0 {
-		return
-	}
-	from := w.Start()
-	if s.Start > from.UnixNano() {
-		from = time.Unix(0, s.Start).UTC()
-	}
-	span := time.Duration(frac * float64(clock.WindowDur))
-	for i := int64(0); i < n; i++ {
-		src := s.spoofedSource(rng)
-		ts := from.Add(time.Duration(rng.Float64() * float64(span)))
-		p := packet.Packet{
-			IP: packet.IPv4Header{
-				TTL:      64,
-				Protocol: s.Proto,
-				Src:      src,
-				Dst:      s.Target,
-			},
-		}
-		port := s.Ports[rng.IntN(len(s.Ports))]
-		switch s.Proto {
-		case packet.ProtoTCP:
-			p.TCP = &packet.TCPHeader{
-				SrcPort: uint16(1024 + rng.IntN(64000)),
-				DstPort: port,
-				Seq:     rng.Uint32(),
-				Flags:   packet.FlagSYN,
-				Window:  65535,
-			}
-		case packet.ProtoUDP:
-			p.UDP = &packet.UDPHeader{
-				SrcPort: uint16(1024 + rng.IntN(64000)),
-				DstPort: port,
-			}
-		case packet.ProtoICMP:
-			p.ICMP = &packet.ICMPHeader{Type: 8} // echo request
-		}
-		if !emit(ts, p) {
-			return
-		}
-	}
-}
-
-func (s *Spec) spoofedSource(rng *rand.Rand) netx.Addr {
-	if s.SpoofedSources <= 0 {
-		return netx.RandomGlobalAddr(rng)
-	}
-	// cycle a bounded pool deterministically derived from the spec ID
-	i := rng.IntN(int(s.SpoofedSources))
-	return netx.Addr(uint32(s.ID)*2654435761 + uint32(i)*40503)
 }

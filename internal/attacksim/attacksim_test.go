@@ -1,7 +1,6 @@
 package attacksim
 
 import (
-	"math/rand/v2"
 	"testing"
 	"time"
 	"unsafe"
@@ -84,94 +83,6 @@ func TestScheduleIDsAssigned(t *testing.T) {
 		if s.ID == 0 || s.GroupID == 0 {
 			t.Errorf("missing IDs: %+v", s)
 		}
-	}
-}
-
-func TestFloodPacketShape(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	s := spec("192.0.2.1", clock.StudyStart, 5*time.Minute, 100)
-	var n int
-	s.Flood(rng, 0, 1.0, func(ts time.Time, p packet.Packet) bool {
-		n++
-		if p.IP.Dst != s.Target {
-			t.Fatalf("flood packet dst = %v", p.IP.Dst)
-		}
-		if p.TCP == nil || p.TCP.DstPort != 53 || !p.TCP.Flags.Has(packet.FlagSYN) {
-			t.Fatalf("flood packet not a SYN to port 53: %+v", p.TCP)
-		}
-		w := clock.WindowOf(ts)
-		if w != 0 {
-			t.Fatalf("timestamp outside window: %v", ts)
-		}
-		return true
-	})
-	if n != 100*300 {
-		t.Errorf("flood emitted %d packets, want %d", n, 100*300)
-	}
-}
-
-func TestFloodDownsampling(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	s := spec("192.0.2.1", clock.StudyStart, 5*time.Minute, 1000)
-	var n int
-	s.Flood(rng, 0, 0.01, func(time.Time, packet.Packet) bool { n++; return true })
-	if n != 3000 {
-		t.Errorf("1%% sample of 300k packets = %d, want 3000", n)
-	}
-}
-
-func TestFloodStopEarly(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 3))
-	s := spec("192.0.2.1", clock.StudyStart, 5*time.Minute, 1000)
-	var n int
-	s.Flood(rng, 0, 1, func(time.Time, packet.Packet) bool { n++; return n < 10 })
-	if n != 10 {
-		t.Errorf("early stop after %d packets", n)
-	}
-}
-
-func TestFloodOnlySpoofedVector(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 4))
-	s := spec("192.0.2.1", clock.StudyStart, 5*time.Minute, 100)
-	s.Vector = VectorReflection
-	var n int
-	s.Flood(rng, 0, 1, func(time.Time, packet.Packet) bool { n++; return true })
-	if n != 0 {
-		t.Errorf("reflection vector should not emit spoofed flood packets, got %d", n)
-	}
-}
-
-func TestFloodSpoofedSourcesUniform(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 5))
-	s := spec("192.0.2.1", clock.StudyStart, 5*time.Minute, 200)
-	var lowHalf, n int
-	s.Flood(rng, 0, 1, func(_ time.Time, p packet.Packet) bool {
-		n++
-		if p.IP.Src < 1<<31 {
-			lowHalf++
-		}
-		return true
-	})
-	if n == 0 {
-		t.Fatal("no packets")
-	}
-	frac := float64(lowHalf) / float64(n)
-	if frac < 0.46 || frac > 0.54 {
-		t.Errorf("spoofed sources not uniform: low-half fraction %.3f", frac)
-	}
-}
-
-func TestFloodBoundedPool(t *testing.T) {
-	rng := rand.New(rand.NewPCG(6, 6))
-	s := spec("192.0.2.1", clock.StudyStart, 5*time.Minute, 200)
-	s.SpoofedSources = 16
-	seen := map[netx.Addr]bool{}
-	s.Flood(rng, 0, 1, func(_ time.Time, p packet.Packet) bool {
-		seen[p.IP.Src] = true
-		return true
-	})
-	if len(seen) > 16 {
-		t.Errorf("bounded pool produced %d distinct sources", len(seen))
 	}
 }
 

@@ -403,7 +403,9 @@ func recoverLog(f *os.File) ([]DayRef, error) {
 // ReadDayRefs reads the day log of the checkpoint directory at path
 // without opening it for appends, and returns the references of its
 // complete frames in log order. A torn final frame is left where it is —
-// a live run may be writing it — and a missing log reads as empty.
+// a live run may be writing it — and a missing log reads as empty. No
+// production path calls it; the tests of checkpoint, study and distjoin
+// read a run's journal with it.
 func ReadDayRefs(path string) ([]DayRef, error) {
 	full := filepath.Join(path, DayLog)
 	b, err := os.ReadFile(full)

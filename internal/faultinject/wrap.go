@@ -33,7 +33,9 @@ type PacketConn struct {
 	heldAddr net.Addr
 }
 
-// WrapPacketConn wraps an unconnected packet socket (a UDP listener).
+// WrapPacketConn wraps an unconnected packet socket (a UDP listener):
+// cmd/serve's and internal/e2ebench's fault flags, and the authserver and
+// resolver tests, wrap a server's listener with it.
 func WrapPacketConn(c net.PacketConn, inj *Injector) *PacketConn {
 	return &PacketConn{PacketConn: c, inj: inj}
 }
@@ -127,7 +129,9 @@ type DatagramConn struct {
 	held []byte
 }
 
-// WrapDatagram wraps a connected datagram socket (net.Dial "udp").
+// WrapDatagram wraps a connected datagram socket (net.Dial "udp"). No
+// production path calls it: the resolver's and dnsload's tests wrap their
+// client sockets with it through those packages' dial hooks.
 func WrapDatagram(c net.Conn, inj *Injector) *DatagramConn {
 	return &DatagramConn{Conn: c, inj: inj}
 }
@@ -206,7 +210,8 @@ type StreamConn struct {
 	inj *Injector
 }
 
-// WrapStream wraps a stream connection.
+// WrapStream wraps a stream connection. No production path calls it:
+// dnsload's and distjoin's tests wrap their connections with it.
 func WrapStream(c net.Conn, inj *Injector) *StreamConn {
 	return &StreamConn{Conn: c, inj: inj}
 }

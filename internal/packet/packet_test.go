@@ -10,18 +10,3 @@ func TestProtocolString(t *testing.T) {
 		}
 	}
 }
-
-func TestTCPFlagsString(t *testing.T) {
-	if got := (FlagSYN | FlagACK).String(); got != "SYN|ACK" {
-		t.Errorf("flags = %q", got)
-	}
-	if got := TCPFlags(0).String(); got != "0" {
-		t.Errorf("zero flags = %q", got)
-	}
-	if !(FlagSYN | FlagACK).Has(FlagSYN) {
-		t.Error("Has(SYN)")
-	}
-	if (FlagSYN).Has(FlagSYN | FlagACK) {
-		t.Error("Has should require all bits")
-	}
-}

@@ -19,10 +19,12 @@ import (
 // the candidates its close leaves unextendable are finalized and their
 // storage taken again by later attacks, so a fold holds the observations
 // of its open windows and the attacks still open, not the feed. The
-// finished attacks wait in fixed-size chunks until Finish. Infer is a Fold
-// closed in one step; study.NewSession drives one behind the synthesizer,
-// folding the windows its watermark closes while later windows are still
-// drawn.
+// finished attacks wait in fixed-size chunks until Finish, or go to the
+// caller close by close (Finalize). Infer is a Fold closed in one step;
+// study.NewSession drives one behind the synthesizer, folding the windows
+// its watermark closes while later windows are still drawn; the streaming
+// pipeline (internal/stream) drives one over the same feed as it is
+// delivered, taking each close's attacks as they finalize.
 
 // slotChunk is how many slots one chunk allocation holds.
 const slotChunk = 512
@@ -154,6 +156,26 @@ func (f *Fold) Close(w clock.Window) {
 	f.tr.pending = f.tr.pending[:0]
 }
 
+// Finalize is Close for a caller that numbers the feed itself: it returns
+// the attacks this close finalized, sorted by (StartWindow, Victim) within
+// the close and with ID 0, instead of keeping them for Finish. The slice
+// is the caller's. A close's attacks are not a run of the feed's order: a
+// candidate finalizes once the watermark passes its end, so of victim 1
+// attacked in windows 10–100 and victim 2 in 50–60, victim 2's attack is
+// finalized first although victim 1's starts earlier.
+// Finalize(math.MaxInt64) closes every window and finalizes every
+// candidate still open.
+func (f *Fold) Finalize(w clock.Window) []Attack {
+	f.advance(w)
+	out := f.tr.pending
+	f.tr.pending = nil
+	sortAttacks(out)
+	return out
+}
+
+// Open returns how many attack candidates the fold holds open.
+func (f *Fold) Open() int { return len(f.tr.open) }
+
 // advance is Close but for the finished attacks, which it leaves in the
 // tracker's pending list.
 func (f *Fold) advance(w clock.Window) {
@@ -191,9 +213,9 @@ func (f *Fold) Slots() int { return int(f.cut) }
 
 // Finish folds the remaining windows and returns the feed numbered by
 // (StartWindow, Victim) rank. The attacks finalized in the order their
-// windows closed, which is not the feed's (Tracker.drain), so they are
-// copied once, the chunks and then the last close's, into a slice of
-// their number and sorted there.
+// windows closed, which is not the feed's (Finalize), so they are copied
+// once, the chunks and then the last close's, into a slice of their
+// number and sorted there.
 func (f *Fold) Finish() []Attack {
 	f.advance(math.MaxInt64)
 	attacks := make([]Attack, 0, f.ndone+len(f.tr.pending))

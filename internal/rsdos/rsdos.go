@@ -5,13 +5,15 @@
 // attack records carrying victim IP, protocol, first/unique ports, the
 // number of telescope /16s reached, and peak packet rate.
 //
-// Late-packet semantics: window aggregation is watermark-driven
-// (Windower). A window closes once a packet arrives more than the
-// lateness allowance past it — immediately for a batch aggregation,
-// whose allowance is zero — and packets for closed windows are *dropped
-// and counted* (LateDrops), never folded in or re-emitted. Closed-window observations are therefore final and strictly
-// window-ordered, which is what both the incremental Tracker and the
-// streaming pipeline's exactly-once emission depend on.
+// The curation is one machine, a Fold, driven by a watermark: its caller
+// hands it window observations and says, window by window, that no later
+// observation can lie below a watermark; the windows below it are folded
+// and the attacks no later window can extend are finalized. Infer is a
+// Fold closed in one step; the batch study folds the feed as synthesis
+// draws it, and the streaming pipeline (internal/stream) folds the same
+// feed as it is delivered, dropping and counting an observation whose
+// window it has already closed. Closed windows are therefore final, which
+// is what the stream's exactly-once emission depends on.
 package rsdos
 
 import (
@@ -25,10 +27,10 @@ import (
 )
 
 // WindowObs aggregates the backscatter one victim generated into the
-// telescope during one 5-minute window. Observations are produced either by
-// a Windower (packet-level fidelity) or synthesized analytically by the
-// longitudinal scenario generator; the inference below treats both
-// identically.
+// telescope during one 5-minute window: one record of the curated feed.
+// The scenario generator synthesizes them at flow level; the packet-level
+// model they are held to lives in this package's tests
+// (TestPacketPathMatchesFlowPath).
 type WindowObs struct {
 	Window clock.Window
 	Victim netx.Addr
@@ -189,12 +191,11 @@ func FirstOn(attacks []Attack, victims []netx.Addr, from, to time.Time) (Attack,
 // arrive in any order; they are grouped per victim and merged across window
 // gaps of at most MaxGapWindows.
 //
-// It is the batch face of the incremental Tracker, through a Fold closed
-// in one step: qualifying observations are folded in (Window, Victim, feed
-// position) order through one Tracker, and the finalized feed is numbered
-// by (StartWindow, Victim) rank. The streaming pipeline drives the
-// identical Tracker watermark-by-watermark, so batch and streaming
-// curation cannot diverge.
+// It is a Fold closed in one step: qualifying observations are folded in
+// (Window, Victim, feed position) order through one Tracker, and the
+// finalized feed is numbered by (StartWindow, Victim) rank. The streaming
+// pipeline drives the identical Fold watermark by watermark, so batch and
+// streaming curation cannot diverge.
 //
 // Observation keys are not unique: two spoofed components on one victim
 // give two observations of one (Window, Victim), and whichever comes first

@@ -183,10 +183,10 @@ func TestAttackOverlaps(t *testing.T) {
 	}
 }
 
-// TestAdvanceBatchesAreNotFeedOrder pins what an Advance batch is: sorted
+// TestAdvanceBatchesAreNotFeedOrder pins what a Finalize batch is: sorted
 // within itself, not a run of the feed's order. Victim 1 is attacked in
-// windows 10–100 and victim 2 in 50–60; advanced window by window, the
-// tracker finalizes victim 2's attack first (once window 63 closes) and
+// windows 10–100 and victim 2 in 50–60; closed window by window, the
+// fold finalizes victim 2's attack first (once window 63 closes) and
 // victim 1's, which starts earlier and so is first in the feed, last.
 // A Fold closed window by window must still number the feed as Infer
 // does.
@@ -199,19 +199,27 @@ func TestAdvanceBatchesAreNotFeedOrder(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	tr := NewTracker(cfg)
-	var batches [][]Attack
-	for w, i := clock.Window(10), 0; w <= 110; w++ {
-		for ; i < len(feed) && feed[i].Window == w; i++ {
-			tr.Observe(feed[i])
+	// fold closes the window after each one taken, handing each close's
+	// attacks to batch; it returns the fold
+	fold := func(batch func(w clock.Window, b []Attack)) *Fold {
+		f := NewFold(cfg)
+		for w, i := clock.Window(10), 0; w <= 110; w++ {
+			for ; i < len(feed) && feed[i].Window == w; i++ {
+				f.Take(&feed[i])
+			}
+			batch(w, f.Finalize(w+1))
 		}
-		if b := tr.Advance(w); len(b) > 0 {
+		return f
+	}
+	var batches [][]Attack
+	f := fold(func(w clock.Window, b []Attack) {
+		if len(b) > 0 {
 			batches = append(batches, b)
 			if len(b) != 1 {
 				t.Fatalf("window %d: a batch of %d attacks, want 1", w, len(b))
 			}
 		}
-	}
+	})
 	if len(batches) != 2 {
 		t.Fatalf("%d batches, want 2", len(batches))
 	}
@@ -221,8 +229,11 @@ func TestAdvanceBatchesAreNotFeedOrder(t *testing.T) {
 	if v := batches[1][0].Victim; v != netx.MustParseAddr("192.0.2.1") || batches[1][0].StartWindow != 10 {
 		t.Errorf("second batch is %v's attack from window %d, want 192.0.2.1's from 10", v, batches[1][0].StartWindow)
 	}
+	if rest := f.Finish(); len(rest) != 0 {
+		t.Errorf("Finish after every attack was finalized returned %d attacks", len(rest))
+	}
 
-	f := NewFold(cfg)
+	f = NewFold(cfg)
 	for w, i := clock.Window(10), 0; i < len(feed); w++ {
 		for ; i < len(feed) && feed[i].Window == w; i++ {
 			f.Take(&feed[i])

@@ -2,7 +2,6 @@ package rsdos
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"dnsddos/internal/clock"
@@ -13,9 +12,10 @@ import (
 // track.go is the incremental core of the RSDoS curation: a Tracker
 // consumes qualifying window observations in window order and finalizes
 // attack records as soon as the window watermark guarantees they can no
-// longer be extended. Infer feeds it through a Fold, which advances it as
-// its windows close; the streaming pipeline (internal/stream) drives the
-// same Tracker window-by-window, so the two paths cannot diverge
+// longer be extended. Only a Fold drives one, advancing it as its
+// windows close: Infer folds a whole feed, the session folds the feed as
+// it is drawn, and the streaming pipeline (internal/stream) folds the
+// same feed as it is delivered, so the three cannot diverge
 // semantically.
 
 // candidate is one open (still extendable) attack. Its two lists start
@@ -71,13 +71,13 @@ const candidateChunk = 64
 // Tracker incrementally curates WindowObs into attack records.
 //
 // Observations must arrive in non-decreasing window order per victim
-// (global window order satisfies this); the Windower's output and a Fold
-// both do. Finalized attacks carry ID 0 — feed positions are a
-// whole-feed property the caller assigns (a Fold numbers its finished
-// feed; the streaming pipeline numbers in emission order).
+// (global window order satisfies this); a Fold's closes do. Finalized
+// attacks carry ID 0 — feed positions are a whole-feed property the
+// caller assigns (a Fold numbers its finished feed; the streaming
+// pipeline numbers in emission order).
 //
-// A candidate's storage outlives it: one finalized by Advance or Finish
-// goes on a free list, which a new candidate takes from before a slab is
+// A candidate's storage outlives it: one finalized by expire goes on a
+// free list, which a new candidate takes from before a slab is
 // cut, so the tracker holds the most candidates ever open at once, not
 // one per attack.
 type Tracker struct {
@@ -88,7 +88,7 @@ type Tracker struct {
 	slab []candidate
 	cut  int        // candidates cut from slabs
 	free *candidate // finalized candidates, linked by next
-	// pending holds the attacks finalized since the last drain.
+	// pending holds the attacks finalized since the fold last took them.
 	pending []Attack
 }
 
@@ -163,16 +163,6 @@ func (tr *Tracker) finalize(c *candidate) {
 	tr.pending = append(tr.pending, c.atk)
 }
 
-// Advance finalizes every candidate that no window after `closed` can
-// extend — all windows up to and including `closed` must be final (the
-// caller's watermark guarantees this). It returns the attacks finalized
-// since the previous Advance, sorted by (StartWindow, Victim) within the
-// batch, IDs unassigned.
-func (tr *Tracker) Advance(closed clock.Window) []Attack {
-	tr.expire(closed)
-	return tr.drain()
-}
-
 // expire finalizes into pending every candidate that no window after
 // closed can extend, and frees its storage.
 func (tr *Tracker) expire(closed clock.Window) {
@@ -186,27 +176,6 @@ func (tr *Tracker) expire(closed clock.Window) {
 			c.next, tr.free = tr.free, c
 		}
 	}
-}
-
-// Finish finalizes every remaining candidate (end of stream) and returns
-// them like Advance does.
-func (tr *Tracker) Finish() []Attack { return tr.Advance(math.MaxInt64) }
-
-// Open returns the number of open attack candidates.
-func (tr *Tracker) Open() int { return len(tr.open) }
-
-// drain hands over the pending batch sorted by (StartWindow, Victim).
-// The sort orders a batch within itself only: batches are not runs of
-// the feed's order. A candidate finalizes when the watermark passes its
-// end, so of victim 1 open for windows 10–100 and victim 2 for 50–60,
-// victim 2's attack is drained first although victim 1's starts
-// earlier. A caller that numbers by feed order sorts the whole feed (a
-// Fold does, in Finish).
-func (tr *Tracker) drain() []Attack {
-	out := tr.pending
-	tr.pending = nil
-	sortAttacks(out)
-	return out
 }
 
 // sortAttacks orders a feed by (StartWindow, Victim) — the feed order.

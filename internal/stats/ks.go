@@ -41,7 +41,9 @@ func (e *ECDF) At(x float64) float64 {
 func (e *ECDF) N() int { return len(e.sorted) }
 
 // KolmogorovSmirnov returns the two-sample KS statistic
-// D = sup_x |F1(x) − F2(x)| over the pooled sample points.
+// D = sup_x |F1(x) − F2(x)| over the pooled sample points. No production
+// path calls it; scenario's tests hold generated distributions to their
+// designed shapes with it.
 func KolmogorovSmirnov(a, b []float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 1

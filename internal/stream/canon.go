@@ -1,7 +1,8 @@
 package stream
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
@@ -9,14 +10,14 @@ import (
 	"dnsddos/internal/rsdos"
 )
 
-// canon_test.go bridges the two attack numberings for the parity tests. The batch feed
+// canon.go bridges the two attack numberings. The batch feed
 // (rsdos.Infer) numbers attacks by (StartWindow, Victim) rank over the
 // whole feed — a property a bounded-lag stream cannot know while
 // long-lived attacks are still open, so the stream numbers in
 // finalization order instead. Canonicalize maps stream-numbered output
-// onto the batch numbering; after it, a streamed run and a batch run
-// over the same packets must agree byte for byte (the parity
-// acceptance).
+// onto the batch numbering; after it, a stream over the study's feed and
+// the batch study agree byte for byte (TestStreamBatchParity, and the
+// root package's TestOutputs).
 
 type attackKey struct {
 	w clock.Window
@@ -32,11 +33,8 @@ type attackKey struct {
 func Canonicalize(attacks []rsdos.Attack, events []core.Event) ([]rsdos.Attack, []core.Event) {
 	ca := make([]rsdos.Attack, len(attacks))
 	copy(ca, attacks)
-	sort.Slice(ca, func(i, j int) bool {
-		if ca[i].StartWindow != ca[j].StartWindow {
-			return ca[i].StartWindow < ca[j].StartWindow
-		}
-		return ca[i].Victim < ca[j].Victim
+	slices.SortFunc(ca, func(a, b rsdos.Attack) int {
+		return cmp.Or(cmp.Compare(a.StartWindow, b.StartWindow), cmp.Compare(a.Victim, b.Victim))
 	})
 	byKey := make(map[attackKey]*rsdos.Attack, len(ca))
 	for i := range ca {
@@ -50,6 +48,6 @@ func Canonicalize(attacks []rsdos.Attack, events []core.Event) ([]rsdos.Attack, 
 	}
 	// stable: within one attack the join's event order is already
 	// canonical (both paths run the same engine over the same index)
-	sort.SliceStable(ce, func(i, j int) bool { return ce[i].Attack.ID < ce[j].Attack.ID })
+	slices.SortStableFunc(ce, func(a, b core.Event) int { return cmp.Compare(a.Attack.ID, b.Attack.ID) })
 	return ca, ce
 }

@@ -33,8 +33,7 @@ func (s *tornSink) Emit(b Batch) error {
 // past the journaled offset, and resumed through TruncateTo leaves a file
 // byte-identical to an unkilled run's.
 func TestFileSinkKillResume(t *testing.T) {
-	s := testStudy(t)
-	trace := collectTrace(s, 0)
+	s, feed := testStudy(t)
 	tmp := t.TempDir()
 	open := func(name string) *FileSink {
 		fs, err := NewFileSink(filepath.Join(tmp, name))
@@ -50,10 +49,10 @@ func TestFileSinkKillResume(t *testing.T) {
 		}
 		return b
 	}
-	// stream feeds the trace into sink, from the header row or, resuming,
-	// from the journaled offset
+	// stream delivers the feed into sink, from the header row or,
+	// resuming, from the journaled offset
 	stream := func(sink Sink, fs *FileSink, opts ...Option) error {
-		p, err := New(s.Telescope, s.Pipeline, sink, append(opts, WithRSDoS(s.Config.RSDoS), WithLateness(1))...)
+		p, err := New(s.Pipeline, sink, append(opts, WithRSDoS(s.Config.RSDoS), WithLateness(1))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +64,8 @@ func TestFileSinkKillResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return feed(p, trace)
+		_, err = deliver(p, feed)
+		return err
 	}
 
 	full := open("unkilled.csv")

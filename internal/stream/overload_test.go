@@ -2,41 +2,49 @@ package stream
 
 import (
 	"bytes"
+	"encoding/gob"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"dnsddos/internal/clock"
 	"dnsddos/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// halfRateAdmission admits half the trace's average arrival rate, in
-// packets per second of stream time: enough refusals to matter, enough
-// intake to still finalize attacks.
-func halfRateAdmission(trace []tracePkt) Overload {
-	dur := trace[len(trace)-1].ts.Sub(trace[0].ts).Seconds()
-	return Overload{AdmitRate: float64(len(trace)) / dur / 2}
+// halfRateAdmission admits half the feed's average rate, in observations
+// per second of stream time (each observation timed at its window's
+// start): enough refusals to matter, enough intake to still finalize
+// attacks.
+func halfRateAdmission(feed []step) Overload {
+	n, lo, hi := 0, clock.Window(math.MaxInt64), clock.Window(math.MinInt64)
+	for _, s := range feed {
+		if s.o != nil {
+			n, lo, hi = n+1, min(lo, s.o.Window), max(hi, s.o.Window)
+		}
+	}
+	return Overload{AdmitRate: float64(n) / hi.Start().Sub(lo.Start()).Seconds() / 2}
 }
 
 // TestOverloadShedDeterministic: with the admission gate at half the
-// trace rate, two identical runs refuse the exact same packets — same
-// counters, same emission bytes.
+// feed's rate, two identical runs of a delayed delivery refuse the exact
+// same observations — same counters, same emission bytes.
 func TestOverloadShedDeterministic(t *testing.T) {
-	s := testStudy(t)
-	trace := collectTrace(s, 2)
-	ov := halfRateAdmission(trace)
+	s, feed := testStudy(t)
+	steps := delayed(feed, 5, 2)
+	ov := halfRateAdmission(feed)
 	run := func() (OverloadStats, []Batch) {
 		sink := &memSink{}
-		p, err := New(s.Telescope, s.Pipeline, sink,
-			WithRSDoS(s.Config.RSDoS), WithLateness(2), WithOverload(ov))
+		p, err := New(s.Pipeline, sink, WithRSDoS(s.Config.RSDoS), WithLateness(2), WithOverload(ov))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := feed(p, trace); err != nil {
+		if _, err := deliver(p, steps); err != nil {
 			t.Fatal(err)
 		}
 		return p.Overload(), sink.batches
@@ -49,7 +57,7 @@ func TestOverloadShedDeterministic(t *testing.T) {
 	if st1 != st2 {
 		t.Fatalf("refusal counters differ between identical runs:\n  %+v\n  %+v", st1, st2)
 	}
-	if !bytes.Equal(gobBytes(t, b1), gobBytes(t, b2)) {
+	if len(b1) == 0 || !bytes.Equal(gobBytes(t, b1), gobBytes(t, b2)) {
 		t.Fatal("identical admission runs emitted different bytes")
 	}
 }
@@ -57,15 +65,14 @@ func TestOverloadShedDeterministic(t *testing.T) {
 // TestOverloadMetricsKeys pins the overload.* instrument set (plus the
 // rejected-offers counter) against a golden key list, all volatile.
 func TestOverloadMetricsKeys(t *testing.T) {
-	s := testStudy(t)
-	trace := collectTrace(s, 0)
+	s, feed := testStudy(t)
 	reg := obs.New()
-	p, err := New(s.Telescope, s.Pipeline, &memSink{},
-		WithRSDoS(s.Config.RSDoS), WithLateness(1), WithMetrics(reg), WithOverload(halfRateAdmission(trace)))
+	p, err := New(s.Pipeline, &memSink{},
+		WithRSDoS(s.Config.RSDoS), WithLateness(1), WithMetrics(reg), WithOverload(halfRateAdmission(feed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := feed(p, trace); err != nil {
+	if _, err := deliver(p, feed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,4 +122,13 @@ func TestOverloadMetricsKeys(t *testing.T) {
 			t.Errorf("volatile gauge %q leaked into StableSnapshot", name)
 		}
 	}
+}
+
+func gobBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatalf("gob: %v", err)
+	}
+	return buf.Bytes()
 }

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,16 +11,18 @@ import (
 	"time"
 
 	"dnsddos/internal/checkpoint"
-	"dnsddos/internal/packet"
+	"dnsddos/internal/clock"
 	"dnsddos/internal/study"
 )
 
-// soak_test.go is the overload soak: a 10× replay (ten times the parity
-// trace's packet rate), SIGKILLed for real mid-run and resumed from the
-// journal. The killed-and-resumed output must be byte-identical to an
-// unkilled run.
+// soak_test.go is the overload soak: the parity harness's study at ten
+// times its attack count, its feed streamed from a source that announces
+// its watermark once a day, SIGKILLed for real mid-run and resumed from
+// the journal. The killed-and-resumed output must be byte-identical to
+// an unkilled run.
 
-const soakRate = 0.03 // 10× the 0.003 parity-trace rate
+// soakLoad multiplies the parity harness's attack count.
+const soakLoad = 10
 
 // soakSink appends each batch as a checkpoint frame and fsyncs before
 // acknowledging, so SinkBytes truncation on resume is sound under
@@ -51,8 +55,9 @@ func (s *soakSink) Emit(b Batch) error {
 func (s *soakSink) Offset() int64 { return s.off }
 
 // TestOverloadSoakHelper is not a test: it is the victim process the
-// soak spawns (re-exec helper pattern). It replays the 10× trace into
-// dir/out.bin with a journal, resuming when STREAM_SOAK_RESUME is set.
+// soak spawns (re-exec helper pattern). It streams the feed of the
+// harness's study at soakLoad times its attacks into dir/out.bin with a
+// journal, resuming when STREAM_SOAK_RESUME is set.
 func TestOverloadSoakHelper(t *testing.T) {
 	dir := os.Getenv("STREAM_SOAK_DIR")
 	if dir == "" {
@@ -60,14 +65,12 @@ func TestOverloadSoakHelper(t *testing.T) {
 	}
 	resume := os.Getenv("STREAM_SOAK_RESUME") == "1"
 
-	s := testStudy(t)
-	cfg := traceConfig(0)
-	cfg.Rate = soakRate
-	var trace []tracePkt
-	Replay(cfg, s.Schedule.Sched, s.Telescope, func(ts time.Time, p packet.Packet) bool {
-		trace = append(trace, tracePkt{ts, p})
-		return true
-	})
+	cfg := harnessConfig()
+	cfg.Attacks.TotalAttacks *= soakLoad
+	s, err := study.RunContext(context.Background(), cfg, study.WithSkipJoin())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	hash, err := study.ConfigHash(s.Config)
 	if err != nil {
@@ -93,7 +96,7 @@ func TestOverloadSoakHelper(t *testing.T) {
 	defer f.Close()
 	sink := &soakSink{f: f, delay: 2 * time.Millisecond}
 
-	p, err := New(s.Telescope, s.Pipeline, sink, WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(jd))
+	p, err := New(s.Pipeline, sink, WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(jd))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +107,30 @@ func TestOverloadSoakHelper(t *testing.T) {
 		}
 		sink.off = cur.SinkBytes
 	}
-	if err := feed(p, trace); err != nil {
+	if _, err := deliver(p, daily(collectFeed(s.Session()))); err != nil {
 		t.Fatal(err)
 	}
 	os.Exit(0)
+}
+
+// daily is the feed as a source delivers it that announces its watermark
+// once a day, at the first window of the day the feed's watermark has
+// reached: each close finalizes a day's worth of attacks, so a run is a
+// few hundred batches, each synced and journaled, however many attacks
+// the feed holds.
+func daily(feed []step) []step {
+	out := make([]step, 0, len(feed))
+	last := clock.Window(math.MinInt64)
+	for _, s := range feed {
+		if s.o == nil {
+			if s.w = s.w.Day().FirstWindow(); s.w <= last {
+				continue
+			}
+			last = s.w
+		}
+		out = append(out, s)
+	}
+	return out
 }
 
 func runSoakHelper(t *testing.T, dir string, resume bool) *exec.Cmd {
@@ -134,9 +157,10 @@ func runSoakHelper(t *testing.T, dir string, resume bool) *exec.Cmd {
 	return cmd
 }
 
-// TestOverloadSoakKillResume: the acceptance soak. An unkilled 10×
-// overload run is the reference; a second run is SIGKILLed mid-emission
-// and resumed, and must converge to the same bytes.
+// TestOverloadSoakKillResume: the acceptance soak. An unkilled run at
+// soakLoad times the harness's attacks is the reference; a second run is
+// SIGKILLed mid-emission and resumed, and must converge to the same
+// bytes.
 func TestOverloadSoakKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: spawns subprocess study runs")

@@ -1,21 +1,23 @@
 // Package stream is the live counterpart of the batch study pipeline: it
-// consumes telescope backscatter packets as they arrive, closes 5-minute
-// RSDoS windows as the watermark passes them, curates attacks
-// incrementally (rsdos.Tracker), and joins each finalized attack against
-// the measurement-side indexes (core.Pipeline) the moment it can no
-// longer change — emitting impact events with bounded lag instead of at
-// end of study.
+// consumes the curated telescope feed — per-(victim, window) observations,
+// the granularity of CAIDA's RSDoS feed — as it is delivered, folds it
+// through the same rsdos.Fold the batch study curates with, closing
+// 5-minute windows as the source's watermark passes them, and joins each
+// finalized attack against the measurement-side indexes (core.Pipeline)
+// the moment it can no longer change — emitting impact events with
+// bounded lag instead of at end of study.
 //
 // Ordering and exactness:
 //
-//   - The watermark is the highest window seen minus a configurable
-//     lateness allowance; a window strictly below it is closed and final.
-//     Packets arriving for closed windows are dropped and counted, never
-//     reprocessed (internal/rsdos late-drop semantics).
-//   - Emission is batched per watermark advance. Each Batch carries the
-//     windows closed by the advance, the attacks that became final, and
-//     their joined impact events. Batches are strictly ordered by
-//     ClosedThrough.
+//   - The source announces a watermark (Advance): no later observation
+//     lies below it. The stream closes the windows below the watermark
+//     minus a configurable lateness allowance; a closed window is final.
+//     An observation delivered for a closed window is dropped and
+//     counted, never folded in.
+//   - Emission is batched per close. Each Batch carries the attacks the
+//     close finalized and their joined impact events. Batches are
+//     strictly ordered by ClosedThrough; a close that finalizes no attack
+//     emits nothing.
 //   - With a journal (internal/checkpoint cursor), emission is
 //     exactly-once across restarts: the cursor records the last window
 //     durably handed to the sink, and a resumed pipeline replays its
@@ -25,14 +27,15 @@
 //
 // Attack IDs are assigned in emission (finalization) order — the only
 // order a bounded-lag stream can number by. The batch feed numbers by
-// (StartWindow, Victim) rank instead; the parity tests map one numbering
-// onto the other (canon_test.go) and the two pipelines agree byte for
-// byte.
+// (StartWindow, Victim) rank instead; Canonicalize maps one numbering
+// onto the other, after which a stream over the study's own feed writes
+// the batch study's events byte for byte.
 package stream
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"dnsddos/internal/checkpoint"
@@ -40,22 +43,17 @@ import (
 	"dnsddos/internal/core"
 	"dnsddos/internal/netx"
 	"dnsddos/internal/obs"
-	"dnsddos/internal/packet"
 	"dnsddos/internal/resilience"
 	"dnsddos/internal/rsdos"
-	"dnsddos/internal/telescope"
 )
 
 // Batch is one emission step: everything that became final when the
-// watermark advanced through ClosedThrough.
+// stream closed the windows through ClosedThrough.
 type Batch struct {
 	// ClosedThrough is the highest closed window as of this batch; all
 	// batch contents concern windows at or below it.
 	ClosedThrough clock.Window
-	// Windows are the observations of the windows this advance closed,
-	// ordered by (window, victim).
-	Windows []rsdos.WindowObs
-	// Attacks are the attacks finalized by this advance, in emission
+	// Attacks are the attacks finalized by this close, in emission
 	// order with stream-assigned sequential IDs.
 	Attacks []rsdos.Attack
 	// Events are the joined impact events of those attacks.
@@ -77,13 +75,12 @@ type OffsetSink interface {
 }
 
 // Pipeline is the streaming join. Not safe for concurrent use; drive it
-// from one goroutine (the capture loop).
+// from one goroutine (the feed's).
 type Pipeline struct {
 	ctx  context.Context
 	join *core.Pipeline
 	sink Sink
-	win  *rsdos.Windower
-	tr   *rsdos.Tracker
+	fold *rsdos.Fold
 
 	journal *checkpoint.Dir
 	// suppress is true while a resumed run replays input the sink already
@@ -91,11 +88,14 @@ type Pipeline struct {
 	suppress bool
 	resumed  checkpoint.Cursor
 
-	lastClosed clock.Window
-	haveClosed bool
-	attackSeq  int
-	eventsOut  int64
-	closed     bool
+	// watermark is the source's latest (Advance) and maxSeen the highest
+	// window accepted, both math.MinInt64 before the first
+	watermark, maxSeen clock.Window
+	lastClosed         clock.Window
+	haveClosed         bool
+	attackSeq          int
+	eventsOut          int64
+	closed             bool
 
 	// lastAttackWin/lastAttackVictim identify the most recently finalized
 	// attack — journaled with the cursor so a diverging resume replay can
@@ -104,12 +104,13 @@ type Pipeline struct {
 	lastAttackVictim netx.Addr
 	haveLastAttack   bool
 
-	lateness int
+	lateness clock.Window
 	rsdosCfg rsdos.Config
 
 	// bucket is the admission gate (nil admits everything).
-	bucket *resilience.TokenBucket
-	stats  OverloadStats
+	bucket    *resilience.TokenBucket
+	stats     OverloadStats
+	lateDrops int64
 
 	// hookAfterEmit, when set by same-package tests, runs between the
 	// sink accepting a batch and the cursor journaling it — the
@@ -122,10 +123,11 @@ type Pipeline struct {
 // Overload configures the admission gate (DESIGN §3.7). The zero value
 // admits everything.
 type Overload struct {
-	// AdmitRate, when > 0, is a token-bucket admission bound in packets
-	// per second of *stream time*, with one second of burst headroom.
-	// Every decision is a function of the packets' timestamps, never the
-	// wall clock, so a seeded replay is refused identically on every run.
+	// AdmitRate, when > 0, is a token-bucket admission bound in
+	// observations per second of *stream time*, with one second of burst
+	// headroom. An observation is timed at its window's start, never by
+	// the wall clock, so a seeded replay is refused identically on every
+	// run.
 	AdmitRate float64
 }
 
@@ -137,7 +139,7 @@ func WithOverload(o Overload) Option {
 // OverloadStats are the stream's lifetime refusal counters, both
 // deterministic for a fixed seed and configuration.
 type OverloadStats struct {
-	// AdmitDenied counts packets refused by the admission gate.
+	// AdmitDenied counts observations refused by the admission gate.
 	AdmitDenied int64
 	// OffersRejected counts every Offer that returned false: refused by
 	// admission or late for its window.
@@ -148,11 +150,11 @@ type OverloadStats struct {
 type Option func(*Pipeline)
 
 // WithLateness sets the watermark lateness allowance in windows
-// (default 1): a window closes once a packet arrives more than this many
-// windows past it. Larger values absorb more arrival jitter at the cost
-// of emission lag.
+// (default 1): once the source's watermark reaches w, the windows below
+// w minus the allowance close. Larger values absorb more delivery delay
+// at the cost of emission lag.
 func WithLateness(n int) Option {
-	return func(p *Pipeline) { p.lateness = n }
+	return func(p *Pipeline) { p.lateness = clock.Window(max(n, 0)) }
 }
 
 // WithRSDoS sets the curation thresholds (default rsdos.DefaultConfig).
@@ -171,9 +173,9 @@ func WithJournal(dir *checkpoint.Dir) Option {
 	return func(p *Pipeline) { p.journal = dir }
 }
 
-// WithMetrics publishes stream instrumentation — lag, backlog, late
-// drops, per-batch join latency — into reg (all volatile: they describe
-// this run, not the deterministic result).
+// WithMetrics publishes stream instrumentation — lag, late drops,
+// per-batch join latency — into reg (all volatile: they describe this
+// run, not the deterministic result).
 func WithMetrics(reg *obs.Registry) Option {
 	return func(p *Pipeline) { p.m = newStreamMetrics(reg) }
 }
@@ -183,21 +185,22 @@ func WithContext(ctx context.Context) Option {
 	return func(p *Pipeline) { p.ctx = ctx }
 }
 
-// New builds a streaming pipeline over the telescope, joining finalized
-// attacks through join and emitting to sink.
-func New(tel *telescope.Telescope, join *core.Pipeline, sink Sink, opts ...Option) (*Pipeline, error) {
+// New builds a streaming pipeline joining finalized attacks through join
+// and emitting to sink.
+func New(join *core.Pipeline, sink Sink, opts ...Option) (*Pipeline, error) {
 	p := &Pipeline{
-		ctx:      context.Background(),
-		join:     join,
-		sink:     sink,
-		lateness: 1,
-		rsdosCfg: rsdos.DefaultConfig(),
+		ctx:       context.Background(),
+		join:      join,
+		sink:      sink,
+		watermark: math.MinInt64,
+		maxSeen:   math.MinInt64,
+		lateness:  1,
+		rsdosCfg:  rsdos.DefaultConfig(),
 	}
 	for _, o := range opts {
 		o(p)
 	}
-	p.win = rsdos.NewWindower(tel, p.lateness)
-	p.tr = rsdos.NewTracker(p.rsdosCfg)
+	p.fold = rsdos.NewFold(p.rsdosCfg)
 	if p.m.reg == nil {
 		p.m = newStreamMetrics(obs.New())
 	}
@@ -220,37 +223,48 @@ func (p *Pipeline) Resumed() (checkpoint.Cursor, bool) {
 	return p.resumed, p.suppress
 }
 
-// Offer feeds one captured packet. The boolean reports whether the
-// packet was accepted; false means it was dropped and counted — refused
-// by the admission gate or late for its window. Emission is synchronous:
-// a watermark advance closes its windows, joins the attacks they
-// finalize and hands the batch to the sink before Offer returns, so
-// nothing is ever queued between intake and emission. The error is a
-// sink, journal or join failure — the stream is then wedged at the
-// journaled frontier and can be resumed.
-func (p *Pipeline) Offer(ts time.Time, pkt packet.Packet) (bool, error) {
-	if p.closed {
-		return false, fmt.Errorf("stream: Offer after Close")
-	}
-	ok := p.bucket.Allow(ts)
+// Offer takes one observation of the feed; the pipeline keeps a copy,
+// nothing of o itself. The boolean reports whether it was accepted; false
+// means it was dropped and counted — refused by the admission gate, or
+// late: its window is already closed (after Close, every window is).
+// Offer never emits: windows close on Advance.
+func (p *Pipeline) Offer(o *rsdos.WindowObs) bool {
+	ok := p.bucket.Allow(o.Window.Start())
 	if !ok {
 		p.stats.AdmitDenied++
 		p.m.admitDenied.Inc()
-	} else if ok = p.win.Add(ts, pkt); !ok {
+	} else if ok = !p.closed && (!p.haveClosed || o.Window > p.lastClosed); ok {
+		p.fold.Take(o)
+		p.maxSeen = max(p.maxSeen, o.Window)
+	} else {
+		p.lateDrops++
 		p.m.lateDrops.Inc()
 	}
 	if !ok {
 		p.stats.OffersRejected++
 		p.m.offersRejected.Inc()
 	}
+	return ok
+}
+
+// Advance takes the source's watermark: no observation delivered later
+// lies below w, as the source sees it. The windows below w minus the
+// lateness allowance close; the attacks that finalizes are joined and
+// handed to the sink as one batch before Advance returns, so nothing is
+// ever queued between intake and emission. The error is a sink, journal
+// or join failure — the stream is then wedged at the journaled frontier
+// and can be resumed.
+func (p *Pipeline) Advance(w clock.Window) error {
+	if p.closed {
+		return fmt.Errorf("stream: Advance after Close")
+	}
+	p.watermark = max(p.watermark, w)
 	var err error
-	if wm, started := p.win.Watermark(); started {
-		if ct := wm - 1; !p.haveClosed || ct > p.lastClosed {
-			err = p.step(ct, p.win.CloseReady(), false)
-		}
+	if ct := p.watermark - p.lateness - 1; !p.haveClosed || ct > p.lastClosed {
+		err = p.step(ct)
 	}
 	p.publishGauges()
-	return ok, err
+	return err
 }
 
 // Overload returns the stream's lifetime refusal counters.
@@ -263,41 +277,37 @@ func (p *Pipeline) Close() error {
 		return nil
 	}
 	p.closed = true
-	maxSeen, started := p.win.MaxSeen()
-	if !started {
-		return nil
+	ct := max(p.maxSeen, p.watermark)
+	if p.haveClosed {
+		ct = max(ct, p.lastClosed+1)
+	} else if ct == math.MinInt64 {
+		return nil // nothing was offered or announced
 	}
-	err := p.step(maxSeen, p.win.CloseAll(), true)
+	err := p.step(ct)
 	p.publishGauges()
 	return err
 }
 
-// step advances the emission frontier to ct: closed-window observations
-// feed the tracker, newly unextendable attacks finalize, and the batch
-// is emitted (unless suppressed by a resume replay). final additionally
-// drains every open candidate (end of stream).
-func (p *Pipeline) step(ct clock.Window, obs []rsdos.WindowObs, final bool) error {
+// step advances the emission frontier to ct: the fold closes every
+// window through ct, and the attacks that close finalizes are joined and
+// emitted (unless suppressed by a resume replay). After Close, the fold
+// closes every window.
+func (p *Pipeline) step(ct clock.Window) error {
 	p.lastClosed, p.haveClosed = ct, true
-	windows := countWindows(obs)
-	for i := range obs {
-		p.tr.Observe(obs[i])
+	through := ct + 1
+	if p.closed {
+		through = math.MaxInt64
 	}
-	var attacks []rsdos.Attack
-	if final {
-		attacks = p.tr.Finish()
-	} else {
-		attacks = p.tr.Advance(ct)
-	}
-	if len(obs) == 0 && len(attacks) == 0 {
+	attacks := p.fold.Finalize(through)
+	if len(attacks) == 0 {
 		return nil
 	}
-	p.m.windowsClosed.Add(windows)
 
 	if p.suppress {
 		if ct <= p.resumed.ClosedThrough {
 			// Replay of a batch the sink already holds: rebuild state
-			// (the tracker consumed the observations, the attack
-			// numbering advances) but emit nothing and skip the join.
+			// (the fold consumed the observations, the attack numbering
+			// advances) but emit nothing and skip the join.
 			p.attackSeq += len(attacks)
 			p.noteLastAttack(attacks)
 			return nil
@@ -322,17 +332,13 @@ func (p *Pipeline) step(ct clock.Window, obs []rsdos.WindowObs, final bool) erro
 		attacks[i].ID = p.attackSeq
 	}
 	p.noteLastAttack(attacks)
-	var events []core.Event
-	if len(attacks) > 0 {
-		t0 := time.Now()
-		ev, err := p.join.EventsContext(p.ctx, attacks)
-		if err != nil {
-			return err
-		}
-		p.m.joinLatency.Observe(time.Since(t0))
-		events = ev
+	t0 := time.Now()
+	events, err := p.join.EventsContext(p.ctx, attacks)
+	if err != nil {
+		return err
 	}
-	if err := p.sink.Emit(Batch{ClosedThrough: ct, Windows: obs, Attacks: attacks, Events: events}); err != nil {
+	p.m.joinLatency.Observe(time.Since(t0))
+	if err := p.sink.Emit(Batch{ClosedThrough: ct, Attacks: attacks, Events: events}); err != nil {
 		return err
 	}
 	if p.hookAfterEmit != nil {
@@ -368,9 +374,6 @@ func (p *Pipeline) step(ct clock.Window, obs []rsdos.WindowObs, final bool) erro
 // noteLastAttack records the (window, victim) identity of the most
 // recently finalized attack for the cursor journal.
 func (p *Pipeline) noteLastAttack(attacks []rsdos.Attack) {
-	if len(attacks) == 0 {
-		return
-	}
 	last := attacks[len(attacks)-1]
 	p.lastAttackWin, p.lastAttackVictim, p.haveLastAttack = last.StartWindow, last.Victim, true
 }
@@ -390,42 +393,29 @@ func (p *Pipeline) ClosedThrough() (clock.Window, bool) {
 }
 
 // LagWindows returns how many windows the emission frontier trails the
-// newest packet seen — the stream's end-to-end lag, bounded by
-// lateness+1 while packets flow.
+// source's watermark — the stream's end-to-end lag, lateness+1 while
+// the feed flows. It is not measured from the newest window offered:
+// the observations of a long attack arrive ahead of the watermark.
 func (p *Pipeline) LagWindows() int64 {
-	maxSeen, started := p.win.MaxSeen()
-	if !started || !p.haveClosed {
+	if !p.haveClosed || p.closed {
 		return 0
 	}
-	return int64(maxSeen - p.lastClosed)
+	return int64(p.watermark - p.lastClosed)
 }
 
-// LateDrops returns how many packets were dropped for arriving after
-// their window closed.
-func (p *Pipeline) LateDrops() int64 { return p.win.LateDrops() }
+// LateDrops returns how many observations were dropped for arriving
+// after their window closed.
+func (p *Pipeline) LateDrops() int64 { return p.lateDrops }
 
 func (p *Pipeline) publishGauges() {
-	if wm, ok := p.win.Watermark(); ok {
-		p.m.watermark.Set(int64(wm))
+	if p.watermark > math.MinInt64 {
+		p.m.watermark.Set(int64(p.watermark))
 	}
-	if ms, ok := p.win.MaxSeen(); ok {
-		p.m.maxSeen.Set(int64(ms))
+	if p.maxSeen > math.MinInt64 {
+		p.m.maxSeen.Set(int64(p.maxSeen))
 	}
-	p.m.backlog.Set(int64(p.win.Backlog()))
 	p.m.lag.Set(p.LagWindows())
-	p.m.candidates.Set(int64(p.tr.Open()))
-}
-
-// countWindows counts distinct windows in a (window, victim)-ordered
-// observation batch.
-func countWindows(obs []rsdos.WindowObs) int64 {
-	var n int64
-	for i := range obs {
-		if i == 0 || obs[i].Window != obs[i-1].Window {
-			n++
-		}
-	}
-	return n
+	p.m.candidates.Set(int64(p.fold.Open()))
 }
 
 // streamMetrics is the stream.* instrument set plus the admission gate's
@@ -437,12 +427,10 @@ type streamMetrics struct {
 	offersRejected   *obs.Counter
 	lateDrops        *obs.Counter
 	batches          *obs.Counter
-	windowsClosed    *obs.Counter
 	attacksFinalized *obs.Counter
 	eventsEmitted    *obs.Counter
 	watermark        *obs.Gauge
 	maxSeen          *obs.Gauge
-	backlog          *obs.Gauge
 	lag              *obs.Gauge
 	candidates       *obs.Gauge
 	joinLatency      *obs.Histogram
@@ -458,12 +446,10 @@ func newStreamMetrics(reg *obs.Registry) streamMetrics {
 		offersRejected:   reg.Counter("stream.offers_rejected", obs.Volatile()),
 		lateDrops:        reg.Counter("stream.late_drops", obs.Volatile()),
 		batches:          reg.Counter("stream.batches_emitted", obs.Volatile()),
-		windowsClosed:    reg.Counter("stream.windows_closed", obs.Volatile()),
 		attacksFinalized: reg.Counter("stream.attacks_finalized", obs.Volatile()),
 		eventsEmitted:    reg.Counter("stream.events_emitted", obs.Volatile()),
 		watermark:        reg.Gauge("stream.watermark", obs.Volatile()),
 		maxSeen:          reg.Gauge("stream.max_seen_window", obs.Volatile()),
-		backlog:          reg.Gauge("stream.backlog_windows", obs.Volatile()),
 		lag:              reg.Gauge("stream.lag_windows", obs.Volatile()),
 		candidates:       reg.Gauge("stream.open_candidates", obs.Volatile()),
 		joinLatency:      reg.Histogram("stream.join_latency", obs.Volatile()),

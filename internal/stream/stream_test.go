@@ -3,102 +3,153 @@ package stream
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
+	"math"
+	"math/rand/v2"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
+	"dnsddos/internal/netx"
 	"dnsddos/internal/obs"
-	"dnsddos/internal/packet"
+	"dnsddos/internal/report"
 	"dnsddos/internal/rsdos"
 	"dnsddos/internal/study"
 )
 
-// The harness: one scaled-down study.RunContext run (world, sweeps, join
-// pipeline — the batch reference), shared across tests, plus a seeded
-// packet trace replayed from the study's own attack schedule. The batch
-// path aggregates + infers + joins the trace in one pass; the stream
-// consumes it packet by packet. The two must agree byte for byte.
+// The harness: one scaled-down study.RunContext run with its join (world,
+// sweeps, join pipeline, the batch events — the reference), shared across
+// tests, plus the study's own telescope feed, Session.Feed, collected once.
+// The stream consumes that feed observation by observation; after
+// Canonicalize it must write the batch study's events byte for byte.
 
 var (
 	harnessOnce sync.Once
 	harness     *study.Study
+	harnessFeed []step
 	harnessErr  error
 )
 
-const traceDay = clock.Day(29)
+// harnessConfig is the parity harness's study: QuickConfig's 17 months
+// over a 4,000-domain world and 3,000 attacks, concentrated on DNS
+// victims so the join has events to emit.
+func harnessConfig() study.Config {
+	cfg := study.QuickConfig()
+	cfg.World.Domains = 4000
+	cfg.Attacks.TotalAttacks = 3000
+	// the generated mix has 1.3% DNS-infra targets; concentrate the
+	// schedule on DNS victims so the join emits hundreds of events
+	cfg.Attacks.DNSShare = 0.5
+	return cfg
+}
 
-func testStudy(t *testing.T) *study.Study {
+func testStudy(t *testing.T) (*study.Study, []step) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("stream integration: runs a multi-day study sweep")
 	}
 	harnessOnce.Do(func() {
-		cfg := study.QuickConfig()
-		cfg.World.Domains = 4000
-		cfg.Attacks.TotalAttacks = 3000
-		// the generated mix has 1.3% DNS-infra targets; concentrate the
-		// schedule on DNS victims so a one-day trace carries join events
-		cfg.Attacks.DNSShare = 0.5
-		cfg.FromDay, cfg.ToDay = traceDay-1, traceDay+1
-		harness, harnessErr = study.RunContext(context.Background(), cfg, study.WithSkipJoin())
+		harness, harnessErr = study.RunContext(context.Background(), harnessConfig())
+		if harnessErr == nil {
+			harnessFeed = collectFeed(harness.Session())
+		}
 	})
 	if harnessErr != nil {
 		t.Fatalf("building study harness: %v", harnessErr)
 	}
-	if len(harness.Events) != 0 || len(harness.Classified) != 0 {
-		t.Fatal("WithSkipJoin ran the batch join anyway")
+	return harness, harnessFeed
+}
+
+// step is one event of a delivered feed: an observation, or, when o is
+// nil, the source's watermark w.
+type step struct {
+	o *rsdos.WindowObs
+	w clock.Window
+}
+
+// collectFeed returns the session's feed in the order Session.Feed emits
+// it, each observation a copy.
+func collectFeed(sess *study.Session) []step {
+	var feed []step
+	sess.Feed(func(o *rsdos.WindowObs) {
+		c := *o
+		c.Ports = slices.Clone(o.Ports)
+		feed = append(feed, step{o: &c})
+	}, func(w clock.Window) { feed = append(feed, step{w: w}) })
+	return feed
+}
+
+// delayed is the feed as a source delivers it that holds each observation
+// back by up to hold watermark advances, drawn per observation from seed,
+// but never behind an earlier observation of its victim. Its watermark
+// moves a window at a time — a feed watermark that jumps is delivered as
+// the run of windows up to it — so an observation is held back at most
+// hold windows of watermark. Before the feed's first watermark, the
+// source's is the lowest window it has been handed.
+func delayed(feed []step, seed uint64, hold int) []step {
+	rng := rand.New(rand.NewPCG(seed, 0xde1a7))
+	var out []step
+	// held[k % (hold+1)] are the observations due after the k-th advance,
+	// in arrival order; due[v] is when v's latest observation is due
+	held := make([][]*rsdos.WindowObs, hold+1)
+	due := map[netx.Addr]int{}
+	advances := 0
+	wm, started := clock.Window(math.MaxInt64), false
+	for _, s := range feed {
+		if o := s.o; o != nil {
+			if !started {
+				wm = min(wm, o.Window)
+			}
+			d := max(advances+rng.IntN(hold+1), due[o.Victim])
+			due[o.Victim] = d
+			if d == advances {
+				out = append(out, s)
+			} else {
+				held[d%(hold+1)] = append(held[d%(hold+1)], o)
+			}
+			continue
+		}
+		if !started {
+			wm, started = min(wm, s.w), true
+		}
+		for ; wm < s.w; wm++ {
+			advances++
+			out = append(out, step{w: wm + 1})
+			b := &held[advances%(hold+1)]
+			for _, o := range *b {
+				out = append(out, step{o: o})
+			}
+			*b = (*b)[:0]
+		}
 	}
-	return harness
-}
-
-type tracePkt struct {
-	ts time.Time
-	p  packet.Packet
-}
-
-func traceConfig(jitter int) TraceConfig {
-	return TraceConfig{
-		Seed:          99,
-		Rate:          0.003,
-		From:          traceDay.FirstWindow(),
-		To:            (traceDay + 1).FirstWindow() - 1,
-		JitterWindows: jitter,
+	// the feed ends: the source hands over what it still holds
+	for k := 1; k <= hold; k++ {
+		for _, o := range held[(advances+k)%(hold+1)] {
+			out = append(out, step{o: o})
+		}
 	}
-}
-
-func collectTrace(s *study.Study, jitter int) []tracePkt {
-	var out []tracePkt
-	Replay(traceConfig(jitter), s.Schedule.Sched, s.Telescope, func(ts time.Time, p packet.Packet) bool {
-		out = append(out, tracePkt{ts, p})
-		return true
-	})
 	return out
 }
 
-// batchRun is the reference: aggregate the whole trace, infer the feed,
-// join it in one EventsContext pass.
-func batchRun(t *testing.T, s *study.Study, trace []tracePkt) ([]rsdos.WindowObs, []rsdos.Attack, []core.Event) {
-	t.Helper()
-	wd := rsdos.NewWindower(s.Telescope, 0)
-	for _, tp := range trace {
-		wd.Add(tp.ts, tp.p)
+// deliver offers the steps to p, then closes it. It returns the
+// observations p accepted, in delivery order.
+func deliver(p *Pipeline, steps []step) ([]rsdos.WindowObs, error) {
+	var accepted []rsdos.WindowObs
+	for _, s := range steps {
+		if s.o == nil {
+			if err := p.Advance(s.w); err != nil {
+				return accepted, err
+			}
+		} else if p.Offer(s.o) {
+			accepted = append(accepted, *s.o)
+		}
 	}
-	if d := wd.LateDrops(); d != 0 {
-		t.Fatalf("in-order trace dropped %d packets in the batch aggregation", d)
-	}
-	obs := wd.CloseAll()
-	attacks := rsdos.Infer(s.Config.RSDoS, obs)
-	events, err := s.Pipeline.EventsContext(context.Background(), attacks)
-	if err != nil {
-		t.Fatalf("batch join: %v", err)
-	}
-	return obs, attacks, events
+	return accepted, p.Close()
 }
 
 // memSink collects emitted batches; failAt > 0 makes the Nth Emit fail
@@ -116,7 +167,7 @@ func (s *memSink) Emit(b Batch) error {
 		return errSinkDown
 	}
 	s.batches = append(s.batches, b)
-	s.bytes += int64(16 + 8*len(b.Windows) + 24*len(b.Attacks) + 32*len(b.Events))
+	s.bytes += int64(16 + 24*len(b.Attacks) + 32*len(b.Events))
 	return nil
 }
 
@@ -132,115 +183,113 @@ func (s *memSink) flatten() ([]rsdos.Attack, []core.Event) {
 	return attacks, events
 }
 
-func feed(p *Pipeline, trace []tracePkt) error {
-	for _, tp := range trace {
-		if _, err := p.Offer(tp.ts, tp.p); err != nil {
-			return err
-		}
-	}
-	return p.Close()
-}
-
-func gobBytes(t *testing.T, v any) []byte {
+func eventsCSV(t *testing.T, events []core.Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("gob: %v", err)
+	if err := report.EventsCSV(&buf, events); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestStreamBatchParity is the tentpole acceptance: streaming a seeded
-// packet trace produces byte-identical impact events to the batch run,
-// for the in-order trace and for a jittered one absorbed by the lateness
-// allowance.
+// TestStreamBatchParity is the tentpole acceptance: streaming the study's
+// own feed through the study's join pipeline and canonicalizing the
+// attack IDs writes the batch study's events CSV byte for byte — for the
+// feed delivered in order, and for a delivery that holds each observation
+// back up to two watermark advances, which a lateness of two absorbs. At
+// lateness one the same delivery drops observations, each counted, and
+// the stream's attacks are then Infer's over exactly the observations it
+// accepted.
 func TestStreamBatchParity(t *testing.T) {
-	s := testStudy(t)
-	inorder := collectTrace(s, 0)
-	if len(inorder) == 0 {
-		t.Fatal("empty trace — nothing to prove parity over")
+	s, feed := testStudy(t)
+	batchCSV := eventsCSV(t, s.Events)
+	if len(s.Events) == 0 {
+		t.Fatal("the study joined no events — the parity would be vacuous")
 	}
-	batchObs, batchAttacks, batchEvents := batchRun(t, s, inorder)
-	if len(batchAttacks) == 0 {
-		t.Fatal("trace inferred no attacks — raise TraceConfig.Rate")
-	}
-	if len(batchEvents) == 0 {
-		t.Fatal("trace joined no events — the parity would be vacuous")
-	}
-
-	cases := []struct {
+	for _, tc := range []struct {
 		name     string
-		jitter   int
+		hold     int // watermark advances an observation may be held back; 0: in order
 		lateness int
+		drops    bool
 	}{
-		{"in-order/lateness-1", 0, 1},
-		{"jittered/lateness-2", 2, 2},
-	}
-	for _, tc := range cases {
+		{"in-order/lateness-0", 0, 0, false},
+		{"in-order/lateness-1", 0, 1, false},
+		{"jittered/lateness-2", 2, 2, false},
+		{"jittered/lateness-1", 2, 1, true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			trace := collectTrace(s, tc.jitter)
-			if len(trace) != len(inorder) {
-				t.Fatalf("jitter changed the packet set: %d vs %d packets", len(trace), len(inorder))
+			steps := feed
+			if tc.hold > 0 {
+				steps = delayed(feed, 7, tc.hold)
 			}
+			reg := obs.New()
 			sink := &memSink{}
-			p, err := New(s.Telescope, s.Pipeline, sink,
-				WithRSDoS(s.Config.RSDoS), WithLateness(tc.lateness))
+			p, err := New(s.Pipeline, sink, WithRSDoS(s.Config.RSDoS), WithLateness(tc.lateness), WithMetrics(reg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			maxLag := int64(0)
-			for _, tp := range trace {
-				ok, err := p.Offer(tp.ts, tp.p)
-				if err != nil {
-					t.Fatal(err)
+			var accepted []rsdos.WindowObs
+			offered := 0
+			for _, st := range steps {
+				if st.o == nil {
+					if err := p.Advance(st.w); err != nil {
+						t.Fatal(err)
+					}
+					if l := p.LagWindows(); l > int64(tc.lateness+1) {
+						t.Fatalf("lag reached %d windows, bound is %d", l, tc.lateness+1)
+					}
+					continue
 				}
-				if !ok {
-					t.Fatalf("lateness %d dropped a packet of a %d-window-jittered trace", tc.lateness, tc.jitter)
+				offered++
+				if p.Offer(st.o) {
+					accepted = append(accepted, *st.o)
+				} else if !tc.drops {
+					t.Fatalf("lateness %d dropped an observation of window %d", tc.lateness, st.o.Window)
 				}
-				if l := p.LagWindows(); l > maxLag {
-					maxLag = l
-				}
-			}
-			if bound := int64(tc.lateness + 1); maxLag > bound {
-				t.Errorf("lag reached %d windows, bound is %d", maxLag, bound)
 			}
 			if err := p.Close(); err != nil {
 				t.Fatal(err)
 			}
-
-			var streamObs []rsdos.WindowObs
-			for i, b := range sink.batches {
-				if i > 0 && b.ClosedThrough <= sink.batches[i-1].ClosedThrough {
-					t.Fatalf("batch %d frontier %v not past %v", i, b.ClosedThrough, sink.batches[i-1].ClosedThrough)
+			for i := 1; i < len(sink.batches); i++ {
+				if sink.batches[i].ClosedThrough <= sink.batches[i-1].ClosedThrough {
+					t.Fatalf("batch %d frontier %v not past %v", i, sink.batches[i].ClosedThrough, sink.batches[i-1].ClosedThrough)
 				}
-				streamObs = append(streamObs, b.Windows...)
 			}
-			if !reflect.DeepEqual(streamObs, batchObs) {
-				t.Fatalf("streamed window observations diverge from batch aggregation (%d vs %d obs)",
-					len(streamObs), len(batchObs))
+			attacks, events := Canonicalize(sink.flatten())
+			drops := int64(offered - len(accepted))
+			counted := reg.Snapshot().Counters
+			if p.LateDrops() != drops || p.Overload().OffersRejected != drops || counted["stream.late_drops"] != drops || counted["stream.offers_rejected"] != drops {
+				t.Fatalf("%d offers refused; LateDrops %d, OffersRejected %d, stream.late_drops %d, stream.offers_rejected %d",
+					drops, p.LateDrops(), p.Overload().OffersRejected, counted["stream.late_drops"], counted["stream.offers_rejected"])
 			}
-			attacks, events := sink.flatten()
-			canonAttacks, canonEvents := Canonicalize(attacks, events)
-			if !reflect.DeepEqual(canonAttacks, batchAttacks) {
-				t.Fatalf("canonicalized stream attacks != batch feed (%d vs %d)", len(canonAttacks), len(batchAttacks))
+			if tc.drops {
+				if drops == 0 {
+					t.Fatal("holding observations two advances back at lateness 1 dropped nothing")
+				}
+				if want := rsdos.Infer(s.Config.RSDoS, accepted); !reflect.DeepEqual(attacks, want) {
+					t.Fatalf("the stream's attacks differ from Infer over the %d accepted observations (%d vs %d)", len(accepted), len(attacks), len(want))
+				}
+				return
 			}
-			if !bytes.Equal(gobBytes(t, canonEvents), gobBytes(t, batchEvents)) {
-				t.Fatalf("stream events not byte-identical to batch events (%d vs %d events)",
-					len(canonEvents), len(batchEvents))
+			if !reflect.DeepEqual(attacks, s.Attacks) {
+				t.Fatalf("canonicalized stream attacks != the study's feed (%d vs %d)", len(attacks), len(s.Attacks))
+			}
+			if got := eventsCSV(t, events); !bytes.Equal(got, batchCSV) {
+				t.Fatalf("stream events CSV (%d events, %d bytes) differs from the study's (%d events, %d bytes)",
+					len(events), len(got), len(s.Events), len(batchCSV))
 			}
 		})
 	}
 }
 
 // TestStreamKillResume is the exactly-once acceptance: kill the stream at
-// the sink boundary mid-trace, resume from the journal, and the
+// the sink boundary mid-feed, resume from the journal, and the
 // concatenation of the two runs' emissions equals an uninterrupted run —
-// every window exactly once. The admission row refuses half the trace:
+// every batch exactly once. The admission row refuses part of the feed:
 // the resumed replay must rebuild the gate's refusals along with the
 // windows.
 func TestStreamKillResume(t *testing.T) {
-	s := testStudy(t)
-	trace := collectTrace(s, 0)
+	s, feed := testStudy(t)
 	hash, err := study.ConfigHash(s.Config)
 	if err != nil {
 		t.Fatal(err)
@@ -252,25 +301,25 @@ func TestStreamKillResume(t *testing.T) {
 		ov   Overload
 	}{
 		{"plain", Overload{}},
-		{"admission", halfRateAdmission(trace)},
+		{"admission", halfRateAdmission(feed)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := func(more ...Option) []Option {
 				return append([]Option{WithRSDoS(s.Config.RSDoS), WithLateness(1), WithOverload(tc.ov)}, more...)
 			}
 			full := &memSink{}
-			p, err := New(s.Telescope, s.Pipeline, full, opts()...)
+			p, err := New(s.Pipeline, full, opts()...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := feed(p, trace); err != nil {
+			if _, err := deliver(p, feed); err != nil {
 				t.Fatal(err)
 			}
 			if len(full.batches) < 3 {
 				t.Fatalf("only %d batches — too few to kill mid-run", len(full.batches))
 			}
 			if denied := p.Overload().AdmitDenied; (tc.ov.AdmitRate > 0) != (denied > 0) {
-				t.Fatalf("admit rate %g denied %d packets", tc.ov.AdmitRate, denied)
+				t.Fatalf("admit rate %g denied %d observations", tc.ov.AdmitRate, denied)
 			}
 
 			dir, err := checkpoint.Create(t.TempDir(), hdr)
@@ -279,11 +328,11 @@ func TestStreamKillResume(t *testing.T) {
 			}
 			killAt := len(full.batches)/2 + 1
 			crash := &memSink{failAt: killAt}
-			p1, err := New(s.Telescope, s.Pipeline, crash, opts(WithJournal(dir))...)
+			p1, err := New(s.Pipeline, crash, opts(WithJournal(dir))...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := feed(p1, trace); !errors.Is(err, errSinkDown) {
+			if _, err := deliver(p1, feed); !errors.Is(err, errSinkDown) {
 				t.Fatalf("feed survived the sink failure: %v", err)
 			}
 			if len(crash.batches) != killAt-1 {
@@ -301,14 +350,14 @@ func TestStreamKillResume(t *testing.T) {
 			}
 
 			resumed := &memSink{bytes: cur.SinkBytes} // sink repositioned at the journaled offset
-			p2, err := New(s.Telescope, s.Pipeline, resumed, opts(WithJournal(dir))...)
+			p2, err := New(s.Pipeline, resumed, opts(WithJournal(dir))...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rc, ok := p2.Resumed(); !ok || rc != cur {
 				t.Fatalf("Resumed() = %+v, %v; want the journaled cursor", rc, ok)
 			}
-			if err := feed(p2, trace); err != nil {
+			if _, err := deliver(p2, feed); err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}
 
@@ -343,15 +392,14 @@ func TestStreamKillResume(t *testing.T) {
 // resume — the journaled SinkBytes offset lets the sink truncate the
 // unjournaled tail, and the replay re-emits exactly that batch.
 func TestCursorSyncBoundaryCrash(t *testing.T) {
-	s := testStudy(t)
-	trace := collectTrace(s, 0)
+	s, feed := testStudy(t)
 
 	full := &memSink{}
-	p0, err := New(s.Telescope, s.Pipeline, full, WithRSDoS(s.Config.RSDoS), WithLateness(1))
+	p0, err := New(s.Pipeline, full, WithRSDoS(s.Config.RSDoS), WithLateness(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := feed(p0, trace); err != nil {
+	if _, err := deliver(p0, feed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -366,8 +414,7 @@ func TestCursorSyncBoundaryCrash(t *testing.T) {
 
 	killAt := len(full.batches)/2 + 1
 	crash := &memSink{}
-	p1, err := New(s.Telescope, s.Pipeline, crash,
-		WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
+	p1, err := New(s.Pipeline, crash, WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +425,7 @@ func TestCursorSyncBoundaryCrash(t *testing.T) {
 		}
 		return nil
 	}
-	if err := feed(p1, trace); !errors.Is(err, errBoundary) {
+	if _, err := deliver(p1, feed); !errors.Is(err, errBoundary) {
 		t.Fatalf("feed survived the boundary kill: %v", err)
 	}
 	// the sink holds one more batch than the cursor acknowledges
@@ -398,12 +445,11 @@ func TestCursorSyncBoundaryCrash(t *testing.T) {
 	crash.batches = crash.batches[:killAt-1]
 	crash.bytes = cur.SinkBytes
 	resumed := &memSink{bytes: cur.SinkBytes}
-	p2, err := New(s.Telescope, s.Pipeline, resumed,
-		WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
+	p2, err := New(s.Pipeline, resumed, WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := feed(p2, trace); err != nil {
+	if _, err := deliver(p2, feed); err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
 	got := append(append([]Batch{}, crash.batches...), resumed.batches...)
@@ -414,36 +460,33 @@ func TestCursorSyncBoundaryCrash(t *testing.T) {
 }
 
 // TestStreamLateDropsAndMetrics: a stream whose lateness is smaller than
-// the trace jitter drops late packets (counted, never corrupting output
-// order) and surfaces lag/backlog/drops through the registry.
+// the delivery's delay drops late observations (counted, never
+// corrupting output order) and surfaces lag and drops through the
+// registry.
 func TestStreamLateDropsAndMetrics(t *testing.T) {
-	s := testStudy(t)
-	trace := collectTrace(s, 3) // up to 3 windows of disorder
+	s, feed := testStudy(t)
+	steps := delayed(feed, 3, 3) // up to 3 advances of delay
 	reg := obs.New()
 	sink := &memSink{}
-	p, err := New(s.Telescope, s.Pipeline, sink,
-		WithRSDoS(s.Config.RSDoS), WithLateness(0), WithMetrics(reg))
+	p, err := New(s.Pipeline, sink, WithRSDoS(s.Config.RSDoS), WithLateness(0), WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted := 0
-	for _, tp := range trace {
-		ok, err := p.Offer(tp.ts, tp.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			accepted++
-		}
-	}
-	if err := p.Close(); err != nil {
+	accepted, err := deliver(p, steps)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.LateDrops() == 0 {
-		t.Fatal("3-window jitter against lateness 0 dropped nothing — the jitter is not exercising lateness")
+	offered := 0
+	for _, st := range steps {
+		if st.o != nil {
+			offered++
+		}
 	}
-	if int64(len(trace)-accepted) != p.LateDrops() {
-		t.Fatalf("accepted %d of %d but LateDrops = %d", accepted, len(trace), p.LateDrops())
+	if p.LateDrops() == 0 {
+		t.Fatal("3 advances of delay against lateness 0 dropped nothing — the delay is not exercising lateness")
+	}
+	if int64(offered-len(accepted)) != p.LateDrops() {
+		t.Fatalf("accepted %d of %d but LateDrops = %d", len(accepted), offered, p.LateDrops())
 	}
 	for i := 1; i < len(sink.batches); i++ {
 		if sink.batches[i].ClosedThrough <= sink.batches[i-1].ClosedThrough {
@@ -454,12 +497,10 @@ func TestStreamLateDropsAndMetrics(t *testing.T) {
 	if got := snap.Counters["stream.late_drops"]; got != p.LateDrops() {
 		t.Errorf("stream.late_drops = %d, want %d", got, p.LateDrops())
 	}
-	for _, name := range []string{"stream.windows_closed", "stream.batches_emitted"} {
-		if snap.Counters[name] <= 0 {
-			t.Errorf("counter %s missing or zero", name)
-		}
+	if snap.Counters["stream.batches_emitted"] != int64(len(sink.batches)) || len(sink.batches) == 0 {
+		t.Errorf("stream.batches_emitted = %d, the sink took %d", snap.Counters["stream.batches_emitted"], len(sink.batches))
 	}
-	for _, name := range []string{"stream.watermark", "stream.lag_windows", "stream.backlog_windows", "stream.open_candidates"} {
+	for _, name := range []string{"stream.watermark", "stream.max_seen_window", "stream.lag_windows", "stream.open_candidates"} {
 		if _, okG := snap.Gauges[name]; !okG {
 			t.Errorf("gauge %s missing", name)
 		}
@@ -470,7 +511,7 @@ func TestStreamLateDropsAndMetrics(t *testing.T) {
 	// live metrics must stay volatile: nothing stream.* in stable snapshots
 	stable := reg.StableSnapshot()
 	for name := range stable.Counters {
-		if len(name) >= 7 && name[:7] == "stream." {
+		if strings.HasPrefix(name, "stream.") {
 			t.Errorf("volatile counter %q leaked into StableSnapshot", name)
 		}
 	}
@@ -479,19 +520,18 @@ func TestStreamLateDropsAndMetrics(t *testing.T) {
 // TestStreamResumeDivergenceDetected: resuming against a journal whose
 // cursor the replay cannot reproduce is refused, not silently emitted.
 func TestStreamResumeDivergenceDetected(t *testing.T) {
-	s := testStudy(t)
-	trace := collectTrace(s, 0)
+	s, feed := testStudy(t)
 	hash, _ := study.ConfigHash(s.Config)
 	dir, err := checkpoint.Create(t.TempDir(), checkpoint.Header{ConfigHash: hash, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &memSink{}
-	p, err := New(s.Telescope, s.Pipeline, sink, WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
+	p, err := New(s.Pipeline, sink, WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := feed(p, trace); err != nil {
+	if _, err := deliver(p, feed); err != nil {
 		t.Fatal(err)
 	}
 	cur, _, _ := dir.LoadCursor()
@@ -501,17 +541,11 @@ func TestStreamResumeDivergenceDetected(t *testing.T) {
 	if err := dir.WriteCursor(cur); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := New(s.Telescope, s.Pipeline, &memSink{},
-		WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
+	p2, err := New(s.Pipeline, &memSink{}, WithRSDoS(s.Config.RSDoS), WithLateness(1), WithJournal(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = feed(p2, trace)
-	if err == nil || !contains(err.Error(), "diverged") {
+	if _, err = deliver(p2, feed); err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("divergent resume not detected: %v", err)
 	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && bytes.Contains([]byte(s), []byte(sub))
 }

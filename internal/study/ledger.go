@@ -40,8 +40,8 @@ type Ledger struct {
 
 // OpenJournal opens the checkpoint directory of a run over cfg. The header
 // is the configuration hash plus the seed of whatever the journal's
-// records replay (the measurement seed for a day ledger, the trace seed
-// for a stream cursor); resume requires a matching header, a fresh open
+// records replay (the measurement seed for a day ledger, the feed's
+// synthesis seed for a stream cursor); resume requires a matching header, a fresh open
 // clears the directory's previous records.
 func OpenJournal(dir string, cfg Config, seed uint64, resume bool) (*checkpoint.Dir, error) {
 	hash, err := ConfigHash(cfg)

@@ -15,8 +15,8 @@ import (
 	"dnsddos/internal/daystore"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
-	"dnsddos/internal/packet"
 	"dnsddos/internal/report"
+	"dnsddos/internal/rsdos"
 	"dnsddos/internal/stream"
 	"dnsddos/internal/study"
 )
@@ -142,27 +142,26 @@ func csvOf(t *testing.T, events []core.Event) []byte {
 	return buf.Bytes()
 }
 
-// streamCSV replays the study's schedule from half an hour before start
-// to three hours after it, its floods sampled at rate, through a stream
-// over join, and returns the stream's events CSV.
-func streamCSV(t *testing.T, s *study.Study, join *core.Pipeline, start time.Time, rate float64) []byte {
+// streamCSV streams the session's feed, in order, through a stream over
+// join, and returns the stream's events CSV.
+func streamCSV(t *testing.T, sess *study.Session, join *core.Pipeline) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "stream.csv")
 	sink, err := stream.NewFileSink(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := stream.New(s.Telescope, join, sink, stream.WithRSDoS(s.Config.RSDoS))
+	p, err := stream.New(join, sink, stream.WithRSDoS(sess.Config.RSDoS))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.WriteHeader(); err != nil {
 		t.Fatal(err)
 	}
-	trace := stream.TraceConfig{Seed: 99, Rate: rate, From: clock.WindowOf(start) - 6, To: clock.WindowOf(start) + 36}
-	stream.Replay(trace, s.Schedule.Sched, s.Telescope, func(ts time.Time, pkt packet.Packet) bool {
-		_, err = p.Offer(ts, pkt)
-		return err == nil
+	sess.Feed(func(o *rsdos.WindowObs) { p.Offer(o) }, func(w clock.Window) {
+		if err == nil {
+			err = p.Advance(w)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,16 +211,14 @@ func TestRetentionMatchesFullOracle(t *testing.T) {
 		world, attack, syn uint64
 		from, to           clock.Day
 		quarantine         clock.Day // -1: none
-		march              bool      // the stream replays the March TransIP attack, not December's
-		rate               float64   // the stream's flood sampling rate
 	}{
 		// the December TransIP attack, days 29–30
-		{name: "december", world: 1, attack: 1, syn: 1, from: 27, to: 33, quarantine: -1, rate: 0.003},
+		{name: "december", world: 1, attack: 1, syn: 1, from: 27, to: 33, quarantine: -1},
 		// the March TransIP attack, day 121
-		{name: "march", world: 2, attack: 3, syn: 4, from: 118, to: 124, quarantine: -1, march: true, rate: 0.0003},
+		{name: "march", world: 2, attack: 3, syn: 4, from: 118, to: 124, quarantine: -1},
 		// the December attack's snapshot day quarantined: the join falls
 		// back past it
-		{name: "december_quarantined", world: 5, attack: 6, syn: 7, from: 27, to: 33, quarantine: 28, rate: 0.003},
+		{name: "december_quarantined", world: 5, attack: 6, syn: 7, from: 27, to: 33, quarantine: 28},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := study.QuickConfig()
@@ -293,11 +290,7 @@ func TestRetentionMatchesFullOracle(t *testing.T) {
 				t.Error("no Fig. 2/3 series sample; the comparison would be vacuous")
 			}
 
-			start := cs.TransIPDecStart
-			if tc.march {
-				start = cs.TransIPMarStart
-			}
-			got, want := streamCSV(t, s, p, start, tc.rate), streamCSV(t, s, o, start, tc.rate)
+			got, want := streamCSV(t, sess, p), streamCSV(t, sess, o)
 			if !bytes.Equal(got, want) {
 				t.Errorf("the stream CSV differs from the full-retention oracle's")
 			}

@@ -97,7 +97,9 @@ func WithShardTimeout(d time.Duration) Option {
 }
 
 // WithBeforeDay runs f at the start of every day-shard attempt, inside
-// the shard's panic isolation (progress reporting, fault injection).
+// the shard's panic isolation (progress reporting, fault injection). No
+// command sets it; the tests of study, core and distjoin inject sweep
+// faults and count attempts through it.
 func WithBeforeDay(f func(clock.Day)) Option {
 	return func(o *options) { o.beforeDay = f }
 }

@@ -83,24 +83,48 @@ func NewSession(ctx context.Context, cfg Config, reg *obs.Registry) (*Session, e
 	return sess, nil
 }
 
-// buildFeed synthesizes the telescope feed and infers sess.Attacks from it
-// without holding it: the inference folds the windows synthesis has
-// closed on a second goroutine while synthesis still draws (foldFeed), and
-// folds what is left once synthesis returns. The generate stage ends when
-// the feed is drawn, the infer stage when its attacks are ready. The
-// feed's observation count and the most observations the fold held at
-// once are recorded beside the stage times, volatile like them.
-func (sess *Session) buildFeed(ctx context.Context, reg *obs.Registry, t0 time.Time) error {
+// Feed draws the session's telescope feed, the curated RSDoS feed the
+// study joins, handing each observation to emit in feed order: what
+// scenario.Synthesize draws from the schedule, with the IBR noise, when
+// the configuration includes it, merged in below each watermark. advance
+// is handed, now and then, a window no later observation lies below; the
+// noise below it is emitted first, so every window's noise
+// follows that window's attack observations. An observation and its Ports
+// are valid only for the duration of the call. The batch study folds
+// this feed as it is drawn (buildFeed); the stream folds it as it is
+// delivered (cmd/streamjoin).
+func (sess *Session) Feed(emit func(*rsdos.WindowObs), advance func(clock.Window)) {
 	cfg := sess.Config
-	stage := stageTimer(reg)
-	fold := rsdos.NewFold(cfg.RSDoS)
 	var noise []rsdos.WindowObs
 	if cfg.IncludeNoise {
 		noise = scenario.SynthesizeNoise(cfg.Noise, sess.Telescope)
 		slices.SortStableFunc(noise, func(a, b rsdos.WindowObs) int { return cmp.Compare(a.Window, b.Window) })
 	}
-	n := foldFeed(fold, noise, func(emit func(*rsdos.WindowObs), advance func(clock.Window)) {
-		scenario.Synthesize(cfg.Synth, sess.World, sess.Schedule.Sched, sess.Telescope, emit, advance)
+	emitNoise := func(below clock.Window) {
+		for len(noise) > 0 && noise[0].Window < below {
+			emit(&noise[0])
+			noise = noise[1:]
+		}
+	}
+	scenario.Synthesize(cfg.Synth, sess.World, sess.Schedule.Sched, sess.Telescope, emit, func(w clock.Window) {
+		emitNoise(w)
+		advance(w)
+	})
+	emitNoise(math.MaxInt64)
+}
+
+// buildFeed infers sess.Attacks from the session's feed without holding
+// it: the inference folds the windows the feed has closed on a second
+// goroutine while synthesis still draws (foldFeed), and folds what is
+// left once synthesis returns. The generate stage ends when the feed is
+// drawn, the infer stage when its attacks are ready. The feed's
+// observation count and the most observations the fold held at once are
+// recorded beside the stage times, volatile like them.
+func (sess *Session) buildFeed(ctx context.Context, reg *obs.Registry, t0 time.Time) error {
+	stage := stageTimer(reg)
+	fold := rsdos.NewFold(sess.Config.RSDoS)
+	n := foldFeed(fold, func(emit func(*rsdos.WindowObs), advance func(clock.Window)) {
+		sess.Feed(emit, advance)
 		stage("generate", t0)
 		t0 = time.Now()
 	})
@@ -128,21 +152,19 @@ type feedBlock struct {
 
 // foldFeed runs synthesize on the caller's goroutine and has fold take
 // what it emits on a helper goroutine, and returns how many observations
-// the feed held, noise included. Synthesis copies the observations into
-// blocks from a set of three it recycles, and hands each full one over
-// with the latest watermark advance gave it; the helper has fold take the
-// block's observations, then the noise (sorted by window) below the
-// watermark, closes the windows below it and hands the block back. So
-// every window's noise follows its attack observations, as in the feed
-// with the noise appended. Once synthesize returns, the helper takes the
-// last block and the noise left and exits; the fold is the caller's
-// again. The helper is joined on every return path, a panic in
-// synthesize included, and a panic on the helper is re-raised here, on
-// the caller's goroutine: left on the helper it would take the process
-// down past every recover of the caller's. After a panic the helper hands
-// every block straight back, so synthesis never waits for one.
-func foldFeed(fold *rsdos.Fold, noise []rsdos.WindowObs, synthesize func(emit func(*rsdos.WindowObs), advance func(clock.Window))) int {
-	n := len(noise)
+// the feed held. Synthesis copies the observations into blocks from a set
+// of three it recycles, and hands each full one over with the latest
+// watermark advance gave it; the helper has fold take the block's
+// observations, closes the windows below the watermark and hands the
+// block back. Once synthesize returns, the helper takes the last block
+// and exits; the fold is the caller's again. The helper is joined on
+// every return path, a panic in synthesize included, and a panic on the
+// helper is re-raised here, on the caller's goroutine: left on the helper
+// it would take the process down past every recover of the caller's.
+// After a panic the helper hands every block straight back, so synthesis
+// never waits for one.
+func foldFeed(fold *rsdos.Fold, synthesize func(emit func(*rsdos.WindowObs), advance func(clock.Window))) int {
+	n := 0
 	// both channels hold every block, so no send waits; synthesis waits
 	// on empty only while the helper, which runs until full is closed,
 	// holds all three
@@ -150,12 +172,6 @@ func foldFeed(fold *rsdos.Fold, noise []rsdos.WindowObs, synthesize func(emit fu
 	full, empty := make(chan *feedBlock, blocks), make(chan *feedBlock, blocks)
 	for range blocks {
 		empty <- &feedBlock{obs: make([]rsdos.WindowObs, 0, feedBlockLen), ports: make([]rsdos.PortCount, 0, 2*feedBlockLen)}
-	}
-	takeNoise := func(below clock.Window) {
-		for len(noise) > 0 && noise[0].Window < below {
-			fold.Take(&noise[0])
-			noise = noise[1:]
-		}
 	}
 	var panicked any
 	done := make(chan struct{})
@@ -172,11 +188,9 @@ func foldFeed(fold *rsdos.Fold, noise []rsdos.WindowObs, synthesize func(emit fu
 			for i := range b.obs {
 				fold.Take(&b.obs[i])
 			}
-			takeNoise(b.closed)
 			fold.Close(b.closed)
 			empty <- b
 		}
-		takeNoise(math.MaxInt64)
 	}()
 	defer func() {
 		close(full)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -119,10 +120,12 @@ func TestDemandMatchesMap(t *testing.T) {
 
 // TestSessionFeedMatchesInfer holds the session's attacks — inference
 // folding the windows synthesis has closed on a second goroutine while
-// synthesis still draws, the noise taken as each window closes — to the
-// one-goroutine build: Infer over the whole feed Synthesize draws,
-// collected, SynthesizeNoise's appended. The session keeps no feed, and its gauges
-// count the feed and the slots the fold held at once.
+// synthesis still draws, the noise merged in below each watermark — to
+// the one-goroutine build: Infer over the whole feed Synthesize draws,
+// collected, SynthesizeNoise's appended. Session.Feed, collected, is that
+// feed up to the order of windows, and never emits below a watermark it
+// announced. The session keeps no feed, and its gauges count the feed and
+// the slots the fold held at once.
 func TestSessionFeedMatchesInfer(t *testing.T) {
 	noisy := metricsConfig()
 	noisy.IncludeNoise = true
@@ -192,6 +195,19 @@ func TestSessionFeedMatchesInfer(t *testing.T) {
 			if want := rsdos.Infer(tc.cfg.RSDoS, feed); !reflect.DeepEqual(sess.Attacks, want) {
 				t.Errorf("the session's attacks differ from Infer's (%d vs %d)", len(sess.Attacks), len(want))
 			}
+			var fed []rsdos.WindowObs
+			watermark := clock.Window(math.MinInt64)
+			sess.Feed(func(o *rsdos.WindowObs) {
+				if o.Window < watermark {
+					t.Fatalf("Feed emitted window %d below its watermark %d", o.Window, watermark)
+				}
+				c := *o
+				c.Ports = slices.Clone(o.Ports)
+				fed = append(fed, c)
+			}, func(w clock.Window) { watermark = w })
+			if len(fed) != len(feed) || !reflect.DeepEqual(rsdos.Infer(tc.cfg.RSDoS, fed), sess.Attacks) {
+				t.Errorf("Session.Feed holds %d observations and infers other attacks than the session's; the feed holds %d", len(fed), len(feed))
+			}
 			if sess.Obs != nil || sess.NewStudy(reg).Obs != nil {
 				t.Error("the session holds the feed")
 			}
@@ -257,7 +273,7 @@ func TestFoldBehindPanicReachesCaller(t *testing.T) {
 					t.Fatalf("foldFeed panicked with %v, want %q", r, tc.want)
 				}
 			}()
-			foldFeed(rsdos.NewFold(rsdos.DefaultConfig()), nil, tc.synthesize)
+			foldFeed(rsdos.NewFold(rsdos.DefaultConfig()), tc.synthesize)
 			t.Fatal("foldFeed returned")
 		})
 	}

@@ -15,11 +15,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"dnsddos/internal/clock"
-	"dnsddos/internal/packet"
+	"dnsddos/internal/core"
 	"dnsddos/internal/report"
+	"dnsddos/internal/rsdos"
 	"dnsddos/internal/stream"
 	"dnsddos/internal/study"
 )
@@ -37,13 +37,6 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/outputs.golden")
 
 const goldenPath = "testdata/outputs.golden"
-
-// streamTrace is cmd/streamjoin -quick's replay: day 29, its default seed,
-// rate and lateness, in capture order.
-var streamTrace = stream.TraceConfig{
-	Seed: 99, Rate: 0.003,
-	From: clock.Day(29).FirstWindow(), To: clock.Day(30).FirstWindow() - 1,
-}
 
 // studyOutputs runs study.QuickConfig once, sealing its days to files,
 // and returns every artefact it writes by name.
@@ -74,21 +67,25 @@ func studyOutputs(t *testing.T) map[string][]byte {
 	}
 	out["metrics_stable.json"] = bytes.Clone(buf.Bytes())
 
+	// the stream leg is cmd/streamjoin -quick: the study's feed, in
+	// order, at the default lateness, over the study's join
 	streamCSV := filepath.Join(tmp, "stream.csv")
-	sink, err := stream.NewFileSink(streamCSV)
+	file, err := stream.NewFileSink(streamCSV)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := stream.New(s.Telescope, s.Pipeline, sink, stream.WithRSDoS(cfg.RSDoS))
+	sink := &teeSink{file: file}
+	p, err := stream.New(s.Pipeline, sink, stream.WithRSDoS(cfg.RSDoS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.WriteHeader(); err != nil {
+	if err := file.WriteHeader(); err != nil {
 		t.Fatal(err)
 	}
-	stream.Replay(streamTrace, s.Schedule.Sched, s.Telescope, func(ts time.Time, pkt packet.Packet) bool {
-		_, err = p.Offer(ts, pkt)
-		return err == nil
+	s.Session().Feed(func(o *rsdos.WindowObs) { p.Offer(o) }, func(w clock.Window) {
+		if err == nil {
+			err = p.Advance(w)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +93,15 @@ func studyOutputs(t *testing.T) map[string][]byte {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Close(); err != nil {
+	if err := file.Close(); err != nil {
 		t.Fatal(err)
+	}
+	buf.Reset()
+	if _, events := stream.Canonicalize(sink.attacks, sink.events); report.EventsCSV(&buf, events) != nil {
+		t.Fatal("rendering the stream's events")
+	}
+	if !bytes.Equal(buf.Bytes(), out["events.csv"]) {
+		t.Errorf("the stream's events, canonicalized, differ from the study's events.csv (%d vs %d bytes)", buf.Len(), len(out["events.csv"]))
 	}
 
 	// metrics.json carries wall-clock gauges: only the artefact files are
@@ -117,6 +121,19 @@ func studyOutputs(t *testing.T) map[string][]byte {
 		out["days/"+e.Name()] = readFile(t, filepath.Join(days, e.Name()))
 	}
 	return out
+}
+
+// teeSink hands each batch to a file sink and keeps its attacks and
+// events.
+type teeSink struct {
+	file    *stream.FileSink
+	attacks []rsdos.Attack
+	events  []core.Event
+}
+
+func (s *teeSink) Emit(b stream.Batch) error {
+	s.attacks, s.events = append(s.attacks, b.Attacks...), append(s.events, b.Events...)
+	return s.file.Emit(b)
 }
 
 func readFile(t *testing.T, path string) []byte {
