@@ -5,12 +5,12 @@
 
 GO ?= go
 
-.PHONY: build test cmds obs stream distjoin race-gate soak chaos bench-throughput bench-sweep bench-serve bench-session bench-join flake-sweep report paperscale loc
+.PHONY: build test cmds obs stream race-gate soak chaos bench-throughput bench-sweep bench-serve bench-session bench-join flake-sweep report paperscale loc
 
 build:
 	$(GO) build ./...
 
-test: build cmds obs stream distjoin
+test: build cmds obs stream
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -53,8 +53,8 @@ stream:
 # determinism (golden files), the HTTP endpoint lifecycle, the
 # goroutine-leak helper applied to server and resolver teardown, and a
 # smoke pass over the wire-format, day-file, frame-codec (one frame, frame
-# streams, and the day log a resume reads), fleet-message, study-config
-# and zone-file fuzz seed corpora.
+# streams, and the day log a resume reads), study-config and zone-file
+# fuzz seed corpora.
 obs:
 	$(GO) test -race ./internal/obs/ ./internal/netx/ -count 1
 	$(GO) test -race ./internal/authserver/ -run 'Leaks|TestMetricsEndpoint' -count 1
@@ -64,35 +64,19 @@ obs:
 	$(GO) test ./internal/dnswire/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/daystore/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/checkpoint/ -run 'Fuzz' -count 1
-	$(GO) test ./internal/distjoin/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/study/ -run 'Fuzz' -count 1
 	$(GO) test ./internal/authserver/ -run 'Fuzz' -count 1
 
-# Distributed-sweep chaos leg: a four-worker fleet with one worker killed
-# mid-sweep and one writing through a corrupting faultinject stream must
-# still produce byte-identical output, plus the poisoned-day quarantine,
-# graceful-drain, real-SIGKILL-subprocess, coordinator kill-and-resume
-# (mid-sweep, and after the sweep with no worker left to resume on), and
-# day-file (frame bound, a worker's corrupt image refused) suites, and the
-# fleet leg of testdata/outputs.golden (a coordinator and two worker
-# subprocesses at study.QuickConfig).
-distjoin:
-	$(GO) test ./internal/distjoin/ \
-		-run 'TestChaosFleet|TestDistributedParity|TestPoisonedDayQuarantineParity|TestGracefulDrain|TestCoordinatorKillAndResume|TestCoordinatorResumeVerifiesDayFiles|TestSIGKILLWorkerMidRun|TestFrameSizeBoundedByDayFile|TestCorruptDayFileFleetParity|TestFleetOutputsGolden' \
-		-count 1
-	$(GO) test ./internal/faultinject/ -run 'TestStream' -count 1
-
 # Overload soak: the study's feed at ten times the parity harness's
 # attacks, SIGKILLed mid-emission and resumed to byte-identical emission,
-# the admission gate's determinism and its crash + resume, and the
-# accept/sync boundary crash. Run under the race detector; part of the
-# gate.
+# the exactly-once kill + resume at the sink, and the accept/sync boundary
+# crash. Run under the race detector; part of the gate.
 soak:
 	$(GO) test -race ./internal/stream/ -run '^(TestOverload.*|TestStreamKillResume|TestCursorSyncBoundaryCrash)$$' -count 1
 
 # Concurrency gate: run before merging changes to the serving path, the
 # join engine (one NS index and day store shared by concurrent joins),
-# the distributed-join control plane, or the resilience/overload tier.
+# the study's supervised run loop, or the resilience/overload tier.
 # The study leg covers where a run keeps its sealed days: the parallel
 # in-memory sweep (a finished day's image is added to the run's store under
 # the run's mutex while other workers fill their tables), the merged-run
@@ -113,7 +97,7 @@ race-gate: soak
 	$(GO) vet ./... && $(GO) build ./... && \
 	$(GO) test -race ./internal/authserver/... ./internal/resolver/... ./internal/dnsload/... \
 		./internal/core/... ./internal/cache/... ./internal/resilience/... \
-		./internal/stream/... ./internal/distjoin/... ./internal/daystore/... \
+		./internal/stream/... ./internal/daystore/... \
 		./internal/rsdos/...
 	$(GO) test -race ./internal/study/ -run 'TestParallelSweepMatchesSequential|TestJoinParity|TestColumnarCancelAndResume|TestAbandonedTableIsNotRecycled|TestRunAllocationsPerDay|TestSessionFeedMatchesInfer|TestFoldBehindPanicReachesCaller|TestRetentionMatchesFullOracle|TestSweepCountsCoverEveryDomainDay' -count 1
 	$(GO) test -race ./internal/e2ebench/ -count 1
@@ -141,7 +125,7 @@ chaos:
 		-count 1 -v
 
 # Flakiness sweep: every package five times under the race detector.
-# Needs an explicit -timeout — the overload soak and distjoin chaos
+# Needs an explicit -timeout — the overload soak and the study's chaos
 # suites are wall-clock heavy by design, and five repetitions overrun
 # go test's default 10m budget long before anything is actually stuck.
 flake-sweep:
@@ -182,8 +166,8 @@ bench-serve:
 	$(GO) test -bench 'BenchmarkLiveResolveLoopback' -run '^$$' ./internal/resolver/
 
 # The session and run loop, layer by layer: study.NewSession at the repo
-# benchmark's scale (allocs/op and B/op are what every study, joinworker and
-# setup_s sample pays before its first sweep), the whole study through
+# benchmark's scale (allocs/op and B/op are what every study and setup_s
+# sample pays before its first sweep), the whole study through
 # study.RunContext at the same scale with two workers (its allocs/op is
 # what study_batch op_allocs reads), the world at the same scale, the
 # attack schedule at study_batch's and join_dense's (B/op is mostly the
@@ -227,14 +211,19 @@ bench-join:
 report:
 	$(GO) test -bench . -benchtime 1x .
 
-# The paper's attack count on one host: one study at QuickConfig with
-# 15,000 domains and Table 1's 4,039,485 attacks over a temporary day
-# store, printing the wall time, the study.stage.*_wall_ns gauges, peak
-# RSS (VmHWM), attacks and events. Outside go test ./... (build tag
-# paperscale): it takes a minute or more and gigabytes of memory. Read it
-# in pairs, a change against its parent on the same host.
+# The paper's attack count on one host: a study at QuickConfig with
+# Table 1's 4,039,485 attacks over a temporary day store, at 15,000
+# domains and at 1,000,000 (the single-host bound of DESIGN §3.6), each
+# printing the wall time, the study.stage.*_wall_ns gauges, peak RSS
+# (VmHWM), attacks and events. Each row runs in a go test process of its
+# own, so each VmHWM is its row's. Outside go test ./... (build tag
+# paperscale): the rows take a minute and several minutes, and gigabytes
+# of memory. Read them in pairs, a change against its parent on the same
+# host.
 paperscale:
-	$(GO) test -tags paperscale -run '^TestPaperScale$$' -count 1 -v -timeout 30m .
+	for row in 15000_domains 1000000_domains; do \
+		$(GO) test -tags paperscale -run "^TestPaperScale\$$/^$$row\$$" -count 1 -v -timeout 30m . || exit 1; \
+	done
 
 # The numbers every simplicity PR quotes: non-test Go lines outside
 # benchmark/, all Go lines outside benchmark/ (so code moved into _test.go

@@ -14,12 +14,6 @@
 //	joinpipe [-domains N] [-attacks N] [-out FILE] [-quick] [-config FILE]
 //	         [-checkpoint DIR] [-resume] [-shard-timeout D] [-metrics-addr :9090]
 //	         [-daystore DIR]
-//	         [-coordinator HOST:PORT] [-min-workers N] [-heartbeat D]
-//
-// With -coordinator, joinpipe runs no sweeps itself: it listens on the
-// given address, distributes the day-sweeps across joinworker processes
-// (DESIGN §3.6) and joins the sealed days in process, with the same
-// checkpoint/resume and quarantine semantics and byte-identical output.
 package main
 
 import (
@@ -35,7 +29,6 @@ import (
 	"time"
 
 	"dnsddos/internal/cli"
-	"dnsddos/internal/distjoin"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/report"
 	"dnsddos/internal/study"
@@ -63,9 +56,6 @@ func run() (err error) {
 	ckptDir := flag.String("checkpoint", "", "checkpoint directory: persist each completed day-sweep")
 	resume := flag.Bool("resume", false, "resume from the checkpoints in -checkpoint instead of day 0")
 	shardTimeout := flag.Duration("shard-timeout", 0, "watchdog deadline per day-sweep (0 = none); a stuck day is quarantined, not waited for")
-	coordAddr := flag.String("coordinator", "", "run as fleet coordinator: listen on this address and distribute the work to joinworker processes")
-	minWorkers := flag.Int("min-workers", 1, "coordinator mode: hold dispatch until this many workers register")
-	heartbeat := flag.Duration("heartbeat", time.Second, "coordinator mode: fleet heartbeat interval; a worker silent for 5 intervals is suspect (its task is requeued), for 10 dead")
 	daystoreDir := flag.String("daystore", "", "seal completed day-sweeps to columnar files in this directory and join against the mmap-backed views (out-of-core: resident memory stays flat in the world size); with -checkpoint the default is DIR/days")
 	flag.Parse()
 
@@ -88,43 +78,18 @@ func run() (err error) {
 	defer stopMetrics()
 
 	start := time.Now()
-	var s *study.Study
-	if *coordAddr != "" {
-		if *shardTimeout != 0 {
-			return fmt.Errorf("-shard-timeout does not apply in coordinator mode")
-		}
-		if *daystoreDir != "" {
-			return fmt.Errorf("-daystore does not apply in coordinator mode: the fleet's day files go to <-checkpoint>/days, or a temporary directory")
-		}
-		coord, err := distjoin.NewCoordinator(cfg,
-			distjoin.WithListenAddr(*coordAddr),
-			distjoin.WithHeartbeatInterval(*heartbeat),
-			distjoin.WithCheckpointDir(*ckptDir),
-			distjoin.WithResume(*resume),
-			distjoin.WithMetrics(reg),
-			distjoin.WithMinWorkers(*minWorkers),
-		)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "joinpipe: coordinating on %s (waiting for %d worker(s): joinworker -connect %s)\n",
-			coord.Addr(), *minWorkers, coord.Addr())
-		if s, err = coord.Run(ctx); err != nil {
-			return err
-		}
-	} else {
-		runOpts := []study.Option{
-			study.WithCheckpointDir(*ckptDir),
-			study.WithResume(*resume),
-			study.WithShardTimeout(*shardTimeout),
-			study.WithMetrics(reg),
-		}
-		if *daystoreDir != "" {
-			runOpts = append(runOpts, study.WithDayStoreDir(*daystoreDir))
-		}
-		if s, err = study.RunContext(ctx, cfg, runOpts...); err != nil {
-			return err
-		}
+	runOpts := []study.Option{
+		study.WithCheckpointDir(*ckptDir),
+		study.WithResume(*resume),
+		study.WithShardTimeout(*shardTimeout),
+		study.WithMetrics(reg),
+	}
+	if *daystoreDir != "" {
+		runOpts = append(runOpts, study.WithDayStoreDir(*daystoreDir))
+	}
+	s, err := study.RunContext(ctx, cfg, runOpts...)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "joinpipe: %d attacks inferred, %d events joined (%.1fs",
 		len(s.Attacks), len(s.Events), time.Since(start).Seconds())

@@ -17,17 +17,14 @@
 // exactly-once delivery — the output file is truncated to the journaled
 // byte offset and the replay re-emits nothing the file already holds.
 //
-// With -admit-rate the admission gate engages (DESIGN §3.7): a token
-// bucket in observations per second of stream time, each observation
-// timed at its window's start, refuses what exceeds it.
-// Offers the pipeline refuses are counted and reported in the final
-// summary, never silently swallowed.
+// Observations that arrive for a window already closed are dropped,
+// counted and reported in the final summary, never silently swallowed.
 //
 // Usage:
 //
 //	streamjoin [-quick] [-domains N] [-attacks N] [-from-day D] [-days N]
 //	           [-lateness W] [-out FILE] [-journal DIR] [-resume]
-//	           [-metrics-addr :9090] [-admit-rate F]
+//	           [-metrics-addr :9090]
 package main
 
 import (
@@ -68,7 +65,6 @@ func run() error {
 	out := flag.String("out", "", "output CSV file, appended batch by batch (default stdout)")
 	journalDir := flag.String("journal", "", "journal directory: checkpoint the emission frontier per batch")
 	resume := flag.Bool("resume", false, "resume from the journal in -journal with exactly-once emission")
-	admitRate := flag.Float64("admit-rate", 0, "overload: token-bucket admission bound in observations per second of stream time (0 = unlimited)")
 	flag.Parse()
 
 	if *resume && *journalDir == "" {
@@ -111,7 +107,6 @@ func run() error {
 		stream.WithRSDoS(cfg.RSDoS),
 		stream.WithLateness(*lateness),
 		stream.WithMetrics(reg),
-		stream.WithOverload(stream.Overload{AdmitRate: *admitRate}),
 	}
 	if *journalDir != "" {
 		// the journal is keyed by everything that determines the emitted
@@ -183,10 +178,5 @@ func run() error {
 	fmt.Fprintf(os.Stderr,
 		"streamjoin: %d observations streamed, %d batches, %d attacks, %d events, %d late drops (%.1fs)\n",
 		offered, sink.Batches, sink.Attacks, sink.Events, p.LateDrops(), time.Since(start).Seconds())
-	if *admitRate > 0 {
-		st := p.Overload()
-		fmt.Fprintf(os.Stderr, "streamjoin: overload: %d offers rejected (%d admit-denied)\n",
-			st.OffersRejected, st.AdmitDenied)
-	}
 	return nil
 }

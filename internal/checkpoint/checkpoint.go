@@ -49,7 +49,7 @@ import (
 )
 
 // Version is the frame format version, in the header of every frame the
-// journal writes and the fleet wire carries; bump on incompatible change.
+// journal writes; bump on incompatible change.
 const Version = 2
 
 // layoutVersion is the version header.json records: how a checkpoint
@@ -159,10 +159,10 @@ func (d *Dir) Close() error {
 	return d.log.Close()
 }
 
-// The frame is the tree's one envelope outside day files — journal
-// records and every fleet message: magic, u32 version, u64 payload
-// length, a gob payload, a CRC-32 of the payload. maxPayload
-// bounds what a corrupted length can make a reader allocate.
+// The frame is the tree's one envelope outside day files — every journal
+// record: magic, u32 version, u64 payload length, a gob payload, a CRC-32
+// of the payload. maxPayload bounds what a corrupted length can make a
+// reader allocate.
 const (
 	magic      = "DNSCKPT1"
 	headerLen  = len(magic) + 4 + 8
@@ -170,7 +170,7 @@ const (
 )
 
 // EncodeFrame gob-encodes v into one self-delimiting frame; a payload
-// ReadFrame would refuse as too long is refused here.
+// that readFrame would refuse as too long is refused here.
 func EncodeFrame(v any) ([]byte, error) {
 	buf := bytes.NewBuffer(make([]byte, headerLen, 512))
 	if err := gob.NewEncoder(buf).Encode(v); err != nil {
@@ -187,11 +187,11 @@ func EncodeFrame(v any) ([]byte, error) {
 	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[headerLen:])), nil
 }
 
-// ReadFrame reads exactly one frame from r, never more, and decodes its
+// readFrame reads exactly one frame from r, never more, and decodes its
 // payload into v. Every failure — short read (wrapping r's error, so a
 // clean end matches io.EOF), magic, version, length bound, CRC, decode —
 // is an error; a frame is either fully trusted or refused.
-func ReadFrame(r io.Reader, v any) error {
+func readFrame(r io.Reader, v any) error {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return fmt.Errorf("checkpoint: truncated or not a checkpoint frame: %w", err)
@@ -233,10 +233,10 @@ func payloadLen(hdr []byte) (uint64, error) {
 	return n, nil
 }
 
-// DecodeFrame is ReadFrame over b, which must hold exactly one frame.
+// DecodeFrame is readFrame over b, which must hold exactly one frame.
 func DecodeFrame(b []byte, v any) error {
 	r := bytes.NewReader(b)
-	err := ReadFrame(r, v)
+	err := readFrame(r, v)
 	if err == nil && r.Len() != 0 {
 		err = fmt.Errorf("checkpoint: %d stray bytes after the frame", r.Len())
 	}
@@ -404,8 +404,8 @@ func recoverLog(f *os.File) ([]DayRef, error) {
 // without opening it for appends, and returns the references of its
 // complete frames in log order. A torn final frame is left where it is —
 // a live run may be writing it — and a missing log reads as empty. No
-// production path calls it; the tests of checkpoint, study and distjoin
-// read a run's journal with it.
+// production path calls it; the tests of checkpoint and study read a
+// run's journal with it.
 func ReadDayRefs(path string) ([]DayRef, error) {
 	full := filepath.Join(path, DayLog)
 	b, err := os.ReadFile(full)

@@ -115,8 +115,8 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestFramesConcatenate: a fleet connection is frames laid end to end;
-// ReadFrame takes them back one call each, in order, and
+// TestFramesConcatenate: a day log is frames laid end to end;
+// readFrame takes them back one call each, in order, and
 // a clean end after the last frame matches io.EOF.
 func TestFramesConcatenate(t *testing.T) {
 	var file []byte
@@ -130,14 +130,14 @@ func TestFramesConcatenate(t *testing.T) {
 	r := bytes.NewReader(file)
 	for i := 0; i < 5; i++ {
 		var out framePayload
-		if err := ReadFrame(r, &out); err != nil {
+		if err := readFrame(r, &out); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if len(out.Vals) != 1 || out.Vals[0] != int64(i) {
 			t.Fatalf("frame %d decoded %+v", i, out)
 		}
 	}
-	if err := ReadFrame(r, &framePayload{}); !errors.Is(err, io.EOF) {
+	if err := readFrame(r, &framePayload{}); !errors.Is(err, io.EOF) {
 		t.Fatalf("read past the last frame: err = %v, want io.EOF", err)
 	}
 }
@@ -152,7 +152,7 @@ func TestReadFrameShortReadAllocatesWhatArrived(t *testing.T) {
 	b = append(b, make([]byte, 10)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := ReadFrame(bytes.NewReader(b), &framePayload{})
+	err := readFrame(bytes.NewReader(b), &framePayload{})
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("a short frame read as err = %v, want a truncation", err)

@@ -38,6 +38,7 @@ func journalSeeds(f *testing.F) {
 		f.Add(b[:len(magic)+3])
 	}
 	f.Add([]byte{})
+	f.Add([]byte(magic))
 }
 
 // FuzzDecodeFrame holds DecodeFrame to "error, never panic" on the bytes
@@ -74,7 +75,7 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // FuzzReadFrame holds the streaming reader to "error, never panic" on a
-// stream of frames, the shape of a fleet connection: the
+// stream of frames, laid end to end as a day log holds them: the
 // fuzzed bytes, then the same bytes re-stamped, are laid after one intact
 // frame and before another. Every read consumes exactly one frame, so the
 // first frame always reads back, and whenever the fuzzed frame reads, the
@@ -98,14 +99,14 @@ func FuzzReadFrame(f *testing.F) {
 		for _, mid := range streams {
 			r := bytes.NewReader(bytes.Join([][]byte{lead, mid, tail}, nil))
 			var ref DayRef
-			if err := ReadFrame(r, &ref); err != nil || ref.SHA256 != "lead" {
+			if err := readFrame(r, &ref); err != nil || ref.SHA256 != "lead" {
 				t.Fatalf("the frame before the fuzzed bytes read as %+v, %v", ref, err)
 			}
 			var cur Cursor
-			if ReadFrame(r, &cur) != nil || r.Len() != len(tail) {
+			if readFrame(r, &cur) != nil || r.Len() != len(tail) {
 				continue // refused, or not exactly one frame
 			}
-			if err := ReadFrame(r, &cur); err != nil || cur.ClosedThrough != 2 || r.Len() != 0 {
+			if err := readFrame(r, &cur); err != nil || cur.ClosedThrough != 2 || r.Len() != 0 {
 				t.Fatalf("the frame after an accepted one read as %+v, %v (%d bytes left)", cur, err, r.Len())
 			}
 		}

@@ -33,11 +33,11 @@
 //
 //   - the join reads on its caller's goroutine, so the refusal panics
 //     out of EventsContext unchanged (TestStoreRefusalReachesCaller);
-//   - study.RunContext and the fleet coordinator (internal/distjoin) join
-//     over days they have just sealed or installed (an in-memory image
-//     is validated as it is added, an installed one as it arrives:
-//     distjoin.TestCorruptDayFileFleetParity), or on resume hash-verified
-//     against their journaled references, and do not recover;
+//   - study.RunContext joins over days it has just sealed or re-sealed
+//     (an in-memory image is validated as it is added, a re-sealed one
+//     as it is installed: daystore.TestInstallMatchesSeal), or on
+//     resume hash-verified against their journaled references, and
+//     does not recover;
 //   - SeriesFor reads on its caller's goroutine and lets the panic through
 //     (report.TestSeriesRefusesTamperedDay), so cmd/report dies printing
 //     the typed error, exit status 2, the entry's title its last output.

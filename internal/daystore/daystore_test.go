@@ -532,7 +532,8 @@ func TestCorruptionRefusal(t *testing.T) {
 
 // TestInstallMatchesSeal: an image encoded in memory and installed
 // elsewhere is the byte-identical file a local seal would have written,
-// under the same hash.
+// under the same hash; an image of another day, and a damaged one, under
+// its old hash or its own, is refused with ErrCorrupt and writes nothing.
 func TestInstallMatchesSeal(t *testing.T) {
 	snap := randomAggregator(rand.New(rand.NewSource(42)), 8, 1).Snapshot()
 	dir, ref := sealOneDay(t)
@@ -558,6 +559,17 @@ func TestInstallMatchesSeal(t *testing.T) {
 	}
 	if _, err := Install(t.TempDir(), 7, image, sum); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("installing day 0's image as day 7: err = %v, want ErrCorrupt", err)
+	}
+	damaged := bytes.Clone(image)
+	damaged[len(damaged)/2] ^= 0x01
+	for _, hash := range []string{sum, ContentHash(damaged)} {
+		empty := t.TempDir()
+		if _, err := Install(empty, 0, damaged, hash); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("installing a damaged image under hash %.8s: err = %v, want ErrCorrupt", hash, err)
+		}
+		if left, _ := os.ReadDir(empty); len(left) != 0 {
+			t.Errorf("a refused install left %v", left)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 // The core.DayStore reads have no error result (the contract is written
 // out in core/daystore.go), so a day file that fails validation at first
 // lazy access panics with the *CorruptError instead — inside a supervised
-// study or distjoin run that panic is quarantined like any poisoned
+// study run that panic is quarantined like any poisoned
 // day-shard. Callers that want an error, not a panic, run Verify first
 // (the study resume path additionally hash-verifies each file against its
 // checkpoint reference before trusting the directory).

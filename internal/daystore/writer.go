@@ -20,10 +20,9 @@ import (
 // walks it in key order into a caller-owned buffer, SealTable publishes
 // that image. The supervised study loop seals every completed day-shard
 // with one or the other: SealTable with a directory, AppendDay into an
-// image it keeps in memory (Set.Add) without one. A fleet worker has no
-// use for the file on its own disk: it
-// ships the image AppendDay wrote, and the receiving process validates and
-// publishes those exact bytes (Install). EncodeDay and SealDay take the
+// image it keeps in memory (Set.Add) without one; the run's second pass
+// re-seals a day with AppendDay and publishes those exact bytes
+// (Install). EncodeDay and SealDay take the
 // same day as a value-typed nsset.Snapshot instead: the oracle the direct
 // path is held to byte for byte, and the one entry whose input can be
 // malformed (rows of another day, duplicates, disorder — all refused).
@@ -67,8 +66,8 @@ func SealTable(dir string, day clock.Day, agg *nsset.Aggregator, buf []byte) (Se
 }
 
 // AppendDay appends day's sealed file image to dst, encoded straight
-// from the aggregator's day table, and returns the extended slice — what
-// a fleet worker ships for a completed day-sweep, with its ContentHash.
+// from the aggregator's day table, and returns the extended slice — a
+// day kept in memory, or re-sealed by the run's second pass.
 // The bytes are EncodeDay(day, agg.Snapshot())'s; the input rule is
 // SealTable's.
 func AppendDay(dst []byte, day clock.Day, agg *nsset.Aggregator) ([]byte, error) {
@@ -131,14 +130,15 @@ func EncodeDay(day clock.Day, snap nsset.Snapshot) (image []byte, sha256Hex stri
 }
 
 // ContentHash is the hex SHA-256 a sealed file is referenced by: what a
-// checkpoint.DayRef records and a fleet worker announces with an image.
+// checkpoint.DayRef records.
 func ContentHash(image []byte) string {
 	sum := sha256.Sum256(image)
 	return hex.EncodeToString(sum[:])
 }
 
-// Install publishes a sealed file image produced elsewhere (AppendDay in
-// another process) as day's file in dir, after checking everything a
+// Install publishes a sealed file image produced elsewhere (AppendDay, as
+// the run's second pass re-seals a day) as day's file in dir, after
+// checking everything a
 // local seal guarantees by construction: the content hash against
 // wantSHA256, then the header, sizes, body CRC and column bounds exactly
 // as OpenDay would. An image that fails any check is refused with a typed

@@ -13,9 +13,7 @@ import (
 // stream_test.go pins the stream-coherent fault subset on real TCP
 // sockets: a byte stream cannot lose, duplicate, reorder, or shorten
 // bytes and stay decodable, so StreamConn must translate the datagram
-// fault model rather than apply it literally. The distributed-join
-// control plane (internal/distjoin) relies on exactly these semantics
-// when the chaos suite wraps its connections.
+// fault model rather than apply it literally.
 
 // tcpPair returns both ends of a loopback TCP connection.
 func tcpPair(t *testing.T) (client, server net.Conn) {

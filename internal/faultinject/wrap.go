@@ -211,7 +211,7 @@ type StreamConn struct {
 }
 
 // WrapStream wraps a stream connection. No production path calls it:
-// dnsload's and distjoin's tests wrap their connections with it.
+// dnsload's tests wrap their connections with it.
 func WrapStream(c net.Conn, inj *Injector) *StreamConn {
 	return &StreamConn{Conn: c, inj: inj}
 }

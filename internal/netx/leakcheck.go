@@ -26,7 +26,7 @@ const leakSettleTimeout = 2 * time.Second
 // two seconds for the count to return to the baseline. On failure it
 // reports the diff — the stacks present after the test that were not
 // running before — rather than two full dumps. Only tests call it: those
-// of authserver, distjoin, e2ebench, obs, resolver and study.
+// of authserver, e2ebench, obs, resolver and study.
 func NoGoroutineLeaks(tb testing.TB) {
 	tb.Helper()
 	before := runtime.NumGoroutine()

@@ -46,8 +46,8 @@ func Handler(reg *Registry) http.Handler {
 // bridge by hand — instead of expvar.Publish — keeps registries
 // independent: two servers over two registries never fight over the
 // process-global expvar namespace. Names are quoted as JSON strings:
-// some arrive from the network (a fleet worker's -name), and Go's %q
-// quoting of a control byte or invalid UTF-8 is not JSON.
+// a name may carry any bytes, and Go's %q quoting of a control byte or
+// invalid UTF-8 is not JSON.
 func serveVars(w http.ResponseWriter, reg *Registry) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	fmt.Fprintf(w, "{\n")

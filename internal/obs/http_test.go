@@ -44,7 +44,7 @@ func TestServeEndpoints(t *testing.T) {
 	reg.Histogram("authserver.udp_latency").Observe(4 * time.Millisecond)
 	// a name from the network: a control byte, invalid UTF-8 and a bell,
 	// which Go quoting would render as \x01, \xff and \a — none of them JSON
-	hostile := "distjoin.worker_latency.w\x01\xff\a"
+	hostile := "resolver.peer_latency.w\x01\xff\a"
 	reg.Histogram(hostile).Observe(time.Millisecond)
 
 	ms, err := Serve("127.0.0.1:0", reg)

@@ -383,40 +383,3 @@ func ExampleRegistry() {
 	fmt.Println(snap.Counters["queries"], snap.Histograms["latency"].Count)
 	// Output: 2 1
 }
-
-// TestLocalHistogramBinaryRoundTrip: a LocalHistogram's fixed-length
-// encoding decodes to the same state and folds to the same histogram, and
-// every other length is refused.
-func TestLocalHistogramBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 7))
-	var l LocalHistogram
-	for i := 0; i < 500; i++ {
-		l.Observe(time.Duration(rng.Int64N(int64(100 * time.Second))))
-	}
-	b, err := l.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != localHistogramSize {
-		t.Fatalf("encoding is %d bytes, want %d", len(b), localHistogramSize)
-	}
-	var back LocalHistogram
-	if err := back.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
-	}
-	if back != l {
-		t.Errorf("decoded %+v, want %+v", back, l)
-	}
-	var h, want Histogram
-	h.Fold(&back)
-	want.Fold(&l)
-	if !reflect.DeepEqual(h.Snapshot(), want.Snapshot()) {
-		t.Errorf("decoded histogram folds to %+v, want %+v", h.Snapshot(), want.Snapshot())
-	}
-	long := append(b, make([]byte, 8)...)
-	for _, n := range []int{0, 1, localHistogramSize - 8, localHistogramSize - 1, localHistogramSize + 1, len(long)} {
-		if err := back.UnmarshalBinary(long[:n]); err == nil {
-			t.Errorf("a %d-byte encoding was accepted", n)
-		}
-	}
-}

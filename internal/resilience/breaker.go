@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// breaker.go: per-peer circuit breaking. A peer (a nameserver address, a
-// fleet worker) that fails Threshold times in a row is "open": attempts
+// breaker.go: per-peer circuit breaking. A peer (a nameserver address)
+// that fails Threshold times in a row is "open": attempts
 // against it are refused for Cooldown, so retry budgets stop burning
 // per-try timeouts on a host that is plainly down — which is exactly the
 // failure mode a DDoS on authoritative infrastructure produces. After

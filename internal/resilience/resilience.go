@@ -1,8 +1,8 @@
 // Package resilience is the unified overload-and-retry policy layer of
 // the reproduction. The paper's attack feed is bursty by construction —
 // pulse-wave and carpet-bombing campaigns arrive in spikes far above
-// steady-state rate — and the serving, streaming, and fleet components
-// all face the same three questions under that load:
+// steady-state rate — and the serving and resolving components all face
+// the same three questions under that load:
 //
 //   - admission: how much work may enter right now (TokenBucket)?
 //   - retry: how hard may a failed operation be retried, and with what
@@ -12,9 +12,8 @@
 //     probing)?
 //
 // Before this package each consumer answered ad hoc: the live resolver
-// had its own shifted-exponential backoff, the distributed-join
-// coordinator its own `base << attempts` requeue delay, the day-snapshot
-// cache an unthrottled waiter-retry loop. The primitives here replace
+// had its own shifted-exponential backoff, the day-snapshot cache an
+// unthrottled waiter-retry loop. The primitives here replace
 // those constants with one policy surface, so tuning overload behaviour
 // happens in one place and every component degrades the same way.
 //
@@ -27,12 +26,8 @@ package resilience
 
 import "time"
 
-// Default backoff window shared by every adopter that does not override
-// it: the base spacing before a second attempt and the cap the
-// decorrelated jitter may grow to. Centralised here so "how fast do we
-// hammer a failing dependency" is a policy decision, not a per-package
-// constant.
-const (
-	DefaultBase = 50 * time.Millisecond
-	DefaultCap  = 2 * time.Second
-)
+// DefaultCap is the backoff cap shared by every adopter that does not
+// override it: the longest the decorrelated jitter may grow to, and a
+// breaker's cooldown. Centralised here so "how fast do we hammer a
+// failing dependency" is a policy decision, not a per-package constant.
+const DefaultCap = 2 * time.Second

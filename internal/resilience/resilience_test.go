@@ -211,24 +211,6 @@ func TestRetryBudgetWaitHonoursContext(t *testing.T) {
 	}
 }
 
-func TestRetryBudgetDelayFor(t *testing.T) {
-	base, cap := 10*time.Millisecond, 200*time.Millisecond
-	b := NewRetryBudget(0, base, cap, testRNG(4))
-	if d := b.DelayFor(0); d != 0 {
-		t.Fatalf("DelayFor(0) = %v, want 0", d)
-	}
-	for attempt := 1; attempt <= 6; attempt++ {
-		d := b.DelayFor(attempt)
-		if d < base || d > cap {
-			t.Fatalf("DelayFor(%d) = %v outside [base,cap]", attempt, d)
-		}
-	}
-	// attempt 1's window is exactly [base, base]
-	if d := b.DelayFor(1); d != base {
-		t.Fatalf("DelayFor(1) = %v, want base %v", d, base)
-	}
-}
-
 func TestBreakerOpensAndProbes(t *testing.T) {
 	var transitions []string
 	b := NewBreaker(BreakerConfig{

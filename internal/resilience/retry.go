@@ -13,8 +13,8 @@ import (
 // attempts an operation gets and paces the gaps between them with
 // decorrelated jitter (Exponential Backoff And Jitter, the "decorrelated"
 // variant): each delay is drawn uniformly from [base, 3*previous],
-// capped. Compared with the plain jittered-exponential the resolver and
-// coordinator used before, decorrelated jitter desynchronizes retry
+// capped. Compared with the plain jittered-exponential the resolver used
+// before, decorrelated jitter desynchronizes retry
 // storms harder — two clients that failed at the same instant walk
 // different delay sequences immediately, not just within one step's
 // jitter window.
@@ -124,29 +124,4 @@ func (s *Session) Wait(ctx context.Context) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// DelayFor returns the decorrelated-jitter delay to wait before retry
-// number attempt (1-based count of failures so far), for callers that
-// keep their own attempt state (the coordinator's requeue timers). The
-// walk is reconstructed as base*3^(attempt-1)-capped windows, so the
-// delay distribution matches a Session that failed the same number of
-// times.
-func (b *RetryBudget) DelayFor(attempt int) time.Duration {
-	if b.base <= 0 || attempt < 1 {
-		return 0
-	}
-	hi := b.base
-	for i := 1; i < attempt; i++ {
-		hi *= 3
-		if hi >= b.cap {
-			hi = b.cap
-			break
-		}
-	}
-	d := b.jitter(b.base, hi)
-	if d > b.cap {
-		d = b.cap
-	}
-	return d
 }

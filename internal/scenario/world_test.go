@@ -98,7 +98,7 @@ func TestGenerateWorldMatchesDigest(t *testing.T) {
 
 // BenchmarkGenerateWorld builds the serve_clean and study_batch worlds
 // (make bench-serve, make bench-session): what every cmd/serve boot,
-// serve_clean set-up, study and joinworker pays before anything else.
+// serve_clean set-up and study pays before anything else.
 func BenchmarkGenerateWorld(b *testing.B) {
 	for _, c := range worldConfigs()[1:] {
 		b.Run(c.name, func(b *testing.B) {

@@ -43,7 +43,6 @@ import (
 	"dnsddos/internal/core"
 	"dnsddos/internal/netx"
 	"dnsddos/internal/obs"
-	"dnsddos/internal/resilience"
 	"dnsddos/internal/rsdos"
 )
 
@@ -107,9 +106,6 @@ type Pipeline struct {
 	lateness clock.Window
 	rsdosCfg rsdos.Config
 
-	// bucket is the admission gate (nil admits everything).
-	bucket    *resilience.TokenBucket
-	stats     OverloadStats
 	lateDrops int64
 
 	// hookAfterEmit, when set by same-package tests, runs between the
@@ -118,32 +114,6 @@ type Pipeline struct {
 	hookAfterEmit func() error
 
 	m streamMetrics
-}
-
-// Overload configures the admission gate (DESIGN §3.7). The zero value
-// admits everything.
-type Overload struct {
-	// AdmitRate, when > 0, is a token-bucket admission bound in
-	// observations per second of *stream time*, with one second of burst
-	// headroom. An observation is timed at its window's start, never by
-	// the wall clock, so a seeded replay is refused identically on every
-	// run.
-	AdmitRate float64
-}
-
-// WithOverload installs the admission gate.
-func WithOverload(o Overload) Option {
-	return func(p *Pipeline) { p.bucket = resilience.NewTokenBucket(o.AdmitRate, o.AdmitRate) }
-}
-
-// OverloadStats are the stream's lifetime refusal counters, both
-// deterministic for a fixed seed and configuration.
-type OverloadStats struct {
-	// AdmitDenied counts observations refused by the admission gate.
-	AdmitDenied int64
-	// OffersRejected counts every Offer that returned false: refused by
-	// admission or late for its window.
-	OffersRejected int64
 }
 
 // Option configures a Pipeline at construction.
@@ -225,26 +195,18 @@ func (p *Pipeline) Resumed() (checkpoint.Cursor, bool) {
 
 // Offer takes one observation of the feed; the pipeline keeps a copy,
 // nothing of o itself. The boolean reports whether it was accepted; false
-// means it was dropped and counted — refused by the admission gate, or
-// late: its window is already closed (after Close, every window is).
-// Offer never emits: windows close on Advance.
+// means it was late — its window is already closed (after Close, every
+// window is) — and was dropped and counted. Offer never emits: windows
+// close on Advance.
 func (p *Pipeline) Offer(o *rsdos.WindowObs) bool {
-	ok := p.bucket.Allow(o.Window.Start())
-	if !ok {
-		p.stats.AdmitDenied++
-		p.m.admitDenied.Inc()
-	} else if ok = !p.closed && (!p.haveClosed || o.Window > p.lastClosed); ok {
-		p.fold.Take(o)
-		p.maxSeen = max(p.maxSeen, o.Window)
-	} else {
+	if p.closed || (p.haveClosed && o.Window <= p.lastClosed) {
 		p.lateDrops++
 		p.m.lateDrops.Inc()
+		return false
 	}
-	if !ok {
-		p.stats.OffersRejected++
-		p.m.offersRejected.Inc()
-	}
-	return ok
+	p.fold.Take(o)
+	p.maxSeen = max(p.maxSeen, o.Window)
+	return true
 }
 
 // Advance takes the source's watermark: no observation delivered later
@@ -266,9 +228,6 @@ func (p *Pipeline) Advance(w clock.Window) error {
 	p.publishGauges()
 	return err
 }
-
-// Overload returns the stream's lifetime refusal counters.
-func (p *Pipeline) Overload() OverloadStats { return p.stats }
 
 // Close ends the stream: every remaining window is closed, every open
 // candidate finalized, and the last batch emitted.
@@ -418,13 +377,10 @@ func (p *Pipeline) publishGauges() {
 	p.m.candidates.Set(int64(p.fold.Open()))
 }
 
-// streamMetrics is the stream.* instrument set plus the admission gate's
-// overload.admit_denied — all volatile; a live stream's lag and drop
-// counts describe the run, not the result.
+// streamMetrics is the stream.* instrument set — all volatile; a live
+// stream's lag and drop counts describe the run, not the result.
 type streamMetrics struct {
 	reg              *obs.Registry
-	admitDenied      *obs.Counter
-	offersRejected   *obs.Counter
 	lateDrops        *obs.Counter
 	batches          *obs.Counter
 	attacksFinalized *obs.Counter
@@ -442,8 +398,6 @@ func newStreamMetrics(reg *obs.Registry) streamMetrics {
 	}
 	return streamMetrics{
 		reg:              reg,
-		admitDenied:      reg.Counter("overload.admit_denied", obs.Volatile()),
-		offersRejected:   reg.Counter("stream.offers_rejected", obs.Volatile()),
 		lateDrops:        reg.Counter("stream.late_drops", obs.Volatile()),
 		batches:          reg.Counter("stream.batches_emitted", obs.Volatile()),
 		attacksFinalized: reg.Counter("stream.attacks_finalized", obs.Volatile()),

@@ -258,9 +258,8 @@ func TestStreamBatchParity(t *testing.T) {
 			attacks, events := Canonicalize(sink.flatten())
 			drops := int64(offered - len(accepted))
 			counted := reg.Snapshot().Counters
-			if p.LateDrops() != drops || p.Overload().OffersRejected != drops || counted["stream.late_drops"] != drops || counted["stream.offers_rejected"] != drops {
-				t.Fatalf("%d offers refused; LateDrops %d, OffersRejected %d, stream.late_drops %d, stream.offers_rejected %d",
-					drops, p.LateDrops(), p.Overload().OffersRejected, counted["stream.late_drops"], counted["stream.offers_rejected"])
+			if p.LateDrops() != drops || counted["stream.late_drops"] != drops {
+				t.Fatalf("%d offers refused; LateDrops %d, stream.late_drops %d", drops, p.LateDrops(), counted["stream.late_drops"])
 			}
 			if tc.drops {
 				if drops == 0 {
@@ -285,9 +284,7 @@ func TestStreamBatchParity(t *testing.T) {
 // TestStreamKillResume is the exactly-once acceptance: kill the stream at
 // the sink boundary mid-feed, resume from the journal, and the
 // concatenation of the two runs' emissions equals an uninterrupted run —
-// every batch exactly once. The admission row refuses part of the feed:
-// the resumed replay must rebuild the gate's refusals along with the
-// windows.
+// every batch exactly once.
 func TestStreamKillResume(t *testing.T) {
 	s, feed := testStudy(t)
 	hash, err := study.ConfigHash(s.Config)
@@ -296,94 +293,81 @@ func TestStreamKillResume(t *testing.T) {
 	}
 	hdr := checkpoint.Header{ConfigHash: hash, Seed: s.Config.MeasureSeed}
 
-	for _, tc := range []struct {
-		name string
-		ov   Overload
-	}{
-		{"plain", Overload{}},
-		{"admission", halfRateAdmission(feed)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := func(more ...Option) []Option {
-				return append([]Option{WithRSDoS(s.Config.RSDoS), WithLateness(1), WithOverload(tc.ov)}, more...)
-			}
-			full := &memSink{}
-			p, err := New(s.Pipeline, full, opts()...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := deliver(p, feed); err != nil {
-				t.Fatal(err)
-			}
-			if len(full.batches) < 3 {
-				t.Fatalf("only %d batches — too few to kill mid-run", len(full.batches))
-			}
-			if denied := p.Overload().AdmitDenied; (tc.ov.AdmitRate > 0) != (denied > 0) {
-				t.Fatalf("admit rate %g denied %d observations", tc.ov.AdmitRate, denied)
-			}
+	opts := func(more ...Option) []Option {
+		return append([]Option{WithRSDoS(s.Config.RSDoS), WithLateness(1)}, more...)
+	}
+	full := &memSink{}
+	p, err := New(s.Pipeline, full, opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := deliver(p, feed); err != nil {
+		t.Fatal(err)
+	}
+	if len(full.batches) < 3 {
+		t.Fatalf("only %d batches — too few to kill mid-run", len(full.batches))
+	}
 
-			dir, err := checkpoint.Create(t.TempDir(), hdr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			killAt := len(full.batches)/2 + 1
-			crash := &memSink{failAt: killAt}
-			p1, err := New(s.Pipeline, crash, opts(WithJournal(dir))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := deliver(p1, feed); !errors.Is(err, errSinkDown) {
-				t.Fatalf("feed survived the sink failure: %v", err)
-			}
-			if len(crash.batches) != killAt-1 {
-				t.Fatalf("sink holds %d batches, expected %d before the crash", len(crash.batches), killAt-1)
-			}
-			cur, ok, err := dir.LoadCursor()
-			if err != nil || !ok {
-				t.Fatalf("no cursor after crash: ok=%v err=%v", ok, err)
-			}
-			if want := crash.batches[len(crash.batches)-1].ClosedThrough; cur.ClosedThrough != want {
-				t.Fatalf("cursor frontier %v, last durable batch %v", cur.ClosedThrough, want)
-			}
-			if cur.SinkBytes != crash.Offset() {
-				t.Fatalf("cursor sink offset %d, sink reports %d", cur.SinkBytes, crash.Offset())
-			}
+	dir, err := checkpoint.Create(t.TempDir(), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killAt := len(full.batches)/2 + 1
+	crash := &memSink{failAt: killAt}
+	p1, err := New(s.Pipeline, crash, opts(WithJournal(dir))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := deliver(p1, feed); !errors.Is(err, errSinkDown) {
+		t.Fatalf("feed survived the sink failure: %v", err)
+	}
+	if len(crash.batches) != killAt-1 {
+		t.Fatalf("sink holds %d batches, expected %d before the crash", len(crash.batches), killAt-1)
+	}
+	cur, ok, err := dir.LoadCursor()
+	if err != nil || !ok {
+		t.Fatalf("no cursor after crash: ok=%v err=%v", ok, err)
+	}
+	if want := crash.batches[len(crash.batches)-1].ClosedThrough; cur.ClosedThrough != want {
+		t.Fatalf("cursor frontier %v, last durable batch %v", cur.ClosedThrough, want)
+	}
+	if cur.SinkBytes != crash.Offset() {
+		t.Fatalf("cursor sink offset %d, sink reports %d", cur.SinkBytes, crash.Offset())
+	}
 
-			resumed := &memSink{bytes: cur.SinkBytes} // sink repositioned at the journaled offset
-			p2, err := New(s.Pipeline, resumed, opts(WithJournal(dir))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rc, ok := p2.Resumed(); !ok || rc != cur {
-				t.Fatalf("Resumed() = %+v, %v; want the journaled cursor", rc, ok)
-			}
-			if _, err := deliver(p2, feed); err != nil {
-				t.Fatalf("resumed run: %v", err)
-			}
+	resumed := &memSink{bytes: cur.SinkBytes} // sink repositioned at the journaled offset
+	p2, err := New(s.Pipeline, resumed, opts(WithJournal(dir))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc, ok := p2.Resumed(); !ok || rc != cur {
+		t.Fatalf("Resumed() = %+v, %v; want the journaled cursor", rc, ok)
+	}
+	if _, err := deliver(p2, feed); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
 
-			got := append(append([]Batch{}, crash.batches...), resumed.batches...)
-			if !reflect.DeepEqual(got, full.batches) {
-				t.Fatalf("crash+resume emitted %d batches, uninterrupted run %d — not exactly-once",
-					len(got), len(full.batches))
-			}
-			// frontier strictly advances across the seam: nothing re-emitted
-			for i := 1; i < len(got); i++ {
-				if got[i].ClosedThrough <= got[i-1].ClosedThrough {
-					t.Fatalf("batch %d re-emitted frontier %v", i, got[i].ClosedThrough)
-				}
-			}
-			endCur, ok, err := dir.LoadCursor()
-			if err != nil || !ok {
-				t.Fatalf("cursor after resume: ok=%v err=%v", ok, err)
-			}
-			var wantEvents int64
-			for _, b := range full.batches {
-				wantEvents += int64(len(b.Events))
-			}
-			if endCur.Events != wantEvents {
-				t.Errorf("final cursor counts %d events, uninterrupted run emitted %d", endCur.Events, wantEvents)
-			}
-		})
+	got := append(append([]Batch{}, crash.batches...), resumed.batches...)
+	if !reflect.DeepEqual(got, full.batches) {
+		t.Fatalf("crash+resume emitted %d batches, uninterrupted run %d — not exactly-once",
+			len(got), len(full.batches))
+	}
+	// frontier strictly advances across the seam: nothing re-emitted
+	for i := 1; i < len(got); i++ {
+		if got[i].ClosedThrough <= got[i-1].ClosedThrough {
+			t.Fatalf("batch %d re-emitted frontier %v", i, got[i].ClosedThrough)
+		}
+	}
+	endCur, ok, err := dir.LoadCursor()
+	if err != nil || !ok {
+		t.Fatalf("cursor after resume: ok=%v err=%v", ok, err)
+	}
+	var wantEvents int64
+	for _, b := range full.batches {
+		wantEvents += int64(len(b.Events))
+	}
+	if endCur.Events != wantEvents {
+		t.Errorf("final cursor counts %d events, uninterrupted run emitted %d", endCur.Events, wantEvents)
 	}
 }
 

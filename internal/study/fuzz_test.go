@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzReadConfig holds the config parser — what a -config file and the
-// fleet's welcome frame go through — to "error, never panic", and an
+// FuzzReadConfig holds the config parser — what a -config file goes
+// through — to "error, never panic", and an
 // accepted config to a fixed point: written out and read back it is the
 // same config, and writes the same bytes again.
 func FuzzReadConfig(f *testing.F) {

@@ -14,18 +14,16 @@ import (
 // ledger.go is the one day ledger (DESIGN §3.2): for every day of a run it
 // decides whether the day is measured, retried or quarantined, and that a
 // measured day is journaled, folded into the metrics and counted exactly
-// once. The in-process run loop (run.go) and the fleet coordinator
-// (internal/distjoin) both drive it, so every run mode makes those
-// decisions identically. The ledger is passive — no goroutine, lock or
-// channel of its own: the run loop's workers call it under one mutex, the
-// coordinator from its event loop.
+// once. The run loop (run.go) is its one driver. The ledger is passive —
+// no goroutine, lock or channel of its own: the run loop's workers call
+// it under one mutex.
 
 // maxSweepAttempts is the day-sweep attempt limit: a failed day is retried
 // once, then quarantined.
 const maxSweepAttempts = 2
 
-// Ledger is the day state of one run.
-type Ledger struct {
+// dayLedger is the day state of one run.
+type dayLedger struct {
 	from, to clock.Day
 	journal  *checkpoint.Dir // nil when nothing is journaled
 	dayDir   string          // where sealed days are published; "" keeps them in memory
@@ -55,7 +53,7 @@ func OpenJournal(dir string, cfg Config, seed uint64, resume bool) (*checkpoint.
 	return checkpoint.Create(dir, hdr)
 }
 
-// OpenLedger opens the ledger of a run over cfg whose sweep counts fold
+// openLedger opens the ledger of a run over cfg whose sweep counts fold
 // into reg. With a checkpoint directory every completed day is journaled
 // as a content-hash reference to its sealed file in dayDir, and resume
 // restores the journaled days: each referenced file is re-hashed before
@@ -65,8 +63,8 @@ func OpenJournal(dir string, cfg Config, seed uint64, resume bool) (*checkpoint.
 // already in dayDir are stale state of a previous run and are cleared.
 // Both directories are optional; without either, days exist only in the
 // caller's memory. The caller closes the ledger when the run is over.
-func OpenLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, resume bool) (*Ledger, error) {
-	l := &Ledger{
+func openLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, resume bool) (*dayLedger, error) {
+	l := &dayLedger{
 		from: cfg.FromDay, to: cfg.ToDay, dayDir: dayDir, reg: reg,
 		done:     make(map[clock.Day]daystore.SealedFile),
 		restored: make(map[clock.Day]bool),
@@ -91,7 +89,7 @@ func OpenLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, res
 // restored from its latest reference that its file verifies against: a
 // run killed between journaling a re-seal and publishing it left the
 // file of the reference before, and Finish re-seals the day again.
-func (l *Ledger) restore(dayDir string, resume bool) error {
+func (l *dayLedger) restore(dayDir string, resume bool) error {
 	if l.journal != nil && resume {
 		refs, err := l.journal.LoadDayRefs(l.from, l.to)
 		if err != nil {
@@ -133,7 +131,7 @@ func verifyLatest(dayDir string, refs []checkpoint.DayRef) (checkpoint.DayRef, e
 
 // Close releases the journal's day log once the run has accepted its last
 // day.
-func (l *Ledger) Close() error {
+func (l *dayLedger) Close() error {
 	if l.journal == nil {
 		return nil
 	}
@@ -143,7 +141,7 @@ func (l *Ledger) Close() error {
 // Pending lists the days that still need a sweep, ascending. Days a
 // previous incarnation quarantined were never journaled, so they are
 // pending again — and re-quarantine deterministically.
-func (l *Ledger) Pending() []clock.Day {
+func (l *dayLedger) Pending() []clock.Day {
 	var days []clock.Day
 	for d := l.from; d <= l.to; d++ {
 		if !l.Done(d) && !l.quarantined(d) {
@@ -154,48 +152,39 @@ func (l *Ledger) Pending() []clock.Day {
 }
 
 // Done reports whether day is completed (restored or accepted this run).
-func (l *Ledger) Done(day clock.Day) bool {
+func (l *dayLedger) Done(day clock.Day) bool {
 	_, ok := l.done[day]
 	return ok
 }
-
-// Settled reports whether every day is either done or quarantined.
-func (l *Ledger) Settled() bool {
-	return len(l.done)+len(l.report.SkippedDays) == int(l.to-l.from)+1
-}
-
-// Attempts returns how many failed attempts day has been charged.
-func (l *Ledger) Attempts(day clock.Day) int { return l.attempts[day] }
 
 // Complete accepts a swept day whose sealed file (the zero SealedFile when
 // days are kept in memory) is already durable, in the order that keeps a
 // crash at any point resumable: journal the reference, then fold the
 // day's sweep counts into the run registry, then count the day. A day
-// already done is reported as a duplicate and changes nothing — that is
-// what makes the fold exactly-once under redelivery. A day already
-// quarantined, or any day after a write error, is refused.
-func (l *Ledger) Complete(day clock.Day, file daystore.SealedFile, counts SweepCounts) (dup bool, err error) {
+// already done or quarantined, or any day after a write error, is
+// refused: each day's counts fold exactly once.
+func (l *dayLedger) Complete(day clock.Day, file daystore.SealedFile, counts sweepCounts) error {
 	switch {
 	case l.err != nil:
-		return false, l.err
+		return l.err
 	case l.Done(day):
-		return true, nil
+		return fmt.Errorf("study: day %s completed twice", day)
 	case l.quarantined(day):
-		return false, fmt.Errorf("study: day %s completed after it was quarantined", day)
+		return fmt.Errorf("study: day %s completed after it was quarantined", day)
 	}
 	if l.journal != nil {
 		if err := l.journal.WriteDayRef(day, checkpoint.DayRef{File: file.Name, SHA256: file.SHA256}); err != nil {
-			return false, l.Abort(err)
+			return l.Abort(err)
 		}
 		l.latest[day] = file.SHA256
 	}
 	l.done[day] = file
 	counts.fold(l.reg)
 	l.report.CompletedDays++
-	return false, nil
+	return nil
 }
 
-// Reseal accepts the second sweep of a done day (Study.Finish widens the
+// Reseal accepts the second sweep of a done day (Study.finish widens the
 // demand of a quarantine's fallback day): image is the day's new sealed
 // file, base the counts of the records the day's first sweep made again
 // — Skipped being every domain neither sweep measures — and extra those
@@ -208,7 +197,7 @@ func (l *Ledger) Complete(day clock.Day, file daystore.SealedFile, counts SweepC
 // day's skipped count, when this run swept the day, and both when the day
 // was restored, so that the run's outcome counters and skipped add up to
 // the domains times the days it swept.
-func (l *Ledger) Reseal(day clock.Day, image []byte, base, extra SweepCounts) error {
+func (l *dayLedger) Reseal(day clock.Day, image []byte, base, extra sweepCounts) error {
 	switch {
 	case l.err != nil:
 		return l.err
@@ -239,7 +228,7 @@ func (l *Ledger) Reseal(day clock.Day, image []byte, base, extra SweepCounts) er
 
 // Abort records a failed day write (seal or journal). The first error
 // sticks: no later day is journaled, folded or counted.
-func (l *Ledger) Abort(err error) error {
+func (l *dayLedger) Abort(err error) error {
 	if l.err == nil {
 		l.err = err
 	}
@@ -247,7 +236,7 @@ func (l *Ledger) Abort(err error) error {
 }
 
 // Err returns the write error the ledger stopped on, if any.
-func (l *Ledger) Err() error { return l.err }
+func (l *dayLedger) Err() error { return l.err }
 
 // Fail charges day one failed attempt and reports whether to retry it. A
 // retryable failure (a panic, a lost worker) is retried until the attempt
@@ -255,7 +244,7 @@ func (l *Ledger) Err() error { return l.err }
 // doubles the stall) or the last allowed attempt quarantines the day with
 // this failure's reason and stack. A failure for a day already done or
 // quarantined is ignored.
-func (l *Ledger) Fail(day clock.Day, reason, stack string, retryable bool) (retry bool) {
+func (l *dayLedger) Fail(day clock.Day, reason, stack string, retryable bool) (retry bool) {
 	i, quarantined := l.skippedIndex(day)
 	if quarantined || l.Done(day) {
 		return false
@@ -270,19 +259,19 @@ func (l *Ledger) Fail(day clock.Day, reason, stack string, retryable bool) (retr
 }
 
 // skippedIndex finds day's position in the ascending quarantine list.
-func (l *Ledger) skippedIndex(day clock.Day) (int, bool) {
+func (l *dayLedger) skippedIndex(day clock.Day) (int, bool) {
 	sk := l.report.SkippedDays
 	i := sort.Search(len(sk), func(i int) bool { return sk[i].Day >= day })
 	return i, i < len(sk) && sk[i].Day == day
 }
 
-func (l *Ledger) quarantined(day clock.Day) bool {
+func (l *dayLedger) quarantined(day clock.Day) bool {
 	_, ok := l.skippedIndex(day)
 	return ok
 }
 
 // Quarantined returns the quarantined days, ascending.
-func (l *Ledger) Quarantined() []clock.Day {
+func (l *dayLedger) Quarantined() []clock.Day {
 	out := make([]clock.Day, len(l.report.SkippedDays))
 	for i := range l.report.SkippedDays {
 		out[i] = l.report.SkippedDays[i].Day
@@ -292,7 +281,7 @@ func (l *Ledger) Quarantined() []clock.Day {
 
 // Report is the run report as of now: the day counts, the quarantine list
 // and the registry's stable metric snapshot.
-func (l *Ledger) Report() RunReport {
+func (l *dayLedger) Report() RunReport {
 	r := l.report
 	snap := l.reg.StableSnapshot()
 	r.Metrics = &snap

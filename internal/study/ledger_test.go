@@ -15,13 +15,13 @@ import (
 )
 
 // ledger_test.go drives the day ledger alone — no world, no sweeps, no
-// sockets: the state machine both run modes share is checked once, here.
+// sockets: the run loop's state machine is checked once, here.
 
 func ledgerConfig() Config {
 	return Config{FromDay: 10, ToDay: 14, MeasureSeed: 7}
 }
 
-var sweepOf5 = SweepCounts{OK: 5}
+var sweepOf5 = sweepCounts{OK: 5}
 
 // sealEmpty seals an empty day file — enough for the ledger, which only
 // names and hashes it.
@@ -50,7 +50,7 @@ type ledgerStep struct {
 	day           clock.Day
 	reason, stack string
 	retry         bool // fail, watchdog: Fail's answer
-	dup, refused  bool // complete: Complete's answer
+	refused       bool // complete: Complete's answer
 }
 
 func TestLedgerStateMachine(t *testing.T) {
@@ -70,7 +70,7 @@ func TestLedgerStateMachine(t *testing.T) {
 		{
 			name: "second failure quarantines with the last reason and stack",
 			steps: []ledgerStep{
-				{op: "fail", day: 11, reason: "worker w lost mid-shard: EOF", retry: true},
+				{op: "fail", day: 11, reason: "panic: a", stack: "s1", retry: true},
 				{op: "fail", day: 11, reason: "panic: b", stack: "s2"},
 			},
 			wantSkipped: []SkippedDay{{Day: 11, Reason: "panic: b", Stack: "s2", Attempts: 2}},
@@ -95,7 +95,7 @@ func TestLedgerStateMachine(t *testing.T) {
 			name: "duplicate complete folds once",
 			steps: []ledgerStep{
 				{op: "complete", day: 10},
-				{op: "complete", day: 10, dup: true},
+				{op: "complete", day: 10, refused: true},
 				{op: "fail", day: 10, reason: "panic: late"}, // a done day cannot fail
 			},
 			wantDone: 1, wantOK: 5,
@@ -142,7 +142,7 @@ func TestLedgerStateMachine(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ckpt, days := filepath.Join(t.TempDir(), "ckpt"), t.TempDir()
-			l, err := OpenLedger(ledgerConfig(), obs.New(), ckpt, days, false)
+			l, err := openLedger(ledgerConfig(), obs.New(), ckpt, days, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,9 +155,9 @@ func TestLedgerStateMachine(t *testing.T) {
 						t.Fatalf("step %d: Fail(%v) retry = %v, want %v", i, st.day, got, st.retry)
 					}
 				case "complete":
-					dup, err := l.Complete(st.day, sealEmpty(t, days, st.day), sweepOf5)
-					if dup != st.dup || (err != nil) != st.refused {
-						t.Fatalf("step %d: Complete(%v) = dup %v err %v, want dup %v refused %v", i, st.day, dup, err, st.dup, st.refused)
+					err := l.Complete(st.day, sealEmpty(t, days, st.day), sweepOf5)
+					if (err != nil) != st.refused {
+						t.Fatalf("step %d: Complete(%v) = %v, want refused %v", i, st.day, err, st.refused)
 					}
 					if broken && !errors.Is(err, os.ErrClosed) {
 						t.Fatalf("step %d: refusal after a write error = %v, want the write error", i, err)
@@ -191,9 +191,6 @@ func TestLedgerStateMachine(t *testing.T) {
 				if n := journaled(t, ckpt); n != tc.wantDone {
 					t.Errorf("journal holds %d day records, want %d", n, tc.wantDone)
 				}
-			}
-			if got := l.Settled(); got != (len(tc.wantPending) == 0) {
-				t.Errorf("Settled = %v with %d days pending", got, len(tc.wantPending))
 			}
 		})
 	}
@@ -247,13 +244,13 @@ func TestLedgerResume(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ckpt := t.TempDir()
 			days := filepath.Join(ckpt, "days")
-			first, err := OpenLedger(ledgerConfig(), obs.New(), ckpt, days, false)
+			first, err := openLedger(ledgerConfig(), obs.New(), ckpt, days, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer first.Close()
 			for _, d := range tc.journaled {
-				if _, err := first.Complete(d, sealEmpty(t, days, d), sweepOf5); err != nil {
+				if err := first.Complete(d, sealEmpty(t, days, d), sweepOf5); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -271,7 +268,7 @@ func TestLedgerResume(t *testing.T) {
 			}
 
 			reg := obs.New()
-			l, err := OpenLedger(ledgerConfig(), reg, ckpt, days, true)
+			l, err := openLedger(ledgerConfig(), reg, ckpt, days, true)
 			if tc.wantErr != nil {
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("resume error = %v, want %v", err, tc.wantErr)

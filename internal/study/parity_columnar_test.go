@@ -27,7 +27,7 @@ import (
 
 // mergedRun is the run loop as it was before every run sealed its days,
 // kept as the oracle the sealed path is held to: each pending day swept
-// with Session.SweepDayAttempt (a failed attempt charged to the same
+// with Session.sweepDayAttempt (a failed attempt charged to the same
 // ledger, and retried or quarantined as it says), the days merged into
 // one aggregator, and the join run over that aggregator.
 func mergedRun(t *testing.T, cfg Config, beforeDay func(clock.Day)) *Study {
@@ -38,16 +38,16 @@ func mergedRun(t *testing.T, cfg Config, beforeDay func(clock.Day)) *Study {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger, err := OpenLedger(cfg, reg, "", "", false)
+	ledger, err := openLedger(cfg, reg, "", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	agg := sess.NewAggregator()
 	for _, day := range ledger.Pending() {
 		for {
-			dayAgg, sweep, f := sess.SweepDayAttempt(ctx, day, nil, beforeDay)
+			dayAgg, sweep, f := sess.sweepDayAttempt(ctx, day, nil, beforeDay)
 			if f == nil {
-				if _, err := ledger.Complete(day, daystore.SealedFile{}, sweep); err != nil {
+				if err := ledger.Complete(day, daystore.SealedFile{}, sweep); err != nil {
 					t.Fatal(err)
 				}
 				agg.Merge(dayAgg)
@@ -58,7 +58,7 @@ func mergedRun(t *testing.T, cfg Config, beforeDay func(clock.Day)) *Study {
 			}
 		}
 	}
-	s := sess.NewStudy(reg)
+	s := sess.newStudy(reg)
 	s.Pipeline = sess.NewPipeline(agg, ledger.Quarantined(), reg)
 	if s.Events, err = s.Pipeline.EventsContext(ctx, s.Attacks); err != nil {
 		t.Fatal(err)

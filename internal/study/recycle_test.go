@@ -87,7 +87,7 @@ func TestAbandonedTableIsNotRecycled(t *testing.T) {
 	net := &stallNet{Transport: sess.Net, stalls: func(d clock.Day) bool { return d%4 == 3 }, stalled: make(map[clock.Day]bool)}
 	sess.Engine = openintel.NewEngine(sess.World.DB, resolver.New(cfg.Resolver, sess.World.DB, net), cfg.MeasureSeed).Restrict(sess.sweepsDay)
 	dir := t.TempDir()
-	ledger, err := OpenLedger(cfg, reg, "", dir, false)
+	ledger, err := openLedger(cfg, reg, "", dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAbandonedTableIsNotRecycled(t *testing.T) {
 			}
 		},
 	}
-	if err := sess.NewStudy(reg).runSweeps(ctx, opts, ledger, nil); err != nil {
+	if err := sess.newStudy(reg).runSweeps(ctx, opts, ledger, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -378,7 +378,7 @@ func TestWriteFailureStopsFolding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, fail := sess.SweepDayAttempt(context.Background(), 27, nil, nil)
+	_, want, fail := sess.sweepDayAttempt(context.Background(), 27, nil, nil)
 	if fail != nil {
 		t.Fatal(fail.Reason)
 	}

@@ -98,7 +98,7 @@ func WithShardTimeout(d time.Duration) Option {
 
 // WithBeforeDay runs f at the start of every day-shard attempt, inside
 // the shard's panic isolation (progress reporting, fault injection). No
-// command sets it; the tests of study, core and distjoin inject sweep
+// command sets it; the tests of study and core inject sweep
 // faults and count attempts through it.
 func WithBeforeDay(f func(clock.Day)) Option {
 	return func(o *options) { o.beforeDay = f }
@@ -200,9 +200,9 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 	if err != nil {
 		return nil, err
 	}
-	s := sess.NewStudy(reg)
+	s := sess.newStudy(reg)
 	s.beforeDay = opts.beforeDay
-	ledger, err := OpenLedger(cfg, reg, opts.checkpointDir, opts.daystoreDir, opts.resume)
+	ledger, err := openLedger(cfg, reg, opts.checkpointDir, opts.daystoreDir, opts.resume)
 	if err != nil {
 		return nil, err
 	}
@@ -221,20 +221,18 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 			return nil, err
 		}
 	}
-	if err := s.Finish(ctx, days, ledger, opts.skipJoin); err != nil {
+	if err := s.finish(ctx, days, ledger, opts.skipJoin); err != nil {
 		return nil, err
 	}
 	stage("join", t0)
 	return s, nil
 }
 
-// Finish ends a run whose ledger has settled: it sweeps again the days a
+// finish ends a run whose ledger has settled: it sweeps again the days a
 // quarantine makes the join fall back to (widen), builds the pipeline over
 // the sealed days with the ledger's quarantine, runs the batch classify
-// and join unless skipJoin, and takes the ledger's report. RunContext and
-// the fleet coordinator (internal/distjoin) both end their runs here, so
-// the two emit the same bytes from the same sealed days.
-func (s *Study) Finish(ctx context.Context, days *daystore.Set, ledger *Ledger, skipJoin bool) error {
+// and join unless skipJoin, and takes the ledger's report.
+func (s *Study) finish(ctx context.Context, days *daystore.Set, ledger *dayLedger, skipJoin bool) error {
 	if err := s.widen(ctx, days, ledger); err != nil {
 		return err
 	}
@@ -256,14 +254,13 @@ func (s *Study) Finish(ctx context.Context, days *daystore.Set, ledger *Ledger, 
 // day's own demand. widen sweeps every such fallback day again with the
 // NSSets of the quarantined days it stands for added
 // (Session.resweepDay), hands the new image to the ledger, which
-// journals, publishes and counts it (Ledger.Reseal), and serves it from
+// journals, publishes and counts it (dayLedger.Reseal), and serves it from
 // days. The added NSSets keep no window on the fallback day: a window
-// kept there would have put them in the day's own demand. Both run modes
-// end here, so the fleet's coordinator sweeps these days in process; a
-// resumed run does it again, with the same bytes. The beforeDay hook runs
+// kept there would have put them in the day's own demand. A resumed run
+// does it again, with the same bytes. The beforeDay hook runs
 // before each, as before every first-pass attempt; a panic fails the run,
 // since the day swept cleanly once.
-func (s *Study) widen(ctx context.Context, days *daystore.Set, ledger *Ledger) error {
+func (s *Study) widen(ctx context.Context, days *daystore.Set, ledger *dayLedger) error {
 	for _, fb := range s.session.fallbackDemand(ledger.Quarantined()) {
 		agg, base, extra, fail := s.session.resweepDay(ctx, fb.day, fb.added, s.beforeDay)
 		switch {
@@ -295,26 +292,25 @@ func stageTimer(reg *obs.Registry) func(name string, since time.Time) {
 	}
 }
 
-// SweepCounts is what a swept day counts besides its table: the outcome
+// sweepCounts is what a swept day counts besides its table: the outcome
 // of every record, the simulated RTT of every answered one (seeded data
 // plane, so the histogram is deterministic) and the domains the day's
 // demand left unmeasured, so that OK + ServFail + Timeout + Skipped is
-// the world's domain count. One goroutine sweeps a day, so
-// the counts are plain integers; they travel as a value — returned by
-// Session.SweepDayAttempt, carried by the fleet's sweep-done message — and
-// reach the run registry only when Ledger.Complete accepts the day, so an
-// attempt that panicked half-way through a day cannot double-count after
-// its retry.
-type SweepCounts struct {
+// the world's domain count. One goroutine sweeps a day, so the counts
+// are plain integers; they travel as a value, returned by
+// Session.sweepDayAttempt, and reach the run registry only when
+// dayLedger.Complete accepts the day, so an attempt that panicked
+// half-way through a day cannot double-count after its retry.
+type sweepCounts struct {
 	OK, ServFail, Timeout, Skipped int64
 	RTT                            obs.LocalHistogram
 }
 
 // measured is how many records the counts hold.
-func (c *SweepCounts) measured() int64 { return c.OK + c.ServFail + c.Timeout }
+func (c *sweepCounts) measured() int64 { return c.OK + c.ServFail + c.Timeout }
 
 // observe folds one sweep record into the counts.
-func (c *SweepCounts) observe(rec openintel.Record) {
+func (c *sweepCounts) observe(rec openintel.Record) {
 	switch rec.Status {
 	case nsset.StatusOK:
 		c.OK++
@@ -327,7 +323,7 @@ func (c *SweepCounts) observe(rec openintel.Record) {
 }
 
 // fold adds the counts to reg under the study.sweep.* names.
-func (c *SweepCounts) fold(reg *obs.Registry) {
+func (c *sweepCounts) fold(reg *obs.Registry) {
 	reg.Counter("study.sweep.ok").Add(c.OK)
 	reg.Counter("study.sweep.servfail").Add(c.ServFail)
 	reg.Counter("study.sweep.timeout").Add(c.Timeout)
@@ -344,7 +340,7 @@ func (c *SweepCounts) fold(reg *obs.Registry) {
 // handed to the ledger, in whatever order days complete. The worker then
 // empties the table and keeps it, with its image buffer, for its next day,
 // so a run allocates a day table per worker, not per day.
-func (s *Study) runSweeps(ctx context.Context, opts options, ledger *Ledger, mem *daystore.Set) error {
+func (s *Study) runSweeps(ctx context.Context, opts options, ledger *dayLedger, mem *daystore.Set) error {
 	days := ledger.Pending()
 	if len(days) == 0 {
 		return ctx.Err()
@@ -387,7 +383,7 @@ func (s *Study) runSweeps(ctx context.Context, opts options, ledger *Ledger, mem
 					return
 				}
 				start := time.Now()
-				var counts SweepCounts
+				var counts sweepCounts
 				agg, counts = s.runDayShard(ctx, day, opts, &mu, ledger, agg)
 				sweepWall.Observe(time.Since(start))
 				if agg == nil {
@@ -443,7 +439,7 @@ func (s *Study) runSweeps(ctx context.Context, opts options, ledger *Ledger, mem
 // aggregator means the day was quarantined, or the shard was abandoned
 // because ctx was cancelled. On success the day's sweep counts ride along
 // so the ledger can fold them exactly once.
-func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu *sync.Mutex, ledger *Ledger, scratch *nsset.Aggregator) (*nsset.Aggregator, SweepCounts) {
+func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu *sync.Mutex, ledger *dayLedger, scratch *nsset.Aggregator) (*nsset.Aggregator, sweepCounts) {
 	for ctx.Err() == nil {
 		agg, counts, f := s.sweepDayOnce(ctx, day, opts, scratch)
 		if f == nil {
@@ -457,25 +453,25 @@ func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu
 			break
 		}
 	}
-	return nil, SweepCounts{}
+	return nil, sweepCounts{}
 }
 
-// sweepDayOnce runs a single attempt (Session.SweepDayAttempt) into
+// sweepDayOnce runs a single attempt (Session.sweepDayAttempt) into
 // scratch, under the watchdog when enabled.
-func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options, scratch *nsset.Aggregator) (*nsset.Aggregator, SweepCounts, *SweepFailure) {
+func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options, scratch *nsset.Aggregator) (*nsset.Aggregator, sweepCounts, *sweepFailure) {
 	if opts.shardTimeout <= 0 {
-		return s.session.SweepDayAttempt(ctx, day, scratch, opts.beforeDay)
+		return s.session.sweepDayAttempt(ctx, day, scratch, opts.beforeDay)
 	}
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
 		agg    *nsset.Aggregator
-		counts SweepCounts
-		f      *SweepFailure
+		counts sweepCounts
+		f      *sweepFailure
 	}
 	ch := make(chan result, 1)
 	go func() {
-		a, counts, f := s.session.SweepDayAttempt(dctx, day, scratch, opts.beforeDay)
+		a, counts, f := s.session.sweepDayAttempt(dctx, day, scratch, opts.beforeDay)
 		ch <- result{a, counts, f}
 	}()
 	timer := time.NewTimer(opts.shardTimeout)
@@ -489,7 +485,7 @@ func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options, s
 		// aggregator nobody will read or recycle). Not retryable:
 		// re-running a stuck sweep would just double the stall.
 		cancel()
-		return nil, SweepCounts{}, &SweepFailure{
+		return nil, sweepCounts{}, &sweepFailure{
 			Reason: fmt.Sprintf("watchdog: day-shard exceeded %v", opts.shardTimeout),
 		}
 	}

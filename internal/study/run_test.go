@@ -21,7 +21,7 @@ import (
 // importSnapshot is how a day's counts reached the run registry when a day
 // shipped a registry snapshot: a registry of the day's own, its snapshot,
 // and that snapshot imported.
-func importSnapshot(run *obs.Registry, c SweepCounts) {
+func importSnapshot(run *obs.Registry, c sweepCounts) {
 	reg := obs.New()
 	reg.Counter("study.sweep.ok").Add(c.OK)
 	reg.Counter("study.sweep.servfail").Add(c.ServFail)
@@ -33,14 +33,14 @@ func importSnapshot(run *obs.Registry, c SweepCounts) {
 
 // TestSweepCountsFoldMatchesSnapshotImport: on random days' counts —
 // empty days, RTTs from zero to past the overflow bucket — folding each
-// SweepCounts into a registry leaves the stable snapshot that importing
+// sweepCounts into a registry leaves the stable snapshot that importing
 // each day's registry snapshot leaves.
 func TestSweepCountsFoldMatchesSnapshotImport(t *testing.T) {
 	rng := rand.New(rand.NewPCG(37, 1))
 	for trial := 0; trial < 50; trial++ {
 		folded, imported := obs.New(), obs.New()
 		for day := rng.IntN(6); day >= 0; day-- {
-			var c SweepCounts
+			var c sweepCounts
 			if rng.IntN(5) > 0 {
 				c.OK, c.ServFail, c.Timeout, c.Skipped = rng.Int64N(1000), rng.Int64N(50), rng.Int64N(50), rng.Int64N(5000)
 				for i := rng.IntN(200); i > 0; i-- {

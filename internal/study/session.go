@@ -27,11 +27,10 @@ import (
 // identical state: the generated world, attack schedule, inferred attack
 // feed (the telescope observations it is folded from are not kept), and
 // the simulated data plane (net, resolver, measurement engine). Everything here is a pure
-// function of the (seeded) configuration — no I/O, no wall-clock — which
-// is what makes the distributed sweep possible at all: a worker receives
-// only the config JSON, calls NewSession, and owns a world byte-identical
-// to the coordinator's. Measurement state (swept days) is NOT part of a
-// Session; it flows between processes as sealed day files
+// function of the (seeded) configuration — no I/O, no wall-clock — so a
+// resumed run, or a re-join over sealed days, rebuilds a world
+// byte-identical to the first run's. Measurement state (swept days) is
+// NOT part of a Session; it is kept as sealed day files
 // (internal/daystore).
 
 // Session is the deterministic per-process materialization of a study
@@ -397,18 +396,18 @@ func (sess *Session) sweepsDay(id nsset.ID, d clock.Day) bool {
 // NewAggregator returns an empty aggregator over the engine's NSSet table
 // (so a sweep adds to it by ID, and two of them exchange whole days),
 // wired with the session's retained-window filter — the only aggregator
-// shape whose merges and sealed days are interchangeable across processes
-// of the same config.
+// shape whose merges and sealed days are interchangeable across runs of
+// the same config.
 func (sess *Session) NewAggregator() *nsset.Aggregator {
 	a := nsset.NewAggregatorOver(sess.Engine.NSSetTable())
 	a.SetWindowFilter(sess.keepsWindow)
 	return a
 }
 
-// NewStudy returns the Study shell of a run over this session, observing
+// newStudy returns the Study shell of a run over this session, observing
 // into reg: the session's deterministic state under the Study's exported
 // fields. The run fills in Pipeline, Classified, Events and Report.
-func (sess *Session) NewStudy(reg *obs.Registry) *Study {
+func (sess *Session) newStudy(reg *obs.Registry) *Study {
 	return &Study{
 		Config:    sess.Config,
 		World:     sess.World,
@@ -423,8 +422,8 @@ func (sess *Session) NewStudy(reg *obs.Registry) *Study {
 	}
 }
 
-// SweepFailure is why one sweep attempt produced no day.
-type SweepFailure struct {
+// sweepFailure is why one sweep attempt produced no day.
+type sweepFailure struct {
 	// Reason is "panic: ..." or "watchdog: ...".
 	Reason string
 	// Stack is the goroutine stack at the panic (empty for the watchdog).
@@ -434,7 +433,7 @@ type SweepFailure struct {
 	Retryable bool
 }
 
-// SweepDayAttempt is one isolated sweep of one day into a private
+// sweepDayAttempt is one isolated sweep of one day into a private
 // aggregator — into when the caller recycles one (Session.NewAggregator's,
 // empty), a fresh one when into is nil — returned with the day's sweep
 // counts. Panics — in the beforeDay hook or anywhere inside the
@@ -444,14 +443,10 @@ type SweepFailure struct {
 // failure means ctx was cancelled. Unless the attempt returns its
 // aggregator the caller must let go of into: it is partly filled, and an
 // attempt the caller gave up on may still be writing to it.
-// This is the unit of work a distributed sweep worker executes
-// per assignment; both run modes hand its failures to the same Ledger, so
-// a day that panics remotely quarantines with the same Reason bytes as
-// one that panics locally.
-func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *nsset.Aggregator, beforeDay func(clock.Day)) (agg *nsset.Aggregator, counts SweepCounts, fail *SweepFailure) {
+func (sess *Session) sweepDayAttempt(ctx context.Context, day clock.Day, into *nsset.Aggregator, beforeDay func(clock.Day)) (agg *nsset.Aggregator, counts sweepCounts, fail *sweepFailure) {
 	defer func() {
 		if r := recover(); r != nil {
-			agg, counts, fail = nil, SweepCounts{}, panicFailure(r)
+			agg, counts, fail = nil, sweepCounts{}, panicFailure(r)
 		}
 	}()
 	if beforeDay != nil {
@@ -461,7 +456,7 @@ func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *n
 		into = sess.NewAggregator()
 	}
 	if err := sess.Engine.RunDayContext(ctx, day, into, counts.observe); err != nil {
-		return nil, SweepCounts{}, nil
+		return nil, sweepCounts{}, nil
 	}
 	counts.Skipped = int64(len(sess.World.DB.Domains)) - counts.measured()
 	return into, counts, nil
@@ -469,20 +464,20 @@ func (sess *Session) SweepDayAttempt(ctx context.Context, day clock.Day, into *n
 
 // panicFailure is the failure of a sweep attempt that panicked with r,
 // with the panicking goroutine's stack.
-func panicFailure(r any) *SweepFailure {
-	return &SweepFailure{Reason: fmt.Sprintf("panic: %v", r), Stack: string(debug.Stack()), Retryable: true}
+func panicFailure(r any) *sweepFailure {
+	return &sweepFailure{Reason: fmt.Sprintf("panic: %v", r), Stack: string(debug.Stack()), Retryable: true}
 }
 
 // resweepDay sweeps a done day again for the second pass (Study.widen)
 // into a fresh aggregator: first the day's own demand, which makes the
 // first sweep's records again, then the domains of the NSSets added
 // holds, counted apart. Every domain the two leave out is base's
-// Skipped. A panic is captured as in SweepDayAttempt; a nil aggregator
+// Skipped. A panic is captured as in sweepDayAttempt; a nil aggregator
 // without a failure means ctx was cancelled.
-func (sess *Session) resweepDay(ctx context.Context, day clock.Day, added []bool, beforeDay func(clock.Day)) (agg *nsset.Aggregator, base, extra SweepCounts, fail *SweepFailure) {
+func (sess *Session) resweepDay(ctx context.Context, day clock.Day, added []bool, beforeDay func(clock.Day)) (agg *nsset.Aggregator, base, extra sweepCounts, fail *sweepFailure) {
 	defer func() {
 		if r := recover(); r != nil {
-			agg, base, extra, fail = nil, SweepCounts{}, SweepCounts{}, panicFailure(r)
+			agg, base, extra, fail = nil, sweepCounts{}, sweepCounts{}, panicFailure(r)
 		}
 	}()
 	if beforeDay != nil {
@@ -491,7 +486,7 @@ func (sess *Session) resweepDay(ctx context.Context, day clock.Day, added []bool
 	agg = sess.NewAggregator()
 	widened := sess.Engine.Restrict(func(id nsset.ID, _ clock.Day) bool { return added[id] })
 	if sess.Engine.RunDayContext(ctx, day, agg, base.observe) != nil || widened.RunDayContext(ctx, day, agg, extra.observe) != nil {
-		return nil, SweepCounts{}, SweepCounts{}, nil
+		return nil, sweepCounts{}, sweepCounts{}, nil
 	}
 	base.Skipped = int64(len(sess.World.DB.Domains)) - base.measured() - extra.measured()
 	return agg, base, extra, nil
@@ -538,9 +533,10 @@ func (sess *Session) fallbackDemand(quarantined []clock.Day) []fallbackDay {
 // NewPipeline builds the core join pipeline over the measured days with
 // the session's standard wiring (pipeline config, census, topology, open
 // resolvers, the engine's per-domain NSSet keys) plus any extra engine
-// options, and applies the quarantined-day fallback set. Every run mode
-// builds its pipeline here, over sealed days (Study.Finish), which is
-// what pins their emission bytes to each other.
+// options, and applies the quarantined-day fallback set. A run builds its
+// pipeline here, over sealed days (Study.finish), and so does every
+// re-join over them, which is what pins their emission bytes to each
+// other.
 func (sess *Session) NewPipeline(days core.DayStore, quarantined []clock.Day, reg *obs.Registry, extra ...core.Option) *core.Pipeline {
 	pipeOpts := []core.Option{
 		core.WithConfig(sess.Config.Pipeline),

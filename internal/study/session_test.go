@@ -208,7 +208,7 @@ func TestSessionFeedMatchesInfer(t *testing.T) {
 			if len(fed) != len(feed) || !reflect.DeepEqual(rsdos.Infer(tc.cfg.RSDoS, fed), sess.Attacks) {
 				t.Errorf("Session.Feed holds %d observations and infers other attacks than the session's; the feed holds %d", len(fed), len(feed))
 			}
-			if sess.Obs != nil || sess.NewStudy(reg).Obs != nil {
+			if sess.Obs != nil || sess.newStudy(reg).Obs != nil {
 				t.Error("the session holds the feed")
 			}
 			n := reg.Gauge("study.feed.observations", obs.Volatile()).Load()
@@ -292,7 +292,7 @@ func benchmarkScaleConfig() Config {
 	return cfg
 }
 
-// BenchmarkNewSession is the set-up every study, joinworker and setup_s
+// BenchmarkNewSession is the set-up every study and setup_s
 // sample pays, at the repo benchmark's scale (make bench-session).
 func BenchmarkNewSession(b *testing.B) {
 	cfg := benchmarkScaleConfig()

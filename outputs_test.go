@@ -28,7 +28,7 @@ import (
 // events CSV, the RunReport JSON, the stable metrics, every sealed day
 // file, the stream CSV and every catalogue artefact file, each as one
 // SHA-256 line of testdata/outputs.golden. The parity tests hold the
-// batch, stream and fleet modes to each other; this holds them to the
+// batch and stream modes to each other; this holds them to the
 // bytes of the commit that wrote the golden file. A change meant to move
 // bytes regenerates it, and the file's diff names what moved:
 //
