@@ -293,82 +293,85 @@ func TestStreamKillResume(t *testing.T) {
 	}
 	hdr := checkpoint.Header{ConfigHash: hash, Seed: s.Config.MeasureSeed}
 
-	opts := func(more ...Option) []Option {
-		return append([]Option{WithRSDoS(s.Config.RSDoS), WithLateness(1)}, more...)
-	}
-	full := &memSink{}
-	p, err := New(s.Pipeline, full, opts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := deliver(p, feed); err != nil {
-		t.Fatal(err)
-	}
-	if len(full.batches) < 3 {
-		t.Fatalf("only %d batches — too few to kill mid-run", len(full.batches))
-	}
-
-	dir, err := checkpoint.Create(t.TempDir(), hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	killAt := len(full.batches)/2 + 1
-	crash := &memSink{failAt: killAt}
-	p1, err := New(s.Pipeline, crash, opts(WithJournal(dir))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := deliver(p1, feed); !errors.Is(err, errSinkDown) {
-		t.Fatalf("feed survived the sink failure: %v", err)
-	}
-	if len(crash.batches) != killAt-1 {
-		t.Fatalf("sink holds %d batches, expected %d before the crash", len(crash.batches), killAt-1)
-	}
-	cur, ok, err := dir.LoadCursor()
-	if err != nil || !ok {
-		t.Fatalf("no cursor after crash: ok=%v err=%v", ok, err)
-	}
-	if want := crash.batches[len(crash.batches)-1].ClosedThrough; cur.ClosedThrough != want {
-		t.Fatalf("cursor frontier %v, last durable batch %v", cur.ClosedThrough, want)
-	}
-	if cur.SinkBytes != crash.Offset() {
-		t.Fatalf("cursor sink offset %d, sink reports %d", cur.SinkBytes, crash.Offset())
-	}
-
-	resumed := &memSink{bytes: cur.SinkBytes} // sink repositioned at the journaled offset
-	p2, err := New(s.Pipeline, resumed, opts(WithJournal(dir))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc, ok := p2.Resumed(); !ok || rc != cur {
-		t.Fatalf("Resumed() = %+v, %v; want the journaled cursor", rc, ok)
-	}
-	if _, err := deliver(p2, feed); err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-
-	got := append(append([]Batch{}, crash.batches...), resumed.batches...)
-	if !reflect.DeepEqual(got, full.batches) {
-		t.Fatalf("crash+resume emitted %d batches, uninterrupted run %d — not exactly-once",
-			len(got), len(full.batches))
-	}
-	// frontier strictly advances across the seam: nothing re-emitted
-	for i := 1; i < len(got); i++ {
-		if got[i].ClosedThrough <= got[i-1].ClosedThrough {
-			t.Fatalf("batch %d re-emitted frontier %v", i, got[i].ClosedThrough)
+	t.Run("plain", func(t *testing.T) {
+		opts := func(more ...Option) []Option {
+			return append([]Option{WithRSDoS(s.Config.RSDoS), WithLateness(1)}, more...)
 		}
-	}
-	endCur, ok, err := dir.LoadCursor()
-	if err != nil || !ok {
-		t.Fatalf("cursor after resume: ok=%v err=%v", ok, err)
-	}
-	var wantEvents int64
-	for _, b := range full.batches {
-		wantEvents += int64(len(b.Events))
-	}
-	if endCur.Events != wantEvents {
-		t.Errorf("final cursor counts %d events, uninterrupted run emitted %d", endCur.Events, wantEvents)
-	}
+		full := &memSink{}
+		p, err := New(s.Pipeline, full, opts()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := deliver(p, feed); err != nil {
+			t.Fatal(err)
+		}
+		if len(full.batches) < 3 {
+			t.Fatalf("only %d batches — too few to kill mid-run", len(full.batches))
+		}
+
+		dir, err := checkpoint.Create(t.TempDir(), hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		killAt := len(full.batches)/2 + 1
+		crash := &memSink{failAt: killAt}
+		p1, err := New(s.Pipeline, crash, opts(WithJournal(dir))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := deliver(p1, feed); !errors.Is(err, errSinkDown) {
+			t.Fatalf("feed survived the sink failure: %v", err)
+		}
+		if len(crash.batches) != killAt-1 {
+			t.Fatalf("sink holds %d batches, expected %d before the crash", len(crash.batches), killAt-1)
+		}
+		cur, ok, err := dir.LoadCursor()
+		if err != nil || !ok {
+			t.Fatalf("no cursor after crash: ok=%v err=%v", ok, err)
+		}
+		if want := crash.batches[len(crash.batches)-1].ClosedThrough; cur.ClosedThrough != want {
+			t.Fatalf("cursor frontier %v, last durable batch %v", cur.ClosedThrough, want)
+		}
+		if cur.SinkBytes != crash.Offset() {
+			t.Fatalf("cursor sink offset %d, sink reports %d", cur.SinkBytes, crash.Offset())
+		}
+
+		resumed := &memSink{bytes: cur.SinkBytes} // sink repositioned at the journaled offset
+		p2, err := New(s.Pipeline, resumed, opts(WithJournal(dir))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc, ok := p2.Resumed(); !ok || rc != cur {
+			t.Fatalf("Resumed() = %+v, %v; want the journaled cursor", rc, ok)
+		}
+		if _, err := deliver(p2, feed); err != nil {
+			t.Fatalf("resumed run: %v", err)
+		}
+
+		got := append(append([]Batch{}, crash.batches...), resumed.batches...)
+		if !reflect.DeepEqual(got, full.batches) {
+			t.Fatalf("crash+resume emitted %d batches, uninterrupted run %d — not exactly-once",
+				len(got), len(full.batches))
+		}
+		// frontier strictly advances across the seam: nothing re-emitted
+		for i := 1; i < len(got); i++ {
+			if got[i].ClosedThrough <= got[i-1].ClosedThrough {
+				t.Fatalf("batch %d re-emitted frontier %v", i, got[i].ClosedThrough)
+			}
+		}
+		endCur, ok, err := dir.LoadCursor()
+		if err != nil || !ok {
+			t.Fatalf("cursor after resume: ok=%v err=%v", ok, err)
+		}
+		var wantEvents int64
+		for _, b := range full.batches {
+			wantEvents += int64(len(b.Events))
+		}
+		if endCur.Events != wantEvents {
+			t.Errorf("final cursor counts %d events, uninterrupted run emitted %d", endCur.Events, wantEvents)
+		}
+
+	})
 }
 
 // TestCursorSyncBoundaryCrash: a crash after the sink durably accepted a
