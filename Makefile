@@ -21,7 +21,7 @@ test: build cmds obs stream
 	$(GO) test -bench 'Benchmark(AppendEncode|DecodeInto)NSResponse' -benchtime 1x -run '^$$' ./internal/dnswire/
 	$(GO) test -bench 'BenchmarkNewSession|BenchmarkRunContext' -benchtime 1x -run '^$$' ./internal/study/
 	$(GO) test -bench 'BenchmarkLoadStateAt' -benchtime 1x -run '^$$' ./internal/simnet/
-	$(GO) test -bench 'BenchmarkSynthesizeObs' -benchtime 1x -run '^$$' ./internal/scenario/
+	$(GO) test -bench 'BenchmarkSynthesizeObs|BenchmarkGenerateSchedule|BenchmarkGenerateWorld' -benchtime 1x -run '^$$' ./internal/scenario/
 	$(GO) test -bench 'BenchmarkInfer' -benchtime 1x -run '^$$' ./internal/rsdos/
 	$(GO) test -bench 'BenchmarkWriteDayRef' -benchtime 1x -run '^$$' ./internal/checkpoint/
 	$(GO) run ./cmd/report -quick -outdir "$$(mktemp -d)" >/dev/null

@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -161,8 +160,7 @@ func (d *Dir) Close() error {
 
 // The frame is the tree's one envelope outside day files — every journal
 // record: magic, u32 version, u64 payload length, a gob payload, a CRC-32
-// of the payload. maxPayload bounds what a corrupted length can make a
-// reader allocate.
+// of the payload. maxPayload bounds the length a frame may declare.
 const (
 	magic      = "DNSCKPT1"
 	headerLen  = len(magic) + 4 + 8
@@ -170,7 +168,7 @@ const (
 )
 
 // EncodeFrame gob-encodes v into one self-delimiting frame; a payload
-// that readFrame would refuse as too long is refused here.
+// that DecodeFrame would refuse as too long is refused here.
 func EncodeFrame(v any) ([]byte, error) {
 	buf := bytes.NewBuffer(make([]byte, headerLen, 512))
 	if err := gob.NewEncoder(buf).Encode(v); err != nil {
@@ -185,36 +183,6 @@ func EncodeFrame(v any) ([]byte, error) {
 	binary.BigEndian.PutUint32(b[len(magic):], Version)
 	binary.BigEndian.PutUint64(b[len(magic)+4:], uint64(n))
 	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[headerLen:])), nil
-}
-
-// readFrame reads exactly one frame from r, never more, and decodes its
-// payload into v. Every failure — short read (wrapping r's error, so a
-// clean end matches io.EOF), magic, version, length bound, CRC, decode —
-// is an error; a frame is either fully trusted or refused.
-func readFrame(r io.Reader, v any) error {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("checkpoint: truncated or not a checkpoint frame: %w", err)
-	}
-	n, err := payloadLen(hdr[:])
-	if err != nil {
-		return err
-	}
-	// The length is only a promise: past one 64 KiB allocation (plus the
-	// MinRead ReadFrom wants before EOF) memory follows the bytes that arrive.
-	var buf bytes.Buffer
-	buf.Grow(int(min(n+4, 64<<10)) + bytes.MinRead)
-	if got, err := io.CopyN(&buf, r, int64(n)+4); err != nil {
-		return fmt.Errorf("checkpoint: truncated frame payload (%d of %d bytes): %w", got, n+4, err)
-	}
-	payload, trailer := buf.Bytes()[:n], buf.Bytes()[n:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(trailer); got != want {
-		return fmt.Errorf("checkpoint: frame crc mismatch (%08x != %08x)", got, want)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("checkpoint: decoding frame payload: %w", err)
-	}
-	return nil
 }
 
 // payloadLen checks a frame header — magic, version, length bound — and
@@ -233,14 +201,34 @@ func payloadLen(hdr []byte) (uint64, error) {
 	return n, nil
 }
 
-// DecodeFrame is readFrame over b, which must hold exactly one frame.
+// DecodeFrame decodes the one frame b holds into v. Every failure —
+// fewer bytes than the header or than the length it declares (a
+// truncation), magic, version, length bound, bytes after the frame, CRC,
+// decode — is an error; a frame is either fully trusted or refused. The
+// payload is read where it lies in b: a damaged length costs nothing.
 func DecodeFrame(b []byte, v any) error {
-	r := bytes.NewReader(b)
-	err := readFrame(r, v)
-	if err == nil && r.Len() != 0 {
-		err = fmt.Errorf("checkpoint: %d stray bytes after the frame", r.Len())
+	if len(b) < headerLen {
+		return fmt.Errorf("checkpoint: truncated or not a checkpoint frame (%d bytes)", len(b))
 	}
-	return err
+	n, err := payloadLen(b)
+	if err != nil {
+		return err
+	}
+	body := b[headerLen:]
+	if uint64(len(body)) < n+4 {
+		return fmt.Errorf("checkpoint: truncated frame payload (%d of %d bytes)", len(body), n+4)
+	}
+	if extra := uint64(len(body)) - (n + 4); extra != 0 {
+		return fmt.Errorf("checkpoint: %d stray bytes after the frame", extra)
+	}
+	payload, trailer := body[:n], body[n:]
+	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(trailer); got != want {
+		return fmt.Errorf("checkpoint: frame crc mismatch (%08x != %08x)", got, want)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+		return fmt.Errorf("checkpoint: decoding frame payload: %w", err)
+	}
+	return nil
 }
 
 // A named record — the stream cursor — is one CRC-framed gob value,

@@ -1,11 +1,8 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
-	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -115,9 +112,10 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestFramesConcatenate: a day log is frames laid end to end;
-// readFrame takes them back one call each, in order, and
-// a clean end after the last frame matches io.EOF.
+// TestFramesConcatenate: a day log is frames laid end to end; each
+// header's length cuts the next frame off the log, DecodeFrame takes it
+// back, and the frames come back in order. Two frames handed to
+// DecodeFrame as one are refused: the second is stray bytes.
 func TestFramesConcatenate(t *testing.T) {
 	var file []byte
 	for i := 0; i < 5; i++ {
@@ -127,37 +125,46 @@ func TestFramesConcatenate(t *testing.T) {
 		}
 		file = append(file, b...)
 	}
-	r := bytes.NewReader(file)
+	rest := file
 	for i := 0; i < 5; i++ {
+		n, err := payloadLen(rest)
+		if err != nil {
+			t.Fatalf("frame %d header: %v", i, err)
+		}
+		end := headerLen + int(n) + 4
 		var out framePayload
-		if err := readFrame(r, &out); err != nil {
+		if err := DecodeFrame(rest[:end], &out); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if len(out.Vals) != 1 || out.Vals[0] != int64(i) {
 			t.Fatalf("frame %d decoded %+v", i, out)
 		}
+		rest = rest[end:]
 	}
-	if err := readFrame(r, &framePayload{}); !errors.Is(err, io.EOF) {
-		t.Fatalf("read past the last frame: err = %v, want io.EOF", err)
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes left after the last frame", len(rest))
+	}
+	if err := DecodeFrame(file, &framePayload{}); err == nil || !strings.Contains(err.Error(), "stray") {
+		t.Fatalf("five frames decoded as one: err = %v, want stray bytes", err)
 	}
 }
 
-// TestReadFrameShortReadAllocatesWhatArrived: a header that promises the
-// largest payload the bound admits, followed by ten bytes and EOF, is a
-// short frame, and finding that out allocates in step with the ten bytes,
-// not the 64 MiB the header claimed.
-func TestReadFrameShortReadAllocatesWhatArrived(t *testing.T) {
+// TestDecodeFrameShortSliceAllocatesNothing: a header that promises the
+// largest payload the bound admits, followed by ten bytes, is a short
+// frame, and finding that out allocates nothing in step with the 64 MiB
+// the header claimed: the payload is read where it lies.
+func TestDecodeFrameShortSliceAllocatesNothing(t *testing.T) {
 	b := append([]byte(magic), 0, 0, 0, Version)
 	b = binary.BigEndian.AppendUint64(b, maxPayload)
 	b = append(b, make([]byte, 10)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := readFrame(bytes.NewReader(b), &framePayload{})
+	err := DecodeFrame(b, &framePayload{})
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("a short frame read as err = %v, want a truncation", err)
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-		t.Errorf("reading a short frame allocated %d bytes", n)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("decoding a short frame allocated %d bytes", n)
 	}
 }

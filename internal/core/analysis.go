@@ -303,7 +303,7 @@ func (ps PortStats) ProtoShare(proto packet.Protocol) float64 {
 // variant of Figure 6: only attacks that left at least one joined event with
 // a failed resolution (port 53 jumps from 30% to 49% among them).
 func FailingAttacks(events []Event) func(ClassifiedAttack) bool {
-	failing := make(map[int]bool)
+	failing := make(map[int32]bool)
 	for _, e := range events {
 		if e.Timeouts+e.ServFails > 0 {
 			failing[e.Attack.ID] = true

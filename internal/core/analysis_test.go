@@ -22,7 +22,7 @@ func classified(victimIsDNS bool, month time.Month, year int, proto packet.Proto
 			EndWindow:   clock.WindowOf(start.Add(dur)) - 1,
 			Proto:       proto,
 			FirstPort:   port,
-			UniquePorts: uniquePorts,
+			UniquePorts: int32(uniquePorts),
 		},
 	}
 	if victimIsDNS {

@@ -201,7 +201,7 @@ func TestJoinFeedPermutation(t *testing.T) {
 		if len(base) != tc.events {
 			t.Fatalf("%s: the original join emits %d events, want %d", tc.name, len(base), tc.events)
 		}
-		byAttack := map[int][]Event{}
+		byAttack := map[int32][]Event{}
 		for _, e := range base {
 			byAttack[e.Attack.ID] = append(byAttack[e.Attack.ID], e)
 		}

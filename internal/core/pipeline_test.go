@@ -96,7 +96,7 @@ func buildWorld(t *testing.T) *world {
 
 func mkAttack(id int, victim netx.Addr, startW, endW clock.Window, port uint16) rsdos.Attack {
 	return rsdos.Attack{
-		ID: id, Victim: victim, StartWindow: startW, EndWindow: endW,
+		ID: int32(id), Victim: victim, StartWindow: startW, EndWindow: endW,
 		Proto: packet.ProtoTCP, FirstPort: port, UniquePorts: 1,
 		TotalPackets: 1000, PeakPPM: 500, MaxSlash16: 100, UniqueDsts: 900,
 	}

@@ -137,21 +137,17 @@ func ContentHash(image []byte) string {
 }
 
 // Install publishes a sealed file image produced elsewhere (AppendDay, as
-// the run's second pass re-seals a day) as day's file in dir, after
-// checking everything a
-// local seal guarantees by construction: the content hash against
-// wantSHA256, then the header, sizes, body CRC and column bounds exactly
-// as OpenDay would. An image that fails any check is refused with a typed
-// ErrCorrupt and nothing is written.
-func Install(dir string, day clock.Day, image []byte, wantSHA256 string) (SealedFile, error) {
-	name := FileName(day)
-	if got := ContentHash(image); got != wantSHA256 {
-		return SealedFile{}, corruptf(name, "content hash %s does not match announced %s", got, wantSHA256)
-	}
-	if _, err := newView(name, day, image, nil); err != nil {
+// the run's second pass re-seals a day) as day's file in dir, under
+// sha256Hex, the image's ContentHash, which the caller has computed and
+// Install does not compute again. It first checks everything a local
+// seal guarantees by construction: the header, sizes, body CRC and
+// column bounds, exactly as OpenDay would. An image that fails any check
+// is refused with a typed ErrCorrupt and nothing is written.
+func Install(dir string, day clock.Day, image []byte, sha256Hex string) (SealedFile, error) {
+	if _, err := newView(FileName(day), day, image, nil); err != nil {
 		return SealedFile{}, err
 	}
-	return publish(dir, day, image, wantSHA256)
+	return publish(dir, day, image, sha256Hex)
 }
 
 // collectDay merges the snapshot's two lists into one row per key in a

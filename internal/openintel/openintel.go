@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"dnsddos/internal/clock"
@@ -182,22 +183,19 @@ func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Ag
 	return nil
 }
 
-// slotOrder returns domain IDs sorted by daily slot, ties in ID order (a
-// counting sort: slots are seconds of the day), so emission is in time
-// order. Slots never change, so NewEngine computes it once.
+// slotOrder returns domain IDs sorted by daily slot, ties in ID order, so
+// emission is in time order: each domain's slot and ID packed into one
+// key, slot above ID, and the keys sorted. Slots never change, so
+// NewEngine computes it once.
 func (e *Engine) slotOrder() []dnsdb.DomainID {
-	counts := make([]int32, 86400+1)
-	for _, s := range e.slot {
-		counts[s+1]++
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	out := make([]dnsdb.DomainID, len(e.slot))
-	next := counts
+	keys := make([]uint64, len(e.slot))
 	for d, s := range e.slot {
-		out[next[s]] = dnsdb.DomainID(d)
-		next[s]++
+		keys[d] = uint64(s)<<32 | uint64(d)
+	}
+	slices.Sort(keys)
+	out := make([]dnsdb.DomainID, len(keys))
+	for i, k := range keys {
+		out[i] = dnsdb.DomainID(uint32(k))
 	}
 	return out
 }

@@ -355,3 +355,50 @@ func BenchmarkRunDay(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/record")
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(b.N)/records, "allocs/record")
 }
+
+// slotOrderCounting is the counting sort slotOrder replaced, kept as its
+// oracle: a count per second of the day, prefix-summed into each slot's
+// first place, then each domain in ID order put at its slot's next place.
+func slotOrderCounting(slot []int32) []dnsdb.DomainID {
+	counts := make([]int32, 86400+1)
+	for _, s := range slot {
+		counts[s+1]++
+	}
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	out := make([]dnsdb.DomainID, len(slot))
+	next := counts
+	for d, s := range slot {
+		out[next[s]] = dnsdb.DomainID(d)
+		next[s]++
+	}
+	return out
+}
+
+// TestSlotOrderMatchesCountingSort holds slotOrder to the counting sort:
+// on the repo benchmark's study world (12,000 domains, the study's
+// measurement seed), and on random slot vectors drawn from a few seconds,
+// so most slots are shared and ties in ID order decide the order, and
+// from the whole day, the last second included.
+func TestSlotOrderMatchesCountingSort(t *testing.T) {
+	wcfg := scenario.DefaultWorldConfig()
+	wcfg.Domains, wcfg.GenericProviders = 12000, 60
+	w := scenario.GenerateWorld(wcfg)
+	e := NewEngine(w.DB, nil, 42)
+	if got, want := e.order, slotOrderCounting(e.slot); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the benchmark world's slot order differs from the counting sort's")
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, span := range []int{1, 7, 86400} {
+		for _, n := range []int{0, 1, 2, 100, 5000} {
+			r := &Engine{slot: make([]int32, n)}
+			for i := range r.slot {
+				r.slot[i] = int32(86400 - 1 - rng.IntN(span))
+			}
+			if got, want := r.slotOrder(), slotOrderCounting(r.slot); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d slots over %d seconds: order %v, counting sort %v", n, span, got, want)
+			}
+		}
+	}
+}

@@ -398,7 +398,7 @@ func EventsCSVRows(w io.Writer, events []core.Event) error {
 	for i := range events {
 		e := &events[i]
 		buf, ends = buf[:0], ends[:0]
-		num(e.Attack.ID)
+		num(int(e.Attack.ID))
 		field(e.Attack.Victim.Netip().AppendTo(buf))
 		field(e.Attack.Start().UTC().AppendFormat(buf, time.RFC3339))
 		field(e.Attack.End().UTC().AppendFormat(buf, time.RFC3339))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -222,7 +223,7 @@ func eventsCSVRowsRef(w io.Writer, events []core.Event) error {
 			impact = strconv.FormatFloat(e.Impact, 'f', 3, 64)
 		}
 		if err := cw.Write([]string{
-			strconv.Itoa(e.Attack.ID),
+			strconv.Itoa(int(e.Attack.ID)),
 			e.Attack.Victim.String(),
 			e.Attack.Start().UTC().Format(time.RFC3339),
 			e.Attack.End().UTC().Format(time.RFC3339),
@@ -253,7 +254,7 @@ func eventsCSVRowsRef(w io.Writer, events []core.Event) error {
 // — and the writer allocates one string per row beside its fixed set-up
 // (the csv writer, its bufio writer and 4 KB buffer, the field slice).
 func TestEventsCSVRowsMatchReference(t *testing.T) {
-	ev := func(id int, victim string, from, to clock.Window, provider string, impact float64, has bool) core.Event {
+	ev := func(id int32, victim string, from, to clock.Window, provider string, impact float64, has bool) core.Event {
 		e := core.Event{
 			Attack:        core.ClassifiedAttack{Attack: &rsdos.Attack{}},
 			NSSet:         nsset.KeyOf([]netx.Addr{netx.MustParseAddr("192.0.2.1"), netx.MustParseAddr("198.51.100.7")}),
@@ -270,7 +271,7 @@ func TestEventsCSVRowsMatchReference(t *testing.T) {
 	events := []core.Event{
 		ev(1, "192.0.2.53", 100, 112, ` Acme, "the" DNS`, 12.3456, true),
 		ev(-7, "255.255.255.255", -300, -1, "two\nlines", 0, false),
-		ev(1<<40, "0.0.0.0", 123456, 123456, "", 1e9+0.0005, true),
+		ev(math.MaxInt32, "0.0.0.0", 123456, 123456, "", 1e9+0.0005, true),
 		ev(4, "10.1.2.3", 0, 0, "plain", 0.9995, true),
 	}
 	var got, want bytes.Buffer

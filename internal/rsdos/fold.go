@@ -226,7 +226,7 @@ func (f *Fold) Finish() []Attack {
 	f.done, f.ndone, f.tr.pending = nil, 0, f.tr.pending[:0]
 	sortAttacks(attacks)
 	for i := range attacks {
-		attacks[i].ID = i + 1
+		attacks[i].ID = int32(i + 1)
 	}
 	return attacks
 }

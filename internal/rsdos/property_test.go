@@ -58,7 +58,7 @@ func TestInferInvariants(t *testing.T) {
 		attackTotal := map[netx.Addr]int64{}
 		lastEnd := map[netx.Addr]clock.Window{}
 		for i, a := range attacks {
-			if a.ID != i+1 {
+			if int(a.ID) != i+1 {
 				return false
 			}
 			if a.EndWindow < a.StartWindow {

@@ -81,7 +81,7 @@ func inferReference(cfg Config, obs []WindowObs) []Attack {
 			return
 		}
 		a := &c.atk
-		a.UniquePorts = len(c.ports)
+		a.UniquePorts = int32(len(c.ports))
 		var bestProto packet.Protocol
 		var bestN int64 = -1
 		for p, n := range c.protoCount {
@@ -90,7 +90,7 @@ func inferReference(cfg Config, obs []WindowObs) []Attack {
 			}
 		}
 		a.Proto = bestProto
-		if a.FirstPort == 0 && len(c.ports) > 0 {
+		if a.FirstPort == 0 && int32(len(c.ports)) > 0 {
 			a.FirstPort = refTopPort(c.ports)
 		}
 		attacks = append(attacks, *a)
@@ -120,8 +120,8 @@ func inferReference(cfg Config, obs []WindowObs) []Attack {
 		if o.PeakPPM > cur.atk.PeakPPM {
 			cur.atk.PeakPPM = o.PeakPPM
 		}
-		if o.Slash16 > cur.atk.MaxSlash16 {
-			cur.atk.MaxSlash16 = o.Slash16
+		if s := int32(o.Slash16); s > cur.atk.MaxSlash16 {
+			cur.atk.MaxSlash16 = s
 		}
 		if o.UniqueDsts > cur.atk.UniqueDsts {
 			cur.atk.UniqueDsts = o.UniqueDsts
@@ -141,7 +141,7 @@ func inferReference(cfg Config, obs []WindowObs) []Attack {
 		return attacks[i].Victim < attacks[j].Victim
 	})
 	for i := range attacks {
-		attacks[i].ID = i + 1
+		attacks[i].ID = int32(i + 1)
 	}
 	return attacks
 }

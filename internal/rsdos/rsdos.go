@@ -120,27 +120,29 @@ func DefaultConfig() Config {
 }
 
 // Attack is one inferred RSDoS attack — the record schema of the feed.
+// Its 8-byte fields come first, so it takes 64 bytes: a session holds one
+// per attack inferred (TestAttackLayout).
 type Attack struct {
-	ID     int
-	Victim netx.Addr
-	// StartWindow..EndWindow are the inclusive qualifying windows.
-	StartWindow clock.Window
-	EndWindow   clock.Window
-	// Proto is the dominant attacked protocol.
-	Proto packet.Protocol
-	// FirstPort is the first attacked port observed (0 for ICMP).
-	FirstPort uint16
-	// UniquePorts is the number of distinct attacked ports.
-	UniquePorts int
 	// TotalPackets is the backscatter packet total at the telescope.
 	TotalPackets int64
 	// PeakPPM is the maximum per-minute telescope packet rate.
 	PeakPPM float64
-	// MaxSlash16 is the maximum /16 spread over the attack's windows.
-	MaxSlash16 int
 	// UniqueDsts is the maximum per-window distinct darknet
 	// destinations (a lower bound on distinct spoofed sources).
 	UniqueDsts int64
+	// StartWindow..EndWindow are the inclusive qualifying windows.
+	StartWindow clock.Window
+	EndWindow   clock.Window
+	ID          int32
+	Victim      netx.Addr
+	// UniquePorts is the number of distinct attacked ports.
+	UniquePorts int32
+	// MaxSlash16 is the maximum /16 spread over the attack's windows.
+	MaxSlash16 int32
+	// FirstPort is the first attacked port observed (0 for ICMP).
+	FirstPort uint16
+	// Proto is the dominant attacked protocol.
+	Proto packet.Protocol
 }
 
 // Start returns the attack start time.
@@ -215,7 +217,7 @@ func Infer(cfg Config, obs []WindowObs) []Attack {
 // number on a tie) and, when the first window named no port, the
 // dominant port.
 func finishAttack(a *Attack, ports []PortCount, protos []protoCount) {
-	a.UniquePorts = len(ports)
+	a.UniquePorts = int32(len(ports))
 	var bestN int64 = -1
 	for _, pc := range protos { // ascending by protocol
 		if pc.n > bestN {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/netx"
@@ -167,6 +168,17 @@ func TestInferredExtrapolations(t *testing.T) {
 	gbps := a.InferredGbps(341, 1400)
 	if gbps < 1.35 || gbps > 1.45 {
 		t.Errorf("inferred Gbps = %v", gbps)
+	}
+}
+
+// TestAttackLayout holds an attack to 64 bytes, as attacksim's
+// TestSpecLayout holds a component to 72: a session at the paper's attack
+// count holds millions of them, in the fold's finished chunks, in
+// Finish's sorted array and in every copy downstream. It took 80 with int
+// IDs and counts.
+func TestAttackLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Attack{}); size > 64 {
+		t.Errorf("Attack takes %d bytes, want ≤ 64", size)
 	}
 }
 

@@ -126,8 +126,8 @@ func (tr *Tracker) Observe(o WindowObs) {
 	if o.PeakPPM > cur.atk.PeakPPM {
 		cur.atk.PeakPPM = o.PeakPPM
 	}
-	if o.Slash16 > cur.atk.MaxSlash16 {
-		cur.atk.MaxSlash16 = o.Slash16
+	if s := int32(o.Slash16); s > cur.atk.MaxSlash16 {
+		cur.atk.MaxSlash16 = s
 	}
 	if o.UniqueDsts > cur.atk.UniqueDsts {
 		cur.atk.UniqueDsts = o.UniqueDsts

@@ -84,11 +84,28 @@ type CaseStudies struct {
 }
 
 // GenerateSchedule builds the full 17-month schedule for a world. Its
-// components are drawn into fixed-size chunks, in draw order, and copied
-// once, in (Start, draw order) order, into one slice of their number,
-// which the schedule keeps; their port lists are cut from fixed-size
-// chunks of ports.
+// components are appended, in draw order, to one slice reserved for them
+// (multiVectorReserve), then permuted in place into (Start, draw order)
+// order, which the schedule keeps; their port lists are cut from
+// fixed-size chunks of ports.
 func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
+	return generateSchedule(cfg, w, multiVectorReserve(cfg))
+}
+
+// multiVectorReserve is the room a schedule reserves for its random
+// attacks' multi-vector components, the only part of its count the draw
+// decides: their mean plus six standard deviations and 16. Every other
+// component is counted before the draw.
+func multiVectorReserve(cfg AttackConfig) int {
+	p := min(max(cfg.DNSShare, 0), 1) * min(max(cfg.MultiVectorShare, 0), 1)
+	n := float64(cfg.TotalAttacks)
+	return int(n*p+6*math.Sqrt(n*p*(1-p))) + 16
+}
+
+// generateSchedule is GenerateSchedule with room for extra components
+// beyond those counted before the draw; a draw that outgrows it grows
+// the slice.
+func generateSchedule(cfg AttackConfig, w *World, extra int) *Schedule {
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xa77ac))
 	g := &schedGen{cfg: cfg, w: w, rng: rng}
 	g.buildVictimPools()
@@ -97,21 +114,31 @@ func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
 	if cfg.IncludeCaseStudies {
 		out.CaseStudies, csSpecs, out.Blackouts = caseStudySpecs(w)
 	}
-	// a random attack is at most two components, a reflection-only or
-	// surge attack one
-	reflections := int(float64(cfg.TotalAttacks) * cfg.ReflectionOnlyRatio)
-	g.specs = make([][]attacksim.Spec, 0, (2*cfg.TotalAttacks+reflections+len(csSpecs)+maxSurge)/specChunk+1)
 	months := clock.StudyMonths()
 	var wsum float64
 	for _, mw := range monthWeights {
 		wsum += mw
 	}
+	monthly := func(mi int) (n, reflections int) {
+		n = int(float64(cfg.TotalAttacks) * monthWeights[mi%len(monthWeights)] / wsum)
+		return n, int(float64(n) * cfg.ReflectionOnlyRatio)
+	}
+	// a random attack is one component before its multi-vector second, a
+	// reflection-only or surge attack one
+	count := extra
+	if cfg.IncludeCaseStudies {
+		count += len(csSpecs) + maxSurge
+	}
+	for mi := range months {
+		n, nr := monthly(mi)
+		count += n + nr
+	}
+	g.specs = make([]attacksim.Spec, 0, count)
 	for mi, m := range months {
-		n := int(float64(cfg.TotalAttacks) * monthWeights[mi%len(monthWeights)] / wsum)
+		n, nr := monthly(mi)
 		for i := 0; i < n; i++ {
 			g.randomAttack(m)
 		}
-		nr := int(float64(n) * cfg.ReflectionOnlyRatio)
 		for i := 0; i < nr; i++ {
 			g.reflectionOnlyAttack(m)
 		}
@@ -124,12 +151,9 @@ func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
 		// 2022 (Beeline hosting banking sites, and others)
 		g.russianSurge()
 	}
-	out.Sched = attacksim.NewSchedule(g.assemble())
+	out.Sched = attacksim.NewSchedule(g.sortByStart())
 	return out
 }
-
-// specChunk is how many components one chunk of a schedule's draw holds.
-const specChunk = 1024
 
 type schedGen struct {
 	cfg AttackConfig
@@ -141,11 +165,8 @@ type schedGen struct {
 	ns24s      []netx.Prefix
 	groupID    int32
 
-	// specs holds the schedule in draw order, in chunks of specChunk;
-	// nspecs counts it
-	specs  [][]attacksim.Spec
-	nspecs int
-	ports  []uint16 // the chunk component port lists are cut from
+	specs []attacksim.Spec // the schedule, in draw order
+	ports []uint16         // the chunk component port lists are cut from
 }
 
 // portChunk is how many ports one chunk of port lists holds.
@@ -162,34 +183,41 @@ func (g *schedGen) portRoom(n int) {
 
 // add appends one component to the draw, its ID zero for NewSchedule.
 func (g *schedGen) add(s *attacksim.Spec) {
-	if g.nspecs%specChunk == 0 {
-		g.specs = append(g.specs, make([]attacksim.Spec, 0, specChunk))
-	}
-	c := len(g.specs) - 1
-	g.specs[c] = append(g.specs[c], *s)
-	g.nspecs++
+	g.specs = append(g.specs, *s)
 }
 
-// drawnAt returns the i-th component drawn.
-func (g *schedGen) drawnAt(i int32) *attacksim.Spec {
-	return &g.specs[i/specChunk][i%specChunk]
-}
-
-// assemble returns the components drawn, in one slice of their number,
-// ordered by (Start, draw order): the order NewSchedule's stable sort
-// gives, which then moves nothing. The draw positions are sorted, not the
-// components, and each component is copied once, into its place.
-func (g *schedGen) assemble() []attacksim.Spec {
-	order := make([]int32, g.nspecs)
+// sortByStart orders the components drawn by (Start, draw order), the
+// order NewSchedule's stable sort gives, which then moves nothing. The
+// draw positions are sorted, not the components; the permutation is then
+// applied in place, one cycle at a time, through one component of
+// scratch, so each component moves once.
+func (g *schedGen) sortByStart() []attacksim.Spec {
+	specs := g.specs
+	order := make([]int32, len(specs))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(g.drawnAt(a).Start, g.drawnAt(b).Start), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(specs[a].Start, specs[b].Start), cmp.Compare(a, b))
 	})
-	specs := make([]attacksim.Spec, len(order))
-	for k, i := range order {
-		specs[k] = *g.drawnAt(i)
+	// position k takes the component drawn at order[k]; a placed
+	// position's entry is set to -1
+	for k := range order {
+		if order[k] < 0 {
+			continue
+		}
+		tmp := specs[k]
+		j := k
+		for {
+			i := int(order[j])
+			order[j] = -1
+			if i == k {
+				specs[j] = tmp
+				break
+			}
+			specs[j] = specs[i]
+			j = i
+		}
 	}
 	return specs
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -276,9 +277,35 @@ func protoPortsReference(g *schedGen) (packet.Protocol, []uint16) {
 // default DNS share and at join_dense's 0.15 (where multi-vector attacks,
 // and so the specs slice's headroom, matter): the same specs in the same
 // order — ports, nil ICMP lists and IDs included — the same case-study
-// annotations and blackouts, and every port list's capacity clamped.
+// annotations and blackouts, and every port list's capacity clamped. A
+// config where every random attack is a DNS attack with a multi-vector
+// second is drawn twice more: into its reserve, which it fills to the
+// reserve's slack, and with no room for those seconds, so that the draw
+// outgrows its reserve and grows the slice.
 func TestGenerateScheduleMatchesReference(t *testing.T) {
 	w := smallWorld(t)
+	check := func(name string, cfg AttackConfig, got *Schedule) {
+		t.Helper()
+		want, wantSpecs := generateScheduleReference(cfg, w)
+		if !reflect.DeepEqual(got.Sched.Specs(), wantSpecs) {
+			specs := got.Sched.Specs()
+			t.Errorf("%s: %d specs, reference %d", name, len(specs), len(wantSpecs))
+			for i := range min(len(specs), len(wantSpecs)) {
+				if !reflect.DeepEqual(specs[i], wantSpecs[i]) {
+					t.Fatalf("first difference at %d:\n got %+v\nwant %+v", i, specs[i], wantSpecs[i])
+				}
+			}
+			return
+		}
+		if !reflect.DeepEqual(got.CaseStudies, want.CaseStudies) || !reflect.DeepEqual(got.Blackouts, want.Blackouts) {
+			t.Errorf("%s: annotations differ from the reference", name)
+		}
+		for i, s := range got.Sched.Specs() {
+			if cap(s.Ports) != len(s.Ports) {
+				t.Fatalf("%s: spec %d has room for %d ports and holds %d", name, i, cap(s.Ports), len(s.Ports))
+			}
+		}
+	}
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, cases := range []bool{false, true} {
 			cfg := DefaultAttackConfig()
@@ -288,26 +315,12 @@ func TestGenerateScheduleMatchesReference(t *testing.T) {
 			if seed%2 == 0 {
 				cfg.DNSShare = 0.15
 			}
-			got := GenerateSchedule(cfg, w)
-			want, wantSpecs := generateScheduleReference(cfg, w)
-			if !reflect.DeepEqual(got.Sched.Specs(), wantSpecs) {
-				specs := got.Sched.Specs()
-				t.Errorf("seed %d, case studies %v: %d specs, reference %d", seed, cases, len(specs), len(wantSpecs))
-				for i := range min(len(specs), len(wantSpecs)) {
-					if !reflect.DeepEqual(specs[i], wantSpecs[i]) {
-						t.Fatalf("first difference at %d:\n got %+v\nwant %+v", i, specs[i], wantSpecs[i])
-					}
-				}
-				continue
-			}
-			if !reflect.DeepEqual(got.CaseStudies, want.CaseStudies) || !reflect.DeepEqual(got.Blackouts, want.Blackouts) {
-				t.Errorf("seed %d, case studies %v: annotations differ from the reference", seed, cases)
-			}
-			for i, s := range got.Sched.Specs() {
-				if cap(s.Ports) != len(s.Ports) {
-					t.Fatalf("seed %d: spec %d has room for %d ports and holds %d", seed, i, cap(s.Ports), len(s.Ports))
-				}
-			}
+			check(fmt.Sprintf("seed %d, case studies %v", seed, cases), cfg, GenerateSchedule(cfg, w))
 		}
 	}
+	full := DefaultAttackConfig()
+	full.TotalAttacks = 1500
+	full.DNSShare, full.MultiVectorShare = 1, 1
+	check("every attack multi-vector", full, GenerateSchedule(full, w))
+	check("every attack multi-vector, no reserve", full, generateSchedule(full, w, 0))
 }

@@ -38,7 +38,7 @@ func Canonicalize(attacks []rsdos.Attack, events []core.Event) ([]rsdos.Attack, 
 	})
 	byKey := make(map[attackKey]*rsdos.Attack, len(ca))
 	for i := range ca {
-		ca[i].ID = i + 1
+		ca[i].ID = int32(i + 1)
 		byKey[attackKey{ca[i].StartWindow, ca[i].Victim}] = &ca[i]
 	}
 	ce := make([]core.Event, len(events))

@@ -288,7 +288,7 @@ func (p *Pipeline) step(ct clock.Window) error {
 
 	for i := range attacks {
 		p.attackSeq++
-		attacks[i].ID = p.attackSeq
+		attacks[i].ID = int32(p.attackSeq)
 	}
 	p.noteLastAttack(attacks)
 	t0 := time.Now()

@@ -16,6 +16,7 @@ import (
 
 	"dnsddos/internal/attacksim"
 	"dnsddos/internal/obs"
+	"dnsddos/internal/rsdos"
 	"dnsddos/internal/study"
 )
 
@@ -24,7 +25,9 @@ import (
 // and 1,000,000 domains, its days sealed to a temporary day store, and
 // prints where the time and the memory went: the wall time, every
 // study.stage.*_wall_ns gauge, the process's peak resident set (VmHWM),
-// and the attacks and events. It asserts only that the run joins
+// the schedule's components and the attacks, each with the bytes of its
+// array (the two largest arrays a session keeps), and the events. It
+// asserts only that the run joins
 // something; the numbers are read in pairs, a change against its parent
 // on one host, and the million-domain row against the single-host bound
 // DESIGN §3.6 states. VmHWM is the process's, so make paperscale runs
@@ -77,7 +80,7 @@ func paperScale(t *testing.T, domains int) {
 	t.Logf("VmHWM %s", procStatus(t, "VmHWM"))
 	n := s.Schedule.Sched.Len()
 	t.Logf("components %d, schedule array %d bytes", n, uintptr(n)*unsafe.Sizeof(attacksim.Spec{}))
-	t.Logf("attacks %d", len(s.Attacks))
+	t.Logf("attacks %d, attacks array %d bytes", len(s.Attacks), uintptr(len(s.Attacks))*unsafe.Sizeof(rsdos.Attack{}))
 	t.Logf("events %d", len(s.Events))
 }
 
