@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -88,6 +89,63 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		if accepted && DecodeFrame(append(b, tail...), &cur) == nil {
 			t.Fatalf("an accepted frame with a frame behind it decoded as one")
+		}
+	})
+}
+
+// cutFrame cuts the frame that starts stream off it, as a day log is read
+// — the header's length marks where the frame ends — decodes it into v
+// and returns the bytes behind it.
+func cutFrame(stream []byte, v any) ([]byte, error) {
+	if len(stream) < headerLen {
+		return nil, fmt.Errorf("%d bytes, short of a header", len(stream))
+	}
+	n, err := payloadLen(stream)
+	if err != nil {
+		return nil, err
+	}
+	if n+4 > uint64(len(stream)-headerLen) {
+		return nil, fmt.Errorf("payload of %d bytes runs past the stream", n)
+	}
+	end := headerLen + int(n) + 4
+	return stream[end:], DecodeFrame(stream[:end], v)
+}
+
+// FuzzReadFrame holds the reading of a stream of frames, laid end to end
+// as a day log holds them, to "error, never panic": the fuzzed bytes, then
+// the same bytes re-stamped, are laid after one intact frame and before
+// another. Every read takes exactly one frame, so the first frame always
+// reads back, and whenever the fuzzed frame reads and ends where the last
+// one starts, the last one must read back too.
+func FuzzReadFrame(f *testing.F) {
+	journalSeeds(f)
+	lead, err := EncodeFrame(&DayRef{File: "day_000001.dcol", SHA256: "lead"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tail, err := EncodeFrame(&Cursor{ClosedThrough: 2, Attacks: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tail) // two intact frames in order
+	f.Fuzz(func(t *testing.T, b []byte) {
+		streams := [][]byte{b}
+		if len(b) >= headerLen+4 {
+			streams = append(streams, restampFrame(b))
+		}
+		for _, mid := range streams {
+			var ref DayRef
+			rest, err := cutFrame(bytes.Join([][]byte{lead, mid, tail}, nil), &ref)
+			if err != nil || ref.SHA256 != "lead" {
+				t.Fatalf("the frame before the fuzzed bytes read as %+v, %v", ref, err)
+			}
+			var cur Cursor
+			if rest, err = cutFrame(rest, &cur); err != nil || len(rest) != len(tail) {
+				continue // refused, or not exactly one frame
+			}
+			if rest, err = cutFrame(rest, &cur); err != nil || cur.ClosedThrough != 2 || len(rest) != 0 {
+				t.Fatalf("the frame after an accepted one read as %+v, %v (%d bytes left)", cur, err, len(rest))
+			}
 		}
 	})
 }
