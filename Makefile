@@ -12,6 +12,7 @@ build:
 
 test: build cmds obs stream
 	test -z "$$(gofmt -l .)"
+	@if $(GO) list -deps ./cmd/... | grep -qx testing; then echo "a cmd/ binary links the testing package"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -bench 'BenchmarkJoin' -benchtime 1x -run '^$$' ./internal/core/

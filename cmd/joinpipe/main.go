@@ -22,7 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -35,15 +35,16 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("joinpipe: ")
 	if err := run(); err != nil {
+		logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 		if errors.Is(err, context.Canceled) {
 			// checkpoints (if enabled) are already durable; resume with
 			// -resume
-			log.Fatal("interrupted (completed day-sweeps are checkpointed; rerun with -resume)")
+			logger.Error("joinpipe interrupted", "hint", "completed day-sweeps are checkpointed; rerun with -resume")
+		} else {
+			logger.Error("joinpipe failed", "err", err)
 		}
-		log.Fatal(err)
+		os.Exit(1)
 	}
 }
 

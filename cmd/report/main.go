@@ -16,7 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -29,10 +29,9 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("report: ")
 	if err := run(); err != nil {
-		log.Fatal(err)
+		slog.New(slog.NewTextHandler(os.Stderr, nil)).Error("report failed", "err", err)
+		os.Exit(1)
 	}
 }
 

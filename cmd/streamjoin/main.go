@@ -32,7 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -47,13 +47,14 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("streamjoin: ")
 	if err := run(); err != nil {
+		logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 		if errors.Is(err, context.Canceled) {
-			log.Fatal("interrupted (the journal frontier is durable; rerun with -resume)")
+			logger.Error("streamjoin interrupted", "hint", "the journal frontier is durable; rerun with -resume")
+		} else {
+			logger.Error("streamjoin failed", "err", err)
 		}
-		log.Fatal(err)
+		os.Exit(1)
 	}
 }
 

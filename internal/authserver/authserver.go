@@ -350,8 +350,6 @@ type Server struct {
 	// faultinject.WrapPacketConn). Set before Start; the injector
 	// behind the wrapper may be reshaped while the server runs.
 	WrapUDP func(net.PacketConn) net.PacketConn
-	// WrapTCP wraps each accepted TCP connection. Set before Start.
-	WrapTCP func(net.Conn) net.Conn
 
 	// delay (nanoseconds) artificially delays every answer; tests use it
 	// to exercise resolver timeout handling over real sockets. Atomic, so
@@ -719,9 +717,6 @@ func (s *Server) serveTCP(l net.Listener, maxConns int) {
 			continue
 		}
 		s.m.tcpAccepted.Inc()
-		if s.WrapTCP != nil {
-			c = s.WrapTCP(c)
-		}
 		s.mu.Lock()
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()

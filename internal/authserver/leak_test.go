@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"dnsddos/internal/dnswire"
-	"dnsddos/internal/netx"
+	"dnsddos/internal/leakcheck"
 	"dnsddos/internal/resolver"
 )
 
@@ -17,7 +17,7 @@ import (
 // chaos suite perform.
 
 func TestStartCloseNoGoroutineLeaks(t *testing.T) {
-	netx.NoGoroutineLeaks(t)
+	leakcheck.NoGoroutineLeaks(t)
 
 	for i := 0; i < 3; i++ {
 		addr, srv := startTestServer(t)
@@ -41,7 +41,7 @@ func TestStartCloseNoGoroutineLeaks(t *testing.T) {
 // TestCloseIdempotentNoLeaks: double-Close must neither panic nor
 // strand the serve goroutines.
 func TestCloseIdempotentNoLeaks(t *testing.T) {
-	netx.NoGoroutineLeaks(t)
+	leakcheck.NoGoroutineLeaks(t)
 	_, srv := startTestServer(t)
 	srv.Close()
 	srv.Close()

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"dnsddos/internal/dnswire"
-	"dnsddos/internal/netx"
+	"dnsddos/internal/leakcheck"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/resolver"
 )
@@ -21,7 +21,7 @@ import (
 // approximately — and the latency histogram must hold one sample per
 // answered UDP query.
 func TestMetricsEndpointMatchesStats(t *testing.T) {
-	netx.NoGoroutineLeaks(t)
+	leakcheck.NoGoroutineLeaks(t)
 
 	addr, srv := startTestServer(t)
 	ms, err := obs.Serve("127.0.0.1:0", srv.Metrics())

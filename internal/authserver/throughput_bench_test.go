@@ -1,5 +1,7 @@
 // Throughput benchmarks for the concurrent serving engine, driven by the
-// internal/dnsload generator over real loopback sockets. Each answer
+// internal/dnsload generator over real loopback sockets: one try per
+// query through a resolver.UDPClient (a socket of its own per query) or
+// a resolver.TCPClient (a connection dialed per query). Each answer
 // carries a small artificial service delay (the Delay knob) modelling
 // handler latency — the exact condition under which the seed's
 // single-goroutine UDP loop collapsed: with workers=1 throughput is capped
@@ -19,6 +21,7 @@ import (
 	"dnsddos/internal/dnsload"
 	"dnsddos/internal/dnswire"
 	"dnsddos/internal/netx"
+	"dnsddos/internal/resolver"
 )
 
 // benchServiceDelay models per-answer handler latency (backend lookups,
@@ -60,6 +63,7 @@ func benchUDPThroughput(b *testing.B, workers int) {
 		Concurrency: 4 * workers,
 		Queries:     b.N,
 		Timeout:     10 * time.Second,
+		Client:      &resolver.UDPClient{},
 	})
 	b.StopTimer()
 	if err != nil {
@@ -99,10 +103,10 @@ func benchTCPThroughput(b *testing.B, conns int) {
 	res, err := dnsload.Run(context.Background(), dnsload.Config{
 		Addr:        addr,
 		Names:       names,
-		Proto:       dnsload.ProtoTCP,
 		Concurrency: conns,
 		Queries:     b.N,
 		Timeout:     10 * time.Second,
+		Client:      &resolver.TCPClient{},
 	})
 	b.StopTimer()
 	if err != nil {
@@ -116,7 +120,8 @@ func benchTCPThroughput(b *testing.B, conns int) {
 }
 
 // BenchmarkServer_TCPThroughput measures DNS-over-TCP exchange rate as
-// client connections fan out across per-connection handler goroutines.
+// concurrent senders, each dialing a connection per query, fan out
+// across per-connection handler goroutines.
 func BenchmarkServer_TCPThroughput(b *testing.B) {
 	for _, c := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("conns=%d", c), func(b *testing.B) {

@@ -90,9 +90,5 @@ func ReportSkippedDays(s *study.Study) {
 	if len(s.Report.SkippedDays) == 0 {
 		return
 	}
-	rows := make([]report.SkippedDayRow, len(s.Report.SkippedDays))
-	for i, sd := range s.Report.SkippedDays {
-		rows[i] = report.SkippedDayRow{Day: sd.Day, Reason: sd.Reason, Attempts: sd.Attempts}
-	}
-	report.SkippedDays(os.Stderr, rows)
+	report.SkippedDays(os.Stderr, s.Report.SkippedDays)
 }

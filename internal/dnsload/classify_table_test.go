@@ -6,71 +6,76 @@ import (
 	"testing"
 	"time"
 
-	"dnsddos/internal/faultinject"
+	"dnsddos/internal/dnswire"
 	"dnsddos/internal/obs"
+	"dnsddos/internal/resolver"
 )
 
-// classify_table_test.go drives every failure class through the
-// faultinject wrappers in one table: the generator must attribute each
-// injected fault to exactly one bucket (timeout vs dial vs decode vs
-// other), with nothing leaking into neighbouring classes, and the obs
-// counters must mirror the Result totals exactly.
+// classify_table_test.go drives every outcome class through the one
+// engine in one table: each row's Client fails (or answers) every query
+// the same way, the generator must attribute all of them to exactly one
+// bucket (timeout vs other vs received), with nothing leaking into
+// neighbouring classes, and the obs counters must mirror the Result
+// totals exactly.
 
 func TestFailureClassificationTable(t *testing.T) {
-	authAddr := startServer(t)
-	// an address that refuses connections, deterministically
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	authAddr := startServer(t, nil)
+	// a TCP peer that accepts and at once closes every connection: the
+	// exchange is aborted before an answer
+	abort, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	refusedAddr := l.Addr().String()
-	l.Close()
+	t.Cleanup(func() { abort.Close() })
+	go func() {
+		for {
+			c, err := abort.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	servfail := resolver.ClientFunc(func(context.Context, string, string, dnswire.Type) (*dnswire.Message, time.Duration, error) {
+		return &dnswire.Message{Header: dnswire.Header{Response: true, RCode: dnswire.RCodeServFail}}, time.Millisecond, nil
+	})
 
 	cases := []struct {
-		name    string
-		proto   Proto
-		addr    string
-		profile faultinject.Profile
-		wrap    func(net.Conn, *faultinject.Injector) net.Conn
-		// which Result field must absorb every failed query
-		count func(*Result) int64
-		// sent distinguishes "queries went out and failed" (true) from
-		// "failure before send" (false, dial errors)
-		sent bool
+		name   string
+		addr   string
+		client resolver.Client
+		// want reads the Result field that must hold every query
+		want func(*Result) int64
 	}{
 		{
-			name:    "udp-drop-is-timeout",
-			proto:   ProtoUDP,
-			addr:    authAddr,
-			profile: faultinject.Profile{Drop: 1},
-			wrap:    func(c net.Conn, inj *faultinject.Injector) net.Conn { return faultinject.WrapDatagram(c, inj) },
-			count:   func(r *Result) int64 { return r.Timeouts },
-			sent:    true,
+			name:   "udp-drop-is-timeout",
+			addr:   lossyServer(t, 13, 1),
+			client: &resolver.UDPClient{},
+			want:   func(r *Result) int64 { return r.Timeouts },
 		},
 		{
-			name:    "udp-truncate-is-decode",
-			proto:   ProtoUDP,
-			addr:    authAddr,
-			profile: faultinject.Profile{Truncate: 1},
-			wrap:    func(c net.Conn, inj *faultinject.Injector) net.Conn { return faultinject.WrapDatagram(c, inj) },
-			count:   func(r *Result) int64 { return r.DecodeErrors },
-			sent:    true,
+			name:   "udp-truncate-is-other",
+			addr:   authAddr,
+			client: truncatingUDPClient(13),
+			want:   func(r *Result) int64 { return r.Errors },
 		},
 		{
-			name:    "tcp-abort-is-other",
-			proto:   ProtoTCP,
-			addr:    authAddr,
-			profile: faultinject.Profile{Drop: 1}, // stream Drop = connection abort
-			wrap:    func(c net.Conn, inj *faultinject.Injector) net.Conn { return faultinject.WrapStream(c, inj) },
-			count:   func(r *Result) int64 { return r.Errors },
-			sent:    false, // the aborted write never counts as sent
+			name:   "tcp-abort-is-other",
+			addr:   abort.Addr().String(),
+			client: &resolver.TCPClient{},
+			want:   func(r *Result) int64 { return r.Errors },
 		},
 		{
-			name:  "tcp-refused-is-dial",
-			proto: ProtoTCP,
-			addr:  refusedAddr,
-			count: func(r *Result) int64 { return r.DialErrors },
-			sent:  false,
+			name:   "tcp-refused-is-other",
+			addr:   refusedAddr(t),
+			client: &resolver.TCPClient{},
+			want:   func(r *Result) int64 { return r.Errors },
+		},
+		{
+			name:   "servfail-is-received",
+			addr:   "servfail.invalid:53",
+			client: servfail,
+			want:   func(r *Result) int64 { return r.ServFails() },
 		},
 	}
 
@@ -78,50 +83,36 @@ func TestFailureClassificationTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const queries = 6
 			reg := obs.New()
-			cfg := Config{
+			res, err := Run(context.Background(), Config{
 				Addr:        tc.addr,
 				Names:       []string{"load.example"},
-				Proto:       tc.proto,
 				Concurrency: 2,
 				Queries:     queries,
 				Timeout:     150 * time.Millisecond,
+				Client:      tc.client,
 				Metrics:     reg,
-			}
-			if tc.wrap != nil {
-				inj := faultinject.New(13)
-				inj.SetProfile(tc.profile)
-				cfg.Wrap = func(c net.Conn) net.Conn { return tc.wrap(c, inj) }
-			}
-			res, err := Run(context.Background(), cfg)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Received != 0 {
-				t.Fatalf("a total-fault run received %d answers", res.Received)
+			if got := tc.want(res); got != queries {
+				t.Errorf("expected class holds %d of %d queries\nresult: %+v", got, queries, res)
 			}
-			if got := tc.count(res); got != queries {
-				t.Errorf("expected class holds %d of %d failures\nresult: %+v", got, queries, res)
+			if res.Sent != queries {
+				t.Errorf("sent=%d, want %d", res.Sent, queries)
 			}
-			if total := res.Timeouts + res.DialErrors + res.DecodeErrors + res.Errors; total != queries {
-				t.Errorf("classes leak: timeout=%d dial=%d decode=%d other=%d, want %d total",
-					res.Timeouts, res.DialErrors, res.DecodeErrors, res.Errors, queries)
-			}
-			if tc.sent && res.Sent != queries {
-				t.Errorf("sent=%d, want %d (failure happens after the send)", res.Sent, queries)
-			}
-			if !tc.sent && res.Sent != 0 {
-				t.Errorf("sent=%d, want 0 (failure happens before the send counts)", res.Sent)
+			if total := res.Received + res.Timeouts + res.Errors; total != queries {
+				t.Errorf("classes leak: received=%d timeout=%d other=%d, want %d total",
+					res.Received, res.Timeouts, res.Errors, queries)
 			}
 
 			// obs counters must mirror the Result exactly
 			snap := reg.Snapshot()
 			mirror := map[string]int64{
-				"dnsload.sent":          res.Sent,
-				"dnsload.received":      res.Received,
-				"dnsload.timeouts":      res.Timeouts,
-				"dnsload.dial_errors":   res.DialErrors,
-				"dnsload.decode_errors": res.DecodeErrors,
-				"dnsload.errors":        res.Errors,
+				"dnsload.sent":     res.Sent,
+				"dnsload.received": res.Received,
+				"dnsload.timeouts": res.Timeouts,
+				"dnsload.errors":   res.Errors,
 			}
 			for name, want := range mirror {
 				if got := snap.Counters[name]; got != want {

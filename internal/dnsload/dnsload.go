@@ -1,8 +1,11 @@
-// Package dnsload is a DNS load generator in the style of dnsperfbench:
-// it fans a query stream out over a configurable number of concurrent
-// senders, optionally paced to a target aggregate query rate, and reports
-// latency quantiles, loss, and response-code counts built on
-// internal/stats. The authoritative-server throughput benchmarks, the
+// Package dnsload is a closed-loop DNS load generator in the style of
+// dnsperfbench: it fans an NS query stream out over a configurable number
+// of concurrent senders, each sending its next query as soon as the last
+// one resolves, and reports latency quantiles, loss, and response-code
+// counts built on internal/stats. Every query goes through one
+// resolver.Client, so the RTT it records is the one the Client measured:
+// for a LiveResolver, the resolution time with retries included (the
+// paper's Eq. 1 RTT). The authoritative-server throughput benchmarks, the
 // degraded-mode sweep (internal/e2ebench) and the repo benchmark's
 // serve_clean workload use it to measure what the concurrent serving
 // engine actually sustains — authoritative capacity under load being the
@@ -11,10 +14,8 @@ package dnsload
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"strings"
@@ -28,53 +29,25 @@ import (
 	"dnsddos/internal/stats"
 )
 
-// Proto selects the query transport.
-type Proto string
-
-// Transports: plain UDP datagrams or length-prefixed DNS-over-TCP.
-const (
-	ProtoUDP Proto = "udp"
-	ProtoTCP Proto = "tcp"
-)
-
 // Config describes one load run.
 type Config struct {
-	// Addr is the server's "host:port".
+	// Addr is the server's "host:port", handed to the Client with every
+	// query.
 	Addr string
 	// Names are the query names, cycled round-robin per sender.
 	Names []string
-	// Type is the query type; zero means NS (the paper's probe type).
-	Type dnswire.Type
-	// Proto is the transport; empty means UDP.
-	Proto Proto
-	// Concurrency is the sender fan-out; zero means 8. Each sender owns
-	// one socket (UDP) or one connection (TCP) for its whole run.
+	// Concurrency is the sender fan-out; zero means 8.
 	Concurrency int
-	// TargetQPS paces the aggregate send rate (open-loop); zero means
-	// unthrottled — each sender issues its next query as soon as the
-	// previous one resolves.
-	TargetQPS float64
-	// Queries is the total number of queries to issue. Zero means run
-	// until Duration elapses.
+	// Queries is the total number of queries to issue; it must be
+	// positive.
 	Queries int
-	// Duration bounds the run when Queries is zero; zero means 1s.
-	Duration time.Duration
-	// Timeout bounds one query round trip; zero means 2s. A query that
-	// times out counts as lost.
+	// Timeout bounds one query, retries included; zero means 2s. A query
+	// that times out counts as lost.
 	Timeout time.Duration
-	// EDNSPayload, when nonzero, attaches an EDNS OPT record advertising
-	// this UDP payload size.
-	EDNSPayload uint16
-	// Wrap, when set, wraps each sender's socket before traffic flows —
-	// the client-side fault-injection hook (e.g. a closure over
-	// faultinject.WrapDatagram for UDP or WrapStream for TCP).
-	Wrap func(net.Conn) net.Conn
-	// Client, when set, routes every query through this transport-
-	// agnostic resolver.Client instead of the raw socket engine — e.g. a
+	// Client sends every query and measures its RTT: a
 	// *resolver.LiveResolver for load with retries and TC→TCP fallback,
-	// or a ClientFunc stub. The Client owns transport concerns, so
-	// Proto, EDNSPayload and Wrap are ignored; pacing, concurrency and
-	// outcome accounting work the same either way.
+	// a *resolver.UDPClient or *resolver.TCPClient for one try per query
+	// over a socket of its own, or a ClientFunc stub. Required.
 	Client resolver.Client
 	// Metrics, when non-nil, receives live per-query observations under
 	// dnsload.* names (rtt histogram plus sent/received/failure-class
@@ -85,20 +58,21 @@ type Config struct {
 
 // Result aggregates a finished run.
 type Result struct {
-	// Sent/Received count queries issued and answers matched. Failed
-	// queries are classified so degradation experiments can tell drops
-	// from decode garbage from dial failures: Timeouts are queries with
-	// no answer inside Timeout (UDP loss under overload); DialErrors
-	// are connection-setup failures; DecodeErrors are queries whose
-	// only answer(s) inside the deadline failed to decode (corruption);
-	// Errors are the remaining transport-level failures. RCODE-level
-	// failures (SERVFAIL etc.) count as Received and show in RCodes.
-	Sent         int64
-	Received     int64
-	Timeouts     int64
+	// Sent/Received count queries issued and answers received. A failed
+	// query is one of Timeouts when the Client's error is a net.Error
+	// whose Timeout() is true (no answer inside Timeout, retries
+	// included: loss under overload), and one of Errors otherwise.
+	// RCODE-level failures (SERVFAIL etc.) count as Received and show in
+	// RCodes.
+	Sent     int64
+	Received int64
+	Timeouts int64
+	Errors   int64
+	// DialErrors and DecodeErrors are always zero: the Client owns dial
+	// and decode, and its failures classify as above. They stay while
+	// the repo benchmark's serve workload still adds them up.
 	DialErrors   int64
 	DecodeErrors int64
-	Errors       int64
 	// RCodes counts answers by response code; Truncated counts answers
 	// carrying the TC bit.
 	RCodes    map[dnswire.RCode]int64
@@ -148,9 +122,8 @@ func (r *Result) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sent %d  answered %d  loss %.2f%%  rate %.0f q/s  elapsed %s\n",
 		r.Sent, r.Received, 100*r.LossRate(), r.QPS(), r.Elapsed.Round(time.Millisecond))
-	if fails := r.Timeouts + r.DialErrors + r.DecodeErrors + r.Errors; fails > 0 {
-		fmt.Fprintf(&b, "failures: timeout=%d dial=%d decode=%d other=%d\n",
-			r.Timeouts, r.DialErrors, r.DecodeErrors, r.Errors)
+	if r.Timeouts+r.Errors > 0 {
+		fmt.Fprintf(&b, "failures: timeout=%d other=%d\n", r.Timeouts, r.Errors)
 	}
 	if r.Received > 0 {
 		fmt.Fprintf(&b, "latency p50 %s  p90 %s  p99 %s  max %s\n",
@@ -182,7 +155,6 @@ func (r *Result) Summary() string {
 // senderResult is one sender's private tally, merged after the run.
 type senderResult struct {
 	sent, received, timeouts, errors int64
-	dialErrs, decodeErrs             int64
 	truncated                        int64
 	rcodes                           map[dnswire.RCode]int64
 	latencies                        []float64
@@ -191,42 +163,28 @@ type senderResult struct {
 // loadMetrics mirrors the senderResult tallies into a registry as the
 // run progresses. All fields no-op when Config.Metrics is nil.
 type loadMetrics struct {
-	sent       *obs.Counter
-	received   *obs.Counter
-	timeouts   *obs.Counter
-	dialErrs   *obs.Counter
-	decodeErrs *obs.Counter
-	errors     *obs.Counter
-	truncated  *obs.Counter
-	rtt        *obs.Histogram
+	sent      *obs.Counter
+	received  *obs.Counter
+	timeouts  *obs.Counter
+	errors    *obs.Counter
+	truncated *obs.Counter
+	rtt       *obs.Histogram
 }
 
 func newLoadMetrics(reg *obs.Registry) loadMetrics {
 	return loadMetrics{
-		sent:       reg.Counter("dnsload.sent"),
-		received:   reg.Counter("dnsload.received"),
-		timeouts:   reg.Counter("dnsload.timeouts"),
-		dialErrs:   reg.Counter("dnsload.dial_errors"),
-		decodeErrs: reg.Counter("dnsload.decode_errors"),
-		errors:     reg.Counter("dnsload.errors"),
-		truncated:  reg.Counter("dnsload.truncated"),
-		rtt:        reg.Histogram("dnsload.rtt"),
+		sent:      reg.Counter("dnsload.sent"),
+		received:  reg.Counter("dnsload.received"),
+		timeouts:  reg.Counter("dnsload.timeouts"),
+		errors:    reg.Counter("dnsload.errors"),
+		truncated: reg.Counter("dnsload.truncated"),
+		rtt:       reg.Histogram("dnsload.rtt"),
 	}
 }
 
-// failKind classifies one failed query.
-type failKind int
-
-const (
-	failNone failKind = iota
-	failDial
-	failTimeout
-	failDecode
-	failOther
-)
-
-// Run executes the configured load against cfg.Addr and returns the
-// aggregate result. It honors ctx cancellation.
+// Run sends cfg.Queries queries through cfg.Client and returns the
+// aggregate result. It honors ctx cancellation: a cancelled run stops
+// issuing and reports what it sent.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Addr == "" {
 		return nil, errors.New("dnsload: no target address")
@@ -234,77 +192,32 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if len(cfg.Names) == 0 {
 		return nil, errors.New("dnsload: no query names")
 	}
-	proto := cfg.Proto
-	if proto == "" {
-		proto = ProtoUDP
+	if cfg.Client == nil {
+		return nil, errors.New("dnsload: no client")
 	}
-	if proto != ProtoUDP && proto != ProtoTCP {
-		return nil, fmt.Errorf("dnsload: unknown proto %q", proto)
-	}
-	qtype := cfg.Type
-	if qtype == 0 {
-		qtype = dnswire.TypeNS
+	if cfg.Queries <= 0 {
+		return nil, fmt.Errorf("dnsload: %d queries, want at least one", cfg.Queries)
 	}
 	conc := cfg.Concurrency
 	if conc <= 0 {
 		conc = 8
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	runCtx := ctx
-	if cfg.Queries <= 0 {
-		dur := cfg.Duration
-		if dur <= 0 {
-			dur = time.Second
-		}
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, dur)
-		defer cancel()
-	}
-
-	// open-loop pacing: each sender spaces its sends so the fleet hits
-	// TargetQPS in aggregate
-	var interval time.Duration
-	if cfg.TargetQPS > 0 {
-		interval = time.Duration(float64(time.Second) * float64(conc) / cfg.TargetQPS)
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 2 * time.Second
 	}
 
 	var issued atomic.Int64
-	next := func() bool {
-		if runCtx.Err() != nil {
-			return false
-		}
-		if cfg.Queries > 0 {
-			return issued.Add(1) <= int64(cfg.Queries)
-		}
-		return true
-	}
-
 	m := newLoadMetrics(cfg.Metrics)
 	cfg.Metrics.Gauge("dnsload.concurrency").Set(int64(conc))
 	results := make([]senderResult, conc)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i := 0; i < conc; i++ {
+	for i := range results {
 		wg.Add(1)
-		go func(idx int) {
+		go func(res *senderResult) {
 			defer wg.Done()
-			s := sender{
-				cfg:      cfg,
-				proto:    proto,
-				qtype:    qtype,
-				timeout:  timeout,
-				interval: interval,
-				id:       uint16(idx+1) << 8,
-				res:      &results[idx],
-				m:        m,
-				next:     next,
-				ctx:      runCtx,
-			}
-			s.run()
-		}(i)
+			res.send(ctx, &cfg, m, &issued)
+		}(&results[i])
 	}
 	wg.Wait()
 
@@ -314,8 +227,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		out.Sent += r.sent
 		out.Received += r.received
 		out.Timeouts += r.timeouts
-		out.DialErrors += r.dialErrs
-		out.DecodeErrors += r.decodeErrs
 		out.Errors += r.errors
 		out.Truncated += r.truncated
 		for rc, n := range r.rcodes {
@@ -327,210 +238,42 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return out, nil
 }
 
-// sender drives one socket's query loop.
-type sender struct {
-	cfg      Config
-	proto    Proto
-	qtype    dnswire.Type
-	timeout  time.Duration
-	interval time.Duration
-	id       uint16
-	res      *senderResult
-	m        loadMetrics
-	next     func() bool
-	ctx      context.Context
-
-	conn   net.Conn
-	buf    []byte          // read buffer
-	out    []byte          // the query's bytes, behind two for a TCP length
-	msg    dnswire.Message // the last answer decoded; only its header is read
-	nextAt time.Time
-}
-
-func (s *sender) run() {
-	s.res.rcodes = make(map[dnswire.RCode]int64)
-	s.buf = make([]byte, 65536)
-	s.out = make([]byte, 2, 512)
-	defer func() {
-		if s.conn != nil {
-			s.conn.Close()
-		}
-	}()
-	query := s.oneQuery
-	if s.cfg.Client != nil {
-		query = s.oneQueryClient
-	}
-	for qi := 0; s.next(); qi++ {
-		s.pace()
-		name := s.cfg.Names[qi%len(s.cfg.Names)]
-		s.id++
-		switch query(name) {
-		case failNone:
-		case failDial:
-			s.res.dialErrs++
-			s.m.dialErrs.Inc()
-		case failTimeout:
-			s.res.timeouts++
-			s.m.timeouts.Inc()
-		case failDecode:
-			s.res.decodeErrs++
-			s.m.decodeErrs.Inc()
-			s.redialTCP()
+// send is one closed-loop sender: it issues its next query as soon as
+// the last one resolves, until the run's queries are all issued or ctx
+// is done, and tallies each outcome.
+func (r *senderResult) send(ctx context.Context, cfg *Config, m loadMetrics, issued *atomic.Int64) {
+	r.rcodes = make(map[dnswire.RCode]int64)
+	for qi := 0; ctx.Err() == nil && issued.Add(1) <= int64(cfg.Queries); qi++ {
+		r.sent++
+		m.sent.Inc()
+		qctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
+		msg, rtt, err := cfg.Client.Query(qctx, cfg.Addr, cfg.Names[qi%len(cfg.Names)], dnswire.TypeNS)
+		cancel()
+		switch {
+		case err == nil:
+			r.received++
+			m.received.Inc()
+			r.latencies = append(r.latencies, rtt.Seconds())
+			m.rtt.Observe(rtt)
+			r.rcodes[msg.Header.RCode]++
+			if msg.Header.Truncated {
+				r.truncated++
+				m.truncated.Inc()
+			}
+		case isTimeout(err):
+			r.timeouts++
+			m.timeouts.Inc()
 		default:
-			s.res.errors++
-			s.m.errors.Inc()
-			s.redialTCP()
+			r.errors++
+			m.errors.Inc()
 		}
 	}
 }
 
-// redialTCP drops a broken TCP connection so the next query redials.
-func (s *sender) redialTCP() {
-	if s.proto == ProtoTCP && s.conn != nil {
-		s.conn.Close()
-		s.conn = nil
-	}
-}
-
-// pace sleeps until this sender's next send slot. A sender that falls
-// behind (slow answers) sends immediately rather than accumulating debt.
-func (s *sender) pace() {
-	if s.interval <= 0 {
-		return
-	}
-	now := time.Now()
-	if s.nextAt.IsZero() || s.nextAt.Before(now.Add(-10*s.interval)) {
-		s.nextAt = now
-	}
-	if d := s.nextAt.Sub(now); d > 0 {
-		select {
-		case <-time.After(d):
-		case <-s.ctx.Done():
-		}
-	}
-	s.nextAt = s.nextAt.Add(s.interval)
-}
-
-// oneQuery issues a single query and records its outcome, classifying
-// any failure.
-func (s *sender) oneQuery(name string) failKind {
-	if s.conn == nil {
-		var d net.Dialer
-		conn, err := d.DialContext(s.ctx, string(s.proto), s.cfg.Addr)
-		if err != nil {
-			return failDial
-		}
-		if s.cfg.Wrap != nil {
-			conn = s.cfg.Wrap(conn)
-		}
-		s.conn = conn
-	}
-	q := dnswire.NewQuery(s.id, name, s.qtype)
-	if s.cfg.EDNSPayload > 0 {
-		q.AttachEDNS(dnswire.EDNS{UDPPayload: s.cfg.EDNSPayload})
-	}
-	prefix := 0 // over TCP the message goes behind its 16-bit length
-	if s.proto == ProtoTCP {
-		prefix = 2
-	}
-	wire, err := dnswire.AppendEncode(s.out[:prefix], q)
-	if err != nil {
-		return failOther
-	}
-	s.out = wire
-	if prefix > 0 {
-		binary.BigEndian.PutUint16(wire, uint16(len(wire)-prefix))
-	}
-	if err := s.conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
-		return failOther
-	}
-	start := time.Now()
-	if _, err := s.conn.Write(wire); err != nil {
-		return classifyErr(err, false)
-	}
-	s.res.sent++
-	s.m.sent.Inc()
-	sawGarbage := false
-	for {
-		var payload []byte
-		if s.proto == ProtoTCP {
-			var lenb [2]byte
-			if _, err := io.ReadFull(s.conn, lenb[:]); err != nil {
-				return classifyErr(err, sawGarbage)
-			}
-			n := int(binary.BigEndian.Uint16(lenb[:]))
-			if _, err := io.ReadFull(s.conn, s.buf[:n]); err != nil {
-				return classifyErr(err, sawGarbage)
-			}
-			payload = s.buf[:n]
-		} else {
-			n, err := s.conn.Read(s.buf)
-			if err != nil {
-				return classifyErr(err, sawGarbage)
-			}
-			payload = s.buf[:n]
-		}
-		m := &s.msg
-		if err := dnswire.DecodeInto(m, payload); err != nil {
-			// garbage on the wire (corruption); a valid answer may
-			// still arrive before the deadline
-			sawGarbage = true
-			continue
-		}
-		if !m.Header.Response || m.Header.ID != s.id {
-			continue // stale answer to an earlier timed-out query
-		}
-		rtt := time.Since(start)
-		s.res.received++
-		s.m.received.Inc()
-		s.res.latencies = append(s.res.latencies, rtt.Seconds())
-		s.m.rtt.Observe(rtt)
-		s.res.rcodes[m.Header.RCode]++
-		if m.Header.Truncated {
-			s.res.truncated++
-			s.m.truncated.Inc()
-		}
-		return failNone
-	}
-}
-
-// oneQueryClient issues one query through the configured resolver.Client
-// instead of the raw socket engine. The Client reports the RTT it
-// measured (for a LiveResolver that is the cumulative resolution time
-// including retries — the Eq. 1 RTT); failures classify by error type
-// (timeouts vs everything else; the Client owns dial/decode internals).
-func (s *sender) oneQueryClient(name string) failKind {
-	ctx, cancel := context.WithTimeout(s.ctx, s.timeout)
-	defer cancel()
-	s.res.sent++
-	s.m.sent.Inc()
-	msg, rtt, err := s.cfg.Client.Query(ctx, s.cfg.Addr, name, s.qtype)
-	if err != nil {
-		return classifyErr(err, false)
-	}
-	s.res.received++
-	s.m.received.Inc()
-	s.res.latencies = append(s.res.latencies, rtt.Seconds())
-	s.m.rtt.Observe(rtt)
-	s.res.rcodes[msg.Header.RCode]++
-	if msg.Header.Truncated {
-		s.res.truncated++
-		s.m.truncated.Inc()
-	}
-	return failNone
-}
-
-// classifyErr maps a transport error to a failure class. A deadline that
-// expired after only undecodable datagrams arrived classifies as a
-// decode failure — the response was delivered but corrupted — rather
-// than as loss.
-func classifyErr(err error, sawGarbage bool) failKind {
+// isTimeout reports whether a failed query timed out: its error is a
+// net.Error whose Timeout() is true. It is a function of its own so the
+// error target escapes to the heap only when a query fails.
+func isTimeout(err error) bool {
 	var nerr net.Error
-	if errors.As(err, &nerr) && nerr.Timeout() {
-		if sawGarbage {
-			return failDecode
-		}
-		return failTimeout
-	}
-	return failOther
+	return errors.As(err, &nerr) && nerr.Timeout()
 }

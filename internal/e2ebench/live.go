@@ -27,8 +27,8 @@ import (
 
 // timeoutError is the net.Error the fleet client surfaces when a full
 // resolution exhausts its tries without any server answering — it
-// classifies as a timeout in dnsload's failure accounting, exactly
-// like a lost datagram on the raw-socket path.
+// classifies as a timeout in dnsload's failure accounting, as an
+// expired read deadline from a single-try UDPClient does.
 type timeoutError struct{}
 
 func (timeoutError) Error() string   { return "e2ebench: resolution timed out" }
@@ -56,7 +56,7 @@ func (f *fleetClient) Query(ctx context.Context, _, name string, qtype dnswire.T
 		// a SERVFAIL outcome is an answer, not loss: hand dnsload a
 		// minimal SERVFAIL response with the time the resolution burned,
 		// so it lands in RCodes and the latency distribution the way a
-		// SERVFAIL datagram from the raw-socket path would.
+		// SERVFAIL datagram through a single-try UDPClient would.
 		return &dnswire.Message{Header: dnswire.Header{
 			Response: true, RCode: dnswire.RCodeServFail,
 		}}, time.Since(start), nil

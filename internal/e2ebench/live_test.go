@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"dnsddos/internal/netx"
+	"dnsddos/internal/leakcheck"
 )
 
 // liveSmokeConfig is a seconds-scale live configuration: small enough
@@ -43,7 +43,7 @@ var degradedCounters = []string{
 }
 
 func TestModeShapes(t *testing.T) {
-	netx.NoGoroutineLeaks(t)
+	leakcheck.NoGoroutineLeaks(t)
 	cfg := liveSmokeConfig()
 	rep, err := Run(context.Background(), cfg)
 	if err != nil {

@@ -8,12 +8,12 @@
 // plane (§6.3): the same query stream, the same nsset.QueryStatus
 // classification, but over genuine sockets.
 //
-// The wrappers sit on either end of the path: authserver plugs a wrapped
-// listener in via Server.WrapUDP/WrapTCP (faults on the server's edge,
-// like an attacked authoritative), and resolver.UDPClient/dnsload wrap
-// their client sockets (faults on the resolver's path, like congested
-// transit). All randomness comes from a seeded generator so tests are
-// reproducible.
+// The wrappers sit on either end of the UDP path: authserver plugs a
+// wrapped listener in via Server.WrapUDP (faults on the server's edge,
+// like an attacked authoritative), and resolver.UDPClient wraps its
+// client socket via its Wrap hook (faults on the resolver's path, like
+// congested transit). All randomness comes from a seeded generator so
+// tests are reproducible.
 package faultinject
 
 import (
@@ -27,8 +27,7 @@ import (
 // The zero Profile is a healthy network: every field off.
 type Profile struct {
 	// Drop is the probability ∈ [0,1] that a datagram is silently
-	// discarded. On stream (TCP) wrappers a drop aborts the connection
-	// instead — a stream cannot lose bytes and stay coherent.
+	// discarded.
 	Drop float64
 	// Latency is added to every faulted traversal, before Jitter.
 	Latency time.Duration
@@ -48,9 +47,7 @@ type Profile struct {
 	// deterministic decode failure where Corrupt's single bit-flip may
 	// land in a don't-care byte. It applies only to reads (datagrams
 	// arriving at the wrapped endpoint): a client wrapper truncates
-	// answers, a server listener truncates queries. Stream wrappers
-	// ignore it — cutting bytes out of a TCP stream would desync the
-	// length-prefixed framing, not model datagram truncation.
+	// answers, a server listener truncates queries.
 	Truncate float64
 }
 

@@ -214,17 +214,6 @@ func TestZeroProfilePassesThrough(t *testing.T) {
 	}
 }
 
-func TestStreamDropAborts(t *testing.T) {
-	client, server := net.Pipe()
-	defer server.Close()
-	inj := New(1)
-	inj.SetProfile(Profile{Drop: 1})
-	sc := WrapStream(client, inj)
-	if _, err := sc.Write([]byte("x")); err == nil {
-		t.Error("stream drop must abort the connection with an error")
-	}
-}
-
 func TestDatagramConnFaults(t *testing.T) {
 	// loopback UDP echo: server echoes every datagram back
 	srv, err := net.ListenPacket("udp", "127.0.0.1:0")

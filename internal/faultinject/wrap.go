@@ -1,12 +1,8 @@
 // wrap.go implements the socket wrappers that apply an Injector's
-// verdicts to real traffic. Three shapes cover the live DNS path:
+// verdicts to real traffic. Two shapes cover the live DNS path:
 //
 //   - WrapPacketConn: an unconnected UDP listener (authserver's socket).
-//   - WrapDatagram: a connected UDP client socket (resolver.UDPClient,
-//     dnsload senders).
-//   - WrapStream: a TCP connection; streams cannot lose or reorder bytes
-//     and stay coherent, so Drop aborts the connection and only latency,
-//     jitter, and corruption apply per write.
+//   - WrapDatagram: a connected UDP client socket (resolver.UDPClient).
 //
 // Faults are applied on both directions of whichever endpoint is
 // wrapped, so wrapping one side of a healthy peer is enough to degrade
@@ -19,7 +15,6 @@ package faultinject
 import (
 	"net"
 	"sync"
-	"syscall"
 	"time"
 )
 
@@ -130,8 +125,8 @@ type DatagramConn struct {
 }
 
 // WrapDatagram wraps a connected datagram socket (net.Dial "udp"). No
-// production path calls it: the resolver's and dnsload's tests wrap their
-// client sockets with it through those packages' dial hooks.
+// production path calls it: the resolver's and dnsload's tests wrap
+// resolver.UDPClient's sockets with it through its Wrap hook.
 func WrapDatagram(c net.Conn, inj *Injector) *DatagramConn {
 	return &DatagramConn{Conn: c, inj: inj}
 }
@@ -200,48 +195,4 @@ func (c *DatagramConn) Write(b []byte) (int, error) {
 		c.Conn.Write(prev)
 	}
 	return len(b), nil
-}
-
-// StreamConn wraps a TCP connection with the stream-coherent subset of
-// faults: latency+jitter per write and read, byte corruption per write,
-// and Drop as connection abort (ECONNRESET to the caller).
-type StreamConn struct {
-	net.Conn
-	inj *Injector
-}
-
-// WrapStream wraps a stream connection. No production path calls it:
-// dnsload's tests wrap their connections with it.
-func WrapStream(c net.Conn, inj *Injector) *StreamConn {
-	return &StreamConn{Conn: c, inj: inj}
-}
-
-// Read delays inbound bytes by the profile's latency.
-func (c *StreamConn) Read(b []byte) (int, error) {
-	n, err := c.Conn.Read(b)
-	if err != nil {
-		return n, err
-	}
-	if v := c.inj.roll(); v.delay > 0 {
-		time.Sleep(v.delay)
-	}
-	return n, nil
-}
-
-// Write applies latency, corruption, and — for Drop — connection abort.
-func (c *StreamConn) Write(b []byte) (int, error) {
-	v := c.inj.roll()
-	if v.drop {
-		c.Conn.Close()
-		return 0, syscall.ECONNRESET
-	}
-	out := b
-	if v.corrupt {
-		out = append([]byte(nil), b...)
-		c.inj.corruptByte(out)
-	}
-	if v.delay > 0 {
-		time.Sleep(v.delay)
-	}
-	return c.Conn.Write(out)
 }

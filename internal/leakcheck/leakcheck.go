@@ -1,4 +1,11 @@
-package netx
+// Package leakcheck is the goroutine-leak test helper: NoGoroutineLeaks
+// snapshots the goroutine population when armed and verifies at test
+// cleanup that everything started since has exited. Servers in this
+// repository promise drained shutdown (authserver.Close, the obs
+// metrics endpoint, the live resolver's bounded retries); this helper
+// turns that promise into a mechanical check. Only tests import it, so
+// no binary links the testing package.
+package leakcheck
 
 import (
 	"fmt"
@@ -9,13 +16,6 @@ import (
 	"time"
 )
 
-// leakcheck.go is the goroutine-leak test helper: NoGoroutineLeaks
-// snapshots the goroutine population when armed and verifies at test
-// cleanup that everything started since has exited. Servers in this
-// repository promise drained shutdown (authserver.Close, the obs
-// metrics endpoint, the live resolver's bounded retries); this helper
-// turns that promise into a mechanical check.
-
 // leakSettleTimeout bounds how long the cleanup waits for goroutines to
 // wind down before declaring a leak; exiting goroutines need a few
 // scheduler turns after Close returns.
@@ -25,8 +25,7 @@ const leakSettleTimeout = 2 * time.Second
 // the current goroutine count and stacks, and at cleanup waits up to
 // two seconds for the count to return to the baseline. On failure it
 // reports the diff — the stacks present after the test that were not
-// running before — rather than two full dumps. Only tests call it: those
-// of authserver, e2ebench, obs, resolver and study.
+// running before — rather than two full dumps.
 func NoGoroutineLeaks(tb testing.TB) {
 	tb.Helper()
 	before := runtime.NumGoroutine()

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"dnsddos/internal/netx"
+	"dnsddos/internal/leakcheck"
 )
 
 // get fetches a URL and returns the body. Keep-alives are disabled so
@@ -34,10 +34,10 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 // TestServeEndpoints covers the three export surfaces over a real
-// listener and — via the netx leak helper — that Close fully drains the
+// listener and — via the leak helper — that Close fully drains the
 // HTTP serve loop.
 func TestServeEndpoints(t *testing.T) {
-	netx.NoGoroutineLeaks(t)
+	leakcheck.NoGoroutineLeaks(t)
 
 	reg := New()
 	reg.Counter("authserver.udp_answered").Add(99)
@@ -116,7 +116,7 @@ func TestServeEndpoints(t *testing.T) {
 // TestServeLiveUpdates: the endpoint reflects metrics observed after it
 // started — the mid-run visibility the layer exists for.
 func TestServeLiveUpdates(t *testing.T) {
-	netx.NoGoroutineLeaks(t)
+	leakcheck.NoGoroutineLeaks(t)
 	reg := New()
 	ms, err := Serve("127.0.0.1:0", reg)
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"dnsddos/internal/core"
 	"dnsddos/internal/packet"
 	"dnsddos/internal/stats"
+	"dnsddos/internal/study"
 )
 
 // Table is a generic ASCII table.
@@ -322,18 +323,12 @@ func FailureBreakdown(w io.Writer, fb core.FailureBreakdown) {
 		fb.UnicastFailShare, fb.SingleASNFailShare, fb.SinglePrefixFailShare)
 }
 
-// SkippedDayRow is one quarantined day-shard of a supervised study run
-// (study.RunReport.SkippedDays, minus the stack trace).
-type SkippedDayRow struct {
-	Day      clock.Day
-	Reason   string
-	Attempts int
-}
-
-// SkippedDays renders the quarantine report of a supervised run: which
-// daily sweeps were lost to panics or watchdog timeouts, so a completed
-// run is never mistaken for a complete one.
-func SkippedDays(w io.Writer, rows []SkippedDayRow) {
+// SkippedDays renders the quarantine report of a supervised run
+// (study.RunReport.SkippedDays): which daily sweeps were lost to panics
+// or watchdog timeouts, so a completed run is never mistaken for a
+// complete one. Each reason is cut at its first line; stacks are not
+// rendered.
+func SkippedDays(w io.Writer, rows []study.SkippedDay) {
 	if len(rows) == 0 {
 		fmt.Fprintf(w, "Skipped days: none\n")
 		return

@@ -18,6 +18,7 @@ import (
 	"dnsddos/internal/resolver"
 	"dnsddos/internal/rsdos"
 	"dnsddos/internal/stats"
+	"dnsddos/internal/study"
 )
 
 func TestTableAlignment(t *testing.T) {
@@ -181,6 +182,30 @@ func TestFailureBreakdownRenderer(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSkippedDays renders a run's quarantine report: one row a
+// quarantined day, its reason cut at the first line, and no stack.
+func TestSkippedDays(t *testing.T) {
+	var buf bytes.Buffer
+	SkippedDays(&buf, nil)
+	if got := buf.String(); got != "Skipped days: none\n" {
+		t.Errorf("no quarantined day: got %q", got)
+	}
+	buf.Reset()
+	first, second := clock.Day(3), clock.Day(40)
+	SkippedDays(&buf, []study.SkippedDay{
+		{Day: first, Reason: "panic: index out of range\ngoroutine 7 [running]:", Stack: "main.sweep()", Attempts: 2},
+		{Day: second, Reason: "watchdog: day-sweep exceeded 5s", Attempts: 1},
+	})
+	want := "Skipped days: 2 day-shard(s) quarantined\n" +
+		"| Day        | Attempts | Reason                          |\n" +
+		"| ---------- | -------- | ------------------------------- |\n" +
+		"| " + first.String() + " | 2        | panic: index out of range       |\n" +
+		"| " + second.String() + " | 1        | watchdog: day-sweep exceeded 5s |\n"
+	if got := buf.String(); got != want {
+		t.Errorf("got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 	"dnsddos/internal/dnswire"
 	"dnsddos/internal/faultinject"
-	"dnsddos/internal/netx"
+	"dnsddos/internal/leakcheck"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/resolver"
@@ -21,7 +21,7 @@ import (
 // counters agree with the returned statuses. The leak guard also pins
 // that resolutions spawn no stray goroutines.
 func TestLiveResolverMetrics(t *testing.T) {
-	netx.NoGoroutineLeaks(t)
+	leakcheck.NoGoroutineLeaks(t)
 
 	inj := faultinject.New(7)
 	inj.SetProfile(faultinject.Profile{Drop: 0.5})
@@ -77,7 +77,7 @@ func TestLiveResolverMetrics(t *testing.T) {
 // TestLiveResolverMetricsServFail: rcode failures land in the servfail
 // counters, not the timeout ones.
 func TestLiveResolverMetricsServFail(t *testing.T) {
-	netx.NoGoroutineLeaks(t)
+	leakcheck.NoGoroutineLeaks(t)
 
 	addr := startServFail(t)
 	reg := obs.New()

@@ -21,7 +21,7 @@ type TCPClient struct {
 	// means 5s, or the context deadline if sooner.
 	Timeout time.Duration
 	// Wrap, when set, wraps the dialed connection — the fault-injection
-	// hook (e.g. faultinject.WrapStream).
+	// hook a LiveResolver fills from LiveConfig.WrapTCP.
 	Wrap func(net.Conn) net.Conn
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"dnsddos/internal/attacksim"
 	"dnsddos/internal/clock"
+	"dnsddos/internal/leakcheck"
 	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
@@ -222,7 +223,7 @@ func TestSessionFeedMatchesInfer(t *testing.T) {
 		})
 	}
 	t.Run("cancelled", func(t *testing.T) {
-		netx.NoGoroutineLeaks(t)
+		leakcheck.NoGoroutineLeaks(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		if sess, err := NewSession(ctx, metricsConfig(), obs.New()); sess != nil || !errors.Is(err, context.Canceled) {
@@ -267,7 +268,7 @@ func TestFoldBehindPanicReachesCaller(t *testing.T) {
 		}, "synthesis failed"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			netx.NoGoroutineLeaks(t)
+			leakcheck.NoGoroutineLeaks(t)
 			defer func() {
 				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
 					t.Fatalf("foldFeed panicked with %v, want %q", r, tc.want)
