@@ -18,7 +18,7 @@ test: build cmds obs stream
 	$(GO) test -bench 'BenchmarkJoin' -benchtime 1x -run '^$$' ./internal/core/
 	$(GO) test -bench 'BenchmarkRunDay' -benchtime 1x -run '^$$' ./internal/openintel/
 	$(GO) test -bench 'BenchmarkAggregatorDay' -benchtime 1x -run '^$$' ./internal/nsset/
-	$(GO) test -bench 'BenchmarkSealDay|BenchmarkViewReads' -benchtime 1x -run '^$$' ./internal/daystore/
+	$(GO) test -bench 'BenchmarkSealDay|BenchmarkViewReads|BenchmarkOpen' -benchtime 1x -run '^$$' ./internal/daystore/
 	$(GO) test -bench 'Benchmark(AppendEncode|DecodeInto)NSResponse' -benchtime 1x -run '^$$' ./internal/dnswire/
 	$(GO) test -bench 'BenchmarkNewSession|BenchmarkRunContext' -benchtime 1x -run '^$$' ./internal/study/
 	$(GO) test -bench 'BenchmarkLoadStateAt' -benchtime 1x -run '^$$' ./internal/simnet/
@@ -188,22 +188,24 @@ bench-session:
 # The join, layer by layer: one join through the engine on a built
 # pipeline and through the reference scan, one cold re-join over sealed
 # days at the repo benchmark's join_dense scale (open the day store, build
-# the pipeline, join, render the CSV, close: B/op and allocs/op are what
-# every re-run over sealed days pays), and the day store's two reads on
-# both backends (0 allocs/op). The engine is one pass on one goroutine:
-# indexed reads 1.2-1.7 ms, 186 KB and 195 allocs/op, cold 8-20 ms,
-# 502 KB and 2,806 allocs/op, at -cpu 1 and 2 alike (an observation on a
-# 2-vCPU Xeon, not a gate; most of those bytes are the result's append
-# growth, whose size classes fall less evenly for the 184-byte event than
-# for the 256-byte one that copied its attack: 167 KB and 469 KB then).
-# The cold leg does not classify; join_dense's operation does, and its
-# Classify is one []ClassifiedAttack of 16 B an attack, each entry
-# pointing into the feed (96 B an attack when each held a copy). For
-# reading while working on the join; the gated number is the repo
-# benchmark's join_dense op_alloc_kb.
+# the pipeline over the session's nameserver index, join, render the CSV,
+# close: B/op and allocs/op are what every re-run over sealed days pays),
+# the cold open of that day directory alone (Open, Verify, Close), and
+# the day store's two reads on both backends (0 allocs/op). The engine is
+# one pass on one goroutine: indexed reads 1.2-1.7 ms, 186 KB and 195
+# allocs/op, cold 6-20 ms, 366 KB and 1,082 allocs/op (the open ≈ 3.5 ms,
+# 69 KB and 466 allocs/op, three a day file), at -cpu 1 and 2 alike (an
+# observation on a 2-vCPU Xeon, not a gate). Cold was 502 KB and 2,806
+# allocs/op when every pipeline built a map-based index and the store
+# allocated ten objects a day file (the open 138 KB and 1,537); most of
+# the bytes left are the result's append growth. The cold leg does not
+# classify; join_dense's operation does, and its Classify is one
+# []ClassifiedAttack of 16 B an attack, each entry pointing into the feed.
+# For reading while working on the join; the gated numbers are the repo
+# benchmark's join_dense op_allocs and op_alloc_kb.
 bench-join:
 	$(GO) test -bench 'BenchmarkJoin' -benchmem -run '^$$' ./internal/core/
-	$(GO) test -bench 'BenchmarkViewReads' -benchmem -run '^$$' ./internal/daystore/
+	$(GO) test -bench 'BenchmarkOpen|BenchmarkViewReads' -benchmem -run '^$$' ./internal/daystore/
 
 # The paper's evaluation at bench scale: one sub-benchmark per entry of
 # internal/report's Catalogue — the tables and figures, the §5 case

@@ -2,11 +2,16 @@
 // internal/dnsload generator over real loopback sockets: one try per
 // query through a resolver.UDPClient (a socket of its own per query) or
 // a resolver.TCPClient (a connection dialed per query). Each answer
-// carries a small artificial service delay (the Delay knob) modelling
-// handler latency — the exact condition under which the seed's
-// single-goroutine UDP loop collapsed: with workers=1 throughput is capped
-// near 1/delay, while the worker pool overlaps the latency and multiplies
-// queries/sec. Compare sub-benchmark "queries/s" metrics:
+// carries a small artificial service delay (the Delay knob, a
+// time.Sleep) modelling handler latency — the exact condition under which
+// the seed's single-goroutine UDP loop collapsed. A sleep that short
+// lasts far longer than asked when the process is otherwise idle (a
+// 200 µs one ≈ 1.1–1.4 ms on a 2-vCPU Linux VM), so each UDP row also
+// reports service-us, the delay as measured in the idle process before
+// the load starts. With workers=1 the process idles while its one worker
+// sleeps, and the row is capped near 1/service-us; a busier process wakes
+// its sleepers sooner, so the worker pool overlaps the latency and can
+// beat workers × that cap. Compare sub-benchmark "queries/s" metrics:
 //
 //	go test -bench Throughput -benchtime 2s ./internal/authserver/
 package authserver_test
@@ -14,6 +19,7 @@ package authserver_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,6 +33,20 @@ import (
 // benchServiceDelay models per-answer handler latency (backend lookups,
 // large NSSet encodes) that a correct server must overlap, not serialize.
 const benchServiceDelay = 200 * time.Microsecond
+
+// measuredDelay is how long the server's per-answer delay lasts in the
+// idle benchmark process, which runs the server: the median of 32
+// time.Sleep(benchServiceDelay) calls.
+func measuredDelay() time.Duration {
+	var d [32]time.Duration
+	for i := range d {
+		t0 := time.Now()
+		time.Sleep(benchServiceDelay)
+		d[i] = time.Since(t0)
+	}
+	slices.Sort(d[:])
+	return d[len(d)/2]
+}
 
 func benchZone() (*authserver.Zone, []string) {
 	zone := authserver.NewZone()
@@ -56,6 +76,7 @@ func benchUDPThroughput(b *testing.B, workers int) {
 	}
 	defer srv.Close()
 
+	service := measuredDelay()
 	b.ResetTimer()
 	res, err := dnsload.Run(context.Background(), dnsload.Config{
 		Addr:        addr,
@@ -73,6 +94,7 @@ func benchUDPThroughput(b *testing.B, workers int) {
 		b.Fatal("no answers received")
 	}
 	b.ReportMetric(res.QPS(), "queries/s")
+	b.ReportMetric(float64(service)/1e3, "service-us")
 	b.ReportMetric(100*res.LossRate(), "%loss")
 	b.ReportMetric(float64(res.LatencyQuantile(0.99))/1e6, "p99-ms")
 }

@@ -1,38 +1,39 @@
 // index.go holds the immutable nameserver-side index the join engine is
-// built on (DESIGN §3.4): the NSIndex, derived from the world DB (and,
-// when available, the openintel engine's per-domain NSSet cache):
-// nameserver address → the NSSets containing it, NSSet → hosted-domain
-// count, and the /24s that contain at least one nameserver. Built once per
-// world and shared read-only by every join; per-day measurements are read
-// beside it through the pipeline's DayStore (daystore.go). The attack side
-// has no index: each join is one pass over the feed as it is (join.go).
+// built on (DESIGN §3.4): the NSIndex, flat arrays over an NSSet table —
+// every member address, ascending, with the IDs of the NSSets containing
+// it, ascending by key; a hosted-domain count per ID; the /24s holding a
+// nameserver; and a bit filter over the addresses. A study builds it once
+// per session, over its measurement engine's table, for every pipeline
+// (WithNSIndex) and for its sweep's demand. Per-day measurements are read
+// beside it through the pipeline's DayStore (daystore.go); the attack side
+// has no index: each join is one pass over the feed (join.go).
 package core
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
-	"dnsddos/internal/dnsdb"
 	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
 )
 
 // NSIndex is the immutable nameserver-side join index. Build it once per
-// world with BuildNSIndex and share it across pipelines and concurrent
+// NSSet table with NewNSIndex and share it across pipelines and concurrent
 // joins; nothing mutates it after construction.
 type NSIndex struct {
-	// nssetDomains maps each NSSet to the number of domains hosted on it.
-	nssetDomains map[nsset.Key]int
-	// nssetsByAddr maps a nameserver address to the sorted NSSets
-	// containing it.
-	nssetsByAddr map[netx.Addr][]nsset.Key
-	// slash24HasNS marks /24s containing at least one nameserver.
-	slash24HasNS map[netx.Prefix]bool
-	// nsFilter is a one-bit-per-bucket filter over nameserver addresses.
-	// Attack feeds are dominated by victims that are not DNS
-	// infrastructure, so the join prefilters every victim with one shift
-	// and one bit test before touching any map; only the few survivors
-	// (true nameservers plus ~6% hash collisions) pay a real lookup.
+	keys    []nsset.Key // by ID
+	domains []int32     // hosted-domain count, by ID
+	// addrs is every member address of a hosting NSSet, ascending and
+	// distinct; the NSSets containing addrs[j] are ids[first[j]:first[j+1]],
+	// ascending by key.
+	addrs    []netx.Addr
+	first    []int32
+	ids      []nsset.ID
+	slash24s []netx.Addr // the network addresses of the /24s holding one, ascending
+	// nsFilter is a one-bit-per-bucket filter over addrs. Attack feeds are
+	// dominated by victims that are not DNS infrastructure, so the join
+	// prefilters every victim with one shift and one bit test; only the
+	// survivors (nameservers plus ~6% hash collisions) pay a search.
 	nsFilter      []uint64
 	nsFilterShift uint
 }
@@ -45,61 +46,80 @@ func (ix *NSIndex) mayBeNS(a netx.Addr) bool {
 	return ix.nsFilter[idx>>6]&(1<<(idx&63)) != 0
 }
 
-// BuildNSIndex derives the nameserver-side index from the world DB.
-// domainNSSets, when non-nil, is the precomputed per-domain NSSet key
-// slice (openintel.Engine.DomainNSSets), indexed by DomainID, which
-// skips the O(domains × set size) key recomputation; nil recomputes the
-// keys from the DB.
-func BuildNSIndex(db *dnsdb.DB, domainNSSets []nsset.Key) *NSIndex {
-	ix := &NSIndex{
-		nssetDomains: make(map[nsset.Key]int),
-		nssetsByAddr: make(map[netx.Addr][]nsset.Key),
-		slash24HasNS: make(map[netx.Prefix]bool),
+// NewNSIndex builds the index over tab's NSSets that host a domain:
+// domainIDs holds each domain's NSSet ID in tab, indexed by DomainID
+// (openintel.Engine.DomainNSSets). NSSets added to tab later are not in
+// the index.
+func NewNSIndex(tab *nsset.Interner, domainIDs []nsset.ID) *NSIndex {
+	keys, sorted := tab.Sorted()
+	ix := &NSIndex{keys: keys, domains: make([]int32, len(keys))}
+	for _, id := range domainIDs {
+		ix.domains[id]++
 	}
-	for i := range db.Domains {
-		var k nsset.Key
-		if domainNSSets != nil {
-			k = domainNSSets[i]
-		} else {
-			k = nsset.KeyOf(db.NSAddrs(dnsdb.DomainID(i)))
-		}
-		ix.nssetDomains[k]++
+	// every (member address, rank of the NSSet by key) pair, ascending
+	size := 0
+	for _, k := range keys {
+		size += k.Size()
 	}
-	for k := range ix.nssetDomains {
-		for i := 0; i < k.Size(); i++ {
-			a := k.Addr(i)
-			ix.nssetsByAddr[a] = append(ix.nssetsByAddr[a], k)
+	pairs := make([]uint64, 0, size)
+	for rank, id := range sorted {
+		for i := 0; ix.domains[id] > 0 && i < keys[id].Size(); i++ {
+			pairs = append(pairs, uint64(keys[id].Addr(i))<<32|uint64(rank))
 		}
 	}
+	slices.Sort(pairs)
+	ix.ids, ix.first = make([]nsset.ID, len(pairs)), make([]int32, 0, len(pairs)+1)
+	ix.addrs, ix.slash24s = make([]netx.Addr, 0, len(pairs)), make([]netx.Addr, 0, len(pairs))
+	for i, p := range pairs {
+		if a := netx.Addr(p >> 32); len(ix.addrs) == 0 || ix.addrs[len(ix.addrs)-1] != a {
+			ix.addrs = append(ix.addrs, a)
+			ix.first = append(ix.first, int32(i))
+		}
+		ix.ids[i] = sorted[uint32(p)]
+	}
+	ix.first = append(ix.first, int32(len(pairs)))
 	// size the prefilter at ≥16 bits per nameserver address (~6% false
 	// positives), minimum 1024 bits
 	nbits := 1024
-	for nbits < 16*len(ix.nssetsByAddr) {
+	for nbits < 16*len(ix.addrs) {
 		nbits <<= 1
 	}
 	ix.nsFilter = make([]uint64, nbits/64)
 	ix.nsFilterShift = 32 - uint(bits.TrailingZeros(uint(nbits)))
-	for a, sets := range ix.nssetsByAddr {
-		sort.Slice(sets, func(i, j int) bool { return sets[i] < sets[j] })
-		ix.slash24HasNS[a.Slash24()] = true
+	for _, a := range ix.addrs {
 		h := uint32(a) * 2654435761
 		idx := h >> ix.nsFilterShift
 		ix.nsFilter[idx>>6] |= 1 << (idx & 63)
+		if n := a.Slash24().Addr; len(ix.slash24s) == 0 || ix.slash24s[len(ix.slash24s)-1] != n {
+			ix.slash24s = append(ix.slash24s, n)
+		}
 	}
 	return ix
 }
 
-// NSSetsContaining returns the NSSets containing a nameserver address,
-// sorted. The slice is shared; treat it as read-only.
-func (ix *NSIndex) NSSetsContaining(a netx.Addr) []nsset.Key {
-	return ix.nssetsByAddr[a]
+// NSSetsContaining returns the IDs of the NSSets containing a nameserver
+// address, ascending by key. The slice is shared; treat it as read-only.
+func (ix *NSIndex) NSSetsContaining(a netx.Addr) []nsset.ID {
+	if !ix.mayBeNS(a) {
+		return nil
+	}
+	j, ok := slices.BinarySearch(ix.addrs, a)
+	if !ok {
+		return nil
+	}
+	return ix.ids[ix.first[j]:ix.first[j+1]:ix.first[j+1]]
 }
 
-// DomainCount returns how many registered domains delegate to NSSet k.
-func (ix *NSIndex) DomainCount(k nsset.Key) int { return ix.nssetDomains[k] }
+// Key returns the key of the NSSet with the given ID.
+func (ix *NSIndex) Key(id nsset.ID) nsset.Key { return ix.keys[id] }
+
+// DomainCount returns how many registered domains delegate to the NSSet
+// with the given ID.
+func (ix *NSIndex) DomainCount(id nsset.ID) int { return int(ix.domains[id]) }
 
 // HasNSInSlash24 reports whether the /24 containing a holds at least one
 // nameserver.
 func (ix *NSIndex) HasNSInSlash24(a netx.Addr) bool {
-	return ix.slash24HasNS[a.Slash24()]
+	_, ok := slices.BinarySearch(ix.slash24s, a.Slash24().Addr)
+	return ok
 }

@@ -113,8 +113,8 @@ func (p *Pipeline) EventsContext(ctx context.Context, attacks []rsdos.Attack) ([
 			snapDay = snapDay.Prev()
 		}
 		snapDay = p.measurableDay(snapDay)
-		for _, k := range sets {
-			if e, ok := p.buildEventIndexed(ca, snapDay, k, &wins); ok {
+		for _, id := range sets {
+			if e, ok := p.buildEventIndexed(ca, snapDay, id, &wins); ok {
 				out = append(out, e)
 			}
 		}
@@ -125,19 +125,20 @@ func (p *Pipeline) EventsContext(ctx context.Context, attacks []rsdos.Attack) ([
 	return out, ctx.Err()
 }
 
-// buildEventIndexed builds one (attack, NSSet) event: snapDay is the
+// buildEventIndexed builds one (attack, NSSet ID) event: snapDay is the
 // attack's resolved §4.2 snapshot day, Eq. 1 baselines are by-value
 // DayStore.Baseline reads, and the attack span's windows come from one
 // ranged read into *wins, the caller's scratch — with identical guards and
 // float arithmetic so results are byte-for-byte the legacy scan's.
-func (p *Pipeline) buildEventIndexed(ca ClassifiedAttack, snapDay clock.Day, k nsset.Key, wins *[]nsset.WindowMetrics) (Event, bool) {
+func (p *Pipeline) buildEventIndexed(ca ClassifiedAttack, snapDay clock.Day, id nsset.ID, wins *[]nsset.WindowMetrics) (Event, bool) {
+	k := p.ix.Key(id)
 	if b, ok := p.days.Baseline(k, snapDay); !ok || b.OKCount == 0 {
 		return Event{}, false
 	}
 	e := Event{
 		Attack:        ca,
 		NSSet:         k,
-		HostedDomains: p.ix.DomainCount(k),
+		HostedDomains: p.ix.DomainCount(id),
 	}
 	back := clock.Day(p.cfg.BaselineDaysBack)
 	if back <= 0 {

@@ -38,8 +38,8 @@ func (p *Pipeline) eventsLegacy(ctx context.Context, attacks []rsdos.Attack) ([]
 		if ca.Class != ClassDNSDirect {
 			continue
 		}
-		for _, k := range p.ix.NSSetsContaining(ca.Victim) {
-			if e, ok := p.buildEvent(&pr, ca, k); ok {
+		for _, id := range p.ix.NSSetsContaining(ca.Victim) {
+			if e, ok := p.buildEvent(&pr, ca, id); ok {
 				out = append(out, e)
 			}
 		}
@@ -58,7 +58,8 @@ func (pr *probe) at(ds DayStore, k nsset.Key, w clock.Window) *nsset.WindowMetri
 	return nil
 }
 
-func (p *Pipeline) buildEvent(pr *probe, ca ClassifiedAttack, k nsset.Key) (Event, bool) {
+func (p *Pipeline) buildEvent(pr *probe, ca ClassifiedAttack, id nsset.ID) (Event, bool) {
+	k := p.ix.Key(id)
 	// The NSSet must appear in the nameserver list of the snapshot day:
 	// the paper uses the day *before* the attack, so that servers
 	// unreachable during the attack are not missed (§4.2). The same-day
@@ -75,7 +76,7 @@ func (p *Pipeline) buildEvent(pr *probe, ca ClassifiedAttack, k nsset.Key) (Even
 	e := Event{
 		Attack:        ca,
 		NSSet:         k,
-		HostedDomains: p.ix.DomainCount(k),
+		HostedDomains: p.ix.DomainCount(id),
 	}
 	impact := 0.0
 	hasImpact := false

@@ -131,12 +131,9 @@ type Pipeline struct {
 	// attached via WithDayStore; an empty aggregator by default.
 	days DayStore
 
-	// ix is the immutable nameserver-side join index (index.go), built at
-	// construction.
+	// ix is the immutable nameserver-side join index (index.go): the
+	// WithNSIndex one, or one built from the DB at construction.
 	ix *NSIndex
-	// domainNSSets, when set, is the openintel engine's per-domain key
-	// cache, reused instead of recomputing keys from the DB.
-	domainNSSets []nsset.Key
 
 	// metrics receives join instrumentation (joinMetrics, join.go); nil
 	// disables it.
@@ -191,11 +188,12 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(p *Pipeline) { p.metrics = newJoinMetrics(reg) }
 }
 
-// WithDomainNSSets reuses a precomputed per-domain NSSet key slice
-// (openintel.Engine.DomainNSSets) for the index build, skipping the
-// O(domains × set size) key recomputation.
-func WithDomainNSSets(keys []nsset.Key) Option {
-	return func(p *Pipeline) { p.domainNSSets = keys }
+// WithNSIndex joins over a nameserver index built once for the world
+// (NewNSIndex over the measurement engine's NSSet table) instead of
+// building one from the DB at construction. The index must describe the
+// pipeline's DB.
+func WithNSIndex(ix *NSIndex) Option {
+	return func(p *Pipeline) { p.ix = ix }
 }
 
 // NewPipeline builds the join context over the world DB. All tuning —
@@ -214,7 +212,15 @@ func NewPipeline(db *dnsdb.DB, opts ...Option) *Pipeline {
 	if p.days == nil {
 		p.days = nsset.NewAggregator()
 	}
-	p.ix = BuildNSIndex(db, p.domainNSSets)
+	if p.ix == nil {
+		// the index over a table of the DB's NSSets of its own
+		tab := new(nsset.Interner)
+		ids := make([]nsset.ID, len(db.Domains))
+		for i := range db.Domains {
+			_, ids[i] = tab.Intern(db.NSAddrs(dnsdb.DomainID(i)))
+		}
+		p.ix = NewNSIndex(tab, ids)
+	}
 	return p
 }
 

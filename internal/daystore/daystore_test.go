@@ -165,8 +165,9 @@ func TestObservationEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: Verify: %v", seed, err)
 		}
 		var mem Set
-		for i := len(set.days) - 1; i >= 0; i-- {
-			d := set.days[i]
+		held := set.heldDays()
+		for i := len(held) - 1; i >= 0; i-- {
+			d := held[i]
 			image, err := os.ReadFile(filepath.Join(dir, FileName(d)))
 			if err != nil {
 				t.Fatal(err)
@@ -503,8 +504,8 @@ func TestCorruptionRefusal(t *testing.T) {
 			}
 			// and so is it held in memory, leaving the Set empty
 			var mem Set
-			if err := mem.Add(0, bad); !errors.Is(err, ErrCorrupt) || len(mem.days) != 0 {
-				t.Fatalf("Add error = %v (%d days held), want ErrCorrupt", err, len(mem.days))
+			if err := mem.Add(0, bad); !errors.Is(err, ErrCorrupt) || len(mem.slots) != 0 {
+				t.Fatalf("Add error = %v (%d days held), want ErrCorrupt", err, len(mem.slots))
 			}
 			set, err := Open(dir)
 			if err != nil {

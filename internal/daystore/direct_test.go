@@ -88,7 +88,7 @@ func TestAppendDayMatchesEncodeDay(t *testing.T) {
 			t.Fatalf("seed %d: direct image (%d bytes, %s) differs from the snapshot-fed one (%d bytes, %s)",
 				seed, len(got)-len(prefix), gotSum, len(want), wantSum)
 		}
-		if _, err := newView("direct", day, got[len(prefix):], nil); err != nil {
+		if _, err := newView("direct", day, got[len(prefix):]); err != nil {
 			t.Fatalf("seed %d: direct image does not load: %v", seed, err)
 		}
 

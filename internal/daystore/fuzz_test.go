@@ -11,6 +11,16 @@ import (
 	"dnsddos/internal/nsset"
 )
 
+// newView validates image into a View of its own, as every open of a day
+// file and every Add validates (View.init).
+func newView(path string, day clock.Day, image []byte) (*View, error) {
+	v := new(View)
+	if err := v.init(path, day, image); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 // unsortedWindowsImage is a sealed day, CRCs valid, in which every key of
 // three or more windows has its last two window rows swapped (a, c, b):
 // newView accepts it — it checks bounds, not order — and a lower bound
@@ -20,7 +30,7 @@ func unsortedWindowsImage(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	v, err := newView("unsorted", 0, image, nil)
+	v, err := newView("unsorted", 0, image)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -70,7 +80,7 @@ func FuzzNewView(f *testing.F) {
 		if len(image) >= headerLen+trailerLen {
 			image = restamp(bytes.Clone(image)) // the engine's bytes are read-only
 		}
-		v, err := newView("fuzz", 0, image, nil)
+		v, err := newView("fuzz", 0, image)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("refusal %v is not ErrCorrupt", err)

@@ -2,18 +2,12 @@
 
 package daystore
 
-import (
-	"io"
-	"os"
-)
+import "os"
 
 // mapFile falls back to reading the whole file on platforms without
 // mmap support; views still behave identically, just without the
 // demand-paged residency.
-func mapFile(f *os.File, size int64) ([]byte, func() error, error) {
-	b, err := io.ReadAll(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	return b, func() error { return nil }, nil
-}
+func mapFile(path string) ([]byte, error) { return os.ReadFile(path) }
+
+// unmapFile has nothing to release: the file was read, not mapped.
+func unmapFile([]byte) error { return nil }

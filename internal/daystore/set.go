@@ -1,11 +1,11 @@
 package daystore
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 
 	"dnsddos/internal/clock"
@@ -15,10 +15,11 @@ import (
 
 // set.go fronts sealed days as one core.DayStore: a directory of sealed
 // day files (Open), or images held in memory (Add, on a zero Set — a run
-// that persists nothing). Open only scans filenames and builds one slot
-// per day; every Add happens before the first read, so the slot map never
-// changes while it is read, and readers index it without a lock. A day's
-// file is opened, CRC-validated and mapped on first access under the
+// that persists nothing). Open only reads the directory's names and
+// builds one slot per day, each holding its day's View; every Add happens
+// before the first read, so the slot list never changes while it is read,
+// and readers binary-search it without a lock. A day's path is joined, and
+// its file opened, CRC-validated and mapped, on first access under the
 // slot's sync.Once, so concurrent shards racing on a cold day map it
 // exactly once and every later reader shares the view. Views stay mapped
 // for the Set's lifetime: a mapping is address space, not resident memory
@@ -38,8 +39,8 @@ import (
 // Set is a read-only day store over sealed column files or images. The
 // zero Set is an empty store that Add fills. Safe for concurrent reads.
 type Set struct {
-	slots map[clock.Day]*daySlot // fixed before the first read
-	days  []clock.Day            // ascending
+	dir   string
+	slots []*daySlot // ascending by day; fixed before the first read
 
 	keysOnce sync.Once
 	keys     []nsset.Key
@@ -48,32 +49,48 @@ type Set struct {
 // Set implements core.DayStore.
 var _ core.DayStore = (*Set)(nil)
 
-// daySlot is one sealed day file and its single open attempt; err is
-// sticky so a corrupt file is refused (not re-tried) on every access.
+// daySlot is one sealed day file — its name in the Set's directory — and
+// its single open attempt into v; err is sticky so a corrupt file is
+// refused (not re-tried) on every access.
 type daySlot struct {
-	path string
+	day  clock.Day
+	name string
 	once sync.Once
-	v    *View
+	v    View
 	err  error
 }
 
 // Open scans dir for sealed day files (day_NNNNNN.dcol; seal leftovers
 // and foreign files are ignored) and returns the lazy store over them. An
-// empty or missing directory is a valid empty store.
+// empty or missing directory is a valid empty store. The scan reads the
+// names only, and cuts every day's slot from one array.
 func Open(dir string) (*Set, error) {
-	entries, err := os.ReadDir(dir)
+	var names []string
+	f, err := os.Open(dir)
+	if err == nil {
+		names, err = f.Readdirnames(-1)
+		f.Close()
+	}
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("daystore: scanning %s: %w", dir, err)
 	}
-	s := &Set{slots: make(map[clock.Day]*daySlot)}
-	for _, e := range entries {
-		if day, ok := parseFileName(e.Name()); ok {
-			s.slots[day] = &daySlot{path: filepath.Join(dir, e.Name())}
-			s.days = append(s.days, day)
+	slots := make([]daySlot, 0, len(names))
+	for _, name := range names {
+		if day, ok := parseFileName(name); ok {
+			slots = append(slots, daySlot{day: day, name: name})
 		}
 	}
-	sort.Slice(s.days, func(i, j int) bool { return s.days[i] < s.days[j] })
+	s := &Set{dir: dir, slots: make([]*daySlot, len(slots))}
+	for i := range slots {
+		s.slots[i] = &slots[i]
+	}
+	slices.SortFunc(s.slots, func(a, b *daySlot) int { return cmp.Compare(a.day, b.day) })
 	return s, nil
+}
+
+// find returns the index of day d's slot, or where it would go.
+func (s *Set) find(d clock.Day) (int, bool) {
+	return slices.BinarySearchFunc(s.slots, d, func(sl *daySlot, d clock.Day) int { return cmp.Compare(sl.day, d) })
 }
 
 // Add serves image as day's sealed file. It is validated now, as the
@@ -82,20 +99,15 @@ func Open(dir string) (*Set, error) {
 // The Set keeps image, which the caller must not change. Every Add must
 // happen before the first read, and Adds must not run concurrently.
 func (s *Set) Add(day clock.Day, image []byte) error {
-	if s.slots[day] != nil {
+	i, found := s.find(day)
+	if found {
 		return fmt.Errorf("daystore: day %d added twice", int32(day))
 	}
-	sl := &daySlot{path: FileName(day)}
-	sl.once.Do(func() { sl.v, sl.err = newView(sl.path, day, image, nil) })
-	if sl.err != nil {
-		return sl.err
+	sl, err := imageSlot(day, FileName(day), image)
+	if err != nil {
+		return err
 	}
-	if s.slots == nil {
-		s.slots = make(map[clock.Day]*daySlot)
-	}
-	s.slots[day] = sl
-	i, _ := slices.BinarySearch(s.days, day)
-	s.days = slices.Insert(s.days, i, day)
+	s.slots = slices.Insert(s.slots, i, sl)
 	return nil
 }
 
@@ -106,39 +118,41 @@ func (s *Set) Add(day clock.Day, image []byte) error {
 // and Replace must happen before the first read of the Set (Verify
 // aside), never concurrently with another Add or Replace.
 func (s *Set) Replace(day clock.Day, image []byte) error {
-	old := s.slots[day]
-	if old == nil {
+	i, found := s.find(day)
+	if !found {
 		return fmt.Errorf("daystore: day %d replaced but never added", int32(day))
 	}
-	sl := &daySlot{path: old.path}
-	sl.once.Do(func() { sl.v, sl.err = newView(sl.path, day, image, nil) })
-	if sl.err != nil {
-		return sl.err
+	sl, err := imageSlot(day, s.slots[i].name, image)
+	if err != nil {
+		return err
 	}
-	if old.v != nil {
-		if err := old.v.Close(); err != nil {
-			return err
-		}
+	if err := s.slots[i].v.Close(); err != nil {
+		return err
 	}
-	s.slots[day] = sl
+	s.slots[i] = sl
 	return nil
 }
 
-// view opens (once) and returns day d's view; (nil, nil) when the day has
-// no sealed file.
-func (s *Set) view(d clock.Day) (*View, error) {
-	sl := s.slots[d]
-	if sl == nil {
-		return nil, nil
-	}
-	sl.once.Do(func() { sl.v, sl.err = OpenDay(sl.path, d) })
-	return sl.v, sl.err
+// imageSlot is the slot of a validated in-memory image, already open.
+func imageSlot(day clock.Day, name string, image []byte) (*daySlot, error) {
+	sl := &daySlot{day: day, name: name}
+	sl.once.Do(func() { sl.err = sl.v.init(name, day, image) })
+	return sl, sl.err
 }
 
-// mustView is view for the error-free DayStore accessors: an unreadable
+// open opens (once) and returns the slot's view.
+func (s *Set) open(sl *daySlot) (*View, error) {
+	sl.once.Do(func() { sl.err = sl.v.open(filepath.Join(s.dir, sl.name), sl.day) })
+	if sl.err != nil {
+		return nil, sl.err
+	}
+	return &sl.v, nil
+}
+
+// mustOpen is open for the error-free DayStore accessors: an unreadable
 // or corrupt day file panics with its typed error (see package comment).
-func (s *Set) mustView(d clock.Day) *View {
-	v, err := s.view(d)
+func (s *Set) mustOpen(sl *daySlot) *View {
+	v, err := s.open(sl)
 	if err != nil {
 		panic(err)
 	}
@@ -149,8 +163,8 @@ func (s *Set) mustView(d clock.Day) *View {
 // first integrity failure as a typed error. Valid views stay open for
 // subsequent reads.
 func (s *Set) Verify() error {
-	for _, d := range s.days {
-		if _, err := s.view(d); err != nil {
+	for _, sl := range s.slots {
+		if _, err := s.open(sl); err != nil {
 			return err
 		}
 	}
@@ -160,11 +174,11 @@ func (s *Set) Verify() error {
 // Baseline returns k's aggregate of day d (false when the day has no
 // sealed file or k was not measured on it).
 func (s *Set) Baseline(k nsset.Key, d clock.Day) (nsset.DayBaseline, bool) {
-	v := s.mustView(d)
-	if v == nil {
+	i, found := s.find(d)
+	if !found {
 		return nsset.DayBaseline{}, false
 	}
-	return v.Baseline(k)
+	return s.mustOpen(s.slots[i]).Baseline(k)
 }
 
 // AppendWindows appends k's measured windows w with from ≤ w ≤ to to dst,
@@ -174,12 +188,12 @@ func (s *Set) AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, from, to clo
 	if from > to {
 		return dst
 	}
-	i, _ := slices.BinarySearch(s.days, from.Day())
-	for _, d := range s.days[i:] {
-		if d > to.Day() {
+	i, _ := s.find(from.Day())
+	for _, sl := range s.slots[i:] {
+		if sl.day > to.Day() {
 			break
 		}
-		dst = s.mustView(d).AppendWindows(dst, k, from, to)
+		dst = s.mustOpen(sl).AppendWindows(dst, k, from, to)
 	}
 	return dst
 }
@@ -189,35 +203,24 @@ func (s *Set) AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, from, to clo
 // hot-path one; the result is memoized.
 func (s *Set) Keys() []nsset.Key {
 	s.keysOnce.Do(func() {
-		seen := make(map[nsset.Key]struct{})
-		for _, d := range s.days {
-			v := s.mustView(d)
-			if v == nil {
-				continue
-			}
+		for _, sl := range s.slots {
+			v := s.mustOpen(sl)
 			for i := 0; i < v.NumKeys(); i++ {
-				seen[v.Key(i)] = struct{}{}
+				s.keys = append(s.keys, v.Key(i))
 			}
 		}
-		s.keys = make([]nsset.Key, 0, len(seen))
-		for k := range seen {
-			s.keys = append(s.keys, k)
-		}
-		sort.Slice(s.keys, func(i, j int) bool { return s.keys[i] < s.keys[j] })
+		slices.Sort(s.keys)
+		s.keys = slices.Compact(s.keys)
 	})
-	out := make([]nsset.Key, len(s.keys))
-	copy(out, s.keys)
-	return out
+	return slices.Clone(s.keys)
 }
 
 // Close unmaps every opened view. The Set is unusable afterwards.
 func (s *Set) Close() error {
 	var first error
-	for _, d := range s.days {
-		if v := s.slots[d].v; v != nil {
-			if err := v.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, sl := range s.slots {
+		if err := sl.v.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

@@ -84,9 +84,9 @@ func TestSetColdOpenRace(t *testing.T) {
 			}
 		}
 	})
-	if cold.slots[day].v == nil || cold.slots[day-1].v != nil {
+	if !cold.opened(day) || cold.opened(day-1) {
 		t.Fatalf("the race read only day %d, but opened=%v and day %d opened=%v",
-			day, cold.slots[day].v != nil, day-1, cold.slots[day-1].v != nil)
+			day, cold.opened(day), day-1, cold.opened(day-1))
 	}
 	if err := cold.Close(); err != nil {
 		t.Fatalf("Close with one of three days opened: %v", err)
@@ -147,4 +147,19 @@ func TestSetAddRefusesDuplicateDay(t *testing.T) {
 	if got, want := mem.Keys(), agg.Keys(); len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Errorf("after the refused Add the Set holds keys %v, want %v", got, want)
 	}
+}
+
+// heldDays returns the days s holds, ascending.
+func (s *Set) heldDays() []clock.Day {
+	days := make([]clock.Day, len(s.slots))
+	for i, sl := range s.slots {
+		days[i] = sl.day
+	}
+	return days
+}
+
+// opened reports whether day d's view has been opened.
+func (s *Set) opened(d clock.Day) bool {
+	i, found := s.find(d)
+	return found && s.slots[i].v.data != nil
 }

@@ -3,9 +3,7 @@ package daystore
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
-	"os"
 	"time"
 
 	"dnsddos/internal/clock"
@@ -28,10 +26,10 @@ import (
 // readers; Close unmaps (callers that share a View through daystore.Set
 // never close it themselves).
 type View struct {
-	path  string
-	day   clock.Day
-	data  []byte
-	unmap func() error
+	path   string
+	day    clock.Day
+	data   []byte
+	mapped bool // data is a mapping of the file, which Close releases
 
 	nKeys, nBase, nWin int
 	keyTab             []byte
@@ -46,44 +44,45 @@ type View struct {
 // — is a typed ErrCorrupt refusal. A missing file surfaces as the os
 // error, not corruption.
 func OpenDay(path string, day clock.Day) (*View, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("daystore: stat %s: %w", path, err)
-	}
-	data, unmap, err := mapFile(f, st.Size())
-	if err != nil {
-		return nil, fmt.Errorf("daystore: mapping %s: %w", path, err)
-	}
-	v, err := newView(path, day, data, unmap)
-	if err != nil {
-		unmap()
+	v := new(View)
+	if err := v.open(path, day); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
-// newView validates a sealed file image (mapped, or received from a peer)
-// and slices the column sections.
-func newView(path string, day clock.Day, data []byte, unmap func() error) (*View, error) {
+// open maps the file at path (its size read from the open descriptor)
+// and validates it into v, which it leaves zero on failure.
+func (v *View) open(path string, day clock.Day) error {
+	data, err := mapFile(path)
+	if err != nil {
+		return err
+	}
+	if err := v.init(path, day, data); err != nil {
+		unmapFile(data)
+		return err
+	}
+	v.mapped = true
+	return nil
+}
+
+// init validates a sealed file image (mapped, or received from a peer)
+// and slices its column sections into v, which it leaves zero on failure.
+func (v *View) init(path string, day clock.Day, data []byte) error {
 	if len(data) < headerLen+trailerLen {
-		return nil, corruptf(path, "file is %d bytes, smaller than the minimal %d-byte frame", len(data), headerLen+trailerLen)
+		return corruptf(path, "file is %d bytes, smaller than the minimal %d-byte frame", len(data), headerLen+trailerLen)
 	}
 	if !bytes.Equal(data[0:8], magic) {
-		return nil, corruptf(path, "bad magic (not a daystore column file)")
+		return corruptf(path, "bad magic (not a daystore column file)")
 	}
 	if got, want := binary.BigEndian.Uint32(data[36:40]), crc32.ChecksumIEEE(data[0:36]); got != want {
-		return nil, corruptf(path, "header crc mismatch (%08x != %08x)", got, want)
+		return corruptf(path, "header crc mismatch (%08x != %08x)", got, want)
 	}
 	if ver := binary.BigEndian.Uint32(data[8:12]); ver != Version {
-		return nil, corruptf(path, "format version %d, this build reads %d", ver, Version)
+		return corruptf(path, "format version %d, this build reads %d", ver, Version)
 	}
 	if hd := clock.Day(int32(binary.BigEndian.Uint32(data[12:16]))); hd != day {
-		return nil, corruptf(path, "header says day %d, expected day %d", int32(hd), int32(day))
+		return corruptf(path, "header says day %d, expected day %d", int32(hd), int32(day))
 	}
 	nKeys := int(binary.BigEndian.Uint32(data[16:20]))
 	nBase := int(binary.BigEndian.Uint32(data[20:24]))
@@ -96,56 +95,55 @@ func newView(path string, day clock.Day, data []byte, unmap func() error) (*View
 	body := data[headerLen : len(data)-trailerLen]
 	fixed := uint64(nKeys)*keyRowLen + uint64(nBase)*baseRowLen + uint64(nWin)*winRowLen
 	if fixed > uint64(len(body)) || strLen != uint64(len(body))-fixed {
-		return nil, corruptf(path, "file is %d bytes, header implies %d keys, %d baselines, %d windows and %d string bytes (truncated or padded)",
+		return corruptf(path, "file is %d bytes, header implies %d keys, %d baselines, %d windows and %d string bytes (truncated or padded)",
 			len(data), nKeys, nBase, nWin, strLen)
 	}
 	if got, wantCRC := binary.BigEndian.Uint32(data[len(data)-trailerLen:]), crc32.ChecksumIEEE(body); got != wantCRC {
-		return nil, corruptf(path, "body crc mismatch (%08x != %08x)", got, wantCRC)
+		return corruptf(path, "body crc mismatch (%08x != %08x)", got, wantCRC)
 	}
 
-	v := &View{
-		path:  path,
-		day:   day,
-		data:  data,
-		unmap: unmap,
-		nKeys: nKeys,
-		nBase: nBase,
-		nWin:  nWin,
-	}
-	v.keyTab = data[headerLen : headerLen+nKeys*keyRowLen]
 	off := headerLen + nKeys*keyRowLen
-	v.strTab = data[off : off+int(strLen)]
+	w := View{
+		path:   path,
+		day:    day,
+		data:   data,
+		nKeys:  nKeys,
+		nBase:  nBase,
+		nWin:   nWin,
+		keyTab: data[headerLen:off],
+		strTab: data[off : off+int(strLen)],
+	}
 	off += int(strLen)
-	v.baseCol = data[off : off+nBase*baseRowLen]
+	w.baseCol = data[off : off+nBase*baseRowLen]
 	off += nBase * baseRowLen
-	v.winCol = data[off : off+nWin*winRowLen]
+	w.winCol = data[off : off+nWin*winRowLen]
 
 	// Column-bound validation: the CRC guards against rot, but only the
 	// bound checks make a CRC-consistent-yet-malformed file safe to index.
 	for i := 0; i < nKeys; i++ {
-		strOff, sl, baseRow, winRow, winCnt := v.keyRow(i)
+		strOff, sl, baseRow, winRow, winCnt := w.keyRow(i)
 		if strOff > strLen || uint64(sl) > strLen-strOff {
-			return nil, corruptf(path, "key %d string [%d,+%d) exceeds string table (%d bytes)", i, strOff, sl, strLen)
+			return corruptf(path, "key %d string [%d,+%d) exceeds string table (%d bytes)", i, strOff, sl, strLen)
 		}
 		if baseRow != noBaseline && int(baseRow) >= nBase {
-			return nil, corruptf(path, "key %d baseline row %d out of range (%d rows)", i, baseRow, nBase)
+			return corruptf(path, "key %d baseline row %d out of range (%d rows)", i, baseRow, nBase)
 		}
 		if int(winRow)+int(winCnt) > nWin {
-			return nil, corruptf(path, "key %d window rows [%d,+%d) out of range (%d rows)", i, winRow, winCnt, nWin)
+			return corruptf(path, "key %d window rows [%d,+%d) out of range (%d rows)", i, winRow, winCnt, nWin)
 		}
 	}
-	return v, nil
+	*v = w
+	return nil
 }
 
 // Close unmaps the file. The View is unusable afterwards.
 func (v *View) Close() error {
-	if v.unmap == nil {
+	if !v.mapped {
 		return nil
 	}
-	u := v.unmap
-	v.unmap = nil
-	v.data, v.keyTab, v.strTab, v.baseCol, v.winCol = nil, nil, nil, nil, nil
-	return u()
+	data := v.data
+	*v = View{path: v.path, day: v.day}
+	return unmapFile(data)
 }
 
 // Day returns the day the view serves.
@@ -248,7 +246,7 @@ func (v *View) AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, from, to cl
 			hi = mid
 		}
 	}
-	// The lower bound holds on ascending rows only, and newView does not
+	// The lower bound holds on ascending rows only, and init does not
 	// check their order: the re-test of from is what keeps a malformed
 	// file's answer inside the range.
 	for ; lo < end; lo++ {

@@ -144,7 +144,7 @@ func ContentHash(image []byte) string {
 // column bounds, exactly as OpenDay would. An image that fails any check
 // is refused with a typed ErrCorrupt and nothing is written.
 func Install(dir string, day clock.Day, image []byte, sha256Hex string) (SealedFile, error) {
-	if _, err := newView(FileName(day), day, image, nil); err != nil {
+	if err := new(View).init(FileName(day), day, image); err != nil {
 		return SealedFile{}, err
 	}
 	return publish(dir, day, image, sha256Hex)

@@ -55,7 +55,7 @@ type Interner struct {
 	mu   sync.RWMutex
 	ids  map[Key]ID
 	keys []Key // by ID; append-only, so a slice of it read under mu stays valid
-	// sorted is every ID ascending by key, rebuilt by view once keys grew.
+	// sorted is every ID ascending by key, rebuilt by Sorted once keys grew.
 	sorted []ID
 }
 
@@ -119,10 +119,10 @@ func (in *Interner) Len() int {
 	return len(in.keys)
 }
 
-// view returns the keys by ID and every ID ascending by key — the order of
-// Keys, Snapshot and a sealed day file. Both slices are read-only and stay
-// valid (and consistent with each other) after keys are added.
-func (in *Interner) view() (keys []Key, sorted []ID) {
+// Sorted returns the keys by ID and every ID ascending by key — the order
+// of Keys, Snapshot, a sealed day file and the join's index. Both slices
+// are read-only and stay valid, and consistent, after keys are added.
+func (in *Interner) Sorted() (keys []Key, sorted []ID) {
 	in.mu.RLock()
 	keys, sorted = in.keys, in.sorted
 	in.mu.RUnlock()
@@ -660,7 +660,7 @@ func (a *Aggregator) Baseline(k Key, d clock.Day) (DayBaseline, bool) {
 // Keys returns all NSSets with any measurements, in deterministic order.
 func (a *Aggregator) Keys() []Key {
 	var out []Key
-	keys, sorted := a.tab.view()
+	keys, sorted := a.tab.Sorted()
 	for _, id := range sorted {
 		for _, t := range a.days {
 			if t.measured(id) != nil {
@@ -711,7 +711,7 @@ func (a *Aggregator) WalkDay(d clock.Day, row func(k Key, b *DayBaseline, window
 	if t == nil {
 		return
 	}
-	keys, sorted := a.tab.view()
+	keys, sorted := a.tab.Sorted()
 	for _, id := range sorted {
 		r := t.measured(id)
 		if r == nil {

@@ -158,9 +158,9 @@ func TestInternerIDs(t *testing.T) {
 	if id := in.ID(KeyOf(addrs("10.9.9.9"))); id != 3 || in.Len() != 4 {
 		t.Errorf("a new key got ID %d in a table of %d", id, in.Len())
 	}
-	keys, sorted := in.view()
+	keys, sorted := in.Sorted()
 	if !slices.IsSortedFunc(sorted, func(x, y ID) int { return cmp.Compare(keys[x], keys[y]) }) || len(sorted) != 4 {
-		t.Errorf("view order %v is not every ID ascending by key", sorted)
+		t.Errorf("Sorted order %v is not every ID ascending by key", sorted)
 	}
 }
 

@@ -54,7 +54,7 @@ func (a *Aggregator) Snapshot() Snapshot {
 	var s Snapshot
 	s.Baselines = slices.Grow(s.Baselines, rows)
 	s.Windows = slices.Grow(s.Windows, wins)
-	keys, sorted := a.tab.view()
+	keys, sorted := a.tab.Sorted()
 	for _, id := range sorted {
 		for _, t := range a.days {
 			r := t.measured(id)

@@ -97,12 +97,12 @@ func (e *Engine) Restrict(want func(nsset.ID, clock.Day) bool) *Engine {
 // aggregator built over it (nsset.NewAggregatorOver) adds by ID.
 func (e *Engine) NSSetTable() *nsset.Interner { return e.table }
 
-// DomainNSSets returns the engine's per-domain NSSet key cache, indexed
-// by DomainID. Building these keys is O(domains × set size); the join
-// pipeline reuses this cache (core.WithDomainNSSets) instead of
-// recomputing it from the DB. The returned slice is shared and must be
-// treated as read-only.
-func (e *Engine) DomainNSSets() []nsset.Key { return e.nssets }
+// DomainNSSets returns each domain's NSSet ID in the engine's table
+// (NSSetTable), indexed by DomainID: what core.NewNSIndex counts each
+// NSSet's hosted domains from, so a study's join index is built over the
+// engine's table without recomputing a key from the DB. The returned
+// slice is shared and must be treated as read-only.
+func (e *Engine) DomainNSSets() []nsset.ID { return e.ids }
 
 // MeasureAt measures one domain at time t and returns the record.
 func (e *Engine) MeasureAt(rng *rand.Rand, d dnsdb.DomainID, t time.Time) Record {

@@ -11,7 +11,6 @@ import (
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
-	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
 	"dnsddos/internal/openintel"
@@ -52,6 +51,9 @@ type Session struct {
 	// Engine.Restrict(nil) is the sweep of every domain.
 	Engine *openintel.Engine
 
+	// index is the join's nameserver index over the engine's NSSet
+	// table, built once and read by every pipeline and by the demand.
+	index *core.NSIndex
 	// windows and days are the join's demand (buildDemand), read-only
 	// once NewSession returns.
 	windows, days *demand
@@ -77,7 +79,8 @@ func NewSession(ctx context.Context, cfg Config, reg *obs.Registry) (*Session, e
 	sess.Net = simnet.New(cfg.Net, sess.World.DB, sess.Schedule.Sched, sess.Schedule.Blackouts...)
 	sess.Resolver = resolver.New(cfg.Resolver, sess.World.DB, sess.Net)
 	eng := openintel.NewEngine(sess.World.DB, sess.Resolver, cfg.MeasureSeed)
-	sess.buildDemand(eng.NSSetTable())
+	sess.index = core.NewNSIndex(eng.NSSetTable(), eng.DomainNSSets())
+	sess.buildDemand(eng.NSSetTable().Len())
 	sess.Engine = eng.Restrict(sess.sweepsDay)
 	return sess, nil
 }
@@ -235,21 +238,21 @@ var demandDaysBack = [...]clock.Day{0, 1, 7}
 // buildDemand is the join's demand (DESIGN §3.13): the (NSSet, window)
 // pairs whose per-window metrics the join and the Fig. 2/3 series read,
 // and the (NSSet, day) rows the sweep measures. Each attack on a
-// nameserver address demands, for every NSSet of the engine's table whose
-// key contains the victim — the NSSets core.NSIndex.NSSetsContaining
-// joins it over — its windows from WindowMarginBefore ahead of its first
-// to WindowMarginAfter past its last, and each such window's day and the
-// days demandDaysBack and BaselineDaysBack before it. No other day row
-// is measured; a demanded row keeps its windows only where they are
-// demanded.
-func (sess *Session) buildDemand(tab *nsset.Interner) {
+// nameserver address demands, for every NSSet of the engine's table
+// containing the victim — the NSSets the session's index joins it over —
+// its windows from WindowMarginBefore ahead of its first to
+// WindowMarginAfter past its last, and each such window's day and the
+// days demandDaysBack and BaselineDaysBack before it. No other day row is
+// measured; a demanded row keeps its windows only where they are
+// demanded. n is the size of the engine's table.
+func (sess *Session) buildDemand(n int) {
 	before := clock.Window(sess.Config.WindowMarginBefore / clock.WindowDur)
 	after := clock.Window(sess.Config.WindowMarginAfter / clock.WindowDur)
 	backs := demandDaysBack[:]
 	if b := clock.Day(sess.Config.Pipeline.BaselineDaysBack); b > 0 && !slices.Contains(backs, b) {
 		backs = append(backs[:len(backs):len(backs)], b)
 	}
-	sess.windows, sess.days = newDemand(tab, sess.Attacks, before, after, backs)
+	sess.windows, sess.days = newDemand(sess.index, n, sess.Attacks, before, after, backs)
 }
 
 // demand is a set of (NSSet ID, unit) pairs, the unit a window or a day:
@@ -268,95 +271,58 @@ type idSpan struct {
 	off, n uint32
 }
 
-// newDemand returns the window and day demands of attacks over tab's
-// NSSets: every NSSet containing an attack's victim keeps the attack's
-// windows from before ahead of its first to after past its last, and
-// each kept window's day and the days backs before it. It allocates the
-// same objects whatever the number of NSSets and attacks: the victims
-// are grouped by a counting sort over the sorted member addresses, not a
-// map of slices.
-func newDemand(tab *nsset.Interner, attacks []rsdos.Attack, before, after clock.Window, backs []clock.Day) (windows, days *demand) {
-	n := tab.Len()
-	// every member address of every NSSet, sorted and distinct
-	size := 0
-	for id := 0; id < n; id++ {
-		size += tab.Key(nsset.ID(id)).Size()
-	}
-	addrs := make([]netx.Addr, 0, size)
-	for id := 0; id < n; id++ {
-		k := tab.Key(nsset.ID(id))
-		for i := 0; i < k.Size(); i++ {
-			addrs = append(addrs, k.Addr(i))
-		}
-	}
-	slices.Sort(addrs)
-	addrs = slices.Compact(addrs)
-
-	// Each address's attack spans, in one array: first[j+2] counts
-	// address j's attacks; the prefix sums make first[j+1] its write
-	// cursor, which the fill leaves at the end of j's spans, so that
-	// spans[first[j]:first[j+1]] are address j's. Its day ranges are
-	// daySpans[first[j]*len(backs):first[j+1]*len(backs)].
-	first := make([]int32, len(addrs)+2)
-	for i := range attacks {
-		if j, ok := slices.BinarySearch(addrs, attacks[i].Victim); ok {
-			first[j+2]++
-		}
-	}
-	for j := 2; j < len(first); j++ {
-		first[j] += first[j-1]
-	}
-	spans := make([][2]int64, first[len(first)-1])
-	daySpans := make([][2]int64, len(spans)*len(backs))
-	for i := range attacks {
-		a := &attacks[i]
-		if j, ok := slices.BinarySearch(addrs, a.Victim); ok {
-			at := first[j+1]
+// newDemand returns the window and day demands of attacks over the n
+// NSSets of ix's table: every NSSet containing an attack's victim
+// (ix.NSSetsContaining, the join's own rule) keeps the attack's windows
+// from before ahead of its first to after past its last, and each kept
+// window's day and the days backs before it. It allocates the same six
+// objects whatever the number of NSSets and attacks.
+func newDemand(ix *core.NSIndex, n int, attacks []rsdos.Attack, before, after clock.Window, backs []clock.Day) (windows, days *demand) {
+	windows, days = &demand{ids: make([]idSpan, n)}, &demand{ids: make([]idSpan, n)}
+	// the first pass spans each ID's units, the second sets their bits
+	for _, set := range [2]bool{false, true} {
+		for i := range attacks {
+			a := &attacks[i]
 			lo, hi := a.StartWindow-before, a.EndWindow+after
-			spans[at] = [2]int64{int64(lo), int64(hi)}
-			for b, back := range backs {
-				daySpans[int(at)*len(backs)+b] = [2]int64{int64(lo.Day() - back), int64(hi.Day() - back)}
+			for _, id := range ix.NSSetsContaining(a.Victim) {
+				windows.add(set, id, int64(lo), int64(hi))
+				for _, back := range backs {
+					days.add(set, id, int64(lo.Day()-back), int64(hi.Day()-back))
+				}
 			}
-			first[j+1]++
+		}
+		if !set {
+			windows.cut()
+			days.cut()
 		}
 	}
-	return fillDemand(tab, addrs, first, spans, 1), fillDemand(tab, addrs, first, daySpans, len(backs))
+	return windows, days
 }
 
-// fillDemand builds the demand in which every NSSet of tab holds the
-// ranges of its member addresses: address j's are
-// ranges[first[j]*per:first[j+1]*per].
-func fillDemand(tab *nsset.Interner, addrs []netx.Addr, first []int32, ranges [][2]int64, per int) *demand {
-	// memberRanges returns the ranges of the i-th member of k.
-	memberRanges := func(k nsset.Key, i int) [][2]int64 {
-		j, _ := slices.BinarySearch(addrs, k.Addr(i))
-		return ranges[int(first[j])*per : int(first[j+1])*per]
+// add widens id's span to hold lo … hi or, once the bits are cut, sets
+// them.
+func (d *demand) add(set bool, id nsset.ID, lo, hi int64) {
+	s := &d.ids[id]
+	if set {
+		setRange(d.bits[s.off:], uint64(lo-s.lo), uint64(hi-s.lo))
+		return
 	}
-	d := &demand{ids: make([]idSpan, tab.Len())}
+	if s.n > 0 {
+		lo, hi = min(lo, s.lo), max(hi, s.lo+int64(s.n)-1)
+	}
+	s.lo, s.n = lo, uint32(hi-lo+1)
+}
+
+// cut gives every spanned ID its words of one bit array.
+func (d *demand) cut() {
 	words := 0
 	for id := range d.ids {
-		k := tab.Key(nsset.ID(id))
-		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		for i := 0; i < k.Size(); i++ {
-			for _, r := range memberRanges(k, i) {
-				lo, hi = min(lo, r[0]), max(hi, r[1])
-			}
-		}
-		if lo <= hi {
-			d.ids[id] = idSpan{lo: lo, off: uint32(words), n: uint32(hi - lo + 1)}
-			words += int(hi-lo)/64 + 1
+		if s := &d.ids[id]; s.n > 0 {
+			s.off = uint32(words)
+			words += int(s.n-1)/64 + 1
 		}
 	}
 	d.bits = make([]uint64, words)
-	for id, s := range d.ids {
-		k := tab.Key(nsset.ID(id))
-		for i := 0; i < k.Size(); i++ {
-			for _, r := range memberRanges(k, i) {
-				setRange(d.bits[s.off:], uint64(r[0]-s.lo), uint64(r[1]-s.lo))
-			}
-		}
-	}
-	return d
 }
 
 // setRange sets bits from … to, both included.
@@ -532,7 +498,7 @@ func (sess *Session) fallbackDemand(quarantined []clock.Day) []fallbackDay {
 
 // NewPipeline builds the core join pipeline over the measured days with
 // the session's standard wiring (pipeline config, census, topology, open
-// resolvers, the engine's per-domain NSSet keys) plus any extra engine
+// resolvers, the session's nameserver index) plus any extra engine
 // options, and applies the quarantined-day fallback set. A run builds its
 // pipeline here, over sealed days (Study.finish), and so does every
 // re-join over them, which is what pins their emission bytes to each
@@ -544,9 +510,7 @@ func (sess *Session) NewPipeline(days core.DayStore, quarantined []clock.Day, re
 		core.WithCensus(sess.World.Census),
 		core.WithTopology(sess.World.Topo),
 		core.WithOpenResolvers(sess.World.OpenRes),
-		// Reuse the measurement engine's per-domain NSSet keys so the
-		// join index build skips recomputing them from the DB.
-		core.WithDomainNSSets(sess.Engine.DomainNSSets()),
+		core.WithNSIndex(sess.index),
 		core.WithMetrics(reg),
 	}
 	pipeOpts = append(pipeOpts, extra...)

@@ -4,9 +4,11 @@ package study
 
 import (
 	"context"
+	"io"
 	"runtime"
 	"testing"
 
+	"dnsddos/internal/daystore"
 	"dnsddos/internal/obs"
 )
 
@@ -20,7 +22,8 @@ const raceEnabled = false
 // and a port list per generated attack and a heap node per prefix bit of
 // the AS table, 3,444 with the whole telescope feed held, 3,358 before
 // the world was built in one step per name, and 1,943 with the schedule
-// drawn into chunks of components.
+// drawn into chunks of components. Building the join's nameserver index
+// in the session, once, made it 1,945.
 const newSessionAllocBudget = 2520
 
 // TestNewSessionAllocBudget pins what building a session allocates at a
@@ -97,5 +100,51 @@ func TestNewSessionBytesBudget(t *testing.T) {
 				t.Errorf("NewSession left %d bytes live, budget %d", live, tc.live)
 			}
 		})
+	}
+}
+
+// coldRejoinAllocBudget is 1.15 × the 793 objects one cold re-join of
+// the repo benchmark's join_dense study allocates, with the session's one
+// nameserver index and a day store that cuts its slots and views from one
+// array. It was 2,517 when every pipeline built a map-based index of its
+// own and the store allocated a slot, an os.File, a Stat, a View and an
+// unmap closure per day.
+const coldRejoinAllocBudget = 912
+
+// TestColdRejoinAllocBudget pins what a cold re-join over sealed days
+// allocates: open the day store, build the session's pipeline, join the
+// feed, close — the join_dense operation without Classify and the CSV.
+func TestColdRejoinAllocBudget(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	cfg.World.Domains = 6000
+	cfg.World.GenericProviders = 60
+	cfg.Attacks.TotalAttacks = 20000
+	cfg.Attacks.DNSShare = 0.15
+	cfg.FromDay, cfg.ToDay = 0, 149
+	dir := t.TempDir()
+	swept, err := RunContext(ctx, cfg, WithDayStoreDir(dir), WithSkipJoin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := swept.Pipeline.DayStore().(io.Closer).Close(); err != nil {
+		t.Fatal(err)
+	}
+	sess := swept.Session()
+	allocs := testing.AllocsPerRun(5, func() {
+		set, err := daystore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if events, err := sess.NewPipeline(set, nil, nil).EventsContext(ctx, swept.Attacks); err != nil || len(events) == 0 {
+			t.Fatalf("the re-join gave %d events, error %v", len(events), err)
+		}
+		if err := set.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("cold re-join: %.0f allocations", allocs)
+	if allocs > coldRejoinAllocBudget {
+		t.Errorf("a cold re-join allocated %.0f objects, budget %d", allocs, coldRejoinAllocBudget)
 	}
 }

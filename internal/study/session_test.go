@@ -15,6 +15,7 @@ import (
 
 	"dnsddos/internal/attacksim"
 	"dnsddos/internal/clock"
+	"dnsddos/internal/core"
 	"dnsddos/internal/leakcheck"
 	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
@@ -85,7 +86,7 @@ func TestDemandMatchesMap(t *testing.T) {
 			}
 			lo, hi = min(lo, a.StartWindow-before), max(hi, a.EndWindow+after)
 		}
-		windows, days := newDemand(tab, attacks, before, after, backs)
+		windows, days := newDemand(everyIDIndex(tab), tab.Len(), attacks, before, after, backs)
 		for id := nsset.ID(0); int(id) <= tab.Len(); id++ {
 			for w := lo - 200; w <= hi+200; w++ {
 				if got, want := windows.has(id, int64(w)), keep[pair{id, w}]; got != want {
@@ -112,11 +113,22 @@ func TestDemandMatchesMap(t *testing.T) {
 		tab     *nsset.Interner
 		attacks []rsdos.Attack
 	}{{small, few}, {large, many}} {
-		allocs[i] = testing.AllocsPerRun(5, func() { newDemand(tc.tab, tc.attacks, 72, 288, demandDaysBack[:]) })
+		ix := everyIDIndex(tc.tab)
+		allocs[i] = testing.AllocsPerRun(5, func() { newDemand(ix, tc.tab.Len(), tc.attacks, 72, 288, demandDaysBack[:]) })
 	}
 	if allocs[0] != allocs[1] {
 		t.Errorf("the demand of 4 NSSets and 10 attacks allocates %v objects, of 300 and 5,000 %v: want the same", allocs[0], allocs[1])
 	}
+}
+
+// everyIDIndex is the nameserver index over tab in which every NSSet
+// hosts one domain.
+func everyIDIndex(tab *nsset.Interner) *core.NSIndex {
+	ids := make([]nsset.ID, tab.Len())
+	for i := range ids {
+		ids[i] = nsset.ID(i)
+	}
+	return core.NewNSIndex(tab, ids)
 }
 
 // TestSessionFeedMatchesInfer holds the session's attacks — inference
