@@ -10,6 +10,9 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# The rsdos smoke runs BenchmarkInfer and BenchmarkFoldDenseWindow once
+# each: a fold whose scan of a victim's chain of open runs went quadratic
+# in the runs would show there as time per op.
 test: build cmds obs stream
 	test -z "$$(gofmt -l .)"
 	@if $(GO) list -deps ./cmd/... | grep -qx testing; then echo "a cmd/ binary links the testing package"; exit 1; fi
@@ -23,7 +26,7 @@ test: build cmds obs stream
 	$(GO) test -bench 'BenchmarkNewSession|BenchmarkRunContext' -benchtime 1x -run '^$$' ./internal/study/
 	$(GO) test -bench 'BenchmarkLoadStateAt' -benchtime 1x -run '^$$' ./internal/simnet/
 	$(GO) test -bench 'BenchmarkSynthesizeObs|BenchmarkGenerateSchedule|BenchmarkGenerateWorld' -benchtime 1x -run '^$$' ./internal/scenario/
-	$(GO) test -bench 'BenchmarkInfer' -benchtime 1x -run '^$$' ./internal/rsdos/
+	$(GO) test -bench 'BenchmarkInfer|BenchmarkFoldDenseWindow' -benchtime 1x -run '^$$' ./internal/rsdos/
 	$(GO) test -bench 'BenchmarkWriteDayRef' -benchtime 1x -run '^$$' ./internal/checkpoint/
 	$(GO) run ./cmd/report -quick -outdir "$$(mktemp -d)" >/dev/null
 
@@ -176,8 +179,8 @@ bench-serve:
 # heaviest stages, the telescope feed (at study_batch's scale, and at
 # join_dense's DNS share, where a victim's attack chain is long) and its
 # curation, of that feed and of 16 windows
-# of 4,096 observations each (BenchmarkFoldDenseWindow, where a window
-# close that sorts in quadratic time shows as ns/op). For
+# of 4,096 observations each (BenchmarkFoldDenseWindow, where a chain
+# scan quadratic in a victim's open runs shows as ns/op). For
 # reading while working on the set-up or the run loop; the gated numbers
 # are the repo benchmark's study_batch op_allocs and join_dense setup_s.
 bench-session:

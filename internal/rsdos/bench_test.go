@@ -9,12 +9,9 @@ import (
 	"dnsddos/internal/telescope"
 )
 
-// BenchmarkInfer curates the repo benchmark's feed: the observations of
-// 6 000 scheduled attacks (attack seed 7) on a 12 000-domain world (make
-// bench-session). Infer closes no window before the end, so its fold holds
-// every qualifying observation, where the session's, closing as synthesis
-// goes, holds a few thousand.
-func BenchmarkInfer(b *testing.B) {
+// benchFeed draws the repo benchmark's feed: the observations of 6 000
+// scheduled attacks (attack seed 7) on a 12 000-domain world.
+func benchFeed() []rsdos.WindowObs {
 	wcfg := scenario.DefaultWorldConfig()
 	wcfg.Domains = 12000
 	wcfg.GenericProviders = 60
@@ -29,6 +26,15 @@ func BenchmarkInfer(b *testing.B) {
 		c.Ports = slices.Clone(o.Ports)
 		obs = append(obs, c)
 	}, nil)
+	return obs
+}
+
+// BenchmarkInfer curates the repo benchmark's feed (make bench-session).
+// Infer closes no window before the end, so its fold holds every run of
+// the feed open, where the session's, closing as synthesis goes, holds
+// the runs its watermark leaves open.
+func BenchmarkInfer(b *testing.B) {
+	obs := benchFeed()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

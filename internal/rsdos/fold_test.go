@@ -1,6 +1,7 @@
 package rsdos
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -135,10 +136,92 @@ func TestFoldDenseWindowsMatchReference(t *testing.T) {
 	}
 }
 
+// takeAnyOrder folds feed in an order of its own and returns the attacks
+// and the order the observations were taken in. It closes the fold at
+// watermarks a few windows apart; before each close it takes, in a
+// shuffled order, every observation left below the watermark and one in
+// three of those above it, so an observation is taken anywhere above the
+// last watermark, a component's later windows often before its earlier
+// ones.
+func takeAnyOrder(rng *rand.Rand, cfg Config, feed []WindowObs) (attacks []Attack, taken []WindowObs) {
+	rest := slices.Clone(feed)
+	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	f := NewFold(cfg)
+	w := clock.Window(math.MaxInt64)
+	for i := range rest {
+		w = min(w, rest[i].Window)
+	}
+	for ; len(rest) > 0; w += clock.Window(1 + rng.IntN(8)) {
+		kept := rest[:0]
+		for i := range rest {
+			if rest[i].Window < w || rng.IntN(3) == 0 {
+				f.Take(&rest[i])
+				taken = append(taken, rest[i])
+			} else {
+				kept = append(kept, rest[i])
+			}
+		}
+		rest = kept
+		f.Close(w)
+	}
+	return f.Finish(), taken
+}
+
+// TestFoldAnyOrderMatchesReference: a fold folds each observation into
+// its victim's run as it arrives, so the order they arrive in above the
+// watermark cannot change the attacks but for which of two observations
+// of a run's first window sets FirstPort, the earlier to arrive. Generated
+// feeds taken in any order (takeAnyOrder) must give the reference's
+// attacks over the feed in the order it was taken, and so must three
+// hand-built feeds: an observation that bridges two runs, whose earlier
+// run's first window keeps FirstPort; two observations of a run's first
+// window, taken after a later window; and two runs of five ports each
+// bridged by a sixth, past a candidate's own room of eight.
+func TestFoldAnyOrderMatchesReference(t *testing.T) {
+	loose := Config{MaxGapWindows: 2} // every window qualifies, the empty ones too
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0xa0))
+		for _, feed := range [][]WindowObs{tieFeed(seed, 3000), slices.Concat(denseFeed(seed, 12, 200, 300)...)} {
+			for _, cfg := range []Config{DefaultConfig(), loose} {
+				got, taken := takeAnyOrder(rng, cfg, feed)
+				if want := inferReference(cfg, taken); len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, %+v: %d attacks, the reference %d", seed, cfg, len(got), len(want))
+				}
+			}
+		}
+	}
+
+	ports := func(from, to uint16) []PortCount {
+		var out []PortCount
+		for p := from; p <= to; p++ {
+			out = append(out, PortCount{Port: p, N: int64(p)})
+		}
+		return out
+	}
+	at := func(w clock.Window, ports []PortCount) WindowObs {
+		return WindowObs{Window: w, Victim: netx.MustParseAddr("192.0.2.1"), Proto: packet.ProtoUDP,
+			Packets: 100, PeakPPM: float64(w), Slash16: 50, UniqueDsts: int64(w), Ports: ports}
+	}
+	for _, tc := range []struct {
+		name string
+		obs  []WindowObs
+	}{
+		{"a bridge", []WindowObs{at(16, ports(443, 443)), at(10, ports(53, 53)), at(13, ports(80, 80))}},
+		{"two at the first window", []WindowObs{at(11, ports(80, 80)), at(10, ports(53, 53)), at(10, ports(443, 443))}},
+		{"a merge past eight ports", []WindowObs{at(10, ports(1, 5)), at(16, ports(6, 10)), at(13, ports(11, 11))}},
+	} {
+		got, want := Infer(DefaultConfig(), tc.obs), inferReference(DefaultConfig(), tc.obs)
+		if len(got) != 1 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, want)
+		}
+	}
+}
+
 // BenchmarkFoldDenseWindow folds 16 windows of 4,096 observations on a
-// pool of 2,048 victims (make bench-session): a close that sorts a window
-// in quadratic time shows here as ns/op, where the session's windows at
-// the benchmark's scale hold ≈ 3 observations.
+// pool of 2,048 victims (make bench-session, and once in make test): a
+// take that scans a victim's open runs in quadratic time shows here as
+// ns/op, where the session's windows at the benchmark's scale hold ≈ 3
+// observations.
 func BenchmarkFoldDenseWindow(b *testing.B) {
 	steps := denseFeed(1, 16, 4096, 2048)
 	b.ReportAllocs()

@@ -126,13 +126,12 @@ func TestInferOrderInvariance(t *testing.T) {
 // then at a random watermark no later observation lies below. A component
 // attacks one of twelve victims, a pool that drifts with the component's
 // place, so victims recur while near and then leave. Port lists run from
-// none to past a slot's own room, so recycled slots see longer and
-// shorter lists than the ones they held. The attacks must be the
-// reference's over the whole feed, and the fold must never cut more slots
-// than the most qualifying observations in windows still open, nor more
-// candidate slabs than the most candidates the watermarks leave open at
-// once: a Close that finalizes nothing keeps a candidate per victim ever
-// seen.
+// none to past a candidate's own room, so recycled candidates see longer
+// and shorter lists than the ones they held. The attacks must be the
+// reference's over the whole feed, and the fold must never hold more runs
+// open than the taken feed has spans the watermarks leave open, counted
+// after every observation: a Close that finalizes nothing, or a bridge
+// that keeps the merged run's storage, holds more.
 func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 	portPool := []uint16{22, 53, 80, 123, 443, 3389, 8080, 27015, 5060, 11211}
 	for seed := uint64(1); seed <= 40; seed++ {
@@ -158,18 +157,16 @@ func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 			}
 		}
 		for _, cfg := range []Config{DefaultConfig(), {MaxGapWindows: 2}} {
-			// every candidate's span, the ones below the packet floor
-			// included
-			floorless := cfg
-			floorless.MinTotalPackets = 0
-			spans := inferReference(floorless, feed)
-			// openAt counts the candidates that can be open while the fold
-			// closes the windows below w, the last close having been at
-			// prev: the ones started below w that prev's close left open
-			openAt := func(prev, w clock.Window) int {
-				n := 0
-				for _, a := range spans {
-					if a.StartWindow < w && a.EndWindow+clock.Window(cfg.MaxGapWindows)+1 >= prev {
+			reach := clock.Window(cfg.MaxGapWindows) + 1
+			// taken holds each victim's qualifying windows taken and not
+			// finalized, ascending; the victim's open runs are its
+			// floorless spans over them (the ones below the packet floor
+			// included), counted by runs
+			taken := map[netx.Addr][]clock.Window{}
+			runs := func(ws []clock.Window) int {
+				n := min(len(ws), 1)
+				for i := 1; i < len(ws); i++ {
+					if ws[i]-ws[i-1] > reach {
 						n++
 					}
 				}
@@ -177,8 +174,7 @@ func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 			}
 			f := NewFold(cfg)
 			closed := clock.Window(math.MinInt64)
-			var open []clock.Window // windows of the qualifying observations taken and not yet closed
-			peak, peakCands, c := 0, 0, 0
+			open, peak, c := 0, 0, 0
 			for p := range feed {
 				if c < len(marks) && marks[c] == p {
 					// a watermark at or below this component's start,
@@ -186,21 +182,38 @@ func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 					if rng.IntN(3) == 0 {
 						w := max(closed, starts[c]-clock.Window(rng.IntN(3)))
 						f.Close(w)
-						if w > closed {
-							peakCands = max(peakCands, openAt(closed, w))
-						}
 						closed = w
-						open = slices.DeleteFunc(open, func(x clock.Window) bool { return x < w })
+						// a span whose last window + reach lies below w
+						// is finalized; a victim's spans ascend, so the
+						// finalized ones are a prefix
+						for v, ws := range taken {
+							i := 0
+							for j := range ws {
+								if j+1 == len(ws) || ws[j+1]-ws[j] > reach {
+									if ws[j]+reach >= w {
+										break
+									}
+									i = j + 1
+								}
+							}
+							open -= runs(ws[:i])
+							taken[v] = ws[i:]
+						}
 					}
 					c++
 				}
 				f.Take(&feed[p])
-				if f.tr.Qualifies(&feed[p]) {
-					open = append(open, feed[p].Window)
-					peak = max(peak, len(open))
+				if o := &feed[p]; f.tr.Qualifies(o) {
+					ws := taken[o.Victim]
+					if i, found := slices.BinarySearch(ws, o.Window); !found {
+						open -= runs(ws)
+						ws = slices.Insert(ws, i, o.Window)
+						open += runs(ws)
+						taken[o.Victim] = ws
+					}
+					peak = max(peak, open)
 				}
 			}
-			peakCands = max(peakCands, openAt(closed, math.MaxInt64))
 			got, want := f.Finish(), inferReference(cfg, feed)
 			if len(want) == 0 {
 				t.Fatalf("seed %d: the reference inferred no attack", seed)
@@ -208,15 +221,9 @@ func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d, %+v: feed differs from the reference (%d vs %d attacks)", seed, cfg, len(got), len(want))
 			}
-			if f.Slots() > peak {
-				t.Fatalf("seed %d, %+v: the fold cut %d slots, at most %d observations were open at once", seed, cfg, f.Slots(), peak)
-			}
-			if slabs(f.tr.cut) > slabs(peakCands) {
-				t.Fatalf("seed %d, %+v: the tracker cut %d candidates, at most %d were open at once", seed, cfg, f.tr.cut, peakCands)
+			if f.PeakOpen() == 0 || f.PeakOpen() > peak {
+				t.Fatalf("seed %d, %+v: the fold held %d runs open at once, the taken feed at most %d", seed, cfg, f.PeakOpen(), peak)
 			}
 		}
 	}
 }
-
-// slabs returns how many candidate slabs n candidates take.
-func slabs(n int) int { return (n + candidateChunk - 1) / candidateChunk }

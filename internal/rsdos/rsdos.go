@@ -6,14 +6,15 @@
 // number of telescope /16s reached, and peak packet rate.
 //
 // The curation is one machine, a Fold, driven by a watermark: its caller
-// hands it window observations and says, window by window, that no later
-// observation can lie below a watermark; the windows below it are folded
-// and the attacks no later window can extend are finalized. Infer is a
-// Fold closed in one step; the batch study folds the feed as synthesis
-// draws it, and the streaming pipeline (internal/stream) folds the same
-// feed as it is delivered, dropping and counting an observation whose
-// window it has already closed. Closed windows are therefore final, which
-// is what the stream's exactly-once emission depends on.
+// hands it window observations, each folded into its victim's open run as
+// it is taken, and says, now and then, that no later observation can lie
+// below a watermark; the attacks no later window can extend are then
+// finalized. Infer is a Fold closed in one step; the batch study folds
+// the feed as synthesis draws it, and the streaming pipeline
+// (internal/stream) folds the same feed as it is delivered, dropping and
+// counting an observation whose window it has already closed. Closed
+// windows are therefore final, which is what the stream's exactly-once
+// emission depends on.
 package rsdos
 
 import (
@@ -193,17 +194,17 @@ func FirstOn(attacks []Attack, victims []netx.Addr, from, to time.Time) (Attack,
 // arrive in any order; they are grouped per victim and merged across window
 // gaps of at most MaxGapWindows.
 //
-// It is a Fold closed in one step: qualifying observations are folded in
-// (Window, Victim, feed position) order through one Tracker, and the
-// finalized feed is numbered by (StartWindow, Victim) rank. The streaming
-// pipeline drives the identical Fold watermark by watermark, so batch and
-// streaming curation cannot diverge.
+// It is a Fold closed in one step: each qualifying observation is folded
+// into its victim's run through one Tracker as it is taken, in feed
+// order, and the finalized feed is numbered by (StartWindow, Victim)
+// rank. The streaming pipeline drives the identical Fold watermark by
+// watermark, so batch and streaming curation cannot diverge.
 //
 // Observation keys are not unique: two spoofed components on one victim
-// give two observations of one (Window, Victim), and whichever comes first
-// sets a new attack's FirstPort. Feed position decides it — the earlier
-// observation in obs goes first, as a stable sort would put it
-// (inferReference in the tests holds the order).
+// give two observations of one (Window, Victim), and of an attack's first
+// window the one that comes first sets FirstPort. Feed position decides
+// it — the earlier observation in obs, as a stable sort by (Window,
+// Victim) would put it (inferReference in the tests holds the order).
 func Infer(cfg Config, obs []WindowObs) []Attack {
 	f := NewFold(cfg)
 	for i := range obs {

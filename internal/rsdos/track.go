@@ -9,22 +9,27 @@ import (
 	"dnsddos/internal/packet"
 )
 
-// track.go is the incremental core of the RSDoS curation: a Tracker
-// consumes qualifying window observations in window order and finalizes
-// attack records as soon as the window watermark guarantees they can no
-// longer be extended. Only a Fold drives one, advancing it as its
-// windows close: Infer folds a whole feed, the session folds the feed as
-// it is drawn, and the streaming pipeline (internal/stream) folds the
-// same feed as it is delivered, so the three cannot diverge
-// semantically.
+// track.go is the incremental core of the RSDoS curation: a Tracker folds
+// each qualifying window observation into its victim's open run as it
+// arrives, in any order, and finalizes attack records as soon as the
+// window watermark guarantees they can no longer be extended. The merge
+// is sums and maxima, so the order observations arrive in cannot change
+// an attack but for its FirstPort, which the earliest window's earliest
+// arrival sets. Only a Fold drives one: Infer folds a whole feed, the
+// session folds the feed as it is drawn, and the streaming pipeline
+// (internal/stream) folds the same feed as it is delivered, so the three
+// cannot diverge semantically.
 
-// candidate is one open (still extendable) attack. Its two lists start
-// out in its own buffers — eight ports hold the seven a scenario component
-// draws at most, three protocols are all the models emit — and move to the
-// heap by append when an attack outgrows them (one merging components with
-// different ports can), so a candidate must not be copied.
+// candidate is one open run: qualifying observations of one victim taken
+// so far, each window within MaxGapWindows+1 of the next. Its two lists
+// start out in its own buffers — eight ports hold the seven a scenario
+// component draws at most, three protocols are all the models emit — and
+// move to the heap by append when a run outgrows them (one merging
+// components with different ports can), so a candidate must not be
+// copied.
 type candidate struct {
-	// next links a finalized candidate into the tracker's free list.
+	// next links the victim's next open run, or a released candidate into
+	// the tracker's free list.
 	next *candidate
 	atk  Attack
 	// ports is the attack's merged port list, ascending like an
@@ -41,7 +46,7 @@ type protoCount struct {
 	n     int64
 }
 
-// start makes c the open attack whose first window is o.
+// start makes c the run of o alone; add then folds o in.
 func (c *candidate) start(o *WindowObs) {
 	c.atk = Attack{
 		Victim:      o.Victim,
@@ -50,6 +55,53 @@ func (c *candidate) start(o *WindowObs) {
 		FirstPort:   topPort(o.Ports),
 	}
 	c.ports, c.protos = c.portBuf[:0], c.protoBuf[:0]
+}
+
+// add folds o, which lies within reach of c's span, into c. An earlier
+// window takes FirstPort; at c's first window the earlier arrival keeps
+// it.
+func (c *candidate) add(o *WindowObs) {
+	if o.Window < c.atk.StartWindow {
+		c.atk.StartWindow, c.atk.FirstPort = o.Window, topPort(o.Ports)
+	}
+	if o.Window > c.atk.EndWindow {
+		c.atk.EndWindow = o.Window
+	}
+	c.atk.TotalPackets += o.Packets
+	c.raise(o.PeakPPM, int32(o.Slash16), o.UniqueDsts)
+	c.protos = addProto(c.protos, o.Proto, o.Packets)
+	for _, pc := range o.Ports {
+		c.ports = AddPort(c.ports, pc.Port, pc.N)
+	}
+}
+
+// merge folds d, a run that lies wholly before c, into c: an observation
+// bridged them. d's first window is the earlier, so it keeps FirstPort.
+func (c *candidate) merge(d *candidate) {
+	c.atk.StartWindow, c.atk.FirstPort = d.atk.StartWindow, d.atk.FirstPort
+	c.atk.TotalPackets += d.atk.TotalPackets
+	c.raise(d.atk.PeakPPM, d.atk.MaxSlash16, d.atk.UniqueDsts)
+	for _, pc := range d.protos {
+		c.protos = addProto(c.protos, pc.proto, pc.n)
+	}
+	for _, pc := range d.ports {
+		c.ports = AddPort(c.ports, pc.Port, pc.N)
+	}
+}
+
+// raise takes each of the three maxima that is larger. A `>`, not the
+// builtin max: a NaN rate never passes it, so which observation carries
+// one cannot matter.
+func (c *candidate) raise(ppm float64, slash16 int32, dsts int64) {
+	if ppm > c.atk.PeakPPM {
+		c.atk.PeakPPM = ppm
+	}
+	if slash16 > c.atk.MaxSlash16 {
+		c.atk.MaxSlash16 = slash16
+	}
+	if dsts > c.atk.UniqueDsts {
+		c.atk.UniqueDsts = dsts
+	}
 }
 
 // addProto is AddPort for the protocol list.
@@ -70,24 +122,28 @@ const candidateChunk = 64
 
 // Tracker incrementally curates WindowObs into attack records.
 //
-// Observations must arrive in non-decreasing window order per victim
-// (global window order satisfies this); a Fold's closes do. Finalized
-// attacks carry ID 0 — feed positions are a whole-feed property the
-// caller assigns (a Fold numbers its finished feed; the streaming
-// pipeline numbers in emission order).
+// Observations may arrive in any order; a Fold closes windows below its
+// watermark, which no later observation may lie in. Finalized attacks
+// carry ID 0 — feed positions are a whole-feed property the caller
+// assigns (a Fold numbers its finished feed; the streaming pipeline
+// numbers in emission order).
 //
-// A candidate's storage outlives it: one finalized by expire goes on a
-// free list, which a new candidate takes from before a slab is
-// cut, so the tracker holds the most candidates ever open at once, not
-// one per attack.
+// A candidate's storage outlives its run: one finalized by expire, or
+// merged into another, goes on a free list, which a new run takes from
+// before a slab is cut, so the tracker holds the most runs ever open at
+// once, not one per attack.
 type Tracker struct {
-	cfg  Config
+	cfg Config
+	// open maps a victim to its open runs, linked by next, latest first.
+	// Their spans are more than MaxGapWindows+1 windows apart: an
+	// observation within reach of two merges them.
 	open map[netx.Addr]*candidate
+	runs int // open runs
 	// slab is the chunk new candidates are cut from. A full chunk is left
 	// to its candidates and replaced, so a candidate never moves.
 	slab []candidate
 	cut  int        // candidates cut from slabs
-	free *candidate // finalized candidates, linked by next
+	free *candidate // released candidates, linked by next
 	// pending holds the attacks finalized since the fold last took them.
 	pending []Attack
 }
@@ -103,44 +159,41 @@ func (tr *Tracker) Qualifies(o *WindowObs) bool {
 	return o.Packets >= tr.cfg.MinPackets && o.Slash16 >= tr.cfg.MinSlash16
 }
 
-// Observe folds one closed window's observation. Non-qualifying
-// observations are ignored (gaps are judged by window distance, not by
-// the presence of sub-threshold windows, exactly as in the batch path).
-func (tr *Tracker) Observe(o WindowObs) {
-	if !tr.Qualifies(&o) {
-		return
+// take folds one qualifying observation into the victim's run within
+// MaxGapWindows+1 windows of it, or starts a run when none is. Gaps are
+// judged by window distance, not by the presence of sub-threshold
+// windows. An observation between two runs within reach of both bridges
+// them; no third run can be within reach.
+func (tr *Tracker) take(o *WindowObs) {
+	reach := int64(tr.cfg.MaxGapWindows) + 1
+	var prev *candidate
+	c := tr.open[o.Victim]
+	// the runs that start past o's reach come first
+	for c != nil && int64(c.atk.StartWindow-o.Window) > reach {
+		prev, c = c, c.next
 	}
-	cur := tr.open[o.Victim]
-	if cur != nil && int64(o.Window-cur.atk.EndWindow) > int64(tr.cfg.MaxGapWindows)+1 {
-		// the successor takes the finalized candidate's storage and its
-		// place in the map
-		tr.finalize(cur)
-		cur.start(&o)
-	} else if cur == nil {
-		cur = tr.newCandidate()
-		cur.start(&o)
-		tr.open[o.Victim] = cur
+	if c == nil || int64(o.Window-c.atk.EndWindow) > reach {
+		n := tr.newCandidate()
+		n.start(o)
+		n.next = c
+		if prev == nil {
+			tr.open[o.Victim] = n
+		} else {
+			prev.next = n
+		}
+		c = n
+	} else if d := c.next; d != nil && int64(o.Window-d.atk.EndWindow) <= reach {
+		c.merge(d)
+		c.next = d.next
+		tr.release(d)
 	}
-	cur.atk.EndWindow = o.Window
-	cur.atk.TotalPackets += o.Packets
-	if o.PeakPPM > cur.atk.PeakPPM {
-		cur.atk.PeakPPM = o.PeakPPM
-	}
-	if s := int32(o.Slash16); s > cur.atk.MaxSlash16 {
-		cur.atk.MaxSlash16 = s
-	}
-	if o.UniqueDsts > cur.atk.UniqueDsts {
-		cur.atk.UniqueDsts = o.UniqueDsts
-	}
-	cur.protos = addProto(cur.protos, o.Proto, o.Packets)
-	for _, pc := range o.Ports {
-		cur.ports = AddPort(cur.ports, pc.Port, pc.N)
-	}
+	c.add(o)
 }
 
-// newCandidate returns storage for a new candidate: a freed one's, or
-// the next of the slab.
+// newCandidate returns storage for a new run: a released one's, or the
+// next of the slab.
 func (tr *Tracker) newCandidate() *candidate {
+	tr.runs++
 	if c := tr.free; c != nil {
 		tr.free, c.next = c.next, nil
 		return c
@@ -153,8 +206,14 @@ func (tr *Tracker) newCandidate() *candidate {
 	return &tr.slab[len(tr.slab)-1]
 }
 
-// finalize curates one candidate into pending (dropped when it never
-// reached the whole-attack packet floor).
+// release puts a run's storage on the free list.
+func (tr *Tracker) release(c *candidate) {
+	tr.runs--
+	c.next, tr.free = tr.free, c
+}
+
+// finalize curates one run into pending (dropped when it never reached
+// the whole-attack packet floor).
 func (tr *Tracker) finalize(c *candidate) {
 	if c.atk.TotalPackets < tr.cfg.MinTotalPackets {
 		return
@@ -163,17 +222,27 @@ func (tr *Tracker) finalize(c *candidate) {
 	tr.pending = append(tr.pending, c.atk)
 }
 
-// expire finalizes into pending every candidate that no window after
-// closed can extend, and frees its storage.
+// expire finalizes into pending every run that no window after closed can
+// extend, and releases its storage.
 func (tr *Tracker) expire(closed clock.Window) {
+	reach := clock.Window(tr.cfg.MaxGapWindows) + 1
 	for v, c := range tr.open {
-		// the nearest window that could still merge is
-		// EndWindow + MaxGapWindows + 1; once that is closed, no future
-		// window can extend the candidate
-		if closed >= c.atk.EndWindow+clock.Window(tr.cfg.MaxGapWindows)+1 {
-			tr.finalize(c)
+		// the nearest window that could still merge is EndWindow + reach;
+		// the runs whose one is closed are the chain's tail, the earliest
+		var prev *candidate
+		for c != nil && closed < c.atk.EndWindow+reach {
+			prev, c = c, c.next
+		}
+		if prev == nil {
 			delete(tr.open, v)
-			c.next, tr.free = tr.free, c
+		} else {
+			prev.next = nil
+		}
+		for c != nil {
+			next := c.next
+			tr.finalize(c)
+			tr.release(c)
+			c = next
 		}
 	}
 }

@@ -120,7 +120,7 @@ func (sess *Session) Feed(emit func(*rsdos.WindowObs), advance func(clock.Window
 // goroutine while synthesis still draws (foldFeed), and folds what is
 // left once synthesis returns. The generate stage ends when the feed is
 // drawn, the infer stage when its attacks are ready. The feed's
-// observation count and the most observations the fold held at once are
+// observation count and the most runs the fold held open at once are
 // recorded beside the stage times, volatile like them.
 func (sess *Session) buildFeed(ctx context.Context, reg *obs.Registry, t0 time.Time) error {
 	stage := stageTimer(reg)
@@ -136,7 +136,7 @@ func (sess *Session) buildFeed(ctx context.Context, reg *obs.Registry, t0 time.T
 	sess.Attacks = fold.Finish()
 	stage("infer", t0)
 	reg.Gauge("study.feed.observations", obs.Volatile()).Set(int64(n))
-	reg.Gauge("study.feed.peak_slots", obs.Volatile()).Set(int64(fold.Slots()))
+	reg.Gauge("study.feed.peak_runs", obs.Volatile()).Set(int64(fold.PeakOpen()))
 	return nil
 }
 
@@ -144,8 +144,10 @@ func (sess *Session) buildFeed(ctx context.Context, reg *obs.Registry, t0 time.T
 const feedBlockLen = 1024
 
 // feedBlock is a run of the feed on its way from synthesis to the fold:
-// up to feedBlockLen observations, their Ports cut from ports, and the
-// watermark synthesis had published when the block was handed over.
+// up to feedBlockLen observations, their Ports cut from ports (never
+// grown: a block whose ports would overflow is handed over as if full),
+// and the watermark synthesis had published when the block was handed
+// over.
 type feedBlock struct {
 	obs    []rsdos.WindowObs
 	ports  []rsdos.PortCount
@@ -155,16 +157,16 @@ type feedBlock struct {
 // foldFeed runs synthesize on the caller's goroutine and has fold take
 // what it emits on a helper goroutine, and returns how many observations
 // the feed held. Synthesis copies the observations into blocks from a set
-// of three it recycles, and hands each full one over with the latest
-// watermark advance gave it; the helper has fold take the block's
-// observations, closes the windows below the watermark and hands the
-// block back. Once synthesize returns, the helper takes the last block
-// and exits; the fold is the caller's again. The helper is joined on
-// every return path, a panic in synthesize included, and a panic on the
-// helper is re-raised here, on the caller's goroutine: left on the helper
-// it would take the process down past every recover of the caller's.
-// After a panic the helper hands every block straight back, so synthesis
-// never waits for one.
+// of three it recycles, and hands each one over when it cannot hold the
+// next observation or its ports, with the latest watermark advance gave
+// it; the helper has fold take the block's observations, closes the
+// windows below the watermark and hands the block back. Once synthesize
+// returns, the helper takes the last block and exits; the fold is the
+// caller's again. The helper is joined on every return path, a panic in
+// synthesize included, and a panic on the helper is re-raised here, on
+// the caller's goroutine: left on the helper it would take the process
+// down past every recover of the caller's. After a panic the helper hands
+// every block straight back, so synthesis never waits for one.
 func foldFeed(fold *rsdos.Fold, synthesize func(emit func(*rsdos.WindowObs), advance func(clock.Window))) int {
 	n := 0
 	// both channels hold every block, so no send waits; synthesis waits
@@ -206,6 +208,11 @@ func foldFeed(fold *rsdos.Fold, synthesize func(emit func(*rsdos.WindowObs), adv
 	closed := clock.Window(math.MinInt64)
 	emit := func(o *rsdos.WindowObs) {
 		n++
+		if b != nil && (len(b.obs) == feedBlockLen || len(b.ports)+len(o.Ports) > cap(b.ports)) {
+			b.closed = closed
+			full <- b
+			b = nil
+		}
 		if b == nil {
 			b = <-empty
 			b.obs, b.ports = b.obs[:0], b.ports[:0]
@@ -213,11 +220,7 @@ func foldFeed(fold *rsdos.Fold, synthesize func(emit func(*rsdos.WindowObs), adv
 		c := *o
 		b.ports = append(b.ports, o.Ports...)
 		c.Ports = b.ports[len(b.ports)-len(o.Ports) : len(b.ports) : len(b.ports)]
-		if b.obs = append(b.obs, c); len(b.obs) == feedBlockLen {
-			b.closed = closed
-			full <- b
-			b = nil
-		}
+		b.obs = append(b.obs, c)
 	}
 	synthesize(emit, func(w clock.Window) { closed = w })
 	if b != nil {

@@ -225,12 +225,12 @@ func TestSessionFeedMatchesInfer(t *testing.T) {
 				t.Error("the session holds the feed")
 			}
 			n := reg.Gauge("study.feed.observations", obs.Volatile()).Load()
-			slots := reg.Gauge("study.feed.peak_slots", obs.Volatile()).Load()
+			runs := reg.Gauge("study.feed.peak_runs", obs.Volatile()).Load()
 			if n != int64(len(feed)) {
 				t.Errorf("study.feed.observations = %d, the feed holds %d", n, len(feed))
 			}
-			if tc.wantNone != (slots == 0) || (!tc.wantNone && slots >= n) {
-				t.Errorf("study.feed.peak_slots = %d of %d observations", slots, n)
+			if tc.wantNone != (runs == 0) || (!tc.wantNone && runs >= n) {
+				t.Errorf("study.feed.peak_runs = %d of %d observations", runs, n)
 			}
 		})
 	}
