@@ -16,6 +16,7 @@ build:
 test: build cmds obs stream
 	test -z "$$(gofmt -l .)"
 	@if $(GO) list -deps ./cmd/... | grep -qx testing; then echo "a cmd/ binary links the testing package"; exit 1; fi
+	@if $(GO) list -deps ./cmd/... | grep -qx encoding/gob; then echo "a cmd/ binary links encoding/gob"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -bench 'BenchmarkJoin' -benchtime 1x -run '^$$' ./internal/core/
@@ -173,7 +174,9 @@ bench-serve:
 # benchmark's scale (allocs/op and B/op are what every study and setup_s
 # sample pays before its first sweep), the whole study through
 # study.RunContext at the same scale with two workers (its allocs/op is
-# what study_batch op_allocs reads), the world at the same scale, the
+# what study_batch op_allocs reads), the same study with every day sealed
+# and journaled in fresh directories (BenchmarkRunContextSealed: its
+# allocs/op is what study_sealed op_allocs reads), the world at the same scale, the
 # attack schedule at study_batch's and join_dense's (B/op is mostly the
 # one array of 72-byte components a session keeps), and the session's two
 # heaviest stages, the telescope feed (at study_batch's scale, and at
@@ -182,7 +185,8 @@ bench-serve:
 # of 4,096 observations each (BenchmarkFoldDenseWindow, where a chain
 # scan quadratic in a victim's open runs shows as ns/op). For
 # reading while working on the set-up or the run loop; the gated numbers
-# are the repo benchmark's study_batch op_allocs and join_dense setup_s.
+# are the repo benchmark's study_batch and study_sealed op_allocs and
+# join_dense setup_s.
 bench-session:
 	$(GO) test -bench 'BenchmarkNewSession|BenchmarkRunContext' -benchmem -run '^$$' ./internal/study/
 	$(GO) test -bench 'BenchmarkGenerateWorld|BenchmarkGenerateSchedule|BenchmarkSynthesizeObs' -benchmem -run '^$$' ./internal/scenario/

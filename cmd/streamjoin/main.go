@@ -116,6 +116,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		defer dir.Close()
 		opts = append(opts, stream.WithJournal(dir))
 	}
 

@@ -9,13 +9,13 @@
 //     study, nor a directory of another layout half-read.
 //   - days.ckpt — the day log: one frame per completed day, appended in
 //     completion order. A frame is an 8-byte magic, the frame version, a
-//     length-prefixed gob payload (a DayRef: the day, and the name and
-//     SHA-256 of its sealed column file, internal/daystore) and a CRC-32
-//     trailer. An append is one write and one fsync; the directory is
-//     synced once, when a run opens the log. The journal never holds
-//     measurements itself.
+//     length-prefixed binary DayRef (the day, and the name and SHA-256 of
+//     its sealed column file, internal/daystore) and a CRC-32 trailer. An
+//     append is one write from one reused buffer and one fsync; the
+//     directory is synced once, when a run opens the log. The journal
+//     never holds measurements itself.
 //   - stream_cursor.ckpt — the stream's emission frontier (cursor.go), one
-//     record replaced in place through internal/atomicfile: written to a
+//     frame replaced in place through internal/atomicfile: written to a
 //     temporary name, synced, and atomically renamed, as header.json is.
 //
 // Recovery is the write-ahead log's rule. A final frame whose header, or
@@ -35,7 +35,6 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,7 +48,7 @@ import (
 
 // Version is the frame format version, in the header of every frame the
 // journal writes; bump on incompatible change.
-const Version = 2
+const Version = 3
 
 // layoutVersion is the version header.json records: how a checkpoint
 // directory lays out its records, apart from the frame they ride in.
@@ -57,9 +56,9 @@ const Version = 2
 // file per day, layout 3 appends every day to one log, layout 4 lets a
 // day be logged again by a re-seal (and its days were swept with a
 // random stream per domain, where layout 3's drew one per day, so the two
-// must not be mixed in one run). A directory of another layout is refused
-// on resume rather than re-swept or half-trusted.
-const layoutVersion = 4
+// must not be mixed in one run), layout 5 frames layout 4 at Version 3.
+// Another layout is refused on resume, not re-swept or half-trusted.
+const layoutVersion = 5
 
 const headerName = "header.json"
 
@@ -77,8 +76,9 @@ type Header struct {
 // use: a run appends from one goroutine at a time.
 type Dir struct {
 	path string
-	hdr  Header
-	log  *os.File // the day log, once the first append or load opened it
+	dir  *atomicfile.Dir // the directory, held open for publishing and syncing
+	log  *os.File        // the day log, once the first append or load opened it
+	buf  []byte          // the frame every append encodes into
 }
 
 // Create initializes path for a fresh run: leftovers from previous runs
@@ -87,11 +87,8 @@ type Dir struct {
 // written atomically. The directory is created if needed; files of other
 // names are left alone.
 func Create(path string, hdr Header) (*Dir, error) {
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: creating %s: %w", path, err)
-	}
 	entries, err := os.ReadDir(path)
-	if err != nil {
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("checkpoint: scanning %s: %w", path, err)
 	}
 	for _, e := range entries {
@@ -114,10 +111,15 @@ func Create(path string, hdr Header) (*Dir, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding header: %w", err)
 	}
-	if err := atomicfile.Write(path, headerName, b); err != nil {
+	dir, err := atomicfile.OpenDir(path)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return &Dir{path: path, hdr: hdr}, nil
+	if err := dir.Write(headerName, b); err != nil {
+		dir.Close()
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return &Dir{path: path, dir: dir}, nil
 }
 
 // Resume opens an existing checkpoint directory for the run identified
@@ -142,24 +144,28 @@ func Resume(path string, hdr Header) (*Dir, error) {
 		return nil, fmt.Errorf("checkpoint: refusing to resume %s: checkpointed run has config hash %s seed %d, current run has %s seed %d",
 			path, got.ConfigHash, got.Seed, hdr.ConfigHash, hdr.Seed)
 	}
-	hdr.Version = layoutVersion
-	return &Dir{path: path, hdr: hdr}, nil
+	dir, err := atomicfile.OpenDir(path)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return &Dir{path: path, dir: dir}, nil
 }
 
 // Path returns the directory path.
 func (d *Dir) Path() string { return d.path }
 
-// Close releases the day log, if this Dir opened it. Every append is
-// already durable when it returns, so Close has nothing to flush.
+// Close releases the directory and the day log, if this Dir opened it.
+// Every append is already durable when it returns: nothing is flushed.
 func (d *Dir) Close() error {
-	if d.log == nil {
-		return nil
+	var logErr error
+	if d.log != nil {
+		logErr = d.log.Close()
 	}
-	return d.log.Close()
+	return errors.Join(logErr, d.dir.Close())
 }
 
 // The frame is the tree's one envelope outside day files — every journal
-// record: magic, u32 version, u64 payload length, a gob payload, a CRC-32
+// record: magic, u32 version, u64 payload length, the payload, a CRC-32
 // of the payload. maxPayload bounds the length a frame may declare.
 const (
 	magic      = "DNSCKPT1"
@@ -167,22 +173,35 @@ const (
 	maxPayload = 64 << 20
 )
 
-// EncodeFrame gob-encodes v into one self-delimiting frame; a payload
-// that DecodeFrame would refuse as too long is refused here.
-func EncodeFrame(v any) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, headerLen, 512))
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("checkpoint: encoding frame: %w", err)
-	}
-	b := buf.Bytes()
-	n := len(b) - headerLen
+// Record is a frame's payload, *DayRef or *Cursor: big-endian integers,
+// u32-length-prefixed strings and bool bytes, in field order.
+type Record interface {
+	appendPayload(dst []byte) []byte
+	decodePayload(p []byte) error
+}
+
+// EncodeFrame encodes r into one self-delimiting frame; a payload that
+// DecodeFrame would refuse as too long is refused here.
+func EncodeFrame(r Record) ([]byte, error) {
+	return endFrame(r.appendPayload(beginFrame(nil)), nil)
+}
+
+// beginFrame appends a frame header whose length endFrame stamps.
+func beginFrame(dst []byte) []byte {
+	b := binary.BigEndian.AppendUint32(append(dst, magic...), Version)
+	return binary.BigEndian.AppendUint64(b, 0)
+}
+
+// endFrame stamps the length of the frame b holds after dst and appends
+// its CRC, or returns dst as it was with EncodeFrame's refusal.
+func endFrame(b, dst []byte) ([]byte, error) {
+	frame := b[len(dst):]
+	n := len(frame) - headerLen
 	if n > maxPayload {
-		return nil, fmt.Errorf("checkpoint: frame payload of %d bytes exceeds %d", n, maxPayload)
+		return dst, fmt.Errorf("checkpoint: frame payload of %d bytes exceeds %d", n, maxPayload)
 	}
-	copy(b, magic)
-	binary.BigEndian.PutUint32(b[len(magic):], Version)
-	binary.BigEndian.PutUint64(b[len(magic)+4:], uint64(n))
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[headerLen:])), nil
+	binary.BigEndian.PutUint64(frame[len(magic)+4:], uint64(n))
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(frame[headerLen:])), nil
 }
 
 // payloadLen checks a frame header — magic, version, length bound — and
@@ -201,12 +220,12 @@ func payloadLen(hdr []byte) (uint64, error) {
 	return n, nil
 }
 
-// DecodeFrame decodes the one frame b holds into v. Every failure —
+// DecodeFrame decodes the one frame b holds into r. Every failure —
 // fewer bytes than the header or than the length it declares (a
 // truncation), magic, version, length bound, bytes after the frame, CRC,
-// decode — is an error; a frame is either fully trusted or refused. The
-// payload is read where it lies in b: a damaged length costs nothing.
-func DecodeFrame(b []byte, v any) error {
+// decode — is an error that leaves r as it was: a frame is fully trusted
+// or refused. The payload is read where it lies: a bad length costs nothing.
+func DecodeFrame(b []byte, r Record) error {
 	if len(b) < headerLen {
 		return fmt.Errorf("checkpoint: truncated or not a checkpoint frame (%d bytes)", len(b))
 	}
@@ -225,62 +244,28 @@ func DecodeFrame(b []byte, v any) error {
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(trailer); got != want {
 		return fmt.Errorf("checkpoint: frame crc mismatch (%08x != %08x)", got, want)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+	if err := r.decodePayload(payload); err != nil {
 		return fmt.Errorf("checkpoint: decoding frame payload: %w", err)
 	}
 	return nil
 }
 
-// A named record — the stream cursor — is one CRC-framed gob value,
-// atomically published with Write and read with Load. The day log is
-// appended instead (WriteDayRef), since a run adds one day at a time and
-// never rewrites one.
-
-// Write durably records v under name (a bare *.ckpt filename) in the
-// standard envelope — EncodeFrame, then atomic rename + directory fsync.
-func (d *Dir) Write(name string, v any) error {
-	if err := validRecordName(name); err != nil {
-		return err
-	}
-	b, err := EncodeFrame(v)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encoding %s: %w", name, err)
-	}
-	if err := atomicfile.Write(d.path, name, b); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
+// appendString appends s with its u32 length in front.
+func appendString(dst []byte, s string) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(s))), s...)
 }
 
-// Load reads dir/name and decodes it with DecodeFrame. The boolean is
-// false when no such record exists; a record that exists but fails any
-// check (magic, version, length, CRC, decode) is an error, never silently
-// skipped.
-func (d *Dir) Load(name string, v any) (bool, error) {
-	if err := validRecordName(name); err != nil {
-		return false, err
-	}
-	full := filepath.Join(d.path, name)
-	b, err := os.ReadFile(full)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("checkpoint: reading %s: %w", full, err)
-	}
-	if err := DecodeFrame(b, v); err != nil {
-		return false, fmt.Errorf("%s: %w", full, err)
-	}
-	return true, nil
-}
+// errShortPayload refuses a payload that ends inside a field.
+var errShortPayload = errors.New("payload ends inside a field")
 
-// validRecordName rejects names that would escape the directory or dodge
-// the Create-time cleanup glob.
-func validRecordName(name string) error {
-	if name == "" || name != filepath.Base(name) || filepath.Ext(name) != ".ckpt" {
-		return fmt.Errorf("checkpoint: invalid record name %q (want a bare *.ckpt filename)", name)
+// cutString cuts a u32-length-prefixed string off the front of p into s.
+func cutString(p []byte, s *string) ([]byte, error) {
+	if len(p) < 4 || uint64(len(p)-4) < uint64(binary.BigEndian.Uint32(p)) {
+		return nil, errShortPayload
 	}
-	return nil
+	n := 4 + int(binary.BigEndian.Uint32(p))
+	*s = string(p[4:n])
+	return p[n:], nil
 }
 
 // DayRef is the journal's only day record: it points at the day's sealed
@@ -297,10 +282,33 @@ type DayRef struct {
 	SHA256 string
 }
 
+func (r *DayRef) appendPayload(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Day))
+	return appendString(appendString(dst, r.File), r.SHA256)
+}
+
+func (r *DayRef) decodePayload(p []byte) error {
+	if len(p) < 4 {
+		return errShortPayload
+	}
+	v := DayRef{Day: clock.Day(int32(binary.BigEndian.Uint32(p)))}
+	p, err := cutString(p[4:], &v.File)
+	if err == nil {
+		p, err = cutString(p, &v.SHA256)
+	}
+	if err == nil && len(p) > 0 {
+		err = fmt.Errorf("%d bytes after the last field", len(p))
+	}
+	if err == nil {
+		*r = v
+	}
+	return err
+}
+
 // WriteDayRef durably records that day's snapshot was sealed into the
 // referenced column file: one frame appended to the day log in one write,
 // then an fsync. The first append of a Dir that has not loaded the log
-// opens it as LoadDayRefs does.
+// opens it as LoadDayRefs does; after it, an append allocates nothing.
 func (d *Dir) WriteDayRef(day clock.Day, ref DayRef) error {
 	if d.log == nil {
 		if _, err := d.openLog(); err != nil {
@@ -308,10 +316,11 @@ func (d *Dir) WriteDayRef(day clock.Day, ref DayRef) error {
 		}
 	}
 	ref.Day = day
-	b, err := EncodeFrame(&ref)
+	b, err := endFrame(ref.appendPayload(beginFrame(d.buf[:0])), d.buf[:0])
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding day %s: %w", day, err)
 	}
+	d.buf = b
 	if _, err := d.log.Write(b); err != nil {
 		return fmt.Errorf("checkpoint: appending day %s: %w", day, err)
 	}
@@ -357,7 +366,7 @@ func (d *Dir) openLog() ([]DayRef, error) {
 	}
 	refs, err := recoverLog(f)
 	if err == nil {
-		err = atomicfile.SyncDir(d.path)
+		err = d.dir.Sync()
 	}
 	if err != nil {
 		f.Close()

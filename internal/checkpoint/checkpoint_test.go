@@ -12,14 +12,6 @@ import (
 	"dnsddos/internal/clock"
 )
 
-// testRecord is an arbitrary journal payload for the generic Write/Load
-// surface.
-type testRecord struct {
-	Day   clock.Day
-	Names []string
-	Sum   int64
-}
-
 func testRef(day clock.Day) DayRef {
 	return DayRef{Day: day, File: fmt.Sprintf("day_%06d.dcol", int32(day)), SHA256: "0123abcd"}
 }
@@ -38,22 +30,6 @@ func create(t testing.TB) *Dir {
 	}
 	t.Cleanup(func() { d.Close() })
 	return d
-}
-
-func TestWriteLoadRoundTrip(t *testing.T) {
-	d := create(t)
-	want := testRecord{Day: 17, Names: []string{"ns-a", "ns-b"}, Sum: 1 << 40}
-	if err := d.Write("range_0017.ckpt", &want); err != nil {
-		t.Fatal(err)
-	}
-	var got testRecord
-	ok, err := d.Load("range_0017.ckpt", &got)
-	if err != nil || !ok {
-		t.Fatalf("Load = ok %v, err %v", ok, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Load = %+v, want %+v", got, want)
-	}
 }
 
 func TestLoadDayMissingIsNotAnError(t *testing.T) {
@@ -83,11 +59,10 @@ func TestLoadDaysSkipsGaps(t *testing.T) {
 	}
 }
 
-// corruptedDir journals days 9 and 10 and one generic record, then
-// damages the generic record and day 9's frame — the first in the log,
-// with day 10's behind it — the same way: every record rides one
-// envelope, so every refusal must hold for the typed and the generic
-// entry point.
+// corruptedDir journals days 9 and 10 and a stream cursor, then damages
+// the cursor and day 9's frame — the first in the log, with day 10's
+// behind it — the same way: every record rides one envelope, so every
+// refusal must hold for the day log and the cursor.
 func corruptedDir(t *testing.T, corrupt func(frame []byte) []byte) *Dir {
 	t.Helper()
 	d := create(t)
@@ -96,10 +71,10 @@ func corruptedDir(t *testing.T, corrupt func(frame []byte) []byte) *Dir {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Write("aux.ckpt", &testRecord{Day: 9}); err != nil {
+	if err := d.WriteCursor(Cursor{ClosedThrough: 9}); err != nil {
 		t.Fatal(err)
 	}
-	aux := filepath.Join(d.Path(), "aux.ckpt")
+	aux := filepath.Join(d.Path(), cursorName)
 	b, err := os.ReadFile(aux)
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +101,10 @@ func corruptedDir(t *testing.T, corrupt func(frame []byte) []byte) *Dir {
 }
 
 // loadBoth returns the errors of loading the damaged day log and the
-// damaged generic record.
+// damaged cursor.
 func loadBoth(d *Dir) (refErr, auxErr error) {
 	_, refErr = d.LoadDayRefs(0, 20)
-	_, auxErr = d.Load("aux.ckpt", &testRecord{})
+	_, _, auxErr = d.LoadCursor()
 	return refErr, auxErr
 }
 
@@ -199,8 +174,9 @@ func TestResumeChecksHeader(t *testing.T) {
 		t.Fatal("resume without header accepted")
 	}
 	// a journal of an older layout (layout 1's gob day blobs, layout 2's
-	// file per day) is refused outright, not re-swept or half-trusted
-	for _, v := range []string{"1", "2"} {
+	// file per day, layouts 3 and 4's gob frames) is refused outright, not
+	// re-swept or half-trusted
+	for _, v := range []string{"1", "2", "3", "4"} {
 		legacy := []byte(`{"version": ` + v + `, "config_hash": "abc123", "seed": 42}`)
 		if err := os.WriteFile(filepath.Join(dir, headerName), legacy, 0o644); err != nil {
 			t.Fatal(err)
@@ -259,12 +235,14 @@ func TestCreateClearsKilledWriterLeftovers(t *testing.T) {
 func TestWriteIsAtomic(t *testing.T) {
 	// After a write returns, no temp files linger and the payload is
 	// complete; the atomic rename is what a mid-write crash relies on. A
-	// stale temp file from a crashed writer is neither loaded nor fatal.
+	// stale temp file from a crashed writer is neither loaded nor fatal,
+	// and one left at the name a write uses, longer than the record, is
+	// truncated by the next write, not published under its tail.
 	d := create(t)
 	if err := d.WriteDayRef(1, testRef(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Write("aux.ckpt", &testRecord{Day: 1}); err != nil {
+	if err := d.WriteCursor(Cursor{ClosedThrough: 1}); err != nil {
 		t.Fatal(err)
 	}
 	tmps, err := filepath.Glob(filepath.Join(d.Path(), "*.tmp-*"))
@@ -274,16 +252,25 @@ func TestWriteIsAtomic(t *testing.T) {
 	if len(tmps) != 0 {
 		t.Errorf("temp files left behind: %v", tmps)
 	}
-	stale := filepath.Join(d.Path(), "aux.ckpt.tmp-123")
+	stale := filepath.Join(d.Path(), cursorName+".tmp-123")
 	if err := os.WriteFile(stale, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	killed := filepath.Join(d.Path(), cursorName+".tmp-new")
+	if err := os.WriteFile(killed, bytes.Repeat([]byte("torn"), 100), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteCursor(Cursor{ClosedThrough: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(killed); !os.IsNotExist(err) {
+		t.Fatalf("the write left its temporary file (stat err %v)", err)
 	}
 	refs, err := d.LoadDayRefs(0, 5)
 	if err != nil || len(refs) != 1 {
 		t.Fatalf("LoadDayRefs beside a stale temp file = %v, err %v; want day 1 only", refs, err)
 	}
-	var rec testRecord
-	if ok, err := d.Load("aux.ckpt", &rec); !ok || err != nil || rec.Day != 1 {
-		t.Fatalf("Load beside a stale temp file = %+v, ok %v, err %v", rec, ok, err)
+	if cur, ok, err := d.LoadCursor(); !ok || err != nil || cur.ClosedThrough != 2 {
+		t.Fatalf("LoadCursor beside a stale temp file = %+v, ok %v, err %v", cur, ok, err)
 	}
 }

@@ -1,6 +1,12 @@
 package checkpoint
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+
 	"dnsddos/internal/clock"
 	"dnsddos/internal/netx"
 )
@@ -14,6 +20,10 @@ import (
 // exactly once across any number of kill/resume cycles.
 
 const cursorName = "stream_cursor.ckpt"
+
+// cursorLen is a cursor payload's length: five i64, the u32 victim, the
+// HaveLast byte.
+const cursorLen = 5*8 + 4 + 1
 
 // Cursor is the durable emission frontier of a streaming run. It is
 // written after the sink has accepted a closed window's output, so its
@@ -38,28 +48,67 @@ type Cursor struct {
 	// report both sides of the mismatch (what the journal recorded vs
 	// what the replay produced) instead of a bare record index, which is
 	// what an operator needs to locate the offending input. HaveLast
-	// distinguishes "no attacks yet" from a pre-extension cursor whose
-	// gob payload simply lacks the fields.
+	// distinguishes "no attack finalized yet", where the two fields are
+	// zero and name nothing, from an attack at window 0 of victim 0.
 	LastAttackWindow clock.Window
 	LastAttackVictim netx.Addr
 	HaveLast         bool
 }
 
-// WriteCursor durably records the stream emission frontier. It shares
-// the record envelope (magic, version, CRC, atomic rename), so a torn
-// or stale cursor is detected, never decoded as garbage.
+func (c *Cursor) appendPayload(dst []byte) []byte {
+	for _, v := range [...]int64{int64(c.ClosedThrough), int64(c.Attacks), c.Events, c.SinkBytes, int64(c.LastAttackWindow)} {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v))
+	}
+	var last byte
+	if c.HaveLast {
+		last = 1
+	}
+	return append(binary.BigEndian.AppendUint32(dst, uint32(c.LastAttackVictim)), last)
+}
+
+func (c *Cursor) decodePayload(p []byte) error {
+	switch {
+	case len(p) < cursorLen:
+		return errShortPayload
+	case len(p) > cursorLen:
+		return fmt.Errorf("%d bytes after the last field", len(p)-cursorLen)
+	case p[cursorLen-1] > 1: // so every accepted payload encodes back to itself
+		return fmt.Errorf("bool byte %d", p[cursorLen-1])
+	}
+	i64 := func(i int) int64 { return int64(binary.BigEndian.Uint64(p[8*i:])) }
+	*c = Cursor{
+		ClosedThrough: clock.Window(i64(0)), Attacks: int(i64(1)), Events: i64(2), SinkBytes: i64(3),
+		LastAttackWindow: clock.Window(i64(4)), LastAttackVictim: netx.Addr(binary.BigEndian.Uint32(p[40:])), HaveLast: p[44] == 1,
+	}
+	return nil
+}
+
+// WriteCursor durably records the stream emission frontier: one frame,
+// atomically published (temporary file, fsync, rename, directory fsync),
+// so a torn or stale cursor is detected, never decoded as garbage.
 func (d *Dir) WriteCursor(c Cursor) error {
-	return d.Write(cursorName, &c)
+	b, _ := EncodeFrame(&c) // a cursor's payload is never too long
+	if err := d.dir.Write(cursorName, b); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return nil
 }
 
 // LoadCursor reads the stream emission frontier. The boolean is false
 // when the run has never written one (fresh start); an existing but
 // corrupt cursor is an error — resuming past it could emit duplicates.
 func (d *Dir) LoadCursor() (Cursor, bool, error) {
-	var c Cursor
-	ok, err := d.Load(cursorName, &c)
-	if err != nil {
-		return Cursor{}, false, err
+	full := filepath.Join(d.path, cursorName)
+	b, err := os.ReadFile(full)
+	if errors.Is(err, os.ErrNotExist) {
+		return Cursor{}, false, nil
 	}
-	return c, ok, nil
+	if err != nil {
+		return Cursor{}, false, fmt.Errorf("checkpoint: reading %s: %w", full, err)
+	}
+	var c Cursor
+	if err := DecodeFrame(b, &c); err != nil {
+		return Cursor{}, false, fmt.Errorf("%s: %w", full, err)
+	}
+	return c, true, nil
 }

@@ -12,11 +12,10 @@ import (
 	"dnsddos/internal/clock"
 )
 
-// daylog_test.go covers the day log (the journal's only day record) and
-// the generic Store surface beside it: refs round-trip, gaps read as
-// absent, and the log keeps the write-ahead rule — an incomplete final
-// frame is an unacknowledged append and is dropped, everything else is
-// refused.
+// daylog_test.go covers the day log (the journal's only day record):
+// refs round-trip, gaps read as absent, and the log keeps the write-ahead
+// rule — an incomplete final frame is an unacknowledged append and is
+// dropped, everything else is refused.
 
 func TestDayRefRoundTrip(t *testing.T) {
 	d := create(t)
@@ -76,27 +75,6 @@ func TestLoadDayRefsSkipsGaps(t *testing.T) {
 		if _, ok := refs[day]; !ok {
 			t.Fatalf("day %d missing from %v", day, refs)
 		}
-	}
-}
-
-// TestStoreInterfaceRoundTrip exercises Dir's named-record surface
-// (Write/Load), which the stream cursor is layered on.
-func TestStoreInterfaceRoundTrip(t *testing.T) {
-	d := create(t)
-	type cursor struct{ Day clock.Day }
-	if err := d.Write("cursor.ckpt", &cursor{Day: 9}); err != nil {
-		t.Fatal(err)
-	}
-	var got cursor
-	ok, err := d.Load("cursor.ckpt", &got)
-	if err != nil || !ok || got.Day != 9 {
-		t.Fatalf("Load = %+v ok %v err %v", got, ok, err)
-	}
-	if ok, err := d.Load("absent.ckpt", &got); ok || err != nil {
-		t.Fatalf("absent record: ok %v err %v", ok, err)
-	}
-	if err := d.Write("../escape.ckpt", &got); err == nil {
-		t.Fatal("Write accepted a path-traversal name")
 	}
 }
 
@@ -294,10 +272,15 @@ func TestDayLogTornTailResume(t *testing.T) {
 }
 
 // BenchmarkWriteDayRef journals 150 days — the repo benchmark's study —
-// per op into a fresh journal.
+// per op into a fresh journal; its allocs/op are the log's opening, since
+// an append allocates nothing.
 func BenchmarkWriteDayRef(b *testing.B) {
 	b.ReportAllocs()
 	dir := b.TempDir()
+	refs := make([]DayRef, 150)
+	for day := range refs {
+		refs[day] = testRef(clock.Day(day))
+	}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		d, err := Create(dir, testHeader())
@@ -305,8 +288,8 @@ func BenchmarkWriteDayRef(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		for day := clock.Day(0); day < 150; day++ {
-			if err := d.WriteDayRef(day, testRef(day)); err != nil {
+		for _, ref := range refs {
+			if err := d.WriteDayRef(ref.Day, ref); err != nil {
 				b.Fatal(err)
 			}
 		}

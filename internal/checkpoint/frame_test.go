@@ -1,79 +1,97 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"os"
-	"os/exec"
+	"hash/crc32"
 	"runtime"
 	"strings"
 	"testing"
+
+	"dnsddos/internal/clock"
 )
 
-type framePayload struct {
-	Name  string
-	Vals  []int64
-	Notes map[string]string
-}
+// pinnedRef and pinnedCursor are the records TestFrameBytesPinned pins;
+// the fuzz targets seed with them too.
+var (
+	pinnedRef    = DayRef{Day: 27, File: "day_000027.dcol", SHA256: "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"}
+	pinnedCursor = Cursor{ClosedThrough: 8211, Attacks: 17, Events: 403, SinkBytes: 1 << 20, LastAttackWindow: 8209, LastAttackVictim: 0xc0000201, HaveLast: true}
+)
 
+// TestFrameRoundTrip: both records come back from their frames field for
+// field, negative and zero values and empty strings included.
 func TestFrameRoundTrip(t *testing.T) {
-	in := framePayload{
-		Name:  "window-batch",
-		Vals:  []int64{1, 2, 3, 1 << 40},
-		Notes: map[string]string{"k": "v"},
+	for _, ref := range []DayRef{pinnedRef, {Day: -3}, {Day: 1 << 30, File: "x", SHA256: ""}} {
+		b, err := EncodeFrame(&ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out DayRef
+		if err := DecodeFrame(b, &out); err != nil || out != ref {
+			t.Fatalf("DayRef %+v came back as %+v, %v", ref, out, err)
+		}
 	}
-	b, err := EncodeFrame(&in)
-	if err != nil {
-		t.Fatalf("EncodeFrame: %v", err)
-	}
-	var out framePayload
-	if err := DecodeFrame(b, &out); err != nil {
-		t.Fatalf("DecodeFrame: %v", err)
-	}
-	if out.Name != in.Name || len(out.Vals) != len(in.Vals) || out.Notes["k"] != "v" {
-		t.Fatalf("round trip mismatch: %+v", out)
+	for _, cur := range []Cursor{pinnedCursor, {}, {ClosedThrough: -1, Attacks: -2, Events: -3, SinkBytes: -4, LastAttackWindow: -5, LastAttackVictim: 0xffffffff}} {
+		b, err := EncodeFrame(&cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out Cursor
+		if err := DecodeFrame(b, &out); err != nil || out != cur {
+			t.Fatalf("Cursor %+v came back as %+v, %v", cur, out, err)
+		}
 	}
 }
 
 // TestFrameBytesPinned: the journal's bytes are a format — a day reference
-// (a frame of the day log) and a stream cursor encode to exactly
-// the frames resume reads. gob numbers a process's types in the order it first meets
-// them, and those numbers are in the payload, so the bytes are pinned in a
-// fresh process (the test re-executes itself) whose first two types are
-// these two.
+// (a frame of the day log) and a stream cursor encode to exactly the
+// frames resume reads, at frame version 3.
 func TestFrameBytesPinned(t *testing.T) {
-	if os.Getenv("CHECKPOINT_PINNED_CHILD") == "" {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestFrameBytesPinned$", "-test.count=1")
-		cmd.Env = append(os.Environ(), "CHECKPOINT_PINNED_CHILD=1")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("fresh process: %v\n%s", err, out)
-		}
-		return
-	}
 	for _, tc := range []struct {
-		v    any
+		r    Record
 		want string
 	}{
-		{&DayRef{Day: 27, File: "day_000027.dcol", SHA256: "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"},
-			"444e53434b5054310000000200000000000000892f7f0301010644617952656601ff800001030103446179010400010446696c65010c000106534841323536010c00000058ff800136010f6461795f3030303032372e64636f6c0140396638366430383138383463376436353961326665616130633535616430313561336266346631623262306238323263643135643663313562306630306130380026973e25"},
-		{&Cursor{ClosedThrough: 8211, Attacks: 17, Events: 403, SinkBytes: 1 << 20, LastAttackWindow: 8209, LastAttackVictim: 0xc0000201, HaveLast: true},
-			"444e53434b5054310000000200000000000000a3ff82ff8103010106437572736f7201ff82000107010d436c6f7365645468726f756768010400010741747461636b7301040001064576656e7473010400010953696e6b427974657301040001104c61737441747461636b57696e646f7701040001104c61737441747461636b56696374696d0106000108486176654c61737401020000001eff8201fe4026012201fe032601fd20000001fe402201fcc000020101010057ca3a6d"},
+		{&pinnedRef,
+			"444e53434b50543100000003000000000000005b0000001b0000000f6461795f3030303032372e64636f6c000000403966383664303831383834633764363539613266656161306335356164303135613362663466316232623062383232636431356436633135623066303061303850d7e557"},
+		{&pinnedCursor,
+			"444e53434b50543100000003000000000000002d00000000000020130000000000000011000000000000019300000000001000000000000000002011c00002010134b742cc"},
 	} {
-		b, err := EncodeFrame(tc.v)
+		b, err := EncodeFrame(tc.r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := hex.EncodeToString(b); got != tc.want {
-			t.Errorf("EncodeFrame(%+v) =\n%s\nwant\n%s", tc.v, got, tc.want)
+			t.Errorf("EncodeFrame(%+v) =\n%s\nwant\n%s", tc.r, got, tc.want)
 		}
 	}
 }
 
+// rawFrame wraps payload in an intact envelope: the right magic, version,
+// length and CRC, so only the payload decoder can refuse it.
+func rawFrame(payload []byte) []byte {
+	b := append([]byte(magic), 0, 0, 0, Version)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+}
+
+// payloadOf returns the payload of r's frame.
+func payloadOf(t *testing.T, r Record) []byte {
+	t.Helper()
+	b, err := EncodeFrame(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b[headerLen : len(b)-4]
+}
+
 func TestFrameRejectsCorruption(t *testing.T) {
-	b, err := EncodeFrame(&framePayload{Name: "x"})
+	b, err := EncodeFrame(&DayRef{Day: 1, File: "x"})
 	if err != nil {
 		t.Fatalf("EncodeFrame: %v", err)
 	}
+	ref, cur := payloadOf(t, &pinnedRef), payloadOf(t, &pinnedCursor)
 	cases := []struct {
 		name string
 		mut  func([]byte) []byte
@@ -102,12 +120,42 @@ func TestFrameRejectsCorruption(t *testing.T) {
 			return c
 		}, "exceeds"},
 		{"stray bytes", func(b []byte) []byte { return append(append([]byte(nil), b...), 0) }, "stray"},
+		// The rows below pass the CRC: only the payload decoder refuses them.
+		{"name length past the payload end", func([]byte) []byte {
+			c := bytes.Clone(ref)
+			binary.BigEndian.PutUint32(c[4:], uint32(len(c)))
+			return rawFrame(c)
+		}, "ends inside a field"},
+		{"trailing payload bytes", func([]byte) []byte { return rawFrame(append(bytes.Clone(ref), 0)) }, "after the last field"},
+		{"empty payload", func([]byte) []byte { return rawFrame(nil) }, "ends inside a field"},
 	}
 	for _, tc := range cases {
-		var out framePayload
+		var out DayRef
 		err := DecodeFrame(tc.mut(b), &out)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		}
+		if out != (DayRef{}) {
+			t.Fatalf("%s: a refused frame left %+v", tc.name, out)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"cursor payload one byte short", cur[:len(cur)-1], "ends inside a field"},
+		{"cursor payload one byte long", append(bytes.Clone(cur), 1), "after the last field"},
+		{"bool byte 2", append(bytes.Clone(cur[:len(cur)-1]), 2), "bool byte 2"},
+		{"a day reference read as a cursor", ref, "after the last field"},
+	} {
+		var out Cursor
+		err := DecodeFrame(rawFrame(tc.payload), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		}
+		if out != (Cursor{}) {
+			t.Fatalf("%s: a refused frame left %+v", tc.name, out)
 		}
 	}
 }
@@ -119,7 +167,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 func TestFramesConcatenate(t *testing.T) {
 	var file []byte
 	for i := 0; i < 5; i++ {
-		b, err := EncodeFrame(&framePayload{Name: "f", Vals: []int64{int64(i)}})
+		b, err := EncodeFrame(&DayRef{Day: clock.Day(i), File: strings.Repeat("f", i)})
 		if err != nil {
 			t.Fatalf("EncodeFrame %d: %v", i, err)
 		}
@@ -132,11 +180,11 @@ func TestFramesConcatenate(t *testing.T) {
 			t.Fatalf("frame %d header: %v", i, err)
 		}
 		end := headerLen + int(n) + 4
-		var out framePayload
+		var out DayRef
 		if err := DecodeFrame(rest[:end], &out); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if len(out.Vals) != 1 || out.Vals[0] != int64(i) {
+		if out.Day != clock.Day(i) || len(out.File) != i {
 			t.Fatalf("frame %d decoded %+v", i, out)
 		}
 		rest = rest[end:]
@@ -144,7 +192,7 @@ func TestFramesConcatenate(t *testing.T) {
 	if len(rest) != 0 {
 		t.Fatalf("%d bytes left after the last frame", len(rest))
 	}
-	if err := DecodeFrame(file, &framePayload{}); err == nil || !strings.Contains(err.Error(), "stray") {
+	if err := DecodeFrame(file, &DayRef{}); err == nil || !strings.Contains(err.Error(), "stray") {
 		t.Fatalf("five frames decoded as one: err = %v, want stray bytes", err)
 	}
 }
@@ -159,12 +207,33 @@ func TestDecodeFrameShortSliceAllocatesNothing(t *testing.T) {
 	b = append(b, make([]byte, 10)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := DecodeFrame(b, &framePayload{})
+	err := DecodeFrame(b, &DayRef{})
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("a short frame read as err = %v, want a truncation", err)
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
 		t.Errorf("decoding a short frame allocated %d bytes", n)
+	}
+}
+
+// TestWriteDayRefAllocatesNothing: once the day log is open and its frame
+// buffer has grown, an append encodes into that buffer and allocates
+// nothing.
+func TestWriteDayRefAllocatesNothing(t *testing.T) {
+	d := create(t)
+	ref := testRef(0)
+	if err := d.WriteDayRef(0, ref); err != nil {
+		t.Fatal(err)
+	}
+	day := clock.Day(0)
+	allocs := testing.AllocsPerRun(50, func() {
+		day++
+		if err := d.WriteDayRef(day, ref); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("WriteDayRef allocated %.1f objects per append after the first, want 0", allocs)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // restampFrame makes b's length field and CRC trailer agree with the
-// payload bytes b carries, so damage to the payload reaches the gob
+// payload bytes b carries, so damage to the payload reaches the payload
 // decoder instead of stopping at the envelope.
 func restampFrame(b []byte) []byte {
 	b = bytes.Clone(b) // the engine's bytes are read-only
@@ -25,11 +25,8 @@ func restampFrame(b []byte) []byte {
 // journalSeeds are the two records the journal holds, each whole and cut
 // short at the places a torn write can stop.
 func journalSeeds(f *testing.F) {
-	for _, v := range []any{
-		&DayRef{Day: 27, File: "day_000027.dcol", SHA256: "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"},
-		&Cursor{ClosedThrough: 8211, Attacks: 17, Events: 403, SinkBytes: 1 << 20, LastAttackWindow: 8209, LastAttackVictim: 0xc0000201, HaveLast: true},
-	} {
-		b, err := EncodeFrame(v)
+	for _, r := range []Record{&pinnedRef, &pinnedCursor} {
+		b, err := EncodeFrame(r)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -46,11 +43,10 @@ func journalSeeds(f *testing.F) {
 // of a journal file — the file a sealed day is journaled through, read
 // back on every resume: as they are (magic, version, length and CRC
 // checks), and with length and CRC re-stamped so every mutation of the
-// payload is decoded by gob into the two records the journal holds. A
-// frame that decodes re-encodes to a frame that decodes to the same value,
-// and is exactly one frame: with an intact frame laid behind it, as frames
-// lie in a day log, it is refused, and two intact frames end to end are a
-// seed of their own.
+// payload is decoded into the two records the journal holds. A frame
+// that decodes re-encodes to its own bytes, and is exactly one frame:
+// with an intact frame laid behind it, as frames lie in a day log, it is
+// refused, and two intact frames end to end are a seed of their own.
 func FuzzDecodeFrame(f *testing.F) {
 	journalSeeds(f)
 	lead, err := EncodeFrame(&DayRef{File: "day_000001.dcol", SHA256: "lead"})
@@ -71,20 +67,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		b = restampFrame(b)
 		accepted := false
-		if DecodeFrame(b, &ref) == nil {
-			accepted = true
-			again, err := EncodeFrame(&ref)
-			var back DayRef
-			if err != nil || DecodeFrame(again, &back) != nil || back != ref {
-				t.Fatalf("decoded %+v does not survive a re-encode (%v): %+v", ref, err, back)
-			}
-		}
-		if DecodeFrame(b, &cur) == nil {
-			accepted = true
-			again, err := EncodeFrame(&cur)
-			var back Cursor
-			if err != nil || DecodeFrame(again, &back) != nil || back != cur {
-				t.Fatalf("decoded %+v does not survive a re-encode (%v): %+v", cur, err, back)
+		for _, r := range []Record{&ref, &cur} {
+			if DecodeFrame(b, r) == nil {
+				accepted = true
+				reencodes(t, r, b)
 			}
 		}
 		if accepted && DecodeFrame(append(b, tail...), &cur) == nil {
@@ -93,10 +79,20 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
+// reencodes fails t unless the record r, decoded from frame, encodes
+// back to frame's bytes.
+func reencodes(t *testing.T, r Record, frame []byte) {
+	t.Helper()
+	again, err := EncodeFrame(r)
+	if err != nil || !bytes.Equal(again, frame) {
+		t.Fatalf("decoded %+v re-encodes to %x (%v), not to the frame it came from, %x", r, again, err, frame)
+	}
+}
+
 // cutFrame cuts the frame that starts stream off it, as a day log is read
 // — the header's length marks where the frame ends — decodes it into v
 // and returns the bytes behind it.
-func cutFrame(stream []byte, v any) ([]byte, error) {
+func cutFrame(stream []byte, v Record) ([]byte, error) {
 	if len(stream) < headerLen {
 		return nil, fmt.Errorf("%d bytes, short of a header", len(stream))
 	}
@@ -116,7 +112,8 @@ func cutFrame(stream []byte, v any) ([]byte, error) {
 // the same bytes re-stamped, are laid after one intact frame and before
 // another. Every read takes exactly one frame, so the first frame always
 // reads back, and whenever the fuzzed frame reads and ends where the last
-// one starts, the last one must read back too.
+// one starts, it re-encodes to its own bytes and the last one must read
+// back too.
 func FuzzReadFrame(f *testing.F) {
 	journalSeeds(f)
 	lead, err := EncodeFrame(&DayRef{File: "day_000001.dcol", SHA256: "lead"})
@@ -143,6 +140,7 @@ func FuzzReadFrame(f *testing.F) {
 			if rest, err = cutFrame(rest, &cur); err != nil || len(rest) != len(tail) {
 				continue // refused, or not exactly one frame
 			}
+			reencodes(t, &cur, mid)
 			if rest, err = cutFrame(rest, &cur); err != nil || cur.ClosedThrough != 2 || len(rest) != 0 {
 				t.Fatalf("the frame after an accepted one read as %+v, %v (%d bytes left)", cur, err, len(rest))
 			}
@@ -154,7 +152,7 @@ func FuzzReadFrame(f *testing.F) {
 // to "refs or an error, never a panic". An accepted log is closed under
 // its own reading: the frames it restored fill exactly the prefix it
 // reports, that prefix reads back as the same days with nothing torn, no
-// day repeats, and every ref survives a re-encode.
+// day repeats its previous reference, and the refs re-encode to the prefix's bytes.
 func FuzzReadDayRefLog(f *testing.F) {
 	var log []byte
 	for day := clock.Day(26); day < 29; day++ {
@@ -181,17 +179,21 @@ func FuzzReadDayRefLog(f *testing.F) {
 		if err != nil || m != n || !reflect.DeepEqual(again, refs) {
 			t.Fatalf("the complete prefix reads back as %+v, %d, %v; want %+v, %d", again, m, err, refs, n)
 		}
-		seen := make(map[clock.Day]bool)
+		last := make(map[clock.Day]DayRef)
+		var log []byte
 		for _, ref := range refs {
-			if seen[ref.Day] {
-				t.Fatalf("day %v restored twice", ref.Day)
+			if prev, ok := last[ref.Day]; ok && prev == ref {
+				t.Fatalf("day %v restored twice with the same reference", ref.Day)
 			}
-			seen[ref.Day] = true
+			last[ref.Day] = ref
 			frame, err := EncodeFrame(&ref)
-			var back DayRef
-			if err != nil || DecodeFrame(frame, &back) != nil || back != ref {
-				t.Fatalf("restored %+v does not survive a re-encode (%v): %+v", ref, err, back)
+			if err != nil {
+				t.Fatal(err)
 			}
+			log = append(log, frame...)
+		}
+		if !bytes.Equal(log, b[:n]) {
+			t.Fatalf("restored %+v re-encode to %x, not to the log's complete prefix %x", refs, log, b[:n])
 		}
 	})
 }

@@ -91,9 +91,16 @@ const fileSuffix = ".dcol"
 
 const filePrefix = "day_"
 
-// FileName returns the canonical sealed filename for a day.
+// FileName returns the canonical sealed filename for a day, "day_%06d.dcol".
 func FileName(day clock.Day) string {
-	return fmt.Sprintf("%s%06d%s", filePrefix, int32(day), fileSuffix)
+	num := strconv.AppendInt(make([]byte, 0, 11), int64(day), 10)
+	pad := max(0, 6-len(num))
+	b := append(make([]byte, 0, 32), filePrefix...)
+	if day < 0 {
+		b, num = append(b, '-'), num[1:]
+	}
+	b = append(append(b, "000000"[:pad]...), num...)
+	return string(append(b, fileSuffix...))
 }
 
 // parseFileName extracts the day from a canonical sealed filename; ok is

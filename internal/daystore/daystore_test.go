@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -690,5 +692,20 @@ func TestReseal(t *testing.T) {
 	}
 	if err := VerifyFile(dir, ref2.Name, ref2.SHA256); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFileNameRoundTrip: a day's file name is the day zero-padded to six
+// characters, a minus sign included, as "day_%06d.dcol" formats it, and
+// parses back to the day.
+func TestFileNameRoundTrip(t *testing.T) {
+	for _, day := range []clock.Day{math.MinInt32, -100000, -12345, -1, 0, 27, 999999, 1000000, math.MaxInt32} {
+		name := FileName(day)
+		if want := fmt.Sprintf("day_%06d.dcol", int32(day)); name != want {
+			t.Errorf("FileName(%d) = %q, want %q", day, name, want)
+		}
+		if got, ok := parseFileName(name); !ok || got != day {
+			t.Errorf("parseFileName(%q) = %d, %v; want %d", name, got, ok, day)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsddos/internal/atomicfile"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
@@ -127,6 +128,11 @@ func TestAppendDayEmpty(t *testing.T) {
 // in the one buffer it is handed back.
 func TestSealTablePublishesAndReusesBuffer(t *testing.T) {
 	dir, oracleDir := t.TempDir(), t.TempDir()
+	held, err := atomicfile.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
 	var buf []byte
 	for round, seed := range []int64{11, 12, 13} {
 		day := clock.Day(round)
@@ -135,9 +141,9 @@ func TestSealTablePublishesAndReusesBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		held := buf
+		prev := buf
 		var got SealedFile
-		if got, buf, err = SealTable(dir, day, agg, buf); err != nil {
+		if got, buf, err = SealTable(held, day, agg, buf); err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
@@ -146,13 +152,13 @@ func TestSealTablePublishesAndReusesBuffer(t *testing.T) {
 		if err := VerifyFile(dir, got.Name, want.SHA256); err != nil {
 			t.Fatal(err)
 		}
-		if cap(held) >= len(buf) && &held[0] != &buf[0] {
+		if cap(prev) >= len(buf) && &prev[0] != &buf[0] {
 			t.Errorf("day %d: image built in a new buffer though the old one had room for it", day)
 		}
 	}
 	agg := shardedDay(14, 7)
 	agg.Add(agg.Keys()[0], clock.Day(8).Start(), nsset.StatusOK, time.Millisecond)
-	if _, _, err := SealTable(dir, 7, agg, buf); err == nil {
+	if _, _, err := SealTable(held, 7, agg, buf); err == nil {
 		t.Fatal("an aggregator holding two days was sealed")
 	}
 	if _, err := os.Stat(filepath.Join(dir, FileName(7))); !os.IsNotExist(err) {

@@ -28,9 +28,10 @@ import (
 // malformed (rows of another day, duplicates, disorder — all refused).
 // Both paths write through one column writer (dayImage) and publish
 // through internal/atomicfile — temp file, fsync, rename, parent-directory
-// fsync — so a visible day file is always complete. A published file
-// comes back with its ContentHash, which checkpoint.DayRef records pin;
-// an image kept in memory is never hashed.
+// fsync, through a directory SealTable's caller holds open (SealDay and
+// Install open theirs) — so a visible day file is always complete. A
+// published file comes back with its ContentHash, which checkpoint.DayRef
+// records pin; an image kept in memory is never hashed.
 
 // SealedFile identifies one published day file by name and content hash.
 // The hash is over the exact file bytes; checkpoint day references store
@@ -50,13 +51,13 @@ type keyRows struct {
 }
 
 // SealTable publishes day's column file in dir from the aggregator's day
-// table, as SealDay does from a snapshot of it (creating dir if needed,
-// replacing any previous seal of the same day). The image is built in
+// table, as SealDay does from a snapshot of it (replacing any previous
+// seal of the same day). The image is built in
 // buf[:0] and returned, grown if it had to be, so a worker sealing day
 // after day reuses one buffer. The aggregator must hold no other day —
 // the seal input is one completed day-shard; an aggregator that measured
 // nothing seals a valid empty file.
-func SealTable(dir string, day clock.Day, agg *nsset.Aggregator, buf []byte) (SealedFile, []byte, error) {
+func SealTable(dir *atomicfile.Dir, day clock.Day, agg *nsset.Aggregator, buf []byte) (SealedFile, []byte, error) {
 	image, err := AppendDay(buf[:0], day, agg)
 	if err != nil {
 		return SealedFile{}, buf, err
@@ -99,7 +100,7 @@ func SealDay(dir string, day clock.Day, snap nsset.Snapshot) (SealedFile, error)
 	if err != nil {
 		return SealedFile{}, err
 	}
-	return publish(dir, day, image, sum)
+	return publishIn(dir, day, image, sum)
 }
 
 // EncodeDay renders the snapshot as day's sealed file image without
@@ -133,7 +134,7 @@ func EncodeDay(day clock.Day, snap nsset.Snapshot) (image []byte, sha256Hex stri
 // checkpoint.DayRef records.
 func ContentHash(image []byte) string {
 	sum := sha256.Sum256(image)
-	return hex.EncodeToString(sum[:])
+	return string(hex.AppendEncode(make([]byte, 0, 2*sha256.Size), sum[:]))
 }
 
 // Install publishes a sealed file image produced elsewhere (AppendDay, as
@@ -147,7 +148,7 @@ func Install(dir string, day clock.Day, image []byte, sha256Hex string) (SealedF
 	if err := new(View).init(FileName(day), day, image); err != nil {
 		return SealedFile{}, err
 	}
-	return publish(dir, day, image, sha256Hex)
+	return publishIn(dir, day, image, sha256Hex)
 }
 
 // collectDay merges the snapshot's two lists into one row per key in a
@@ -195,15 +196,22 @@ func collectDay(day clock.Day, snap nsset.Snapshot) ([]keyRows, error) {
 }
 
 // publish atomically writes one sealed image as day's file in dir.
-func publish(dir string, day clock.Day, image []byte, sha256Hex string) (SealedFile, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return SealedFile{}, fmt.Errorf("daystore: creating %s: %w", dir, err)
-	}
+func publish(dir *atomicfile.Dir, day clock.Day, image []byte, sha256Hex string) (SealedFile, error) {
 	name := FileName(day)
-	if err := atomicfile.Write(dir, name, image); err != nil {
+	if err := dir.Write(name, image); err != nil {
 		return SealedFile{}, fmt.Errorf("daystore: %w", err)
 	}
 	return SealedFile{Day: day, Name: name, SHA256: sha256Hex}, nil
+}
+
+// publishIn creates dir if needed and publishes one image in it.
+func publishIn(dir string, day clock.Day, image []byte, sha256Hex string) (SealedFile, error) {
+	d, err := atomicfile.OpenDir(dir)
+	if err != nil {
+		return SealedFile{}, fmt.Errorf("daystore: %w", err)
+	}
+	defer d.Close()
+	return publish(d, day, image, sha256Hex)
 }
 
 // dayImage writes one day file in the package's column format: beginImage

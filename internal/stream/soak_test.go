@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"os"
 	"os/exec"
@@ -24,7 +25,7 @@ import (
 // soakLoad multiplies the parity harness's attack count.
 const soakLoad = 10
 
-// soakSink appends each batch as a checkpoint frame and fsyncs before
+// soakSink appends each batch as a JSON line and fsyncs before
 // acknowledging, so SinkBytes truncation on resume is sound under
 // SIGKILL. The per-emit delay keeps the emission phase long enough for
 // the parent's kill to land mid-drain.
@@ -35,10 +36,11 @@ type soakSink struct {
 }
 
 func (s *soakSink) Emit(b Batch) error {
-	frame, err := checkpoint.EncodeFrame(&b)
+	frame, err := json.Marshal(b)
 	if err != nil {
 		return err
 	}
+	frame = append(frame, '\n')
 	if _, err := s.f.WriteAt(frame, s.off); err != nil {
 		return err
 	}

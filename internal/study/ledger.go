@@ -1,10 +1,12 @@
 package study
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 
+	"dnsddos/internal/atomicfile"
 	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/daystore"
@@ -27,6 +29,7 @@ type dayLedger struct {
 	from, to clock.Day
 	journal  *checkpoint.Dir // nil when nothing is journaled
 	dayDir   string          // where sealed days are published; "" keeps them in memory
+	days     *atomicfile.Dir // dayDir, held open for publishing; nil without it
 	reg      *obs.Registry
 	done     map[clock.Day]daystore.SealedFile
 	restored map[clock.Day]bool   // done days this run restored, not swept
@@ -77,7 +80,11 @@ func openLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, res
 			return nil, err
 		}
 	}
-	if err := l.restore(dayDir, resume); err != nil {
+	err := l.restore(dayDir, resume)
+	if err == nil && dayDir != "" {
+		l.days, err = atomicfile.OpenDir(dayDir)
+	}
+	if err != nil {
 		l.Close()
 		return nil, err
 	}
@@ -129,13 +136,17 @@ func verifyLatest(dayDir string, refs []checkpoint.DayRef) (checkpoint.DayRef, e
 	return checkpoint.DayRef{}, latest
 }
 
-// Close releases the journal's day log once the run has accepted its last
-// day.
+// Close releases the journal and the day directory once the run has
+// accepted its last day.
 func (l *dayLedger) Close() error {
-	if l.journal == nil {
-		return nil
+	var journalErr, daysErr error
+	if l.journal != nil {
+		journalErr = l.journal.Close()
 	}
-	return l.journal.Close()
+	if l.days != nil {
+		daysErr = l.days.Close()
+	}
+	return errors.Join(journalErr, daysErr)
 }
 
 // Pending lists the days that still need a sweep, ascending. Days a

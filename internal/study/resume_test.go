@@ -3,6 +3,7 @@ package study
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -288,24 +289,49 @@ func TestResumeRefusesCorruptCheckpoints(t *testing.T) {
 			t.Fatalf("resume error = %v, want daystore.ErrCorrupt", err)
 		}
 	})
-	t.Run("legacy format version", func(t *testing.T) {
-		// a journal written before re-seals and per-domain random
-		// streams (header version 3) is refused, not re-swept or mixed
-		dir := copyDir(t, seed)
+	// setLayout rewrites the version header.json records in dir.
+	setLayout := func(t *testing.T, dir string, version string) {
+		t.Helper()
 		hdr := filepath.Join(dir, "header.json")
 		b, err := os.ReadFile(hdr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := bytes.Replace(b, []byte(`"version": 4`), []byte(`"version": 3`), 1)
+		old := bytes.Replace(b, []byte(`"version": 5`), []byte(`"version": `+version), 1)
 		if bytes.Equal(old, b) {
-			t.Fatalf("header has no version 4 field to rewrite: %s", b)
+			t.Fatalf("header has no version 5 field to rewrite: %s", b)
 		}
 		if err := os.WriteFile(hdr, old, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	t.Run("legacy format version", func(t *testing.T) {
+		// a journal written before re-seals and per-domain random
+		// streams (header version 3) is refused, not re-swept or mixed
+		dir := copyDir(t, seed)
+		setLayout(t, dir, "3")
 		if err := resume(dir, cfg); err == nil || !strings.Contains(err.Error(), "format version") {
 			t.Fatalf("resume error = %v, want a format version refusal", err)
+		}
+	})
+	t.Run("layout 4 with gob frames", func(t *testing.T) {
+		// a layout-4 journal, whose day log holds version 2 frames of gob
+		// payloads (this one journals day 27), is refused by its header;
+		// and were the header rewritten, by its first frame
+		gobFrame, err := hex.DecodeString("444e53434b5054310000000200000000000000892f7f0301010644617952656601ff800001030103446179010400010446696c65010c000106534841323536010c00000058ff800136010f6461795f3030303032372e64636f6c0140396638366430383138383463376436353961326665616130633535616430313561336266346631623262306238323263643135643663313562306630306130380026973e25")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := copyDir(t, seed)
+		rewriteLog(t, dir, func([]byte) []byte { return gobFrame })
+		setLayout(t, dir, "4")
+		if err := resume(dir, cfg); err == nil || !strings.Contains(err.Error(), "format version 4") {
+			t.Fatalf("resume error = %v, want a format version refusal", err)
+		}
+		dir = copyDir(t, seed) // the pristine header, over gob frames
+		rewriteLog(t, dir, func([]byte) []byte { return gobFrame })
+		if err := resume(dir, cfg); err == nil || !strings.Contains(err.Error(), "frame format version 2") {
+			t.Fatalf("resume error = %v, want a frame format version refusal", err)
 		}
 	})
 	t.Run("missing header", func(t *testing.T) {

@@ -400,7 +400,7 @@ func (s *Study) runSweeps(ctx context.Context, opts options, ledger *dayLedger, 
 				var kept []byte
 				var err error
 				if opts.daystoreDir != "" {
-					file, image, err = daystore.SealTable(opts.daystoreDir, day, agg, image)
+					file, image, err = daystore.SealTable(ledger.days, day, agg, image)
 				} else {
 					kept, err = daystore.AppendDay(nil, day, agg)
 				}

@@ -2,10 +2,15 @@ package study
 
 import (
 	"context"
+	"io"
 	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"strconv"
 	"testing"
 	"time"
 
@@ -64,11 +69,24 @@ func TestSweepCountsFoldMatchesSnapshotImport(t *testing.T) {
 // day, and a goroutine per day.
 const allocsPerDayBudget = 8
 
+// allocsPerSealedDayBudget bounds the same for a run that seals every day
+// to a column file and journals it (WithDayStoreDir + WithCheckpointDir):
+// the day's file name and hash, the publish (temporary file, rename), and
+// the join's open and mapping of one more day file; the day log's append
+// allocates nothing. It measures 14.2–14.5, and 16.4 with the directory
+// created again for every day; it was ≈ 43 while every frame built a gob
+// encoder and every publish drew a random temporary name, created the
+// directory and opened it to sync it.
+const allocsPerSealedDayBudget = 15.5
+
 // TestRunAllocationsPerDay: RunContext over 2N days allocates at most
-// allocsPerDayBudget objects per day more than over N, with one worker and
-// with two — the fewest of three runs each, read from runtime.MemStats
-// (the run's workers are goroutines, which testing.AllocsPerRun would
-// count too but cannot take a minimum over) — from day 40, and from the
+// allocsPerDayBudget objects per day more than over N, and at most
+// allocsPerSealedDayBudget when it seals and journals every day, with one
+// worker and with two — the fewest of three runs each, read from
+// runtime.MemStats with the collector paused (the run's workers are
+// goroutines, which testing.AllocsPerRun would count too but cannot take
+// a minimum over; a collection empties the sync.Pools a run then refills,
+// and each run allocates ≈ 1 MB) — from day 40, and from the
 // first day whose N following days have an empty demand, which the
 // engine sweeps without measuring a domain. The race detector changes
 // the counts, so under it the runs only exercise the workers.
@@ -104,28 +122,48 @@ func TestRunAllocationsPerDay(t *testing.T) {
 		t.Fatalf("no %d days in a row have an empty demand", n)
 	}
 	from := clock.Day(40)
-	mallocs := func(days int) uint64 {
+	mallocs := func(days int, sealed bool) uint64 {
 		cfg.FromDay, cfg.ToDay = from, from+clock.Day(days-1)
 		fewest := uint64(math.MaxUint64)
 		for range 3 {
+			var opts []Option
+			if sealed {
+				dir := t.TempDir()
+				opts = []Option{WithDayStoreDir(filepath.Join(dir, "days")), WithCheckpointDir(filepath.Join(dir, "ckpt"))}
+			}
 			var before, after runtime.MemStats
+			gc := debug.SetGCPercent(-1)
 			runtime.ReadMemStats(&before)
-			if _, err := RunContext(context.Background(), cfg); err != nil {
+			s, err := RunContext(context.Background(), cfg, opts...)
+			if err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
+			debug.SetGCPercent(gc)
 			fewest = min(fewest, after.Mallocs-before.Mallocs)
+			if c, ok := s.Pipeline.DayStore().(io.Closer); ok {
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		return fewest
 	}
-	for _, start := range []clock.Day{from, emptyFrom} {
-		from = start
-		for _, par := range []int{1, 2} {
-			cfg.Parallelism = par
-			perDay := (float64(mallocs(2*n)) - float64(mallocs(n))) / n
-			t.Logf("from day %d, Parallelism %d: %.1f allocations per extra swept day", start, par, perDay)
-			if !raceEnabled && perDay > allocsPerDayBudget {
-				t.Errorf("from day %d, Parallelism %d: %.1f allocations per extra swept day, budget %d", start, par, perDay, allocsPerDayBudget)
+	starts := []clock.Day{from, emptyFrom}
+	for _, sealed := range []bool{false, true} {
+		budget := float64(allocsPerDayBudget)
+		if sealed {
+			budget = allocsPerSealedDayBudget
+		}
+		for _, start := range starts {
+			from = start
+			for _, par := range []int{1, 2} {
+				cfg.Parallelism = par
+				perDay := (float64(mallocs(2*n, sealed)) - float64(mallocs(n, sealed))) / n
+				t.Logf("sealed %v, from day %d, Parallelism %d: %.1f allocations per extra swept day", sealed, start, par, perDay)
+				if !raceEnabled && perDay > budget {
+					t.Errorf("sealed %v, from day %d, Parallelism %d: %.1f allocations per extra swept day, budget %g", sealed, start, par, perDay, budget)
+				}
 			}
 		}
 	}
@@ -142,5 +180,35 @@ func BenchmarkRunContext(b *testing.B) {
 		if _, err := RunContext(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRunContextSealed is BenchmarkRunContext with every day sealed
+// to a column file and journaled, in fresh directories each op: its
+// allocs/op is what study_sealed op_allocs reads (make bench-session).
+func BenchmarkRunContextSealed(b *testing.B) {
+	cfg := benchmarkScaleConfig()
+	cfg.Parallelism = 2
+	root := b.TempDir()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dir := filepath.Join(root, strconv.Itoa(i))
+		s, err := RunContext(context.Background(), cfg,
+			WithDayStoreDir(filepath.Join(dir, "days")), WithCheckpointDir(filepath.Join(dir, "ckpt")))
+		if err != nil {
+			b.Fatal(err)
+		}
+		// RunContext leaves the sealed days mapped for the pipeline it
+		// returns; unmap them before their directory goes.
+		if c, ok := s.Pipeline.DayStore().(io.Closer); ok {
+			if err := c.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
