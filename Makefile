@@ -81,7 +81,7 @@ soak:
 
 # Concurrency gate: run before merging changes to the serving path, the
 # join engine (one NS index and day store shared by concurrent joins),
-# the study's supervised run loop, or the resilience/overload tier.
+# or the study's supervised run loop.
 # The study leg covers where a run keeps its sealed days: the parallel
 # in-memory sweep (a finished day's image is added to the run's store under
 # the run's mutex while other workers fill their tables), the merged-run

@@ -3,7 +3,9 @@ package authserver
 import (
 	"bytes"
 	"context"
+	"math/rand/v2"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -361,6 +363,66 @@ func TestRRLOutOfOrderNowNeverDrains(t *testing.T) {
 		if got := l.account(peer, now); got != want {
 			t.Fatalf("query %d stamped %v: verdict %d, want %d", i, now.Sub(t1), got, want)
 		}
+	}
+}
+
+// TestRRLBucket drives one prefix's bucket on synthetic stamps: it
+// admits the burst at once, refills at the rate, refills an idle spell
+// only up to the burst, keeps the burst apart from the rate, floors the
+// burst at one token, and gives the same verdicts to the same stamps.
+func TestRRLBucket(t *testing.T) {
+	peer := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 5353}
+	t0 := time.Unix(1000, 0)
+	type step struct {
+		at            time.Duration // after t0
+		queries, sent int
+	}
+	for _, c := range []struct {
+		name        string
+		rate, burst float64
+		steps       []step
+	}{
+		// four a second, a burst of four: the fifth at once is dropped,
+		// one token is back a quarter second later, and an hour idle
+		// refills four, not 14,400
+		{"rate", 4, 4, []step{{0, 5, 4}, {250 * time.Millisecond, 2, 1}, {time.Hour, 5, 4}}},
+		// two a second with a burst of five: the depth and the refill
+		// are two numbers
+		{"burst", 2, 5, []step{{0, 8, 5}, {time.Second, 8, 2}, {time.Hour, 8, 5}}},
+		// half a token a second still holds one whole token
+		{"floor", 0.5, 0, []step{{0, 2, 1}, {time.Second, 1, 0}, {2 * time.Second, 2, 1}}},
+	} {
+		l := newRRLLimiter(RRLConfig{ResponsesPerSecond: c.rate, Burst: c.burst})
+		for _, st := range c.steps {
+			sent := 0
+			for i := 0; i < st.queries; i++ {
+				if l.account(peer, t0.Add(st.at)) == rrlSend {
+					sent++
+				}
+			}
+			if sent != st.sent {
+				t.Errorf("%s: %d queries at +%v sent %d, want %d", c.name, st.queries, st.at, sent, st.sent)
+			}
+		}
+	}
+
+	stamps := make([]time.Time, 200)
+	rng := rand.New(rand.NewPCG(7, 7))
+	ts := time.Unix(5000, 0)
+	for i := range stamps {
+		ts = ts.Add(time.Duration(rng.Int64N(int64(400 * time.Millisecond))))
+		stamps[i] = ts
+	}
+	verdicts := func() []rrlAction {
+		l := newRRLLimiter(RRLConfig{ResponsesPerSecond: 5, Slip: 3})
+		out := make([]rrlAction, len(stamps))
+		for i, now := range stamps {
+			out[i] = l.account(peer, now)
+		}
+		return out
+	}
+	if a, b := verdicts(), verdicts(); !slices.Equal(a, b) {
+		t.Fatalf("the same stamps gave other verdicts:\n%v\n%v", a, b)
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"dnsddos/internal/resilience"
 )
 
 // RRLConfig enables per-source response rate limiting.
@@ -50,10 +48,28 @@ const (
 	rrlSweepEvery = 4096
 )
 
-// rrlBucket is one source prefix's token bucket and slip sequence.
+// rrlBucket is one source prefix's token bucket and slip sequence. The
+// bucket runs on the callers' clock, never reading it itself: last is
+// the newest now it has judged.
 type rrlBucket struct {
-	tb      *resilience.TokenBucket
+	tokens  float64
+	last    time.Time
 	slipSeq int
+}
+
+// allow judges one response stamped now: refill for the time since last,
+// up to burst, then take one token. An older now refills nothing and
+// moves no clock back, so it costs its one token and drains nothing more.
+func (b *rrlBucket) allow(now time.Time, rate, burst float64) bool {
+	if d := now.Sub(b.last); d > 0 {
+		b.tokens = min(b.tokens+rate*d.Seconds(), burst)
+		b.last = now
+	}
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
 }
 
 // rrlLimiter applies RRLConfig across source prefixes.
@@ -69,6 +85,8 @@ func newRRLLimiter(cfg RRLConfig) *rrlLimiter {
 	if cfg.Burst <= 0 {
 		cfg.Burst = cfg.ResponsesPerSecond
 	}
+	// a bucket that can never hold a whole token would deny everything
+	cfg.Burst = max(cfg.Burst, 1)
 	return &rrlLimiter{cfg: cfg, buckets: make(map[string]*rrlBucket)}
 }
 
@@ -103,10 +121,10 @@ func (l *rrlLimiter) account(peer net.Addr, now time.Time) rrlAction {
 	b := l.buckets[key]
 	if b == nil {
 		l.maybeSweep(now)
-		b = &rrlBucket{tb: resilience.NewTokenBucket(l.cfg.ResponsesPerSecond, l.cfg.Burst)}
+		b = &rrlBucket{tokens: l.cfg.Burst, last: now}
 		l.buckets[key] = b
 	}
-	if b.tb.Allow(now) {
+	if b.allow(now, l.cfg.ResponsesPerSecond, l.cfg.Burst) {
 		return rrlSend
 	}
 	if l.cfg.Slip > 0 {
@@ -127,7 +145,7 @@ func (l *rrlLimiter) maybeSweep(now time.Time) {
 	}
 	l.sinceGC = 0
 	for k, b := range l.buckets {
-		if now.Sub(b.tb.Last()) > rrlIdleEvict {
+		if now.Sub(b.last) > rrlIdleEvict {
 			delete(l.buckets, k)
 		}
 	}

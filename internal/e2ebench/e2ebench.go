@@ -101,7 +101,7 @@ type modeSpec struct {
 	attack *faultinject.Profile
 	// blackhole drops 100% of traffic on the first fleet server for
 	// the whole mode, exercising the resolver's per-server circuit
-	// breaker (resilience.Breaker) around a dead authoritative.
+	// breaker (LiveConfig.BreakerThreshold) around a dead authoritative.
 	blackhole bool
 }
 

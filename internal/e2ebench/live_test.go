@@ -95,7 +95,7 @@ func TestModeShapes(t *testing.T) {
 					time.Duration(m.P99NS), time.Duration(base.P99NS))
 			}
 		}},
-		// the resilience.Breaker + LiveResolver interaction: the dead
+		// the LiveResolver's per-server circuit breaker: the dead
 		// server burns per-try timeouts until its circuit opens, then
 		// rotation skips it — try-level failures, not end failures,
 		// because retries land on the surviving servers

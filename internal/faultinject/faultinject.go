@@ -1,7 +1,7 @@
 // Package faultinject degrades real sockets the way a DDoS degrades a
 // network path: composable netem-style wrappers around net.PacketConn and
 // net.Conn inject packet drop, added latency with jitter, duplication,
-// reordering, and byte corruption, under a profile that can be reshaped
+// byte corruption and truncation, under a profile that can be reshaped
 // while traffic flows. A time-scripted Schedule ramps an "attack window"
 // up and back down, so the live authserver/resolver/dnsload path can
 // reproduce the degradation the paper measures on the simulated data
@@ -35,9 +35,6 @@ type Profile struct {
 	Jitter time.Duration
 	// Duplicate is the probability a datagram is delivered twice.
 	Duplicate float64
-	// Reorder is the probability a datagram is held back and released
-	// after the next one (a one-slot swap, netem's reorder model).
-	Reorder float64
 	// Corrupt is the probability one random byte of the payload is
 	// bit-flipped.
 	Corrupt float64
@@ -59,7 +56,7 @@ const truncateLen = 7
 // Active reports whether the profile injects any fault at all.
 func (p Profile) Active() bool {
 	return p.Drop > 0 || p.Latency > 0 || p.Jitter > 0 ||
-		p.Duplicate > 0 || p.Reorder > 0 || p.Corrupt > 0 || p.Truncate > 0
+		p.Duplicate > 0 || p.Corrupt > 0 || p.Truncate > 0
 }
 
 // Phase is one step of a Schedule: from Start (an offset from engagement)
@@ -174,7 +171,6 @@ func (inj *Injector) profileLocked() Profile {
 type verdict struct {
 	drop      bool
 	duplicate bool
-	reorder   bool
 	corrupt   bool
 	truncate  bool
 	delay     time.Duration
@@ -195,9 +191,6 @@ func (inj *Injector) roll() verdict {
 	}
 	if p.Duplicate > 0 && inj.rng.Float64() < p.Duplicate {
 		v.duplicate = true
-	}
-	if p.Reorder > 0 && inj.rng.Float64() < p.Reorder {
-		v.reorder = true
 	}
 	if p.Corrupt > 0 && inj.rng.Float64() < p.Corrupt {
 		v.corrupt = true

@@ -14,7 +14,6 @@ package faultinject
 
 import (
 	"net"
-	"sync"
 	"time"
 )
 
@@ -22,10 +21,6 @@ import (
 type PacketConn struct {
 	net.PacketConn
 	inj *Injector
-
-	mu       sync.Mutex
-	held     []byte // one-slot reorder buffer for writes
-	heldAddr net.Addr
 }
 
 // WrapPacketConn wraps an unconnected packet socket (a UDP listener):
@@ -62,8 +57,7 @@ func (c *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 }
 
 // WriteTo applies outbound faults. Dropped datagrams report success, as
-// a real network would. A reordered datagram is held in a one-slot
-// buffer and released after the next write (or on Close).
+// a real network would.
 func (c *PacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	v := c.inj.roll()
 	if v.drop {
@@ -77,51 +71,19 @@ func (c *PacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	if v.delay > 0 {
 		time.Sleep(v.delay)
 	}
-	if v.reorder {
-		c.mu.Lock()
-		prev, prevAddr := c.held, c.heldAddr
-		c.held = append([]byte(nil), out...)
-		c.heldAddr = addr
-		c.mu.Unlock()
-		if prev != nil {
-			c.PacketConn.WriteTo(prev, prevAddr)
-		}
-		return len(b), nil
-	}
 	if _, err := c.PacketConn.WriteTo(out, addr); err != nil {
 		return 0, err
 	}
 	if v.duplicate {
 		c.PacketConn.WriteTo(out, addr)
 	}
-	c.flushHeld()
 	return len(b), nil
-}
-
-// flushHeld releases a reorder-held datagram after a later one was sent.
-func (c *PacketConn) flushHeld() {
-	c.mu.Lock()
-	prev, prevAddr := c.held, c.heldAddr
-	c.held, c.heldAddr = nil, nil
-	c.mu.Unlock()
-	if prev != nil {
-		c.PacketConn.WriteTo(prev, prevAddr)
-	}
-}
-
-// Close releases any reorder-held datagram, then closes the socket.
-func (c *PacketConn) Close() error {
-	c.flushHeld()
-	return c.PacketConn.Close()
 }
 
 // DatagramConn wraps a connected UDP socket with fault injection.
 type DatagramConn struct {
 	net.Conn
 	inj *Injector
-
-	mu   sync.Mutex
-	held []byte
 }
 
 // WrapDatagram wraps a connected datagram socket (net.Dial "udp"). No
@@ -171,28 +133,11 @@ func (c *DatagramConn) Write(b []byte) (int, error) {
 	if v.delay > 0 {
 		time.Sleep(v.delay)
 	}
-	if v.reorder {
-		c.mu.Lock()
-		prev := c.held
-		c.held = append([]byte(nil), out...)
-		c.mu.Unlock()
-		if prev != nil {
-			c.Conn.Write(prev)
-		}
-		return len(b), nil
-	}
 	if _, err := c.Conn.Write(out); err != nil {
 		return 0, err
 	}
 	if v.duplicate {
 		c.Conn.Write(out)
-	}
-	c.mu.Lock()
-	prev := c.held
-	c.held = nil
-	c.mu.Unlock()
-	if prev != nil {
-		c.Conn.Write(prev)
 	}
 	return len(b), nil
 }

@@ -95,13 +95,15 @@ func (h *Histogram) Max() time.Duration {
 }
 
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket counts:
-// the upper bound of the bucket containing the ⌈q·count⌉-th observation,
-// clamped to the exact observed max. Returns 0 with no observations.
+// in the bucket holding the ⌈q·count⌉-th observation it interpolates
+// linearly by rank from the bucket's lower bound to its upper bound,
+// clamped to the exact observed max; in the overflow bucket it is the max.
+// Returns 0 with no observations.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil {
 		return 0
 	}
-	return h.state().quantile(q)
+	return h.state().quantile(q, true)
 }
 
 // histState is a consistent-enough copy of the histogram internals used
@@ -173,7 +175,12 @@ func (l *LocalHistogram) Observe(d time.Duration) {
 // duration on h itself would have left.
 func (h *Histogram) Fold(l *LocalHistogram) { h.merge(l.st) }
 
-func (st histState) quantile(q float64) time.Duration {
+// quantile finds the bucket holding the ⌈q·count⌉-th observation and
+// returns its upper bound clamped to the max (the overflow bucket: the
+// max), or, with interpolate, the point that rank reaches on a line from
+// the bucket's lower bound to that clamped bound. Snapshot's quantiles
+// are the bound, so the metrics JSON keeps its values.
+func (st histState) quantile(q float64, interpolate bool) time.Duration {
 	if st.count == 0 || q <= 0 {
 		return 0
 	}
@@ -184,18 +191,28 @@ func (st histState) quantile(q float64) time.Duration {
 	if rank > st.count {
 		rank = st.count
 	}
-	var cum int64
+	maxD := time.Duration(st.max)
+	var below int64
 	for i, n := range st.buckets {
-		cum += n
-		if cum >= rank {
-			ub := BucketUpperBound(i)
-			if ub < 0 || ub > time.Duration(st.max) {
-				return time.Duration(st.max)
-			}
+		if below+n < rank {
+			below += n
+			continue
+		}
+		ub := BucketUpperBound(i)
+		if ub < 0 {
+			return maxD
+		}
+		ub = min(ub, maxD)
+		if !interpolate {
 			return ub
 		}
+		var lb time.Duration
+		if i > 0 {
+			lb = BucketUpperBound(i - 1)
+		}
+		return lb + time.Duration(float64(ub-lb)*float64(rank-below)/float64(n))
 	}
-	return time.Duration(st.max)
+	return maxD
 }
 
 // importSnapshot folds a HistogramSnapshot back into the histogram —
@@ -256,9 +273,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Count: st.count,
 		SumNS: st.sum,
 		MaxNS: st.max,
-		P50NS: int64(st.quantile(0.50)),
-		P90NS: int64(st.quantile(0.90)),
-		P99NS: int64(st.quantile(0.99)),
+		P50NS: int64(st.quantile(0.50, false)),
+		P90NS: int64(st.quantile(0.90, false)),
+		P99NS: int64(st.quantile(0.99, false)),
 	}
 	for i, n := range st.buckets {
 		if n == 0 {

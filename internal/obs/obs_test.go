@@ -118,10 +118,20 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
-	// p50 lands in the bucket covering 500ms: (256ms, 512ms] → upper
-	// bound 2^19µs ≈ 524ms
+	// p50 lands in the bucket covering 500ms: [2^18µs, 2^19µs), about
+	// [262ms, 524ms)
 	if p50 := h.Quantile(0.5); p50 < 500*time.Millisecond || p50 > 550*time.Millisecond {
-		t.Errorf("p50 = %v, want ≈512ms (bucket upper bound)", p50)
+		t.Errorf("p50 = %v, want within [500ms, 550ms]", p50)
+	}
+	// inside its bucket the estimate interpolates by rank: p50 is
+	// 500.3ms and p90 900.1ms where the buckets' bounds read 524ms and 1s
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{0.5, 500 * time.Millisecond}, {0.9, 900 * time.Millisecond}} {
+		if got := h.Quantile(c.q); got < c.want*99/100 || got > c.want*101/100 {
+			t.Errorf("p%v = %v, want within 1%% of %v", c.q*100, got, c.want)
+		}
 	}
 	// the max quantile is exact
 	if p100 := h.Quantile(1); p100 != time.Second {

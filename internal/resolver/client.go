@@ -11,8 +11,9 @@ import (
 // question to one server address, one decoded answer, and the round-trip
 // time as the client experienced it. UDPClient implements it as a plain
 // datagram exchange, TCPClient as a length-prefixed stream exchange
-// (RFC 1035 §4.2.2), and LiveResolver as a full retrying resolution
-// (rotation, backoff, TC→TCP fallback) collapsed onto a single address.
+// (RFC 1035 §4.2.2). A LiveResolver is not one: its Resolve takes the
+// whole nameserver set, and a caller that drives it through a Client
+// adapts Resolve to its own address list.
 //
 // Callers that only need "ask addr this question" — the dnsload
 // generator, the UDP client's truncation fallback — take a Client and
@@ -35,6 +36,5 @@ func (f ClientFunc) Query(ctx context.Context, addr, name string, qtype dnswire.
 var (
 	_ Client = (*UDPClient)(nil)
 	_ Client = (*TCPClient)(nil)
-	_ Client = (*LiveResolver)(nil)
 	_ Client = (ClientFunc)(nil)
 )

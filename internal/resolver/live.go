@@ -1,6 +1,6 @@
 // live.go gives the real-socket path the same resolution semantics the
 // simulated agnostic resolver has (resolver.go): random nameserver
-// rotation, per-try timeout, retry with jittered exponential backoff,
+// rotation, per-try timeout, retry with decorrelated-jitter backoff,
 // SERVFAIL vs timeout classification, and TC→TCP fallback. A LiveResolver
 // outcome carries an nsset.QueryStatus, so live runs against
 // internal/authserver feed the same nsset aggregation (Eq. 1) as
@@ -12,7 +12,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -21,7 +20,6 @@ import (
 	"dnsddos/internal/dnswire"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
-	"dnsddos/internal/resilience"
 )
 
 // LiveConfig tunes the live resolver. NewLiveResolver applies the zero
@@ -37,17 +35,17 @@ type LiveConfig struct {
 	// Zero means 3.
 	MaxTries int
 	// Backoff is the base delay before the second try; later tries grow
-	// it with decorrelated jitter (resilience.RetryBudget) up to
+	// it with decorrelated jitter (LiveResolver.backoff) up to
 	// MaxBackoff. Zero disables backoff — retries go out immediately, as
 	// unbound does within its first burst.
 	Backoff time.Duration
 	// MaxBackoff caps the backoff growth; zero means 2s.
 	MaxBackoff time.Duration
 	// BreakerThreshold, when > 0, enables per-server circuit breaking
-	// (resilience.Breaker): a server that times out or errors this many
-	// times in a row is skipped in rotation until BreakerCooldown
-	// elapses, then probed half-open. A SERVFAIL answer counts as the
-	// server being up. Zero disables the breaker.
+	// (see circuit): a server that times out or errors this many times
+	// in a row is skipped in rotation until BreakerCooldown elapses,
+	// then probed half-open. A SERVFAIL answer counts as the server
+	// being up. Zero disables the breaker.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open server circuit refuses
 	// attempts before a probe; zero means 2s.
@@ -92,14 +90,32 @@ type LiveOutcome struct {
 // LiveResolver resolves over real sockets with retry, rotation, and
 // backoff. It is safe for concurrent use.
 type LiveResolver struct {
-	cfg     LiveConfig
-	m       liveMetrics
-	budget  *resilience.RetryBudget
-	breaker *resilience.Breaker // nil when BreakerThreshold == 0
+	cfg LiveConfig
+	m   liveMetrics
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	mu       sync.Mutex
+	rng      *rand.Rand          // rotation order
+	jitter   *rand.Rand          // backoff draws, a stream apart from rng's
+	circuits map[string]*circuit // by server address; nil when BreakerThreshold == 0
 }
+
+// circuit is one server's breaker. Closed, it admits every try; open
+// (BreakerThreshold consecutive failures), it refuses tries until
+// BreakerCooldown has passed since openedAt, then turns half-open and
+// admits exactly one probe, whose outcome closes or re-opens it.
+type circuit struct {
+	state    circuitState
+	fails    int // consecutive failures
+	openedAt time.Time
+}
+
+type circuitState int
+
+const (
+	circuitClosed circuitState = iota
+	circuitOpen
+	circuitHalfOpen
+)
 
 // liveMetrics instruments the live resolution path: one histogram per
 // attempt (tryRTT, successes and failures alike — the time each try
@@ -151,6 +167,9 @@ func NewLiveResolver(cfg LiveConfig, rng *rand.Rand) *LiveResolver {
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = 2 * time.Second
 	}
+	if cfg.BreakerCooldown <= 0 {
+		cfg.BreakerCooldown = 2 * time.Second
+	}
 	if rng == nil {
 		var seed [16]byte
 		crand.Read(seed[:])
@@ -158,21 +177,12 @@ func NewLiveResolver(cfg LiveConfig, rng *rand.Rand) *LiveResolver {
 			binary.LittleEndian.Uint64(seed[:8]),
 			binary.LittleEndian.Uint64(seed[8:])))
 	}
-	r := &LiveResolver{cfg: cfg, m: newLiveMetrics(cfg.Metrics), rng: rng}
-	// the budget gets a derived generator: it locks its own jitter draws,
-	// so sharing the shuffle rng would double-lock and couple the streams
-	r.budget = resilience.NewRetryBudget(cfg.MaxTries, cfg.Backoff, cfg.MaxBackoff,
-		rand.New(rand.NewPCG(rng.Uint64(), rng.Uint64())))
+	// the jitter draws get a generator derived from rng, so how many
+	// retries a resolution makes does not move the rotation order
+	r := &LiveResolver{cfg: cfg, m: newLiveMetrics(cfg.Metrics), rng: rng,
+		jitter: rand.New(rand.NewPCG(rng.Uint64(), rng.Uint64()))}
 	if cfg.BreakerThreshold > 0 {
-		r.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold: cfg.BreakerThreshold,
-			Cooldown:  cfg.BreakerCooldown,
-			OnStateChange: func(_ string, _, to resilience.BreakerState) {
-				if to == resilience.BreakerOpen {
-					r.m.breakerOpens.Inc()
-				}
-			},
-		})
+		r.circuits = make(map[string]*circuit)
 	}
 	return r
 }
@@ -189,7 +199,7 @@ const (
 
 // Resolve performs an agnostic live resolution of (name, qtype) against
 // the nameserver address list: random rotation order, per-try timeout,
-// jittered exponential backoff between attempts, cumulative timing. The
+// decorrelated-jitter backoff between attempts, cumulative timing. The
 // final status mirrors the simulated resolver: OK on any success, else
 // SERVFAIL if any server answered with a failure rcode, else TIMEOUT.
 func (r *LiveResolver) Resolve(ctx context.Context, addrs []string, name string, qtype dnswire.Type) LiveOutcome {
@@ -211,13 +221,16 @@ func (r *LiveResolver) Resolve(ctx context.Context, addrs []string, name string,
 	sawServFail := false
 	var last string
 	tries := 0
-	sess := r.budget.Session()
-	for i := 0; ; i++ {
-		// Wait charges the attempt against the shared retry budget and
-		// paces it with decorrelated jitter; false = out of tries or ctx
-		// cancelled mid-backoff.
-		if !sess.Wait(ctx) {
+	var delay time.Duration
+	for i := 0; i < r.cfg.MaxTries; i++ {
+		if ctx.Err() != nil {
 			break
+		}
+		if i > 0 && r.cfg.Backoff > 0 {
+			delay = r.backoff(delay)
+			if !sleep(ctx, delay) {
+				break
+			}
 		}
 		addr := r.pickServer(order, i)
 		last = addr
@@ -231,7 +244,7 @@ func (r *LiveResolver) Resolve(ctx context.Context, addrs []string, name string,
 		}
 		// a SERVFAIL still proves the server is up: only timeouts and
 		// transport errors count against its circuit
-		r.breaker.Record(addr, st == tryOK || st == tryServFail, time.Now())
+		r.record(addr, st == tryOK || st == tryServFail, time.Now())
 		switch st {
 		case tryOK:
 			rtt := time.Since(start)
@@ -264,16 +277,32 @@ func (r *LiveResolver) Resolve(ctx context.Context, addrs []string, name string,
 	return LiveOutcome{Status: st, Tries: tries, Server: last}
 }
 
-// Query implements the Client interface: one full retrying resolution
-// against a single server address. A non-OK outcome (all tries timed out
-// or failed) surfaces as an error; the RTT on success is the cumulative
-// resolution time including retries and backoff (the Eq. 1 RTT).
-func (r *LiveResolver) Query(ctx context.Context, addr, name string, qtype dnswire.Type) (*dnswire.Message, time.Duration, error) {
-	o := r.Resolve(ctx, []string{addr}, name, qtype)
-	if o.Status != nsset.StatusOK {
-		return nil, 0, fmt.Errorf("resolver: live query %s for %s: %s after %d tries", addr, name, o.Status, o.Tries)
+// backoff draws the delay before a retry by decorrelated jitter: uniform
+// in [Backoff, 3·prev], capped at MaxBackoff, where prev is the delay
+// before the previous retry, or Backoff before the first. Two resolvers
+// that failed at the same instant walk apart at once, not within one
+// step's jitter.
+func (r *LiveResolver) backoff(prev time.Duration) time.Duration {
+	lo := r.cfg.Backoff
+	d := lo
+	if hi := 3 * max(prev, lo); hi > lo {
+		r.mu.Lock()
+		d += time.Duration(r.jitter.Int64N(int64(hi-lo) + 1))
+		r.mu.Unlock()
 	}
-	return o.Msg, o.RTT, nil
+	return min(d, r.cfg.MaxBackoff)
+}
+
+// sleep waits d, or until ctx is done; it reports whether d ran out.
+func sleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // tryOnce runs one attempt: UDP query, rcode classification, TC→TCP
@@ -326,13 +355,13 @@ func classifyRCode(rc dnswire.RCode) tryStatus {
 // the scheduled one is probed anyway — refusing all peers forever would
 // turn a partial outage into a total one.
 func (r *LiveResolver) pickServer(order []string, i int) string {
-	if r.breaker == nil {
+	if r.circuits == nil {
 		return order[i%len(order)]
 	}
 	now := time.Now()
 	for k := 0; k < len(order); k++ {
 		cand := order[(i+k)%len(order)]
-		if r.breaker.Allow(cand, now) {
+		if r.allow(cand, now) {
 			if k > 0 {
 				r.m.breakerSkips.Add(int64(k))
 			}
@@ -341,4 +370,50 @@ func (r *LiveResolver) pickServer(order []string, i int) string {
 	}
 	r.m.breakerSkips.Add(int64(len(order)))
 	return order[i%len(order)]
+}
+
+// allow reports whether a try at addr may go out at now. An open circuit
+// whose cooldown has passed turns half-open and admits this try as its
+// one probe; a half-open circuit refuses until the probe is recorded.
+func (r *LiveResolver) allow(addr string, now time.Time) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.circuits[addr]
+	switch {
+	case c == nil || c.state == circuitClosed:
+		return true
+	case c.state == circuitOpen && now.Sub(c.openedAt) >= r.cfg.BreakerCooldown:
+		c.state = circuitHalfOpen
+		return true
+	}
+	return false
+}
+
+// record books the outcome of a try at addr at now. A success closes the
+// circuit and resets its streak. A failure that brings the streak to
+// BreakerThreshold opens it; an open or half-open circuit's streak is
+// there already, so a failed probe re-opens it too. Either restamps
+// openedAt, and entering open from another state counts a breaker_opens.
+func (r *LiveResolver) record(addr string, ok bool, now time.Time) {
+	if r.circuits == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.circuits[addr]
+	if c == nil {
+		c = &circuit{}
+		r.circuits[addr] = c
+	}
+	if ok {
+		c.state, c.fails = circuitClosed, 0
+		return
+	}
+	if c.fails++; c.fails < r.cfg.BreakerThreshold {
+		return
+	}
+	if c.state != circuitOpen {
+		r.m.breakerOpens.Inc()
+	}
+	c.state, c.openedAt = circuitOpen, now
 }

@@ -258,6 +258,72 @@ func TestLiveResolverContextCancel(t *testing.T) {
 	}
 }
 
+// TestLiveResolverBackoffWindow: the delay before the first retry is
+// drawn from [B, 3B] and each later one from [B, min(3·prev, Max)]; a
+// zero Backoff never sleeps; and a context cancelled during an hour's
+// backoff ends the resolution at once.
+func TestLiveResolverBackoffWindow(t *testing.T) {
+	const base, maxBackoff = 10 * time.Millisecond, 80 * time.Millisecond
+	lr := resolver.NewLiveResolver(resolver.LiveConfig{Backoff: base, MaxBackoff: maxBackoff},
+		rand.New(rand.NewPCG(1, 0)))
+	spread := false
+	for run := 0; run < 64; run++ {
+		d := resolver.LiveBackoff(lr, 0)
+		if d < base || d > 3*base {
+			t.Fatalf("first delay %v outside [%v, %v]", d, base, 3*base)
+		}
+		spread = spread || d > 2*base
+		for k := 0; k < 4; k++ {
+			prev := d
+			d = resolver.LiveBackoff(lr, prev)
+			if d < base || d > min(3*prev, maxBackoff) {
+				t.Fatalf("delay %v after %v outside [%v, %v]", d, prev, base, min(3*prev, maxBackoff))
+			}
+		}
+	}
+	if !spread {
+		t.Fatal("64 first delays all stayed under 2B: the first window must reach 3B")
+	}
+
+	addr := startServFail(t)
+	still := resolver.NewLiveResolver(resolver.LiveConfig{
+		PerTryTimeout: time.Second,
+		MaxTries:      4,
+		MaxBackoff:    time.Hour,
+	}, rand.New(rand.NewPCG(1, 0)))
+	var d time.Duration
+	for k := 0; k < 8; k++ {
+		if d = resolver.LiveBackoff(still, d); d != 0 {
+			t.Fatalf("a zero Backoff drew a delay of %v", d)
+		}
+	}
+	start := time.Now()
+	if out := still.Resolve(context.Background(), []string{addr}, "victim.example", dnswire.TypeNS); out.Tries != 4 {
+		t.Fatalf("zero Backoff: %d tries, want 4", out.Tries)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("four SERVFAIL tries without backoff took %v", el)
+	}
+
+	paced := resolver.NewLiveResolver(resolver.LiveConfig{
+		PerTryTimeout: time.Second,
+		MaxTries:      3,
+		Backoff:       time.Hour,
+		MaxBackoff:    time.Hour,
+	}, rand.New(rand.NewPCG(1, 0)))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(100*time.Millisecond, cancel)
+	start = time.Now()
+	out := paced.Resolve(ctx, []string{addr}, "victim.example", dnswire.TypeNS)
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("a cancelled hour of backoff returned after %v", el)
+	}
+	if out.Tries != 1 || out.Status != nsset.StatusServFail {
+		t.Fatalf("cancelled during backoff: %d tries, %v; want 1 try, SERVFAIL", out.Tries, out.Status)
+	}
+}
+
 // TestLiveResolverEmptySet mirrors the simulated resolver: no servers is
 // an immediate SERVFAIL.
 func TestLiveResolverEmptySet(t *testing.T) {
