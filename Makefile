@@ -172,7 +172,8 @@ bench-serve:
 
 # The session and run loop, layer by layer: study.NewSession at the repo
 # benchmark's scale (allocs/op and B/op are what every study and setup_s
-# sample pays before its first sweep), the whole study through
+# sample pays before its first sweep, live-B the heap a built session
+# holds after a collection), the whole study through
 # study.RunContext at the same scale with two workers (its allocs/op is
 # what study_batch op_allocs reads), the same study with every day sealed
 # and journaled in fresh directories (BenchmarkRunContextSealed: its

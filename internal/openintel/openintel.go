@@ -46,9 +46,11 @@ type Engine struct {
 	// table holds one key and one dense ID per distinct NS list of the
 	// world; aggregators built over it take the sweep's records by ID.
 	table *nsset.Interner
-	// nssets and ids cache the NSSet key of each domain and its ID.
-	nssets []nsset.Key
-	ids    []nsset.ID
+	// ids caches each domain's NSSet ID in table, and keys each ID's key
+	// (the table's own slice, read without its lock): a few hundred NS
+	// lists serve thousands of domains.
+	ids  []nsset.ID
+	keys []nsset.Key
 	// slot caches each domain's second-of-day measurement slot.
 	slot []int32
 	// order is the domains sorted by slot: every day's visiting order.
@@ -62,7 +64,6 @@ type Engine struct {
 // and all query randomness, making sweeps reproducible.
 func NewEngine(db *dnsdb.DB, res *resolver.Resolver, seed uint64) *Engine {
 	e := &Engine{db: db, res: res, seed: seed, table: new(nsset.Interner)}
-	e.nssets = make([]nsset.Key, len(db.Domains))
 	e.ids = make([]nsset.ID, len(db.Domains))
 	e.slot = make([]int32, len(db.Domains))
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
@@ -74,9 +75,10 @@ func NewEngine(db *dnsdb.DB, res *resolver.Resolver, seed uint64) *Engine {
 		for _, id := range db.Domains[i].NS {
 			addrs = append(addrs, db.Nameservers[id].Addr)
 		}
-		e.nssets[i], e.ids[i] = e.table.Intern(addrs)
+		_, e.ids[i] = e.table.Intern(addrs)
 		e.slot[i] = int32(rng.IntN(86400))
 	}
+	e.keys, _ = e.table.Sorted()
 	e.order = e.slotOrder()
 	return e
 }
@@ -110,7 +112,7 @@ func (e *Engine) MeasureAt(rng *rand.Rand, d dnsdb.DomainID, t time.Time) Record
 	return Record{
 		Domain: d,
 		Time:   t,
-		NSSet:  e.nssets[d],
+		NSSet:  e.keys[e.ids[d]],
 		Status: o.Status,
 		RTT:    o.RTT,
 		Tries:  o.Tries,

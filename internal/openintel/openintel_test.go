@@ -20,7 +20,7 @@ import (
 )
 
 // NSSetOf returns the cached NSSet key of a domain.
-func (e *Engine) NSSetOf(d dnsdb.DomainID) nsset.Key { return e.nssets[d] }
+func (e *Engine) NSSetOf(d dnsdb.DomainID) nsset.Key { return e.keys[e.ids[d]] }
 
 func testWorld(t *testing.T, domains int) (*dnsdb.DB, *resolver.Resolver) {
 	t.Helper()

@@ -144,7 +144,8 @@ type Tracker struct {
 	slab []candidate
 	cut  int        // candidates cut from slabs
 	free *candidate // released candidates, linked by next
-	// pending holds the attacks finalized since the fold last took them.
+	// pending holds the attacks finalized since the fold last handed
+	// them over (Finish, Finalize), in the order they finalized.
 	pending []Attack
 }
 

@@ -2,12 +2,14 @@ package study
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
 	"testing"
 
 	"dnsddos/internal/clock"
+	"dnsddos/internal/core"
 	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
@@ -113,9 +115,16 @@ func fillDemandRef(tab *nsset.Interner, addrs []netx.Addr, first []int32, ranges
 }
 
 // TestDemandMatchesReference holds the session's window and day demands
-// to the reference's, word for word, at metricsConfig, at
-// benchmarkScaleConfig and over a hand-built table in which one address
-// is in four NSSets (no generated world has an address in three).
+// to the reference's at metricsConfig, at benchmarkScaleConfig and over a
+// hand-built table in which one address is in four NSSets (no generated
+// world has an address in three). The session's demand is clipped to its
+// run's days and the reference's is not: inside the run every (ID, unit)
+// must answer as the reference does, outside it no unit is demanded, and
+// a run that holds every unit gives the reference's demand word for word.
+// Each session's demand is held so over its own run and, built again,
+// over one day that an attack's span crosses; the hand-built table's over
+// runs that attacks cross at both ends. At the benchmark's scale the
+// window bits must fit in 64 kB.
 func TestDemandMatchesReference(t *testing.T) {
 	for _, cfg := range []Config{metricsConfig(), benchmarkScaleConfig()} {
 		sess, err := NewSession(context.Background(), cfg, obs.New())
@@ -128,10 +137,30 @@ func TestDemandMatchesReference(t *testing.T) {
 		if b := clock.Day(cfg.Pipeline.BaselineDaysBack); b > 0 && !slices.Contains(backs, b) {
 			backs = append(backs[:len(backs):len(backs)], b)
 		}
-		windows, days := newDemandRef(sess.Engine.NSSetTable(), sess.Attacks, before, after, backs)
-		if !reflect.DeepEqual(sess.windows, windows) || !reflect.DeepEqual(sess.days, days) {
-			t.Errorf("%d domains: the session's demand differs from the reference's", cfg.World.Domains)
+		wantW, wantD := newDemandRef(sess.Engine.NSSetTable(), sess.Attacks, before, after, backs)
+		name := fmt.Sprintf("%d domains", cfg.World.Domains)
+		checkClipped(t, name, sess.windows, sess.days, wantW, wantD, cfg.FromDay, cfg.ToDay)
+		if cfg.World.Domains == benchmarkScaleConfig().World.Domains {
+			if b := 8 * len(sess.windows.bits); b > 64<<10 {
+				t.Errorf("%s: the window demand holds %d bytes of bits, want at most 64 kB", name, b)
+			}
 		}
+		// a run of one day, inside the demanded span of an attack that
+		// spans three days or more: it starts before the run and ends
+		// after it
+		run := clock.Day(-1)
+		for i := range sess.Attacks {
+			a := &sess.Attacks[i]
+			lo, hi := a.StartWindow-before, a.EndWindow+after
+			if len(sess.index.NSSetsContaining(a.Victim)) > 0 && hi.Day()-lo.Day() >= 2 {
+				run = lo.Day() + 1
+				break
+			}
+		}
+		name = fmt.Sprintf("%s, day %d", name, run)
+		gotW, gotD := newDemand(sess.index, sess.Engine.NSSetTable().Len(), sess.Attacks, before, after, backs, run, run)
+		checkClipped(t, name, gotW, gotD, wantW, wantD, run, run)
+		crossesRun(t, name, sess.index, sess.Attacks, before, after, run, run)
 	}
 
 	tab := new(nsset.Interner)
@@ -147,9 +176,64 @@ func TestDemandMatchesReference(t *testing.T) {
 	if n := len(ix.NSSetsContaining(1)); n != 4 {
 		t.Fatalf("address 1 is in %d NSSets, want 4", n)
 	}
-	gotW, gotD := newDemand(ix, tab.Len(), attacks, 72, 288, demandDaysBack[:])
 	wantW, wantD := newDemandRef(tab, attacks, 72, 288, demandDaysBack[:])
+	gotW, gotD := newDemand(ix, tab.Len(), attacks, 72, 288, demandDaysBack[:], -20, 20)
 	if !reflect.DeepEqual(gotW, wantW) || !reflect.DeepEqual(gotD, wantD) {
-		t.Errorf("over the hand-built table the demand is %+v and %+v, the reference's %+v and %+v", gotW, gotD, wantW, wantD)
+		t.Errorf("over the hand-built table, a run holding every unit, the demand is %+v and %+v, the reference's %+v and %+v", gotW, gotD, wantW, wantD)
+	}
+	for _, run := range [][2]clock.Day{{0, 2}, {1, 3}, {0, 4}} {
+		name := fmt.Sprintf("the hand-built table, days %d … %d", run[0], run[1])
+		gotW, gotD := newDemand(ix, tab.Len(), attacks, 72, 288, demandDaysBack[:], run[0], run[1])
+		checkClipped(t, name, gotW, gotD, wantW, wantD, run[0], run[1])
+		crossesRun(t, name, ix, attacks, 72, 288, run[0], run[1])
+	}
+}
+
+// checkClipped fails the test unless the demands windows and days answer
+// as the unclipped wantW and wantD do for every ID (one past the table
+// too) and every window and day of the run from … to, and hold no unit
+// outside it: none of the ten days either side, nor a far one.
+func checkClipped(t *testing.T, name string, windows, days, wantW, wantD *demand, from, to clock.Day) {
+	t.Helper()
+	first, last := from.FirstWindow(), (to+1).FirstWindow()-1
+	for id := nsset.ID(0); int(id) <= len(wantW.ids); id++ {
+		for w := first - 10*clock.Window(clock.WindowsPerDay); w <= last+10*clock.Window(clock.WindowsPerDay); w++ {
+			want := first <= w && w <= last && wantW.has(id, int64(w))
+			if got := windows.has(id, int64(w)); got != want {
+				t.Fatalf("%s: (%d, window %d) kept = %v, want %v", name, id, w, got, want)
+			}
+		}
+		for d := from - 10; d <= to+10; d++ {
+			want := from <= d && d <= to && wantD.has(id, int64(d))
+			if got := days.has(id, int64(d)); got != want {
+				t.Fatalf("%s: (%d, day %d) swept = %v, want %v", name, id, d, got, want)
+			}
+		}
+		for _, x := range []int64{-1 << 62, 1 << 62} {
+			if windows.has(id, x) || days.has(id, x) {
+				t.Fatalf("%s: far unit (%d, %d) is in the demand", name, id, x)
+			}
+		}
+	}
+}
+
+// crossesRun fails the test unless an attack on a victim in one of ix's
+// NSSets demands windows on both sides of the run's first day, and one on
+// both sides of its last: the clip then cuts through a span at each end.
+func crossesRun(t *testing.T, name string, ix *core.NSIndex, attacks []rsdos.Attack, before, after clock.Window, from, to clock.Day) {
+	t.Helper()
+	first, last := from.FirstWindow(), (to+1).FirstWindow()-1
+	var early, late bool
+	for i := range attacks {
+		a := &attacks[i]
+		if len(ix.NSSetsContaining(a.Victim)) == 0 {
+			continue
+		}
+		lo, hi := a.StartWindow-before, a.EndWindow+after
+		early = early || lo < first && first <= hi
+		late = late || lo <= last && last < hi
+	}
+	if !early || !late {
+		t.Errorf("%s: an attack crosses the run's first day: %v, its last: %v; want both", name, early, late)
 	}
 }

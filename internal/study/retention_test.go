@@ -65,12 +65,28 @@ func (r *recordingStore) Baseline(k nsset.Key, d clock.Day) (nsset.DayBaseline, 
 // checkReads fails the test, naming the reader, if a read rec recorded
 // lies outside the session's demand — a ranged read reaching a window the
 // session does not keep, or a day read of a row it does not measure — and
-// reports the first such day read and how many there are.
+// reports the first such day read and how many there are. The demand
+// spans the run's days only, so a read's part outside them is judged by
+// the same rule unclipped (StudyDemand).
 // A quarantined day's rows are read on the day core.MeasurableDay falls
 // back to, which the run's second pass measures for them too.
 func checkReads(t *testing.T, reader string, sess *study.Session, quarantined []clock.Day, rec *recordingStore) {
 	t.Helper()
-	keeps, sweeps := sess.Demand(), sess.DayDemand()
+	from, to := sess.Config.FromDay, sess.Config.ToDay
+	runKeeps, runSweeps := sess.Demand(), sess.DayDemand()
+	studyKeeps, studySweeps := sess.StudyDemand()
+	keeps := func(id nsset.ID, w clock.Window) bool {
+		if w.Day() < from || w.Day() > to {
+			return studyKeeps(id, w)
+		}
+		return runKeeps(id, w)
+	}
+	sweeps := func(id nsset.ID, d clock.Day) bool {
+		if d < from || d > to {
+			return studySweeps(id, d)
+		}
+		return runSweeps(id, d)
+	}
 	q := make(map[clock.Day]bool)
 	for _, d := range quarantined {
 		q[d] = true

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"time"
 
+	"dnsddos/internal/attacksim"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/core"
 	"dnsddos/internal/nsset"
@@ -125,6 +126,7 @@ func (sess *Session) Feed(emit func(*rsdos.WindowObs), advance func(clock.Window
 func (sess *Session) buildFeed(ctx context.Context, reg *obs.Registry, t0 time.Time) error {
 	stage := stageTimer(reg)
 	fold := rsdos.NewFold(sess.Config.RSDoS)
+	fold.Reserve(sess.feedAttacks())
 	n := foldFeed(fold, func(emit func(*rsdos.WindowObs), advance func(clock.Window)) {
 		sess.Feed(emit, advance)
 		stage("generate", t0)
@@ -138,6 +140,23 @@ func (sess *Session) buildFeed(ctx context.Context, reg *obs.Registry, t0 time.T
 	reg.Gauge("study.feed.observations", obs.Volatile()).Set(int64(n))
 	reg.Gauge("study.feed.peak_runs", obs.Volatile()).Set(int64(fold.PeakOpen()))
 	return nil
+}
+
+// feedAttacks is what the fold reserves for the feed's attacks: one per
+// randomly spoofed component of the schedule, the one vector whose
+// backscatter the telescope sees. A component whose qualifying windows
+// break apart folds to more than one attack, and so does the IBR noise
+// (IncludeNoise): the list then grows by append. Components of one
+// victim that touch fold to one.
+func (sess *Session) feedAttacks() int {
+	n := 0
+	specs := sess.Schedule.Sched.Specs()
+	for i := range specs {
+		if specs[i].Vector == attacksim.VectorRandomSpoofed {
+			n++
+		}
+	}
+	return n
 }
 
 // feedBlockLen is how many observations one feedBlock carries.
@@ -245,9 +264,10 @@ var demandDaysBack = [...]clock.Day{0, 1, 7}
 // containing the victim — the NSSets the session's index joins it over —
 // its windows from WindowMarginBefore ahead of its first to
 // WindowMarginAfter past its last, and each such window's day and the
-// days demandDaysBack and BaselineDaysBack before it. No other day row is
-// measured; a demanded row keeps its windows only where they are
-// demanded. n is the size of the engine's table.
+// days demandDaysBack and BaselineDaysBack before it, as far as they lie
+// in the run's days. No other day row is measured; a demanded row keeps
+// its windows only where they are demanded. n is the size of the
+// engine's table.
 func (sess *Session) buildDemand(n int) {
 	before := clock.Window(sess.Config.WindowMarginBefore / clock.WindowDur)
 	after := clock.Window(sess.Config.WindowMarginAfter / clock.WindowDur)
@@ -255,7 +275,7 @@ func (sess *Session) buildDemand(n int) {
 	if b := clock.Day(sess.Config.Pipeline.BaselineDaysBack); b > 0 && !slices.Contains(backs, b) {
 		backs = append(backs[:len(backs):len(backs)], b)
 	}
-	sess.windows, sess.days = newDemand(sess.index, n, sess.Attacks, before, after, backs)
+	sess.windows, sess.days = newDemand(sess.index, n, sess.Attacks, before, after, backs, sess.Config.FromDay, sess.Config.ToDay)
 }
 
 // demand is a set of (NSSet ID, unit) pairs, the unit a window or a day:
@@ -275,22 +295,26 @@ type idSpan struct {
 }
 
 // newDemand returns the window and day demands of attacks over the n
-// NSSets of ix's table: every NSSet containing an attack's victim
-// (ix.NSSetsContaining, the join's own rule) keeps the attack's windows
-// from before ahead of its first to after past its last, and each kept
-// window's day and the days backs before it. It allocates the same six
-// objects whatever the number of NSSets and attacks.
-func newDemand(ix *core.NSIndex, n int, attacks []rsdos.Attack, before, after clock.Window, backs []clock.Day) (windows, days *demand) {
+// NSSets of ix's table, clipped to the run's days from … to: every NSSet
+// containing an attack's victim (ix.NSSetsContaining, the join's own
+// rule) keeps the attack's windows from before ahead of its first to
+// after past its last, and each kept window's day and the days backs
+// before it. The sweep, the aggregators' window filter and the fallback
+// days ask only inside the run, so a unit outside it is left out. It
+// allocates the same six objects whatever the number of NSSets and
+// attacks.
+func newDemand(ix *core.NSIndex, n int, attacks []rsdos.Attack, before, after clock.Window, backs []clock.Day, from, to clock.Day) (windows, days *demand) {
 	windows, days = &demand{ids: make([]idSpan, n)}, &demand{ids: make([]idSpan, n)}
+	first, last := from.FirstWindow(), (to+1).FirstWindow()-1
 	// the first pass spans each ID's units, the second sets their bits
 	for _, set := range [2]bool{false, true} {
 		for i := range attacks {
 			a := &attacks[i]
 			lo, hi := a.StartWindow-before, a.EndWindow+after
 			for _, id := range ix.NSSetsContaining(a.Victim) {
-				windows.add(set, id, int64(lo), int64(hi))
+				windows.add(set, id, int64(max(lo, first)), int64(min(hi, last)))
 				for _, back := range backs {
-					days.add(set, id, int64(lo.Day()-back), int64(hi.Day()-back))
+					days.add(set, id, int64(max(lo.Day()-back, from)), int64(min(hi.Day()-back, to)))
 				}
 			}
 		}
@@ -303,8 +327,11 @@ func newDemand(ix *core.NSIndex, n int, attacks []rsdos.Attack, before, after cl
 }
 
 // add widens id's span to hold lo … hi or, once the bits are cut, sets
-// them.
+// them; an empty range (lo > hi) adds nothing.
 func (d *demand) add(set bool, id nsset.ID, lo, hi int64) {
+	if lo > hi {
+		return
+	}
 	s := &d.ids[id]
 	if set {
 		setRange(d.bits[s.off:], uint64(lo-s.lo), uint64(hi-s.lo))

@@ -27,11 +27,14 @@ import (
 
 // TestDemandMatchesMap holds the demand to the maps it stands for — one
 // entry per kept (NSSet, window) pair and one per swept (NSSet, day),
-// filled attack by attack, NSSet by NSSet and window by window — over
-// random tables, attack sets and day offsets, asking about every ID (one
-// past the table too) and every window and day from well below the first
-// span to well above the last. The build allocates the same number of
-// objects whatever the number of NSSets and attacks.
+// filled attack by attack, NSSet by NSSet and window by window, and read
+// only inside the run's days — over random tables, attack sets, day
+// offsets and runs, asking about every ID (one past the table too) and
+// every window and day from well below the first span to well above the
+// last. A run starts and ends anywhere from a few days before the first
+// span to a few past the last, so attacks often start before it and end
+// after it. The build allocates the same number of objects whatever the
+// number of NSSets and attacks.
 func TestDemandMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 0x5e7))
 	type pair struct {
@@ -86,16 +89,19 @@ func TestDemandMatchesMap(t *testing.T) {
 			}
 			lo, hi = min(lo, a.StartWindow-before), max(hi, a.EndWindow+after)
 		}
-		windows, days := newDemand(everyIDIndex(tab), tab.Len(), attacks, before, after, backs)
+		from := lo.Day() - 3 + clock.Day(rng.IntN(int(hi.Day()-lo.Day())+7))
+		to := from + clock.Day(rng.IntN(int(hi.Day()-from)+4))
+		run := func(d clock.Day) bool { return from <= d && d <= to }
+		windows, days := newDemand(everyIDIndex(tab), tab.Len(), attacks, before, after, backs, from, to)
 		for id := nsset.ID(0); int(id) <= tab.Len(); id++ {
 			for w := lo - 200; w <= hi+200; w++ {
-				if got, want := windows.has(id, int64(w)), keep[pair{id, w}]; got != want {
-					t.Fatalf("round %d: (%d, %d) kept = %v, the map says %v", round, id, w, got, want)
+				if got, want := windows.has(id, int64(w)), keep[pair{id, w}] && run(w.Day()); got != want {
+					t.Fatalf("round %d, days %d … %d: (%d, %d) kept = %v, the map says %v", round, from, to, id, w, got, want)
 				}
 			}
 			for d := lo.Day() - 10; d <= hi.Day()+10; d++ {
-				if got, want := days.has(id, int64(d)), sweep[dayPair{id, d}]; got != want {
-					t.Fatalf("round %d: (%d, day %d) swept = %v, the map says %v (backs %v)", round, id, d, got, want, backs)
+				if got, want := days.has(id, int64(d)), sweep[dayPair{id, d}] && run(d); got != want {
+					t.Fatalf("round %d, days %d … %d: (%d, day %d) swept = %v, the map says %v (backs %v)", round, from, to, id, d, got, want, backs)
 				}
 			}
 			for _, x := range []int64{-1 << 62, 1 << 62} {
@@ -114,7 +120,7 @@ func TestDemandMatchesMap(t *testing.T) {
 		attacks []rsdos.Attack
 	}{{small, few}, {large, many}} {
 		ix := everyIDIndex(tc.tab)
-		allocs[i] = testing.AllocsPerRun(5, func() { newDemand(ix, tc.tab.Len(), tc.attacks, 72, 288, demandDaysBack[:]) })
+		allocs[i] = testing.AllocsPerRun(5, func() { newDemand(ix, tc.tab.Len(), tc.attacks, 72, 288, demandDaysBack[:], -100, 400) })
 	}
 	if allocs[0] != allocs[1] {
 		t.Errorf("the demand of 4 NSSets and 10 attacks allocates %v objects, of 300 and 5,000 %v: want the same", allocs[0], allocs[1])
@@ -306,13 +312,26 @@ func benchmarkScaleConfig() Config {
 }
 
 // BenchmarkNewSession is the set-up every study and setup_s
-// sample pays, at the repo benchmark's scale (make bench-session).
+// sample pays, at the repo benchmark's scale (make bench-session). Its
+// live-B is what a session holds: the heap after a collection with the
+// last session built still held, less the heap before the first.
 func BenchmarkNewSession(b *testing.B) {
 	cfg := benchmarkScaleConfig()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
+	b.ResetTimer()
+	var sess *Session
 	for i := 0; i < b.N; i++ {
-		if _, err := NewSession(context.Background(), cfg, obs.New()); err != nil {
+		var err error
+		if sess, err = NewSession(context.Background(), cfg, obs.New()); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sess)
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)), "live-B")
 }

@@ -26,7 +26,8 @@ import (
 // prints where the time and the memory went: the wall time, every
 // study.stage.*_wall_ns gauge, the process's peak resident set (VmHWM),
 // the schedule's components and the attacks, each with the bytes of its
-// array (the two largest arrays a session keeps), and the events. It
+// array (the two largest arrays a session keeps; the attacks' counts the
+// room reserved for them), and the events. It
 // asserts only that the run joins
 // something; the numbers are read in pairs, a change against its parent
 // on one host, and the million-domain row against the single-host bound
@@ -80,7 +81,7 @@ func paperScale(t *testing.T, domains int) {
 	t.Logf("VmHWM %s", procStatus(t, "VmHWM"))
 	n := s.Schedule.Sched.Len()
 	t.Logf("components %d, schedule array %d bytes", n, uintptr(n)*unsafe.Sizeof(attacksim.Spec{}))
-	t.Logf("attacks %d, attacks array %d bytes", len(s.Attacks), uintptr(len(s.Attacks))*unsafe.Sizeof(rsdos.Attack{}))
+	t.Logf("attacks %d, attacks array %d bytes", len(s.Attacks), uintptr(cap(s.Attacks))*unsafe.Sizeof(rsdos.Attack{}))
 	t.Logf("events %d", len(s.Events))
 }
 
