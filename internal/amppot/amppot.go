@@ -106,7 +106,9 @@ func (f *Fleet) Observe(rng *rand.Rand, sched *attacksim.Schedule) []Attack {
 	// probability that a given honeypot is among an attack's reflectors
 	perPot := float64(f.cfg.ReflectorsPerAttack) / float64(f.cfg.ReflectorPool)
 	var obs []windowObs
-	for _, s := range sched.Specs() {
+	specs := sched.Specs()
+	for i := range specs {
+		s := &specs[i]
 		if s.Vector != attacksim.VectorReflection {
 			continue
 		}
@@ -118,8 +120,8 @@ func (f *Fleet) Observe(rng *rand.Rand, sched *attacksim.Schedule) []Attack {
 		// roughly evenly; each selected honeypot sees its share
 		shareRate := s.PPS / float64(f.cfg.ReflectorsPerAttack) * float64(pots)
 		port := uint16(53)
-		if len(s.Ports) > 0 {
-			port = s.Ports[0]
+		if ports := sched.Ports(s); len(ports) > 0 {
+			port = ports[0]
 		}
 		startW := clock.WindowOfUnixNano(s.Start)
 		endW := clock.WindowOfUnixNano(s.End - 1)

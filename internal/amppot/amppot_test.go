@@ -18,11 +18,19 @@ func reflSpec(victim string, start time.Time, dur time.Duration, pps float64) at
 		Target: netx.MustParseAddr(victim),
 		Vector: attacksim.VectorReflection,
 		Proto:  packet.ProtoUDP,
-		Ports:  []uint16{53},
 		Start:  start.UnixNano(),
 		End:    start.Add(dur).UnixNano(),
 		PPS:    pps,
 	}
+}
+
+// schedule builds the schedule of specs, each targeting port 53.
+func schedule(specs ...attacksim.Spec) *attacksim.Schedule {
+	var b attacksim.Builder
+	for _, s := range specs {
+		b.Add(s, 53)
+	}
+	return b.Schedule()
 }
 
 // highVisibility makes every honeypot a certain reflector pick so tests
@@ -36,9 +44,9 @@ func highVisibility() Config {
 func TestObserveReflectionAttack(t *testing.T) {
 	fleet := NewFleet(highVisibility())
 	rng := rand.New(rand.NewPCG(1, 1))
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		reflSpec("120.0.0.1", base, time.Hour, 1e6),
-	})
+	)
 	attacks := fleet.Observe(rng, sched)
 	if len(attacks) != 1 {
 		t.Fatalf("attacks = %d", len(attacks))
@@ -61,12 +69,12 @@ func TestObserveReflectionAttack(t *testing.T) {
 func TestSpoofedAttacksInvisible(t *testing.T) {
 	fleet := NewFleet(highVisibility())
 	rng := rand.New(rand.NewPCG(2, 2))
-	sched := attacksim.NewSchedule([]attacksim.Spec{{
+	sched := schedule(attacksim.Spec{
 		Target: netx.MustParseAddr("120.0.0.1"),
 		Vector: attacksim.VectorRandomSpoofed,
-		Proto:  packet.ProtoTCP, Ports: []uint16{53},
-		Start: base.UnixNano(), End: base.Add(time.Hour).UnixNano(), PPS: 1e6,
-	}})
+		Proto:  packet.ProtoTCP,
+		Start:  base.UnixNano(), End: base.Add(time.Hour).UnixNano(), PPS: 1e6,
+	})
 	if got := fleet.Observe(rng, sched); len(got) != 0 {
 		t.Errorf("spoofed attack visible to honeypots: %d", len(got))
 	}
@@ -77,9 +85,9 @@ func TestLowRateBelowThresholdFiltered(t *testing.T) {
 	cfg.MinRequests = 1000000
 	fleet := NewFleet(cfg)
 	rng := rand.New(rand.NewPCG(3, 3))
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		reflSpec("120.0.0.1", base, time.Hour, 100),
-	})
+	)
 	if got := fleet.Observe(rng, sched); len(got) != 0 {
 		t.Errorf("sub-threshold attack inferred: %d", len(got))
 	}
@@ -96,7 +104,7 @@ func TestSmallReflectorSubsetRarelySeen(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		specs = append(specs, reflSpec("120.0.0.1", base.Add(time.Duration(i)*2*time.Hour), time.Hour, 1e6))
 	}
-	attacks := fleet.Observe(rng, attacksim.NewSchedule(specs))
+	attacks := fleet.Observe(rng, schedule(specs...))
 	if len(attacks) > 10 {
 		t.Errorf("tiny reflector subsets seen %d/200 times", len(attacks))
 	}
@@ -105,11 +113,11 @@ func TestSmallReflectorSubsetRarelySeen(t *testing.T) {
 func TestGapMerging(t *testing.T) {
 	fleet := NewFleet(highVisibility())
 	rng := rand.New(rand.NewPCG(5, 5))
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		reflSpec("120.0.0.1", base, 10*time.Minute, 1e6),
 		reflSpec("120.0.0.1", base.Add(15*time.Minute), 10*time.Minute, 1e6), // 1-window gap
 		reflSpec("120.0.0.1", base.Add(2*time.Hour), 10*time.Minute, 1e6),    // far later
-	})
+	)
 	attacks := fleet.Observe(rng, sched)
 	if len(attacks) != 2 {
 		t.Fatalf("attacks = %d, want 2 (merge across small gap, split across large)", len(attacks))
@@ -152,10 +160,10 @@ func TestHoneypotShareStatistics(t *testing.T) {
 		v := netx.Addr(0x78000000 + uint32(i))
 		specs = append(specs, attacksim.Spec{
 			Target: v, Vector: attacksim.VectorReflection, Proto: packet.ProtoUDP,
-			Ports: []uint16{53}, Start: base.UnixNano(), End: base.Add(time.Hour).UnixNano(), PPS: 5e6,
+			Start: base.UnixNano(), End: base.Add(time.Hour).UnixNano(), PPS: 5e6,
 		})
 	}
-	attacks := fleet.Observe(rng, attacksim.NewSchedule(specs))
+	attacks := fleet.Observe(rng, schedule(specs...))
 	frac := float64(len(attacks)) / n
 	// P(≥1 pot) = 1-(1-0.005)^48 ≈ 0.214
 	if frac < 0.13 || frac > 0.30 {

@@ -1,6 +1,7 @@
 package attacksim
 
 import (
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -15,7 +16,6 @@ func spec(target string, start time.Time, dur time.Duration, pps float64) Spec {
 		Target: netx.MustParseAddr(target),
 		Vector: VectorRandomSpoofed,
 		Proto:  packet.ProtoTCP,
-		Ports:  []uint16{53},
 		Start:  start.UnixNano(),
 		End:    start.Add(dur).UnixNano(),
 		PPS:    pps,
@@ -54,10 +54,10 @@ func TestGbps(t *testing.T) {
 
 func TestScheduleActiveAt(t *testing.T) {
 	base := clock.StudyStart
-	sched := NewSchedule([]Spec{
-		spec("192.0.2.1", base, 10*time.Minute, 100),
-		spec("192.0.2.2", base.Add(20*time.Minute), 10*time.Minute, 100),
-	})
+	var b Builder
+	b.Add(spec("192.0.2.1", base, 10*time.Minute, 100), 53)
+	b.Add(spec("192.0.2.2", base.Add(20*time.Minute), 10*time.Minute, 100), 53)
+	sched := b.Schedule()
 	if got := len(sched.ActiveAt(clock.WindowOf(base))); got != 1 {
 		t.Errorf("window 0 active = %d", got)
 	}
@@ -69,19 +69,40 @@ func TestScheduleActiveAt(t *testing.T) {
 	}
 }
 
+// TestScheduleIDsAssigned: a schedule orders its components by (Start,
+// order added), a zero GroupID takes the position plus one and a set one
+// is kept, and every component keeps its own port list, an ICMP flood's
+// empty.
 func TestScheduleIDsAssigned(t *testing.T) {
-	sched := NewSchedule([]Spec{
-		spec("192.0.2.2", clock.StudyStart.Add(time.Hour), time.Hour, 1),
-		spec("192.0.2.1", clock.StudyStart, time.Hour, 1),
-	})
+	var b Builder
+	late := spec("192.0.2.2", clock.StudyStart.Add(time.Hour), time.Hour, 1)
+	b.Add(late, 80, 443, 8080)
+	early := spec("192.0.2.1", clock.StudyStart, time.Hour, 1)
+	early.GroupID = -7
+	b.Add(early, 53)
+	tie := spec("192.0.2.3", clock.StudyStart.Add(time.Hour), time.Hour, 1)
+	b.Add(tie)
+	sched := b.Schedule()
 	specs := sched.Specs()
-	// sorted by start
-	if specs[0].Start >= specs[1].Start {
-		t.Error("specs not sorted by start")
+	want := []struct {
+		target  string
+		groupID int32
+		ports   []uint16
+	}{
+		{"192.0.2.1", -7, []uint16{53}},
+		{"192.0.2.2", 2, []uint16{80, 443, 8080}},
+		{"192.0.2.3", 3, []uint16{}},
 	}
-	for _, s := range specs {
-		if s.ID == 0 || s.GroupID == 0 {
-			t.Errorf("missing IDs: %+v", s)
+	if len(specs) != len(want) {
+		t.Fatalf("%d specs, want %d", len(specs), len(want))
+	}
+	for i, w := range want {
+		s := &specs[i]
+		if s.Target != netx.MustParseAddr(w.target) || s.GroupID != w.groupID || !slices.Equal(sched.Ports(s), w.ports) {
+			t.Errorf("spec %d: target %v group %d ports %v, want %s %d %v", i, s.Target, s.GroupID, sched.Ports(s), w.target, w.groupID, w.ports)
+		}
+		if p := sched.Ports(s); cap(p) != len(p) {
+			t.Errorf("spec %d: port list has room for %d, holds %d", i, cap(p), len(p))
 		}
 	}
 }
@@ -94,11 +115,12 @@ func TestVectorStrings(t *testing.T) {
 	}
 }
 
-// TestSpecLayout holds a component to 72 bytes: a schedule at the paper's
+// TestSpecLayout holds a component to 48 bytes: a schedule at the paper's
 // attack count holds millions of them for as long as a session lives. It
-// took 136 with time.Time bounds and int counts.
+// took 72 with its own port slice and a stored ID, and 136 with time.Time
+// bounds and int counts.
 func TestSpecLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Spec{}); size > 72 {
-		t.Errorf("Spec takes %d bytes, want ≤ 72", size)
+	if size := unsafe.Sizeof(Spec{}); size > 48 {
+		t.Errorf("Spec takes %d bytes, want ≤ 48", size)
 	}
 }

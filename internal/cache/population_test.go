@@ -36,15 +36,14 @@ func populationWorld(t *testing.T) (*dnsdb.DB, *resolver.Resolver, time.Time) {
 	}
 	db.Freeze()
 	attackStart := clock.StudyStart.Add(60 * 24 * time.Hour)
-	var specs []attacksim.Spec
+	var attacks attacksim.Builder
 	for _, id := range ids {
-		specs = append(specs, attacksim.Spec{
-			Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed,
-			Proto: packet.ProtoTCP, Ports: []uint16{53},
+		attacks.Add(attacksim.Spec{
+			Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed, Proto: packet.ProtoTCP,
 			Start: attackStart.UnixNano(), End: attackStart.Add(2 * time.Hour).UnixNano(), PPS: 3e5,
-		})
+		}, 53)
 	}
-	net := simnet.New(simnet.DefaultParams(), db, attacksim.NewSchedule(specs))
+	net := simnet.New(simnet.DefaultParams(), db, attacks.Schedule())
 	return db, resolver.New(resolver.DefaultConfig(), db, net), attackStart
 }
 

@@ -10,6 +10,7 @@
 package dnsdb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -99,36 +100,20 @@ type Nameserver struct {
 // Domain is one registered domain delegating to a set of nameservers.
 //
 // NS is the child-side (zone apex) nameserver set — the authoritative
-// answer OpenINTEL prefers (§3.2). ParentNS, when non-nil, is an
-// inconsistent parent-side (registry) delegation: stale NS records at the
-// TLD that differ from the zone's own. The paper's platform issues
-// explicit NS queries exactly to resolve this inconsistency toward the
-// child; the prevalence and risks of such disagreement are the subject of
-// the cited Sommese et al. PAM 2020 study.
+// answer OpenINTEL prefers (§3.2). A domain may also have an inconsistent
+// parent-side (registry) delegation, which its DB keeps (DB.ParentNS):
+// stale NS records at the TLD that differ from the zone's own. The
+// paper's platform issues explicit NS queries exactly to resolve this
+// inconsistency toward the child; the prevalence and risks of such
+// disagreement are the subject of the cited Sommese et al. PAM 2020 study.
 type Domain struct {
-	ID   DomainID
-	Name string
-	NS   []NameserverID // child-side set; sorted, no duplicates
-	// ParentNS is the parent-side delegation when it differs from NS
-	// (nil means consistent).
-	ParentNS []NameserverID
+	ID DomainID
 	// ThirdPartyWeb marks domains whose web content is hosted elsewhere
 	// than their DNS provider (the 27% TransIP observation, §5.1.1).
 	ThirdPartyWeb bool
+	Name          string
+	NS            []NameserverID // child-side set; sorted, no duplicates
 }
-
-// DelegationNS returns the nameserver set a resolver bootstrapping from
-// the parent would contact first: the parent-side set when inconsistent,
-// the child set otherwise.
-func (d *Domain) DelegationNS() []NameserverID {
-	if len(d.ParentNS) > 0 {
-		return d.ParentNS
-	}
-	return d.NS
-}
-
-// Inconsistent reports whether parent and child delegations disagree.
-func (d *Domain) Inconsistent() bool { return len(d.ParentNS) > 0 }
 
 // DB is the ecosystem database. It is immutable after Freeze and safe for
 // concurrent readers.
@@ -137,9 +122,18 @@ type DB struct {
 	Nameservers []Nameserver
 	Domains     []Domain
 
+	// parentNS holds the parent-side delegations that differ from their
+	// domain's NS, ascending by domain: a few per cent of domains have one.
+	parentNS    []parentDelegation
 	byAddr      map[netx.Addr]NameserverID
 	domainsByNS [][]DomainID
 	frozen      bool
+}
+
+// parentDelegation is one domain's inconsistent parent-side delegation.
+type parentDelegation struct {
+	domain DomainID
+	ns     []NameserverID
 }
 
 // New returns an empty database.
@@ -171,24 +165,49 @@ func (db *DB) AddNameserver(ns Nameserver) (NameserverID, error) {
 	return ns.ID, nil
 }
 
-// AddDomain appends a domain and returns its ID. NS lists are kept sorted
-// and duplicate-free; a ParentNS identical to NS is dropped (consistent).
+// AddDomain appends a domain and returns its ID. parentNS, when given, is
+// the domain's parent-side delegation. NS lists are kept sorted and
+// duplicate-free; a parent list identical to NS is dropped (consistent).
 // A list that arrives in that form is kept as it is, so domains added
 // from one group's list share its array; any other list is copied first —
 // the caller's slice is never written.
-func (db *DB) AddDomain(d Domain) DomainID {
+func (db *DB) AddDomain(d Domain, parentNS ...NameserverID) DomainID {
 	db.mustMutable()
 	d.NS = canonicalNS(d.NS)
-	if len(d.ParentNS) > 0 {
-		d.ParentNS = canonicalNS(d.ParentNS)
-		if slices.Equal(d.ParentNS, d.NS) {
-			d.ParentNS = nil
+	d.ID = DomainID(len(db.Domains))
+	if len(parentNS) > 0 {
+		if parent := canonicalNS(parentNS); !slices.Equal(parent, d.NS) {
+			db.parentNS = append(db.parentNS, parentDelegation{domain: d.ID, ns: parent})
 		}
 	}
-	d.ID = DomainID(len(db.Domains))
 	db.Domains = append(db.Domains, d)
 	return d.ID
 }
+
+// ParentNS returns domain d's parent-side delegation when it differs from
+// the child set, nil when the two are consistent (shared slice; callers
+// must not mutate).
+func (db *DB) ParentNS(d DomainID) []NameserverID {
+	i, ok := slices.BinarySearchFunc(db.parentNS, d, func(p parentDelegation, d DomainID) int { return cmp.Compare(p.domain, d) })
+	if !ok {
+		return nil
+	}
+	return db.parentNS[i].ns
+}
+
+// DelegationNS returns the nameserver set a resolver bootstrapping from
+// the parent would contact first for domain d: the parent-side set when
+// inconsistent, the child set otherwise.
+func (db *DB) DelegationNS(d DomainID) []NameserverID {
+	if parent := db.ParentNS(d); parent != nil {
+		return parent
+	}
+	return db.Domains[d].NS
+}
+
+// Inconsistent reports whether domain d's parent and child delegations
+// disagree.
+func (db *DB) Inconsistent(d DomainID) bool { return db.ParentNS(d) != nil }
 
 // canonicalNS returns ns sorted and duplicate-free: ns itself when it
 // already is, a sorted and compacted copy otherwise.

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dnsddos/internal/netx"
 )
@@ -87,9 +88,9 @@ func TestDomainNSSortedDeduped(t *testing.T) {
 }
 
 // TestAddDomainLeavesCallerSlices: an unsorted, duplicated list is copied
-// before it is put in order — the caller's array is untouched, ParentNS
-// included — and a list already in order is kept, so the domains of one
-// group read one array.
+// before it is put in order — the caller's array is untouched, the parent
+// list included — and a list already in order is kept, so the domains of
+// one group read one array.
 func TestAddDomainLeavesCallerSlices(t *testing.T) {
 	db := New()
 	pid := db.AddProvider(Provider{Name: "P"})
@@ -100,23 +101,87 @@ func TestAddDomainLeavesCallerSlices(t *testing.T) {
 	messy := []NameserverID{ids[3], ids[1], ids[3], ids[0], ids[1]}
 	parent := []NameserverID{ids[2], ids[0], ids[2]}
 	messyWas, parentWas := slices.Clone(messy), slices.Clone(parent)
-	did := db.AddDomain(Domain{Name: "x.example", NS: messy, ParentNS: parent})
+	did := db.AddDomain(Domain{Name: "x.example", NS: messy}, parent...)
 	if !slices.Equal(messy, messyWas) || !slices.Equal(parent, parentWas) {
-		t.Errorf("AddDomain wrote to its argument: NS %v (was %v), ParentNS %v (was %v)", messy, messyWas, parent, parentWas)
+		t.Errorf("AddDomain wrote to its argument: NS %v (was %v), parent %v (was %v)", messy, messyWas, parent, parentWas)
 	}
 	d := db.Domains[did]
-	if !slices.Equal(d.NS, []NameserverID{ids[0], ids[1], ids[3]}) || !slices.Equal(d.ParentNS, []NameserverID{ids[0], ids[2]}) {
-		t.Errorf("stored NS %v, ParentNS %v", d.NS, d.ParentNS)
+	if !slices.Equal(d.NS, []NameserverID{ids[0], ids[1], ids[3]}) || !slices.Equal(db.ParentNS(did), []NameserverID{ids[0], ids[2]}) {
+		t.Errorf("stored NS %v, ParentNS %v", d.NS, db.ParentNS(did))
 	}
 
 	group := []NameserverID{ids[0], ids[2], ids[3]}
 	one := db.AddDomain(Domain{Name: "one.example", NS: group})
-	two := db.AddDomain(Domain{Name: "two.example", NS: group, ParentNS: group})
+	two := db.AddDomain(Domain{Name: "two.example", NS: group}, group...)
 	if &db.Domains[one].NS[0] != &group[0] || &db.Domains[two].NS[0] != &group[0] {
 		t.Error("domains added from one sorted list do not share its array")
 	}
-	if db.Domains[two].ParentNS != nil {
-		t.Errorf("a ParentNS equal to NS was kept: %v", db.Domains[two].ParentNS)
+	if db.ParentNS(two) != nil {
+		t.Errorf("a parent list equal to NS was kept: %v", db.ParentNS(two))
+	}
+}
+
+// TestParentNSSideTable: the DB keeps only the parent lists that differ
+// from their domain's NS, in an order and set of domains of its own, and
+// answers for every domain — a parent list equal to NS, given in another
+// order, is dropped, and a consistent domain delegates to its NS, an
+// inconsistent one to its parent list.
+func TestParentNSSideTable(t *testing.T) {
+	db := New()
+	pid := db.AddProvider(Provider{Name: "P"})
+	var ids [4]NameserverID
+	for i := range ids {
+		ids[i], _ = db.AddNameserver(Nameserver{Addr: netx.Addr(10 + i), Provider: pid})
+	}
+	child := []NameserverID{ids[0], ids[1]}
+	stale := []NameserverID{ids[2], ids[1]}
+	var want [][]NameserverID // each domain's parent list, nil when consistent
+	for i := range 9 {
+		var parent []NameserverID
+		switch i % 3 {
+		case 1:
+			parent = []NameserverID{ids[1], ids[0]} // NS in another order
+		case 2:
+			parent = stale
+		}
+		did := db.AddDomain(Domain{Name: "d.example", NS: child}, parent...)
+		if i%3 == 2 {
+			want = append(want, []NameserverID{ids[1], ids[2]})
+		} else {
+			want = append(want, nil)
+		}
+		if int(did) != i {
+			t.Fatalf("domain %d got ID %d", i, did)
+		}
+	}
+	db.Freeze()
+	if len(db.parentNS) != 3 {
+		t.Errorf("the side table holds %d parent lists, want the 3 that differ", len(db.parentNS))
+	}
+	for i, w := range want {
+		d := DomainID(i)
+		if got := db.ParentNS(d); !slices.Equal(got, w) || (got == nil) != (w == nil) {
+			t.Errorf("domain %d: ParentNS %v, want %v", d, got, w)
+		}
+		wantDeleg := child
+		if w != nil {
+			wantDeleg = w
+		}
+		if got := db.DelegationNS(d); !slices.Equal(got, wantDeleg) {
+			t.Errorf("domain %d: DelegationNS %v, want %v", d, got, wantDeleg)
+		}
+		if got := db.Inconsistent(d); got != (w != nil) {
+			t.Errorf("domain %d: Inconsistent %v", d, got)
+		}
+	}
+}
+
+// TestDomainLayout holds a domain to 48 bytes: a world holds one per
+// registered domain, a million at the paper's scale. It took 80 with the
+// parent-side list on every row.
+func TestDomainLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Domain{}); size > 48 {
+		t.Errorf("Domain takes %d bytes, want ≤ 48", size)
 	}
 }
 

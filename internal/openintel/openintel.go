@@ -18,6 +18,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"slices"
+	"sync"
 	"time"
 
 	"dnsddos/internal/clock"
@@ -139,6 +140,22 @@ func recordStream(day clock.Day, d dnsdb.DomainID) uint64 {
 	return x ^ x>>31
 }
 
+// sweepRand is a sweep's random source: one PCG behind one Rand, seeded
+// again for every domain measured.
+type sweepRand struct {
+	src rand.PCG
+	rng *rand.Rand
+}
+
+// sweepRands recycles the sweeps' sources: a worker sweeping day after
+// day takes back the one its previous day put back, so a day allocates
+// none.
+var sweepRands = sync.Pool{New: func() any {
+	r := new(sweepRand)
+	r.rng = rand.New(&r.src)
+	return r
+}}
+
 // RunDayContext sweeps the given day: every domain once, or, on an engine
 // from Restrict, every domain the demand holds on that day. Results are
 // added by NSSet ID to agg (if non-nil), which must be an aggregator over
@@ -148,8 +165,8 @@ func recordStream(day clock.Day, d dnsdb.DomainID) uint64 {
 // day, domains are visited in slot order, mirroring a platform that works
 // through its measurement list over the day. Each measurement draws from
 // a PCG seeded with the engine's seed and recordStream(day, domain), one
-// source re-seeded per domain, so a record does not depend on which other
-// domains the day measures. The sweep checks ctx every
+// source (recycled from day to day) re-seeded per domain, so a record
+// does not depend on which other domains the day measures. The sweep checks ctx every
 // ctxCheckStride domains and returns ctx.Err() when the run is cancelled,
 // leaving agg partially filled — callers that care about exactness (the
 // checkpointed study pipeline) discard the partial aggregator and re-run
@@ -158,8 +175,8 @@ func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Ag
 	if agg != nil && agg.Interner() != e.table {
 		return errForeignTable
 	}
-	src := rand.NewPCG(0, 0)
-	rng := rand.New(src)
+	r := sweepRands.Get().(*sweepRand)
+	defer sweepRands.Put(r)
 	base := day.Start()
 	for i, d := range e.order {
 		if i&(ctxCheckStride-1) == 0 {
@@ -172,9 +189,9 @@ func (e *Engine) RunDayContext(ctx context.Context, day clock.Day, agg *nsset.Ag
 		if e.want != nil && !e.want(e.ids[d], day) {
 			continue
 		}
-		src.Seed(e.seed, recordStream(day, d))
+		r.src.Seed(e.seed, recordStream(day, d))
 		t := base.Add(time.Duration(e.slot[d]) * time.Second)
-		rec := e.MeasureAt(rng, d, t)
+		rec := e.MeasureAt(r.rng, d, t)
 		if agg != nil {
 			agg.AddID(e.ids[d], rec.Time, rec.Status, rec.RTT)
 		}

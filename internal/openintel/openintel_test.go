@@ -41,7 +41,7 @@ func testWorld(t *testing.T, domains int) (*dnsdb.DB, *resolver.Resolver) {
 		db.AddDomain(dnsdb.Domain{Name: "d" + string(rune('a'+i%26)) + ".example", NS: ids})
 	}
 	db.Freeze()
-	net := simnet.New(simnet.DefaultParams(), db, attacksim.NewSchedule(nil))
+	net := simnet.New(simnet.DefaultParams(), db, new(attacksim.Builder).Schedule())
 	return db, resolver.New(resolver.DefaultConfig(), db, net)
 }
 

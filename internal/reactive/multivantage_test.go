@@ -34,11 +34,12 @@ func anycastOutageWorld(t *testing.T) (*dnsdb.DB, *simnet.Net, rsdos.Attack) {
 	db.Freeze()
 	start := clock.StudyStart.Add(100 * 24 * time.Hour)
 	spec := attacksim.Spec{
-		Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed,
-		Proto: packet.ProtoTCP, Ports: []uint16{53},
+		Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed, Proto: packet.ProtoTCP,
 		Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 1.5e6,
 	}
-	net := simnet.New(simnet.DefaultParams(), db, attacksim.NewSchedule([]attacksim.Spec{spec}))
+	var attacks attacksim.Builder
+	attacks.Add(spec, 53)
+	net := simnet.New(simnet.DefaultParams(), db, attacks.Schedule())
 	attack := rsdos.Attack{
 		ID: 1, Victim: spec.Target,
 		StartWindow: clock.WindowOfUnixNano(spec.Start),

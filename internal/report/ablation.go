@@ -110,7 +110,7 @@ func ablationStrategy(w io.Writer, s *study.Study) error {
 func ablationDelegation(w io.Writer, s *study.Study) error {
 	var stale []dnsdb.DomainID
 	for i := range s.World.DB.Domains {
-		if s.World.DB.Domains[i].Inconsistent() {
+		if s.World.DB.Inconsistent(dnsdb.DomainID(i)) {
 			stale = append(stale, dnsdb.DomainID(i))
 			if len(stale) == 300 {
 				break

@@ -118,11 +118,12 @@ func vantage(w io.Writer, _ *study.Study) error {
 	db.AddDomain(dnsdb.Domain{Name: "r.example", NS: []dnsdb.NameserverID{id}})
 	db.Freeze()
 	start := time.Date(2021, 6, 1, 12, 0, 0, 0, time.UTC)
-	net := simnet.New(simnet.DefaultParams(), db, attacksim.NewSchedule([]attacksim.Spec{{
-		Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed,
-		Proto: packet.ProtoTCP, Ports: []uint16{53},
+	var flood attacksim.Builder
+	flood.Add(attacksim.Spec{
+		Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed, Proto: packet.ProtoTCP,
 		Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 1.2e6,
-	}}))
+	}, 53)
+	net := simnet.New(simnet.DefaultParams(), db, flood.Schedule())
 	mid := start.Add(30 * time.Minute)
 	fmt.Fprintf(w, "# Multi-vantage catchment: 12 vantages, one attacked 16-site anycast nameserver\nvantage,impaired_share\n")
 	for seed := uint64(0); seed < 12; seed++ {
@@ -210,17 +211,16 @@ func resilience(w io.Writer, _ *study.Study) error {
 	}
 	db.Freeze()
 	start := clock.StudyStart.AddDate(0, 1, 3).Add(12 * time.Hour)
-	var specs []attacksim.Spec
+	var floods attacksim.Builder
 	for _, ns := range groups {
 		for _, id := range ns {
-			specs = append(specs, attacksim.Spec{
-				Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed,
-				Proto: packet.ProtoTCP, Ports: []uint16{53},
+			floods.Add(attacksim.Spec{
+				Target: db.Nameservers[id].Addr, Vector: attacksim.VectorRandomSpoofed, Proto: packet.ProtoTCP,
 				Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 8e4,
-			})
+			}, 53)
 		}
 	}
-	res := resolver.New(resolver.DefaultConfig(), db, simnet.New(simnet.DefaultParams(), db, attacksim.NewSchedule(specs)))
+	res := resolver.New(resolver.DefaultConfig(), db, simnet.New(simnet.DefaultParams(), db, floods.Schedule()))
 	rng := rand.New(rand.NewPCG(3, 3))
 	// 400 resolutions of the deployment's domains, a second apart from t
 	measure := func(ns []dnsdb.NameserverID, t time.Time) (time.Duration, int) {

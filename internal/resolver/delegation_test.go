@@ -34,7 +34,7 @@ func delegationDB(t *testing.T) (*dnsdb.DB, dnsdb.DomainID, dnsdb.NameserverID) 
 		t.Fatal(err)
 	}
 	parent := []dnsdb.NameserverID{child[0], child[1], lame}
-	did := db.AddDomain(dnsdb.Domain{Name: "stale.example", NS: child, ParentNS: parent})
+	did := db.AddDomain(dnsdb.Domain{Name: "stale.example", NS: child}, parent...)
 	db.Freeze()
 	return db, did, lame
 }
@@ -120,10 +120,10 @@ func TestConsistentDomainUnaffected(t *testing.T) {
 		id, _ := db.AddNameserver(dnsdb.Nameserver{Addr: netx.Addr(0x0d000001 + i), Provider: pid, BaseRTT: time.Millisecond})
 		ids = append(ids, id)
 	}
-	// ParentNS equal to NS collapses to consistent
-	did := db.AddDomain(dnsdb.Domain{Name: "ok.example", NS: ids, ParentNS: []dnsdb.NameserverID{ids[1], ids[0]}})
+	// a parent list equal to NS collapses to consistent
+	did := db.AddDomain(dnsdb.Domain{Name: "ok.example", NS: ids}, ids[1], ids[0])
 	db.Freeze()
-	if db.Domains[did].Inconsistent() {
+	if db.Inconsistent(did) {
 		t.Fatal("identical parent set should collapse to consistent")
 	}
 	tr := &fakeTransport{outcomes: map[dnsdb.NameserverID]func() (nsset.QueryStatus, time.Duration){}}

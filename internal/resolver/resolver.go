@@ -95,7 +95,7 @@ func (r *Resolver) Resolve(rng *rand.Rand, d dnsdb.DomainID, t time.Time) Outcom
 	ns := dom.NS
 	boot := ns
 	if r.cfg.FollowDelegation {
-		boot = dom.DelegationNS()
+		boot = r.db.DelegationNS(d)
 	}
 	if len(boot) == 0 {
 		return Outcome{Status: nsset.StatusServFail}
@@ -108,7 +108,7 @@ func (r *Resolver) Resolve(rng *rand.Rand, d dnsdb.DomainID, t time.Time) Outcom
 	var buf [16]dnsdb.NameserverID
 	order := append(buf[:0], boot...)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	if r.cfg.FollowDelegation && dom.Inconsistent() {
+	if r.cfg.FollowDelegation && r.db.Inconsistent(d) {
 		for _, id := range ns {
 			if !slices.Contains(boot, id) {
 				order = append(order, id)

@@ -191,7 +191,7 @@ func (r *Resolver) resolveReference(rng *rand.Rand, d dnsdb.DomainID, t time.Tim
 	ns := dom.NS
 	boot := ns
 	if r.cfg.FollowDelegation {
-		boot = dom.DelegationNS()
+		boot = r.db.DelegationNS(d)
 	}
 	if len(boot) == 0 {
 		return Outcome{Status: nsset.StatusServFail}
@@ -203,7 +203,7 @@ func (r *Resolver) resolveReference(rng *rand.Rand, d dnsdb.DomainID, t time.Tim
 	order := make([]dnsdb.NameserverID, len(boot))
 	copy(order, boot)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	if r.cfg.FollowDelegation && dom.Inconsistent() {
+	if r.cfg.FollowDelegation && r.db.Inconsistent(d) {
 		inBoot := make(map[dnsdb.NameserverID]bool, len(boot))
 		for _, id := range boot {
 			inBoot[id] = true
@@ -307,12 +307,13 @@ func scriptedWorld(t testing.TB, rng *rand.Rand, numNS int, sizes []int) (*dnsdb
 	}
 	for i, n := range sizes {
 		d := dnsdb.Domain{Name: "d.example", NS: pick(n)}
+		var parent []dnsdb.NameserverID
 		if i%2 == 1 {
 			// keep a random part of the child set, add lame servers
-			d.ParentNS = append(d.ParentNS, d.NS[:rng.IntN(n+1)]...)
-			d.ParentNS = append(d.ParentNS, pick(1+rng.IntN(3))...)
+			parent = append(parent, d.NS[:rng.IntN(n+1)]...)
+			parent = append(parent, pick(1+rng.IntN(3))...)
 		}
-		db.AddDomain(d)
+		db.AddDomain(d, parent...)
 	}
 	db.Freeze()
 	return db, tr
@@ -350,7 +351,7 @@ func TestResolveMatchesReference(t *testing.T) {
 
 					if got != want {
 						t.Fatalf("world %d domain %d (ns %d, parent %d) tries %d follow %v: outcome %+v, reference %+v",
-							world, d, len(db.Domains[d].NS), len(db.Domains[d].ParentNS), maxTries, follow, got, want)
+							world, d, len(db.Domains[d].NS), len(db.ParentNS(did)), maxTries, follow, got, want)
 					}
 					if !slices.Equal(gotCalls, tr.calls) {
 						t.Fatalf("world %d domain %d tries %d follow %v: queries %v, reference %v", world, d, maxTries, follow, gotCalls, tr.calls)
@@ -372,7 +373,7 @@ func TestResolveAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	at := time.Unix(1600000000, 0)
 	for d, shape := range []string{"consistent", "stale"} {
-		if got := db.Domains[d].Inconsistent(); got != (shape == "stale") {
+		if got := db.Inconsistent(dnsdb.DomainID(d)); got != (shape == "stale") {
 			t.Fatalf("domain %d: inconsistent = %v", d, got)
 		}
 		if n := testing.AllocsPerRun(200, func() { r.Resolve(rng, dnsdb.DomainID(d), at) }); n != 0 {

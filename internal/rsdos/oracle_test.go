@@ -50,21 +50,22 @@ func splitmix(x uint64) uint64 {
 
 // spoofedSource draws one attack packet's source: uniform over IPv4, or,
 // for a component cycling a pool of SpoofedSources, one of the pool,
-// whose i-th member is drawn uniformly over IPv4 by a hash of (ID, i).
+// whose i-th member is drawn uniformly over IPv4 by a hash of (GroupID, i).
 func spoofedSource(rng *rand.Rand, s *attacksim.Spec) netx.Addr {
 	if s.SpoofedSources <= 0 {
 		return netx.RandomGlobalAddr(rng)
 	}
 	i := uint64(rng.IntN(int(s.SpoofedSources)))
-	return netx.Addr(splitmix(uint64(uint32(s.ID))<<32 | i))
+	return netx.Addr(splitmix(uint64(uint32(s.GroupID))<<32 | i))
 }
 
-// flood captures the backscatter of component s in window w: the
-// window's attack packets, sampled at rate (1: every packet), are spread
-// uniformly over the part of the window the component covers, each with
-// a spoofed source, and the victim answers each within a millisecond.
-// Only a randomly spoofed component's answers reach the darknet.
-func flood(rng *rand.Rand, tel *telescope.Telescope, s *attacksim.Spec, w clock.Window, rate float64, captured func(capture)) {
+// flood captures the backscatter of component s, which targets ports, in
+// window w: the window's attack packets, sampled at rate (1: every
+// packet), are spread uniformly over the part of the window the component
+// covers, each with a spoofed source, and the victim answers each within
+// a millisecond. Only a randomly spoofed component's answers reach the
+// darknet.
+func flood(rng *rand.Rand, tel *telescope.Telescope, s *attacksim.Spec, ports []uint16, w clock.Window, rate float64, captured func(capture)) {
 	frac, ok := s.ActiveIn(w)
 	if !ok || s.Vector != attacksim.VectorRandomSpoofed {
 		return
@@ -75,8 +76,8 @@ func flood(rng *rand.Rand, tel *telescope.Telescope, s *attacksim.Spec, w clock.
 		src := spoofedSource(rng, s)
 		sent := from + int64(rng.Float64()*span)
 		var port uint16
-		if len(s.Ports) > 0 && s.Proto != packet.ProtoICMP {
-			port = s.Ports[rng.IntN(len(s.Ports))]
+		if len(ports) > 0 && s.Proto != packet.ProtoICMP {
+			port = ports[rng.IntN(len(ports))]
 		}
 		ts := time.Unix(0, sent+rng.Int64N(int64(time.Millisecond))).UTC()
 		if tel.Contains(src) {
@@ -227,14 +228,16 @@ func TestPacketPathMatchesFlowPath(t *testing.T) {
 		{"bounded pool", 20000, 5000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sched := attacksim.NewSchedule([]attacksim.Spec{{
-				Target: victim, Vector: attacksim.VectorRandomSpoofed, Proto: packet.ProtoTCP, Ports: []uint16{53},
+			var b attacksim.Builder
+			b.Add(attacksim.Spec{
+				Target: victim, Vector: attacksim.VectorRandomSpoofed, Proto: packet.ProtoTCP,
 				Start: clock.StudyStart.UnixNano(), End: clock.StudyStart.Add(5 * time.Minute).UnixNano(),
 				PPS: tc.pps, SpoofedSources: tc.pool,
-			}})
+			}, 53)
+			sched := b.Schedule()
 			spec := &sched.Specs()[0]
 			var caps []capture
-			flood(rand.New(rand.NewPCG(42, 42)), tel, spec, 0, 1, func(c capture) { caps = append(caps, c) })
+			flood(rand.New(rand.NewPCG(42, 42)), tel, spec, sched.Ports(spec), 0, 1, func(c capture) { caps = append(caps, c) })
 			// an answer can land a millisecond into the next window:
 			// compare the attack's own window
 			pkt := aggregate(tel, caps)

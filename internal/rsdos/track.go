@@ -2,6 +2,7 @@ package rsdos
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"dnsddos/internal/clock"
@@ -29,9 +30,12 @@ import (
 // copied.
 type candidate struct {
 	// next links the victim's next open run, or a released candidate into
-	// the tracker's free list.
-	next *candidate
-	atk  Attack
+	// the tracker's free list; prev the victim's previous open run.
+	next, prev *candidate
+	// filed is the window the open run is filed under (Tracker.dues),
+	// noWindow once the candidate is released.
+	filed clock.Window
+	atk   Attack
 	// ports is the attack's merged port list, ascending like an
 	// observation's.
 	ports []PortCount
@@ -134,11 +138,14 @@ const candidateChunk = 64
 // once, not one per attack.
 type Tracker struct {
 	cfg Config
-	// open maps a victim to its open runs, linked by next, latest first.
-	// Their spans are more than MaxGapWindows+1 windows apart: an
-	// observation within reach of two merges them.
+	// open maps a victim to its open runs, linked by next, latest first,
+	// and back by prev. Their spans are more than MaxGapWindows+1 windows
+	// apart: an observation within reach of two merges them.
 	open map[netx.Addr]*candidate
 	runs int // open runs
+	// dues files every open run under the window that expires it, a
+	// min-heap by that window; see expire.
+	dues []due
 	// slab is the chunk new candidates are cut from. A full chunk is left
 	// to its candidates and replaced, so a candidate never moves.
 	slab []candidate
@@ -148,6 +155,21 @@ type Tracker struct {
 	// them over (Finish, Finalize), in the order they finalized.
 	pending []Attack
 }
+
+// due is an open run filed under at, the window whose close expires it,
+// EndWindow + MaxGapWindows + 1, as the run stood when it was filed. A
+// run extended since expires later and is filed again when at comes. An
+// entry whose at is not its candidate's filed is stale: the run it filed
+// was merged into another and released. A candidate taken again by a new
+// run and filed under the same window leaves two equal entries, which
+// pop in the same close, the first of them taken as the run's.
+type due struct {
+	at clock.Window
+	c  *candidate
+}
+
+// noWindow is a released candidate's filed window: no entry's.
+const noWindow = clock.Window(math.MinInt64)
 
 // NewTracker returns an empty tracker with the given curation thresholds.
 func NewTracker(cfg Config) *Tracker {
@@ -176,16 +198,23 @@ func (tr *Tracker) take(o *WindowObs) {
 	if c == nil || int64(o.Window-c.atk.EndWindow) > reach {
 		n := tr.newCandidate()
 		n.start(o)
-		n.next = c
+		n.next, n.prev = c, prev
+		if c != nil {
+			c.prev = n
+		}
 		if prev == nil {
 			tr.open[o.Victim] = n
 		} else {
 			prev.next = n
 		}
+		tr.file(n)
 		c = n
 	} else if d := c.next; d != nil && int64(o.Window-d.atk.EndWindow) <= reach {
 		c.merge(d)
 		c.next = d.next
+		if d.next != nil {
+			d.next.prev = c
+		}
 		tr.release(d)
 	}
 	c.add(o)
@@ -210,6 +239,7 @@ func (tr *Tracker) newCandidate() *candidate {
 // release puts a run's storage on the free list.
 func (tr *Tracker) release(c *candidate) {
 	tr.runs--
+	c.filed, c.prev = noWindow, nil
 	c.next, tr.free = tr.free, c
 }
 
@@ -224,28 +254,77 @@ func (tr *Tracker) finalize(c *candidate) {
 }
 
 // expire finalizes into pending every run that no window after closed can
-// extend, and releases its storage.
+// extend, and releases its storage. It visits only the runs filed under a
+// window up to closed: those it finalizes, those extended since they were
+// filed, which it files again, and stale entries.
 func (tr *Tracker) expire(closed clock.Window) {
-	reach := clock.Window(tr.cfg.MaxGapWindows) + 1
-	for v, c := range tr.open {
-		// the nearest window that could still merge is EndWindow + reach;
-		// the runs whose one is closed are the chain's tail, the earliest
-		var prev *candidate
-		for c != nil && closed < c.atk.EndWindow+reach {
-			prev, c = c, c.next
+	for len(tr.dues) > 0 && tr.dues[0].at <= closed {
+		e := tr.popDue()
+		c := e.c
+		if e.at != c.filed {
+			continue
 		}
-		if prev == nil {
-			delete(tr.open, v)
-		} else {
-			prev.next = nil
+		// the nearest window that could still merge is EndWindow + reach
+		if c.atk.EndWindow+clock.Window(tr.cfg.MaxGapWindows)+1 > closed {
+			tr.file(c)
+			continue
 		}
-		for c != nil {
-			next := c.next
-			tr.finalize(c)
-			tr.release(c)
-			c = next
+		switch {
+		case c.prev != nil:
+			c.prev.next = c.next
+		case c.next != nil:
+			tr.open[c.atk.Victim] = c.next
+		default:
+			delete(tr.open, c.atk.Victim)
 		}
+		if c.next != nil {
+			c.next.prev = c.prev
+		}
+		tr.finalize(c)
+		tr.release(c)
 	}
+}
+
+// file files run c under the window that expires it as it stands.
+func (tr *Tracker) file(c *candidate) {
+	c.filed = c.atk.EndWindow + clock.Window(tr.cfg.MaxGapWindows) + 1
+	tr.dues = append(tr.dues, due{at: c.filed, c: c})
+	// sift up
+	for i := len(tr.dues) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if tr.dues[parent].at <= tr.dues[i].at {
+			break
+		}
+		tr.dues[parent], tr.dues[i] = tr.dues[i], tr.dues[parent]
+		i = parent
+	}
+}
+
+// popDue removes and returns the entry filed under the earliest window.
+func (tr *Tracker) popDue() due {
+	h := tr.dues
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = due{} // drop the candidate pointer
+	h = h[:last]
+	// sift down
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l].at < h[least].at {
+			least = l
+		}
+		if r < len(h) && h[r].at < h[least].at {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	tr.dues = h
+	return top
 }
 
 // sortAttacks orders a feed by (StartWindow, Victim) — the feed order.

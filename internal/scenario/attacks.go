@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -84,10 +83,9 @@ type CaseStudies struct {
 }
 
 // GenerateSchedule builds the full 17-month schedule for a world. Its
-// components are appended, in draw order, to one slice reserved for them
-// (multiVectorReserve), then permuted in place into (Start, draw order)
-// order, which the schedule keeps; their port lists are cut from
-// fixed-size chunks of ports.
+// components are appended, in draw order, to one array reserved for them
+// (multiVectorReserve), which the schedule orders in place and keeps,
+// and their port lists to the schedule's one port array.
 func GenerateSchedule(cfg AttackConfig, w *World) *Schedule {
 	return generateSchedule(cfg, w, multiVectorReserve(cfg))
 }
@@ -104,13 +102,13 @@ func multiVectorReserve(cfg AttackConfig) int {
 
 // generateSchedule is GenerateSchedule with room for extra components
 // beyond those counted before the draw; a draw that outgrows it grows
-// the slice.
+// the array.
 func generateSchedule(cfg AttackConfig, w *World, extra int) *Schedule {
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xa77ac))
 	g := &schedGen{cfg: cfg, w: w, rng: rng}
 	g.buildVictimPools()
 	out := &Schedule{}
-	var csSpecs []attacksim.Spec
+	var csSpecs []component
 	if cfg.IncludeCaseStudies {
 		out.CaseStudies, csSpecs, out.Blackouts = caseStudySpecs(w)
 	}
@@ -133,7 +131,7 @@ func generateSchedule(cfg AttackConfig, w *World, extra int) *Schedule {
 		n, nr := monthly(mi)
 		count += n + nr
 	}
-	g.specs = make([]attacksim.Spec, 0, count)
+	g.b.Reserve(count)
 	for mi, m := range months {
 		n, nr := monthly(mi)
 		for i := 0; i < n; i++ {
@@ -144,14 +142,14 @@ func generateSchedule(cfg AttackConfig, w *World, extra int) *Schedule {
 		}
 	}
 	if cfg.IncludeCaseStudies {
-		for i := range csSpecs {
-			g.add(&csSpecs[i])
+		for _, c := range csSpecs {
+			g.b.Add(c.Spec, c.ports...)
 		}
 		// §6.1: a surge of attacks against Russian providers in March
 		// 2022 (Beeline hosting banking sites, and others)
 		g.russianSurge()
 	}
-	out.Sched = attacksim.NewSchedule(g.sortByStart())
+	out.Sched = g.b.Schedule()
 	return out
 }
 
@@ -165,69 +163,8 @@ type schedGen struct {
 	ns24s      []netx.Prefix
 	groupID    int32
 
-	specs []attacksim.Spec // the schedule, in draw order
-	ports []uint16         // the chunk component port lists are cut from
-}
-
-// portChunk is how many ports one chunk of port lists holds.
-const portChunk = 8192
-
-// portRoom makes room for n more ports in the current chunk, cutting a
-// new one when it has less: a port list never spans two chunks, and a
-// full chunk is left to the lists cut from it.
-func (g *schedGen) portRoom(n int) {
-	if cap(g.ports)-len(g.ports) < n {
-		g.ports = make([]uint16, 0, portChunk)
-	}
-}
-
-// add appends one component to the draw, its ID zero for NewSchedule.
-func (g *schedGen) add(s *attacksim.Spec) {
-	g.specs = append(g.specs, *s)
-}
-
-// sortByStart orders the components drawn by (Start, draw order), the
-// order NewSchedule's stable sort gives, which then moves nothing. The
-// draw positions are sorted, not the components; the permutation is then
-// applied in place, one cycle at a time, through one component of
-// scratch, so each component moves once.
-func (g *schedGen) sortByStart() []attacksim.Spec {
-	specs := g.specs
-	order := make([]int32, len(specs))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(specs[a].Start, specs[b].Start), cmp.Compare(a, b))
-	})
-	// position k takes the component drawn at order[k]; a placed
-	// position's entry is set to -1
-	for k := range order {
-		if order[k] < 0 {
-			continue
-		}
-		tmp := specs[k]
-		j := k
-		for {
-			i := int(order[j])
-			order[j] = -1
-			if i == k {
-				specs[j] = tmp
-				break
-			}
-			specs[j] = specs[i]
-			j = i
-		}
-	}
-	return specs
-}
-
-// dnsPort cuts the one-port list {53} from the chunk, its capacity
-// clamped.
-func (g *schedGen) dnsPort() []uint16 {
-	g.portRoom(1)
-	g.ports = append(g.ports, 53)
-	return g.ports[len(g.ports)-1 : len(g.ports) : len(g.ports)]
+	b     attacksim.Builder // the schedule, in draw order
+	ports [7]uint16         // a random attack's port list as it is drawn
 }
 
 func (g *schedGen) buildVictimPools() {
@@ -303,36 +240,34 @@ func (g *schedGen) randomAttack(m clock.Month) {
 	default:
 		victim = g.w.OtherSpace.RandomAddr(g.rng)
 	}
-	bytes := int32(60)
+	bytes := uint16(60)
 	if proto == packet.ProtoUDP {
-		bytes = int32(120 + g.rng.IntN(400))
+		bytes = uint16(120 + g.rng.IntN(400))
 	}
-	g.add(&attacksim.Spec{
+	g.b.Add(attacksim.Spec{
 		GroupID:     g.groupID,
 		Target:      victim,
 		Vector:      attacksim.VectorRandomSpoofed,
 		Proto:       proto,
-		Ports:       ports,
 		Start:       start,
 		End:         end,
 		PPS:         pps,
 		PacketBytes: bytes,
-	})
+	}, ports...)
 	if isDNS && g.rng.Float64() < g.cfg.MultiVectorShare {
 		// an invisible component whose magnitude is drawn
 		// independently of the visible one — the §6.4 reason telescope
 		// intensity and impact decorrelate
-		g.add(&attacksim.Spec{
+		g.b.Add(attacksim.Spec{
 			GroupID:     g.groupID,
 			Target:      victim,
 			Vector:      attacksim.VectorReflection,
 			Proto:       packet.ProtoUDP,
-			Ports:       g.dnsPort(),
 			Start:       start,
 			End:         end,
 			PPS:         2 * g.intensity() * math.Exp(g.rng.NormFloat64()*0.8),
 			PacketBytes: 512,
-		})
+		}, 53)
 	}
 }
 
@@ -349,17 +284,16 @@ func (g *schedGen) russianSurge() {
 	for i := 0; i < n; i++ {
 		g.groupID++
 		start := g.startIn(march)
-		g.add(&attacksim.Spec{
+		g.b.Add(attacksim.Spec{
 			GroupID:     g.groupID,
 			Target:      targets[g.rng.IntN(len(targets))],
 			Vector:      attacksim.VectorRandomSpoofed,
 			Proto:       packet.ProtoTCP,
-			Ports:       g.dnsPort(),
 			Start:       start,
 			End:         start + int64(g.duration()),
 			PPS:         g.intensity(),
 			PacketBytes: 60,
-		})
+		}, 53)
 	}
 }
 
@@ -388,17 +322,16 @@ func (g *schedGen) reflectionOnlyAttack(m clock.Month) {
 	if g.rng.Float64() < g.cfg.DNSShare {
 		victim = g.pickDNSVictim()
 	}
-	g.add(&attacksim.Spec{
+	g.b.Add(attacksim.Spec{
 		GroupID:     g.groupID,
 		Target:      victim,
 		Vector:      attacksim.VectorReflection,
 		Proto:       packet.ProtoUDP,
-		Ports:       g.dnsPort(),
 		Start:       start,
 		End:         start + int64(g.duration()),
 		PPS:         g.intensity(),
 		PacketBytes: 512,
-	})
+	}, 53)
 }
 
 // startIn draws a start in month m, on a minute, in Unix nanoseconds.
@@ -445,7 +378,8 @@ func (g *schedGen) intensity() float64 {
 	}
 }
 
-// protoPorts draws the Figure 6 protocol/port mix.
+// protoPorts draws the Figure 6 protocol/port mix. The ports are drawn
+// into g.ports, valid until the next draw.
 func (g *schedGen) protoPorts() (packet.Protocol, []uint16) {
 	single := g.rng.Float64() < 0.807
 	proto := packet.ProtoTCP
@@ -483,12 +417,11 @@ func (g *schedGen) protoPorts() (packet.Protocol, []uint16) {
 	if !single {
 		n = 2 + g.rng.IntN(6)
 	}
-	g.portRoom(n)
-	from := len(g.ports)
-	for len(g.ports)-from < n {
-		if p := port(); !slices.Contains(g.ports[from:], p) {
-			g.ports = append(g.ports, p)
+	ports := g.ports[:0]
+	for len(ports) < n {
+		if p := port(); !slices.Contains(ports, p) {
+			ports = append(ports, p)
 		}
 	}
-	return proto, g.ports[from:len(g.ports):len(g.ports)]
+	return proto, ports
 }

@@ -13,11 +13,17 @@ import (
 // casestudies.go scripts the §5 attacks with the timings and intensities
 // the paper reports.
 
+// component is one scripted attack component and its targeted ports.
+type component struct {
+	attacksim.Spec
+	ports []uint16
+}
+
 // caseStudySpecs builds the scripted attack components and the associated
 // geofencing blackouts.
-func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout) {
+func caseStudySpecs(w *World) (CaseStudies, []component, []simnet.Blackout) {
 	var cs CaseStudies
-	var specs []attacksim.Spec
+	var specs []component
 	var blackouts []simnet.Blackout
 
 	transip := groupNS(w, "TransIP")
@@ -35,18 +41,17 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 	decRates := []float64{124000, 21600, 16500}
 	decPools := []int32{5_790_000, 1_570_000, 1_330_000}
 	for i, ns := range transip[:min3(len(transip))] {
-		specs = append(specs, attacksim.Spec{
+		specs = append(specs, component{attacksim.Spec{
 			GroupID:        -1,
 			Target:         w.DB.Nameservers[ns].Addr,
 			Vector:         attacksim.VectorRandomSpoofed,
 			Proto:          packet.ProtoTCP,
-			Ports:          []uint16{53},
 			Start:          cs.TransIPDecStart.UnixNano(),
 			End:            cs.TransIPDecEnd.UnixNano(),
 			PPS:            decRates[i],
 			PacketBytes:    1400,
 			SpoofedSources: decPools[i],
-		})
+		}, []uint16{53}})
 	}
 
 	// --- TransIP March 2021 (§5.1, Table 2) --------------------------
@@ -62,29 +67,27 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 	for i, ns := range transip[:min3(len(transip))] {
 		addr := w.DB.Nameservers[ns].Addr
 		specs = append(specs,
-			attacksim.Spec{
+			component{attacksim.Spec{
 				GroupID:        -2,
 				Target:         addr,
 				Vector:         attacksim.VectorRandomSpoofed,
 				Proto:          packet.ProtoTCP,
-				Ports:          []uint16{53},
 				Start:          cs.TransIPMarStart.UnixNano(),
 				End:            cs.TransIPMarEnd.UnixNano(),
 				PPS:            marRates[i],
 				PacketBytes:    1400,
 				SpoofedSources: marPools[i],
-			},
-			attacksim.Spec{
+			}, []uint16{53}},
+			component{attacksim.Spec{
 				GroupID:     -2,
 				Target:      addr,
 				Vector:      attacksim.VectorDirect,
 				Proto:       packet.ProtoTCP,
-				Ports:       []uint16{53},
 				Start:       cs.TransIPMarStart.UnixNano(),
 				End:         cs.TransIPMarEnd.UnixNano(),
 				PPS:         1.8e6,
 				PacketBytes: 800,
-			},
+			}, []uint16{53}},
 		)
 	}
 
@@ -99,45 +102,42 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 	for _, ns := range milNS {
 		addr := w.DB.Nameservers[ns].Addr
 		specs = append(specs,
-			attacksim.Spec{
+			component{attacksim.Spec{
 				GroupID:     -3,
 				Target:      addr,
 				Vector:      attacksim.VectorRandomSpoofed,
 				Proto:       packet.ProtoTCP,
-				Ports:       []uint16{53},
 				Start:       cs.MilRuStart.UnixNano(),
 				End:         cs.MilRuEnd.UnixNano(),
 				PPS:         20000,
 				PacketBytes: 60,
-			},
-			attacksim.Spec{
+			}, []uint16{53}},
+			component{attacksim.Spec{
 				GroupID:     -3,
 				Target:      addr,
 				Vector:      attacksim.VectorDirect,
 				Proto:       packet.ProtoTCP,
-				Ports:       []uint16{53, 80, 443},
 				Start:       cs.MilRuStart.UnixNano(),
 				End:         cs.MilRuEnd.UnixNano(),
 				PPS:         2e6,
 				PacketBytes: 300,
-			},
+			}, []uint16{53, 80, 443}},
 		)
 	}
 	if len(cs.MilRuNS) > 0 {
 		// the web site shares the nameservers' /24 (§5.2.3); attack it
 		// too so the shared-upstream coupling is exercised
 		webAddr := cs.MilRuNS[0].Slash24().Nth(250)
-		specs = append(specs, attacksim.Spec{
+		specs = append(specs, component{attacksim.Spec{
 			GroupID:     -3,
 			Target:      webAddr,
 			Vector:      attacksim.VectorRandomSpoofed,
 			Proto:       packet.ProtoTCP,
-			Ports:       []uint16{80, 443},
 			Start:       cs.MilRuStart.UnixNano(),
 			End:         cs.MilRuEnd.UnixNano(),
 			PPS:         50000,
 			PacketBytes: 60,
-		})
+		}, []uint16{80, 443}})
 		blackouts = append(blackouts, simnet.Blackout{
 			Prefix: cs.MilRuNS[0].Slash24(),
 			From:   time.Date(2022, 3, 12, 0, 0, 0, 0, time.UTC),
@@ -156,28 +156,26 @@ func caseStudySpecs(w *World) (CaseStudies, []attacksim.Spec, []simnet.Blackout)
 	for _, ns := range rzdNS {
 		addr := w.DB.Nameservers[ns].Addr
 		specs = append(specs,
-			attacksim.Spec{
+			component{attacksim.Spec{
 				GroupID:     -4,
 				Target:      addr,
 				Vector:      attacksim.VectorRandomSpoofed,
 				Proto:       packet.ProtoUDP,
-				Ports:       []uint16{53},
 				Start:       cs.RZDStart.UnixNano(),
 				End:         cs.RZDEnd.UnixNano(),
 				PPS:         50000,
 				PacketBytes: 400,
-			},
-			attacksim.Spec{
+			}, []uint16{53}},
+			component{attacksim.Spec{
 				GroupID:     -4,
 				Target:      addr,
 				Vector:      attacksim.VectorDirect,
 				Proto:       packet.ProtoUDP,
-				Ports:       []uint16{53},
 				Start:       cs.RZDTelegram.UnixNano(),
 				End:         cs.RZDEnd.UnixNano(),
 				PPS:         5e5,
 				PacketBytes: 400,
-			},
+			}, []uint16{53}},
 		)
 	}
 

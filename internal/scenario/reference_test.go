@@ -90,7 +90,7 @@ func synthesizeObsReference(cfg SynthConfig, w *World, sched *attacksim.Schedule
 			}
 			responses := load * respRate * clock.WindowDur.Seconds()
 			lambda := responses * tel.Fraction()
-			o := synthesizeWindowReference(rng, tel, s, wdw, lambda)
+			o := synthesizeWindowReference(rng, tel, s, sched.Ports(&s), wdw, lambda)
 			if o.Packets > 0 {
 				// the map, read back port-ascending
 				for _, p := range sortedKeys(o.ports) {
@@ -112,7 +112,7 @@ func sortedKeys(m map[uint16]int64) []uint16 {
 	return keys
 }
 
-func synthesizeWindowReference(rng *rand.Rand, tel *telescope.Telescope, s attacksim.Spec, w clock.Window, lambda float64) refObs {
+func synthesizeWindowReference(rng *rand.Rand, tel *telescope.Telescope, s attacksim.Spec, ports []uint16, w clock.Window, lambda float64) refObs {
 	pk := stats.Poisson(rng, lambda)
 	o := refObs{WindowObs: rsdos.WindowObs{
 		Window:  w,
@@ -162,15 +162,15 @@ func synthesizeWindowReference(rng *rand.Rand, tel *telescope.Telescope, s attac
 	if o.UniqueDsts == 0 {
 		o.UniqueDsts = 1
 	}
-	if len(s.Ports) > 0 {
-		o.ports = make(map[uint16]int64, len(s.Ports))
+	if len(ports) > 0 {
+		o.ports = make(map[uint16]int64, len(ports))
 		rem := pk
-		for i, p := range s.Ports {
+		for i, p := range ports {
 			var c int64
-			if i == len(s.Ports)-1 {
+			if i == len(ports)-1 {
 				c = rem
 			} else {
-				c = stats.Binomial(rng, rem, 1.0/float64(len(s.Ports)-i))
+				c = stats.Binomial(rng, rem, 1.0/float64(len(ports)-i))
 			}
 			rem -= c
 			if c > 0 {
@@ -194,27 +194,69 @@ func tieSchedule(w *World) *attacksim.Schedule {
 	ns := w.DB.Nameservers[groupNS(w, "TransIP")[0]].Addr
 	host := netx.MustParseAddr("120.3.2.1")
 	t0 := clock.StudyStart.Add(40*24*time.Hour + 90*time.Second)
-	spoofed := func(target netx.Addr, proto packet.Protocol, ports []uint16, after, dur time.Duration, pps float64) attacksim.Spec {
-		return attacksim.Spec{Target: target, Vector: attacksim.VectorRandomSpoofed, Proto: proto, Ports: ports,
-			Start: t0.Add(after).UnixNano(), End: t0.Add(after + dur).UnixNano(), PPS: pps}
+	var b attacksim.Builder
+	spoofed := func(target netx.Addr, proto packet.Protocol, ports []uint16, after, dur time.Duration, pps float64) {
+		b.Add(attacksim.Spec{Target: target, Vector: attacksim.VectorRandomSpoofed, Proto: proto,
+			Start: t0.Add(after).UnixNano(), End: t0.Add(after + dur).UnixNano(), PPS: pps}, ports...)
 	}
-	specs := []attacksim.Spec{
-		spoofed(host, packet.ProtoTCP, []uint16{80, 443, 80}, 0, time.Hour, 20000),
-		spoofed(host, packet.ProtoUDP, []uint16{53}, 20*time.Minute, time.Hour, 9000),
-		spoofed(host, packet.ProtoICMP, nil, 3*time.Hour, 40*time.Minute, 15000),
-		spoofed(ns, packet.ProtoTCP, []uint16{53, 80}, 10*time.Minute, 2*time.Hour, 5e6),
-		spoofed(ns, packet.ProtoUDP, []uint16{53}, 30*time.Minute, time.Hour, 2e6),
-		spoofed(netx.MustParseAddr("120.9.9.9"), packet.ProtoUDP, []uint16{7, 19, 53, 123, 161, 389, 1900}, 0, 3*time.Hour, 40),
-		spoofed(netx.MustParseAddr("120.9.9.10"), packet.ProtoTCP, []uint16{22}, 0, 6*time.Hour, 0.5),
-		spoofed(netx.MustParseAddr("120.3.2.2"), packet.ProtoTCP, []uint16{80}, 0, 4*time.Minute+30*time.Second, 4e5),
-		spoofed(netx.MustParseAddr("120.3.2.2"), packet.ProtoUDP, []uint16{53}, 6*time.Minute, 30*time.Minute, 3e5),
-		spoofed(netx.MustParseAddr("120.3.2.3"), packet.ProtoTCP, []uint16{80}, 0, 7*time.Minute, 4e5),
-		spoofed(netx.MustParseAddr("120.3.2.3"), packet.ProtoUDP, []uint16{53}, 6*time.Minute, 30*time.Minute, 3e5),
+	spoofed(host, packet.ProtoTCP, []uint16{80, 443, 80}, 0, time.Hour, 20000)
+	spoofed(host, packet.ProtoUDP, []uint16{53}, 20*time.Minute, time.Hour, 9000)
+	spoofed(host, packet.ProtoICMP, nil, 3*time.Hour, 40*time.Minute, 15000)
+	spoofed(ns, packet.ProtoTCP, []uint16{53, 80}, 10*time.Minute, 2*time.Hour, 5e6)
+	spoofed(ns, packet.ProtoUDP, []uint16{53}, 30*time.Minute, time.Hour, 2e6)
+	spoofed(netx.MustParseAddr("120.9.9.9"), packet.ProtoUDP, []uint16{7, 19, 53, 123, 161, 389, 1900}, 0, 3*time.Hour, 40)
+	spoofed(netx.MustParseAddr("120.9.9.10"), packet.ProtoTCP, []uint16{22}, 0, 6*time.Hour, 0.5)
+	spoofed(netx.MustParseAddr("120.3.2.2"), packet.ProtoTCP, []uint16{80}, 0, 4*time.Minute+30*time.Second, 4e5)
+	spoofed(netx.MustParseAddr("120.3.2.2"), packet.ProtoUDP, []uint16{53}, 6*time.Minute, 30*time.Minute, 3e5)
+	spoofed(netx.MustParseAddr("120.3.2.3"), packet.ProtoTCP, []uint16{80}, 0, 7*time.Minute, 4e5)
+	spoofed(netx.MustParseAddr("120.3.2.3"), packet.ProtoUDP, []uint16{53}, 6*time.Minute, 30*time.Minute, 3e5)
+	b.Add(attacksim.Spec{Target: host, Vector: attacksim.VectorReflection, Proto: packet.ProtoUDP,
+		Start: t0.UnixNano(), End: t0.Add(2 * time.Hour).UnixNano(), PPS: 4e5}, 53)
+	return b.Schedule()
+}
+
+// TestVictimChainsMatchMap holds victimChains to the map it replaced — a
+// victim's first component by Target, each one's successor by position —
+// on schedules of no component, one, and thousands whose Targets come
+// from a handful of addresses, from addresses that differ only in one
+// radix digit, and from anywhere in IPv4.
+func TestVictimChainsMatchMap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(53, 53))
+	targets := map[string]func() netx.Addr{
+		"few":   func() netx.Addr { return netx.Addr(0xc0000200 + rng.IntN(5)) },
+		"digit": func() netx.Addr { return netx.Addr(rng.IntN(4) << (11 * rng.IntN(3))) },
+		"any":   func() netx.Addr { return netx.Addr(rng.Uint32()) },
 	}
-	reflection := spoofed(host, packet.ProtoUDP, []uint16{53}, 0, 2*time.Hour, 4e5)
-	reflection.Vector = attacksim.VectorReflection
-	specs = append(specs, reflection)
-	return attacksim.NewSchedule(specs)
+	for name, target := range targets {
+		for _, n := range []int{0, 1, 5000} {
+			specs := make([]attacksim.Spec, n)
+			for i := range specs {
+				specs[i].Target = target()
+			}
+			first := make(map[netx.Addr]int, n)
+			next := make([]int, n)
+			for i := n - 1; i >= 0; i-- {
+				next[i] = -1
+				if j, ok := first[specs[i].Target]; ok {
+					next[i] = j
+				}
+				first[specs[i].Target] = i
+			}
+			links := victimChains(specs)
+			if len(links) != n {
+				t.Fatalf("%s, %d components: %d words", name, n, len(links))
+			}
+			for i, w := range links {
+				got := int(w >> 32)
+				if w>>32 == endOfChain {
+					got = -1
+				}
+				if got != next[i] || int(uint32(w)) != i {
+					t.Fatalf("%s, %d components: word %d is next %d, head %d; want next %d, head %d", name, n, i, got, uint32(w), next[i], i)
+				}
+			}
+		}
+	}
 }
 
 func TestSynthesizeObsMatchesReference(t *testing.T) {

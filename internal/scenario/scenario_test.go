@@ -281,6 +281,13 @@ func TestCaseStudySpecsScripted(t *testing.T) {
 	}
 }
 
+// scheduleOf builds the schedule of one spec, which targets ports.
+func scheduleOf(s attacksim.Spec, ports ...uint16) *attacksim.Schedule {
+	var b attacksim.Builder
+	b.Add(s, ports...)
+	return b.Schedule()
+}
+
 func TestSynthesizeObsStatistics(t *testing.T) {
 	w := smallWorld(t)
 	tel := telescope.NewUCSD()
@@ -289,10 +296,10 @@ func TestSynthesizeObsStatistics(t *testing.T) {
 	start := clock.StudyStart.Add(100 * 24 * time.Hour)
 	spec := attacksim.Spec{
 		Target: target, Vector: attacksim.VectorRandomSpoofed,
-		Proto: packet.ProtoTCP, Ports: []uint16{53},
+		Proto: packet.ProtoTCP,
 		Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 34000,
 	}
-	sched := attacksim.NewSchedule([]attacksim.Spec{spec})
+	sched := scheduleOf(spec, 53)
 	obs := SynthesizeObs(DefaultSynthConfig(), w, sched, tel)
 	if len(obs) != 12 {
 		t.Fatalf("observations = %d, want 12 (one hour of windows)", len(obs))
@@ -338,10 +345,10 @@ func TestSynthesizeSuppressionUnderOverload(t *testing.T) {
 	start := clock.StudyStart.Add(10 * 24 * time.Hour)
 	spec := attacksim.Spec{
 		Target: victim, Vector: attacksim.VectorRandomSpoofed,
-		Proto: packet.ProtoTCP, Ports: []uint16{80},
+		Proto: packet.ProtoTCP,
 		Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 1e7,
 	}
-	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel)
+	obs := SynthesizeObs(DefaultSynthConfig(), w, scheduleOf(spec, 80), tel)
 	var total int64
 	for _, o := range obs {
 		total += o.Packets
@@ -358,11 +365,11 @@ func TestBoundedPoolCapsUniqueDsts(t *testing.T) {
 	start := clock.StudyStart.Add(5 * 24 * time.Hour)
 	spec := attacksim.Spec{
 		Target: w.OtherSpace.Nth(7), Vector: attacksim.VectorRandomSpoofed,
-		Proto: packet.ProtoTCP, Ports: []uint16{80},
+		Proto: packet.ProtoTCP,
 		Start: start.UnixNano(), End: start.Add(time.Hour).UnixNano(), PPS: 3e4,
 		SpoofedSources: 341_000, // pool-in-telescope ≈ 1000
 	}
-	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel)
+	obs := SynthesizeObs(DefaultSynthConfig(), w, scheduleOf(spec, 80), tel)
 	for _, o := range obs {
 		if o.UniqueDsts > 1100 {
 			t.Errorf("unique dsts %d exceed pool share ≈1000", o.UniqueDsts)
@@ -436,10 +443,10 @@ func TestThinnedCountsArePoisson(t *testing.T) {
 	const pps = 2000.0
 	spec := attacksim.Spec{
 		Target: target, Vector: attacksim.VectorRandomSpoofed,
-		Proto: packet.ProtoTCP, Ports: []uint16{80},
+		Proto: packet.ProtoTCP,
 		Start: start.UnixNano(), End: start.Add(200 * time.Hour).UnixNano(), PPS: pps,
 	}
-	obs := SynthesizeObs(DefaultSynthConfig(), w, attacksim.NewSchedule([]attacksim.Spec{spec}), tel)
+	obs := SynthesizeObs(DefaultSynthConfig(), w, scheduleOf(spec, 80), tel)
 	var counts []float64
 	for _, o := range obs {
 		counts = append(counts, float64(o.Packets))

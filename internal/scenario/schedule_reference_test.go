@@ -23,7 +23,8 @@ import (
 // intensity, pickDNSVictim), which this change did not touch; GenerateSchedule
 // must make the same draws in the same order and produce a DeepEqual
 // schedule. It draws into the component layout of that time,
-// specReference, and converts to attacksim.Spec only at its output.
+// specReference, and the generated schedule is read into that layout,
+// each component's ID its position plus one, to be compared.
 
 // specReference is attacksim.Spec as it was before it took the packed
 // layout: its bounds time.Times, its counts ints.
@@ -38,23 +39,28 @@ type specReference struct {
 	PacketBytes, SpoofedSources int
 }
 
-// spec returns r in the production layout.
-func (r *specReference) spec() attacksim.Spec {
-	return attacksim.Spec{
-		ID: int32(r.ID), GroupID: int32(r.GroupID), Target: r.Target, Vector: r.Vector, Proto: r.Proto, Ports: r.Ports,
-		Start: r.Start.UnixNano(), End: r.End.UnixNano(), PPS: r.PPS,
-		PacketBytes: int32(r.PacketBytes), SpoofedSources: int32(r.SpoofedSources),
+// specReferenceOf returns a component with ID id that targets ports in
+// the reference's layout: a case-study component, which both generators
+// take from caseStudySpecs, or a generated one.
+func specReferenceOf(s *attacksim.Spec, ports []uint16, id int) specReference {
+	if len(ports) == 0 {
+		ports = nil
 	}
-}
-
-// specReferenceOf returns a case-study component, which both generators
-// take from caseStudySpecs, in the reference's layout.
-func specReferenceOf(s *attacksim.Spec) specReference {
 	return specReference{
-		ID: int(s.ID), GroupID: int(s.GroupID), Target: s.Target, Vector: s.Vector, Proto: s.Proto, Ports: s.Ports,
+		ID: id, GroupID: int(s.GroupID), Target: s.Target, Vector: s.Vector, Proto: s.Proto, Ports: ports,
 		Start: time.Unix(0, s.Start).UTC(), End: time.Unix(0, s.End).UTC(), PPS: s.PPS,
 		PacketBytes: int(s.PacketBytes), SpoofedSources: int(s.SpoofedSources),
 	}
+}
+
+// specReferencesOf reads a schedule into the reference's layout.
+func specReferencesOf(sched *attacksim.Schedule) []specReference {
+	specs := sched.Specs()
+	out := make([]specReference, len(specs))
+	for i := range specs {
+		out[i] = specReferenceOf(&specs[i], sched.Ports(&specs[i]), i+1)
+	}
+	return out
 }
 
 // startInReference is the production startIn's draw as a time.Time.
@@ -62,7 +68,7 @@ func startInReference(g *schedGen, m clock.Month) time.Time {
 	return time.Unix(0, g.startIn(m)).UTC()
 }
 
-func generateScheduleReference(cfg AttackConfig, w *World) (*Schedule, []attacksim.Spec) {
+func generateScheduleReference(cfg AttackConfig, w *World) (*Schedule, []specReference) {
 	g := &schedGen{cfg: cfg, w: w, rng: rand.New(rand.NewPCG(cfg.Seed, 0xa77ac))}
 	buildVictimPoolsReference(g)
 	var specs []specReference
@@ -86,7 +92,7 @@ func generateScheduleReference(cfg AttackConfig, w *World) (*Schedule, []attacks
 		cs, csSpecs, blackouts := caseStudySpecs(w)
 		out.CaseStudies = cs
 		for i := range csSpecs {
-			specs = append(specs, specReferenceOf(&csSpecs[i]))
+			specs = append(specs, specReferenceOf(&csSpecs[i].Spec, csSpecs[i].ports, 0))
 		}
 		out.Blackouts = blackouts
 		specs = append(specs, russianSurgeReference(g)...)
@@ -103,11 +109,7 @@ func generateScheduleReference(cfg AttackConfig, w *World) (*Schedule, []attacks
 			sorted[i].GroupID = sorted[i].ID
 		}
 	}
-	specs2 := make([]attacksim.Spec, len(sorted))
-	for i := range sorted {
-		specs2[i] = sorted[i].spec()
-	}
-	return out, specs2
+	return out, sorted
 }
 
 func sortAddrsReference(a []netx.Addr) {
@@ -287,8 +289,7 @@ func TestGenerateScheduleMatchesReference(t *testing.T) {
 	check := func(name string, cfg AttackConfig, got *Schedule) {
 		t.Helper()
 		want, wantSpecs := generateScheduleReference(cfg, w)
-		if !reflect.DeepEqual(got.Sched.Specs(), wantSpecs) {
-			specs := got.Sched.Specs()
+		if specs := specReferencesOf(got.Sched); !reflect.DeepEqual(specs, wantSpecs) {
 			t.Errorf("%s: %d specs, reference %d", name, len(specs), len(wantSpecs))
 			for i := range min(len(specs), len(wantSpecs)) {
 				if !reflect.DeepEqual(specs[i], wantSpecs[i]) {
@@ -300,9 +301,9 @@ func TestGenerateScheduleMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got.CaseStudies, want.CaseStudies) || !reflect.DeepEqual(got.Blackouts, want.Blackouts) {
 			t.Errorf("%s: annotations differ from the reference", name)
 		}
-		for i, s := range got.Sched.Specs() {
-			if cap(s.Ports) != len(s.Ports) {
-				t.Fatalf("%s: spec %d has room for %d ports and holds %d", name, i, cap(s.Ports), len(s.Ports))
+		for i := range got.Sched.Specs() {
+			if ports := got.Sched.Ports(&got.Sched.Specs()[i]); cap(ports) != len(ports) {
+				t.Fatalf("%s: spec %d has room for %d ports and holds %d", name, i, cap(ports), len(ports))
 			}
 		}
 	}

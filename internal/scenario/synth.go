@@ -57,38 +57,30 @@ func Synthesize(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *teles
 	var o rsdos.WindowObs // emit's argument: one escape, not one per window
 	// chain the components of each victim by schedule position, so a
 	// window's total load is O(components on that victim), not
-	// O(schedule): first holds a victim's earliest component, next the one
-	// after each (-1 ends the chain)
-	first := make(map[netx.Addr]int32, len(specs))
-	next := make([]int32, len(specs))
-	for i := len(specs) - 1; i >= 0; i-- {
-		next[i] = -1
-		if j, ok := first[specs[i].Target]; ok {
-			next[i] = j
-		}
-		first[specs[i].Target] = int32(i)
-	}
+	// O(schedule)
+	links := victimChains(specs)
 	// A chain is in start order and so is this walk, so a window's sum can
 	// skip what adds exactly +0.0: the chain's dead prefix (components that
 	// end by the start of the current component's first window, dropped for
 	// good), and everything from the first component starting at or after
-	// the window's end.
+	// the window's end. The victim's live head, past its dead prefix, is
+	// carried along the chain to the victim's next component.
 	for i := range specs {
 		s := &specs[i]
 		startW := clock.WindowOfUnixNano(s.Start)
 		if advance != nil && i > 0 {
 			advance(startW)
 		}
-		if s.Vector != attacksim.VectorRandomSpoofed {
+		onVictim, next := uint32(links[i]), uint32(links[i]>>32)
+		spoofed := s.Vector == attacksim.VectorRandomSpoofed
+		for spoofed && onVictim != endOfChain && specs[onVictim].End <= startW.UnixNano() {
+			onVictim = uint32(links[onVictim] >> 32)
+		}
+		if next != endOfChain {
+			links[next] = links[next]&^math.MaxUint32 | uint64(onVictim)
+		}
+		if !spoofed {
 			continue
-		}
-		head := first[s.Target]
-		onVictim := head
-		for onVictim >= 0 && specs[onVictim].End <= startW.UnixNano() {
-			onVictim = next[onVictim]
-		}
-		if onVictim != head {
-			first[s.Target] = onVictim
 		}
 		cap := cfg.DefaultVictimCapacity
 		if ns, ok := w.DB.NameserverByAddr(s.Target); ok {
@@ -106,7 +98,8 @@ func Synthesize(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *teles
 		darknet := pool * tel.Fraction()
 		logMiss := math.Log1p(-1 / darknet)
 		endW := clock.WindowOfUnixNano(s.End - 1)
-		ports = slices.Grow(ports[:0], len(s.Ports))
+		targeted := sched.Ports(s)
+		ports = slices.Grow(ports[:0], len(targeted))
 		for wdw := startW; wdw <= endW; wdw++ {
 			load := s.WindowLoad(wdw)
 			if load <= 0 {
@@ -114,7 +107,7 @@ func Synthesize(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *teles
 			}
 			var total float64
 			we := (wdw + 1).UnixNano()
-			for j := onVictim; j >= 0 && specs[j].Start < we; j = next[j] {
+			for j := onVictim; j != endOfChain && specs[j].Start < we; j = uint32(links[j] >> 32) {
 				total += specs[j].WindowLoad(wdw)
 			}
 			respRate := 1.0
@@ -123,7 +116,7 @@ func Synthesize(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *teles
 			}
 			responses := load * respRate * clock.WindowDur.Seconds()
 			lambda := responses * tel.Fraction()
-			if o = synthesizeWindow(rng, tel, s, darknet, logMiss, wdw, lambda, ports); o.Packets > 0 {
+			if o = synthesizeWindow(rng, tel, s, targeted, darknet, logMiss, wdw, lambda, ports); o.Packets > 0 {
 				emit(&o)
 			}
 		}
@@ -132,10 +125,11 @@ func Synthesize(cfg SynthConfig, w *World, sched *attacksim.Schedule, tel *teles
 
 // synthesizeWindow draws one observation from the thinned backscatter
 // process with expected telescope packet count lambda. The observation's
-// port counts are written into ports, an empty slice with room for
-// len(s.Ports) of them, and returned clamped. darknet is the component's
-// spoofed-source pool as the telescope sees it, logMiss log(1 - 1/darknet).
-func synthesizeWindow(rng *rand.Rand, tel *telescope.Telescope, s *attacksim.Spec, darknet, logMiss float64, w clock.Window, lambda float64, ports []rsdos.PortCount) rsdos.WindowObs {
+// port counts, over targeted, the component's ports, are written into
+// ports, an empty slice with room for len(targeted) of them, and returned
+// clamped. darknet is the component's spoofed-source pool as the
+// telescope sees it, logMiss log(1 - 1/darknet).
+func synthesizeWindow(rng *rand.Rand, tel *telescope.Telescope, s *attacksim.Spec, targeted []uint16, darknet, logMiss float64, w clock.Window, lambda float64, ports []rsdos.PortCount) rsdos.WindowObs {
 	pk := stats.Poisson(rng, lambda)
 	o := rsdos.WindowObs{
 		Window:  w,
@@ -187,14 +181,14 @@ func synthesizeWindow(rng *rand.Rand, tel *telescope.Telescope, s *attacksim.Spe
 		o.UniqueDsts = 1
 	}
 	// attacked-port attribution
-	if len(s.Ports) > 0 {
+	if len(targeted) > 0 {
 		rem := pk
-		for i, p := range s.Ports {
+		for i, p := range targeted {
 			var c int64
-			if i == len(s.Ports)-1 {
+			if i == len(targeted)-1 {
 				c = rem
 			} else {
-				c = stats.Binomial(rng, rem, 1.0/float64(len(s.Ports)-i))
+				c = stats.Binomial(rng, rem, 1.0/float64(len(targeted)-i))
 			}
 			rem -= c
 			if c > 0 {
@@ -205,6 +199,54 @@ func synthesizeWindow(rng *rand.Rand, tel *telescope.Telescope, s *attacksim.Spe
 	}
 	return o
 }
+
+// endOfChain ends a victim's chain in victimChains' words.
+const endOfChain = math.MaxUint32
+
+// victimChains links the components of each victim in schedule order
+// without a map the size of the schedule. Word i's high half is the
+// position of the next component on i's victim, endOfChain after the
+// last; its low half starts out as i, the head Synthesize carries along
+// the chain. The (Target, position) pairs, one packed to a word in
+// position order, are sorted by Target, stably, radixBits at a pass,
+// which puts each victim's components side by side in position order;
+// each pair is then written, its successor's position above it, to the
+// position it names, in the array the passes are done with.
+func victimChains(specs []attacksim.Spec) []uint64 {
+	keys, spare := make([]uint64, len(specs)), make([]uint64, len(specs))
+	for i := range specs {
+		keys[i] = uint64(specs[i].Target)<<32 | uint64(i)
+	}
+	const digit = 1<<radixBits - 1
+	for shift := 32; shift < 64; shift += radixBits {
+		var start [digit + 1]int
+		for _, k := range keys {
+			start[k>>shift&digit]++
+		}
+		sum := 0
+		for d, n := range start {
+			start[d], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			spare[start[k>>shift&digit]] = k
+			start[k>>shift&digit]++
+		}
+		keys, spare = spare, keys
+	}
+	links := spare
+	for r, k := range keys {
+		next := uint64(endOfChain)
+		if r+1 < len(keys) && keys[r+1]>>32 == k>>32 {
+			next = keys[r+1] & math.MaxUint32
+		}
+		links[uint32(k)] = next<<32 | k&math.MaxUint32
+	}
+	return links
+}
+
+// radixBits is how many bits of a Target one pass of victimChains' sort
+// takes: three passes, each counting into 2,048 buckets.
+const radixBits = 11
 
 // victimCapacity derives a deterministic pseudo-random capacity for a
 // non-nameserver victim from its address.

@@ -233,15 +233,15 @@ func (b *worldBuilder) buildDomains() {
 		}
 		// parent-child inconsistency: the registry still lists a stale
 		// nameserver of a previous provider instead of one child server
+		var parent []dnsdb.NameserverID
 		if b.rng.Float64() < b.cfg.InconsistentShare && len(dom.NS) > 1 && len(genericGroups) > 0 {
 			other := b.w.Groups[genericGroups[b.rng.IntN(len(genericGroups))]]
 			if other.Provider != g.Provider && len(other.NS) > 0 {
-				parent := append([]dnsdb.NameserverID(nil), dom.NS...)
+				parent = append([]dnsdb.NameserverID(nil), dom.NS...)
 				parent[b.rng.IntN(len(parent))] = other.NS[b.rng.IntN(len(other.NS))]
-				dom.ParentNS = parent
 			}
 		}
-		b.db.AddDomain(dom)
+		b.db.AddDomain(dom, parent...)
 	}
 }
 

@@ -41,7 +41,7 @@ func dumpWorld(out io.Writer, w *World) {
 		fmt.Fprintf(out, "ns %d %q %v %d %v %d %v %d\n", ns.ID, ns.Host, ns.Addr, ns.Provider, ns.Anycast, ns.Sites, ns.CapacityPPS, ns.BaseRTT)
 	}
 	for _, d := range db.Domains {
-		fmt.Fprintf(out, "domain %d %q %v %v %v\n", d.ID, d.Name, d.NS, d.ParentNS, d.ThirdPartyWeb)
+		fmt.Fprintf(out, "domain %d %q %v %v %v\n", d.ID, d.Name, d.NS, db.ParentNS(d.ID), d.ThirdPartyWeb)
 	}
 	for _, g := range w.Groups {
 		fmt.Fprintf(out, "group %d %v\n", g.Provider, g.NS)

@@ -32,16 +32,16 @@ func Example() {
 	db.Freeze()
 
 	start := clock.StudyStart.Add(24 * time.Hour)
-	sched := attacksim.NewSchedule([]attacksim.Spec{{
+	var attacks attacksim.Builder
+	attacks.Add(attacksim.Spec{
 		Target: netx.MustParseAddr("192.0.2.53"),
 		Vector: attacksim.VectorRandomSpoofed,
 		Proto:  packet.ProtoTCP,
-		Ports:  []uint16{53},
 		Start:  start.UnixNano(),
 		End:    start.Add(time.Hour).UnixNano(),
 		PPS:    3e5, // 3x capacity
-	}})
-	net := simnet.New(simnet.DefaultParams(), db, sched)
+	}, 53)
+	net := simnet.New(simnet.DefaultParams(), db, attacks.Schedule())
 
 	ls := net.LoadStateAt(id, start.Add(30*time.Minute))
 	fmt.Printf("utilization during attack: %.1f\n", ls.Utilization())

@@ -16,11 +16,11 @@ func failRate(t *testing.T, f *fixture, pps float64) float64 {
 	t.Helper()
 	var sched *attacksim.Schedule
 	if pps > 0 {
-		sched = attacksim.NewSchedule([]attacksim.Spec{
+		sched = schedule(
 			attack(f.uniAddr, t0, time.Hour, pps, 53, attacksim.VectorRandomSpoofed),
-		})
+		)
 	} else {
-		sched = attacksim.NewSchedule(nil)
+		sched = schedule()
 	}
 	n := New(DefaultParams(), f.db, sched)
 	rng := rand.New(rand.NewPCG(uint64(pps)+1, 17))
@@ -57,9 +57,9 @@ func TestFailureMonotoneInLoad(t *testing.T) {
 func TestRTTMonotoneInUtilization(t *testing.T) {
 	f := newFixture(t)
 	mkNet := func(pps float64) *Net {
-		return New(DefaultParams(), f.db, attacksim.NewSchedule([]attacksim.Spec{
+		return New(DefaultParams(), f.db, schedule(
 			attack(f.uniAddr, t0, time.Hour, pps, 53, attacksim.VectorRandomSpoofed),
-		}))
+		))
 	}
 	prevUtil := -1.0
 	for _, pps := range []float64{1e4, 5e4, 8e4, 9.5e4, 1.2e5, 5e5} {
@@ -75,9 +75,9 @@ func TestRTTMonotoneInUtilization(t *testing.T) {
 // study window, before, and after.
 func TestQueryNeverPanicsOnRandomTimes(t *testing.T) {
 	f := newFixture(t)
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(f.uniAddr, t0, time.Hour, 2e5, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	check := func(seed uint64, offsetHours int16, nsPick bool) bool {
 		rng := rand.New(rand.NewPCG(seed, 3))
@@ -101,10 +101,10 @@ func TestQueryNeverPanicsOnRandomTimes(t *testing.T) {
 // (nameserver, time).
 func TestLoadStateDeterministic(t *testing.T) {
 	f := newFixture(t)
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(f.uniAddr, t0, time.Hour, 1.3e5, 53, attacksim.VectorRandomSpoofed),
 		attack(f.uniAddr.Slash24().Nth(77), t0, 2*time.Hour, 9e4, 80, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	for i := 0; i < 50; i++ {
 		tm := t0.Add(time.Duration(i) * 7 * time.Minute)

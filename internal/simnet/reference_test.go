@@ -21,6 +21,7 @@ import (
 // bit for bit.
 type loadReference struct {
 	n              *Net
+	sched          *attacksim.Schedule
 	specsByAddr    map[netx.Addr][]attacksim.Spec
 	specsBySlash24 map[netx.Prefix][]attacksim.Spec
 }
@@ -28,6 +29,7 @@ type loadReference struct {
 func newLoadReference(n *Net, sched *attacksim.Schedule) *loadReference {
 	r := &loadReference{
 		n:              n,
+		sched:          sched,
 		specsByAddr:    make(map[netx.Addr][]attacksim.Spec),
 		specsBySlash24: make(map[netx.Prefix][]attacksim.Spec),
 	}
@@ -40,12 +42,12 @@ func newLoadReference(n *Net, sched *attacksim.Schedule) *loadReference {
 }
 
 func (r *loadReference) portWeight(s *attacksim.Spec) float64 {
-	for _, p := range s.Ports {
+	for _, p := range r.sched.Ports(s) {
 		if p == 53 {
 			return r.n.params.AppPortWeight
 		}
 	}
-	if len(s.Ports) == 0 { // ICMP flood: link stress only
+	if len(r.sched.Ports(s)) == 0 { // ICMP flood: link stress only
 		return r.n.params.LinkPortWeight
 	}
 	return r.n.params.LinkPortWeight
@@ -155,19 +157,20 @@ func referenceWorld(t *testing.T, rng *rand.Rand) (*dnsdb.DB, *attacksim.Schedul
 	db.Freeze()
 
 	ports := [][]uint16{{53}, {80}, {80, 53}, nil}
-	specs := make([]attacksim.Spec, 200)
-	for i := range specs {
+	var b attacksim.Builder
+	for i := range 200 {
 		start := t0.Add(time.Duration(rng.Int64N(int64(96 * time.Hour))))
 		if i%4 == 0 {
 			start = start.Truncate(clock.WindowDur) // some on the grid
 		}
-		specs[i] = attacksim.Spec{
-			Target: targets[rng.IntN(len(targets))], Proto: packet.ProtoTCP, Ports: ports[rng.IntN(len(ports))],
+		target, targeted := targets[rng.IntN(len(targets))], ports[rng.IntN(len(ports))]
+		b.Add(attacksim.Spec{
+			Target: target, Proto: packet.ProtoTCP,
 			Start: start.UnixNano(), End: start.Add(time.Second + time.Duration(rng.Int64N(int64(6*time.Hour)))).UnixNano(),
 			PPS: 1e3 + 4e5*rng.Float64(),
-		}
+		}, targeted...)
 	}
-	return db, attacksim.NewSchedule(specs)
+	return db, b.Schedule()
 }
 
 // denseWorld puts three nameservers (one per scrubbing kind, one of them
@@ -197,12 +200,15 @@ func denseWorld(t *testing.T, rng *rand.Rand) (*dnsdb.DB, *attacksim.Schedule) {
 	db.Freeze()
 	targets := []netx.Addr{base + 1, base + 2, base + 3, base + 200}
 	ports := [][]uint16{{53}, {80}, {80, 53}, nil}
-	var specs []attacksim.Spec
+	var b attacksim.Builder
+	added := 0
 	add := func(start time.Time, dur time.Duration) {
-		specs = append(specs, attacksim.Spec{
-			Target: targets[len(specs)%len(targets)], Proto: packet.ProtoTCP, Ports: ports[rng.IntN(len(ports))],
+		targeted := ports[rng.IntN(len(ports))]
+		b.Add(attacksim.Spec{
+			Target: targets[added%len(targets)], Proto: packet.ProtoTCP,
 			Start: start.UnixNano(), End: start.Add(dur).UnixNano(), PPS: 1e3 + 4e5*rng.Float64(),
-		})
+		}, targeted...)
+		added++
 	}
 	for range targets { // the long ones, one per target
 		add(t0.Add(time.Duration(rng.Int64N(int64(time.Hour)))), 18*time.Hour+time.Duration(rng.Int64N(int64(6*time.Hour))))
@@ -214,7 +220,7 @@ func denseWorld(t *testing.T, rng *rand.Rand) (*dnsdb.DB, *attacksim.Schedule) {
 		}
 		add(start, time.Second+time.Duration(rng.Int64N(int64(40*time.Minute))))
 	}
-	return db, attacksim.NewSchedule(specs)
+	return db, b.Schedule()
 }
 
 // TestLoadStateMatchesReference holds the indexed loadAt to the two-map

@@ -110,12 +110,13 @@ func (b Blackout) Covers(addr netx.Addr, t time.Time) bool {
 	return b.Prefix.Contains(addr) && !t.Before(b.From) && t.Before(b.To)
 }
 
-// specRef is one attack component that can load one nameserver, with what
-// does not depend on the query time worked out once.
+// specRef is one attack component that can load one nameserver: its own
+// copy of what a query reads of it, with what does not depend on the
+// query time worked out once.
 type specRef struct {
-	spec     *attacksim.Spec // into Schedule.Specs(): shared, read-only
-	coupling float64         // 1 on the server's own address, Slash24Coupling on a /24 neighbour's
-	weight   float64         // the spec's server-side port weight
+	start, end int64   // the spec's bounds, in Unix nanoseconds
+	pps        float64 // the spec's victim-side rate
+	weight     float64 // the spec's server-side port weight
 	// from and until bracket the query times, in Unix nanoseconds, at which
 	// the spec can matter: the start of its first window to the end of its
 	// longest possible residual. Conservative — LoadStateAt still runs every
@@ -124,6 +125,12 @@ type specRef struct {
 	// maxUntil is the largest until of this ref and those before it in its
 	// run: non-decreasing, so it can be binary-searched where until cannot.
 	maxUntil int64
+}
+
+// windowLoad is the spec's attacksim.Spec.WindowLoad.
+func (e *specRef) windowLoad(w clock.Window) float64 {
+	s := attacksim.Spec{Start: e.start, End: e.end, PPS: e.pps}
+	return s.WindowLoad(w)
 }
 
 func (e *specRef) covers(at int64) bool { return e.from <= at && at <= e.until }
@@ -148,9 +155,10 @@ type Net struct {
 	params Params
 	db     *dnsdb.DB
 	// specs holds, per NameserverID, the attack components that load the
-	// server as two runs — those on its own address, then those on its /24
-	// neighbours — each in schedule order, which is from order: the order
-	// LoadStateAt sums in.
+	// server as two runs — those on its own address, whose coupling is 1,
+	// then those on its /24 neighbours, whose coupling is Slash24Coupling —
+	// each in schedule order, which is from order: the order LoadStateAt
+	// sums in. Every run is cut from one array.
 	specs     [][2][]specRef
 	blackouts []Blackout
 	// vantage is the measurement location this view queries from; see
@@ -171,62 +179,80 @@ func New(params Params, db *dnsdb.DB, sched *attacksim.Schedule, blackouts ...Bl
 	if sched == nil {
 		return n
 	}
-	bySlash24 := make(map[netx.Prefix][]dnsdb.NameserverID)
+	// the nameservers of each /24, ascending by ID, as (/24, ID) pairs in
+	// order
+	bySlash24 := make([]uint64, len(db.Nameservers))
 	for i := range db.Nameservers {
-		k := db.Nameservers[i].Addr.Slash24()
-		bySlash24[k] = append(bySlash24[k], dnsdb.NameserverID(i))
+		bySlash24[i] = uint64(db.Nameservers[i].Addr.Slash24().Addr)<<32 | uint64(i)
 	}
-	// past this long after its end a spec has neither load nor residual
-	tail := max(8*max(params.RecoveryTau, params.ScrubbedRecoveryTau), clock.WindowDur)
-	specs := sched.Specs()
-	// index fills run k of every server: 0 its own address's, 1 its /24
-	// neighbours'
-	index := func(k int, coupling float64) {
-		for i := range specs {
-			s := &specs[i]
-			ids := bySlash24[s.Target.Slash24()]
-			if len(ids) == 0 {
-				continue // nearly every spec: no nameserver in the victim's /24
-			}
-			ref := specRef{spec: s, coupling: coupling, weight: n.portWeight(s),
-				from: clock.WindowOfUnixNano(s.Start).UnixNano(), until: s.End + int64(tail)}
-			for _, id := range ids {
-				if (db.Nameservers[id].Addr == s.Target) != (k == 0) {
-					continue
-				}
-				run := &n.specs[id][k]
-				ref.maxUntil = ref.until
-				if len(*run) > 0 {
-					ref.maxUntil = max(ref.until, (*run)[len(*run)-1].maxUntil)
-				}
-				*run = append(*run, ref)
+	slices.Sort(bySlash24)
+	// each calls f with every run of a server that s loads: 0 for its own
+	// address's, 1 for its /24 neighbours' when they are coupled
+	each := func(s *attacksim.Spec, f func(id dnsdb.NameserverID, k int)) {
+		p := uint64(s.Target.Slash24().Addr)
+		i, _ := slices.BinarySearch(bySlash24, p<<32)
+		// nearly every spec: no nameserver in the victim's /24
+		for ; i < len(bySlash24) && bySlash24[i]>>32 == p; i++ {
+			id := dnsdb.NameserverID(uint32(bySlash24[i]))
+			if db.Nameservers[id].Addr == s.Target {
+				f(id, 0)
+			} else if params.Slash24Coupling > 0 {
+				f(id, 1)
 			}
 		}
 	}
-	index(0, 1)
-	if params.Slash24Coupling > 0 {
-		index(1, params.Slash24Coupling)
+	specs := sched.Specs()
+	// count every run, cut them all from one array, then fill them
+	count := make([][2]int, len(db.Nameservers))
+	total := 0
+	for i := range specs {
+		each(&specs[i], func(id dnsdb.NameserverID, k int) {
+			count[id][k]++
+			total++
+		})
+	}
+	refs := make([]specRef, total)
+	for id := range count {
+		for k, c := range count[id] {
+			n.specs[id][k], refs = refs[:0:c], refs[c:]
+		}
+	}
+	// past this long after its end a spec has neither load nor residual
+	tail := max(8*max(params.RecoveryTau, params.ScrubbedRecoveryTau), clock.WindowDur)
+	for i := range specs {
+		s := &specs[i]
+		ref := specRef{start: s.Start, end: s.End, pps: s.PPS, weight: n.portWeight(sched.Ports(s)),
+			from: clock.WindowOfUnixNano(s.Start).UnixNano(), until: s.End + int64(tail)}
+		each(s, func(id dnsdb.NameserverID, k int) {
+			run := &n.specs[id][k]
+			ref.maxUntil = ref.until
+			if len(*run) > 0 {
+				ref.maxUntil = max(ref.until, (*run)[len(*run)-1].maxUntil)
+			}
+			*run = append(*run, ref)
+		})
 	}
 	return n
 }
 
 // portWeight returns the server-side weight of an attack component based on
-// whether it targets the DNS service port (anything else, ICMP included,
-// stresses the link only).
-func (n *Net) portWeight(s *attacksim.Spec) float64 {
-	if slices.Contains(s.Ports, 53) {
+// whether its ports include the DNS service port (anything else, ICMP
+// included, stresses the link only).
+func (n *Net) portWeight(ports []uint16) float64 {
+	if slices.Contains(ports, 53) {
 		return n.params.AppPortWeight
 	}
 	return n.params.LinkPortWeight
 }
 
-// scrubFactor returns the fraction of attack load that still reaches the
-// victim given the provider's scrubbing state at at, in Unix nanoseconds.
-func (n *Net) scrubFactor(scrubbing bool, s *attacksim.Spec, at int64) float64 {
+// scrubFactor returns the fraction of the load of an attack component
+// starting at start that still reaches the victim given the provider's
+// scrubbing state at at, both in Unix nanoseconds.
+func (n *Net) scrubFactor(scrubbing bool, start, at int64) float64 {
 	if !scrubbing {
 		return 1
 	}
-	if at < s.Start+int64(n.params.ScrubDelay) {
+	if at < start+int64(n.params.ScrubDelay) {
 		return 1
 	}
 	return 1 - n.params.ScrubEfficiency
@@ -278,16 +304,19 @@ func (n *Net) LoadStateAt(id dnsdb.NameserverID, t time.Time) LoadState {
 	if cap <= 0 {
 		cap = 1
 	}
-	for _, refs := range runs {
+	for k, refs := range runs {
+		coupling := 1.0
+		if k == 1 {
+			coupling = n.params.Slash24Coupling
+		}
 		for i := range refs {
 			e := &refs[i]
 			if !e.covers(at) {
 				continue
 			}
-			s, coupling := e.spec, e.coupling
-			load := s.WindowLoad(w)
+			load := e.windowLoad(w)
 			if load > 0 {
-				load *= n.scrubFactor(provider.ScrubbingAt(t), s, at) * coupling / sites
+				load *= n.scrubFactor(provider.ScrubbingAt(t), e.start, at) * coupling / sites
 				ls.LinkUtil += load * e.weight / cap
 				if e.weight >= n.params.AppPortWeight {
 					ls.AppUtil += load / cap
@@ -295,18 +324,18 @@ func (n *Net) LoadStateAt(id dnsdb.NameserverID, t time.Time) LoadState {
 				continue
 			}
 			// residual impairment after the attack ends
-			if s.End <= at {
+			if e.end <= at {
 				tau := n.params.RecoveryTau
-				scrubbed := provider.ScrubbingAt(time.Unix(0, s.End))
+				scrubbed := provider.ScrubbingAt(time.Unix(0, e.end))
 				if scrubbed {
 					tau = n.params.ScrubbedRecoveryTau
 				}
-				age := time.Duration(at - s.End)
+				age := time.Duration(at - e.end)
 				if age > 8*tau {
 					continue
 				}
-				endW := clock.WindowOfUnixNano(s.End - 1)
-				peak := s.WindowLoad(endW) * n.scrubFactor(scrubbed, s, s.End) * coupling / sites
+				endW := clock.WindowOfUnixNano(e.end - 1)
+				peak := e.windowLoad(endW) * n.scrubFactor(scrubbed, e.start, e.end) * coupling / sites
 				res := peak / cap * math.Exp(-float64(age)/float64(tau))
 				// residual impairment can keep a server effectively down
 				// for hours after the flood stops (the RDZ railways

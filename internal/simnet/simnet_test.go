@@ -59,18 +59,33 @@ func newFixture(t *testing.T) *fixture {
 	return f
 }
 
-func attack(target netx.Addr, start time.Time, dur time.Duration, pps float64, port uint16, vector attacksim.Vector) attacksim.Spec {
-	return attacksim.Spec{
+// component is one attack component and the one port it targets.
+type component struct {
+	attacksim.Spec
+	port uint16
+}
+
+func attack(target netx.Addr, start time.Time, dur time.Duration, pps float64, port uint16, vector attacksim.Vector) component {
+	return component{attacksim.Spec{
 		Target: target, Vector: vector, Proto: packet.ProtoTCP,
-		Ports: []uint16{port}, Start: start.UnixNano(), End: start.Add(dur).UnixNano(), PPS: pps,
+		Start: start.UnixNano(), End: start.Add(dur).UnixNano(), PPS: pps,
+	}, port}
+}
+
+// schedule builds the schedule of components.
+func schedule(components ...component) *attacksim.Schedule {
+	var b attacksim.Builder
+	for _, c := range components {
+		b.Add(c.Spec, c.port)
 	}
+	return b.Schedule()
 }
 
 var t0 = clock.StudyStart.Add(48 * time.Hour)
 
 func TestQuietServerFastAndReliable(t *testing.T) {
 	f := newFixture(t)
-	n := New(DefaultParams(), f.db, attacksim.NewSchedule(nil))
+	n := New(DefaultParams(), f.db, schedule())
 	rng := rand.New(rand.NewPCG(1, 1))
 	var fails int
 	for i := 0; i < 2000; i++ {
@@ -91,9 +106,9 @@ func TestQuietServerFastAndReliable(t *testing.T) {
 func TestLoadInflatesRTT(t *testing.T) {
 	f := newFixture(t)
 	// port-53 attack at 80% of capacity
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(f.uniAddr, t0, time.Hour, 8e4, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	rng := rand.New(rand.NewPCG(2, 2))
 	var sum time.Duration
@@ -116,9 +131,9 @@ func TestLoadInflatesRTT(t *testing.T) {
 
 func TestSaturationCausesTimeouts(t *testing.T) {
 	f := newFixture(t)
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(f.uniAddr, t0, time.Hour, 3e5, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	rng := rand.New(rand.NewPCG(3, 3))
 	var fails int
@@ -135,9 +150,9 @@ func TestSaturationCausesTimeouts(t *testing.T) {
 func TestAnycastAbsorbsAttack(t *testing.T) {
 	f := newFixture(t)
 	pps := 3e5
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(f.anyAddr, t0, time.Hour, pps, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	ls := n.LoadStateAt(f.any, t0.Add(10*time.Minute))
 	// per-site load = pps/20 → ρ = 0.15
@@ -159,9 +174,9 @@ func TestAnycastAbsorbsAttack(t *testing.T) {
 func TestPortWeighting(t *testing.T) {
 	f := newFixture(t)
 	mk := func(port uint16) LoadState {
-		sched := attacksim.NewSchedule([]attacksim.Spec{
+		sched := schedule(
 			attack(f.uniAddr, t0, time.Hour, 1e5, port, attacksim.VectorRandomSpoofed),
-		})
+		)
 		return New(DefaultParams(), f.db, sched).LoadStateAt(f.uni, t0.Add(10*time.Minute))
 	}
 	dns, web := mk(53), mk(80)
@@ -175,9 +190,9 @@ func TestPortWeighting(t *testing.T) {
 
 func TestInvisibleVectorsLoadVictim(t *testing.T) {
 	f := newFixture(t)
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(f.uniAddr, t0, time.Hour, 2e5, 53, attacksim.VectorDirect),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	if ls := n.LoadStateAt(f.uni, t0.Add(time.Minute)); ls.LinkUtil < 1 {
 		t.Errorf("direct vector should load the victim: %v", ls.LinkUtil)
@@ -187,9 +202,9 @@ func TestInvisibleVectorsLoadVictim(t *testing.T) {
 func TestSlash24Coupling(t *testing.T) {
 	f := newFixture(t)
 	neighbor := f.uniAddr.Slash24().Nth(200) // same /24, not a nameserver
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(neighbor, t0, time.Hour, 1e5, 80, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	ls := n.LoadStateAt(f.uni, t0.Add(time.Minute))
 	// coupling 0.7 × weight 0.55 × 1e5/1e5 = 0.385
@@ -207,9 +222,9 @@ func TestSlash24Coupling(t *testing.T) {
 func TestScrubbingEngagesAfterDelay(t *testing.T) {
 	f := newFixture(t)
 	scrubAddr := f.db.Nameservers[f.scrubNS].Addr
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(scrubAddr, t0, 2*time.Hour, 2e5, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	before := n.LoadStateAt(f.scrubNS, t0.Add(10*time.Minute)) // within ScrubDelay
 	after := n.LoadStateAt(f.scrubNS, t0.Add(40*time.Minute))
@@ -224,9 +239,9 @@ func TestScrubbingEngagesAfterDelay(t *testing.T) {
 
 func TestResidualImpairmentDecays(t *testing.T) {
 	f := newFixture(t)
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(f.uniAddr, t0, time.Hour, 9e4, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	end := t0.Add(time.Hour)
 	r1 := n.LoadStateAt(f.uni, end.Add(30*time.Minute)).Residual
@@ -240,9 +255,9 @@ func TestResidualImpairmentDecays(t *testing.T) {
 	}
 	// scrubbed providers recover almost immediately
 	scrubAddr := f.db.Nameservers[f.scrubNS].Addr
-	sched2 := attacksim.NewSchedule([]attacksim.Spec{
+	sched2 := schedule(
 		attack(scrubAddr, t0, time.Hour, 9e4, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n2 := New(DefaultParams(), f.db, sched2)
 	if r := n2.LoadStateAt(f.scrubNS, end.Add(time.Hour)).Residual; r > 0.01 {
 		t.Errorf("scrubbed residual after 1h = %v", r)
@@ -256,7 +271,7 @@ func TestBlackout(t *testing.T) {
 		From:   t0,
 		To:     t0.Add(time.Hour),
 	}
-	n := New(DefaultParams(), f.db, attacksim.NewSchedule(nil), b)
+	n := New(DefaultParams(), f.db, schedule(), b)
 	rng := rand.New(rand.NewPCG(5, 5))
 	if st, _ := n.Query(rng, f.uni, t0.Add(time.Minute)); st != nsset.StatusTimeout {
 		t.Errorf("blacked-out query = %v", st)
@@ -284,9 +299,9 @@ func TestBlackoutCovers(t *testing.T) {
 
 func TestServFailOnAppOverload(t *testing.T) {
 	f := newFixture(t)
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(f.uniAddr, t0, time.Hour, 5e5, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	rng := rand.New(rand.NewPCG(6, 6))
 	var timeouts, servfails int
@@ -318,7 +333,7 @@ func BenchmarkQueryQuiet(b *testing.B) {
 		b.Fatal(err)
 	}
 	db.Freeze()
-	n := New(DefaultParams(), db, attacksim.NewSchedule(nil))
+	n := New(DefaultParams(), db, schedule())
 	rng := rand.New(rand.NewPCG(1, 1))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -337,9 +352,9 @@ func BenchmarkQueryUnderAttack(b *testing.B) {
 		b.Fatal(err)
 	}
 	db.Freeze()
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(0x0a0a0a0a, t0, time.Hour, 1.5e5, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), db, sched)
 	rng := rand.New(rand.NewPCG(2, 2))
 	b.ReportAllocs()

@@ -11,7 +11,7 @@ import (
 
 func TestVantageRTTScale(t *testing.T) {
 	f := newFixture(t)
-	n := New(DefaultParams(), f.db, attacksim.NewSchedule(nil))
+	n := New(DefaultParams(), f.db, schedule())
 	us := n.WithVantage(Vantage{Name: "us-east", RTTScale: 8, CatchmentSeed: 1})
 	rng := rand.New(rand.NewPCG(1, 1))
 	var nl, usSum time.Duration
@@ -46,9 +46,9 @@ func TestCatchmentMasking(t *testing.T) {
 	// one stays comfortable: per-even-site load = 1.2e5/20 = 6e3 → with
 	// site factors in [0.1,1.9] utilization spans [0.006, 0.114]... use
 	// a larger attack so the spread crosses the congestion knee
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(f.anyAddr, t0, time.Hour, 3.2e6, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	ns := &f.db.Nameservers[f.any]
 
@@ -79,9 +79,9 @@ func TestCatchmentMasking(t *testing.T) {
 
 func TestCatchmentMaskingEndToEnd(t *testing.T) {
 	f := newFixture(t)
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(f.anyAddr, t0, time.Hour, 6e6, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	rng := rand.New(rand.NewPCG(2, 2))
 	// find a hot-site vantage and a cold-site vantage
@@ -134,9 +134,9 @@ func TestSiteLoadFactorMeanNearOne(t *testing.T) {
 
 func TestUnicastUnaffectedByVantageSeed(t *testing.T) {
 	f := newFixture(t)
-	sched := attacksim.NewSchedule([]attacksim.Spec{
+	sched := schedule(
 		attack(f.uniAddr, t0, time.Hour, 8e4, 53, attacksim.VectorRandomSpoofed),
-	})
+	)
 	n := New(DefaultParams(), f.db, sched)
 	u1 := n.WithVantage(Vantage{CatchmentSeed: 1}).LoadStateAt(f.uni, t0.Add(time.Minute))
 	u2 := n.WithVantage(Vantage{CatchmentSeed: 99}).LoadStateAt(f.uni, t0.Add(time.Minute))

@@ -63,21 +63,23 @@ func TestSweepCountsFoldMatchesSnapshotImport(t *testing.T) {
 
 // allocsPerDayBudget bounds what one more swept day allocates in a run
 // that keeps its days in memory: the day's image and its slot in the day
-// set, the engine's random source, and the ledger's record of it — ≈ 6.
-// It was ≈ 10 while each of the ledger's five metric look-ups by name
-// allocated, and 40 with a registry built, snapshotted and imported per
-// day, and a goroutine per day.
-const allocsPerDayBudget = 8
+// set, and the ledger's record of it — ≈ 3.3. It was 8 (≈ 5.2–5.6) while
+// every day built its engine's random source, a PCG and a Rand, ≈ 10
+// while each of the ledger's five metric look-ups by name allocated, and
+// 40 with a registry built, snapshotted and imported per day, and a
+// goroutine per day.
+const allocsPerDayBudget = 6
 
 // allocsPerSealedDayBudget bounds the same for a run that seals every day
 // to a column file and journals it (WithDayStoreDir + WithCheckpointDir):
 // the day's file name and hash, the publish (temporary file, rename), and
 // the join's open and mapping of one more day file; the day log's append
-// allocates nothing. It measures 14.2–14.5, and 16.4 with the directory
-// created again for every day; it was ≈ 43 while every frame built a gob
-// encoder and every publish drew a random temporary name, created the
-// directory and opened it to sync it.
-const allocsPerSealedDayBudget = 15.5
+// allocates nothing. It measures 12.4–12.5 (14.2–14.5, budget 15.5, with
+// a random source built per day), and 16.4 with the directory created
+// again for every day; it was ≈ 43 while every frame built a gob encoder
+// and every publish drew a random temporary name, created the directory
+// and opened it to sync it.
+const allocsPerSealedDayBudget = 13.5
 
 // TestRunAllocationsPerDay: RunContext over 2N days allocates at most
 // allocsPerDayBudget objects per day more than over N, and at most

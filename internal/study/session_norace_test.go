@@ -92,9 +92,13 @@ func TestFeedBlockPortsNeverRegrow(t *testing.T) {
 // sorted there, 64-byte attacks finished into one array reserved for the
 // schedule's spoofed components and sorted there, a fold that folds each
 // observation into its victim's run as it is taken, a demand clipped to
-// the run's days and an engine that keeps one key per NSSet: 1.52, 3.92
-// and 16.2 MB allocated, 0.72, 2.83 and 13.3 MB live (the dense case
-// holds 100,662 components). With the finished attacks copied out of
+// the run's days, an engine that keeps one key per NSSet, 48-byte
+// components and domains and victims chained without a map: 1.41, 3.37
+// and 14.5 MB allocated, 0.61, 2.22 and 10.7 MB live (the dense case
+// holds 100,662 components). With 72-byte components, 80-byte domains
+// and the chains' map they were 1.52, 3.92 and 16.2 MB allocated, 0.72,
+// 2.83 and 13.3 MB live (budgets 1,754,000, 4,504,000 and 18,673,000;
+// 825,000, 3,256,000 and 15,281,000). With the finished attacks copied out of
 // chunks, the demand over the whole schedule and a key per domain they
 // were 1.74, 4.75 and 20.2 MB allocated, 0.78, 3.25 and 13.4 MB live
 // (budgets 1,999,000, 5,461,000 and 23,255,000; 891,000, 3,734,000 and
@@ -121,9 +125,9 @@ func TestNewSessionBytesBudget(t *testing.T) {
 		cfg         Config
 		alloc, live uint64
 	}{
-		{"metricsConfig", metricsConfig(), 1_754_000, 825_000},
-		{"benchmark scale", benchmarkScaleConfig(), 4_504_000, 3_256_000},
-		{"dense", dense, 18_673_000, 15_281_000},
+		{"metricsConfig", metricsConfig(), 1_625_000, 697_000},
+		{"benchmark scale", benchmarkScaleConfig(), 3_873_000, 2_552_000},
+		{"dense", dense, 16_691_000, 12_274_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// the least of three builds: a goroutine another test left

@@ -154,14 +154,15 @@ func TestSessionFeedMatchesInfer(t *testing.T) {
 	// generated schedule's other components, fed to the session's feed
 	// stage.
 	noSpoofed := func(sched *scenario.Schedule) *scenario.Schedule {
-		var rest []attacksim.Spec
-		for _, s := range sched.Sched.Specs() {
-			if s.Vector != attacksim.VectorRandomSpoofed {
-				rest = append(rest, s)
+		var rest attacksim.Builder
+		specs := sched.Sched.Specs()
+		for i := range specs {
+			if s := &specs[i]; s.Vector != attacksim.VectorRandomSpoofed {
+				rest.Add(*s, sched.Sched.Ports(s)...)
 			}
 		}
 		out := *sched
-		out.Sched = attacksim.NewSchedule(rest)
+		out.Sched = rest.Schedule()
 		return &out
 	}
 	for _, tc := range []struct {

@@ -27,7 +27,7 @@ import (
 // study.stage.*_wall_ns gauge, the process's peak resident set (VmHWM),
 // the schedule's components and the attacks, each with the bytes of its
 // array (the two largest arrays a session keeps; the attacks' counts the
-// room reserved for them), and the events. It
+// room reserved for them), the schedule's ports, and the events. It
 // asserts only that the run joins
 // something; the numbers are read in pairs, a change against its parent
 // on one host, and the million-domain row against the single-host bound
@@ -79,8 +79,12 @@ func paperScale(t *testing.T, domains int) {
 		t.Logf("%s %d (%.2f s)", name, gauges[name], float64(gauges[name])/1e9)
 	}
 	t.Logf("VmHWM %s", procStatus(t, "VmHWM"))
-	n := s.Schedule.Sched.Len()
-	t.Logf("components %d, schedule array %d bytes", n, uintptr(n)*unsafe.Sizeof(attacksim.Spec{}))
+	sched := s.Schedule.Sched
+	ports := 0
+	for i := range sched.Specs() {
+		ports += len(sched.Ports(&sched.Specs()[i]))
+	}
+	t.Logf("components %d, schedule array %d bytes, %d ports", sched.Len(), uintptr(sched.Len())*unsafe.Sizeof(attacksim.Spec{}), ports)
 	t.Logf("attacks %d, attacks array %d bytes", len(s.Attacks), uintptr(cap(s.Attacks))*unsafe.Sizeof(rsdos.Attack{}))
 	t.Logf("events %d", len(s.Events))
 }
