@@ -29,7 +29,7 @@ test: build cmds obs stream
 	$(GO) test -bench 'BenchmarkSynthesizeObs|BenchmarkGenerateSchedule|BenchmarkGenerateWorld' -benchtime 1x -run '^$$' ./internal/scenario/
 	$(GO) test -bench 'BenchmarkInfer|BenchmarkFoldDenseWindow' -benchtime 1x -run '^$$' ./internal/rsdos/
 	$(GO) test -bench 'BenchmarkWriteDayRef' -benchtime 1x -run '^$$' ./internal/checkpoint/
-	$(GO) run ./cmd/report -quick -outdir "$$(mktemp -d)" >/dev/null
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && $(GO) run ./cmd/report -quick -outdir "$$d" >/dev/null
 
 # Every binary runs once: ./cmd/... is built into a temporary directory
 # and each binary is started with an unknown flag, which it must refuse

@@ -13,16 +13,16 @@
 //	      [-metrics-addr :9090]
 //
 // -metrics-addr exposes the server's live counters and latency
-// histograms as /metrics.json, the expvar bridge at /debug/vars, and
-// net/http/pprof under /debug/pprof/ — watch shed/RRL verdicts and
-// per-query latency quantiles mid-flood with:
+// histograms as /metrics.json and net/http/pprof under /debug/pprof/
+// (runtime MemStats at /debug/pprof/heap?debug=1) — watch shed/RRL
+// verdicts and per-query latency quantiles mid-flood with:
 //
 //	curl -s http://127.0.0.1:9090/metrics.json
 //
 // The -fault-* flags emulate a DDoS attack window netem-style on the
-// server's own UDP listener; with -fault-start/-fault-window the faults
-// engage on a schedule (healthy → attack → recovered), otherwise they
-// hold for the whole run. -rrl-* and -overload select the graceful-
+// server's own UDP listener; with -fault-start/-fault-window two timers
+// switch them on and back off (healthy → attack → recovered), otherwise
+// they hold for the whole run. -rrl-* and -overload select the graceful-
 // degradation behaviour under flood.
 //
 // Query it with e.g.:
@@ -66,7 +66,7 @@ func main() {
 	fStart := flag.Duration("fault-start", 0, "with -fault-window: engage faults this long after start")
 	fWindow := flag.Duration("fault-window", 0, "fault window length (0 = faults hold indefinitely)")
 	fSeed := flag.Uint64("fault-seed", 1, "fault-injection RNG seed")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics.json, /debug/vars and /debug/pprof/ on this address (empty disables)")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics.json and /debug/pprof/ on this address (empty disables)")
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
@@ -132,12 +132,11 @@ func main() {
 	}
 	if attack.Active() {
 		inj := faultinject.New(*fSeed)
+		armFaults(inj, attack, *fStart, *fWindow, time.AfterFunc)
 		if *fWindow > 0 {
-			inj.Engage(faultinject.AttackWindow(*fStart, *fStart+*fWindow, attack))
 			logger.Info("fault window scheduled",
 				"start", *fStart, "end", *fStart+*fWindow, "profile", fmt.Sprintf("%+v", attack))
 		} else {
-			inj.SetProfile(attack)
 			logger.Info("faults engaged for the whole run", "profile", fmt.Sprintf("%+v", attack))
 		}
 		srv.WrapUDP = func(pc net.PacketConn) net.PacketConn {
@@ -157,7 +156,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer ms.Close()
-		fmt.Printf("observability on http://%s/metrics.json (also /debug/vars, /debug/pprof/)\n", ms.Addr())
+		fmt.Printf("observability on http://%s/metrics.json (also /debug/pprof/)\n", ms.Addr())
 	}
 	fmt.Printf("authoritative DNS serving on %s (UDP+TCP)\ntry: dig @%s -p %s mil.ru NS\n",
 		bound, hostOf(bound), portOf(bound))
@@ -181,6 +180,21 @@ func main() {
 	case <-time.After(5 * time.Second):
 		logger.Warn("close timed out")
 	}
+}
+
+// armFaults installs attack on inj: for the whole run when window is 0,
+// otherwise from start until start+window, each edge switched by a timer
+// from after (time.AfterFunc in main). The end timer is armed inside the
+// start timer's callback, so the two edges cannot run out of order.
+func armFaults(inj *faultinject.Injector, attack faultinject.Profile, start, window time.Duration, after func(time.Duration, func()) *time.Timer) {
+	if window <= 0 {
+		inj.SetProfile(attack)
+		return
+	}
+	after(start, func() {
+		inj.SetProfile(attack)
+		after(window, func() { inj.SetProfile(faultinject.Profile{}) })
+	})
 }
 
 // hostOf splits the host out of "host:port", handling IPv6 literals like

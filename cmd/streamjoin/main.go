@@ -144,7 +144,7 @@ func run() error {
 	// watermark; the rest of the feed is drawn but not streamed.
 	var offered int64
 	var streamErr error
-	s.Session().Feed(func(o *rsdos.WindowObs) {
+	s.Feed(func(o *rsdos.WindowObs) {
 		if streamErr == nil {
 			offered++
 			p.Offer(o)

@@ -482,7 +482,6 @@ func TestWrappedListenerUnderFaultSchedule(t *testing.T) {
 	if m := queryOn(t, conn, 2, "victim.example", 200*time.Millisecond); m != nil {
 		t.Fatal("attack phase: 100% drop must starve the client")
 	}
-	inj.Disengage()
 	inj.SetProfile(faultinject.Profile{})
 	if m := queryOn(t, conn, 3, "victim.example", time.Second); m == nil {
 		t.Fatal("recovery phase: query must resolve again")

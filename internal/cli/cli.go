@@ -33,7 +33,7 @@ func Register(prog string, quickDefault, withConfig bool) *Flags {
 		quick:       flag.Bool("quick", quickDefault, "use the scaled-down quick configuration"),
 		domains:     flag.Int("domains", 0, "override world size"),
 		attacks:     flag.Int("attacks", 0, "override attack count"),
-		metricsAddr: flag.String("metrics-addr", "", "serve /metrics.json, /debug/vars and /debug/pprof/ on this address while the run is in flight (empty disables)"),
+		metricsAddr: flag.String("metrics-addr", "", "serve /metrics.json and /debug/pprof/ on this address while the run is in flight (empty disables)"),
 	}
 	if withConfig {
 		f.config = flag.String("config", "", "JSON study configuration (overrides -quick)")

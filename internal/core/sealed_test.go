@@ -38,7 +38,7 @@ func TestWarmJoinAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	p := s.Session().NewPipeline(set, nil, nil)
+	p := s.NewPipeline(set, nil, nil)
 
 	// the first join opens the day views
 	events, err := p.EventsContext(ctx, s.Attacks)

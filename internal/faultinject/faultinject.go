@@ -2,11 +2,11 @@
 // network path: composable netem-style wrappers around net.PacketConn and
 // net.Conn inject packet drop, added latency with jitter, duplication,
 // byte corruption and truncation, under a profile that can be reshaped
-// while traffic flows. A time-scripted Schedule ramps an "attack window"
-// up and back down, so the live authserver/resolver/dnsload path can
-// reproduce the degradation the paper measures on the simulated data
-// plane (§6.3): the same query stream, the same nsset.QueryStatus
-// classification, but over genuine sockets.
+// while traffic flows. Swapping the profile at the edges of an "attack
+// window" lets the live authserver/resolver/dnsload path reproduce the
+// degradation the paper measures on the simulated data plane (§6.3): the
+// same query stream, the same nsset.QueryStatus classification, but over
+// genuine sockets.
 //
 // The wrappers sit on either end of the UDP path: authserver plugs a
 // wrapped listener in via Server.WrapUDP (faults on the server's edge,
@@ -18,7 +18,6 @@ package faultinject
 
 import (
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"time"
 )
@@ -59,112 +58,27 @@ func (p Profile) Active() bool {
 		p.Duplicate > 0 || p.Corrupt > 0 || p.Truncate > 0
 }
 
-// Phase is one step of a Schedule: from Start (an offset from engagement)
-// onward, Profile applies.
-type Phase struct {
-	Start   time.Duration
-	Profile Profile
-}
-
-// Schedule scripts a fault timeline: at any elapsed time the profile of
-// the latest phase whose Start has passed applies. Before the first
-// phase, the network is healthy (zero Profile).
-type Schedule struct {
-	Phases []Phase
-}
-
-// At returns the profile in force at the given elapsed time.
-func (s Schedule) At(elapsed time.Duration) Profile {
-	var p Profile
-	for _, ph := range s.Phases {
-		if ph.Start > elapsed {
-			break
-		}
-		p = ph.Profile
-	}
-	return p
-}
-
-// normalize sorts phases by start time.
-func (s Schedule) normalize() Schedule {
-	phases := make([]Phase, len(s.Phases))
-	copy(phases, s.Phases)
-	sort.SliceStable(phases, func(i, j int) bool { return phases[i].Start < phases[j].Start })
-	return Schedule{Phases: phases}
-}
-
-// AttackWindow builds the canonical three-phase script the paper's
-// attacks follow: healthy until start, the attack profile during
-// [start, end), healthy again after.
-func AttackWindow(start, end time.Duration, attack Profile) Schedule {
-	return Schedule{Phases: []Phase{
-		{Start: 0},
-		{Start: start, Profile: attack},
-		{Start: end},
-	}}
-}
-
 // Injector is the concurrency-safe fault source the wrappers consult per
-// datagram. It serves either a static profile (SetProfile) or a
-// time-scripted schedule (Engage); both can be swapped while wrapped
+// datagram. Its profile can be swapped (SetProfile) while wrapped
 // connections carry traffic.
 type Injector struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
-	static Profile
-	sched  *Schedule
-	epoch  time.Time
-	now    func() time.Time // test hook
+	mu      sync.Mutex
+	rng     *rand.Rand
+	profile Profile
 }
 
-// New builds an injector with a healthy static profile and a seeded
-// generator (all faults are reproducible for a given seed and traffic
-// order).
+// New builds an injector with a healthy profile and a seeded generator
+// (all faults are reproducible for a given seed and traffic order).
 func New(seed uint64) *Injector {
-	return &Injector{
-		rng: rand.New(rand.NewPCG(seed, 0xfa017)),
-		now: time.Now,
-	}
+	return &Injector{rng: rand.New(rand.NewPCG(seed, 0xfa017))}
 }
 
-// SetProfile installs a static fault profile and disengages any
-// schedule. Safe while traffic flows.
+// SetProfile installs the fault profile every later datagram is rolled
+// against. Safe while traffic flows.
 func (inj *Injector) SetProfile(p Profile) {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	inj.static = p
-	inj.sched = nil
-}
-
-// Engage starts the schedule's clock now: phase offsets are measured
-// from this call. Safe while traffic flows.
-func (inj *Injector) Engage(s Schedule) {
-	n := s.normalize()
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.sched = &n
-	inj.epoch = inj.now()
-}
-
-// Disengage drops any schedule, returning to the static profile.
-func (inj *Injector) Disengage() {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.sched = nil
-}
-
-// Profile returns the profile currently in force.
-func (inj *Injector) Profile() Profile {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.profileLocked()
-}
-
-func (inj *Injector) profileLocked() Profile {
-	if inj.sched != nil {
-		return inj.sched.At(inj.now().Sub(inj.epoch))
-	}
-	return inj.static
+	inj.profile = p
 }
 
 // verdict is the dice roll for one datagram traversal.
@@ -180,7 +94,7 @@ type verdict struct {
 func (inj *Injector) roll() verdict {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	p := inj.profileLocked()
+	p := inj.profile
 	var v verdict
 	if !p.Active() {
 		return v

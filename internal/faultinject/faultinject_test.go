@@ -42,44 +42,6 @@ func (c *fakePacketConn) SetDeadline(t time.Time) error      { return nil }
 func (c *fakePacketConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *fakePacketConn) SetWriteDeadline(t time.Time) error { return nil }
 
-func TestScheduleAt(t *testing.T) {
-	attack := Profile{Drop: 0.6, Jitter: 200 * time.Millisecond}
-	s := AttackWindow(2*time.Second, 5*time.Second, attack)
-	cases := []struct {
-		at   time.Duration
-		want float64
-	}{
-		{0, 0},
-		{time.Second, 0},
-		{2 * time.Second, 0.6}, // window start is inclusive
-		{4 * time.Second, 0.6},
-		{5 * time.Second, 0}, // window end ramps back down
-		{time.Hour, 0},
-	}
-	for _, c := range cases {
-		if got := s.At(c.at).Drop; got != c.want {
-			t.Errorf("At(%v).Drop = %v, want %v", c.at, got, c.want)
-		}
-	}
-	// before any phase: healthy
-	if p := (Schedule{Phases: []Phase{{Start: time.Second, Profile: attack}}}).At(0); p.Active() {
-		t.Errorf("profile before first phase should be healthy, got %+v", p)
-	}
-	// phases given out of order are normalized on Engage
-	inj := New(1)
-	inj.Engage(Schedule{Phases: []Phase{
-		{Start: time.Hour, Profile: Profile{}},
-		{Start: 0, Profile: attack},
-	}})
-	if got := inj.Profile().Drop; got != 0.6 {
-		t.Errorf("engaged profile Drop = %v, want 0.6", got)
-	}
-	inj.Disengage()
-	if inj.Profile().Active() {
-		t.Error("disengaged injector must fall back to the healthy static profile")
-	}
-}
-
 func TestWriteDrop(t *testing.T) {
 	fc := &fakePacketConn{}
 	inj := New(1)

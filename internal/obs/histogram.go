@@ -215,36 +215,6 @@ func (st histState) quantile(q float64, interpolate bool) time.Duration {
 	return maxD
 }
 
-// importSnapshot folds a HistogramSnapshot back into the histogram —
-// the inverse of Snapshot for the non-empty buckets. Buckets are matched
-// by their upper bound; a bound no bucket layout of this build produces
-// lands in the overflow bucket rather than being dropped, so totals stay
-// exact even across layout skew.
-func (h *Histogram) importSnapshot(s HistogramSnapshot) {
-	if h == nil {
-		return
-	}
-	var st histState
-	st.count = s.Count
-	st.sum = s.SumNS
-	st.max = s.MaxNS
-	for _, b := range s.Buckets {
-		st.buckets[bucketForBound(b.LeUS)] += b.Count
-	}
-	h.merge(st)
-}
-
-// bucketForBound maps a snapshot bucket bound (µs, -1 = overflow) back to
-// its bucket index.
-func bucketForBound(leUS int64) int {
-	for i := 0; i < NumBuckets-1; i++ {
-		if int64(BucketUpperBound(i)/time.Microsecond) == leUS {
-			return i
-		}
-	}
-	return NumBuckets - 1
-}
-
 // HistogramBucket is one non-empty bucket in a snapshot. LeUS is the
 // exclusive upper bound in microseconds; -1 marks the overflow bucket.
 type HistogramBucket struct {

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -12,16 +10,14 @@ import (
 )
 
 // http.go is the export surface: an http.Handler (and a managed server
-// around it) serving the registry as /metrics.json, bridging it into
-// the expvar format at /debug/vars alongside the runtime's own expvar
-// globals (cmdline, memstats), and mounting net/http/pprof under
-// /debug/pprof/ — the profiling workflow the ROADMAP's "fast as the
-// hardware allows" target needs before the next perf PR can be trusted.
+// around it) serving the registry as /metrics.json and mounting
+// net/http/pprof under /debug/pprof/, where the runtime's own figures
+// are too (MemStats at /debug/pprof/heap?debug=1, the command line at
+// /debug/pprof/cmdline).
 
 // Handler returns the observability mux for a registry:
 //
 //	/metrics.json   deterministic registry snapshot (indented JSON)
-//	/debug/vars     expvar-format bridge: runtime globals + the registry
 //	/debug/pprof/   the standard pprof index, profiles, and traces
 func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
@@ -29,52 +25,12 @@ func Handler(reg *Registry) http.Handler {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		reg.Snapshot().WriteJSON(w)
 	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		serveVars(w, reg)
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// serveVars renders the expvar JSON object: every published expvar
-// (memstats, cmdline, anything else the process registered) plus the
-// registry's metrics flattened under their own names. Writing the
-// bridge by hand — instead of expvar.Publish — keeps registries
-// independent: two servers over two registries never fight over the
-// process-global expvar namespace. Names are quoted as JSON strings:
-// a name may carry any bytes, and Go's %q quoting of a control byte or
-// invalid UTF-8 is not JSON.
-func serveVars(w http.ResponseWriter, reg *Registry) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	first := true
-	emit := func(key, val string) {
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		k, _ := json.Marshal(key) // a string always marshals
-		fmt.Fprintf(w, "%s: %s", k, val)
-	}
-	expvar.Do(func(kv expvar.KeyValue) {
-		emit(kv.Key, kv.Value.String())
-	})
-	snap := reg.Snapshot()
-	for _, name := range reg.Names() {
-		if v, ok := snap.Counters[name]; ok {
-			emit(name, fmt.Sprintf("%d", v))
-		} else if v, ok := snap.Gauges[name]; ok {
-			emit(name, fmt.Sprintf("%d", v))
-		} else if h, ok := snap.Histograms[name]; ok {
-			emit(name, fmt.Sprintf(`{"count": %d, "p50_ns": %d, "p90_ns": %d, "p99_ns": %d, "max_ns": %d}`,
-				h.Count, h.P50NS, h.P90NS, h.P99NS, h.MaxNS))
-		}
-	}
-	fmt.Fprintf(w, "\n}\n")
 }
 
 // MetricsServer is a running observability endpoint. Close shuts it

@@ -33,7 +33,7 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestServeEndpoints covers the three export surfaces over a real
+// TestServeEndpoints covers the two export surfaces over a real
 // listener and — via the leak helper — that Close fully drains the
 // HTTP serve loop.
 func TestServeEndpoints(t *testing.T) {
@@ -43,7 +43,7 @@ func TestServeEndpoints(t *testing.T) {
 	reg.Counter("authserver.udp_answered").Add(99)
 	reg.Histogram("authserver.udp_latency").Observe(4 * time.Millisecond)
 	// a name from the network: a control byte, invalid UTF-8 and a bell,
-	// which Go quoting would render as \x01, \xff and \a — none of them JSON
+	// which the JSON encoder must escape or replace
 	hostile := "resolver.peer_latency.w\x01\xff\a"
 	reg.Histogram(hostile).Observe(time.Millisecond)
 
@@ -69,28 +69,8 @@ func TestServeEndpoints(t *testing.T) {
 	if snap.Histograms["authserver.udp_latency"].Count != 1 {
 		t.Errorf("histogram missing from /metrics.json: %s", body)
 	}
-
-	// /debug/vars: expvar format — an object carrying both the runtime
-	// globals and our bridged metrics
-	code, body = get(t, base+"/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars is not valid JSON: %v\n%s", err, body)
-	}
-	if _, ok := vars["memstats"]; !ok {
-		t.Error("/debug/vars missing expvar's memstats")
-	}
-	if got, ok := vars["authserver.udp_answered"]; !ok || got != float64(99) {
-		t.Errorf("/debug/vars missing bridged counter, got %v", got)
-	}
-	if _, ok := vars["authserver.udp_latency"]; !ok {
-		t.Error("/debug/vars missing bridged histogram")
-	}
-	if _, ok := vars[strings.ToValidUTF8(hostile, "\uFFFD")]; !ok {
-		t.Errorf("/debug/vars missing the histogram named %q", hostile)
+	if snap.Histograms[strings.ToValidUTF8(hostile, "\uFFFD")].Count != 1 {
+		t.Errorf("/metrics.json missing the histogram named %q", hostile)
 	}
 
 	// /debug/pprof/: the index page lists profiles
@@ -104,6 +84,11 @@ func TestServeEndpoints(t *testing.T) {
 	code, _ = get(t, base+"/debug/pprof/goroutine?debug=1")
 	if code != http.StatusOK {
 		t.Errorf("goroutine profile status %d", code)
+	}
+	// the runtime's memstats ride on the heap profile
+	code, body = get(t, base+"/debug/pprof/heap?debug=1")
+	if code != http.StatusOK || !strings.Contains(body, "runtime.MemStats") {
+		t.Errorf("heap profile status %d, without the runtime's MemStats", code)
 	}
 
 	if err := ms.Close(); err != nil {

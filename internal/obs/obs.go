@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -213,28 +212,38 @@ func (r *Registry) Merge(src *Registry) {
 		return
 	}
 	src.mu.Lock()
-	stable, volatile := src.snapshotLocked(keepStable), src.snapshotLocked(keepVolatile)
+	counters := make(map[string]int64, len(src.counters))
+	for name, c := range src.counters {
+		counters[name] = c.Load()
+	}
+	gauges := make(map[string]int64, len(src.gauges))
+	for name, g := range src.gauges {
+		gauges[name] = g.Load()
+	}
+	hists := make(map[string]histState, len(src.hists))
+	for name, h := range src.hists {
+		hists[name] = h.state()
+	}
+	meta := make(map[string]metricMeta, len(src.meta))
+	for name, m := range src.meta {
+		meta[name] = m
+	}
 	src.mu.Unlock()
-	r.ImportSnapshot(stable)
-	r.ImportSnapshot(volatile, Volatile())
-}
 
-// ImportSnapshot folds a serialized Snapshot into r: counters and
-// histogram buckets add, gauges take the snapshot's value. It is Merge's
-// fold. Metrics created by the import are registered with the given
-// options.
-func (r *Registry) ImportSnapshot(s Snapshot, opts ...Option) {
-	if r == nil {
-		return
+	opts := func(name string) []Option {
+		if meta[name].volatile {
+			return []Option{Volatile()}
+		}
+		return nil
 	}
-	for name, v := range s.Counters {
-		r.Counter(name, opts...).Add(v)
+	for name, v := range counters {
+		r.Counter(name, opts(name)...).Add(v)
 	}
-	for name, v := range s.Gauges {
-		r.Gauge(name, opts...).Set(v)
+	for name, v := range gauges {
+		r.Gauge(name, opts(name)...).Set(v)
 	}
-	for name, hs := range s.Histograms {
-		r.Histogram(name, opts...).importSnapshot(hs)
+	for name, st := range hists {
+		r.Histogram(name, opts(name)...).merge(st)
 	}
 }
 
@@ -259,21 +268,12 @@ func (r *Registry) Snapshot() Snapshot { return r.snapshot(keepAll) }
 func (r *Registry) StableSnapshot() Snapshot { return r.snapshot(keepStable) }
 
 // The volatility filters a snapshot is taken through.
-func keepAll(bool) bool               { return true }
-func keepStable(volatile bool) bool   { return !volatile }
-func keepVolatile(volatile bool) bool { return volatile }
+func keepAll(bool) bool             { return true }
+func keepStable(volatile bool) bool { return !volatile }
 
-// snapshot copies the metrics whose volatility keep accepts.
+// snapshot copies the metrics whose volatility keep accepts (a nil r
+// copies nothing).
 func (r *Registry) snapshot(keep func(volatile bool) bool) Snapshot {
-	if r != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
-	return r.snapshotLocked(keep)
-}
-
-// snapshotLocked is snapshot with r.mu held (a nil r copies nothing).
-func (r *Registry) snapshotLocked(keep func(volatile bool) bool) Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]int64{},
@@ -282,6 +282,8 @@ func (r *Registry) snapshotLocked(keep func(volatile bool) bool) Snapshot {
 	if r == nil {
 		return s
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		if keep(r.meta[name].volatile) {
 			s.Counters[name] = c.Load()
@@ -310,19 +312,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// Names returns every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.meta))
-	for name := range r.meta {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -221,6 +222,7 @@ func TestMerge(t *testing.T) {
 	a.Histogram("h").Observe(time.Millisecond)
 	b.Histogram("h").Observe(2 * time.Millisecond)
 	b.Histogram("h", Volatile()) // volatility rides along, harmless repeat
+	b.Counter("wall", Volatile()).Add(2)
 
 	a.Merge(b)
 	if got := a.Counter("n").Load(); got != 7 {
@@ -236,46 +238,111 @@ func TestMerge(t *testing.T) {
 	if h.Count != 2 || h.MaxNS != int64(2*time.Millisecond) {
 		t.Errorf("merged histogram count=%d max=%d", h.Count, h.MaxNS)
 	}
+	if got := a.Snapshot().Counters["wall"]; got != 2 {
+		t.Errorf("merged volatile counter = %d, want 2", got)
+	}
+	if _, ok := a.StableSnapshot().Counters["wall"]; ok {
+		t.Error("a volatile metric new to the destination must stay out of its StableSnapshot")
+	}
 }
 
-// mergeReference is Merge's former body, the oracle the
-// ImportSnapshot-based Merge is held to: copy src metric by metric under
-// its lock, then fold each into r with src's volatility.
-func mergeReference(r, src *Registry) {
-	src.mu.Lock()
-	counters := make(map[string]int64, len(src.counters))
-	for name, c := range src.counters {
-		counters[name] = c.Load()
+// mergeSnapshots is the oracle Merge is held to, summed at the level of
+// snapshots: counters and histogram buckets, counts and sums add, a
+// histogram's max is the larger, gauges take src's value, and a metric
+// new to dst takes src's volatility. It returns what dst's full and
+// stable snapshots must read after dst.Merge(src). Quantiles are derived
+// from the buckets and max compared here, so it leaves them zero.
+func mergeSnapshots(dst, src *Registry) (full, stable Snapshot) {
+	d, s := dst.Snapshot(), src.Snapshot()
+	full = Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}, Histograms: map[string]HistogramSnapshot{}}
+	for name, v := range d.Counters {
+		full.Counters[name] = v
 	}
-	gauges := make(map[string]int64, len(src.gauges))
-	for name, g := range src.gauges {
-		gauges[name] = g.Load()
+	for name, v := range d.Gauges {
+		full.Gauges[name] = v
 	}
-	hists := make(map[string]histState, len(src.hists))
-	for name, h := range src.hists {
-		hists[name] = h.state()
+	for name, h := range d.Histograms {
+		full.Histograms[name] = addHistograms(HistogramSnapshot{}, h)
 	}
-	meta := make(map[string]metricMeta, len(src.meta))
-	for name, m := range src.meta {
-		meta[name] = m
+	for name, v := range s.Counters {
+		full.Counters[name] += v
 	}
-	src.mu.Unlock()
+	for name, v := range s.Gauges {
+		full.Gauges[name] = v
+	}
+	for name, h := range s.Histograms {
+		full.Histograms[name] = addHistograms(full.Histograms[name], h)
+	}
 
-	opts := func(name string) []Option {
-		if meta[name].volatile {
-			return []Option{Volatile()}
+	// a name is stable in dst if dst has it stable, or src does and dst
+	// does not have it at all
+	dStable, sStable := names(dst.StableSnapshot()), names(src.StableSnapshot())
+	dAll := names(d)
+	isStable := func(name string) bool {
+		if dAll[name] {
+			return dStable[name]
 		}
-		return nil
+		return sStable[name]
 	}
-	for name, v := range counters {
-		r.Counter(name, opts(name)...).Add(v)
+	stable = Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}, Histograms: map[string]HistogramSnapshot{}}
+	for name, v := range full.Counters {
+		if isStable(name) {
+			stable.Counters[name] = v
+		}
 	}
-	for name, v := range gauges {
-		r.Gauge(name, opts(name)...).Set(v)
+	for name, v := range full.Gauges {
+		if isStable(name) {
+			stable.Gauges[name] = v
+		}
 	}
-	for name, st := range hists {
-		r.Histogram(name, opts(name)...).merge(st)
+	for name, h := range full.Histograms {
+		if isStable(name) {
+			stable.Histograms[name] = h
+		}
 	}
+	return full, stable
+}
+
+// names is the set of metric names a snapshot carries.
+func names(s Snapshot) map[string]bool {
+	set := map[string]bool{}
+	for name := range s.Counters {
+		set[name] = true
+	}
+	for name := range s.Gauges {
+		set[name] = true
+	}
+	for name := range s.Histograms {
+		set[name] = true
+	}
+	return set
+}
+
+// addHistograms sums two histogram snapshots bucket by bound, in bound
+// order with the overflow bucket (LeUS -1) last, and leaves the
+// quantiles zero.
+func addHistograms(a, b HistogramSnapshot) HistogramSnapshot {
+	counts := map[int64]int64{}
+	for _, bk := range append(append([]HistogramBucket(nil), a.Buckets...), b.Buckets...) {
+		counts[bk.LeUS] += bk.Count
+	}
+	var buckets []HistogramBucket
+	for le, n := range counts {
+		buckets = append(buckets, HistogramBucket{LeUS: le, Count: n})
+	}
+	order := func(le int64) uint64 { return uint64(le) } // -1 sorts last
+	sort.Slice(buckets, func(i, j int) bool { return order(buckets[i].LeUS) < order(buckets[j].LeUS) })
+	return HistogramSnapshot{Count: a.Count + b.Count, SumNS: a.SumNS + b.SumNS, MaxNS: max(a.MaxNS, b.MaxNS), Buckets: buckets}
+}
+
+// withoutQuantiles zeroes every histogram's quantiles, which
+// mergeSnapshots does not derive.
+func withoutQuantiles(s Snapshot) Snapshot {
+	for name, h := range s.Histograms {
+		h.P50NS, h.P90NS, h.P99NS = 0, 0, 0
+		s.Histograms[name] = h
+	}
+	return s
 }
 
 // randomRegistry fills a registry from rng: counters, gauges and
@@ -307,19 +374,19 @@ func randomRegistry(rng *rand.Rand) *Registry {
 }
 
 // TestMergeMatchesReference: on random registries, Merge leaves the
-// destination with the same full and stable snapshots as mergeReference.
+// destination with the full and stable snapshots mergeSnapshots sums.
 func TestMergeMatchesReference(t *testing.T) {
 	overflow := false
 	for seed := uint64(0); seed < 300; seed++ {
 		build := func(salt uint64) *Registry { return randomRegistry(rand.New(rand.NewPCG(seed, salt))) }
-		got, want, src := build(1), build(1), build(2)
+		got, src := build(1), build(2)
+		wantFull, wantStable := mergeSnapshots(got, src)
 		got.Merge(src)
-		mergeReference(want, src)
-		if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
-			t.Fatalf("seed %d: Snapshot after Merge\n%+v\nwant\n%+v", seed, g, w)
+		if g := withoutQuantiles(got.Snapshot()); !reflect.DeepEqual(g, wantFull) {
+			t.Fatalf("seed %d: Snapshot after Merge\n%+v\nwant\n%+v", seed, g, wantFull)
 		}
-		if g, w := got.StableSnapshot(), want.StableSnapshot(); !reflect.DeepEqual(g, w) {
-			t.Fatalf("seed %d: StableSnapshot after Merge\n%+v\nwant\n%+v", seed, g, w)
+		if g := withoutQuantiles(got.StableSnapshot()); !reflect.DeepEqual(g, wantStable) {
+			t.Fatalf("seed %d: StableSnapshot after Merge\n%+v\nwant\n%+v", seed, g, wantStable)
 		}
 		for _, h := range got.Snapshot().Histograms {
 			for _, b := range h.Buckets {

@@ -8,8 +8,8 @@
 // 24 hours after the attack to capture the post-attack baseline.
 //
 // The paper built this on Kafka, Spark Structured Streaming and Flume; here
-// a channel stands in for that plumbing: the Watcher consumes the ordered
-// attack stream and hands each campaign to its one consumer on another.
+// Platform.Watch stands in for that plumbing: it takes the ordered attack
+// feed and returns one campaign per distinct attack, in feed order.
 package reactive
 
 import (
@@ -19,6 +19,7 @@ import (
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/dnsdb"
+	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/resolver"
 	"dnsddos/internal/rsdos"
@@ -93,8 +94,8 @@ func NewPlatform(cfg Config, db *dnsdb.DB, res *resolver.Resolver, rng *rand.Ran
 
 // React runs the full campaign for one attack: from trigger (attack start
 // plus a delay ≤ MaxTriggerDelay) until attack end plus Tail. The caller
-// supplies the attack with its final extent, as when replaying a feed; the
-// live Watcher drives incremental reaction instead.
+// supplies the attack with its final extent, as when replaying a feed
+// (Watch replays one).
 func (p *Platform) React(a rsdos.Attack) *Campaign {
 	c := &Campaign{Attack: a}
 	// trigger delay: the pipeline publishes 5-minute batches, so the
@@ -228,31 +229,24 @@ func (c *Campaign) UnresolvableDuringAttack() bool {
 	return any
 }
 
-// Watcher consumes a live attack stream and launches campaigns. It
+// Watch launches a campaign for each attack of the feed, in feed order,
+// skipping repeat feed entries for the same (victim, start window). It
 // processes attacks sequentially in simulation time (probing itself is
-// simulated), so a single goroutine suffices; Run returns when the feed
-// closes.
-type Watcher struct {
-	platform *Platform
-	seen     map[string]struct{}
-}
-
-// NewWatcher builds a watcher over the platform.
-func NewWatcher(platform *Platform) *Watcher {
-	return &Watcher{platform: platform, seen: make(map[string]struct{})}
-}
-
-// Run consumes attacks until the feed closes, deduplicating repeat feed
-// entries for the same (victim, start window), sends each campaign on
-// results, and closes results when the feed ends.
-func (w *Watcher) Run(feed <-chan rsdos.Attack, results chan<- *Campaign) {
-	defer close(results)
-	for a := range feed {
-		key := a.Victim.String() + "|" + a.StartWindow.String()
-		if _, dup := w.seen[key]; dup {
+// simulated), on the caller's goroutine.
+func (p *Platform) Watch(feed []rsdos.Attack) []*Campaign {
+	type key struct {
+		victim netx.Addr
+		start  clock.Window
+	}
+	seen := make(map[key]bool, len(feed))
+	var campaigns []*Campaign
+	for _, a := range feed {
+		k := key{a.Victim, a.StartWindow}
+		if seen[k] {
 			continue
 		}
-		w.seen[key] = struct{}{}
-		results <- w.platform.React(a)
+		seen[k] = true
+		campaigns = append(campaigns, p.React(a))
 	}
+	return campaigns
 }

@@ -203,24 +203,27 @@ func TestPartialOutagePerNSAttribution(t *testing.T) {
 	}
 }
 
+// TestWatcherDeduplicates: Platform.Watch launches one campaign for a
+// duplicated feed entry, and distinct attacks keep feed order.
 func TestWatcherDeduplicates(t *testing.T) {
 	db, ids := reactiveWorld(t, 20)
 	cfg := DefaultConfig()
 	cfg.Tail = 0
 	p := newTestPlatform(db, &downTransport{}, cfg)
-	w := NewWatcher(p)
-	results := make(chan *Campaign, 16)
-	feed := make(chan rsdos.Attack, 4)
 	a := mkAttack(db.Nameservers[ids[0]].Addr, 1000, 1002)
-	feed <- a
-	feed <- a // duplicate feed entry
-	close(feed)
-	go w.Run(feed, results)
-	var n int
-	for range results {
-		n++
-	}
-	if n != 1 {
+	if n := len(p.Watch([]rsdos.Attack{a, a})); n != 1 {
 		t.Errorf("campaigns = %d, want 1 after dedup", n)
+	}
+
+	// a later attack first in the feed, then an earlier one on another
+	// victim, then the first again: two campaigns, in feed order
+	b := mkAttack(db.Nameservers[ids[1]].Addr, 900, 901)
+	got := p.Watch([]rsdos.Attack{a, b, a})
+	if len(got) != 2 {
+		t.Fatalf("campaigns = %d, want 2", len(got))
+	}
+	if got[0].Attack.StartWindow != a.StartWindow || got[1].Attack.StartWindow != b.StartWindow {
+		t.Errorf("campaigns start at windows %v, %v; want %v, %v (feed order)",
+			got[0].Attack.StartWindow, got[1].Attack.StartWindow, a.StartWindow, b.StartWindow)
 	}
 }

@@ -40,7 +40,7 @@ func joinAblation(title string, variants ...variant) func(io.Writer, *study.Stud
 		for _, v := range variants {
 			cfg := s.Config.Pipeline
 			v.mutate(&cfg)
-			events := s.Session().NewPipeline(s.Pipeline.DayStore(), quarantined, obs.New(), core.WithConfig(cfg)).Events(s.Attacks)
+			events := s.NewPipeline(s.Pipeline.DayStore(), quarantined, obs.New(), core.WithConfig(cfg)).Events(s.Attacks)
 			var failing, over10 int
 			for _, e := range events {
 				if e.Timeouts+e.ServFails > 0 {

@@ -312,7 +312,7 @@ func russiaAvailability(w io.Writer, s *study.Study) {
 }
 
 // reactiveTrigger feeds a sample of DNS-direct attacks through the
-// bus-driven watcher and reports the §4.3.1 trigger delay.
+// platform's watch and reports the §4.3.1 trigger delay.
 func reactiveTrigger(w io.Writer, s *study.Study) error {
 	var sample []rsdos.Attack
 	for _, ca := range s.Classified {
@@ -324,22 +324,13 @@ func reactiveTrigger(w io.Writer, s *study.Study) error {
 		return errors.New("no DNS-direct attacks")
 	}
 	platform := reactive.NewPlatform(reactive.DefaultConfig(), s.World.DB, s.Resolver, rand.New(rand.NewPCG(6, 6)))
-	results := make(chan *reactive.Campaign, len(sample))
-	feed := make(chan rsdos.Attack, len(sample))
-	for _, a := range sample {
-		feed <- a
-	}
-	close(feed)
-	// every send above and below fits its buffer, so the watcher needs no
-	// goroutine of its own
-	reactive.NewWatcher(platform).Run(feed, results)
-	var n, probes int
+	campaigns := platform.Watch(sample)
+	var probes int
 	var worstDelay time.Duration
-	for c := range results {
-		n++
+	for _, c := range campaigns {
 		probes += len(c.Probes)
 		worstDelay = max(worstDelay, c.Triggered.Sub(c.Attack.Start()))
 	}
-	fmt.Fprintf(w, "# reactive: campaigns=%d probes=%d worst_trigger_delay=%s (<=10m)\n", n, probes, worstDelay)
+	fmt.Fprintf(w, "# reactive: campaigns=%d probes=%d worst_trigger_delay=%s (<=10m)\n", len(campaigns), probes, worstDelay)
 	return nil
 }

@@ -58,7 +58,7 @@ func mergedRun(t *testing.T, cfg Config, beforeDay func(clock.Day)) *Study {
 			}
 		}
 	}
-	s := sess.newStudy(reg)
+	s := &Study{session: sess, Metrics: reg}
 	s.Pipeline = sess.NewPipeline(agg, ledger.Quarantined(), reg)
 	if s.Events, err = s.Pipeline.EventsContext(ctx, s.Attacks); err != nil {
 		t.Fatal(err)

@@ -100,7 +100,7 @@ func TestAbandonedTableIsNotRecycled(t *testing.T) {
 			}
 		},
 	}
-	if err := sess.newStudy(reg).runSweeps(ctx, opts, ledger, nil); err != nil {
+	if err := (&Study{session: sess, Metrics: reg}).runSweeps(ctx, opts, ledger, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -200,8 +200,7 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 	if err != nil {
 		return nil, err
 	}
-	s := sess.newStudy(reg)
-	s.beforeDay = opts.beforeDay
+	s := &Study{session: sess, Metrics: reg, beforeDay: opts.beforeDay}
 	ledger, err := openLedger(cfg, reg, opts.checkpointDir, opts.daystoreDir, opts.resume)
 	if err != nil {
 		return nil, err
@@ -236,7 +235,7 @@ func (s *Study) finish(ctx context.Context, days *daystore.Set, ledger *dayLedge
 	if err := s.widen(ctx, days, ledger); err != nil {
 		return err
 	}
-	s.Pipeline = s.session.NewPipeline(days, ledger.Quarantined(), s.Metrics)
+	s.Pipeline = s.NewPipeline(days, ledger.Quarantined(), s.Metrics)
 	if !skipJoin {
 		s.Classified = s.Pipeline.Classify(s.Attacks)
 		var err error
@@ -261,8 +260,8 @@ func (s *Study) finish(ctx context.Context, days *daystore.Set, ledger *dayLedge
 // before each, as before every first-pass attempt; a panic fails the run,
 // since the day swept cleanly once.
 func (s *Study) widen(ctx context.Context, days *daystore.Set, ledger *dayLedger) error {
-	for _, fb := range s.session.fallbackDemand(ledger.Quarantined()) {
-		agg, base, extra, fail := s.session.resweepDay(ctx, fb.day, fb.added, s.beforeDay)
+	for _, fb := range s.fallbackDemand(ledger.Quarantined()) {
+		agg, base, extra, fail := s.resweepDay(ctx, fb.day, fb.added, s.beforeDay)
 		switch {
 		case fail != nil:
 			return fmt.Errorf("study: sweeping day %s again for a quarantined day: %s", fb.day, fail.Reason)
@@ -460,7 +459,7 @@ func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu
 // scratch, under the watchdog when enabled.
 func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options, scratch *nsset.Aggregator) (*nsset.Aggregator, sweepCounts, *sweepFailure) {
 	if opts.shardTimeout <= 0 {
-		return s.session.sweepDayAttempt(ctx, day, scratch, opts.beforeDay)
+		return s.sweepDayAttempt(ctx, day, scratch, opts.beforeDay)
 	}
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -471,7 +470,7 @@ func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options, s
 	}
 	ch := make(chan result, 1)
 	go func() {
-		a, counts, f := s.session.sweepDayAttempt(dctx, day, scratch, opts.beforeDay)
+		a, counts, f := s.sweepDayAttempt(dctx, day, scratch, opts.beforeDay)
 		ch <- result{a, counts, f}
 	}()
 	timer := time.NewTimer(opts.shardTimeout)

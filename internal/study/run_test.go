@@ -20,30 +20,30 @@ import (
 )
 
 // run_test.go holds the run loop's per-day cost to what a day keeps: the
-// sweep counts fold like the registry snapshot they replace, and an extra
+// sweep counts fold like the day registry they replace, and an extra
 // swept day allocates a bounded handful of objects.
 
-// importSnapshot is how a day's counts reached the run registry when a day
-// shipped a registry snapshot: a registry of the day's own, its snapshot,
-// and that snapshot imported.
-func importSnapshot(run *obs.Registry, c sweepCounts) {
+// mergeDayRegistry is how a day's counts reached the run registry when a
+// day kept a registry of its own: the day's registry, merged into the
+// run's.
+func mergeDayRegistry(run *obs.Registry, c sweepCounts) {
 	reg := obs.New()
 	reg.Counter("study.sweep.ok").Add(c.OK)
 	reg.Counter("study.sweep.servfail").Add(c.ServFail)
 	reg.Counter("study.sweep.timeout").Add(c.Timeout)
 	reg.Counter("study.sweep.skipped").Add(c.Skipped)
 	reg.Histogram("study.sweep.rtt").Fold(&c.RTT)
-	run.ImportSnapshot(reg.Snapshot())
+	run.Merge(reg)
 }
 
 // TestSweepCountsFoldMatchesSnapshotImport: on random days' counts —
 // empty days, RTTs from zero to past the overflow bucket — folding each
-// sweepCounts into a registry leaves the stable snapshot that importing
-// each day's registry snapshot leaves.
+// sweepCounts into a registry leaves the stable snapshot that merging
+// each day's own registry leaves.
 func TestSweepCountsFoldMatchesSnapshotImport(t *testing.T) {
 	rng := rand.New(rand.NewPCG(37, 1))
 	for trial := 0; trial < 50; trial++ {
-		folded, imported := obs.New(), obs.New()
+		folded, merged := obs.New(), obs.New()
 		for day := rng.IntN(6); day >= 0; day-- {
 			var c sweepCounts
 			if rng.IntN(5) > 0 {
@@ -53,10 +53,10 @@ func TestSweepCountsFoldMatchesSnapshotImport(t *testing.T) {
 				}
 			}
 			c.fold(folded)
-			importSnapshot(imported, c)
+			mergeDayRegistry(merged, c)
 		}
-		if got, want := folded.StableSnapshot(), imported.StableSnapshot(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: folded counts\n%+v\nwant the imported snapshots'\n%+v", trial, got, want)
+		if got, want := folded.StableSnapshot(), merged.StableSnapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: folded counts\n%+v\nwant the merged registries'\n%+v", trial, got, want)
 		}
 	}
 }

@@ -400,24 +400,6 @@ func (sess *Session) NewAggregator() *nsset.Aggregator {
 	return a
 }
 
-// newStudy returns the Study shell of a run over this session, observing
-// into reg: the session's deterministic state under the Study's exported
-// fields. The run fills in Pipeline, Classified, Events and Report.
-func (sess *Session) newStudy(reg *obs.Registry) *Study {
-	return &Study{
-		Config:    sess.Config,
-		World:     sess.World,
-		Schedule:  sess.Schedule,
-		Telescope: sess.Telescope,
-		Attacks:   sess.Attacks,
-		Net:       sess.Net,
-		Resolver:  sess.Resolver,
-		Engine:    sess.Engine,
-		Metrics:   reg,
-		session:   sess,
-	}
-}
-
 // sweepFailure is why one sweep attempt produced no day.
 type sweepFailure struct {
 	// Reason is "panic: ..." or "watchdog: ...".

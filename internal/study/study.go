@@ -12,12 +12,10 @@ import (
 	"dnsddos/internal/core"
 	"dnsddos/internal/nsset"
 	"dnsddos/internal/obs"
-	"dnsddos/internal/openintel"
 	"dnsddos/internal/resolver"
 	"dnsddos/internal/rsdos"
 	"dnsddos/internal/scenario"
 	"dnsddos/internal/simnet"
-	"dnsddos/internal/telescope"
 )
 
 // Config collects every knob of a full study run.
@@ -87,19 +85,15 @@ func QuickConfig() Config {
 	return c
 }
 
-// Study is the materialized run.
+// session names Session for embedding in Study without exporting the
+// embedded field.
+type session = Session
+
+// Study is the materialized run. It embeds the Session it was built from,
+// whose Config, World, Schedule, Telescope, Attacks, Net, Resolver and
+// Engine it promotes.
 type Study struct {
-	Config    Config
-	World     *scenario.World
-	Schedule  *scenario.Schedule
-	Telescope *telescope.Telescope
-	// Deprecated: always nil. It goes with Session.Obs, which the repo
-	// benchmark (benchmark/) still reads.
-	Obs      []rsdos.WindowObs
-	Attacks  []rsdos.Attack
-	Net      *simnet.Net
-	Resolver *resolver.Resolver
-	Engine   *openintel.Engine
+	*session
 	// Deprecated: nil after every run; read the days through Pipeline.DayStore.
 	Agg      *nsset.Aggregator
 	Pipeline *core.Pipeline
@@ -115,9 +109,6 @@ type Study struct {
 	// -metrics-addr endpoint keeps serving final values.
 	Metrics *obs.Registry
 
-	// session is the deterministic state the run was built from
-	// (session.go); the exported World/Schedule/... fields above alias it.
-	session *Session
 	// beforeDay is RunContext's WithBeforeDay hook, which Finish's
 	// second pass runs too.
 	beforeDay func(clock.Day)

@@ -60,8 +60,8 @@ func TestSweepCountsCoverEveryDomainDay(t *testing.T) {
 			for _, sk := range s.Report.SkippedDays {
 				q = append(q, sk.Day)
 			}
-			if tc.quarantine >= 0 && (!slices.Equal(q, []clock.Day{tc.quarantine}) || len(s.session.fallbackDemand(q)) == 0) {
-				t.Fatalf("quarantined %v, fallbacks %v: the second pass would not run", q, s.session.fallbackDemand(q))
+			if tc.quarantine >= 0 && (!slices.Equal(q, []clock.Day{tc.quarantine}) || len(s.fallbackDemand(q)) == 0) {
+				t.Fatalf("quarantined %v, fallbacks %v: the second pass would not run", q, s.fallbackDemand(q))
 			}
 			measured, skipped := sweptDomains(s)
 			domains := int64(len(s.World.DB.Domains))

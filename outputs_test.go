@@ -82,7 +82,7 @@ func studyOutputs(t *testing.T) map[string][]byte {
 	if err := file.WriteHeader(); err != nil {
 		t.Fatal(err)
 	}
-	s.Session().Feed(func(o *rsdos.WindowObs) { p.Offer(o) }, func(w clock.Window) {
+	s.Feed(func(o *rsdos.WindowObs) { p.Offer(o) }, func(w clock.Window) {
 		if err == nil {
 			err = p.Advance(w)
 		}
