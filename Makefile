@@ -95,7 +95,7 @@ soak:
 # check, whose two workers sweep the benchmark's configuration through
 # that demand and whose quarantined run sweeps a fallback day again. The
 # curation (internal/rsdos) runs whole under the detector: the session's
-# fold, and the tracker it advances, run on the feed's helper goroutine.
+# fold runs on the feed's helper goroutine.
 # The last leg is the degraded-mode sweep: a live loopback fleet, the
 # retrying resolver and dnsload under the detector in every mode.
 race-gate: soak
@@ -238,8 +238,10 @@ paperscale:
 
 # The numbers every simplicity PR quotes: non-test Go lines outside
 # benchmark/, all Go lines outside benchmark/ (so code moved into _test.go
-# does not read as a reduction), and the functional options (^func With)
-# per package.
+# does not read as a reduction), the functional options (^func With)
+# per package, and the command-line flags the commands declare (their
+# main.go files and the shared internal/cli), so a knob count covers
+# flags as well as options.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l | \
 		awk '{print $$1 " non-test Go lines outside benchmark/"}'
@@ -248,3 +250,5 @@ loc:
 	@grep -c '^func With' $$(find internal -name '*.go' ! -name '*_test.go') | \
 		awk -F: '$$2 > 0 {n = $$1; sub("/[^/]*$$", "", n); c[n] += $$2; t += $$2} \
 			END {for (p in c) print c[p] " options in " p | "sort -k4"; close("sort -k4"); print t " options in total"}'
+	@cat cmd/*/main.go internal/cli/cli.go | grep -cE '\b(flag|fs)\.(Bool|Int|Uint64|String|Duration|Float64)(Var)?\(' | \
+		awk '{print $$1 " command-line flags in cmd/*/main.go and internal/cli"}'

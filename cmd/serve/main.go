@@ -164,12 +164,12 @@ func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
-	st := srv.Stats()
+	c := srv.Metrics().Snapshot().Counters
 	logger.Info("shutting down",
-		"udp_answered", st.UDPAnswered, "udp_dropped", st.UDPDropped,
-		"shed_servfail", st.UDPShedServFail, "shed_tc", st.UDPShedTruncated,
-		"rrl_dropped", st.RRLDropped, "rrl_slipped", st.RRLSlipped,
-		"tcp_queries", st.TCPQueries, "tcp_rejected", st.TCPRejected)
+		"udp_answered", c["authserver.udp_answered"], "udp_dropped", c["authserver.udp_dropped"],
+		"shed_servfail", c["authserver.udp_shed_servfail"], "shed_tc", c["authserver.udp_shed_truncated"],
+		"rrl_dropped", c["authserver.rrl_dropped"], "rrl_slipped", c["authserver.rrl_slipped"],
+		"tcp_queries", c["authserver.tcp_queries"], "tcp_rejected", c["authserver.tcp_rejected"])
 	done := make(chan struct{})
 	go func() {
 		srv.Close()

@@ -6,11 +6,11 @@
 // passes, finalizing attacks incrementally and joining them the moment
 // they can no longer change. Joined impact events are appended to the
 // output CSV batch by batch, with bounded lag, instead of at end of run.
-// The stream replays the whole feed; -from-day and -days pick the days
-// the measurement sweeps (with the day before, for the previous-day
-// snapshot and baseline), by default the whole study, so the attacks on
-// those days join to events. streamjoin then writes joinpipe's rows over
-// the same configuration, numbered in emission order.
+// The stream replays the whole feed; the configuration's FromDay and
+// ToDay (-config, as for joinpipe) are the days the measurement sweeps,
+// by default the whole study, so the attacks on those days join to
+// events. streamjoin then writes joinpipe's rows over the same
+// configuration, numbered in emission order.
 //
 // With -journal the emission frontier is checkpointed after every
 // accepted batch; -journal with -resume restarts a killed run with
@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	streamjoin [-quick] [-domains N] [-attacks N] [-from-day D] [-days N]
+//	streamjoin [-quick] [-domains N] [-attacks N] [-config FILE]
 //	           [-lateness W] [-out FILE] [-journal DIR] [-resume]
 //	           [-metrics-addr :9090]
 package main
@@ -59,9 +59,7 @@ func main() {
 }
 
 func run() error {
-	common := cli.Register("streamjoin", true, false)
-	fromDay := flag.Int("from-day", 1, "first study day whose attacks are measured (the day before it is swept too)")
-	days := flag.Int("days", clock.StudyDays()-1, "number of days whose attacks are measured, from -from-day (default: through the study's last day)")
+	common := cli.Register("streamjoin", true, true)
 	lateness := flag.Int("lateness", 1, "watermark lateness allowance in 5-minute windows")
 	out := flag.String("out", "", "output CSV file, appended batch by batch (default stdout)")
 	journalDir := flag.String("journal", "", "journal directory: checkpoint the emission frontier per batch")
@@ -82,11 +80,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// sweep one day before the chosen days (prev-day snapshots and
-	// baselines) and the chosen days themselves
-	from := clock.Day(*fromDay)
-	to := from + clock.Day(*days) - 1
-	cfg.FromDay, cfg.ToDay = from-1, to
 
 	reg := obs.New()
 	stopMetrics, err := common.ServeMetrics(reg)
@@ -101,7 +94,7 @@ func run() error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "streamjoin: world and measurement sweeps of days %d..%d ready (%.1fs), streaming the feed\n",
-		int(from), int(to), time.Since(start).Seconds())
+		int(cfg.FromDay), int(cfg.ToDay), time.Since(start).Seconds())
 
 	opts := []stream.Option{
 		stream.WithContext(ctx),
@@ -162,7 +155,7 @@ func run() error {
 		// frontier as resumable — the deferred close would swallow a
 		// failure and leave the journaled SinkBytes offset pointing past
 		// what the file durably holds.
-		if err := sink.Shutdown(); err != nil {
+		if err := sink.Close(); err != nil {
 			return fmt.Errorf("closing sink after interrupt: %w (stream stopped: %v)", err, streamErr)
 		}
 		if ct, ok := p.ClosedThrough(); ok {

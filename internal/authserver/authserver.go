@@ -10,7 +10,7 @@
 // a bounded worker pool, so a slow answer — the Delay knob, or a large
 // NSSet encode — never stalls the read loop. TCP connections get one
 // goroutine each under a connection cap, and Close drains in-flight
-// exchanges gracefully. Overload sheds queries (counted in Stats) instead
+// exchanges gracefully. Overload sheds queries (counted in Metrics) instead
 // of wedging the socket: under flood the server degrades the way the
 // paper's targets degrade, by dropping, not by freezing.
 package authserver
@@ -251,21 +251,26 @@ func ParseOverloadPolicy(s string) (OverloadPolicy, error) {
 }
 
 // serverMetrics is the server's registry-backed instrumentation: the
-// traffic counters behind the public Stats snapshot plus the per-query
-// latency histograms, all living in one obs.Registry so cmd/serve can
-// export them over HTTP while the server runs.
+// traffic counters plus the per-query latency histograms, all living in
+// one obs.Registry (Server.Metrics), the one view of them, so cmd/serve
+// can export them over HTTP while the server runs. Each field's registry
+// name is in newServerMetrics.
 type serverMetrics struct {
-	udpReceived   *obs.Counter
-	udpAnswered   *obs.Counter
+	udpReceived *obs.Counter // datagrams read off the UDP socket
+	udpAnswered *obs.Counter // responses written on the normal path, not by a shed or an RRL slip
+	// udpDropped counts queries shed on a full worker queue — the overload
+	// signal — whatever the Overload policy answered; shedServFail and
+	// shedTruncated break the answered sheds down by what was sent back
+	// (OverloadDrop's send nothing and count in udpDropped only).
 	udpDropped    *obs.Counter
 	shedServFail  *obs.Counter
 	shedTruncated *obs.Counter
-	rrlDropped    *obs.Counter
-	rrlSlipped    *obs.Counter
-	udpMalformed  *obs.Counter
-	tcpAccepted   *obs.Counter
-	tcpRejected   *obs.Counter
-	tcpQueries    *obs.Counter
+	rrlDropped    *obs.Counter // responses suppressed by response rate limiting
+	rrlSlipped    *obs.Counter // limited responses sent as minimal truncated answers (SLIP)
+	udpMalformed  *obs.Counter // datagrams that failed to decode or were not single-question queries
+	tcpAccepted   *obs.Counter // connections admitted under the MaxConns cap
+	tcpRejected   *obs.Counter // connections refused at the cap
+	tcpQueries    *obs.Counter // TCP exchanges served
 	// udpLatency spans read-off-the-socket to response written (queue
 	// wait + decode + answer + encode + artificial delay); tcpLatency
 	// spans one framed exchange.
@@ -291,36 +296,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 	}
 }
 
-// Stats is a snapshot of the server's traffic counters.
-type Stats struct {
-	// UDPReceived counts datagrams read off the UDP socket.
-	UDPReceived int64
-	// UDPAnswered counts UDP responses written on the normal path
-	// (excluding shed-policy and RRL-slip reflexes).
-	UDPAnswered int64
-	// UDPDropped counts queries shed because the worker queue was full —
-	// the overload signal — whatever the Overload policy answered.
-	UDPDropped int64
-	// UDPShedServFail and UDPShedTruncated break the sheds down by what
-	// the Overload policy sent back; sheds under OverloadDrop send
-	// nothing and appear only in UDPDropped.
-	UDPShedServFail  int64
-	UDPShedTruncated int64
-	// RRLDropped counts responses suppressed by response rate limiting;
-	// RRLSlipped counts limited responses sent as minimal truncated
-	// answers instead (the SLIP escape hatch).
-	RRLDropped int64
-	RRLSlipped int64
-	// UDPMalformed counts datagrams that failed to decode or were not
-	// single-question queries.
-	UDPMalformed int64
-	// TCPAccepted and TCPRejected count connections admitted and refused
-	// at the MaxConns cap. TCPQueries counts exchanges served.
-	TCPAccepted int64
-	TCPRejected int64
-	TCPQueries  int64
-}
-
 // Server serves a Zone over UDP and TCP.
 type Server struct {
 	zone *Zone
@@ -333,7 +308,7 @@ type Server struct {
 	// with a private read buffer; zero means 2. Set before Start.
 	Readers int
 	// QueueDepth bounds the pending-query queue between readers and
-	// workers; a full queue sheds new queries (see Stats.UDPDropped).
+	// workers; a full queue sheds new queries (authserver.udp_dropped).
 	// Zero means 1024. Set before Start.
 	QueueDepth int
 	// MaxConns caps concurrent TCP connections; excess connections are
@@ -370,8 +345,8 @@ type Server struct {
 }
 
 // NewServer builds a server for the zone. logger may be nil. The server
-// owns a private obs.Registry (see Metrics) backing both the Stats
-// snapshot and the latency histograms.
+// owns a private obs.Registry (see Metrics) holding its traffic counters
+// and latency histograms.
 func NewServer(zone *Zone, logger *slog.Logger) *Server {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -387,8 +362,9 @@ func NewServer(zone *Zone, logger *slog.Logger) *Server {
 }
 
 // Metrics returns the server's metric registry — the authserver.*
-// counters behind Stats plus the udp/tcp latency histograms — for
-// export over HTTP (obs.Serve) or embedding in a larger registry.
+// traffic counters plus the udp/tcp latency histograms — for export over
+// HTTP (obs.Serve), embedding in a larger registry, or reading a counter
+// by name.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // SetDelay sets the artificial per-answer delay. Safe to call while the
@@ -397,25 +373,6 @@ func (s *Server) SetDelay(d time.Duration) { s.delay.Store(int64(d)) }
 
 // Delay returns the current artificial per-answer delay.
 func (s *Server) Delay() time.Duration { return time.Duration(s.delay.Load()) }
-
-// Stats returns a snapshot of the traffic counters. The values are read
-// from the same registry-backed counters /metrics.json exports, so the
-// two views always agree.
-func (s *Server) Stats() Stats {
-	return Stats{
-		UDPReceived:      s.m.udpReceived.Load(),
-		UDPAnswered:      s.m.udpAnswered.Load(),
-		UDPDropped:       s.m.udpDropped.Load(),
-		UDPShedServFail:  s.m.shedServFail.Load(),
-		UDPShedTruncated: s.m.shedTruncated.Load(),
-		RRLDropped:       s.m.rrlDropped.Load(),
-		RRLSlipped:       s.m.rrlSlipped.Load(),
-		UDPMalformed:     s.m.udpMalformed.Load(),
-		TCPAccepted:      s.m.tcpAccepted.Load(),
-		TCPRejected:      s.m.tcpRejected.Load(),
-		TCPQueries:       s.m.tcpQueries.Load(),
-	}
-}
 
 // udpJob is one datagram handed from a reader to the worker pool. start
 // is the read timestamp, anchoring the per-query latency observation.

@@ -67,9 +67,8 @@ func TestConcurrentLoadUDPAndTCP(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	st := srv.Stats()
-	if st.UDPAnswered == 0 || st.TCPQueries == 0 {
-		t.Errorf("stats show no traffic: %+v", st)
+	if counter(srv, "udp_answered") == 0 || counter(srv, "tcp_queries") == 0 {
+		t.Errorf("counters show no traffic: %v", srv.Metrics().Snapshot().Counters)
 	}
 }
 
@@ -131,7 +130,7 @@ func TestTCPConnCap(t *testing.T) {
 	}
 	defer held.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().TCPAccepted == 0 {
+	for counter(srv, "tcp_accepted") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("held connection never accepted")
 		}
@@ -144,8 +143,8 @@ func TestTCPConnCap(t *testing.T) {
 	if _, err := QueryTCP(ctx, addr, "example.nl", dnswire.TypeNS); err == nil {
 		t.Error("query over the cap should fail")
 	}
-	if srv.Stats().TCPRejected == 0 {
-		t.Errorf("stats = %+v, want a rejected connection", srv.Stats())
+	if counter(srv, "tcp_rejected") == 0 {
+		t.Errorf("counters = %v, want a rejected connection", srv.Metrics().Snapshot().Counters)
 	}
 
 	// the admitted connection still serves queries

@@ -165,21 +165,22 @@ func TestOverloadPolicies(t *testing.T) {
 					}
 				}
 			}
-			st := srv.Stats()
-			if st.UDPDropped == 0 {
-				t.Fatalf("flood did not overflow the queue: %+v", st)
+			st := srv.Metrics().Snapshot().Counters
+			if counter(srv, "udp_dropped") == 0 {
+				t.Fatalf("flood did not overflow the queue: %v", st)
 			}
 			if shedSeen == 0 {
-				t.Errorf("policy %v sent no degraded answers (stats %+v)", tc.policy, st)
+				t.Errorf("policy %v sent no degraded answers (counters %v)", tc.policy, st)
 			}
+			servfail, truncated := counter(srv, "udp_shed_servfail"), counter(srv, "udp_shed_truncated")
 			switch tc.policy {
 			case OverloadServFail:
-				if st.UDPShedServFail == 0 || st.UDPShedTruncated != 0 {
-					t.Errorf("shed breakdown = %+v, want servfail-only", st)
+				if servfail == 0 || truncated != 0 {
+					t.Errorf("shed breakdown = %v, want servfail-only", st)
 				}
 			case OverloadTruncate:
-				if st.UDPShedTruncated == 0 || st.UDPShedServFail != 0 {
-					t.Errorf("shed breakdown = %+v, want tc-only", st)
+				if truncated == 0 || servfail != 0 {
+					t.Errorf("shed breakdown = %v, want tc-only", st)
 				}
 			}
 		})
@@ -220,15 +221,15 @@ func TestOverloadDropStaysSilent(t *testing.T) {
 		}
 		answered++
 	}
-	st := srv.Stats()
-	if st.UDPDropped == 0 {
-		t.Fatalf("flood did not overflow the queue: %+v", st)
+	st := srv.Metrics().Snapshot().Counters
+	if counter(srv, "udp_dropped") == 0 {
+		t.Fatalf("flood did not overflow the queue: %v", st)
 	}
-	if st.UDPShedServFail != 0 || st.UDPShedTruncated != 0 {
-		t.Errorf("drop policy must not send shed answers: %+v", st)
+	if counter(srv, "udp_shed_servfail") != 0 || counter(srv, "udp_shed_truncated") != 0 {
+		t.Errorf("drop policy must not send shed answers: %v", st)
 	}
-	if int64(answered) != st.UDPAnswered {
-		t.Errorf("client saw %d answers, server counted %d", answered, st.UDPAnswered)
+	if n := counter(srv, "udp_answered"); int64(answered) != n {
+		t.Errorf("client saw %d answers, server counted %d", answered, n)
 	}
 }
 
@@ -283,24 +284,25 @@ func TestRRLIsolatesFloodingPrefix(t *testing.T) {
 		}
 	}
 
-	st := srv.Stats()
+	st := srv.Metrics().Snapshot().Counters
+	dropped, slipped := counter(srv, "rrl_dropped"), counter(srv, "rrl_slipped")
 	if legitAnswered != 5 {
-		t.Errorf("well-behaved /24 got %d/5 full answers; RRL must not touch it (stats %+v)",
+		t.Errorf("well-behaved /24 got %d/5 full answers; RRL must not touch it (counters %v)",
 			legitAnswered, st)
 	}
 	if floodAnswered > 40 {
-		t.Errorf("flooding /24 got %d/120 full answers; RRL should shed most (stats %+v)",
+		t.Errorf("flooding /24 got %d/120 full answers; RRL should shed most (counters %v)",
 			floodAnswered, st)
 	}
-	if st.RRLDropped == 0 {
-		t.Errorf("RRL dropped nothing under flood: %+v", st)
+	if dropped == 0 {
+		t.Errorf("RRL dropped nothing under flood: %v", st)
 	}
-	if st.RRLSlipped == 0 || floodSlipped == 0 {
-		t.Errorf("slip=2 must leak truncated answers: slipped=%d stats=%+v", floodSlipped, st)
+	if slipped == 0 || floodSlipped == 0 {
+		t.Errorf("slip=2 must leak truncated answers: slipped=%d counters=%v", floodSlipped, st)
 	}
 	// SLIP invariant: roughly every 2nd limited response slips
-	if st.RRLSlipped > st.RRLDropped+2 {
-		t.Errorf("slip=%d vs drop=%d: slip=2 should alternate", st.RRLSlipped, st.RRLDropped)
+	if slipped > dropped+2 {
+		t.Errorf("slip=%d vs drop=%d: slip=2 should alternate", slipped, dropped)
 	}
 }
 
@@ -444,13 +446,13 @@ func TestRRLSubUnitRateAnswers(t *testing.T) {
 	defer conn.Close()
 	m := queryOn(t, conn, 1, "victim.example", time.Second)
 	if m == nil || m.Header.Truncated || len(m.Answers) == 0 {
-		t.Fatalf("first query at 0.5 responses/s got %+v, want a full answer (stats %+v)", m, srv.Stats())
+		t.Fatalf("first query at 0.5 responses/s got %+v, want a full answer (counters %v)", m, srv.Metrics().Snapshot().Counters)
 	}
 	if m := queryOn(t, conn, 2, "victim.example", 200*time.Millisecond); m != nil {
 		t.Errorf("second query within the same second answered: %+v", m.Header)
 	}
-	if st := srv.Stats(); st.RRLDropped != 1 {
-		t.Errorf("RRL dropped %d queries, want 1", st.RRLDropped)
+	if n := counter(srv, "rrl_dropped"); n != 1 {
+		t.Errorf("RRL dropped %d queries, want 1", n)
 	}
 }
 

@@ -14,13 +14,12 @@ import (
 	"dnsddos/internal/resolver"
 )
 
-// TestMetricsEndpointMatchesStats is the observability acceptance
-// check: the registry served over -metrics-addr and the Stats()
-// accessor are two views of the same atomic counters, so after real
-// traffic the endpoint's numbers must equal Stats() exactly — not
-// approximately — and the latency histogram must hold one sample per
-// answered UDP query.
-func TestMetricsEndpointMatchesStats(t *testing.T) {
+// TestMetricsEndpointMatchesRegistry is the observability acceptance
+// check: the JSON served over -metrics-addr is the server's registry
+// (Server.Metrics), so after real traffic the endpoint's counters must
+// equal the registry's exactly — not approximately — and the latency
+// histogram must hold one sample per answered UDP query.
+func TestMetricsEndpointMatchesRegistry(t *testing.T) {
 	leakcheck.NoGoroutineLeaks(t)
 
 	addr, srv := startTestServer(t)
@@ -62,39 +61,36 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 		t.Fatalf("endpoint served invalid JSON: %v\n%s", err, body)
 	}
 
-	st := srv.Stats()
-	exact := map[string]int64{
-		"authserver.udp_received":       st.UDPReceived,
-		"authserver.udp_answered":       st.UDPAnswered,
-		"authserver.udp_dropped":        st.UDPDropped,
-		"authserver.udp_shed_servfail":  st.UDPShedServFail,
-		"authserver.udp_shed_truncated": st.UDPShedTruncated,
-		"authserver.rrl_dropped":        st.RRLDropped,
-		"authserver.rrl_slipped":        st.RRLSlipped,
-		"authserver.udp_malformed":      st.UDPMalformed,
-		"authserver.tcp_queries":        st.TCPQueries,
-		"authserver.tcp_rejected":       st.TCPRejected,
-	}
-	for name, want := range exact {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("%s = %d on the endpoint, Stats() says %d", name, got, want)
+	for _, name := range []string{
+		"udp_received", "udp_answered", "udp_dropped", "udp_shed_servfail", "udp_shed_truncated",
+		"rrl_dropped", "rrl_slipped", "udp_malformed", "tcp_accepted", "tcp_rejected", "tcp_queries",
+	} {
+		if got, want := snap.Counters["authserver."+name], counter(srv, name); got != want {
+			t.Errorf("authserver.%s = %d on the endpoint, the registry says %d", name, got, want)
 		}
 	}
-	if st.UDPAnswered != queries {
-		t.Errorf("UDPAnswered = %d, want %d", st.UDPAnswered, queries)
+	answered, tcpQueries := counter(srv, "udp_answered"), counter(srv, "tcp_queries")
+	if answered != queries {
+		t.Errorf("authserver.udp_answered = %d, want %d", answered, queries)
 	}
 
 	h, ok := snap.Histograms["authserver.udp_latency"]
 	if !ok {
 		t.Fatal("endpoint missing authserver.udp_latency histogram")
 	}
-	if h.Count != st.UDPAnswered {
-		t.Errorf("latency histogram holds %d samples, want one per answered query (%d)", h.Count, st.UDPAnswered)
+	if h.Count != answered {
+		t.Errorf("latency histogram holds %d samples, want one per answered query (%d)", h.Count, answered)
 	}
 	if h.P99NS <= 0 || h.MaxNS < h.P99NS {
 		t.Errorf("implausible latency quantiles: p99=%d max=%d", h.P99NS, h.MaxNS)
 	}
-	if th, ok := snap.Histograms["authserver.tcp_latency"]; !ok || th.Count != st.TCPQueries {
-		t.Errorf("tcp latency histogram = %+v, want %d samples", th, st.TCPQueries)
+	if th, ok := snap.Histograms["authserver.tcp_latency"]; !ok || th.Count != tcpQueries {
+		t.Errorf("tcp latency histogram = %+v, want %d samples", th, tcpQueries)
 	}
+}
+
+// counter reads srv's traffic counter authserver.<name> by name, through
+// its registry.
+func counter(srv *Server, name string) int64 {
+	return srv.Metrics().Counter("authserver." + name).Load()
 }

@@ -78,22 +78,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Max returns the largest observed duration.
-func (h *Histogram) Max() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.max.Load())
-}
-
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket counts:
 // in the bucket holding the ⌈q·count⌉-th observation it interpolates
 // linearly by rank from the bucket's lower bound to its upper bound,

@@ -107,7 +107,7 @@ func TestConcurrentHistogramExact(t *testing.T) {
 		t.Errorf("bucket sums %d != observation count %d", binned, snap.Count)
 	}
 	wantMax := time.Duration(goroutines*perG-1) * 37 * time.Microsecond
-	if got := h.Max(); got != wantMax {
+	if got := time.Duration(snap.MaxNS); got != wantMax {
 		t.Errorf("max = %v, want %v", got, wantMax)
 	}
 }
@@ -435,7 +435,7 @@ func BenchmarkObserve(b *testing.B) {
 			d += 127 * time.Nanosecond
 		}
 	})
-	if h.Count() == 0 {
+	if h.Snapshot().Count == 0 {
 		b.Fatal("no observations")
 	}
 }

@@ -203,7 +203,7 @@ func TestFoldClosedAtWatermarksMatchesReference(t *testing.T) {
 					c++
 				}
 				f.Take(&feed[p])
-				if o := &feed[p]; f.tr.Qualifies(o) {
+				if o := &feed[p]; f.qualifies(o) {
 					ws := taken[o.Victim]
 					if i, found := slices.BinarySearch(ws, o.Window); !found {
 						open -= runs(ws)

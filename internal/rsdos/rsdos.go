@@ -195,8 +195,7 @@ func FirstOn(attacks []Attack, victims []netx.Addr, from, to time.Time) (Attack,
 // gaps of at most MaxGapWindows.
 //
 // It is a Fold closed in one step: each qualifying observation is folded
-// into its victim's run through one Tracker as it is taken, in feed
-// order, and the finalized feed is numbered by (StartWindow, Victim)
+// into its victim's run as it is taken, in feed order, and the finalized feed is numbered by (StartWindow, Victim)
 // rank. The streaming pipeline drives the identical Fold watermark by
 // watermark, so batch and streaming curation cannot diverge.
 //

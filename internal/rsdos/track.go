@@ -6,20 +6,19 @@ import (
 	"slices"
 
 	"dnsddos/internal/clock"
-	"dnsddos/internal/netx"
 	"dnsddos/internal/packet"
 )
 
-// track.go is the incremental core of the RSDoS curation: a Tracker folds
-// each qualifying window observation into its victim's open run as it
-// arrives, in any order, and finalizes attack records as soon as the
-// window watermark guarantees they can no longer be extended. The merge
-// is sums and maxima, so the order observations arrive in cannot change
-// an attack but for its FirstPort, which the earliest window's earliest
-// arrival sets. Only a Fold drives one: Infer folds a whole feed, the
+// track.go is the incremental core of the RSDoS curation, the runs of a
+// Fold: each qualifying window observation is folded into its victim's
+// open run as it arrives, in any order, and attack records are finalized
+// as soon as the window watermark guarantees they can no longer be
+// extended. The merge is sums and maxima, so the order observations
+// arrive in cannot change an attack but for its FirstPort, which the
+// earliest window's earliest arrival sets. Infer folds a whole feed, the
 // session folds the feed as it is drawn, and the streaming pipeline
-// (internal/stream) folds the same feed as it is delivered, so the three
-// cannot diverge semantically.
+// (internal/stream) folds the same feed as it is delivered, all through
+// one Fold, so the three cannot diverge semantically.
 
 // candidate is one open run: qualifying observations of one victim taken
 // so far, each window within MaxGapWindows+1 of the next. Its two lists
@@ -30,9 +29,9 @@ import (
 // copied.
 type candidate struct {
 	// next links the victim's next open run, or a released candidate into
-	// the tracker's free list; prev the victim's previous open run.
+	// the fold's free list; prev the victim's previous open run.
 	next, prev *candidate
-	// filed is the window the open run is filed under (Tracker.dues),
+	// filed is the window the open run is filed under (Fold.dues),
 	// noWindow once the candidate is released.
 	filed clock.Window
 	atk   Attack
@@ -124,38 +123,6 @@ func addProto(protos []protoCount, p packet.Protocol, n int64) []protoCount {
 // candidateChunk is how many candidates one slab allocation holds.
 const candidateChunk = 64
 
-// Tracker incrementally curates WindowObs into attack records.
-//
-// Observations may arrive in any order; a Fold closes windows below its
-// watermark, which no later observation may lie in. Finalized attacks
-// carry ID 0 — feed positions are a whole-feed property the caller
-// assigns (a Fold numbers its finished feed; the streaming pipeline
-// numbers in emission order).
-//
-// A candidate's storage outlives its run: one finalized by expire, or
-// merged into another, goes on a free list, which a new run takes from
-// before a slab is cut, so the tracker holds the most runs ever open at
-// once, not one per attack.
-type Tracker struct {
-	cfg Config
-	// open maps a victim to its open runs, linked by next, latest first,
-	// and back by prev. Their spans are more than MaxGapWindows+1 windows
-	// apart: an observation within reach of two merges them.
-	open map[netx.Addr]*candidate
-	runs int // open runs
-	// dues files every open run under the window that expires it, a
-	// min-heap by that window; see expire.
-	dues []due
-	// slab is the chunk new candidates are cut from. A full chunk is left
-	// to its candidates and replaced, so a candidate never moves.
-	slab []candidate
-	cut  int        // candidates cut from slabs
-	free *candidate // released candidates, linked by next
-	// pending holds the attacks finalized since the fold last handed
-	// them over (Finish, Finalize), in the order they finalized.
-	pending []Attack
-}
-
 // due is an open run filed under at, the window whose close expires it,
 // EndWindow + MaxGapWindows + 1, as the run stood when it was filed. A
 // run extended since expires later and is filed again when at comes. An
@@ -171,15 +138,10 @@ type due struct {
 // noWindow is a released candidate's filed window: no entry's.
 const noWindow = clock.Window(math.MinInt64)
 
-// NewTracker returns an empty tracker with the given curation thresholds.
-func NewTracker(cfg Config) *Tracker {
-	return &Tracker{cfg: cfg, open: make(map[netx.Addr]*candidate)}
-}
-
-// Qualifies reports whether a window observation counts as attack
+// qualifies reports whether a window observation counts as attack
 // evidence under the thresholds.
-func (tr *Tracker) Qualifies(o *WindowObs) bool {
-	return o.Packets >= tr.cfg.MinPackets && o.Slash16 >= tr.cfg.MinSlash16
+func (f *Fold) qualifies(o *WindowObs) bool {
+	return o.Packets >= f.cfg.MinPackets && o.Slash16 >= f.cfg.MinSlash16
 }
 
 // take folds one qualifying observation into the victim's run within
@@ -187,27 +149,27 @@ func (tr *Tracker) Qualifies(o *WindowObs) bool {
 // judged by window distance, not by the presence of sub-threshold
 // windows. An observation between two runs within reach of both bridges
 // them; no third run can be within reach.
-func (tr *Tracker) take(o *WindowObs) {
-	reach := int64(tr.cfg.MaxGapWindows) + 1
+func (f *Fold) take(o *WindowObs) {
+	reach := int64(f.cfg.MaxGapWindows) + 1
 	var prev *candidate
-	c := tr.open[o.Victim]
+	c := f.open[o.Victim]
 	// the runs that start past o's reach come first
 	for c != nil && int64(c.atk.StartWindow-o.Window) > reach {
 		prev, c = c, c.next
 	}
 	if c == nil || int64(o.Window-c.atk.EndWindow) > reach {
-		n := tr.newCandidate()
+		n := f.newCandidate()
 		n.start(o)
 		n.next, n.prev = c, prev
 		if c != nil {
 			c.prev = n
 		}
 		if prev == nil {
-			tr.open[o.Victim] = n
+			f.open[o.Victim] = n
 		} else {
 			prev.next = n
 		}
-		tr.file(n)
+		f.file(n)
 		c = n
 	} else if d := c.next; d != nil && int64(o.Window-d.atk.EndWindow) <= reach {
 		c.merge(d)
@@ -215,94 +177,94 @@ func (tr *Tracker) take(o *WindowObs) {
 		if d.next != nil {
 			d.next.prev = c
 		}
-		tr.release(d)
+		f.release(d)
 	}
 	c.add(o)
 }
 
 // newCandidate returns storage for a new run: a released one's, or the
 // next of the slab.
-func (tr *Tracker) newCandidate() *candidate {
-	tr.runs++
-	if c := tr.free; c != nil {
-		tr.free, c.next = c.next, nil
+func (f *Fold) newCandidate() *candidate {
+	f.runs++
+	if c := f.free; c != nil {
+		f.free, c.next = c.next, nil
 		return c
 	}
-	if len(tr.slab) == cap(tr.slab) {
-		tr.slab = make([]candidate, 0, candidateChunk)
+	if len(f.slab) == cap(f.slab) {
+		f.slab = make([]candidate, 0, candidateChunk)
 	}
-	tr.slab = tr.slab[:len(tr.slab)+1]
-	tr.cut++
-	return &tr.slab[len(tr.slab)-1]
+	f.slab = f.slab[:len(f.slab)+1]
+	f.cut++
+	return &f.slab[len(f.slab)-1]
 }
 
 // release puts a run's storage on the free list.
-func (tr *Tracker) release(c *candidate) {
-	tr.runs--
+func (f *Fold) release(c *candidate) {
+	f.runs--
 	c.filed, c.prev = noWindow, nil
-	c.next, tr.free = tr.free, c
+	c.next, f.free = f.free, c
 }
 
 // finalize curates one run into pending (dropped when it never reached
 // the whole-attack packet floor).
-func (tr *Tracker) finalize(c *candidate) {
-	if c.atk.TotalPackets < tr.cfg.MinTotalPackets {
+func (f *Fold) finalize(c *candidate) {
+	if c.atk.TotalPackets < f.cfg.MinTotalPackets {
 		return
 	}
 	finishAttack(&c.atk, c.ports, c.protos)
-	tr.pending = append(tr.pending, c.atk)
+	f.pending = append(f.pending, c.atk)
 }
 
 // expire finalizes into pending every run that no window after closed can
 // extend, and releases its storage. It visits only the runs filed under a
 // window up to closed: those it finalizes, those extended since they were
 // filed, which it files again, and stale entries.
-func (tr *Tracker) expire(closed clock.Window) {
-	for len(tr.dues) > 0 && tr.dues[0].at <= closed {
-		e := tr.popDue()
+func (f *Fold) expire(closed clock.Window) {
+	for len(f.dues) > 0 && f.dues[0].at <= closed {
+		e := f.popDue()
 		c := e.c
 		if e.at != c.filed {
 			continue
 		}
 		// the nearest window that could still merge is EndWindow + reach
-		if c.atk.EndWindow+clock.Window(tr.cfg.MaxGapWindows)+1 > closed {
-			tr.file(c)
+		if c.atk.EndWindow+clock.Window(f.cfg.MaxGapWindows)+1 > closed {
+			f.file(c)
 			continue
 		}
 		switch {
 		case c.prev != nil:
 			c.prev.next = c.next
 		case c.next != nil:
-			tr.open[c.atk.Victim] = c.next
+			f.open[c.atk.Victim] = c.next
 		default:
-			delete(tr.open, c.atk.Victim)
+			delete(f.open, c.atk.Victim)
 		}
 		if c.next != nil {
 			c.next.prev = c.prev
 		}
-		tr.finalize(c)
-		tr.release(c)
+		f.finalize(c)
+		f.release(c)
 	}
 }
 
 // file files run c under the window that expires it as it stands.
-func (tr *Tracker) file(c *candidate) {
-	c.filed = c.atk.EndWindow + clock.Window(tr.cfg.MaxGapWindows) + 1
-	tr.dues = append(tr.dues, due{at: c.filed, c: c})
+func (f *Fold) file(c *candidate) {
+	c.filed = c.atk.EndWindow + clock.Window(f.cfg.MaxGapWindows) + 1
+	f.dues = append(f.dues, due{at: c.filed, c: c})
 	// sift up
-	for i := len(tr.dues) - 1; i > 0; {
+	for i := len(f.dues) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if tr.dues[parent].at <= tr.dues[i].at {
+		if f.dues[parent].at <= f.dues[i].at {
 			break
 		}
-		tr.dues[parent], tr.dues[i] = tr.dues[i], tr.dues[parent]
+		f.dues[parent], f.dues[i] = f.dues[i], f.dues[parent]
 		i = parent
 	}
 }
 
 // popDue removes and returns the entry filed under the earliest window.
-func (tr *Tracker) popDue() due {
-	h := tr.dues
+func (f *Fold) popDue() due {
+	h := f.dues
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
@@ -323,7 +285,7 @@ func (tr *Tracker) popDue() due {
 		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-	tr.dues = h
+	f.dues = h
 	return top
 }
 

@@ -105,27 +105,18 @@ func (s *FileSink) sync() error {
 	return nil
 }
 
-// Shutdown is the signal-path teardown: sync whatever the last Emit
-// left buffered, then close, propagating the first failure. Ordered
-// before the run reports its journal frontier so the cursor never
-// claims bytes the sink has not durably written.
-func (s *FileSink) Shutdown() error {
-	if s.f == nil {
-		return nil
-	}
-	if err := s.sync(); err != nil {
-		s.Close()
-		return err
-	}
-	return s.Close()
-}
-
-// Close closes the file; a second Close is a no-op.
+// Close syncs whatever the last Emit left, then closes the file,
+// returning the first failure; a second Close does nothing. The signal
+// path closes the sink before the run reports its journal frontier, so
+// the cursor never claims bytes the sink has not durably written.
 func (s *FileSink) Close() error {
 	if s.f == nil {
 		return nil
 	}
-	err := s.f.Close()
+	err := s.sync()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
 	s.f = nil
 	return err
 }

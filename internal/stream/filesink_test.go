@@ -92,7 +92,7 @@ func TestFileSinkKillResume(t *testing.T) {
 	if err := stream(crash, crash.FileSink, WithJournal(dir)); !errors.Is(err, errSinkDown) {
 		t.Fatalf("feed survived the sink failure: %v", err)
 	}
-	crash.f.Close() // the kill: no sync, no Shutdown
+	crash.f.Close() // the kill: no sync, no FileSink.Close
 	cur, ok, err := dir.LoadCursor()
 	if err != nil || !ok {
 		t.Fatalf("no cursor after crash: ok=%v err=%v", ok, err)

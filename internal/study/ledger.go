@@ -3,8 +3,6 @@ package study
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
 
 	"dnsddos/internal/atomicfile"
 	"dnsddos/internal/checkpoint"
@@ -26,17 +24,26 @@ const maxSweepAttempts = 2
 
 // dayLedger is the day state of one run.
 type dayLedger struct {
-	from, to clock.Day
-	journal  *checkpoint.Dir // nil when nothing is journaled
-	dayDir   string          // where sealed days are published; "" keeps them in memory
-	days     *atomicfile.Dir // dayDir, held open for publishing; nil without it
-	reg      *obs.Registry
-	done     map[clock.Day]daystore.SealedFile
-	restored map[clock.Day]bool   // done days this run restored, not swept
-	latest   map[clock.Day]string // hash of each journaled day's latest reference
-	attempts map[clock.Day]int
-	report   RunReport // SkippedDays kept ascending
-	err      error     // first write error; refuses every later Complete
+	from    clock.Day
+	state   []dayState      // one record a day of the run, indexed by day - from
+	journal *checkpoint.Dir // nil when nothing is journaled
+	dayDir  string          // where sealed days are published; "" keeps them in memory
+	days    *atomicfile.Dir // dayDir, held open for publishing; nil without it
+	reg     *obs.Registry
+	report  RunReport // the day counts; Report adds the quarantine list
+	err     error     // first write error; refuses every later Complete
+}
+
+// dayState is the ledger's one record of a day.
+type dayState struct {
+	done        bool
+	file        daystore.SealedFile // once done; the zero SealedFile when days are kept in memory
+	restored    bool                // done by restore, not swept this run
+	latest      string              // hash of the day's latest journaled reference
+	attempts    int
+	quarantined bool
+	reason      string // the quarantining failure's reason and stack
+	stack       string
 }
 
 // OpenJournal opens the checkpoint directory of a run over cfg. The header
@@ -68,11 +75,8 @@ func OpenJournal(dir string, cfg Config, seed uint64, resume bool) (*checkpoint.
 // caller's memory. The caller closes the ledger when the run is over.
 func openLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, resume bool) (*dayLedger, error) {
 	l := &dayLedger{
-		from: cfg.FromDay, to: cfg.ToDay, dayDir: dayDir, reg: reg,
-		done:     make(map[clock.Day]daystore.SealedFile),
-		restored: make(map[clock.Day]bool),
-		latest:   make(map[clock.Day]string),
-		attempts: make(map[clock.Day]int),
+		from: cfg.FromDay, state: make([]dayState, cfg.ToDay-cfg.FromDay+1),
+		dayDir: dayDir, reg: reg,
 	}
 	if checkpointDir != "" {
 		var err error
@@ -98,7 +102,7 @@ func openLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, res
 // file of the reference before, and Finish re-seals the day again.
 func (l *dayLedger) restore(dayDir string, resume bool) error {
 	if l.journal != nil && resume {
-		refs, err := l.journal.LoadDayRefs(l.from, l.to)
+		refs, err := l.journal.LoadDayRefs(l.from, l.from+clock.Day(len(l.state)-1))
 		if err != nil {
 			return err
 		}
@@ -107,13 +111,15 @@ func (l *dayLedger) restore(dayDir string, resume bool) error {
 			if err != nil {
 				return fmt.Errorf("study: resuming day %s: %w", d, err)
 			}
-			l.done[d] = daystore.SealedFile{Day: d, Name: ref.File, SHA256: ref.SHA256}
-			l.restored[d] = true
-			l.latest[d] = dayRefs[len(dayRefs)-1].SHA256
+			*l.at(d) = dayState{
+				done: true, restored: true,
+				file:   daystore.SealedFile{Day: d, Name: ref.File, SHA256: ref.SHA256},
+				latest: dayRefs[len(dayRefs)-1].SHA256,
+			}
 		}
 		l.report.ResumedDays = len(refs)
 	}
-	if dayDir != "" && len(l.done) == 0 {
+	if dayDir != "" && l.report.ResumedDays == 0 {
 		return daystore.Clear(dayDir)
 	}
 	return nil
@@ -154,19 +160,19 @@ func (l *dayLedger) Close() error {
 // pending again — and re-quarantine deterministically.
 func (l *dayLedger) Pending() []clock.Day {
 	var days []clock.Day
-	for d := l.from; d <= l.to; d++ {
-		if !l.Done(d) && !l.quarantined(d) {
-			days = append(days, d)
+	for i, st := range l.state {
+		if !st.done && !st.quarantined {
+			days = append(days, l.from+clock.Day(i))
 		}
 	}
 	return days
 }
 
+// at is day's record.
+func (l *dayLedger) at(day clock.Day) *dayState { return &l.state[day-l.from] }
+
 // Done reports whether day is completed (restored or accepted this run).
-func (l *dayLedger) Done(day clock.Day) bool {
-	_, ok := l.done[day]
-	return ok
-}
+func (l *dayLedger) Done(day clock.Day) bool { return l.at(day).done }
 
 // Complete accepts a swept day whose sealed file (the zero SealedFile when
 // days are kept in memory) is already durable, in the order that keeps a
@@ -175,21 +181,22 @@ func (l *dayLedger) Done(day clock.Day) bool {
 // already done or quarantined, or any day after a write error, is
 // refused: each day's counts fold exactly once.
 func (l *dayLedger) Complete(day clock.Day, file daystore.SealedFile, counts sweepCounts) error {
+	st := l.at(day)
 	switch {
 	case l.err != nil:
 		return l.err
-	case l.Done(day):
+	case st.done:
 		return fmt.Errorf("study: day %s completed twice", day)
-	case l.quarantined(day):
+	case st.quarantined:
 		return fmt.Errorf("study: day %s completed after it was quarantined", day)
 	}
 	if l.journal != nil {
 		if err := l.journal.WriteDayRef(day, checkpoint.DayRef{File: file.Name, SHA256: file.SHA256}); err != nil {
 			return l.Abort(err)
 		}
-		l.latest[day] = file.SHA256
+		st.latest = file.SHA256
 	}
-	l.done[day] = file
+	st.done, st.file = true, file
 	counts.fold(l.reg)
 	l.report.CompletedDays++
 	return nil
@@ -209,26 +216,27 @@ func (l *dayLedger) Complete(day clock.Day, file daystore.SealedFile, counts swe
 // was restored, so that the run's outcome counters and skipped add up to
 // the domains times the days it swept.
 func (l *dayLedger) Reseal(day clock.Day, image []byte, base, extra sweepCounts) error {
+	st := l.at(day)
 	switch {
 	case l.err != nil:
 		return l.err
-	case !l.Done(day):
+	case !st.done:
 		return fmt.Errorf("study: day %s re-sealed before it was done", day)
 	}
 	file := daystore.SealedFile{Day: day, Name: daystore.FileName(day), SHA256: daystore.ContentHash(image)}
-	if l.journal != nil && l.latest[day] != file.SHA256 {
+	if l.journal != nil && st.latest != file.SHA256 {
 		if err := l.journal.WriteDayRef(day, checkpoint.DayRef{File: file.Name, SHA256: file.SHA256}); err != nil {
 			return l.Abort(err)
 		}
-		l.latest[day] = file.SHA256
+		st.latest = file.SHA256
 	}
-	if l.dayDir != "" && l.done[day] != file {
+	if l.dayDir != "" && st.file != file {
 		if _, err := daystore.Install(l.dayDir, day, image, file.SHA256); err != nil {
 			return l.Abort(err)
 		}
 	}
-	l.done[day] = file
-	if l.restored[day] {
+	st.file = file
+	if st.restored {
 		base.fold(l.reg)
 	} else {
 		extra.Skipped = -extra.measured()
@@ -256,36 +264,25 @@ func (l *dayLedger) Err() error { return l.err }
 // this failure's reason and stack. A failure for a day already done or
 // quarantined is ignored.
 func (l *dayLedger) Fail(day clock.Day, reason, stack string, retryable bool) (retry bool) {
-	i, quarantined := l.skippedIndex(day)
-	if quarantined || l.Done(day) {
+	st := l.at(day)
+	if st.quarantined || st.done {
 		return false
 	}
-	l.attempts[day]++
-	if retryable && l.attempts[day] < maxSweepAttempts {
+	st.attempts++
+	if retryable && st.attempts < maxSweepAttempts {
 		return true
 	}
-	l.report.SkippedDays = slices.Insert(l.report.SkippedDays, i,
-		SkippedDay{Day: day, Reason: reason, Stack: stack, Attempts: l.attempts[day]})
+	st.quarantined, st.reason, st.stack = true, reason, stack
 	return false
-}
-
-// skippedIndex finds day's position in the ascending quarantine list.
-func (l *dayLedger) skippedIndex(day clock.Day) (int, bool) {
-	sk := l.report.SkippedDays
-	i := sort.Search(len(sk), func(i int) bool { return sk[i].Day >= day })
-	return i, i < len(sk) && sk[i].Day == day
-}
-
-func (l *dayLedger) quarantined(day clock.Day) bool {
-	_, ok := l.skippedIndex(day)
-	return ok
 }
 
 // Quarantined returns the quarantined days, ascending.
 func (l *dayLedger) Quarantined() []clock.Day {
-	out := make([]clock.Day, len(l.report.SkippedDays))
-	for i := range l.report.SkippedDays {
-		out[i] = l.report.SkippedDays[i].Day
+	var out []clock.Day
+	for i := range l.state {
+		if l.state[i].quarantined {
+			out = append(out, l.from+clock.Day(i))
+		}
 	}
 	return out
 }
@@ -294,6 +291,12 @@ func (l *dayLedger) Quarantined() []clock.Day {
 // and the registry's stable metric snapshot.
 func (l *dayLedger) Report() RunReport {
 	r := l.report
+	for i, st := range l.state {
+		if st.quarantined {
+			r.SkippedDays = append(r.SkippedDays,
+				SkippedDay{Day: l.from + clock.Day(i), Reason: st.reason, Stack: st.stack, Attempts: st.attempts})
+		}
+	}
 	snap := l.reg.StableSnapshot()
 	r.Metrics = &snap
 	return r

@@ -139,6 +139,30 @@ func TestLedgerStateMachine(t *testing.T) {
 			},
 			wantDone: 2, wantOK: 10,
 		},
+		{
+			name: "two days quarantined in reverse day order come out ascending",
+			steps: []ledgerStep{
+				{op: "watchdog", day: 13, reason: "watchdog: late"},
+				{op: "watchdog", day: 11, reason: "watchdog: early"},
+			},
+			wantSkipped: []SkippedDay{
+				{Day: 11, Reason: "watchdog: early", Attempts: 1},
+				{Day: 13, Reason: "watchdog: late", Attempts: 1},
+			},
+			wantPending: []clock.Day{10, 12, 14},
+		},
+		{
+			name: "retryable failures of two days each get their own retry",
+			steps: []ledgerStep{
+				{op: "fail", day: 11, reason: "panic: a", retry: true},
+				{op: "fail", day: 12, reason: "panic: b", retry: true},
+				{op: "complete", day: 12},
+				{op: "fail", day: 11, reason: "panic: c", stack: "s3"},
+			},
+			wantSkipped: []SkippedDay{{Day: 11, Reason: "panic: c", Stack: "s3", Attempts: 2}},
+			wantDone:    1, wantOK: 5,
+			wantPending: []clock.Day{10, 13, 14},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ckpt, days := filepath.Join(t.TempDir(), "ckpt"), t.TempDir()

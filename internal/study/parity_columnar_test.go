@@ -45,7 +45,7 @@ func mergedRun(t *testing.T, cfg Config, beforeDay func(clock.Day)) *Study {
 	agg := sess.NewAggregator()
 	for _, day := range ledger.Pending() {
 		for {
-			dayAgg, sweep, f := sess.sweepDayAttempt(ctx, day, nil, beforeDay)
+			dayAgg, sweep, _, f := sess.sweepDayAttempt(ctx, day, nil, nil, beforeDay)
 			if f == nil {
 				if err := ledger.Complete(day, daystore.SealedFile{}, sweep); err != nil {
 					t.Fatal(err)

@@ -385,7 +385,7 @@ func TestWriteFailureStopsFolding(t *testing.T) {
 					panic(err)
 				}
 			case 29:
-				waitFor(func() bool { return swept.Count() >= 2 })
+				waitFor(func() bool { return swept.Snapshot().Count >= 2 })
 				time.Sleep(100 * time.Millisecond)
 			}
 		}))
@@ -404,7 +404,7 @@ func TestWriteFailureStopsFolding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, fail := sess.sweepDayAttempt(context.Background(), 27, nil, nil)
+	_, want, _, fail := sess.sweepDayAttempt(context.Background(), 27, nil, nil, nil)
 	if fail != nil {
 		t.Fatal(fail.Reason)
 	}

@@ -200,7 +200,7 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 	if err != nil {
 		return nil, err
 	}
-	s := &Study{session: sess, Metrics: reg, beforeDay: opts.beforeDay}
+	s := &Study{session: sess, Metrics: reg}
 	ledger, err := openLedger(cfg, reg, opts.checkpointDir, opts.daystoreDir, opts.resume)
 	if err != nil {
 		return nil, err
@@ -220,7 +220,7 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 			return nil, err
 		}
 	}
-	if err := s.finish(ctx, days, ledger, opts.skipJoin); err != nil {
+	if err := s.finish(ctx, opts, days, ledger); err != nil {
 		return nil, err
 	}
 	stage("join", t0)
@@ -230,13 +230,13 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 // finish ends a run whose ledger has settled: it sweeps again the days a
 // quarantine makes the join fall back to (widen), builds the pipeline over
 // the sealed days with the ledger's quarantine, runs the batch classify
-// and join unless skipJoin, and takes the ledger's report.
-func (s *Study) finish(ctx context.Context, days *daystore.Set, ledger *dayLedger, skipJoin bool) error {
-	if err := s.widen(ctx, days, ledger); err != nil {
+// and join unless the run skips it, and takes the ledger's report.
+func (s *Study) finish(ctx context.Context, opts options, days *daystore.Set, ledger *dayLedger) error {
+	if err := s.widen(ctx, opts, days, ledger); err != nil {
 		return err
 	}
 	s.Pipeline = s.NewPipeline(days, ledger.Quarantined(), s.Metrics)
-	if !skipJoin {
+	if !opts.skipJoin {
 		s.Classified = s.Pipeline.Classify(s.Attacks)
 		var err error
 		if s.Events, err = s.Pipeline.EventsContext(ctx, s.Attacks); err != nil {
@@ -252,16 +252,16 @@ func (s *Study) finish(ctx context.Context, days *daystore.Set, ledger *dayLedge
 // core.MeasurableDay falls back to, whose first sweep measured only that
 // day's own demand. widen sweeps every such fallback day again with the
 // NSSets of the quarantined days it stands for added
-// (Session.resweepDay), hands the new image to the ledger, which
-// journals, publishes and counts it (dayLedger.Reseal), and serves it from
-// days. The added NSSets keep no window on the fallback day: a window
+// (Session.sweepDayAttempt given them), hands the new image to the
+// ledger, which journals, publishes and counts it (dayLedger.Reseal), and
+// serves it from days. The added NSSets keep no window on the fallback day: a window
 // kept there would have put them in the day's own demand. A resumed run
 // does it again, with the same bytes. The beforeDay hook runs
 // before each, as before every first-pass attempt; a panic fails the run,
 // since the day swept cleanly once.
-func (s *Study) widen(ctx context.Context, days *daystore.Set, ledger *dayLedger) error {
+func (s *Study) widen(ctx context.Context, opts options, days *daystore.Set, ledger *dayLedger) error {
 	for _, fb := range s.fallbackDemand(ledger.Quarantined()) {
-		agg, base, extra, fail := s.resweepDay(ctx, fb.day, fb.added, s.beforeDay)
+		agg, base, extra, fail := s.sweepDayAttempt(ctx, fb.day, nil, fb.added, opts.beforeDay)
 		switch {
 		case fail != nil:
 			return fmt.Errorf("study: sweeping day %s again for a quarantined day: %s", fb.day, fail.Reason)
@@ -459,7 +459,8 @@ func (s *Study) runDayShard(ctx context.Context, day clock.Day, opts options, mu
 // scratch, under the watchdog when enabled.
 func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options, scratch *nsset.Aggregator) (*nsset.Aggregator, sweepCounts, *sweepFailure) {
 	if opts.shardTimeout <= 0 {
-		return s.sweepDayAttempt(ctx, day, scratch, opts.beforeDay)
+		agg, counts, _, f := s.sweepDayAttempt(ctx, day, scratch, nil, opts.beforeDay)
+		return agg, counts, f
 	}
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -470,7 +471,7 @@ func (s *Study) sweepDayOnce(ctx context.Context, day clock.Day, opts options, s
 	}
 	ch := make(chan result, 1)
 	go func() {
-		a, counts, f := s.sweepDayAttempt(dctx, day, scratch, opts.beforeDay)
+		a, counts, _, f := s.sweepDayAttempt(dctx, day, scratch, nil, opts.beforeDay)
 		ch <- result{a, counts, f}
 	}()
 	timer := time.NewTimer(opts.shardTimeout)

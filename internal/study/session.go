@@ -414,45 +414,18 @@ type sweepFailure struct {
 // sweepDayAttempt is one isolated sweep of one day into a private
 // aggregator — into when the caller recycles one (Session.NewAggregator's,
 // empty), a fresh one when into is nil — returned with the day's sweep
-// counts. Panics — in the beforeDay hook or anywhere inside the
+// counts: base those of the day's own demand. When added is not nil (the
+// second pass, Study.widen, sweeping a done day again) the domains of the
+// NSSets added holds are then swept into the same aggregator and counted
+// apart in extra. Every domain the two leave out is base's Skipped.
+// Panics — in the beforeDay hook or anywhere inside the
 // engine/resolver/data plane — are captured with their stack instead of
 // crashing the process; what the attempt counted is discarded with the
 // aggregator, keeping retries exactly-once. A nil aggregator without a
 // failure means ctx was cancelled. Unless the attempt returns its
 // aggregator the caller must let go of into: it is partly filled, and an
 // attempt the caller gave up on may still be writing to it.
-func (sess *Session) sweepDayAttempt(ctx context.Context, day clock.Day, into *nsset.Aggregator, beforeDay func(clock.Day)) (agg *nsset.Aggregator, counts sweepCounts, fail *sweepFailure) {
-	defer func() {
-		if r := recover(); r != nil {
-			agg, counts, fail = nil, sweepCounts{}, panicFailure(r)
-		}
-	}()
-	if beforeDay != nil {
-		beforeDay(day)
-	}
-	if into == nil {
-		into = sess.NewAggregator()
-	}
-	if err := sess.Engine.RunDayContext(ctx, day, into, counts.observe); err != nil {
-		return nil, sweepCounts{}, nil
-	}
-	counts.Skipped = int64(len(sess.World.DB.Domains)) - counts.measured()
-	return into, counts, nil
-}
-
-// panicFailure is the failure of a sweep attempt that panicked with r,
-// with the panicking goroutine's stack.
-func panicFailure(r any) *sweepFailure {
-	return &sweepFailure{Reason: fmt.Sprintf("panic: %v", r), Stack: string(debug.Stack()), Retryable: true}
-}
-
-// resweepDay sweeps a done day again for the second pass (Study.widen)
-// into a fresh aggregator: first the day's own demand, which makes the
-// first sweep's records again, then the domains of the NSSets added
-// holds, counted apart. Every domain the two leave out is base's
-// Skipped. A panic is captured as in sweepDayAttempt; a nil aggregator
-// without a failure means ctx was cancelled.
-func (sess *Session) resweepDay(ctx context.Context, day clock.Day, added []bool, beforeDay func(clock.Day)) (agg *nsset.Aggregator, base, extra sweepCounts, fail *sweepFailure) {
+func (sess *Session) sweepDayAttempt(ctx context.Context, day clock.Day, into *nsset.Aggregator, added []bool, beforeDay func(clock.Day)) (agg *nsset.Aggregator, base, extra sweepCounts, fail *sweepFailure) {
 	defer func() {
 		if r := recover(); r != nil {
 			agg, base, extra, fail = nil, sweepCounts{}, sweepCounts{}, panicFailure(r)
@@ -461,13 +434,26 @@ func (sess *Session) resweepDay(ctx context.Context, day clock.Day, added []bool
 	if beforeDay != nil {
 		beforeDay(day)
 	}
-	agg = sess.NewAggregator()
-	widened := sess.Engine.Restrict(func(id nsset.ID, _ clock.Day) bool { return added[id] })
-	if sess.Engine.RunDayContext(ctx, day, agg, base.observe) != nil || widened.RunDayContext(ctx, day, agg, extra.observe) != nil {
+	if into == nil {
+		into = sess.NewAggregator()
+	}
+	if sess.Engine.RunDayContext(ctx, day, into, base.observe) != nil {
 		return nil, sweepCounts{}, sweepCounts{}, nil
 	}
+	if added != nil {
+		widened := sess.Engine.Restrict(func(id nsset.ID, _ clock.Day) bool { return added[id] })
+		if widened.RunDayContext(ctx, day, into, extra.observe) != nil {
+			return nil, sweepCounts{}, sweepCounts{}, nil
+		}
+	}
 	base.Skipped = int64(len(sess.World.DB.Domains)) - base.measured() - extra.measured()
-	return agg, base, extra, nil
+	return into, base, extra, nil
+}
+
+// panicFailure is the failure of a sweep attempt that panicked with r,
+// with the panicking goroutine's stack.
+func panicFailure(r any) *sweepFailure {
+	return &sweepFailure{Reason: fmt.Sprintf("panic: %v", r), Stack: string(debug.Stack()), Retryable: true}
 }
 
 // fallbackDay is one day the second pass sweeps again: the NSSets it adds

@@ -108,10 +108,6 @@ type Study struct {
 	// a private one). It stays live after RunContext returns, so a
 	// -metrics-addr endpoint keeps serving final values.
 	Metrics *obs.Registry
-
-	// beforeDay is RunContext's WithBeforeDay hook, which Finish's
-	// second pass runs too.
-	beforeDay func(clock.Day)
 }
 
 // Session returns the deterministic state the study was built from.
