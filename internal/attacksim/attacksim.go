@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"dnsddos/internal/clock"
 	"dnsddos/internal/netx"
@@ -195,18 +194,3 @@ func (sc *Schedule) Ports(s *Spec) []uint16 {
 
 // Len returns the number of attack components.
 func (sc *Schedule) Len() int { return len(sc.specs) }
-
-// ActiveAt returns the specs overlapping window w.
-func (sc *Schedule) ActiveAt(w clock.Window) []Spec {
-	var out []Spec
-	// specs sorted by start; scan those starting strictly before the
-	// window's (exclusive) end
-	we := (w + 1).UnixNano()
-	i := sort.Search(len(sc.specs), func(i int) bool { return sc.specs[i].Start >= we })
-	for _, s := range sc.specs[:i] {
-		if _, ok := s.ActiveIn(w); ok {
-			out = append(out, s)
-		}
-	}
-	return out
-}

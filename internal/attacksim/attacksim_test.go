@@ -52,23 +52,6 @@ func TestGbps(t *testing.T) {
 	}
 }
 
-func TestScheduleActiveAt(t *testing.T) {
-	base := clock.StudyStart
-	var b Builder
-	b.Add(spec("192.0.2.1", base, 10*time.Minute, 100), 53)
-	b.Add(spec("192.0.2.2", base.Add(20*time.Minute), 10*time.Minute, 100), 53)
-	sched := b.Schedule()
-	if got := len(sched.ActiveAt(clock.WindowOf(base))); got != 1 {
-		t.Errorf("window 0 active = %d", got)
-	}
-	if got := len(sched.ActiveAt(clock.WindowOf(base.Add(25 * time.Minute)))); got != 1 {
-		t.Errorf("window 5 active = %d", got)
-	}
-	if got := len(sched.ActiveAt(clock.WindowOf(base.Add(15 * time.Minute)))); got != 0 {
-		t.Errorf("gap window active = %d", got)
-	}
-}
-
 // TestScheduleIDsAssigned: a schedule orders its components by (Start,
 // order added), a zero GroupID takes the position plus one and a set one
 // is kept, and every component keeps its own port list, an ICMP flood's

@@ -34,10 +34,10 @@
 //   - the join reads on its caller's goroutine, so the refusal panics
 //     out of EventsContext unchanged (TestStoreRefusalReachesCaller);
 //   - study.RunContext joins over days it has just sealed or re-sealed
-//     (an in-memory image is validated as it is added, a re-sealed one
-//     as it is installed: daystore.TestInstallMatchesSeal), or on
-//     resume hash-verified against their journaled references, and
-//     does not recover;
+//     (daystore.Set.Put validates every image before it publishes or
+//     keeps it: daystore.TestPutMatchesSeal), or on resume
+//     hash-verified against their journaled references, and does not
+//     recover;
 //   - SeriesFor reads on its caller's goroutine and lets the panic through
 //     (report.TestSeriesRefusesTamperedDay), so cmd/report dies printing
 //     the typed error, exit status 2, the entry's title its last output.

@@ -5,7 +5,7 @@
 // the core.DayStore every study run joins — observation-equivalent to the
 // nsset.Aggregator a day is sealed from, and the representation that lets
 // ≥1M-domain sweeps join with flat RSS: the join maps day files on demand
-// (a run that persists nothing holds the same images in memory, Set.Add).
+// (a run that persists nothing holds the same images in memory: Set.Put).
 //
 // File layout (day_NNNNNN.dcol, all integers big-endian):
 //

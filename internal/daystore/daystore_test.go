@@ -2,9 +2,7 @@ package daystore
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -127,7 +125,7 @@ func randomSpan(rng *rand.Rand, kind int, hole, last clock.Day) (from, to clock.
 // NSSet's full window list, appended behind a dst prefix that is left
 // intact (empty spans, single-window hits and misses, spans across days
 // and across a day that has no file, from > to). A third subject holds
-// the same files' bytes in memory (Set.Add, added last day first) and must
+// the same files' bytes in memory (Set.Put, put last day first) and must
 // answer every read exactly as the opened files do. Seed 6 runs behind a
 // window filter that rejects every window of most keys: a baseline-only
 // NSSet is in both backends' Keys().
@@ -174,8 +172,8 @@ func TestObservationEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := mem.Add(d, image); err != nil {
-				t.Fatalf("seed %d: Add(%d): %v", seed, d, err)
+			if _, err := mem.Put(d, image); err != nil {
+				t.Fatalf("seed %d: Put(%d): %v", seed, d, err)
 			}
 		}
 		stores := map[string]core.DayStore{"Set": set, "memory": &mem, "Aggregator": ref}
@@ -403,6 +401,19 @@ func TestSealEmptyDay(t *testing.T) {
 	}
 }
 
+// OpenDay opens and fully validates the sealed file for day at path, as
+// a Set's first read of the day does. Any integrity failure — truncation,
+// CRC mismatch, version skew, a header day disagreeing with the expected
+// day, out-of-bounds column references — is a typed ErrCorrupt refusal. A
+// missing file surfaces as the os error, not corruption.
+func OpenDay(path string, day clock.Day) (*view, error) {
+	v := new(view)
+	if err := v.open(path, day); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 // sealOneDay seals a small two-key day and returns the directory, file
 // name and content hash.
 func sealOneDay(t *testing.T) (dir string, ref SealedFile) {
@@ -426,7 +437,7 @@ func restamp(b []byte) []byte {
 
 // craftImage frames body as a day-0 file whose header claims nKeys key
 // rows, no baseline or window rows, and strLen string bytes, with valid
-// CRCs — what a peer can send Install together with its own hash.
+// CRCs — what a peer can hand Put.
 func craftImage(nKeys uint32, strLen uint64, body []byte) []byte {
 	b := make([]byte, headerLen+len(body)+trailerLen)
 	copy(b, magic)
@@ -490,24 +501,21 @@ func TestCorruptionRefusal(t *testing.T) {
 			if _, err := OpenDay(path, 0); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("OpenDay error = %v, want ErrCorrupt", err)
 			}
-			// The same image arriving from a peer is refused before it is
-			// published — under the announced hash, and also when the hash
-			// was computed over the damaged bytes (only the structural
-			// checks can fire then).
-			sum := sha256.Sum256(bad)
-			for _, hash := range []string{ref.SHA256, hex.EncodeToString(sum[:])} {
-				inst := t.TempDir()
-				if _, err := Install(inst, 0, bad, hash); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("Install error = %v, want ErrCorrupt", err)
-				}
-				if left, _ := os.ReadDir(inst); len(left) != 0 {
-					t.Fatalf("refused Install left %d files behind", len(left))
+			// The same image handed to Put is refused before it is
+			// published, leaving the Set empty, and so is it kept in memory.
+			inst := t.TempDir()
+			published, err := Open(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer published.Close()
+			for name, set := range map[string]*Set{"published": published, "in memory": new(Set)} {
+				if _, err := set.Put(0, bad); !errors.Is(err, ErrCorrupt) || len(set.slots) != 0 {
+					t.Fatalf("Put %s: error = %v (%d days held), want ErrCorrupt", name, err, len(set.slots))
 				}
 			}
-			// and so is it held in memory, leaving the Set empty
-			var mem Set
-			if err := mem.Add(0, bad); !errors.Is(err, ErrCorrupt) || len(mem.slots) != 0 {
-				t.Fatalf("Add error = %v (%d days held), want ErrCorrupt", err, len(mem.slots))
+			if left, _ := os.ReadDir(inst); len(left) != 0 {
+				t.Fatalf("refused Put left %d files behind", len(left))
 			}
 			set, err := Open(dir)
 			if err != nil {
@@ -533,11 +541,12 @@ func TestCorruptionRefusal(t *testing.T) {
 	}
 }
 
-// TestInstallMatchesSeal: an image encoded in memory and installed
-// elsewhere is the byte-identical file a local seal would have written,
-// under the same hash; an image of another day, and a damaged one, under
-// its old hash or its own, is refused with ErrCorrupt and writes nothing.
-func TestInstallMatchesSeal(t *testing.T) {
+// TestPutMatchesSeal: an image encoded in memory and put into a Set with
+// a directory is the byte-identical file a local seal would have written,
+// under the same hash, and a Set without one serves it unhashed; an image
+// of another day, and a damaged one, is refused with ErrCorrupt and
+// writes nothing.
+func TestPutMatchesSeal(t *testing.T) {
 	snap := randomAggregator(rand.New(rand.NewSource(42)), 8, 1).Snapshot()
 	dir, ref := sealOneDay(t)
 	image, sum, err := EncodeDay(0, snap)
@@ -548,30 +557,44 @@ func TestInstallMatchesSeal(t *testing.T) {
 		t.Fatalf("EncodeDay hash %s, SealDay hash %s", sum, ref.SHA256)
 	}
 	inst := t.TempDir()
-	got, err := Install(inst, 0, image, sum)
+	set, err := Open(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	got, err := set.Put(0, image)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != ref {
-		t.Fatalf("Install = %+v, SealDay = %+v", got, ref)
+		t.Fatalf("Put = %+v, SealDay = %+v", got, ref)
 	}
 	sealed, _ := os.ReadFile(filepath.Join(dir, ref.Name))
 	installed, err := os.ReadFile(filepath.Join(inst, got.Name))
 	if err != nil || !bytes.Equal(sealed, installed) {
-		t.Fatalf("installed file differs from the sealed one (err %v)", err)
+		t.Fatalf("put file differs from the sealed one (err %v)", err)
 	}
-	if _, err := Install(t.TempDir(), 7, image, sum); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("installing day 0's image as day 7: err = %v, want ErrCorrupt", err)
+	var mem Set
+	if got, err := mem.Put(0, image); err != nil || got != (SealedFile{Day: 0, Name: ref.Name}) {
+		t.Fatalf("Put in memory = %+v, %v; want %s unhashed", got, err, ref.Name)
 	}
 	damaged := bytes.Clone(image)
 	damaged[len(damaged)/2] ^= 0x01
-	for _, hash := range []string{sum, ContentHash(damaged)} {
+	for _, bad := range []struct {
+		day   clock.Day
+		image []byte
+	}{{7, image}, {0, damaged}} {
 		empty := t.TempDir()
-		if _, err := Install(empty, 0, damaged, hash); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("installing a damaged image under hash %.8s: err = %v, want ErrCorrupt", hash, err)
+		set, err := Open(empty)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := set.Put(bad.day, bad.image); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("putting a bad image as day %d: err = %v, want ErrCorrupt", bad.day, err)
+		}
+		set.Close()
 		if left, _ := os.ReadDir(empty); len(left) != 0 {
-			t.Errorf("a refused install left %v", left)
+			t.Errorf("a refused Put left %v", left)
 		}
 	}
 }
@@ -592,8 +615,8 @@ func TestWrongDayRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mem Set
-	if err := mem.Add(7, image); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Add error = %v, want ErrCorrupt", err)
+	if _, err := mem.Put(7, image); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Put error = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -638,8 +661,8 @@ func TestVerifyFile(t *testing.T) {
 }
 
 // TestOpenIgnoresLeftoversAndClear: seal leftovers and foreign files are
-// invisible to Open; Clear removes sealed files and leftovers but leaves
-// foreign files alone.
+// invisible to Open; Clear removes the sealed files and leftovers of the
+// days it does not keep, and leaves foreign files alone.
 func TestOpenIgnoresLeftoversAndClear(t *testing.T) {
 	dir, ref := sealOneDay(t)
 	leftover := filepath.Join(dir, ref.Name+".tmp-123456")
@@ -659,8 +682,15 @@ func TestOpenIgnoresLeftoversAndClear(t *testing.T) {
 		t.Fatalf("Verify = %v; Open listed more than the sealed day", err)
 	}
 	set.Close()
-	if err := Clear(dir); err != nil {
+	kept, err := SealDay(dir, 1, nsset.Snapshot{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := Clear(dir, kept.Day); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyFile(dir, kept.Name, kept.SHA256); err != nil {
+		t.Fatalf("Clear touched a kept day: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ref.Name)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("Clear left the sealed file")

@@ -8,13 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"dnsddos/internal/atomicfile"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/netx"
 	"dnsddos/internal/nsset"
 )
 
-// direct_test.go holds the direct encoder (AppendDay, SealTable: the day
+// direct_test.go holds the direct encoder (AppendDay, Set.Seal: the day
 // table walked in key order) to the snapshot-fed one (EncodeDay, SealDay),
 // which is its oracle: same bytes, same refusals.
 
@@ -123,16 +122,17 @@ func TestAppendDayEmpty(t *testing.T) {
 	}
 }
 
-// TestSealTablePublishesAndReusesBuffer: SealTable writes the file SealDay
-// writes, refuses a foreign day without writing, and builds day after day
-// in the one buffer it is handed back.
+// TestSealTablePublishesAndReusesBuffer: Set.Seal over a directory, which
+// seals from the aggregator's day table, writes the file SealDay writes,
+// refuses a foreign day without writing, and builds day after day in the
+// one buffer it is handed back.
 func TestSealTablePublishesAndReusesBuffer(t *testing.T) {
 	dir, oracleDir := t.TempDir(), t.TempDir()
-	held, err := atomicfile.OpenDir(dir)
+	set, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer held.Close()
+	defer set.Close()
 	var buf []byte
 	for round, seed := range []int64{11, 12, 13} {
 		day := clock.Day(round)
@@ -143,11 +143,11 @@ func TestSealTablePublishesAndReusesBuffer(t *testing.T) {
 		}
 		prev := buf
 		var got SealedFile
-		if got, buf, err = SealTable(held, day, agg, buf); err != nil {
+		if got, buf, err = set.Seal(day, agg, buf); err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("day %d: SealTable published %+v, SealDay %+v", day, got, want)
+			t.Fatalf("day %d: Seal published %+v, SealDay %+v", day, got, want)
 		}
 		if err := VerifyFile(dir, got.Name, want.SHA256); err != nil {
 			t.Fatal(err)
@@ -158,7 +158,7 @@ func TestSealTablePublishesAndReusesBuffer(t *testing.T) {
 	}
 	agg := shardedDay(14, 7)
 	agg.Add(agg.Keys()[0], clock.Day(8).Start(), nsset.StatusOK, time.Millisecond)
-	if _, _, err := SealTable(held, 7, agg, buf); err == nil {
+	if _, _, err := set.Seal(7, agg, buf); err == nil {
 		t.Fatal("an aggregator holding two days was sealed")
 	}
 	if _, err := os.Stat(filepath.Join(dir, FileName(7))); !os.IsNotExist(err) {

@@ -11,10 +11,10 @@ import (
 	"dnsddos/internal/nsset"
 )
 
-// newView validates image into a View of its own, as every open of a day
-// file and every Add validates (View.init).
-func newView(path string, day clock.Day, image []byte) (*View, error) {
-	v := new(View)
+// newView validates image into a view of its own, as every open of a day
+// file and every Put validates (view.init).
+func newView(path string, day clock.Day, image []byte) (*view, error) {
+	v := new(view)
 	if err := v.init(path, day, image); err != nil {
 		return nil, err
 	}

@@ -122,30 +122,41 @@ func TestSetColdOpenRace(t *testing.T) {
 	}
 }
 
-// TestSetAddRefusesDuplicateDay: a day already held is refused and the
-// first image keeps serving it; the zero Set reads as an empty store.
-func TestSetAddRefusesDuplicateDay(t *testing.T) {
+// TestPutReplacesDay: the zero Set reads as an empty store, and a second
+// Put of a day held replaces the first, in memory and in a directory,
+// whose file it publishes again.
+func TestPutReplacesDay(t *testing.T) {
 	var mem Set
 	if _, ok := mem.Baseline("k", 0); ok || len(mem.AppendWindows(nil, "k", 0, clock.Day(1).FirstWindow())) != 0 {
 		t.Fatal("the zero Set is not empty")
 	}
-	agg := randomAggregator(rand.New(rand.NewSource(3)), 6, 1)
-	first, err := AppendDay(nil, 0, agg)
+	dir := t.TempDir()
+	published, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.Add(0, first); err != nil {
-		t.Fatal(err)
-	}
-	empty, err := AppendDay(nil, 0, randomAggregator(rand.New(rand.NewSource(3)), 0, 1))
+	defer published.Close()
+	first, err := AppendDay(nil, 0, randomAggregator(rand.New(rand.NewSource(3)), 6, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.Add(0, empty); err == nil {
-		t.Fatal("a second image of day 0 was accepted")
+	agg := randomAggregator(rand.New(rand.NewSource(4)), 4, 1)
+	second, err := AppendDay(nil, 0, agg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := mem.Keys(), agg.Keys(); len(want) == 0 || !reflect.DeepEqual(got, want) {
-		t.Errorf("after the refused Add the Set holds keys %v, want %v", got, want)
+	for name, set := range map[string]*Set{"in memory": &mem, "published": published} {
+		for _, image := range [][]byte{first, second} {
+			if _, err := set.Put(0, image); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := set.Keys(), agg.Keys(); len(want) == 0 || !reflect.DeepEqual(got, want) || len(set.slots) != 1 {
+			t.Errorf("%s: after the second Put the Set holds %d days and keys %v, want one day and %v", name, len(set.slots), got, want)
+		}
+	}
+	if err := VerifyFile(dir, FileName(0), ContentHash(second)); err != nil {
+		t.Errorf("the second Put was not published: %v", err)
 	}
 }
 

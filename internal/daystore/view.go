@@ -10,10 +10,10 @@ import (
 	"dnsddos/internal/nsset"
 )
 
-// view.go is the read side: a View is one sealed day file mapped (or, on
+// view.go is the read side: a view is one sealed day file mapped (or, on
 // platforms without mmap, read) into memory and validated once — header
 // magic/version/CRC, exact size arithmetic, body CRC, and column bounds.
-// After OpenDay succeeds every accessor is a pure decode over the mapped
+// After open succeeds every accessor is a pure decode over the mapped
 // bytes: lookups binary-search the sorted key table, a baseline is
 // returned by value, and a ranged window read binary-searches the key's
 // rows of the window column and decodes only the rows in range into the
@@ -22,10 +22,9 @@ import (
 // refused with a typed *CorruptError at open; it is never partially
 // readable.
 
-// View is a read-only handle on one sealed day file. Safe for concurrent
-// readers; Close unmaps (callers that share a View through daystore.Set
-// never close it themselves).
-type View struct {
+// view is a read-only handle on one sealed day file. Safe for concurrent
+// readers; Close unmaps (the Set that holds it closes it).
+type view struct {
 	path   string
 	day    clock.Day
 	data   []byte
@@ -38,22 +37,9 @@ type View struct {
 	winCol             []byte
 }
 
-// OpenDay opens and fully validates the sealed file for day at path. Any
-// integrity failure — truncation, CRC mismatch, version skew, a header
-// day disagreeing with the expected day, out-of-bounds column references
-// — is a typed ErrCorrupt refusal. A missing file surfaces as the os
-// error, not corruption.
-func OpenDay(path string, day clock.Day) (*View, error) {
-	v := new(View)
-	if err := v.open(path, day); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // open maps the file at path (its size read from the open descriptor)
 // and validates it into v, which it leaves zero on failure.
-func (v *View) open(path string, day clock.Day) error {
+func (v *view) open(path string, day clock.Day) error {
 	data, err := mapFile(path)
 	if err != nil {
 		return err
@@ -68,7 +54,7 @@ func (v *View) open(path string, day clock.Day) error {
 
 // init validates a sealed file image (mapped, or received from a peer)
 // and slices its column sections into v, which it leaves zero on failure.
-func (v *View) init(path string, day clock.Day, data []byte) error {
+func (v *view) init(path string, day clock.Day, data []byte) error {
 	if len(data) < headerLen+trailerLen {
 		return corruptf(path, "file is %d bytes, smaller than the minimal %d-byte frame", len(data), headerLen+trailerLen)
 	}
@@ -103,7 +89,7 @@ func (v *View) init(path string, day clock.Day, data []byte) error {
 	}
 
 	off := headerLen + nKeys*keyRowLen
-	w := View{
+	w := view{
 		path:   path,
 		day:    day,
 		data:   data,
@@ -136,24 +122,21 @@ func (v *View) init(path string, day clock.Day, data []byte) error {
 	return nil
 }
 
-// Close unmaps the file. The View is unusable afterwards.
-func (v *View) Close() error {
+// Close unmaps the file. The view is unusable afterwards.
+func (v *view) Close() error {
 	if !v.mapped {
 		return nil
 	}
 	data := v.data
-	*v = View{path: v.path, day: v.day}
+	*v = view{path: v.path, day: v.day}
 	return unmapFile(data)
 }
 
-// Day returns the day the view serves.
-func (v *View) Day() clock.Day { return v.day }
-
 // NumKeys returns how many NSSets the day file holds.
-func (v *View) NumKeys() int { return v.nKeys }
+func (v *view) NumKeys() int { return v.nKeys }
 
 // keyRow decodes keyTab row i.
-func (v *View) keyRow(i int) (strOff uint64, strLen, baseRow, winRow, winCnt uint32) {
+func (v *view) keyRow(i int) (strOff uint64, strLen, baseRow, winRow, winCnt uint32) {
 	kt := v.keyTab[i*keyRowLen:]
 	return binary.BigEndian.Uint64(kt[0:8]),
 		binary.BigEndian.Uint32(kt[8:12]),
@@ -163,19 +146,19 @@ func (v *View) keyRow(i int) (strOff uint64, strLen, baseRow, winRow, winCnt uin
 }
 
 // keyBytes returns row i's key bytes, aliasing the mapped file.
-func (v *View) keyBytes(i int) []byte {
+func (v *view) keyBytes(i int) []byte {
 	strOff, strLen, _, _, _ := v.keyRow(i)
 	return v.strTab[strOff : strOff+uint64(strLen)]
 }
 
 // Key returns row i's NSSet key (copied out of the mapping).
-func (v *View) Key(i int) nsset.Key { return nsset.Key(v.keyBytes(i)) }
+func (v *view) Key(i int) nsset.Key { return nsset.Key(v.keyBytes(i)) }
 
 // find binary-searches the sorted key table. The row's bytes are compared
 // as a string in place: the conversion inside a comparison copies nothing,
 // where a []byte(k) would allocate for every key longer than the 32-byte
 // stack temporary (9 addresses).
-func (v *View) find(k nsset.Key) (int, bool) {
+func (v *view) find(k nsset.Key) (int, bool) {
 	lo, hi := 0, v.nKeys
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -192,7 +175,7 @@ func (v *View) find(k nsset.Key) (int, bool) {
 }
 
 // windowAt decodes window column row into m.
-func (v *View) windowAt(row int, m *nsset.WindowMetrics) {
+func (v *view) windowAt(row int, m *nsset.WindowMetrics) {
 	wc := v.winCol[row*winRowLen:]
 	m.Window = clock.Window(int64(binary.BigEndian.Uint64(wc[0:8])))
 	m.Domains = int(int64(binary.BigEndian.Uint64(wc[8:16])))
@@ -205,12 +188,12 @@ func (v *View) windowAt(row int, m *nsset.WindowMetrics) {
 }
 
 // winStart decodes the window number of window column row.
-func (v *View) winStart(row int) clock.Window {
+func (v *view) winStart(row int) clock.Window {
 	return clock.Window(int64(binary.BigEndian.Uint64(v.winCol[row*winRowLen:][0:8])))
 }
 
 // Baseline returns k's day aggregate; false if k was not measured.
-func (v *View) Baseline(k nsset.Key) (nsset.DayBaseline, bool) {
+func (v *view) Baseline(k nsset.Key) (nsset.DayBaseline, bool) {
 	i, ok := v.find(k)
 	if !ok {
 		return nsset.DayBaseline{}, false
@@ -232,7 +215,7 @@ func (v *View) Baseline(k nsset.Key) (nsset.DayBaseline, bool) {
 // dst, ascending (the writer's invariant), and returns the extended slice.
 // It binary-searches k's rows of the window column for from and decodes
 // only the rows in range; the rest of the day is never touched.
-func (v *View) AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, from, to clock.Window) []nsset.WindowMetrics {
+func (v *view) AppendWindows(dst []nsset.WindowMetrics, k nsset.Key, from, to clock.Window) []nsset.WindowMetrics {
 	i, ok := v.find(k)
 	if !ok {
 		return dst

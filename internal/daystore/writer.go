@@ -9,29 +9,26 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"dnsddos/internal/atomicfile"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/nsset"
 )
 
-// writer.go seals a measured day into an immutable per-day column file.
+// writer.go encodes a measured day as an immutable per-day column file.
 // The run loops seal straight from the aggregator's day table: AppendDay
-// walks it in key order into a caller-owned buffer, SealTable publishes
-// that image. The supervised study loop seals every completed day-shard
-// with one or the other: SealTable with a directory, AppendDay into an
-// image it keeps in memory (Set.Add) without one; the run's second pass
-// re-seals a day with AppendDay and publishes those exact bytes
-// (Install). EncodeDay and SealDay take the
-// same day as a value-typed nsset.Snapshot instead: the oracle the direct
-// path is held to byte for byte, and the one entry whose input can be
-// malformed (rows of another day, duplicates, disorder — all refused).
-// Both paths write through one column writer (dayImage) and publish
-// through internal/atomicfile — temp file, fsync, rename, parent-directory
-// fsync, through a directory SealTable's caller holds open (SealDay and
-// Install open theirs) — so a visible day file is always complete. A
-// published file comes back with its ContentHash, which checkpoint.DayRef
-// records pin; an image kept in memory is never hashed.
+// walks it in key order into a caller-owned buffer, and the run's
+// daystore.Set publishes or keeps that image (Set.Seal, Set.Put).
+// EncodeDay and SealDay take the same day as a value-typed nsset.Snapshot
+// instead: the oracle the direct path is held to byte for byte, and the
+// one entry whose input can be malformed (rows of another day,
+// duplicates, disorder — all refused). Both paths write through one
+// column writer (dayImage) and publish through internal/atomicfile — temp
+// file, fsync, rename, parent-directory fsync — so a visible day file is
+// always complete. A published file comes back with its ContentHash,
+// which checkpoint.DayRef records pin; an image kept in memory is never
+// hashed.
 
 // SealedFile identifies one published day file by name and content hash.
 // The hash is over the exact file bytes; checkpoint day references store
@@ -50,27 +47,11 @@ type keyRows struct {
 	wins []nsset.WindowSnap
 }
 
-// SealTable publishes day's column file in dir from the aggregator's day
-// table, as SealDay does from a snapshot of it (replacing any previous
-// seal of the same day). The image is built in
-// buf[:0] and returned, grown if it had to be, so a worker sealing day
-// after day reuses one buffer. The aggregator must hold no other day —
-// the seal input is one completed day-shard; an aggregator that measured
-// nothing seals a valid empty file.
-func SealTable(dir *atomicfile.Dir, day clock.Day, agg *nsset.Aggregator, buf []byte) (SealedFile, []byte, error) {
-	image, err := AppendDay(buf[:0], day, agg)
-	if err != nil {
-		return SealedFile{}, buf, err
-	}
-	file, err := publish(dir, day, image, ContentHash(image))
-	return file, image, err
-}
-
 // AppendDay appends day's sealed file image to dst, encoded straight
-// from the aggregator's day table, and returns the extended slice — a
-// day kept in memory, or re-sealed by the run's second pass.
-// The bytes are EncodeDay(day, agg.Snapshot())'s; the input rule is
-// SealTable's.
+// from the aggregator's day table, and returns the extended slice. The
+// bytes are EncodeDay(day, agg.Snapshot())'s. The aggregator must hold no
+// other day — the seal input is one completed day-shard; an aggregator
+// that measured nothing seals a valid empty file.
 func AppendDay(dst []byte, day clock.Day, agg *nsset.Aggregator) ([]byte, error) {
 	if d, ok := agg.ForeignDay(day); ok {
 		return dst, fmt.Errorf("daystore: sealing day %d: aggregator holds day %d", int32(day), int32(d))
@@ -137,20 +118,6 @@ func ContentHash(image []byte) string {
 	return string(hex.AppendEncode(make([]byte, 0, 2*sha256.Size), sum[:]))
 }
 
-// Install publishes a sealed file image produced elsewhere (AppendDay, as
-// the run's second pass re-seals a day) as day's file in dir, under
-// sha256Hex, the image's ContentHash, which the caller has computed and
-// Install does not compute again. It first checks everything a local
-// seal guarantees by construction: the header, sizes, body CRC and
-// column bounds, exactly as OpenDay would. An image that fails any check
-// is refused with a typed ErrCorrupt and nothing is written.
-func Install(dir string, day clock.Day, image []byte, sha256Hex string) (SealedFile, error) {
-	if err := new(View).init(FileName(day), day, image); err != nil {
-		return SealedFile{}, err
-	}
-	return publishIn(dir, day, image, sha256Hex)
-}
-
 // collectDay merges the snapshot's two lists into one row per key in a
 // single pass, relying on the order nsset.Snapshot documents: windows by
 // (Key, Window) and, within one day, baselines by Key. That is already
@@ -195,23 +162,19 @@ func collectDay(day clock.Day, snap nsset.Snapshot) ([]keyRows, error) {
 	return rows, nil
 }
 
-// publish atomically writes one sealed image as day's file in dir.
-func publish(dir *atomicfile.Dir, day clock.Day, image []byte, sha256Hex string) (SealedFile, error) {
-	name := FileName(day)
-	if err := dir.Write(name, image); err != nil {
-		return SealedFile{}, fmt.Errorf("daystore: %w", err)
-	}
-	return SealedFile{Day: day, Name: name, SHA256: sha256Hex}, nil
-}
-
-// publishIn creates dir if needed and publishes one image in it.
+// publishIn atomically writes one sealed image as day's file in dir,
+// creating dir if needed.
 func publishIn(dir string, day clock.Day, image []byte, sha256Hex string) (SealedFile, error) {
+	name := FileName(day)
 	d, err := atomicfile.OpenDir(dir)
+	if err == nil {
+		defer d.Close()
+		err = d.Write(name, image)
+	}
 	if err != nil {
 		return SealedFile{}, fmt.Errorf("daystore: %w", err)
 	}
-	defer d.Close()
-	return publish(d, day, image, sha256Hex)
+	return SealedFile{Day: day, Name: name, SHA256: sha256Hex}, nil
 }
 
 // dayImage writes one day file in the package's column format: beginImage
@@ -289,9 +252,10 @@ func (im *dayImage) finish() []byte {
 	return im.buf
 }
 
-// Clear removes every sealed day file and seal leftover (*.tmp-*) from
-// dir, preparing it for a fresh run. A missing directory is not an error.
-func Clear(dir string) error {
+// Clear removes from dir every sealed day file, and seal leftover
+// (*.tmp-*), of a day not in keep: what a run keeps of a previous one is
+// exactly the days it restored. A missing directory is not an error.
+func Clear(dir string, keep ...clock.Day) error {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -304,7 +268,7 @@ func Clear(dir string) error {
 		if final, ok := atomicfile.Leftover(name); ok {
 			name = final
 		}
-		if _, sealed := parseFileName(name); !sealed {
+		if day, sealed := parseFileName(name); !sealed || slices.Contains(keep, day) {
 			continue
 		}
 		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {

@@ -1,10 +1,8 @@
 package study
 
 import (
-	"errors"
 	"fmt"
 
-	"dnsddos/internal/atomicfile"
 	"dnsddos/internal/checkpoint"
 	"dnsddos/internal/clock"
 	"dnsddos/internal/daystore"
@@ -27,8 +25,6 @@ type dayLedger struct {
 	from    clock.Day
 	state   []dayState      // one record a day of the run, indexed by day - from
 	journal *checkpoint.Dir // nil when nothing is journaled
-	dayDir  string          // where sealed days are published; "" keeps them in memory
-	days    *atomicfile.Dir // dayDir, held open for publishing; nil without it
 	reg     *obs.Registry
 	report  RunReport // the day counts; Report adds the quarantine list
 	err     error     // first write error; refuses every later Complete
@@ -37,9 +33,8 @@ type dayLedger struct {
 // dayState is the ledger's one record of a day.
 type dayState struct {
 	done        bool
-	file        daystore.SealedFile // once done; the zero SealedFile when days are kept in memory
-	restored    bool                // done by restore, not swept this run
-	latest      string              // hash of the day's latest journaled reference
+	restored    bool   // done by restore, not swept this run
+	latest      string // hash of the day's latest journaled reference
 	attempts    int
 	quarantined bool
 	reason      string // the quarantining failure's reason and stack
@@ -69,90 +64,77 @@ func OpenJournal(dir string, cfg Config, seed uint64, resume bool) (*checkpoint.
 // restores the journaled days: each referenced file is re-hashed before
 // its day counts as done, and a swapped, rotted or missing one refuses
 // the resume (daystore.ErrCorrupt, os.ErrNotExist) — never a silent
-// re-sweep. When no day is restored, sealed files and seal leftovers
-// already in dayDir are stale state of a previous run and are cleared.
-// Both directories are optional; without either, days exist only in the
-// caller's memory. The caller closes the ledger when the run is over.
+// re-sweep. Every other sealed file and seal leftover already in dayDir is
+// stale state of a previous run and is cleared. Both directories are
+// optional; without either, days exist only in the caller's memory. The
+// ledger publishes nothing: the run's daystore.Set does. The caller
+// closes the ledger when the run is over.
 func openLedger(cfg Config, reg *obs.Registry, checkpointDir, dayDir string, resume bool) (*dayLedger, error) {
-	l := &dayLedger{
-		from: cfg.FromDay, state: make([]dayState, cfg.ToDay-cfg.FromDay+1),
-		dayDir: dayDir, reg: reg,
-	}
+	l := &dayLedger{from: cfg.FromDay, state: make([]dayState, cfg.ToDay-cfg.FromDay+1), reg: reg}
 	if checkpointDir != "" {
 		var err error
 		if l.journal, err = OpenJournal(checkpointDir, cfg, cfg.MeasureSeed, resume); err != nil {
 			return nil, err
 		}
 	}
-	err := l.restore(dayDir, resume)
-	if err == nil && dayDir != "" {
-		l.days, err = atomicfile.OpenDir(dayDir)
-	}
-	if err != nil {
+	if err := l.restore(dayDir, resume); err != nil {
 		l.Close()
 		return nil, err
 	}
 	return l, nil
 }
 
-// restore marks the journaled days done on a resume, and clears dayDir
-// when no day was restored. A day journaled more than once (Reseal) is
-// restored from its latest reference that its file verifies against: a
-// run killed between journaling a re-seal and publishing it left the
-// file of the reference before, and Finish re-seals the day again.
+// restore marks the journaled days done on a resume, and clears from
+// dayDir the files of every day it did not restore. A day journaled more
+// than once (Reseal) is restored from its latest reference that its file
+// verifies against: a run killed between journaling a re-seal and
+// publishing it left the file of the reference before, and Finish
+// re-seals the day again.
 func (l *dayLedger) restore(dayDir string, resume bool) error {
+	var kept []clock.Day
 	if l.journal != nil && resume {
 		refs, err := l.journal.LoadDayRefs(l.from, l.from+clock.Day(len(l.state)-1))
 		if err != nil {
 			return err
 		}
 		for d, dayRefs := range refs {
-			ref, err := verifyLatest(dayDir, dayRefs)
-			if err != nil {
+			if err := verifyAny(dayDir, dayRefs); err != nil {
 				return fmt.Errorf("study: resuming day %s: %w", d, err)
 			}
-			*l.at(d) = dayState{
-				done: true, restored: true,
-				file:   daystore.SealedFile{Day: d, Name: ref.File, SHA256: ref.SHA256},
-				latest: dayRefs[len(dayRefs)-1].SHA256,
-			}
+			*l.at(d) = dayState{done: true, restored: true, latest: dayRefs[len(dayRefs)-1].SHA256}
+			kept = append(kept, d)
 		}
 		l.report.ResumedDays = len(refs)
 	}
-	if dayDir != "" && l.report.ResumedDays == 0 {
-		return daystore.Clear(dayDir)
+	if dayDir == "" {
+		return nil
 	}
-	return nil
+	return daystore.Clear(dayDir, kept...)
 }
 
-// verifyLatest returns the latest of one day's references, in log order,
-// that the day's file in dayDir verifies against, or the latest one's
-// refusal when none does.
-func verifyLatest(dayDir string, refs []checkpoint.DayRef) (checkpoint.DayRef, error) {
+// verifyAny checks the day's file in dayDir against one day's references,
+// the latest first, and returns nil once one verifies, or the latest
+// one's refusal when none does.
+func verifyAny(dayDir string, refs []checkpoint.DayRef) error {
 	var latest error
 	for i := len(refs) - 1; i >= 0; i-- {
 		err := daystore.VerifyFile(dayDir, refs[i].File, refs[i].SHA256)
 		if err == nil {
-			return refs[i], nil
+			return nil
 		}
 		if latest == nil {
 			latest = err
 		}
 	}
-	return checkpoint.DayRef{}, latest
+	return latest
 }
 
-// Close releases the journal and the day directory once the run has
-// accepted its last day.
+// Close releases the journal once the run has accepted its last day.
 func (l *dayLedger) Close() error {
-	var journalErr, daysErr error
-	if l.journal != nil {
-		journalErr = l.journal.Close()
+	if l.journal == nil {
+		return nil
 	}
-	if l.days != nil {
-		daysErr = l.days.Close()
-	}
-	return errors.Join(journalErr, daysErr)
+	return l.journal.Close()
 }
 
 // Pending lists the days that still need a sweep, ascending. Days a
@@ -174,8 +156,8 @@ func (l *dayLedger) at(day clock.Day) *dayState { return &l.state[day-l.from] }
 // Done reports whether day is completed (restored or accepted this run).
 func (l *dayLedger) Done(day clock.Day) bool { return l.at(day).done }
 
-// Complete accepts a swept day whose sealed file (the zero SealedFile when
-// days are kept in memory) is already durable, in the order that keeps a
+// Complete accepts a swept day whose sealed file (unhashed when days are
+// kept in memory) is already durable, in the order that keeps a
 // crash at any point resumable: journal the reference, then fold the
 // day's sweep counts into the run registry, then count the day. A day
 // already done or quarantined, or any day after a write error, is
@@ -196,7 +178,7 @@ func (l *dayLedger) Complete(day clock.Day, file daystore.SealedFile, counts swe
 		}
 		st.latest = file.SHA256
 	}
-	st.done, st.file = true, file
+	st.done = true
 	counts.fold(l.reg)
 	l.report.CompletedDays++
 	return nil
@@ -207,14 +189,13 @@ func (l *dayLedger) Complete(day clock.Day, file daystore.SealedFile, counts swe
 // file, base the counts of the records the day's first sweep made again
 // — Skipped being every domain neither sweep measures — and extra those
 // of the records the widened demand added. It journals the image's
-// reference unless the day's latest reference is already the image's,
-// then publishes the image in the day directory unless the day's file
-// already is it — in that order, so that a crash between the two leaves
-// the previous reference for restore to verify the old file against —
-// then folds the counts exactly once: the extra records, taken off the
-// day's skipped count, when this run swept the day, and both when the day
-// was restored, so that the run's outcome counters and skipped add up to
-// the domains times the days it swept.
+// reference unless the day's latest reference is already the image's —
+// before the caller publishes the image, so that a crash between the two
+// leaves the previous reference for restore to verify the old file
+// against — then folds the counts exactly once: the extra records, taken
+// off the day's skipped count, when this run swept the day, and both when
+// the day was restored, so that the run's outcome counters and skipped add
+// up to the domains times the days it swept.
 func (l *dayLedger) Reseal(day clock.Day, image []byte, base, extra sweepCounts) error {
 	st := l.at(day)
 	switch {
@@ -223,19 +204,12 @@ func (l *dayLedger) Reseal(day clock.Day, image []byte, base, extra sweepCounts)
 	case !st.done:
 		return fmt.Errorf("study: day %s re-sealed before it was done", day)
 	}
-	file := daystore.SealedFile{Day: day, Name: daystore.FileName(day), SHA256: daystore.ContentHash(image)}
-	if l.journal != nil && st.latest != file.SHA256 {
-		if err := l.journal.WriteDayRef(day, checkpoint.DayRef{File: file.Name, SHA256: file.SHA256}); err != nil {
+	if sum := daystore.ContentHash(image); l.journal != nil && st.latest != sum {
+		if err := l.journal.WriteDayRef(day, checkpoint.DayRef{File: daystore.FileName(day), SHA256: sum}); err != nil {
 			return l.Abort(err)
 		}
-		st.latest = file.SHA256
+		st.latest = sum
 	}
-	if l.dayDir != "" && st.file != file {
-		if _, err := daystore.Install(l.dayDir, day, image, file.SHA256); err != nil {
-			return l.Abort(err)
-		}
-	}
-	st.file = file
 	if st.restored {
 		base.fold(l.reg)
 	} else {

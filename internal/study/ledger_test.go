@@ -221,16 +221,16 @@ func TestLedgerStateMachine(t *testing.T) {
 }
 
 // TestLedgerResume: a resume trusts a journaled day only after re-hashing
-// its file, and clears the day directory exactly when it restored nothing.
+// its file, and clears from the day directory the files of every day it
+// did not restore, keeping those of the days it did.
 func TestLedgerResume(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		journaled []clock.Day
 		damage    func(t *testing.T, path string) // applied to day 10's file
 		wantErr   error
-		wantStale bool // stale files survive the open
 	}{
-		{name: "pristine", journaled: []clock.Day{10, 11}, wantStale: true},
+		{name: "pristine", journaled: []clock.Day{10, 11}},
 		{name: "nothing restored clears stale files", journaled: nil},
 		{
 			name: "flipped byte", journaled: []clock.Day{10},
@@ -314,14 +314,16 @@ func TestLedgerResume(t *testing.T) {
 				if !l.Done(d) {
 					t.Errorf("journaled day %v not restored", d)
 				}
+				if _, err := os.Stat(filepath.Join(days, daystore.FileName(d))); err != nil {
+					t.Errorf("restored day %v lost its file: %v", d, err)
+				}
 			}
 			if got, want := len(l.Pending()), 5-len(tc.journaled); got != want {
 				t.Errorf("%d days pending, want %d", got, want)
 			}
 			for _, p := range stale {
-				_, err := os.Stat(p)
-				if survived := err == nil; survived != tc.wantStale {
-					t.Errorf("stale file %s survived = %v, want %v", filepath.Base(p), survived, tc.wantStale)
+				if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("stale file %s survived the open (%v)", filepath.Base(p), err)
 				}
 			}
 		})

@@ -100,7 +100,12 @@ func TestAbandonedTableIsNotRecycled(t *testing.T) {
 			}
 		},
 	}
-	if err := (&Study{session: sess, Metrics: reg}).runSweeps(ctx, opts, ledger, nil); err != nil {
+	store, err := daystore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := (&Study{session: sess, Metrics: reg}).runSweeps(ctx, opts, ledger, store); err != nil {
 		t.Fatal(err)
 	}
 

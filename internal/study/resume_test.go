@@ -159,6 +159,43 @@ func TestCancelAndResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCancelledRunClosesItsFiles: a checkpointed run cancelled mid-sweep,
+// after it has sealed days, returns with every file it opened in its
+// directory closed — the journal, and the day directory its store
+// publishes through. Files the process has open elsewhere are not
+// counted: a finalizer may close one of them at any time.
+func TestCancelledRunClosesItsFiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	cfg := resumeConfig()
+	cfg.Parallelism = 1
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n := 0
+	_, err = RunContext(ctx, cfg, WithCheckpointDir(dir), WithBeforeDay(func(clock.Day) {
+		if n++; n == 3 {
+			cancel()
+		}
+	}))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run error = %v, want context.Canceled", err)
+	}
+	if fds, err = os.ReadDir("/proc/self/fd"); err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+			t.Errorf("the cancelled run left %s open", target)
+		}
+	}
+}
+
 // copyDir clones a checkpoint directory, sealed day files included.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()

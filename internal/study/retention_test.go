@@ -142,7 +142,7 @@ func fullRetention(t *testing.T, sess *study.Session, skip clock.Day) *daystore.
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := set.Add(day, image); err != nil {
+		if _, err := set.Put(day, image); err != nil {
 			t.Fatal(err)
 		}
 	}

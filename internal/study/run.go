@@ -113,9 +113,9 @@ func WithMetrics(reg *obs.Registry) Option {
 // WithDayStoreDir seals every completed day-shard into a columnar day
 // file in dir (internal/daystore) and joins against the mapped files
 // instead of images held in memory — the out-of-core path that keeps RSS
-// flat at millions-of-domains scale. A fresh run clears stale sealed
-// files from dir. Output is byte-identical to the in-memory path
-// (TestJoinParityColumnar).
+// flat at millions-of-domains scale. A run clears from dir the sealed
+// files of every day it did not restore. Output is byte-identical to the
+// in-memory path (TestJoinParityColumnar).
 func WithDayStoreDir(dir string) Option {
 	return func(o *options) { o.daystoreDir = dir }
 }
@@ -206,21 +206,20 @@ func RunContext(ctx context.Context, cfg Config, optFns ...Option) (*Study, erro
 		return nil, err
 	}
 	defer ledger.Close()
-
-	days := new(daystore.Set) // the sealed images, without a directory
-	t0 := time.Now()
-	if err := s.runSweeps(ctx, opts, ledger, days); err != nil {
+	days, err := daystore.Open(opts.daystoreDir)
+	if err != nil {
 		return nil, err
 	}
-	stage("sweep", t0)
 
-	t0 = time.Now()
-	if opts.daystoreDir != "" {
-		if days, err = daystore.Open(opts.daystoreDir); err != nil {
-			return nil, err
-		}
+	t0 := time.Now()
+	err = s.runSweeps(ctx, opts, ledger, days)
+	if err == nil {
+		stage("sweep", t0)
+		t0 = time.Now()
+		err = s.finish(ctx, opts, days, ledger)
 	}
-	if err := s.finish(ctx, opts, days, ledger); err != nil {
+	if err != nil {
+		days.Close()
 		return nil, err
 	}
 	stage("join", t0)
@@ -253,9 +252,10 @@ func (s *Study) finish(ctx context.Context, opts options, days *daystore.Set, le
 // day's own demand. widen sweeps every such fallback day again with the
 // NSSets of the quarantined days it stands for added
 // (Session.sweepDayAttempt given them), hands the new image to the
-// ledger, which journals, publishes and counts it (dayLedger.Reseal), and
-// serves it from days. The added NSSets keep no window on the fallback day: a window
-// kept there would have put them in the day's own demand. A resumed run
+// ledger, which journals and counts it (dayLedger.Reseal), and then to
+// days, which publishes and serves it. The added NSSets keep no window on
+// the fallback day: a window kept there would have put them in the day's
+// own demand. A resumed run
 // does it again, with the same bytes. The beforeDay hook runs
 // before each, as before every first-pass attempt; a panic fails the run,
 // since the day swept cleanly once.
@@ -273,7 +273,7 @@ func (s *Study) widen(ctx context.Context, opts options, days *daystore.Set, led
 			err = ledger.Reseal(fb.day, image, base, extra)
 		}
 		if err == nil {
-			err = days.Replace(fb.day, image)
+			_, err = days.Put(fb.day, image)
 		}
 		if err != nil {
 			return fmt.Errorf("study: re-sealing day %s: %w", fb.day, err)
@@ -334,12 +334,11 @@ func (c *sweepCounts) fold(reg *obs.Registry) {
 // long-lived workers, each taking the next pending day by an atomic index
 // until none is left, ctx is cancelled or the ledger has stopped on a write
 // error. A worker sweeps a day into its own aggregator; on success the day
-// is sealed straight from its table — into a file in the day-store
-// directory or, without one, into an image of its own that mem keeps — and
-// handed to the ledger, in whatever order days complete. The worker then
-// empties the table and keeps it, with its image buffer, for its next day,
-// so a run allocates a day table per worker, not per day.
-func (s *Study) runSweeps(ctx context.Context, opts options, ledger *dayLedger, mem *daystore.Set) error {
+// is sealed straight from its table into store and handed to the ledger,
+// in whatever order days complete. The worker then empties the table and
+// keeps it, with its image buffer, for its next day, so a run allocates a
+// day table per worker, not per day.
+func (s *Study) runSweeps(ctx context.Context, opts options, ledger *dayLedger, store *daystore.Set) error {
 	days := ledger.Pending()
 	if len(days) == 0 {
 		return ctx.Err()
@@ -353,7 +352,7 @@ func (s *Study) runSweeps(ctx context.Context, opts options, ledger *dayLedger, 
 	sealWall := s.Metrics.Histogram("study.daystore_seal_wall", obs.Volatile())
 
 	var (
-		mu   sync.Mutex // guards ledger and mem
+		mu   sync.Mutex // guards ledger
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
@@ -392,25 +391,15 @@ func (s *Study) runSweeps(ctx context.Context, opts options, ledger *dayLedger, 
 					continue
 				}
 				// Seal the day and empty the table. A file's fsyncs run
-				// before the lock is taken, so workers flush in parallel;
-				// an image mem keeps is never the worker's buffer.
+				// before the lock is taken, so workers flush in parallel.
 				start = time.Now()
 				var file daystore.SealedFile
-				var kept []byte
 				var err error
-				if opts.daystoreDir != "" {
-					file, image, err = daystore.SealTable(ledger.days, day, agg, image)
-				} else {
-					kept, err = daystore.AppendDay(nil, day, agg)
-				}
-				if err == nil {
+				if file, image, err = store.Seal(day, agg, image); err == nil {
 					sealWall.Observe(time.Since(start))
 					agg.Reset()
 				}
 				mu.Lock()
-				if err == nil && opts.daystoreDir == "" {
-					err = mem.Add(day, kept)
-				}
 				if err != nil {
 					ledger.Abort(err)
 				} else {

@@ -181,3 +181,70 @@ func TestResumeBetweenPasses(t *testing.T) {
 		t.Errorf("the fallback day's file was not published again (err %v)", err)
 	}
 }
+
+// TestResumeClearsUnjournaledDay: a day whose file was published but
+// whose reference was never journaled — a run killed between the two — is
+// not part of the resumed run: its file is removed, and when the resumed
+// run quarantines the day the join falls back from it, to the events of a
+// run that quarantined the day from the start.
+func TestResumeClearsUnjournaledDay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	cfg := resumeConfig()
+	const quarantine = 30
+	fault := func(d clock.Day) {
+		if d == quarantine {
+			panic("injected sweep fault")
+		}
+	}
+	ref, err := RunContext(context.Background(), cfg, WithBeforeDay(fault))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Events) == 0 || len(ref.Report.SkippedDays) != 1 {
+		t.Fatalf("reference run: %d events, %d days quarantined; want events and one", len(ref.Events), len(ref.Report.SkippedDays))
+	}
+
+	dir := t.TempDir()
+	full, err := RunContext(context.Background(), cfg, WithCheckpointDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Pipeline.DayStore().(*daystore.Set).Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Write the day log again without the quarantined day's reference.
+	refs, err := checkpoint.ReadDayRefs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, checkpoint.DayLog)); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := OpenJournal(dir, cfg, cfg.MeasureSeed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range refs {
+		if r.Day != quarantine {
+			if err := journal.WriteDayRef(r.Day, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := RunContext(context.Background(), cfg, WithCheckpointDir(dir), WithResume(true), WithBeforeDay(fault))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "days", daystore.FileName(quarantine))); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the unjournaled day's file survived the resume (%v)", err)
+	}
+	if got, want := eventsBytes(t, s), eventsBytes(t, ref); !bytes.Equal(got, want) {
+		t.Errorf("the resumed run's events (%d bytes) differ from those of a run that quarantined day %d (%d bytes)", len(got), quarantine, len(want))
+	}
+}
