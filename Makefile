@@ -5,15 +5,21 @@
 
 GO ?= go
 
-.PHONY: build test cmds obs stream race-gate soak chaos bench-throughput bench-sweep bench-serve bench-session bench-join flake-sweep report paperscale loc
+.PHONY: build cross test cmds obs stream race-gate soak chaos bench-throughput bench-sweep bench-serve bench-session bench-join flake-sweep report paperscale loc
 
 build:
 	$(GO) build ./...
 
+# The packages and commands build for macOS and Windows too; benchmark/
+# reads Linux-only process accounting (Getrusage, Uname) and is left out.
+cross:
+	GOOS=darwin $(GO) build ./internal/... ./cmd/...
+	GOOS=windows $(GO) build ./internal/... ./cmd/...
+
 # The rsdos smoke runs BenchmarkInfer and BenchmarkFoldDenseWindow once
 # each: a fold whose scan of a victim's chain of open runs went quadratic
 # in the runs would show there as time per op.
-test: build cmds obs stream
+test: build cross cmds obs stream
 	test -z "$$(gofmt -l .)"
 	@if $(GO) list -deps ./cmd/... | grep -qx testing; then echo "a cmd/ binary links the testing package"; exit 1; fi
 	@if $(GO) list -deps ./cmd/... | grep -qx encoding/gob; then echo "a cmd/ binary links encoding/gob"; exit 1; fi

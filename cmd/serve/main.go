@@ -139,7 +139,7 @@ func main() {
 		} else {
 			logger.Info("faults engaged for the whole run", "profile", fmt.Sprintf("%+v", attack))
 		}
-		srv.WrapUDP = func(pc net.PacketConn) net.PacketConn {
+		srv.WrapUDP = func(pc authserver.UDPConn) authserver.UDPConn {
 			return faultinject.WrapPacketConn(pc, inj)
 		}
 	}

@@ -2,7 +2,7 @@ package main
 
 import (
 	"context"
-	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -65,11 +65,11 @@ func TestIPv6ListenBanner(t *testing.T) {
 // countingConn is the far end of a wrapped listener: it counts the
 // datagrams the fault wrapper lets through.
 type countingConn struct {
-	net.PacketConn
+	authserver.UDPConn
 	delivered int
 }
 
-func (c *countingConn) WriteTo(b []byte, _ net.Addr) (int, error) {
+func (c *countingConn) WriteToUDPAddrPort(b []byte, _ netip.AddrPort) (int, error) {
 	c.delivered++
 	return len(b), nil
 }
@@ -94,7 +94,7 @@ func TestFaultWindow(t *testing.T) {
 	// reached the far end.
 	send := func() bool {
 		before := far.delivered
-		pc.WriteTo([]byte("query"), nil)
+		pc.WriteToUDPAddrPort([]byte("query"), netip.AddrPort{})
 		return far.delivered > before
 	}
 	fire := func() {

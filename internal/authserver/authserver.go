@@ -22,6 +22,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"net/netip"
 	"runtime"
 	"slices"
 	"strings"
@@ -322,9 +323,12 @@ type Server struct {
 	RRL *RRLConfig
 	// WrapUDP, when set, wraps the bound UDP listener before serving —
 	// the listener-side fault-injection hook (e.g. a closure over
-	// faultinject.WrapPacketConn). Set before Start; the injector
-	// behind the wrapper may be reshaped while the server runs.
-	WrapUDP func(net.PacketConn) net.PacketConn
+	// faultinject.WrapPacketConn). The server reads and answers through
+	// what it returns, the one UDPConn its read loop knows, whether that
+	// is the bound *net.UDPConn itself or a wrapper around it. Set before
+	// Start; the injector behind the wrapper may be reshaped while the
+	// server runs.
+	WrapUDP func(UDPConn) UDPConn
 
 	// delay (nanoseconds) artificially delays every answer; tests use it
 	// to exercise resolver timeout handling over real sockets. Atomic, so
@@ -332,7 +336,7 @@ type Server struct {
 	delay atomic.Int64
 
 	mu      sync.Mutex
-	pc      net.PacketConn // the (possibly fault-wrapped) serving socket
+	pc      UDPConn // the (possibly fault-wrapped) serving socket
 	tcp     net.Listener
 	conns   map[net.Conn]struct{}
 	wg      sync.WaitGroup
@@ -374,11 +378,25 @@ func (s *Server) SetDelay(d time.Duration) { s.delay.Store(int64(d)) }
 // Delay returns the current artificial per-answer delay.
 func (s *Server) Delay() time.Duration { return time.Duration(s.delay.Load()) }
 
+// UDPConn is the server's UDP socket contract: datagrams read and
+// written with their peer as a netip.AddrPort, a value neither side
+// allocates, where an address interface would cost a fresh *net.UDPAddr
+// per datagram. *net.UDPConn satisfies it, and so does
+// faultinject.PacketConn, which wraps one; the server has one read loop
+// for both. WriteToUDPAddrPort must be safe for concurrent use: every
+// worker answers through it.
+type UDPConn interface {
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
+	Close() error
+	LocalAddr() net.Addr
+}
+
 // udpJob is one datagram handed from a reader to the worker pool. start
 // is the read timestamp, anchoring the per-query latency observation.
 type udpJob struct {
 	wire  *[]byte
-	peer  net.Addr
+	peer  netip.AddrPort
 	start time.Time
 }
 
@@ -424,7 +442,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pc := net.PacketConn(uc)
+	var pc UDPConn = uc
 	if s.WrapUDP != nil {
 		pc = s.WrapUDP(pc)
 	}
@@ -453,7 +471,7 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	s.wg.Add(1)
 	go s.serveTCP(tl, maxConns)
-	return uc.LocalAddr().String(), nil
+	return pc.LocalAddr().String(), nil
 }
 
 // bindPair binds UDP and TCP on the same port, DNS-style. With an
@@ -483,13 +501,15 @@ func bindPair(uaddr *net.UDPAddr) (*net.UDPConn, net.Listener, error) {
 // does no parsing and never sleeps: when the queue is full the query is
 // shed, so handler latency cannot stall the socket. What a shed query
 // gets back is the Overload policy's call — nothing, or a reflex
-// SERVFAIL/TC built without decoding.
-func (s *Server) readUDP(conn net.PacketConn, jobs chan<- udpJob, readerWG *sync.WaitGroup) {
+// SERVFAIL/TC built without decoding. A datagram costs the loop no
+// allocation, queued or shed: its copy comes from bufPool and its peer
+// is a value.
+func (s *Server) readUDP(conn UDPConn, jobs chan<- udpJob, readerWG *sync.WaitGroup) {
 	defer s.wg.Done()
 	defer readerWG.Done()
 	buf := make([]byte, 65536) // private read buffer; max UDP payload
 	for {
-		n, peer, err := conn.ReadFrom(buf)
+		n, peer, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed
 		}
@@ -510,16 +530,16 @@ func (s *Server) readUDP(conn net.PacketConn, jobs chan<- udpJob, readerWG *sync
 // the query bytes in place (the caller owns the copy) — no decode, no
 // allocation — so the degraded path stays cheap under exactly the load
 // that triggers it.
-func (s *Server) shedReflex(conn net.PacketConn, wire []byte, peer net.Addr) {
+func (s *Server) shedReflex(conn UDPConn, wire []byte, peer netip.AddrPort) {
 	switch s.Overload {
 	case OverloadServFail:
 		if out := reflexResponse(wire, dnswire.RCodeServFail, false); out != nil {
-			conn.WriteTo(out, peer)
+			conn.WriteToUDPAddrPort(out, peer)
 			s.m.shedServFail.Inc()
 		}
 	case OverloadTruncate:
 		if out := reflexResponse(wire, dnswire.RCodeNoError, true); out != nil {
-			conn.WriteTo(out, peer)
+			conn.WriteToUDPAddrPort(out, peer)
 			s.m.shedTruncated.Inc()
 		}
 	}
@@ -545,9 +565,10 @@ func reflexResponse(wire []byte, rcode dnswire.RCode, tc bool) []byte {
 }
 
 // udpWorker runs decode→answer→encode for queued datagrams and writes the
-// responses, applying response rate limiting first. WriteTo is safe for
-// concurrent use.
-func (s *Server) udpWorker(conn net.PacketConn, jobs <-chan udpJob) {
+// responses, applying response rate limiting first. A dropped or slipped
+// query allocates nothing; an answered one allocates its decoded names'
+// arena and nothing else.
+func (s *Server) udpWorker(conn UDPConn, jobs <-chan udpJob) {
 	defer s.wg.Done()
 	var sc scratch
 	for job := range jobs {
@@ -566,7 +587,7 @@ func (s *Server) udpWorker(conn net.PacketConn, jobs <-chan udpJob) {
 				continue
 			case rrlSlip:
 				if out := reflexResponse(*job.wire, dnswire.RCodeNoError, true); out != nil {
-					conn.WriteTo(out, peer)
+					conn.WriteToUDPAddrPort(out, peer)
 				}
 				s.m.rrlSlipped.Inc()
 				bufPool.Put(job.wire)
@@ -583,7 +604,7 @@ func (s *Server) udpWorker(conn net.PacketConn, jobs <-chan udpJob) {
 		if d := s.Delay(); d > 0 {
 			time.Sleep(d)
 		}
-		if _, err := conn.WriteTo(resp, peer); err != nil {
+		if _, err := conn.WriteToUDPAddrPort(resp, peer); err != nil {
 			s.log.Debug("authserver: udp write", "peer", peer, "err", err)
 			continue
 		}

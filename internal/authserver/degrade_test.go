@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"slices"
 	"testing"
 	"time"
@@ -351,7 +352,7 @@ func TestRRLSlipInvitesTCPRetry(t *testing.T) {
 // order of their stamps, and only the eleventh is limited.
 func TestRRLOutOfOrderNowNeverDrains(t *testing.T) {
 	l := newRRLLimiter(RRLConfig{ResponsesPerSecond: 10})
-	peer := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 5353}
+	peer := netip.MustParseAddrPort("192.0.2.7:5353")
 	t1 := time.Unix(1000, 0)
 	stamps := []time.Time{t1, t1.Add(-500 * time.Millisecond), t1.Add(-time.Second)}
 	for len(stamps) < 11 {
@@ -373,7 +374,7 @@ func TestRRLOutOfOrderNowNeverDrains(t *testing.T) {
 // only up to the burst, keeps the burst apart from the rate, floors the
 // burst at one token, and gives the same verdicts to the same stamps.
 func TestRRLBucket(t *testing.T) {
-	peer := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 5353}
+	peer := netip.MustParseAddrPort("192.0.2.7:5353")
 	t0 := time.Unix(1000, 0)
 	type step struct {
 		at            time.Duration // after t0
@@ -462,7 +463,7 @@ func TestRRLSubUnitRateAnswers(t *testing.T) {
 func TestWrappedListenerUnderFaultSchedule(t *testing.T) {
 	inj := faultinject.New(7)
 	srv := NewServer(degradeZone(), nil)
-	srv.WrapUDP = func(pc net.PacketConn) net.PacketConn {
+	srv.WrapUDP = func(pc UDPConn) UDPConn {
 		return faultinject.WrapPacketConn(pc, inj)
 	}
 	addr, err := srv.Start("127.0.0.1:0")
@@ -501,5 +502,24 @@ func TestReflexKeepsRawQueryBytes(t *testing.T) {
 	}
 	if out[0] != wire[0] || out[1] != wire[1] {
 		t.Error("reflex must preserve the query ID")
+	}
+}
+
+// TestRRLSourcePrefix: a peer's bucket is its /24 for IPv4, whether the
+// socket reports it as IPv4 or as IPv4-mapped IPv6, and its /56 for
+// IPv6; the port never matters.
+func TestRRLSourcePrefix(t *testing.T) {
+	for _, c := range []struct{ peer, want string }{
+		{"192.0.2.7:5353", "192.0.2.0/24"},
+		{"192.0.2.250:1", "192.0.2.0/24"},
+		{"[::ffff:192.0.2.7]:53", "192.0.2.0/24"},
+		{"192.0.3.7:5353", "192.0.3.0/24"},
+		{"[2001:db8:0:12ff::1]:53", "2001:db8:0:1200::/56"},
+		{"[2001:db8:0:1200:ffff::9]:4000", "2001:db8:0:1200::/56"},
+		{"[2001:db8:0:1300::1]:53", "2001:db8:0:1300::/56"},
+	} {
+		if got := sourcePrefix(netip.MustParseAddrPort(c.peer)); got != netip.MustParsePrefix(c.want) {
+			t.Errorf("sourcePrefix(%s) = %s, want %s", c.peer, got, c.want)
+		}
 	}
 }

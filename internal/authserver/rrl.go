@@ -8,7 +8,7 @@
 package authserver
 
 import (
-	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -77,7 +77,7 @@ type rrlLimiter struct {
 	cfg RRLConfig
 
 	mu      sync.Mutex
-	buckets map[string]*rrlBucket
+	buckets map[netip.Prefix]*rrlBucket
 	sinceGC int
 }
 
@@ -87,26 +87,22 @@ func newRRLLimiter(cfg RRLConfig) *rrlLimiter {
 	}
 	// a bucket that can never hold a whole token would deny everything
 	cfg.Burst = max(cfg.Burst, 1)
-	return &rrlLimiter{cfg: cfg, buckets: make(map[string]*rrlBucket)}
+	return &rrlLimiter{cfg: cfg, buckets: make(map[netip.Prefix]*rrlBucket)}
 }
 
-// prefixKey maps a peer address to its rate-limit bucket key: the /24
-// for IPv4 sources, /56 for IPv6, following RRL practice of limiting
-// the prefix a spoofing attacker actually controls responses toward.
-func prefixKey(addr net.Addr) string {
-	var ip net.IP
-	switch a := addr.(type) {
-	case *net.UDPAddr:
-		ip = a.IP
-	case *net.TCPAddr:
-		ip = a.IP
-	default:
-		return addr.String()
+// sourcePrefix maps a peer to its rate-limit bucket: the /24 for IPv4
+// sources (an IPv4-mapped IPv6 peer of a dual-stack socket included),
+// /56 for IPv6, following RRL practice of limiting the prefix a spoofing
+// attacker actually controls responses toward. A netip.Prefix is a
+// comparable value, so keying the table by it allocates nothing.
+func sourcePrefix(peer netip.AddrPort) netip.Prefix {
+	a := peer.Addr().Unmap()
+	bits := 56
+	if a.Is4() {
+		bits = 24
 	}
-	if v4 := ip.To4(); v4 != nil {
-		return string(v4.Mask(net.CIDRMask(24, 32)))
-	}
-	return string(ip.Mask(net.CIDRMask(56, 128)))
+	p, _ := a.Prefix(bits)
+	return p
 }
 
 // account charges one response to the peer's prefix and returns the
@@ -114,8 +110,8 @@ func prefixKey(addr net.Addr) string {
 // read before the lock, so concurrent workers may arrive out of order;
 // the bucket refills only forward in time, so an older now is charged
 // its one token and drains nothing more.
-func (l *rrlLimiter) account(peer net.Addr, now time.Time) rrlAction {
-	key := prefixKey(peer)
+func (l *rrlLimiter) account(peer netip.AddrPort, now time.Time) rrlAction {
+	key := sourcePrefix(peer)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	b := l.buckets[key]

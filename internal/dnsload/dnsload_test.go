@@ -27,7 +27,7 @@ func startServer(t *testing.T, inj *faultinject.Injector) string {
 	zone.AddA("ns2.load.example", netx.MustParseAddr("192.0.2.2"))
 	srv := authserver.NewServer(zone, nil)
 	if inj != nil {
-		srv.WrapUDP = func(pc net.PacketConn) net.PacketConn {
+		srv.WrapUDP = func(pc authserver.UDPConn) authserver.UDPConn {
 			return faultinject.WrapPacketConn(pc, inj)
 		}
 	}

@@ -86,7 +86,7 @@ func runModeLive(ctx context.Context, cfg Config, spec modeSpec, names []string,
 	for i := 0; i < cfg.Servers; i++ {
 		srv := authserver.NewServer(zone, nil)
 		inj := faultinject.New(modeSeed(cfg.Seed, spec.name) + uint64(i))
-		srv.WrapUDP = func(pc net.PacketConn) net.PacketConn {
+		srv.WrapUDP = func(pc authserver.UDPConn) authserver.UDPConn {
 			return faultinject.WrapPacketConn(pc, inj)
 		}
 		if spec.forceOverload {

@@ -1,15 +1,17 @@
 // Package faultinject degrades real sockets the way a DDoS degrades a
-// network path: composable netem-style wrappers around net.PacketConn and
-// net.Conn inject packet drop, added latency with jitter, duplication,
-// byte corruption and truncation, under a profile that can be reshaped
-// while traffic flows. Swapping the profile at the edges of an "attack
+// network path: composable netem-style wrappers around an unconnected UDP
+// socket (PacketConn, over the netip.AddrPort read and write of
+// *net.UDPConn) and a connected net.Conn inject packet drop, added
+// latency with jitter, duplication, byte corruption and truncation, under
+// a profile that can be reshaped while traffic flows. Swapping the profile at the edges of an "attack
 // window" lets the live authserver/resolver/dnsload path reproduce the
 // degradation the paper measures on the simulated data plane (§6.3): the
 // same query stream, the same nsset.QueryStatus classification, but over
 // genuine sockets.
 //
 // The wrappers sit on either end of the UDP path: authserver plugs a
-// wrapped listener in via Server.WrapUDP (faults on the server's edge,
+// wrapped listener in via Server.WrapUDP, whose authserver.UDPConn
+// contract PacketConn satisfies and wraps (faults on the server's edge,
 // like an attacked authoritative), and resolver.UDPClient wraps its
 // client socket via its Wrap hook (faults on the resolver's path, like
 // congested transit). All randomness comes from a seeded generator so

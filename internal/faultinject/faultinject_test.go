@@ -3,51 +3,51 @@ package faultinject
 import (
 	"bytes"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 )
 
-// fakePacketConn is an in-memory net.PacketConn: reads pop from inbox,
-// writes append to outbox.
+// fakePacketConn is an in-memory UDPConn: reads pop from inbox, writes
+// append to outbox.
 type fakePacketConn struct {
 	inbox  [][]byte
 	outbox [][]byte
-	addrs  []net.Addr
+	addrs  []netip.AddrPort
 }
 
-type fakeAddr string
+// peerAddr is where every fake datagram comes from, fakeAddr where the
+// tests send theirs.
+var (
+	peerAddr = netip.MustParseAddrPort("192.0.2.1:53")
+	fakeAddr = netip.MustParseAddrPort("192.0.2.2:53")
+)
 
-func (a fakeAddr) Network() string { return "fake" }
-func (a fakeAddr) String() string  { return string(a) }
-
-func (c *fakePacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
+func (c *fakePacketConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 	if len(c.inbox) == 0 {
-		return 0, nil, net.ErrClosed
+		return 0, netip.AddrPort{}, net.ErrClosed
 	}
 	p := c.inbox[0]
 	c.inbox = c.inbox[1:]
 	n := copy(b, p)
-	return n, fakeAddr("peer"), nil
+	return n, peerAddr, nil
 }
 
-func (c *fakePacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
+func (c *fakePacketConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
 	c.outbox = append(c.outbox, append([]byte(nil), b...))
 	c.addrs = append(c.addrs, addr)
 	return len(b), nil
 }
 
-func (c *fakePacketConn) Close() error                       { return nil }
-func (c *fakePacketConn) LocalAddr() net.Addr                { return fakeAddr("local") }
-func (c *fakePacketConn) SetDeadline(t time.Time) error      { return nil }
-func (c *fakePacketConn) SetReadDeadline(t time.Time) error  { return nil }
-func (c *fakePacketConn) SetWriteDeadline(t time.Time) error { return nil }
+func (c *fakePacketConn) Close() error        { return nil }
+func (c *fakePacketConn) LocalAddr() net.Addr { return net.UDPAddrFromAddrPort(peerAddr) }
 
 func TestWriteDrop(t *testing.T) {
 	fc := &fakePacketConn{}
 	inj := New(1)
 	inj.SetProfile(Profile{Drop: 1})
 	pc := WrapPacketConn(fc, inj)
-	n, err := pc.WriteTo([]byte("abc"), fakeAddr("x"))
+	n, err := pc.WriteToUDPAddrPort([]byte("abc"), fakeAddr)
 	if n != 3 || err != nil {
 		t.Fatalf("dropped write must report success, got n=%d err=%v", n, err)
 	}
@@ -62,7 +62,7 @@ func TestReadDropConsumes(t *testing.T) {
 	inj.SetProfile(Profile{Drop: 1})
 	pc := WrapPacketConn(fc, inj)
 	buf := make([]byte, 16)
-	if _, _, err := pc.ReadFrom(buf); err == nil {
+	if _, _, err := pc.ReadFromUDPAddrPort(buf); err == nil {
 		t.Fatal("with drop=1 every datagram is consumed; read must surface the closed error")
 	}
 }
@@ -72,7 +72,7 @@ func TestDuplicate(t *testing.T) {
 	inj := New(1)
 	inj.SetProfile(Profile{Duplicate: 1})
 	pc := WrapPacketConn(fc, inj)
-	pc.WriteTo([]byte("abc"), fakeAddr("x"))
+	pc.WriteToUDPAddrPort([]byte("abc"), fakeAddr)
 	if len(fc.outbox) != 2 {
 		t.Fatalf("duplicate=1 wrote %d datagrams, want 2", len(fc.outbox))
 	}
@@ -87,7 +87,7 @@ func TestCorrupt(t *testing.T) {
 	inj.SetProfile(Profile{Corrupt: 1})
 	pc := WrapPacketConn(fc, inj)
 	orig := []byte{0x10, 0x20, 0x30, 0x40}
-	pc.WriteTo(orig, fakeAddr("x"))
+	pc.WriteToUDPAddrPort(orig, fakeAddr)
 	if len(fc.outbox) != 1 {
 		t.Fatalf("wrote %d datagrams, want 1", len(fc.outbox))
 	}
@@ -115,7 +115,7 @@ func TestLatencyDelays(t *testing.T) {
 	inj.SetProfile(Profile{Latency: 30 * time.Millisecond})
 	pc := WrapPacketConn(fc, inj)
 	start := time.Now()
-	pc.WriteTo([]byte("x"), fakeAddr("a"))
+	pc.WriteToUDPAddrPort([]byte("x"), fakeAddr)
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Errorf("write returned after %v, want ≥30ms of injected latency", d)
 	}
@@ -125,11 +125,11 @@ func TestZeroProfilePassesThrough(t *testing.T) {
 	fc := &fakePacketConn{inbox: [][]byte{[]byte("hello")}}
 	pc := WrapPacketConn(fc, New(1))
 	buf := make([]byte, 16)
-	n, addr, err := pc.ReadFrom(buf)
-	if err != nil || string(buf[:n]) != "hello" || addr == nil {
+	n, addr, err := pc.ReadFromUDPAddrPort(buf)
+	if err != nil || string(buf[:n]) != "hello" || addr != peerAddr {
 		t.Fatalf("healthy read: n=%d addr=%v err=%v", n, addr, err)
 	}
-	pc.WriteTo([]byte("world"), fakeAddr("a"))
+	pc.WriteToUDPAddrPort([]byte("world"), fakeAddr)
 	if len(fc.outbox) != 1 || string(fc.outbox[0]) != "world" {
 		t.Fatalf("healthy write mangled: %q", fc.outbox)
 	}
@@ -190,7 +190,7 @@ func TestTruncateReadsOnly(t *testing.T) {
 	pc := WrapPacketConn(fc, inj)
 
 	buf := make([]byte, 64)
-	n, _, err := pc.ReadFrom(buf)
+	n, _, err := pc.ReadFromUDPAddrPort(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestTruncateReadsOnly(t *testing.T) {
 		t.Error("truncation must cut, not rewrite, the prefix")
 	}
 
-	if _, err := pc.WriteTo(payload, fakeAddr("x")); err != nil {
+	if _, err := pc.WriteToUDPAddrPort(payload, fakeAddr); err != nil {
 		t.Fatal(err)
 	}
 	if len(fc.outbox) != 1 || !bytes.Equal(fc.outbox[0], payload) {
@@ -213,7 +213,7 @@ func TestTruncateReadsOnly(t *testing.T) {
 
 	// short datagrams pass through whole — there is nothing left to cut
 	fc.inbox = [][]byte{[]byte("abc")}
-	n, _, err = pc.ReadFrom(buf)
+	n, _, err = pc.ReadFromUDPAddrPort(buf)
 	if err != nil || n != 3 {
 		t.Errorf("short datagram: n=%d err=%v, want 3 bytes intact", n, err)
 	}

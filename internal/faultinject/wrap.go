@@ -1,7 +1,9 @@
 // wrap.go implements the socket wrappers that apply an Injector's
 // verdicts to real traffic. Two shapes cover the live DNS path:
 //
-//   - WrapPacketConn: an unconnected UDP listener (authserver's socket).
+//   - WrapPacketConn: an unconnected UDP listener (authserver's socket),
+//     read and written by netip.AddrPort, so an idle profile adds no
+//     allocation to a datagram.
 //   - WrapDatagram: a connected UDP client socket (resolver.UDPClient).
 //
 // Faults are applied on both directions of whichever endpoint is
@@ -14,28 +16,40 @@ package faultinject
 
 import (
 	"net"
+	"net/netip"
 	"time"
 )
 
-// PacketConn wraps a net.PacketConn with fault injection.
+// UDPConn is the unconnected datagram socket PacketConn wraps: reads and
+// writes that carry the peer as a netip.AddrPort, as *net.UDPConn's do.
+// It is the method set of authserver.UDPConn, named here so that the
+// wrapper does not import the server it is plugged into.
+type UDPConn interface {
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
+	Close() error
+	LocalAddr() net.Addr
+}
+
+// PacketConn wraps a UDPConn with fault injection, and is one itself.
 type PacketConn struct {
-	net.PacketConn
+	UDPConn
 	inj *Injector
 }
 
-// WrapPacketConn wraps an unconnected packet socket (a UDP listener):
+// WrapPacketConn wraps an unconnected UDP socket (a listener):
 // cmd/serve's and internal/e2ebench's fault flags, and the authserver and
 // resolver tests, wrap a server's listener with it.
-func WrapPacketConn(c net.PacketConn, inj *Injector) *PacketConn {
-	return &PacketConn{PacketConn: c, inj: inj}
+func WrapPacketConn(c UDPConn, inj *Injector) *PacketConn {
+	return &PacketConn{UDPConn: c, inj: inj}
 }
 
-// ReadFrom applies inbound faults: dropped datagrams are consumed and
-// never surface, corrupted ones are flipped, and delay is served before
-// the datagram is delivered.
-func (c *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
+// ReadFromUDPAddrPort applies inbound faults: dropped datagrams are
+// consumed and never surface, corrupted ones are flipped, and delay is
+// served before the datagram is delivered.
+func (c *PacketConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 	for {
-		n, addr, err := c.PacketConn.ReadFrom(b)
+		n, addr, err := c.UDPConn.ReadFromUDPAddrPort(b)
 		if err != nil {
 			return n, addr, err
 		}
@@ -56,9 +70,9 @@ func (c *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 	}
 }
 
-// WriteTo applies outbound faults. Dropped datagrams report success, as
-// a real network would.
-func (c *PacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
+// WriteToUDPAddrPort applies outbound faults. Dropped datagrams report
+// success, as a real network would.
+func (c *PacketConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
 	v := c.inj.roll()
 	if v.drop {
 		return len(b), nil
@@ -71,11 +85,11 @@ func (c *PacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	if v.delay > 0 {
 		time.Sleep(v.delay)
 	}
-	if _, err := c.PacketConn.WriteTo(out, addr); err != nil {
+	if _, err := c.UDPConn.WriteToUDPAddrPort(out, addr); err != nil {
 		return 0, err
 	}
 	if v.duplicate {
-		c.PacketConn.WriteTo(out, addr)
+		c.UDPConn.WriteToUDPAddrPort(out, addr)
 	}
 	return len(b), nil
 }

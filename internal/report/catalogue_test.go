@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -144,6 +145,11 @@ func TestSeriesRefusesTamperedDay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		if err := s.Pipeline.DayStore().(io.Closer).Close(); err != nil {
+			t.Errorf("closing the run's day store: %v", err)
+		}
+	}()
 	path := filepath.Join(dir, daystore.FileName(clock.DayOf(s.Schedule.CaseStudies.TransIPDecStart)))
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -93,10 +93,19 @@ type LiveResolver struct {
 	cfg LiveConfig
 	m   liveMetrics
 
-	mu       sync.Mutex
-	rng      *rand.Rand          // rotation order
-	jitter   *rand.Rand          // backoff draws, a stream apart from rng's
-	circuits map[string]*circuit // by server address; nil when BreakerThreshold == 0
+	mu      sync.Mutex
+	rng     *rand.Rand         // rotation order
+	jitter  *rand.Rand         // backoff draws, a stream apart from rng's
+	servers map[string]*server // by server address, from its first try on
+}
+
+// server is what the resolver keeps of one nameserver address: its UDP
+// socket address, parsed (or, for a host name, looked up) at its first
+// try and reused by every later one, and its circuit, used only when
+// BreakerThreshold > 0.
+type server struct {
+	udp *net.UDPAddr
+	circuit
 }
 
 // circuit is one server's breaker. Closed, it admits every try; open
@@ -179,12 +188,40 @@ func NewLiveResolver(cfg LiveConfig, rng *rand.Rand) *LiveResolver {
 	}
 	// the jitter draws get a generator derived from rng, so how many
 	// retries a resolution makes does not move the rotation order
-	r := &LiveResolver{cfg: cfg, m: newLiveMetrics(cfg.Metrics), rng: rng,
-		jitter: rand.New(rand.NewPCG(rng.Uint64(), rng.Uint64()))}
-	if cfg.BreakerThreshold > 0 {
-		r.circuits = make(map[string]*circuit)
+	return &LiveResolver{cfg: cfg, m: newLiveMetrics(cfg.Metrics), rng: rng,
+		jitter:  rand.New(rand.NewPCG(rng.Uint64(), rng.Uint64())),
+		servers: make(map[string]*server)}
+}
+
+// server returns addr's state, adding it at its first use. The caller
+// holds r.mu.
+func (r *LiveResolver) server(addr string) *server {
+	sv := r.servers[addr]
+	if sv == nil {
+		sv = &server{}
+		r.servers[addr] = sv
 	}
-	return r
+	return sv
+}
+
+// udpAddr returns addr's socket address, parsing it at its first try: a
+// query to a known server parses nothing.
+func (r *LiveResolver) udpAddr(addr string) (*net.UDPAddr, error) {
+	r.mu.Lock()
+	sv := r.server(addr)
+	ua := sv.udp
+	r.mu.Unlock()
+	if ua != nil {
+		return ua, nil
+	}
+	ua, err := udpAddr(addr)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	sv.udp = ua
+	r.mu.Unlock()
+	return ua, nil
 }
 
 // tryStatus classifies one attempt.
@@ -308,7 +345,11 @@ func sleep(ctx context.Context, d time.Duration) bool {
 // tryOnce runs one attempt: UDP query, rcode classification, TC→TCP
 // fallback when configured.
 func (r *LiveResolver) tryOnce(ctx context.Context, client *UDPClient, addr, name string, qtype dnswire.Type) (*dnswire.Message, bool, tryStatus) {
-	msg, _, err := client.Query(ctx, addr, name, qtype)
+	raddr, err := r.udpAddr(addr)
+	if err != nil {
+		return nil, false, tryOther
+	}
+	msg, _, err := client.query(ctx, addr, raddr, name, qtype)
 	if err != nil {
 		var nerr net.Error
 		if errors.As(err, &nerr) && nerr.Timeout() {
@@ -355,7 +396,7 @@ func classifyRCode(rc dnswire.RCode) tryStatus {
 // the scheduled one is probed anyway — refusing all peers forever would
 // turn a partial outage into a total one.
 func (r *LiveResolver) pickServer(order []string, i int) string {
-	if r.circuits == nil {
+	if r.cfg.BreakerThreshold <= 0 {
 		return order[i%len(order)]
 	}
 	now := time.Now()
@@ -378,12 +419,12 @@ func (r *LiveResolver) pickServer(order []string, i int) string {
 func (r *LiveResolver) allow(addr string, now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.circuits[addr]
+	sv := r.servers[addr]
 	switch {
-	case c == nil || c.state == circuitClosed:
+	case sv == nil || sv.state == circuitClosed:
 		return true
-	case c.state == circuitOpen && now.Sub(c.openedAt) >= r.cfg.BreakerCooldown:
-		c.state = circuitHalfOpen
+	case sv.state == circuitOpen && now.Sub(sv.openedAt) >= r.cfg.BreakerCooldown:
+		sv.state = circuitHalfOpen
 		return true
 	}
 	return false
@@ -395,16 +436,12 @@ func (r *LiveResolver) allow(addr string, now time.Time) bool {
 // there already, so a failed probe re-opens it too. Either restamps
 // openedAt, and entering open from another state counts a breaker_opens.
 func (r *LiveResolver) record(addr string, ok bool, now time.Time) {
-	if r.circuits == nil {
+	if r.cfg.BreakerThreshold <= 0 {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.circuits[addr]
-	if c == nil {
-		c = &circuit{}
-		r.circuits[addr] = c
-	}
+	c := &r.server(addr).circuit
 	if ok {
 		c.state, c.fails = circuitClosed, 0
 		return

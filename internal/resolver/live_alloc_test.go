@@ -56,16 +56,24 @@ func loopbackResolver(tb testing.TB) (resolve func(n int) float64) {
 }
 
 // TestLiveQueryAllocBudget bounds what one clean query allocates through
-// the whole live stack: what outlives it (the decoded answer) and what
-// the standard library's socket calls force (the dial, the server's peer
-// address). It read about 110 while the codec built a string per label.
-// The slack over the 20 it reads now covers the race detector, under
-// which sync.Pool sheds some of what it is given.
+// the whole live stack. It reads 15: the dial 9 (a socket per query,
+// RFC 5452 §9.2), its address string and its two socket addresses among
+// them; the client's decode 4, the answer the caller keeps; the server's
+// name arena 1; about 1 that a memory profile does not place. The
+// server's read and write carry the peer as a netip.AddrPort, the
+// resolver parses each server's address once and the question is
+// encoded from the stack, so none of them allocates. It read about 110
+// while the codec built a string per label, and 20 while the server's
+// peer was a net.Addr and the client built a heap query. The slack of 4
+// covers the race detector, under which sync.Pool sheds some of what it
+// is given (it reads 18.5 there).
 func TestLiveQueryAllocBudget(t *testing.T) {
 	resolve := loopbackResolver(t)
 	resolve(200) // fill the pools, grow the scratch
-	const budget = 26
-	if got := resolve(2000); got > budget {
+	const budget = 19
+	got := resolve(2000)
+	t.Logf("%.2f allocations per resolved query", got)
+	if got > budget {
 		t.Errorf("%.1f allocations per resolved query, budget %d", got, budget)
 	}
 }

@@ -22,7 +22,7 @@ func TestLiveResolverBreakerStates(t *testing.T) {
 		Metrics:          reg,
 	}, rand.New(rand.NewPCG(1, 1)))
 	state := func(addr string) circuitState {
-		if c := r.circuits[addr]; c != nil {
+		if c := r.servers[addr]; c != nil {
 			return c.state
 		}
 		return circuitClosed
@@ -87,7 +87,7 @@ func TestLiveResolverBreakerStates(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		off.record("ns1", false, t0)
 	}
-	if off.circuits != nil || off.pickServer([]string{"ns1"}, 0) != "ns1" {
+	if len(off.servers) != 0 || off.pickServer([]string{"ns1"}, 0) != "ns1" {
 		t.Fatal("a zero BreakerThreshold must keep no circuit")
 	}
 }

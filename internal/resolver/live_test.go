@@ -25,7 +25,7 @@ func startAuth(t *testing.T, inj *faultinject.Injector) string {
 	zone.AddA("ns1.victim.example", netx.MustParseAddr("192.0.2.1"))
 	srv := authserver.NewServer(zone, nil)
 	if inj != nil {
-		srv.WrapUDP = func(pc net.PacketConn) net.PacketConn {
+		srv.WrapUDP = func(pc authserver.UDPConn) authserver.UDPConn {
 			return faultinject.WrapPacketConn(pc, inj)
 		}
 	}

@@ -2,7 +2,6 @@ package resolver
 
 import (
 	"context"
-	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -53,13 +52,15 @@ func (c *TCPClient) Query(ctx context.Context, addr, name string, qtype dnswire.
 	if err := conn.SetDeadline(deadline); err != nil {
 		return nil, 0, err
 	}
-	var idb [2]byte
-	if _, err := rand.Read(idb[:]); err != nil {
+	id, err := queryID()
+	if err != nil {
 		return nil, 0, err
 	}
-	id := binary.BigEndian.Uint16(idb[:])
-	// the message goes behind two bytes kept for its length
-	framed, err := dnswire.AppendEncode(make([]byte, 2, 512), dnswire.NewQuery(id, name, qtype))
+	// the query goes into a pooled datagram buffer, behind two bytes kept
+	// for its length; the same bytes then take the response when it fits
+	bp := udpBufPool.Get().(*[]byte)
+	defer udpBufPool.Put(bp)
+	framed, err := appendQuery(append((*bp)[:0], 0, 0), id, name, qtype, 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -71,7 +72,12 @@ func (c *TCPClient) Query(ctx context.Context, addr, name string, qtype dnswire.
 	if _, err := io.ReadFull(conn, lenb[:]); err != nil {
 		return nil, 0, fmt.Errorf("resolver: tcp recv: %w", err)
 	}
-	buf := make([]byte, binary.BigEndian.Uint16(lenb[:]))
+	buf := *bp
+	if n := int(binary.BigEndian.Uint16(lenb[:])); n <= len(buf) {
+		buf = buf[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	if _, err := io.ReadFull(conn, buf); err != nil {
 		return nil, 0, fmt.Errorf("resolver: tcp recv: %w", err)
 	}

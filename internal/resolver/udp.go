@@ -32,7 +32,8 @@ type UDPClient struct {
 }
 
 // udpBufPool holds datagram buffers of at least minUDPBuf bytes: a query
-// is encoded into one and sent, then the same bytes take the response.
+// is encoded into one and sent, then the same bytes take the response
+// (a TCPClient's too, behind its length, when the response fits).
 // Nothing decoded from a buffer points into it, so it goes back when the
 // query returns.
 const minUDPBuf = 4096
@@ -51,21 +52,56 @@ func udpAddr(addr string) (*net.UDPAddr, error) {
 	return net.ResolveUDPAddr("udp", addr)
 }
 
+// appendQuery encodes one question under id onto dst, with an EDNS OPT
+// record advertising payload when it is nonzero. The message lives on the
+// stack and only its bytes outlive the call; the encoder writes the name
+// in canonical form. The OPT record is the one AttachEDNS would append
+// (root owner, CLASS = the payload size, RFC 6891 §6.1.2), written in
+// place: AttachEDNS stores through its receiver, which would move the
+// message's sections to the heap.
+func appendQuery(dst []byte, id uint16, name string, qtype dnswire.Type, payload uint16) ([]byte, error) {
+	opt := []dnswire.RR{{Type: dnswire.TypeOPT, Class: dnswire.Class(payload)}}
+	if payload == 0 {
+		opt = nil
+	}
+	q := dnswire.Message{
+		Header:     dnswire.Header{ID: id},
+		Questions:  []dnswire.Question{{Name: name, Type: qtype, Class: dnswire.ClassIN}},
+		Additional: opt,
+	}
+	return dnswire.AppendEncode(dst, &q)
+}
+
+// queryID draws a query ID from crypto/rand (RFC 5452 §9.2).
+func queryID() (uint16, error) {
+	var idb [2]byte
+	if _, err := rand.Read(idb[:]); err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint16(idb[:]), nil
+}
+
 // Query sends a question to the server at addr ("host:port") and returns
 // the decoded response and the measured round-trip time. A context that
 // is already done fails the query before anything is sent; after that,
 // ctx bounds the wait for the response through its deadline.
 func (c *UDPClient) Query(ctx context.Context, addr, name string, qtype dnswire.Type) (*dnswire.Message, time.Duration, error) {
+	raddr, err := udpAddr(addr)
+	if err != nil {
+		return nil, 0, fmt.Errorf("resolver: dial %s: %w", addr, err)
+	}
+	return c.query(ctx, addr, raddr, name, qtype)
+}
+
+// query is Query at raddr, addr's socket address parsed by the caller (a
+// LiveResolver parses each server's once).
+func (c *UDPClient) query(ctx context.Context, addr string, raddr *net.UDPAddr, name string, qtype dnswire.Type) (*dnswire.Message, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, fmt.Errorf("resolver: dial %s: %w", addr, err)
 	}
 	timeout := c.Timeout
 	if timeout <= 0 {
 		timeout = 2 * time.Second
-	}
-	raddr, err := udpAddr(addr)
-	if err != nil {
-		return nil, 0, fmt.Errorf("resolver: dial %s: %w", addr, err)
 	}
 	// connecting a UDP socket sends nothing and does not block, so the
 	// dial needs neither ctx nor a timeout of its own
@@ -79,14 +115,9 @@ func (c *UDPClient) Query(ctx context.Context, addr, name string, qtype dnswire.
 		conn = c.Wrap(conn)
 	}
 
-	var idb [2]byte
-	if _, err := rand.Read(idb[:]); err != nil {
+	id, err := queryID()
+	if err != nil {
 		return nil, 0, err
-	}
-	id := binary.BigEndian.Uint16(idb[:])
-	q := dnswire.NewQuery(id, name, qtype)
-	if c.EDNSPayload > 0 {
-		q.AttachEDNS(dnswire.EDNS{UDPPayload: c.EDNSPayload})
 	}
 	// The buffer must cover what we invited the server to send: one
 	// smaller than the advertised EDNS payload makes the kernel silently
@@ -98,7 +129,7 @@ func (c *UDPClient) Query(ctx context.Context, addr, name string, qtype dnswire.
 		*bp = make([]byte, size)
 	}
 	buf := *bp
-	wire, err := dnswire.AppendEncode(buf[:0], q)
+	wire, err := appendQuery(buf[:0], id, name, qtype, c.EDNSPayload)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -89,6 +89,7 @@ func runParity(t *testing.T, cfg Config, beforeDay func(clock.Day)) *Study {
 	if err != nil {
 		t.Fatalf("columnar run: %v", err)
 	}
+	defer closeDays(t, col)
 	if files, _ := filepath.Glob(filepath.Join(dir, "day_*.dcol")); len(files) == 0 {
 		t.Fatal("columnar run sealed no day files; it silently kept them in memory")
 	}
@@ -250,6 +251,7 @@ func TestColumnarCancelAndResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer closeDays(t, res)
 	if res.Report.ResumedDays != 2 {
 		t.Errorf("ResumedDays = %d, want 2", res.Report.ResumedDays)
 	}
@@ -270,14 +272,19 @@ func TestColumnarResumeRefusesCorruptSeal(t *testing.T) {
 	cfg.ToDay = 29
 
 	seedCkpt, seedDS := t.TempDir(), t.TempDir()
-	if _, err := RunContext(context.Background(), cfg,
-		WithCheckpointDir(seedCkpt), WithDayStoreDir(seedDS)); err != nil {
+	seed, err := RunContext(context.Background(), cfg,
+		WithCheckpointDir(seedCkpt), WithDayStoreDir(seedDS))
+	if err != nil {
 		t.Fatal(err)
 	}
+	closeDays(t, seed)
 
 	resume := func(ckptDir, dsDir string) error {
-		_, err := RunContext(context.Background(), cfg,
+		s, err := RunContext(context.Background(), cfg,
 			WithCheckpointDir(ckptDir), WithDayStoreDir(dsDir), WithResume(true))
+		if err == nil {
+			closeDays(t, s)
+		}
 		return err
 	}
 

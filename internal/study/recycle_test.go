@@ -72,9 +72,11 @@ func TestAbandonedTableIsNotRecycled(t *testing.T) {
 	cfg.Parallelism = 2
 
 	refDir := t.TempDir()
-	if _, err := RunContext(context.Background(), cfg, WithDayStoreDir(refDir), WithSkipJoin()); err != nil {
+	ref, err := RunContext(context.Background(), cfg, WithDayStoreDir(refDir), WithSkipJoin())
+	if err != nil {
 		t.Fatal(err)
 	}
+	closeDays(t, ref)
 
 	// The run loop's own pieces, composed by hand so the engine can sit on
 	// the stalling data plane; same world, same seeds.

@@ -48,6 +48,16 @@ func mustRun(t *testing.T, cfg Config) *Study {
 	return s
 }
 
+// closeDays closes the day store of a run that sealed its days to a
+// directory, releasing the descriptor it holds on it instead of leaving
+// it to a finalizer. A run that fails closes its own.
+func closeDays(t *testing.T, s *Study) {
+	t.Helper()
+	if err := s.Pipeline.DayStore().(io.Closer).Close(); err != nil {
+		t.Errorf("closing the run's day store: %v", err)
+	}
+}
+
 func eventsBytes(t *testing.T, s *Study) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -146,6 +156,7 @@ func TestCancelAndResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer closeDays(t, res)
 			if res.Report.ResumedDays != want {
 				t.Errorf("ResumedDays = %d, want %d", res.Report.ResumedDays, want)
 			}
@@ -251,9 +262,13 @@ func TestResumeRefusesCorruptCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer closeDays(t, full)
 
 	resume := func(dir string, c Config) error {
-		_, err := RunContext(context.Background(), c, WithCheckpointDir(dir), WithResume(true))
+		s, err := RunContext(context.Background(), c, WithCheckpointDir(dir), WithResume(true))
+		if err == nil {
+			closeDays(t, s)
+		}
 		return err
 	}
 
@@ -277,6 +292,7 @@ func TestResumeRefusesCorruptCheckpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer closeDays(t, res)
 		if res.Report.ResumedDays != 2 || res.Report.CompletedDays != 1 {
 			t.Errorf("ResumedDays = %d CompletedDays = %d, want 2 and 1", res.Report.ResumedDays, res.Report.CompletedDays)
 		}

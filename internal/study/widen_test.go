@@ -148,19 +148,19 @@ func TestResumeBetweenPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resume := func() *Study {
+	resume := func() {
 		t.Helper()
 		s, err := RunContext(context.Background(), cfg, WithCheckpointDir(dir), WithResume(true), WithBeforeDay(fault))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer closeDays(t, s)
 		if !bytes.Equal(refCSV, eventsBytes(t, s)) {
 			t.Error("the resumed run's events differ from the uninterrupted run's")
 		}
 		if measured, skipped := sweptDomains(s); measured+skipped != int64(len(s.World.DB.Domains)) {
 			t.Errorf("the resumed run swept one day again and counted %d + %d domains, want %d", measured, skipped, len(s.World.DB.Domains))
 		}
-		return s
 	}
 	resume()
 	journaled(days)
@@ -211,9 +211,7 @@ func TestResumeClearsUnjournaledDay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := full.Pipeline.DayStore().(*daystore.Set).Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeDays(t, full)
 	// Write the day log again without the quarantined day's reference.
 	refs, err := checkpoint.ReadDayRefs(dir)
 	if err != nil {
@@ -241,6 +239,7 @@ func TestResumeClearsUnjournaledDay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer closeDays(t, s)
 	if _, err := os.Stat(filepath.Join(dir, "days", daystore.FileName(quarantine))); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("the unjournaled day's file survived the resume (%v)", err)
 	}

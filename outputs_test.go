@@ -52,6 +52,11 @@ func studyOutputs(t *testing.T) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		if err := s.Pipeline.DayStore().(io.Closer).Close(); err != nil {
+			t.Errorf("closing the run's day store: %v", err)
+		}
+	}()
 	out := map[string][]byte{}
 	var buf bytes.Buffer
 	if err := report.EventsCSV(&buf, s.Events); err != nil {
